@@ -9,9 +9,9 @@
 //! side-effect semantics relies on (two nodes with the same type and `$A`
 //! value are one physical node in the DAG).
 
-use rxview_relstore::Tuple;
+use rxview_relstore::{PagedMap, PagedVec, Tuple};
 use rxview_xmlkit::TypeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a node in the published DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,12 +25,25 @@ impl NodeId {
 }
 
 /// The `gen_id` interner plus per-type registries (`gen_A` sets).
+///
+/// All four parts are page-granular copy-on-write
+/// ([`rxview_relstore::cow`]): cloning an interner copies page pointers,
+/// and interning or retiring a node copies the pages that node lands on.
 #[derive(Debug, Clone, Default)]
 pub struct GenId {
-    map: HashMap<(TypeId, Tuple), NodeId>,
-    info: Vec<(TypeId, Tuple)>,
-    live: Vec<bool>,
-    by_type: BTreeMap<TypeId, BTreeSet<NodeId>>,
+    /// `(type, hash of $A)` → id, with open addressing: a pair whose hash
+    /// is taken by another pair of its type sits at the next free hash.
+    /// Entries are never removed (an id keeps its identity when retired),
+    /// so a probe sequence never breaks. Keying by hash keeps the map's
+    /// pages plain data — a lookup compares integers and reads one `$A`.
+    map: PagedMap<(TypeId, u64), NodeId>,
+    /// `(type, $A)` per allocated id; `None` only in the padding of the
+    /// last page.
+    info: PagedVec<Option<(TypeId, Tuple)>>,
+    live: PagedVec<bool>,
+    n_live: usize,
+    /// The `gen_A` sets as one ordered set of `(type, id)`.
+    by_type: PagedMap<(TypeId, NodeId), ()>,
 }
 
 impl GenId {
@@ -39,42 +52,63 @@ impl GenId {
         GenId::default()
     }
 
+    /// Where `(ty, $A)` sits in the key map, and the id there if interned.
+    fn probe(&self, ty: TypeId, attr: &Tuple) -> ((TypeId, u64), Option<NodeId>) {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        attr.hash(&mut hasher);
+        // Under test every pair of a type collides with a quarter of the
+        // others, so the unit tests walk probe sequences.
+        let mut h = if cfg!(test) {
+            hasher.finish() % 4
+        } else {
+            hasher.finish()
+        };
+        loop {
+            match self.map.get(&(ty, h)) {
+                Some(&id) if self.attr_of(id) != attr => h = h.wrapping_add(1),
+                found => return ((ty, h), found.copied()),
+            }
+        }
+    }
+
     /// `gen_id(ty, $A)`: returns the node id for the pair, allocating (or
     /// reviving) if needed. The boolean is `true` when the node was not live
     /// before the call.
     pub fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        if let Some(&id) = self.map.get(&(ty, attr.clone())) {
-            let fresh = !self.live[id.index()];
-            if fresh {
-                self.live[id.index()] = true;
-                self.by_type.entry(ty).or_default().insert(id);
+        let (id, fresh) = match self.probe(ty, &attr) {
+            (_, Some(id)) => (id, !self.live[id.index()]),
+            (key, None) => {
+                let id = NodeId(self.info.len() as u32);
+                self.map.insert(key, id);
+                self.info.push(Some((ty, attr)));
+                (id, true)
             }
-            return (id, fresh);
+        };
+        if fresh {
+            *self.live.get_mut(id.index()) = true;
+            self.n_live += 1;
+            self.by_type.insert((ty, id), ());
         }
-        let id = NodeId(self.info.len() as u32);
-        self.map.insert((ty, attr.clone()), id);
-        self.info.push((ty, attr));
-        self.live.push(true);
-        self.by_type.entry(ty).or_default().insert(id);
-        (id, true)
+        (id, fresh)
     }
 
     /// Looks up a pair without allocating.
     pub fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
-        self.map
-            .get(&(ty, attr.clone()))
-            .copied()
-            .filter(|id| self.live[id.index()])
+        self.probe(ty, attr).1.filter(|id| self.live[id.index()])
+    }
+
+    fn info(&self, id: NodeId) -> &(TypeId, Tuple) {
+        self.info[id.index()].as_ref().expect("allocated node id")
     }
 
     /// The element type of a node.
     pub fn type_of(&self, id: NodeId) -> TypeId {
-        self.info[id.index()].0
+        self.info(id).0
     }
 
     /// The semantic attribute `$A` tuple of a node.
     pub fn attr_of(&self, id: NodeId) -> &Tuple {
-        &self.info[id.index()].1
+        &self.info(id).1
     }
 
     /// Whether the node is live (present in the view).
@@ -84,12 +118,15 @@ impl GenId {
 
     /// The `gen_A` set: live node ids of a type, ascending.
     pub fn ids_of_type(&self, ty: TypeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_type.get(&ty).into_iter().flatten().copied()
+        self.by_type
+            .range_from(&(ty, NodeId(0)))
+            .take_while(move |((t, _), ())| *t == ty)
+            .map(|((_, id), ())| *id)
     }
 
     /// Number of live nodes.
     pub fn n_live(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        self.n_live
     }
 
     /// Total ids ever allocated (live or not).
@@ -102,19 +139,19 @@ impl GenId {
     /// revives the same [`NodeId`].
     pub fn retire(&mut self, id: NodeId) {
         if self.live[id.index()] {
-            self.live[id.index()] = false;
-            let ty = self.info[id.index()].0;
-            if let Some(set) = self.by_type.get_mut(&ty) {
-                set.remove(&id);
-            }
+            *self.live.get_mut(id.index()) = false;
+            self.n_live -= 1;
+            self.by_type.remove(&(self.type_of(id), id));
         }
     }
 
     /// All live node ids, ascending.
     pub fn live_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.info.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.live[id.index()])
+        self.live
+            .iter()
+            .enumerate()
+            .filter(|(_, live)| **live)
+            .map(|(i, _)| NodeId(i as u32))
     }
 }
 
@@ -187,5 +224,24 @@ mod tests {
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(g.n_allocated(), 3);
         assert_eq!(g.n_live(), 2);
+    }
+
+    #[test]
+    fn colliding_pairs_stay_distinct() {
+        // Twenty pairs of one type over four test hashes: every lookup
+        // walks a probe sequence past other pairs.
+        let mut g = GenId::new();
+        let ids: Vec<NodeId> = (0..20i64).map(|i| g.gen_id(T0, tuple![i]).0).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(id, NodeId(i as u32));
+            assert_eq!(g.lookup(T0, &tuple![i as i64]), Some(id));
+            assert_eq!(g.gen_id(T0, tuple![i as i64]), (id, false));
+        }
+        assert_eq!(g.lookup(T0, &tuple![20i64]), None);
+        assert_eq!(g.lookup(T1, &tuple![3i64]), None);
+        g.retire(ids[3]);
+        assert_eq!(g.lookup(T0, &tuple![3i64]), None);
+        assert_eq!(g.lookup(T0, &tuple![7i64]), Some(ids[7]));
+        assert_eq!(g.gen_id(T0, tuple![3i64]), (ids[3], true));
     }
 }

@@ -8,10 +8,11 @@
 
 use crate::genid::{GenId, NodeId};
 use crate::grammar::Atg;
-use rxview_relstore::{RelError, TableSource, Tuple};
+use rxview_relstore::{PagedMap, PagedVec, RelError, TableSource, Tuple};
 use rxview_xmlkit::{Production, TypeId, XmlTree};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors during publishing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,13 +47,47 @@ impl From<RelError> for PublishError {
 }
 
 /// A DAG-compressed XML view: nodes are Skolem ids, edges are parent→child.
+///
+/// Adjacency and the typed edge relations are page-granular copy-on-write
+/// ([`rxview_relstore::cow`]) with one shared slice per node, so a clone
+/// copies page pointers and an edge change rewrites the two endpoint lists
+/// and the pages they sit on — nothing proportional to the view.
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
     genid: GenId,
     root: Option<NodeId>,
-    children: HashMap<NodeId, Vec<NodeId>>,
-    parents: HashMap<NodeId, Vec<NodeId>>,
-    edge_rels: BTreeMap<(TypeId, TypeId), BTreeSet<(NodeId, NodeId)>>,
+    children: PagedVec<Adjacent>,
+    parents: PagedVec<Adjacent>,
+    /// The edge relations `edge_A_B` as one ordered set of
+    /// `(A, B, parent, child)`.
+    edge_rels: PagedMap<(TypeId, TypeId, NodeId, NodeId), ()>,
+}
+
+/// One node's ordered neighbour list (`None` = empty).
+type Adjacent = Option<Arc<[NodeId]>>;
+
+fn neighbours(lists: &PagedVec<Adjacent>, v: NodeId) -> &[NodeId] {
+    lists
+        .get(v.index())
+        .and_then(|l| l.as_deref())
+        .unwrap_or(&[])
+}
+
+/// Appends `w` to `v`'s list.
+fn link(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) {
+    let grown = neighbours(lists, v).iter().copied().chain([w]).collect();
+    *lists.get_mut(v.index()) = Some(grown);
+}
+
+/// Removes the first `w` from `v`'s list; `false` if absent.
+fn unlink(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) -> bool {
+    let old = neighbours(lists, v);
+    let Some(at) = old.iter().position(|&x| x == w) else {
+        return false;
+    };
+    let shrunk: Arc<[NodeId]> = old[..at].iter().chain(&old[at + 1..]).copied().collect();
+    *lists.get_mut(v.index()) = (!shrunk.is_empty()).then_some(shrunk);
+    true
 }
 
 impl Dag {
@@ -87,17 +122,21 @@ impl Dag {
 
     /// Ordered children of a node.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        self.children.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        neighbours(&self.children, v)
     }
 
     /// Parents of a node (a DAG node may have several, §3.2).
     pub fn parents(&self, v: NodeId) -> &[NodeId] {
-        self.parents.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        neighbours(&self.parents, v)
     }
 
     /// Whether edge `(u, v)` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.children(u).contains(&v)
+    }
+
+    fn edge_key(&self, u: NodeId, v: NodeId) -> (TypeId, TypeId, NodeId, NodeId) {
+        (self.genid.type_of(u), self.genid.type_of(v), u, v)
     }
 
     /// Adds edge `(u, v)`, appending `v` as the rightmost child of `u`
@@ -106,49 +145,33 @@ impl Dag {
         if self.has_edge(u, v) {
             return false;
         }
-        self.children.entry(u).or_default().push(v);
-        self.parents.entry(v).or_default().push(u);
-        let key = (self.genid.type_of(u), self.genid.type_of(v));
-        self.edge_rels.entry(key).or_default().insert((u, v));
+        link(&mut self.children, u, v);
+        link(&mut self.parents, v, u);
+        self.edge_rels.insert(self.edge_key(u, v), ());
         true
     }
 
     /// Removes edge `(u, v)`. No-op if absent.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some(cs) = self.children.get_mut(&u) else {
+        if !unlink(&mut self.children, u, v) {
             return false;
-        };
-        let Some(pos) = cs.iter().position(|&c| c == v) else {
-            return false;
-        };
-        cs.remove(pos);
-        if let Some(ps) = self.parents.get_mut(&v) {
-            if let Some(pp) = ps.iter().position(|&p| p == u) {
-                ps.remove(pp);
-            }
         }
-        let key = (self.genid.type_of(u), self.genid.type_of(v));
-        if let Some(set) = self.edge_rels.get_mut(&key) {
-            set.remove(&(u, v));
-        }
+        unlink(&mut self.parents, v, u);
+        self.edge_rels.remove(&self.edge_key(u, v));
         true
     }
 
-    /// The edge relation `edge_A_B`, if non-empty.
-    pub fn edge_rel(&self, a: TypeId, b: TypeId) -> Option<&BTreeSet<(NodeId, NodeId)>> {
-        self.edge_rels.get(&(a, b))
+    /// The edge relation `edge_A_B`: its `(parent, child)` pairs, ascending.
+    pub fn edge_rel(&self, a: TypeId, b: TypeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.edge_rels
+            .range_from(&(a, b, NodeId(0), NodeId(0)))
+            .take_while(move |((ta, tb, ..), ())| (*ta, *tb) == (a, b))
+            .map(|((.., u, v), ())| (*u, *v))
     }
 
-    /// All `(type-pair, edge-set)` entries.
-    pub fn edge_rels(
-        &self,
-    ) -> impl Iterator<Item = (&(TypeId, TypeId), &BTreeSet<(NodeId, NodeId)>)> {
-        self.edge_rels.iter()
-    }
-
-    /// All edges, in deterministic order.
+    /// All edges, in deterministic order (by type pair, then node pair).
     pub fn all_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edge_rels.values().flatten().copied()
+        self.edge_rels.iter().map(|((.., u, v), ())| (*u, *v))
     }
 
     /// Number of live nodes.
@@ -158,7 +181,7 @@ impl Dag {
 
     /// Number of edges.
     pub fn n_edges(&self) -> usize {
-        self.edge_rels.values().map(BTreeSet::len).sum()
+        self.edge_rels.len()
     }
 
     /// Expands the DAG into an (uncompressed) [`XmlTree`].

@@ -1,0 +1,137 @@
+//! The O(∆) guard for snapshot sharing, counted rather than timed: how many
+//! bytes and allocator calls a system clone costs, and how many the round
+//! trip "clone, write through `apply` while the clone is alive, drop the
+//! clone" costs — the three things the serving engine does to `(I, V, M)`
+//! on every commit round (`working = current.clone()`, the first write
+//! after a publish, the displaced snapshot's release).
+//!
+//! One test, one thread, so the counts repeat run to run (to within the
+//! iteration order of a few `HashMap`s inside translation).
+//!
+//! Figures at 128 groups (5 120 `C` rows, 10 807 view nodes), this file run
+//! on both trees:
+//!
+//! | | whole-structure CoW (PR 12) | paged sharing |
+//! |---|---|---|
+//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls |
+//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls |
+//!
+//! (At rxbench's 512 groups the left column is ≈ 15 MB and ≈ 52 MB.) Of the
+//! right column, 87 KB of the clone is `L`'s two dense arrays and about
+//! 60 KB and 1 000 calls of the round are the root's `desc` set, rewritten
+//! whole once per inserting round — the two O(view) remainders
+//! ARCHITECTURE.md §8 names. The asserted ceilings are a tenth of the left
+//! column.
+
+use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview_relstore::tuple;
+use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain atomics and
+// allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes requested and allocator calls made while `f` runs.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (b0, c0) = (BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
+    let out = f();
+    (
+        out,
+        BYTES.load(Ordering::Relaxed) - b0,
+        CALLS.load(Ordering::Relaxed) - c0,
+    )
+}
+
+const GROUPS: usize = 128;
+const GROUP_SIZE: usize = 40;
+
+#[test]
+fn clone_write_and_release_allocate_in_proportion_to_the_change() {
+    let db = synthetic_database(&SyntheticConfig::with_size(GROUPS * GROUP_SIZE));
+    let atg = synthetic_atg(&db).expect("synthetic ATG");
+    let mut sys = XmlViewSystem::new(atg, db).expect("fixture publishes");
+
+    // A group head that takes children (about one in seven is a leaf whose
+    // C/F join fails, under which an insertion is rightly rejected).
+    let insert_under = |head: usize, fresh: i64| {
+        XmlUpdate::insert("node", tuple![fresh, 7i64], &format!("node[id={head}]/sub"))
+            .expect("path parses")
+    };
+    let head = (0..GROUPS)
+        .map(|g| g * GROUP_SIZE)
+        .find(|&h| {
+            sys.clone()
+                .apply(&insert_under(h, 1_999_999_999), SideEffectPolicy::Proceed)
+                .is_ok()
+        })
+        .expect("some head is insertable");
+    // Warm the plan and template caches and the lazy column indexes, so the
+    // measured round is a steady-state one.
+    sys.apply(
+        &insert_under(head, 2_000_000_000),
+        SideEffectPolicy::Proceed,
+    )
+    .expect("warm-up insert");
+
+    let (pin, clone_bytes, clone_calls) = allocated_by(|| sys.clone());
+    drop(pin);
+
+    // The round the commit loop runs: the path is evaluated first (it only
+    // reads; `XmlViewSystem::apply`'s unscoped §3.2 evaluation makes 14 487
+    // allocator calls on either tree, which would drown the difference),
+    // then clone, translate + apply, fold ∆(M,L), release.
+    let update = insert_under(head, 2_000_000_001);
+    let eval = sys.evaluate(update.path());
+    let ((), round_bytes, round_calls) = allocated_by(|| {
+        let pin = sys.clone();
+        let (_, job) = sys
+            .apply_deferred(&update, SideEffectPolicy::Proceed, eval)
+            .expect("anchored insert under an insertable head");
+        sys.fold_maintenance(vec![job]).expect("fold");
+        drop(pin);
+    });
+    sys.consistency_check().expect("the written copy is sound");
+
+    println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");
+    println!("clone + anchored insert + fold + drop: {round_bytes} B in {round_calls} calls");
+    assert!(clone_bytes <= 318_344, "clone allocated {clone_bytes} B");
+    assert!(
+        clone_calls <= 4_365,
+        "clone made {clone_calls} allocator calls"
+    );
+    assert!(round_bytes <= 969_822, "round allocated {round_bytes} B");
+    assert!(
+        round_calls <= 10_769,
+        "round made {round_calls} allocator calls"
+    );
+}

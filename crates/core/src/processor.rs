@@ -27,7 +27,6 @@ use rxview_relstore::{Database, GroupUpdate, RelError};
 use rxview_satsolver::WalkSatConfig;
 use rxview_xmlkit::{validate_delete, validate_insert, SchemaViolation, XmlTree};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why an update was rejected.
@@ -251,6 +250,12 @@ impl TranslatedUpdate {
 
 /// The complete system: database, views, auxiliary structures.
 ///
+/// Cloning is cheap — `I`, `V` and `M` live in page-granular copy-on-write
+/// containers ([`rxview_relstore::cow`]), so a clone copies page pointers
+/// plus `L`'s two dense arrays, and a clone and its origin then diverge at
+/// the cost of the pages each one writes. The serving engine's snapshots
+/// are exactly such clones.
+///
 /// ```
 /// use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 /// use rxview_atg::{registrar_atg, registrar_database};
@@ -271,10 +276,7 @@ pub struct XmlViewSystem {
     base: Database,
     vs: ViewStore,
     topo: TopoOrder,
-    /// `M` behind an `Arc`: cloning a system (per-snapshot publication in a
-    /// serving engine) shares the matrix until the next maintenance pass
-    /// mutates it through [`Arc::make_mut`] (copy-on-write).
-    reach: Arc<Reachability>,
+    reach: Reachability,
     sat_config: WalkSatConfig,
 }
 
@@ -288,7 +290,7 @@ impl XmlViewSystem {
             base,
             vs,
             topo,
-            reach: Arc::new(reach),
+            reach,
             sat_config: WalkSatConfig::default(),
         })
     }
@@ -304,7 +306,7 @@ impl XmlViewSystem {
             base,
             vs,
             topo,
-            reach: Arc::new(reach),
+            reach,
             sat_config: WalkSatConfig::default(),
         }
     }
@@ -446,10 +448,7 @@ impl XmlViewSystem {
         if jobs.is_empty() {
             return Ok(agg);
         }
-        // Unshare `M` once per fold (no-op when this system holds the only
-        // reference): the per-publication clone of a serving engine stays
-        // O(1) for the matrix, and the copy happens here instead.
-        let reach = Arc::make_mut(&mut self.reach);
+        let reach = &mut self.reach;
         let mut delete_targets: Vec<rxview_atg::NodeId> = Vec::new();
         let mut seen: std::collections::BTreeSet<rxview_atg::NodeId> =
             std::collections::BTreeSet::new();
@@ -677,7 +676,7 @@ impl XmlViewSystem {
             &mut self.base,
             &mut self.vs,
             &mut self.topo,
-            Arc::make_mut(&mut self.reach),
+            &mut self.reach,
             update,
         )
     }

@@ -7,26 +7,70 @@
 
 use crate::topo::TopoOrder;
 use rxview_atg::{Dag, NodeId};
-use std::collections::{BTreeSet, HashMap};
+use rxview_relstore::PagedVec;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The stored reachability matrix.
 ///
-/// The adjacency sets sit behind per-node `Arc`s: cloning `M` (which the
-/// serving engine does for every published snapshot) copies two maps of
-/// pointers and *shares* every set, and a maintenance pass copies only the
-/// sets it actually rewrites (`Arc::make_mut`). A superseded snapshot's
-/// drop therefore frees only the sets its round replaced — O(∆M), not
-/// O(|M|) — which is what keeps the publish path's per-round clone/free off
-/// the measured commit critical path.
+/// The adjacency sets sit behind per-node `Arc`s in two copy-on-write
+/// [`PagedVec`]s indexed by node id: cloning `M` (which the serving engine
+/// does for every published snapshot) copies page pointers and *shares*
+/// every set, and a maintenance pass copies only the sets it actually
+/// rewrites (`Arc::make_mut`) plus the pages holding their handles. A
+/// superseded snapshot's drop therefore frees only what its round replaced
+/// — O(∆M), not O(|M|) or O(n).
 #[derive(Debug, Clone, Default)]
 pub struct Reachability {
-    desc: HashMap<NodeId, Arc<BTreeSet<NodeId>>>,
-    anc: HashMap<NodeId, Arc<BTreeSet<NodeId>>>,
+    desc: PagedVec<Option<NodeSet>>,
+    anc: PagedVec<Option<NodeSet>>,
     n_pairs: usize,
 }
 
+type NodeSet = Arc<BTreeSet<NodeId>>;
+
 static EMPTY: BTreeSet<NodeId> = BTreeSet::new();
+
+fn set_of(sets: &PagedVec<Option<NodeSet>>, v: NodeId) -> &BTreeSet<NodeId> {
+    match sets.get(v.index()) {
+        Some(Some(s)) => s,
+        _ => &EMPTY,
+    }
+}
+
+/// Adds `x` to `v`'s set; `false` if already present.
+fn add(sets: &mut PagedVec<Option<NodeSet>>, v: NodeId, x: NodeId) -> bool {
+    // Probe before copying: a hit must not clone a shared set or page.
+    if set_of(sets, v).contains(&x) {
+        return false;
+    }
+    let set = sets.get_mut(v.index()).get_or_insert_with(NodeSet::default);
+    Arc::make_mut(set).insert(x);
+    true
+}
+
+/// Removes `x` from `v`'s set; `false` if absent.
+fn discard(sets: &mut PagedVec<Option<NodeSet>>, v: NodeId, x: NodeId) -> bool {
+    // Probe before copying: a miss must not clone a shared set or page.
+    if !set_of(sets, v).contains(&x) {
+        return false;
+    }
+    let slot = sets.get_mut(v.index());
+    let set = Arc::make_mut(slot.as_mut().expect("probed non-empty"));
+    set.remove(&x);
+    if set.is_empty() {
+        *slot = None;
+    }
+    true
+}
+
+/// Takes `v`'s whole set, leaving it empty.
+fn take(sets: &mut PagedVec<Option<NodeSet>>, v: NodeId) -> NodeSet {
+    if set_of(sets, v).is_empty() {
+        return NodeSet::default();
+    }
+    sets.get_mut(v.index()).take().expect("probed non-empty")
+}
 
 impl Reachability {
     /// Algorithm **Reach** (Fig.4): computes `M` in `O(n |V|)` by dynamic
@@ -44,16 +88,14 @@ impl Reachability {
                     continue;
                 }
                 ad.insert(p);
-                if let Some(anc_p) = m.anc.get(&p) {
-                    ad.extend(anc_p.iter().copied());
-                }
+                ad.extend(m.ancestors(p).iter().copied());
             }
             m.n_pairs += ad.len();
             for &a in &ad {
-                Arc::make_mut(m.desc.entry(a).or_default()).insert(d);
+                add(&mut m.desc, a, d);
             }
             if !ad.is_empty() {
-                m.anc.insert(d, Arc::new(ad));
+                *m.anc.get_mut(d.index()) = Some(Arc::new(ad));
             }
         }
         m
@@ -84,24 +126,24 @@ impl Reachability {
 
     /// Whether `a` is a strict ancestor of `d`.
     pub fn is_ancestor(&self, a: NodeId, d: NodeId) -> bool {
-        self.desc.get(&a).is_some_and(|s| s.contains(&d))
+        self.descendants(a).contains(&d)
     }
 
     /// `desc(a)`: strict descendants of `a`.
     pub fn descendants(&self, a: NodeId) -> &BTreeSet<NodeId> {
-        self.desc.get(&a).map(|s| &**s).unwrap_or(&EMPTY)
+        set_of(&self.desc, a)
     }
 
     /// `anc(d)`: strict ancestors of `d`.
     pub fn ancestors(&self, d: NodeId) -> &BTreeSet<NodeId> {
-        self.anc.get(&d).map(|s| &**s).unwrap_or(&EMPTY)
+        set_of(&self.anc, d)
     }
 
     /// Inserts a pair `(anc, desc)`.
     pub fn insert(&mut self, a: NodeId, d: NodeId) -> bool {
-        let new = Arc::make_mut(self.desc.entry(a).or_default()).insert(d);
+        let new = add(&mut self.desc, a, d);
         if new {
-            Arc::make_mut(self.anc.entry(d).or_default()).insert(a);
+            add(&mut self.anc, d, a);
             self.n_pairs += 1;
         }
         new
@@ -109,17 +151,9 @@ impl Reachability {
 
     /// Removes a pair.
     pub fn remove(&mut self, a: NodeId, d: NodeId) -> bool {
-        // Probe before copying: a miss must not clone a shared set.
-        let removed = self
-            .desc
-            .get_mut(&a)
-            .is_some_and(|s| s.contains(&d) && Arc::make_mut(s).remove(&d));
+        let removed = discard(&mut self.desc, a, d);
         if removed {
-            if let Some(s) = self.anc.get_mut(&d) {
-                if s.contains(&a) {
-                    Arc::make_mut(s).remove(&a);
-                }
-            }
+            discard(&mut self.anc, d, a);
             self.n_pairs -= 1;
         }
         removed
@@ -128,45 +162,33 @@ impl Reachability {
     /// Replaces the ancestor set of `d` wholesale (deletion maintenance,
     /// Fig.8 lines 9–11), returning the pairs removed.
     pub fn set_ancestors(&mut self, d: NodeId, new_anc: BTreeSet<NodeId>) -> Vec<(NodeId, NodeId)> {
-        let old = self.anc.remove(&d).unwrap_or_default();
+        let old = take(&mut self.anc, d);
         let mut removed = Vec::new();
         for a in old.difference(&new_anc) {
-            if let Some(s) = self.desc.get_mut(a) {
-                if s.contains(&d) {
-                    Arc::make_mut(s).remove(&d);
-                }
-            }
+            discard(&mut self.desc, *a, d);
             self.n_pairs -= 1;
             removed.push((*a, d));
         }
         for a in new_anc.difference(&old) {
-            Arc::make_mut(self.desc.entry(*a).or_default()).insert(d);
+            add(&mut self.desc, *a, d);
             self.n_pairs += 1;
         }
         if !new_anc.is_empty() {
-            self.anc.insert(d, Arc::new(new_anc));
+            *self.anc.get_mut(d.index()) = Some(Arc::new(new_anc));
         }
         removed
     }
 
     /// Drops every pair mentioning `d` (node garbage collection).
     pub fn drop_node(&mut self, d: NodeId) {
-        let ancs = self.anc.remove(&d).unwrap_or_default();
-        for &a in ancs.iter() {
-            if let Some(s) = self.desc.get_mut(&a) {
-                if s.contains(&d) {
-                    Arc::make_mut(s).remove(&d);
-                    self.n_pairs -= 1;
-                }
+        for &a in take(&mut self.anc, d).iter() {
+            if discard(&mut self.desc, a, d) {
+                self.n_pairs -= 1;
             }
         }
-        let descs = self.desc.remove(&d).unwrap_or_default();
-        for &x in descs.iter() {
-            if let Some(s) = self.anc.get_mut(&x) {
-                if s.contains(&d) {
-                    Arc::make_mut(s).remove(&d);
-                    self.n_pairs -= 1;
-                }
+        for &x in take(&mut self.desc, d).iter() {
+            if discard(&mut self.anc, x, d) {
+                self.n_pairs -= 1;
             }
         }
     }
@@ -181,9 +203,9 @@ impl Reachability {
         if self.n_pairs != other.n_pairs {
             return false;
         }
-        self.desc
-            .iter()
-            .all(|(a, ds)| ds.iter().all(|d| other.is_ancestor(*a, *d)))
+        (0..self.desc.len() as u32)
+            .map(NodeId)
+            .all(|a| self.descendants(a).iter().all(|d| other.is_ancestor(a, *d)))
     }
 }
 

@@ -13,20 +13,23 @@ use rxview_atg::{Atg, Dag, NodeId, PublishError};
 use rxview_relstore::{Augmented, Database, RelResult, SpjQuery, Tuple, Value};
 use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The materialized relational views `V = V_σ(I)` plus supporting state.
 #[derive(Debug, Clone)]
 pub struct ViewStore {
-    atg: Atg,
+    /// The grammar and its derived edge views never change while a store
+    /// lives, so clones share them.
+    atg: Arc<Atg>,
     dag: Dag,
     gen_db: Database,
-    edge_queries: BTreeMap<(TypeId, TypeId), SpjQuery>,
+    edge_queries: Arc<BTreeMap<(TypeId, TypeId), SpjQuery>>,
     /// Compiled update plans *and* the per-grammar translation-template
     /// registry, shared (`Arc`) between a snapshot's planner and the shard
     /// replicas cloned from it: both depend only on the path shape / the
     /// grammar and schemas, so entries never invalidate while the store's
     /// grammar is fixed (see [`crate::plan`] and [`crate::template`]).
-    plan_cache: std::sync::Arc<crate::plan::PlanCache>,
+    plan_cache: Arc<crate::plan::PlanCache>,
     /// Whether evaluation routes through compiled plans (the engine's
     /// `use_plans` equivalence knob; defaults to on).
     plans_enabled: bool,
@@ -45,23 +48,7 @@ impl ViewStore {
                 .create_table(atg.gen_table_schema(ty))
                 .expect("fresh gen database");
         }
-        let mut edge_queries = BTreeMap::new();
-        for parent in atg.dtd().types() {
-            for child in atg.dtd().children_of(parent) {
-                if let Some(q) = atg.edge_view_query(parent, child) {
-                    edge_queries.insert((parent, child), q);
-                }
-            }
-        }
-        let mut vs = ViewStore {
-            atg,
-            dag,
-            gen_db,
-            edge_queries,
-            plan_cache: std::sync::Arc::default(),
-            plans_enabled: true,
-            templates_enabled: true,
-        };
+        let mut vs = ViewStore::from_parts(atg, dag, gen_db);
         let live: Vec<NodeId> = vs.dag.genid().live_ids().collect();
         for id in live {
             vs.register_node(id).expect("published node registers");
@@ -84,11 +71,11 @@ impl ViewStore {
             }
         }
         ViewStore {
-            atg,
+            atg: Arc::new(atg),
             dag,
             gen_db,
-            edge_queries,
-            plan_cache: std::sync::Arc::default(),
+            edge_queries: Arc::new(edge_queries),
+            plan_cache: Arc::default(),
             plans_enabled: true,
             templates_enabled: true,
         }
@@ -115,7 +102,7 @@ impl ViewStore {
     }
 
     /// The shared compiled-plan cache (see [`crate::plan::PlanCache`]).
-    pub fn plan_cache(&self) -> &std::sync::Arc<crate::plan::PlanCache> {
+    pub fn plan_cache(&self) -> &Arc<crate::plan::PlanCache> {
         &self.plan_cache
     }
 
@@ -143,7 +130,7 @@ impl ViewStore {
 
     /// The per-grammar translation-template registry, compiled on first
     /// call and shared through the plan cache (see [`crate::template`]).
-    pub fn templates(&self) -> std::sync::Arc<crate::template::TranslationTemplates> {
+    pub fn templates(&self) -> Arc<crate::template::TranslationTemplates> {
         self.plan_cache.templates(&self.atg)
     }
 
@@ -311,7 +298,7 @@ mod tests {
                 .filter_map(|r| vs.edge_from_row(a, b, r))
                 .collect();
             let from_dag: std::collections::BTreeSet<(NodeId, NodeId)> =
-                vs.dag().edge_rel(a, b).cloned().unwrap_or_default();
+                vs.dag().edge_rel(a, b).collect();
             assert_eq!(
                 from_query,
                 from_dag,

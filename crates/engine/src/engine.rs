@@ -110,8 +110,8 @@ pub struct EngineConfig {
     /// `crates/engine/tests/equivalence.rs`). Overlap only arises when the
     /// queue spans several rounds (`n_shards * max_batch` is the per-round
     /// cap) — pipelining never shrinks rounds to manufacture it, because
-    /// each publication pays a fixed O(view) cost that wide rounds exist
-    /// to amortize. ARCHITECTURE.md §7.
+    /// each publication pays a fixed cost (the fold's `L` splice, the WAL
+    /// append) that wide rounds exist to amortize. ARCHITECTURE.md §7.
     pub pipeline_depth: usize,
     /// Deterministic interleaving gates for the pipelined commit path
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
@@ -295,25 +295,7 @@ pub(crate) struct Inner {
     /// Periodic metrics exporter (spawned when telemetry is on and a
     /// metrics path is configured); dropping it appends a final snapshot.
     pub(crate) exporter: Option<rxview_obs::Exporter>,
-    /// Off-critical-path snapshot reclamation. A superseded snapshot's last
-    /// `Arc` drop pays an O(view) deallocation (hundreds of ms on a large
-    /// view — it used to dominate the single-writer publish phase), so
-    /// commit paths `retire` handles here instead of dropping them. The
-    /// graveyard drains when a writer is *idle* ([`Inner::reclaim_retired`])
-    /// and on engine teardown (the `Vec` drop); past
-    /// [`RETIRED_SNAPSHOT_CAP`] it falls back to inline drops so a writer
-    /// that never idles cannot accumulate unbounded full-view copies.
-    pub(crate) graveyard: Mutex<Vec<Arc<Snapshot>>>,
 }
-
-/// Most retired snapshots the graveyard holds before [`Inner::retire`]
-/// degrades to inline (commit-path) drops. Deliberately small: with `M`
-/// shared copy-on-write a retired snapshot's drop is O(∆) and cheap, so
-/// the graveyard only needs to absorb short bursts — while a deep queue of
-/// full `ViewStore` copies costs enough resident memory to slow every
-/// phase through cache and page-fault pressure (measured: a 64-deep queue
-/// at bench scale doubled translation time).
-const RETIRED_SNAPSHOT_CAP: usize = 4;
 
 impl Inner {
     /// The latest snapshot without counting as a reader acquisition
@@ -349,45 +331,21 @@ impl Inner {
     }
 
     /// Stamps `sys` with the next epoch and publishes it as the new
-    /// snapshot, returning it. The displaced snapshot is retired to the
-    /// graveyard so its deallocation stays off the commit path.
+    /// snapshot, returning it. The displaced snapshot's handle drops here,
+    /// outside the lock: snapshots share every page their successor did not
+    /// rewrite, so a last-holder drop frees O(∆), and no snapshot outlives
+    /// its readers.
     pub(crate) fn publish(&self, sys: XmlViewSystem) -> Arc<Snapshot> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = Arc::new(Snapshot::new(sys, epoch));
-        let old = {
+        let displaced = {
             let mut guard = self.snapshot.write().expect("snapshot lock poisoned");
             std::mem::replace(&mut *guard, Arc::clone(&snap))
         };
-        self.retire(old);
+        drop(displaced);
         self.stats.record_snapshot_published();
         self.maybe_checkpoint(&snap);
         snap
-    }
-
-    /// Parks a no-longer-needed snapshot handle in the graveyard (the last
-    /// handle to drop pays the O(view) free; commit paths retire both the
-    /// lock slot's and their own working handle so that happens at idle or
-    /// teardown, never mid-round). Never blocks: at capacity the handle
-    /// drops inline instead, which is exactly the pre-graveyard behavior.
-    pub(crate) fn retire(&self, snap: Arc<Snapshot>) {
-        {
-            let mut g = self.graveyard.lock().expect("graveyard lock poisoned");
-            if g.len() < RETIRED_SNAPSHOT_CAP {
-                g.push(snap);
-                return;
-            }
-        }
-        drop(snap); // at capacity: free inline, outside the lock
-    }
-
-    /// Drains the graveyard — every parked snapshot whose handle here is
-    /// the last one alive is deallocated now, on the caller's thread. Call
-    /// sites are idle points only (a writer with an empty queue, teardown),
-    /// so the O(view) frees never share a timeslice with a committing
-    /// round.
-    pub(crate) fn reclaim_retired(&self) {
-        let parked = std::mem::take(&mut *self.graveyard.lock().expect("graveyard lock poisoned"));
-        drop(parked); // outside the lock: retire() never waits on a free
     }
 
     /// Hands the snapshot to the background checkpointer when the
@@ -642,7 +600,6 @@ impl Engine {
                 pool: OnceLock::new(),
                 durability,
                 exporter,
-                graveyard: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -1079,15 +1036,10 @@ impl Engine {
                         continue;
                     }
                     // Publish the batch as one snapshot, then release tickets.
-                    // The handle to the superseded snapshot is retired: its
-                    // O(view) deallocation waits for an idle tick instead of
-                    // stalling the next batch.
+                    // The assignment drops this loop's handle to the
+                    // superseded snapshot inside the publish window.
                     let t3 = Instant::now();
-                    let prev = std::mem::replace(&mut current, self.inner.publish(working));
-                    // Retire inside the publish window: if the graveyard is
-                    // at capacity the fallback inline free is attributed
-                    // here, like the pre-graveyard inline drop was.
-                    self.inner.retire(prev);
+                    current = self.inner.publish(working);
                     self.inner.stats.record_publish(t3.elapsed());
                     self.inner.stats.event(
                         "round.committed",
@@ -1158,12 +1110,7 @@ impl Engine {
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             while !stop_flag.load(Ordering::Relaxed) {
-                if engine.commit_pending().updates == 0 {
-                    // Idle tick: reclaim retired snapshots while no round
-                    // is waiting, so their O(view) frees never land on a
-                    // committing timeslice.
-                    engine.inner.reclaim_retired();
-                }
+                engine.commit_pending();
                 std::thread::sleep(interval);
             }
             // Final drain so no ticket is left behind.

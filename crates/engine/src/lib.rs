@@ -10,8 +10,11 @@
 //!   is published behind an epoch-stamped [`std::sync::Arc`] that a write
 //!   commit swaps atomically. Any number of reader threads evaluate XPath
 //!   (§3.2's two-pass DAG evaluation) or SPJ queries against an immutable
-//!   snapshot while the writer works; `relstore`'s copy-on-write tables make
-//!   the writer's working clone cheap.
+//!   snapshot while the writer works; `(I, V, M)` live in page-granular
+//!   copy-on-write containers ([`rxview_relstore::cow`]), so the writer's
+//!   working clone, its first writes, and the release of a displaced
+//!   snapshot each cost in proportion to what the round changed, and a
+//!   snapshot is freed the moment its last reader lets go.
 //! - **Batched group commit** ([`Engine::submit`], [`Engine::commit_pending`]):
 //!   submitted [`rxview_core::XmlUpdate`]s queue in a bounded admission
 //!   queue and are partitioned into *conflict-free batches* by

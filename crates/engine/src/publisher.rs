@@ -439,7 +439,8 @@ pub(crate) fn commit_sharded(inner: &Inner, pending: Vec<Pending>) -> CommitSumm
             let Round::Global(pu) = s.plan.round else {
                 unreachable!("matched above")
             };
-            inner.retire(s.snap);
+            // The lane publishes this snapshot's successor; let go first.
+            drop(s.snap);
             run_global_lane(inner, &mut summary, &mut tickets, &mut master, *pu, hooks);
             finish_round(&mut entries, None, &s.plan.footprint);
             continue;
@@ -506,10 +507,6 @@ pub(crate) fn commit_sharded(inner: &Inner, pending: Vec<Pending>) -> CommitSumm
                 plan_epoch,
                 pending,
             });
-            // The plan snapshot is no longer needed here; retire it so a
-            // last-holder drop never deallocates an O(view) snapshot on
-            // the publisher thread mid-round.
-            inner.retire(s.snap);
             stats.record_pipeline_inflight(inflight.len());
             if let Some(h) = hooks {
                 h.reached(Stage::Dispatch);

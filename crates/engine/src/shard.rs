@@ -8,8 +8,9 @@
 //!
 //! - evaluation and deletion translation read the snapshot directly;
 //! - insertion translation interns its generated subtree, so the worker
-//!   lazily clones the snapshot's [`ViewStore`] (a copy-on-write-cheap
-//!   replica) on the first insertion of a round and records every node id
+//!   lazily clones the snapshot's [`ViewStore`] (page pointers only — the
+//!   replica shares every page it does not write) on the first insertion
+//!   of a round and records every node id
 //!   it allocates beyond the snapshot's watermark in an *allocation
 //!   catalog*; the publisher later re-interns those pairs on the master
 //!   state and remaps the translation (see
@@ -165,6 +166,10 @@ impl ShardPool {
                                 msg.jobs,
                                 &stats,
                             );
+                            // Release the round snapshot before reporting:
+                            // once the publisher has every bundle, no
+                            // shard still pins the state it planned on.
+                            drop(msg.snap);
                             if msg.reply.send(bundle).is_err() {
                                 break; // publisher gone
                             }

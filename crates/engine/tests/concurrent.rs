@@ -302,3 +302,61 @@ fn background_writer_drains_queue() {
         .consistency_check()
         .expect("consistent");
 }
+
+/// A displaced snapshot lives exactly as long as its readers: with nobody
+/// driving `start_writer`'s idle tick, eight `apply_now` rounds must leave
+/// the initial snapshot dead, while one a reader still holds stays alive
+/// and unchanged — on the single-writer and on the sharded path.
+#[test]
+fn displaced_snapshots_are_released_with_their_last_reader() {
+    use rxview_engine::EngineConfig;
+    use rxview_workload::{base_fingerprint, edge_fingerprint};
+    for n_shards in [1, 2] {
+        let sys = system(400);
+        let edges = group_edges(&sys, 400, 40);
+        assert!(edges.len() >= 8, "one deletable edge per round");
+        let engine = Engine::with_config(
+            sys,
+            EngineConfig {
+                n_shards,
+                ..EngineConfig::default()
+            },
+        );
+        let initial = Arc::downgrade(&engine.snapshot());
+        let mut held = None;
+        for (round, &(h, c)) in edges[..8].iter().enumerate() {
+            if round == 3 {
+                let snap = engine.snapshot();
+                let seen = (
+                    edge_fingerprint(snap.system()),
+                    base_fingerprint(snap.system()),
+                );
+                held = Some((snap, seen));
+            }
+            let delete =
+                XmlUpdate::delete(&format!("node[id={h}]/sub/node[id={c}]")).expect("parses");
+            engine
+                .apply_now(delete, SideEffectPolicy::Proceed)
+                .expect("edge deletion commits");
+        }
+        assert_eq!(engine.snapshot().epoch(), 8);
+        assert!(
+            initial.upgrade().is_none(),
+            "{n_shards} shard(s): epoch 0 outlived its last reader"
+        );
+        let (snap, seen) = held.expect("taken in round 3");
+        assert_eq!(snap.epoch(), 3);
+        let now = (
+            edge_fingerprint(snap.system()),
+            base_fingerprint(snap.system()),
+        );
+        assert!(seen == now, "{n_shards} shard(s): a held snapshot changed");
+        snap.system().consistency_check().expect("held snapshot");
+        let pinned = Arc::downgrade(&snap);
+        drop(snap);
+        assert!(
+            pinned.upgrade().is_none(),
+            "{n_shards} shard(s): epoch 3 outlived its last reader"
+        );
+    }
+}

@@ -10,10 +10,13 @@ use std::sync::Arc;
 
 /// An in-memory relational database instance `I` of a schema `R`.
 ///
-/// Tables are stored behind [`Arc`] with copy-on-write mutation, so cloning
-/// a `Database` is `O(#tables)` regardless of row counts. The serving engine
-/// relies on this to publish immutable snapshots cheaply: a snapshot and the
-/// writer's working copy share every table the writer has not yet touched.
+/// Tables are stored behind [`Arc`], so cloning a `Database` is `O(#tables)`
+/// regardless of row counts, and a [`Table`] keeps its rows and indexes in
+/// page-granular copy-on-write containers ([`crate::cow`]), so the first
+/// write to a shared table copies its page directory and then one page per
+/// row it changes. The serving engine relies on this to publish immutable
+/// snapshots cheaply: a snapshot and the writer's working copy share every
+/// page of every table the writer has not written.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
@@ -44,7 +47,8 @@ impl Database {
     }
 
     /// Looks up a table mutably (copy-on-write: a table shared with a
-    /// snapshot is cloned on first mutation).
+    /// snapshot is unshared on first mutation — a copy of page pointers, not
+    /// of rows).
     pub fn table_mut(&mut self, name: &str) -> RelResult<&mut Table> {
         self.tables
             .get_mut(name)
@@ -118,8 +122,7 @@ impl Database {
                 }
             }
         }
-        // Phase 2: commit the net effects (copy-on-write clones each touched
-        // table at most once).
+        // Phase 2: commit the net effects.
         for ((name, key), effect) in overlay {
             let table = self.table_mut(name)?;
             match effect {

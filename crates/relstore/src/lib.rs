@@ -6,7 +6,9 @@
 //! - typed schemas with primary keys and finite/infinite column domains
 //!   ([`mod@schema`], [`value`]);
 //! - key-indexed tables and databases with atomic group updates ([`table`],
-//!   [`database`], [`update`]);
+//!   [`database`], [`update`]), stored in the page-granular copy-on-write
+//!   containers of [`cow`] so that versions share everything they did not
+//!   change;
 //! - parameterized select-project-join queries with hash-join evaluation
 //!   ([`spj`], [`eval`]);
 //! - the paper's *key preservation* analysis (§4.1) and deletable-source
@@ -18,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod cow;
 pub mod database;
 pub mod error;
 pub mod eval;
@@ -30,6 +33,7 @@ pub mod update;
 pub mod value;
 
 pub use codec::{crc32, CodecError, CodecResult, Reader};
+pub use cow::{PagedMap, PagedVec};
 pub use database::Database;
 pub use error::{RelError, RelResult};
 pub use eval::{eval_spj, Augmented, TableSource};

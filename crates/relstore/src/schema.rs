@@ -105,7 +105,12 @@ impl TableSchema {
     }
 
     /// Extracts the primary-key values of a tuple (assumed schema-valid).
+    /// A key of every column in order shares the row's storage instead of
+    /// copying it.
     pub fn key_of(&self, tuple: &Tuple) -> Tuple {
+        if self.key.iter().copied().eq(0..self.columns.len()) {
+            return tuple.clone();
+        }
         Tuple::from_values(self.key.iter().map(|&i| tuple[i].clone()))
     }
 

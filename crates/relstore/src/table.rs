@@ -1,53 +1,47 @@
 //! A base relation: schema plus primary-key-indexed rows.
 
+use crate::cow::PagedMap;
 use crate::error::{RelError, RelResult};
 use crate::schema::TableSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// A table with set semantics, indexed by primary key.
 ///
-/// Rows are kept in a `BTreeMap` keyed by the primary-key projection so that
-/// iteration order — and therefore published views, benchmarks, and test
-/// output — is deterministic.
+/// Rows are kept in a [`PagedMap`] keyed by the primary-key projection so
+/// that iteration order — and therefore published views, benchmarks, and
+/// test output — is deterministic, and so that a clone shares every page of
+/// rows with its origin: the copy-on-write `Database` pays for the rows a
+/// writer changes, not for the table they live in.
 ///
 /// Point lookups on a *non*-key-prefix column go through lazily built
 /// per-column secondary indexes ([`Table::scan_col_eq`]): the first probe of
-/// a column pays one `O(n)` build, subsequent probes are hash lookups.
-/// Mutations maintain existing indexes incrementally (buckets stay in
-/// primary-key order, so indexed scans enumerate rows exactly like a full
-/// scan would), and clones start without them — the copy-on-write
-/// `Database` never pays for an index a reader did not ask for.
-#[derive(Debug)]
+/// a column pays one `O(n)` build, subsequent probes are ordered lookups.
+/// An index is part of the table's shared state: mutations maintain it
+/// incrementally, and a clone carries it along page for page like the rows.
+#[derive(Debug, Clone)]
 pub struct Table {
-    schema: TableSchema,
-    rows: BTreeMap<Tuple, Tuple>,
-    /// column → (value → primary keys of rows holding it in that column).
-    col_index: RwLock<HashMap<usize, Arc<ColIndex>>>,
+    schema: Arc<TableSchema>,
+    rows: PagedMap<Tuple, Tuple>,
+    /// One slot per column, filled on the first probe of that column. A
+    /// slot is either empty or a complete index (an initializer that
+    /// panics leaves it empty), so there is no lock to poison.
+    col_index: Vec<OnceLock<ColIndex>>,
 }
 
-/// One column's secondary index: value → primary keys, keys sorted.
-type ColIndex = HashMap<Value, Vec<Tuple>>;
-
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            col_index: RwLock::new(HashMap::new()),
-        }
-    }
-}
+/// One column's secondary index: the `(value, primary key)` pairs of all
+/// rows, ordered — a value's rows enumerate in primary-key order, exactly
+/// like a full scan would.
+type ColIndex = PagedMap<(Value, Tuple), ()>;
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
         Table {
-            schema,
-            rows: BTreeMap::new(),
-            col_index: RwLock::new(HashMap::new()),
+            col_index: (0..schema.arity()).map(|_| OnceLock::new()).collect(),
+            schema: Arc::new(schema),
+            rows: PagedMap::new(),
         }
     }
 
@@ -78,13 +72,9 @@ impl Table {
                 table: self.schema.name().into(),
             }),
             None => {
-                // Keep whatever secondary indexes exist in sync (buckets
-                // stay sorted so scans match primary-key order).
-                let indexes = self.col_index.get_mut().expect("index lock poisoned");
-                for (&col, index) in indexes.iter_mut() {
-                    let bucket = Arc::make_mut(index).entry(tuple[col].clone()).or_default();
-                    if let Err(at) = bucket.binary_search(&key) {
-                        bucket.insert(at, key.clone());
+                for (col, slot) in self.col_index.iter_mut().enumerate() {
+                    if let Some(index) = slot.get_mut() {
+                        index.insert((tuple[col].clone(), key.clone()), ());
                     }
                 }
                 self.rows.insert(key, tuple);
@@ -98,12 +88,9 @@ impl Table {
         let removed = self.rows.remove(key).ok_or_else(|| RelError::MissingKey {
             table: self.schema.name().into(),
         })?;
-        let indexes = self.col_index.get_mut().expect("index lock poisoned");
-        for (&col, index) in indexes.iter_mut() {
-            if let Some(bucket) = Arc::make_mut(index).get_mut(&removed[col]) {
-                if let Ok(at) = bucket.binary_search(key) {
-                    bucket.remove(at);
-                }
+        for (col, slot) in self.col_index.iter_mut().enumerate() {
+            if let Some(index) = slot.get_mut() {
+                index.remove(&(removed[col].clone(), key.clone()));
             }
         }
         Ok(removed)
@@ -127,7 +114,7 @@ impl Table {
 
     /// Iterates over rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.values()
+        self.rows.iter().map(|(_, row)| row)
     }
 
     /// Iterates over the rows whose primary key starts with `prefix`
@@ -141,7 +128,7 @@ impl Table {
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         let lower = Tuple::from_values(prefix.iter().cloned());
         self.rows
-            .range(lower..)
+            .range_from(&lower)
             .take_while(move |(k, _)| k.values().starts_with(prefix))
             .map(|(_, v)| v)
     }
@@ -151,31 +138,33 @@ impl Table {
     /// reach the primary key's prefix (e.g. probing `H` by `h2`). Row order
     /// follows the primary-key order, as for every other scan.
     pub fn scan_col_eq(&self, col: usize, value: &Value) -> Vec<&Tuple> {
-        debug_assert!(col < self.schema.arity(), "column in range");
-        let index = {
-            let read = self.col_index.read().expect("index lock poisoned");
-            read.get(&col).cloned()
-        };
-        let index = match index {
-            Some(i) => i,
-            None => {
-                // Build under the write lock so concurrent readers (e.g.
-                // shard writer threads probing one shared snapshot) fund a
-                // single build instead of racing on duplicates.
-                let mut write = self.col_index.write().expect("index lock poisoned");
-                Arc::clone(write.entry(col).or_insert_with(|| {
-                    let mut built: HashMap<Value, Vec<Tuple>> = HashMap::new();
-                    for (key, row) in &self.rows {
-                        built.entry(row[col].clone()).or_default().push(key.clone());
-                    }
-                    Arc::new(built)
-                }))
-            }
-        };
-        match index.get(value) {
-            Some(keys) => keys.iter().filter_map(|k| self.rows.get(k)).collect(),
-            None => Vec::new(),
+        // `get_or_init` runs one initializer at a time, so concurrent
+        // readers (e.g. shard writer threads probing one shared snapshot)
+        // fund a single build instead of racing on duplicates.
+        let index = self.col_index[col].get_or_init(|| self.build_index(col));
+        // The empty tuple sorts below every primary key.
+        index
+            .range_from(&(value.clone(), Tuple::empty()))
+            .take_while(|((v, _), ())| v == value)
+            .filter_map(|((_, key), ())| self.rows.get(key))
+            .collect()
+    }
+
+    fn build_index(&self, col: usize) -> ColIndex {
+        #[cfg(test)]
+        tests::INDEX_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut pairs: Vec<(Value, Tuple)> = self
+            .rows
+            .iter()
+            .map(|(key, row)| (row[col].clone(), key.clone()))
+            .collect();
+        // Ascending inserts leave full runs behind them.
+        pairs.sort_unstable();
+        let mut index = ColIndex::new();
+        for pair in pairs {
+            index.insert(pair, ());
         }
+        index
     }
 }
 
@@ -184,6 +173,12 @@ mod tests {
     use super::*;
     use crate::schema::schema;
     use crate::tuple;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Secondary-index builds on this thread.
+        pub(super) static INDEX_BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn course_table() -> Table {
         Table::new(
@@ -283,5 +278,41 @@ mod tests {
         let mut t = course_table();
         assert!(t.insert(tuple!["CS320"]).is_err());
         assert!(t.insert(tuple![1i64, "x"]).is_err());
+    }
+
+    #[test]
+    fn clones_share_a_built_index_and_maintain_it() {
+        let mut t = Table::new(schema("H").col_int("h1").col_int("h2").key(&["h1", "h2"]));
+        for a in 0..200i64 {
+            t.insert(tuple![a, a % 7]).unwrap();
+            t.insert(tuple![a, 7 + a % 3]).unwrap();
+        }
+        let full_scan = |t: &Table, v: i64| -> Vec<Tuple> {
+            t.iter()
+                .filter(|r| r[1] == Value::Int(v))
+                .cloned()
+                .collect()
+        };
+        let probe = |t: &Table, v: i64| -> Vec<Tuple> {
+            t.scan_col_eq(1, &Value::Int(v))
+                .into_iter()
+                .cloned()
+                .collect()
+        };
+        let builds = || INDEX_BUILDS.with(Cell::get);
+        let before = builds();
+        assert_eq!(probe(&t, 3), full_scan(&t, 3));
+        assert_eq!(builds(), before + 1, "the first probe builds the index");
+
+        let mut c = t.clone();
+        c.delete(&tuple![3i64, 3i64]).unwrap();
+        c.insert(tuple![1_000i64, 3i64]).unwrap();
+        c.insert(tuple![1_001i64, 99i64]).unwrap();
+        for v in [0, 3, 8, 99, 12345] {
+            assert_eq!(probe(&c, v), full_scan(&c, v), "clone, value {v}");
+            assert_eq!(probe(&t, v), full_scan(&t, v), "origin, value {v}");
+        }
+        assert_ne!(probe(&c, 3), probe(&t, 3));
+        assert_eq!(builds(), before + 1, "the clone inherited the built index");
     }
 }

@@ -3,14 +3,17 @@
 use crate::value::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// An immutable relational tuple.
 ///
-/// Tuples are small, frequently cloned, hashed (they key the Skolem
-/// `gen_id` interner of §2.3), and compared; a boxed slice keeps them one
-/// pointer-plus-length wide.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tuple(Box<[Value]>);
+/// Tuples are small, frequently cloned (they are table rows, primary keys,
+/// and the keys of the Skolem `gen_id` interner of §2.3), and compared. The
+/// values sit behind an `Arc`, so a clone is a reference-count bump and the
+/// copy-on-write pages of [`crate::cow`] that hold tuples copy handles, not
+/// values.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
     /// Builds a tuple from any iterable of values.
@@ -23,7 +26,7 @@ impl Tuple {
 
     /// The empty tuple (used as the root's semantic attribute `$db`).
     pub fn empty() -> Self {
-        Tuple(Box::new([]))
+        Tuple::default()
     }
 
     /// Number of fields.
