@@ -314,6 +314,25 @@ pub struct SubtreeDag {
     pub fresh: Vec<NodeId>,
 }
 
+impl SubtreeDag {
+    /// The nodes of the subtree that were live before it was generated: the
+    /// root when it is shared, and every node outside `fresh` that a subtree
+    /// edge lands on (`nodes` lists the root and the fresh nodes only).
+    /// Connecting the subtree below a node that one of these reaches closes
+    /// a cycle. Ascending, without repeats.
+    pub fn shared_nodes(&self) -> Vec<NodeId> {
+        let fresh: BTreeSet<NodeId> = self.fresh.iter().copied().collect();
+        let landed_on = self.edges.iter().map(|&(_, v)| v);
+        let mut shared: Vec<NodeId> = std::iter::once(self.root)
+            .chain(landed_on)
+            .filter(|v| !fresh.contains(v))
+            .collect();
+        shared.sort_unstable();
+        shared.dedup();
+        shared
+    }
+}
+
 /// Generates the subtree `ST(A, t)` (the paper's `insert (A, t)` payload and
 /// the publishing workhorse): nodes are interned into `genid`; recursion
 /// stops at nodes that are already live (their subtrees are already in the

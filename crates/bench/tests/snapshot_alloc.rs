@@ -9,21 +9,26 @@
 //! iteration order of a few `HashMap`s inside translation).
 //!
 //! Figures at 128 groups (5 120 `C` rows, 10 807 view nodes), this file run
-//! on both trees:
+//! on all three trees:
 //!
-//! | | whole-structure CoW (PR 12) | paged sharing |
-//! |---|---|---|
-//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls |
-//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls |
+//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs |
+//! |---|---|---|---|
+//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls |
+//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls |
+//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B |
 //!
 //! (At rxbench's 512 groups the left column is ≈ 15 MB and ≈ 52 MB.) Of the
 //! right column, 87 KB of the clone is `L`'s two dense arrays and about
-//! 60 KB and 1 000 calls of the round are the root's `desc` set, rewritten
-//! whole once per inserting round — the two O(view) remainders
-//! ARCHITECTURE.md §8 names. The asserted ceilings are a tenth of the left
-//! column.
+//! 85 KB of the round is the root's `desc` run, rewritten whole once per
+//! inserting fold (merged into a scratch buffer, then copied behind its
+//! `Arc`) — the two O(view) remainders ARCHITECTURE.md §8 names. The last
+//! row is what stays allocated, both directions and the handle pages
+//! included, divided by `n_pairs()`: 8 B of ids per pair plus 16 B of `Arc`
+//! header per non-empty set. The clone ceilings are a tenth of the left
+//! column; the round's call ceiling and the per-pair ceiling were re-based
+//! when `M` went from B-tree sets to runs.
 
-use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview_core::{Reachability, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_relstore::tuple;
 use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -33,6 +38,8 @@ struct Counting;
 
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain atomics and
@@ -41,11 +48,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -53,6 +62,9 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
+        // Wrapping, as two steps: the sum stays right whichever is larger.
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,6 +115,15 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     )
     .expect("warm-up insert");
 
+    // What `M` keeps allocated once built — an O(|M|) figure, so counted
+    // on its own before the O(∆) ones.
+    let live_before = LIVE.load(Ordering::Relaxed);
+    let m = Reachability::compute(sys.view().dag(), sys.topo());
+    let m_bytes = LIVE.load(Ordering::Relaxed) - live_before;
+    let bytes_per_pair = m_bytes as f64 / m.n_pairs() as f64;
+    assert_eq!(m.n_pairs(), sys.reach().n_pairs());
+    drop(m);
+
     let (pin, clone_bytes, clone_calls) = allocated_by(|| sys.clone());
     drop(pin);
 
@@ -122,6 +143,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     });
     sys.consistency_check().expect("the written copy is sound");
 
+    println!("M after compute: {m_bytes} B live, {bytes_per_pair:.1} B per pair");
     println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");
     println!("clone + anchored insert + fold + drop: {round_bytes} B in {round_calls} calls");
     assert!(clone_bytes <= 318_344, "clone allocated {clone_bytes} B");
@@ -131,7 +153,11 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     );
     assert!(round_bytes <= 969_822, "round allocated {round_bytes} B");
     assert!(
-        round_calls <= 10_769,
+        round_calls <= 1_000,
         "round made {round_calls} allocator calls"
+    );
+    assert!(
+        bytes_per_pair <= 12.0,
+        "M keeps {bytes_per_pair:.1} B per pair allocated"
     );
 }

@@ -249,19 +249,24 @@ fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
     debug_assert_eq!(pairs, reach.n_pairs(), "M pairs confined to live nodes");
 }
 
-/// Decodes the reachability matrix.
+/// Decodes the reachability matrix: every listed ancestor set is read into
+/// one flat buffer and the lot is bulk-loaded (the sets are stored as
+/// written; the `desc` direction is derived from them once).
 fn read_reach(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<Reachability> {
     let n_entries = r.read_varint()? as usize;
     if n_entries > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut m = Reachability::default();
+    let mut flat: Vec<NodeId> = Vec::new();
+    // `(d, where anc(d) sits in flat)`.
+    let mut entries: Vec<(NodeId, std::ops::Range<usize>)> = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
         let d = read_node(r, n_alloc)?;
         let n_anc = r.read_varint()? as usize;
         if n_anc > r.remaining() {
             return Err(CodecError::Truncated);
         }
+        let start = flat.len();
         let mut prev = 0u64;
         for i in 0..n_anc {
             let delta = r.read_varint()?;
@@ -277,11 +282,15 @@ fn read_reach(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<Reachability> {
                     "ancestor id {a} out of order or range"
                 )));
             }
-            m.insert(NodeId(a as u32), d);
+            flat.push(NodeId(a as u32));
             prev = a;
         }
+        entries.push((d, start..flat.len()));
     }
-    Ok(m)
+    let runs = entries.iter().map(|(d, at)| (*d, &flat[at.clone()]));
+    // Rejects what the encoder never writes and a per-pair load would have
+    // absorbed silently: a `d` listed twice, a `d` among its own ancestors.
+    Reachability::from_ancestors(runs).map_err(CodecError::Invalid)
 }
 
 // ---------------------------------------------------------------------------
@@ -423,6 +432,64 @@ mod tests {
         b.apply(&u, SideEffectPolicy::Proceed).unwrap();
         assert_eq!(a.view().n_edges(), b.view().n_edges());
         b.consistency_check().unwrap();
+    }
+
+    #[test]
+    fn reach_round_trips_through_the_bulk_load() {
+        let sys = system();
+        let dag = sys.view().dag();
+        let mut bytes = Vec::new();
+        put_reach(&mut bytes, dag, sys.reach());
+        let mut r = Reader::new(&bytes);
+        let back = read_reach(&mut r, dag.genid().n_allocated()).unwrap();
+        assert!(r.is_empty());
+        assert!(back.same_pairs(sys.reach()));
+    }
+
+    /// `M` bytes as the encoder lays them out: each `d` with its ancestor
+    /// ids delta-coded.
+    fn reach_bytes(entries: &[(u64, &[u64])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, entries.len() as u64);
+        for (d, anc) in entries {
+            put_varint(&mut out, *d);
+            put_varint(&mut out, anc.len() as u64);
+            let mut prev = 0;
+            for a in *anc {
+                put_varint(&mut out, a - prev);
+                prev = *a;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_reach_entries_error_not_panic() {
+        let decode =
+            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), 10);
+        let m = decode(&[(5, &[1, 2]), (7, &[1, 5])]).unwrap();
+        assert_eq!(m.n_pairs(), 4);
+        // What the encoder never writes and a per-pair load would absorb:
+        // a `d` listed twice, a `d` among its own ancestors.
+        let twice: &[(u64, &[u64])] = &[(5, &[1]), (5, &[2])];
+        let own_ancestor: &[(u64, &[u64])] = &[(5, &[1, 5])];
+        // Rejected before the bulk load, and still: a repeated id, ids
+        // beyond the interner.
+        let repeated: &[(u64, &[u64])] = &[(5, &[2, 2])];
+        let anc_out_of_range: &[(u64, &[u64])] = &[(5, &[1, 10])];
+        let d_out_of_range: &[(u64, &[u64])] = &[(10, &[1])];
+        for hostile in [
+            twice,
+            own_ancestor,
+            repeated,
+            anc_out_of_range,
+            d_out_of_range,
+        ] {
+            assert!(
+                matches!(decode(hostile), Err(CodecError::Invalid(_))),
+                "{hostile:?} must be rejected"
+            );
+        }
     }
 
     #[test]

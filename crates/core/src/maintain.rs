@@ -6,13 +6,42 @@
 //! In the paper's framework this work runs in the background after the
 //! foreground update completes; here it is an explicit deferred phase so
 //! experiments can time it separately (the (c) constituent of Fig.11).
+//!
+//! # Cost model
+//!
+//! `M`'s sets are immutable runs ([`crate::reach`]), so both algorithms are
+//! written as bulk edits of whole ancestor sets, and a *fold* — all the
+//! jobs one [`crate::XmlViewSystem::fold_maintenance`] call is handed —
+//! shares one [`ReachBatch`]:
+//!
+//! - **eager:** every `anc(x)` an insert job or the delete pass changes is
+//!   rewritten at once, one merge per `x` per job. These runs are short
+//!   (the depth of the view, a few thousand ids for a widely shared node),
+//!   and later jobs of the same fold read them: `anc(target)` for ∆M part
+//!   (b), and the `swap` repair's "is `x` below `v`" test, which therefore
+//!   asks the `anc` direction only;
+//! - **batched:** the `desc` half of those pairs is queued per ancestor and
+//!   flushed with one merge per touched ancestor — after the last insert
+//!   job (the delete pass builds `LR` from `descendants`) and again after
+//!   the delete pass. The root's run, which every job of a fold touches,
+//!   is thus copied once or twice per fold. An insert job that reads
+//!   `desc(v)` of an old node `v` shared into its subtree reads it through
+//!   the batch ([`Reachability::descendants_in`]), or it would miss what an
+//!   earlier job of the same fold queued under `v`;
+//! - **`L`:** an insert job splices and repairs as it goes (the next job
+//!   needs positions); the delete pass only *names* its garbage-collected
+//!   nodes and compacts `L` once, since nothing reads a position after
+//!   `LR` is sorted.
+//!
+//! [`maintain_insert`] and [`maintain_delete`] are folds of one job.
 
-use crate::reach::Reachability;
+use crate::reach::{sort_dedup, ReachBatch, Reachability};
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, SubtreeDag};
 use rxview_relstore::RelResult;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 /// What maintenance did — counts for reporting and the cascaded deletions
@@ -29,12 +58,13 @@ pub struct MaintainReport {
     pub gc_nodes: usize,
     /// Cascaded edge deletions `∆'V` applied by the collector.
     pub cascaded_edges: usize,
-    /// Nanoseconds spent rewriting `M` (∆M parts (a)/(b) on insert; the
-    /// per-node ancestor-set recomputation on delete).
+    /// Nanoseconds spent rewriting `M` (∆M parts (a)/(b) on insert; building
+    /// `LR` and the per-node ancestor-set recomputation on delete; the
+    /// flushes of the batched `desc` direction).
     pub m_rewrite_ns: u64,
     /// Nanoseconds spent splicing/repairing `L` (block splice + swap repair
-    /// on insert; `L` removal, edge cascade, `M` drop, and `gen_A`
-    /// collection of unreachable nodes on delete).
+    /// on insert; edge cascade and `gen_A` collection of unreachable nodes,
+    /// then the one compaction of `L`, on delete).
     pub l_splice_ns: u64,
     /// Per-cone fold invocations folded into this report (each
     /// `maintain_insert`/`maintain_delete` call is one cone fold).
@@ -54,8 +84,8 @@ impl MaintainReport {
     }
 }
 
-/// Algorithm **∆(M,L)insert** (Fig.7). Call *after* the `∆V` insertions have
-/// been applied to the DAG.
+/// Algorithm **∆(M,L)insert** (Fig.7) for one inserted subtree. Call
+/// *after* the `∆V` insertions have been applied to the DAG.
 ///
 /// - `∆M` part (a): reachability inside the inserted `ST(A,t)` is computed
 ///   by the Reach recurrence over the fresh nodes (memoizing into existing
@@ -70,6 +100,29 @@ pub fn maintain_insert(
     vs: &ViewStore,
     topo: &mut TopoOrder,
     reach: &mut Reachability,
+    subtree: &SubtreeDag,
+    targets: &[NodeId],
+) -> MaintainReport {
+    let mut batch = ReachBatch::default();
+    let mut report = insert_job(vs, topo, reach, &mut batch, subtree, targets);
+    flush(reach, &mut batch, &mut report);
+    report
+}
+
+/// Applies the fold's queued `desc`-direction edits, on the `M` clock.
+pub(crate) fn flush(reach: &mut Reachability, batch: &mut ReachBatch, report: &mut MaintainReport) {
+    let t_m = Instant::now();
+    reach.flush(batch);
+    report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
+}
+
+/// One ∆(M,L)insert job of a fold: `L` is left valid and `anc` exact for
+/// the jobs so far, `desc` is owed `batch`'s flush.
+pub(crate) fn insert_job(
+    vs: &ViewStore,
+    topo: &mut TopoOrder,
+    reach: &mut Reachability,
+    batch: &mut ReachBatch,
     subtree: &SubtreeDag,
     targets: &[NodeId],
 ) -> MaintainReport {
@@ -124,55 +177,65 @@ pub fn maintain_insert(
 
     // ---- ∆M (a): descendants of every fresh node. ----
     let t_m = Instant::now();
-    // Memoized DFS: desc(v) = ∪_c ({c} ∪ desc(c)); old nodes answer from M.
-    let mut memo: HashMap<NodeId, BTreeSet<NodeId>> = HashMap::new();
-    fn desc_of(
+    // Memoized DFS: desc(v) = ∪_c ({c} ∪ desc(c)); old nodes answer from M
+    // as the fold so far has left it.
+    let mut below: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    fn desc_of_fresh(
         dag: &rxview_atg::Dag,
         reach: &Reachability,
+        batch: &mut ReachBatch,
         fresh: &BTreeSet<NodeId>,
-        memo: &mut HashMap<NodeId, BTreeSet<NodeId>>,
+        below: &mut HashMap<NodeId, Vec<NodeId>>,
         v: NodeId,
-    ) -> BTreeSet<NodeId> {
-        if let Some(d) = memo.get(&v) {
-            return d.clone();
+    ) {
+        if below.contains_key(&v) {
+            return;
         }
-        if !fresh.contains(&v) {
-            let mut d = reach.descendants(v).clone();
-            // The DAG may have just gained edges below old nodes only via
-            // the subtree root connections; those are handled by (b).
-            d.insert(v);
-            return d; // includes v itself for union convenience
-        }
-        let mut out: BTreeSet<NodeId> = BTreeSet::new();
+        let mut out = Vec::new();
         for &c in dag.children(v) {
-            out.extend(desc_of(dag, reach, fresh, memo, c));
-        }
-        out.insert(v);
-        memo.insert(v, out.clone());
-        out
-    }
-    for &v in &subtree.fresh {
-        let d = desc_of(dag, reach, &fresh, &mut memo, v);
-        for &x in &d {
-            if x != v && reach.insert(v, x) {
-                report.m_inserted += 1;
+            out.push(c);
+            if fresh.contains(&c) {
+                desc_of_fresh(dag, reach, batch, fresh, below, c);
+                out.extend_from_slice(&below[&c]);
+            } else {
+                // The DAG may have just gained edges below old nodes only
+                // via the subtree root connections; those are handled by (b).
+                out.extend_from_slice(&reach.descendants_in(c, batch));
             }
         }
+        sort_dedup(&mut out);
+        below.insert(v, out);
+    }
+    for &v in &subtree.fresh {
+        desc_of_fresh(dag, reach, batch, &fresh, &mut below, v);
+    }
+    // The new pairs as `(desc, anc)`, so that sorting groups them by the
+    // node whose `anc` run they extend.
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    for (&v, desc) in &below {
+        pairs.extend(desc.iter().filter(|&&x| x != v).map(|&x| (x, v)));
     }
 
     // ---- ∆M (b): ancestors of targets reach the whole subtree. ----
-    let mut anc_targets: BTreeSet<NodeId> = targets.iter().copied().collect();
+    let mut anc_targets: Vec<NodeId> = targets.to_vec();
     for &t in targets {
-        anc_targets.extend(reach.ancestors(t).iter().copied());
+        anc_targets.extend_from_slice(reach.ancestors(t));
     }
-    let mut below_root = desc_of(dag, reach, &fresh, &mut memo, subtree.root);
-    below_root.insert(subtree.root);
-    for &a in &anc_targets {
-        for &d in &below_root {
-            if a != d && reach.insert(a, d) {
-                report.m_inserted += 1;
-            }
-        }
+    sort_dedup(&mut anc_targets);
+    let below_root = match below.get(&subtree.root) {
+        Some(desc) => Cow::Borrowed(desc.as_slice()),
+        None => reach.descendants_in(subtree.root, batch),
+    };
+    for &d in std::iter::once(&subtree.root).chain(below_root.iter()) {
+        pairs.extend(anc_targets.iter().filter(|&&a| a != d).map(|&a| (d, a)));
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut ancs: Vec<NodeId> = Vec::new();
+    for of_d in pairs.chunk_by(|l, r| l.0 == r.0) {
+        ancs.clear();
+        ancs.extend(of_d.iter().map(|&(_, a)| a));
+        report.m_inserted += reach.add_ancestors(of_d[0].0, &ancs, batch);
     }
     report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
 
@@ -183,7 +246,8 @@ pub fn maintain_insert(
     let repair = |topo: &mut TopoOrder, u: NodeId, v: NodeId| {
         if let (Some(pu), Some(pv)) = (topo.position(u), topo.position(v)) {
             if pu < pv {
-                topo.swap(u, v, &|x| reach.is_ancestor(v, x));
+                // `anc` is exact here; `desc(v)` still waits for the flush.
+                topo.swap(u, v, &|x| reach.ancestors(x).binary_search(&v).is_ok());
             }
         }
     };
@@ -212,58 +276,68 @@ pub fn maintain_delete(
     reach: &mut Reachability,
     selected: &[NodeId],
 ) -> RelResult<MaintainReport> {
+    delete_pass(vs, topo, reach, &mut ReachBatch::default(), selected)
+}
+
+/// The ∆(M,L)delete pass of a fold over all its deletion targets. `batch`
+/// must be flushed (the pass reads `descendants`); it is flushed again
+/// before returning.
+pub(crate) fn delete_pass(
+    vs: &mut ViewStore,
+    topo: &mut TopoOrder,
+    reach: &mut Reachability,
+    batch: &mut ReachBatch,
+    selected: &[NodeId],
+) -> RelResult<MaintainReport> {
     let mut report = MaintainReport {
         cone_folds: 1,
         ..MaintainReport::default()
     };
 
     // LR: the targets and all their descendants, sorted by L.
-    let mut lr_set: BTreeSet<NodeId> = selected.iter().copied().collect();
+    let t_lr = Instant::now();
+    let mut lr: Vec<NodeId> = selected.to_vec();
     for &v in selected {
-        lr_set.extend(reach.descendants(v).iter().copied());
+        lr.extend_from_slice(reach.descendants(v));
     }
-    let mut lr: Vec<NodeId> = lr_set.iter().copied().collect();
+    sort_dedup(&mut lr);
     lr.sort_by_key(|v| topo.position(*v).unwrap_or(usize::MAX));
+    report.m_rewrite_ns += t_lr.elapsed().as_nanos() as u64;
 
-    let mut keep: BTreeMap<NodeId, bool> = BTreeMap::new();
+    let mut collected: Vec<NodeId> = Vec::new();
     // Backward traversal: ancestors first.
     for &d in lr.iter().rev() {
-        // Surviving parents: edges already removed from the DAG, and
-        // parents scheduled for collection are excluded.
-        let pd: Vec<NodeId> = vs
-            .dag()
-            .parents(d)
-            .iter()
-            .copied()
-            .filter(|a| *keep.get(a).unwrap_or(&true) && vs.dag().genid().is_live(*a))
-            .collect();
+        // Surviving parents: edges already removed from the DAG (a
+        // collected parent's were cascaded when it was visited).
         let t_m = Instant::now();
-        let mut ad: BTreeSet<NodeId> = BTreeSet::new();
-        for &a in &pd {
-            ad.insert(a);
-            ad.extend(reach.ancestors(a).iter().copied());
-        }
-        let removed = reach.set_ancestors(d, ad);
-        report.m_removed += removed.len();
+        let dag = vs.dag();
+        let live = |a: &NodeId| dag.genid().is_live(*a);
+        let survivors = || dag.parents(d).iter().copied().filter(live);
+        let orphaned = survivors().next().is_none();
+        report.m_removed += if orphaned {
+            reach.collect_node(d, batch)
+        } else {
+            reach.set_ancestors_from(d, survivors(), batch)
+        };
         report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
-        if pd.is_empty() {
+        if orphaned {
             let t_gc = Instant::now();
-            keep.insert(d, false);
-            topo.remove(d);
+            collected.push(d);
             // Cascade outgoing edges (∆'V) and collect the node.
             let children: Vec<NodeId> = vs.dag().children(d).to_vec();
             for c in children {
                 vs.dag_mut().remove_edge(d, c);
                 report.cascaded_edges += 1;
             }
-            reach.drop_node(d);
             vs.unregister_node(d)?;
             report.gc_nodes += 1;
             report.l_splice_ns += t_gc.elapsed().as_nanos() as u64;
-        } else {
-            keep.insert(d, true);
         }
     }
+    let t_l = Instant::now();
+    topo.remove_many(&collected);
+    report.l_splice_ns += t_l.elapsed().as_nanos() as u64;
+    flush(reach, batch, &mut report);
     Ok(report)
 }
 
@@ -291,7 +365,7 @@ mod tests {
         let fresh_topo = TopoOrder::compute(vs.dag());
         let fresh_reach = Reachability::compute(vs.dag(), &fresh_topo);
         assert!(
-            reach.same_pairs(&fresh_reach) && fresh_reach.same_pairs(reach),
+            reach.same_pairs(&fresh_reach),
             "M diverged from recomputation"
         );
     }

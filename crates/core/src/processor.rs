@@ -14,8 +14,8 @@
 
 use crate::dag_eval::eval_xpath_on_dag;
 use crate::footprint::RelFootprint;
-use crate::maintain::{maintain_delete, maintain_insert, MaintainReport};
-use crate::reach::Reachability;
+use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
+use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
 use crate::rel_insert::{translate_insertions, InsertRejection, InsertTranslation};
 use crate::topo::TopoOrder;
@@ -440,6 +440,11 @@ impl XmlViewSystem {
     /// Runs the deferred phase-6 work of a batch: per-subtree ∆(M,L)insert
     /// in submission order, then one ∆(M,L)delete pass over the union of all
     /// deletion targets (including garbage collection).
+    ///
+    /// A batch is what an engine round is: updates that were each evaluated
+    /// against the state the batch started from, so no job targets a node
+    /// another job of the batch created (`tests/batched_fold.rs` holds one
+    /// fold of such a batch equal to one fold per update).
     pub fn fold_maintenance(
         &mut self,
         jobs: Vec<DeferredMaintenance>,
@@ -448,24 +453,33 @@ impl XmlViewSystem {
         if jobs.is_empty() {
             return Ok(agg);
         }
-        let reach = &mut self.reach;
+        // One batch per fold: `M`'s `desc` direction is rewritten once per
+        // touched ancestor for all the insert jobs together, and once more
+        // for the delete pass (see `maintain`'s cost model).
+        let mut batch = ReachBatch::default();
         let mut delete_targets: Vec<rxview_atg::NodeId> = Vec::new();
-        let mut seen: std::collections::BTreeSet<rxview_atg::NodeId> =
-            std::collections::BTreeSet::new();
         for job in jobs {
             match job.subtree {
-                Some(st) => {
-                    let r = maintain_insert(&self.vs, &mut self.topo, reach, &st, &job.selected);
-                    agg.absorb(&r);
-                }
-                None => {
-                    delete_targets.extend(job.selected.into_iter().filter(|v| seen.insert(*v)));
-                }
+                Some(st) => agg.absorb(&insert_job(
+                    &self.vs,
+                    &mut self.topo,
+                    &mut self.reach,
+                    &mut batch,
+                    &st,
+                    &job.selected,
+                )),
+                None => delete_targets.extend(job.selected),
             }
         }
+        flush(&mut self.reach, &mut batch, &mut agg);
         if !delete_targets.is_empty() {
-            let r = maintain_delete(&mut self.vs, &mut self.topo, reach, &delete_targets)?;
-            agg.absorb(&r);
+            agg.absorb(&delete_pass(
+                &mut self.vs,
+                &mut self.topo,
+                &mut self.reach,
+                &mut batch,
+                &delete_targets,
+            )?);
         }
         Ok(agg)
     }
@@ -742,7 +756,7 @@ impl XmlViewSystem {
         }
         let fresh_topo = TopoOrder::compute(self.vs.dag());
         let fresh_reach = Reachability::compute(self.vs.dag(), &fresh_topo);
-        if !(self.reach.same_pairs(&fresh_reach) && fresh_reach.same_pairs(&self.reach)) {
+        if !self.reach.same_pairs(&fresh_reach) {
             return Err("reachability matrix diverged from recomputation".into());
         }
         Ok(())
@@ -789,8 +803,7 @@ fn translate_core(
             // Cycle guard: connecting a target to a subtree that reaches
             // (an ancestor of) the target would make the DAG cyclic.
             // Only pre-existing nodes of ST(A,t) can close a cycle.
-            let fresh: std::collections::BTreeSet<_> = st.fresh.iter().copied().collect();
-            for &w in st.nodes.iter().filter(|n| !fresh.contains(n)) {
+            for w in st.shared_nodes() {
                 for &t in &eval.selected {
                     if w == t || reach.is_ancestor(w, t) {
                         rollback_subtree(vs, &st);

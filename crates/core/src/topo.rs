@@ -213,14 +213,31 @@ impl TopoOrder {
     /// Removes `v` from `L` (deletion maintenance, Fig.8 line 14). An
     /// element removal never invalidates the order of the rest.
     pub fn remove(&mut self, v: NodeId) {
-        if let Some(p) = self.position(v) {
-            self.pos.clear(v);
-            self.order.remove(p);
-            for i in p..self.order.len() {
-                let n = self.order[i];
-                self.pos.set(n, i);
+        self.remove_many(&[v]);
+    }
+
+    /// Removes every node of `nodes` that is in `L` with one compaction of
+    /// the suffix behind the earliest of them — `O(|L| + |nodes|)` where
+    /// repeated [`TopoOrder::remove`] pays `O(|L|)` per node.
+    pub fn remove_many(&mut self, nodes: &[NodeId]) {
+        let mut first = self.order.len();
+        for &v in nodes {
+            if let Some(p) = self.position(v) {
+                self.pos.clear(v);
+                first = first.min(p);
             }
         }
+        let mut kept = first;
+        for i in first..self.order.len() {
+            let n = self.order[i];
+            // Entries without a position are the ones just cleared.
+            if self.position(n).is_some() {
+                self.order[kept] = n;
+                self.set_pos(n, kept);
+                kept += 1;
+            }
+        }
+        self.order.truncate(kept);
     }
 
     /// Inserts `v` immediately before position `at` (shifting the suffix).
@@ -310,6 +327,27 @@ mod tests {
         assert_eq!(l.position(victim), None);
         for (i, &n) in l.order().iter().enumerate() {
             assert_eq!(l.position(n), Some(i));
+        }
+    }
+
+    #[test]
+    fn remove_many_matches_repeated_remove() {
+        let d = dag();
+        let mut a = TopoOrder::compute(&d);
+        let mut b = a.clone();
+        // Out of order, one repeated, one that was never in `L`.
+        let victims = [a.order()[7], a.order()[2], NodeId(900), a.order()[7]];
+        for &v in &victims {
+            a.remove(v);
+        }
+        b.remove_many(&victims);
+        assert_eq!(a.order(), b.order());
+        assert_eq!(b.len(), d.n_nodes() - 2);
+        for &v in &victims {
+            assert_eq!(b.position(v), None);
+        }
+        for (i, &n) in b.order().iter().enumerate() {
+            assert_eq!(b.position(n), Some(i));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Randomized tests of the auxiliary structures (§3.1, §3.4) on synthetic
 //! DAGs built directly through the `Dag` API: Algorithm Reach against the
-//! naive closure, and the `swap(L, u, v)` repair under random edge
-//! insertions.
+//! naive closure and the checkpoint's bulk load, and the `swap(L, u, v)`
+//! repair under random edge insertions.
 
 use proptest::prelude::*;
 use rxview_atg::{Dag, NodeId};
@@ -51,7 +51,12 @@ proptest! {
         prop_assert!(topo.is_valid_for(&dag));
         let fast = Reachability::compute(&dag, &topo);
         let naive = Reachability::compute_naive(&dag);
-        prop_assert!(fast.same_pairs(&naive) && naive.same_pairs(&fast));
+        prop_assert!(fast.same_pairs(&naive));
+        // What a checkpoint lists — each live `d` with its ascending
+        // `anc(d)` — bulk-loads back to the same matrix.
+        let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
+        let loaded = Reachability::from_ancestors(listed).expect("runs of a computed M");
+        prop_assert!(loaded.same_pairs(&fast));
     }
 
     #[test]

@@ -1,0 +1,228 @@
+//! Model tests of the compact reachability matrix: the run-merge primitives
+//! against `BTreeSet` algebra, and `Reachability`'s bulk edits — queued in a
+//! `ReachBatch`, read through it, flushed — against a plain set of
+//! `(anc, desc)` pairs. The *clone-then-diverge* case is the executable form
+//! of ARCHITECTURE invariant 10 for `M`: runs are shared between a snapshot
+//! and its successor, so an edit that wrote through a shared run would show
+//! up as one of the two no longer matching its own model.
+
+use proptest::prelude::*;
+use rxview_atg::NodeId;
+use rxview_core::reach::{minus, sort_dedup, union, ReachBatch, Reachability};
+use std::collections::BTreeSet;
+
+type Pairs = BTreeSet<(NodeId, NodeId)>;
+
+fn run(ids: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
+    sort_dedup(&mut ids);
+    ids
+}
+
+fn ancestors_in(model: &Pairs, d: NodeId) -> Vec<NodeId> {
+    let above = model.iter().filter(|&&(_, x)| x == d);
+    above.map(|&(a, _)| a).collect()
+}
+
+fn descendants_in(model: &Pairs, a: NodeId) -> Vec<NodeId> {
+    model
+        .range((a, NodeId(0))..=(a, NodeId(u32::MAX)))
+        .map(|&(_, d)| d)
+        .collect()
+}
+
+/// One bulk edit. Ancestor ids are reduced below the edited node's, so the
+/// modelled relation stays irreflexive and acyclic like a real `M`.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// `add_ancestors(d, extra)`.
+    Add(u32, Vec<u32>),
+    /// `set_ancestors(d, new)`.
+    Set(u32, Vec<u32>),
+    /// `set_ancestors_from(d, parents)`.
+    SetFrom(u32, Vec<u32>),
+    /// `collect_node(d)`, then the rewrite it owes every former descendant.
+    Collect(u32),
+    /// `flush`.
+    Flush,
+}
+
+const N: u32 = 24;
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    let node = 1u32..N;
+    let above = || prop::collection::vec(0u32..N, 0..6);
+    prop_oneof![
+        // Twice, so that the sets grow faster than `Set`/`Collect` cut them.
+        (node.clone(), above()).prop_map(|(d, ids)| Edit::Add(d, ids)),
+        (node.clone(), above()).prop_map(|(d, ids)| Edit::Add(d, ids)),
+        (node.clone(), above()).prop_map(|(d, ids)| Edit::Set(d, ids)),
+        (node.clone(), above()).prop_map(|(d, ids)| Edit::SetFrom(d, ids)),
+        node.prop_map(Edit::Collect),
+        Just(Edit::Flush),
+    ]
+}
+
+/// Applies `edit` to the matrix and to the model, checking every count the
+/// matrix reports and the batch-aware read along the way.
+fn apply(
+    m: &mut Reachability,
+    batch: &mut ReachBatch,
+    model: &mut Pairs,
+    edit: &Edit,
+) -> Result<(), TestCaseError> {
+    let below = |d: u32, ids: &[u32]| run(ids.iter().map(|a| a % d));
+    let before = model.len();
+    match edit {
+        Edit::Add(d, ids) => {
+            let extra = below(*d, ids);
+            model.extend(extra.iter().map(|&a| (a, NodeId(*d))));
+            let added = m.add_ancestors(NodeId(*d), &extra, batch);
+            prop_assert_eq!(added, model.len() - before);
+        }
+        Edit::Set(d, ids) | Edit::SetFrom(d, ids) => {
+            let d = NodeId(*d);
+            let new = if matches!(edit, Edit::Set(..)) {
+                below(d.0, ids)
+            } else {
+                let parents = below(d.0, ids);
+                let above = parents.iter().flat_map(|&p| ancestors_in(model, p));
+                run(above.chain(parents.iter().copied()).map(|a| a.0))
+            };
+            let old = ancestors_in(model, d);
+            model.retain(|&(_, x)| x != d);
+            model.extend(new.iter().map(|&a| (a, d)));
+            let removed = if matches!(edit, Edit::Set(..)) {
+                m.set_ancestors(d, &new, batch)
+            } else {
+                m.set_ancestors_from(d, below(d.0, ids), batch)
+            };
+            let gone = old.iter().filter(|a| !new.contains(a)).count();
+            prop_assert_eq!(removed, gone);
+        }
+        Edit::Collect(d) => {
+            let d = NodeId(*d);
+            let orphans = descendants_in(model, d);
+            prop_assert_eq!(m.collect_node(d, batch), ancestors_in(model, d).len());
+            model.retain(|&(a, x)| a != d && x != d);
+            for x in orphans {
+                m.set_ancestors(x, &ancestors_in(model, x), batch);
+            }
+        }
+        Edit::Flush => m.flush(batch),
+    }
+    // `anc` and the counter are exact at once; `desc` through the batch.
+    prop_assert_eq!(m.n_pairs(), model.len());
+    for v in (0..N).map(NodeId) {
+        prop_assert_eq!(m.ancestors(v), ancestors_in(model, v), "anc({})", v.0);
+        prop_assert_eq!(
+            &*m.descendants_in(v, batch),
+            descendants_in(model, v),
+            "desc({}) through the batch",
+            v.0
+        );
+    }
+    Ok(())
+}
+
+/// After a flush the matrix equals a bulk load of the model.
+fn check_flushed(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
+    let runs: Vec<(NodeId, Vec<NodeId>)> = (0..N)
+        .map(NodeId)
+        .map(|d| (d, ancestors_in(model, d)))
+        .collect();
+    let loaded = Reachability::from_ancestors(runs.iter().map(|(d, r)| (*d, r.as_slice())))
+        .expect("the model is well-formed");
+    prop_assert!(m.same_pairs(&loaded));
+    for a in (0..N).map(NodeId) {
+        prop_assert_eq!(m.descendants(a), descendants_in(model, a), "desc({})", a.0);
+        for d in (0..N).map(NodeId) {
+            prop_assert_eq!(m.is_ancestor(a, d), model.contains(&(a, d)));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `union`, `minus` and `sort_dedup` against `BTreeSet`, over random
+    /// pairs and the shapes that steer the galloping merge: empty,
+    /// identical, disjoint, interleaved, and a short run against a long one.
+    #[test]
+    fn merge_primitives_match_btreeset(
+        a in prop::collection::vec(0u32..64, 0..24),
+        b in prop::collection::vec(0u32..64, 0..24),
+        long in prop::collection::vec(0u32..4096, 0..400),
+        shape in 0usize..6,
+    ) {
+        let (a, b): (Vec<u32>, Vec<u32>) = match shape {
+            0 => (a, Vec::new()),
+            1 => (a.clone(), a),
+            2 => (a, b.iter().map(|x| x + 100).collect()),
+            3 => (a.iter().map(|x| 2 * x).collect(), b.iter().map(|x| 2 * x + 1).collect()),
+            4 => (long, b.iter().map(|x| x * 64).collect()),
+            _ => (a, b),
+        };
+        let (set_a, set_b): (BTreeSet<NodeId>, BTreeSet<NodeId>) = (
+            a.iter().copied().map(NodeId).collect(),
+            b.iter().copied().map(NodeId).collect(),
+        );
+        let (run_a, run_b) = (run(a), run(b));
+        prop_assert_eq!(&run_a, &set_a.iter().copied().collect::<Vec<_>>());
+        let mut out = vec![NodeId(7)]; // stale content must not survive
+        for (x, y, set_x, set_y) in [(&run_a, &run_b, &set_a, &set_b), (&run_b, &run_a, &set_b, &set_a)] {
+            union(x, y, &mut out);
+            prop_assert_eq!(&out, &set_x.union(set_y).copied().collect::<Vec<_>>());
+            minus(x, y, &mut out);
+            prop_assert_eq!(&out, &set_x.difference(set_y).copied().collect::<Vec<_>>());
+        }
+    }
+
+    /// Any interleaving of bulk edits and flushes keeps the matrix equal to
+    /// the pair model: `anc` and `n_pairs` at once, `desc` through the batch
+    /// before a flush and in the stored runs after it.
+    #[test]
+    fn bulk_edits_match_the_pair_model(
+        edits in prop::collection::vec(edit_strategy(), 1..40),
+    ) {
+        let (mut m, mut batch, mut model) =
+            (Reachability::default(), ReachBatch::default(), Pairs::new());
+        for edit in &edits {
+            apply(&mut m, &mut batch, &mut model, edit)?;
+        }
+        m.flush(&mut batch);
+        check_flushed(&m, &model)?;
+    }
+
+    /// Clone-then-diverge: a snapshot and its successor share every run, and
+    /// each must keep matching its own model whatever the other rewrites.
+    #[test]
+    fn a_clone_and_its_origin_diverge_independently(
+        shared in prop::collection::vec(edit_strategy(), 1..24),
+        here in prop::collection::vec(edit_strategy(), 1..16),
+        there in prop::collection::vec(edit_strategy(), 1..16),
+    ) {
+        let (mut m, mut batch, mut model) =
+            (Reachability::default(), ReachBatch::default(), Pairs::new());
+        for edit in &shared {
+            apply(&mut m, &mut batch, &mut model, edit)?;
+        }
+        m.flush(&mut batch);
+        let (mut fork, mut fork_batch, mut fork_model) =
+            (m.clone(), ReachBatch::default(), model.clone());
+        // Interleaved, so each side writes while the other's runs are live.
+        for i in 0..here.len().max(there.len()) {
+            if let Some(edit) = here.get(i) {
+                apply(&mut m, &mut batch, &mut model, edit)?;
+            }
+            if let Some(edit) = there.get(i) {
+                apply(&mut fork, &mut fork_batch, &mut fork_model, edit)?;
+            }
+        }
+        m.flush(&mut batch);
+        fork.flush(&mut fork_batch);
+        check_flushed(&m, &model)?;
+        check_flushed(&fork, &fork_model)?;
+    }
+}

@@ -1,0 +1,216 @@
+//! Multi-job folds: several updates applied with `apply_deferred` and then
+//! maintained by **one** `fold_maintenance` call must leave `(V, M, L)` as
+//! the same updates applied one at a time do.
+//!
+//! Inside one fold ∆(M,L) writes `M`'s `anc` direction at once and batches
+//! the `desc` direction, so a job can read a descendant set that an earlier
+//! job of the same fold has only queued edits for. The serving engine hands
+//! `fold_maintenance` whole rounds; this file does it from the library, on
+//! the registrar view, where students and prerequisite courses are shared
+//! and the jobs of a batch therefore meet at shared nodes.
+
+use proptest::prelude::*;
+use rxview::atg::NodeId;
+use rxview::core::{DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview::relstore::tuple;
+use rxview::workload::{registrar_atg, registrar_database};
+use std::collections::BTreeSet;
+
+/// The registrar instance plus rows that are in `I` but not (yet) in the
+/// view: a Math course whose prerequisite is the shared CS240, and two
+/// students, one enrolled in it.
+fn system() -> XmlViewSystem {
+    let mut db = registrar_database();
+    db.insert("course", tuple!["MA200", "Statistics", "Math"])
+        .expect("valid row");
+    db.insert("prereq", tuple!["MA200", "CS240"])
+        .expect("valid row");
+    for s in [tuple!["S03", "Carol"], tuple!["S04", "Dan"]] {
+        db.insert("student", s).expect("valid row");
+    }
+    db.insert("enroll", tuple!["S03", "MA200"])
+        .expect("valid row");
+    let atg = registrar_atg(&db).expect("valid ATG");
+    XmlViewSystem::new(atg, db).expect("publishes")
+}
+
+const COURSES: [(&str, &str); 5] = [
+    ("CS650", "Advanced DB"),
+    ("CS320", "Algorithms"),
+    ("CS240", "Data Structures"),
+    ("MA100", "Calculus"),
+    ("MA200", "Statistics"),
+];
+const STUDENTS: [(&str, &str); 4] = [
+    ("S01", "Alice"),
+    ("S02", "Bob"),
+    ("S03", "Carol"),
+    ("S04", "Dan"),
+];
+
+/// The `k`-th update of a pool of enrolments, prerequisite insertions and
+/// the deletions that undo them — anchored and `//`-headed.
+fn update(kind: usize, course: usize, other: usize) -> XmlUpdate {
+    let (cno, _) = COURSES[course % COURSES.len()];
+    let (cno2, title2) = COURSES[other % COURSES.len()];
+    let (ssn, name) = STUDENTS[other % STUDENTS.len()];
+    let built = match kind % 6 {
+        0 | 1 => XmlUpdate::insert(
+            "student",
+            tuple![ssn, name],
+            &format!("course[cno={cno}]/takenBy"),
+        ),
+        2 => XmlUpdate::insert(
+            "course",
+            tuple![cno2, title2],
+            &format!("//course[cno={cno}]/prereq"),
+        ),
+        3 => XmlUpdate::delete(&format!("//course[cno={cno}]/takenBy/student[ssn={ssn}]")),
+        4 => XmlUpdate::delete(&format!("course[cno={cno}]/prereq/course[cno={cno2}]")),
+        _ => XmlUpdate::delete(&format!("//student[ssn={ssn}]")),
+    };
+    built.expect("path parses")
+}
+
+fn edges(sys: &XmlViewSystem) -> BTreeSet<(NodeId, NodeId)> {
+    sys.view().dag().all_edges().collect()
+}
+
+/// Folds `jobs` into `batched` in one call and compares with `single`, which
+/// applied the same updates one at a time.
+fn fold_and_compare(
+    batched: &mut XmlViewSystem,
+    jobs: Vec<DeferredMaintenance>,
+    single: &XmlViewSystem,
+) -> Result<(), TestCaseError> {
+    let n_jobs = jobs.len();
+    batched.fold_maintenance(jobs).expect("fold");
+    let (b, s) = (batched.view().dag(), single.view().dag());
+    prop_assert_eq!(
+        b.genid().live_ids().collect::<Vec<_>>(),
+        s.genid().live_ids().collect::<Vec<_>>(),
+        "live nodes after a fold of {} jobs",
+        n_jobs
+    );
+    prop_assert_eq!(
+        edges(batched),
+        edges(single),
+        "V after a fold of {} jobs",
+        n_jobs
+    );
+    prop_assert!(
+        batched.reach().same_pairs(single.reach()),
+        "M after a fold of {} jobs",
+        n_jobs
+    );
+    prop_assert_eq!(batched.topo().len(), single.topo().len());
+    if let Err(e) = batched.consistency_check() {
+        return Err(TestCaseError::fail(format!(
+            "after a fold of {n_jobs} jobs: {e}"
+        )));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn one_fold_of_a_batch_equals_one_fold_per_update(
+        picks in prop::collection::vec((0usize..6, 0usize..5, 0usize..20), 8..28),
+        sizes in prop::collection::vec(2usize..9, 12),
+    ) {
+        let mut single = system();
+        let mut batched = single.clone();
+        // The state the open batch started from: as in an engine round,
+        // every update of a batch is evaluated there.
+        let mut start = single.clone();
+        let mut jobs: Vec<DeferredMaintenance> = Vec::new();
+        let mut sizes = sizes.into_iter().cycle();
+        let mut room = sizes.next().expect("cycled");
+        for (kind, course, other) in picks {
+            let u = update(kind, course, other);
+            // An update belongs in the open batch if it is independent of
+            // it: it matches at the batch's start what it matches now, and
+            // its translation comes out as it does one at a time (the
+            // engine's conflict analysis admits no other). What is under
+            // test is phase 6 on the batches that remain.
+            let independent = |start: &XmlViewSystem| {
+                let (then, now) = (start.evaluate(u.path()), single.evaluate(u.path()));
+                then.selected == now.selected
+                    && then.matched_edges == now.matched_edges
+                    && batched
+                        .clone()
+                        .apply_deferred(&u, SideEffectPolicy::Proceed, then)
+                        .is_ok()
+                        == single.clone().apply(&u, SideEffectPolicy::Proceed).is_ok()
+            };
+            if room == 0 || !independent(&start) {
+                fold_and_compare(&mut batched, std::mem::take(&mut jobs), &single)?;
+                start = single.clone();
+                room = sizes.next().expect("cycled");
+            }
+            // Node ids agree on the two sides: both intern the same pairs
+            // in the same order.
+            let eval = start.evaluate(u.path());
+            let deferred = batched.apply_deferred(&u, SideEffectPolicy::Proceed, eval);
+            let applied = single.apply(&u, SideEffectPolicy::Proceed);
+            prop_assert_eq!(deferred.is_ok(), applied.is_ok(), "`{}`", u);
+            if let Ok((_, job)) = deferred {
+                jobs.push(job);
+                room -= 1;
+            }
+        }
+        fold_and_compare(&mut batched, jobs, &single)?;
+    }
+}
+
+/// Hazard: job 1 inserts below an *old* node that job 2's inserted subtree
+/// reaches as a shared node. Job 2 computes its fresh nodes' descendants
+/// from `desc(CS240)`, which by then holds job 1's pairs only as queued
+/// edits — read without them, MA200 never learns it reaches Alice.
+#[test]
+fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
+    let mut sys = system();
+    let enroll = XmlUpdate::insert(
+        "student",
+        tuple!["S01", "Alice"],
+        "course[cno=CS240]/takenBy",
+    )
+    .expect("path parses");
+    let require = XmlUpdate::insert(
+        "course",
+        tuple!["MA200", "Statistics"],
+        "course[cno=CS650]/prereq",
+    )
+    .expect("path parses");
+    // Independent targets: both evaluate against the state before the batch.
+    let evals = [&enroll, &require].map(|u| sys.evaluate(u.path()));
+    let mut jobs = Vec::new();
+    for (u, eval) in [&enroll, &require].into_iter().zip(evals) {
+        let (_, job) = sys
+            .apply_deferred(u, SideEffectPolicy::Proceed, eval)
+            .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
+        jobs.push(job);
+    }
+    sys.fold_maintenance(jobs).expect("fold");
+
+    let genid = sys.view().dag().genid();
+    let dtd = sys.view().atg().dtd();
+    let node = |ty: &str, attr| {
+        genid
+            .lookup(dtd.type_id(ty).expect("registrar type"), &attr)
+            .expect("in the view")
+    };
+    let ma200 = node("course", tuple!["MA200", "Statistics"]);
+    let cs240 = node("course", tuple!["CS240", "Data Structures"]);
+    let alice = node("student", tuple!["S01", "Alice"]);
+    assert!(sys.reach().is_ancestor(ma200, cs240));
+    assert!(sys.reach().is_ancestor(cs240, alice));
+    assert!(
+        sys.reach().is_ancestor(ma200, alice),
+        "MA200 → prereq → CS240 → takenBy → Alice"
+    );
+    assert!(sys.reach().descendants(ma200).contains(&alice));
+    sys.consistency_check().expect("M equals recomputation");
+}

@@ -124,6 +124,30 @@ fn rejected_updates_leave_no_trace() {
 }
 
 #[test]
+fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
+    // MA200 is in `I` but not in the view; its prerequisite CS240 is.
+    let mut db = registrar_database();
+    db.insert("course", tuple!["MA200", "Statistics", "Math"])
+        .unwrap();
+    db.insert("prereq", tuple!["MA200", "CS240"]).unwrap();
+    let atg = registrar_atg(&db).unwrap();
+    let mut sys = XmlViewSystem::new(atg, db).unwrap();
+    let before_nodes = sys.view().n_nodes();
+    // ST(course, MA200) is all fresh down to the old CS240 it shares —
+    // below which the target sits: CS240 → prereq → MA200 → prereq → CS240.
+    let u = XmlUpdate::insert(
+        "course",
+        tuple!["MA200", "Statistics"],
+        "course[cno=CS240]/prereq",
+    )
+    .unwrap();
+    let err = sys.apply(&u, SideEffectPolicy::Proceed).unwrap_err();
+    assert!(matches!(err, UpdateError::Cycle), "got: {err}");
+    assert_eq!(sys.view().n_nodes(), before_nodes);
+    sys.consistency_check().unwrap();
+}
+
+#[test]
 fn abort_policy_respects_side_effects_proceed_applies_everywhere() {
     let mut sys = registrar_system();
     let u = XmlUpdate::insert(
