@@ -223,6 +223,21 @@ impl Atg {
             .join(" ")
     }
 
+    /// Whether [`Atg::text_of`]`(ty, attr)` equals `text`, compared value by
+    /// value in place — nothing is rendered, so a value filter costs no
+    /// allocation per `pcdata` node it visits.
+    pub fn text_eq(&self, ty: TypeId, attr: &Tuple, text: &str) -> bool {
+        debug_assert!(self.dtd.is_pcdata(ty));
+        let mut rest = Some(text);
+        for (i, v) in attr.iter().enumerate() {
+            if i > 0 {
+                rest = rest.and_then(|r| r.strip_prefix(' '));
+            }
+            rest = rest.and_then(|r| v.strip_rendered(r));
+        }
+        rest == Some("")
+    }
+
     /// Derives the *edge view* `Q_edge_A_B` (§2.3): a non-parameterized SPJ
     /// query over `gen_A` plus the rule's base relations whose output is
     /// `($A fields…, $B fields…)` — i.e. one row per edge of the DAG.

@@ -148,6 +148,31 @@ mod tests {
     }
 
     #[test]
+    fn text_eq_agrees_with_the_rendered_text() {
+        let db = registrar_database();
+        let atg = registrar_atg(&db).unwrap();
+        let cno = atg.dtd().type_id("cno").unwrap();
+        for attr in [
+            tuple!["CS320"],
+            tuple![""],
+            tuple![-40i64],
+            tuple![true],
+            tuple!["CS", 320i64],
+            tuple!["a b", "c"],
+        ] {
+            let text = atg.text_of(cno, &attr);
+            assert!(atg.text_eq(cno, &attr, &text), "{attr}");
+            for other in ["", "CS32", "CS3200", "CS 320", "-4", "tru", "a b c d", "a"] {
+                assert_eq!(
+                    atg.text_eq(cno, &attr, other),
+                    text == other,
+                    "{attr} vs `{other}`"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn publishes_fig1_dag() {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();

@@ -27,6 +27,22 @@
 //! header per non-empty set. The clone ceilings are a tenth of the left
 //! column; the round's call ceiling and the per-pair ceiling were re-based
 //! when `M` went from B-tree sets to runs.
+//!
+//! Evaluating the round's path, `node[id=k]/sub`, on the same fixture —
+//! what every read, `apply` and replayed update pays before it translates
+//! anything (PR 15; the clone and round rows did not move, 22 and 791
+//! calls):
+//!
+//! | | `M` as sorted runs (PR 14) | scope-resolved evaluation (PR 15) |
+//! |---|---|---|
+//! | full `evaluate` (all of `L`, 10 807 nodes) | 14 487 calls | 11 calls |
+//! | scope-aware evaluation, anchor resolution and scope projection included | 839 calls (`evaluation_scope` + `evaluate_scoped`) | 31 calls (`XmlViewSystem::eval`) |
+//!
+//! The left column is a `String` per value, a `Vec`, a `join` and two memo
+//! clones per text node visited, plus — scoped — a top-level scan that
+//! rendered every group head's text children; the right column compares
+//! attribute values in place and probes `gen_node`'s primary order. The
+//! ceilings (100 and 150) leave room for a deeper path, not for a renderer.
 
 use rxview_core::{Reachability, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_relstore::tuple;
@@ -128,11 +144,15 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     drop(pin);
 
     // The round the commit loop runs: the path is evaluated first (it only
-    // reads; `XmlViewSystem::apply`'s unscoped §3.2 evaluation makes 14 487
-    // allocator calls on either tree, which would drown the difference),
-    // then clone, translate + apply, fold ∆(M,L), release.
+    // reads), then clone, translate + apply, fold ∆(M,L), release. The two
+    // evaluations are counted on their own: the full §3.2 pass, and the
+    // scope-aware entry point every read, `apply` and replayed update goes
+    // through (anchor probe and scope projection included).
     let update = insert_under(head, 2_000_000_001);
-    let eval = sys.evaluate(update.path());
+    let (eval, _, full_eval_calls) = allocated_by(|| sys.evaluate(update.path()));
+    let (scoped, _, scoped_eval_calls) = allocated_by(|| sys.eval(update.path()));
+    assert_eq!(scoped.eval.selected, eval.selected);
+    assert!(scoped.scope_nodes.is_some_and(|n| n < 200));
     let ((), round_bytes, round_calls) = allocated_by(|| {
         let pin = sys.clone();
         let (_, job) = sys
@@ -146,6 +166,15 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     println!("M after compute: {m_bytes} B live, {bytes_per_pair:.1} B per pair");
     println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");
     println!("clone + anchored insert + fold + drop: {round_bytes} B in {round_calls} calls");
+    println!("full evaluate: {full_eval_calls} calls; scope-aware eval: {scoped_eval_calls} calls");
+    assert!(
+        full_eval_calls <= 100,
+        "a full evaluation made {full_eval_calls} allocator calls"
+    );
+    assert!(
+        scoped_eval_calls <= 150,
+        "a scope-aware evaluation made {scoped_eval_calls} allocator calls"
+    );
     assert!(clone_bytes <= 318_344, "clone allocated {clone_bytes} B");
     assert!(
         clone_calls <= 4_365,

@@ -243,11 +243,11 @@ fn intersects<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> bool {
 
 /// What one `field = value` filter on nodes of `ty` pins down. This is the
 /// *single* source of filter-pinning semantics, shared by
-/// [`RelFootprint::add_anchor_reads`] and the path classifier's descendant
-/// probes ([`crate::pathclass::resolve_descendant_anchors`]) — the
-/// conflict-freeness of `//` planning depends on the probe consulting
-/// exactly the keys the footprint records as reads, so the two must never
-/// diverge.
+/// [`RelFootprint::add_anchor_reads`] and the anchor resolver's probes
+/// ([`crate::pathclass::resolve_anchors`], for anchored, wildcard-rooted and
+/// `//` heads alike) — the conflict-freeness of planning depends on the
+/// probe consulting exactly the keys the footprint records as reads, so the
+/// two must never diverge.
 pub(crate) enum FilterPin {
     /// Single-field `pcdata` projection: the filter matches exactly the
     /// nodes whose gen-table `column` holds `value`.

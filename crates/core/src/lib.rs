@@ -61,12 +61,13 @@ pub use footprint::{
 };
 pub use maintain::{maintain_delete, maintain_insert, MaintainReport};
 pub use pathclass::{
-    classify, filter_keys, resolve_descendant_anchors, sub_steps, union_scope, PathClass, SubStep,
+    classify, filter_keys, resolve_anchors, scope_of_anchors, sub_steps, union_scope, Anchors,
+    PathClass, SubStep, MAX_CONE_ANCHORS,
 };
 pub use plan::{eval_plan, shape_of, PlanCache, PlanCacheStats, UpdatePlan};
 pub use processor::{
-    translate_insert_for_merge, DeferredMaintenance, PhaseTimings, TranslatedUpdate, UpdateError,
-    UpdateOutcome, UpdateReport, XmlViewSystem,
+    translate_insert_for_merge, DeferredMaintenance, Evaluated, PhaseTimings, TranslatedUpdate,
+    UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
 };
 pub use reach::Reachability;
 pub use rel_delete::{

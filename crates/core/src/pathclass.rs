@@ -1,12 +1,14 @@
-//! Path classification for conflict planning: which bounded region of the
-//! view can an update path touch?
+//! Path classification and anchor resolution: which bounded region of the
+//! view can a path touch — for conflict planning, and for evaluation?
 //!
 //! The serving engine partitions concurrent updates by *cones* — node sets
 //! closed enough under the DAG structure that two updates with disjoint
 //! cones (and disjoint typed relational footprints) commute. This module
-//! owns the classification that used to be inlined in the engine's
-//! analyzer, extended from single key-anchored cones to **bounded
-//! multi-anchor cones** for leading-`//` and wildcard-rooted paths:
+//! owns the classification ([`classify`]) and the one resolver
+//! ([`resolve_anchors`]) that turns a class into concrete anchor nodes by
+//! probing the maintained `gen_A` registries — single key-anchored cones,
+//! and **bounded multi-anchor cones** for leading-`//` and wildcard-rooted
+//! paths:
 //!
 //! - [`PathClass::Anchored`] — the first normalized step is a labelled
 //!   child step: every match lies under a *top-level* node of that type
@@ -16,7 +18,7 @@
 //!   can sit, and — when the filter pins a single-field `pcdata` projection
 //!   — the maintained `gen_label` table is probed with the typed
 //!   `(table, column, value)` key to enumerate the *concrete* candidate
-//!   matches ([`resolve_descendant_anchors`]). The cone is the union over
+//!   matches. The cone is the union over
 //!   those anchors of `{anchor} ∪ desc(anchor) ∪ anc(anchor)` — ancestors
 //!   included because a `//`-match's parent edges and matched root-paths
 //!   climb above the anchor.
@@ -28,11 +30,14 @@
 //!   the update conflicts with everything and the engine serializes it.
 //!
 //! The same anchor set doubles as an **evaluation scope**
-//! ([`union_scope`]): projecting the maintained topological order `L` onto
-//! `{root} ∪ cones` yields a valid order for the sub-DAG, and the §3.2
-//! two-pass evaluation over that projection returns exactly the matches of
-//! the full evaluation (the engine's property tests assert this equality on
-//! random instances).
+//! ([`scope_of_anchors`], [`union_scope`]): projecting the maintained
+//! topological order `L` onto `{root} ∪ cones` yields a valid order for the
+//! sub-DAG, and the §3.2 two-pass evaluation over that projection returns
+//! exactly the matches of the full evaluation (`tests/scoped_eval.rs` and
+//! the engine's property tests assert this equality). Every evaluation in
+//! the system — the analyzer's dry run, reads, `apply`, recovery replay —
+//! resolves its scope here, through
+//! [`crate::XmlViewSystem::eval`].
 
 use crate::footprint::{pin_filter, FilterPin};
 use crate::reach::Reachability;
@@ -197,7 +202,7 @@ fn strict_filter_keys(filter: &Filter, out: &mut Vec<(String, String)>) -> bool 
 ///
 /// The head step group (first `Label`/`//Label`/`*` plus its filter steps)
 /// is skipped: its reads are the anchor-resolution reads the caller
-/// already records ([`resolve_descendant_anchors`] /
+/// already records ([`resolve_anchors`] through
 /// `RelFootprint::add_anchor_reads`).
 pub fn sub_steps(
     vs: &ViewStore,
@@ -262,52 +267,138 @@ pub fn sub_steps(
     Some(out)
 }
 
-/// Resolves the concrete anchor candidates of a [`PathClass::Descendant`]
-/// path: every live node of `target_ty` that can satisfy the usable filter
-/// keys, found by probing the maintained `gen_A` table through its lazy
-/// column index — the same typed `(table, column, value)` access an
-/// anchored filter uses, but over *all* instances instead of the top level.
-/// The typed reads the resolution depends on are recorded in `rel`: the
-/// probe keys when a filter pins a column, a wholesale `gen_A` read when
-/// the candidate set is bounded only by the type's instance count (then any
-/// interning or GC of the type would change the answer).
+/// Largest candidate-anchor set a `//`-headed or wildcard-rooted path may
+/// resolve to before it is treated as global — the default of the engine's
+/// `max_cone_anchors` knob, and the bound reads and replay resolve under.
+pub const MAX_CONE_ANCHORS: usize = 64;
+
+/// The resolved anchor set of a classified path ([`resolve_anchors`]): a
+/// superset of the nodes its head step can match.
+#[derive(Debug, Clone)]
+pub struct Anchors {
+    /// The anchor nodes.
+    pub nodes: Vec<NodeId>,
+    /// `//`-headed: matched root-paths and parent edges climb above the
+    /// anchors, so cones and scopes close over ancestors too.
+    pub with_ancestors: bool,
+    /// Resolved through the multi-anchor (`//`-headed or wildcard-rooted)
+    /// classifier rather than one top-level anchor pattern.
+    pub multi_cone: bool,
+}
+
+/// Resolves the anchor set of a classified path against the current state —
+/// the **one** resolver behind conflict planning, reads, `apply` and replay.
+/// Every head is answered from the maintained `gen_A` registries through
+/// their lazy column indexes:
 ///
-/// Returns `None` when the candidate set cannot be bounded at or below
-/// `cap` anchors (no usable key and too many instances, or a too-popular
-/// key) — the caller degrades the update to a global footprint. `Some` with
-/// an empty vector means the path provably selects nothing.
+/// - [`PathClass::Anchored`] — the live *top-level* nodes of the head type
+///   satisfying the usable filter keys: a typed probe, then "is a child of
+///   the root"; a scan of the root's children only where no filter pins a
+///   column. Never capped (an unfiltered `course/…` anchors at every course,
+///   as it always has).
+/// - [`PathClass::WildcardRoot`] with at least one key — the same, per
+///   root-child type; `None` past `cap` anchors.
+/// - [`PathClass::Descendant`] — every live node of the target type that
+///   can satisfy the keys, wherever it occurs; `None` when the candidate
+///   set cannot be bounded at or below `cap` (no usable key and too many
+///   instances, or a too-popular key).
+/// - anything else — `None`: nothing bounds the path.
 ///
-/// Soundness: the result is a *superset* of the nodes the `//label[filter]`
-/// head can match — unusable filter conjuncts only narrow it further, and
-/// [`rxview_atg::TypeReach`] guarantees no match can exist outside the
+/// `None` means the caller treats the path as global; `Some` with no nodes
+/// means the path provably selects nothing.
+///
+/// The typed reads the resolution depends on are recorded in `rel` when the
+/// caller plans with them (reads and replay plan nothing and pass `None`):
+/// the probe keys when a filter pins a column, a wholesale `gen_A` read when
+/// a `//` head is bounded only by the type's instance count (then any
+/// interning or GC of the type would change the answer). Probes are
+/// classified by the same `pin_filter` the read recording uses — the probe
+/// must consult exactly the keys recorded as reads, or a round could stop
+/// being conflict-free.
+///
+/// Soundness: unusable filter conjuncts only narrow the real match set
+/// further, a top-level match is by definition a child of the root, and
+/// [`rxview_atg::TypeReach`] guarantees no `//` match can exist outside the
 /// type's instance set.
-pub fn resolve_descendant_anchors(
+pub fn resolve_anchors(
     vs: &ViewStore,
-    target_ty: TypeId,
-    keys: &[(String, String)],
+    class: &PathClass,
     cap: usize,
-    rel: &mut crate::footprint::RelFootprint,
+    mut rel: Option<&mut crate::footprint::RelFootprint>,
+) -> Option<Anchors> {
+    let dtd = vs.atg().dtd();
+    match class {
+        PathClass::Anchored { first_ty, keys } => Some(Anchors {
+            nodes: candidates(vs, *first_ty, keys, true, usize::MAX, rel)?,
+            with_ancestors: false,
+            multi_cone: false,
+        }),
+        PathClass::WildcardRoot { keys } if !keys.is_empty() => {
+            // Matches are top-level nodes of any root-child type. The type
+            // list is deduplicated — a Sequence production may repeat a
+            // child type, and duplicate anchors would double cones and
+            // spuriously trip the anchor cap.
+            let types: BTreeSet<TypeId> = dtd.children_of(dtd.root()).into_iter().collect();
+            let mut nodes = Vec::new();
+            for ty in types {
+                nodes.extend(candidates(
+                    vs,
+                    ty,
+                    keys,
+                    true,
+                    usize::MAX,
+                    rel.as_deref_mut(),
+                )?);
+            }
+            (nodes.len() <= cap).then_some(Anchors {
+                nodes,
+                with_ancestors: false,
+                multi_cone: true,
+            })
+        }
+        PathClass::Descendant { target_ty, keys } => {
+            // The root can never be matched by a `//` step onto its own
+            // type, and its gen row is a synthetic unit tuple; degrade
+            // rather than probe.
+            if *target_ty == dtd.root() {
+                return None;
+            }
+            Some(Anchors {
+                nodes: candidates(vs, *target_ty, keys, false, cap, rel)?,
+                with_ancestors: true,
+                multi_cone: true,
+            })
+        }
+        _ => None,
+    }
+}
+
+/// The live nodes of `ty` that can satisfy `keys` — among the root's
+/// children when `top_level`, anywhere otherwise. `None` when more than
+/// `cap` candidates would have to be enumerated.
+fn candidates(
+    vs: &ViewStore,
+    ty: TypeId,
+    keys: &[(String, String)],
+    top_level: bool,
+    cap: usize,
+    mut rel: Option<&mut crate::footprint::RelFootprint>,
 ) -> Option<Vec<NodeId>> {
     let atg = vs.atg();
-    let dtd = atg.dtd();
-    // The root can never be matched by a child/`//` step onto its own type,
-    // and its gen row is a synthetic unit tuple; degrade rather than probe.
-    if target_ty == dtd.root() {
-        return None;
-    }
+    let dag = vs.dag();
+    let (genid, root) = (dag.genid(), dag.root());
     // The key-pinned (and conservative whole-table) reads of the filters.
-    rel.add_anchor_reads(vs, target_ty, keys);
+    if let Some(rel) = rel.as_deref_mut() {
+        rel.add_anchor_reads(vs, ty, keys);
+    }
     // Static bound: a type unreachable from the root has no live instances
-    // and never will be — no reads needed.
-    if !atg.type_reach().can_reach(dtd.root(), target_ty) {
+    // and never will have.
+    if !top_level && !atg.type_reach().can_reach(atg.dtd().root(), ty) {
         return Some(Vec::new());
     }
-    // Typed probes, classified by the same `pin_filter` the footprint's
-    // read recording uses — the probe must consult exactly the keys
-    // recorded as reads, or a round could stop being conflict-free.
     let mut probes: Vec<(usize, rxview_relstore::Value)> = Vec::new();
     for (field, value) in keys {
-        match pin_filter(atg, target_ty, field, value) {
+        match pin_filter(atg, ty, field, value) {
             FilterPin::Column(col, v) => probes.push((col, v)),
             FilterPin::Never => return Some(Vec::new()),
             // Structural / unpinnable filters have no (usable) pruning
@@ -316,36 +407,86 @@ pub fn resolve_descendant_anchors(
         }
     }
 
-    let genid = vs.dag().genid();
-    if probes.is_empty() {
+    let Some(((col, value), rest)) = probes.split_first() else {
+        if top_level {
+            return Some(
+                dag.children(root)
+                    .iter()
+                    .copied()
+                    .filter(|&c| genid.type_of(c) == ty && genid.is_live(c))
+                    .collect(),
+            );
+        }
         // No pinnable filter: the candidate set is the type's whole
-        // instance set, so the analysis reads the entire `gen_A` registry —
-        // any interning or GC of this type changes the answer.
-        rel.add_table_read(atg.gen_table_name(target_ty));
-        let mut anchors: Vec<NodeId> = Vec::new();
-        for id in genid.ids_of_type(target_ty) {
-            if anchors.len() >= cap {
+        // instance set, so the resolution reads the entire `gen_A`
+        // registry — any interning or GC of this type changes the answer.
+        if let Some(rel) = rel {
+            rel.add_table_read(atg.gen_table_name(ty));
+        }
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for id in genid.ids_of_type(ty) {
+            if nodes.len() >= cap {
                 return None;
             }
-            anchors.push(id);
+            nodes.push(id);
         }
-        return Some(anchors);
-    }
+        return Some(nodes);
+    };
 
-    let table = vs.gen_db().table(&atg.gen_table_name(target_ty)).ok()?;
-    let (col, value) = &probes[0];
+    let table = vs.gen_db().table(&atg.gen_table_name(ty)).ok()?;
     let rows = table.scan_col_eq(*col, value);
     if rows.len() > cap {
         return None;
     }
-    let anchors = rows
-        .into_iter()
-        .filter(|row| probes[1..].iter().all(|(c, v)| &row[*c] == v))
-        // Gen rows mirror live nodes, and for non-root types the row *is*
-        // the attribute tuple.
-        .filter_map(|row| genid.lookup(target_ty, row))
-        .collect();
-    Some(anchors)
+    Some(
+        rows.into_iter()
+            .filter(|row| rest.iter().all(|(c, v)| &row[*c] == v))
+            // Gen rows mirror live nodes, and for non-root types the row
+            // *is* the attribute tuple.
+            .filter_map(|row| genid.lookup(ty, row))
+            .filter(|&c| !top_level || dag.parents(c).contains(&root))
+            .collect(),
+    )
+}
+
+/// A cone union is projected only while it is at most `1 / SCOPE_SHARE` of
+/// `L`; above that it is evaluated on the full `L`. Measured at 512 groups
+/// (43 473 nodes) over four path shapes, projection plus the scoped passes
+/// against the full pass: 0.23–0.41× at |L|/4, 0.46–0.89× at |L|/2,
+/// 0.97–2.0× at |L| — the projection (gather, sort by position, position
+/// map) is what a scope near the view cannot pay back. Every keyed head of
+/// the benchmark traffic (≈ 10² nodes) is far below the line; an unfiltered
+/// anchored head (every top-level cone: the view) and a `//` head on the
+/// widely shared `payload` type (≈ 300 parents, ≈ 6 k ancestors per node)
+/// are well above it.
+const SCOPE_SHARE: usize = 2;
+
+/// The evaluation scope of a resolved anchor set ([`union_scope`]), or
+/// `None` when the cone union could exceed `|L| / 2` — decided from
+/// `Σ (1 + |desc(a)| + |anc(a)|)` over the anchors, an upper bound on the
+/// union that is read off `M` before anything is built (cones that overlap
+/// are counted twice, so a `None` can be pessimistic; a `Some` never is).
+/// One rule for writes, reads and replay.
+pub fn scope_of_anchors(
+    vs: &ViewStore,
+    topo: &TopoOrder,
+    reach: &Reachability,
+    anchors: &Anchors,
+) -> Option<TopoOrder> {
+    let bound: usize = anchors
+        .nodes
+        .iter()
+        .map(|&a| {
+            let up = if anchors.with_ancestors {
+                reach.ancestors(a).len()
+            } else {
+                0
+            };
+            1 + reach.descendants(a).len() + up
+        })
+        .sum();
+    (bound * SCOPE_SHARE <= topo.len())
+        .then(|| union_scope(vs, topo, reach, &anchors.nodes, anchors.with_ancestors))
 }
 
 /// The scope order for a union of anchor cones: the projection of `L` onto
@@ -361,21 +502,22 @@ pub fn union_scope(
     anchors: &[NodeId],
     with_ancestors: bool,
 ) -> TopoOrder {
-    let mut cone: BTreeSet<NodeId> = BTreeSet::new();
+    // Gathered as `(position in L, node)`, so one sort orders the union and
+    // puts duplicates (shared descendants, the root above every `//`
+    // anchor) side by side; nodes `L` does not hold are not live.
+    let mut cone: Vec<(usize, NodeId)> = Vec::new();
+    let mut add = |v: NodeId| cone.extend(topo.position(v).map(|p| (p, v)));
+    add(vs.dag().root());
     for &a in anchors {
-        cone.insert(a);
-        cone.extend(reach.descendants(a).iter().copied());
+        add(a);
+        reach.descendants(a).iter().copied().for_each(&mut add);
         if with_ancestors {
-            cone.extend(reach.ancestors(a).iter().copied());
+            reach.ancestors(a).iter().copied().for_each(&mut add);
         }
     }
-    cone.insert(vs.dag().root());
-    let mut order: Vec<NodeId> = cone
-        .into_iter()
-        .filter(|v| topo.position(*v).is_some())
-        .collect();
-    order.sort_by_key(|v| topo.position(*v).expect("filtered"));
-    TopoOrder::from_order(order)
+    cone.sort_unstable();
+    cone.dedup();
+    TopoOrder::from_order(cone.into_iter().map(|(_, v)| v).collect())
 }
 
 #[cfg(test)]
@@ -427,6 +569,25 @@ mod tests {
         );
     }
 
+    /// `//ty[keys]` resolved under `cap`, reads recorded into `rel`.
+    fn descendant(
+        vs: &ViewStore,
+        target_ty: TypeId,
+        keys: &[(&str, &str)],
+        cap: usize,
+        rel: &mut crate::footprint::RelFootprint,
+    ) -> Option<Vec<NodeId>> {
+        let keys = keys
+            .iter()
+            .map(|(f, v)| (f.to_string(), v.to_string()))
+            .collect();
+        let class = PathClass::Descendant { target_ty, keys };
+        resolve_anchors(vs, &class, cap, Some(rel)).map(|a| {
+            assert!(a.with_ancestors && a.multi_cone);
+            a.nodes
+        })
+    }
+
     #[test]
     fn descendant_probe_finds_all_instances() {
         let vs = store();
@@ -435,15 +596,7 @@ mod tests {
         // cno=CS320 pins one concrete course node (shared: top level + as a
         // prereq of CS650) — one anchor, wherever it occurs.
         let mut rel = crate::footprint::RelFootprint::default();
-        let anchors = resolve_descendant_anchors(
-            &vs,
-            course,
-            &[("cno".into(), "CS320".into())],
-            64,
-            &mut rel,
-        )
-        .expect("bounded");
-        assert_eq!(anchors.len(), 1);
+        let anchors = descendant(&vs, course, &[("cno", "CS320")], 64, &mut rel).expect("bounded");
         let expect = vs
             .dag()
             .genid()
@@ -459,20 +612,72 @@ mod tests {
         let course = dtd.type_id("course").unwrap();
         let rel = &mut crate::footprint::RelFootprint::default();
         // Unfiltered `//course`: three live instances; cap 2 degrades.
-        assert!(resolve_descendant_anchors(&vs, course, &[], 2, rel).is_none());
-        let all = resolve_descendant_anchors(&vs, course, &[], 64, rel).expect("bounded");
+        assert!(descendant(&vs, course, &[], 2, rel).is_none());
+        let all = descendant(&vs, course, &[], 64, rel).expect("bounded");
         assert_eq!(all.len(), 3);
         // Unknown field / unmatched value: provably empty.
         assert_eq!(
-            resolve_descendant_anchors(&vs, course, &[("zzz".into(), "1".into())], 64, rel),
+            descendant(&vs, course, &[("zzz", "1")], 64, rel),
             Some(Vec::new())
         );
         assert_eq!(
-            resolve_descendant_anchors(&vs, course, &[("cno".into(), "NOPE".into())], 64, rel),
+            descendant(&vs, course, &[("cno", "NOPE")], 64, rel),
             Some(Vec::new())
         );
         // Root type never resolves.
-        assert!(resolve_descendant_anchors(&vs, dtd.root(), &[], 64, rel).is_none());
+        assert!(descendant(&vs, dtd.root(), &[], 64, rel).is_none());
+    }
+
+    #[test]
+    fn anchored_heads_resolve_to_top_level_nodes_only() {
+        let vs = store();
+        let dtd = vs.atg().dtd();
+        let course = dtd.type_id("course").unwrap();
+        let student = dtd.type_id("student").unwrap();
+        let root = vs.dag().root();
+        let resolve = |path: &str| {
+            let class = classify(dtd, &parse_xpath(path).unwrap());
+            resolve_anchors(&vs, &class, 64, None)
+        };
+        // A keyed head is a typed probe; CS320 is top-level (and shared).
+        let a = resolve("course[cno=CS320]/prereq").expect("anchored");
+        assert!(!a.with_ancestors && !a.multi_cone);
+        assert_eq!(a.nodes.len(), 1);
+        assert!(vs.dag().parents(a.nodes[0]).contains(&root));
+        // The same probe finds student S02 — who is nobody's top-level
+        // node, so the anchored head has no anchors where `//` has one.
+        assert!(resolve("student[ssn=S02]").unwrap().nodes.is_empty());
+        let mut rel = crate::footprint::RelFootprint::default();
+        assert_eq!(
+            descendant(&vs, student, &[("ssn", "S02")], 64, &mut rel).map(|n| n.len()),
+            Some(1)
+        );
+        // No pinning filter: the root's children of the type, by scan.
+        let all = resolve("course/prereq").unwrap().nodes;
+        assert_eq!(all.len(), 3);
+        assert!(all.iter().all(|&c| vs.dag().genid().type_of(c) == course));
+        let structural = resolve("course[prereq]/takenBy").unwrap().nodes;
+        assert_eq!(structural, all);
+        // A second key filters the probed rows; a miss and an unknown field
+        // are provably empty.
+        assert_eq!(
+            resolve("course[cno=CS320 and title=Algorithms]")
+                .unwrap()
+                .nodes,
+            a.nodes
+        );
+        assert!(resolve("course[cno=CS320 and title=Nope]")
+            .unwrap()
+            .nodes
+            .is_empty());
+        assert!(resolve("course[cno=NOPE]").unwrap().nodes.is_empty());
+        assert!(resolve("course[zzz=1]").unwrap().nodes.is_empty());
+        // Wildcard-rooted: per root-child type, needs a key.
+        let w = resolve("*[cno=CS650]/prereq").expect("keyed wildcard");
+        assert!(w.multi_cone && !w.with_ancestors);
+        assert_eq!(w.nodes.len(), 1);
+        assert!(resolve("*/prereq").is_none());
+        assert!(resolve("//*").is_none());
     }
 
     #[test]
@@ -482,10 +687,10 @@ mod tests {
         let reach = Reachability::compute(vs.dag(), &topo);
         let dtd = vs.atg().dtd();
         let student = dtd.type_id("student").unwrap();
-        let anchors = resolve_descendant_anchors(
+        let anchors = descendant(
             &vs,
             student,
-            &[("ssn".into(), "S02".into())],
+            &[("ssn", "S02")],
             64,
             &mut crate::footprint::RelFootprint::default(),
         )
@@ -506,5 +711,24 @@ mod tests {
         for w in scope.order().windows(2) {
             assert!(topo.position(w[0]).unwrap() < topo.position(w[1]).unwrap());
         }
+    }
+
+    #[test]
+    fn a_scope_near_the_view_is_not_built() {
+        let vs = store();
+        let topo = TopoOrder::compute(vs.dag());
+        let reach = Reachability::compute(vs.dag(), &topo);
+        let dtd = vs.atg().dtd();
+        let scope = |path: &str| {
+            let class = classify(dtd, &parse_xpath(path).unwrap());
+            let anchors = resolve_anchors(&vs, &class, 64, None).expect("classified");
+            scope_of_anchors(&vs, &topo, &reach, &anchors)
+        };
+        // CS650's cone is most of the registrar view; a leaf course's (its
+        // three text/container children) is not; no anchors, no cones.
+        assert!(scope("course[cno=CS650]/prereq").is_none());
+        assert!(scope("//course").is_none());
+        let small = scope("course[cno=NOPE]/prereq").expect("empty anchor set");
+        assert_eq!(small.order(), &[vs.dag().root()]);
     }
 }

@@ -549,36 +549,56 @@ impl PlanCache {
 // Allocation-reusing plan execution.
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch arena for [`eval_plan`]: the predicate value matrix,
-/// the text-value memo, and pools for the forward/backward working sets.
-/// Steady state, an evaluation performs no set/matrix allocations — only
-/// the materialized [`DagEval`] output allocates.
+/// Per-thread scratch arena for [`eval_plan`]: the predicate value matrix
+/// and pools for the forward/backward working sets. Steady state, an
+/// evaluation performs no set/matrix allocations — only the materialized
+/// [`DagEval`] output allocates (value filters compare a `pcdata` node's
+/// attribute values in place, [`Atg::text_eq`], so there is no text memo).
 #[derive(Default)]
 struct EvalScratch {
     val: Vec<bool>,
-    text_cache: HashMap<NodeId, String>,
+    /// Capacity bound applied to what this evaluation takes from the pools:
+    /// its scope length, at least [`POOL_KEEP`].
+    keep: usize,
     node_sets: Vec<HashSet<NodeId>>,
     edge_vecs: Vec<Vec<(NodeId, NodeId)>>,
     edge_sets: Vec<HashSet<(NodeId, NodeId)>>,
 }
 
+/// Floor of what a pooled set or buffer may hold when an evaluation takes
+/// it; above it, the bound is the evaluation's own scope length
+/// ([`EvalScratch::keep`]). Clearing or iterating a hash set costs its
+/// capacity, not its length, so what one full pass grew must not tax every
+/// scoped evaluation after it on the thread. Measured at 512 groups,
+/// `//node[id=k]/sub` over its 109-node scope: 43 µs on a fresh thread,
+/// 80 µs once the thread had run the same path's full pass (a 43 k-entry
+/// closure), 42 µs with the pool bounded. Full passes keep handing their
+/// large tables to each other.
+const POOL_KEEP: usize = 1 << 9;
+
 impl EvalScratch {
     fn take_set(&mut self) -> HashSet<NodeId> {
-        self.node_sets.pop().unwrap_or_default()
+        let mut s = self.node_sets.pop().unwrap_or_default();
+        s.shrink_to(self.keep);
+        s
     }
     fn put_set(&mut self, mut s: HashSet<NodeId>) {
         s.clear();
         self.node_sets.push(s);
     }
     fn take_edges(&mut self) -> Vec<(NodeId, NodeId)> {
-        self.edge_vecs.pop().unwrap_or_default()
+        let mut v = self.edge_vecs.pop().unwrap_or_default();
+        v.shrink_to(self.keep);
+        v
     }
     fn put_edges(&mut self, mut v: Vec<(NodeId, NodeId)>) {
         v.clear();
         self.edge_vecs.push(v);
     }
     fn take_edge_set(&mut self) -> HashSet<(NodeId, NodeId)> {
-        self.edge_sets.pop().unwrap_or_default()
+        let mut s = self.edge_sets.pop().unwrap_or_default();
+        s.shrink_to(self.keep);
+        s
     }
     fn put_edge_set(&mut self, mut s: HashSet<(NodeId, NodeId)>) {
         s.clear();
@@ -640,33 +660,29 @@ fn eval_plan_with(
     plan: &UpdatePlan,
     bindings: &[String],
 ) -> DagEval {
-    static NO_TEXT: String = String::new();
     let program = &plan.program;
     let preds = &program.preds;
     let n = topo.len();
     let np = preds.len();
+    scratch.keep = n.max(POOL_KEEP);
 
     // ---- Bottom-up pass over the scope order. ----
-    // The matrix and text memo move out of the arena for the duration of
-    // the call so the set pools stay borrowable; both return before exit.
-    let dtd = vs.atg().dtd();
+    // The matrix moves out of the arena for the duration of the call so
+    // the set pools stay borrowable; it returns before exit.
+    let atg = vs.atg();
+    let genid = vs.dag().genid();
     let mut val = std::mem::take(&mut scratch.val);
     val.clear();
     val.resize(np * n, false);
-    let mut text_cache = std::mem::take(&mut scratch.text_cache);
-    text_cache.clear();
     for (vi, &v) in topo.order().iter().enumerate() {
-        let vty = vs.dag().genid().type_of(v);
-        let is_text = dtd.is_pcdata(vty);
+        let vty = genid.type_of(v);
+        let text_is = |s: &str| atg.dtd().is_pcdata(vty) && atg.text_eq(vty, genid.attr_of(v), s);
         for (pi, pred) in preds.iter().enumerate() {
             let value = match pred {
                 PPred::True => true,
                 PPred::TypeIs(ty) => Some(vty) == *ty,
-                PPred::TextLit(s) => is_text && vs.text_value(v, &mut text_cache) == *s,
-                PPred::TextSlot(slot) => {
-                    let s = bindings.get(*slot).unwrap_or(&NO_TEXT);
-                    is_text && vs.text_value(v, &mut text_cache) == *s
-                }
+                PPred::TextLit(s) => text_is(s),
+                PPred::TextSlot(slot) => text_is(bindings.get(*slot).map_or("", String::as_str)),
                 PPred::And(a, b) => val[*a * n + vi] && val[*b * n + vi],
                 PPred::Or(a, b) => val[*a * n + vi] || val[*b * n + vi],
                 PPred::Not(a) => !val[*a * n + vi],
@@ -697,8 +713,28 @@ fn eval_plan_with(
             val[pi * n + vi] = value;
         }
     }
-    scratch.text_cache = text_cache;
     let holds = |pi: usize, v: NodeId| topo.position(v).is_some_and(|i| val[pi * n + i]);
+    // scope ∩ desc(u), found by walking whichever is shorter: the stored
+    // run (membership = a position probe) or the scope order (membership =
+    // `is_ancestor`, itself a search of the shorter of `anc(d)` / `desc(u)`).
+    // A `//` step under the root of a 10²-node scope so costs 10² probes,
+    // not the root's whole |V|-long run. The child steps below treat a
+    // parent with more children than the scope has nodes the same way.
+    let desc_in_scope = |u: NodeId, out: &mut HashSet<NodeId>| {
+        let run = reach.descendants(u);
+        #[cfg(test)]
+        tests::STEP_IDS.with(|c| c.set(c.get() + run.len().min(n)));
+        if run.len() <= n {
+            out.extend(run.iter().copied().filter(|d| topo.position(*d).is_some()));
+        } else {
+            out.extend(
+                topo.order()
+                    .iter()
+                    .copied()
+                    .filter(|&d| reach.is_ancestor(u, d)),
+            );
+        }
+    };
 
     // ---- Top-down forward pass. ----
     let root = vs.dag().root();
@@ -711,28 +747,32 @@ fn eval_plan_with(
                 cur.retain(|&v| holds(*pred, v));
                 records.push(PRec::Filter { pred: *pred });
             }
-            PStep::Label(ty) => {
-                let ty = *ty;
+            PStep::Label(_) | PStep::Wildcard => {
+                let wanted = |c: NodeId| match step {
+                    PStep::Label(ty) => ty.is_some_and(|t| genid.type_of(c) == t),
+                    _ => true,
+                };
                 let mut edges = scratch.take_edges();
                 let mut after = scratch.take_set();
                 for &u in &cur {
-                    for &c in vs.dag().children(u) {
-                        if ty.is_some_and(|t| vs.dag().genid().type_of(c) == t) {
+                    let kids = vs.dag().children(u);
+                    #[cfg(test)]
+                    tests::STEP_IDS.with(|c| c.set(c.get() + kids.len().min(n)));
+                    if kids.len() <= n {
+                        for &c in kids.iter().filter(|&&c| wanted(c)) {
                             edges.push((u, c));
                             after.insert(c);
                         }
-                    }
-                }
-                records.push(PRec::Child { edges });
-                scratch.put_set(std::mem::replace(&mut cur, after));
-            }
-            PStep::Wildcard => {
-                let mut edges = scratch.take_edges();
-                let mut after = scratch.take_set();
-                for &u in &cur {
-                    for &c in vs.dag().children(u) {
-                        edges.push((u, c));
-                        after.insert(c);
+                    } else {
+                        // More children than the scope has nodes (the root,
+                        // under an anchored head): walk the scope instead.
+                        // A child outside it lies on no complete match.
+                        for &d in topo.order() {
+                            if wanted(d) && vs.dag().parents(d).contains(&u) {
+                                edges.push((u, d));
+                                after.insert(d);
+                            }
+                        }
                     }
                 }
                 records.push(PRec::Child { edges });
@@ -744,13 +784,7 @@ fn eval_plan_with(
                 for &u in &cur {
                     // Restricted to the evaluation scope (the caller's
                     // exactness contract — see `eval_xpath_on_dag`).
-                    closure.extend(
-                        reach
-                            .descendants(u)
-                            .iter()
-                            .copied()
-                            .filter(|d| topo.position(*d).is_some()),
-                    );
+                    desc_in_scope(u, &mut closure);
                 }
                 let mut cur_next = scratch.take_set();
                 cur_next.extend(closure.iter().copied());
@@ -813,9 +847,11 @@ fn eval_plan_with(
                 let universal = prev.contains(&root);
                 let mut source_desc = scratch.take_set();
                 if !universal {
+                    // Only ever intersected with `closure`, which lies in
+                    // the scope.
                     source_desc.extend(prev.iter().copied());
                     for &s in &prev {
-                        source_desc.extend(reach.descendants(s).iter().copied());
+                        desc_in_scope(s, &mut source_desc);
                     }
                 }
                 let mut mid = scratch.take_set();
@@ -872,8 +908,16 @@ mod tests {
     use super::*;
     use crate::dag_eval::eval_xpath_on_dag;
     use rxview_atg::{registrar_atg, registrar_database};
-    use rxview_relstore::Database;
+    use rxview_relstore::{tuple, Database};
     use rxview_xmlkit::parse_xpath;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ids the `//` and child steps examined on this thread: per
+        /// source, the shorter of its `desc` run (its child list) and the
+        /// scope.
+        pub(super) static STEP_IDS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
         let db = registrar_database();
@@ -931,6 +975,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` top-level courses with nothing below them but their own four
+    /// children: a star of `5n + 1` nodes in which every cone has 5.
+    fn star(n: usize) -> (ViewStore, TopoOrder, Reachability) {
+        let mut db = Database::new();
+        rxview_atg::registrar_schema(&mut db);
+        for i in 0..n {
+            db.insert("course", tuple![format!("C{i}"), format!("T{i}"), "CS"])
+                .unwrap();
+        }
+        let atg = registrar_atg(&db).unwrap();
+        let vs = ViewStore::publish(atg, &db).unwrap();
+        let topo = TopoOrder::compute(vs.dag());
+        let reach = Reachability::compute(vs.dag(), &topo);
+        (vs, topo, reach)
+    }
+
+    #[test]
+    fn step_work_follows_the_scope_not_the_view() {
+        // Over a 6-node scope the `//` step under the root must examine the
+        // scope, not the root's `desc` run, and the child step the scope,
+        // not the root's children — the same handful of ids in a 101-node
+        // star and a 10 001-node one.
+        for path in ["//course[cno=C7]/prereq", "course[cno=C7]/prereq"] {
+            step_work_is_the_same_in_a_small_and_a_large_star(path);
+        }
+    }
+
+    fn step_work_is_the_same_in_a_small_and_a_large_star(path: &str) {
+        let p = parse_xpath(path).unwrap();
+        let mut examined = Vec::new();
+        for n in [20, 2_000] {
+            let (vs, topo, reach) = star(n);
+            assert_eq!(topo.len(), 5 * n + 1);
+            let cache = PlanCache::default();
+            let (plan, bindings) = cache.plan(vs.atg().dtd(), &p);
+            let anchors =
+                crate::pathclass::resolve_anchors(&vs, &plan.class(&bindings), 64, None).unwrap();
+            assert_eq!(anchors.nodes.len(), 1);
+            let scope = crate::pathclass::scope_of_anchors(&vs, &topo, &reach, &anchors)
+                .expect("a 6-node cone is worth projecting");
+            assert_eq!(scope.len(), 6);
+            let before = STEP_IDS.with(Cell::get);
+            let scoped = eval_plan(&vs, &scope, &reach, &plan, &bindings);
+            examined.push(STEP_IDS.with(Cell::get) - before);
+            let full = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+            assert_eq!(scoped.selected.len(), 1);
+            assert_eq!(scoped.selected, full.selected);
+            assert_eq!(scoped.edge_parents, full.edge_parents);
+            assert_eq!(scoped.matched_nodes, full.matched_nodes);
+            assert_eq!(scoped.matched_edges, full.matched_edges);
+        }
+        assert_eq!(
+            examined[0], examined[1],
+            "`{path}`: work grew with the star"
+        );
+        // At most the scope per source: `//` under the root, then a child
+        // step from each of its 6 members, then one from the match.
+        assert!(examined[0] <= 24, "`{path}`: {} ids", examined[0]);
     }
 
     #[test]

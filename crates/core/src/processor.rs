@@ -12,9 +12,12 @@
 //! 6. **background maintenance** of `M`, `L`, and the `gen` tables (§3.4),
 //!    timed separately — the (c) constituent of Fig.11.
 
-use crate::dag_eval::eval_xpath_on_dag;
+use crate::dag_eval::{eval_xpath_on_dag, DagEval};
 use crate::footprint::RelFootprint;
 use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
+use crate::pathclass::{
+    classify, resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS,
+};
 use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
 use crate::rel_insert::{translate_insertions, InsertRejection, InsertTranslation};
@@ -122,6 +125,31 @@ pub struct UpdateReport {
     pub timings: PhaseTimings,
     /// Whether insertion translation invoked the SAT solver.
     pub sat_used: bool,
+    /// How the update's path was evaluated ([`Evaluated::scope_nodes`]):
+    /// the size of the scope order, `None` for the full pass over `L`.
+    pub scope_nodes: Option<usize>,
+}
+
+/// A §3.2 evaluation together with how it ran — what
+/// [`XmlViewSystem::eval`] returns and every write path carries from the
+/// point of evaluation to the [`UpdateReport`].
+#[derive(Debug, Clone, Default)]
+pub struct Evaluated {
+    /// The evaluation.
+    pub eval: DagEval,
+    /// Number of nodes in the scope order the passes ran over; `None` when
+    /// they ran over all of `L` (a global path, a cone union too large to
+    /// be worth projecting, or an evaluation whose caller did not say).
+    pub scope_nodes: Option<usize>,
+}
+
+impl From<DagEval> for Evaluated {
+    fn from(eval: DagEval) -> Self {
+        Evaluated {
+            eval,
+            scope_nodes: None,
+        }
+    }
 }
 
 /// Alias kept for API symmetry with the paper's terminology.
@@ -222,6 +250,8 @@ pub struct TranslatedUpdate {
     pub side_effects: usize,
     /// Whether insertion translation invoked the SAT solver.
     pub sat_used: bool,
+    /// How the path was evaluated ([`Evaluated::scope_nodes`]).
+    pub scope_nodes: Option<usize>,
     /// Evaluation + translation wall-clock on the translating thread.
     pub timings: PhaseTimings,
     /// The *realized* relational footprint: the `∆R` row keys this
@@ -354,7 +384,10 @@ impl XmlViewSystem {
         self.vs.dag().expand(self.vs.atg())
     }
 
-    /// Applies an XML view update end-to-end.
+    /// Applies an XML view update end-to-end. Phase 2 runs through the
+    /// scope-aware [`XmlViewSystem::eval`], so an anchored update costs its
+    /// cones, not the view — and with it recovery replay, which is this
+    /// method once per logged update.
     pub fn apply(&mut self, update: &XmlUpdate, policy: SideEffectPolicy) -> UpdateOutcome {
         let mut timings = PhaseTimings::default();
         // Phase 1: schema-level validation.
@@ -362,7 +395,7 @@ impl XmlViewSystem {
 
         // Phase 2: evaluate the XPath on the DAG.
         let t0 = Instant::now();
-        let eval = self.evaluate(update.path());
+        let eval = self.eval(update.path());
         timings.eval = t0.elapsed();
 
         // Phases 2b–5 plus inline phase 6.
@@ -385,34 +418,87 @@ impl XmlViewSystem {
         }
     }
 
-    /// Evaluates a path against the maintained auxiliary structures.
+    /// The full §3.2 two-pass evaluation over all of `L` — the paper's
+    /// algorithm, `O(|p|·|V|)`: the reference [`XmlViewSystem::eval`] is
+    /// held equal to, and its fallback for paths nothing bounds.
     /// Routes through the shared compiled-plan cache unless the store's
     /// `use_plans` knob is off (then the reference two-pass evaluation runs
     /// directly — the engine's equivalence suite asserts both agree).
-    pub fn evaluate(&self, path: &rxview_xmlkit::XPath) -> crate::dag_eval::DagEval {
-        if self.vs.plans_enabled() {
-            let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
-            crate::plan::eval_plan(&self.vs, &self.topo, &self.reach, &plan, &bindings)
-        } else {
-            eval_xpath_on_dag(&self.vs, &self.topo, &self.reach, path)
-        }
+    pub fn evaluate(&self, path: &rxview_xmlkit::XPath) -> DagEval {
+        self.run_passes(path, &self.topo)
     }
 
     /// Evaluates a path with evaluation restricted to the nodes of `scope`
     /// (typically a projection of `L` onto a descendant-closed cone — see
     /// [`TopoOrder::from_order`]). Nodes outside the scope never satisfy a
     /// filter, so the caller must guarantee every possible match lies inside
-    /// the scope; the serving engine uses this for key-anchored updates.
-    pub fn evaluate_scoped(
-        &self,
-        path: &rxview_xmlkit::XPath,
-        scope: &TopoOrder,
-    ) -> crate::dag_eval::DagEval {
+    /// the scope; [`XmlViewSystem::scope_of`] builds scopes that do.
+    pub fn evaluate_scoped(&self, path: &rxview_xmlkit::XPath, scope: &TopoOrder) -> DagEval {
+        self.run_passes(path, scope)
+    }
+
+    fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &TopoOrder) -> DagEval {
         if self.vs.plans_enabled() {
             let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
-            crate::plan::eval_plan(&self.vs, scope, &self.reach, &plan, &bindings)
+            crate::plan::eval_plan(&self.vs, order, &self.reach, &plan, &bindings)
         } else {
-            eval_xpath_on_dag(&self.vs, scope, &self.reach, path)
+            eval_xpath_on_dag(&self.vs, order, &self.reach, path)
+        }
+    }
+
+    /// The [`PathClass`] of `path` — through the shared plan cache (the
+    /// slotted class is compiled once per path shape and re-bound to this
+    /// path's literals; equal to [`classify`] on the concrete path, pinned
+    /// by the plan tests) unless the `use_plans` knob is off.
+    pub fn class_of(&self, path: &rxview_xmlkit::XPath) -> PathClass {
+        let dtd = self.vs.atg().dtd();
+        if self.vs.plans_enabled() {
+            let (plan, bindings) = self.vs.plan_cache().plan(dtd, path);
+            plan.class(&bindings)
+        } else {
+            classify(dtd, path)
+        }
+    }
+
+    /// The evaluation scope of `path` against the current state: the
+    /// projection of `L` onto `{root} ∪ cones` of its resolved anchors
+    /// (ancestor chains included for `//`-headed paths). `None` when the
+    /// full pass is the right evaluation — nothing bounds the path, or its
+    /// cone union is too large a share of `L` to be worth projecting
+    /// ([`scope_of_anchors`]).
+    pub fn scope_of(&self, path: &rxview_xmlkit::XPath) -> Option<TopoOrder> {
+        scope_of_anchors(&self.vs, &self.topo, &self.reach, &self.anchors_of(path)?)
+    }
+
+    /// The anchors of `path` as reads and replay resolve them: nothing
+    /// planned, so no reads recorded, under the default anchor cap.
+    fn anchors_of(&self, path: &rxview_xmlkit::XPath) -> Option<Anchors> {
+        resolve_anchors(&self.vs, &self.class_of(path), MAX_CONE_ANCHORS, None)
+    }
+
+    /// **The** evaluation entry point of writes, reads and replay: resolve
+    /// the path's anchors from the `gen_A` registries, project `L` onto
+    /// their cones, run the §3.2 passes on the projection — or on all of
+    /// `L` when [`XmlViewSystem::scope_of`] has no scope to offer. Returns
+    /// exactly what [`XmlViewSystem::evaluate`] returns (every match of a
+    /// classified path lies inside its cones; `tests/scoped_eval.rs` holds
+    /// the two equal), at a cost proportional to what the path can touch.
+    pub fn eval(&self, path: &rxview_xmlkit::XPath) -> Evaluated {
+        match self.anchors_of(path) {
+            Some(anchors) => self.eval_within(path, &anchors),
+            None => self.evaluate(path).into(),
+        }
+    }
+
+    /// [`XmlViewSystem::eval`] for a caller that has already resolved the
+    /// path's anchors (the conflict analyzer, which needs them for cones).
+    pub fn eval_within(&self, path: &rxview_xmlkit::XPath, anchors: &Anchors) -> Evaluated {
+        match scope_of_anchors(&self.vs, &self.topo, &self.reach, anchors) {
+            Some(scope) => Evaluated {
+                eval: self.evaluate_scoped(path, &scope),
+                scope_nodes: Some(scope.len()),
+            },
+            None => self.evaluate(path).into(),
         }
     }
 
@@ -426,15 +512,19 @@ impl XmlViewSystem {
     /// conflict-free batch: per-update work stays proportional to the
     /// update, and the `M`/`L` upkeep of all deletions collapses into a
     /// single ∆(M,L)delete pass.
+    ///
+    /// `eval` is an [`Evaluated`] — what [`XmlViewSystem::eval`] returned,
+    /// so the report can say how the path was evaluated — or a bare
+    /// [`DagEval`] from a caller that evaluated some other way.
     pub fn apply_deferred(
         &mut self,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
-        eval: crate::dag_eval::DagEval,
+        eval: impl Into<Evaluated>,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         let mut timings = PhaseTimings::default();
         self.validate_schema(update)?;
-        self.apply_phases(update, policy, eval, &mut timings)
+        self.apply_phases(update, policy, eval.into(), &mut timings)
     }
 
     /// Runs the deferred phase-6 work of a batch: per-subtree ∆(M,L)insert
@@ -489,7 +579,7 @@ impl XmlViewSystem {
         &mut self,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
-        eval: crate::dag_eval::DagEval,
+        eval: Evaluated,
         timings: &mut PhaseTimings,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         let t1 = Instant::now();
@@ -520,6 +610,7 @@ impl XmlViewSystem {
             maintain: MaintainReport::default(),
             timings: *timings,
             sat_used: t.sat_used,
+            scope_nodes: t.scope_nodes,
         };
         Ok((
             report,
@@ -537,9 +628,10 @@ impl XmlViewSystem {
         &self,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
-        eval: crate::dag_eval::DagEval,
+        eval: Evaluated,
     ) -> Result<TranslatedUpdate, UpdateError> {
         debug_assert!(!update.is_insert(), "insertions need a mutable replica");
+        let Evaluated { eval, scope_nodes } = eval;
         // `translate_core` takes `&mut ViewStore` only for insertion
         // interning; reuse it through a clone-free path by dispatching on
         // the update kind here.
@@ -569,6 +661,7 @@ impl XmlViewSystem {
             selected: eval.selected,
             side_effects: side_effects.len(),
             sat_used: false,
+            scope_nodes,
             timings,
             rel_footprint,
         })
@@ -607,6 +700,7 @@ impl XmlViewSystem {
             mut selected,
             side_effects,
             sat_used,
+            scope_nodes,
             timings,
             rel_footprint: _,
         } = t;
@@ -673,6 +767,7 @@ impl XmlViewSystem {
             maintain: MaintainReport::default(),
             timings,
             sat_used,
+            scope_nodes,
         };
         Ok((report, DeferredMaintenance { selected, subtree }))
     }
@@ -774,8 +869,9 @@ fn translate_core(
     sat_config: &WalkSatConfig,
     update: &XmlUpdate,
     policy: SideEffectPolicy,
-    eval: crate::dag_eval::DagEval,
+    eval: Evaluated,
 ) -> Result<TranslatedUpdate, UpdateError> {
+    let Evaluated { eval, scope_nodes } = eval;
     let mut timings = PhaseTimings::default();
     // Phase 2b: side-effect detection (part of the evaluation constituent
     // of Fig.11).
@@ -844,6 +940,7 @@ fn translate_core(
         selected: eval.selected,
         side_effects: side_effects.len(),
         sat_used,
+        scope_nodes,
         timings,
         rel_footprint,
     })
@@ -861,7 +958,7 @@ pub fn translate_insert_for_merge(
     sat_config: &WalkSatConfig,
     update: &XmlUpdate,
     policy: SideEffectPolicy,
-    eval: crate::dag_eval::DagEval,
+    eval: Evaluated,
 ) -> Result<TranslatedUpdate, UpdateError> {
     debug_assert!(update.is_insert(), "deletions translate on the snapshot");
     translate_core(vs, base, reach, sat_config, update, policy, eval)

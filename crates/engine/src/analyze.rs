@@ -40,26 +40,31 @@
 //! ([`rxview_core::union_scope`]) yields a valid order for the sub-DAG, and
 //! the §3.2 two-pass evaluation run over that projection returns exactly
 //! the matches of the full evaluation — at cost proportional to the cones,
-//! not the view. The dry run needs that evaluation anyway (deletion write
-//! keys come from the matched edges), so the analysis returns it for the
-//! write path to reuse: within a conflict-free round every update's
-//! evaluation against the planning snapshot equals its evaluation at apply
-//! time.
+//! not the view. Anchors are resolved and scopes built by the one resolver
+//! every evaluation in the system goes through
+//! ([`rxview_core::resolve_anchors`], behind
+//! [`rxview_core::XmlViewSystem::eval`]); the analysis only adds the typed
+//! reads the resolution depends on. The dry run needs that evaluation
+//! anyway (deletion write keys come from the matched edges), so the analysis
+//! returns it for the write path to reuse: within a conflict-free round
+//! every update's evaluation against the planning snapshot equals its
+//! evaluation at apply time.
 
 use rxview_atg::NodeId;
 use rxview_core::{
-    classify, plan_subtree, planned_delete_writes, planned_insert_writes,
-    resolve_descendant_anchors, sub_steps, union_scope, DagEval, PathClass, RelFootprint, SubStep,
-    TopoOrder, XmlUpdate, XmlViewSystem,
+    plan_subtree, planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps,
+    Anchors, Evaluated, PathClass, RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem,
+    MAX_CONE_ANCHORS,
 };
 use rxview_xmlkit::{TypeId, XPath};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Knobs of one conflict analysis (derived from the engine configuration).
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyzeOptions {
-    /// Whether the dry-run evaluation runs scoped to the cone union (exact
-    /// for classified paths) or over the full view.
+    /// Whether the dry-run evaluation goes through the scope-aware
+    /// [`XmlViewSystem::eval_within`] (exact for classified paths) or is
+    /// forced over the full view.
     pub scoped_eval: bool,
     /// Whether leading-`//` / wildcard-rooted paths resolve to bounded
     /// multi-anchor cones (`false` restores the pre-type-indexed behavior:
@@ -82,200 +87,9 @@ impl Default for AnalyzeOptions {
         AnalyzeOptions {
             scoped_eval: true,
             descendant_cones: true,
-            max_cone_anchors: 64,
+            max_cone_anchors: MAX_CONE_ANCHORS,
             cone_fission: true,
         }
-    }
-}
-
-/// A resolved anchor set plus how it was obtained.
-struct ResolvedAnchors {
-    anchors: Vec<NodeId>,
-    /// `//`-headed: cones close over ancestors too, and the analysis counts
-    /// as multi-cone for observability.
-    with_ancestors: bool,
-    multi_cone: bool,
-}
-
-/// An index of anchor candidates over one system state: top-level nodes by
-/// type and by `(type, pcdata-field type, field text)`. The sharded
-/// router builds one per commit round and probes it for every analysis of
-/// that round, replacing the `O(top-level nodes)` scan per update with an
-/// `O(anchors)` lookup. Probing an index built from the same state an
-/// update is analyzed against yields exactly the scan's anchors.
-#[derive(Debug, Default)]
-pub struct AnchorIndex {
-    /// type → live top-level nodes of that type (sorted).
-    by_type: HashMap<TypeId, Vec<NodeId>>,
-    /// (type, field type, field text) → matching top-level nodes (sorted).
-    by_key: HashMap<(TypeId, TypeId, String), Vec<NodeId>>,
-}
-
-impl AnchorIndex {
-    /// Builds the index from the current top level of `sys`.
-    pub fn build(sys: &XmlViewSystem) -> Self {
-        let vs = sys.view();
-        let dtd = vs.atg().dtd();
-        let genid = vs.dag().genid();
-        let mut cache = HashMap::new();
-        let mut ix = AnchorIndex::default();
-        for &c in vs.dag().children(vs.dag().root()) {
-            if !genid.is_live(c) {
-                continue;
-            }
-            let cty = genid.type_of(c);
-            ix.by_type.entry(cty).or_default().push(c);
-            for &k in vs.dag().children(c) {
-                let kty = genid.type_of(k);
-                if dtd.is_pcdata(kty) {
-                    ix.by_key
-                        .entry((cty, kty, vs.text_value(k, &mut cache)))
-                        .or_default()
-                        .push(c);
-                }
-            }
-        }
-        for v in ix.by_type.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        for v in ix.by_key.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        ix
-    }
-
-    /// The anchors matching a first-step pattern of type `first_ty`.
-    fn anchors(
-        &self,
-        sys: &XmlViewSystem,
-        first_ty: TypeId,
-        keys: &[(String, String)],
-    ) -> Vec<NodeId> {
-        let dtd = sys.view().atg().dtd();
-        // A key on an unknown field rejects every candidate, exactly as the
-        // scan does.
-        let mut usable: Vec<(TypeId, &str)> = Vec::new();
-        for (field, value) in keys {
-            match dtd.type_id(field) {
-                None => return Vec::new(),
-                Some(fty) if dtd.is_pcdata(fty) => usable.push((fty, value)),
-                Some(_) => {} // structural filter: not usable for pruning
-            }
-        }
-        let empty: Vec<NodeId> = Vec::new();
-        let mut usable = usable.into_iter();
-        let mut anchors: Vec<NodeId> = match usable.next() {
-            None => self.by_type.get(&first_ty).cloned().unwrap_or_default(),
-            Some((fty, v)) => self
-                .by_key
-                .get(&(first_ty, fty, v.to_owned()))
-                .cloned()
-                .unwrap_or_default(),
-        };
-        for (fty, v) in usable {
-            let hits = self
-                .by_key
-                .get(&(first_ty, fty, v.to_owned()))
-                .unwrap_or(&empty);
-            anchors.retain(|c| hits.binary_search(c).is_ok());
-        }
-        anchors
-    }
-}
-
-/// Scan fallback for anchored resolution without a per-round index: live
-/// top-level nodes of `first_ty` satisfying the `field = value` keys.
-fn scan_top_level(sys: &XmlViewSystem, first_ty: TypeId, keys: &[(String, String)]) -> Vec<NodeId> {
-    let vs = sys.view();
-    let dtd = vs.atg().dtd();
-    let mut cache = HashMap::new();
-    let mut anchors = Vec::new();
-    'cand: for &c in vs.dag().children(vs.dag().root()) {
-        if vs.dag().genid().type_of(c) != first_ty || !vs.dag().genid().is_live(c) {
-            continue;
-        }
-        for (field, value) in keys {
-            let Some(field_ty) = dtd.type_id(field) else {
-                continue 'cand;
-            };
-            if !dtd.is_pcdata(field_ty) {
-                continue; // structural filter: not usable for pruning
-            }
-            let matched = vs.dag().children(c).iter().any(|&k| {
-                vs.dag().genid().type_of(k) == field_ty && vs.text_value(k, &mut cache) == *value
-            });
-            if !matched {
-                continue 'cand;
-            }
-        }
-        anchors.push(c);
-    }
-    anchors
-}
-
-/// Resolves the anchor set of a classified path against the current state,
-/// recording the typed reads the resolution depends on. `None` means the
-/// path stays global.
-fn resolve_anchors(
-    sys: &XmlViewSystem,
-    index: Option<&AnchorIndex>,
-    class: &PathClass,
-    opts: &AnalyzeOptions,
-    rel: &mut RelFootprint,
-) -> Option<ResolvedAnchors> {
-    let vs = sys.view();
-    let dtd = vs.atg().dtd();
-    match class {
-        PathClass::Anchored { first_ty, keys } => {
-            rel.add_anchor_reads(vs, *first_ty, keys);
-            let anchors = match index {
-                Some(ix) => ix.anchors(sys, *first_ty, keys),
-                None => scan_top_level(sys, *first_ty, keys),
-            };
-            Some(ResolvedAnchors {
-                anchors,
-                with_ancestors: false,
-                multi_cone: false,
-            })
-        }
-        PathClass::WildcardRoot { keys } if opts.descendant_cones && !keys.is_empty() => {
-            // Matches are top-level nodes of any root-child type: resolve
-            // per candidate type like an anchored path. Reads cover every
-            // type that could *become* a matching top-level node. The type
-            // list is deduplicated — a Sequence production may repeat a
-            // child type, and duplicate anchors would double cones and
-            // spuriously trip the anchor cap.
-            let types: std::collections::BTreeSet<TypeId> =
-                dtd.children_of(dtd.root()).into_iter().collect();
-            let mut anchors = Vec::new();
-            for ty in types {
-                rel.add_anchor_reads(vs, ty, keys);
-                match index {
-                    Some(ix) => anchors.extend(ix.anchors(sys, ty, keys)),
-                    None => anchors.extend(scan_top_level(sys, ty, keys)),
-                }
-            }
-            if anchors.len() > opts.max_cone_anchors {
-                return None;
-            }
-            Some(ResolvedAnchors {
-                anchors,
-                with_ancestors: false,
-                multi_cone: true,
-            })
-        }
-        PathClass::Descendant { target_ty, keys } if opts.descendant_cones => {
-            let anchors =
-                resolve_descendant_anchors(vs, *target_ty, keys, opts.max_cone_anchors, rel)?;
-            Some(ResolvedAnchors {
-                anchors,
-                with_ancestors: true,
-                multi_cone: true,
-            })
-        }
-        _ => None,
     }
 }
 
@@ -380,10 +194,10 @@ pub struct Analysis {
 pub struct AnalysisParts {
     /// The conflict footprint.
     pub analysis: Analysis,
-    /// The dry-run evaluation (`None` for global-footprint updates, which
-    /// the write path evaluates itself on the serialized lane). It ran
-    /// scoped to the cone union iff the caller requested scoped evaluation.
-    pub eval: Option<DagEval>,
+    /// The dry-run evaluation and how it ran (`None` for global-footprint
+    /// updates, which the write path evaluates itself on the serialized
+    /// lane).
+    pub eval: Option<Evaluated>,
     /// Wall-clock of the evaluation alone (zero when `eval` is `None`) —
     /// callers record it in the eval phase bucket; the rest of the
     /// analysis is partition work.
@@ -403,19 +217,13 @@ impl Analysis {
     /// synthetic dataset's `payload`) would put every pair of anchors in
     /// conflict and reduce every batch to a singleton.
     pub fn of(sys: &XmlViewSystem, update: &XmlUpdate) -> Analysis {
-        Analysis::parts(sys, None, update, &AnalyzeOptions::default()).analysis
+        Analysis::parts(sys, update, &AnalyzeOptions::default()).analysis
     }
 
-    /// Full analysis with top-level anchor candidates resolved through an
-    /// optional per-round [`AnchorIndex`] built from the same state (the
-    /// `//`-path candidates probe the maintained `gen_A` registries
-    /// directly, whose lazy column indexes persist across rounds).
-    pub fn parts(
-        sys: &XmlViewSystem,
-        index: Option<&AnchorIndex>,
-        update: &XmlUpdate,
-        opts: &AnalyzeOptions,
-    ) -> AnalysisParts {
+    /// Full analysis: the footprint plus the dry-run evaluation. Anchor
+    /// candidates probe the maintained `gen_A` registries, whose lazy
+    /// column indexes persist across rounds.
+    pub fn parts(sys: &XmlViewSystem, update: &XmlUpdate, opts: &AnalyzeOptions) -> AnalysisParts {
         let dtd = sys.view().atg().dtd();
         let genid = sys.view().dag().genid();
         let root = sys.view().dag().root();
@@ -433,43 +241,34 @@ impl Analysis {
             eval_time: std::time::Duration::ZERO,
         };
 
-        // Classification through the shared plan cache: the slotted class
-        // is compiled once per path shape and re-bound to this update's
-        // literals (equal to `classify` on the concrete path — pinned by
-        // the core plan tests and the engine equivalence suite).
-        let class = if sys.view().plans_enabled() {
-            let (plan, bindings) = sys.view().plan_cache().plan(dtd, update.path());
-            plan.class(&bindings)
-        } else {
-            classify(dtd, update.path())
-        };
+        let class = sys.class_of(update.path());
+        if !opts.descendant_cones && !matches!(class, PathClass::Anchored { .. }) {
+            return global();
+        }
+        // The resolver records the typed reads its probes depend on.
         let mut rel = RelFootprint::default();
-        let Some(resolved) = resolve_anchors(sys, index, &class, opts, &mut rel) else {
+        let Some(resolved) =
+            resolve_anchors(sys.view(), &class, opts.max_cone_anchors, Some(&mut rel))
+        else {
             return global();
         };
-        let ResolvedAnchors {
-            anchors,
-            with_ancestors,
-            multi_cone,
-        } = resolved;
 
         // The dry-run evaluation: exact on the cone-union scope, and
         // reusable by the write path because the round applies to this very
         // state.
         let t_eval = std::time::Instant::now();
-        let eval = if opts.scoped_eval {
-            let scope = union_scope(
-                sys.view(),
-                sys.topo(),
-                sys.reach(),
-                &anchors,
-                with_ancestors,
-            );
-            sys.evaluate_scoped(update.path(), &scope)
+        let evaluated = if opts.scoped_eval {
+            sys.eval_within(update.path(), &resolved)
         } else {
-            sys.evaluate(update.path())
+            sys.evaluate(update.path()).into()
         };
         let eval_time = t_eval.elapsed();
+        let eval = &evaluated.eval;
+        let Anchors {
+            nodes: anchors,
+            with_ancestors,
+            multi_cone,
+        } = resolved;
 
         let mut cone = HashSet::new();
         let n_cones = anchors.len();
@@ -640,7 +439,7 @@ impl Analysis {
                 sub,
                 cone_key,
             },
-            eval: Some(eval),
+            eval: Some(evaluated),
             eval_time,
         }
     }
@@ -834,23 +633,14 @@ impl BatchFootprint {
     }
 }
 
-/// Builds the evaluation scope for a classified update against the
-/// *current* state of `sys`: the projection of `L` onto `{root} ∪ cones`
-/// (ancestor chains included for `//`-headed paths). Returns `None` when
-/// the path stays global, in which case the caller must run the full
-/// evaluation.
+/// The evaluation scope of `path` against the *current* state of `sys`
+/// ([`XmlViewSystem::scope_of`]): the projection of `L` onto `{root} ∪
+/// cones` (ancestor chains included for `//`-headed paths). Returns `None`
+/// when the full pass is the right evaluation — the path stays global, or
+/// its cone union is too large a share of `L` to be worth projecting — in
+/// which case the caller must run the full evaluation.
 pub fn evaluation_scope(sys: &XmlViewSystem, path: &XPath) -> Option<TopoOrder> {
-    let opts = AnalyzeOptions::default();
-    let class = classify(sys.view().atg().dtd(), path);
-    let mut rel = RelFootprint::default();
-    let resolved = resolve_anchors(sys, None, &class, &opts, &mut rel)?;
-    Some(union_scope(
-        sys.view(),
-        sys.topo(),
-        sys.reach(),
-        &resolved.anchors,
-        resolved.with_ancestors,
-    ))
+    sys.scope_of(path)
 }
 
 #[cfg(test)]
@@ -938,7 +728,6 @@ mod tests {
         };
         let parts = Analysis::parts(
             &sys,
-            None,
             &XmlUpdate::delete("//student[ssn=S02]").unwrap(),
             &opts,
         );
@@ -948,7 +737,7 @@ mod tests {
             max_cone_anchors: 1,
             ..AnalyzeOptions::default()
         };
-        let parts = Analysis::parts(&sys, None, &XmlUpdate::delete("//course").unwrap(), &opts);
+        let parts = Analysis::parts(&sys, &XmlUpdate::delete("//course").unwrap(), &opts);
         assert!(parts.analysis.is_global());
     }
 
@@ -1143,9 +932,24 @@ mod tests {
             "*[cno=CS650]/prereq/course",
         ] {
             let p = rxview_xmlkit::parse_xpath(path).unwrap();
-            let scope = evaluation_scope(&sys, &p).expect("classified path");
+            // The cone-union projection itself, whether or not a cone this
+            // large a share of the small registrar view would be built.
+            let anchors = resolve_anchors(sys.view(), &sys.class_of(&p), MAX_CONE_ANCHORS, None)
+                .expect("classified path");
+            let scope = rxview_core::union_scope(
+                sys.view(),
+                sys.topo(),
+                sys.reach(),
+                &anchors.nodes,
+                anchors.with_ancestors,
+            );
             let scoped = sys.evaluate_scoped(&p, &scope);
             let full = sys.evaluate(&p);
+            assert_eq!(
+                evaluation_scope(&sys, &p).map(|s| s.len()),
+                sys.eval(&p).scope_nodes,
+                "scope_of and eval disagree on {path}"
+            );
             assert_eq!(
                 scoped.selected, full.selected,
                 "selected mismatch on {path}"

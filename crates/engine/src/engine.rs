@@ -39,8 +39,11 @@ pub struct EngineConfig {
     /// Bound of the admission queue; [`Engine::submit`] returns
     /// [`EngineError::Saturated`] beyond it.
     pub max_queue: usize,
-    /// Whether key-anchored paths may be evaluated scoped to their anchor
-    /// cone (disable to force full §3.2 evaluation for every update).
+    /// Whether the conflict analyzer's dry run evaluates scoped to the
+    /// update's cone union (disable to force the full §3.2 pass for every
+    /// planned update). Governs the dry run only: reads, replay and the
+    /// serialized lanes always go through the scope-aware
+    /// [`XmlViewSystem::eval`].
     pub scoped_eval: bool,
     /// Whether leading-`//` and wildcard-rooted paths resolve to bounded
     /// multi-anchor cones through the grammar's type-level reachability
@@ -832,7 +835,7 @@ impl Engine {
             type BatchEntry = (
                 usize,
                 Pending,
-                Option<rxview_core::DagEval>,
+                Option<rxview_core::Evaluated>,
                 Option<rxview_atg::NodeId>,
             );
             let mut batch: Vec<BatchEntry> = Vec::new();
@@ -842,10 +845,6 @@ impl Engine {
             let mut any_blocked = false;
             let mut batch_multi_cone = 0usize;
             let opts = self.inner.config.analyze_options();
-            // Anchor candidates are indexed once per round, built on the
-            // first analysis that needs them.
-            let anchor_index: std::cell::OnceCell<crate::analyze::AnchorIndex> =
-                std::cell::OnceCell::new();
             // Bounded scan, mirroring the sharded router: after `max_batch`
             // consecutive conflicts the rest of the queue almost certainly
             // conflicts too (skewed workloads), so stop analyzing and defer
@@ -869,15 +868,8 @@ impl Engine {
                         (c.analysis, c.eval)
                     }
                     None => {
-                        let parts = Analysis::parts(
-                            current.system(),
-                            Some(anchor_index.get_or_init(|| {
-                                crate::analyze::AnchorIndex::build(current.system())
-                            })),
-                            &p.update,
-                            &opts,
-                        );
-                        if parts.eval.is_some() {
+                        let parts = Analysis::parts(current.system(), &p.update, &opts);
+                        if let Some(eval) = &parts.eval {
                             // The dry run evaluated the path against the
                             // snapshot the batch applies to; the apply loop
                             // reuses it. Only the evaluation itself counts
@@ -885,7 +877,7 @@ impl Engine {
                             analysis_eval += parts.eval_time;
                             self.inner
                                 .stats
-                                .record_eval(self.inner.config.scoped_eval, parts.eval_time);
+                                .record_eval(eval.scope_nodes, parts.eval_time);
                         }
                         (parts.analysis, parts.eval)
                     }
@@ -974,8 +966,8 @@ impl Engine {
                     Some(eval) => eval,
                     None => {
                         let t0 = Instant::now();
-                        let eval = working.evaluate(p.update.path());
-                        self.inner.stats.record_eval(false, t0.elapsed());
+                        let eval = working.eval(p.update.path());
+                        self.inner.stats.record_eval(eval.scope_nodes, t0.elapsed());
                         eval
                     }
                 };

@@ -23,8 +23,9 @@
 //!   footprint-only dry run of the §3.3/§4 translation: the `(table,
 //!   column, value)` keys the update reads and may write. Each batch runs
 //!   the paper's phases with two amortizations: evaluation of a
-//!   key-anchored path is *scoped* to the anchor's cone (a projection of
-//!   `L`, [`rxview_core::TopoOrder::from_order`]) and reused from the dry
+//!   classified path is *scoped* to its anchor cones (a projection of
+//!   `L`, [`rxview_core::XmlViewSystem::eval`] — the same entry point
+//!   readers and recovery replay evaluate through) and reused from the dry
 //!   run, and phase 6 — maintenance of `M` and `L` (§3.4) — is *folded*
 //!   into a single ∆(M,L)delete pass per batch
 //!   ([`rxview_core::XmlViewSystem::fold_maintenance`]). Per-update
@@ -32,8 +33,8 @@
 //! - **Sharded parallel writers** ([`EngineConfig::n_shards`]` >= 2`): the
 //!   write path becomes a router → shard-writers → publisher pipeline over
 //!   *anchor-cone partitions*. The router plans an `n_shards * max_batch`-
-//!   wide conflict-free round per commit (probing a per-round
-//!   [`AnchorIndex`]); shard threads translate their updates against the
+//!   wide conflict-free round per commit (anchors probe the maintained
+//!   `gen_A` registries); shard threads translate their updates against the
 //!   shared snapshot without applying anything (insertions intern into a
 //!   private replica and ship an allocation catalog; every translation
 //!   carries its *realized* typed footprint); the publisher merges
@@ -104,7 +105,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use analyze::{evaluation_scope, Analysis, AnalyzeOptions, AnchorIndex, BatchFootprint};
+pub use analyze::{evaluation_scope, Analysis, AnalyzeOptions, BatchFootprint};
 pub use engine::{Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};

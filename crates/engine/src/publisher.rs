@@ -844,9 +844,12 @@ fn merge_round(
     footprint
 }
 
-/// The serialized global lane: one genuinely untypeable update applied
-/// directly to the master with a full §3.2 evaluation. Only runs on a
-/// drained pipeline, so the master equals the latest published snapshot.
+/// The serialized global lane: one update whose *footprint* nothing bounds,
+/// applied directly to the master. Its evaluation still goes through the
+/// scope-aware entry point — the full §3.2 pass for a genuinely untypeable
+/// path, a scope for one that only its planned writes made global. Only
+/// runs on a drained pipeline, so the master equals the latest published
+/// snapshot.
 fn run_global_lane(
     inner: &Inner,
     summary: &mut CommitSummary,
@@ -861,8 +864,8 @@ fn run_global_lane(
     stats.record_batch(1);
     summary.batches += 1;
     let t0 = Instant::now();
-    let eval = master.evaluate(pu.update.path());
-    stats.record_eval(false, t0.elapsed());
+    let eval = master.eval(pu.update.path());
+    stats.record_eval(eval.scope_nodes, t0.elapsed());
     let t1 = Instant::now();
     let applied = master.apply_deferred(&pu.update, pu.policy, eval);
     stats.record_translate(t1.elapsed());

@@ -86,6 +86,11 @@ pub struct RecoveryReport {
     /// cleanly); non-zero values indicate a mixed-up directory and are
     /// surfaced rather than hidden.
     pub replay_rejected: usize,
+    /// Replayed updates whose path was evaluated by the full pass over `L`
+    /// instead of a scope ([`rxview_core::UpdateReport::scope_nodes`] was
+    /// `None`) — the answer to "why did this replay take so long". `0` for
+    /// a log of anchored and keyed-`//` traffic.
+    pub replay_full_evals: usize,
     /// Bytes discarded after the last checksummed-complete record, summed
     /// over all segments (the torn / corrupt suffix).
     pub discarded_bytes: u64,
@@ -189,8 +194,11 @@ pub(crate) fn recover_state(
         }
         for (update, policy) in &rec.updates {
             report.replayed_updates += 1;
-            if sys.apply(update, *policy).is_err() {
-                report.replay_rejected += 1;
+            match sys.apply(update, *policy) {
+                Ok(applied) => {
+                    report.replay_full_evals += usize::from(applied.scope_nodes.is_none())
+                }
+                Err(_) => report.replay_rejected += 1,
             }
         }
         report.replayed_rounds += 1;
@@ -215,6 +223,7 @@ pub(crate) fn recover_state(
                 resumed_epoch: resumed,
                 replayed_rounds: report.replayed_rounds,
                 replayed_updates: report.replayed_updates,
+                full_evals: report.replay_full_evals,
                 dropped_rounds: report.dropped_rounds,
                 micros: report.wal_replay.as_micros() as u64
             ],

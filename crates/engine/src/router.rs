@@ -44,11 +44,11 @@
 //! the ATG rules, which committed rounds can invalidate without touching
 //! the cached cone.
 
-use crate::analyze::{Analysis, AnalyzeOptions, AnchorIndex, BatchFootprint, Verdict};
+use crate::analyze::{Analysis, AnalyzeOptions, BatchFootprint, Verdict};
 use crate::engine::Pending;
 use crate::shard::ShardJob;
 use crate::stats::EngineStats;
-use rxview_core::{DagEval, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview_core::{Evaluated, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 
 /// A pending update inside one sharded commit, keyed by its submission
 /// index. The publisher keeps the original update so that merge-time
@@ -82,7 +82,7 @@ impl PendingUpdate {
 /// committed footprint.
 pub(crate) struct CachedAnalysis {
     pub(crate) analysis: Analysis,
-    pub(crate) eval: Option<DagEval>,
+    pub(crate) eval: Option<Evaluated>,
 }
 
 impl CachedAnalysis {
@@ -164,11 +164,6 @@ pub(crate) fn plan_round(
     // between conflicting updates, so stopping early is always sound.
     let stall_limit = max_batch;
     let mut stalled = 0usize;
-    // One anchor index per round, built lazily on the first analysis that
-    // needs it (a round served entirely from cached analyses — or a
-    // singleton global round — never pays for it): every analysis of this
-    // round probes it instead of rescanning the top level.
-    let anchor_index: std::cell::OnceCell<AnchorIndex> = std::cell::OnceCell::new();
     let mut footprint = BatchFootprint::default();
     let mut blocked = BatchFootprint::default();
     let mut any_blocked = false;
@@ -200,20 +195,15 @@ pub(crate) fn plan_round(
                 (c.analysis, c.eval)
             }
             None => {
-                let parts = Analysis::parts(
-                    sys,
-                    Some(anchor_index.get_or_init(|| AnchorIndex::build(sys))),
-                    &pu.update,
-                    opts,
-                );
-                if parts.eval.is_some() {
+                let parts = Analysis::parts(sys, &pu.update, opts);
+                if let Some(eval) = &parts.eval {
                     // The dry run evaluated the path; the shard will reuse
                     // the result instead of evaluating again. Only the
                     // evaluation itself counts as eval time (the publisher
                     // subtracts it from the partition phase); cone and
                     // write-key derivation stay partition work.
                     analysis_eval += parts.eval_time;
-                    stats.record_eval(opts.scoped_eval, parts.eval_time);
+                    stats.record_eval(eval.scope_nodes, parts.eval_time);
                 }
                 (parts.analysis, parts.eval)
             }

@@ -46,7 +46,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::EngineStats;
 use rxview_atg::NodeId;
 use rxview_core::{
-    translate_insert_for_merge, DagEval, SideEffectPolicy, TranslatedUpdate, UpdateError,
+    translate_insert_for_merge, Evaluated, SideEffectPolicy, TranslatedUpdate, UpdateError,
     ViewStore, XmlUpdate,
 };
 use rxview_relstore::Tuple;
@@ -58,12 +58,12 @@ use std::time::Instant;
 /// One update routed to a shard for a given round, together with the
 /// router's dry-run evaluation against the round snapshot (the shard
 /// translates against that very state, so re-evaluating would repeat the
-/// work; `None` falls back to a full evaluation on the shard).
+/// work; `None` evaluates on the shard).
 pub(crate) struct ShardJob {
     pub(crate) idx: usize,
     pub(crate) update: XmlUpdate,
     pub(crate) policy: SideEffectPolicy,
-    pub(crate) eval: Option<DagEval>,
+    pub(crate) eval: Option<Evaluated>,
 }
 
 /// Per-update outcome of a shard's translation pass.
@@ -255,8 +255,8 @@ fn run_round(
             Some(eval) => eval,
             None => {
                 let t0 = Instant::now();
-                let eval = sys.evaluate(job.update.path());
-                stats.record_eval(false, t0.elapsed());
+                let eval = sys.eval(job.update.path());
+                stats.record_eval(eval.scope_nodes, t0.elapsed());
                 eval
             }
         };

@@ -36,9 +36,11 @@ impl Snapshot {
 
     /// Evaluates an XPath against this snapshot's maintained structures,
     /// returning the raw DAG evaluation (selected nodes, matched edges,
-    /// side-effect inputs).
+    /// side-effect inputs). Goes through the scope-aware
+    /// [`XmlViewSystem::eval`]: a read of an anchored path costs its cones,
+    /// not the view, and returns what the full pass would.
     pub fn eval(&self, path: &XPath) -> DagEval {
-        self.sys.evaluate(path)
+        self.sys.eval(path).eval
     }
 
     /// Evaluates an XPath and returns `(type name, $A)` per selected node —

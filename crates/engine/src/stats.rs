@@ -488,11 +488,14 @@ impl EngineStats {
         }
     }
 
-    pub(crate) fn record_eval(&self, scoped: bool, d: Duration) {
+    /// One path evaluation, counted by how it ran
+    /// ([`rxview_core::Evaluated::scope_nodes`]): over a scope, or — `None`
+    /// — over all of `L`.
+    pub(crate) fn record_eval(&self, scope_nodes: Option<usize>, d: Duration) {
         if !self.enabled {
             return;
         }
-        if scoped {
+        if scope_nodes.is_some() {
             &self.scoped_evals
         } else {
             &self.full_evals
@@ -680,9 +683,14 @@ pub struct EngineReport {
     pub snapshots_published: u64,
     /// Snapshot handles handed to readers.
     pub snapshot_reads: u64,
-    /// Evaluations that ran scoped to an anchor cone.
+    /// Evaluations the commit paths ran over a scope (a projection of `L`
+    /// onto the path's anchor cones) — counted from what ran, on every
+    /// path: the analyzer's dry run, the shards, the serialized lanes.
     pub scoped_evals: u64,
-    /// Evaluations that ran over the full view.
+    /// Evaluations that ran the full pass over `L`: a path nothing bounds,
+    /// a cone union too large to be worth projecting, or a dry run with
+    /// [`crate::EngineConfig::scoped_eval`] off — the first thing to look
+    /// at when an update was slow.
     pub full_evals: u64,
     /// Plan-cache counters as *this engine's delta* since it attached to
     /// its (possibly shared) cache: hits, misses, evictions, compiles, and
@@ -1150,7 +1158,7 @@ mod tests {
         stats.record_submitted();
         stats.record_outcome(true, Some(Instant::now()));
         stats.record_batch(5);
-        stats.record_eval(true, Duration::from_micros(10));
+        stats.record_eval(Some(7), Duration::from_micros(10));
         stats.record_wal_append(100, Duration::from_micros(1), Duration::ZERO, None);
         stats.event("round.committed", fields![epoch: 1u64]);
         let report = stats.report();

@@ -568,10 +568,25 @@ proptest! {
                 let p = rxview_xmlkit::parse_xpath(&path).expect("path parses");
                 // `None` = the path degraded to a global footprint (e.g. a
                 // candidate set past the cap); the engine evaluates those
-                // unscoped, so there is nothing to compare.
-                let Some(scope) = rxview_engine::evaluation_scope(&sys, &p) else {
+                // unscoped, so there is nothing to compare. The cone-union
+                // projection is built directly: containment must hold for
+                // every union, including the ones `scope_of` would judge too
+                // large a share of this small view to be worth projecting.
+                let Some(anchors) = rxview_core::resolve_anchors(
+                    vs,
+                    &sys.class_of(&p),
+                    rxview_core::MAX_CONE_ANCHORS,
+                    None,
+                ) else {
                     continue;
                 };
+                let scope = rxview_core::union_scope(
+                    vs,
+                    sys.topo(),
+                    sys.reach(),
+                    &anchors.nodes,
+                    anchors.with_ancestors,
+                );
                 let scoped = sys.evaluate_scoped(&p, &scope);
                 let full = sys.evaluate(&p);
                 prop_assert_eq!(&scoped.selected, &full.selected, "selected on {}", path);

@@ -545,6 +545,11 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
             usize::from(cut != boundaries[complete])
         );
         assert_eq!(report.replay_rejected, 0);
+        assert_eq!(report.replayed_updates, complete);
+        assert_eq!(
+            report.replay_full_evals, 0,
+            "anchored deletions replay through their scopes"
+        );
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), complete as u64);
         let (base, edges) = &fingerprints[complete];

@@ -296,3 +296,60 @@ fn metrics_exporter_writes_jsonl() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `scoped_evals` / `full_evals` and `UpdateReport::scope_nodes` say how
+/// each path was evaluated — what ran, not what the configuration asked
+/// for — on the single-writer loop, the shards and the global lane alike.
+#[test]
+fn eval_counters_report_what_ran() {
+    let n = 800;
+    for n_shards in [1, 2] {
+        let sys = system(n);
+        let edges = group_edges(&sys, n as i64, 40);
+        assert!(edges.len() >= 4);
+        let engine = Engine::with_config(
+            sys.clone(),
+            EngineConfig {
+                n_shards,
+                ..EngineConfig::default()
+            },
+        );
+        // Anchored deletes: a scope of about one group, through the dry run.
+        for &(h, c) in &edges[..2] {
+            let report = engine
+                .apply_now(delete(h, c), SideEffectPolicy::Proceed)
+                .expect("anchored delete commits");
+            let scope = report.scope_nodes.expect("an anchored path has a scope");
+            assert!(scope > 1 && scope < sys.topo().len() / 4, "scope {scope}");
+        }
+        let report = engine.stats().report();
+        assert_eq!((report.scoped_evals, report.full_evals), (2, 0));
+        // A path nothing bounds rides the global lane and runs the full
+        // pass — under the same, scoped-by-default configuration.
+        let (h, c) = edges[2];
+        let unbounded = XmlUpdate::delete(&format!("*/sub/node[id={c}]")).expect("parses");
+        let outcome = engine
+            .apply_now(unbounded, SideEffectPolicy::Proceed)
+            .expect("the wildcard delete finds the edge");
+        assert_eq!(outcome.scope_nodes, None, "group {h}");
+        let report = engine.stats().report();
+        assert_eq!((report.scoped_evals, report.full_evals), (2, 1));
+
+        // With the dry run forced over the full view, the counters follow.
+        let engine = Engine::with_config(
+            sys,
+            EngineConfig {
+                n_shards,
+                scoped_eval: false,
+                ..EngineConfig::default()
+            },
+        );
+        let (h, c) = edges[3];
+        let outcome = engine
+            .apply_now(delete(h, c), SideEffectPolicy::Proceed)
+            .expect("anchored delete commits");
+        assert_eq!(outcome.scope_nodes, None);
+        let report = engine.stats().report();
+        assert_eq!((report.scoped_evals, report.full_evals), (0, 1));
+    }
+}

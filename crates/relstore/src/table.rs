@@ -15,9 +15,10 @@ use std::sync::{Arc, OnceLock};
 /// rows with its origin: the copy-on-write `Database` pays for the rows a
 /// writer changes, not for the table they live in.
 ///
-/// Point lookups on a *non*-key-prefix column go through lazily built
-/// per-column secondary indexes ([`Table::scan_col_eq`]): the first probe of
-/// a column pays one `O(n)` build, subsequent probes are ordered lookups.
+/// Point lookups on a column other than the leading key column go through
+/// lazily built per-column secondary indexes ([`Table::scan_col_eq`]): the
+/// first probe of a column pays one `O(n)` build, subsequent probes are
+/// ordered lookups.
 /// An index is part of the table's shared state: mutations maintain it
 /// incrementally, and a clone carries it along page for page like the rows.
 #[derive(Debug, Clone)]
@@ -122,10 +123,10 @@ impl Table {
     /// a partial prefix it is a range scan — the index access path that
     /// keeps ATG rule evaluation linear in the *output* rather than the
     /// table (e.g. `H` rows of one `h1`).
-    pub fn scan_key_prefix<'a>(
+    pub fn scan_key_prefix<'a, 'p>(
         &'a self,
-        prefix: &'a [crate::value::Value],
-    ) -> impl Iterator<Item = &'a Tuple> + 'a {
+        prefix: &'p [crate::value::Value],
+    ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p> {
         let lower = Tuple::from_values(prefix.iter().cloned());
         self.rows
             .range_from(&lower)
@@ -137,7 +138,14 @@ impl Table {
     /// secondary index — the access path for equality bindings that do not
     /// reach the primary key's prefix (e.g. probing `H` by `h2`). Row order
     /// follows the primary-key order, as for every other scan.
+    ///
+    /// The leading key column needs no index of its own: the primary order
+    /// already groups its values, so the probe is a key-prefix range (every
+    /// `gen_A` probe of a node's first attribute field takes this path).
     pub fn scan_col_eq(&self, col: usize, value: &Value) -> Vec<&Tuple> {
+        if self.schema.key().first() == Some(&col) {
+            return self.scan_key_prefix(std::slice::from_ref(value)).collect();
+        }
         // `get_or_init` runs one initializer at a time, so concurrent
         // readers (e.g. shard writer threads probing one shared snapshot)
         // fund a single build instead of racing on duplicates.
@@ -314,5 +322,90 @@ mod tests {
         }
         assert_ne!(probe(&c, 3), probe(&t, 3));
         assert_eq!(builds(), before + 1, "the clone inherited the built index");
+    }
+
+    #[test]
+    fn a_column_only_readers_probe_is_built_once_per_epoch_at_worst() {
+        // The serving engine's worst case for a lazily indexed column that
+        // only readers probe: the writer's working clone has already
+        // written the table when the epoch's first read builds the index in
+        // the published version, so the next epoch starts without it. The
+        // cost is one build per epoch — never one per read — and nothing
+        // when the probe comes before the clone's first write.
+        use crate::database::Database;
+        let fresh = || {
+            let mut db = Database::new();
+            db.create_table(schema("H").col_int("h1").col_int("h2").key(&["h1", "h2"]))
+                .unwrap();
+            for a in 0..300i64 {
+                db.insert("H", tuple![a, a % 7]).unwrap();
+            }
+            db
+        };
+        let probe =
+            |db: &Database, v: i64| db.table("H").unwrap().scan_col_eq(1, &Value::Int(v)).len();
+        let builds = || INDEX_BUILDS.with(Cell::get);
+        let (epochs, reads) = (5usize, 20i64);
+
+        let before = builds();
+        let mut published = fresh();
+        for epoch in 0..epochs as i64 {
+            let mut working = published.clone();
+            working.insert("H", tuple![1_000 + epoch, 3i64]).unwrap();
+            for r in 0..reads {
+                assert!(probe(&published, r % 7) >= 42);
+            }
+            published = working;
+        }
+        assert_eq!(
+            builds() - before,
+            epochs,
+            "one build per epoch, not per read"
+        );
+
+        let before = builds();
+        let mut published = fresh();
+        for epoch in 0..epochs as i64 {
+            for r in 0..reads {
+                assert!(probe(&published, r % 7) >= 42);
+            }
+            let mut working = published.clone();
+            working.insert("H", tuple![2_000 + epoch, 3i64]).unwrap();
+            published = working;
+        }
+        assert_eq!(
+            builds() - before,
+            1,
+            "a clone taken after the probe inherits the index"
+        );
+    }
+
+    #[test]
+    fn leading_key_column_probes_the_primary_index() {
+        // An all-key table, like every `gen_A` registry.
+        let mut t = Table::new(schema("H").col_int("h1").col_int("h2").key(&["h1", "h2"]));
+        for a in 0..200i64 {
+            t.insert(tuple![a % 50, a]).unwrap();
+        }
+        let before = INDEX_BUILDS.with(Cell::get);
+        for v in [0, 7, 49, 50, -1] {
+            let full_scan: Vec<&Tuple> = t.iter().filter(|r| r[0] == Value::Int(v)).collect();
+            assert_eq!(t.scan_col_eq(0, &Value::Int(v)), full_scan, "value {v}");
+        }
+        // The same rows in the same order as the secondary path gives.
+        assert_eq!(t.scan_col_eq(0, &Value::Int(7)).len(), 4);
+        t.delete(&tuple![7i64, 57i64]).unwrap();
+        t.insert(tuple![7i64, 1_000i64]).unwrap();
+        let got: Vec<i64> = t
+            .scan_col_eq(0, &Value::Int(7))
+            .iter()
+            .map(|r| r[1].as_int().unwrap())
+            .collect();
+        assert_eq!(got, vec![7, 107, 157, 1_000]);
+        assert_eq!(
+            INDEX_BUILDS.with(Cell::get),
+            before,
+            "no secondary index is built for the leading key column"
+        );
     }
 }

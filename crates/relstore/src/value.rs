@@ -77,6 +77,44 @@ impl Value {
     }
 }
 
+impl Value {
+    /// If this value's rendering (its [`fmt::Display`]) is a prefix of
+    /// `text`, the rest of `text` — the rendering compared in place, with
+    /// no `String` and no formatter in between (value filters run this
+    /// once per text node an evaluation visits).
+    pub fn strip_rendered<'a>(&self, text: &'a str) -> Option<&'a str> {
+        match self {
+            Value::Str(s) => text.strip_prefix(s.as_str()),
+            Value::Bool(b) => text.strip_prefix(if *b { "true" } else { "false" }),
+            Value::Int(i) => {
+                // An optional '-', then the decimal digits, most significant
+                // first (u64::MAX has 20).
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut n = i.unsigned_abs();
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                let digits = &digits[at..];
+                let text = if *i < 0 {
+                    text.strip_prefix('-')?
+                } else {
+                    text
+                };
+                // The matched bytes are ASCII, so the cut is a char boundary.
+                text.as_bytes()
+                    .starts_with(digits)
+                    .then(|| &text[digits.len()..])
+            }
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -158,6 +196,33 @@ mod tests {
         assert_eq!(Value::Int(3).value_type(), ValueType::Int);
         assert_eq!(Value::from("x").value_type(), ValueType::Str);
         assert_eq!(Value::Bool(true).value_type(), ValueType::Bool);
+    }
+
+    #[test]
+    fn strip_rendered_agrees_with_display() {
+        for v in [
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(-40),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::from("CS320"),
+            Value::from(""),
+            Value::from("é"),
+            Value::Bool(true),
+            Value::Bool(false),
+        ] {
+            let text = v.to_string();
+            assert_eq!(v.strip_rendered(&text), Some(""), "{v:?}");
+            assert_eq!(v.strip_rendered(&format!("{text} é")), Some(" é"), "{v:?}");
+            for other in ["", "-", "4", "+7", "07", "tru", "CS32", "-é"] {
+                assert_eq!(
+                    v.strip_rendered(other),
+                    other.strip_prefix(text.as_str()),
+                    "{v:?} against `{other}`"
+                );
+            }
+        }
     }
 
     #[test]

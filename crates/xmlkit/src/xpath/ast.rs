@@ -159,6 +159,26 @@ impl XPath {
             .map(|s| 1 + s.filters.iter().map(fsize).sum::<usize>())
             .sum()
     }
+
+    /// Depth of the deepest filter tree on any step (0 for a filter-free
+    /// path): every filter, negation and connective is a level. It is how
+    /// deep the printer, the evaluators' compilers and `Drop` recurse over
+    /// this path, which is why the parser bounds it.
+    pub fn filter_depth(&self) -> usize {
+        fn fdepth(f: &Filter) -> usize {
+            1 + match f {
+                Filter::Path(p) | Filter::PathEq(p, _) => p.filter_depth(),
+                Filter::LabelIs(_) => 0,
+                Filter::And(a, b) | Filter::Or(a, b) => fdepth(a).max(fdepth(b)),
+                Filter::Not(a) => fdepth(a),
+            }
+        }
+        self.steps
+            .iter()
+            .flat_map(|s| s.filters.iter().map(fdepth))
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 impl fmt::Display for XPath {
@@ -199,6 +219,9 @@ impl fmt::Display for Filter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Filter::Path(p) => write!(f, "{p}"),
+            // A literal holds at most one kind of quote (it was delimited by
+            // the other); print it inside the kind it does not hold.
+            Filter::PathEq(p, s) if s.contains('"') => write!(f, "{p}='{s}'"),
             Filter::PathEq(p, s) => write!(f, "{p}=\"{s}\""),
             Filter::LabelIs(l) => write!(f, "label()={l}"),
             Filter::And(a, b) => write!(f, "({a} and {b})"),

@@ -15,6 +15,15 @@
 //! ```
 //!
 //! Bare values after `=` (as in the paper's `course[cno=CS650]`) are allowed.
+//!
+//! The parser is total: any input is `Ok` or `Err`, never a panic or a
+//! stack overflow, and whatever it accepts prints to text it accepts again
+//! as the same tree (`tests/parser_totality.rs`). The parser, the printer,
+//! the evaluators' compilers and `Drop` all recurse over the AST, and path
+//! text comes from callers, so the tree's depth is bounded
+//! ([`MAX_FILTER_DEPTH`]) — a property of the tree, not of how it was
+//! spelled, so printing preserves it — and two looser syntactic bounds keep
+//! the parser itself shallow until the tree exists to be measured.
 
 use super::ast::{Filter, NodeTest, Step, StepKind, XPath};
 use std::fmt;
@@ -36,6 +45,22 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest filter tree ([`XPath::filter_depth`]) a path may carry. Real
+/// paths nest a handful of levels.
+pub const MAX_FILTER_DEPTH: usize = 64;
+
+/// Deepest syntactic nesting — brackets, parentheses, negations — the
+/// parser descends into; each level costs it seven frames. Redundant
+/// parentheses nest without deepening the tree, so this is checked on the
+/// way down. The printed form of an accepted tree nests one level per tree
+/// level plus the atom, well inside it.
+const MAX_NESTING: usize = 2 * MAX_FILTER_DEPTH;
+
+/// Most `and` / `or` connectives the parser consumes: a chain of them
+/// parses into a left-deep tree as deep as it is long, which must stay
+/// shallow enough to be measured (and dropped) recursively.
+const MAX_CONNECTIVES: usize = 1024;
+
 /// Parses an XPath expression.
 ///
 /// ```
@@ -48,6 +73,8 @@ pub fn parse_xpath(input: &str) -> Result<XPath, ParseError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        connectives: 0,
     };
     p.skip_ws();
     let path = p.parse_path()?;
@@ -58,12 +85,19 @@ pub fn parse_xpath(input: &str) -> Result<XPath, ParseError> {
     if path.steps.is_empty() {
         return Err(p.err("empty path"));
     }
+    if path.filter_depth() > MAX_FILTER_DEPTH {
+        return Err(p.err("filters nested too deeply"));
+    }
     Ok(path)
 }
 
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Filter levels open at `pos`.
+    depth: usize,
+    /// Connectives consumed so far.
+    connectives: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -214,6 +248,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.keyword("or") || self.symbol("||") {
+                self.connective()?;
                 let right = self.parse_and()?;
                 left = Filter::or(left, right);
             } else {
@@ -227,6 +262,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.keyword("and") || self.symbol("&&") {
+                self.connective()?;
                 let right = self.parse_unary()?;
                 left = Filter::and(left, right);
             } else {
@@ -235,7 +271,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn connective(&mut self) -> Result<(), ParseError> {
+        self.connectives += 1;
+        if self.connectives > MAX_CONNECTIVES {
+            return Err(self.err("too many boolean connectives"));
+        }
+        Ok(())
+    }
+
+    /// Every level of nesting — a bracket, a parenthesis, a negation —
+    /// passes through here, so this is where it is bounded.
     fn parse_unary(&mut self) -> Result<Filter, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("filters nested too deeply"));
+        }
+        self.depth += 1;
+        let filter = self.parse_unary_at_depth();
+        self.depth -= 1;
+        filter
+    }
+
+    fn parse_unary_at_depth(&mut self) -> Result<Filter, ParseError> {
         self.skip_ws();
         if self.keyword_before_paren("not") || self.symbol("!") {
             self.skip_ws();

@@ -174,6 +174,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  recovery time: {:?} loading the checkpoint, {:?} replaying the WAL suffix",
         recovery.checkpoint_load, recovery.wal_replay
     );
+    // Replay evaluates each logged path through its scope where it has one;
+    // on a view this small a cone is most of `L`, so the full pass runs.
+    println!(
+        "  of {} replayed update(s), {} evaluated by the full pass over L",
+        recovery.replayed_updates, recovery.replay_full_evals
+    );
 
     // 9. Observability: every engine carries a lock-free metric registry and
     //    a flight recorder; `telemetry_report` renders both human-readably.

@@ -3,16 +3,38 @@
 //! fifty commit rounds rewrite pages it shares with every successor — and
 //! the engine's final state still equals one-at-a-time application. With
 //! the container model tests in `crates/relstore/tests/cow_model.rs` this
-//! is the executable form of ARCHITECTURE.md invariant 10.
+//! is the executable form of ARCHITECTURE.md invariant 10. Reads go
+//! through the scope-resolved `Snapshot::eval`, whose anchors come from
+//! probes of the `gen_A` registries — pages a snapshot shares with its
+//! successors like any others — so what the held snapshot's reads select is
+//! held fixed too.
 
 use rxview::prelude::*;
 use rxview::workload::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
     synthetic_database, SyntheticConfig,
 };
+use rxview::xmlkit::parse_xpath;
 
 const ROUNDS: usize = 50;
 const HOLD_FROM: usize = 10;
+
+/// What the four read shapes select under every group head, as `(type, $A)`
+/// pairs — through `Snapshot::select`, the reader-facing path.
+fn reads(snap: &Snapshot, groups: usize) -> Vec<Vec<(String, Tuple)>> {
+    (0..groups)
+        .flat_map(|g| {
+            let k = g * 40;
+            [
+                format!("node[id={k}]"),
+                format!("node[id={k}]/sub/node"),
+                format!("node[id={k}]/payload"),
+                format!("node[id={k}]//node"),
+            ]
+        })
+        .map(|path| snap.select(&parse_xpath(&path).expect("parses")))
+        .collect()
+}
 
 #[test]
 fn held_snapshot_is_untouched_by_fifty_rounds() {
@@ -38,7 +60,9 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
                     edge_fingerprint(snap.system()),
                     base_fingerprint(snap.system()),
                 );
-                held = Some((snap, seen));
+                let read = reads(&snap, 10);
+                assert!(read.iter().filter(|r| !r.is_empty()).count() >= 30);
+                held = Some((snap, seen, read));
             }
             // Sampled against the state the round commits on, so targets
             // exist; inserts and deletes of all three path classes.
@@ -68,7 +92,7 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
             "the rounds must change the state ({accepted} accepted)"
         );
 
-        let (snap, seen) = held.expect("taken in round HOLD_FROM");
+        let (snap, seen, read) = held.expect("taken in round HOLD_FROM");
         let latest = engine.snapshot();
         assert!(snap.epoch() < latest.epoch());
         let now = (
@@ -82,6 +106,14 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
         assert!(
             seen.0 != edge_fingerprint(latest.system()),
             "{n_shards} shard(s): the rounds never diverged from the held snapshot"
+        );
+        assert!(
+            read == reads(&snap, 10),
+            "{n_shards} shard(s): the held snapshot's reads changed under its reader"
+        );
+        assert!(
+            read != reads(&latest, 10),
+            "{n_shards} shard(s): the latest snapshot reads like the held one"
         );
         snap.system()
             .consistency_check()
