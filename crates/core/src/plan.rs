@@ -446,8 +446,8 @@ pub struct PlanCache {
     observer: OnceLock<Box<dyn Fn(Duration) + Send + Sync>>,
     /// The per-grammar translation-template registry, compiled on first
     /// demand. Lives here (not its own cache) so every consumer sharing
-    /// the plan cache — analyze, shards, single-writer, global lane,
-    /// recovery — shares one compilation, with its own counters separate
+    /// the plan cache — analyze, shards, inline rounds, recovery — shares
+    /// one compilation, with its own counters separate
     /// from the plan counters.
     templates: OnceLock<Arc<TranslationTemplates>>,
 }

@@ -26,8 +26,8 @@
 //!   hottest call site in the delete path).
 //!
 //! The registry lives in the engine-wide [`crate::plan::PlanCache`] behind
-//! a `OnceLock`, so the analyze dry run, shard translation, single-writer,
-//! global lane, and recovery replay all share one compilation (and the
+//! a `OnceLock`, so the analyze dry run, shard translation, inline rounds
+//! and recovery replay all share one compilation (and the
 //! planner's instantiations warm nothing — there is nothing left to warm).
 //! `ViewStore::templates_enabled` keeps the interpretive derivations as an
 //! equivalence oracle, mirroring `use_plans`.

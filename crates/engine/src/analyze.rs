@@ -24,9 +24,8 @@
 //!     traffic rides ordinary shardable rounds;
 //!   - *global* — nothing bounds the path (unfilterable wildcard, bare
 //!     `//`, a candidate set past [`AnalyzeOptions::max_cone_anchors`]): it
-//!     conflicts with everything and serializes through the publisher's
-//!     global lane, now a rare fallback rather than the lane every `//`
-//!     update rides.
+//!     conflicts with everything and commits alone, in a one-update round
+//!     — a rare fallback rather than what every `//` update does.
 //! - **Typed relational footprint** ([`rxview_core::RelFootprint`]): a
 //!   footprint-only dry run of the §3.3/§4 translation — nothing applied,
 //!   nothing interned — yields the `(table, column, value)` keys the update
@@ -195,8 +194,7 @@ pub struct AnalysisParts {
     /// The conflict footprint.
     pub analysis: Analysis,
     /// The dry-run evaluation and how it ran (`None` for global-footprint
-    /// updates, which the write path evaluates itself on the serialized
-    /// lane).
+    /// updates, which the inline executor evaluates itself).
     pub eval: Option<Evaluated>,
     /// Wall-clock of the evaluation alone (zero when `eval` is `None`) —
     /// callers record it in the eval phase bucket; the rest of the
@@ -598,6 +596,11 @@ impl BatchFootprint {
                 }
             }
         }
+    }
+
+    /// Whether the batch holds a ⊤ (global-footprint) update.
+    pub(crate) fn is_global(&self) -> bool {
+        self.global
     }
 
     /// Whether adding an update with footprint `a` would conflict (strict:

@@ -1,15 +1,11 @@
-//! The engine: admission queue, conflict-free batch formation, group
-//! commit, and snapshot publication.
+//! The engine: admission queue, snapshot publication, durability wiring.
 //!
-//! Two write paths share this front door:
-//!
-//! - **single-writer** (`n_shards <= 1`): one batch per round, applied to a
-//!   working clone, one snapshot per batch;
-//! - **sharded** (`n_shards >= 2`): the `router` module partitions each
-//!   round across `shard` writer threads and the `publisher` merges their
-//!   translations into one epoch-ordered snapshot stream.
+//! [`Engine::commit_pending`] drains the queue into the round pipeline
+//! (`publisher`): one commit path at every shard count — the `router`
+//! plans conflict-free rounds, an inline or sharded (`shard`) executor
+//! translates each, and one serial tail folds, logs, publishes and acks it.
 
-use crate::analyze::{Analysis, AnalyzeOptions, BatchFootprint};
+use crate::analyze::AnalyzeOptions;
 use crate::checkpoint::{self, Checkpointer};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
@@ -20,7 +16,6 @@ use crate::wal::{Durability, LoggedUpdate, Wal};
 use rxview_core::{
     SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
 };
-use rxview_relstore::RelError;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -31,10 +26,11 @@ use std::time::{Duration, Instant};
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Maximum updates per conflict-free batch (one snapshot publication
-    /// and one folded maintenance pass per batch in the single-writer path;
-    /// the per-shard bundle bound in the sharded path, where a commit round
-    /// admits up to `n_shards * max_batch` updates).
+    /// Maximum updates per shard per commit round: a round admits up to
+    /// `n_shards * max_batch` conflict-free updates and pays one folded
+    /// maintenance pass, one log record and one snapshot publication. Also
+    /// the planner's stall limit — a round closes after this many
+    /// consecutive conflicts.
     pub max_batch: usize,
     /// Bound of the admission queue; [`Engine::submit`] returns
     /// [`EngineError::Saturated`] beyond it.
@@ -42,14 +38,14 @@ pub struct EngineConfig {
     /// Whether the conflict analyzer's dry run evaluates scoped to the
     /// update's cone union (disable to force the full §3.2 pass for every
     /// planned update). Governs the dry run only: reads, replay and the
-    /// serialized lanes always go through the scope-aware
+    /// evaluation of ⊤-footprint updates always go through the scope-aware
     /// [`XmlViewSystem::eval`].
     pub scoped_eval: bool,
     /// Whether leading-`//` and wildcard-rooted paths resolve to bounded
     /// multi-anchor cones through the grammar's type-level reachability
     /// closure and typed `gen_A` probes. Disable to restore the
     /// pre-type-indexed behavior (every such update is global and commits
-    /// alone through the serialized lane) — the bench baseline.
+    /// alone in a one-update round) — the bench baseline.
     pub descendant_cones: bool,
     /// Largest candidate-anchor set a `//`-path may resolve to before its
     /// analysis degrades to a global footprint (bounds per-update analysis
@@ -62,17 +58,12 @@ pub struct EngineConfig {
     /// default**; the off position restores the whole-cone conflict unit
     /// and is the equivalence oracle for the fission batteries.
     pub cone_fission: bool,
-    /// Whether the sharded publisher adapts its *effective* shard count to
-    /// the realized round widths (EWMA): narrow rounds park surplus shard
-    /// writers instead of paying dispatch/park wake-ups — and translate
-    /// walls — for shards that receive one job each. The configured
-    /// `n_shards` stays the ceiling. **On by default**; disable to pin the
-    /// fan-out exactly at `n_shards` (the pre-adaptive behavior).
-    pub adaptive_shards: bool,
-    /// Number of parallel shard writers. `0` or `1` selects the single-writer
-    /// group-commit path; `n >= 2` runs `n` shard writer threads over
-    /// anchor-cone partitions with a serialized global lane and a merging
-    /// publisher (capped at 64).
+    /// Number of parallel shard writers (clamped to `1..=64`). Selects the
+    /// round pipeline's translate executor and nothing else: at `1` each
+    /// round is applied inline on the committing thread and no thread is
+    /// spawned; at `n >= 2` rounds are translated speculatively by `n`
+    /// shard writer threads over anchor-cone partitions and merged in
+    /// submission order (a ⊤-footprint update still runs inline, alone).
     pub n_shards: usize,
     /// Write-ahead logging / fsync policy. Anything but [`Durability::Off`]
     /// requires a log directory — construct with
@@ -100,28 +91,26 @@ pub struct EngineConfig {
     /// when `telemetry` is off.
     pub metrics_path: Option<PathBuf>,
     /// Maximum number of sharded rounds concurrently in shard translation
-    /// on the pipelined commit path (clamped to `1..=8` at engine
-    /// construction; only meaningful with `n_shards >= 2`). A round's slot
-    /// frees when its bundles are collected, so with the default of `2`
-    /// the staged successor dispatches *before* the collected round's
-    /// merge/fold/publish serial section and the shards translate straight
-    /// through it. `1` disables pipelining and restores the fully serial
-    /// round schedule (nothing dispatches while a collected round awaits
-    /// publication); either way
-    /// rounds merge and publish strictly in submission order, so the
-    /// observable snapshot stream is identical (see
+    /// (clamped to `1..=8`; only meaningful with `n_shards >= 2` — inline
+    /// rounds never overlap). A round's slot frees when its bundles are
+    /// collected, so with the default of `2` the staged successor
+    /// dispatches *before* the collected round's merge/fold/publish and the
+    /// shards translate straight through it. `1` is the fully serial round
+    /// schedule (nothing dispatches while a collected round awaits
+    /// publication); either way rounds merge and publish strictly in plan
+    /// order, so the observable snapshot stream is identical (see
     /// `crates/engine/tests/equivalence.rs`). Overlap only arises when the
     /// queue spans several rounds (`n_shards * max_batch` is the per-round
     /// cap) — pipelining never shrinks rounds to manufacture it, because
     /// each publication pays a fixed cost (the fold's `L` splice, the WAL
     /// append) that wide rounds exist to amortize. ARCHITECTURE.md §7.
     pub pipeline_depth: usize,
-    /// Deterministic interleaving gates for the pipelined commit path
+    /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
-    /// `None` in production (the default). When set, the publisher
-    /// announces each stage transition (plan/dispatch/merge/publish) and
-    /// blocks on held gates, letting a test freeze round `k` in merge
-    /// while round `k+1` translates.
+    /// `None` in production (the default). When set, the pipeline
+    /// announces each stage transition (plan/publish on every round,
+    /// dispatch/merge on sharded ones) and blocks on held gates, letting a
+    /// test freeze round `k` in merge while round `k+1` translates.
     pub stage_hooks: Option<crate::pipeline::StageHooks>,
     /// Whether evaluation and classification route through the shared
     /// compiled-plan cache (`rxview_core::plan`). **On by default**; the
@@ -168,7 +157,6 @@ impl Default for EngineConfig {
             descendant_cones: analyze.descendant_cones,
             max_cone_anchors: analyze.max_cone_anchors,
             cone_fission: analyze.cone_fission,
-            adaptive_shards: true,
             n_shards: 1,
             durability: Durability::Off,
             checkpoint_rounds: 1024,
@@ -287,11 +275,8 @@ pub(crate) struct Inner {
     pub(crate) epoch: AtomicU64,
     pub(crate) stats: Arc<EngineStats>,
     pub(crate) config: EngineConfig,
-    /// The sharded publisher's persistent master state — always equal in
-    /// content to the latest published snapshot. `None` until the first
-    /// sharded commit materializes it.
-    pub(crate) master: Mutex<Option<XmlViewSystem>>,
-    /// Lazily spawned shard writer pool (sharded path only).
+    /// Shard writer pool, spawned by the first sharded round's dispatch
+    /// (never at `n_shards == 1`).
     pub(crate) pool: OnceLock<ShardPool>,
     /// Replay log + checkpointer (durable engines only).
     pub(crate) durability: Option<DurabilityState>,
@@ -307,16 +292,11 @@ impl Inner {
         Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
     }
 
-    /// Whether committed rounds must be logged before publication.
-    pub(crate) fn wal_enabled(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Appends the replay-log record for the epoch the *next* [`Inner::publish`]
     /// will stamp — the write-ahead step. Must run with the commit mutex
-    /// held (all commit paths do), so the upcoming epoch is stable. A no-op
-    /// without durability. On error the round must not publish; the caller
-    /// fails its updates instead.
+    /// held (the round pipeline's serial tail does), so the upcoming epoch
+    /// is stable. A no-op without durability. On error the round must not
+    /// publish; the caller fails its updates instead.
     pub(crate) fn log_round(&self, updates: &[LoggedUpdate]) -> Result<(), String> {
         let Some(d) = &self.durability else {
             return Ok(());
@@ -370,10 +350,10 @@ impl Inner {
 }
 
 /// The concurrent view-serving engine: snapshot-isolated readers over an
-/// epoch-ordered stream of immutable [`Snapshot`]s, and group-committed
-/// writers — a single writer by default, or `n` parallel shard writers over
-/// anchor-cone partitions when configured with
-/// [`EngineConfig::n_shards`]` >= 2`.
+/// epoch-ordered stream of immutable [`Snapshot`]s, and writes
+/// group-committed in conflict-free rounds — translated on the committing
+/// thread by default, or by `n` parallel shard writers over anchor-cone
+/// partitions when configured with [`EngineConfig::n_shards`]` >= 2`.
 ///
 /// Cheap to clone (handles share one underlying engine); all methods take
 /// `&self`.
@@ -548,7 +528,7 @@ impl Engine {
         config.pipeline_depth = config.pipeline_depth.clamp(1, 8);
         // The plan and template knobs are set on the owned system before the
         // first snapshot wraps it, so every clone (working copies, shard
-        // replicas, recovery masters) inherits the chosen evaluation and
+        // replicas, recovery states) inherits the chosen evaluation and
         // translation paths.
         sys.set_plans_enabled(config.use_plans);
         sys.set_templates_enabled(config.use_templates);
@@ -599,7 +579,6 @@ impl Engine {
                 epoch: AtomicU64::new(epoch),
                 stats,
                 config,
-                master: Mutex::new(None),
                 pool: OnceLock::new(),
                 durability,
                 exporter,
@@ -776,26 +755,20 @@ impl Engine {
         ticket.wait()
     }
 
-    /// Drains the admission queue and commits it.
+    /// Drains the admission queue and commits it through the round
+    /// pipeline (`ARCHITECTURE.md` §3): the queue is planned into
+    /// conflict-free *rounds* of up to `n_shards * max_batch` updates, each
+    /// analyzed against the snapshot it will apply to; a round is
+    /// translated onto a working clone of that snapshot — inline at
+    /// `n_shards == 1`, by the shard writers otherwise — and then pays one
+    /// folded maintenance pass, one log record and one publication.
     ///
-    /// **Single-writer path** (`n_shards <= 1`): forms one conflict-free
-    /// batch per *round* — each round re-runs the conflict analysis of every
-    /// still-pending update against the state the batch will actually apply
-    /// to, so staleness across batches cannot arise — applies the batch to a
-    /// working clone with scoped evaluation and folded maintenance, and
-    /// publishes one new snapshot per batch.
-    ///
-    /// **Sharded path** (`n_shards >= 2`): plans an `n_shards * max_batch`-
-    /// wide conflict-free round, translates it in parallel on the shard
-    /// writer threads, and merges the results into the persistent master
-    /// state with one folded maintenance pass and one publication per round
-    /// (the full pipeline is diagrammed in `ARCHITECTURE.md` §3).
-    ///
-    /// On both paths submission order is preserved between conflicting
-    /// updates (an update deferred by a conflict also blocks its own later
-    /// conflicters), and outcomes are delivered to tickets after their
-    /// snapshot is visible, so a caller that observed its ticket can read
-    /// its own write.
+    /// Submission order is preserved between conflicting updates (an update
+    /// deferred by a conflict also blocks its own later conflicters).
+    /// Tickets resolve round by round: a round's outcomes are delivered as
+    /// soon as its snapshot is visible, so a caller that observed its
+    /// ticket can read its own write. A round in which nothing applied
+    /// (every update rejected) publishes no epoch and logs nothing.
     pub fn commit_pending(&self) -> CommitSummary {
         let _guard = self.inner.commit_mx.lock().expect("commit lock poisoned");
         let pending: Vec<Pending> = {
@@ -806,292 +779,7 @@ impl Engine {
             return CommitSummary::default();
         }
         self.inner.stats.record_commit();
-        if self.inner.config.n_shards >= 2 {
-            return publisher::commit_sharded(&self.inner, pending);
-        }
-        let mut summary = CommitSummary {
-            updates: pending.len(),
-            ..CommitSummary::default()
-        };
-
-        let mut outcomes: Vec<Option<UpdateOutcome>> = (0..pending.len()).map(|_| None).collect();
-        let txs: Vec<mpsc::Sender<UpdateOutcome>> = pending.iter().map(|p| p.tx.clone()).collect();
-        let submitted_ats: Vec<Option<Instant>> = pending.iter().map(|p| p.submitted_at).collect();
-        // Per-entry cache of a deferred deletion's analysis + dry-run
-        // evaluation, reused across batches until a committed batch's
-        // footprint touches it (the same `CachedAnalysis` + `survives` rule
-        // the sharded router uses).
-        use crate::router::CachedAnalysis;
-        let mut queue: Vec<(usize, Pending, Option<CachedAnalysis>)> = pending
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (i, p, None))
-            .collect();
-        let mut current = self.snapshot();
-        while !queue.is_empty() {
-            // --- Form one batch against the current snapshot. ---
-            let t_part = Instant::now();
-            let mut analysis_eval = Duration::ZERO;
-            type BatchEntry = (
-                usize,
-                Pending,
-                Option<rxview_core::Evaluated>,
-                Option<rxview_atg::NodeId>,
-            );
-            let mut batch: Vec<BatchEntry> = Vec::new();
-            let mut deferred: Vec<(usize, Pending, Option<CachedAnalysis>)> = Vec::new();
-            let mut batch_foot = BatchFootprint::default();
-            let mut blocked_foot = BatchFootprint::default();
-            let mut any_blocked = false;
-            let mut batch_multi_cone = 0usize;
-            let opts = self.inner.config.analyze_options();
-            // Bounded scan, mirroring the sharded router: after `max_batch`
-            // consecutive conflicts the rest of the queue almost certainly
-            // conflicts too (skewed workloads), so stop analyzing and defer
-            // it wholesale. Sound for the same reason the cap is: deferral
-            // preserves submission order, and every deferred update re-runs
-            // its analysis against the state it eventually applies to.
-            let stall_limit = self.inner.config.max_batch;
-            let mut stalled = 0usize;
-            let mut drain = queue.into_iter();
-            for (i, p, cached) in drain.by_ref() {
-                if batch.len() >= self.inner.config.max_batch || stalled >= stall_limit {
-                    deferred.push((i, p, cached));
-                    // Admitting past a full batch could reorder conflicting
-                    // updates; everything else waits for the next round.
-                    deferred.extend(drain.by_ref());
-                    break;
-                }
-                let (mut a, eval) = match cached {
-                    Some(c) => {
-                        self.inner.stats.record_analysis_reused();
-                        (c.analysis, c.eval)
-                    }
-                    None => {
-                        let parts = Analysis::parts(current.system(), &p.update, &opts);
-                        if let Some(eval) = &parts.eval {
-                            // The dry run evaluated the path against the
-                            // snapshot the batch applies to; the apply loop
-                            // reuses it. Only the evaluation itself counts
-                            // as eval time; the rest stays partition work.
-                            analysis_eval += parts.eval_time;
-                            self.inner
-                                .stats
-                                .record_eval(eval.scope_nodes, parts.eval_time);
-                        }
-                        (parts.analysis, parts.eval)
-                    }
-                };
-                // Non-`Proceed` updates keep the whole-cone conflict unit:
-                // their side-effect sets are computed against the planning
-                // state, which only the coarse unit protects from
-                // co-admitted peers under a shared cone.
-                if p.policy != rxview_core::SideEffectPolicy::Proceed {
-                    a.demote_to_cone();
-                }
-                use crate::analyze::Verdict;
-                let mut verdict = if batch.is_empty() {
-                    Verdict::Admit
-                } else {
-                    // Optimistic write∩write tolerance is sound here
-                    // because batch members apply sequentially against the
-                    // evolving master — later translations see earlier
-                    // realized writes.
-                    batch_foot.check(&a, true)
-                };
-                if verdict.admits() && any_blocked {
-                    let blocked_verdict = blocked_foot.check(&a, false);
-                    if verdict == Verdict::Admit || !blocked_verdict.admits() {
-                        verdict = blocked_verdict;
-                    }
-                }
-                match verdict {
-                    Verdict::FissionAdmit => self.inner.stats.record_fission_admit(),
-                    Verdict::FissionDeny => self.inner.stats.record_fission_deny(),
-                    _ => {}
-                }
-                if !verdict.admits() {
-                    blocked_foot.absorb(&a);
-                    any_blocked = true;
-                    stalled += 1;
-                    // Deletion analyses stay valid while committed footprints
-                    // avoid them; insertions re-analyze (splice links).
-                    let cached =
-                        (!p.update.is_insert()).then_some(CachedAnalysis { analysis: a, eval });
-                    deferred.push((i, p, cached));
-                } else {
-                    stalled = 0;
-                    batch_foot.absorb(&a);
-                    if a.is_multi_cone() {
-                        batch_multi_cone += 1;
-                    }
-                    let cone_key = a.cone_key();
-                    batch.push((i, p, eval, cone_key));
-                }
-            }
-            queue = deferred;
-            self.inner
-                .stats
-                .record_plan(t_part.elapsed().saturating_sub(analysis_eval));
-            summary.batches += 1;
-            self.inner.stats.record_batch(batch.len());
-            let planned_width = batch.len();
-
-            // --- Apply the batch to a working clone. ---
-            let mut working = current.system().clone();
-            let mut jobs = Vec::new();
-            let mut applied: Vec<(usize, UpdateReport)> = Vec::new();
-            // Applied updates in submission order, kept for the replay log
-            // (the record the round's publication is preceded by).
-            let mut logged: Vec<LoggedUpdate> = Vec::new();
-            let wal_on = self.inner.wal_enabled();
-            self.inner.stats.event(
-                "round.planned",
-                rxview_obs::fields![
-                    admitted: planned_width,
-                    deferred: queue.len(),
-                    multi_cone: batch_multi_cone,
-                    path: "single",
-                ],
-            );
-            // On the single-writer path the apply loop *is* the round's
-            // translation wall clock (there is no separate merge phase).
-            let t_wall = Instant::now();
-            let mut cone_keys: Vec<Option<rxview_atg::NodeId>> = Vec::new();
-            for (i, p, eval, cone_key) in batch {
-                let eval = match eval {
-                    // The analysis evaluated against the snapshot the batch
-                    // applies to; conflict-freeness makes that evaluation
-                    // exact on the (batch-mutated) working clone too.
-                    Some(eval) => eval,
-                    None => {
-                        let t0 = Instant::now();
-                        let eval = working.eval(p.update.path());
-                        self.inner.stats.record_eval(eval.scope_nodes, t0.elapsed());
-                        eval
-                    }
-                };
-                let t1 = Instant::now();
-                match working.apply_deferred(&p.update, p.policy, eval) {
-                    Ok((report, job)) => {
-                        jobs.push(job);
-                        cone_keys.push(cone_key);
-                        applied.push((i, report));
-                        if wal_on {
-                            logged.push((p.update, p.policy));
-                        }
-                    }
-                    Err(e) => outcomes[i] = Some(Err(e)),
-                }
-                self.inner.stats.record_translate(t1.elapsed());
-            }
-            self.inner.stats.record_translate_wall(t_wall.elapsed());
-            self.inner
-                .stats
-                .record_round_width(planned_width, applied.len());
-            if batch_multi_cone > 0 {
-                self.inner
-                    .stats
-                    .record_multi_cone_round(batch_multi_cone, applied.len());
-            }
-
-            // Per-cone fold coalescing: delete jobs admitted under one
-            // (hot) cone merge their deferred obligations, so the folded
-            // maintenance pass takes the cone's ∆(M,L) once per cone, not
-            // once per update (ARCHITECTURE.md §9).
-            let (jobs, sub_rounds) = publisher::coalesce_cone_folds(jobs, &cone_keys);
-            self.inner
-                .stats
-                .record_sub_rounds(sub_rounds, applied.len());
-
-            // Folded phase 6: one maintenance pass for the whole batch.
-            let t2 = Instant::now();
-            match working.fold_maintenance(jobs) {
-                Ok(maintain) => {
-                    self.inner.stats.record_maintain(t2.elapsed(), &maintain);
-                    // Write-ahead: the round's record must be durable (per
-                    // the fsync policy) before its snapshot becomes visible
-                    // and any ticket resolves. Logged even when `applied`
-                    // is empty — an all-rejected batch still publishes an
-                    // epoch, and the log must mirror the epoch stream.
-                    if let Err(msg) = self.inner.log_round(&logged) {
-                        // The round is not durable: drop the working clone
-                        // (the previous snapshot stays current) and fail
-                        // the batch rather than acknowledge a lie.
-                        self.inner
-                            .stats
-                            .record_round_failure("wal_append", applied.len());
-                        for (i, _) in applied {
-                            outcomes[i] =
-                                Some(Err(UpdateError::Rel(RelError::MalformedQuery(msg.clone()))));
-                        }
-                        continue;
-                    }
-                    // Publish the batch as one snapshot, then release tickets.
-                    // The assignment drops this loop's handle to the
-                    // superseded snapshot inside the publish window.
-                    let t3 = Instant::now();
-                    current = self.inner.publish(working);
-                    self.inner.stats.record_publish(t3.elapsed());
-                    self.inner.stats.event(
-                        "round.committed",
-                        rxview_obs::fields![
-                            epoch: current.epoch(),
-                            updates: applied.len(),
-                            path: "single",
-                        ],
-                    );
-                    // Whatever this batch committed invalidates any cached
-                    // analysis whose footprint it touched.
-                    for (_, _, cached) in queue.iter_mut() {
-                        if cached.as_ref().is_some_and(|c| !c.survives(&batch_foot)) {
-                            *cached = None;
-                        }
-                    }
-                    summary.maintain.absorb(&maintain);
-                    if let [(i, report)] = applied.as_mut_slice() {
-                        // A singleton batch can attribute maintenance exactly.
-                        report.maintain = maintain.clone();
-                        outcomes[*i] = Some(Ok(report.clone()));
-                    } else {
-                        for (i, report) in applied {
-                            outcomes[i] = Some(Ok(report));
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Maintenance failed: the working clone is inconsistent.
-                    // Drop it (previous snapshot stays current) and fail the
-                    // whole batch.
-                    self.inner
-                        .stats
-                        .record_round_failure("fold_maintenance", applied.len());
-                    let msg = format!("batch maintenance failed: {e}");
-                    for (i, _) in applied {
-                        outcomes[i] =
-                            Some(Err(UpdateError::Rel(RelError::MalformedQuery(msg.clone()))));
-                    }
-                }
-            }
-        }
-
-        // --- Deliver outcomes. ---
-        for ((tx, outcome), submitted_at) in txs.into_iter().zip(outcomes).zip(submitted_ats) {
-            let outcome = outcome.unwrap_or_else(|| {
-                Err(UpdateError::Rel(RelError::MalformedQuery(
-                    "update lost by engine".into(),
-                )))
-            });
-            let accepted = outcome.is_ok();
-            self.inner.stats.record_outcome(accepted, submitted_at);
-            if accepted {
-                summary.accepted += 1;
-            } else {
-                summary.rejected += 1;
-            }
-            let _ = tx.send(outcome); // receiver may have given up
-        }
-        summary
+        publisher::commit(&self.inner, pending)
     }
 
     /// Spawns a background writer thread that group-commits the queue every

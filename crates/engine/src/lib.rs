@@ -15,54 +15,56 @@
 //!   working clone, its first writes, and the release of a displaced
 //!   snapshot each cost in proportion to what the round changed, and a
 //!   snapshot is freed the moment its last reader lets go.
-//! - **Batched group commit** ([`Engine::submit`], [`Engine::commit_pending`]):
-//!   submitted [`rxview_core::XmlUpdate`]s queue in a bounded admission
-//!   queue and are partitioned into *conflict-free batches* by
-//!   [`analyze::Analysis`] — key-anchored target-path cones plus the typed
-//!   relational footprint ([`rxview_core::RelFootprint`]) of a
-//!   footprint-only dry run of the §3.3/§4 translation: the `(table,
-//!   column, value)` keys the update reads and may write. Each batch runs
-//!   the paper's phases with two amortizations: evaluation of a
-//!   classified path is *scoped* to its anchor cones (a projection of
-//!   `L`, [`rxview_core::XmlViewSystem::eval`] — the same entry point
-//!   readers and recovery replay evaluate through) and reused from the dry
-//!   run, and phase 6 — maintenance of `M` and `L` (§3.4) — is *folded*
-//!   into a single ∆(M,L)delete pass per batch
-//!   ([`rxview_core::XmlViewSystem::fold_maintenance`]). Per-update
-//!   accept/reject outcomes are reported back through [`UpdateTicket`]s.
-//! - **Sharded parallel writers** ([`EngineConfig::n_shards`]` >= 2`): the
-//!   write path becomes a router → shard-writers → publisher pipeline over
-//!   *anchor-cone partitions*. The router plans an `n_shards * max_batch`-
-//!   wide conflict-free round per commit (anchors probe the maintained
-//!   `gen_A` registries); shard threads translate their updates against the
-//!   shared snapshot without applying anything (insertions intern into a
-//!   private replica and ship an allocation catalog; every translation
-//!   carries its *realized* typed footprint); the publisher merges
-//!   the translations onto the persistent master in submission order
+//! - **Group commit in conflict-free rounds** ([`Engine::submit`],
+//!   [`Engine::commit_pending`]): submitted [`rxview_core::XmlUpdate`]s
+//!   queue in a bounded admission queue and commit through one *round
+//!   pipeline* — plan → translate → fold → log → publish → ack. The router
+//!   plans an `n_shards * max_batch`-wide round whose members'
+//!   [`analyze::Analysis`] footprints are disjoint — key-anchored
+//!   target-path cones (anchors probe the maintained `gen_A` registries)
+//!   plus the typed relational footprint ([`rxview_core::RelFootprint`]) of
+//!   a footprint-only dry run of the §3.3/§4 translation: the `(table,
+//!   column, value)` keys the update reads and may write. Each round runs
+//!   the paper's phases with two amortizations: evaluation of a classified
+//!   path is *scoped* to its anchor cones (a projection of `L`,
+//!   [`rxview_core::XmlViewSystem::eval`] — the same entry point readers
+//!   and recovery replay evaluate through) and reused from the dry run, and
+//!   phase 6 — maintenance of `M` and `L` (§3.4) — is *folded* into a
+//!   single ∆(M,L) pass per round
+//!   ([`rxview_core::XmlViewSystem::fold_maintenance`]), followed by one
+//!   log record and one published epoch — so readers keep a single
+//!   coherent, epoch-ordered snapshot stream. Per-update accept/reject
+//!   outcomes are reported back through [`UpdateTicket`]s as each round
+//!   publishes. Leading-`//` and wildcard-rooted updates resolve to bounded
+//!   multi-anchor cones through the grammar's type-level reachability
+//!   closure and typed `gen_A` probes ([`rxview_core::pathclass`]), so they
+//!   ride ordinary rounds; only a genuinely untypeable (⊤-footprint) path
+//!   commits alone.
+//! - **Two translate executors** ([`EngineConfig::n_shards`]): at one shard
+//!   a round is applied *inline* — its updates run
+//!   [`rxview_core::XmlViewSystem::apply_deferred`] one after another on the
+//!   round's working clone, on the committing thread. At `n_shards >= 2`
+//!   shard threads translate the round *speculatively* against the shared
+//!   snapshot without applying anything (insertions intern into a private
+//!   replica and ship an allocation catalog; every translation carries its
+//!   *realized* typed footprint) and the committing thread merges the
+//!   translations onto the working clone in submission order
 //!   ([`rxview_core::XmlViewSystem::apply_translated`] re-interns and
 //!   remaps, asserting in debug builds that realized footprints were
-//!   covered by planned ones), folds the whole round's ∆(M,L) into one
-//!   pass, and publishes
-//!   one epoch per round — so readers keep a single coherent, epoch-ordered
-//!   snapshot stream. Leading-`//` and wildcard-rooted updates resolve to
-//!   bounded multi-anchor cones through the grammar's type-level
-//!   reachability closure and typed `gen_A` probes
-//!   ([`rxview_core::pathclass`]), so they ride ordinary shardable rounds;
-//!   only genuinely untypeable paths serialize through the global lane.
-//!   The commit path is *pipelined* ([`EngineConfig::pipeline_depth`],
-//!   default 2): the router keeps planning rounds ahead against the last
-//!   published snapshot, and a round whose planned footprint is disjoint
-//!   from everything still in flight is dispatched to shard translation
-//!   while its predecessors are still in merge/fold/publish — merges stay
-//!   strictly in submission order, so readers, the WAL, and acks observe
-//!   the identical epoch stream (`WAL(k) ≺ publish(k) ≺ ack(k+1)`); a
-//!   publish landing mid-plan triggers a footprint-diff fixup that evicts
-//!   newly-conflicting updates back to the queue. Deterministic overlap
-//!   schedules are testable through [`pipeline::StageHooks`].
-//!   Both write paths are property-tested observationally equivalent to
-//!   sequential application.
+//!   covered by planned ones). Sharded rounds are *pipelined*
+//!   ([`EngineConfig::pipeline_depth`], default 2): the router keeps
+//!   planning ahead against the last published snapshot, and a round whose
+//!   planned footprint is disjoint from everything still in flight is
+//!   dispatched to shard translation while its predecessors are still in
+//!   merge/fold/publish — merges stay strictly in submission order, so
+//!   readers, the WAL, and acks observe the identical epoch stream
+//!   (`WAL(k) ≺ publish(k) ≺ ack(k)`); a publish landing mid-plan triggers
+//!   a footprint-diff fixup that evicts newly-conflicting updates back to
+//!   the queue. Deterministic schedules are testable through
+//!   [`pipeline::StageHooks`]. Both executors are property-tested
+//!   observationally equivalent to sequential application.
 //! - **Durability** ([`Durability`], [`Engine::with_durability`],
-//!   [`Engine::recover`]): the publisher appends each committed round —
+//!   [`Engine::recover`]): the pipeline appends each committed round —
 //!   `(epoch, applied updates in submission order)` — to a checksummed,
 //!   epoch-ordered replay log *before* the round's snapshot becomes
 //!   visible, under a configurable fsync policy; a background checkpointer
@@ -88,7 +90,7 @@
 //! [`rxview_core::XmlViewSystem::apply_deferred`]; XPath evaluation +
 //! side-effect detection (§3.2) runs per update but scoped where the
 //! conflict analysis proves it sound; background maintenance (§3.4) runs
-//! once per batch — which is exactly the "background" role the paper assigns
+//! once per round — which is exactly the "background" role the paper assigns
 //! it, made concrete as group commit.
 
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
-//! Deterministic interleaving hooks for the pipelined commit path.
+//! Deterministic interleaving hooks for the round pipeline.
 //!
-//! The pipelined sharded publisher overlaps round `k+1`'s shard translation
-//! with round `k`'s merge/fold/publish. That overlap is scheduled by the
+//! The sharded executor overlaps round `k+1`'s shard translation with round
+//! `k`'s merge/fold/publish. That overlap is scheduled by the
 //! OS, which makes "round k+1 translates while round k merges" untestable
 //! as stated — a fast machine may finish the translation before the merge
 //! even starts. [`StageHooks`] makes the schedule *controllable*: the
@@ -25,12 +25,14 @@ use std::time::{Duration, Instant};
 /// before panicking — a missed `release` should fail the test, not hang CI.
 const GATE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Fixed instrumentation points of the pipelined sharded commit loop, in
-/// the order one round passes through them.
+/// Fixed instrumentation points of the round pipeline, in the order one
+/// round passes through them. Every round announces `Plan` and `Publish`;
+/// `Dispatch` and `Merge` belong to sharded rounds (an inline round
+/// translates on the coordinator, between its `Plan` and `Publish`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// A round plan was formed against the latest published snapshot
-    /// (global or sharded; before any dispatch decision).
+    /// (before any dispatch decision).
     Plan,
     /// A planned round was handed to the shard pool — its translation is
     /// now running concurrently with whatever the coordinator does next.
@@ -39,7 +41,8 @@ pub enum Stage {
     /// round (shard bundles already collected; the freed pipeline slot has
     /// been offered to the staged successor).
     Merge,
-    /// A round's snapshot was published (the epoch advanced).
+    /// A round's snapshot was published (the epoch advanced); its tickets
+    /// have not resolved yet.
     Publish,
 }
 

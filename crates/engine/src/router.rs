@@ -1,40 +1,40 @@
-//! The cross-shard coordinator's *routing* half: forms one conflict-free
-//! commit round at a time and partitions it across shard writers.
+//! The round pipeline's *planning* half: forms one conflict-free commit
+//! round at a time and lays it out for the executor that will translate it.
 //!
-//! A round admits up to `n_shards * max_batch` pending updates whose
+//! A round admits up to `shards * max_batch` pending updates whose
 //! [`Analysis`] footprints (anchor cones + typed relational read/write keys)
 //! are pairwise disjoint. Because the whole round is conflict-free, *any*
 //! split of it across shards is sound; the router balances by assigning each
-//! admitted update to the least-loaded shard. Updates that conflict with an
-//! admitted or already-deferred update wait for a later round — an update
-//! deferred by a conflict also blocks its own later conflicters, so
-//! submission order is preserved between conflicting updates, exactly as in
-//! the single-writer path.
+//! admitted update to the least-loaded shard (with one shard the single job
+//! list is the round in submission order, which is what the publisher's
+//! inline executor runs). Updates that conflict with an admitted or
+//! already-deferred update wait for a later round — an update deferred by a
+//! conflict also blocks its own later conflicters, so submission order is
+//! preserved between conflicting updates.
 //!
 //! The analysis is a footprint-only *dry run* of the translation against the
 //! round's snapshot: it evaluates the path (scoped to the anchor cone) and
 //! derives the candidate write keys without applying or interning anything.
-//! Each admitted update ships that evaluation to its shard (the shard
+//! Each admitted update ships that evaluation with its job (the executor
 //! translates against the very state the analysis ran on), and its planned
 //! [`RelFootprint`] rides in the [`RoundPlan`] so the publisher can check —
 //! in debug builds — that every realized write was planned.
 //!
 //! Updates whose paths cannot be bounded — unfilterable wildcards, bare
-//! `//`, candidate sets past the anchor cap — have a *global* footprint and
-//! conflict with everything: they reach the front of the queue, form a
-//! singleton round, and commit through the publisher's serialized global
-//! lane (which, under pipelining, first drains every in-flight round).
-//! Typed leading-`//` and wildcard-rooted paths resolve to bounded
+//! `//`, candidate sets past the anchor cap — have a *global* (⊤) footprint
+//! and conflict with everything: they reach the front of the queue on a
+//! drained pipeline and form a one-update round that the publisher runs
+//! inline. Typed leading-`//` and wildcard-rooted paths resolve to bounded
 //! multi-anchor cones instead (see [`crate::analyze`]) and are routed like
-//! any other shardable update.
+//! any other update.
 //!
-//! Under the pipelined commit path (ARCHITECTURE.md §7) the router also
-//! plans *ahead*: [`plan_round`] takes the union footprint of every round
-//! still in flight as a pre-seeded blocker set, so a lookahead round is
-//! disjoint from everything unmerged by construction, and
-//! [`fixup_stale_plan`] re-checks a staged plan against the footprints
-//! that published after it was formed, evicting newly-conflicting updates
-//! back to the queue instead of dispatching them against a stale snapshot.
+//! For sharded rounds the router also plans *ahead* (ARCHITECTURE.md §7):
+//! [`plan_round`] takes the union footprint of every round still in flight
+//! as a pre-seeded blocker set, so a lookahead round is disjoint from
+//! everything unmerged by construction, and [`fixup_stale_plan`] re-checks a
+//! staged plan against the footprints that published after it was formed,
+//! evicting newly-conflicting updates back to the queue instead of
+//! dispatching them against a stale snapshot.
 //!
 //! Deferred **deletions** keep their analysis (and dry-run evaluation)
 //! across rounds: a cached analysis stays valid while its cone and keys are
@@ -49,13 +49,17 @@ use crate::engine::Pending;
 use crate::shard::ShardJob;
 use crate::stats::EngineStats;
 use rxview_core::{Evaluated, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use std::sync::Arc;
 
-/// A pending update inside one sharded commit, keyed by its submission
-/// index. The publisher keeps the original update so that merge-time
-/// requeues can re-enter routing without a round trip through the shard.
+/// A pending update inside one commit, keyed by its submission index. The
+/// publisher keeps the original update so that merge-time requeues can
+/// re-enter routing without a round trip through the shard, and so the
+/// round's replay-log record is built from what was admitted.
 pub(crate) struct PendingUpdate {
     pub(crate) idx: usize,
-    pub(crate) update: XmlUpdate,
+    /// Shared with the update's job while a round translates it; sole
+    /// owner again by the time the round's log record takes it.
+    pub(crate) update: Arc<XmlUpdate>,
     pub(crate) policy: SideEffectPolicy,
     pub(crate) cached: Option<CachedAnalysis>,
 }
@@ -68,7 +72,7 @@ impl PendingUpdate {
         (
             PendingUpdate {
                 idx,
-                update: p.update,
+                update: Arc::new(p.update),
                 policy: p.policy,
                 cached: None,
             },
@@ -78,49 +82,42 @@ impl PendingUpdate {
 }
 
 /// A deferred deletion's conflict analysis and dry-run evaluation, kept
-/// across rounds (or single-writer batches) until invalidated by a
-/// committed footprint.
+/// across rounds until invalidated by a committed footprint.
 pub(crate) struct CachedAnalysis {
     pub(crate) analysis: Analysis,
     pub(crate) eval: Option<Evaluated>,
 }
 
 impl CachedAnalysis {
-    /// Whether the cache stays valid after committing a round/batch with
+    /// Whether the cache stays valid after committing a round with
     /// footprint `committed`: everything the cached analysis depends on —
     /// cone contents, anchor reads, candidate write keys — is untouched iff
-    /// the footprints are disjoint. Both write paths share this rule.
+    /// the footprints are disjoint.
     pub(crate) fn survives(&self, committed: &BatchFootprint) -> bool {
         !committed.conflicts(&self.analysis)
     }
 }
 
-/// What one routing pass decided.
-pub(crate) enum Round {
-    /// A single global-footprint update for the serialized global lane
-    /// (boxed: the variant carries the whole pending update).
-    Global(Box<PendingUpdate>),
-    /// Per-shard job lists (index = shard id; entries may be empty).
-    Sharded(Vec<Vec<ShardJob>>),
-}
-
-/// A planned round plus the union footprint of everything admitted —
-/// the publisher uses the footprint to revalidate cached analyses of the
-/// updates that stayed behind, `admitted` to requeue an update at merge
-/// time without a round trip through its shard, and `planned` to check
-/// realized writes against the plan and to re-check a staged plan against
-/// later-published footprints ([`fixup_stale_plan`]).
+/// A planned round: the job lists, the union footprint of everything
+/// admitted, and what the publisher needs to commit it. A round whose
+/// footprint [`BatchFootprint::is_global`] is the one-update round of a ⊤
+/// update.
 pub(crate) struct RoundPlan {
-    pub(crate) round: Round,
+    /// Per-shard job lists (index = shard id; entries may be empty), each in
+    /// submission order. With one shard, `assignments[0]` is the round.
+    pub(crate) assignments: Vec<Vec<ShardJob>>,
+    /// Revalidates cached analyses of the updates that stayed behind, and
+    /// blocks lookahead planning until the round publishes.
     pub(crate) footprint: BatchFootprint,
-    /// The admitted updates (analysis caches dropped), kept by the
-    /// publisher for merge-time requeues. Empty for global rounds.
+    /// The admitted updates (analysis caches dropped), submission order —
+    /// kept for merge-time requeues and the replay-log record.
     pub(crate) admitted: Vec<PendingUpdate>,
-    /// Planned analysis per admitted update, sorted by submission index:
-    /// the typed footprint is the conservativeness contract the publisher
-    /// asserts realized translations against in debug builds, and the full
-    /// analysis lets [`fixup_stale_plan`] conflict-check a staged plan
-    /// against footprints published after it was formed.
+    /// Planned analysis per admitted update, sorted by submission index
+    /// (parallel to `admitted`) — what a sharded round needs beyond its
+    /// jobs: the conservativeness contract realized translations are
+    /// asserted against in debug builds, and what [`fixup_stale_plan`]
+    /// conflict-checks against footprints published after the plan was
+    /// formed. Empty when planned for the inline executor.
     pub(crate) planned: Vec<(usize, Analysis)>,
     /// Admitted updates whose paths resolved through the multi-anchor
     /// (`//`-headed / wildcard-rooted) classifier — the publisher records
@@ -128,32 +125,55 @@ pub(crate) struct RoundPlan {
     pub(crate) multi_cone_admitted: usize,
     /// Time the planning pass spent in dry-run evaluations (already
     /// recorded as evaluation time; the publisher subtracts it from the
-    /// partition phase so the two buckets do not double-count).
+    /// plan phase so the two buckets do not double-count).
     pub(crate) analysis_eval: std::time::Duration,
 }
 
-/// Plans the next round against `sys` (the state the round will apply to).
-/// Admitted updates are removed from `pending`; everything else stays, in
-/// submission order, with deletion analyses cached for reuse.
+/// Plans the next round against `sys` (the state the round will apply to) —
+/// the engine's only planner. Admitted updates are removed from `pending`;
+/// everything else stays, in submission order, with deletion analyses
+/// cached for reuse. The round holds at most `shards * max_batch` updates
+/// and closes early after `max_batch` consecutive conflicts.
+///
+/// `shards` is how many shard writers the round is laid out for; `None`
+/// plans for the inline executor — one job list, and no analysis outlives
+/// its admission check (an inline round is never fixed up and has no
+/// realized footprints to assert against, and holding a wide round's cones
+/// through the scan costs more than the scan).
 ///
 /// `inflight` is the union footprint of every round dispatched but not yet
-/// merged (the pipelined publisher's lookahead). Seeding the blocker set
+/// published (the sharded executor's lookahead). Seeding the blocker set
 /// with it makes the planned round disjoint from everything unmerged *by
 /// construction*: an update conflicting with an in-flight round defers
 /// (preserving submission order against uncommitted work, exactly as if
 /// the in-flight updates had been deferred conflicters of this scan), and
-/// a global update cannot form a lane round until the pipeline drains.
-/// With `inflight = None` the behavior is the pre-pipelining one.
+/// a ⊤ update cannot form its round until the pipeline drains.
+///
+/// Two rules live here and nowhere else:
+///
+/// - **Planned write∩write overlap between same-cone peers is tolerated at
+///   admission** (`footprint.check(.., true)`), and both executors keep
+///   that sound: the inline executor applies a round's members
+///   sequentially against the evolving working state, so a later
+///   translation sees every earlier realized write; the sharded executor
+///   translates them against one snapshot, so its merge re-checks the
+///   *realized* writes and requeues the later of a genuinely overlapping
+///   pair (ARCHITECTURE.md §9).
+/// - **A non-`Proceed` update keeps the whole-cone conflict unit**: its
+///   side-effect set is computed against the round's planning state, and
+///   only the coarse unit guarantees no co-admitted peer under a shared
+///   cone perturbs it.
 pub(crate) fn plan_round(
     sys: &XmlViewSystem,
     pending: &mut Vec<PendingUpdate>,
-    n_shards: usize,
+    shards: Option<usize>,
     max_batch: usize,
     opts: &AnalyzeOptions,
     inflight: Option<&BatchFootprint>,
     stats: &EngineStats,
 ) -> RoundPlan {
     debug_assert!(!pending.is_empty());
+    let n_shards = shards.unwrap_or(1);
     let cap = n_shards * max_batch;
     // Analysis is per-update work proportional to the cone: bound the scan
     // so routing stays O(round width) rather than O(pending). The round
@@ -164,27 +184,28 @@ pub(crate) fn plan_round(
     // between conflicting updates, so stopping early is always sound.
     let stall_limit = max_batch;
     let mut stalled = 0usize;
-    let mut footprint = BatchFootprint::default();
+    let mut plan = RoundPlan {
+        assignments: (0..n_shards).map(|_| Vec::new()).collect(),
+        footprint: BatchFootprint::default(),
+        admitted: Vec::new(),
+        planned: Vec::new(),
+        multi_cone_admitted: 0,
+        analysis_eval: std::time::Duration::ZERO,
+    };
     let mut blocked = BatchFootprint::default();
     let mut any_blocked = false;
     if let Some(fp) = inflight {
         blocked.absorb_batch(fp);
         any_blocked = true;
     }
-    let mut assignments: Vec<Vec<ShardJob>> = (0..n_shards).map(|_| Vec::new()).collect();
-    let mut admitted: Vec<PendingUpdate> = Vec::new();
-    let mut planned: Vec<(usize, Analysis)> = Vec::new();
     let mut deferred: Vec<PendingUpdate> = Vec::new();
-    let mut analysis_eval = std::time::Duration::ZERO;
-    let mut multi_cone_admitted = 0usize;
 
     let mut drain = std::mem::take(pending).into_iter();
     for mut pu in drain.by_ref() {
-        if admitted.len() >= cap || stalled >= stall_limit {
+        if plan.admitted.len() >= cap || stalled >= stall_limit {
             // Admitting past a full round could reorder conflicting
             // updates; everything else waits for the next round.
             deferred.push(pu);
-            deferred.extend(drain.by_ref());
             break;
         }
         // Reuse a still-valid cached analysis (deletions only; the
@@ -197,60 +218,30 @@ pub(crate) fn plan_round(
             None => {
                 let parts = Analysis::parts(sys, &pu.update, opts);
                 if let Some(eval) = &parts.eval {
-                    // The dry run evaluated the path; the shard will reuse
+                    // The dry run evaluated the path; the executor reuses
                     // the result instead of evaluating again. Only the
-                    // evaluation itself counts as eval time (the publisher
-                    // subtracts it from the partition phase); cone and
-                    // write-key derivation stay partition work.
-                    analysis_eval += parts.eval_time;
+                    // evaluation itself counts as eval time; cone and
+                    // write-key derivation stay plan work.
+                    plan.analysis_eval += parts.eval_time;
                     stats.record_eval(eval.scope_nodes, parts.eval_time);
                 }
                 (parts.analysis, parts.eval)
             }
         };
-
-        // A non-`Proceed` update keeps the whole-cone conflict unit: its
-        // side-effect set is computed against the round's planning state,
-        // and only the coarse unit guarantees no co-admitted peer under a
-        // shared cone perturbs it.
         if pu.policy != SideEffectPolicy::Proceed {
             analysis.demote_to_cone();
         }
 
-        if analysis.is_global() {
-            if admitted.is_empty() && !any_blocked {
-                // A global update at the front commits alone through the
-                // serialized global lane; everything behind it waits.
-                deferred.extend(drain.by_ref());
-                *pending = deferred;
-                footprint.absorb(&analysis);
-                return RoundPlan {
-                    round: Round::Global(Box::new(pu)),
-                    footprint,
-                    admitted: Vec::new(),
-                    planned: Vec::new(),
-                    multi_cone_admitted: 0,
-                    analysis_eval,
-                };
-            }
-            blocked.absorb(&analysis);
-            any_blocked = true;
-            stalled += 1;
-            deferred.push(pu);
-            continue;
-        }
-
-        // Two-level admission: the batch and blocker footprints classify
+        // Two-level admission: the round and blocker footprints classify
         // the update — plain admit, fission admit (cone shared with
         // eligible peers, sub-footprints disjoint), or a conflict. Fission
-        // attempts are counted either way.
-        let mut verdict = if admitted.is_empty() {
+        // attempts are counted either way. A ⊤ update conflicts with
+        // everything, so these same checks admit it only as the first
+        // update of a round nothing blocks; it then closes the round.
+        let mut verdict = if plan.admitted.is_empty() {
             Verdict::Admit
         } else {
-            // Optimistic: planned write∩write overlap between eligible
-            // same-cone peers is tolerated here — the publisher re-checks
-            // the realized writes at merge (ARCHITECTURE.md §9).
-            footprint.check(&analysis, true)
+            plan.footprint.check(&analysis, true)
         };
         if verdict.admits() && any_blocked {
             // Strict: the round must stay disjoint from deferred
@@ -273,58 +264,51 @@ pub(crate) fn plan_round(
                 pu.cached = Some(CachedAnalysis { analysis, eval });
             }
             deferred.push(pu);
-        } else {
-            stalled = 0;
-            footprint.absorb(&analysis);
-            if analysis.is_multi_cone() {
-                multi_cone_admitted += 1;
-            }
-            planned.push((pu.idx, analysis));
-            let shard = assignments
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, jobs)| jobs.len())
-                .map(|(s, _)| s)
-                .expect("n_shards >= 1");
-            assignments[shard].push(ShardJob {
-                idx: pu.idx,
-                update: pu.update.clone(),
-                policy: pu.policy,
-                eval,
-            });
-            admitted.push(pu);
+            continue;
+        }
+        stalled = 0;
+        plan.footprint.absorb(&analysis);
+        plan.multi_cone_admitted += usize::from(analysis.is_multi_cone());
+        let closes_round = analysis.is_global();
+        let cone_key = analysis.cone_key();
+        if shards.is_some() {
+            plan.planned.push((pu.idx, analysis));
+        }
+        let shard = (0..n_shards)
+            .min_by_key(|&s| plan.assignments[s].len())
+            .expect("n_shards >= 1");
+        plan.assignments[shard].push(ShardJob {
+            idx: pu.idx,
+            update: Arc::clone(&pu.update),
+            policy: pu.policy,
+            eval,
+            cone_key,
+        });
+        plan.admitted.push(pu);
+        if closes_round {
+            break;
         }
     }
+    deferred.extend(drain);
     *pending = deferred;
-    RoundPlan {
-        round: Round::Sharded(assignments),
-        footprint,
-        admitted,
-        planned,
-        multi_cone_admitted,
-        analysis_eval,
-    }
+    plan
 }
 
-/// Footprint-diff fixup for a staged (planned but undispatched) round that
-/// one or more publishes overtook: re-checks every admitted update's
-/// planned analysis against `committed` — the union footprint of the
-/// rounds published since the plan was formed — and evicts conflicters
+/// Footprint-diff fixup for a staged (planned but undispatched) sharded
+/// round that one or more publishes overtook: re-checks every admitted
+/// update's planned analysis against `committed` — the union footprint of
+/// the rounds published since the plan was formed — and evicts conflicters
 /// from the plan, returning them for re-entry into the pending queue.
 ///
 /// Because [`plan_round`] seeds its blocker set with everything in flight
 /// and realized footprints are covered by planned ones (the publisher's
 /// debug assert), the eviction set is empty in the expected case; this is
 /// the release-mode guarantee that a staged plan is never dispatched
-/// against state it conflicts with. No-op for global rounds (the global
-/// lane replans from a drained pipeline).
+/// against state it conflicts with.
 pub(crate) fn fixup_stale_plan(
     plan: &mut RoundPlan,
     committed: &BatchFootprint,
 ) -> Vec<PendingUpdate> {
-    let Round::Sharded(assignments) = &mut plan.round else {
-        return Vec::new();
-    };
     let evict: std::collections::HashSet<usize> = plan
         .planned
         .iter()
@@ -335,18 +319,12 @@ pub(crate) fn fixup_stale_plan(
         return Vec::new();
     }
     plan.planned.retain(|(idx, _)| !evict.contains(idx));
-    for jobs in assignments.iter_mut() {
+    for jobs in plan.assignments.iter_mut() {
         jobs.retain(|job| !evict.contains(&job.idx));
     }
-    let mut evicted = Vec::new();
-    let mut kept = Vec::new();
-    for pu in plan.admitted.drain(..) {
-        if evict.contains(&pu.idx) {
-            evicted.push(pu);
-        } else {
-            kept.push(pu);
-        }
-    }
+    let (evicted, kept) = std::mem::take(&mut plan.admitted)
+        .into_iter()
+        .partition(|pu| evict.contains(&pu.idx));
     plan.admitted = kept;
     plan.multi_cone_admitted = plan
         .planned
@@ -395,7 +373,7 @@ mod tests {
     fn pending(idx: usize, path: &str) -> PendingUpdate {
         PendingUpdate {
             idx,
-            update: XmlUpdate::delete(path).unwrap(),
+            update: Arc::new(XmlUpdate::delete(path).unwrap()),
             policy: SideEffectPolicy::Proceed,
             cached: None,
         }
@@ -415,7 +393,7 @@ mod tests {
         let plan = plan_round(
             &sys,
             &mut queue,
-            2,
+            Some(2),
             4,
             &AnalyzeOptions::default(),
             Some(&inflight),
@@ -427,7 +405,7 @@ mod tests {
         let plan = plan_round(
             &sys,
             &mut queue,
-            2,
+            Some(2),
             4,
             &AnalyzeOptions::default(),
             None,
@@ -448,7 +426,7 @@ mod tests {
         let mut plan = plan_round(
             &sys,
             &mut queue,
-            2,
+            Some(2),
             4,
             &AnalyzeOptions::default(),
             None,
@@ -468,10 +446,7 @@ mod tests {
         assert_eq!(plan.admitted[0].idx, 1);
         assert_eq!(plan.planned.len(), 1);
         assert_eq!(plan.planned[0].0, 1);
-        let Round::Sharded(assignments) = &plan.round else {
-            panic!("sharded plan expected");
-        };
-        let jobs: Vec<usize> = assignments.iter().flatten().map(|j| j.idx).collect();
+        let jobs: Vec<usize> = plan.assignments.iter().flatten().map(|j| j.idx).collect();
         assert_eq!(jobs, vec![1], "only u2's shard job survives the fixup");
 
         // A disjoint committed footprint evicts nothing.

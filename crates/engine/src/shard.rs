@@ -12,8 +12,8 @@
 //!   replica shares every page it does not write) on the first insertion
 //!   of a round and records every node id
 //!   it allocates beyond the snapshot's watermark in an *allocation
-//!   catalog*; the publisher later re-interns those pairs on the master
-//!   state and remaps the translation (see
+//!   catalog*; the publisher later re-interns those pairs on the round's
+//!   working state and remaps the translation (see
 //!   [`rxview_core::XmlViewSystem::apply_translated`]).
 //!
 //! Translations are speculative: the publisher applies them only after
@@ -55,15 +55,19 @@ use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-/// One update routed to a shard for a given round, together with the
-/// router's dry-run evaluation against the round snapshot (the shard
-/// translates against that very state, so re-evaluating would repeat the
-/// work; `None` evaluates on the shard).
+/// One update of a planned round, together with the router's dry-run
+/// evaluation against the round snapshot (both executors translate against
+/// that very state, so re-evaluating would repeat the work; `None`
+/// evaluates in the executor). Shard workers and the publisher's inline
+/// executor consume the same job.
 pub(crate) struct ShardJob {
     pub(crate) idx: usize,
-    pub(crate) update: XmlUpdate,
+    pub(crate) update: Arc<XmlUpdate>,
     pub(crate) policy: SideEffectPolicy,
     pub(crate) eval: Option<Evaluated>,
+    /// The planned analysis' cone-coalescing key
+    /// ([`crate::Analysis::cone_key`]), for the round's fold.
+    pub(crate) cone_key: Option<NodeId>,
 }
 
 /// Per-update outcome of a shard's translation pass.

@@ -43,8 +43,8 @@ fn ratio(num: f64, den: f64) -> f64 {
 
 /// Cumulative engine counters and phase histograms, registry-backed. All
 /// `record_*` methods are lock-free (the registry lock is taken once, at
-/// construction); readers, the single writer or the shard writers, and the
-/// publisher update them concurrently. Phase nanoseconds are summed across
+/// construction); readers, the shard writers and the committing thread
+/// update them concurrently. Phase nanoseconds are summed across
 /// threads where noted: per-update `translate` measures total effort, the
 /// per-round `*_wall` and publisher-side phases measure wall clock.
 #[derive(Debug)]
@@ -127,7 +127,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Counters for an engine with `n_shards` shard writers (one per-shard
-    /// update counter each; `n_shards <= 1` means the single-writer path).
+    /// update counter each; at `n_shards == 1` every round runs inline).
     /// With `enabled == false` every `record_*` call is an early return and
     /// the registry stays at zero. A pre-populated `recorder` (recovery
     /// hands one over so replay-progress events survive into the serving
@@ -288,7 +288,7 @@ impl EngineStats {
     /// Records one commit round that admitted `updates` multi-cone
     /// (`//`-headed or wildcard-rooted) updates and realized `width` merged
     /// translations — the direct observable of the type-indexed prefilter:
-    /// `//` traffic riding shared rounds instead of the global lane.
+    /// `//` traffic riding shared rounds instead of one-update ⊤ rounds.
     pub(crate) fn record_multi_cone_round(&self, updates: usize, width: usize) {
         if !self.enabled {
             return;
@@ -426,9 +426,9 @@ impl EngineStats {
 
     /// Records one conflict round's *planned* width (updates admitted by
     /// conflict analysis) and *realized* width (translations actually merged
-    /// — planned minus rejects and requeues). Round widening is the
-    /// structural lever of the sharded path, so both are first-class
-    /// observables.
+    /// — planned minus rejects and requeues), once per round on either
+    /// executor. Round widening is the structural lever of group commit, so
+    /// both are first-class observables.
     pub(crate) fn record_round_width(&self, planned: usize, realized: usize) {
         if !self.enabled {
             return;
@@ -510,8 +510,8 @@ impl EngineStats {
         }
     }
 
-    /// One round's translation *wall clock*: shard dispatch→last bundle on
-    /// the sharded path, the apply loop on the single-writer path. The
+    /// One round's translation *wall clock*: first shard pickup→last bundle
+    /// on a sharded round, the apply loop on an inline round. The
     /// per-update [`EngineStats::record_translate`] sums effort across
     /// threads; this is the round's critical-path view of the same phase.
     pub(crate) fn record_translate_wall(&self, d: Duration) {
@@ -520,9 +520,9 @@ impl EngineStats {
         }
     }
 
-    /// One round's merge phase: re-interning and applying shard translations
-    /// to the master state (sharded path only; the single-writer path has no
-    /// merge).
+    /// One round's merge phase: cloning the working state, then re-interning
+    /// and applying shard translations to it (sharded rounds only; an inline
+    /// round applies as it translates and records no merge).
     pub(crate) fn record_merge(&self, d: Duration) {
         if self.enabled {
             self.merge_ns.record_duration(d);
@@ -685,7 +685,7 @@ pub struct EngineReport {
     pub snapshot_reads: u64,
     /// Evaluations the commit paths ran over a scope (a projection of `L`
     /// onto the path's anchor cones) — counted from what ran, on every
-    /// path: the analyzer's dry run, the shards, the serialized lanes.
+    /// executor: the planner's dry run, the shards, the inline fallback.
     pub scoped_evals: u64,
     /// Evaluations that ran the full pass over `L`: a path nothing bounds,
     /// a cone union too large to be worth projecting, or a dry run with
@@ -715,12 +715,12 @@ pub struct EngineReport {
     pub phases: PhaseTimings,
     /// Time spent in conflict analysis / round planning (the `plan` phase).
     pub plan: Duration,
-    /// Translation wall clock per round (shard dispatch→last bundle; the
-    /// apply loop on the single-writer path).
+    /// Translation wall clock per round (first shard pickup→last bundle; the
+    /// apply loop on an inline round).
     pub translate_wall: Duration,
-    /// Time merging shard translations into the master state (sharded path
-    /// only — zero on the single-writer path, whose apply loop *is* the
-    /// translate phase).
+    /// Time merging shard translations into the round's working state
+    /// (sharded rounds only — an inline round adds nothing here: its apply
+    /// loop *is* the translate phase).
     pub merge: Duration,
     /// Fold sub-span: time the folded ∆(M,L) passes spent rewriting
     /// reachability (per-node ancestor-set recompute — ∆M steps (a)/(b) on
@@ -769,10 +769,10 @@ pub struct EngineReport {
     pub pipeline_fixup_evictions: u64,
     /// End-to-end admission→ack latency distribution, nanoseconds.
     pub latency: rxview_obs::HistogramSnapshot,
-    /// Sharded path: commit rounds planned by the router.
+    /// Commit rounds planned by the router (either executor).
     pub rounds: u64,
-    /// Commit rounds that ran through the serialized global lane (one
-    /// unclassifiable update per round). Before the type-indexed `//`
+    /// One-update rounds of a ⊤-footprint update (run inline on a drained
+    /// pipeline at any shard count). Before the type-indexed `//`
     /// prefilter this counted *every* leading-`//` update; now it counts
     /// only genuinely untypeable paths.
     pub global_lane_rounds: u64,
@@ -806,18 +806,20 @@ pub struct EngineReport {
     /// recent round was planned across (= configured pool size when the
     /// controller is off or no sharded round has run).
     pub adaptive_shards: u64,
-    /// Sharded path: updates sent back to the router for a later round
-    /// (cross-update coupling or base-key overlap detected at merge time).
+    /// Updates sent back to the router for a later round (cross-update
+    /// coupling or realized-write overlap detected at merge time; inline
+    /// rounds never requeue).
     pub requeued: u64,
-    /// Sharded path: deferred-update conflict analyses reused across rounds
-    /// instead of recomputed.
+    /// Deferred-update conflict analyses reused across rounds instead of
+    /// recomputed.
     pub analyses_reused: u64,
-    /// Sharded path: updates *applied* per shard writer (whose translation
-    /// the publisher merged — rejects and requeues are not counted). A
-    /// single-writer engine reports one always-zero entry.
+    /// Updates *applied* per shard writer (whose translation the merge
+    /// applied — rejects and requeues are not counted). Inline rounds
+    /// involve no shard writer and add nothing: a one-shard engine reports
+    /// one always-zero entry.
     pub shard_updates: Vec<u64>,
-    /// Conflict rounds measured for width (batches on the single-writer
-    /// path, router rounds on the sharded path).
+    /// Conflict rounds measured for width: every planned round that reached
+    /// the serial tail, on either executor.
     pub width_rounds: u64,
     /// Total updates *admitted* into conflict rounds by the analysis.
     pub planned_width: u64,
@@ -847,9 +849,10 @@ pub struct EngineReport {
 pub struct PhaseBreakdown {
     /// Conflict analysis / round planning.
     pub plan: Duration,
-    /// Translation wall clock (parallel section on the sharded path).
+    /// Translation wall clock (the parallel section of a sharded round).
     pub translate: Duration,
-    /// Merging shard translations into the master (sharded path only).
+    /// Merging shard translations into the working state (sharded rounds
+    /// only).
     pub merge: Duration,
     /// The folded ∆(M,L) maintenance pass.
     pub fold: Duration,
@@ -917,7 +920,7 @@ impl PhaseBreakdown {
 
     /// Fraction of the publisher's serial section that ran *overlapped*
     /// with younger rounds' shard translation — the pipelined-commit
-    /// payoff: 0.0 at depth 1 (or on the single-writer path), approaching
+    /// payoff: 0.0 at depth 1 (and for inline rounds), approaching
     /// 1.0 when the pipeline keeps a round in flight through every serial
     /// section. The overlapped span is measured wall-to-wall per round and
     /// so includes a sliver of bookkeeping (result sorting, ticket
@@ -948,7 +951,7 @@ impl EngineReport {
     /// Average realized width of the rounds that carried `//`-headed or
     /// wildcard-rooted traffic — the headline of the type-indexed
     /// prefilter: > 1 means such updates commit in shared rounds instead of
-    /// the singleton global lane.
+    /// singleton ⊤ rounds.
     pub fn mean_multi_cone_width(&self) -> f64 {
         ratio(self.multi_cone_width as f64, self.multi_cone_rounds as f64)
     }

@@ -10,7 +10,10 @@
 //! - **overlapping rounds stall** — a round that conflicts with the
 //!   in-flight footprint is *not* dispatched while the conflict lives;
 //! - **publish-mid-plan fixup** — a publish landing between planning and
-//!   dispatching a lookahead round routes it through the fixup path.
+//!   dispatching a lookahead round routes it through the fixup path;
+//! - **ack per round** — at one shard (inline rounds announce plan and
+//!   publish too) a round's tickets resolve when it publishes, not when the
+//!   whole commit ends.
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig, Stage, StageHooks};
@@ -231,4 +234,85 @@ fn publish_mid_plan_routes_through_the_fixup_path() {
     assert_eq!(base_fingerprint(&oracle), base_fingerprint(snap.system()));
     assert_eq!(edge_fingerprint(&oracle), edge_fingerprint(snap.system()));
     snap.system().consistency_check().expect("consistent");
+}
+
+/// Tickets resolve round by round at every shard count: with the second
+/// round of an inline (`n_shards = 1`) commit frozen at its publish gate,
+/// the first round's ticket has already resolved and the second's has not.
+#[test]
+fn inline_rounds_ack_as_each_round_publishes() {
+    use rxview_relstore::Value;
+    let sys = system(400, 9);
+    // Two deletable edges under one group head: the same cone.
+    let h = sys.base().table("H").expect("H table");
+    let pair: Vec<XmlUpdate> = (0..10i64)
+        .map(|g| g * 40)
+        .find_map(|head| {
+            let mut probe = sys.clone();
+            let ok: Vec<XmlUpdate> = h
+                .scan_key_prefix(&[Value::Int(head)])
+                .map(|row| row[1].as_int().expect("int h2"))
+                .filter_map(|child| {
+                    let u = XmlUpdate::delete(&format!("node[id={head}]/sub/node[id={child}]"))
+                        .expect("parses");
+                    probe.apply(&u, SideEffectPolicy::Proceed).ok().map(|_| u)
+                })
+                .take(2)
+                .collect();
+            (ok.len() == 2).then_some(ok)
+        })
+        .expect("a group with two deletable edges");
+
+    let hooks = StageHooks::new();
+    hooks.hold(Stage::Publish);
+    let engine = Engine::with_config(
+        sys,
+        EngineConfig {
+            n_shards: 1,
+            max_batch: 1, // one update per round
+            stage_hooks: Some(hooks.clone()),
+            ..EngineConfig::default()
+        },
+    );
+    let t1 = engine
+        .submit(pair[0].clone(), SideEffectPolicy::Proceed)
+        .expect("queue not full");
+    let t2 = engine
+        .submit(pair[1].clone(), SideEffectPolicy::Proceed)
+        .expect("queue not full");
+    let committer = {
+        let engine = engine.clone();
+        std::thread::spawn(move || engine.commit_pending())
+    };
+
+    // Walk the coordinator to round 2's publish gate: round 1 is parked
+    // after its snapshot swap; park it next at round 2's plan, re-arm the
+    // publish gate, and let it run into that.
+    hooks.wait_arrivals(Stage::Publish, 1);
+    hooks.hold(Stage::Plan);
+    hooks.release(Stage::Publish);
+    hooks.wait_arrivals(Stage::Plan, 2);
+    hooks.hold(Stage::Publish);
+    hooks.release(Stage::Plan);
+    hooks.wait_arrivals(Stage::Publish, 2);
+
+    assert_eq!(engine.snapshot().epoch(), 2, "both rounds published");
+    assert!(
+        matches!(t1.try_wait(), Some(Ok(_))),
+        "round 1's ticket resolved when round 1 published"
+    );
+    assert!(
+        t2.try_wait().is_none(),
+        "round 2's ticket waits for its own round's ack"
+    );
+
+    hooks.release(Stage::Publish);
+    let summary = committer.join().expect("committer panicked");
+    assert_eq!((summary.accepted, summary.batches), (2, 2));
+    t2.wait().expect("second deletion commits");
+    engine
+        .snapshot()
+        .system()
+        .consistency_check()
+        .expect("consistent");
 }

@@ -3,9 +3,9 @@
 //! The invariant under test, end to end: **a recovered engine is
 //! observationally equivalent to a sequential oracle replay of the
 //! acknowledged, durable prefix of the update history** — no matter when
-//! the crash happened, which write path (single-writer, sharded, global
-//! lane) committed the rounds, where checkpoints interleaved, or how the
-//! log's tail was torn or corrupted.
+//! the crash happened, which translate executor (inline, sharded) committed
+//! the rounds, where checkpoints interleaved, or how the log's tail was torn
+//! or corrupted.
 //!
 //! "Crash" is simulated by dropping the engine without any graceful
 //! shutdown and recovering from its directory; torn-tail tests additionally
@@ -952,6 +952,86 @@ fn crash_recovery_with_fission_on_hot_cones() {
             drop(recovered);
             let _ = fs::remove_dir_all(&dir_copy);
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A round that applied nothing leaves no trace: no epoch, no record, no sync.
+// ---------------------------------------------------------------------------
+
+/// Every file of a log directory, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, fs::read(entry.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn all_rejected_round_publishes_nothing_and_logs_nothing() {
+    for n_shards in [1usize, 3] {
+        let (sys, atg) = system(200, 31);
+        let deletions = group_edge_deletions(&sys, 200);
+        assert!(deletions.len() >= 2, "two deletable group edges");
+        let dir = temp_dir("allrej");
+        // Manual checkpoints only, so the directory changes exactly when a
+        // round is logged.
+        let engine = Engine::with_durability(sys, durable_config(n_shards, 0), &dir)
+            .expect("durable engine");
+        for u in &deletions[..2] {
+            engine
+                .apply_now(u.clone(), SideEffectPolicy::Proceed)
+                .expect("first deletion commits");
+        }
+        let epoch = engine.snapshot().epoch();
+        let records = engine.stats().report().wal_records;
+        let before = dir_bytes(&dir);
+
+        // The same deletions again: their edges are gone, so every update of
+        // the commit is rejected — in one round at a time or all together.
+        let tickets: Vec<_> = deletions[..2]
+            .iter()
+            .map(|u| {
+                engine
+                    .submit(u.clone(), SideEffectPolicy::Proceed)
+                    .expect("queue not full")
+            })
+            .collect();
+        let summary = engine.commit_pending();
+        assert_eq!(summary.rejected, 2, "n_shards {n_shards}");
+        for t in tickets {
+            assert!(
+                t.wait().is_err(),
+                "n_shards {n_shards}: ticket resolves Err"
+            );
+        }
+        assert_eq!(
+            engine.snapshot().epoch(),
+            epoch,
+            "n_shards {n_shards}: a round that applied nothing publishes no epoch"
+        );
+        assert_eq!(
+            engine.stats().report().wal_records,
+            records,
+            "n_shards {n_shards}: and appends no record"
+        );
+        assert_eq!(
+            dir_bytes(&dir),
+            before,
+            "n_shards {n_shards}: log directory byte-identical"
+        );
+
+        drop(engine); // crash
+        let (recovered, report) = recover_readonly(&atg, &dir);
+        assert_eq!(report.resumed_epoch, epoch, "n_shards {n_shards}");
+        assert_eq!(recovered.snapshot().epoch(), epoch, "n_shards {n_shards}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

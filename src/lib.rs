@@ -11,8 +11,9 @@
 //! - [`core`]: XPath-on-DAG evaluation, side effects, update translation, and
 //!   the end-to-end processor (§3–§4).
 //! - [`engine`]: the concurrent serving layer — snapshot-isolated readers
-//!   and group-commit writes (a single writer, or sharded parallel writers
-//!   over anchor-cone partitions) over the core processor.
+//!   and writes group-committed in conflict-free rounds through one round
+//!   pipeline (translated inline, or by sharded parallel writers over
+//!   anchor-cone partitions) over the core processor.
 //! - [`obs`]: the dependency-free telemetry layer the engine is built on —
 //!   lock-free metric registry, log₂ latency histograms, span timers, a
 //!   ring-buffer flight recorder, and a JSONL exporter.

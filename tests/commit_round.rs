@@ -1,0 +1,115 @@
+//! The commit path under tier-1: one deterministic mixed stream, committed
+//! through the engine's round pipeline at every executor/pipelining
+//! combination, must end where one-at-a-time `XmlViewSystem::apply` ends —
+//! same accept/reject vector, same view edges, same base rows — with the
+//! republication oracle green.
+//!
+//! The stream covers what the pipeline branches on: anchored and
+//! `//`-headed paths, insertions and deletions, `Abort` and `Proceed`,
+//! updates that must be rejected (replayed deletions, a top-level node with
+//! no safe source), one ⊤-footprint update (an unfilterable wildcard root,
+//! which commits alone), and a commit in which *every* update is rejected —
+//! which must publish no epoch.
+
+use rxview::prelude::*;
+use rxview::workload::{
+    assert_observationally_equal, mixed_updates, synthetic_atg, synthetic_database, SyntheticConfig,
+};
+
+type Commit = Vec<(XmlUpdate, SideEffectPolicy)>;
+
+/// The accepting part of the stream, as commits, plus every deletion in it.
+fn accepting_commits(sys: &XmlViewSystem) -> (Vec<Commit>, Vec<XmlUpdate>) {
+    // Inserts and deletes cycling through the W1/W2/W3 path classes (W2 and
+    // W3 are `//`-headed), policies alternating.
+    let flips: Vec<bool> = (0..36).map(|i| i % 3 != 1).collect();
+    let policy = |i: usize| match i % 2 {
+        0 => SideEffectPolicy::Proceed,
+        _ => SideEffectPolicy::Abort,
+    };
+    let mut stream: Commit = mixed_updates(sys, 17, &flips)
+        .into_iter()
+        .enumerate()
+        .map(|(i, u)| (u, policy(i)))
+        .collect();
+    let mut deletions: Vec<XmlUpdate> = stream
+        .iter()
+        .filter(|(u, _)| !u.is_insert())
+        .map(|(u, _)| u.clone())
+        .collect();
+    assert!(deletions.len() >= 8 && stream.len() > deletions.len() + 8);
+    // Prescribed rejections inside an otherwise accepting commit: a
+    // deletion replayed behind itself, and a top-level node (no safe
+    // source to delete from).
+    stream.push((deletions[0].clone(), SideEffectPolicy::Proceed));
+    let top_level = XmlUpdate::delete("node[id=40]").expect("parses");
+    stream.push((top_level.clone(), SideEffectPolicy::Proceed));
+    deletions.push(top_level);
+    // The ⊤ update: an unfilterable wildcard root nothing bounds.
+    let wildcard = XmlUpdate::delete("*/sub/node[payload=13]").expect("parses");
+    stream.insert(stream.len() / 2, (wildcard, SideEffectPolicy::Proceed));
+    (stream.chunks(14).map(<[_]>::to_vec).collect(), deletions)
+}
+
+#[test]
+fn every_executor_commits_what_one_at_a_time_apply_commits() {
+    let db = synthetic_database(&SyntheticConfig::with_size(400));
+    let atg = synthetic_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    let (mut commits, deletions) = accepting_commits(&sys);
+
+    let mut oracle = sys.clone();
+    let mut expected: Vec<Vec<bool>> = commits
+        .iter()
+        .map(|c| c.iter().map(|(u, p)| oracle.apply(u, *p).is_ok()).collect())
+        .collect();
+    assert!(expected.iter().all(|c| c.contains(&true)));
+    assert!(expected.iter().flatten().filter(|ok| !**ok).count() >= 2);
+    // The all-rejected commit: the stream's deletions whose targets are gone
+    // by now (a rejected update leaves no trace, so rejected one by one is
+    // rejected in sequence).
+    let rejected: Commit = deletions
+        .into_iter()
+        .filter(|u| oracle.clone().apply(u, SideEffectPolicy::Proceed).is_err())
+        .map(|u| (u, SideEffectPolicy::Proceed))
+        .collect();
+    assert!(rejected.len() >= 4, "enough spent deletions to replay");
+    expected.push(vec![false; rejected.len()]);
+    commits.push(rejected);
+
+    for (n_shards, pipeline_depth) in [(1, 1), (1, 2), (3, 1), (3, 2)] {
+        let at = format!("n_shards {n_shards}, depth {pipeline_depth}");
+        let engine = Engine::with_config(
+            sys.clone(),
+            EngineConfig {
+                n_shards,
+                pipeline_depth,
+                ..EngineConfig::default()
+            },
+        );
+        for (c, (commit, expected)) in commits.iter().zip(&expected).enumerate() {
+            let epoch = engine.snapshot().epoch();
+            let tickets: Vec<_> = commit
+                .iter()
+                .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
+                .collect();
+            let summary = engine.commit_pending();
+            let outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
+            assert_eq!(&outcomes, expected, "{at}: commit {c}");
+            assert_eq!(summary.accepted, expected.iter().filter(|ok| **ok).count());
+            assert_eq!(
+                engine.snapshot().epoch() > epoch,
+                expected.contains(&true),
+                "{at}: commit {c} publishes iff something applied"
+            );
+        }
+        // Checks both sides against republication too.
+        assert_observationally_equal(engine.snapshot().system(), &oracle, &at);
+        let report = engine.stats().report();
+        assert_eq!(
+            report.global_lane_rounds, 1,
+            "{at}: exactly the wildcard-rooted update commits alone"
+        );
+        assert_eq!(report.snapshots_published, engine.snapshot().epoch());
+    }
+}
