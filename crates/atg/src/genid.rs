@@ -11,6 +11,7 @@
 
 use rxview_relstore::{PagedMap, PagedVec, Tuple};
 use rxview_xmlkit::TypeId;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Identifier of a node in the published DAG.
@@ -21,6 +22,45 @@ impl NodeId {
     /// The underlying index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// What subtree generation needs of an interner: `gen_id` and the pair
+/// behind an id. [`GenId`] is the one a view lives on; [`GenIdBuilder`] the
+/// transient one a whole view is first interned into.
+pub trait Interner {
+    /// `gen_id(ty, $A)`: the id of the pair, and whether it was not live
+    /// before the call.
+    fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool);
+    /// The element type of a node.
+    fn type_of(&self, id: NodeId) -> TypeId;
+    /// The semantic attribute `$A` tuple of a node.
+    fn attr_of(&self, id: NodeId) -> &Tuple;
+}
+
+/// Where `(ty, $A)` sits in an open-addressed key map — the first hash at
+/// or after the pair's own that is free or holds the pair — and the id
+/// there if interned. `slot` reads the map, `attr_of` the pair of an id.
+fn probe<'a>(
+    slot: impl Fn(&(TypeId, u64)) -> Option<NodeId>,
+    attr_of: impl Fn(NodeId) -> &'a Tuple,
+    ty: TypeId,
+    attr: &Tuple,
+) -> ((TypeId, u64), Option<NodeId>) {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    attr.hash(&mut hasher);
+    // Under test every pair of a type collides with a quarter of the
+    // others, so the unit tests walk probe sequences.
+    let mut h = if cfg!(test) {
+        hasher.finish() % 4
+    } else {
+        hasher.finish()
+    };
+    loop {
+        match slot(&(ty, h)) {
+            Some(id) if attr_of(id) != attr => h = h.wrapping_add(1),
+            found => return ((ty, h), found),
+        }
     }
 }
 
@@ -52,23 +92,32 @@ impl GenId {
         GenId::default()
     }
 
-    /// Where `(ty, $A)` sits in the key map, and the id there if interned.
-    fn probe(&self, ty: TypeId, attr: &Tuple) -> ((TypeId, u64), Option<NodeId>) {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        attr.hash(&mut hasher);
-        // Under test every pair of a type collides with a quarter of the
-        // others, so the unit tests walk probe sequences.
-        let mut h = if cfg!(test) {
-            hasher.finish() % 4
-        } else {
-            hasher.finish()
-        };
-        loop {
-            match self.map.get(&(ty, h)) {
-                Some(&id) if self.attr_of(id) != attr => h = h.wrapping_add(1),
-                found => return ((ty, h), found.copied()),
+    /// Rebuilds an interner from its allocation sequence — `(type, $A,
+    /// live)` per id, in id order — writing every page once.
+    ///
+    /// # Errors
+    /// The slot of the first pair that repeats an earlier one.
+    pub fn from_allocations(
+        allocations: impl IntoIterator<Item = (TypeId, Tuple, bool)>,
+    ) -> Result<GenId, usize> {
+        let mut builder = GenIdBuilder::default();
+        let mut live = Vec::new();
+        for (slot, (ty, attr, is_live)) in allocations.into_iter().enumerate() {
+            if !builder.gen_id(ty, attr).1 {
+                return Err(slot);
             }
+            live.push(is_live);
         }
+        Ok(builder.finish(|id| live[id.index()]))
+    }
+
+    fn probe(&self, ty: TypeId, attr: &Tuple) -> ((TypeId, u64), Option<NodeId>) {
+        probe(
+            |k| self.map.get(k).copied(),
+            |id| self.attr_of(id),
+            ty,
+            attr,
+        )
     }
 
     /// `gen_id(ty, $A)`: returns the node id for the pair, allocating (or
@@ -152,6 +201,76 @@ impl GenId {
             .enumerate()
             .filter(|(_, live)| **live)
             .map(|(i, _)| NodeId(i as u32))
+    }
+}
+
+impl Interner for GenId {
+    fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
+        GenId::gen_id(self, ty, attr)
+    }
+
+    fn type_of(&self, id: NodeId) -> TypeId {
+        GenId::type_of(self, id)
+    }
+
+    fn attr_of(&self, id: NodeId) -> &Tuple {
+        GenId::attr_of(self, id)
+    }
+}
+
+/// The interner while a whole view is built — initial publication, a
+/// checkpoint load. It allocates the ids [`GenId`] would (dense, in request
+/// order, at the same key-map slots) into flat transient storage, and
+/// [`GenIdBuilder::finish`] writes the copy-on-write pages once, full,
+/// instead of once per `gen_id`.
+#[derive(Debug, Default)]
+pub struct GenIdBuilder {
+    slots: HashMap<(TypeId, u64), NodeId>,
+    info: Vec<(TypeId, Tuple)>,
+}
+
+impl GenIdBuilder {
+    /// The finished interner; `is_live` says which of the allocated ids
+    /// are in the view.
+    pub fn finish(self, is_live: impl Fn(NodeId) -> bool) -> GenId {
+        let ids = || (0..self.info.len() as u32).map(NodeId);
+        let mut slots: Vec<_> = self.slots.into_iter().collect();
+        slots.sort_unstable();
+        let mut by_type: Vec<_> = ids()
+            .filter(|&id| is_live(id))
+            .map(|id| ((self.info[id.index()].0, id), ()))
+            .collect();
+        by_type.sort_unstable();
+        GenId {
+            map: PagedMap::from_sorted(slots).expect("slots are distinct map keys"),
+            live: ids().map(&is_live).collect(),
+            n_live: by_type.len(),
+            by_type: PagedMap::from_sorted(by_type).expect("ids are distinct"),
+            info: self.info.into_iter().map(Some).collect(),
+        }
+    }
+}
+
+impl Interner for GenIdBuilder {
+    fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
+        let slot = |k: &(TypeId, u64)| self.slots.get(k).copied();
+        match probe(slot, |id| &self.info[id.index()].1, ty, &attr) {
+            (_, Some(id)) => (id, false),
+            (key, None) => {
+                let id = NodeId(self.info.len() as u32);
+                self.slots.insert(key, id);
+                self.info.push((ty, attr));
+                (id, true)
+            }
+        }
+    }
+
+    fn type_of(&self, id: NodeId) -> TypeId {
+        self.info[id.index()].0
+    }
+
+    fn attr_of(&self, id: NodeId) -> &Tuple {
+        &self.info[id.index()].1
     }
 }
 

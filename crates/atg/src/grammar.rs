@@ -18,8 +18,8 @@
 //! its equality predicates), which is what makes update translation possible.
 
 use rxview_relstore::{
-    eval_spj, ColRef, EqPred, Operand, RelError, RelResult, SchemaProvider, SpjQuery, TableRef,
-    TableSchema, TableSource, Tuple, Value, ValueType,
+    ColRef, EqPred, Operand, RelError, RelResult, SchemaProvider, SpjPlan, SpjQuery, TableRef,
+    TableSchema, TableSource, Tuple, ValueType,
 };
 use rxview_xmlkit::{Dtd, TypeId};
 use std::collections::BTreeMap;
@@ -27,6 +27,8 @@ use std::fmt;
 
 /// The body of an ATG rule for a `(parent, child)` production edge.
 #[derive(Debug, Clone)]
+// A grammar holds one body per production edge — a handful, never moved.
+#[allow(clippy::large_enum_variant)]
 pub enum RuleBody {
     /// `$child ← query($parent.f…)`: an SPJ query whose `i`-th parameter is
     /// the parent attribute field at `param_fields[i]`.
@@ -35,6 +37,10 @@ pub enum RuleBody {
         query: SpjQuery,
         /// For each query parameter, the parent-attribute field feeding it.
         param_fields: Vec<usize>,
+        /// `query` compiled with its `i`-th parameter rewritten to parent
+        /// field `param_fields[i]`, so a run takes `$parent`'s values as
+        /// they are — what [`Atg::child_tuples`] executes.
+        plan: SpjPlan,
     },
     /// `$child = ($parent.f₁, …, $parent.fₙ)`.
     Project {
@@ -201,16 +207,7 @@ impl Atg {
         match self.rules.get(&(parent, child)) {
             None => Ok(Vec::new()),
             Some(RuleBody::Project { fields }) => Ok(vec![parent_attr.project(fields)]),
-            Some(RuleBody::Query {
-                query,
-                param_fields,
-            }) => {
-                let params: Vec<Value> = param_fields
-                    .iter()
-                    .map(|&i| parent_attr[i].clone())
-                    .collect();
-                eval_spj(src, query, &params)
-            }
+            Some(RuleBody::Query { plan, .. }) => plan.run(src, parent_attr.values()),
         }
     }
 
@@ -277,6 +274,7 @@ impl Atg {
             RuleBody::Query {
                 query,
                 param_fields,
+                ..
             } => {
                 // Shift the rule's FROM entries to positions 1.. and rewrite
                 // parameters to gen_A columns.
@@ -464,6 +462,7 @@ impl AtgBuilder {
                         });
                     }
                     RuleBody::Query {
+                        plan: compile_rule(query, &idxs, pfields.len(), provider)?,
                         query: query.clone(),
                         param_fields: idxs,
                     }
@@ -516,6 +515,7 @@ impl AtgBuilder {
                     RuleBody::Query {
                         query,
                         param_fields,
+                        ..
                     } => {
                         for &pf in param_fields {
                             if pf >= ptypes.len() {
@@ -568,6 +568,39 @@ impl AtgBuilder {
             type_reach,
         })
     }
+}
+
+/// Compiles a rule query to run on the parent attribute directly: parameter
+/// `i` becomes parameter `param_fields[i]` of a query over all `parent_arity`
+/// fields of `$parent`.
+fn compile_rule(
+    query: &SpjQuery,
+    param_fields: &[usize],
+    parent_arity: usize,
+    provider: &impl SchemaProvider,
+) -> RelResult<SpjPlan> {
+    let by_field = |o: &Operand| match o {
+        Operand::Param(i) => Operand::Param(param_fields[*i]),
+        other => other.clone(),
+    };
+    let predicates = query
+        .predicates()
+        .iter()
+        .map(|p| EqPred {
+            left: by_field(&p.left),
+            right: by_field(&p.right),
+        })
+        .collect();
+    let over_parent = SpjQuery::from_parts(
+        query.name(),
+        query.from().to_vec(),
+        predicates,
+        query.projection().to_vec(),
+        query.out_names().to_vec(),
+        parent_arity,
+        provider,
+    )?;
+    SpjPlan::compile(&over_parent, provider)
 }
 
 /// Generalized key preservation for a parameterized rule query: every FROM

@@ -6,11 +6,12 @@
 //! generated and stored once — this is the compression of Fig.1. Expansion
 //! to an ordinary [`XmlTree`] is provided for oracles and baselines.
 
-use crate::genid::{GenId, NodeId};
+use crate::genid::{GenId, GenIdBuilder, Interner, NodeId};
 use crate::grammar::Atg;
 use rxview_relstore::{PagedMap, PagedVec, RelError, TableSource, Tuple};
 use rxview_xmlkit::{Production, TypeId, XmlTree};
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,6 +95,75 @@ impl Dag {
     /// An empty DAG.
     pub fn new() -> Self {
         Dag::default()
+    }
+
+    /// Builds a DAG over `genid` from its whole edge list, writing every
+    /// adjacency list and every page of the edge relations once — where
+    /// [`Dag::add_edge`] rewrites both endpoint lists per edge. `edges`
+    /// lists each parent's edges together, in child order; a node's
+    /// parents come out in the order their edges are listed.
+    ///
+    /// # Errors
+    /// The first edge that repeats an earlier one, reopens a parent whose
+    /// edges were already listed, or names an id `genid` never allocated.
+    pub fn from_adjacency(
+        genid: GenId,
+        root: Option<NodeId>,
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<Dag, (NodeId, NodeId)> {
+        let n = genid.n_allocated();
+        // Per parent, where its edges sit in `edges`.
+        let mut group: Vec<Option<std::ops::Range<usize>>> = vec![None; n];
+        // Per child, the last parent an edge to it was listed under.
+        let mut listed_under: Vec<Option<NodeId>> = vec![None; n];
+        let mut n_parents = vec![0usize; n];
+        let mut at = 0;
+        while let Some(&(u, _)) = edges.get(at) {
+            let end = at + edges[at..].iter().take_while(|e| e.0 == u).count();
+            match group.get_mut(u.index()) {
+                Some(slot @ None) => *slot = Some(at..end),
+                _ => return Err(edges[at]),
+            }
+            for &(_, v) in &edges[at..end] {
+                match listed_under.get_mut(v.index()) {
+                    Some(last) if *last != Some(u) => *last = Some(u),
+                    _ => return Err((u, v)),
+                }
+                n_parents[v.index()] += 1;
+            }
+            at = end;
+        }
+        let children = group
+            .iter()
+            .map(|g| Some(edges[g.clone()?].iter().map(|e| e.1).collect()))
+            .collect();
+
+        // The parent lists, by a counting sort of the edges on their child.
+        let mut fill: Vec<usize> = n_parents
+            .iter()
+            .scan(0, |next, &k| Some(std::mem::replace(next, *next + k)))
+            .collect();
+        let mut by_child = vec![NodeId(0); edges.len()];
+        for &(u, v) in edges {
+            by_child[fill[v.index()]] = u;
+            fill[v.index()] += 1;
+        }
+        let parents = (0..n)
+            .map(|v| (n_parents[v] > 0).then(|| by_child[fill[v] - n_parents[v]..fill[v]].into()))
+            .collect();
+
+        let mut rels: Vec<_> = edges
+            .iter()
+            .map(|&(u, v)| ((genid.type_of(u), genid.type_of(v), u, v), ()))
+            .collect();
+        rels.sort_unstable();
+        Ok(Dag {
+            genid,
+            root,
+            children,
+            parents,
+            edge_rels: PagedMap::from_sorted(rels).expect("no edge is listed twice"),
+        })
     }
 
     /// The Skolem interner.
@@ -268,34 +338,38 @@ impl Dag {
         let _ = writeln!(out, "{pad}</{name}>");
     }
 
-    /// Verifies acyclicity via Kahn's algorithm. Returns `false` if a cycle
-    /// exists among live nodes.
-    pub fn is_acyclic(&self) -> bool {
-        let mut indeg: HashMap<NodeId, usize> = HashMap::new();
-        for id in self.genid.live_ids() {
-            indeg.insert(id, 0);
+    /// The live nodes leaves first — every node after all of its children,
+    /// the root last, the smallest ready id next: the topological order `L`
+    /// of §3.1, by Kahn's algorithm on out-degrees. `None` if the live
+    /// nodes hold a cycle.
+    pub fn leaves_first(&self) -> Option<Vec<NodeId>> {
+        let genid = &self.genid;
+        // Per live node, how many of its live children are not listed yet.
+        let mut unlisted = vec![0usize; genid.n_allocated()];
+        let mut ready = BinaryHeap::new();
+        for v in genid.live_ids() {
+            let live = |c: &&NodeId| genid.is_live(**c);
+            unlisted[v.index()] = self.children(v).iter().filter(live).count();
+            if unlisted[v.index()] == 0 {
+                ready.push(Reverse(v));
+            }
         }
-        for (u, v) in self.all_edges() {
-            let _ = u;
-            *indeg.entry(v).or_insert(0) += 1;
-        }
-        let mut queue: Vec<NodeId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut seen = 0usize;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &v in self.children(u) {
-                let d = indeg.get_mut(&v).expect("child tracked");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(v);
+        let mut order = Vec::with_capacity(genid.n_live());
+        while let Some(Reverse(v)) = ready.pop() {
+            order.push(v);
+            for &p in self.parents(v).iter().filter(|p| genid.is_live(**p)) {
+                unlisted[p.index()] -= 1;
+                if unlisted[p.index()] == 0 {
+                    ready.push(Reverse(p));
                 }
             }
         }
-        seen == indeg.len()
+        (order.len() == genid.n_live()).then_some(order)
+    }
+
+    /// Whether the live nodes hold no cycle.
+    pub fn is_acyclic(&self) -> bool {
+        self.leaves_first().is_some()
     }
 }
 
@@ -340,7 +414,7 @@ impl SubtreeDag {
 pub fn generate_subtree(
     atg: &Atg,
     src: &impl TableSource,
-    genid: &mut GenId,
+    genid: &mut impl Interner,
     ty: TypeId,
     attr: Tuple,
 ) -> Result<SubtreeDag, PublishError> {
@@ -356,25 +430,27 @@ pub fn generate_subtree(
     }
     out.fresh.push(root);
     let mut stack = vec![root];
-    let mut seen_edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
     while let Some(u) = stack.pop() {
         let uty = genid.type_of(u);
         let uattr = genid.attr_of(u).clone();
-        let child_types: Vec<TypeId> = match atg.dtd().production(uty) {
-            Production::PcData | Production::Empty => Vec::new(),
-            Production::Sequence(ts) => ts.clone(),
-            Production::Alternation(ts) => ts.clone(),
-            Production::Star(t) => vec![*t],
+        let child_types = match atg.dtd().production(uty) {
+            Production::PcData | Production::Empty => &[][..],
+            Production::Sequence(ts) | Production::Alternation(ts) => ts,
+            Production::Star(t) => std::slice::from_ref(t),
         };
-        for cty in child_types {
+        for (k, &cty) in child_types.iter().enumerate() {
+            // A node is expanded once, one rule yields distinct tuples and
+            // `gen_id` is injective, so an edge can only repeat when `u`'s
+            // production names a child type twice.
+            if child_types[..k].contains(&cty) {
+                continue;
+            }
             let tuples = atg
                 .child_tuples(src, uty, &uattr, cty)
                 .map_err(PublishError::Rel)?;
             for t in tuples {
                 let (v, fresh) = genid.gen_id(cty, t);
-                if seen_edges.insert((u, v)) {
-                    out.edges.push((u, v));
-                }
+                out.edges.push((u, v));
                 if fresh {
                     out.nodes.push(v);
                     out.fresh.push(v);
@@ -386,18 +462,14 @@ pub fn generate_subtree(
     Ok(out)
 }
 
-/// Publishes the full XML view `σ(I)` as a DAG.
+/// Publishes the full XML view `σ(I)` as a DAG: the walk interns into a
+/// transient [`GenIdBuilder`], and the interner and the adjacency are laid
+/// out in their pages once the whole view is known.
 pub fn publish(atg: &Atg, src: &impl TableSource) -> Result<Dag, PublishError> {
-    let mut dag = Dag::new();
-    let root_ty = atg.dtd().root();
-    let sub = {
-        let genid = dag.genid_mut();
-        generate_subtree(atg, src, genid, root_ty, Tuple::empty())?
-    };
-    dag.set_root(sub.root);
-    for (u, v) in sub.edges {
-        dag.add_edge(u, v);
-    }
+    let mut genid = GenIdBuilder::default();
+    let sub = generate_subtree(atg, src, &mut genid, atg.dtd().root(), Tuple::empty())?;
+    let dag = Dag::from_adjacency(genid.finish(|_| true), Some(sub.root), &sub.edges)
+        .expect("a subtree lists each node's edges once, together");
     if !dag.is_acyclic() {
         return Err(PublishError::CyclicData);
     }

@@ -43,9 +43,27 @@
 //! rendered every group head's text children; the right column compares
 //! attribute values in place and probes `gen_node`'s primary order. The
 //! ceilings (100 and 150) leave room for a deeper path, not for a renderer.
+//!
+//! Cold start, at 64 groups (2 560 `C` rows, 5 946 view nodes, 1 965
+//! evaluations of the recursive rule `Qsub_node` = `C ⋈ F ⋈ H ⋈ CU` at 2.06
+//! result rows each), this file run on both trees:
+//!
+//! | | interpreted `eval_spj`, keyed inserts (PR 17) | compiled plan, bulk pages (PR 18) |
+//! |---|---|---|
+//! | one `child_tuples` on `Qsub_node` | 43.3 calls | 3.9 calls |
+//! | `ViewStore::publish`, per published node | 22.2 calls | 5.3 calls |
+//!
+//! The left column re-validated the query, re-derived the join order and
+//! cloned a 50-column `Vec<Value>` per partial row on every call, then
+//! interned, linked and registered one key at a time; the right column is
+//! the run's register file, the result vector and one `Arc` per result row,
+//! then one attribute tuple per node plus the projection rules' results.
+//! The ceilings (8 and 10) leave room for a wider result, not for an
+//! interpreter. The round row above fell to 648 calls on the way (the
+//! subtree walk and the delete side's safety probes run compiled plans).
 
-use rxview_core::{Reachability, SideEffectPolicy, XmlUpdate, XmlViewSystem};
-use rxview_relstore::tuple;
+use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
+use rxview_relstore::{tuple, Tuple};
 use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -162,6 +180,43 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         drop(pin);
     });
     sys.consistency_check().expect("the written copy is sound");
+
+    // Cold start (64 groups): what `σ(I)` allocates per node it publishes,
+    // and what one evaluation of the recursive rule `Qsub_node` allocates —
+    // the query the walk runs once per `sub` node.
+    let db = synthetic_database(&SyntheticConfig::with_size(64 * GROUP_SIZE));
+    let atg = synthetic_atg(&db).expect("synthetic ATG");
+    let (vs, _, publish_calls) = {
+        let atg = atg.clone();
+        allocated_by(|| ViewStore::publish(atg, &db).expect("fixture publishes"))
+    };
+    let publish_calls_per_node = publish_calls as f64 / vs.n_nodes() as f64;
+    let (sub, node) = (
+        atg.dtd().type_id("sub").expect("synthetic DTD"),
+        atg.dtd().type_id("node").expect("synthetic DTD"),
+    );
+    let genid = vs.dag().genid();
+    let subs: Vec<&Tuple> = genid.ids_of_type(sub).map(|id| genid.attr_of(id)).collect();
+    let (rows, _, rule_calls) = allocated_by(|| {
+        let rows = |attr: &&Tuple| atg.child_tuples(&db, sub, attr, node).expect("runs").len();
+        subs.iter().map(rows).sum::<usize>()
+    });
+    let calls_per_rule = rule_calls as f64 / subs.len() as f64;
+    println!(
+        "publish: {publish_calls} calls for {} nodes, {publish_calls_per_node:.1} per node; \
+         Qsub_node: {calls_per_rule:.1} calls per evaluation ({} of them, {:.2} rows each)",
+        vs.n_nodes(),
+        subs.len(),
+        rows as f64 / subs.len() as f64
+    );
+    assert!(
+        calls_per_rule <= 8.0,
+        "one Qsub_node evaluation made {calls_per_rule:.1} allocator calls"
+    );
+    assert!(
+        publish_calls_per_node <= 10.0,
+        "publication made {publish_calls_per_node:.1} allocator calls per node"
+    );
 
     println!("M after compute: {m_bytes} B live, {bytes_per_pair:.1} B per pair");
     println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");

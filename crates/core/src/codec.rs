@@ -27,7 +27,7 @@ use crate::reach::Reachability;
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
 use crate::viewstore::ViewStore;
-use rxview_atg::{Atg, Dag, NodeId};
+use rxview_atg::{Atg, Dag, GenId, NodeId};
 use rxview_relstore::codec::{
     put_database, put_str, put_tuple, put_varint, read_database, read_tuple, CodecError, Reader,
 };
@@ -151,9 +151,10 @@ fn read_node(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<NodeId> {
     Ok(NodeId(id as u32))
 }
 
-/// Decodes a [`Dag`], replaying the interner allocation sequence (which
-/// reproduces identical [`NodeId`]s) and the edge insertions (which
-/// reproduce the ordered child lists and the typed edge relations).
+/// Decodes a [`Dag`], bulk-loading the interner from its allocation
+/// sequence (which reproduces identical [`NodeId`]s) and the adjacency from
+/// the child lists (which reproduces their order and the typed edge
+/// relations).
 fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     let n_types = r.read_varint()? as usize;
     if n_types != dtd.n_types() {
@@ -176,9 +177,8 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     if n_alloc > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut dag = Dag::new();
-    let mut dead: Vec<NodeId> = Vec::new();
-    for i in 0..n_alloc {
+    let mut allocations = Vec::with_capacity(n_alloc);
+    for _ in 0..n_alloc {
         let ty = r.read_varint()?;
         if ty >= n_types as u64 {
             return Err(CodecError::Invalid(format!("type id {ty} out of range")));
@@ -189,23 +189,22 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
             1 => true,
             b => return Err(CodecError::Invalid(format!("bad liveness byte {b}"))),
         };
-        let (id, fresh) = dag.genid_mut().gen_id(TypeId(ty as u32), attr);
-        if !fresh || id != NodeId(i as u32) {
-            return Err(CodecError::Invalid(format!(
-                "duplicate (type, attr) pair at interner slot {i}"
-            )));
-        }
-        if !live {
-            dead.push(id);
-        }
+        allocations.push((TypeId(ty as u32), attr, live));
     }
-    if r.read_u8()? == 1 {
-        dag.set_root(read_node(r, n_alloc)?);
-    }
+    let genid = GenId::from_allocations(allocations).map_err(|slot| {
+        CodecError::Invalid(format!(
+            "duplicate (type, attr) pair at interner slot {slot}"
+        ))
+    })?;
+    let root = match r.read_u8()? {
+        1 => Some(read_node(r, n_alloc)?),
+        _ => None,
+    };
     let n_parents = r.read_varint()? as usize;
     if n_parents > r.remaining() {
         return Err(CodecError::Truncated);
     }
+    let mut edges = Vec::new();
     for _ in 0..n_parents {
         let u = read_node(r, n_alloc)?;
         let n_children = r.read_varint()? as usize;
@@ -213,16 +212,13 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
             return Err(CodecError::Truncated);
         }
         for _ in 0..n_children {
-            let c = read_node(r, n_alloc)?;
-            dag.add_edge(u, c);
+            edges.push((u, read_node(r, n_alloc)?));
         }
     }
-    // Retire after the edges are in: `add_edge` keys the typed edge
-    // relations through the interner, which must still know every node.
-    for id in dead {
-        dag.genid_mut().retire(id);
-    }
-    Ok(dag)
+    // Rejects what the encoder never writes and a per-edge load would have
+    // absorbed silently: an edge or a parent listed twice.
+    Dag::from_adjacency(genid, root, &edges)
+        .map_err(|(u, v)| CodecError::Invalid(format!("edge ({}, {}) listed twice", u.0, v.0)))
 }
 
 /// Encodes the reachability matrix `M` as per-descendant ancestor sets

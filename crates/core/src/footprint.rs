@@ -454,6 +454,7 @@ fn add_edge_keys(
         Some(RuleBody::Query {
             query,
             param_fields,
+            ..
         }) => {
             // The dry run instantiates the same compiled skeleton the real
             // translation instantiates moments later (interpretive oracle

@@ -14,7 +14,9 @@
 //! The remaining-tuple check is done with *database queries* rather than a
 //! scan of the whole view: for a candidate source `(S, k)`, every edge view
 //! whose definition mentions `S` is re-evaluated with `S`'s key bound to
-//! `k`; the candidate is safe iff every produced edge is itself in `∆V`
+//! `k` (one plan per view and table, compiled in the
+//! [`TranslationTemplates`] registry and run on `k`); the candidate is safe
+//! iff every produced edge is itself in `∆V`
 //! (this is the "more database queries as `|Ep(r)|` grows" behaviour the
 //! paper reports in Fig.11(g)).
 
@@ -23,8 +25,7 @@ use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
 use rxview_relstore::{
-    closure_source_keys, eval_spj, Database, GroupUpdate, RelError, RelResult, SourceRef, SpjQuery,
-    Tuple,
+    closure_source_keys, Database, GroupUpdate, RelError, RelResult, SourceRef, SpjQuery, Tuple,
 };
 use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,39 +101,6 @@ fn edge_source_keys(
     closure_source_keys(q, provider, row, &[0])
 }
 
-/// Binds the key columns of every FROM entry named `table` in `q` to `key`,
-/// returning the restricted query. Shared with incremental republishing.
-pub(crate) fn bind_source(
-    q: &SpjQuery,
-    provider: &impl rxview_relstore::SchemaProvider,
-    table: &str,
-    key: &Tuple,
-) -> SpjQuery {
-    let mut from = q.from().to_vec();
-    let mut preds = q.predicates().to_vec();
-    let schema = provider.schema_of(table).expect("source table known");
-    for (rel, tr) in q.from().iter().enumerate() {
-        if tr.table == table {
-            for (ki, &kc) in schema.key().iter().enumerate() {
-                preds.push(rxview_relstore::EqPred {
-                    left: rxview_relstore::Operand::Col(rxview_relstore::ColRef { rel, col: kc }),
-                    right: rxview_relstore::Operand::Const(key[ki].clone()),
-                });
-            }
-        }
-    }
-    SpjQuery::from_parts(
-        format!("{}__bound", q.name()),
-        std::mem::take(&mut from),
-        std::mem::take(&mut preds),
-        q.projection().to_vec(),
-        q.out_names().to_vec(),
-        q.n_params(),
-        provider,
-    )
-    .expect("bound query stays valid")
-}
-
 /// The union of *candidate* deletable sources over the group deletion: for
 /// every deleted edge, every `(table, key)` in its `Sr(Q, t)` — a superset
 /// of whatever `∆R` [`translate_deletions`] (or the minimal variant) can
@@ -172,7 +140,8 @@ pub fn translate_deletions(
 ) -> Result<GroupUpdate, DeleteRejection> {
     let aug = vs.augmented(base);
     let provider = vs.atg().augmented_schemas();
-    let compiled = vs.templates_enabled().then(|| vs.templates());
+    let templates = vs.templates();
+    let compiled = vs.templates_enabled().then_some(&*templates);
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
     // Cache of source-safety verdicts.
@@ -195,7 +164,7 @@ pub fn translate_deletions(
             });
         }
         let row = edge_row(vs, u, v);
-        let sources = edge_source_keys(compiled.as_deref(), (a, b), q, &provider, &row)
+        let sources = edge_source_keys(compiled, (a, b), q, &provider, &row)
             .map_err(DeleteRejection::Rel)?
             .ok_or_else(|| {
                 DeleteRejection::Rel(RelError::NotKeyPreserving {
@@ -213,7 +182,7 @@ pub fn translate_deletions(
                 }
                 continue;
             }
-            let safe = source_is_safe(vs, &aug, &provider, compiled.as_deref(), &sr, &deleted)?;
+            let safe = source_is_safe(vs, &aug, &provider, &templates, &sr, &deleted)?;
             verdict.insert(sr.clone(), safe);
             if safe {
                 chosen = Some(sr);
@@ -239,29 +208,29 @@ fn source_is_safe(
     vs: &ViewStore,
     aug: &rxview_relstore::Augmented<'_>,
     provider: &Vec<rxview_relstore::TableSchema>,
-    compiled: Option<&TranslationTemplates>,
+    templates: &TranslationTemplates,
     sr: &SourceRef,
     deleted: &BTreeSet<(NodeId, NodeId)>,
 ) -> Result<bool, DeleteRejection> {
-    for (&(a, b), q) in vs.edge_queries() {
-        if !q.from().iter().any(|tr| tr.table == sr.table) {
-            continue;
-        }
-        let bound = bind_source(q, provider, &sr.table, &sr.key);
-        let rows = eval_spj(aug, &bound, &[]).map_err(DeleteRejection::Rel)?;
+    let compiled = vs.templates_enabled().then_some(templates);
+    for ((a, b), bound) in templates.bound_views(&sr.table) {
+        let rows = bound
+            .run(aug, sr.key.values())
+            .map_err(DeleteRejection::Rel)?;
+        let q = vs.edge_query(*a, *b).expect("bound views are edge views");
         for row in rows {
             // A produced row only matters if *this source actually appears*
             // in its deletable source (self-joins may bind one occurrence).
             // This per-evaluated-row probe is the delete path's hottest
             // call site — the compiled program replaces a full union-find
             // re-derivation with a few indexed clones.
-            let srcs = edge_source_keys(compiled, (a, b), q, provider, &row)
+            let srcs = edge_source_keys(compiled, (*a, *b), q, provider, &row)
                 .map_err(DeleteRejection::Rel)?;
             let uses = srcs.map(|s| s.contains(sr)).unwrap_or(true);
             if !uses {
                 continue;
             }
-            match vs.edge_from_row(a, b, &row) {
+            match vs.edge_from_row(*a, *b, &row) {
                 Some(edge) => {
                     if !deleted.contains(&edge) {
                         return Ok(false);
@@ -290,7 +259,8 @@ pub fn translate_deletions_minimal(
 ) -> Result<GroupUpdate, DeleteRejection> {
     let aug = vs.augmented(base);
     let provider = vs.atg().augmented_schemas();
-    let compiled = vs.templates_enabled().then(|| vs.templates());
+    let templates = vs.templates();
+    let compiled = vs.templates_enabled().then_some(&*templates);
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
     // Safe-source candidates per deleted edge.
@@ -310,7 +280,7 @@ pub fn translate_deletions_minimal(
             });
         }
         let row = edge_row(vs, u, v);
-        let sources = edge_source_keys(compiled.as_deref(), (a, b), q, &provider, &row)
+        let sources = edge_source_keys(compiled, (a, b), q, &provider, &row)
             .map_err(DeleteRejection::Rel)?
             .ok_or_else(|| {
                 DeleteRejection::Rel(RelError::NotKeyPreserving {
@@ -322,8 +292,7 @@ pub fn translate_deletions_minimal(
             let ok = match verdict.get(&sr) {
                 Some(&ok) => ok,
                 None => {
-                    let ok =
-                        source_is_safe(vs, &aug, &provider, compiled.as_deref(), &sr, &deleted)?;
+                    let ok = source_is_safe(vs, &aug, &provider, &templates, &sr, &deleted)?;
                     verdict.insert(sr.clone(), ok);
                     ok
                 }

@@ -259,6 +259,7 @@ pub fn translate_insertions(
             Some(RuleBody::Query {
                 query,
                 param_fields,
+                ..
             }) => {
                 derive_templates(
                     base,

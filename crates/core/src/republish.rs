@@ -18,11 +18,10 @@
 
 use crate::maintain::{maintain_delete, maintain_insert, MaintainReport};
 use crate::reach::Reachability;
-use crate::rel_delete::bind_source;
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
-use rxview_atg::{generate_subtree, NodeId, SubtreeDag};
-use rxview_relstore::{eval_spj, Database, GroupUpdate, RelError, RelResult, Tuple, TupleOp};
+use rxview_atg::{NodeId, SubtreeDag};
+use rxview_relstore::{Database, GroupUpdate, RelError, RelResult, Tuple, TupleOp};
 use rxview_xmlkit::TypeId;
 use std::collections::BTreeSet;
 
@@ -50,7 +49,7 @@ pub fn apply_relational_update(
     reach: &mut Reachability,
     update: &GroupUpdate,
 ) -> RelResult<RepublishReport> {
-    let provider = vs.atg().augmented_schemas();
+    let templates = vs.templates();
 
     // Touched (table, key) pairs.
     let mut touched: BTreeSet<(String, Tuple)> = BTreeSet::new();
@@ -70,14 +69,10 @@ pub fn apply_relational_update(
         |base: &Database, vs: &ViewStore| -> RelResult<BTreeSet<(TypeId, TypeId, Tuple)>> {
             let aug = vs.augmented(base);
             let mut rows = BTreeSet::new();
-            for (&(a, b), q) in vs.edge_queries() {
-                for (table, key) in &touched {
-                    if !q.from().iter().any(|tr| tr.table == *table) {
-                        continue;
-                    }
-                    let bound = bind_source(q, &provider, table, key);
-                    for row in eval_spj(&aug, &bound, &[])? {
-                        rows.insert((a, b, row));
+            for (table, key) in &touched {
+                for ((a, b), bound) in templates.bound_views(table) {
+                    for row in bound.run(&aug, key.values())? {
+                        rows.insert((*a, *b, row));
                     }
                 }
             }
@@ -166,8 +161,7 @@ fn child_subtree(
     ty: TypeId,
     attr: Tuple,
 ) -> RelResult<SubtreeDag> {
-    let atg = vs.atg().clone();
-    generate_subtree(&atg, base, vs.dag_mut().genid_mut(), ty, attr).map_err(|e| match e {
+    vs.generate_subtree(base, ty, attr).map_err(|e| match e {
         rxview_atg::PublishError::Rel(r) => r,
         rxview_atg::PublishError::CyclicData => {
             RelError::MalformedQuery("cyclic data while generating subtree".into())

@@ -43,7 +43,8 @@ use crate::plan::PlanCacheStats;
 use crate::rel_insert::{EdgeClosure, InsertRejection};
 use rxview_atg::{Atg, RuleBody};
 use rxview_relstore::{
-    ColRef, Operand, SchemaProvider, SourceRef, SpjQuery, TableSchema, Tuple, Value,
+    ColRef, EqPred, Operand, SchemaProvider, SourceRef, SpjPlan, SpjQuery, TableSchema, Tuple,
+    Value,
 };
 use rxview_xmlkit::TypeId;
 use std::collections::hash_map::Entry;
@@ -259,6 +260,37 @@ impl SourceProgram {
     }
 }
 
+/// An edge view `(A, B)` compiled bound to one row of a base table.
+pub type BoundView = ((TypeId, TypeId), SpjPlan);
+
+/// Edge view `q` restricted to one row of base table `table`, compiled:
+/// every FROM entry of `table` gets its key columns equated with parameters
+/// — `$i` is the `i`-th key column — so one plan serves every candidate
+/// source `(table, key)` by running on `key`'s values.
+fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, table: &str) -> SpjPlan {
+    let key = provider.schema_of(table).expect("FROM table known").key();
+    let mut predicates = q.predicates().to_vec();
+    for (rel, tr) in q.from().iter().enumerate() {
+        if tr.table == table {
+            predicates.extend(key.iter().enumerate().map(|(i, &col)| EqPred {
+                left: Operand::Col(ColRef { rel, col }),
+                right: Operand::Param(q.n_params() + i),
+            }));
+        }
+    }
+    let bound = SpjQuery::from_parts(
+        format!("{}__bound_{table}", q.name()),
+        q.from().to_vec(),
+        predicates,
+        q.projection().to_vec(),
+        q.out_names().to_vec(),
+        q.n_params() + key.len(),
+        provider,
+    )
+    .expect("bound query stays valid");
+    SpjPlan::compile(&bound, provider).expect("validated just above")
+}
+
 /// Flat column offsets of a query's FROM entries over `provider` schemas.
 fn flat_offsets(provider: &impl SchemaProvider, query: &SpjQuery) -> Option<(Vec<usize>, usize)> {
     let mut offsets = Vec::with_capacity(query.from().len());
@@ -291,6 +323,11 @@ pub struct TranslationTemplates {
     /// the generalized sense — recorded so instantiation can answer
     /// without falling back to the interpretive derivation.
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
+    /// Per base table, every edge view whose definition mentions it,
+    /// compiled bound to one row of that table ([`compile_bound`]), in edge
+    /// order — what the delete side's safety probes and incremental
+    /// republishing evaluate.
+    bound: HashMap<String, Vec<BoundView>>,
     /// Successful template instantiations (insert + delete probes).
     hits: AtomicU64,
     /// Templates compiled (fixed after construction).
@@ -308,12 +345,14 @@ impl TranslationTemplates {
         let provider: Vec<TableSchema> = atg.augmented_schemas();
         let mut insert = HashMap::new();
         let mut delete = HashMap::new();
+        let mut bound: HashMap<String, Vec<_>> = HashMap::new();
         let mut compiles = 0u64;
         for a in atg.dtd().types() {
             for b in atg.dtd().children_of(a) {
                 if let Some(RuleBody::Query {
                     query,
                     param_fields,
+                    ..
                 }) = atg.rule(a, b)
                 {
                     if let Entry::Vacant(slot) = insert.entry((a, b)) {
@@ -327,13 +366,26 @@ impl TranslationTemplates {
                     if let Some(q) = atg.edge_view_query(a, b) {
                         slot.insert(SourceProgram::compile(&provider, &q, &[0]));
                         compiles += 1;
+                        // Entry 0 is the derived `gen_parent`, never a source.
+                        for (rel, tr) in q.from().iter().enumerate().skip(1) {
+                            if q.from()[1..rel].iter().all(|seen| seen.table != tr.table) {
+                                let plan = compile_bound(&provider, &q, &tr.table);
+                                let views: &mut Vec<_> = bound.entry(tr.table.clone()).or_default();
+                                views.push(((a, b), plan));
+                                compiles += 1;
+                            }
+                        }
                     }
                 }
             }
         }
+        for views in bound.values_mut() {
+            views.sort_unstable_by_key(|(edge, _)| *edge);
+        }
         TranslationTemplates {
             insert,
             delete,
+            bound,
             hits: AtomicU64::new(0),
             compiles,
             compile_ns: t0.elapsed().as_nanos() as u64,
@@ -367,6 +419,14 @@ impl TranslationTemplates {
         let program = self.delete.get(&edge)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(program.as_ref().map(|p| p.instantiate(out)))
+    }
+
+    /// The edge views whose definition mentions base table `table`, each
+    /// compiled bound to one row of it: run on a key of `table`, a plan
+    /// yields the view's rows that row contributes to. In edge order; empty
+    /// for a table no edge view reads.
+    pub fn bound_views(&self, table: &str) -> &[BoundView] {
+        self.bound.get(table).map_or(&[], Vec::as_slice)
     }
 
     /// Counters in the plan-cache shape: `hits` are successful

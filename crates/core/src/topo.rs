@@ -82,46 +82,16 @@ pub struct TopoOrder {
 }
 
 impl TopoOrder {
-    /// Computes `L` from scratch via Kahn's algorithm in `O(|V|)` — leaves
-    /// first, root last. Deterministic: ties broken by node id.
+    /// Computes `L` from scratch ([`Dag::leaves_first`]: Kahn's algorithm,
+    /// `O(|V| log |V|)`) — leaves first, root last. Deterministic: ties
+    /// broken by node id.
     ///
     /// # Panics
     /// Panics if the DAG is cyclic (callers check acyclicity at publish).
     pub fn compute(dag: &Dag) -> Self {
-        // Out-degree based Kahn: nodes with no children (leaves) first.
-        let mut outdeg: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-        for id in dag.genid().live_ids() {
-            outdeg.insert(
-                id,
-                dag.children(id)
-                    .iter()
-                    .filter(|c| dag.genid().is_live(**c))
-                    .count(),
-            );
-        }
-        let mut ready: std::collections::BTreeSet<NodeId> = outdeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut order = Vec::with_capacity(outdeg.len());
-        while let Some(&n) = ready.iter().next() {
-            ready.remove(&n);
-            order.push(n);
-            for &p in dag.parents(n) {
-                if let Some(d) = outdeg.get_mut(&p) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.insert(p);
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            order.len(),
-            outdeg.len(),
-            "cyclic DAG has no topological order"
-        );
+        let order = dag
+            .leaves_first()
+            .expect("cyclic DAG has no topological order");
         TopoOrder::from_order(order)
     }
 

@@ -11,7 +11,7 @@
 use crate::dag_eval::DagEval;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
-use rxview_atg::{generate_subtree, NodeId, SubtreeDag};
+use rxview_atg::{NodeId, SubtreeDag};
 use rxview_relstore::{RelError, TableSource, Tuple};
 use rxview_xmlkit::TypeId;
 
@@ -31,14 +31,12 @@ pub fn xinsert(
     attr: Tuple,
     eval: &DagEval,
 ) -> Result<(ViewDelta, SubtreeDag), RelError> {
-    let atg = vs.atg().clone();
-    let subtree =
-        generate_subtree(&atg, base, vs.dag_mut().genid_mut(), ty, attr).map_err(|e| match e {
-            rxview_atg::PublishError::Rel(r) => r,
-            rxview_atg::PublishError::CyclicData => {
-                RelError::MalformedQuery("inserted subtree is cyclic".into())
-            }
-        })?;
+    let subtree = vs.generate_subtree(base, ty, attr).map_err(|e| match e {
+        rxview_atg::PublishError::Rel(r) => r,
+        rxview_atg::PublishError::CyclicData => {
+            RelError::MalformedQuery("inserted subtree is cyclic".into())
+        }
+    })?;
     let mut delta = ViewDelta::default();
     // Inner edges of ST(A, t) — stored once regardless of how many targets
     // receive the subtree (set semantics of V).

@@ -9,8 +9,8 @@
 //!   a **bounded** number of relational views even for recursive σ (the
 //!   paper's observation 3 in §2.3).
 
-use rxview_atg::{Atg, Dag, NodeId, PublishError};
-use rxview_relstore::{Augmented, Database, RelResult, SpjQuery, Tuple, Value};
+use rxview_atg::{Atg, Dag, NodeId, PublishError, SubtreeDag};
+use rxview_relstore::{Augmented, Database, RelResult, SpjQuery, Table, TableSource, Tuple, Value};
 use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -39,21 +39,23 @@ pub struct ViewStore {
 }
 
 impl ViewStore {
-    /// Publishes `σ(I)` and materializes the relational coding.
+    /// Publishes `σ(I)` and materializes the relational coding: each
+    /// `gen_A` table is bulk-loaded from its type's nodes in key order.
     pub fn publish(atg: Atg, db: &Database) -> Result<Self, PublishError> {
         let dag = rxview_atg::publish(&atg, db)?;
         let mut gen_db = Database::new();
         for ty in atg.dtd().types() {
-            gen_db
-                .create_table(atg.gen_table_schema(ty))
-                .expect("fresh gen database");
+            let mut rows: Vec<Tuple> = dag
+                .genid()
+                .ids_of_type(ty)
+                .map(|id| gen_row_of(dag.genid().attr_of(id)))
+                .collect();
+            rows.sort_unstable();
+            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), rows)
+                .expect("distinct nodes of a type have distinct, well-typed attributes");
+            gen_db.add_table(table).expect("one gen table per type");
         }
-        let mut vs = ViewStore::from_parts(atg, dag, gen_db);
-        let live: Vec<NodeId> = vs.dag.genid().live_ids().collect();
-        for id in live {
-            vs.register_node(id).expect("published node registers");
-        }
-        Ok(vs)
+        Ok(ViewStore::from_parts(atg, dag, gen_db))
     }
 
     /// Reassembles a store from checkpointed parts — the published [`Dag`]
@@ -157,14 +159,20 @@ impl ViewStore {
         self.edge_queries.iter()
     }
 
+    /// Generates the subtree `ST(A, t)` into this store's interner (see
+    /// [`rxview_atg::generate_subtree`]).
+    pub fn generate_subtree(
+        &mut self,
+        src: &impl TableSource,
+        ty: TypeId,
+        attr: Tuple,
+    ) -> Result<SubtreeDag, PublishError> {
+        rxview_atg::generate_subtree(&self.atg, src, self.dag.genid_mut(), ty, attr)
+    }
+
     /// The `gen_A` row for a node (unit tuple for zero-arity attributes).
     pub fn gen_row(&self, id: NodeId) -> Tuple {
-        let attr = self.dag.genid().attr_of(id);
-        if attr.arity() == 0 {
-            Tuple::from_values([Value::Int(0)])
-        } else {
-            attr.clone()
-        }
+        gen_row_of(self.dag.genid().attr_of(id))
     }
 
     /// Registers a (newly live) node in its `gen_A` table.
@@ -258,6 +266,15 @@ impl ViewStore {
     /// Number of edges `|V|`.
     pub fn n_edges(&self) -> usize {
         self.dag.n_edges()
+    }
+}
+
+/// The `gen_A` row of a node with attribute `attr`.
+fn gen_row_of(attr: &Tuple) -> Tuple {
+    if attr.arity() == 0 {
+        Tuple::from_values([Value::Int(0)])
+    } else {
+        attr.clone()
     }
 }
 

@@ -455,22 +455,21 @@ pub fn put_table(out: &mut Vec<u8>, table: &Table) {
     }
 }
 
-/// Decodes a [`Table`]. Rows are checked against the schema on insertion,
-/// so a decoded table upholds the same invariants as a live one.
+/// Decodes a [`Table`], bulk-loading the rows in the key order they were
+/// written in. Rows are checked against the schema, and rows out of order
+/// (which no encoder writes) are rejected, so a decoded table upholds the
+/// same invariants as a live one.
 pub fn read_table(r: &mut Reader<'_>) -> CodecResult<Table> {
     let schema = read_schema(r)?;
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut table = Table::new(schema);
-    for _ in 0..n {
-        let row = read_tuple(r)?;
-        table
-            .insert(row)
-            .map_err(|e| CodecError::Invalid(format!("row rejected by schema: {e}")))?;
-    }
-    Ok(table)
+    let rows = (0..n)
+        .map(|_| read_tuple(r))
+        .collect::<CodecResult<Vec<Tuple>>>()?;
+    Table::from_sorted_rows(schema, rows)
+        .map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))
 }
 
 /// Encodes a whole [`Database`] (table count + tables, name order).
@@ -490,14 +489,8 @@ pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     }
     let mut db = Database::new();
     for _ in 0..n {
-        let table = read_table(r)?;
-        let name = table.schema().name().to_owned();
-        db.create_table(table.schema().clone())
-            .map_err(|e| CodecError::Invalid(format!("duplicate table `{name}`: {e}")))?;
-        let slot = db
-            .table_mut(&name)
-            .map_err(|e| CodecError::Invalid(e.to_string()))?;
-        *slot = table;
+        db.add_table(read_table(r)?)
+            .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
     }
     Ok(db)
 }

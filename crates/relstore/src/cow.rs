@@ -120,6 +120,28 @@ impl<T: Clone + Default> Index<usize> for PagedVec<T> {
     }
 }
 
+impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
+    /// Builds the vector page by page: every page is allocated once at its
+    /// final size and written once, where repeated [`PagedVec::push`] looks
+    /// up (and unshares) the last page per slot.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter().fuse();
+        let mut pages = Vec::new();
+        let mut len = 0;
+        loop {
+            let mut filled = 0;
+            let page: Arc<[T]> = (0..Self::PAGE)
+                .map(|_| iter.next().inspect(|_| filled += 1).unwrap_or_default())
+                .collect();
+            if filled == 0 {
+                return PagedVec { pages, len };
+            }
+            pages.push(page);
+            len += filled;
+        }
+    }
+}
+
 /// An ordered map kept as sorted runs behind `Arc`s.
 ///
 /// Iteration and range scans are in key order, exactly as a `BTreeMap`
@@ -183,6 +205,42 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
     /// An empty map.
     pub fn new() -> Self {
         PagedMap::default()
+    }
+
+    /// Builds the map from entries already in strictly ascending key order:
+    /// full runs written once each, where repeated [`PagedMap::insert`]
+    /// searches the directory and the last run per key. The result is the
+    /// map an ascending `insert` load leaves behind, run for run.
+    ///
+    /// # Errors
+    /// The index of the first entry whose key is not above its
+    /// predecessor's.
+    pub fn from_sorted<I: IntoIterator<Item = (K, V)>>(entries: I) -> Result<Self, usize> {
+        let mut runs: Vec<Run<K, V>> = Vec::new();
+        let mut open: Vec<(K, V)> = Vec::new();
+        let mut len = 0;
+        let close = |open: Vec<(K, V)>| Run {
+            head: open[0].0.clone(),
+            entries: Arc::new(open),
+        };
+        for (key, value) in entries {
+            if open.last().is_some_and(|(last, _)| *last >= key) {
+                return Err(len);
+            }
+            if open.len() == Self::RUN_MAX {
+                runs.push(close(std::mem::take(&mut open)));
+            }
+            if open.is_empty() {
+                // A run keeps room to fill up in place, as `Run::single`'s.
+                open.reserve_exact(Self::RUN_MAX);
+            }
+            open.push((key, value));
+            len += 1;
+        }
+        if !open.is_empty() {
+            runs.push(close(open));
+        }
+        Ok(PagedMap { runs, len })
     }
 
     /// Number of entries.
@@ -299,17 +357,49 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
     }
 
     /// The entries with key `>= lower`, in key order.
-    pub fn range_from<'a>(&'a self, lower: &K) -> impl Iterator<Item = (&'a K, &'a V)> + 'a {
-        let i = self.run_of(lower);
-        let skip = self
+    pub fn range_from<'a>(&'a self, lower: &K) -> Range<'a, K, V> {
+        self.range_by(|k| k < lower)
+    }
+
+    /// The entries from the first key that is not `below` on, in key order.
+    /// `below` must hold for a (possibly empty) prefix of the keys and for
+    /// none after it — a lower bound described by comparison, so a probe by
+    /// a key prefix or by borrowed parts builds no key.
+    pub fn range_by(&self, below: impl Fn(&K) -> bool) -> Range<'_, K, V> {
+        // A run's keys are all at or above its separator: the bound falls
+        // in the last run whose separator is still below, or in the first.
+        let i = self
             .runs
-            .get(i)
-            .map_or(0, |r| r.entries.partition_point(|(k, _)| k < lower));
-        self.runs[i..]
-            .iter()
-            .flat_map(|r| r.entries.iter())
-            .skip(skip)
-            .map(|(k, v)| (k, v))
+            .partition_point(|r| below(&r.head))
+            .saturating_sub(1);
+        let mut rest = self.runs[i..].iter();
+        let first: &[(K, V)] = rest.next().map_or(&[], |r| &r.entries);
+        Range {
+            cur: first[first.partition_point(|(k, _)| below(k))..].iter(),
+            rest,
+        }
+    }
+}
+
+/// The entries of a [`PagedMap`] from a lower bound on, in key order.
+#[derive(Debug)]
+pub struct Range<'a, K, V> {
+    /// What is left of the run the cursor is in.
+    cur: std::slice::Iter<'a, (K, V)>,
+    /// The runs after it.
+    rest: std::slice::Iter<'a, Run<K, V>>,
+}
+
+impl<'a, K, V> Iterator for Range<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((k, v)) = self.cur.next() {
+                return Some((k, v));
+            }
+            self.cur = self.rest.next()?.entries.iter();
+        }
     }
 }
 

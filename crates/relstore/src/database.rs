@@ -30,11 +30,17 @@ impl Database {
 
     /// Creates a table from a schema.
     pub fn create_table(&mut self, schema: TableSchema) -> RelResult<()> {
-        let name = schema.name().to_owned();
+        self.add_table(Table::new(schema))
+    }
+
+    /// Adds an already populated table (a bulk load) under its schema's
+    /// name.
+    pub fn add_table(&mut self, table: Table) -> RelResult<()> {
+        let name = table.schema().name().to_owned();
         if self.tables.contains_key(&name) {
             return Err(RelError::TableExists(name));
         }
-        self.tables.insert(name, Arc::new(Table::new(schema)));
+        self.tables.insert(name, Arc::new(table));
         Ok(())
     }
 

@@ -24,6 +24,8 @@ pub enum RelError {
     DuplicateKey { table: String },
     /// Deleting a tuple whose primary key does not exist.
     MissingKey { table: String },
+    /// Rows handed to a bulk load are not in strictly ascending key order.
+    UnsortedRows { table: String },
     /// A table with the same name already exists.
     TableExists(String),
     /// A query referenced a parameter index that was not bound.
@@ -62,6 +64,12 @@ impl fmt::Display for RelError {
             }
             RelError::MissingKey { table } => {
                 write!(f, "no tuple with the given primary key in table `{table}`")
+            }
+            RelError::UnsortedRows { table } => {
+                write!(
+                    f,
+                    "rows for table `{table}` are not in ascending primary-key order"
+                )
             }
             RelError::TableExists(t) => write!(f, "table `{t}` already exists"),
             RelError::UnboundParam(i) => write!(f, "query parameter ${i} is not bound"),

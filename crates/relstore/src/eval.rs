@@ -1,11 +1,13 @@
-//! SPJ query evaluation: left-deep hash joins with set-semantics output.
+//! SPJ query evaluation: compile once ([`SpjPlan::compile`]), run many
+//! ([`SpjPlan::run`]) — left-deep index nested-loop joins with
+//! set-semantics output.
 //!
-//! The evaluator joins the FROM entries in order. For each entry it collects
-//! the predicates that become fully bound at that point: *local* predicates
-//! (column = constant/parameter, or two columns of the same entry) filter the
-//! scan, and *join* predicates (column of this entry = column of an earlier
-//! entry) drive a hash join. Predicates that only involve earlier entries are
-//! applied as residual filters as soon as they are bound.
+//! Compilation orders the FROM entries greedily and gives each a *step*.
+//! The predicates that become fully bound at a step — column =
+//! constant/parameter, column = column of an earlier entry, or two columns
+//! of the same entry — are split between the step's access path (a
+//! primary-key prefix range when they bind one, else the table's lazy
+//! column index, else a scan) and the tests run on each candidate row.
 
 use crate::database::Database;
 use crate::error::{RelError, RelResult};
@@ -13,7 +15,8 @@ use crate::spj::{ColRef, EqPred, Operand, SchemaProvider, SpjQuery};
 use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// A source of named tables for query evaluation.
 ///
@@ -60,319 +63,322 @@ impl TableSource for Augmented<'_> {
     }
 }
 
-/// A bound predicate after parameter substitution.
+/// Where a plan step reads a value from.
 #[derive(Debug, Clone)]
-enum BoundPred {
-    ColConst(ColRef, Value),
-    ColCol(ColRef, ColRef),
-    ConstConst(Value, Value),
+enum Src {
+    Const(Value),
+    Param(usize),
+    /// Column `col` of the row an earlier step bound.
+    Row {
+        step: usize,
+        col: usize,
+    },
 }
 
-fn bind_operand(op: &Operand, params: &[Value]) -> RelResult<Result<Value, ColRef>> {
-    match op {
-        Operand::Col(c) => Ok(Err(*c)),
-        Operand::Const(v) => Ok(Ok(v.clone())),
-        Operand::Param(i) => params
-            .get(*i)
-            .cloned()
-            .map(Ok)
-            .ok_or(RelError::UnboundParam(*i)),
+/// How a step finds its candidate rows.
+#[derive(Debug, Clone)]
+enum Access {
+    /// The leading key columns are bound: a primary-key range — a point
+    /// lookup when the whole key is.
+    KeyPrefix(Vec<Src>),
+    /// A column off the key's prefix is bound: the table's lazy column
+    /// index ([`Table::scan_col_eq`]).
+    ColEq(usize, Src),
+    /// Nothing is bound: every row.
+    Scan,
+}
+
+/// One FROM entry in join order.
+#[derive(Debug, Clone)]
+struct Step {
+    table: String,
+    /// The table shape the access path was chosen for; a run checks it.
+    arity: usize,
+    key: Vec<usize>,
+    access: Access,
+    /// `row[col] == value` tests the access path does not already imply.
+    checks: Vec<(usize, Src)>,
+    /// `row[a] == row[b]` tests.
+    same_row: Vec<(usize, usize)>,
+}
+
+/// A compiled SPJ query: everything [`eval_spj`] would decide per call that
+/// depends only on the query and the table schemas — validation, the join
+/// order, each step's access path and residual tests — decided once.
+///
+/// A run is an index nested-loop join over *row handles*: the register
+/// file holds one `&Tuple` per placed FROM entry, a column read is `(step,
+/// col)` through it, and no value is copied until a result row is
+/// projected. An ATG's rules and edge views (§2.2–2.3) are a bounded set of
+/// such queries evaluated once per generated node, so each is compiled
+/// where it is defined and this is the only evaluator.
+#[derive(Debug, Clone)]
+pub struct SpjPlan {
+    name: String,
+    n_params: usize,
+    /// A `constant = constant` predicate failed: no run yields a row.
+    never: bool,
+    /// Predicates over parameters and constants only, tested once per run.
+    guards: Vec<(Src, Src)>,
+    steps: Vec<Step>,
+    /// `(step, col)` per output column.
+    projection: Vec<(usize, usize)>,
+}
+
+/// A predicate with its operands sorted by kind.
+enum Pred {
+    ColVal(ColRef, Src),
+    ColCol(ColRef, ColRef),
+}
+
+impl SpjPlan {
+    /// Compiles `query` against the schemas of `provider`.
+    pub fn compile(query: &SpjQuery, provider: &impl SchemaProvider) -> RelResult<SpjPlan> {
+        query.validate(provider)?;
+        let schema_of = |rel: usize| {
+            provider
+                .schema_of(&query.from()[rel].table)
+                .expect("validated above")
+        };
+        let n_from = query.from().len();
+
+        let mut never = false;
+        let mut guards = Vec::new();
+        let mut preds = Vec::new();
+        let value_src = |o: &Operand| match o {
+            Operand::Const(v) => Src::Const(v.clone()),
+            Operand::Param(i) => Src::Param(*i),
+            Operand::Col(_) => unreachable!("columns are matched before values"),
+        };
+        for EqPred { left, right } in query.predicates() {
+            match (left, right) {
+                (Operand::Col(a), Operand::Col(b)) => preds.push(Pred::ColCol(*a, *b)),
+                (Operand::Col(c), v) | (v, Operand::Col(c)) => {
+                    preds.push(Pred::ColVal(*c, value_src(v)))
+                }
+                (Operand::Const(a), Operand::Const(b)) => never |= a != b,
+                (a, b) => guards.push((value_src(a), value_src(b))),
+            }
+        }
+
+        // Greedy join order: repeatedly place the entry whose primary-key
+        // prefix is best bound by constants, parameters and joins to
+        // already-placed entries, then the best connected one — the
+        // difference between scanning a 100K-row `gen` table per update and
+        // a handful of point lookups.
+        let mut step_of: Vec<Option<usize>> = vec![None; n_from];
+        let mut order = Vec::with_capacity(n_from);
+        while order.len() < n_from {
+            let binds = |e: usize, p: &Pred| match p {
+                Pred::ColVal(c, _) => (c.rel == e).then_some(c.col),
+                Pred::ColCol(a, b) if a.rel == e && step_of[b.rel].is_some() => Some(a.col),
+                Pred::ColCol(a, b) if b.rel == e && step_of[a.rel].is_some() => Some(b.col),
+                Pred::ColCol(..) => None,
+            };
+            let best = (0..n_from)
+                .filter(|&e| step_of[e].is_none())
+                .max_by_key(|&e| {
+                    let prefix = schema_of(e)
+                        .key()
+                        .iter()
+                        .take_while(|&&kc| preds.iter().any(|p| binds(e, p) == Some(kc)))
+                        .count();
+                    let connected = preds.iter().filter(|p| binds(e, p).is_some()).count();
+                    // The smaller entry index wins ties.
+                    (prefix, connected, std::cmp::Reverse(e))
+                })
+                .expect("an unplaced entry exists");
+            step_of[best] = Some(order.len());
+            order.push(best);
+        }
+
+        let mut applied = vec![false; preds.len()];
+        let mut steps = Vec::with_capacity(n_from);
+        for (at, &rel) in order.iter().enumerate() {
+            let placed = |r: usize| step_of[r].filter(|&s| s < at);
+            let row = |c: ColRef, step: usize| Src::Row { step, col: c.col };
+            let mut binds: Vec<(usize, Src)> = Vec::new();
+            let mut same_row = Vec::new();
+            for (p, done) in preds.iter().zip(&mut applied) {
+                let bind = match p {
+                    _ if *done => continue,
+                    Pred::ColVal(c, v) if c.rel == rel => (c.col, v.clone()),
+                    Pred::ColCol(a, b) if a.rel == rel && b.rel == rel => {
+                        same_row.push((a.col, b.col));
+                        *done = true;
+                        continue;
+                    }
+                    Pred::ColCol(a, b) if a.rel == rel => match placed(b.rel) {
+                        Some(step) => (a.col, row(*b, step)),
+                        None => continue,
+                    },
+                    Pred::ColCol(a, b) if b.rel == rel => match placed(a.rel) {
+                        Some(step) => (b.col, row(*a, step)),
+                        None => continue,
+                    },
+                    _ => continue,
+                };
+                binds.push(bind);
+                *done = true;
+            }
+            let schema = schema_of(rel);
+            // The access path takes the binds it implies out of `binds`;
+            // what is left is tested per candidate row.
+            let mut prefix = Vec::new();
+            for &kc in schema.key() {
+                match binds.iter().position(|(col, _)| *col == kc) {
+                    Some(i) => prefix.push(binds.remove(i).1),
+                    None => break,
+                }
+            }
+            let access = if !prefix.is_empty() {
+                Access::KeyPrefix(prefix)
+            } else if binds.is_empty() {
+                Access::Scan
+            } else {
+                let (col, src) = binds.remove(0);
+                Access::ColEq(col, src)
+            };
+            steps.push(Step {
+                table: query.from()[rel].table.clone(),
+                arity: schema.arity(),
+                key: schema.key().to_vec(),
+                access,
+                checks: binds,
+                same_row,
+            });
+        }
+        debug_assert!(applied.iter().all(|&a| a), "every predicate is placed");
+
+        Ok(SpjPlan {
+            name: query.name().to_owned(),
+            n_params: query.n_params(),
+            never,
+            guards,
+            steps,
+            projection: query
+                .projection()
+                .iter()
+                .map(|c| (step_of[c.rel].expect("every entry is placed"), c.col))
+                .collect(),
+        })
+    }
+
+    /// Runs the plan against `db` with the given parameter bindings.
+    ///
+    /// Returns distinct output tuples in sorted order (set semantics,
+    /// matching the paper's view relations; §3.3 relies on set semantics so
+    /// that "a newly inserted subtree is stored only once").
+    pub fn run(&self, db: &impl TableSource, params: &[Value]) -> RelResult<Vec<Tuple>> {
+        if params.len() < self.n_params {
+            return Err(RelError::UnboundParam(params.len()));
+        }
+        let mut slots = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let table = db
+                .table_src(&step.table)
+                .ok_or_else(|| RelError::UnknownTable(step.table.clone()))?;
+            if table.schema().arity() != step.arity || table.schema().key() != step.key {
+                return Err(RelError::MalformedQuery(format!(
+                    "{}: table `{}` is not the shape the plan was compiled for",
+                    self.name, step.table
+                )));
+            }
+            slots.push((table, Cell::new(None)));
+        }
+        let run = Run {
+            plan: self,
+            slots,
+            params,
+        };
+        let mut out = Vec::new();
+        if !self.never
+            && self
+                .guards
+                .iter()
+                .all(|(a, b)| run.value(a) == run.value(b))
+        {
+            run.descend(0, &mut out);
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
     }
 }
 
-fn bind_predicates(query: &SpjQuery, params: &[Value]) -> RelResult<Vec<BoundPred>> {
-    query
-        .predicates()
-        .iter()
-        .map(|EqPred { left, right }| {
-            let l = bind_operand(left, params)?;
-            let r = bind_operand(right, params)?;
-            Ok(match (l, r) {
-                (Ok(a), Ok(b)) => BoundPred::ConstConst(a, b),
-                (Ok(v), Err(c)) | (Err(c), Ok(v)) => BoundPred::ColConst(c, v),
-                (Err(a), Err(b)) => BoundPred::ColCol(a, b),
-            })
-        })
-        .collect()
+/// The state of one [`SpjPlan::run`].
+struct Run<'a> {
+    plan: &'a SpjPlan,
+    /// Per step, its table and — the register file — the row it has bound
+    /// while the steps below it run. A `Cell`, so that a step's access path
+    /// can read the registers above it while those below are rebound.
+    slots: Vec<(&'a Table, Cell<Option<&'a Tuple>>)>,
+    params: &'a [Value],
 }
 
-/// Evaluates `query` against `db` with the given parameter bindings.
-///
-/// Returns distinct output tuples in sorted order (set semantics, matching
-/// the paper's view relations; §3.3 relies on set semantics so that "a newly
-/// inserted subtree is stored only once").
+impl<'a> Run<'a> {
+    fn value(&self, src: &'a Src) -> &'a Value {
+        match src {
+            Src::Const(v) => v,
+            Src::Param(i) => &self.params[*i],
+            Src::Row { step, col } => &self.row(*step)[*col],
+        }
+    }
+
+    fn row(&self, step: usize) -> &'a Tuple {
+        self.slots[step].1.get().expect("an earlier step is bound")
+    }
+
+    /// Binds every row step `at` admits, in turn, and joins the rest below.
+    fn descend(&self, at: usize, out: &mut Vec<Tuple>) {
+        let Some(step) = self.plan.steps.get(at) else {
+            let row = self.plan.projection.iter();
+            out.push(Tuple::from_values(
+                row.map(|&(s, c)| self.row(s)[c].clone()),
+            ));
+            return;
+        };
+        let (table, bound) = &self.slots[at];
+        let admit = |row: &'a Tuple| {
+            if step
+                .checks
+                .iter()
+                .all(|(col, src)| row[*col] == *self.value(src))
+                && step.same_row.iter().all(|&(a, b)| row[a] == row[b])
+            {
+                bound.set(Some(row));
+                self.descend(at + 1, out);
+            }
+        };
+        match &step.access {
+            Access::KeyPrefix(srcs) => {
+                let locate = |key: &[Value]| {
+                    key.iter()
+                        .zip(srcs)
+                        .map(|(k, src)| k.cmp(self.value(src)))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                };
+                table.scan_key_range(locate).for_each(admit);
+            }
+            Access::ColEq(col, src) => table
+                .scan_col_eq(*col, self.value(src))
+                .into_iter()
+                .for_each(admit),
+            Access::Scan => table.iter().for_each(admit),
+        }
+    }
+}
+
+/// Evaluates `query` against `db` with the given parameter bindings:
+/// compiles it and runs the plan once. A query evaluated repeatedly keeps
+/// its [`SpjPlan`] instead.
 pub fn eval_spj(
     db: &impl TableSource,
     query: &SpjQuery,
     params: &[Value],
 ) -> RelResult<Vec<Tuple>> {
-    query.validate(db)?;
-    if params.len() < query.n_params() {
-        return Err(RelError::UnboundParam(params.len()));
-    }
-    let preds = bind_predicates(query, params)?;
-    for p in &preds {
-        if let BoundPred::ConstConst(a, b) = p {
-            if a != b {
-                return Ok(Vec::new()); // contradiction: empty result
-            }
-        }
-    }
-
-    // Column offsets of each FROM entry within the concatenated row (the
-    // row layout is fixed by FROM order regardless of join order).
-    let mut offsets = Vec::with_capacity(query.from().len());
-    let mut width = 0usize;
-    for tr in query.from() {
-        offsets.push(width);
-        let table = db
-            .table_src(&tr.table)
-            .ok_or_else(|| RelError::UnknownTable(tr.table.clone()))?;
-        width += table.schema().arity();
-    }
-    let abs = |c: ColRef| offsets[c.rel] + c.col;
-    let n_from = query.from().len();
-
-    // Greedy join order: repeatedly place the entry whose primary-key
-    // prefix is best bound by constants and joins to already-placed
-    // entries — the difference between scanning a 100K-row `gen` table per
-    // update and a handful of point lookups.
-    let order: Vec<usize> = {
-        let mut placed = vec![false; n_from];
-        let mut order = Vec::with_capacity(n_from);
-        // Precompute per-entry info against the bound predicates.
-        while order.len() < n_from {
-            let mut best: Option<(usize, usize, usize)> = None; // (prefix, conn, entry)
-            for e in 0..n_from {
-                if placed[e] {
-                    continue;
-                }
-                let table = db.table_src(&query.from()[e].table).expect("checked above");
-                let key = table.schema().key();
-                let col_bound = |col: usize| -> bool {
-                    preds.iter().any(|p| match p {
-                        BoundPred::ColConst(c, _) => c.rel == e && c.col == col,
-                        BoundPred::ColCol(a, b) => {
-                            (a.rel == e && a.col == col && placed[b.rel])
-                                || (b.rel == e && b.col == col && placed[a.rel])
-                        }
-                        BoundPred::ConstConst(_, _) => false,
-                    })
-                };
-                let prefix = key.iter().take_while(|&&kc| col_bound(kc)).count();
-                // Connectivity: any predicate linking e to placed entries or
-                // constants.
-                let conn = preds
-                    .iter()
-                    .filter(|p| match p {
-                        BoundPred::ColConst(c, _) => c.rel == e,
-                        BoundPred::ColCol(a, b) => {
-                            (a.rel == e && placed[b.rel]) || (b.rel == e && placed[a.rel])
-                        }
-                        BoundPred::ConstConst(_, _) => false,
-                    })
-                    .count();
-                let cand = (prefix, conn, e);
-                let better = match best {
-                    None => true,
-                    // Smaller entry index wins ties (stable, deterministic).
-                    Some((bp, bc, be)) => {
-                        (prefix, conn) > (bp, bc) || ((prefix, conn) == (bp, bc) && e < be)
-                    }
-                };
-                if better {
-                    best = Some(cand);
-                }
-            }
-            let (_, _, e) = best.expect("unplaced entry exists");
-            placed[e] = true;
-            order.push(e);
-        }
-        order
-    };
-
-    // `rows` holds the working set of partially joined rows over the full
-    // row layout; unfilled segments hold placeholders.
-    let mut rows: Vec<Vec<Value>> = vec![vec![Value::Int(0); width]];
-    let mut applied = vec![false; preds.len()];
-    let mut placed = vec![false; n_from];
-
-    for &rel in &order {
-        let tr = &query.from()[rel];
-        let table = db
-            .table_src(&tr.table)
-            .ok_or_else(|| RelError::UnknownTable(tr.table.clone()))?;
-        let arity = table.schema().arity();
-
-        // Partition the not-yet-applied predicates that become bound now.
-        let mut local_const: Vec<(usize, Value)> = Vec::new(); // (col-in-rel, const)
-        let mut local_colcol: Vec<(usize, usize)> = Vec::new(); // both in rel
-        let mut join: Vec<(usize, usize)> = Vec::new(); // (col-in-rel, abs-placed)
-        for (i, p) in preds.iter().enumerate() {
-            if applied[i] {
-                continue;
-            }
-            match p {
-                BoundPred::ColConst(c, v) if c.rel == rel => {
-                    local_const.push((c.col, v.clone()));
-                    applied[i] = true;
-                }
-                BoundPred::ColCol(a, b) if a.rel == rel && b.rel == rel => {
-                    local_colcol.push((a.col, b.col));
-                    applied[i] = true;
-                }
-                BoundPred::ColCol(a, b) if a.rel == rel && placed[b.rel] => {
-                    join.push((a.col, abs(*b)));
-                    applied[i] = true;
-                }
-                BoundPred::ColCol(a, b) if b.rel == rel && placed[a.rel] => {
-                    join.push((b.col, abs(*a)));
-                    applied[i] = true;
-                }
-                _ => {}
-            }
-        }
-
-        // Access path: if the local constants bind a prefix of the primary
-        // key, use an index range scan (point lookup when the full key is
-        // bound) instead of a full scan.
-        let key_prefix: Vec<Value> = {
-            let mut prefix = Vec::new();
-            for &kc in table.schema().key() {
-                match local_const.iter().find(|(c, _)| *c == kc) {
-                    Some((_, v)) => prefix.push(v.clone()),
-                    None => break,
-                }
-            }
-            prefix
-        };
-
-        let write_segment = |row: &Vec<Value>, t: &Tuple| -> Vec<Value> {
-            let mut r = row.clone();
-            r[offsets[rel]..offsets[rel] + arity].clone_from_slice(t.values());
-            r
-        };
-
-        if join.is_empty() {
-            // No join predicate to placed entries: scan (or prefix-scan)
-            // once and extend every row.
-            let scan: Box<dyn Iterator<Item = &Tuple>> = if key_prefix.is_empty() {
-                Box::new(table.iter())
-            } else {
-                Box::new(table.scan_key_prefix(&key_prefix))
-            };
-            let scanned: Vec<&Tuple> = scan
-                .filter(|t| {
-                    local_const.iter().all(|(c, v)| &t[*c] == v)
-                        && local_colcol.iter().all(|(a, b)| t[*a] == t[*b])
-                })
-                .collect();
-            let mut next = Vec::with_capacity(rows.len().saturating_mul(scanned.len()));
-            for row in &rows {
-                for t in &scanned {
-                    next.push(write_segment(row, t));
-                }
-            }
-            rows = next;
-        } else {
-            // Prefer an index nested-loop join when the join columns and
-            // local constants cover a prefix of this table's primary key.
-            enum PrefixSrc {
-                Const(Value),
-                Row(usize),
-            }
-            let mut prefix_spec: Vec<PrefixSrc> = Vec::new();
-            for &kc in table.schema().key() {
-                if let Some((_, v)) = local_const.iter().find(|(c, _)| *c == kc) {
-                    prefix_spec.push(PrefixSrc::Const(v.clone()));
-                } else if let Some((_, a)) = join.iter().find(|(c, _)| *c == kc) {
-                    prefix_spec.push(PrefixSrc::Row(*a));
-                } else {
-                    break;
-                }
-            }
-            if !prefix_spec.is_empty() {
-                let mut next = Vec::new();
-                for row in &rows {
-                    let prefix: Vec<Value> = prefix_spec
-                        .iter()
-                        .map(|s| match s {
-                            PrefixSrc::Const(v) => v.clone(),
-                            PrefixSrc::Row(a) => row[*a].clone(),
-                        })
-                        .collect();
-                    for t in table.scan_key_prefix(&prefix) {
-                        let ok = local_const.iter().all(|(c, v)| &t[*c] == v)
-                            && local_colcol.iter().all(|(a, b)| t[*a] == t[*b])
-                            && join.iter().all(|(c, a)| t[*c] == row[*a]);
-                        if ok {
-                            next.push(write_segment(row, t));
-                        }
-                    }
-                }
-                rows = next;
-            } else {
-                // Hash join: index scanned tuples by their join-key values.
-                let scan: Box<dyn Iterator<Item = &Tuple>> = if key_prefix.is_empty() {
-                    Box::new(table.iter())
-                } else {
-                    Box::new(table.scan_key_prefix(&key_prefix))
-                };
-                let key_cols: Vec<usize> = join.iter().map(|(c, _)| *c).collect();
-                let probe_cols: Vec<usize> = join.iter().map(|(_, a)| *a).collect();
-                let mut index: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::new();
-                for t in scan.filter(|t| {
-                    local_const.iter().all(|(c, v)| &t[*c] == v)
-                        && local_colcol.iter().all(|(a, b)| t[*a] == t[*b])
-                }) {
-                    let key: Vec<&Value> = key_cols.iter().map(|&c| &t[c]).collect();
-                    index.entry(key).or_default().push(t);
-                }
-                let mut next = Vec::new();
-                for row in &rows {
-                    let probe: Vec<&Value> = probe_cols.iter().map(|&a| &row[a]).collect();
-                    if let Some(matches) = index.get(&probe) {
-                        for t in matches {
-                            next.push(write_segment(row, t));
-                        }
-                    }
-                }
-                rows = next;
-            }
-        }
-        placed[rel] = true;
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    // Residual predicates (e.g. ColCol spanning entries where both were
-    // handled as join keys of later relations) — by construction every
-    // ColCol/ColConst is applied above, but keep a safety net.
-    for (i, p) in preds.iter().enumerate() {
-        if applied[i] {
-            continue;
-        }
-        match p {
-            BoundPred::ColConst(c, v) => {
-                let a = abs(*c);
-                rows.retain(|r| &r[a] == v);
-            }
-            BoundPred::ColCol(x, y) => {
-                let (a, b) = (abs(*x), abs(*y));
-                rows.retain(|r| r[a] == r[b]);
-            }
-            BoundPred::ConstConst(_, _) => {}
-        }
-    }
-
-    // Project with set semantics and deterministic order.
-    let proj: Vec<usize> = query.projection().iter().map(|c| abs(*c)).collect();
-    let mut out: BTreeSet<Tuple> = BTreeSet::new();
-    for r in rows {
-        out.insert(Tuple::from_values(proj.iter().map(|&i| r[i].clone())));
-    }
-    Ok(out.into_iter().collect())
+    SpjPlan::compile(query, db)?.run(db, params)
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //!   [`database`], [`update`]), stored in the page-granular copy-on-write
 //!   containers of [`cow`] so that versions share everything they did not
 //!   change;
-//! - parameterized select-project-join queries with hash-join evaluation
-//!   ([`spj`], [`eval`]);
+//! - parameterized select-project-join queries, compiled once into index
+//!   nested-loop plans and run many times ([`spj`], [`eval`]);
 //! - the paper's *key preservation* analysis (§4.1) and deletable-source
 //!   lineage (§4.2) ([`spj`], [`lineage`]).
 //!
@@ -36,7 +36,7 @@ pub use codec::{crc32, CodecError, CodecResult, Reader};
 pub use cow::{PagedMap, PagedVec};
 pub use database::Database;
 pub use error::{RelError, RelResult};
-pub use eval::{eval_spj, Augmented, TableSource};
+pub use eval::{eval_spj, Augmented, SpjPlan, TableSource};
 pub use lineage::{closure_source_keys, deletable_source, resolve_source, SourceRef};
 pub use schema::{schema, ColumnDef, SchemaBuilder, TableSchema};
 pub use spj::{ColRef, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};

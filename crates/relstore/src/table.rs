@@ -5,6 +5,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::TableSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// A table with set semantics, indexed by primary key.
@@ -44,6 +45,29 @@ impl Table {
             schema: Arc::new(schema),
             rows: PagedMap::new(),
         }
+    }
+
+    /// Builds a table from rows already in strictly ascending primary-key
+    /// order — what a checkpoint lists and what a bulk publication sorts:
+    /// the row pages are written full, once each, where repeated
+    /// [`Table::insert`] searches for every key. Rows are checked against
+    /// the schema like inserted ones.
+    pub fn from_sorted_rows(
+        schema: TableSchema,
+        rows: impl IntoIterator<Item = Tuple>,
+    ) -> RelResult<Self> {
+        let mut table = Table::new(schema);
+        let keyed = rows
+            .into_iter()
+            .map(|row| {
+                table.schema.check_tuple(&row)?;
+                Ok((table.schema.key_of(&row), row))
+            })
+            .collect::<RelResult<Vec<_>>>()?;
+        table.rows = PagedMap::from_sorted(keyed).map_err(|_| RelError::UnsortedRows {
+            table: table.schema.name().into(),
+        })?;
+        Ok(table)
     }
 
     /// The table's schema.
@@ -125,13 +149,31 @@ impl Table {
     /// table (e.g. `H` rows of one `h1`).
     pub fn scan_key_prefix<'a, 'p>(
         &'a self,
-        prefix: &'p [crate::value::Value],
+        prefix: &'p [Value],
     ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p> {
-        let lower = Tuple::from_values(prefix.iter().cloned());
+        // A prefix longer than the key matches nothing.
+        self.scan_key_range(move |key| {
+            key.get(..prefix.len())
+                .map_or(Ordering::Greater, |head| head.cmp(prefix))
+        })
+    }
+
+    /// Iterates over the rows (in key order) whose primary-key values
+    /// `locate` finds `Equal`; it must find the keys before them `Less` and
+    /// the keys after them `Greater`. This is [`Table::scan_key_prefix`]
+    /// for a caller whose prefix values sit in different places: it
+    /// compares them where they are and builds no probe key.
+    pub fn scan_key_range<'a, F>(
+        &'a self,
+        locate: F,
+    ) -> impl Iterator<Item = &'a Tuple> + use<'a, F>
+    where
+        F: Fn(&[Value]) -> Ordering,
+    {
         self.rows
-            .range_from(&lower)
-            .take_while(move |(k, _)| k.values().starts_with(prefix))
-            .map(|(_, v)| v)
+            .range_by(|k| locate(k.values()) == Ordering::Less)
+            .take_while(move |(k, _)| locate(k.values()) == Ordering::Equal)
+            .map(|(_, row)| row)
     }
 
     /// The rows whose column `col` equals `value`, via the lazily built
@@ -150,9 +192,8 @@ impl Table {
         // readers (e.g. shard writer threads probing one shared snapshot)
         // fund a single build instead of racing on duplicates.
         let index = self.col_index[col].get_or_init(|| self.build_index(col));
-        // The empty tuple sorts below every primary key.
         index
-            .range_from(&(value.clone(), Tuple::empty()))
+            .range_by(|(v, _)| v < value)
             .take_while(|((v, _), ())| v == value)
             .filter_map(|((_, key), ())| self.rows.get(key))
             .collect()
@@ -166,13 +207,9 @@ impl Table {
             .iter()
             .map(|(key, row)| (row[col].clone(), key.clone()))
             .collect();
-        // Ascending inserts leave full runs behind them.
         pairs.sort_unstable();
-        let mut index = ColIndex::new();
-        for pair in pairs {
-            index.insert(pair, ());
-        }
-        index
+        ColIndex::from_sorted(pairs.into_iter().map(|pair| (pair, ())))
+            .expect("primary keys are distinct, so the pairs are")
     }
 }
 

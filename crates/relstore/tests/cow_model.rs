@@ -126,6 +126,111 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A bulk-built map is the map repeated `insert` builds: same contents
+    /// and iteration order, and the same behaviour under a later script of
+    /// inserts, removals and range scans — on the map itself and on a
+    /// clone taken first, which must not see the original's writes.
+    #[test]
+    fn from_sorted_equals_repeated_insert(
+        keys in prop::collection::vec(0u16..KEYS, 0..400),
+        steps in prop::collection::vec((0u8..8, 0u16..KEYS, any::<u16>()), 0..300),
+    ) {
+        let sorted: BTreeMap<u16, Arc<u16>> = keys.iter().map(|&k| (k, value(k))).collect();
+        let mut bulk = PagedMap::from_sorted(sorted.clone()).expect("a BTreeMap iterates ascending");
+        let mut one_by_one = PagedMap::new();
+        for (k, v) in &sorted {
+            one_by_one.insert(*k, v.clone());
+        }
+        prop_assert!(check_map(&bulk, &sorted));
+        prop_assert!(bulk.iter().map(|(k, v)| (*k, **v)).eq(one_by_one.iter().map(|(k, v)| (*k, **v))));
+
+        let frozen = bulk.clone();
+        let mut model = sorted.clone();
+        for (op, key, val) in steps {
+            match op {
+                0..=2 => {
+                    let old = bulk.insert(key, value(val)).map(|v| *v);
+                    prop_assert_eq!(old, one_by_one.insert(key, value(val)).map(|v| *v));
+                    prop_assert_eq!(old, model.insert(key, value(val)).map(|v| *v));
+                }
+                3..=5 => {
+                    let old = bulk.remove(&key).map(|v| *v);
+                    prop_assert_eq!(old, one_by_one.remove(&key).map(|v| *v));
+                    prop_assert_eq!(old, model.remove(&key).map(|v| *v));
+                }
+                6 => {
+                    let got: Vec<u16> = bulk.range_from(&key).map(|(k, _)| *k).take(40).collect();
+                    let want: Vec<u16> = model.range(key..).map(|(k, _)| *k).take(40).collect();
+                    prop_assert_eq!(got, want);
+                }
+                _ => prop_assert_eq!(bulk.get(&key).map(|v| **v), model.get(&key).map(|v| **v)),
+            }
+        }
+        prop_assert!(check_map(&bulk, &model));
+        prop_assert!(check_map(&one_by_one, &model));
+        prop_assert!(check_map(&frozen, &sorted), "the clone saw the original's writes");
+    }
+
+    /// A collected vector is the vector repeated `push` builds, and writes
+    /// to it stay out of a clone taken first.
+    #[test]
+    fn collected_vec_equals_repeated_push(
+        vals in prop::collection::vec(any::<u16>(), 0..700),
+        writes in prop::collection::vec((0u16..KEYS, any::<u16>()), 0..60),
+    ) {
+        let mut bulk: PagedVec<u64> = vals.iter().map(|&v| u64::from(v)).collect();
+        let mut model: Vec<u64> = vals.iter().map(|&v| u64::from(v)).collect();
+        let mut pushed = PagedVec::new();
+        for &v in &model {
+            pushed.push(v);
+        }
+        prop_assert_eq!(bulk.len(), model.len());
+        prop_assert!(bulk.iter().eq(model.iter()) && pushed.iter().eq(model.iter()));
+        prop_assert_eq!(bulk.get(model.len()), None);
+
+        let frozen = bulk.clone();
+        let original = model.clone();
+        for (i, val) in writes {
+            let (i, val) = (i as usize, u64::from(val));
+            *bulk.get_mut(i) = val;
+            if model.len() <= i {
+                model.resize(i + 1, 0);
+            }
+            model[i] = val;
+        }
+        bulk.push(7);
+        model.push(7);
+        prop_assert_eq!(bulk.len(), model.len());
+        prop_assert!(bulk.iter().eq(model.iter()));
+        prop_assert!(frozen.iter().eq(original.iter()), "the clone saw the original's writes");
+    }
+}
+
+/// Entries out of order — equal keys included — are refused at the first
+/// offender, wherever it falls in a run.
+#[test]
+fn from_sorted_refuses_unsorted_entries() {
+    let ascending = |n: u16| (0..n).map(|k| (k, ()));
+    assert_eq!(
+        PagedMap::from_sorted(ascending(300)).map(|m| m.len()),
+        Ok(300)
+    );
+    assert_eq!(PagedMap::<u16, ()>::from_sorted([]).map(|m| m.len()), Ok(0));
+    for at in [1usize, 63, 64, 65, 128, 299] {
+        let repeated = ascending(300).map(|(k, ())| (k - u16::from(k as usize >= at), ()));
+        assert_eq!(
+            PagedMap::from_sorted(repeated).err(),
+            Some(at),
+            "repeat at {at}"
+        );
+        let dipped = ascending(300).map(|(k, ())| (if k as usize == at { 0 } else { k }, ()));
+        assert_eq!(PagedMap::from_sorted(dipped).err(), Some(at), "dip at {at}");
+    }
+}
+
 /// Fills a map past several splits, then drains it from the front, the
 /// back, and the middle outwards: every run merges away and the map ends
 /// empty, agreeing with the model at every step.
