@@ -31,7 +31,7 @@
 //! *different* rows of one table commute.
 
 use crate::rel_delete::candidate_source_keys;
-use crate::rel_insert::{edge_template_keys, edge_template_keys_compiled};
+use crate::rel_insert::edge_template_keys;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody, SubtreeDag};
@@ -451,28 +451,8 @@ fn add_edge_keys(
     out: &mut RelFootprint,
 ) -> bool {
     match vs.atg().rule(pty, cty) {
-        Some(RuleBody::Query {
-            query,
-            param_fields,
-            ..
-        }) => {
-            // The dry run instantiates the same compiled skeleton the real
-            // translation instantiates moments later (interpretive oracle
-            // when the knob is off).
-            let keys = if vs.templates_enabled() {
-                edge_template_keys_compiled(
-                    base,
-                    &vs.templates(),
-                    (pty, cty),
-                    query,
-                    param_fields,
-                    pattr,
-                    cattr,
-                )
-            } else {
-                edge_template_keys(base, query, param_fields, pattr, cattr)
-            };
-            match keys {
+        Some(RuleBody::Query { query, .. }) => {
+            match edge_template_keys(base, &vs.templates(), (pty, cty), query, pattr, cattr) {
                 Ok(keys) => {
                     for (table, key) in keys {
                         let Ok(schema) = base.table(&table).map(|t| t.schema()) else {

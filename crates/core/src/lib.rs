@@ -74,7 +74,7 @@ pub use rel_delete::{
     candidate_source_keys, translate_deletions, translate_deletions_minimal, DeleteRejection,
 };
 pub use rel_insert::{
-    edge_template_keys, edge_template_keys_compiled, translate_insertions, InsertRejection,
+    compute_edge_closure, edge_template_keys, translate_insertions, EdgeClosure, InsertRejection,
     InsertTranslation,
 };
 pub use republish::{apply_relational_update, RepublishReport};

@@ -195,7 +195,7 @@ fn strict_filter_keys(filter: &Filter, out: &mut Vec<(String, String)>) -> bool 
 /// recording in `rel` the typed reads each pinned step's stability depends
 /// on. Returns `None` when any suffix step is not decomposable — a
 /// wildcard or mid-path `//` step, a non-strict filter (see
-/// [`strict_filter_keys`]), an unknown label, or an open (unpinned) step
+/// `strict_filter_keys`), an unknown label, or an open (unpinned) step
 /// anywhere but directly after the anchor head. `None` leaves `rel`
 /// partially extended with reads; callers must record into a scratch
 /// footprint and absorb it only on success.
@@ -269,7 +269,7 @@ pub fn sub_steps(
 
 /// Largest candidate-anchor set a `//`-headed or wildcard-rooted path may
 /// resolve to before it is treated as global — the default of the engine's
-/// `max_cone_anchors` knob, and the bound reads and replay resolve under.
+/// `max_cone_anchors` setting, and the bound reads and replay resolve under.
 pub const MAX_CONE_ANCHORS: usize = 64;
 
 /// The resolved anchor set of a classified path ([`resolve_anchors`]): a

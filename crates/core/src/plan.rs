@@ -1,4 +1,4 @@
-//! Compiled update plans and the engine-wide plan cache (ROADMAP item 2).
+//! Compiled update plans and the engine-wide plan cache.
 //!
 //! Every update path the engine serves goes through the same three steps —
 //! normalize, classify ([`crate::pathclass::classify`]), and compile the
@@ -30,10 +30,11 @@
 //! different grammar start from a fresh cache
 //! ([`ViewStore::publish`]/[`ViewStore::from_parts`] both allocate one).
 //!
-//! The evaluation entry point [`eval_plan`] is semantically identical to
-//! [`crate::dag_eval::eval_xpath_on_dag`] (the plans-off reference
-//! implementation, kept verbatim); the engine exposes a `use_plans` knob and
-//! its equivalence suite asserts the two agree on random workloads.
+//! [`eval_plan`] is the only evaluation route of the shipped system. It is
+//! semantically identical to [`crate::dag_eval::eval_xpath_on_dag`], §3.2
+//! verbatim, which stays as the reference tests call directly:
+//! `tests/reference_oracles.rs` holds the two equal (and [`UpdatePlan::class`]
+//! equal to [`classify`]) over random update streams.
 
 use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};

@@ -12,12 +12,10 @@
 //! 6. **background maintenance** of `M`, `L`, and the `gen` tables (§3.4),
 //!    timed separately — the (c) constituent of Fig.11.
 
-use crate::dag_eval::{eval_xpath_on_dag, DagEval};
+use crate::dag_eval::DagEval;
 use crate::footprint::RelFootprint;
 use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
-use crate::pathclass::{
-    classify, resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS,
-};
+use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
 use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
 use crate::rel_insert::{translate_insertions, InsertRejection, InsertTranslation};
@@ -357,18 +355,6 @@ impl XmlViewSystem {
         &self.vs
     }
 
-    /// Toggles compiled-plan evaluation on the underlying store (the
-    /// engine's `use_plans` knob — see [`crate::plan`]).
-    pub fn set_plans_enabled(&mut self, enabled: bool) {
-        self.vs.set_plans_enabled(enabled);
-    }
-
-    /// Toggles compiled-template translation on the underlying store (the
-    /// engine's `use_templates` knob — see [`crate::template`]).
-    pub fn set_templates_enabled(&mut self, enabled: bool) {
-        self.vs.set_templates_enabled(enabled);
-    }
-
     /// The topological order `L`.
     pub fn topo(&self) -> &TopoOrder {
         &self.topo
@@ -420,10 +406,8 @@ impl XmlViewSystem {
 
     /// The full §3.2 two-pass evaluation over all of `L` — the paper's
     /// algorithm, `O(|p|·|V|)`: the reference [`XmlViewSystem::eval`] is
-    /// held equal to, and its fallback for paths nothing bounds.
-    /// Routes through the shared compiled-plan cache unless the store's
-    /// `use_plans` knob is off (then the reference two-pass evaluation runs
-    /// directly — the engine's equivalence suite asserts both agree).
+    /// held equal to, and its fallback for paths nothing bounds. Runs the
+    /// path's compiled plan from the shared cache, like every evaluation.
     pub fn evaluate(&self, path: &rxview_xmlkit::XPath) -> DagEval {
         self.run_passes(path, &self.topo)
     }
@@ -438,26 +422,17 @@ impl XmlViewSystem {
     }
 
     fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &TopoOrder) -> DagEval {
-        if self.vs.plans_enabled() {
-            let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
-            crate::plan::eval_plan(&self.vs, order, &self.reach, &plan, &bindings)
-        } else {
-            eval_xpath_on_dag(&self.vs, order, &self.reach, path)
-        }
+        let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
+        crate::plan::eval_plan(&self.vs, order, &self.reach, &plan, &bindings)
     }
 
-    /// The [`PathClass`] of `path` — through the shared plan cache (the
+    /// The [`PathClass`] of `path`, through the shared plan cache: the
     /// slotted class is compiled once per path shape and re-bound to this
-    /// path's literals; equal to [`classify`] on the concrete path, pinned
-    /// by the plan tests) unless the `use_plans` knob is off.
+    /// path's literals — equal to [`crate::pathclass::classify`] on the
+    /// concrete path (`tests/reference_oracles.rs`).
     pub fn class_of(&self, path: &rxview_xmlkit::XPath) -> PathClass {
-        let dtd = self.vs.atg().dtd();
-        if self.vs.plans_enabled() {
-            let (plan, bindings) = self.vs.plan_cache().plan(dtd, path);
-            plan.class(&bindings)
-        } else {
-            classify(dtd, path)
-        }
+        let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
+        plan.class(&bindings)
     }
 
     /// The evaluation scope of `path` against the current state: the

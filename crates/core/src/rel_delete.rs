@@ -24,10 +24,7 @@ use crate::template::TranslationTemplates;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
-use rxview_relstore::{
-    closure_source_keys, Database, GroupUpdate, RelError, RelResult, SourceRef, SpjQuery, Tuple,
-};
-use rxview_xmlkit::TypeId;
+use rxview_relstore::{Database, GroupUpdate, RelError, SourceRef, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -82,25 +79,6 @@ fn edge_row(vs: &ViewStore, u: NodeId, v: NodeId) -> Tuple {
     vs.gen_row(u).concat(vs.dag().genid().attr_of(v))
 }
 
-/// [`closure_source_keys`] with the derived `gen_parent` entry skipped,
-/// routed through the compiled [`TranslationTemplates`] registry when one
-/// is supplied (interpretive-oracle knob off → `None`; an edge outside the
-/// registry also falls back to the interpretive derivation).
-fn edge_source_keys(
-    compiled: Option<&TranslationTemplates>,
-    edge: (TypeId, TypeId),
-    q: &SpjQuery,
-    provider: &impl rxview_relstore::SchemaProvider,
-    row: &Tuple,
-) -> RelResult<Option<Vec<SourceRef>>> {
-    if let Some(t) = compiled {
-        if let Some(found) = t.source_keys(edge, row) {
-            return Ok(found);
-        }
-    }
-    closure_source_keys(q, provider, row, &[0])
-}
-
 /// The union of *candidate* deletable sources over the group deletion: for
 /// every deleted edge, every `(table, key)` in its `Sr(Q, t)` — a superset
 /// of whatever `∆R` [`translate_deletions`] (or the minimal variant) can
@@ -112,8 +90,7 @@ fn edge_source_keys(
 /// real translation reject the whole group — which writes nothing — so they
 /// contribute no keys here.
 pub fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<SourceRef>> {
-    let provider = vs.atg().augmented_schemas();
-    let compiled = vs.templates_enabled().then(|| vs.templates());
+    let templates = vs.templates();
     let mut out = Vec::new();
     for &(u, v) in &delta.deletes {
         let a = vs.dag().genid().type_of(u);
@@ -124,9 +101,7 @@ pub fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<So
         if q.from().len() <= 1 {
             continue; // projection rule: same
         }
-        let row = edge_row(vs, u, v);
-        let sources = edge_source_keys(compiled.as_deref(), (a, b), q, &provider, &row).ok()??;
-        out.extend(sources);
+        out.extend(templates.source_keys((a, b), &edge_row(vs, u, v))?);
     }
     Some(out)
 }
@@ -139,9 +114,7 @@ pub fn translate_deletions(
     delta: &ViewDelta,
 ) -> Result<GroupUpdate, DeleteRejection> {
     let aug = vs.augmented(base);
-    let provider = vs.atg().augmented_schemas();
     let templates = vs.templates();
-    let compiled = vs.templates_enabled().then_some(&*templates);
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
     // Cache of source-safety verdicts.
@@ -164,13 +137,11 @@ pub fn translate_deletions(
             });
         }
         let row = edge_row(vs, u, v);
-        let sources = edge_source_keys(compiled, (a, b), q, &provider, &row)
-            .map_err(DeleteRejection::Rel)?
-            .ok_or_else(|| {
-                DeleteRejection::Rel(RelError::NotKeyPreserving {
-                    query: q.name().to_owned(),
-                })
-            })?;
+        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
+            DeleteRejection::Rel(RelError::NotKeyPreserving {
+                query: q.name().to_owned(),
+            })
+        })?;
 
         // Find a side-effect-free source (Fig.9 lines 6–9).
         let mut chosen: Option<SourceRef> = None;
@@ -182,7 +153,7 @@ pub fn translate_deletions(
                 }
                 continue;
             }
-            let safe = source_is_safe(vs, &aug, &provider, &templates, &sr, &deleted)?;
+            let safe = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
             verdict.insert(sr.clone(), safe);
             if safe {
                 chosen = Some(sr);
@@ -207,25 +178,20 @@ pub fn translate_deletions(
 fn source_is_safe(
     vs: &ViewStore,
     aug: &rxview_relstore::Augmented<'_>,
-    provider: &Vec<rxview_relstore::TableSchema>,
     templates: &TranslationTemplates,
     sr: &SourceRef,
     deleted: &BTreeSet<(NodeId, NodeId)>,
 ) -> Result<bool, DeleteRejection> {
-    let compiled = vs.templates_enabled().then_some(templates);
     for ((a, b), bound) in templates.bound_views(&sr.table) {
         let rows = bound
             .run(aug, sr.key.values())
             .map_err(DeleteRejection::Rel)?;
-        let q = vs.edge_query(*a, *b).expect("bound views are edge views");
         for row in rows {
             // A produced row only matters if *this source actually appears*
             // in its deletable source (self-joins may bind one occurrence).
             // This per-evaluated-row probe is the delete path's hottest
-            // call site — the compiled program replaces a full union-find
-            // re-derivation with a few indexed clones.
-            let srcs = edge_source_keys(compiled, (*a, *b), q, provider, &row)
-                .map_err(DeleteRejection::Rel)?;
+            // call site: a few indexed clones per source.
+            let srcs = templates.source_keys((*a, *b), &row);
             let uses = srcs.map(|s| s.contains(sr)).unwrap_or(true);
             if !uses {
                 continue;
@@ -258,9 +224,7 @@ pub fn translate_deletions_minimal(
     delta: &ViewDelta,
 ) -> Result<GroupUpdate, DeleteRejection> {
     let aug = vs.augmented(base);
-    let provider = vs.atg().augmented_schemas();
     let templates = vs.templates();
-    let compiled = vs.templates_enabled().then_some(&*templates);
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
     // Safe-source candidates per deleted edge.
@@ -280,19 +244,17 @@ pub fn translate_deletions_minimal(
             });
         }
         let row = edge_row(vs, u, v);
-        let sources = edge_source_keys(compiled, (a, b), q, &provider, &row)
-            .map_err(DeleteRejection::Rel)?
-            .ok_or_else(|| {
-                DeleteRejection::Rel(RelError::NotKeyPreserving {
-                    query: q.name().to_owned(),
-                })
-            })?;
+        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
+            DeleteRejection::Rel(RelError::NotKeyPreserving {
+                query: q.name().to_owned(),
+            })
+        })?;
         let mut safe = Vec::new();
         for sr in sources {
             let ok = match verdict.get(&sr) {
                 Some(&ok) => ok,
                 None => {
-                    let ok = source_is_safe(vs, &aug, &provider, &templates, &sr, &deleted)?;
+                    let ok = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
                     verdict.insert(sr.clone(), ok);
                     ok
                 }

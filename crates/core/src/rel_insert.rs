@@ -28,6 +28,7 @@
 //!    infinite-domain variables get fresh constants outside the active
 //!    domain (Theorem 4's construction).
 
+use crate::template::TranslationTemplates;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
@@ -38,6 +39,7 @@ use rxview_relstore::{
 use rxview_satsolver::{
     dpll, walksat, CnfFormula, DpllResult, Var as PropVar, WalkSatConfig, WalkSatResult,
 };
+use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -237,8 +239,7 @@ pub fn translate_insertions(
     let atg = vs.atg();
     let provider = atg.augmented_schemas();
     let mut vars = Vars::default();
-    // Compiled ∆R skeletons (None: the interpretive-oracle knob is off).
-    let compiled = vs.templates_enabled().then(|| vs.templates());
+    let compiled = vs.templates();
 
     // ---- Phase 1: derive and unify tuple templates. ----
     let mut templates: BTreeMap<(String, Tuple), Template> = BTreeMap::new();
@@ -256,17 +257,12 @@ pub fn translate_insertions(
                     return Err(InsertRejection::NotInsertable { edge: edge_desc() });
                 }
             }
-            Some(RuleBody::Query {
-                query,
-                param_fields,
-                ..
-            }) => {
+            Some(RuleBody::Query { query, .. }) => {
                 derive_templates(
                     base,
-                    compiled.as_deref(),
+                    &compiled,
                     (a, b),
                     query,
-                    param_fields,
                     vs.dag().genid().attr_of(u),
                     vs.dag().genid().attr_of(v),
                     &mut vars,
@@ -522,11 +518,12 @@ fn decode_var(
 /// The closure depends only on the grammar, the table *schemas*, and the
 /// two attribute tuples — never on table contents — so its *structure*
 /// (offsets, representatives, value sources) compiles once per production
-/// edge into a [`crate::template::EdgeTemplate`]; instantiating the
-/// template with the literal attribute tuples reproduces this struct
-/// exactly, and the interpretive [`compute_edge_closure`] stays as the
-/// equivalence oracle behind the `use_templates` knob.
-#[derive(Debug)]
+/// edge into a `template::EdgeTemplate`; instantiating the
+/// template with the literal attribute tuples
+/// ([`TranslationTemplates::instantiate_insert`]) is how the translation
+/// gets this struct, and reproduces exactly what the interpretive
+/// [`compute_edge_closure`] derives.
+#[derive(Debug, PartialEq)]
 pub struct EdgeClosure {
     /// Flat column offset per FROM entry.
     pub(crate) offsets: Vec<usize>,
@@ -546,15 +543,22 @@ impl EdgeClosure {
     }
 }
 
-/// A closure plus the schemas of its FROM entries (looked up per call —
-/// schemas are borrowed from `base`, the closure may come from a compiled
-/// template instantiation).
+/// A closure plus the schemas of its FROM entries (borrowed from `base`,
+/// looked up per call).
 struct EdgeBinding<'a> {
     schemas: Vec<&'a TableSchema>,
-    closure: std::sync::Arc<EdgeClosure>,
+    closure: EdgeClosure,
 }
 
-fn compute_edge_closure(
+/// The interpretive derivation of an inserted edge's [`EdgeClosure`]:
+/// union-find over the rule query's `Col = Col` predicates, then the values
+/// its projection (`child_attr`), parameters (`parent_attr` through
+/// `param_fields`) and constants pin, rejecting a class pinned twice with
+/// different values. `schemas` are those of the query's FROM entries, in
+/// order. Not on any translation path — the reference
+/// [`TranslationTemplates::instantiate_insert`] is held equal to
+/// (`tests/reference_oracles.rs`).
+pub fn compute_edge_closure(
     schemas: &[&TableSchema],
     query: &SpjQuery,
     param_fields: &[usize],
@@ -623,12 +627,9 @@ fn compute_edge_closure(
 
 fn edge_binding<'a>(
     base: &'a Database,
-    templates: Option<(
-        &crate::template::TranslationTemplates,
-        (rxview_xmlkit::TypeId, rxview_xmlkit::TypeId),
-    )>,
+    templates: &TranslationTemplates,
+    edge: (TypeId, TypeId),
     query: &SpjQuery,
-    param_fields: &[usize],
     parent_attr: &Tuple,
     child_attr: &Tuple,
 ) -> Result<EdgeBinding<'a>, InsertRejection> {
@@ -640,20 +641,7 @@ fn edge_binding<'a>(
                 .schema(),
         );
     }
-    // Instantiate the compiled skeleton when the registry knows the edge;
-    // otherwise (knob off, or an edge outside the registry) run the
-    // interpretive derivation.
-    let closure =
-        match templates.and_then(|(t, edge)| t.instantiate_insert(edge, parent_attr, child_attr)) {
-            Some(instantiated) => std::sync::Arc::new(instantiated?),
-            None => std::sync::Arc::new(compute_edge_closure(
-                &schemas,
-                query,
-                param_fields,
-                parent_attr,
-                child_attr,
-            )?),
-        };
+    let closure = templates.instantiate_insert(edge, parent_attr, child_attr)?;
     Ok(EdgeBinding { schemas, closure })
 }
 
@@ -664,46 +652,19 @@ fn edge_binding<'a>(
 /// parameter, or a constant). This is the planned base-write footprint of
 /// the edge; the realized `∆R` (after unification, existing-row dropping,
 /// and SAT instantiation) only ever writes a subset of these keys.
+///
+/// `edge` is the `(parent type, child type)` production edge whose rule
+/// query is `query`: the planner's dry run instantiates the same compiled
+/// skeleton the real translation of the edge instantiates moments later.
 pub fn edge_template_keys(
     base: &Database,
+    templates: &TranslationTemplates,
+    edge: (TypeId, TypeId),
     query: &SpjQuery,
-    param_fields: &[usize],
     parent_attr: &Tuple,
     child_attr: &Tuple,
 ) -> Result<Vec<(String, Tuple)>, InsertRejection> {
-    let b = edge_binding(base, None, query, param_fields, parent_attr, child_attr)?;
-    template_keys_of(&b, query)
-}
-
-/// [`edge_template_keys`] through the compiled
-/// [`crate::template::TranslationTemplates`] registry: the planner's dry
-/// run instantiates the same precompiled skeleton the real translation of
-/// the same edge instantiates moments later (`edge` is the `(parent type,
-/// child type)` production edge the rule query belongs to).
-pub fn edge_template_keys_compiled(
-    base: &Database,
-    templates: &crate::template::TranslationTemplates,
-    edge: (rxview_xmlkit::TypeId, rxview_xmlkit::TypeId),
-    query: &SpjQuery,
-    param_fields: &[usize],
-    parent_attr: &Tuple,
-    child_attr: &Tuple,
-) -> Result<Vec<(String, Tuple)>, InsertRejection> {
-    let b = edge_binding(
-        base,
-        Some((templates, edge)),
-        query,
-        param_fields,
-        parent_attr,
-        child_attr,
-    )?;
-    template_keys_of(&b, query)
-}
-
-fn template_keys_of(
-    b: &EdgeBinding<'_>,
-    query: &SpjQuery,
-) -> Result<Vec<(String, Tuple)>, InsertRejection> {
+    let b = edge_binding(base, templates, edge, query, parent_attr, child_attr)?;
     let mut out = Vec::with_capacity(query.from().len());
     for (rel, tr) in query.from().iter().enumerate() {
         let offset = b.closure.offsets[rel];
@@ -729,23 +690,15 @@ fn template_keys_of(
 #[allow(clippy::too_many_arguments)]
 fn derive_templates(
     base: &Database,
-    compiled: Option<&crate::template::TranslationTemplates>,
-    edge: (rxview_xmlkit::TypeId, rxview_xmlkit::TypeId),
+    compiled: &TranslationTemplates,
+    edge: (TypeId, TypeId),
     query: &SpjQuery,
-    param_fields: &[usize],
     parent_attr: &Tuple,
     child_attr: &Tuple,
     vars: &mut Vars,
     templates: &mut BTreeMap<(String, Tuple), Template>,
 ) -> Result<(), InsertRejection> {
-    let binding = edge_binding(
-        base,
-        compiled.map(|t| (t, edge)),
-        query,
-        param_fields,
-        parent_attr,
-        child_attr,
-    )?;
+    let binding = edge_binding(base, compiled, edge, query, parent_attr, child_attr)?;
     // Variables per undetermined class.
     let mut class_var: HashMap<usize, usize> = HashMap::new();
     for (rel, tr) in query.from().iter().enumerate() {

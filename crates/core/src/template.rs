@@ -1,5 +1,5 @@
 //! Compiled translation templates: precompiled ∆R skeletons per production
-//! edge (ROADMAP item 2, second stage).
+//! edge.
 //!
 //! The §4.2/§4.3 translation algorithms re-derive the same *structure* for
 //! every update of a given shape: the equality closure of an inserted
@@ -17,7 +17,7 @@
 //!   instantiation replays the pins against the literal attribute tuples
 //!   and yields the same [`EdgeClosure`] `compute_edge_closure` derives,
 //!   without re-walking predicates or re-running the union-find;
-//! - the delete side keeps, per edge view, a [`SourceProgram`]: for every
+//! - the delete side keeps, per edge view, a `SourceProgram`: for every
 //!   non-derived FROM entry, a `(table, key-cell…)` spec whose cells name
 //!   the output position (or constant) each key column's equality class
 //!   resolves to — instantiation is a few indexed clones per source where
@@ -29,8 +29,10 @@
 //! a `OnceLock`, so the analyze dry run, shard translation, inline rounds
 //! and recovery replay all share one compilation (and the
 //! planner's instantiations warm nothing — there is nothing left to warm).
-//! `ViewStore::templates_enabled` keeps the interpretive derivations as an
-//! equivalence oracle, mirroring `use_plans`.
+//! It is the only derivation the translation runs; the interpretive
+//! [`crate::rel_insert::compute_edge_closure`] and
+//! [`rxview_relstore::closure_source_keys`] stay as the
+//! references `tests/reference_oracles.rs` holds it equal to.
 //!
 //! **Cache-coherence invariant:** a template depends only on the `Atg`
 //! (rules, edge-view queries) and the base/`gen_A` *schemas* — never on
@@ -87,8 +89,8 @@ impl EdgeTemplate {
         provider: &impl SchemaProvider,
         query: &SpjQuery,
         param_fields: &[usize],
-    ) -> Option<EdgeTemplate> {
-        let (offsets, total) = flat_offsets(provider, query)?;
+    ) -> EdgeTemplate {
+        let (offsets, total) = flat_offsets(provider, query);
         let idx = |c: ColRef| offsets[c.rel] + c.col;
         let mut parent: Vec<usize> = (0..total).collect();
         for p in query.predicates() {
@@ -113,16 +115,17 @@ impl EdgeTemplate {
             }
         }
         let reps = (0..total).map(|i| find(&mut parent, i)).collect();
-        Some(EdgeTemplate {
+        EdgeTemplate {
             offsets,
             reps,
             pins,
-        })
+        }
     }
 
     /// Replays the pin program against concrete attribute tuples. Exactly
-    /// [`compute_edge_closure`]'s outcome, including the rejection on a
-    /// contradictory derivation (two pins of one class disagreeing).
+    /// [`crate::rel_insert::compute_edge_closure`]'s outcome, including the
+    /// rejection on a contradictory derivation (two pins of one class
+    /// disagreeing).
     fn instantiate(
         &self,
         parent_attr: &Tuple,
@@ -174,11 +177,11 @@ struct SourceSpec {
 /// The compiled delete-side program of one edge view: how to reconstruct
 /// every non-derived FROM entry's primary key from an output row, in FROM
 /// order. Compiled with the derived `gen_parent` entry (FROM position 0)
-/// skipped, matching every interpretive call site. `None` at compile time
-/// means some key column's equality class is pinned by neither a projected
-/// column nor a constant — `closure_source_keys` would return `Ok(None)`
-/// for every row, so the edge is *not key-preserving* in the generalized
-/// sense and stays `None` forever.
+/// skipped — it is never a base source. `None` at compile time means some
+/// key column's equality class is pinned by neither a projected column nor
+/// a constant — `closure_source_keys` would return `Ok(None)` for every
+/// row, so the edge is *not key-preserving* in the generalized sense and
+/// stays `None` forever.
 #[derive(Debug)]
 pub(crate) struct SourceProgram {
     specs: Vec<SourceSpec>,
@@ -191,7 +194,7 @@ impl SourceProgram {
         query: &SpjQuery,
         skip_rels: &[usize],
     ) -> Option<SourceProgram> {
-        let (offsets, total) = flat_offsets(provider, query)?;
+        let (offsets, total) = flat_offsets(provider, query);
         let idx = |c: ColRef| offsets[c.rel] + c.col;
         let mut parent: Vec<usize> = (0..total).collect();
         for p in query.predicates() {
@@ -222,7 +225,7 @@ impl SourceProgram {
             if skip_rels.contains(&rel) {
                 continue;
             }
-            let schema = provider.schema_of(&tr.table)?;
+            let schema = provider.schema_of(&tr.table).expect("FROM table known");
             let mut key_cells = Vec::with_capacity(schema.key().len());
             for &kc in schema.key() {
                 let root = find(&mut parent, idx(ColRef { rel, col: kc }));
@@ -291,15 +294,19 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, table: &str) -> S
     SpjPlan::compile(&bound, provider).expect("validated just above")
 }
 
-/// Flat column offsets of a query's FROM entries over `provider` schemas.
-fn flat_offsets(provider: &impl SchemaProvider, query: &SpjQuery) -> Option<(Vec<usize>, usize)> {
+/// Flat column offsets of a query's FROM entries over `provider` schemas
+/// (the grammar validated every rule query against them).
+fn flat_offsets(provider: &impl SchemaProvider, query: &SpjQuery) -> (Vec<usize>, usize) {
     let mut offsets = Vec::with_capacity(query.from().len());
     let mut total = 0usize;
     for tr in query.from() {
         offsets.push(total);
-        total += provider.schema_of(&tr.table)?.arity();
+        total += provider
+            .schema_of(&tr.table)
+            .expect("FROM table known")
+            .arity();
     }
-    Some((offsets, total))
+    (offsets, total)
 }
 
 fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -311,17 +318,15 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 }
 
 /// The per-grammar registry of compiled translation templates: insert-side
-/// [`EdgeTemplate`]s and delete-side [`SourceProgram`]s for every
+/// `EdgeTemplate`s and delete-side `SourceProgram`s for every
 /// production edge, compiled in one pass over the `Atg`. Cached in the
-/// engine-wide [`crate::plan::PlanCache`] (one registry per store family),
-/// consulted by every translation consumer when
-/// `ViewStore::templates_enabled` holds.
+/// engine-wide [`crate::plan::PlanCache`] (one registry per store family)
+/// and consulted by every translation consumer.
 #[derive(Debug)]
 pub struct TranslationTemplates {
     insert: HashMap<(TypeId, TypeId), EdgeTemplate>,
     /// `None` payload: the edge view exists but is not key-preserving in
-    /// the generalized sense — recorded so instantiation can answer
-    /// without falling back to the interpretive derivation.
+    /// the generalized sense.
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
     /// Per base table, every edge view whose definition mentions it,
     /// compiled bound to one row of that table ([`compile_bound`]), in edge
@@ -356,10 +361,8 @@ impl TranslationTemplates {
                 }) = atg.rule(a, b)
                 {
                     if let Entry::Vacant(slot) = insert.entry((a, b)) {
-                        if let Some(t) = EdgeTemplate::compile(&provider, query, param_fields) {
-                            slot.insert(t);
-                            compiles += 1;
-                        }
+                        slot.insert(EdgeTemplate::compile(&provider, query, param_fields));
+                        compiles += 1;
                     }
                 }
                 if let Entry::Vacant(slot) = delete.entry((a, b)) {
@@ -392,33 +395,39 @@ impl TranslationTemplates {
         }
     }
 
-    /// Instantiates the insert-side closure of `edge`. `None` when the
-    /// edge has no compiled template (the caller falls back to the
-    /// interpretive [`compute_edge_closure`] path).
+    /// Instantiates the insert-side closure of `edge`, a production edge
+    /// with a query rule: what [`crate::rel_insert::compute_edge_closure`]
+    /// derives for the same attribute tuples, rejection included.
+    ///
+    /// # Panics
+    /// If `edge` has no query rule in the grammar the registry was compiled
+    /// from — [`TranslationTemplates::compile`] covers every one that has.
     pub fn instantiate_insert(
         &self,
         edge: (TypeId, TypeId),
         parent_attr: &Tuple,
         child_attr: &Tuple,
-    ) -> Option<Result<EdgeClosure, InsertRejection>> {
-        let t = self.insert.get(&edge)?;
+    ) -> Result<EdgeClosure, InsertRejection> {
+        let t = self
+            .insert
+            .get(&edge)
+            .expect("every query-rule edge is compiled");
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(t.instantiate(parent_attr, child_attr))
+        t.instantiate(parent_attr, child_attr)
     }
 
-    /// Reconstructs the candidate sources of one edge-view output row.
-    /// Outer `None`: edge unknown to the registry (fall back to
-    /// [`closure_source_keys`]). Inner `None`: the view is not
-    /// key-preserving in the generalized sense — exactly when the
-    /// interpretive path returns `Ok(None)`.
-    pub fn source_keys(
-        &self,
-        edge: (TypeId, TypeId),
-        out: &Tuple,
-    ) -> Option<Option<Vec<SourceRef>>> {
-        let program = self.delete.get(&edge)?;
+    /// Reconstructs the candidate sources of one output row of `edge`'s
+    /// view, the derived `gen_parent` entry skipped. `None`: the view is
+    /// not key-preserving in the generalized sense — exactly when
+    /// [`rxview_relstore::closure_source_keys`] returns `Ok(None)`.
+    ///
+    /// # Panics
+    /// If `edge` has no edge view in the grammar the registry was compiled
+    /// from — [`TranslationTemplates::compile`] covers every one that has.
+    pub fn source_keys(&self, edge: (TypeId, TypeId), out: &Tuple) -> Option<Vec<SourceRef>> {
+        let program = self.delete.get(&edge).expect("every edge view is compiled");
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(program.as_ref().map(|p| p.instantiate(out)))
+        program.as_ref().map(|p| p.instantiate(out))
     }
 
     /// The edge views whose definition mentions base table `table`, each
@@ -447,7 +456,6 @@ impl TranslationTemplates {
 mod tests {
     use super::*;
     use rxview_atg::{registrar_atg, registrar_database};
-    use rxview_relstore::closure_source_keys;
 
     fn atg() -> Atg {
         let db = registrar_database();
@@ -474,27 +482,5 @@ mod tests {
         let s = reg.stats();
         assert_eq!(s.compiles, reg.compiles);
         assert!(s.compile_ns > 0);
-    }
-
-    #[test]
-    fn delete_program_matches_interpretive_sources() {
-        let atg = atg();
-        let reg = TranslationTemplates::compile(&atg);
-        let provider = atg.augmented_schemas();
-        for a in atg.dtd().types() {
-            for b in atg.dtd().children_of(a) {
-                let Some(q) = atg.edge_view_query(a, b) else {
-                    continue;
-                };
-                // A synthetic but arity-correct output row: distinct string
-                // markers per position so key cells are distinguishable.
-                let out =
-                    Tuple::from_values((0..q.out_arity()).map(|i| Value::Str(format!("cell{i}"))));
-                let interpreted = closure_source_keys(&q, &provider, &out, &[0]).unwrap();
-                let compiled = reg.source_keys((a, b), &out).expect("edge compiled");
-                assert_eq!(compiled, interpreted, "edge {a:?}->{b:?}");
-            }
-        }
-        assert!(reg.stats().hits > 0);
     }
 }

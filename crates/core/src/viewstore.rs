@@ -30,12 +30,6 @@ pub struct ViewStore {
     /// grammar and schemas, so entries never invalidate while the store's
     /// grammar is fixed (see [`crate::plan`] and [`crate::template`]).
     plan_cache: Arc<crate::plan::PlanCache>,
-    /// Whether evaluation routes through compiled plans (the engine's
-    /// `use_plans` equivalence knob; defaults to on).
-    plans_enabled: bool,
-    /// Whether translation routes through compiled templates (the engine's
-    /// `use_templates` equivalence knob; defaults to on).
-    templates_enabled: bool,
 }
 
 impl ViewStore {
@@ -78,8 +72,6 @@ impl ViewStore {
             gen_db,
             edge_queries: Arc::new(edge_queries),
             plan_cache: Arc::default(),
-            plans_enabled: true,
-            templates_enabled: true,
         }
     }
 
@@ -106,28 +98,6 @@ impl ViewStore {
     /// The shared compiled-plan cache (see [`crate::plan::PlanCache`]).
     pub fn plan_cache(&self) -> &Arc<crate::plan::PlanCache> {
         &self.plan_cache
-    }
-
-    /// Whether evaluation routes through compiled plans.
-    pub fn plans_enabled(&self) -> bool {
-        self.plans_enabled
-    }
-
-    /// Toggles compiled-plan evaluation (the engine's `use_plans` knob).
-    /// Clones made afterwards inherit the setting.
-    pub fn set_plans_enabled(&mut self, enabled: bool) {
-        self.plans_enabled = enabled;
-    }
-
-    /// Whether translation routes through compiled templates.
-    pub fn templates_enabled(&self) -> bool {
-        self.templates_enabled
-    }
-
-    /// Toggles compiled-template translation (the engine's `use_templates`
-    /// knob). Clones made afterwards inherit the setting.
-    pub fn set_templates_enabled(&mut self, enabled: bool) {
-        self.templates_enabled = enabled;
     }
 
     /// The per-grammar translation-template registry, compiled on first

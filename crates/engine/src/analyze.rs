@@ -23,7 +23,7 @@
 //!     disjoint typed footprints) touch disjoint view regions, so `//`
 //!     traffic rides ordinary shardable rounds;
 //!   - *global* — nothing bounds the path (unfilterable wildcard, bare
-//!     `//`, a candidate set past [`AnalyzeOptions::max_cone_anchors`]): it
+//!     `//`, a candidate set past [`crate::EngineConfig::max_cone_anchors`]): it
 //!     conflicts with everything and commits alone, in a one-update round
 //!     — a rare fallback rather than what every `//` update does.
 //! - **Typed relational footprint** ([`rxview_core::RelFootprint`]): a
@@ -52,45 +52,11 @@
 use rxview_atg::NodeId;
 use rxview_core::{
     plan_subtree, planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps,
-    Anchors, Evaluated, PathClass, RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem,
+    Anchors, Evaluated, RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem,
     MAX_CONE_ANCHORS,
 };
 use rxview_xmlkit::{TypeId, XPath};
 use std::collections::HashSet;
-
-/// Knobs of one conflict analysis (derived from the engine configuration).
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyzeOptions {
-    /// Whether the dry-run evaluation goes through the scope-aware
-    /// [`XmlViewSystem::eval_within`] (exact for classified paths) or is
-    /// forced over the full view.
-    pub scoped_eval: bool,
-    /// Whether leading-`//` / wildcard-rooted paths resolve to bounded
-    /// multi-anchor cones (`false` restores the pre-type-indexed behavior:
-    /// every such update is global and serializes).
-    pub descendant_cones: bool,
-    /// Largest candidate-anchor set a `//`-path may resolve to before the
-    /// analysis degrades it to a global footprint.
-    pub max_cone_anchors: usize,
-    /// Whether hot-cone fission is derived: updates whose post-anchor path
-    /// suffix decomposes into typed-accountable sub-steps
-    /// ([`rxview_core::sub_steps`]) carry a [`SubFootprint`] and may share
-    /// a round with cone-overlapping peers whose realized sub-footprints
-    /// are disjoint. `false` restores the whole-cone conflict unit — the
-    /// equivalence oracle for the fission batteries.
-    pub cone_fission: bool,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            scoped_eval: true,
-            descendant_cones: true,
-            max_cone_anchors: MAX_CONE_ANCHORS,
-            cone_fission: true,
-        }
-    }
-}
 
 /// The sub-cone footprint of a fission-eligible update: the exact view
 /// regions its evaluation read and its translation writes, at node (not
@@ -203,8 +169,8 @@ pub struct AnalysisParts {
 }
 
 impl Analysis {
-    /// Analyzes `update` against the current state of `sys` under default
-    /// options.
+    /// Analyzes `update` against the current state of `sys` under the
+    /// default anchor cap ([`MAX_CONE_ANCHORS`]).
     ///
     /// Text (`pcdata`) nodes are excluded from the cone even when shared:
     /// their text and identity are immutable, the DTD guarantees they never
@@ -215,13 +181,18 @@ impl Analysis {
     /// synthetic dataset's `payload`) would put every pair of anchors in
     /// conflict and reduce every batch to a singleton.
     pub fn of(sys: &XmlViewSystem, update: &XmlUpdate) -> Analysis {
-        Analysis::parts(sys, update, &AnalyzeOptions::default()).analysis
+        Analysis::parts(sys, update, MAX_CONE_ANCHORS).analysis
     }
 
     /// Full analysis: the footprint plus the dry-run evaluation. Anchor
     /// candidates probe the maintained `gen_A` registries, whose lazy
-    /// column indexes persist across rounds.
-    pub fn parts(sys: &XmlViewSystem, update: &XmlUpdate, opts: &AnalyzeOptions) -> AnalysisParts {
+    /// column indexes persist across rounds; a `//`-path resolving to more
+    /// than `max_cone_anchors` of them degrades to a global footprint.
+    pub fn parts(
+        sys: &XmlViewSystem,
+        update: &XmlUpdate,
+        max_cone_anchors: usize,
+    ) -> AnalysisParts {
         let dtd = sys.view().atg().dtd();
         let genid = sys.view().dag().genid();
         let root = sys.view().dag().root();
@@ -240,13 +211,9 @@ impl Analysis {
         };
 
         let class = sys.class_of(update.path());
-        if !opts.descendant_cones && !matches!(class, PathClass::Anchored { .. }) {
-            return global();
-        }
         // The resolver records the typed reads its probes depend on.
         let mut rel = RelFootprint::default();
-        let Some(resolved) =
-            resolve_anchors(sys.view(), &class, opts.max_cone_anchors, Some(&mut rel))
+        let Some(resolved) = resolve_anchors(sys.view(), &class, max_cone_anchors, Some(&mut rel))
         else {
             return global();
         };
@@ -255,11 +222,7 @@ impl Analysis {
         // reusable by the write path because the round applies to this very
         // state.
         let t_eval = std::time::Instant::now();
-        let evaluated = if opts.scoped_eval {
-            sys.eval_within(update.path(), &resolved)
-        } else {
-            sys.evaluate(update.path()).into()
-        };
+        let evaluated = sys.eval_within(update.path(), &resolved);
         let eval_time = t_eval.elapsed();
         let eval = &evaluated.eval;
         let Anchors {
@@ -365,7 +328,7 @@ impl Analysis {
         // relational footprint of a whole-cone update.
         let cone_key = anchors.iter().copied().min();
         let mut sub = None;
-        if opts.cone_fission && !anchors.is_empty() {
+        if !anchors.is_empty() {
             let mut scratch = RelFootprint::default();
             if let Some(steps) = sub_steps(sys.view(), update.path(), &mut scratch) {
                 let mut f = SubFootprint::default();
@@ -722,25 +685,11 @@ mod tests {
     #[test]
     fn untypeable_paths_stay_global() {
         let sys = system();
-        // `*` without a usable key, and a `//`-head the flag disables.
+        // `*` without a usable key.
         let a = Analysis::of(&sys, &XmlUpdate::delete("*/prereq/course").unwrap());
         assert!(a.is_global());
-        let opts = AnalyzeOptions {
-            descendant_cones: false,
-            ..AnalyzeOptions::default()
-        };
-        let parts = Analysis::parts(
-            &sys,
-            &XmlUpdate::delete("//student[ssn=S02]").unwrap(),
-            &opts,
-        );
-        assert!(parts.analysis.is_global());
         // A candidate set past the cap degrades too (3 courses, cap 1).
-        let opts = AnalyzeOptions {
-            max_cone_anchors: 1,
-            ..AnalyzeOptions::default()
-        };
-        let parts = Analysis::parts(&sys, &XmlUpdate::delete("//course").unwrap(), &opts);
+        let parts = Analysis::parts(&sys, &XmlUpdate::delete("//course").unwrap(), 1);
         assert!(parts.analysis.is_global());
     }
 

@@ -5,7 +5,6 @@
 //! plans conflict-free rounds, an inline or sharded (`shard`) executor
 //! translates each, and one serial tail folds, logs, publishes and acks it.
 
-use crate::analyze::AnalyzeOptions;
 use crate::checkpoint::{self, Checkpointer};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
@@ -23,7 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Engine tuning knobs.
+/// Engine configuration: nine fields, each with callers that set it
+/// differently (ARCHITECTURE.md, "Configuration").
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum updates per shard per commit round: a round admits up to
@@ -35,29 +35,10 @@ pub struct EngineConfig {
     /// Bound of the admission queue; [`Engine::submit`] returns
     /// [`EngineError::Saturated`] beyond it.
     pub max_queue: usize,
-    /// Whether the conflict analyzer's dry run evaluates scoped to the
-    /// update's cone union (disable to force the full §3.2 pass for every
-    /// planned update). Governs the dry run only: reads, replay and the
-    /// evaluation of ⊤-footprint updates always go through the scope-aware
-    /// [`XmlViewSystem::eval`].
-    pub scoped_eval: bool,
-    /// Whether leading-`//` and wildcard-rooted paths resolve to bounded
-    /// multi-anchor cones through the grammar's type-level reachability
-    /// closure and typed `gen_A` probes. Disable to restore the
-    /// pre-type-indexed behavior (every such update is global and commits
-    /// alone in a one-update round) — the bench baseline.
-    pub descendant_cones: bool,
     /// Largest candidate-anchor set a `//`-path may resolve to before its
     /// analysis degrades to a global footprint (bounds per-update analysis
     /// cost on unfiltered or very popular `//label` heads).
     pub max_cone_anchors: usize,
-    /// Whether hot-cone fission is on: updates whose post-anchor path
-    /// suffix decomposes into typed-accountable sub-steps carry a sub-cone
-    /// footprint and may share a round with cone-overlapping peers whose
-    /// realized footprints are disjoint (ARCHITECTURE.md §9). **On by
-    /// default**; the off position restores the whole-cone conflict unit
-    /// and is the equivalence oracle for the fission batteries.
-    pub cone_fission: bool,
     /// Number of parallel shard writers (clamped to `1..=64`). Selects the
     /// round pipeline's translate executor and nothing else: at `1` each
     /// round is applied inline on the committing thread and no thread is
@@ -77,10 +58,9 @@ pub struct EngineConfig {
     pub checkpoint_rounds: u64,
     /// Whether the telemetry layer records (metrics, phase timers, latency
     /// histograms, flight-recorder events). **On by default** — recording is
-    /// lock-free and the bench publishes the measured overhead; turning it
-    /// off reduces every `record_*` to an early return and leaves
-    /// [`crate::EngineReport`] at zero. The structural counters the engine
-    /// itself relies on (epochs, queue bounds) are unaffected.
+    /// lock-free; turning it off reduces every `record_*` to an early return
+    /// and leaves [`crate::EngineReport`] at zero. The structural counters
+    /// the engine itself relies on (epochs, queue bounds) are unaffected.
     pub telemetry: bool,
     /// Write periodic JSONL metric snapshots to this file (see
     /// [`Engine::telemetry_report`] for the human-readable view). `None`
@@ -90,21 +70,6 @@ pub struct EngineConfig {
     /// a final snapshot is always appended when the engine drops. Ignored
     /// when `telemetry` is off.
     pub metrics_path: Option<PathBuf>,
-    /// Maximum number of sharded rounds concurrently in shard translation
-    /// (clamped to `1..=8`; only meaningful with `n_shards >= 2` — inline
-    /// rounds never overlap). A round's slot frees when its bundles are
-    /// collected, so with the default of `2` the staged successor
-    /// dispatches *before* the collected round's merge/fold/publish and the
-    /// shards translate straight through it. `1` is the fully serial round
-    /// schedule (nothing dispatches while a collected round awaits
-    /// publication); either way rounds merge and publish strictly in plan
-    /// order, so the observable snapshot stream is identical (see
-    /// `crates/engine/tests/equivalence.rs`). Overlap only arises when the
-    /// queue spans several rounds (`n_shards * max_batch` is the per-round
-    /// cap) — pipelining never shrinks rounds to manufacture it, because
-    /// each publication pays a fixed cost (the fold's `L` splice, the WAL
-    /// append) that wide rounds exist to amortize. ARCHITECTURE.md §7.
-    pub pipeline_depth: usize,
     /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
     /// `None` in production (the default). When set, the pipeline
@@ -112,60 +77,21 @@ pub struct EngineConfig {
     /// dispatch/merge on sharded ones) and blocks on held gates, letting a
     /// test freeze round `k` in merge while round `k+1` translates.
     pub stage_hooks: Option<crate::pipeline::StageHooks>,
-    /// Whether evaluation and classification route through the shared
-    /// compiled-plan cache (`rxview_core::plan`). **On by default**; the
-    /// off position forces the reference per-call normalize/classify/
-    /// compile pipeline on every evaluation — kept as the equivalence
-    /// oracle (`crates/engine/tests/equivalence.rs` asserts both positions
-    /// produce identical snapshot streams).
-    pub use_plans: bool,
-    /// Whether ∆R translation instantiates precompiled per-edge
-    /// [`rxview_core::TranslationTemplates`] (insert-side closure skeletons,
-    /// delete-side candidate-source programs) instead of re-walking the ATG
-    /// rule ASTs per update. **On by default**; the off position forces the
-    /// reference per-call equality-closure / source-derivation pipeline —
-    /// kept as the equivalence oracle, exactly like
-    /// [`EngineConfig::use_plans`]
-    /// (`crates/engine/tests/equivalence.rs` asserts both positions produce
-    /// identical snapshot streams). ARCHITECTURE.md §10.
-    pub use_templates: bool,
-}
-
-impl EngineConfig {
-    /// The conflict-analysis knobs this configuration selects.
-    pub(crate) fn analyze_options(&self) -> AnalyzeOptions {
-        AnalyzeOptions {
-            scoped_eval: self.scoped_eval,
-            descendant_cones: self.descendant_cones,
-            max_cone_anchors: self.max_cone_anchors,
-            cone_fission: self.cone_fission,
-        }
-    }
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // The analysis knobs come from AnalyzeOptions::default() — one
-        // source of truth, so the engine's planner and the standalone
-        // analysis entry points (Analysis::of, evaluation_scope) can never
-        // silently disagree on defaults.
-        let analyze = AnalyzeOptions::default();
         EngineConfig {
             max_batch: 256,
             max_queue: 65_536,
-            scoped_eval: analyze.scoped_eval,
-            descendant_cones: analyze.descendant_cones,
-            max_cone_anchors: analyze.max_cone_anchors,
-            cone_fission: analyze.cone_fission,
+            // The cap reads, replay and `Analysis::of` resolve under.
+            max_cone_anchors: rxview_core::MAX_CONE_ANCHORS,
             n_shards: 1,
             durability: Durability::Off,
             checkpoint_rounds: 1024,
             telemetry: true,
             metrics_path: None,
-            pipeline_depth: 2,
             stage_hooks: None,
-            use_plans: true,
-            use_templates: true,
         }
     }
 }
@@ -475,8 +401,7 @@ impl Engine {
         let recorder = config
             .telemetry
             .then(|| Arc::new(rxview_obs::FlightRecorder::new(1024)));
-        let (sys, next_seq, report) =
-            recovery::recover_state(&atg, dir, &config, recorder.as_deref())?;
+        let (sys, next_seq, report) = recovery::recover_state(&atg, dir, recorder.as_deref())?;
         let engine = if config.durability.is_on() {
             checkpoint::clean_stale_tmps(dir)?;
             // Re-anchor the directory on the recovered state: checkpoint
@@ -517,7 +442,7 @@ impl Engine {
     /// [`Engine::build`] plus an optional pre-populated flight recorder
     /// (recovery passes the ring its replay-progress events landed in).
     fn build_with_recorder(
-        mut sys: XmlViewSystem,
+        sys: XmlViewSystem,
         epoch: u64,
         mut config: EngineConfig,
         durability: Option<(PathBuf, Wal)>,
@@ -525,13 +450,6 @@ impl Engine {
     ) -> Self {
         config.n_shards = config.n_shards.clamp(1, 64);
         config.max_batch = config.max_batch.max(1);
-        config.pipeline_depth = config.pipeline_depth.clamp(1, 8);
-        // The plan and template knobs are set on the owned system before the
-        // first snapshot wraps it, so every clone (working copies, shard
-        // replicas, recovery states) inherits the chosen evaluation and
-        // translation paths.
-        sys.set_plans_enabled(config.use_plans);
-        sys.set_templates_enabled(config.use_templates);
         let stats = Arc::new(EngineStats::new(
             config.n_shards,
             config.telemetry,

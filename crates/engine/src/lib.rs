@@ -51,8 +51,8 @@
 //!   translations onto the working clone in submission order
 //!   ([`rxview_core::XmlViewSystem::apply_translated`] re-interns and
 //!   remaps, asserting in debug builds that realized footprints were
-//!   covered by planned ones). Sharded rounds are *pipelined*
-//!   ([`EngineConfig::pipeline_depth`], default 2): the router keeps
+//!   covered by planned ones). Sharded rounds are *pipelined* (two in
+//!   translation at once): the router keeps
 //!   planning ahead against the last published snapshot, and a round whose
 //!   planned footprint is disjoint from everything still in flight is
 //!   dispatched to shard translation while its predecessors are still in
@@ -107,7 +107,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use analyze::{evaluation_scope, Analysis, AnalyzeOptions, BatchFootprint};
+pub use analyze::{evaluation_scope, Analysis, BatchFootprint};
 pub use engine::{Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};

@@ -39,9 +39,8 @@
 //! blockers, so it is disjoint from in-flight work by construction — and
 //! dispatches it as soon as a slot frees. A slot frees when a round's
 //! bundles are *collected*, not when it publishes, so up to
-//! [`crate::EngineConfig::pipeline_depth`] rounds translate while their
-//! predecessors run the serial tail (depth 1 is the serial schedule). If a
-//! publish landed after the plan was staged,
+//! [`PIPELINE_DEPTH`] rounds translate while their predecessors run the
+//! serial tail. If a publish landed after the plan was staged,
 //! [`crate::router::fixup_stale_plan`] first evicts what now conflicts.
 //! Rounds merge and publish strictly in plan order either way.
 //!
@@ -170,6 +169,14 @@ impl AdaptiveFanout {
     }
 }
 
+/// Sharded rounds that may be in shard translation at once. Two is what
+/// the overlap needs — one round translating through its predecessor's
+/// merge/fold/log/publish — and what the coordinator measures:
+/// `EngineStats::record_overlap` times the serial tails that ran with a
+/// round in flight (`PhaseBreakdown::overlap_fraction`, `rxbench`'s
+/// `engine.ledger.overlap_fraction`).
+const PIPELINE_DEPTH: usize = 2;
+
 /// A planned round not yet handed to its executor.
 struct StagedRound {
     plan: RoundPlan,
@@ -286,7 +293,6 @@ struct Commit<'a> {
 /// held.
 pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
     let n_shards = inner.config.n_shards;
-    let depth = inner.config.pipeline_depth;
     let stats = &inner.stats;
     let mut c = Commit {
         inner,
@@ -354,16 +360,10 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
 
         // --- Dispatch the staged sharded round while a slot is free. ---
         // A slot frees when a round's bundles are *collected* (its
-        // translation is over), not when it publishes — so at depth ≥ 2
-        // the successor translates through the collected round's entire
-        // serial tail and the shards never wait for work. Depth 1 is the
-        // serial baseline: the collected round must publish before
-        // anything new dispatches (no overlap at all).
-        if c.staged.is_some()
-            && !plan_stalled
-            && inflight.len() < depth
-            && (depth > 1 || collected.is_none())
-        {
+        // translation is over), not when it publishes — so the successor
+        // translates through the collected round's entire serial tail and
+        // the shards never wait for work.
+        if c.staged.is_some() && !plan_stalled && inflight.len() < PIPELINE_DEPTH {
             let mut s = c.staged.take().expect("checked");
             if s.made_stale {
                 // One or more rounds published after this plan was formed:
@@ -506,17 +506,16 @@ impl Commit<'_> {
         // can raise the `//`-path anchor cap. One shard plans for the
         // inline executor.
         let shards = (config.n_shards > 1).then(|| self.fanout.effective_shards());
-        let mut opts = config.analyze_options();
-        opts.max_cone_anchors = self
+        let max_cone_anchors = self
             .fanout
-            .effective_max_cone_anchors(opts.max_cone_anchors);
+            .effective_max_cone_anchors(config.max_cone_anchors);
         stats.record_adaptive_shards(shards.unwrap_or(1));
         let plan = router::plan_round(
             current.system(),
             &mut self.entries,
             shards,
             config.max_batch,
-            &opts,
+            max_cone_anchors,
             unpublished,
             stats,
         );

@@ -28,7 +28,6 @@
 //! acknowledged, durable prefix of the update history.*
 
 use crate::checkpoint;
-use crate::engine::EngineConfig;
 use crate::wal::{self, WalRecord};
 use rxview_atg::Atg;
 use rxview_core::XmlViewSystem;
@@ -119,7 +118,6 @@ pub struct RecoveryReport {
 pub(crate) fn recover_state(
     atg: &Atg,
     dir: &Path,
-    config: &EngineConfig,
     recorder: Option<&FlightRecorder>,
 ) -> Result<(XmlViewSystem, u64, RecoveryReport), RecoverError> {
     let mut report = RecoveryReport::default();
@@ -139,13 +137,6 @@ pub(crate) fn recover_state(
         }
     }
     let (ckpt_epoch, mut sys) = recovered.ok_or(RecoverError::NoCheckpoint)?;
-    // Replay runs under the *new* configuration's evaluation and
-    // translation knobs — both positions of each knob are proven
-    // observationally equivalent, so a log written plans-on/templates-on
-    // replays identically under plans-off/templates-off (and vice versa);
-    // `crates/engine/tests/recovery.rs` crosses all of them.
-    sys.set_plans_enabled(config.use_plans);
-    sys.set_templates_enabled(config.use_templates);
     report.checkpoint_epoch = ckpt_epoch;
     report.checkpoint_load = t_ckpt.elapsed();
     if let Some(rec) = recorder {

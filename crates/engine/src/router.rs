@@ -44,7 +44,7 @@
 //! the ATG rules, which committed rounds can invalidate without touching
 //! the cached cone.
 
-use crate::analyze::{Analysis, AnalyzeOptions, BatchFootprint, Verdict};
+use crate::analyze::{Analysis, BatchFootprint, Verdict};
 use crate::engine::Pending;
 use crate::shard::ShardJob;
 use crate::stats::EngineStats;
@@ -168,7 +168,7 @@ pub(crate) fn plan_round(
     pending: &mut Vec<PendingUpdate>,
     shards: Option<usize>,
     max_batch: usize,
-    opts: &AnalyzeOptions,
+    max_cone_anchors: usize,
     inflight: Option<&BatchFootprint>,
     stats: &EngineStats,
 ) -> RoundPlan {
@@ -216,7 +216,7 @@ pub(crate) fn plan_round(
                 (c.analysis, c.eval)
             }
             None => {
-                let parts = Analysis::parts(sys, &pu.update, opts);
+                let parts = Analysis::parts(sys, &pu.update, max_cone_anchors);
                 if let Some(eval) = &parts.eval {
                     // The dry run evaluated the path; the executor reuses
                     // the result instead of evaluating again. Only the
@@ -339,6 +339,7 @@ pub(crate) fn fixup_stale_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rxview_core::MAX_CONE_ANCHORS;
     use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 
     fn system() -> XmlViewSystem {
@@ -395,22 +396,14 @@ mod tests {
             &mut queue,
             Some(2),
             4,
-            &AnalyzeOptions::default(),
+            MAX_CONE_ANCHORS,
             Some(&inflight),
             &stats,
         );
         assert!(plan.admitted.is_empty(), "conflicting update must defer");
         assert_eq!(queue.len(), 1, "the deferred update stays queued");
         // Without the seed the same singleton queue admits immediately.
-        let plan = plan_round(
-            &sys,
-            &mut queue,
-            Some(2),
-            4,
-            &AnalyzeOptions::default(),
-            None,
-            &stats,
-        );
+        let plan = plan_round(&sys, &mut queue, Some(2), 4, MAX_CONE_ANCHORS, None, &stats);
         assert_eq!(plan.admitted.len(), 1);
         assert!(queue.is_empty());
     }
@@ -423,15 +416,7 @@ mod tests {
         assert_eq!(paths.len(), 2, "two deletable groups");
         let (u1, u2) = (paths[0].as_str(), paths[1].as_str());
         let mut queue = vec![pending(0, u1), pending(1, u2)];
-        let mut plan = plan_round(
-            &sys,
-            &mut queue,
-            Some(2),
-            4,
-            &AnalyzeOptions::default(),
-            None,
-            &stats,
-        );
+        let mut plan = plan_round(&sys, &mut queue, Some(2), 4, MAX_CONE_ANCHORS, None, &stats);
         assert_eq!(plan.admitted.len(), 2, "disjoint deletes share a round");
 
         // A publish whose footprint overlaps u1 (here: u1's own analysis)

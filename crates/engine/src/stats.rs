@@ -688,20 +688,18 @@ pub struct EngineReport {
     /// executor: the planner's dry run, the shards, the inline fallback.
     pub scoped_evals: u64,
     /// Evaluations that ran the full pass over `L`: a path nothing bounds,
-    /// a cone union too large to be worth projecting, or a dry run with
-    /// [`crate::EngineConfig::scoped_eval`] off — the first thing to look
-    /// at when an update was slow.
+    /// or a cone union too large to be worth projecting — the first thing
+    /// to look at when an update was slow.
     pub full_evals: u64,
     /// Plan-cache counters as *this engine's delta* since it attached to
     /// its (possibly shared) cache: hits, misses, evictions, compiles, and
     /// total compile nanoseconds (ARCHITECTURE.md §8). All zero when
-    /// telemetry is off or plans are disabled.
+    /// telemetry is off.
     pub plan_cache: PlanCacheStats,
     /// Translation-template registry counters as this engine's delta since
-    /// attach (ARCHITECTURE.md §10): `hits` counts template instantiations
-    /// that skipped the interpretive closure/source derivation, `compiles`
-    /// and `compile_ns` the one-time registry build. All zero when
-    /// telemetry is off or templates are disabled.
+    /// attach (ARCHITECTURE.md §10): `hits` counts template instantiations,
+    /// `compiles` and `compile_ns` the one-time registry build. All zero
+    /// when telemetry is off.
     pub template_cache: PlanCacheStats,
     /// Total plan compile time observed by this engine's compile-time
     /// histogram (post-attach compiles on this cache).

@@ -52,7 +52,6 @@ fn pipelined_config(hooks: &StageHooks) -> EngineConfig {
     EngineConfig {
         n_shards: 2,
         max_batch: 1, // rounds of at most n_shards * max_batch = 2 updates
-        pipeline_depth: 2,
         stage_hooks: Some(hooks.clone()),
         ..EngineConfig::default()
     }

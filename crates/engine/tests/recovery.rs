@@ -5,7 +5,9 @@
 //! acknowledged, durable prefix of the update history** — no matter when
 //! the crash happened, which translate executor (inline, sharded) committed
 //! the rounds, where checkpoints interleaved, or how the log's tail was torn
-//! or corrupted.
+//! or corrupted. The oracle is `rxview_workload::reference_apply` — §3.2
+//! verbatim, one update at a time — not the `XmlViewSystem::apply` that
+//! replay itself runs.
 //!
 //! "Crash" is simulated by dropping the engine without any graceful
 //! shutdown and recovering from its directory; torn-tail tests additionally
@@ -15,8 +17,8 @@
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Durability, Engine, EngineConfig, RecoverError};
 use rxview_workload::{
-    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
-    synthetic_database, SyntheticConfig,
+    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
+    reference_apply, synthetic_atg, synthetic_database, SyntheticConfig,
 };
 use std::collections::BTreeSet;
 use std::fs;
@@ -57,17 +59,6 @@ fn durable_config(n_shards: usize, checkpoint_rounds: u64) -> EngineConfig {
         durability: Durability::PerRound,
         checkpoint_rounds,
         ..EngineConfig::default()
-    }
-}
-
-fn durable_config_depth(
-    n_shards: usize,
-    checkpoint_rounds: u64,
-    pipeline_depth: usize,
-) -> EngineConfig {
-    EngineConfig {
-        pipeline_depth,
-        ..durable_config(n_shards, checkpoint_rounds)
     }
 }
 
@@ -115,7 +106,6 @@ fn check_crash_recovery(
     n_shards: usize,
     kill_after_chunks: usize,
     checkpoint_rounds: u64,
-    pipeline_depth: usize,
 ) -> Result<(), String> {
     let (sys, atg) = system(220, seed);
     let ops = mixed_updates(&sys, seed ^ 0xD00D, flips);
@@ -127,7 +117,7 @@ fn check_crash_recovery(
     // The engine under test: durable, killed mid-history.
     let engine = Engine::with_durability(
         sys.clone(),
-        durable_config_depth(n_shards, checkpoint_rounds, pipeline_depth),
+        durable_config(n_shards, checkpoint_rounds),
         &dir,
     )
     .map_err(|e| format!("with_durability: {e}"))?;
@@ -154,7 +144,7 @@ fn check_crash_recovery(
     // Oracle: sequential replay of the acknowledged history.
     let mut oracle = sys;
     for (u, accepted) in &acknowledged {
-        let outcome = oracle.apply(u, SideEffectPolicy::Proceed);
+        let outcome = reference_apply(&mut oracle, u, SideEffectPolicy::Proceed);
         if outcome.is_ok() != *accepted {
             return Err(format!(
                 "oracle acceptance diverged from engine for `{u}` (engine {accepted})"
@@ -162,11 +152,11 @@ fn check_crash_recovery(
         }
     }
 
-    // Recover and compare (the recovered engine keeps the same depth).
+    // Recover and compare.
     let (recovered, report) = Engine::recover(
         atg.clone(),
         &dir,
-        durable_config_depth(n_shards, checkpoint_rounds, pipeline_depth),
+        durable_config(n_shards, checkpoint_rounds),
     )
     .map_err(|e| format!("recover: {e}"))?;
     if report.replay_rejected != 0 {
@@ -214,7 +204,7 @@ fn check_crash_recovery(
         recovered.commit_pending();
         for (u, t) in rest.iter().zip(tickets) {
             let engine_ok = t.wait().is_ok();
-            let oracle_ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
+            let oracle_ok = reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).is_ok();
             if engine_ok != oracle_ok {
                 return Err(format!("post-recovery acceptance diverged for `{u}`"));
             }
@@ -232,8 +222,8 @@ fn check_crash_recovery(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random mixed workloads, random kill points, both write paths, every
-    /// pipeline depth: recovery reproduces exactly the acknowledged prefix.
+    /// Random mixed workloads, random kill points, both write paths:
+    /// recovery reproduces exactly the acknowledged prefix.
     #[test]
     fn recovery_equals_acknowledged_prefix_oracle(
         seed in 0u64..500,
@@ -241,189 +231,12 @@ proptest! {
         n_shards in 1usize..5,
         kill_after_chunks in 1usize..6,
         checkpoint_rounds in 0u64..4,
-        pipeline_depth in 1usize..4,
     ) {
         if let Err(e) = check_crash_recovery(
-            seed, &flips, n_shards, kill_after_chunks, checkpoint_rounds, pipeline_depth,
+            seed, &flips, n_shards, kill_after_chunks, checkpoint_rounds,
         ) {
             return Err(TestCaseError::fail(e));
         }
-    }
-}
-
-/// Replay through shared compiled plans rebuilds the acknowledged prefix
-/// verbatim. A durable engine (plans on, the default) commits a mixed
-/// history and crashes; the directory is then recovered twice — once
-/// replaying through the plan cache, once with `use_plans: false` on the
-/// reference `dag_eval`/`classify` path — and both recovered states must
-/// equal each other and the plans-off sequential oracle, at every pipeline
-/// depth. This pins the recovery call site of ARCHITECTURE.md §8: the
-/// replayed updates re-probe the recovered master's shared cache, and the
-/// plans it compiles under the recovered grammar reproduce the original
-/// acceptance pattern bit for bit.
-#[test]
-fn replay_through_shared_plans_rebuilds_acknowledged_prefix() {
-    for pipeline_depth in 1..=3 {
-        let (sys, atg) = system(220, 77);
-        let flips: Vec<bool> = (0..18).map(|i| i % 3 != 1).collect();
-        let ops = mixed_updates(&sys, 0xC0FFEE, &flips);
-        assert!(!ops.is_empty(), "workload generated no ops");
-        let dir = temp_dir("plans");
-        let engine = Engine::with_durability(
-            sys.clone(),
-            durable_config_depth(2, 0, pipeline_depth),
-            &dir,
-        )
-        .expect("durable engine");
-        let tickets: Vec<_> = ops
-            .iter()
-            .map(|u| {
-                engine
-                    .submit(u.clone(), SideEffectPolicy::Proceed)
-                    .expect("queue not full")
-            })
-            .collect();
-        engine.commit_pending();
-        let acknowledged: Vec<(XmlUpdate, bool)> = ops
-            .iter()
-            .cloned()
-            .zip(tickets.into_iter().map(|t| t.wait().is_ok()))
-            .collect();
-        drop(engine); // crash
-
-        // Plans-off sequential oracle over the acknowledged history.
-        let mut oracle = sys;
-        oracle.set_plans_enabled(false);
-        for (u, accepted) in &acknowledged {
-            let ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
-            assert_eq!(
-                ok, *accepted,
-                "depth {pipeline_depth}: oracle diverged on `{u}`"
-            );
-        }
-
-        let recover_with = |use_plans: bool| {
-            let (engine, report) = Engine::recover(
-                atg.clone(),
-                &dir,
-                EngineConfig {
-                    durability: Durability::Off,
-                    use_plans,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("recovery succeeds");
-            assert_eq!(
-                report.replay_rejected, 0,
-                "depth {pipeline_depth}, plans={use_plans}: acknowledged updates rejected on replay"
-            );
-            let snap = engine.snapshot();
-            snap.system().consistency_check().expect("consistent");
-            (
-                base_fingerprint(snap.system()),
-                edge_fingerprint(snap.system()),
-            )
-        };
-        let with_plans = recover_with(true);
-        let without_plans = recover_with(false);
-        assert_eq!(
-            with_plans, without_plans,
-            "depth {pipeline_depth}: plan-replayed recovery diverged from reference replay"
-        );
-        assert_eq!(
-            with_plans,
-            (base_fingerprint(&oracle), edge_fingerprint(&oracle)),
-            "depth {pipeline_depth}: recovered state diverged from the acknowledged-prefix oracle"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-/// Replay through compiled translation templates rebuilds the acknowledged
-/// prefix verbatim. A durable engine (templates on, the default) commits a
-/// mixed history and crashes; the directory is then recovered twice — once
-/// replaying through the template registry, once with `use_templates:
-/// false` on the reference per-update equality-closure / source-derivation
-/// path — and both recovered states must equal each other and the
-/// templates-off sequential oracle, at every pipeline depth (1–3). This
-/// pins the recovery call site of ARCHITECTURE.md §10: the replayed
-/// updates re-instantiate skeletons compiled under the recovered grammar,
-/// and reproduce the original acceptance pattern bit for bit.
-#[test]
-fn replay_through_compiled_templates_rebuilds_acknowledged_prefix() {
-    for pipeline_depth in 1..=3 {
-        let (sys, atg) = system(220, 91);
-        let flips: Vec<bool> = (0..18).map(|i| i % 3 != 2).collect();
-        let ops = mixed_updates(&sys, 0xBEAD, &flips);
-        assert!(!ops.is_empty(), "workload generated no ops");
-        let dir = temp_dir("templates");
-        let engine = Engine::with_durability(
-            sys.clone(),
-            durable_config_depth(2, 0, pipeline_depth),
-            &dir,
-        )
-        .expect("durable engine");
-        let tickets: Vec<_> = ops
-            .iter()
-            .map(|u| {
-                engine
-                    .submit(u.clone(), SideEffectPolicy::Proceed)
-                    .expect("queue not full")
-            })
-            .collect();
-        engine.commit_pending();
-        let acknowledged: Vec<(XmlUpdate, bool)> = ops
-            .iter()
-            .cloned()
-            .zip(tickets.into_iter().map(|t| t.wait().is_ok()))
-            .collect();
-        drop(engine); // crash
-
-        // Templates-off sequential oracle over the acknowledged history.
-        let mut oracle = sys;
-        oracle.set_templates_enabled(false);
-        for (u, accepted) in &acknowledged {
-            let ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
-            assert_eq!(
-                ok, *accepted,
-                "depth {pipeline_depth}: oracle diverged on `{u}`"
-            );
-        }
-
-        let recover_with = |use_templates: bool| {
-            let (engine, report) = Engine::recover(
-                atg.clone(),
-                &dir,
-                EngineConfig {
-                    durability: Durability::Off,
-                    use_templates,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("recovery succeeds");
-            assert_eq!(
-                report.replay_rejected, 0,
-                "depth {pipeline_depth}, templates={use_templates}: acknowledged updates rejected on replay"
-            );
-            let snap = engine.snapshot();
-            snap.system().consistency_check().expect("consistent");
-            (
-                base_fingerprint(snap.system()),
-                edge_fingerprint(snap.system()),
-            )
-        };
-        let with_templates = recover_with(true);
-        let without_templates = recover_with(false);
-        assert_eq!(
-            with_templates, without_templates,
-            "depth {pipeline_depth}: template-replayed recovery diverged from reference replay"
-        );
-        assert_eq!(
-            with_templates,
-            (base_fingerprint(&oracle), edge_fingerprint(&oracle)),
-            "depth {pipeline_depth}: recovered state diverged from the acknowledged-prefix oracle"
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -432,18 +245,18 @@ fn replay_through_compiled_templates_rebuilds_acknowledged_prefix() {
 #[test]
 fn sharded_crash_recovery_deterministic() {
     let flips: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-    check_crash_recovery(42, &flips, 4, 3, 2, 2).unwrap();
+    check_crash_recovery(42, &flips, 4, 3, 2).unwrap();
 }
 
-/// Pipelined kill-at-every-round sweep: deep lookahead (depth 3) over four
-/// shards, the crash landing after every chunk of the history in turn. The
+/// Pipelined kill-at-every-round sweep over four shards, the crash landing
+/// after every chunk of the history in turn. The
 /// acknowledged-prefix oracle only holds if the WAL append stayed strictly
 /// epoch-ordered while later rounds translated concurrently.
 #[test]
 fn pipelined_sharded_crash_recovery_kill_at_every_round() {
     let flips: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
     for kill_after_chunks in 1..=6 {
-        check_crash_recovery(42, &flips, 4, kill_after_chunks, 2, 3).unwrap();
+        check_crash_recovery(42, &flips, 4, kill_after_chunks, 2).unwrap();
     }
 }
 
@@ -562,7 +375,7 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
 
 /// Torn tails with the commit pipeline ON and actually overlapping: six
 /// disjoint single-update rounds drain through one `commit_pending` on two
-/// shards with `max_batch = 1` and depth 3, so later rounds translate while
+/// shards with `max_batch = 1`, so later rounds translate while
 /// earlier ones fold and append. Truncating the log at every byte and
 /// recovering proves the WAL append stayed *epoch-strict* under that
 /// overlap: every cut lands on a contiguous submission-order prefix — if
@@ -588,9 +401,7 @@ fn pipelined_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
     let mut fingerprints = vec![(base_fingerprint(&oracle), edge_fingerprint(&oracle))];
     for epoch in deletions.chunks(per_round) {
         for u in epoch {
-            oracle
-                .apply(u, SideEffectPolicy::Proceed)
-                .expect("oracle applies");
+            reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).expect("oracle applies");
         }
         fingerprints.push((base_fingerprint(&oracle), edge_fingerprint(&oracle)));
     }
@@ -600,7 +411,7 @@ fn pipelined_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
         sys,
         EngineConfig {
             max_batch: 1,
-            ..durable_config_depth(2, 0, 3)
+            ..durable_config(2, 0)
         },
         &dir,
     )
@@ -780,9 +591,7 @@ fn compaction_after_checkpoint_preserves_recoverability() {
             .expect("queue not full");
         engine.commit_pending();
         t.wait().expect("commits");
-        oracle
-            .apply(&u, SideEffectPolicy::Proceed)
-            .expect("oracle agrees");
+        reference_apply(&mut oracle, &u, SideEffectPolicy::Proceed).expect("oracle agrees");
         if r == 2 {
             engine.checkpoint_now().expect("checkpoint");
         }
@@ -863,15 +672,14 @@ fn durable_recovery_is_idempotent() {
 /// Crash recovery under hot-cone fission (ARCHITECTURE.md §9). A skewed
 /// hot-anchor stream makes rounds that genuinely co-admit several updates
 /// under one cone — this test asserts fission actually fired before the
-/// crash — then the engine dies without ceremony, at several kill points
-/// and pipeline depths. The WAL logs merged rounds in submission order, so
-/// replay is oblivious to how wide the round was; the recovered state must
-/// still equal the acknowledged-prefix oracle, and a recovery configured
-/// with `cone_fission: false` must rebuild the identical state.
+/// crash — then the engine dies without ceremony, at several kill points.
+/// The WAL logs merged rounds in submission order, so replay is oblivious
+/// to how wide the round was; the recovered state must still equal the
+/// acknowledged-prefix oracle.
 #[test]
 fn crash_recovery_with_fission_on_hot_cones() {
     use rxview_workload::{ShardSkewGen, SkewConfig};
-    for (kill_after_chunks, pipeline_depth) in [(1usize, 1usize), (2, 2), (3, 3)] {
+    for kill_after_chunks in 1usize..=3 {
         let (sys, atg) = system(200, 31);
         let mut gen = ShardSkewGen::new(SkewConfig {
             groups: 200 / 40,
@@ -883,12 +691,8 @@ fn crash_recovery_with_fission_on_hot_cones() {
         });
         let ops = gen.ops(24);
         let dir = temp_dir("fission");
-        let engine = Engine::with_durability(
-            sys.clone(),
-            durable_config_depth(3, 0, pipeline_depth),
-            &dir,
-        )
-        .expect("durable engine");
+        let engine = Engine::with_durability(sys.clone(), durable_config(3, 0), &dir)
+            .expect("durable engine");
         let chunks: Vec<&[XmlUpdate]> = ops.chunks(8).collect();
         let committed = chunks.len().min(kill_after_chunks);
         let mut acknowledged: Vec<(XmlUpdate, bool)> = Vec::new();
@@ -909,49 +713,28 @@ fn crash_recovery_with_fission_on_hot_cones() {
         let report = engine.stats().report();
         assert!(
             report.fission_admits > 0,
-            "kill={kill_after_chunks} depth={pipeline_depth}: the skewed stream must \
-             exercise fission before the crash (0 co-admits)"
+            "kill={kill_after_chunks}: the skewed stream must exercise fission before the \
+             crash (0 co-admits)"
         );
         let epoch_at_kill = engine.snapshot().epoch();
         drop(engine); // crash
 
         let mut oracle = sys;
         for (u, accepted) in &acknowledged {
-            let ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
+            let ok = reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).is_ok();
             assert_eq!(ok, *accepted, "oracle acceptance diverged for `{u}`");
         }
 
-        // Recover twice: fission on (the crashed configuration) and fission
-        // off — replay is sequential either way, so both must match.
-        for cone_fission in [true, false] {
-            let dir_copy = copy_dir(&dir, "fission-rec");
-            let (recovered, rep) = Engine::recover(
-                atg.clone(),
-                &dir_copy,
-                EngineConfig {
-                    cone_fission,
-                    ..durable_config_depth(3, 0, pipeline_depth)
-                },
-            )
-            .expect("recovery succeeds");
-            assert_eq!(rep.replay_rejected, 0);
-            assert_eq!(rep.resumed_epoch, epoch_at_kill);
-            let snap = recovered.snapshot();
-            assert_eq!(
-                base_fingerprint(&oracle),
-                base_fingerprint(snap.system()),
-                "fission={cone_fission}: recovered base diverged"
-            );
-            assert_eq!(
-                edge_fingerprint(&oracle),
-                edge_fingerprint(snap.system()),
-                "fission={cone_fission}: recovered view diverged"
-            );
-            snap.system().consistency_check().unwrap();
-            drop(snap);
-            drop(recovered);
-            let _ = fs::remove_dir_all(&dir_copy);
-        }
+        let (recovered, rep) =
+            Engine::recover(atg, &dir, durable_config(3, 0)).expect("recovery succeeds");
+        assert_eq!(rep.replay_rejected, 0);
+        assert_eq!(rep.resumed_epoch, epoch_at_kill);
+        assert_observationally_equal(
+            &oracle,
+            recovered.snapshot().system(),
+            &format!("kill={kill_after_chunks}"),
+        );
+        drop(recovered);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -28,10 +28,10 @@
 //!   object per line, timestamped), plus [`text_report`] for a
 //!   human-readable rendering of the same snapshot.
 //!
-//! Everything is cheap enough to stay on by default: the design target is
-//! that full instrumentation costs ≤2% of engine throughput (measured by
-//! `engine_throughput`'s telemetry sweep and recorded in
-//! `BENCH_engine.json`).
+//! Everything is meant to stay on by default: the design target is that
+//! full instrumentation costs ≤2% of engine throughput (no current
+//! measurement — the telemetry on/off pair is to be ported into `rxbench`,
+//! ROADMAP item 5).
 
 #![warn(missing_docs)]
 

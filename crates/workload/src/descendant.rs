@@ -15,11 +15,10 @@
 //! so the sweep covers hot labels (conflicting, serialization-bound) and
 //! cold labels (independent, shardable) alike.
 //!
-//! With the prefilter on, a `//node[id=H]`-headed update resolves through
-//! the `gen_node` registry to the one concrete anchor and rides ordinary
-//! shardable rounds; with it off (or on an engine predating it), the same
-//! stream collapses to global-lane singletons — which is the comparison the
-//! `engine_throughput` bench's `descendant` sweep measures.
+//! A `//node[id=H]`-headed update resolves through the `gen_node` registry
+//! to the one concrete anchor and rides ordinary shardable rounds; on an
+//! engine predating the prefilter the same stream collapsed to global-lane
+//! singletons.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -4,30 +4,31 @@
 //! - [`synthetic`]: the `C`/`F`/`H`/`CU` generator, the recursive view of
 //!   Fig.10(a), and Fig.10(b)-style dataset statistics;
 //! - [`workloads`]: the W1/W2/W3 insertion and deletion workloads;
-//! - [`concurrent`]: reader/writer serving mixes with key skew and the
-//!   parsed-XPath cache, for the `rxview-engine` benchmarks;
+//! - [`path_cache`]: the parsed-XPath cache the generators draw from;
 //! - [`shard_skew`]: anchor-cone-partitioned update streams with a
 //!   controllable hot spot, for the sharded engine's scaling sweeps;
 //! - [`descendant`]: mixed anchored + `//`-headed update streams over hot
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
-//! - [`recovery`]: mixed workloads and id-independent state fingerprints
-//!   for the durability subsystem's crash-recovery battery;
+//! - [`recovery`]: mixed workloads, the sequential oracle and
+//!   id-independent state fingerprints for the equivalence and
+//!   crash-recovery batteries;
 //! - the registrar running example is re-exported from `rxview-atg`.
 
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod descendant;
+pub mod path_cache;
 pub mod recovery;
 pub mod registrar_gen;
 pub mod shard_skew;
 pub mod synthetic;
 pub mod workloads;
 
-pub use concurrent::{ConcurrentConfig, ConcurrentGen, PathCache, ServeOp};
 pub use descendant::{is_descendant_headed, DescendantConfig, DescendantGen};
+pub use path_cache::PathCache;
 pub use recovery::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
+    reference_apply,
 };
 pub use registrar_gen::{registrar_scale, registrar_scale_database, RegistrarConfig};
 pub use rxview_atg::{registrar_atg, registrar_database};

@@ -14,8 +14,8 @@
 //! with deletions of the previously inserted node, so every operation has a
 //! non-empty, translatable target and consecutive operations on the *same*
 //! group conflict (a dependency chain), while operations on distinct groups
-//! are independent — the same op shape as the `engine_throughput` mixed
-//! workload, with the group choice skewed instead of round-robin.
+//! are independent — `rxbench`'s anchored-pair op shape, with the group
+//! choice skewed instead of round-robin.
 //!
 //! Inserted payloads are drawn from a small domain (`payload_domain`),
 //! modelling realistic categorical value reuse: many concurrent insertions

@@ -53,7 +53,7 @@ pub struct WorkloadGen<'a> {
     sub_ty: rxview_xmlkit::TypeId,
     fresh_counter: i64,
     /// Repeated path shapes (same root / same target) are parsed once.
-    cache: crate::concurrent::PathCache,
+    cache: crate::path_cache::PathCache,
 }
 
 impl<'a> WorkloadGen<'a> {
@@ -65,7 +65,7 @@ impl<'a> WorkloadGen<'a> {
             node_ty: vs.atg().dtd().type_id("node").expect("synthetic DTD"),
             sub_ty: vs.atg().dtd().type_id("sub").expect("synthetic DTD"),
             fresh_counter: 1_000_000_000,
-            cache: crate::concurrent::PathCache::new(),
+            cache: crate::path_cache::PathCache::new(),
         }
     }
 

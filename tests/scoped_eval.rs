@@ -4,10 +4,13 @@
 //! the path's anchors from the `gen_A` registries, project `L` onto their
 //! cones, run the §3.2 passes on the projection. This file holds that entry
 //! point equal to the full pass over all of `L` (`XmlViewSystem::evaluate`)
-//! on every field of the result, and `apply` equal to the reference it used
-//! to be — full `evaluate` → `apply_deferred` → a fold of that one job
-//! ([`reference_apply`], the reference of ARCHITECTURE.md invariant 1) — on
-//! accept/reject, `∆R`, side effects and the final `(I, V, M, L)`.
+//! on every field of the result, and `apply` equal to the paper's
+//! one-at-a-time algorithm — §3.2 verbatim over all of `L` →
+//! `apply_deferred` → a fold of that one job
+//! (`rxview::workload::reference_apply`, the reference of ARCHITECTURE.md
+//! invariant 1, shared with the engine's equivalence and recovery
+//! batteries) — on accept/reject, `∆R`, side effects and the final
+//! `(I, V, M, L)`.
 //!
 //! **Mutation-checked.** Each of these edits was made, this file run, and
 //! the edit reverted; each fails it:
@@ -32,46 +35,20 @@
 //!   is wrong: the `RootOnly` expectation on a non-top-level key fails
 //!   (`Some(108)` nodes against `Some(1)`).
 
+mod common;
+
+use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic};
 use proptest::prelude::*;
 use rxview::core::{
-    classify, resolve_anchors, SideEffectPolicy, UpdateOutcome, XmlUpdate, XmlViewSystem,
-    MAX_CONE_ANCHORS,
+    classify, resolve_anchors, SideEffectPolicy, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
 };
-use rxview::relstore::{Tuple, Value};
 use rxview::workload::{
-    base_fingerprint, edge_fingerprint, mixed_updates, registrar_atg, registrar_database,
-    synthetic_atg, synthetic_database, SyntheticConfig, WorkloadClass, WorkloadGen,
+    base_fingerprint, edge_fingerprint, mixed_updates, reference_apply, WorkloadClass, WorkloadGen,
 };
 use rxview::xmlkit::parse_xpath;
 
 const ROUNDS: usize = 50;
 const GROUP_SIZE: i64 = 40;
-
-fn synthetic(n: usize) -> XmlViewSystem {
-    let db = synthetic_database(&SyntheticConfig::with_size(n));
-    let atg = synthetic_atg(&db).expect("valid ATG");
-    XmlViewSystem::new(atg, db).expect("publishes")
-}
-
-fn registrar() -> XmlViewSystem {
-    let db = registrar_database();
-    let atg = registrar_atg(&db).expect("valid ATG");
-    XmlViewSystem::new(atg, db).expect("publishes")
-}
-
-/// One-at-a-time application as the paper states it and as `apply` ran it
-/// before it evaluated through a scope: the full §3.2 pass over all of `L`,
-/// translation, then ∆(M,L) for that one update.
-fn reference_apply(
-    sys: &mut XmlViewSystem,
-    update: &XmlUpdate,
-    policy: SideEffectPolicy,
-) -> UpdateOutcome {
-    let eval = sys.evaluate(update.path());
-    let (mut report, job) = sys.apply_deferred(update, policy, eval)?;
-    report.maintain = sys.fold_maintenance(vec![job])?;
-    Ok(report)
-}
 
 /// What the scope-aware entry point is expected to have run on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -313,16 +290,6 @@ fn assert_same_state(sys: &XmlViewSystem, oracle: &XmlViewSystem, ctx: &str) {
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
-/// The same update with `//` in front of its path.
-fn descendant_headed(u: &XmlUpdate) -> XmlUpdate {
-    let path = format!("//{}", u.path());
-    match u {
-        XmlUpdate::Insert { ty, attr, .. } => XmlUpdate::insert(ty.clone(), attr.clone(), &path),
-        XmlUpdate::Delete { .. } => XmlUpdate::delete(&path),
-    }
-    .expect("a printed path parses with `//` in front")
-}
-
 /// Fifty rounds of mixed W1–W3 inserts and deletes (each also phrased
 /// `//`-headed), policies alternating, `apply` beside the reference.
 fn fifty_rounds(sys: &mut XmlViewSystem, oracle: &mut XmlViewSystem) -> (usize, usize) {
@@ -353,7 +320,7 @@ fn fifty_rounds(sys: &mut XmlViewSystem, oracle: &mut XmlViewSystem) -> (usize, 
 
 #[test]
 fn scoped_eval_equals_the_full_pass() {
-    let mut sys = synthetic(1_200);
+    let mut sys = synthetic(1_200, 42);
     let mut oracle = sys.clone();
     check_synthetic_paths(&sys, "at publication");
     let (accepted, scoped) = fifty_rounds(&mut sys, &mut oracle);
@@ -394,82 +361,6 @@ fn scoped_eval_equals_the_full_pass() {
     assert_same_state(&reg, &reg_oracle, "registrar");
 }
 
-/// A randomly chosen update on the registrar system (anchored, `//`-headed
-/// and wildcard-rooted phrasings of the same edits).
-#[derive(Debug, Clone)]
-enum Op {
-    InsertPrereq { parent: usize, child: usize },
-    DeletePrereq { parent: usize, child: usize },
-    InsertStudent { ssn: usize, course: usize },
-    DeleteStudentEverywhere { ssn: usize },
-    DeleteStudentOf { ssn: usize, course: usize },
-}
-
-const COURSES: [(&str, &str); 4] = [
-    ("CS650", "Advanced DB"),
-    ("CS320", "Algorithms"),
-    ("CS240", "Data Structures"),
-    ("MA100", "Calculus"),
-];
-
-fn arb_op() -> impl Strategy<Value = (Op, u8, bool)> {
-    let op = prop_oneof![
-        (0usize..4, 0usize..4).prop_map(|(parent, child)| Op::InsertPrereq { parent, child }),
-        (0usize..4, 0usize..4).prop_map(|(parent, child)| Op::DeletePrereq { parent, child }),
-        (0usize..6, 0usize..4).prop_map(|(ssn, course)| Op::InsertStudent { ssn, course }),
-        (0usize..6).prop_map(|ssn| Op::DeleteStudentEverywhere { ssn }),
-        (0usize..6, 0usize..4).prop_map(|(ssn, course)| Op::DeleteStudentOf { ssn, course }),
-    ];
-    (op, any::<u8>(), any::<bool>())
-}
-
-fn registrar_update(op: &Op, phrasing: u8) -> Option<XmlUpdate> {
-    let head = |course: usize| {
-        let cno = COURSES[course].0;
-        match phrasing % 3 {
-            0 => format!("course[cno={cno}]"),
-            1 => format!("//course[cno={cno}]"),
-            _ => format!("*[cno={cno}]"),
-        }
-    };
-    let person = |ssn: usize| {
-        Tuple::from_values([
-            Value::from(format!("P{ssn:02}")),
-            Value::from(format!("Person {ssn}")),
-        ])
-    };
-    Some(
-        match op {
-            Op::InsertPrereq { parent, child } if parent == child => return None,
-            Op::InsertPrereq { parent, child } => XmlUpdate::insert(
-                "course",
-                Tuple::from_values([
-                    Value::from(COURSES[*child].0),
-                    Value::from(COURSES[*child].1),
-                ]),
-                &format!("{}/prereq", head(*parent)),
-            ),
-            Op::DeletePrereq { parent, child } => XmlUpdate::delete(&format!(
-                "{}/prereq/course[cno={}]",
-                head(*parent),
-                COURSES[*child].0
-            )),
-            Op::InsertStudent { ssn, course } => XmlUpdate::insert(
-                "student",
-                person(*ssn),
-                &format!("{}/takenBy", head(*course)),
-            ),
-            Op::DeleteStudentEverywhere { ssn } => {
-                XmlUpdate::delete(&format!("//student[ssn=P{ssn:02}]"))
-            }
-            Op::DeleteStudentOf { ssn, course } => {
-                XmlUpdate::delete(&format!("{}/takenBy/student[ssn=P{ssn:02}]", head(*course)))
-            }
-        }
-        .expect("generated update parses"),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -495,11 +386,7 @@ proptest! {
         seed in 0u64..500,
         flips in prop::collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 6..16),
     ) {
-        let mut cfg = SyntheticConfig::with_size(240);
-        cfg.seed = seed;
-        let db = synthetic_database(&cfg);
-        let atg = synthetic_atg(&db).expect("valid ATG");
-        let mut sys = XmlViewSystem::new(atg, db).expect("publishes");
+        let mut sys = synthetic(240, seed);
         let mut oracle = sys.clone();
         for (i, (insert, abort, descendant)) in flips.iter().enumerate() {
             let Some(u) = mixed_updates(&sys, seed ^ i as u64, &[*insert]).pop() else { continue };
