@@ -9,19 +9,31 @@
 //! iteration order of a few `HashMap`s inside translation).
 //!
 //! Figures at 128 groups (5 120 `C` rows, 10 807 view nodes), this file run
-//! on all three trees:
+//! on each tree:
 //!
-//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs |
-//! |---|---|---|---|
-//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls |
-//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls |
-//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B |
+//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs | rows stored once, 16-byte cells (PR 20) |
+//! |---|---|---|---|---|
+//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls | 115 131 B in 22 calls |
+//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls | 329 559 B in 646 calls |
+//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B | 9.9 B |
+//! | `I` after `synthetic_database`, per base row | — | — | 246.3 B | 145.2 B |
+//! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 |
+//! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B |
+//! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 |
+//!
+//! (The last four rows' third column is this file run on PR 19's tree,
+//! where the round row read 358 711 B in 647 calls: a row sat beside a
+//! separately allocated key tuple in a 32-byte entry, a cell was 24 bytes,
+//! and a decoded row was a `Vec`, a copy of it behind the `Arc`, and a key.
+//! `CU` shares `C`'s rows in this fixture, hence "distinct". What is left
+//! above one allocation per row is the pages. The ceilings are the measured
+//! figures + 5 %.)
 //!
 //! (At rxbench's 512 groups the left column is ≈ 15 MB and ≈ 52 MB.) Of the
-//! right column, 87 KB of the clone is `L`'s two dense arrays and about
+//! two right columns, 87 KB of the clone is `L`'s two dense arrays and about
 //! 85 KB of the round is the root's `desc` run, rewritten whole once per
 //! inserting fold (merged into a scratch buffer, then copied behind its
-//! `Arc`) — the two O(view) remainders ARCHITECTURE.md §8 names. The last
+//! `Arc`) — the two O(view) remainders ARCHITECTURE.md §8 names. The `M`
 //! row is what stays allocated, both directions and the handle pages
 //! included, divided by `n_pairs()`: 8 B of ids per pair plus 16 B of `Arc`
 //! header per non-empty set. The clone ceilings are a tenth of the left
@@ -63,7 +75,8 @@
 //! subtree walk and the delete side's safety probes run compiled plans).
 
 use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
-use rxview_relstore::{tuple, Tuple};
+use rxview_relstore::codec::{put_database, read_database};
+use rxview_relstore::{tuple, Reader, Tuple};
 use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,6 +87,8 @@ static BYTES: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Allocations not yet freed.
+static LIVE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain atomics and
@@ -83,12 +98,14 @@ unsafe impl GlobalAlloc for Counting {
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -118,13 +135,76 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     )
 }
 
+/// What `f`'s result keeps allocated: bytes and allocations.
+fn kept_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (b0, a0) = (
+        LIVE.load(Ordering::Relaxed),
+        LIVE_ALLOCS.load(Ordering::Relaxed),
+    );
+    let out = f();
+    (
+        out,
+        LIVE.load(Ordering::Relaxed) - b0,
+        LIVE_ALLOCS.load(Ordering::Relaxed) - a0,
+    )
+}
+
 const GROUPS: usize = 128;
 const GROUP_SIZE: usize = 40;
 
 #[test]
 fn clone_write_and_release_allocate_in_proportion_to_the_change() {
-    let db = synthetic_database(&SyntheticConfig::with_size(GROUPS * GROUP_SIZE));
+    // What `(I, V)` keep allocated — O(state) figures, counted before
+    // anything else is alive. The fixture's `CU` shares `C`'s rows, so the
+    // distinct rows are those of `C`, `F` and `H`.
+    let cfg = SyntheticConfig::with_size(GROUPS * GROUP_SIZE);
+    let (db, base_bytes, base_allocs) = kept_by(|| synthetic_database(&cfg));
     let atg = synthetic_atg(&db).expect("synthetic ATG");
+    let (vs, view_bytes, _) = {
+        let atg = atg.clone();
+        kept_by(|| ViewStore::publish(atg, &db).expect("fixture publishes"))
+    };
+    let rows_in = |t: &str| db.table(t).expect("synthetic table").len();
+    let distinct_rows = rows_in("C") + rows_in("F") + rows_in("H");
+    let bytes_per_row = base_bytes as f64 / db.total_rows() as f64;
+    let allocs_per_row = base_allocs as f64 / distinct_rows as f64;
+    let bytes_per_node = view_bytes as f64 / vs.n_nodes() as f64;
+    println!(
+        "I: {base_bytes} B live in {base_allocs} allocations for {} rows ({distinct_rows} \
+         distinct): {bytes_per_row:.1} B per row, {allocs_per_row:.3} allocations per distinct \
+         row; V: {view_bytes} B live for {} nodes, {bytes_per_node:.1} B per node",
+        db.total_rows(),
+        vs.n_nodes()
+    );
+    drop(vs);
+    assert!(
+        bytes_per_row <= 152.0,
+        "I keeps {bytes_per_row:.1} B per base row allocated"
+    );
+    assert!(
+        allocs_per_row <= 1.10,
+        "I keeps {allocs_per_row:.3} allocations per distinct row"
+    );
+    assert!(
+        bytes_per_node <= 257.0,
+        "V keeps {bytes_per_node:.1} B per view node allocated"
+    );
+
+    // Checkpoint load of `I`: a decoded row is one allocation, made once.
+    let mut bytes = Vec::new();
+    put_database(&mut bytes, &db);
+    let (decoded, _, decode_calls) =
+        allocated_by(|| read_database(&mut Reader::new(&bytes)).expect("decodes"));
+    let decode_calls_per_row = decode_calls as f64 / decoded.total_rows() as f64;
+    println!(
+        "read_database: {decode_calls} calls for {} rows, {decode_calls_per_row:.3} per row",
+        decoded.total_rows()
+    );
+    drop(decoded);
+    assert!(
+        decode_calls_per_row <= 1.10,
+        "decoding I made {decode_calls_per_row:.3} allocator calls per row"
+    );
     let mut sys = XmlViewSystem::new(atg, db).expect("fixture publishes");
 
     // A group head that takes children (about one in seven is a leaf whose

@@ -300,7 +300,7 @@ pub(crate) fn pin_filter(atg: &rxview_atg::Atg, ty: TypeId, field: &str, value: 
 /// never match it.
 fn parse_as(ty: ValueType, text: &str) -> Option<Value> {
     match ty {
-        ValueType::Str => Some(Value::Str(text.to_owned())),
+        ValueType::Str => Some(Value::from(text)),
         // Round-trip check: `Value::Int(40)` renders as "40", never "+40"
         // or "040".
         ValueType::Int => {
@@ -604,6 +604,6 @@ mod tests {
         assert_eq!(parse_as(ValueType::Int, "40"), Some(Value::Int(40)));
         assert_eq!(parse_as(ValueType::Int, "+40"), None);
         assert_eq!(parse_as(ValueType::Int, "040"), None);
-        assert_eq!(parse_as(ValueType::Str, "x"), Some(Value::Str("x".into())));
+        assert_eq!(parse_as(ValueType::Str, "x"), Some(Value::from("x")));
     }
 }

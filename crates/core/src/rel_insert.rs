@@ -499,7 +499,7 @@ fn decode_var(
     } else {
         *fresh_counter += 1;
         match vars.ty[r] {
-            ValueType::Str => Value::Str(format!("__rx_fresh_{fresh_counter}")),
+            ValueType::Str => Value::from(format!("__rx_fresh_{fresh_counter}")),
             // Far outside any realistic active domain.
             ValueType::Int => Value::Int(i64::MAX / 2 + *fresh_counter as i64),
             ValueType::Bool => Value::Bool(true),

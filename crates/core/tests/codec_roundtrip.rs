@@ -15,7 +15,7 @@ use rxview_relstore::{tuple, GroupUpdate, Tuple, TupleOp, Value};
 fn value_strategy() -> BoxedStrategy<Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
-        "[ -~]{0,24}".prop_map(Value::Str),
+        "[ -~]{0,24}".prop_map(Value::from),
         any::<bool>().prop_map(Value::Bool),
     ]
     .boxed()
@@ -86,7 +86,7 @@ fn large_text_payloads_round_trip() {
     g.insert("blob", tuple![big.as_str(), 7i64]);
     g.delete(
         "blob",
-        Tuple::from_values(vec![Value::Str("k".repeat(70_000))]),
+        Tuple::from_values(vec![Value::from("k".repeat(70_000))]),
     );
     let bytes = g.encode();
     assert!(bytes.len() > 1_000_000);

@@ -246,6 +246,7 @@ impl Inner {
     /// its readers.
     pub(crate) fn publish(&self, sys: XmlViewSystem) -> Arc<Snapshot> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stats.record_state(&sys);
         let snap = Arc::new(Snapshot::new(sys, epoch));
         let displaced = {
             let mut guard = self.snapshot.write().expect("snapshot lock poisoned");
@@ -489,6 +490,7 @@ impl Engine {
                 ckpt,
             }
         });
+        stats.record_state(&sys);
         Engine {
             inner: Arc::new(Inner {
                 snapshot: RwLock::new(Arc::new(Snapshot::new(sys, epoch))),

@@ -21,7 +21,7 @@
 //! [`EngineConfig::telemetry`]: crate::EngineConfig::telemetry
 
 use crate::wal::SyncReason;
-use rxview_core::{MaintainReport, PhaseTimings, PlanCache, PlanCacheStats};
+use rxview_core::{MaintainReport, PhaseTimings, PlanCache, PlanCacheStats, XmlViewSystem};
 use rxview_obs::{fields, Counter, FieldValue, FlightRecorder, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -63,6 +63,10 @@ pub struct EngineStats {
     max_batch: Arc<Counter>,
     snapshots_published: Arc<Counter>,
     snapshot_reads: Arc<Counter>,
+    // --- size of the published state ---
+    state_base_rows: Arc<Gauge>,
+    state_live_nodes: Arc<Gauge>,
+    state_allocated_ids: Arc<Gauge>,
     // --- evaluation ---
     scoped_evals: Arc<Counter>,
     full_evals: Arc<Counter>,
@@ -151,6 +155,9 @@ impl EngineStats {
             max_batch: r.counter("commit.max_batch"),
             snapshots_published: r.counter("snapshot.published"),
             snapshot_reads: r.counter("snapshot.reads"),
+            state_base_rows: r.gauge("state.base_rows"),
+            state_live_nodes: r.gauge("state.live_nodes"),
+            state_allocated_ids: r.gauge("state.allocated_ids"),
             scoped_evals: r.counter("eval.scoped"),
             full_evals: r.counter("eval.full"),
             plan_compile_ns: r.histogram("plan.compile_ns"),
@@ -482,6 +489,20 @@ impl EngineStats {
         }
     }
 
+    /// The size of the state an epoch serves: rows of `I`, live nodes of
+    /// the view, and ids the interner has ever allocated — the last only
+    /// grows (a retired id keeps its slot), so its distance from the live
+    /// count is the dead-id overhead. All three are counts the structures
+    /// already keep.
+    pub(crate) fn record_state(&self, sys: &XmlViewSystem) {
+        if self.enabled {
+            let genid = sys.view().dag().genid();
+            self.state_base_rows.set(sys.base().total_rows() as i64);
+            self.state_live_nodes.set(genid.n_live() as i64);
+            self.state_allocated_ids.set(genid.n_allocated() as i64);
+        }
+    }
+
     pub(crate) fn record_snapshot_read(&self) {
         if self.enabled {
             self.snapshot_reads.incr();
@@ -612,6 +633,9 @@ impl EngineStats {
             batches: self.batches.get(),
             snapshots_published: self.snapshots_published.get(),
             snapshot_reads: self.snapshot_reads.get(),
+            base_rows: self.state_base_rows.get().max(0) as u64,
+            live_nodes: self.state_live_nodes.get().max(0) as u64,
+            allocated_ids: self.state_allocated_ids.get().max(0) as u64,
             scoped_evals: self.scoped_evals.get(),
             full_evals: self.full_evals.get(),
             plan_cache: plans,
@@ -683,6 +707,13 @@ pub struct EngineReport {
     pub snapshots_published: u64,
     /// Snapshot handles handed to readers.
     pub snapshot_reads: u64,
+    /// Rows of `I` in the latest published epoch.
+    pub base_rows: u64,
+    /// Live nodes of the view in the latest published epoch.
+    pub live_nodes: u64,
+    /// Node ids ever allocated, as of the latest published epoch: retired
+    /// ids keep their interner slots, so this only grows.
+    pub allocated_ids: u64,
     /// Evaluations the commit paths ran over a scope (a projection of `L`
     /// onto the path's anchor cones) — counted from what ran, on every
     /// executor: the planner's dry run, the shards, the inline fallback.
@@ -1011,6 +1042,14 @@ impl fmt::Display for EngineReport {
             f,
             "snapshots: {} published, {} reader acquisitions",
             self.snapshots_published, self.snapshot_reads
+        )?;
+        writeln!(
+            f,
+            "state: {} base rows, {} live nodes, {} allocated ids ({} retired)",
+            self.base_rows,
+            self.live_nodes,
+            self.allocated_ids,
+            self.allocated_ids.saturating_sub(self.live_nodes)
         )?;
         writeln!(
             f,

@@ -818,3 +818,73 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
         let _ = fs::remove_dir_all(&dir);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The on-disk format is older than the in-memory one.
+// ---------------------------------------------------------------------------
+
+/// The history behind `tests/fixtures/pr19_log_dir`, committed on a durable
+/// engine over `dir`: a deletion, a checkpoint, then a deletion and an
+/// insertion left in the log's tail. Returns the ATG and the oracle's final
+/// state.
+fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
+    let (sys, atg) = system(80, 1);
+    let mut ops = group_edge_deletions(&sys, 80);
+    assert_eq!(ops.len(), 2, "a deletable edge in either group");
+    // Under the first group head that takes children (a head whose C/F
+    // join fails is a leaf, and an insertion under it rightly rejected).
+    let insert_under = |head: i64| {
+        let fresh = rxview_relstore::tuple![900_001i64, 7i64];
+        XmlUpdate::insert("node", fresh, &format!("node[id={head}]/sub")).expect("parses")
+    };
+    let accepts = |u: &XmlUpdate| sys.clone().apply(u, SideEffectPolicy::Proceed).is_ok();
+    let head = [0, 40].into_iter().find(|&h| accepts(&insert_under(h)));
+    ops.push(insert_under(head.expect("some head is insertable")));
+    let engine =
+        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+    let mut oracle = sys;
+    for (r, u) in ops.into_iter().enumerate() {
+        engine
+            .apply_now(u.clone(), SideEffectPolicy::Proceed)
+            .expect("commits");
+        reference_apply(&mut oracle, &u, SideEffectPolicy::Proceed).expect("oracle agrees");
+        if r == 0 {
+            engine.checkpoint_now().expect("checkpoint");
+        }
+    }
+    (atg, oracle)
+}
+
+/// `tests/fixtures/pr19_log_dir` is the directory `fixture_history` left
+/// behind when run on the tree before rows were stored once and cells
+/// shrank to 16 bytes (f0568a3, PR 19). The row representation is not the
+/// format: this tree recovers that directory to the oracle's state, and
+/// writes the same bytes for the same history.
+#[test]
+fn a_directory_written_before_compact_rows_recovers_and_is_rewritten_byte_for_byte() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr19_log_dir");
+    let written = temp_dir("rewritten");
+    let (atg, oracle) = fixture_history(&written);
+    let want = dir_bytes(&fixture);
+    let names: Vec<&str> = want.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names.len(),
+        3,
+        "two checkpoints and a log segment: {names:?}"
+    );
+    assert!(
+        dir_bytes(&written) == want,
+        "this tree writes other bytes than the fixture's {names:?}"
+    );
+
+    let dir = copy_dir(&fixture, "pr19");
+    let (recovered, report) = recover_readonly(&atg, &dir);
+    assert_eq!(
+        (report.checkpoint_epoch, report.replayed_rounds),
+        (1, 2),
+        "the checkpoint, then the tail"
+    );
+    assert_observationally_equal(&oracle, recovered.snapshot().system(), "PR 19's directory");
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&written);
+}

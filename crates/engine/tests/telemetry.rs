@@ -371,3 +371,46 @@ fn eval_counters_report_what_ran() {
         assert_eq!((report.scoped_evals, report.full_evals), (2, 1));
     }
 }
+
+/// The `state.*` gauges follow the published epoch: an engine reports its
+/// starting state before any commit, and after deletions the allocated ids
+/// stay where they were while the live nodes and base rows fall — the
+/// distance between the two counts is the dead-id overhead an operator
+/// reads off the report.
+#[test]
+fn state_gauges_follow_the_published_epoch() {
+    let n = 400;
+    let sys = system(n);
+    let edges = group_edges(&sys, n as i64, 40);
+    let engine = Engine::with_config(sys.clone(), EngineConfig::default());
+    let sizes = |sys: &XmlViewSystem| {
+        let genid = sys.view().dag().genid();
+        (
+            sys.base().total_rows() as u64,
+            genid.n_live() as u64,
+            genid.n_allocated() as u64,
+        )
+    };
+    let reported = |engine: &Engine| {
+        let r = engine.stats().report();
+        (r.base_rows, r.live_nodes, r.allocated_ids)
+    };
+    assert_eq!(reported(&engine), sizes(&sys), "the starting epoch");
+
+    for &(h, c) in &edges[..3] {
+        engine
+            .apply_now(delete(h, c), SideEffectPolicy::Proceed)
+            .expect("anchored delete commits");
+    }
+    let snap = engine.snapshot();
+    let (rows, live, allocated) = reported(&engine);
+    assert_eq!((rows, live, allocated), sizes(snap.system()));
+    assert!(rows < sizes(&sys).0, "deletions removed base rows");
+    assert_eq!(allocated, sizes(&sys).2, "a retired id keeps its slot");
+    assert!(live <= allocated);
+    let text = engine.telemetry_report();
+    for needle in ["state.base_rows", "state.live_nodes", "state.allocated_ids"] {
+        assert!(text.contains(needle), "report missing {needle}:\n{text}");
+    }
+    assert!(engine.stats().report().to_string().contains("state: "));
+}

@@ -130,12 +130,19 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Where [`read_tuple`] collects a tuple's values: one buffer for all
+    /// the tuples of a checkpoint, empty between calls.
+    values: Vec<Value>,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over the whole slice.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            values: Vec::new(),
+        }
     }
 
     /// Bytes consumed so far.
@@ -233,7 +240,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 pub fn read_value(r: &mut Reader<'_>) -> CodecResult<Value> {
     match r.read_u8()? {
         TAG_INT => Ok(Value::Int(r.read_varint_i64()?)),
-        TAG_STR => Ok(Value::Str(r.read_str()?.to_owned())),
+        TAG_STR => Ok(Value::from(r.read_str()?)),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
         TAG_BOOL_TRUE => Ok(Value::Bool(true)),
         t => Err(CodecError::Invalid(format!("unknown value tag {t}"))),
@@ -256,11 +263,16 @@ pub fn read_tuple(r: &mut Reader<'_>) -> CodecResult<Tuple> {
         // corrupt, and rejecting it here avoids a bogus huge allocation.
         return Err(CodecError::Truncated);
     }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(read_value(r)?);
-    }
-    Ok(Tuple::from_values(values))
+    // Values are decoded into the reader's buffer and moved from there
+    // into the tuple's one allocation, which only an iterator of known
+    // length fills directly (collecting through a fallible closure does
+    // too, at twice the time per value).
+    let mut values = std::mem::take(&mut r.values);
+    let decoded = (0..n).try_for_each(|_| read_value(r).map(|v| values.push(v)));
+    let tuple = decoded.map(|()| Tuple::from_values(values.drain(..)));
+    values.clear();
+    r.values = values;
+    tuple
 }
 
 // ---------------------------------------------------------------------------
@@ -465,11 +477,15 @@ pub fn read_table(r: &mut Reader<'_>) -> CodecResult<Table> {
     if n > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let rows = (0..n)
-        .map(|_| read_tuple(r))
-        .collect::<CodecResult<Vec<Tuple>>>()?;
-    Table::from_sorted_rows(schema, rows)
-        .map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))
+    // Rows go from the input to their pages, with no list in between; a
+    // row that fails to decode ends the stream.
+    let mut failed = None;
+    let rows = (0..n).map_while(|_| read_tuple(r).map_err(|e| failed = Some(e)).ok());
+    let table = Table::from_sorted_rows(schema, rows);
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))
 }
 
 /// Encodes a whole [`Database`] (table count + tables, name order).

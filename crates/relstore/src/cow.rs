@@ -15,12 +15,17 @@
 //! - [`PagedMap`] holds what is ordered (table rows, secondary indexes,
 //!   the interner's key map, the typed edge relations): sorted runs with
 //!   binary search over the run heads and within a run — two levels, not a
-//!   tree, so a split or merge shifts the `O(n ÷ page)` run directory.
+//!   tree, so a split or merge shifts the `O(n ÷ page)` run directory. The
+//!   order is the keys' `Ord`, or a comparator the caller hands to every
+//!   call (`get_by`, `insert_by`, `remove_by`, `from_sorted_by`,
+//!   `range_by`) — how a table orders row handles by the key columns
+//!   inside the rows and stores no key.
 //!
 //! Versions never observe each other: a clone and its origin stay equal to
 //! their own histories whatever the other does (model-tested in
 //! `tests/cow_model.rs`).
 
+use std::cmp::Ordering;
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -201,21 +206,47 @@ impl<K, V> PagedMap<K, V> {
     const RUN_MIN: usize = Self::RUN_MAX / 4;
 }
 
-impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
+impl<K: Clone, V: Clone> PagedMap<K, V> {
     /// An empty map.
     pub fn new() -> Self {
         PagedMap::default()
     }
 
-    /// Builds the map from entries already in strictly ascending key order:
-    /// full runs written once each, where repeated [`PagedMap::insert`]
-    /// searches the directory and the last run per key. The result is the
-    /// map an ascending `insert` load leaves behind, run for run.
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Where the key that `locate` describes is or belongs: the index of
+    /// its run — the last run whose separator is not above it (the first
+    /// run for keys below every separator; `0` when empty) — and its
+    /// position in that run, `Ok` if present and `Err` of the insertion
+    /// point if not. `locate` orders a stored key against the probe.
+    fn search(&self, locate: impl Fn(&K) -> Ordering) -> (usize, Result<usize, usize>) {
+        let i = self
+            .runs
+            .partition_point(|r| locate(&r.head).is_le())
+            .saturating_sub(1);
+        let at = self.runs.get(i).map_or(Err(0), |run| {
+            run.entries.binary_search_by(|(k, _)| locate(k))
+        });
+        (i, at)
+    }
+
+    /// [`PagedMap::from_sorted`] under the order `cmp`.
     ///
     /// # Errors
     /// The index of the first entry whose key is not above its
     /// predecessor's.
-    pub fn from_sorted<I: IntoIterator<Item = (K, V)>>(entries: I) -> Result<Self, usize> {
+    pub fn from_sorted_by<I: IntoIterator<Item = (K, V)>>(
+        entries: I,
+        cmp: impl Fn(&K, &K) -> Ordering,
+    ) -> Result<Self, usize> {
         let mut runs: Vec<Run<K, V>> = Vec::new();
         let mut open: Vec<(K, V)> = Vec::new();
         let mut len = 0;
@@ -224,7 +255,7 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
             entries: Arc::new(open),
         };
         for (key, value) in entries {
-            if open.last().is_some_and(|(last, _)| *last >= key) {
+            if open.last().is_some_and(|(last, _)| cmp(last, &key).is_ge()) {
                 return Err(len);
             }
             if open.len() == Self::RUN_MAX {
@@ -243,46 +274,26 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
         Ok(PagedMap { runs, len })
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
+    /// The entry whose key `locate` finds `Equal`; it must find the keys
+    /// before it `Less` and the keys after it `Greater`. This is
+    /// [`PagedMap::get`] for a map ordered by a comparator, or probed by
+    /// borrowed parts of a key: the probe builds no key.
+    pub fn get_by(&self, locate: impl Fn(&K) -> Ordering) -> Option<(&K, &V)> {
+        let (i, at) = self.search(locate);
+        let (key, value) = &self.runs.get(i)?.entries[at.ok()?];
+        Some((key, value))
     }
 
-    /// Whether the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Index of the run `key` belongs to: the last run whose separator is
-    /// not above it (the first run for keys below every separator; `0`
-    /// when empty).
-    fn run_of(&self, key: &K) -> usize {
-        self.runs
-            .partition_point(|r| r.head <= *key)
-            .saturating_sub(1)
-    }
-
-    /// The value stored under `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let run = self.runs.get(self.run_of(key))?;
-        let at = run.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
-        Some(&run.entries[at].1)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts or replaces, returning the value replaced.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+    /// [`PagedMap::insert`] under the order `cmp` — the one order every
+    /// call on this map must use. A replaced entry keeps its stored key.
+    pub fn insert_by(&mut self, key: K, value: V, cmp: impl Fn(&K, &K) -> Ordering) -> Option<V> {
         if self.runs.is_empty() {
             self.runs.push(Run::single(key, value));
             self.len = 1;
             return None;
         }
-        let i = self.run_of(&key);
-        let at = match self.runs[i].entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+        let (i, at) = self.search(|k| cmp(k, &key));
+        let at = match at {
             Ok(at) => {
                 let slot = &mut Arc::make_mut(&mut self.runs[i].entries)[at].1;
                 return Some(std::mem::replace(slot, value));
@@ -311,20 +322,19 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
         None
     }
 
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.run_of(key);
-        let run = self.runs.get_mut(i)?;
-        let at = run.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+    /// Removes the entry [`PagedMap::get_by`] would find, returning it.
+    pub fn remove_by(&mut self, locate: impl Fn(&K) -> Ordering) -> Option<(K, V)> {
+        let (i, at) = self.search(locate);
+        let at = at.ok()?;
         self.len -= 1;
-        let entries = Arc::make_mut(&mut run.entries);
-        let (_, value) = entries.remove(at);
+        let entries = Arc::make_mut(&mut self.runs[i].entries);
+        let removed = entries.remove(at);
         if entries.is_empty() {
             self.runs.remove(i);
         } else {
             self.merge_underfull(i);
         }
-        Some(value)
+        Some(removed)
     }
 
     /// Merges run `i` into a neighbour if it underflowed and the two fit in
@@ -356,11 +366,6 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
             .map(|(k, v)| (k, v))
     }
 
-    /// The entries with key `>= lower`, in key order.
-    pub fn range_from<'a>(&'a self, lower: &K) -> Range<'a, K, V> {
-        self.range_by(|k| k < lower)
-    }
-
     /// The entries from the first key that is not `below` on, in key order.
     /// `below` must hold for a (possibly empty) prefix of the keys and for
     /// none after it — a lower bound described by comparison, so a probe by
@@ -378,6 +383,46 @@ impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
             cur: first[first.partition_point(|(k, _)| below(k))..].iter(),
             rest,
         }
+    }
+}
+
+/// The same map under the keys' own order.
+impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
+    /// Builds the map from entries already in strictly ascending key order:
+    /// full runs written once each, where repeated [`PagedMap::insert`]
+    /// searches the directory and the last run per key. The result is the
+    /// map an ascending `insert` load leaves behind, run for run.
+    ///
+    /// # Errors
+    /// The index of the first entry whose key is not above its
+    /// predecessor's.
+    pub fn from_sorted<I: IntoIterator<Item = (K, V)>>(entries: I) -> Result<Self, usize> {
+        Self::from_sorted_by(entries, K::cmp)
+    }
+
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.get_by(|k| k.cmp(key)).map(|(_, value)| value)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Inserts or replaces, returning the value replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.insert_by(key, value, K::cmp)
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.remove_by(|k| k.cmp(key)).map(|(_, value)| value)
+    }
+
+    /// The entries with key `>= lower`, in key order.
+    pub fn range_from<'a>(&'a self, lower: &K) -> Range<'a, K, V> {
+        self.range_by(|k| k < lower)
     }
 }
 
@@ -509,6 +554,46 @@ mod tests {
         assert!(Arc::ptr_eq(&a.runs[0].entries, &b.runs[0].entries));
         assert!(!Arc::ptr_eq(&a.runs[1].entries, &b.runs[1].entries));
         assert!(Arc::ptr_eq(&a.runs[2].entries, &b.runs[2].entries));
+    }
+
+    #[test]
+    fn comparator_forms_leave_the_runs_the_ord_forms_leave() {
+        // One script through `insert` / `remove` on plain keys and through
+        // `insert_by` / `remove_by` on `(noise, key)` entries of the same
+        // size ordered by the key alone: the same runs, separators
+        // included, while the map grows to a dozen runs and drains again.
+        let mut plain: PagedMap<u64, ()> = PagedMap::new();
+        let mut by: PagedMap<(u32, u32), ()> = PagedMap::new();
+        let mut most_runs = 0;
+        let mut x = 99u32;
+        for step in 0..8_000u32 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let key = (x >> 8) % 3_000;
+            if (x >> 4) % 4 < if step < 4_000 { 3 } else { 1 } {
+                let was = plain.insert(u64::from(key), ());
+                assert_eq!(by.insert_by((step, key), (), |a, b| a.1.cmp(&b.1)), was);
+            } else {
+                let was = plain.remove(&u64::from(key));
+                assert_eq!(by.remove_by(|e| e.1.cmp(&key)).map(|_| ()), was);
+            }
+            assert_eq!(
+                by.get_by(|e| e.1.cmp(&key)).is_some(),
+                plain.contains_key(&u64::from(key))
+            );
+            if step % 250 == 0 {
+                most_runs = most_runs.max(plain.runs.len());
+                assert!(by
+                    .runs
+                    .iter()
+                    .map(|r| (u64::from(r.head.1), r.entries.len()))
+                    .eq(plain.runs.iter().map(|r| (r.head, r.entries.len()))));
+            }
+        }
+        assert!(most_runs > 8, "{most_runs} runs at most");
+        assert!(by
+            .iter()
+            .map(|(e, ())| u64::from(e.1))
+            .eq(plain.iter().map(|(k, ())| *k)));
     }
 
     #[test]

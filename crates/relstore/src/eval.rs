@@ -352,10 +352,11 @@ impl<'a> Run<'a> {
         };
         match &step.access {
             Access::KeyPrefix(srcs) => {
-                let locate = |key: &[Value]| {
-                    key.iter()
+                let locate = |row: &Tuple| {
+                    step.key
+                        .iter()
                         .zip(srcs)
-                        .map(|(k, src)| k.cmp(self.value(src)))
+                        .map(|(&kc, src)| row[kc].cmp(self.value(src)))
                         .find(|o| o.is_ne())
                         .unwrap_or(Ordering::Equal)
                 };

@@ -1,4 +1,4 @@
-//! A base relation: schema plus primary-key-indexed rows.
+//! A base relation: schema plus primary-key-ordered rows.
 
 use crate::cow::PagedMap;
 use crate::error::{RelError, RelResult};
@@ -8,9 +8,10 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
-/// A table with set semantics, indexed by primary key.
+/// A table with set semantics, ordered by primary key.
 ///
-/// Rows are kept in a [`PagedMap`] keyed by the primary-key projection so
+/// Each row is stored once: the rows are a [`PagedMap`] set of row handles
+/// whose order is the key columns compared where they sit in the row, so
 /// that iteration order — and therefore published views, benchmarks, and
 /// test output — is deterministic, and so that a clone shares every page of
 /// rows with its origin: the copy-on-write `Database` pays for the rows a
@@ -25,17 +26,45 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<TableSchema>,
-    rows: PagedMap<Tuple, Tuple>,
+    rows: PagedMap<Tuple, ()>,
     /// One slot per column, filled on the first probe of that column. A
     /// slot is either empty or a complete index (an initializer that
     /// panics leaves it empty), so there is no lock to poison.
     col_index: Vec<OnceLock<ColIndex>>,
 }
 
-/// One column's secondary index: the `(value, primary key)` pairs of all
-/// rows, ordered — a value's rows enumerate in primary-key order, exactly
-/// like a full scan would.
+/// One column's secondary index: the `(value, row)` pairs of all rows,
+/// ordered by the value and then the row's key — a value's rows enumerate
+/// in primary-key order, exactly like a full scan would.
 type ColIndex = PagedMap<(Value, Tuple), ()>;
+
+/// Orders two rows by the key columns `key`.
+fn cmp_rows(key: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
+    key.iter()
+        .map(|&c| a[c].cmp(&b[c]))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Orders `row`'s key columns against the key values `probe`, as the two
+/// key tuples would compare: a probe of another length than the key equals
+/// no row.
+fn cmp_row_to_key(key: &[usize], row: &Tuple, probe: &[Value]) -> Ordering {
+    key.iter()
+        .zip(probe)
+        .map(|(&c, p)| row[c].cmp(p))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| key.len().cmp(&probe.len()))
+}
+
+/// Orders an entry of a column index against the entry `row` has, or would
+/// have, under `value`.
+fn cmp_indexed(key: &[usize], entry: &(Value, Tuple), value: &Value, row: &Tuple) -> Ordering {
+    entry
+        .0
+        .cmp(value)
+        .then_with(|| cmp_rows(key, &entry.1, row))
+}
 
 impl Table {
     /// Creates an empty table.
@@ -57,15 +86,21 @@ impl Table {
         rows: impl IntoIterator<Item = Tuple>,
     ) -> RelResult<Self> {
         let mut table = Table::new(schema);
-        let keyed = rows
-            .into_iter()
-            .map(|row| {
-                table.schema.check_tuple(&row)?;
-                Ok((table.schema.key_of(&row), row))
-            })
-            .collect::<RelResult<Vec<_>>>()?;
-        table.rows = PagedMap::from_sorted(keyed).map_err(|_| RelError::UnsortedRows {
-            table: table.schema.name().into(),
+        let schema = &*table.schema;
+        // The pages are filled straight from `rows`; a row the schema
+        // rejects ends the stream and is reported once it has.
+        let mut rejected = None;
+        let checked = rows.into_iter().map_while(|row| {
+            let check = schema.check_tuple(&row);
+            rejected = check.err();
+            rejected.is_none().then_some((row, ()))
+        });
+        let built = PagedMap::from_sorted_by(checked, |a, b| cmp_rows(schema.key(), a, b));
+        if let Some(e) = rejected {
+            return Err(e);
+        }
+        table.rows = built.map_err(|_| RelError::UnsortedRows {
+            table: schema.name().into(),
         })?;
         Ok(table)
     }
@@ -90,19 +125,20 @@ impl Table {
     /// [`RelError::DuplicateKey`].
     pub fn insert(&mut self, tuple: Tuple) -> RelResult<bool> {
         self.schema.check_tuple(&tuple)?;
-        let key = self.schema.key_of(&tuple);
-        match self.rows.get(&key) {
-            Some(existing) if *existing == tuple => Ok(false),
+        let key = self.schema.key();
+        match self.rows.get_by(|row| cmp_rows(key, row, &tuple)) {
+            Some((existing, ())) if *existing == tuple => Ok(false),
             Some(_) => Err(RelError::DuplicateKey {
                 table: self.schema.name().into(),
             }),
             None => {
                 for (col, slot) in self.col_index.iter_mut().enumerate() {
                     if let Some(index) = slot.get_mut() {
-                        index.insert((tuple[col].clone(), key.clone()), ());
+                        let entry = (tuple[col].clone(), tuple.clone());
+                        index.insert_by(entry, (), |a, (v, row)| cmp_indexed(key, a, v, row));
                     }
                 }
-                self.rows.insert(key, tuple);
+                self.rows.insert_by(tuple, (), |a, b| cmp_rows(key, a, b));
                 Ok(true)
             }
         }
@@ -110,12 +146,16 @@ impl Table {
 
     /// Deletes the tuple with the given primary key. Errors if absent.
     pub fn delete(&mut self, key: &Tuple) -> RelResult<Tuple> {
-        let removed = self.rows.remove(key).ok_or_else(|| RelError::MissingKey {
-            table: self.schema.name().into(),
-        })?;
+        let cols = self.schema.key();
+        let (removed, ()) = self
+            .rows
+            .remove_by(|row| cmp_row_to_key(cols, row, key.values()))
+            .ok_or_else(|| RelError::MissingKey {
+                table: self.schema.name().into(),
+            })?;
         for (col, slot) in self.col_index.iter_mut().enumerate() {
             if let Some(index) = slot.get_mut() {
-                index.remove(&(removed[col].clone(), key.clone()));
+                index.remove_by(|e| cmp_indexed(cols, e, &removed[col], &removed));
             }
         }
         Ok(removed)
@@ -123,23 +163,30 @@ impl Table {
 
     /// Looks up a tuple by primary key.
     pub fn get(&self, key: &Tuple) -> Option<&Tuple> {
-        self.rows.get(key)
+        let cols = self.schema.key();
+        self.rows
+            .get_by(|row| cmp_row_to_key(cols, row, key.values()))
+            .map(|(row, ())| row)
     }
 
     /// Whether a tuple with this primary key exists.
     pub fn contains_key(&self, key: &Tuple) -> bool {
-        self.rows.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// Whether this exact tuple exists.
     pub fn contains_tuple(&self, tuple: &Tuple) -> bool {
-        let key = self.schema.key_of(tuple);
-        self.rows.get(&key) == Some(tuple)
+        let key = self.schema.key();
+        tuple.arity() == self.schema.arity()
+            && self
+                .rows
+                .get_by(|row| cmp_rows(key, row, tuple))
+                .is_some_and(|(row, ())| row == tuple)
     }
 
     /// Iterates over rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter().map(|(_, row)| row)
+        self.rows.iter().map(|(row, ())| row)
     }
 
     /// Iterates over the rows whose primary key starts with `prefix`
@@ -151,29 +198,31 @@ impl Table {
         &'a self,
         prefix: &'p [Value],
     ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p> {
+        let key = self.schema.key();
         // A prefix longer than the key matches nothing.
-        self.scan_key_range(move |key| {
-            key.get(..prefix.len())
-                .map_or(Ordering::Greater, |head| head.cmp(prefix))
+        self.scan_key_range(move |row| match key.get(..prefix.len()) {
+            Some(head) => cmp_row_to_key(head, row, prefix),
+            None => Ordering::Greater,
         })
     }
 
-    /// Iterates over the rows (in key order) whose primary-key values
-    /// `locate` finds `Equal`; it must find the keys before them `Less` and
-    /// the keys after them `Greater`. This is [`Table::scan_key_prefix`]
-    /// for a caller whose prefix values sit in different places: it
-    /// compares them where they are and builds no probe key.
+    /// Iterates over the rows (in key order) that `locate` finds `Equal`;
+    /// it must read the row's primary-key columns only, and find the rows
+    /// before them `Less` and the rows after them `Greater`. This is
+    /// [`Table::scan_key_prefix`] for a caller whose prefix values sit in
+    /// different places: it compares them where they are, against the key
+    /// columns where they are, and builds no probe key.
     pub fn scan_key_range<'a, F>(
         &'a self,
         locate: F,
     ) -> impl Iterator<Item = &'a Tuple> + use<'a, F>
     where
-        F: Fn(&[Value]) -> Ordering,
+        F: Fn(&Tuple) -> Ordering,
     {
         self.rows
-            .range_by(|k| locate(k.values()) == Ordering::Less)
-            .take_while(move |(k, _)| locate(k.values()) == Ordering::Equal)
-            .map(|(_, row)| row)
+            .range_by(|row| locate(row) == Ordering::Less)
+            .map(|(row, ())| row)
+            .take_while(move |row| locate(row) == Ordering::Equal)
     }
 
     /// The rows whose column `col` equals `value`, via the lazily built
@@ -195,7 +244,7 @@ impl Table {
         index
             .range_by(|(v, _)| v < value)
             .take_while(|((v, _), ())| v == value)
-            .filter_map(|((_, key), ())| self.rows.get(key))
+            .map(|((_, row), ())| row)
             .collect()
     }
 
@@ -203,13 +252,16 @@ impl Table {
         #[cfg(test)]
         tests::INDEX_BUILDS.with(|n| n.set(n.get() + 1));
         let mut pairs: Vec<(Value, Tuple)> = self
-            .rows
             .iter()
-            .map(|(key, row)| (row[col].clone(), key.clone()))
+            .map(|row| (row[col].clone(), row.clone()))
             .collect();
-        pairs.sort_unstable();
-        ColIndex::from_sorted(pairs.into_iter().map(|pair| (pair, ())))
-            .expect("primary keys are distinct, so the pairs are")
+        // Stable, so a value's rows stay in the key order they were read in.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let key = self.schema.key();
+        ColIndex::from_sorted_by(pairs.into_iter().map(|pair| (pair, ())), |a, (v, row)| {
+            cmp_indexed(key, a, v, row)
+        })
+        .expect("primary keys are distinct, so the pairs are")
     }
 }
 

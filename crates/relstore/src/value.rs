@@ -32,12 +32,17 @@ impl fmt::Display for ValueType {
 ///
 /// Values are totally ordered (within and across types) so that tables can be
 /// kept in deterministic order and keys can be compared cheaply.
+///
+/// A value is 16 bytes: every row, index entry and interner attribute is an
+/// array of them, and the paper's dataset (§5) is integers throughout, so
+/// the string payload sits behind one thin pointer instead of widening
+/// every cell to hold a `String` inline.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// An integer value.
     Int(i64),
-    /// A string value.
-    Str(String),
+    /// A string value (build one with `Value::from`).
+    Str(Box<String>),
     /// A boolean value.
     Bool(bool),
 }
@@ -133,13 +138,13 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::from(v.to_owned())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Box::new(v))
     }
 }
 

@@ -5,9 +5,16 @@
 //! leaks through a shared page into another version (the aliasing bug class
 //! of ARCHITECTURE.md invariant 10) shows up as a model mismatch on the
 //! version that did not write.
+//!
+//! The comparator forms of `PagedMap` (`insert_by` / `remove_by` / `get_by`
+//! / `range_by`: a set of handles ordered by a projection of what they
+//! point to) run against a `BTreeMap` keyed by the projected key, and
+//! `Table` — such a set of rows, plus its lazily built column indexes — runs
+//! against a naive `Vec` of rows on a schema whose key is not a column
+//! prefix.
 
 use proptest::prelude::*;
-use rxview_relstore::{PagedMap, PagedVec};
+use rxview_relstore::{schema, PagedMap, PagedVec, RelError, Table, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -122,6 +129,177 @@ proptest! {
             prop_assert_eq!(vec.len(), model.len());
             prop_assert_eq!(vec.is_empty(), model.is_empty());
             prop_assert!(vec.iter().eq(model.iter()), "version {} diverged at the end", i);
+        }
+    }
+}
+
+/// A handle to `(payload, key)`, ordered by the key alone — as a table's
+/// rows are handles ordered by their key columns.
+type Handle = Arc<(u16, u16)>;
+
+fn by_key(a: &Handle, b: &Handle) -> std::cmp::Ordering {
+    a.1.cmp(&b.1)
+}
+
+fn check_handles(map: &PagedMap<Handle, ()>, model: &BTreeMap<u16, u16>) -> bool {
+    map.len() == model.len()
+        && map
+            .iter()
+            .map(|(h, ())| (h.1, h.0))
+            .eq(model.iter().map(|(k, v)| (*k, *v)))
+}
+
+/// The naive table: rows of `T(a, b, c, d)` in no order, keyed by `(c, a)`.
+type Rows = Vec<[i64; 4]>;
+
+fn row_tuple(r: &[i64; 4]) -> Tuple {
+    Tuple::from_values(r.iter().map(|&v| Value::Int(v)))
+}
+
+/// The model's rows that `keep`, in the table's order: by `(c, a)`.
+fn in_key_order(model: &Rows, keep: impl Fn(&[i64; 4]) -> bool) -> Vec<Tuple> {
+    let mut rows: Vec<&[i64; 4]> = model.iter().filter(|r| keep(r)).collect();
+    rows.sort_by_key(|r| (r[2], r[0]));
+    rows.into_iter().map(row_tuple).collect()
+}
+
+fn owned<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<Tuple> {
+    rows.into_iter().cloned().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn comparator_forms_match_btreemap_across_forks(steps in script()) {
+        type Version = (PagedMap<Handle, ()>, BTreeMap<u16, u16>);
+        let mut versions: Vec<Version> = vec![(PagedMap::new(), BTreeMap::new())];
+        for (op, pick, key, val) in steps {
+            let at = pick as usize % versions.len();
+            let (map, model) = &mut versions[at];
+            match op {
+                0..=3 => {
+                    // An entry already under the key keeps its handle.
+                    let replaced = map.insert_by(Arc::new((val, key)), (), by_key);
+                    prop_assert_eq!(replaced.is_some(), model.contains_key(&key));
+                    model.entry(key).or_insert(val);
+                }
+                4..=5 => {
+                    let old = map.remove_by(|h| h.1.cmp(&key)).map(|(h, ())| h.0);
+                    prop_assert_eq!(old, model.remove(&key));
+                }
+                6 => {
+                    let got = map.get_by(|h| h.1.cmp(&key)).map(|(h, ())| h.0);
+                    prop_assert_eq!(got, model.get(&key).copied());
+                }
+                7 => {
+                    let got: Vec<u16> = map.range_by(|h| h.1 < key).map(|(h, ())| h.1).take(40).collect();
+                    let want: Vec<u16> = model.range(key..).map(|(k, _)| *k).take(40).collect();
+                    prop_assert_eq!(got, want);
+                }
+                8 => prop_assert!(check_handles(map, model), "version {} diverged", at),
+                _ => {
+                    let fork = (map.clone(), model.clone());
+                    if versions.len() == MAX_VERSIONS {
+                        versions.remove(0);
+                    }
+                    versions.push(fork);
+                }
+            }
+        }
+        for (i, (map, model)) in versions.iter().enumerate() {
+            prop_assert!(check_handles(map, model), "version {} diverged at the end", i);
+            // A bulk build under the comparator is the same set.
+            let bulk = PagedMap::from_sorted_by(map.iter().map(|(h, ())| (h.clone(), ())), by_key)
+                .expect("a map iterates ascending");
+            prop_assert!(check_handles(&bulk, model));
+        }
+    }
+
+    /// `Table` on a key that is not a column prefix — `(c, a)` of
+    /// `T(a, b, c, d)` — against a `Vec` of rows: every mutation's verdict,
+    /// every lookup and every scan, on each fork. Column `b` is probed
+    /// through its lazily built index, so whichever step probes it first
+    /// builds it and later mutations (and forks) maintain it; `c` is the
+    /// leading key column (the primary order answers), `a` a key column
+    /// that is not (an index answers).
+    #[test]
+    fn table_on_a_non_prefix_key_matches_a_vec_of_rows(
+        steps in prop::collection::vec(((0u8..14, any::<u8>()), (0i64..12, 0i64..12, 0i64..4, 0i64..3)), 0..600),
+    ) {
+        let t = || schema("T").col_int("a").col_int("b").col_int("c").col_int("d").key(&["c", "a"]);
+        prop_assert_eq!(t().key().to_vec(), vec![2, 0]);
+        let mut versions: Vec<(Table, Rows)> = vec![(Table::new(t()), Vec::new())];
+        for ((op, pick), (a, c, b, d)) in steps {
+            let at = pick as usize % versions.len();
+            let (table, model) = &mut versions[at];
+            let row = [a, b, c, d];
+            let key = Tuple::from_values([Value::Int(c), Value::Int(a)]);
+            let held = model.iter().position(|r| (r[2], r[0]) == (c, a));
+            match op {
+                0..=3 => match (table.insert(row_tuple(&row)), held) {
+                    (Ok(true), None) => model.push(row),
+                    (Ok(false), Some(i)) => prop_assert_eq!(model[i], row),
+                    (Err(RelError::DuplicateKey { .. }), Some(i)) => prop_assert!(model[i] != row),
+                    (got, _) => prop_assert!(false, "insert of {:?} gave {:?}", row, got),
+                },
+                4..=5 => match (table.delete(&key), held) {
+                    (Ok(removed), Some(i)) => prop_assert_eq!(removed, row_tuple(&model.swap_remove(i))),
+                    (Err(RelError::MissingKey { .. }), None) => {}
+                    (got, _) => prop_assert!(false, "delete of {:?} gave {:?}", key, got),
+                },
+                6 => {
+                    prop_assert_eq!(table.get(&key).cloned(), held.map(|i| row_tuple(&model[i])));
+                    prop_assert_eq!(table.contains_key(&key), held.is_some());
+                    prop_assert_eq!(table.contains_tuple(&row_tuple(&row)), model.contains(&row));
+                    // A probe of another length than the key finds nothing.
+                    prop_assert!(table.get(&Tuple::from_values([Value::Int(c)])).is_none());
+                    prop_assert!(!table.contains_key(&row_tuple(&row)));
+                }
+                7 => {
+                    let got = owned(table.scan_key_prefix(&[Value::Int(c)]));
+                    prop_assert_eq!(got, in_key_order(model, |r| r[2] == c));
+                    let got = owned(table.scan_key_prefix(key.values()));
+                    prop_assert_eq!(got, in_key_order(model, |r| (r[2], r[0]) == (c, a)));
+                    prop_assert_eq!(table.scan_key_prefix(row_tuple(&row).values()).count(), 0);
+                }
+                8..=9 => {
+                    let got = owned(table.scan_col_eq(1, &Value::Int(b)));
+                    prop_assert_eq!(got, in_key_order(model, |r| r[1] == b));
+                }
+                10 => {
+                    let got = owned(table.scan_col_eq(2, &Value::Int(c)));
+                    prop_assert_eq!(got, in_key_order(model, |r| r[2] == c));
+                    let got = owned(table.scan_col_eq(0, &Value::Int(a)));
+                    prop_assert_eq!(got, in_key_order(model, |r| r[0] == a));
+                }
+                11 => {
+                    prop_assert_eq!(table.len(), model.len());
+                    prop_assert_eq!(owned(table.iter()), in_key_order(model, |_| true));
+                }
+                _ => {
+                    let fork = (table.clone(), model.clone());
+                    if versions.len() == MAX_VERSIONS {
+                        versions.remove(0);
+                    }
+                    versions.push(fork);
+                }
+            }
+        }
+        for (table, model) in &versions {
+            prop_assert_eq!(owned(table.iter()), in_key_order(model, |_| true));
+            for b in 0..4 {
+                let got = owned(table.scan_col_eq(1, &Value::Int(b)));
+                prop_assert_eq!(got, in_key_order(model, |r| r[1] == b));
+            }
+            // The rows in order bulk-load to the same table; out of key
+            // order they are refused.
+            let bulk = Table::from_sorted_rows(t(), owned(table.iter())).expect("rows in key order");
+            prop_assert_eq!(owned(bulk.iter()), owned(table.iter()));
+            if model.len() > 1 {
+                let reversed = Table::from_sorted_rows(t(), owned(table.iter()).into_iter().rev());
+                prop_assert!(matches!(reversed, Err(RelError::UnsortedRows { .. })));
+            }
         }
     }
 }

@@ -197,7 +197,7 @@ fn grammars() -> Vec<(&'static str, Database, Atg)> {
 fn small_value(ty: ValueType, pick: u8) -> Value {
     match ty {
         ValueType::Int => Value::Int(i64::from(pick % 3)),
-        ValueType::Str => Value::Str(format!("v{}", pick % 3)),
+        ValueType::Str => Value::from(format!("v{}", pick % 3)),
         ValueType::Bool => Value::Bool(pick.is_multiple_of(2)),
     }
 }
