@@ -3,11 +3,20 @@
 //! The paper assumes "a compact, unique value associated with each tuple
 //! value of semantic attribute `$A`", computed by a Skolem function `gen_id`
 //! that is injective across all `(type, tuple)` pairs. We realize it as an
-//! interner: the first request for a pair allocates a dense [`NodeId`];
-//! subsequent requests return the same id. This is what makes equality of
-//! semantic attribute values *be* node identity — the property the paper's
-//! side-effect semantics relies on (two nodes with the same type and `$A`
-//! value are one physical node in the DAG).
+//! interner over the *live* pairs: the first request for a pair gives it a
+//! [`NodeId`]; subsequent requests return the same id for as long as the
+//! node is in the view. This is what makes equality of semantic attribute
+//! values *be* node identity — the property the paper's side-effect
+//! semantics relies on (two nodes with the same type and `$A` value are one
+//! physical node in the DAG).
+//!
+//! A node that leaves the view (garbage collection, §3.4; the rollback of a
+//! rejected insertion) gives its id back: [`GenId::retire`] releases the
+//! pair and frees the id, and [`GenId::gen_id`] hands out the lowest free
+//! id before it extends the id space. Everything indexed by [`NodeId`] is
+//! therefore bounded by the largest view held plus what one round
+//! allocates, not by the updates served — and a [`NodeId`] names a node
+//! only within the state (the snapshot epoch) it was read from.
 
 use rxview_relstore::{PagedMap, PagedVec, Tuple};
 use rxview_xmlkit::TypeId;
@@ -38,15 +47,20 @@ pub trait Interner {
     fn attr_of(&self, id: NodeId) -> &Tuple;
 }
 
-/// Where `(ty, $A)` sits in an open-addressed key map — the first hash at
-/// or after the pair's own that is free or holds the pair — and the id
-/// there if interned. `slot` reads the map, `attr_of` the pair of an id.
+/// A hash of an open-addressed key map, per element type.
+type MapKey = (TypeId, u64);
+
+/// Where `(ty, $A)` sits in an open-addressed key map, and the id there if
+/// interned; otherwise where it belongs — the first stale entry on its probe
+/// sequence, or the vacant hash that ends it. `slot` reads the map;
+/// `live_pair` gives the pair of a live id and `None` for an entry left
+/// behind by a node that was released since.
 fn probe<'a>(
-    slot: impl Fn(&(TypeId, u64)) -> Option<NodeId>,
-    attr_of: impl Fn(NodeId) -> &'a Tuple,
+    slot: impl Fn(&MapKey) -> Option<NodeId>,
+    live_pair: impl Fn(NodeId) -> Option<&'a (TypeId, Tuple)>,
     ty: TypeId,
     attr: &Tuple,
-) -> ((TypeId, u64), Option<NodeId>) {
+) -> (MapKey, Option<NodeId>) {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     attr.hash(&mut hasher);
     // Under test every pair of a type collides with a quarter of the
@@ -56,12 +70,27 @@ fn probe<'a>(
     } else {
         hasher.finish()
     };
+    let mut reusable = None;
     loop {
-        match slot(&(ty, h)) {
-            Some(id) if attr_of(id) != attr => h = h.wrapping_add(1),
-            found => return ((ty, h), found),
+        let Some(id) = slot(&(ty, h)) else {
+            return (reusable.unwrap_or((ty, h)), None);
+        };
+        match live_pair(id) {
+            Some((t, a)) if (*t, a) == (ty, attr) => return ((ty, h), Some(id)),
+            // Another pair's — of another type even, if the entry's own
+            // node went and its id was handed out again.
+            Some(_) => {}
+            None => reusable = reusable.or(Some((ty, h))),
         }
+        h = h.wrapping_add(1);
     }
+}
+
+/// A key map written page by page from entries gathered in a hash map.
+fn key_map(keys: HashMap<MapKey, NodeId>) -> PagedMap<MapKey, NodeId> {
+    let mut keys: Vec<_> = keys.into_iter().collect();
+    keys.sort_unstable();
+    PagedMap::from_sorted(keys).expect("hashes are distinct map keys")
 }
 
 /// The `gen_id` interner plus per-type registries (`gen_A` sets).
@@ -69,19 +98,35 @@ fn probe<'a>(
 /// All four parts are page-granular copy-on-write
 /// ([`rxview_relstore::cow`]): cloning an interner copies page pointers,
 /// and interning or retiring a node copies the pages that node lands on.
+/// Which ids are free is read off the live bits, so a clone frees and
+/// reuses ids on its own: an id recycled by one version still names the old
+/// node, or nothing, in every other.
 #[derive(Debug, Clone, Default)]
 pub struct GenId {
     /// `(type, hash of $A)` → id, with open addressing: a pair whose hash
     /// is taken by another pair of its type sits at the next free hash.
-    /// Entries are never removed (an id keeps its identity when retired),
-    /// so a probe sequence never breaks. Keying by hash keeps the map's
-    /// pages plain data — a lookup compares integers and reads one `$A`.
-    map: PagedMap<(TypeId, u64), NodeId>,
-    /// `(type, $A)` per allocated id; `None` only in the padding of the
-    /// last page.
+    /// Keying by hash keeps the map's pages plain data — a lookup compares
+    /// integers and reads one `$A` — and scatters them: releasing a node
+    /// does not write the map (a round that collects a few hundred nodes
+    /// would copy every page of it). The entry stays behind, recognisable
+    /// by an id that is free or carries another pair by now, keeps its
+    /// probe sequence whole, and is taken over by the next pair that
+    /// belongs there; once such entries outnumber half the live ones the
+    /// map is rebuilt from the live pairs ([`GenId::retire`]).
+    map: PagedMap<MapKey, NodeId>,
+    /// `(type, $A)` per id of the id space, `None` only for an id loaded
+    /// free and in the padding of the last page. A freed id keeps the pair
+    /// it had until it is handed out again: a page of this vector is 64
+    /// tuple handles, and clearing one slot of it would copy them all (and
+    /// release them all again with the displaced snapshot) per collected
+    /// node — the pages are written where new nodes land, and no more.
     info: PagedVec<Option<(TypeId, Tuple)>>,
+    /// Which ids are live, a byte each: an id of the id space is live or
+    /// free.
     live: PagedVec<bool>,
     n_live: usize,
+    /// No id below this one is free.
+    first_free: usize,
     /// The `gen_A` sets as one ordered set of `(type, id)`.
     by_type: PagedMap<(TypeId, NodeId), ()>,
 }
@@ -92,77 +137,84 @@ impl GenId {
         GenId::default()
     }
 
-    /// Rebuilds an interner from its allocation sequence — `(type, $A,
-    /// live)` per id, in id order — writing every page once.
+    /// Rebuilds an interner from its id space — the pair of every id in id
+    /// order, `None` for a free one — writing every page once.
     ///
     /// # Errors
-    /// The slot of the first pair that repeats an earlier one.
-    pub fn from_allocations(
-        allocations: impl IntoIterator<Item = (TypeId, Tuple, bool)>,
+    /// The id of the first pair that repeats an earlier one.
+    pub fn from_slots(
+        slots: impl IntoIterator<Item = Option<(TypeId, Tuple)>>,
     ) -> Result<GenId, usize> {
         let mut builder = GenIdBuilder::default();
-        let mut live = Vec::new();
-        for (slot, (ty, attr, is_live)) in allocations.into_iter().enumerate() {
-            if !builder.gen_id(ty, attr).1 {
-                return Err(slot);
+        for (id, slot) in slots.into_iter().enumerate() {
+            match slot {
+                Some((ty, attr)) => {
+                    if !builder.gen_id(ty, attr).1 {
+                        return Err(id);
+                    }
+                }
+                None => builder.info.push(None),
             }
-            live.push(is_live);
         }
-        Ok(builder.finish(|id| live[id.index()]))
+        Ok(builder.finish())
     }
 
-    fn probe(&self, ty: TypeId, attr: &Tuple) -> ((TypeId, u64), Option<NodeId>) {
-        probe(
-            |k| self.map.get(k).copied(),
-            |id| self.attr_of(id),
-            ty,
-            attr,
-        )
+    fn probe(&self, ty: TypeId, attr: &Tuple) -> (MapKey, Option<NodeId>) {
+        let live_pair = |id| self.is_live(id).then(|| self.pair(id));
+        probe(|k| self.map.get(k).copied(), live_pair, ty, attr)
     }
 
-    /// `gen_id(ty, $A)`: returns the node id for the pair, allocating (or
-    /// reviving) if needed. The boolean is `true` when the node was not live
-    /// before the call.
+    /// `gen_id(ty, $A)`: returns the node id for the pair, taking the lowest
+    /// free id (or, with none free, the next new one) if the pair is not
+    /// live. The boolean is `true` when the node was not live before the
+    /// call.
     pub fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        let (id, fresh) = match self.probe(ty, &attr) {
-            (_, Some(id)) => (id, !self.live[id.index()]),
-            (key, None) => {
-                let id = NodeId(self.info.len() as u32);
-                self.map.insert(key, id);
-                self.info.push(Some((ty, attr)));
-                (id, true)
-            }
-        };
-        if fresh {
-            *self.live.get_mut(id.index()) = true;
-            self.n_live += 1;
-            self.by_type.insert((ty, id), ());
+        let (key, found) = self.probe(ty, &attr);
+        if let Some(id) = found {
+            return (id, false);
         }
-        (id, fresh)
+        // Lowest first, so that the nodes of one subtree — and of one round
+        // — land on neighbouring ids and share the pages they write, as
+        // they did when every id was new.
+        let space = self.info.len();
+        let id = match self.n_live < space {
+            true => (self.first_free..space).find(|&i| !self.live[i]),
+            false => None,
+        };
+        let id = id.unwrap_or(space);
+        self.first_free = id + 1;
+        *self.info.get_mut(id) = Some((ty, attr));
+        *self.live.get_mut(id) = true;
+        let id = NodeId(id as u32);
+        self.map.insert(key, id);
+        self.by_type.insert((ty, id), ());
+        self.n_live += 1;
+        (id, true)
     }
 
     /// Looks up a pair without allocating.
     pub fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
-        self.probe(ty, attr).1.filter(|id| self.live[id.index()])
+        self.probe(ty, attr).1
     }
 
-    fn info(&self, id: NodeId) -> &(TypeId, Tuple) {
-        self.info[id.index()].as_ref().expect("allocated node id")
+    fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
+        debug_assert!(self.is_live(id), "node {} is not live", id.0);
+        self.info[id.index()].as_ref().expect("an id handed out")
     }
 
-    /// The element type of a node.
+    /// The element type of a live node.
     pub fn type_of(&self, id: NodeId) -> TypeId {
-        self.info(id).0
+        self.pair(id).0
     }
 
-    /// The semantic attribute `$A` tuple of a node.
+    /// The semantic attribute `$A` tuple of a live node.
     pub fn attr_of(&self, id: NodeId) -> &Tuple {
-        &self.info(id).1
+        &self.pair(id).1
     }
 
-    /// Whether the node is live (present in the view).
+    /// Whether the id names a node (is not free, nor beyond the id space).
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.live[id.index()]
+        self.live.get(id.index()) == Some(&true)
     }
 
     /// The `gen_A` set: live node ids of a type, ascending.
@@ -178,20 +230,52 @@ impl GenId {
         self.n_live
     }
 
-    /// Total ids ever allocated (live or not).
+    /// Size of the id space: live ids plus free ones. Every id is below it.
     pub fn n_allocated(&self) -> usize {
         self.info.len()
     }
 
-    /// Retires a node id (garbage collection of unreachable `gen_B` entries,
-    /// §2.3). The id keeps its identity: re-publishing the same `(ty, $A)`
-    /// revives the same [`NodeId`].
+    /// Number of free ids.
+    pub fn n_free(&self) -> usize {
+        self.info.len() - self.n_live
+    }
+
+    /// Releases a node that left the view (garbage collection of
+    /// unreachable `gen_B` entries, §2.3; rollback): the pair is no longer
+    /// interned and the id is free for [`GenId::gen_id`] to hand out. The
+    /// caller has already dropped everything it keeps under the id. A free
+    /// id is left alone.
     pub fn retire(&mut self, id: NodeId) {
-        if self.live[id.index()] {
-            *self.live.get_mut(id.index()) = false;
-            self.n_live -= 1;
-            self.by_type.remove(&(self.type_of(id), id));
+        if !self.is_live(id) {
+            return;
         }
+        self.by_type.remove(&(self.type_of(id), id));
+        self.n_live -= 1;
+        *self.live.get_mut(id.index()) = false;
+        self.first_free = self.first_free.min(id.index());
+        // Every live pair has one entry of the key map; the rest were left
+        // behind by released nodes.
+        if self.map.len() - self.n_live > self.n_live / 2 + Self::STALE_KEYS {
+            self.rebuild_key_map();
+        }
+    }
+
+    /// Entries released nodes may leave in the key map before it is worth
+    /// rebuilding, however few nodes are live.
+    const STALE_KEYS: usize = if cfg!(test) { 4 } else { 1024 };
+
+    /// The key map of the live pairs alone, each where an empty map would
+    /// have put it.
+    fn rebuild_key_map(&mut self) {
+        let mut keys: HashMap<MapKey, NodeId> = HashMap::with_capacity(self.n_live);
+        for id in self.live_ids() {
+            let slot = |k: &MapKey| keys.get(k).copied();
+            let (ty, attr) = (self.type_of(id), self.attr_of(id));
+            let (key, found) = probe(slot, |v| Some(self.pair(v)), ty, attr);
+            debug_assert_eq!(found, None, "live pairs are distinct");
+            keys.insert(key, id);
+        }
+        self.map = key_map(keys);
     }
 
     /// All live node ids, ascending.
@@ -219,58 +303,63 @@ impl Interner for GenId {
 }
 
 /// The interner while a whole view is built — initial publication, a
-/// checkpoint load. It allocates the ids [`GenId`] would (dense, in request
-/// order, at the same key-map slots) into flat transient storage, and
-/// [`GenIdBuilder::finish`] writes the copy-on-write pages once, full,
-/// instead of once per `gen_id`.
+/// checkpoint load. It allocates the ids an empty [`GenId`] would (dense,
+/// in request order, at the same key-map slots) into flat transient
+/// storage, and [`GenIdBuilder::finish`] writes the copy-on-write pages
+/// once, full, instead of once per `gen_id`.
 #[derive(Debug, Default)]
 pub struct GenIdBuilder {
-    slots: HashMap<(TypeId, u64), NodeId>,
-    info: Vec<(TypeId, Tuple)>,
+    keys: HashMap<MapKey, NodeId>,
+    /// `None`: a free id of the state being loaded.
+    info: Vec<Option<(TypeId, Tuple)>>,
 }
 
 impl GenIdBuilder {
-    /// The finished interner; `is_live` says which of the allocated ids
-    /// are in the view.
-    pub fn finish(self, is_live: impl Fn(NodeId) -> bool) -> GenId {
-        let ids = || (0..self.info.len() as u32).map(NodeId);
-        let mut slots: Vec<_> = self.slots.into_iter().collect();
-        slots.sort_unstable();
-        let mut by_type: Vec<_> = ids()
-            .filter(|&id| is_live(id))
-            .map(|id| ((self.info[id.index()].0, id), ()))
+    /// The finished interner.
+    pub fn finish(self) -> GenId {
+        let ids = (0..self.info.len() as u32).map(NodeId);
+        let mut by_type: Vec<_> = ids
+            .zip(&self.info)
+            .filter_map(|(id, slot)| Some(((slot.as_ref()?.0, id), ())))
             .collect();
         by_type.sort_unstable();
+        let is_free = |slot: &Option<_>| slot.is_none();
+        let first_free = self.info.iter().position(is_free);
         GenId {
-            map: PagedMap::from_sorted(slots).expect("slots are distinct map keys"),
-            live: ids().map(&is_live).collect(),
+            map: key_map(self.keys),
+            first_free: first_free.unwrap_or(self.info.len()),
+            live: self.info.iter().map(Option::is_some).collect(),
+            info: self.info.into_iter().collect(),
             n_live: by_type.len(),
             by_type: PagedMap::from_sorted(by_type).expect("ids are distinct"),
-            info: self.info.into_iter().map(Some).collect(),
         }
+    }
+
+    fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
+        self.info[id.index()].as_ref().expect("an interned id")
     }
 }
 
 impl Interner for GenIdBuilder {
     fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        let slot = |k: &(TypeId, u64)| self.slots.get(k).copied();
-        match probe(slot, |id| &self.info[id.index()].1, ty, &attr) {
+        let slot = |k: &MapKey| self.keys.get(k).copied();
+        match probe(slot, |id| Some(self.pair(id)), ty, &attr) {
             (_, Some(id)) => (id, false),
             (key, None) => {
                 let id = NodeId(self.info.len() as u32);
-                self.slots.insert(key, id);
-                self.info.push((ty, attr));
+                self.keys.insert(key, id);
+                self.info.push(Some((ty, attr)));
                 (id, true)
             }
         }
     }
 
     fn type_of(&self, id: NodeId) -> TypeId {
-        self.info[id.index()].0
+        self.pair(id).0
     }
 
     fn attr_of(&self, id: NodeId) -> &Tuple {
-        &self.info[id.index()].1
+        &self.pair(id).1
     }
 }
 
@@ -320,17 +409,44 @@ mod tests {
     }
 
     #[test]
-    fn retire_and_revive_keeps_identity() {
+    fn a_retired_id_is_released_and_handed_out_again() {
         let mut g = GenId::new();
         let (a, _) = g.gen_id(T0, tuple!["a"]);
+        let (b, _) = g.gen_id(T0, tuple!["b"]);
+        let (c, _) = g.gen_id(T1, tuple!["c"]);
         g.retire(a);
-        assert!(!g.is_live(a));
+        g.retire(c);
+        g.retire(c); // a free id is left alone
+        assert!(!g.is_live(a) && !g.is_live(c) && !g.is_live(NodeId(9)));
         assert_eq!(g.lookup(T0, &tuple!["a"]), None);
-        assert_eq!(g.ids_of_type(T0).count(), 0);
-        let (b, fresh) = g.gen_id(T0, tuple!["a"]);
-        assert_eq!(a, b);
-        assert!(fresh);
-        assert!(g.is_live(a));
+        assert_eq!(g.ids_of_type(T0).collect::<Vec<_>>(), vec![b]);
+        assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (1, 2, 3));
+
+        // The lowest free id first — to whichever pair asks, the old one
+        // included; the id space grows only once none is free.
+        assert_eq!(g.gen_id(T0, tuple!["d"]), (a, true));
+        assert_eq!((g.type_of(a), g.attr_of(a)), (T0, &tuple!["d"]));
+        assert_eq!(g.gen_id(T0, tuple!["a"]), (c, true));
+        assert_eq!(g.gen_id(T1, tuple!["c"]), (NodeId(3), true));
+        assert_eq!(g.ids_of_type(T0).collect::<Vec<_>>(), vec![a, b, c]);
+        assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (4, 0, 4));
+        // Freed below the last one handed out: found again.
+        g.retire(b);
+        assert_eq!(g.gen_id(T1, tuple!["e"]), (b, true));
+    }
+
+    #[test]
+    fn a_clone_recycles_on_its_own() {
+        let mut g = GenId::new();
+        let (a, _) = g.gen_id(T0, tuple!["a"]);
+        let (b, _) = g.gen_id(T0, tuple!["b"]);
+        let pinned = g.clone();
+        g.retire(a);
+        assert_eq!(g.gen_id(T1, tuple!["z"]), (a, true));
+        assert_eq!((pinned.type_of(a), pinned.attr_of(a)), (T0, &tuple!["a"]));
+        assert_eq!(pinned.lookup(T1, &tuple!["z"]), None);
+        assert_eq!(pinned.live_ids().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(pinned.n_free(), 0);
     }
 
     #[test]
@@ -343,6 +459,12 @@ mod tests {
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(g.n_allocated(), 3);
         assert_eq!(g.n_live(), 2);
+    }
+
+    /// The key-map entries of `ty`: hash and id, in hash order.
+    fn entries(g: &GenId, ty: TypeId) -> Vec<(u64, NodeId)> {
+        let of_ty = g.map.iter().filter(|((t, _), _)| *t == ty);
+        of_ty.map(|((_, h), id)| (*h, *id)).collect()
     }
 
     #[test]
@@ -358,9 +480,93 @@ mod tests {
         }
         assert_eq!(g.lookup(T0, &tuple![20i64]), None);
         assert_eq!(g.lookup(T1, &tuple![3i64]), None);
+    }
+
+    #[test]
+    fn released_pairs_leave_entries_that_keep_probe_sequences_whole() {
+        let mut g = GenId::new();
+        let ids: Vec<NodeId> = (0..20i64).map(|i| g.gen_id(T0, tuple![i]).0).collect();
+        // Twenty entries over four test hashes: one unbroken sequence.
+        assert_eq!(entries(&g, T0).len(), 20);
+        let at = |g: &GenId, id: NodeId| {
+            let found = entries(g, T0).into_iter().find(|e| e.1 == id);
+            found.expect("interned").0
+        };
+
+        // Releasing a pair does not write the map: its entry stays, every
+        // pair behind it is still found, and the pair itself is not.
+        let h3 = at(&g, ids[3]);
         g.retire(ids[3]);
+        assert!(entries(&g, T0).contains(&(h3, ids[3])));
         assert_eq!(g.lookup(T0, &tuple![3i64]), None);
-        assert_eq!(g.lookup(T0, &tuple![7i64]), Some(ids[7]));
+        for i in (0..20).filter(|&i| i != 3) {
+            assert_eq!(g.lookup(T0, &tuple![i as i64]), Some(ids[i]), "pair {i}");
+        }
+        // The same pair takes the entry over (and the released id) — as
+        // does any other pair whose sequence passes it.
         assert_eq!(g.gen_id(T0, tuple![3i64]), (ids[3], true));
+        assert_eq!((at(&g, ids[3]), entries(&g, T0).len()), (h3, 20));
+        g.retire(ids[3]);
+        let passes = |v: &i64| {
+            let mut trial = g.clone();
+            let (id, _) = trial.gen_id(T0, tuple![*v]);
+            at(&trial, id) == h3
+        };
+        let other = (100..200i64)
+            .find(passes)
+            .expect("a pair hashing at or before h3");
+        assert_eq!(g.gen_id(T0, tuple![other]), (ids[3], true));
+        assert_eq!(entries(&g, T0).len(), 20);
+
+        // An entry left behind whose id went to a pair that sits elsewhere
+        // — of another type, with the very same `$A` — reads as another
+        // pair's: skipped, never matched, never taken.
+        g.retire(ids[19]);
+        let h19 = at(&g, ids[19]);
+        assert_eq!(g.gen_id(T1, tuple![19i64]), (ids[19], true));
+        assert!(entries(&g, T0).contains(&(h19, ids[19])), "still there");
+        assert_eq!(g.lookup(T0, &tuple![19i64]), None);
+        let (back, fresh) = g.gen_id(T0, tuple![19i64]);
+        assert!(fresh && at(&g, back) > h19, "placed behind the stale entry");
+        assert_eq!(entries(&g, T0).len(), 21);
+
+        // Once the entries left behind outnumber half the live pairs (and
+        // the test build's slack of four), the map is rebuilt from the live
+        // pairs: one entry each, everything found where it now belongs.
+        let live_before: Vec<NodeId> = g.ids_of_type(T0).collect();
+        for &id in &live_before[..14] {
+            g.retire(id);
+        }
+        let survivors: Vec<NodeId> = g.ids_of_type(T0).collect();
+        assert_eq!(survivors.len(), 6);
+        assert!(entries(&g, T0).len() < 21, "rebuilt along the way");
+        assert_eq!(g.map.len() - g.n_live(), entries(&g, T0).len() - 6);
+        for &id in &survivors {
+            assert_eq!(g.lookup(T0, &g.attr_of(id).clone()), Some(id));
+        }
+        for &id in &live_before[..14] {
+            assert!(!g.is_live(id));
+        }
+        assert_eq!(g.lookup(T1, &tuple![19i64]), Some(ids[19]));
+    }
+
+    #[test]
+    fn a_rebuilt_interner_hands_out_the_ids_it_loaded_free() {
+        let slots = [
+            Some((T0, tuple!["a"])),
+            None,
+            Some((T1, tuple!["a"])),
+            None,
+            None,
+        ];
+        let mut g = GenId::from_slots(slots).expect("distinct pairs");
+        assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (2, 3, 5));
+        assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(g.lookup(T1, &tuple!["a"]), Some(NodeId(2)));
+        for want in [1, 3, 4, 5] {
+            assert_eq!(g.gen_id(T0, tuple![want as i64]), (NodeId(want), true));
+        }
+        let twice = [Some((T0, tuple!["a"])), None, Some((T0, tuple!["a"]))];
+        assert_eq!(GenId::from_slots(twice).err(), Some(2));
     }
 }

@@ -105,7 +105,8 @@ impl Dag {
     ///
     /// # Errors
     /// The first edge that repeats an earlier one, reopens a parent whose
-    /// edges were already listed, or names an id `genid` never allocated.
+    /// edges were already listed, or names an id that is not live in
+    /// `genid`.
     pub fn from_adjacency(
         genid: GenId,
         root: Option<NodeId>,
@@ -121,12 +122,12 @@ impl Dag {
         while let Some(&(u, _)) = edges.get(at) {
             let end = at + edges[at..].iter().take_while(|e| e.0 == u).count();
             match group.get_mut(u.index()) {
-                Some(slot @ None) => *slot = Some(at..end),
+                Some(slot @ None) if genid.is_live(u) => *slot = Some(at..end),
                 _ => return Err(edges[at]),
             }
             for &(_, v) in &edges[at..end] {
                 match listed_under.get_mut(v.index()) {
-                    Some(last) if *last != Some(u) => *last = Some(u),
+                    Some(last) if *last != Some(u) && genid.is_live(v) => *last = Some(u),
                     _ => return Err((u, v)),
                 }
                 n_parents[v.index()] += 1;
@@ -468,7 +469,7 @@ pub fn generate_subtree(
 pub fn publish(atg: &Atg, src: &impl TableSource) -> Result<Dag, PublishError> {
     let mut genid = GenIdBuilder::default();
     let sub = generate_subtree(atg, src, &mut genid, atg.dtd().root(), Tuple::empty())?;
-    let dag = Dag::from_adjacency(genid.finish(|_| true), Some(sub.root), &sub.edges)
+    let dag = Dag::from_adjacency(genid.finish(), Some(sub.root), &sub.edges)
         .expect("a subtree lists each node's edges once, together");
     if !dag.is_acyclic() {
         return Err(PublishError::CyclicData);

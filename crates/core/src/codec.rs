@@ -26,11 +26,13 @@ use crate::processor::XmlViewSystem;
 use crate::reach::Reachability;
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
-use crate::viewstore::ViewStore;
+use crate::viewstore::{gen_rows, ViewStore};
 use rxview_atg::{Atg, Dag, GenId, NodeId};
 use rxview_relstore::codec::{
-    put_database, put_str, put_tuple, put_varint, read_database, read_tuple, CodecError, Reader,
+    put_database, put_str, put_tuple, put_varint, read_database, read_table_sharing, read_tuple,
+    skip_database, CodecError, Reader,
 };
+use rxview_relstore::Database;
 use rxview_xmlkit::TypeId;
 
 pub use rxview_relstore::codec::{crc32, CodecResult};
@@ -103,21 +105,25 @@ pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
 // ---------------------------------------------------------------------------
 
 /// Encodes the published [`Dag`]: the DTD's type-name table (validated on
-/// decode), the full `gen_id` interner in allocation order (dead ids
-/// included — identity survives retirement, §2.3), the root, and every
-/// ordered child list.
+/// decode), the `gen_id` interner's id space in id order — `(type, $A, 1)`
+/// for a live id; a free one as the three bytes of `(0, (), 0)` — the root,
+/// and every ordered child list.
 fn put_dag(out: &mut Vec<u8>, dag: &Dag, dtd: &rxview_xmlkit::Dtd) {
     put_varint(out, dtd.n_types() as u64);
     for ty in dtd.types() {
         put_str(out, dtd.name(ty));
     }
-    let n_alloc = dag.genid().n_allocated();
+    let genid = dag.genid();
+    let n_alloc = genid.n_allocated();
     put_varint(out, n_alloc as u64);
-    for i in 0..n_alloc {
-        let id = NodeId(i as u32);
-        put_varint(out, dag.genid().type_of(id).0 as u64);
-        put_tuple(out, dag.genid().attr_of(id));
-        out.push(u8::from(dag.genid().is_live(id)));
+    for id in (0..n_alloc as u32).map(NodeId) {
+        if genid.is_live(id) {
+            put_varint(out, genid.type_of(id).0 as u64);
+            put_tuple(out, genid.attr_of(id));
+            out.push(1);
+        } else {
+            out.extend_from_slice(&[0, 0, 0]);
+        }
     }
     if dag.n_nodes() > 0 {
         out.push(1);
@@ -140,21 +146,20 @@ fn put_dag(out: &mut Vec<u8>, dag: &Dag, dtd: &rxview_xmlkit::Dtd) {
     }
 }
 
-/// Reads a node id bounded by the interner size.
-fn read_node(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<NodeId> {
+/// Reads the id of a live node.
+fn read_node(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<NodeId> {
     let id = r.read_varint()?;
-    if id >= n_alloc as u64 {
-        return Err(CodecError::Invalid(format!(
-            "node id {id} out of range (allocated {n_alloc})"
-        )));
-    }
-    Ok(NodeId(id as u32))
+    let node = u32::try_from(id).map(NodeId);
+    node.ok()
+        .filter(|&n| genid.is_live(n))
+        .ok_or_else(|| CodecError::Invalid(format!("node id {id} names no live node")))
 }
 
-/// Decodes a [`Dag`], bulk-loading the interner from its allocation
-/// sequence (which reproduces identical [`NodeId`]s) and the adjacency from
-/// the child lists (which reproduces their order and the typed edge
-/// relations).
+/// Decodes a [`Dag`], bulk-loading the interner from its id space (every
+/// live node gets the [`NodeId`] it was written under; every slot written
+/// dead — whatever pair an older writer left in it — is a free id) and the
+/// adjacency from the child lists (which reproduces their order and the
+/// typed edge relations).
 fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     let n_types = r.read_varint()? as usize;
     if n_types != dtd.n_types() {
@@ -177,27 +182,26 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     if n_alloc > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut allocations = Vec::with_capacity(n_alloc);
+    let mut slots = Vec::with_capacity(n_alloc);
     for _ in 0..n_alloc {
         let ty = r.read_varint()?;
         if ty >= n_types as u64 {
             return Err(CodecError::Invalid(format!("type id {ty} out of range")));
         }
         let attr = read_tuple(r)?;
-        let live = match r.read_u8()? {
-            0 => false,
-            1 => true,
+        slots.push(match r.read_u8()? {
+            0 => None,
+            1 => Some((TypeId(ty as u32), attr)),
             b => return Err(CodecError::Invalid(format!("bad liveness byte {b}"))),
-        };
-        allocations.push((TypeId(ty as u32), attr, live));
+        });
     }
-    let genid = GenId::from_allocations(allocations).map_err(|slot| {
+    let genid = GenId::from_slots(slots).map_err(|slot| {
         CodecError::Invalid(format!(
             "duplicate (type, attr) pair at interner slot {slot}"
         ))
     })?;
     let root = match r.read_u8()? {
-        1 => Some(read_node(r, n_alloc)?),
+        1 => Some(read_node(r, &genid)?),
         _ => None,
     };
     let n_parents = r.read_varint()? as usize;
@@ -206,13 +210,13 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     }
     let mut edges = Vec::new();
     for _ in 0..n_parents {
-        let u = read_node(r, n_alloc)?;
+        let u = read_node(r, &genid)?;
         let n_children = r.read_varint()? as usize;
         if n_children > r.remaining() {
             return Err(CodecError::Truncated);
         }
         for _ in 0..n_children {
-            edges.push((u, read_node(r, n_alloc)?));
+            edges.push((u, read_node(r, &genid)?));
         }
     }
     // Rejects what the encoder never writes and a per-edge load would have
@@ -248,7 +252,8 @@ fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
 /// Decodes the reachability matrix: every listed ancestor set is read into
 /// one flat buffer and the lot is bulk-loaded (the sets are stored as
 /// written; the `desc` direction is derived from them once).
-fn read_reach(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<Reachability> {
+fn read_reach(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<Reachability> {
+    let n_alloc = genid.n_allocated();
     let n_entries = r.read_varint()? as usize;
     if n_entries > r.remaining() {
         return Err(CodecError::Truncated);
@@ -257,7 +262,7 @@ fn read_reach(r: &mut Reader<'_>, n_alloc: usize) -> CodecResult<Reachability> {
     // `(d, where anc(d) sits in flat)`.
     let mut entries: Vec<(NodeId, std::ops::Range<usize>)> = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        let d = read_node(r, n_alloc)?;
+        let d = read_node(r, genid)?;
         let n_anc = r.read_varint()? as usize;
         if n_anc > r.remaining() {
             return Err(CodecError::Truncated);
@@ -309,14 +314,63 @@ pub fn encode_system(sys: &XmlViewSystem, out: &mut Vec<u8>) {
     put_reach(out, vs.dag(), sys.reach());
 }
 
+/// Decodes the `gen_A` tables against the interner they register: a type's
+/// table must list exactly the `$A` tuples of its live nodes, and its rows
+/// *are* those tuples (one allocation per attribute, as after
+/// [`ViewStore::publish`]) — each is compared where it was decoded against
+/// the interner's next tuple in key order, and nothing is allocated for it.
+fn read_gen_db(r: &mut Reader<'_>, atg: &Atg, dag: &Dag) -> CodecResult<Database> {
+    let types = atg.dtd().types();
+    let registries: Vec<_> = types
+        .map(|ty| (atg.gen_table_name(ty), gen_rows(dag, ty)))
+        .collect();
+    // The nodes a table registers, by its name — none, and then nothing is
+    // shared and the table refused, if it names no type.
+    let rows_of = |name: &str| {
+        let named = registries.iter().find(|(table, _)| table == name);
+        named.map_or(&[][..], |(_, rows)| rows)
+    };
+    let n_tables = r.read_varint()? as usize;
+    if n_tables != registries.len() {
+        return Err(CodecError::Invalid(format!(
+            "{n_tables} gen tables for {} element types",
+            registries.len()
+        )));
+    }
+    let mut gen_db = Database::new();
+    for _ in 0..n_tables {
+        let (table, shared) = read_table_sharing(r, |schema| rows_of(schema.name()).iter())?;
+        let registered = rows_of(table.schema().name()).len();
+        if (shared, table.len()) != (registered, registered) {
+            return Err(CodecError::Invalid(format!(
+                "`{}` does not list the interner's live nodes of its type",
+                table.schema().name()
+            )));
+        }
+        gen_db
+            .add_table(table)
+            .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
+    }
+    Ok(gen_db)
+}
+
 /// Reassembles a system from [`encode_system`] bytes under `atg`, which
 /// must be the grammar the state was produced with (the embedded type-name
 /// table is checked against it).
 pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem> {
     let base = read_database(r)?;
-    let gen_db = read_database(r)?;
+    // The `gen_A` tables are written before the interner whose tuples their
+    // rows are: step over them, and decode them once it is rebuilt.
+    let mut gen_section = r.fork();
+    skip_database(r)?;
+    let gen_end = r.position();
     let dag = read_dag(r, atg.dtd())?;
-    let n_alloc = dag.genid().n_allocated();
+    let gen_db = read_gen_db(&mut gen_section, atg, &dag)?;
+    if gen_section.position() != gen_end {
+        return Err(CodecError::Invalid(
+            "gen tables decode to another length".into(),
+        ));
+    }
     let n_order = r.read_varint()? as usize;
     if n_order > r.remaining() {
         return Err(CodecError::Truncated);
@@ -329,10 +383,10 @@ pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem
     }
     let mut order = Vec::with_capacity(n_order);
     for _ in 0..n_order {
-        order.push(read_node(r, n_alloc)?);
+        order.push(read_node(r, dag.genid())?);
     }
     let topo = TopoOrder::from_order(order);
-    let reach = read_reach(r, n_alloc)?;
+    let reach = read_reach(r, dag.genid())?;
     let vs = ViewStore::from_parts(atg.clone(), dag, gen_db);
     Ok(XmlViewSystem::from_parts(base, vs, topo, reach))
 }
@@ -387,8 +441,8 @@ mod tests {
     #[test]
     fn system_state_round_trips() {
         let mut sys = system();
-        // Mutate past the initial publication so retired ids and fresh
-        // interner entries are exercised.
+        // Mutate past the initial publication so free ids and reused ones
+        // are exercised.
         sys.apply(
             &XmlUpdate::delete("//student[ssn=S02]").unwrap(),
             SideEffectPolicy::Proceed,
@@ -419,8 +473,8 @@ mod tests {
         assert_eq!(back.base().total_rows(), sys.base().total_rows());
         back.consistency_check().unwrap();
 
-        // The decoded system keeps evolving correctly: interner identity
-        // survived, so the same logical update hits the same nodes.
+        // The decoded system keeps evolving correctly: the live nodes kept
+        // their ids, so the same logical update hits the same nodes.
         let mut a = sys.clone();
         let mut b = back;
         let u = XmlUpdate::delete("course[cno=CS650]/prereq/course[cno=CS999]").unwrap();
@@ -437,7 +491,7 @@ mod tests {
         let mut bytes = Vec::new();
         put_reach(&mut bytes, dag, sys.reach());
         let mut r = Reader::new(&bytes);
-        let back = read_reach(&mut r, dag.genid().n_allocated()).unwrap();
+        let back = read_reach(&mut r, dag.genid()).unwrap();
         assert!(r.is_empty());
         assert!(back.same_pairs(sys.reach()));
     }
@@ -461,8 +515,10 @@ mod tests {
 
     #[test]
     fn hostile_reach_entries_error_not_panic() {
+        let ten = (0..10i64).map(|i| Some((TypeId(0), tuple![i])));
+        let genid = GenId::from_slots(ten).unwrap();
         let decode =
-            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), 10);
+            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), &genid);
         let m = decode(&[(5, &[1, 2]), (7, &[1, 5])]).unwrap();
         assert_eq!(m.n_pairs(), 4);
         // What the encoder never writes and a per-pair load would absorb:

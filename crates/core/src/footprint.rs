@@ -349,8 +349,7 @@ pub fn planned_delete_writes(
 /// wholesale) and collects them as `links`.
 #[derive(Debug, Default)]
 pub struct PlannedSubtree {
-    /// Pairs the real translation would intern (the planned allocation
-    /// catalog), in discovery order.
+    /// Pairs the real translation would intern, in discovery order.
     pub fresh: Vec<(TypeId, Tuple)>,
     /// Live nodes the generated subtree would splice.
     pub links: Vec<NodeId>,

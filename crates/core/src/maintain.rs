@@ -31,7 +31,10 @@
 //! - **`L`:** an insert job splices and repairs as it goes (the next job
 //!   needs positions); the delete pass only *names* its garbage-collected
 //!   nodes and compacts `L` once, since nothing reads a position after
-//!   `LR` is sorted.
+//!   `LR` is sorted;
+//! - **ids:** a collected node's id goes back to the interner last, after
+//!   that compaction and the final flush — until then `L` and the batch
+//!   still name it.
 //!
 //! [`maintain_insert`] and [`maintain_delete`] are folds of one job.
 
@@ -329,7 +332,6 @@ pub(crate) fn delete_pass(
                 vs.dag_mut().remove_edge(d, c);
                 report.cascaded_edges += 1;
             }
-            vs.unregister_node(d)?;
             report.gc_nodes += 1;
             report.l_splice_ns += t_gc.elapsed().as_nanos() as u64;
         }
@@ -338,6 +340,14 @@ pub(crate) fn delete_pass(
     topo.remove_many(&collected);
     report.l_splice_ns += t_l.elapsed().as_nanos() as u64;
     flush(reach, batch, &mut report);
+    // Only now is nothing kept under a collected id — its edges are gone,
+    // `L` is compacted, `batch` holds no edit naming it — so only now may
+    // the interner hand it out again (a fold allocates nothing itself).
+    let t_gc = Instant::now();
+    for &d in &collected {
+        vs.unregister_node(d)?;
+    }
+    report.l_splice_ns += t_gc.elapsed().as_nanos() as u64;
     Ok(report)
 }
 

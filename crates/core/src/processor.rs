@@ -107,7 +107,9 @@ impl PhaseTimings {
     }
 }
 
-/// What an accepted update did.
+/// What an accepted update did. Anything id-valued reported with it (a
+/// [`DeferredMaintenance`]'s targets, a [`ViewDelta`]) is valid for the
+/// epoch the update committed in and no later: ids are recycled.
 #[derive(Debug, Clone)]
 pub struct UpdateReport {
     /// Number of edge operations in `∆V`.
@@ -228,12 +230,12 @@ impl DeferredMaintenance {
 /// snapshot, and a single publisher merges the resulting `TranslatedUpdate`s
 /// into the master state in submission order.
 ///
-/// Node ids inside (`delta_v`, `subtree`, `selected`) are expressed in the
-/// id space of the *translating* replica: ids below the snapshot's
-/// allocation watermark are stable across replicas (the interner is cloned),
-/// while ids at or above it were allocated during translation and must be
-/// re-interned on the applying state — `apply_translated` does this from the
-/// translator's allocation catalog.
+/// Node ids inside (`delta_v`, `subtree`, `selected`) are expressed in the id
+/// space of the *translating* replica: the ids of nodes live in the snapshot
+/// mean the same node on every replica (the interner is cloned), while the
+/// ids the translator interned itself (`subtree.fresh`) mean nothing outside
+/// it and are re-interned on the applying state — `apply_translated` does
+/// this from `fresh_pairs`.
 #[derive(Debug)]
 pub struct TranslatedUpdate {
     /// The edge delta `∆V`.
@@ -258,6 +260,9 @@ pub struct TranslatedUpdate {
     /// planned footprint that admitted the update (id-independent, so it
     /// survives the shard→master remap).
     pub rel_footprint: RelFootprint,
+    /// The `(type, $A)` pair of every node of `subtree.fresh`, in its order
+    /// — what [`XmlViewSystem::apply_translated`] re-interns.
+    pub fresh_pairs: Vec<(rxview_xmlkit::TypeId, rxview_relstore::Tuple)>,
 }
 
 impl TranslatedUpdate {
@@ -639,6 +644,7 @@ impl XmlViewSystem {
             scope_nodes,
             timings,
             rel_footprint,
+            fresh_pairs: Vec::new(),
         })
     }
 
@@ -649,23 +655,21 @@ impl XmlViewSystem {
 
     /// Applies a [`TranslatedUpdate`] produced against an earlier,
     /// footprint-disjoint snapshot to this (master) state — phase 5 plus
-    /// re-interning of the translator's fresh allocations.
+    /// re-interning of the translator's fresh nodes.
     ///
-    /// `base_alloc` is the allocation watermark of the snapshot the
-    /// translator started from (`genid().n_allocated()` at translation
-    /// time) and `catalog` lists the `(type, $A)` pairs the translator
-    /// allocated beyond it, in allocation order. Fresh translator ids are
-    /// resolved against this state's interner: a pair that is already live
-    /// here keeps its master node (the translation degrades to a shared
-    /// splice), anything else is interned (allocating or reviving).
+    /// The translator's fresh ids are resolved against this state's
+    /// interner through [`TranslatedUpdate::fresh_pairs`]: a pair that is
+    /// already live here keeps its master node (the translation degrades to
+    /// a shared splice), anything else is interned under whichever id this
+    /// state hands out. Every other id of the translation names a node that
+    /// was live in the translator's snapshot, and — the footprints being
+    /// disjoint from everything committed since — is the same node here.
     ///
     /// Returns the per-update report and the phase-6 obligation in *master*
     /// ids, ready for [`XmlViewSystem::fold_maintenance`].
     pub fn apply_translated(
         &mut self,
         t: TranslatedUpdate,
-        base_alloc: usize,
-        catalog: &[(rxview_xmlkit::TypeId, rxview_relstore::Tuple)],
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         use std::collections::HashMap;
         let TranslatedUpdate {
@@ -678,23 +682,15 @@ impl XmlViewSystem {
             scope_nodes,
             timings,
             rel_footprint: _,
+            fresh_pairs,
         } = t;
 
-        // Re-intern the translator's fresh nodes; build the id remap. By the
-        // sharding protocol every translator id ≥ `base_alloc` referenced by
-        // this update is in its own fresh list, and fresh ids < `base_alloc`
-        // are revivals of retired pairs the master interner already knows.
+        // Re-intern the translator's fresh nodes; build the id remap.
         let mut map: HashMap<rxview_atg::NodeId, rxview_atg::NodeId> = HashMap::new();
         let mut master_fresh: Vec<rxview_atg::NodeId> = Vec::new();
         if let Some(st) = &subtree {
-            for &f in &st.fresh {
-                let (ty, attr) = if f.index() >= base_alloc {
-                    let (ty, attr) = &catalog[f.index() - base_alloc];
-                    (*ty, attr.clone())
-                } else {
-                    let genid = self.vs.dag().genid();
-                    (genid.type_of(f), genid.attr_of(f).clone())
-                };
+            debug_assert_eq!(st.fresh.len(), fresh_pairs.len(), "a pair per fresh node");
+            for (&f, (ty, attr)) in st.fresh.iter().zip(fresh_pairs) {
                 let (mid, fresh_here) = self.vs.dag_mut().genid_mut().gen_id(ty, attr);
                 map.insert(f, mid);
                 if fresh_here {
@@ -907,6 +903,10 @@ fn translate_core(
             return Err(UpdateError::Rel(e));
         }
     };
+    let genid = vs.dag().genid();
+    let fresh = subtree.iter().flat_map(|st| &st.fresh);
+    let fresh_pairs = fresh.map(|&f| (genid.type_of(f), genid.attr_of(f).clone()));
+    let fresh_pairs = fresh_pairs.collect();
     timings.translate = t1.elapsed();
     Ok(TranslatedUpdate {
         delta_v,
@@ -918,6 +918,7 @@ fn translate_core(
         scope_nodes,
         timings,
         rel_footprint,
+        fresh_pairs,
     })
 }
 
@@ -925,7 +926,9 @@ fn translate_core(
 /// shard-writer entry point. Insertions intern their generated subtree, so
 /// the caller provides a private [`ViewStore`] replica (`vs`) cloned from
 /// the snapshot, while `base` and `reach` may borrow the shared snapshot
-/// directly. On failure the replica's interning is rolled back.
+/// directly. The translation carries the pairs the replica interned for it
+/// ([`TranslatedUpdate::fresh_pairs`]); on failure the replica's interning
+/// is rolled back.
 pub fn translate_insert_for_merge(
     vs: &mut ViewStore,
     base: &Database,

@@ -34,7 +34,12 @@ impl Default for PosMap {
     }
 }
 
+// The suffix rebuilds call `get` and `set` once per entry of `L`, so the
+// dense hit is kept small enough to inline whatever else the crate holds (a
+// call per entry doubles the splice; whether the compiler inlined the whole
+// of `set` on its own has changed with edits elsewhere).
 impl PosMap {
+    #[inline]
     fn get(&self, v: NodeId) -> Option<usize> {
         match self {
             PosMap::Dense(pos) => pos
@@ -46,12 +51,23 @@ impl PosMap {
         }
     }
 
+    #[inline]
     fn set(&mut self, v: NodeId, p: usize) {
+        if let PosMap::Dense(pos) = self {
+            if let Some(slot) = pos.get_mut(v.index()) {
+                *slot = p as u32;
+                return;
+            }
+        }
+        self.set_grown(v, p);
+    }
+
+    /// [`PosMap::set`] beyond a dense table's end, or in a sparse one.
+    #[cold]
+    fn set_grown(&mut self, v: NodeId, p: usize) {
         match self {
             PosMap::Dense(pos) => {
-                if v.index() >= pos.len() {
-                    pos.resize(v.index() + 1, ABSENT);
-                }
+                pos.resize(v.index() + 1, ABSENT);
                 pos[v.index()] = p as u32;
             }
             PosMap::Sparse(pos) => {

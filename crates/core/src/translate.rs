@@ -56,7 +56,8 @@ pub fn xinsert(
 
 /// Undoes the interning performed by [`xinsert`] when the update is
 /// rejected downstream (DTD violation, relational translation failure, or
-/// user abort on side effects).
+/// user abort on side effects): the fresh nodes — nothing else knows them
+/// yet — give their ids back.
 pub fn rollback_subtree(vs: &mut ViewStore, subtree: &SubtreeDag) {
     for &n in &subtree.fresh {
         vs.dag_mut().genid_mut().retire(n);
@@ -186,7 +187,7 @@ mod tests {
         assert_eq!(st.fresh.len(), 5);
         // Inner edges (4) + connecting edge (1).
         assert_eq!(delta.inserts.len(), 5);
-        // Rollback retires the fresh nodes.
+        // Rollback releases the fresh nodes.
         rollback_subtree(&mut vs, &st);
         assert!(!vs.dag().genid().is_live(st.root));
     }

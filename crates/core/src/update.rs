@@ -74,7 +74,9 @@ impl fmt::Display for XmlUpdate {
 }
 
 /// The relational-view update `∆V`: group edge insertions or deletions over
-/// the edge relations of the DAG (§2.3).
+/// the edge relations of the DAG (§2.3). Its [`NodeId`]s name nodes of the
+/// state (the snapshot epoch) it was derived against: a collected node's id
+/// is handed out again, so they mean nothing in a later one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViewDelta {
     /// Edges `(parent, child)` to insert.

@@ -39,13 +39,7 @@ impl ViewStore {
         let dag = rxview_atg::publish(&atg, db)?;
         let mut gen_db = Database::new();
         for ty in atg.dtd().types() {
-            let mut rows: Vec<Tuple> = dag
-                .genid()
-                .ids_of_type(ty)
-                .map(|id| gen_row_of(dag.genid().attr_of(id)))
-                .collect();
-            rows.sort_unstable();
-            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), rows)
+            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), gen_rows(&dag, ty))
                 .expect("distinct nodes of a type have distinct, well-typed attributes");
             gen_db.add_table(table).expect("one gen table per type");
         }
@@ -155,7 +149,8 @@ impl ViewStore {
     }
 
     /// Removes a node from its `gen_A` table (garbage collection, §2.3) and
-    /// retires it in the interner.
+    /// releases its id in the interner. The caller has already removed the
+    /// node's edges and its entries in `M` and `L`.
     pub fn unregister_node(&mut self, id: NodeId) -> RelResult<()> {
         let ty = self.dag.genid().type_of(id);
         let name = self.atg.gen_table_name(ty);
@@ -237,6 +232,19 @@ impl ViewStore {
     pub fn n_edges(&self) -> usize {
         self.dag.n_edges()
     }
+}
+
+/// The rows of a type's `gen_A` table, in its key order: for every live
+/// node of the type the interner's own `$A` tuple — a handle to it, not a
+/// copy — which is how a published view pays for an attribute once.
+pub(crate) fn gen_rows(dag: &Dag, ty: TypeId) -> Vec<Tuple> {
+    let genid = dag.genid();
+    let rows = genid
+        .ids_of_type(ty)
+        .map(|id| gen_row_of(genid.attr_of(id)));
+    let mut rows: Vec<Tuple> = rows.collect();
+    rows.sort_unstable();
+    rows
 }
 
 /// The `gen_A` row of a node with attribute `attr`.

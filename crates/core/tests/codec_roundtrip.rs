@@ -150,3 +150,81 @@ fn golden_bytes_pin_logged_updates() {
     assert_eq!(codec::read_update(&mut r).unwrap(), u);
     assert!(r.is_empty());
 }
+
+/// A registrar update from a small pool: enrolments, prerequisite links and
+/// the deletions that undo them — delete-then-insert sequences release node
+/// ids and hand them out again.
+fn registrar_update(kind: usize, a: usize, b: usize) -> rxview_core::XmlUpdate {
+    use rxview_core::XmlUpdate;
+    const COURSES: [(&str, &str); 4] = [
+        ("CS650", "Advanced DB"),
+        ("CS320", "Algorithms"),
+        ("CS240", "Data Structures"),
+        ("MA100", "Calculus"),
+    ];
+    let (cno, _) = COURSES[a % 4];
+    let (cno2, title2) = COURSES[b % 4];
+    let student = tuple![format!("S{:02}", b % 6), format!("Student {}", b % 6)];
+    match kind % 4 {
+        0 => XmlUpdate::insert("student", student, &format!("course[cno={cno}]/takenBy")),
+        1 => XmlUpdate::insert(
+            "course",
+            tuple![cno2, title2],
+            &format!("//course[cno={cno}]/prereq"),
+        ),
+        2 => XmlUpdate::delete(&format!("//student[ssn=S{:02}]", b % 6)),
+        _ => XmlUpdate::delete(&format!("course[cno={cno}]/prereq/course[cno={cno2}]")),
+    }
+    .expect("path parses")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A state with free node ids — written as three-byte slots — decodes to
+    /// the same live nodes under the same ids and as many free ones,
+    /// re-encodes to the same bytes, and goes on serving: the decoded copy
+    /// and the original may hand their free ids out in another order, so
+    /// what they are held to after further updates is the republication
+    /// oracle and each other's view by `(type, $A)`.
+    #[test]
+    fn states_with_free_slots_round_trip(
+        before in prop::collection::vec((0usize..4, 0usize..4, 0usize..12), 4..16),
+        after in prop::collection::vec((0usize..4, 0usize..4, 0usize..12), 1..8),
+    ) {
+        use rxview_core::{SideEffectPolicy, XmlViewSystem};
+        let db = rxview_atg::registrar_database();
+        let atg = rxview_atg::registrar_atg(&db).expect("valid ATG");
+        let mut sys = XmlViewSystem::new(atg.clone(), db).expect("publishes");
+        for &(k, a, b) in &before {
+            let _ = sys.apply(&registrar_update(k, a, b), SideEffectPolicy::Proceed);
+        }
+        let mut bytes = Vec::new();
+        codec::encode_system(&sys, &mut bytes);
+        let mut r = Reader::new(&bytes);
+        let mut back = codec::decode_system(&atg, &mut r).expect("decodes");
+        prop_assert!(r.is_empty());
+        let mut again = Vec::new();
+        codec::encode_system(&back, &mut again);
+        prop_assert!(again == bytes, "re-encoded bytes");
+        let (ours, theirs) = (sys.view().dag().genid(), back.view().dag().genid());
+        prop_assert_eq!(ours.n_free(), theirs.n_free());
+        prop_assert!(ours.live_ids().eq(theirs.live_ids()));
+        back.consistency_check().map_err(TestCaseError::fail)?;
+
+        let named = |sys: &XmlViewSystem| {
+            let genid = sys.view().dag().genid();
+            let name = |v| (genid.type_of(v), genid.attr_of(v).clone());
+            let edges = sys.view().dag().all_edges().map(|(u, v)| (name(u), name(v)));
+            edges.collect::<std::collections::BTreeSet<_>>()
+        };
+        for &(k, a, b) in &after {
+            let u = registrar_update(k, a, b);
+            let here = sys.apply(&u, SideEffectPolicy::Proceed).is_ok();
+            let there = back.apply(&u, SideEffectPolicy::Proceed).is_ok();
+            prop_assert_eq!(here, there, "`{}`", u);
+        }
+        prop_assert_eq!(named(&sys), named(&back));
+        back.consistency_check().map_err(TestCaseError::fail)?;
+    }
+}

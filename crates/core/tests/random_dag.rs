@@ -135,5 +135,25 @@ proptest! {
         let mut topo = topo_before;
         topo.remove(v);
         prop_assert!(topo.is_valid_for(&dag));
+
+        // The next node takes the victim's id, and lands in `L` and `M`
+        // like any new one: under the root, above some older node.
+        let (reborn, fresh) = dag
+            .genid_mut()
+            .gen_id(ty, Tuple::from_values([Value::Int(1_000)]));
+        prop_assert!(fresh);
+        prop_assert_eq!(reborn, v, "a released id is handed out first");
+        let root = dag.root();
+        let below = dag.genid().live_ids().find(|&c| c != root && c != reborn);
+        dag.add_edge(root, reborn);
+        if let Some(c) = below {
+            dag.add_edge(reborn, c);
+        }
+        // Descendants first: behind everything but the root.
+        topo.insert_at(topo.len() - 1, reborn);
+        prop_assert!(topo.is_valid_for(&dag));
+        let reach = Reachability::compute(&dag, &topo);
+        prop_assert!(reach.same_pairs(&Reachability::compute_naive(&dag)));
+        prop_assert_eq!(reach.ancestors(reborn), &[root][..]);
     }
 }

@@ -226,3 +226,33 @@ proptest! {
         check_flushed(&fork, &fork_model)?;
     }
 }
+
+/// A recycled slot: node 9 is collected and its id handed to a new node —
+/// other ancestors, other descendants — inside the same batch, before the
+/// flush that applies the old node's removals. The queued edits are ordered
+/// per id and the last one decides, so the new node's pairs survive the old
+/// node's removals whichever ancestors they share.
+#[test]
+fn a_slot_collected_and_reused_before_the_flush_holds_the_new_node_only() {
+    let (mut m, mut batch, mut model) =
+        (Reachability::default(), ReachBatch::default(), Pairs::new());
+    let script = [
+        Edit::Add(9, vec![1, 2, 3]),
+        Edit::Add(12, vec![9, 3]),
+        Edit::Flush,
+        // Collected: 12 is rewritten from the parents it has left.
+        Edit::Collect(9),
+        // Reused while `desc(1..=3)` still hold `9` and a queued removal.
+        Edit::Add(9, vec![2, 4]),
+        Edit::Add(15, vec![9]),
+    ];
+    for edit in &script {
+        apply(&mut m, &mut batch, &mut model, edit).expect("matches the model");
+    }
+    m.flush(&mut batch);
+    check_flushed(&m, &model).expect("matches the model");
+    assert_eq!(m.ancestors(NodeId(9)), run([2, 4]));
+    assert_eq!(m.descendants(NodeId(9)), run([15]));
+    assert_eq!(m.descendants(NodeId(1)), run([]));
+    assert_eq!(m.descendants(NodeId(2)), run([9]));
+}

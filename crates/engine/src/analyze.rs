@@ -31,7 +31,7 @@
 //!   nothing interned — yields the `(table, column, value)` keys the update
 //!   reads (filter probes against the `gen_A` tables) and may write
 //!   (candidate deletable sources for deletions; ground template keys and
-//!   the would-be allocation catalog for insertions). Read/read never
+//!   the pairs it would intern for insertions). Read/read never
 //!   conflicts; read/write and write/write on the same key do.
 //!
 //! The cone union doubles as an evaluation *scope*: projecting the

@@ -46,7 +46,7 @@
 //!   round's working clone, on the committing thread. At `n_shards >= 2`
 //!   shard threads translate the round *speculatively* against the shared
 //!   snapshot without applying anything (insertions intern into a private
-//!   replica and ship an allocation catalog; every translation carries its
+//!   replica and ship the pairs they interned; every translation carries its
 //!   *realized* typed footprint) and the committing thread merges the
 //!   translations onto the working clone in submission order
 //!   ([`rxview_core::XmlViewSystem::apply_translated`] re-interns and

@@ -60,7 +60,7 @@ use rxview_core::{
     DeferredMaintenance, RelFootprint, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
 };
 use rxview_obs::fields;
-use rxview_relstore::{RelError, Tuple};
+use rxview_relstore::RelError;
 use std::collections::{HashSet, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -588,10 +588,9 @@ impl Commit<'_> {
 
     /// The sharded translate executor's merge half: applies the collected
     /// shard translations to a clone of the latest snapshot in **submission
-    /// order** — re-interning each translation's fresh allocations from its
-    /// shard's catalog and remapping it into the working state's ids — so
-    /// requeue decisions and base-delta application order match the
-    /// sequential semantics.
+    /// order** — re-interning each translation's fresh pairs and remapping
+    /// it into the working state's ids — so requeue decisions and base-delta
+    /// application order match the sequential semantics.
     fn merge_sharded(
         &mut self,
         plan: &RoundPlan,
@@ -604,8 +603,6 @@ impl Commit<'_> {
         }
         self.summary.batches += bundles.len();
         let mut flat: Vec<(usize, usize, ShardResult)> = Vec::new();
-        type Catalog = Vec<(rxview_xmlkit::TypeId, Tuple)>;
-        let mut catalogs: Vec<(usize, usize, Catalog)> = Vec::new();
         for b in bundles {
             debug_assert_eq!(
                 b.plan_epoch, plan_epoch,
@@ -626,9 +623,8 @@ impl Commit<'_> {
                 .unwrap_or_default();
             stats.record_shard_round(b.finished_at.saturating_duration_since(b.started_at), idle);
             self.last_finish[b.shard] = Some(b.finished_at);
-            let slot = catalogs.len();
-            catalogs.push((b.shard, b.base_alloc, b.catalog));
-            flat.extend(b.results.into_iter().map(|(idx, res)| (idx, slot, res)));
+            let shard = b.shard;
+            flat.extend(b.results.into_iter().map(|(idx, res)| (idx, shard, res)));
         }
         flat.sort_by_key(|(idx, _, _)| *idx);
 
@@ -639,7 +635,7 @@ impl Commit<'_> {
         // same-cone peers, so genuine overlap is caught here and the later
         // update requeued for the next round (see `router::plan_round`).
         let mut realized_union = RelFootprint::default();
-        for (idx, slot, res) in flat {
+        for (idx, shard, res) in flat {
             let t = match res {
                 ShardResult::Translated(t) => t,
                 ShardResult::Reject(e) => {
@@ -672,10 +668,9 @@ impl Commit<'_> {
                 continue;
             }
             let realized_fp = t.rel_footprint.clone();
-            let (shard, base_alloc, catalog) = &catalogs[slot];
-            match out.working.apply_translated(*t, *base_alloc, catalog) {
+            match out.working.apply_translated(*t) {
                 Ok(done) => {
-                    stats.record_shard_updates(*shard, 1);
+                    stats.record_shard_updates(shard, 1);
                     out.push_applied(idx, done, analysis.and_then(|a| a.cone_key()));
                     realized_union.absorb(&realized_fp);
                 }

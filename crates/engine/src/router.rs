@@ -86,15 +86,54 @@ impl PendingUpdate {
 pub(crate) struct CachedAnalysis {
     pub(crate) analysis: Analysis,
     pub(crate) eval: Option<Evaluated>,
+    /// What every node of the evaluation named when it was analysed. Ids
+    /// are recycled; an id the translation will use still means its node
+    /// because collecting a matched node conflicts with the footprint that
+    /// read it ([`Self::survives`]) — which debug builds check on reuse.
+    /// (The cone may go on naming a node a fission peer collected: cone
+    /// members only ever answer conflict checks, where a recycled id can
+    /// over-block and nothing else.)
+    #[cfg(debug_assertions)]
+    named: Vec<(
+        rxview_atg::NodeId,
+        rxview_xmlkit::TypeId,
+        rxview_relstore::Tuple,
+    )>,
 }
 
 impl CachedAnalysis {
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn new(sys: &XmlViewSystem, analysis: Analysis, eval: Option<Evaluated>) -> Self {
+        CachedAnalysis {
+            #[cfg(debug_assertions)]
+            named: {
+                let genid = sys.view().dag().genid();
+                let matched = eval.iter().flat_map(|e| e.eval.matched_nodes.iter());
+                let named = |&v| (v, genid.type_of(v), genid.attr_of(v).clone());
+                matched.map(named).collect()
+            },
+            analysis,
+            eval,
+        }
+    }
+
     /// Whether the cache stays valid after committing a round with
     /// footprint `committed`: everything the cached analysis depends on —
     /// cone contents, anchor reads, candidate write keys — is untouched iff
     /// the footprints are disjoint.
     pub(crate) fn survives(&self, committed: &BatchFootprint) -> bool {
         !committed.conflicts(&self.analysis)
+    }
+
+    /// Whether every id of the evaluation still carries, in `sys`, the
+    /// pair it was analysed with.
+    #[cfg(debug_assertions)]
+    fn names_what_it_named(&self, sys: &XmlViewSystem) -> bool {
+        let genid = sys.view().dag().genid();
+        let same = |(v, ty, attr): &(_, _, _)| {
+            genid.is_live(*v) && genid.type_of(*v) == *ty && genid.attr_of(*v) == attr
+        };
+        self.named.iter().all(same)
     }
 }
 
@@ -212,6 +251,12 @@ pub(crate) fn plan_round(
         // publisher invalidates caches against each committed footprint).
         let (mut analysis, eval) = match pu.cached.take() {
             Some(c) => {
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    c.names_what_it_named(sys),
+                    "update {}: a reused analysis names a recycled id",
+                    pu.idx
+                );
                 stats.record_analysis_reused();
                 (c.analysis, c.eval)
             }
@@ -261,7 +306,7 @@ pub(crate) fn plan_round(
             any_blocked = true;
             stalled += 1;
             if !pu.update.is_insert() {
-                pu.cached = Some(CachedAnalysis { analysis, eval });
+                pu.cached = Some(CachedAnalysis::new(sys, analysis, eval));
             }
             deferred.push(pu);
             continue;

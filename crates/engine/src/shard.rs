@@ -10,11 +10,11 @@
 //! - insertion translation interns its generated subtree, so the worker
 //!   lazily clones the snapshot's [`ViewStore`] (page pointers only — the
 //!   replica shares every page it does not write) on the first insertion
-//!   of a round and records every node id
-//!   it allocates beyond the snapshot's watermark in an *allocation
-//!   catalog*; the publisher later re-interns those pairs on the round's
-//!   working state and remaps the translation (see
-//!   [`rxview_core::XmlViewSystem::apply_translated`]).
+//!   of a round; the ids the replica hands out — free ones of the snapshot,
+//!   then new ones — mean something on the replica alone, so every
+//!   translation carries the `(type, $A)` pairs it interned and the
+//!   publisher re-interns them on the round's working state and remaps the
+//!   translation (see [`rxview_core::XmlViewSystem::apply_translated`]).
 //!
 //! Translations are speculative: the publisher applies them only after
 //! checking that nothing committed in the meantime invalidates them. One
@@ -49,8 +49,6 @@ use rxview_core::{
     translate_insert_for_merge, Evaluated, SideEffectPolicy, TranslatedUpdate, UpdateError,
     ViewStore, XmlUpdate,
 };
-use rxview_relstore::Tuple;
-use rxview_xmlkit::TypeId;
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -88,10 +86,6 @@ pub(crate) struct ShardBundle {
     /// against — echoed from the dispatch so the pipelined publisher can
     /// assert a bundle merges into the in-flight slot it was planned for.
     pub(crate) plan_epoch: u64,
-    /// The snapshot's allocation watermark when translation started.
-    pub(crate) base_alloc: usize,
-    /// `(type, $A)` pairs interned beyond the watermark, in allocation order.
-    pub(crate) catalog: Vec<(TypeId, Tuple)>,
     pub(crate) results: Vec<(usize, ShardResult)>,
     /// When the publisher made this round available to the shard. Idle
     /// (starvation) time is the gap between a shard finishing one round
@@ -241,11 +235,11 @@ fn run_round(
 ) -> ShardBundle {
     let t_round = Instant::now();
     let sys = snap.system();
-    let base_alloc = sys.view().dag().genid().n_allocated();
     // Lazy ViewStore replica: only insertions need to intern nodes.
     let mut vs_work: Option<ViewStore> = None;
-    // Nodes interned (allocated or revived) by earlier updates of this
-    // round on this shard — referencing one couples the updates.
+    // Nodes interned by earlier updates of this round on this shard (kept
+    // translations never release theirs, so the replica does not hand these
+    // ids out again) — referencing one couples the updates.
     let mut interned: HashSet<NodeId> = HashSet::new();
     let mut results = Vec::with_capacity(jobs.len());
 
@@ -304,23 +298,9 @@ fn run_round(
         ));
     }
 
-    let catalog = match &vs_work {
-        Some(vsw) => {
-            let genid = vsw.dag().genid();
-            (base_alloc..genid.n_allocated())
-                .map(|i| {
-                    let id = NodeId(i as u32);
-                    (genid.type_of(id), genid.attr_of(id).clone())
-                })
-                .collect()
-        }
-        None => Vec::new(),
-    };
     ShardBundle {
         shard,
         plan_epoch,
-        base_alloc,
-        catalog,
         results,
         dispatched_at,
         started_at: t_round,

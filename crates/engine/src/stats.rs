@@ -67,6 +67,7 @@ pub struct EngineStats {
     state_base_rows: Arc<Gauge>,
     state_live_nodes: Arc<Gauge>,
     state_allocated_ids: Arc<Gauge>,
+    state_free_ids: Arc<Gauge>,
     // --- evaluation ---
     scoped_evals: Arc<Counter>,
     full_evals: Arc<Counter>,
@@ -158,6 +159,7 @@ impl EngineStats {
             state_base_rows: r.gauge("state.base_rows"),
             state_live_nodes: r.gauge("state.live_nodes"),
             state_allocated_ids: r.gauge("state.allocated_ids"),
+            state_free_ids: r.gauge("state.free_ids"),
             scoped_evals: r.counter("eval.scoped"),
             full_evals: r.counter("eval.full"),
             plan_compile_ns: r.histogram("plan.compile_ns"),
@@ -490,16 +492,17 @@ impl EngineStats {
     }
 
     /// The size of the state an epoch serves: rows of `I`, live nodes of
-    /// the view, and ids the interner has ever allocated — the last only
-    /// grows (a retired id keeps its slot), so its distance from the live
-    /// count is the dead-id overhead. All three are counts the structures
-    /// already keep.
+    /// the view, the interner's id space and how much of it is free — a
+    /// collected node's id is handed out again, so the id space stops at
+    /// the largest view served plus a round's allocations. All are counts
+    /// the structures already keep.
     pub(crate) fn record_state(&self, sys: &XmlViewSystem) {
         if self.enabled {
             let genid = sys.view().dag().genid();
             self.state_base_rows.set(sys.base().total_rows() as i64);
             self.state_live_nodes.set(genid.n_live() as i64);
             self.state_allocated_ids.set(genid.n_allocated() as i64);
+            self.state_free_ids.set(genid.n_free() as i64);
         }
     }
 
@@ -636,6 +639,7 @@ impl EngineStats {
             base_rows: self.state_base_rows.get().max(0) as u64,
             live_nodes: self.state_live_nodes.get().max(0) as u64,
             allocated_ids: self.state_allocated_ids.get().max(0) as u64,
+            free_ids: self.state_free_ids.get().max(0) as u64,
             scoped_evals: self.scoped_evals.get(),
             full_evals: self.full_evals.get(),
             plan_cache: plans,
@@ -711,9 +715,11 @@ pub struct EngineReport {
     pub base_rows: u64,
     /// Live nodes of the view in the latest published epoch.
     pub live_nodes: u64,
-    /// Node ids ever allocated, as of the latest published epoch: retired
-    /// ids keep their interner slots, so this only grows.
+    /// Size of the node-id space in the latest published epoch: live ids
+    /// plus free ones.
     pub allocated_ids: u64,
+    /// Ids of that space waiting to be handed out again.
+    pub free_ids: u64,
     /// Evaluations the commit paths ran over a scope (a projection of `L`
     /// onto the path's anchor cones) — counted from what ran, on every
     /// executor: the planner's dry run, the shards, the inline fallback.
@@ -1045,11 +1051,8 @@ impl fmt::Display for EngineReport {
         )?;
         writeln!(
             f,
-            "state: {} base rows, {} live nodes, {} allocated ids ({} retired)",
-            self.base_rows,
-            self.live_nodes,
-            self.allocated_ids,
-            self.allocated_ids.saturating_sub(self.live_nodes)
+            "state: {} base rows, node ids {} allocated / {} live / {} free",
+            self.base_rows, self.allocated_ids, self.live_nodes, self.free_ids
         )?;
         writeln!(
             f,

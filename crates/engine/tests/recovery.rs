@@ -855,36 +855,62 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr19_log_dir` is the directory `fixture_history` left
-/// behind when run on the tree before rows were stored once and cells
-/// shrank to 16 bytes (f0568a3, PR 19). The row representation is not the
-/// format: this tree recovers that directory to the oracle's state, and
-/// writes the same bytes for the same history.
+/// `tests/fixtures/pr21_log_dir` is the directory `fixture_history` leaves
+/// behind on this tree: it writes the same bytes for the same history, and
+/// recovers them to the oracle's state.
+///
+/// `tests/fixtures/pr19_log_dir` is what it left behind on the tree before
+/// rows were stored once and cells shrank to 16 bytes (f0568a3, PR 19) — and
+/// before node ids were recycled. It stays readable: the log format and
+/// content never changed (the segments of the two directories are the same
+/// bytes — the log holds updates, never ids), and a checkpoint slot that
+/// tree wrote dead, `(type, $A, 0)` with the retired pair still in it,
+/// loads as the free id this tree writes as `(0, (), 0)`.
 #[test]
-fn a_directory_written_before_compact_rows_recovers_and_is_rewritten_byte_for_byte() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr19_log_dir");
+fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let want = dir_bytes(&fixture);
-    let names: Vec<&str> = want.iter().map(|(name, _)| name.as_str()).collect();
+    let ours = dir_bytes(&fixtures.join("pr21_log_dir"));
+    let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
         3,
         "two checkpoints and a log segment: {names:?}"
     );
     assert!(
-        dir_bytes(&written) == want,
+        dir_bytes(&written) == ours,
         "this tree writes other bytes than the fixture's {names:?}"
     );
-
-    let dir = copy_dir(&fixture, "pr19");
-    let (recovered, report) = recover_readonly(&atg, &dir);
-    assert_eq!(
-        (report.checkpoint_epoch, report.replayed_rounds),
-        (1, 2),
-        "the checkpoint, then the tail"
+    let theirs = dir_bytes(&fixtures.join("pr19_log_dir"));
+    let segments = |dir: &[(String, Vec<u8>)]| {
+        let logs = dir.iter().filter(|(name, _)| name.ends_with(".rxlog"));
+        logs.cloned().collect::<Vec<_>>()
+    };
+    assert_eq!(segments(&theirs).len(), 1);
+    assert!(
+        segments(&theirs) == segments(&ours),
+        "the log is written as before"
     );
-    assert_observationally_equal(&oracle, recovered.snapshot().system(), "PR 19's directory");
-    let _ = fs::remove_dir_all(&dir);
+
+    let free_ids = oracle.view().dag().genid().n_free();
+    assert!(free_ids > 0, "the history collects nodes");
+    for fixture in ["pr21_log_dir", "pr19_log_dir"] {
+        let dir = copy_dir(&fixtures.join(fixture), fixture);
+        let (recovered, report) = recover_readonly(&atg, &dir);
+        assert_eq!(
+            (report.checkpoint_epoch, report.replayed_rounds),
+            (1, 2),
+            "{fixture}: the checkpoint, then the tail"
+        );
+        let snapshot = recovered.snapshot();
+        assert_observationally_equal(&oracle, snapshot.system(), fixture);
+        assert_eq!(
+            snapshot.system().view().dag().genid().n_free(),
+            free_ids,
+            "{fixture}: collected nodes' slots are free ids"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
     let _ = fs::remove_dir_all(&written);
 }

@@ -373,10 +373,10 @@ fn eval_counters_report_what_ran() {
 }
 
 /// The `state.*` gauges follow the published epoch: an engine reports its
-/// starting state before any commit, and after deletions the allocated ids
-/// stay where they were while the live nodes and base rows fall — the
-/// distance between the two counts is the dead-id overhead an operator
-/// reads off the report.
+/// starting state before any commit; after deletions the id space stays
+/// where it was while the live nodes and base rows fall, and what the
+/// deletions collected shows as free ids — which the next insertions take
+/// before the id space grows.
 #[test]
 fn state_gauges_follow_the_published_epoch() {
     let n = 400;
@@ -389,13 +389,15 @@ fn state_gauges_follow_the_published_epoch() {
             sys.base().total_rows() as u64,
             genid.n_live() as u64,
             genid.n_allocated() as u64,
+            genid.n_free() as u64,
         )
     };
     let reported = |engine: &Engine| {
         let r = engine.stats().report();
-        (r.base_rows, r.live_nodes, r.allocated_ids)
+        (r.base_rows, r.live_nodes, r.allocated_ids, r.free_ids)
     };
     assert_eq!(reported(&engine), sizes(&sys), "the starting epoch");
+    assert_eq!(sizes(&sys).3, 0, "a published view has no free id");
 
     for &(h, c) in &edges[..3] {
         engine
@@ -403,13 +405,52 @@ fn state_gauges_follow_the_published_epoch() {
             .expect("anchored delete commits");
     }
     let snap = engine.snapshot();
-    let (rows, live, allocated) = reported(&engine);
-    assert_eq!((rows, live, allocated), sizes(snap.system()));
+    let (rows, live, allocated, free) = reported(&engine);
+    assert_eq!((rows, live, allocated, free), sizes(snap.system()));
     assert!(rows < sizes(&sys).0, "deletions removed base rows");
-    assert_eq!(allocated, sizes(&sys).2, "a retired id keeps its slot");
-    assert!(live <= allocated);
+    assert_eq!(allocated, sizes(&sys).2, "the id space keeps its size");
+    assert_eq!(live + free, allocated, "an id is live or free");
+
+    // A fresh node, its deletion, another fresh node: the second takes the
+    // ids the first gave back, and the id space ends where it was.
+    let fresh_under = |head: i64, key: i64| {
+        let path = format!("node[id={head}]/sub");
+        XmlUpdate::insert("node", rxview_relstore::tuple![key, 7i64], &path).expect("parses")
+    };
+    let accepts = |h: &i64| {
+        let mut sys = snap.system().clone();
+        sys.apply(&fresh_under(*h, 900_001), SideEffectPolicy::Proceed)
+            .is_ok()
+    };
+    let heads = edges.iter().map(|&(h, _)| h);
+    let head = heads
+        .into_iter()
+        .find(accepts)
+        .expect("a head takes children");
+    let apply = |u: XmlUpdate| {
+        engine
+            .apply_now(u, SideEffectPolicy::Proceed)
+            .expect("commits");
+        reported(&engine)
+    };
+    let (_, live_1, allocated_1, free_1) = apply(fresh_under(head, 900_001));
+    let interned = live_1 - live;
+    assert!(interned > 0);
+    assert_eq!(allocated_1 - allocated, interned.saturating_sub(free));
+    let gone = apply(delete(head, 900_001));
+    assert_eq!(
+        (gone.1, gone.2, gone.3),
+        (live, allocated_1, free_1 + interned)
+    );
+    let again = apply(fresh_under(head, 900_002));
+    assert_eq!((again.1, again.2, again.3), (live_1, allocated_1, free_1));
     let text = engine.telemetry_report();
-    for needle in ["state.base_rows", "state.live_nodes", "state.allocated_ids"] {
+    for needle in [
+        "state.base_rows",
+        "state.live_nodes",
+        "state.allocated_ids",
+        "state.free_ids",
+    ] {
         assert!(text.contains(needle), "report missing {needle}:\n{text}");
     }
     assert!(engine.stats().report().to_string().contains("state: "));

@@ -58,8 +58,12 @@ pub type CodecResult<T> = Result<T, CodecError>;
 // CRC-32 (IEEE 802.3, the zlib polynomial) for record checksums.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the byte-at-a-time table; `CRC32_TABLES[k][b]` is
+/// the checksum state byte `b` leaves after `k` further zero bytes, so
+/// eight lookups — one per table — advance the state over eight input
+/// bytes at once (slicing-by-8).
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -72,20 +76,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL record and
-/// checkpoint payload against torn writes and bit rot.
+/// checkpoint payload against torn writes and bit rot. Eight bytes per
+/// step; the tail of fewer goes a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -148,6 +177,15 @@ impl<'a> Reader<'a> {
     /// Bytes consumed so far.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// A second cursor at this one's position, for a section that can only
+    /// be decoded once a later one has been.
+    pub fn fork(&self) -> Reader<'a> {
+        Reader {
+            values: Vec::new(),
+            ..*self
+        }
     }
 
     /// Bytes left.
@@ -257,22 +295,46 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
 
 /// Decodes a [`Tuple`].
 pub fn read_tuple(r: &mut Reader<'_>) -> CodecResult<Tuple> {
+    read_values(r)?;
+    Ok(Tuple::from_values(r.values.drain(..)))
+}
+
+/// Decodes a tuple's values into the reader's buffer, for the caller to
+/// drain into the tuple's one allocation (which only an iterator of known
+/// length fills directly; collecting through a fallible closure does too,
+/// at twice the time per value) — or to find that a tuple with these values
+/// exists already. The buffer is left empty on error.
+fn read_values(r: &mut Reader<'_>) -> CodecResult<()> {
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
         // Each value takes at least one byte: an arity beyond the input is
         // corrupt, and rejecting it here avoids a bogus huge allocation.
         return Err(CodecError::Truncated);
     }
-    // Values are decoded into the reader's buffer and moved from there
-    // into the tuple's one allocation, which only an iterator of known
-    // length fills directly (collecting through a fallible closure does
-    // too, at twice the time per value).
     let mut values = std::mem::take(&mut r.values);
     let decoded = (0..n).try_for_each(|_| read_value(r).map(|v| values.push(v)));
-    let tuple = decoded.map(|()| Tuple::from_values(values.drain(..)));
-    values.clear();
+    if decoded.is_err() {
+        values.clear();
+    }
     r.values = values;
-    tuple
+    decoded
+}
+
+/// Steps over an encoded [`Tuple`].
+fn skip_tuple(r: &mut Reader<'_>) -> CodecResult<()> {
+    for _ in 0..r.read_varint()? {
+        match r.read_u8()? {
+            TAG_INT => {
+                r.read_varint()?;
+            }
+            TAG_STR => {
+                r.read_bytes()?;
+            }
+            TAG_BOOL_FALSE | TAG_BOOL_TRUE => {}
+            t => return Err(CodecError::Invalid(format!("unknown value tag {t}"))),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -472,20 +534,58 @@ pub fn put_table(out: &mut Vec<u8>, table: &Table) {
 /// (which no encoder writes) are rejected, so a decoded table upholds the
 /// same invariants as a live one.
 pub fn read_table(r: &mut Reader<'_>) -> CodecResult<Table> {
+    read_table_sharing(r, |_| std::iter::empty()).map(|(table, _)| table)
+}
+
+/// [`read_table`] for a table some of whose rows may be in memory already:
+/// `donors` lists, for the decoded schema, rows in this table's key order,
+/// and a decoded row equal to the donor at its key takes the donor's
+/// allocation in place of one of its own — the merge compares a row's
+/// values where they were decoded, before anything is allocated for them.
+/// Returns the table and how many of its rows are donors'.
+pub fn read_table_sharing<'d, I>(
+    r: &mut Reader<'_>,
+    donors: impl FnOnce(&TableSchema) -> I,
+) -> CodecResult<(Table, usize)>
+where
+    I: Iterator<Item = &'d Tuple>,
+{
     let schema = read_schema(r)?;
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
         return Err(CodecError::Truncated);
     }
+    let mut donors = donors(&schema).peekable();
+    let key = schema.key().to_vec();
+    let before = |donor: &[Value], row: &[Value]| {
+        let mut cols = key.iter().map(|&c| donor.get(c).cmp(&row.get(c)));
+        cols.find(|o| o.is_ne()).is_some_and(|o| o.is_lt())
+    };
+    let mut shared = 0;
     // Rows go from the input to their pages, with no list in between; a
     // row that fails to decode ends the stream.
     let mut failed = None;
-    let rows = (0..n).map_while(|_| read_tuple(r).map_err(|e| failed = Some(e)).ok());
+    let rows = (0..n).map_while(|_| {
+        if let Err(e) = read_values(r) {
+            failed = Some(e);
+            return None;
+        }
+        while donors.next_if(|d| before(d.values(), &r.values)).is_some() {}
+        Some(match donors.next_if(|d| d.values() == r.values) {
+            Some(donor) => {
+                shared += 1;
+                r.values.clear();
+                donor.clone()
+            }
+            None => Tuple::from_values(r.values.drain(..)),
+        })
+    });
     let table = Table::from_sorted_rows(schema, rows);
     if let Some(e) = failed {
         return Err(e);
     }
-    table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))
+    let table = table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))?;
+    Ok((table, shared))
 }
 
 /// Encodes a whole [`Database`] (table count + tables, name order).
@@ -497,7 +597,10 @@ pub fn put_database(out: &mut Vec<u8>, db: &Database) {
     }
 }
 
-/// Decodes a whole [`Database`].
+/// Decodes a whole [`Database`]. A row equal to the row at the same key of
+/// an earlier table of the same shape (column types and key) shares that
+/// row's allocation, as the two do when one tuple was inserted into both
+/// tables (a universe table beside its subset).
 pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
@@ -505,10 +608,33 @@ pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     }
     let mut db = Database::new();
     for _ in 0..n {
-        db.add_table(read_table(r)?)
+        let same_shape = |schema: &TableSchema| {
+            fn types(s: &TableSchema) -> impl Iterator<Item = ValueType> + '_ {
+                s.columns().iter().map(|c| c.ty)
+            }
+            let shaped = |t: &&Table| {
+                t.schema().key() == schema.key() && types(t.schema()).eq(types(schema))
+            };
+            let tables = db.table_names().map(|name| db.table(name).expect("listed"));
+            let earlier: Option<&Table> = tables.into_iter().find(shaped);
+            earlier.into_iter().flat_map(Table::iter)
+        };
+        let (table, _) = read_table_sharing(r, same_shape)?;
+        db.add_table(table)
             .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
     }
     Ok(db)
+}
+
+/// Steps over an encoded [`Database`] without building it.
+pub fn skip_database(r: &mut Reader<'_>) -> CodecResult<()> {
+    for _ in 0..r.read_varint()? {
+        read_schema(r)?;
+        for _ in 0..r.read_varint()? {
+            skip_tuple(r)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -666,5 +792,36 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        let bytewise = |bytes: &[u8]| {
+            let step =
+                |c: u32, &b: &u8| CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            bytes.iter().fold(0xFFFF_FFFFu32, step) ^ 0xFFFF_FFFF
+        };
+        let mut x = 0x2545_F491u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let buf: Vec<u8> = (0..4096 + 64).map(|_| next() as u8).collect();
+        // Every length around the word size at every alignment, then
+        // random windows of the buffer.
+        for start in 0..9 {
+            for len in 0..40 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), bytewise(s), "start {start} len {len}");
+            }
+        }
+        for _ in 0..500 {
+            let start = next() as usize % 64;
+            let len = next() as usize % 4096;
+            let s = &buf[start..start + len];
+            assert_eq!(crc32(s), bytewise(s), "start {start} len {len}");
+        }
     }
 }

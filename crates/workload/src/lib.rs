@@ -9,6 +9,8 @@
 //!   controllable hot spot, for the sharded engine's scaling sweeps;
 //! - [`descendant`]: mixed anchored + `//`-headed update streams over hot
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
+//! - [`churn`]: steady delete / re-insert traffic with fresh keys, for the
+//!   bounded-state soaks;
 //! - [`recovery`]: mixed workloads, the sequential oracle and
 //!   id-independent state fingerprints for the equivalence and
 //!   crash-recovery batteries;
@@ -16,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod churn;
 pub mod descendant;
 pub mod path_cache;
 pub mod recovery;
@@ -24,6 +27,7 @@ pub mod shard_skew;
 pub mod synthetic;
 pub mod workloads;
 
+pub use churn::{ChurnGen, NODES_PER_INSERT};
 pub use descendant::{is_descendant_headed, DescendantConfig, DescendantGen};
 pub use path_cache::PathCache;
 pub use recovery::{

@@ -173,7 +173,7 @@ fn publication_equals_the_reference_publisher() {
     assert_publishes_like_the_reference(synthetic_atg(&db).unwrap(), db);
 }
 
-/// A system a few updates past its publication: retired ids, revived ids,
+/// A system a few updates past its publication: released ids, reused ids,
 /// parents linked out of id order.
 fn evolved_systems() -> Vec<XmlViewSystem> {
     let db = registrar_database();
@@ -211,7 +211,7 @@ fn evolved_systems() -> Vec<XmlViewSystem> {
     }
     assert!(applied > 0, "some deletion went through");
     let head = XmlUpdate::insert("node", tuple![400i64, 0i64], "node[id=0]/sub").unwrap();
-    // Accepted or not, the attempt interns (and on rejection retires) ids.
+    // Accepted or not, the attempt interns (and on rejection releases) ids.
     let _ = synthetic.apply(&head, SideEffectPolicy::Proceed);
     vec![registrar, synthetic]
 }
@@ -234,12 +234,14 @@ fn checkpoint_load_rebuilds_the_same_system() {
             parents.sort_unstable();
             assert_eq!(loaded.parents(id), parents);
             assert_eq!(loaded.genid().is_live(id), dag.genid().is_live(id));
-            let (ty, attr) = (dag.genid().type_of(id), dag.genid().attr_of(id));
-            assert_eq!(
-                loaded.genid().lookup(ty, attr),
-                dag.genid().lookup(ty, attr)
-            );
+            if dag.genid().is_live(id) {
+                let (ty, attr) = (dag.genid().type_of(id), dag.genid().attr_of(id));
+                assert_eq!(loaded.genid().lookup(ty, attr), Some(id));
+            }
         }
+        // The ids the updates released come back as free ids.
+        assert!(dag.genid().n_free() > 0);
+        assert_eq!(loaded.genid().n_free(), dag.genid().n_free());
         assert!(loaded.all_edges().eq(dag.all_edges()));
     }
 }

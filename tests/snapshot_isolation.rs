@@ -10,9 +10,10 @@
 //! held fixed too.
 
 use rxview::prelude::*;
+use rxview::relstore::tuple;
 use rxview::workload::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
-    synthetic_database, SyntheticConfig,
+    synthetic_database, ChurnGen, SyntheticConfig,
 };
 use rxview::xmlkit::parse_xpath;
 
@@ -125,5 +126,78 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
             &oracle,
             &format!("{n_shards} shard(s): engine vs one-at-a-time apply"),
         );
+    }
+}
+
+/// A node id means a node within one epoch. A reader pinned on the epoch in
+/// which id `x` is a fresh node keeps reading that node through the round
+/// that collects it (the id is free in the engine's newer epochs) and the round
+/// that hands `x` out again to an unrelated node under another head: the
+/// recycled id is written into pages of the newer epochs only.
+#[test]
+fn a_pinned_reader_never_sees_a_recycled_id_mean_two_nodes() {
+    for n_shards in [1, 2] {
+        let db = synthetic_database(&SyntheticConfig::with_size(400));
+        let atg = synthetic_atg(&db).expect("valid ATG");
+        let sys = XmlViewSystem::new(atg, db).expect("publishes");
+        let mut gen = ChurnGen::new(&sys, 10, 40);
+        let engine = Engine::with_config(
+            sys,
+            EngineConfig {
+                n_shards,
+                ..EngineConfig::default()
+            },
+        );
+        let commit = |window: Vec<XmlUpdate>| {
+            for u in window {
+                engine
+                    .apply_now(u, SideEffectPolicy::Proceed)
+                    .expect("the churn's updates are accepted");
+            }
+        };
+        let node = |snap: &Snapshot, key: i64| {
+            let vs = snap.system().view();
+            let ty = vs.atg().dtd().type_id("node").expect("synthetic type");
+            vs.dag().genid().lookup(ty, &tuple![key, 7i64])
+        };
+
+        // Two fresh nodes; the reader pins the epoch they are live in.
+        commit(gen.window(2));
+        let pinned = engine.snapshot();
+        let first_key = 4_000_000_001;
+        let x = node(&pinned, first_key).expect("the first fresh node");
+        let (seen, read) = (edge_fingerprint(pinned.system()), reads(&pinned, 10));
+
+        // The next window deletes the older one — `x` is collected — and
+        // its insertion, under another head, is the next to ask for an id.
+        commit(gen.window(2));
+        let latest = engine.snapshot();
+        assert!(node(&latest, first_key).is_none(), "collected");
+        assert!(
+            node(&latest, first_key + 2).is_some(),
+            "the third fresh node"
+        );
+        let genid = latest.system().view().dag().genid();
+        assert!(genid.is_live(x), "the id is in use again");
+        assert_ne!(genid.attr_of(x), &tuple![first_key, 7i64]);
+        assert!(
+            genid.n_allocated() == pinned.system().view().dag().genid().n_allocated(),
+            "{n_shards} shard(s): the second insertion drew on the first one's ids"
+        );
+
+        // In the pinned epoch `x` is still the first fresh node, whole.
+        assert_eq!(node(&pinned, first_key), Some(x));
+        assert!(node(&pinned, first_key + 2).is_none());
+        assert!(seen == edge_fingerprint(pinned.system()));
+        assert!(read == reads(&pinned, 10));
+        assert!(read != reads(&latest, 10));
+        pinned
+            .system()
+            .consistency_check()
+            .unwrap_or_else(|e| panic!("{n_shards} shard(s), pinned epoch: {e}"));
+        latest
+            .system()
+            .consistency_check()
+            .unwrap_or_else(|e| panic!("{n_shards} shard(s), latest epoch: {e}"));
     }
 }
