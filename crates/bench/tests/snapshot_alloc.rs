@@ -12,15 +12,16 @@
 //! Figures at 128 groups (5 120 `C` rows, 10 807 view nodes), this file run
 //! on each tree:
 //!
-//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs | rows stored once, 16-byte cells (PR 20) |
-//! |---|---|---|---|---|
-//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls | 115 131 B in 22 calls |
-//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls | 329 559 B in 646 calls |
-//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B | 9.9 B |
-//! | `I` after `synthetic_database`, per base row | — | — | 246.3 B | 145.2 B |
-//! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 |
-//! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B |
-//! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 |
+//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs | rows stored once, 16-byte cells (PR 20) | `M` as 32-id block words (PR 22) |
+//! |---|---|---|---|---|---|
+//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls | 115 131 B in 22 calls | 115 131 B in 22 calls |
+//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls | 329 559 B in 646 calls | 242 659 B in 644 calls |
+//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B | 9.9 B | 4.6 B |
+//! | `I` after `synthetic_database`, per base row | — | — | 246.3 B | 145.2 B | 145.2 B |
+//! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 | 1.05 |
+//! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B | 245.4 B |
+//! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 | 0.70 (equal rows share since PR 21) |
+//! | ten-fold soak, `M` words per pair, first → last sample | — | — | — | — | 2.76 B → 2.76 B on all three executors |
 //!
 //! (The last four rows' third column is this file run on PR 19's tree,
 //! where the round row read 358 711 B in 647 calls: a row sat beside a
@@ -31,15 +32,17 @@
 //! figures + 5 %.)
 //!
 //! (At rxbench's 512 groups the left column is ≈ 15 MB and ≈ 52 MB.) Of the
-//! two right columns, 87 KB of the clone is `L`'s two dense arrays and about
-//! 85 KB of the round is the root's `desc` run, rewritten whole once per
-//! inserting fold (merged into a scratch buffer, then copied behind its
-//! `Arc`) — the two O(view) remainders ARCHITECTURE.md §8 names. The `M`
-//! row is what stays allocated, both directions and the handle pages
-//! included, divided by `n_pairs()`: 8 B of ids per pair plus 16 B of `Arc`
+//! right columns, 87 KB of the clone is `L`'s two dense arrays and the
+//! root's `desc` run, rewritten whole once per inserting fold (merged into a
+//! scratch buffer, then copied behind its `Arc`), was about 85 KB of the
+//! round as an id array and is ≈ 5 KB as block words — the two O(view)
+//! remainders ARCHITECTURE.md §8 names. The `M` row is what stays
+//! allocated, both directions and the handle pages included, divided by
+//! `n_pairs()`: two ids per pair at 8 B per ≈ 5.6-id word plus 16 B of `Arc`
 //! header per non-empty set. The clone ceilings are a tenth of the left
-//! column; the round's call ceiling and the per-pair ceiling were re-based
-//! when `M` went from B-tree sets to runs.
+//! column; the round's call ceiling was re-based when `M` went from B-tree
+//! sets to runs, its byte ceiling (the measured figure + 5 %) and the
+//! per-pair ceiling when the runs went from ids to block words.
 //!
 //! Evaluating the round's path, `node[id=k]/sub`, on the same fixture —
 //! what every read, `apply` and replayed update pays before it translates
@@ -325,13 +328,13 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         clone_calls <= 4_365,
         "clone made {clone_calls} allocator calls"
     );
-    assert!(round_bytes <= 969_822, "round allocated {round_bytes} B");
+    assert!(round_bytes <= 254_792, "round allocated {round_bytes} B");
     assert!(
         round_calls <= 1_000,
         "round made {round_calls} allocator calls"
     );
     assert!(
-        bytes_per_pair <= 12.0,
+        bytes_per_pair <= 5.5,
         "M keeps {bytes_per_pair:.1} B per pair allocated"
     );
 }
@@ -368,10 +371,18 @@ fn a_decoded_state_keeps_what_the_published_state_keeps() {
 /// Updates per window of the soak, and per engine round.
 const WINDOW: usize = 32;
 
-/// What a state counts: the id space's size, the live nodes, the rows of `I`.
-fn sizes(sys: &XmlViewSystem) -> [usize; 3] {
+/// What a state counts: the id space's size, the live nodes, the rows of
+/// `I`, the pairs of `M` and the block words that store them.
+fn sizes(sys: &XmlViewSystem) -> [usize; 5] {
     let genid = sys.view().dag().genid();
-    [genid.n_allocated(), genid.n_live(), sys.base().total_rows()]
+    let m = sys.reach();
+    [
+        genid.n_allocated(),
+        genid.n_live(),
+        sys.base().total_rows(),
+        m.n_pairs(),
+        m.n_words(),
+    ]
 }
 
 /// Serves ten times the view's node count in delete / re-insert churn with
@@ -379,8 +390,11 @@ fn sizes(sys: &XmlViewSystem) -> [usize; 3] {
 /// [`sizes`] of the state it leaves — in ten samples of one view-size of
 /// updates each, after one more that grows the state to its working size
 /// (caches, lazy indexes, the first fresh nodes): the free ids never exceed
-/// two rounds' allocations, and the process holds through the last sample
-/// what it held through the first.
+/// two rounds' allocations, the process holds through the last sample
+/// what it held through the first, and a pair of `M` costs at the last
+/// sample at most 1.25 × the words it cost at the first — recycled ids keep
+/// subtrees on neighbouring ids, or `M`'s block words would thin out towards
+/// their worst case of one id each.
 ///
 /// "Holds" is a band, not a number: the interner's key map collects the
 /// entries of released pairs and its runs split as new pairs land, until
@@ -396,31 +410,40 @@ fn soak(
     at: &str,
     sys: &XmlViewSystem,
     row_bytes: f64,
-    mut serve: impl FnMut(Vec<XmlUpdate>) -> [usize; 3],
+    mut serve: impl FnMut(Vec<XmlUpdate>) -> [usize; 5],
 ) {
     let mut gen = ChurnGen::new(sys, GROUPS, GROUP_SIZE);
     let per_sample = sys.view().n_nodes().div_ceil(WINDOW);
     let slack = 2 * (WINDOW / 2) * NODES_PER_INSERT;
     let rows_at_start = sizes(sys)[2];
     let mut held = Vec::with_capacity(11);
+    let mut m_bytes_per_pair = Vec::with_capacity(11);
     for sample in 0..=10 {
         let (mut most_free, mut rows) = (0, 0);
         let (mut lowest, mut highest) = (f64::MAX, 0f64);
+        let mut per_pair = 0.0;
         for _ in 0..per_sample {
-            let [allocated, live, base_rows] = serve(gen.window(WINDOW));
+            let [allocated, live, base_rows, m_pairs, m_words] = serve(gen.window(WINDOW));
             most_free = most_free.max(allocated - live);
             rows = base_rows - rows_at_start;
+            per_pair = (8 * m_words) as f64 / m_pairs as f64;
             let beside = LIVE.load(Ordering::Relaxed) as f64 - rows as f64 * row_bytes;
             (lowest, highest) = (lowest.min(beside), highest.max(beside));
         }
         held.push([lowest, highest]);
+        m_bytes_per_pair.push(per_pair);
         println!(
             "{at}: {} updates served, at most {most_free} ids free, {lowest:.0} to \
-             {highest:.0} B live beside {rows} kept rows",
+             {highest:.0} B live beside {rows} kept rows, M {per_pair:.2} B of words per pair",
             (sample + 1) * per_sample * WINDOW,
         );
         assert!(most_free <= slack, "{at}: {most_free} ids free at once");
     }
+    let (first, last) = (m_bytes_per_pair[1], m_bytes_per_pair[10]);
+    assert!(
+        last <= 1.25 * first,
+        "{at}: a pair of M went {first:.2} -> {last:.2} B of words over nine view-sizes of updates"
+    );
     for (end, what) in ["lowest", "highest"].into_iter().enumerate() {
         let (first, last) = (held[1][end], held[10][end]);
         let drift = last / first;

@@ -23,7 +23,7 @@
 //! the parser/printer round-trip is pinned by the xmlkit test suite.
 
 use crate::processor::XmlViewSystem;
-use crate::reach::Reachability;
+use crate::reach::{AncestorLoad, Reachability, RunBuf};
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
 use crate::viewstore::{gen_rows, ViewStore};
@@ -240,7 +240,7 @@ fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
         put_varint(out, d.0 as u64);
         put_varint(out, anc.len() as u64);
         let mut prev = 0u64;
-        for &a in anc {
+        for a in anc {
             put_varint(out, a.0 as u64 - prev);
             prev = a.0 as u64;
         }
@@ -249,25 +249,24 @@ fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
     debug_assert_eq!(pairs, reach.n_pairs(), "M pairs confined to live nodes");
 }
 
-/// Decodes the reachability matrix: every listed ancestor set is read into
-/// one flat buffer and the lot is bulk-loaded (the sets are stored as
-/// written; the `desc` direction is derived from them once).
+/// Decodes the reachability matrix: every listed ancestor set is packed into
+/// block words as its ids are read and stored as written; the `desc`
+/// direction is derived from them once.
 fn read_reach(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<Reachability> {
     let n_alloc = genid.n_allocated();
     let n_entries = r.read_varint()? as usize;
     if n_entries > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut flat: Vec<NodeId> = Vec::new();
-    // `(d, where anc(d) sits in flat)`.
-    let mut entries: Vec<(NodeId, std::ops::Range<usize>)> = Vec::with_capacity(n_entries);
+    let mut load = AncestorLoad::default();
+    let mut anc = RunBuf::default();
     for _ in 0..n_entries {
         let d = read_node(r, genid)?;
         let n_anc = r.read_varint()? as usize;
         if n_anc > r.remaining() {
             return Err(CodecError::Truncated);
         }
-        let start = flat.len();
+        anc.clear();
         let mut prev = 0u64;
         for i in 0..n_anc {
             let delta = r.read_varint()?;
@@ -283,15 +282,15 @@ fn read_reach(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<Reachability> {
                     "ancestor id {a} out of order or range"
                 )));
             }
-            flat.push(NodeId(a as u32));
+            anc.push(NodeId(a as u32));
             prev = a;
         }
-        entries.push((d, start..flat.len()));
+        // Rejects what the encoder never writes and a per-pair load would
+        // have absorbed silently: a `d` listed twice, a `d` among its own
+        // ancestors.
+        load.add(d, anc.as_run()).map_err(CodecError::Invalid)?;
     }
-    let runs = entries.iter().map(|(d, at)| (*d, &flat[at.clone()]));
-    // Rejects what the encoder never writes and a per-pair load would have
-    // absorbed silently: a `d` listed twice, a `d` among its own ancestors.
-    Reachability::from_ancestors(runs).map_err(CodecError::Invalid)
+    Ok(load.finish())
 }
 
 // ---------------------------------------------------------------------------

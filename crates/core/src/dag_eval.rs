@@ -316,7 +316,6 @@ pub fn eval_xpath_on_dag(
                         reach
                             .descendants(u)
                             .iter()
-                            .copied()
                             .filter(|d| topo.position(*d).is_some()),
                     );
                 }
@@ -371,7 +370,7 @@ pub fn eval_xpath_on_dag(
                 // source and anc-or-self of a useful target, within closure.
                 let mut target_anc: HashSet<NodeId> = useful.clone();
                 for &t in &useful {
-                    target_anc.extend(reach.ancestors(t).iter().copied());
+                    target_anc.extend(reach.ancestors(t));
                 }
                 let prev: HashSet<NodeId> = sources
                     .iter()
@@ -387,7 +386,7 @@ pub fn eval_xpath_on_dag(
                 if !universal {
                     source_desc.extend(prev.iter().copied());
                     for &s in &prev {
-                        source_desc.extend(reach.descendants(s).iter().copied());
+                        source_desc.extend(reach.descendants(s));
                     }
                 }
                 let mid: HashSet<NodeId> = closure

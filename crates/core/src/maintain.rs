@@ -20,10 +20,10 @@
 //!   and later jobs of the same fold read them: `anc(target)` for ∆M part
 //!   (b), and the `swap` repair's "is `x` below `v`" test, which therefore
 //!   asks the `anc` direction only;
-//! - **batched:** the `desc` half of those pairs is queued per ancestor and
-//!   flushed with one merge per touched ancestor — after the last insert
-//!   job (the delete pass builds `LR` from `descendants`) and again after
-//!   the delete pass. The root's run, which every job of a fold touches,
+//! - **batched:** the `desc` half of those pairs is queued in one flat list
+//!   and flushed with one sort and one merge per touched ancestor — after
+//!   the last insert job (the delete pass builds `LR` from `descendants`)
+//!   and again after the delete pass. The root's run, which every job of a fold touches,
 //!   is thus copied once or twice per fold. An insert job that reads
 //!   `desc(v)` of an old node `v` shared into its subtree reads it through
 //!   the batch ([`Reachability::descendants_in`]), or it would miss what an
@@ -38,12 +38,11 @@
 //!
 //! [`maintain_insert`] and [`maintain_delete`] are folds of one job.
 
-use crate::reach::{sort_dedup, ReachBatch, Reachability};
+use crate::reach::{ReachBatch, Reachability, RunBuf};
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, SubtreeDag};
 use rxview_relstore::RelResult;
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -110,6 +109,12 @@ pub fn maintain_insert(
     let mut report = insert_job(vs, topo, reach, &mut batch, subtree, targets);
     flush(reach, &mut batch, &mut report);
     report
+}
+
+/// Turns gathered ids into a set in ascending order.
+fn sort_dedup(ids: &mut Vec<NodeId>) {
+    ids.sort_unstable();
+    ids.dedup();
 }
 
 /// Applies the fold's queued `desc`-direction edits, on the `M` clock.
@@ -203,7 +208,7 @@ pub(crate) fn insert_job(
             } else {
                 // The DAG may have just gained edges below old nodes only
                 // via the subtree root connections; those are handled by (b).
-                out.extend_from_slice(&reach.descendants_in(c, batch));
+                reach.descendants_in(c, batch).extend_into(&mut out);
             }
         }
         sort_dedup(&mut out);
@@ -222,23 +227,26 @@ pub(crate) fn insert_job(
     // ---- ∆M (b): ancestors of targets reach the whole subtree. ----
     let mut anc_targets: Vec<NodeId> = targets.to_vec();
     for &t in targets {
-        anc_targets.extend_from_slice(reach.ancestors(t));
+        reach.ancestors(t).extend_into(&mut anc_targets);
     }
     sort_dedup(&mut anc_targets);
-    let below_root = match below.get(&subtree.root) {
-        Some(desc) => Cow::Borrowed(desc.as_slice()),
-        None => reach.descendants_in(subtree.root, batch),
-    };
-    for &d in std::iter::once(&subtree.root).chain(below_root.iter()) {
-        pairs.extend(anc_targets.iter().filter(|&&a| a != d).map(|&a| (d, a)));
+    let mut below_targets =
+        |d: NodeId| pairs.extend(anc_targets.iter().filter(|&&a| a != d).map(|&a| (d, a)));
+    below_targets(subtree.root);
+    match below.get(&subtree.root) {
+        Some(desc) => desc.iter().copied().for_each(below_targets),
+        None => reach
+            .descendants_in(subtree.root, batch)
+            .iter()
+            .for_each(below_targets),
     }
     pairs.sort_unstable();
     pairs.dedup();
-    let mut ancs: Vec<NodeId> = Vec::new();
+    let mut ancs = RunBuf::default();
     for of_d in pairs.chunk_by(|l, r| l.0 == r.0) {
         ancs.clear();
         ancs.extend(of_d.iter().map(|&(_, a)| a));
-        report.m_inserted += reach.add_ancestors(of_d[0].0, &ancs, batch);
+        report.m_inserted += reach.add_ancestors(of_d[0].0, ancs.as_run(), batch);
     }
     report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
 
@@ -250,7 +258,7 @@ pub(crate) fn insert_job(
         if let (Some(pu), Some(pv)) = (topo.position(u), topo.position(v)) {
             if pu < pv {
                 // `anc` is exact here; `desc(v)` still waits for the flush.
-                topo.swap(u, v, &|x| reach.ancestors(x).binary_search(&v).is_ok());
+                topo.swap(u, v, &|x| reach.ancestors(x).contains(&v));
             }
         }
     };
@@ -301,7 +309,7 @@ pub(crate) fn delete_pass(
     let t_lr = Instant::now();
     let mut lr: Vec<NodeId> = selected.to_vec();
     for &v in selected {
-        lr.extend_from_slice(reach.descendants(v));
+        reach.descendants(v).extend_into(&mut lr);
     }
     sort_dedup(&mut lr);
     lr.sort_by_key(|v| topo.position(*v).unwrap_or(usize::MAX));

@@ -510,9 +510,9 @@ pub fn union_scope(
     add(vs.dag().root());
     for &a in anchors {
         add(a);
-        reach.descendants(a).iter().copied().for_each(&mut add);
+        reach.descendants(a).iter().for_each(&mut add);
         if with_ancestors {
-            reach.ancestors(a).iter().copied().for_each(&mut add);
+            reach.ancestors(a).iter().for_each(&mut add);
         }
     }
     cone.sort_unstable();
@@ -702,10 +702,10 @@ mod tests {
         let m = anchors[0];
         assert!(scope.position(m).is_some());
         assert!(scope.position(vs.dag().root()).is_some());
-        for &d in reach.descendants(m) {
+        for d in reach.descendants(m) {
             assert!(scope.position(d).is_some());
         }
-        for &a in reach.ancestors(m) {
+        for a in reach.ancestors(m) {
             assert!(scope.position(a).is_some());
         }
         for w in scope.order().windows(2) {

@@ -726,7 +726,7 @@ fn eval_plan_with(
         #[cfg(test)]
         tests::STEP_IDS.with(|c| c.set(c.get() + run.len().min(n)));
         if run.len() <= n {
-            out.extend(run.iter().copied().filter(|d| topo.position(*d).is_some()));
+            out.extend(run.iter().filter(|d| topo.position(*d).is_some()));
         } else {
             out.extend(
                 topo.order()
@@ -841,7 +841,7 @@ fn eval_plan_with(
                 let mut target_anc = scratch.take_set();
                 target_anc.extend(useful.iter().copied());
                 for &t in &useful {
-                    target_anc.extend(reach.ancestors(t).iter().copied());
+                    target_anc.extend(reach.ancestors(t));
                 }
                 let mut prev = scratch.take_set();
                 prev.extend(sources.iter().copied().filter(|s| target_anc.contains(s)));

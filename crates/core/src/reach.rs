@@ -7,217 +7,389 @@
 //!
 //! # Layout and cost model
 //!
-//! Each per-node set is one *run*: an immutable, ascending, duplicate-free
-//! `Arc<[NodeId]>` — 4 bytes per stored id plus one 16-byte header per
-//! non-empty set, against ≈ 25 bytes per pair for a B-tree set. A run is
-//! never edited in place: changing a set builds its successor with a linear
-//! merge ([`union`], [`minus`], or gather + [`sort_dedup`]) and swaps the
-//! handle, so a snapshot that still holds the old handle is unaffected and
-//! releasing it frees one allocation, not a tree.
+//! Each per-node set is one *run*: an immutable `Arc<[u64]>` of **block
+//! words**. The id space is cut into blocks of 32 ids; a word is
+//! `block key << 32 | 32-bit mask` (key = `id >> 5`, bit `id & 31` of the
+//! mask set iff the id is in the set), a run holds one word per block that
+//! has a member, keys strictly ascending, no word with an empty mask — so a
+//! set has exactly one representation and runs compare as word slices.
+//! Publication and lowest-free-id-first recycling keep a subtree on
+//! neighbouring ids, so a word holds ≈ 5.6 ids (≈ 1.4 bytes per stored id
+//! plus one 16-byte header per non-empty set, against 4 for a plain id
+//! array and ≈ 25 for a B-tree set). The worst case is a run whose every id
+//! sits alone in its block: 8 bytes per id.
 //!
-//! That makes the unit of cost "one rewrite of a touched set", `O(|set|)`
-//! at `memcpy` speed, and a single-pair insert would cost exactly that —
-//! which is why there is none. Everything that writes `M` is a bulk
-//! operation:
+//! What each operation costs, per word rather than per id:
+//!
+//! - membership ([`Run::contains`], [`Reachability::is_ancestor`]): a binary
+//!   search over the keys and one bit test;
+//! - [`union`] / [`minus`]: one linear merge by key, `|` or `& !` per shared
+//!   block, a word emptied by `minus` dropped;
+//! - iteration ([`Run::iter`]): `trailing_zeros` per id, ascending — so what
+//!   the evaluators, the `L` repairs and the checkpoint encoder see is the
+//!   order an id array gave them;
+//! - [`Run::len`]: a popcount per word (not a stored length);
+//! - the Reach recurrence `⋃_p ({p} ∪ anc(p))`: every parent's words are
+//!   OR-ed into a dense scratch of one mask per block of the id space and
+//!   the touched blocks are emitted in key order — block keys are sorted, no
+//!   id is.
+//!
+//! A run is never edited in place: changing a set builds its successor and
+//! swaps the handle, so a snapshot that still holds the old handle is
+//! unaffected and releasing it frees one allocation, not a tree.
+//!
+//! That makes the unit of cost "one rewrite of a touched set", `O(words)`,
+//! and a single-pair insert would cost exactly that — which is why there is
+//! none. Everything that writes `M` is a bulk operation:
 //!
 //! - [`Reachability::compute`], [`Reachability::compute_naive`] and
-//!   [`Reachability::from_ancestors`] build one direction run by run and
-//!   derive the other with one counting-sort transposition;
+//!   [`AncestorLoad`] (under [`Reachability::from_ancestors`] and the
+//!   checkpoint decoder) build one direction run by run and derive the other
+//!   with one counting-sort transposition over words;
 //! - maintenance edits ancestor sets wholesale
 //!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
 //!   its recurrence form [`Reachability::set_ancestors_from`],
 //!   [`Reachability::collect_node`]). The `anc` direction is written at once
 //!   — those runs are small, and later jobs of the same fold read them. The
-//!   `desc` half of every changed pair is queued per ancestor in a
-//!   [`ReachBatch`] and applied by [`Reachability::flush`] with one merge
-//!   per touched ancestor, however many pairs it gained or lost — the root's
+//!   `desc` half of every changed pair is queued in a [`ReachBatch`] — one
+//!   flat list of `(ancestor, node, add)` — and applied by
+//!   [`Reachability::flush`], which sorts the list once and does one merge
+//!   per touched ancestor, however many pairs it gained or lost: the root's
 //!   run (every node of the view) is rewritten once per flush, not once per
 //!   job. Until the flush, `desc` lags `anc`; a reader that must not miss
 //!   queued pairs asks [`Reachability::descendants_in`].
 //!
 //! [`Reachability::n_pairs`] is accounted on the `anc` direction alone, so
-//! the lag can neither double- nor under-count.
+//! the lag can neither double- nor under-count; [`Reachability::n_words`]
+//! counts what both directions store.
 
 use crate::topo::TopoOrder;
 use rxview_atg::{Dag, NodeId};
 use rxview_relstore::PagedVec;
-use std::borrow::Cow;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
-/// One stored set: ascending, duplicate-free, never empty.
-type Run = Arc<[NodeId]>;
+/// One stored set, as block words; never empty.
+type Words = Arc<[u64]>;
 
-/// Whether `ids` strictly ascend — the invariant of every run and of every
-/// input the merge primitives take.
-fn is_run(ids: &[NodeId]) -> bool {
-    ids.windows(2).all(|w| w[0] < w[1])
+fn key_of(word: u64) -> u32 {
+    (word >> 32) as u32
 }
 
-/// The first index `k >= from` with `a[k] >= x`, by doubling probes from
-/// `from` and a binary search inside the bracket: `O(log gap)`, so merging a
-/// short run into a long one copies the long one in a few large chunks while
-/// two runs of similar length still merge in linear time.
-fn lower_bound_from(a: &[NodeId], from: usize, x: NodeId) -> usize {
-    let mut step = 1;
-    let mut lo = from;
-    let mut hi = from;
-    while hi < a.len() && a[hi] < x {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
+fn mask_of(word: u64) -> u32 {
+    word as u32
+}
+
+fn word(key: u32, mask: u32) -> u64 {
+    u64::from(key) << 32 | u64::from(mask)
+}
+
+/// `id`'s block key and its bit in that block's mask.
+fn block_of(id: NodeId) -> (u32, u32) {
+    (id.0 >> 5, 1 << (id.0 & 31))
+}
+
+/// Whether `words` is a run: keys strictly ascending, no empty mask.
+fn is_run(words: &[u64]) -> bool {
+    words.iter().all(|&w| mask_of(w) != 0) && words.windows(2).all(|w| key_of(w[0]) < key_of(w[1]))
+}
+
+/// A borrowed set of node ids — `anc(d)`, `desc(a)`, or a [`RunBuf`]'s
+/// content: ascending, duplicate-free, possibly empty.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Run<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> Run<'a> {
+    /// Number of ids: a popcount per word.
+    pub fn len(self) -> usize {
+        let ones = |&w: &u64| mask_of(w).count_ones() as usize;
+        self.words.iter().map(ones).sum()
     }
-    let hi = hi.min(a.len());
-    lo + a[lo..hi].partition_point(|&y| y < x)
-}
 
-/// `out = a ∪ b` for two runs.
-pub fn union(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
-    debug_assert!(is_run(a) && is_run(b), "union takes runs");
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    out.clear();
-    out.reserve(long.len() + short.len());
-    let mut i = 0;
-    for &x in short {
-        let k = lower_bound_from(long, i, x);
-        out.extend_from_slice(&long[i..k]);
-        i = k;
-        // An `x` also in `long` is copied with the next chunk.
-        if long.get(k) != Some(&x) {
-            out.push(x);
+    /// Whether the set holds no id.
+    pub fn is_empty(self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(self, id: &NodeId) -> bool {
+        let (key, bit) = block_of(*id);
+        let at = self.words.binary_search_by_key(&key, |&w| key_of(w));
+        at.is_ok_and(|i| mask_of(self.words[i]) & bit != 0)
+    }
+
+    /// The ids, ascending.
+    pub fn iter(self) -> RunIter<'a> {
+        RunIter {
+            words: self.words.iter(),
+            base: 0,
+            mask: 0,
         }
     }
-    out.extend_from_slice(&long[i..]);
+
+    /// Appends the ids, ascending, to `out`.
+    pub fn extend_into(self, out: &mut Vec<NodeId>) {
+        out.reserve(self.len());
+        out.extend(self.iter());
+    }
 }
 
-/// `out = a \ b` for two runs.
-pub fn minus(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
-    debug_assert!(is_run(a) && is_run(b), "minus takes runs");
+impl<'a> IntoIterator for Run<'a> {
+    type Item = NodeId;
+    type IntoIter = RunIter<'a>;
+
+    fn into_iter(self) -> RunIter<'a> {
+        self.iter()
+    }
+}
+
+/// Equality with a list of ids in ascending order.
+impl<T: AsRef<[NodeId]>> PartialEq<T> for Run<'_> {
+    fn eq(&self, ids: &T) -> bool {
+        self.iter().eq(ids.as_ref().iter().copied())
+    }
+}
+
+impl fmt::Debug for Run<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|id| id.0)).finish()
+    }
+}
+
+/// The ids of a [`Run`], ascending.
+#[derive(Debug, Clone)]
+pub struct RunIter<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// First id of the current block, and which of its ids are still to come.
+    base: u32,
+    mask: u32,
+}
+
+impl Iterator for RunIter<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.mask == 0 {
+            let &w = self.words.next()?;
+            self.base = key_of(w) << 5;
+            self.mask = mask_of(w);
+        }
+        let bit = self.mask.trailing_zeros();
+        self.mask &= self.mask - 1;
+        Some(NodeId(self.base | bit))
+    }
+}
+
+/// An owned run: what the merge primitives write, and the form the bulk
+/// edits of [`Reachability`] take a set in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunBuf {
+    words: Vec<u64>,
+}
+
+impl RunBuf {
+    /// The set held.
+    pub fn as_run(&self) -> Run<'_> {
+        Run { words: &self.words }
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// The largest id held.
+    pub fn last(&self) -> Option<NodeId> {
+        let &w = self.words.last()?;
+        Some(NodeId(key_of(w) << 5 | (31 - mask_of(w).leading_zeros())))
+    }
+
+    /// Appends `id`, which must exceed every id held.
+    pub fn push(&mut self, id: NodeId) {
+        debug_assert!(self.last() < Some(id), "a run is built in ascending order");
+        let (key, bit) = block_of(id);
+        match self.words.last_mut() {
+            Some(w) if key_of(*w) == key => *w |= u64::from(bit),
+            _ => self.words.push(word(key, bit)),
+        }
+    }
+}
+
+/// Appends ids that strictly ascend from the largest id held.
+impl Extend<NodeId> for RunBuf {
+    fn extend<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
+        ids.into_iter().for_each(|id| self.push(id));
+    }
+}
+
+/// Collects ids that strictly ascend.
+impl FromIterator<NodeId> for RunBuf {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(ids: I) -> Self {
+        let mut buf = RunBuf::default();
+        buf.extend(ids);
+        buf
+    }
+}
+
+/// `out = a ∪ b`.
+pub fn union(a: Run<'_>, b: Run<'_>, out: &mut RunBuf) {
+    let (a, b) = (a.words, b.words);
+    debug_assert!(is_run(a) && is_run(b), "union takes runs");
+    let out = &mut out.words;
     out.clear();
-    if a.len() <= b.len() {
-        // Look each id of the shorter `a` up in `b`.
-        let mut j = 0;
-        for &x in a {
-            j = lower_bound_from(b, j, x);
-            if b.get(j) != Some(&x) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        match key_of(x).cmp(&key_of(y)) {
+            Ordering::Less => {
                 out.push(x);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(y);
+                j += 1;
+            }
+            Ordering::Equal => {
+                // Equal keys OR to themselves.
+                out.push(x | y);
+                i += 1;
+                j += 1;
             }
         }
-    } else {
-        // Copy the longer `a` in chunks that skip `b`'s ids.
-        let mut i = 0;
-        for &x in b {
-            let k = lower_bound_from(a, i, x);
-            out.extend_from_slice(&a[i..k]);
-            i = k + usize::from(a.get(k) == Some(&x));
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// `out = a \ b`.
+pub fn minus(a: Run<'_>, b: Run<'_>, out: &mut RunBuf) {
+    let (a, b) = (a.words, b.words);
+    debug_assert!(is_run(a) && is_run(b), "minus takes runs");
+    let out = &mut out.words;
+    out.clear();
+    let mut j = 0;
+    for &x in a {
+        while j < b.len() && key_of(b[j]) < key_of(x) {
+            j += 1;
         }
-        out.extend_from_slice(&a[i..]);
+        let shared = b.get(j).filter(|&&y| key_of(y) == key_of(x));
+        let mask = mask_of(x) & !shared.map_or(0, |&y| mask_of(y));
+        if mask != 0 {
+            out.push(word(key_of(x), mask));
+        }
     }
 }
 
-/// Turns a gathered buffer into a run.
-pub fn sort_dedup(ids: &mut Vec<NodeId>) {
-    ids.sort_unstable();
-    ids.dedup();
+/// One mask per block of the id space, in which a union is accumulated a
+/// word at a time, and the blocks it touched: 4 bytes per 32 allocated ids.
+#[derive(Debug, Default)]
+struct BlockScratch {
+    masks: Vec<u32>,
+    touched: Vec<u32>,
 }
 
-fn run_of(sets: &PagedVec<Option<Run>>, v: NodeId) -> &[NodeId] {
+impl BlockScratch {
+    fn add(&mut self, key: u32, mask: u32) {
+        let k = key as usize;
+        if k >= self.masks.len() {
+            self.masks.resize(k + 1, 0);
+        }
+        if self.masks[k] == 0 {
+            self.touched.push(key);
+        }
+        self.masks[k] |= mask;
+    }
+
+    /// The Reach recurrence `⋃_{p ∈ parents} ({p} ∪ anc(p))`, into `out`.
+    /// Leaves the scratch blank.
+    fn union_over_parents(
+        &mut self,
+        anc: &PagedVec<Option<Words>>,
+        parents: impl IntoIterator<Item = NodeId>,
+        out: &mut RunBuf,
+    ) {
+        for p in parents {
+            let (key, bit) = block_of(p);
+            self.add(key, bit);
+            for &w in words_of(anc, p) {
+                self.add(key_of(w), mask_of(w));
+            }
+        }
+        let BlockScratch { masks, touched } = self;
+        // Block keys, a fifth of the ids or fewer: no id is sorted.
+        touched.sort_unstable();
+        let emptied = |key: u32| word(key, std::mem::take(&mut masks[key as usize]));
+        out.clear();
+        out.words.extend(touched.drain(..).map(emptied));
+    }
+}
+
+fn words_of(sets: &PagedVec<Option<Words>>, v: NodeId) -> &[u64] {
     match sets.get(v.index()) {
-        Some(Some(run)) => run,
+        Some(Some(words)) => words,
         _ => &[],
     }
 }
 
-/// Replaces `v`'s set by `ids`.
-fn store(sets: &mut PagedVec<Option<Run>>, v: NodeId, ids: &[NodeId]) {
-    debug_assert!(is_run(ids), "a stored set is a run");
-    if !ids.is_empty() {
-        *sets.get_mut(v.index()) = Some(ids.into());
-    } else if !run_of(sets, v).is_empty() {
+/// Replaces `v`'s set by the run `words`, keeping the count of stored words.
+fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, words: &[u64]) {
+    debug_assert!(is_run(words), "a stored set is a run");
+    let old = words_of(sets, v).len();
+    *n_words = *n_words - old + words.len();
+    if !words.is_empty() {
+        *sets.get_mut(v.index()) = Some(words.into());
+    } else if old != 0 {
         // Probed first: emptying an empty slot must not copy a shared page.
         *sets.get_mut(v.index()) = None;
     }
 }
 
-/// Marks for gathering a union without repeats: `seen_at[v] == epoch` once
-/// the current gather has taken `v`.
-#[derive(Debug, Default)]
-struct Marks {
-    seen_at: Vec<u32>,
-    epoch: u32,
-}
-
-impl Marks {
-    fn start_gather(&mut self) {
-        if self.epoch == u32::MAX {
-            self.seen_at.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Marks `v`; whether this gather had not taken it yet.
-    fn take(&mut self, v: NodeId) -> bool {
-        if v.index() >= self.seen_at.len() {
-            self.seen_at.resize(v.index() + 1, 0);
-        }
-        let seen_at = std::mem::replace(&mut self.seen_at[v.index()], self.epoch);
-        seen_at != self.epoch
-    }
-
-    /// Whether this gather has taken `v`.
-    fn taken(&self, v: NodeId) -> bool {
-        self.seen_at.get(v.index()) == Some(&self.epoch)
-    }
-}
-
-/// A new gather of `⋃_{p ∈ parents} ({p} ∪ anc(p))`: every id of the union
-/// once, in the order met.
-fn gather_over_parents<'a>(
-    anc: &'a PagedVec<Option<Run>>,
-    parents: impl IntoIterator<Item = NodeId> + 'a,
-    marks: &'a mut Marks,
-) -> impl Iterator<Item = NodeId> + 'a {
-    marks.start_gather();
-    let p_and_above = |p| std::iter::once(p).chain(run_of(anc, p).iter().copied());
-    let all = parents.into_iter().flat_map(p_and_above);
-    all.filter(|&a| marks.take(a))
-}
-
-/// The Reach recurrence `out = ⋃_{p ∈ parents} ({p} ∪ anc(p))`, as a run.
-/// The marks keep repeats out, so what gets sorted is the union and not the
-/// concatenation (several times longer for a widely shared node).
-fn union_over_parents(
-    anc: &PagedVec<Option<Run>>,
-    parents: impl IntoIterator<Item = NodeId>,
-    marks: &mut Marks,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    out.extend(gather_over_parents(anc, parents, marks));
-    out.sort_unstable();
-}
-
-/// The other direction of a family of sets: `out[x] ∋ v` iff `sets[v] ∋ x`.
-/// A counting sort over one flat buffer; visiting `v` in ascending order
-/// leaves every bucket a run without sorting it.
-fn transpose(sets: &PagedVec<Option<Run>>) -> PagedVec<Option<Run>> {
-    let members = || sets.iter().flatten().flat_map(|run| run.iter());
-    let width = members().map(|x| x.index() + 1).max().unwrap_or(0);
-    // Bucket `x` is `flat[start[x]..start[x + 1]]`.
+/// The other direction of a family of sets — `out[x] ∋ v` iff `sets[v] ∋ x`
+/// — and the number of words it stores. A counting sort over one flat word
+/// buffer: visiting `v` in ascending order fills every bucket in key order,
+/// and a bucket starts a new word whenever `v` enters a new block.
+fn transpose(sets: &PagedVec<Option<Words>>) -> (PagedVec<Option<Words>>, usize) {
+    let runs = || {
+        let numbered = (0u32..).map(NodeId).zip(sets.iter());
+        numbered.filter_map(|(v, words)| {
+            let words = words.as_deref()?;
+            Some((block_of(v), Run { words }))
+        })
+    };
+    let last_member = |(_, run): (_, Run<'_>)| run.words.last().map(|&w| key_of(w) as usize);
+    let width = runs()
+        .filter_map(last_member)
+        .max()
+        .map_or(0, |k| (k + 1) << 5);
+    // Bucket `x` is `flat[start[x]..start[x + 1]]`; `in_block[x]` is the
+    // block of the last `v` put in it (no block has the key `u32::MAX`).
     let mut start = vec![0usize; width + 1];
-    for x in members() {
-        start[x.index() + 1] += 1;
+    let mut in_block = vec![u32::MAX; width];
+    for ((key, _), run) in runs() {
+        for x in run {
+            if std::mem::replace(&mut in_block[x.index()], key) != key {
+                start[x.index() + 1] += 1;
+            }
+        }
     }
     for x in 0..width {
         start[x + 1] += start[x];
     }
     let mut next = start.clone();
-    let mut flat = vec![NodeId(0); start[width]];
-    for (v, run) in sets.iter().enumerate() {
-        for x in run.iter().flat_map(|run| run.iter()) {
-            flat[next[x.index()]] = NodeId(v as u32);
-            next[x.index()] += 1;
+    let mut flat = vec![0u64; start[width]];
+    in_block.fill(u32::MAX);
+    for ((key, bit), run) in runs() {
+        for x in run {
+            let x = x.index();
+            if std::mem::replace(&mut in_block[x], key) != key {
+                flat[next[x]] = word(key, 0);
+                next[x] += 1;
+            }
+            flat[next[x] - 1] |= u64::from(bit);
         }
     }
     let mut out = PagedVec::new();
@@ -227,7 +399,7 @@ fn transpose(sets: &PagedVec<Option<Run>>) -> PagedVec<Option<Run>> {
             *out.get_mut(x) = Some(bucket.into());
         }
     }
-    out
+    (out, flat.len())
 }
 
 /// The stored reachability matrix.
@@ -240,10 +412,12 @@ fn transpose(sets: &PagedVec<Option<Run>>) -> PagedVec<Option<Run>> {
 /// what its round replaced — O(∆M) allocations, not O(|M|) or O(n).
 #[derive(Debug, Clone, Default)]
 pub struct Reachability {
-    desc: PagedVec<Option<Run>>,
-    anc: PagedVec<Option<Run>>,
+    desc: PagedVec<Option<Words>>,
+    anc: PagedVec<Option<Words>>,
     /// `Σ_d |anc(d)|`.
     n_pairs: usize,
+    /// Words stored, both directions.
+    n_words: usize,
 }
 
 /// The `desc`-direction edits queued by the bulk ancestor writes of one
@@ -251,54 +425,92 @@ pub struct Reachability {
 /// scratch buffers those writes merge in.
 #[derive(Debug, Default)]
 pub struct ReachBatch {
-    /// Per ancestor `a`, the edits of `desc(a)` in queue order: `(x, true)`
-    /// adds `x`, `(x, false)` removes it.
-    pending: HashMap<NodeId, Vec<(NodeId, bool)>>,
-    gained: Vec<NodeId>,
-    lost: Vec<NodeId>,
-    merged: Vec<NodeId>,
-    marks: Marks,
+    /// `(a, x, add)` in queue order: add `x` to `desc(a)`, or remove it.
+    pending: Vec<(NodeId, NodeId, bool)>,
+    gained: RunBuf,
+    lost: RunBuf,
+    merged: RunBuf,
+    /// What [`Reachability::descendants_in`] last answered with, when that
+    /// was not a stored run.
+    patched: RunBuf,
+    scratch: BlockScratch,
 }
 
 impl ReachBatch {
     /// Queues `d` under every ancestor it just gained or lost.
     fn queue(&mut self, d: NodeId) {
-        for &a in &self.gained {
-            self.pending.entry(a).or_default().push((d, true));
-        }
-        for &a in &self.lost {
-            self.pending.entry(a).or_default().push((d, false));
-        }
+        let gained = self.gained.as_run().iter().map(|a| (a, d, true));
+        self.pending.extend(gained);
+        let lost = self.lost.as_run().iter().map(|a| (a, d, false));
+        self.pending.extend(lost);
     }
 }
 
-/// `stored` with the queued `edits` applied, into `out`; `add` and `del` are
-/// scratch.
+/// `stored` with `edits` — one ancestor's, stably sorted by node, so a
+/// node's edits are in queue order and its last one decides — applied, into
+/// `out`; `add` and `del` are scratch.
 fn apply_edits(
-    stored: &[NodeId],
-    edits: &mut [(NodeId, bool)],
-    [add, del]: [&mut Vec<NodeId>; 2],
-    out: &mut Vec<NodeId>,
+    stored: &[u64],
+    edits: &[(NodeId, NodeId, bool)],
+    [add, del]: [&mut RunBuf; 2],
+    out: &mut RunBuf,
 ) {
-    // Stable, so an id's edits stay in queue order and its last one decides.
-    edits.sort_by_key(|&(x, _)| x);
     add.clear();
     del.clear();
-    for of_x in edits.chunk_by(|l, r| l.0 == r.0) {
-        let &(x, added) = of_x.last().expect("chunks are non-empty");
+    for of_x in edits.chunk_by(|l, r| l.1 == r.1) {
+        let &(_, x, added) = of_x.last().expect("chunks are non-empty");
         if added {
             add.push(x);
         } else {
             del.push(x);
         }
     }
-    match (add.is_empty(), del.is_empty()) {
-        (_, true) => union(stored, add, out),
-        (true, false) => minus(stored, del, out),
+    let stored = Run { words: stored };
+    match (add.words.is_empty(), del.words.is_empty()) {
+        (_, true) => union(stored, add.as_run(), out),
+        (true, false) => minus(stored, del.as_run(), out),
         (false, false) => {
-            let mut all = Vec::new();
-            union(stored, add, &mut all);
-            minus(&all, del, out);
+            let mut all = RunBuf::default();
+            union(stored, add.as_run(), &mut all);
+            minus(all.as_run(), del.as_run(), out);
+        }
+    }
+}
+
+/// Bulk load of `M` from per-descendant ancestor sets (the checkpoint's
+/// layout), one [`AncestorLoad::add`] per node: each run is stored as given
+/// and [`AncestorLoad::finish`] transposes the `desc` direction from them.
+#[derive(Debug, Default)]
+pub struct AncestorLoad {
+    anc: PagedVec<Option<Words>>,
+    n_pairs: usize,
+    n_words: usize,
+}
+
+impl AncestorLoad {
+    /// Sets `anc(d)`. Fails — rather than build a matrix whose directions or
+    /// counter disagree — on a `d` listed twice and on a `d` among its own
+    /// ancestors.
+    pub fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
+        if !words_of(&self.anc, d).is_empty() {
+            return Err(format!("node {} is listed twice", d.0));
+        }
+        if ancestors.contains(&d) {
+            return Err(format!("node {} is its own ancestor", d.0));
+        }
+        self.n_pairs += ancestors.len();
+        store(&mut self.anc, &mut self.n_words, d, ancestors.words);
+        Ok(())
+    }
+
+    /// The matrix of the sets added.
+    pub fn finish(self) -> Reachability {
+        let (desc, desc_words) = transpose(&self.anc);
+        Reachability {
+            desc,
+            anc: self.anc,
+            n_pairs: self.n_pairs,
+            n_words: self.n_words + desc_words,
         }
     }
 }
@@ -309,23 +521,18 @@ impl Reachability {
     /// in backward `L` order, the ancestors of `d`'s parents are already
     /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`.
     pub fn compute(dag: &Dag, topo: &TopoOrder) -> Self {
-        let mut anc = PagedVec::new();
-        let mut n_pairs = 0;
-        let mut marks = Marks::default();
-        let mut ad: Vec<NodeId> = Vec::new();
+        let mut load = AncestorLoad::default();
+        let mut scratch = BlockScratch::default();
+        let mut ad = RunBuf::default();
         // Backward over L = ancestors (later entries) first.
         for &d in topo.order().iter().rev() {
             let live_parents = dag.parents(d).iter().copied();
             let live_parents = live_parents.filter(|&p| dag.genid().is_live(p));
-            union_over_parents(&anc, live_parents, &mut marks, &mut ad);
-            n_pairs += ad.len();
-            store(&mut anc, d, &ad);
+            scratch.union_over_parents(&load.anc, live_parents, &mut ad);
+            load.n_pairs += ad.as_run().len();
+            store(&mut load.anc, &mut load.n_words, d, &ad.words);
         }
-        Reachability {
-            desc: transpose(&anc),
-            anc,
-            n_pairs,
-        }
+        load.finish()
     }
 
     /// Naive recomputation baseline: a full BFS/DFS from every node, the
@@ -333,7 +540,7 @@ impl Reachability {
     /// Used by the ablation bench.
     pub fn compute_naive(dag: &Dag) -> Self {
         let mut desc = PagedVec::new();
-        let mut n_pairs = 0;
+        let (mut n_pairs, mut n_words) = (0, 0);
         // `seen_from[v] == a + 1` once the search from `a` has visited `v`.
         let mut seen_from = vec![0u32; dag.genid().n_allocated()];
         let mut seen: Vec<NodeId> = Vec::new();
@@ -349,119 +556,117 @@ impl Reachability {
             }
             seen.sort_unstable();
             n_pairs += seen.len();
-            store(&mut desc, a, &seen);
+            let below: RunBuf = seen.iter().copied().collect();
+            store(&mut desc, &mut n_words, a, &below.words);
         }
+        let (anc, anc_words) = transpose(&desc);
         Reachability {
-            anc: transpose(&desc),
+            anc,
             desc,
             n_pairs,
+            n_words: n_words + anc_words,
         }
     }
 
-    /// Bulk load from per-descendant ancestor sets (the checkpoint's
-    /// layout): each run is stored as given and the `desc` direction is
-    /// transposed from them. Fails — rather than build a matrix whose
-    /// directions or counter disagree — on a `d` listed twice, on ids that
-    /// do not strictly ascend, and on a `d` among its own ancestors.
-    pub fn from_ancestors<'a>(
-        runs: impl IntoIterator<Item = (NodeId, &'a [NodeId])>,
+    /// Bulk load from `(d, anc(d))` lists of ids through an
+    /// [`AncestorLoad`], with its checks and one more: the ids of a list
+    /// must strictly ascend.
+    pub fn from_ancestors<I: IntoIterator<Item = NodeId>>(
+        runs: impl IntoIterator<Item = (NodeId, I)>,
     ) -> Result<Self, String> {
-        let mut anc = PagedVec::new();
-        let mut n_pairs = 0;
-        for (d, run) in runs {
-            if !run_of(&anc, d).is_empty() {
-                return Err(format!("node {} is listed twice", d.0));
+        let mut load = AncestorLoad::default();
+        let mut run = RunBuf::default();
+        for (d, ids) in runs {
+            run.clear();
+            for a in ids {
+                if run.last() >= Some(a) {
+                    return Err(format!("ancestors of node {} do not ascend", d.0));
+                }
+                run.push(a);
             }
-            if !is_run(run) {
-                return Err(format!("ancestors of node {} do not ascend", d.0));
-            }
-            if run.binary_search(&d).is_ok() {
-                return Err(format!("node {} is its own ancestor", d.0));
-            }
-            n_pairs += run.len();
-            store(&mut anc, d, run);
+            load.add(d, run.as_run())?;
         }
-        Ok(Reachability {
-            desc: transpose(&anc),
-            anc,
-            n_pairs,
-        })
+        Ok(load.finish())
     }
 
-    /// Whether `a` is a strict ancestor of `d`: a binary search in the
-    /// shorter of `anc(d)` and `desc(a)`.
+    /// Whether `a` is a strict ancestor of `d`: a search in the run of fewer
+    /// words among `anc(d)` and `desc(a)`.
     pub fn is_ancestor(&self, a: NodeId, d: NodeId) -> bool {
         let (up, down) = (self.ancestors(d), self.descendants(a));
-        if up.len() <= down.len() {
-            up.binary_search(&a).is_ok()
+        if up.words.len() <= down.words.len() {
+            up.contains(&a)
         } else {
-            down.binary_search(&d).is_ok()
+            down.contains(&d)
         }
     }
 
-    /// `desc(a)`: strict descendants of `a`, ascending.
-    pub fn descendants(&self, a: NodeId) -> &[NodeId] {
-        run_of(&self.desc, a)
+    /// `desc(a)`: strict descendants of `a`.
+    pub fn descendants(&self, a: NodeId) -> Run<'_> {
+        let words = words_of(&self.desc, a);
+        Run { words }
     }
 
-    /// `anc(d)`: strict ancestors of `d`, ascending.
-    pub fn ancestors(&self, d: NodeId) -> &[NodeId] {
-        run_of(&self.anc, d)
+    /// `anc(d)`: strict ancestors of `d`.
+    pub fn ancestors(&self, d: NodeId) -> Run<'_> {
+        let words = words_of(&self.anc, d);
+        Run { words }
     }
 
     /// `desc(a)` as a later job of the same fold must see it: the stored
     /// run with `batch`'s queued edits under `a` applied.
-    pub fn descendants_in<'a>(&'a self, a: NodeId, batch: &mut ReachBatch) -> Cow<'a, [NodeId]> {
-        let stored = self.descendants(a);
+    pub fn descendants_in<'a>(&'a self, a: NodeId, batch: &'a mut ReachBatch) -> Run<'a> {
         let ReachBatch {
             pending,
             gained,
             lost,
+            patched,
             ..
         } = batch;
-        match pending.get_mut(&a) {
-            None => Cow::Borrowed(stored),
-            Some(edits) => {
-                let mut out = Vec::new();
-                apply_edits(stored, edits, [gained, lost], &mut out);
-                Cow::Owned(out)
-            }
+        let under_a = pending.iter().filter(|edit| edit.0 == a);
+        let mut edits: Vec<_> = under_a.copied().collect();
+        if edits.is_empty() {
+            return self.descendants(a);
         }
+        edits.sort_by_key(|edit| edit.1);
+        apply_edits(words_of(&self.desc, a), &edits, [gained, lost], patched);
+        patched.as_run()
     }
 
-    /// `anc(d) ∪= extra` (a run without `d`) — ∆(M,L)insert's write.
+    /// `anc(d) ∪= extra` (a set without `d`) — ∆(M,L)insert's write.
     /// Returns the number of pairs added; their `desc` halves are queued
     /// in `batch`.
-    pub fn add_ancestors(&mut self, d: NodeId, extra: &[NodeId], batch: &mut ReachBatch) -> usize {
-        debug_assert!(extra.binary_search(&d).is_err(), "M is irreflexive");
-        let old = run_of(&self.anc, d);
+    pub fn add_ancestors(&mut self, d: NodeId, extra: Run<'_>, batch: &mut ReachBatch) -> usize {
+        debug_assert!(!extra.contains(&d), "M is irreflexive");
+        let old = self.ancestors(d);
         minus(extra, old, &mut batch.gained);
-        if batch.gained.is_empty() {
+        if batch.gained.words.is_empty() {
             return 0;
         }
         batch.lost.clear();
-        union(old, &batch.gained, &mut batch.merged);
-        store(&mut self.anc, d, &batch.merged);
-        self.n_pairs += batch.gained.len();
+        union(old, batch.gained.as_run(), &mut batch.merged);
+        store(&mut self.anc, &mut self.n_words, d, &batch.merged.words);
+        let added = batch.gained.as_run().len();
+        self.n_pairs += added;
         batch.queue(d);
-        batch.gained.len()
+        added
     }
 
-    /// Replaces `anc(d)` by `new` (a run without `d`) wholesale — deletion
+    /// Replaces `anc(d)` by `new` (a set without `d`) wholesale — deletion
     /// maintenance, Fig.8 lines 9–11. Returns the number of pairs removed;
     /// the `desc` halves of every changed pair are queued in `batch`.
-    pub fn set_ancestors(&mut self, d: NodeId, new: &[NodeId], batch: &mut ReachBatch) -> usize {
-        debug_assert!(new.binary_search(&d).is_err(), "M is irreflexive");
-        let old = run_of(&self.anc, d);
+    pub fn set_ancestors(&mut self, d: NodeId, new: Run<'_>, batch: &mut ReachBatch) -> usize {
+        debug_assert!(!new.contains(&d), "M is irreflexive");
+        let old = self.ancestors(d);
         if old == new {
             return 0;
         }
         minus(old, new, &mut batch.lost);
         minus(new, old, &mut batch.gained);
-        self.n_pairs = self.n_pairs + batch.gained.len() - batch.lost.len();
-        store(&mut self.anc, d, new);
+        let removed = batch.lost.as_run().len();
+        self.n_pairs = self.n_pairs + batch.gained.as_run().len() - removed;
+        store(&mut self.anc, &mut self.n_words, d, new.words);
         batch.queue(d);
-        batch.lost.len()
+        removed
     }
 
     /// [`Reachability::set_ancestors`] to the Reach recurrence over `d`'s
@@ -470,22 +675,14 @@ impl Reachability {
     pub fn set_ancestors_from(
         &mut self,
         d: NodeId,
-        parents: impl IntoIterator<Item = NodeId> + Clone,
+        parents: impl IntoIterator<Item = NodeId>,
         batch: &mut ReachBatch,
     ) -> usize {
-        // Deleting edges only takes ancestors away, so the new run is the
-        // old one filtered by what the parents still contribute: no sort.
-        let marks = &mut batch.marks;
-        let contributed = gather_over_parents(&self.anc, parents.clone(), marks).count();
         let mut new = std::mem::take(&mut batch.merged);
-        new.clear();
-        new.extend(run_of(&self.anc, d).iter().filter(|&&a| marks.taken(a)));
-        if new.len() != contributed {
-            // Some parent brings an ancestor `d` did not have: the general
-            // case, which has to sort.
-            union_over_parents(&self.anc, parents, marks, &mut new);
-        }
-        let removed = self.set_ancestors(d, &new, batch);
+        batch
+            .scratch
+            .union_over_parents(&self.anc, parents, &mut new);
+        let removed = self.set_ancestors(d, new.as_run(), batch);
         batch.merged = new;
         removed
     }
@@ -496,12 +693,12 @@ impl Reachability {
     /// parents that no longer include `d` (∆(M,L)delete visits them all,
     /// ancestors first). Returns the number of pairs `(a, d)` removed.
     pub fn collect_node(&mut self, d: NodeId, batch: &mut ReachBatch) -> usize {
-        store(&mut self.desc, d, &[]);
-        self.set_ancestors(d, &[], batch)
+        store(&mut self.desc, &mut self.n_words, d, &[]);
+        self.set_ancestors(d, Run::default(), batch)
     }
 
-    /// Applies `batch`'s queued `desc`-direction edits — one rewrite per
-    /// touched ancestor — and leaves it empty.
+    /// Applies `batch`'s queued `desc`-direction edits — one sort of the
+    /// queue, one rewrite per touched ancestor — and leaves it empty.
     pub fn flush(&mut self, batch: &mut ReachBatch) {
         let ReachBatch {
             pending,
@@ -510,10 +707,14 @@ impl Reachability {
             merged,
             ..
         } = batch;
-        for (a, mut edits) in pending.drain() {
-            apply_edits(run_of(&self.desc, a), &mut edits, [gained, lost], merged);
-            store(&mut self.desc, a, merged);
+        // Stable: edits of one `(a, x)` stay in queue order.
+        pending.sort_by_key(|&(a, x, _)| (a, x));
+        for under_a in pending.chunk_by(|l, r| l.0 == r.0) {
+            let a = under_a[0].0;
+            apply_edits(words_of(&self.desc, a), under_a, [gained, lost], merged);
+            store(&mut self.desc, &mut self.n_words, a, &merged.words);
         }
+        pending.clear();
     }
 
     /// Number of stored pairs, the `|M|` of Fig.10(b).
@@ -521,20 +722,30 @@ impl Reachability {
         self.n_pairs
     }
 
+    /// Number of block words stored, `anc` and `desc` runs together: once
+    /// flushed, `2 * n_pairs / n_words` ids per word.
+    pub fn n_words(&self) -> usize {
+        self.n_words
+    }
+
     /// Structural equality with another matrix: both directions, node by
-    /// node, and both counters against a recount.
+    /// node, and both pairs of counters against a recount.
     pub fn same_pairs(&self, other: &Reachability) -> bool {
         let width = [&self.desc, &self.anc, &other.desc, &other.anc]
             .map(PagedVec::len)
             .into_iter()
             .max()
             .unwrap_or(0);
-        let mut counted = 0;
+        let (mut pairs, mut words) = (0, 0);
         let same_runs = (0..width as u32).map(NodeId).all(|v| {
-            counted += self.ancestors(v).len();
-            self.ancestors(v) == other.ancestors(v) && self.descendants(v) == other.descendants(v)
+            let (up, down) = (self.ancestors(v), self.descendants(v));
+            pairs += up.len();
+            words += up.words.len() + down.words.len();
+            up == other.ancestors(v) && down == other.descendants(v)
         });
-        same_runs && counted == self.n_pairs && counted == other.n_pairs
+        same_runs
+            && [self.n_pairs, other.n_pairs] == [pairs; 2]
+            && [self.n_words, other.n_words] == [words; 2]
     }
 }
 
@@ -553,6 +764,10 @@ mod tests {
     }
 
     fn ids(raw: &[u32]) -> Vec<NodeId> {
+        raw.iter().copied().map(NodeId).collect()
+    }
+
+    fn run(raw: &[u32]) -> RunBuf {
         raw.iter().copied().map(NodeId).collect()
     }
 
@@ -597,7 +812,7 @@ mod tests {
 
     #[test]
     fn merge_primitives_on_edge_shapes() {
-        let mut out = Vec::new();
+        let mut out = RunBuf::default();
         for (a, b, both, a_only) in [
             (&[][..], &[][..], &[][..], &[][..]),
             (&[1, 2], &[], &[1, 2], &[1, 2]),
@@ -605,68 +820,102 @@ mod tests {
             (&[1, 3, 5], &[1, 3, 5], &[1, 3, 5], &[]),
             (&[1, 2, 3], &[7, 8], &[1, 2, 3, 7, 8], &[1, 2, 3]),
             (&[1, 4, 6, 9], &[2, 4, 9, 10], &[1, 2, 4, 6, 9, 10], &[1, 6]),
+            // Across block edges: a word emptied, a word kept in part.
+            (&[31, 32, 64], &[32, 64, 65], &[31, 32, 64, 65], &[31]),
+            (&[5, 40, 100], &[40], &[5, 40, 100], &[5, 100]),
         ] {
-            union(&ids(a), &ids(b), &mut out);
-            assert_eq!(out, ids(both), "{a:?} ∪ {b:?}");
-            minus(&ids(a), &ids(b), &mut out);
-            assert_eq!(out, ids(a_only), "{a:?} \\ {b:?}");
+            union(run(a).as_run(), run(b).as_run(), &mut out);
+            assert_eq!(out.as_run(), ids(both), "{a:?} ∪ {b:?}");
+            assert!(is_run(&out.words));
+            minus(run(a).as_run(), run(b).as_run(), &mut out);
+            assert_eq!(out.as_run(), ids(a_only), "{a:?} \\ {b:?}");
+            assert!(is_run(&out.words));
         }
+    }
+
+    #[test]
+    fn a_run_reads_as_the_ids_it_was_built_from() {
+        let raw = [0, 31, 32, 63, 64, 1000, u32::MAX - 32, u32::MAX];
+        let buf = run(&raw);
+        assert_eq!(buf.words.len(), 6);
+        assert_eq!(buf.as_run(), ids(&raw));
+        assert_eq!(buf.as_run().len(), raw.len());
+        assert_eq!(buf.last(), Some(NodeId(u32::MAX)));
+        for x in raw {
+            assert!(buf.as_run().contains(&NodeId(x)));
+        }
+        for x in [1, 30, 33, 65, 999, u32::MAX - 1] {
+            assert!(!buf.as_run().contains(&NodeId(x)));
+        }
+        assert!(Run::default().is_empty() && Run::default().iter().next().is_none());
     }
 
     #[test]
     fn ancestor_edits_reach_both_directions_at_the_flush() {
         let mut m = Reachability::default();
         let mut batch = ReachBatch::default();
-        assert_eq!(m.add_ancestors(NodeId(9), &ids(&[1, 2, 3]), &mut batch), 3);
-        assert_eq!(m.add_ancestors(NodeId(9), &ids(&[2, 3]), &mut batch), 0);
+        assert_eq!(
+            m.add_ancestors(NodeId(9), run(&[1, 2, 3]).as_run(), &mut batch),
+            3
+        );
+        assert_eq!(
+            m.add_ancestors(NodeId(9), run(&[2, 3]).as_run(), &mut batch),
+            0
+        );
         assert_eq!(m.n_pairs(), 3);
         // `anc` is written at once; `desc` waits for the flush, but the
         // batch-aware read already sees the queued pair.
         assert_eq!(m.ancestors(NodeId(9)), ids(&[1, 2, 3]));
         assert!(m.descendants(NodeId(1)).is_empty());
-        assert_eq!(*m.descendants_in(NodeId(1), &mut batch), ids(&[9]));
+        assert_eq!(m.descendants_in(NodeId(1), &mut batch), ids(&[9]));
         m.flush(&mut batch);
         assert_eq!(m.descendants(NodeId(1)), ids(&[9]));
+        assert_eq!(m.n_words(), 4);
 
-        assert_eq!(m.set_ancestors(NodeId(9), &ids(&[2, 4]), &mut batch), 2);
+        assert_eq!(
+            m.set_ancestors(NodeId(9), run(&[2, 4]).as_run(), &mut batch),
+            2
+        );
         m.flush(&mut batch);
         assert!(m.is_ancestor(NodeId(4), NodeId(9)));
         assert!(!m.is_ancestor(NodeId(1), NodeId(9)));
         assert!(m.descendants(NodeId(3)).is_empty());
         assert_eq!(m.n_pairs(), 2);
         let rebuilt =
-            Reachability::from_ancestors([(NodeId(9), &ids(&[2, 4])[..])]).expect("well-formed");
+            Reachability::from_ancestors([(NodeId(9), ids(&[2, 4]))]).expect("well-formed");
         assert!(m.same_pairs(&rebuilt));
     }
 
     #[test]
     fn collect_node_removes_all_pairs() {
-        let chain = [(NodeId(2), &ids(&[1])[..]), (NodeId(3), &ids(&[1, 2])[..])];
+        let chain = [(NodeId(2), ids(&[1])), (NodeId(3), ids(&[1, 2]))];
         let mut m = Reachability::from_ancestors(chain).expect("well-formed");
         let mut batch = ReachBatch::default();
         // ∆(M,L)delete on the chain 1 → 2 → 3 once 2 is unreachable and 3
         // keeps its other parent 1.
         assert_eq!(m.collect_node(NodeId(2), &mut batch), 1);
-        assert_eq!(m.set_ancestors(NodeId(3), &ids(&[1]), &mut batch), 1);
+        assert_eq!(
+            m.set_ancestors(NodeId(3), run(&[1]).as_run(), &mut batch),
+            1
+        );
         m.flush(&mut batch);
         assert_eq!(m.n_pairs(), 1);
         assert!(m.is_ancestor(NodeId(1), NodeId(3)));
-        let rebuilt =
-            Reachability::from_ancestors([(NodeId(3), &ids(&[1])[..])]).expect("well-formed");
+        let rebuilt = Reachability::from_ancestors([(NodeId(3), ids(&[1]))]).expect("well-formed");
         assert!(m.same_pairs(&rebuilt));
     }
 
     #[test]
     fn from_ancestors_rejects_what_the_encoder_never_writes() {
-        let twice = [(NodeId(5), &ids(&[1])[..]), (NodeId(5), &ids(&[2])[..])];
+        let twice = [(NodeId(5), ids(&[1])), (NodeId(5), ids(&[2]))];
         assert!(Reachability::from_ancestors(twice).is_err());
-        assert!(Reachability::from_ancestors([(NodeId(5), &ids(&[2, 1])[..])]).is_err());
-        assert!(Reachability::from_ancestors([(NodeId(5), &ids(&[1, 1])[..])]).is_err());
-        assert!(Reachability::from_ancestors([(NodeId(5), &ids(&[1, 5])[..])]).is_err());
+        assert!(Reachability::from_ancestors([(NodeId(5), ids(&[2, 1]))]).is_err());
+        assert!(Reachability::from_ancestors([(NodeId(5), ids(&[1, 1]))]).is_err());
+        assert!(Reachability::from_ancestors([(NodeId(5), ids(&[1, 5]))]).is_err());
     }
 
     #[test]
-    fn same_pairs_compares_both_directions_and_the_counter() {
+    fn same_pairs_compares_both_directions_and_the_counters() {
         let (dag, topo, _) = fixture();
         let m = Reachability::compute(&dag, &topo);
         assert!(m.same_pairs(&m.clone()));
@@ -675,21 +924,24 @@ mod tests {
             .find(|&v| m.ancestors(v).len() >= 2)
             .expect("some node has two ancestors");
 
-        // `desc` and the counter right, one `anc` run wrong: an id swapped
+        // `desc` and the counters right, one `anc` run wrong: an id swapped
         // for one that is no ancestor, so the length (and the count) holds.
         let mut wrong_anc = m.clone();
-        let mut run = m.ancestors(victim).to_vec();
-        run[0] = victim;
-        run.sort_unstable();
-        *wrong_anc.anc.get_mut(victim.index()) = Some(run.into());
-        assert_eq!(wrong_anc.n_pairs, m.n_pairs);
+        let mut swapped: Vec<NodeId> = m.ancestors(victim).iter().skip(1).collect();
+        swapped.push(victim);
+        swapped.sort_unstable();
+        let swapped: RunBuf = swapped.into_iter().collect();
+        *wrong_anc.anc.get_mut(victim.index()) = Some(swapped.words.into());
         assert!(!m.same_pairs(&wrong_anc));
         assert!(!wrong_anc.same_pairs(&m));
 
-        let mut wrong_count = m.clone();
-        wrong_count.n_pairs += 1;
-        assert!(!m.same_pairs(&wrong_count));
-        assert!(!wrong_count.same_pairs(&m));
-        assert!(!wrong_count.same_pairs(&wrong_count.clone()));
+        for (pairs, words) in [(1, 0), (0, 1)] {
+            let mut wrong_count = m.clone();
+            wrong_count.n_pairs += pairs;
+            wrong_count.n_words += words;
+            assert!(!m.same_pairs(&wrong_count));
+            assert!(!wrong_count.same_pairs(&m));
+            assert!(!wrong_count.same_pairs(&wrong_count.clone()));
+        }
     }
 }

@@ -1,22 +1,28 @@
-//! Model tests of the compact reachability matrix: the run-merge primitives
-//! against `BTreeSet` algebra, and `Reachability`'s bulk edits — queued in a
-//! `ReachBatch`, read through it, flushed — against a plain set of
-//! `(anc, desc)` pairs. The *clone-then-diverge* case is the executable form
-//! of ARCHITECTURE invariant 10 for `M`: runs are shared between a snapshot
-//! and its successor, so an edit that wrote through a shared run would show
-//! up as one of the two no longer matching its own model.
+//! Model tests of the compact reachability matrix: the block-word run
+//! primitives against `BTreeSet` algebra, and `Reachability`'s bulk edits —
+//! queued in a `ReachBatch`, read through it, flushed — against a plain set
+//! of `(anc, desc)` pairs. The *clone-then-diverge* case is the executable
+//! form of ARCHITECTURE invariant 10 for `M`: runs are shared between a
+//! snapshot and its successor, so an edit that wrote through a shared run
+//! would show up as one of the two no longer matching its own model.
+//!
+//! Root `tests/reach_model.rs` includes this file, so tier-1 runs it too.
 
 use proptest::prelude::*;
 use rxview_atg::NodeId;
-use rxview_core::reach::{minus, sort_dedup, union, ReachBatch, Reachability};
+use rxview_core::reach::{minus, union, ReachBatch, Reachability, RunBuf};
 use std::collections::BTreeSet;
 
 type Pairs = BTreeSet<(NodeId, NodeId)>;
 
+/// The ids as a set, in ascending order.
 fn run(ids: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
-    let mut ids: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
-    sort_dedup(&mut ids);
-    ids
+    let ids: BTreeSet<u32> = ids.into_iter().collect();
+    ids.into_iter().map(NodeId).collect()
+}
+
+fn packed(ids: &[NodeId]) -> RunBuf {
+    ids.iter().copied().collect()
 }
 
 fn ancestors_in(model: &Pairs, d: NodeId) -> Vec<NodeId> {
@@ -49,6 +55,18 @@ enum Edit {
 
 const N: u32 = 24;
 
+/// Ids around block edges — 31 / 32 / 63 / 64, the last block below
+/// `u32::MAX` — among dense and scattered ones.
+fn id_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..130,
+        28u32..36,
+        60u32..68,
+        u32::MAX - 40..=u32::MAX,
+        0u32..1 << 20,
+    ]
+}
+
 fn edit_strategy() -> impl Strategy<Value = Edit> {
     let node = 1u32..N;
     let above = || prop::collection::vec(0u32..N, 0..6);
@@ -77,7 +95,7 @@ fn apply(
         Edit::Add(d, ids) => {
             let extra = below(*d, ids);
             model.extend(extra.iter().map(|&a| (a, NodeId(*d))));
-            let added = m.add_ancestors(NodeId(*d), &extra, batch);
+            let added = m.add_ancestors(NodeId(*d), packed(&extra).as_run(), batch);
             prop_assert_eq!(added, model.len() - before);
         }
         Edit::Set(d, ids) | Edit::SetFrom(d, ids) => {
@@ -93,7 +111,7 @@ fn apply(
             model.retain(|&(_, x)| x != d);
             model.extend(new.iter().map(|&a| (a, d)));
             let removed = if matches!(edit, Edit::Set(..)) {
-                m.set_ancestors(d, &new, batch)
+                m.set_ancestors(d, packed(&new).as_run(), batch)
             } else {
                 m.set_ancestors_from(d, below(d.0, ids), batch)
             };
@@ -106,7 +124,7 @@ fn apply(
             prop_assert_eq!(m.collect_node(d, batch), ancestors_in(model, d).len());
             model.retain(|&(a, x)| a != d && x != d);
             for x in orphans {
-                m.set_ancestors(x, &ancestors_in(model, x), batch);
+                m.set_ancestors(x, packed(&ancestors_in(model, x)).as_run(), batch);
             }
         }
         Edit::Flush => m.flush(batch),
@@ -116,7 +134,7 @@ fn apply(
     for v in (0..N).map(NodeId) {
         prop_assert_eq!(m.ancestors(v), ancestors_in(model, v), "anc({})", v.0);
         prop_assert_eq!(
-            &*m.descendants_in(v, batch),
+            m.descendants_in(v, batch),
             descendants_in(model, v),
             "desc({}) through the batch",
             v.0
@@ -131,8 +149,7 @@ fn check_flushed(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
         .map(NodeId)
         .map(|d| (d, ancestors_in(model, d)))
         .collect();
-    let loaded = Reachability::from_ancestors(runs.iter().map(|(d, r)| (*d, r.as_slice())))
-        .expect("the model is well-formed");
+    let loaded = Reachability::from_ancestors(runs).expect("the model is well-formed");
     prop_assert!(m.same_pairs(&loaded));
     for a in (0..N).map(NodeId) {
         prop_assert_eq!(m.descendants(a), descendants_in(model, a), "desc({})", a.0);
@@ -146,36 +163,50 @@ fn check_flushed(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `union`, `minus` and `sort_dedup` against `BTreeSet`, over random
-    /// pairs and the shapes that steer the galloping merge: empty,
-    /// identical, disjoint, interleaved, and a short run against a long one.
+    /// The run primitives against `BTreeSet`: building from ascending ids,
+    /// `iter`, `len`, `contains`, equality, `union` and `minus` — over ids
+    /// that straddle block edges and shapes that leave a word in part, empty
+    /// a word, or empty the run: empty, identical, disjoint, interleaved, a
+    /// subset, and a short run against a long one.
     #[test]
-    fn merge_primitives_match_btreeset(
-        a in prop::collection::vec(0u32..64, 0..24),
-        b in prop::collection::vec(0u32..64, 0..24),
+    fn run_primitives_match_btreeset(
+        a in prop::collection::vec(id_strategy(), 0..24),
+        b in prop::collection::vec(id_strategy(), 0..24),
         long in prop::collection::vec(0u32..4096, 0..400),
-        shape in 0usize..6,
+        shape in 0usize..7,
     ) {
         let (a, b): (Vec<u32>, Vec<u32>) = match shape {
             0 => (a, Vec::new()),
             1 => (a.clone(), a),
-            2 => (a, b.iter().map(|x| x + 100).collect()),
-            3 => (a.iter().map(|x| 2 * x).collect(), b.iter().map(|x| 2 * x + 1).collect()),
-            4 => (long, b.iter().map(|x| x * 64).collect()),
+            2 => (a.iter().map(|x| x / 2).collect(), b.iter().map(|x| x / 2 + (1 << 31)).collect()),
+            3 => (a.iter().map(|x| x & !1).collect(), b.iter().map(|x| x | 1).collect()),
+            4 => (long, b.iter().map(|x| x % 64 * 64).collect()),
+            5 => (a.iter().chain(&b).copied().collect(), b),
             _ => (a, b),
         };
-        let (set_a, set_b): (BTreeSet<NodeId>, BTreeSet<NodeId>) = (
-            a.iter().copied().map(NodeId).collect(),
-            b.iter().copied().map(NodeId).collect(),
-        );
-        let (run_a, run_b) = (run(a), run(b));
-        prop_assert_eq!(&run_a, &set_a.iter().copied().collect::<Vec<_>>());
-        let mut out = vec![NodeId(7)]; // stale content must not survive
+        let (set_a, set_b): (BTreeSet<u32>, BTreeSet<u32>) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let (run_a, run_b) = (packed(&run(a)), packed(&run(b)));
+        let ids_of = |set: &BTreeSet<u32>| set.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let mut out: RunBuf = [NodeId(7)].into_iter().collect(); // stale content must not survive
         for (x, y, set_x, set_y) in [(&run_a, &run_b, &set_a, &set_b), (&run_b, &run_a, &set_b, &set_a)] {
-            union(x, y, &mut out);
-            prop_assert_eq!(&out, &set_x.union(set_y).copied().collect::<Vec<_>>());
-            minus(x, y, &mut out);
-            prop_assert_eq!(&out, &set_x.difference(set_y).copied().collect::<Vec<_>>());
+            let x = x.as_run();
+            prop_assert_eq!(x.iter().collect::<Vec<_>>(), ids_of(set_x));
+            prop_assert_eq!(x.len(), set_x.len());
+            prop_assert_eq!(x.is_empty(), set_x.is_empty());
+            for probe in set_x.iter().chain(set_y).flat_map(|&id| [id.saturating_sub(1), id, id.saturating_add(1)]) {
+                prop_assert_eq!(x.contains(&NodeId(probe)), set_x.contains(&probe), "contains({})", probe);
+            }
+            prop_assert_eq!(x == y.as_run(), set_x == set_y);
+            union(x, y.as_run(), &mut out);
+            let both: BTreeSet<u32> = set_x.union(set_y).copied().collect();
+            prop_assert_eq!(out.as_run(), ids_of(&both));
+            // One set, one representation: whichever way it was built.
+            prop_assert_eq!(&out, &packed(&ids_of(&both)));
+            minus(x, y.as_run(), &mut out);
+            let x_only: BTreeSet<u32> = set_x.difference(set_y).copied().collect();
+            prop_assert_eq!(out.as_run(), ids_of(&x_only));
+            prop_assert_eq!(&out, &packed(&ids_of(&x_only)));
         }
     }
 
@@ -253,6 +284,6 @@ fn a_slot_collected_and_reused_before_the_flush_holds_the_new_node_only() {
     check_flushed(&m, &model).expect("matches the model");
     assert_eq!(m.ancestors(NodeId(9)), run([2, 4]));
     assert_eq!(m.descendants(NodeId(9)), run([15]));
-    assert_eq!(m.descendants(NodeId(1)), run([]));
+    assert!(m.descendants(NodeId(1)).is_empty());
     assert_eq!(m.descendants(NodeId(2)), run([9]));
 }

@@ -244,7 +244,7 @@ impl Analysis {
                     sys.reach()
                         .ancestors(a)
                         .iter()
-                        .filter(|v| **v != root && interior(v)),
+                        .filter(|v| *v != root && interior(v)),
                 );
             }
         }

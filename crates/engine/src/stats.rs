@@ -68,6 +68,8 @@ pub struct EngineStats {
     state_live_nodes: Arc<Gauge>,
     state_allocated_ids: Arc<Gauge>,
     state_free_ids: Arc<Gauge>,
+    state_m_pairs: Arc<Gauge>,
+    state_m_words: Arc<Gauge>,
     // --- evaluation ---
     scoped_evals: Arc<Counter>,
     full_evals: Arc<Counter>,
@@ -160,6 +162,8 @@ impl EngineStats {
             state_live_nodes: r.gauge("state.live_nodes"),
             state_allocated_ids: r.gauge("state.allocated_ids"),
             state_free_ids: r.gauge("state.free_ids"),
+            state_m_pairs: r.gauge("state.m_pairs"),
+            state_m_words: r.gauge("state.m_words"),
             scoped_evals: r.counter("eval.scoped"),
             full_evals: r.counter("eval.full"),
             plan_compile_ns: r.histogram("plan.compile_ns"),
@@ -494,8 +498,10 @@ impl EngineStats {
     /// The size of the state an epoch serves: rows of `I`, live nodes of
     /// the view, the interner's id space and how much of it is free — a
     /// collected node's id is handed out again, so the id space stops at
-    /// the largest view served plus a round's allocations. All are counts
-    /// the structures already keep.
+    /// the largest view served plus a round's allocations — and the pairs of
+    /// `M` with the block words both its directions store them in, whose
+    /// ratio falls if recycling ever scatters subtrees over the id space.
+    /// All are counts the structures already keep.
     pub(crate) fn record_state(&self, sys: &XmlViewSystem) {
         if self.enabled {
             let genid = sys.view().dag().genid();
@@ -503,6 +509,8 @@ impl EngineStats {
             self.state_live_nodes.set(genid.n_live() as i64);
             self.state_allocated_ids.set(genid.n_allocated() as i64);
             self.state_free_ids.set(genid.n_free() as i64);
+            self.state_m_pairs.set(sys.reach().n_pairs() as i64);
+            self.state_m_words.set(sys.reach().n_words() as i64);
         }
     }
 
@@ -640,6 +648,8 @@ impl EngineStats {
             live_nodes: self.state_live_nodes.get().max(0) as u64,
             allocated_ids: self.state_allocated_ids.get().max(0) as u64,
             free_ids: self.state_free_ids.get().max(0) as u64,
+            m_pairs: self.state_m_pairs.get().max(0) as u64,
+            m_words: self.state_m_words.get().max(0) as u64,
             scoped_evals: self.scoped_evals.get(),
             full_evals: self.full_evals.get(),
             plan_cache: plans,
@@ -720,6 +730,11 @@ pub struct EngineReport {
     pub allocated_ids: u64,
     /// Ids of that space waiting to be handed out again.
     pub free_ids: u64,
+    /// Pairs of `M` in the latest published epoch.
+    pub m_pairs: u64,
+    /// 32-id block words `M` stores those pairs in, both directions: each
+    /// pair is one id in an `anc` run and one in a `desc` run.
+    pub m_words: u64,
     /// Evaluations the commit paths ran over a scope (a projection of `L`
     /// onto the path's anchor cones) — counted from what ran, on every
     /// executor: the planner's dry run, the shards, the inline fallback.
@@ -1051,8 +1066,15 @@ impl fmt::Display for EngineReport {
         )?;
         writeln!(
             f,
-            "state: {} base rows, node ids {} allocated / {} live / {} free",
-            self.base_rows, self.allocated_ids, self.live_nodes, self.free_ids
+            "state: {} base rows, node ids {} allocated / {} live / {} free, \
+             M {} pairs in {} words ({:.2} ids per word)",
+            self.base_rows,
+            self.allocated_ids,
+            self.live_nodes,
+            self.free_ids,
+            self.m_pairs,
+            self.m_words,
+            (2 * self.m_pairs) as f64 / self.m_words.max(1) as f64
         )?;
         writeln!(
             f,

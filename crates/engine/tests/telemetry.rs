@@ -392,6 +392,14 @@ fn state_gauges_follow_the_published_epoch() {
             genid.n_free() as u64,
         )
     };
+    let m_sizes =
+        |sys: &XmlViewSystem| (sys.reach().n_pairs() as u64, sys.reach().n_words() as u64);
+    let m_reported = |engine: &Engine| {
+        let r = engine.stats().report();
+        (r.m_pairs, r.m_words)
+    };
+    assert_eq!(m_reported(&engine), m_sizes(&sys), "the starting epoch's M");
+    assert!(m_sizes(&sys).1 > 0 && m_sizes(&sys).1 <= 2 * m_sizes(&sys).0);
     let reported = |engine: &Engine| {
         let r = engine.stats().report();
         (r.base_rows, r.live_nodes, r.allocated_ids, r.free_ids)
@@ -407,6 +415,11 @@ fn state_gauges_follow_the_published_epoch() {
     let snap = engine.snapshot();
     let (rows, live, allocated, free) = reported(&engine);
     assert_eq!((rows, live, allocated, free), sizes(snap.system()));
+    assert_eq!(m_reported(&engine), m_sizes(snap.system()));
+    assert!(
+        m_reported(&engine).0 < m_sizes(&sys).0,
+        "deletions removed pairs"
+    );
     assert!(rows < sizes(&sys).0, "deletions removed base rows");
     assert_eq!(allocated, sizes(&sys).2, "the id space keeps its size");
     assert_eq!(live + free, allocated, "an id is live or free");
@@ -450,8 +463,11 @@ fn state_gauges_follow_the_published_epoch() {
         "state.live_nodes",
         "state.allocated_ids",
         "state.free_ids",
+        "state.m_pairs",
+        "state.m_words",
     ] {
         assert!(text.contains(needle), "report missing {needle}:\n{text}");
     }
-    assert!(engine.stats().report().to_string().contains("state: "));
+    let report = engine.stats().report().to_string();
+    assert!(report.contains("state: ") && report.contains("ids per word"));
 }
