@@ -9,10 +9,12 @@
 //!
 //! Experiments: `fig10b`, `fig11-del` (Fig.11 a–c), `fig11-ins` (Fig.11 d–f),
 //! `fig11g`, `fig11h`, `table1`, or `all`. `--large` appends 100K (and, for
-//! table1, exercises the same sizes) to the sweep.
+//! table1, exercises the same sizes) to the sweep. The two ablations run by
+//! name only: `ablation-reach` (D1) and `ablation-dag` (D2).
 
 use rxview_bench::{
-    fig10b_row, fig11_cell, fig11g_point, fig11h_point, fmt_dur, table1_row, PhaseAgg,
+    ablation_dag_rows, ablation_reach_row, fig10b_row, fig11_cell, fig11g_point, fig11h_point,
+    fmt_dur, table1_row, PhaseAgg,
 };
 use rxview_workload::WorkloadClass;
 
@@ -62,6 +64,8 @@ fn main() {
             "fig11g" => fig11g(),
             "fig11h" => fig11h(),
             "table1" => table1(&sizes),
+            "ablation-reach" => ablation_reach(&sizes),
+            "ablation-dag" => ablation_dag(&sizes),
             other => eprintln!("unknown experiment `{other}` (skipped)"),
         }
     }
@@ -210,6 +214,45 @@ fn table1(sizes: &[usize]) {
             fmt_dur(r.recompute_l),
             fmt_dur(r.recompute_m),
         );
+    }
+    println!();
+}
+
+fn ablation_reach(sizes: &[usize]) {
+    println!("== Ablation D1: Algorithm Reach (Fig.4) vs naive per-node closure ==");
+    println!(
+        "{:>9} {:>16} {:>16}",
+        "|C|", "algorithm reach", "naive closure"
+    );
+    for &n in sizes {
+        let r = ablation_reach_row(n, 42);
+        println!(
+            "{:>9} {:>16} {:>16}",
+            r.n,
+            fmt_dur(r.algorithm_reach),
+            fmt_dur(r.naive_closure)
+        );
+    }
+    println!();
+}
+
+fn ablation_dag(sizes: &[usize]) {
+    println!("== Ablation D2: evaluation on the DAG (§3.2) vs on the expanded tree ==");
+    println!(
+        "{:>9} {:>12} {:>36} {:>11} {:>11}",
+        "|C|", "tree nodes", "path", "on DAG", "on tree"
+    );
+    for &n in sizes {
+        for r in ablation_dag_rows(n, 42) {
+            println!(
+                "{:>9} {:>12} {:>36} {:>11} {:>11}",
+                r.n,
+                r.tree_nodes,
+                r.path,
+                fmt_dur(r.dag),
+                r.tree.map_or("too large".into(), fmt_dur),
+            );
+        }
     }
     println!();
 }

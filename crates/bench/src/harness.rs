@@ -8,6 +8,7 @@ use rxview_workload::{
     dataset_stats, detached_chain_heads, synthetic_atg, synthetic_database, DatasetStats,
     SyntheticConfig, WorkloadClass, WorkloadGen,
 };
+use rxview_xmlkit::xpath::tree_eval::eval_on_tree;
 use std::time::{Duration, Instant};
 
 /// A constructed system plus its generator configuration.
@@ -265,6 +266,98 @@ pub fn table1_row(n: usize, seed: u64) -> Table1Row {
         recompute_l,
         recompute_m,
     }
+}
+
+/// One `ablation-reach` row: computing `M` by Algorithm Reach (Fig.4,
+/// `O(n |V|)` over the backward topological order) vs the naive per-node
+/// closure.
+#[derive(Debug, Clone)]
+pub struct ReachAblationRow {
+    /// |C|.
+    pub n: usize,
+    /// [`Reachability::compute`].
+    pub algorithm_reach: Duration,
+    /// [`Reachability::compute_naive`].
+    pub naive_closure: Duration,
+}
+
+/// Runs the Reach ablation at size `n`.
+pub fn ablation_reach_row(n: usize, seed: u64) -> ReachAblationRow {
+    let built = build_system(n, Vec::new(), seed);
+    let dag = built.sys.view().dag();
+    let t0 = Instant::now();
+    let m = Reachability::compute(dag, built.sys.topo());
+    let algorithm_reach = t0.elapsed();
+    let t1 = Instant::now();
+    let naive = Reachability::compute_naive(dag);
+    let naive_closure = t1.elapsed();
+    assert_eq!(m.n_pairs(), naive.n_pairs(), "both compute the same M");
+    ReachAblationRow {
+        n,
+        algorithm_reach,
+        naive_closure,
+    }
+}
+
+/// Largest expanded tree `ablation-dag` builds: past this the tree side is
+/// skipped (the tree grows ~800 nodes per unit of |C|; 30 000 is 20 M).
+pub const ABLATION_TREE_CAP: u128 = 3_000_000;
+
+/// One `ablation-dag` row: one update-path shape evaluated on the
+/// compressed DAG by the serving evaluator (§3.2,
+/// [`XmlViewSystem::evaluate`]) vs on the expanded tree by the naive tree
+/// evaluator — the cost the compression avoids.
+#[derive(Debug, Clone)]
+pub struct DagAblationRow {
+    /// |C|.
+    pub n: usize,
+    /// The path evaluated.
+    pub path: &'static str,
+    /// Evaluation on the DAG (the plan already compiled).
+    pub dag: Duration,
+    /// Evaluation on the expanded tree (expansion itself excluded); `None`
+    /// when the tree would exceed [`ABLATION_TREE_CAP`] nodes.
+    pub tree: Option<Duration>,
+    /// Nodes of the expanded tree.
+    pub tree_nodes: u128,
+}
+
+/// Runs the DAG-vs-tree ablation at size `n`, one row per path shape.
+pub fn ablation_dag_rows(n: usize, seed: u64) -> Vec<DagAblationRow> {
+    const PATHS: [&str; 3] = [
+        "//node[payload=7]",
+        "node/sub/node/sub/node",
+        "node[sub/node]/sub/node[payload=3]",
+    ];
+    let built = build_system(n, Vec::new(), seed);
+    let (sys, vs) = (&built.sys, built.sys.view());
+    let tree_nodes = dataset_stats(&built.cfg, sys.base(), vs, sys.topo(), sys.reach()).tree_nodes;
+    let tree = (tree_nodes <= ABLATION_TREE_CAP).then(|| vs.dag().expand(vs.atg()));
+    PATHS
+        .iter()
+        .map(|&path| {
+            let xpath = rxview_xmlkit::parse_xpath(path).expect("parses");
+            sys.evaluate(&xpath); // compiles the shape's plan, as serving has
+            let t0 = Instant::now();
+            let on_dag = sys.evaluate(&xpath);
+            let dag = t0.elapsed();
+            std::hint::black_box(on_dag);
+            let tree = tree.as_ref().map(|tree| {
+                let t1 = Instant::now();
+                let on_tree = eval_on_tree(tree, vs.atg().dtd(), &xpath);
+                let elapsed = t1.elapsed();
+                std::hint::black_box(on_tree);
+                elapsed
+            });
+            DagAblationRow {
+                n,
+                path,
+                dag,
+                tree,
+                tree_nodes,
+            }
+        })
+        .collect()
 }
 
 /// Formats a duration in adaptive units.

@@ -2,11 +2,11 @@
 //! the paper's evaluation (§5). See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for recorded results.
 //!
-//! The heavy sweeps live in the `paper_tables` binary
-//! (`cargo run --release -p rxview-bench --bin paper_tables -- all`);
-//! Criterion micro-benches under `benches/` cover the same code paths at a
-//! fixed size, plus the two ablations called out in DESIGN.md (Algorithm
-//! Reach vs naive closure; DAG evaluation vs tree expansion).
+//! Everything runs from the `paper_tables` binary
+//! (`cargo run --release -p rxview-bench --bin paper_tables -- all`),
+//! including, by name, the two ablations (`ablation-reach`: Algorithm
+//! Reach vs naive closure; `ablation-dag`: DAG evaluation vs tree
+//! expansion).
 
 #![warn(missing_docs)]
 

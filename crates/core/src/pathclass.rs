@@ -268,8 +268,8 @@ pub fn sub_steps(
 }
 
 /// Largest candidate-anchor set a `//`-headed or wildcard-rooted path may
-/// resolve to before it is treated as global — the default of the engine's
-/// `max_cone_anchors` setting, and the bound reads and replay resolve under.
+/// resolve to before it is treated as global: the bound the engine's
+/// planner, reads and replay all resolve under.
 pub const MAX_CONE_ANCHORS: usize = 64;
 
 /// The resolved anchor set of a classified path ([`resolve_anchors`]): a

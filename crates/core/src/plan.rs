@@ -52,7 +52,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Shape extraction: cache key + bindings, and the slotted AST for compiles.
@@ -441,10 +441,6 @@ pub struct PlanCache {
     evictions: AtomicU64,
     compiles: AtomicU64,
     compile_ns: AtomicU64,
-    /// Optional compile-time observer (the engine points this at an obs
-    /// histogram). First setter wins; later engines sharing the cache keep
-    /// the counters but not per-compile samples.
-    observer: OnceLock<Box<dyn Fn(Duration) + Send + Sync>>,
     /// The per-grammar translation-template registry, compiled on first
     /// demand. Lives here (not its own cache) so every consumer sharing
     /// the plan cache — analyze, shards, inline rounds, recovery — shares
@@ -462,7 +458,6 @@ impl Default for PlanCache {
             evictions: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             compile_ns: AtomicU64::new(0),
-            observer: OnceLock::new(),
             templates: OnceLock::new(),
         }
     }
@@ -499,9 +494,6 @@ impl PlanCache {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         self.compile_ns
             .fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(obs) = self.observer.get() {
-            obs(dt);
-        }
         if map.len() >= CACHE_CAP_PER_SHARD {
             // Shapes are grammar-bounded in practice; overflow means an
             // adversarial key stream, and recompilation is cheap — drop the
@@ -523,11 +515,6 @@ impl PlanCache {
             compiles: self.compiles.load(Ordering::Relaxed),
             compile_ns: self.compile_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Installs the compile-time observer (first caller wins).
-    pub fn set_observer(&self, obs: Box<dyn Fn(Duration) + Send + Sync>) {
-        let _ = self.observer.set(obs);
     }
 
     /// The translation-template registry for `atg`, compiled on first call.

@@ -23,7 +23,7 @@
 //!     disjoint typed footprints) touch disjoint view regions, so `//`
 //!     traffic rides ordinary shardable rounds;
 //!   - *global* — nothing bounds the path (unfilterable wildcard, bare
-//!     `//`, a candidate set past [`crate::EngineConfig::max_cone_anchors`]): it
+//!     `//`, a candidate set past [`rxview_core::MAX_CONE_ANCHORS`]): it
 //!     conflicts with everything and commits alone, in a one-update round
 //!     — a rare fallback rather than what every `//` update does.
 //! - **Typed relational footprint** ([`rxview_core::RelFootprint`]): a

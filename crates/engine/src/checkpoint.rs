@@ -198,15 +198,15 @@ impl Checkpointer {
                         st = inbox.cv.wait(st).expect("mailbox lock poisoned");
                     }
                 };
-                stats.event(
+                stats.recorder().record(
                     "checkpoint.start",
                     rxview_obs::fields![epoch: snap.epoch(), source: "background"],
                 );
                 let t0 = std::time::Instant::now();
                 match write_checkpoint(&dir, snap.epoch(), snap.system()) {
                     Ok(_) => {
-                        stats.record_checkpoint();
-                        stats.event(
+                        stats.checkpoints.incr();
+                        stats.recorder().record(
                             "checkpoint.end",
                             rxview_obs::fields![
                                 epoch: snap.epoch(),
@@ -217,7 +217,7 @@ impl Checkpointer {
                             wal.lock().expect("wal lock poisoned").compact(snap.epoch());
                         match compacted {
                             Err(e) => eprintln!("rxview: WAL compaction failed: {e}"),
-                            Ok(out) if out.rotated => stats.event(
+                            Ok(out) if out.rotated => stats.recorder().record(
                                 "wal.rotate",
                                 rxview_obs::fields![
                                     upto_epoch: snap.epoch(),

@@ -10,7 +10,7 @@ use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
 use crate::shard::ShardPool;
 use crate::snapshot::Snapshot;
-use crate::stats::EngineStats;
+use crate::stats::{self, EngineStats};
 use crate::wal::{Durability, LoggedUpdate, Wal};
 use rxview_core::{
     SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
@@ -22,7 +22,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Engine configuration: nine fields, each with callers that set it
+/// Bound of the admission queue: [`Engine::submit`] returns
+/// [`EngineError::Saturated`] while this many updates wait for a commit.
+pub const MAX_QUEUE: usize = 65_536;
+
+/// Engine configuration: six fields, each with callers that set it
 /// differently (ARCHITECTURE.md, "Configuration").
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -32,13 +36,6 @@ pub struct EngineConfig {
     /// the planner's stall limit — a round closes after this many
     /// consecutive conflicts.
     pub max_batch: usize,
-    /// Bound of the admission queue; [`Engine::submit`] returns
-    /// [`EngineError::Saturated`] beyond it.
-    pub max_queue: usize,
-    /// Largest candidate-anchor set a `//`-path may resolve to before its
-    /// analysis degrades to a global footprint (bounds per-update analysis
-    /// cost on unfiltered or very popular `//label` heads).
-    pub max_cone_anchors: usize,
     /// Number of parallel shard writers (clamped to `1..=64`). Selects the
     /// round pipeline's translate executor and nothing else: at `1` each
     /// round is applied inline on the committing thread and no thread is
@@ -56,19 +53,12 @@ pub struct EngineConfig {
     /// [`Engine::checkpoint_now`] still work). Ignored when durability is
     /// off.
     pub checkpoint_rounds: u64,
-    /// Whether the telemetry layer records (metrics, phase timers, latency
-    /// histograms, flight-recorder events). **On by default** — recording is
-    /// lock-free; turning it off reduces every `record_*` to an early return
-    /// and leaves [`crate::EngineReport`] at zero. The structural counters
-    /// the engine itself relies on (epochs, queue bounds) are unaffected.
-    pub telemetry: bool,
     /// Write periodic JSONL metric snapshots to this file (see
     /// [`Engine::telemetry_report`] for the human-readable view). `None`
     /// falls back to the `RXVIEW_METRICS_PATH` environment variable; if
     /// that is unset too, no exporter thread is spawned. The snapshot
     /// interval comes from `RXVIEW_METRICS_INTERVAL_MS` (default 1000), and
-    /// a final snapshot is always appended when the engine drops. Ignored
-    /// when `telemetry` is off.
+    /// a final snapshot is always appended when the engine drops.
     pub metrics_path: Option<PathBuf>,
     /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
@@ -83,13 +73,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 256,
-            max_queue: 65_536,
-            // The cap reads, replay and `Analysis::of` resolve under.
-            max_cone_anchors: rxview_core::MAX_CONE_ANCHORS,
             n_shards: 1,
             durability: Durability::Off,
             checkpoint_rounds: 1024,
-            telemetry: true,
             metrics_path: None,
             stage_hooks: None,
         }
@@ -173,9 +159,9 @@ pub(crate) struct Pending {
     pub(crate) update: XmlUpdate,
     pub(crate) policy: SideEffectPolicy,
     pub(crate) tx: mpsc::Sender<UpdateOutcome>,
-    /// Admission time, stamped when telemetry is on — closes the
-    /// admission→ack latency sample when the outcome resolves.
-    pub(crate) submitted_at: Option<Instant>,
+    /// Admission time — closes the admission→ack latency sample when the
+    /// outcome resolves.
+    pub(crate) submitted_at: Instant,
 }
 
 /// A durable engine's logging + checkpointing machinery.
@@ -206,8 +192,8 @@ pub(crate) struct Inner {
     pub(crate) pool: OnceLock<ShardPool>,
     /// Replay log + checkpointer (durable engines only).
     pub(crate) durability: Option<DurabilityState>,
-    /// Periodic metrics exporter (spawned when telemetry is on and a
-    /// metrics path is configured); dropping it appends a final snapshot.
+    /// Periodic metrics exporter (spawned when a metrics path is
+    /// configured); dropping it appends a final snapshot.
     pub(crate) exporter: Option<rxview_obs::Exporter>,
 }
 
@@ -253,7 +239,7 @@ impl Inner {
             std::mem::replace(&mut *guard, Arc::clone(&snap))
         };
         drop(displaced);
-        self.stats.record_snapshot_published();
+        self.stats.snapshots_published.incr();
         self.maybe_checkpoint(&snap);
         snap
     }
@@ -323,7 +309,7 @@ impl Engine {
             !config.durability.is_on(),
             "durability needs a log directory: use Engine::with_durability"
         );
-        Engine::build(sys, 0, config, None)
+        Engine::build(sys, 0, config, None, stats::flight_recorder())
     }
 
     /// Wraps a published system as a **durable** engine logging into `dir`
@@ -373,6 +359,7 @@ impl Engine {
             0,
             config,
             Some((dir.to_path_buf(), wal)),
+            stats::flight_recorder(),
         ))
     }
 
@@ -399,10 +386,8 @@ impl Engine {
         // The recorder is created before recovery so replay-progress events
         // land in the ring the serving engine will keep — a post-recovery
         // `flight_recording()` shows what recovery did.
-        let recorder = config
-            .telemetry
-            .then(|| Arc::new(rxview_obs::FlightRecorder::new(1024)));
-        let (sys, next_seq, report) = recovery::recover_state(&atg, dir, recorder.as_deref())?;
+        let recorder = stats::flight_recorder();
+        let (sys, next_seq, report) = recovery::recover_state(&atg, dir, &recorder)?;
         let engine = if config.durability.is_on() {
             checkpoint::clean_stale_tmps(dir)?;
             // Re-anchor the directory on the recovered state: checkpoint
@@ -413,7 +398,7 @@ impl Engine {
             }
             let wal = Wal::create(dir, config.durability, next_seq)?;
             checkpoint::prune_checkpoints(dir, 2)?;
-            Engine::build_with_recorder(
+            Engine::build(
                 sys,
                 report.resumed_epoch,
                 config,
@@ -421,65 +406,48 @@ impl Engine {
                 recorder,
             )
         } else {
-            Engine::build_with_recorder(sys, report.resumed_epoch, config, None, recorder)
+            Engine::build(sys, report.resumed_epoch, config, None, recorder)
         };
         Ok((engine, report))
     }
 
     /// Common construction: state + starting epoch + optionally the
-    /// durability machinery around an open log (`dir`, `wal`). Durable
-    /// callers ([`Engine::with_durability`] and the durable
+    /// durability machinery around an open log (`dir`, `wal`) + the flight
+    /// recorder (recovery passes the ring its replay-progress events landed
+    /// in). Durable callers ([`Engine::with_durability`] and the durable
     /// [`Engine::recover`] path) have just written one anchoring
     /// checkpoint; it is counted here, where the stats object is born.
     fn build(
         sys: XmlViewSystem,
         epoch: u64,
-        config: EngineConfig,
-        durability: Option<(PathBuf, Wal)>,
-    ) -> Self {
-        Engine::build_with_recorder(sys, epoch, config, durability, None)
-    }
-
-    /// [`Engine::build`] plus an optional pre-populated flight recorder
-    /// (recovery passes the ring its replay-progress events landed in).
-    fn build_with_recorder(
-        sys: XmlViewSystem,
-        epoch: u64,
         mut config: EngineConfig,
         durability: Option<(PathBuf, Wal)>,
-        recorder: Option<Arc<rxview_obs::FlightRecorder>>,
+        recorder: Arc<rxview_obs::FlightRecorder>,
     ) -> Self {
         config.n_shards = config.n_shards.clamp(1, 64);
         config.max_batch = config.max_batch.max(1);
         let stats = Arc::new(EngineStats::new(
             config.n_shards,
-            config.telemetry,
             recorder,
+            Arc::clone(sys.view().plan_cache()),
         ));
-        // Plan-cache telemetry: per-engine deltas over the (possibly shared)
-        // cache, plus a compile-time histogram fed by the cache's observer.
-        stats.attach_plan_cache(Arc::clone(sys.view().plan_cache()));
-        let exporter = if config.telemetry {
-            config
-                .metrics_path
-                .clone()
-                .or_else(|| std::env::var_os("RXVIEW_METRICS_PATH").map(PathBuf::from))
-                .map(|path| {
-                    let interval = std::env::var("RXVIEW_METRICS_INTERVAL_MS")
-                        .ok()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or(1000);
-                    rxview_obs::Exporter::spawn(
-                        Arc::clone(stats.registry()),
-                        path,
-                        Duration::from_millis(interval.max(1)),
-                    )
-                })
-        } else {
-            None
-        };
+        let exporter = config
+            .metrics_path
+            .clone()
+            .or_else(|| std::env::var_os("RXVIEW_METRICS_PATH").map(PathBuf::from))
+            .map(|path| {
+                let interval = std::env::var("RXVIEW_METRICS_INTERVAL_MS")
+                    .ok()
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .unwrap_or(1000);
+                rxview_obs::Exporter::spawn(
+                    Arc::clone(stats.registry()),
+                    path,
+                    Duration::from_millis(interval.max(1)),
+                )
+            });
         let durability = durability.map(|(dir, wal)| {
-            stats.record_checkpoint();
+            stats.checkpoints.incr();
             let wal = Arc::new(Mutex::new(wal));
             let ckpt = Checkpointer::spawn(dir.clone(), Arc::clone(&wal), Arc::clone(&stats));
             DurabilityState {
@@ -517,14 +485,15 @@ impl Engine {
             ));
         };
         let snap = self.inner.current();
-        self.inner.stats.event(
+        let stats = &self.inner.stats;
+        stats.recorder().record(
             "checkpoint.start",
             rxview_obs::fields![epoch: snap.epoch(), trigger: "manual"],
         );
         let t0 = Instant::now();
         checkpoint::write_checkpoint(&d.dir, snap.epoch(), snap.system())?;
-        self.inner.stats.record_checkpoint();
-        self.inner.stats.event(
+        stats.checkpoints.incr();
+        stats.recorder().record(
             "checkpoint.end",
             rxview_obs::fields![epoch: snap.epoch(), micros: t0.elapsed().as_micros() as u64],
         );
@@ -534,7 +503,7 @@ impl Engine {
             .expect("wal lock poisoned")
             .compact(snap.epoch())?;
         if compacted.rotated || compacted.deleted > 0 {
-            self.inner.stats.event(
+            stats.recorder().record(
                 "wal.rotate",
                 rxview_obs::fields![
                     epoch: snap.epoch(),
@@ -576,7 +545,7 @@ impl Engine {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.inner.stats.record_snapshot_read();
+        self.inner.stats.snapshot_reads.incr();
         Arc::clone(&self.inner.snapshot.read().expect("snapshot lock poisoned"))
     }
 
@@ -646,10 +615,10 @@ impl Engine {
         policy: SideEffectPolicy,
     ) -> Result<UpdateTicket, EngineError> {
         let (tx, rx) = mpsc::channel();
-        let submitted_at = self.inner.stats.enabled().then(Instant::now);
+        let submitted_at = Instant::now();
         {
             let mut queue = self.inner.queue.lock().expect("queue lock poisoned");
-            if queue.len() >= self.inner.config.max_queue {
+            if queue.len() >= MAX_QUEUE {
                 return Err(EngineError::Saturated);
             }
             queue.push(Pending {
@@ -659,7 +628,7 @@ impl Engine {
                 submitted_at,
             });
         }
-        self.inner.stats.record_submitted();
+        self.inner.stats.submitted.incr();
         Ok(UpdateTicket { rx })
     }
 
@@ -698,7 +667,7 @@ impl Engine {
         if pending.is_empty() {
             return CommitSummary::default();
         }
-        self.inner.stats.record_commit();
+        self.inner.stats.commits.incr();
         publisher::commit(&self.inner, pending)
     }
 

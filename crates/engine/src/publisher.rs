@@ -58,6 +58,7 @@ use crate::snapshot::Snapshot;
 use rxview_atg::NodeId;
 use rxview_core::{
     DeferredMaintenance, RelFootprint, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
+    MAX_CONE_ANCHORS,
 };
 use rxview_obs::fields;
 use rxview_relstore::RelError;
@@ -161,18 +162,19 @@ impl AdaptiveFanout {
         ((self.width_ewma / Self::TARGET_JOBS_PER_SHARD).ceil() as usize).clamp(1, self.ceiling)
     }
 
-    /// The anchor cap the next plan should use: never below the configured
-    /// cap (lowering it would degrade updates that used to shard), raised
-    /// when observed multi-anchor traffic runs close to it.
-    pub(crate) fn effective_max_cone_anchors(&self, configured: usize) -> usize {
-        configured.max((2.0 * self.cones_ewma).ceil() as usize)
+    /// The anchor cap the next plan should use: never below
+    /// [`MAX_CONE_ANCHORS`], the cap reads and replay resolve under
+    /// (lowering it would degrade updates that used to shard), raised when
+    /// observed multi-anchor traffic runs close to it.
+    pub(crate) fn effective_max_cone_anchors(&self) -> usize {
+        MAX_CONE_ANCHORS.max((2.0 * self.cones_ewma).ceil() as usize)
     }
 }
 
 /// Sharded rounds that may be in shard translation at once. Two is what
 /// the overlap needs — one round translating through its predecessor's
 /// merge/fold/log/publish — and what the coordinator measures:
-/// `EngineStats::record_overlap` times the serial tails that ran with a
+/// `EngineStats::overlap` times the serial tails that ran with a
 /// round in flight (`PhaseBreakdown::overlap_fraction`, `rxbench`'s
 /// `engine.ledger.overlap_fraction`).
 const PIPELINE_DEPTH: usize = 2;
@@ -218,7 +220,9 @@ fn collect_round(stats: &crate::stats::EngineStats, round: InflightRound) -> Col
         bundles.iter().map(|b| b.started_at).min(),
         bundles.iter().map(|b| b.finished_at).max(),
     ) {
-        stats.record_translate_wall(last.saturating_duration_since(first));
+        stats
+            .translate_wall
+            .record_duration(last.saturating_duration_since(first));
     }
     CollectedRound {
         plan: round.plan,
@@ -277,7 +281,7 @@ struct Commit<'a> {
     hooks: Option<&'a StageHooks>,
     summary: CommitSummary,
     txs: Vec<Option<mpsc::Sender<UpdateOutcome>>>,
-    submitted_ats: Vec<Option<Instant>>,
+    submitted_ats: Vec<Instant>,
     entries: Vec<PendingUpdate>,
     staged: Option<StagedRound>,
     /// Per-shard finish time of that shard's previous round of this commit:
@@ -335,8 +339,8 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
             });
             plan_stalled = !c.plan_next(unpublished.as_ref());
             if plan_stalled {
-                stats.record_pipeline_stall();
-                stats.event(
+                stats.pipeline_stalls.incr();
+                stats.recorder().record(
                     "pipeline.stall",
                     fields![inflight: inflight.len(), deferred: c.entries.len()],
                 );
@@ -371,7 +375,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
                 // evict anything newly conflicting back to the queue.
                 let evicted = router::fixup_stale_plan(&mut s.plan, &s.stale);
                 stats.record_pipeline_fixup(evicted.len());
-                stats.event(
+                stats.recorder().record(
                     "pipeline.fixup",
                     fields![evicted: evicted.len(), kept: s.plan.admitted.len()],
                 );
@@ -392,8 +396,8 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
             if !inflight.is_empty() {
                 // True overlap: this round translates while older rounds
                 // are still unmerged.
-                stats.record_pipeline_admit();
-                stats.event(
+                stats.pipeline_admits.incr();
+                stats.recorder().record(
                     "pipeline.admit",
                     fields![inflight: inflight.len() + 1, plan_epoch: plan_epoch],
                 );
@@ -403,7 +407,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
                 plan_epoch,
                 pending,
             });
-            stats.record_pipeline_inflight(inflight.len());
+            stats.pipeline_inflight.set(inflight.len() as i64);
             if let Some(h) = c.hooks {
                 h.reached(Stage::Dispatch);
             }
@@ -419,7 +423,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
             let translated = c.merge_sharded(&round.plan, round.plan_epoch, round.bundles);
             c.finish_round(round.plan, translated);
             if !inflight.is_empty() {
-                stats.record_overlap(t_serial.elapsed());
+                stats.overlap.record_duration(t_serial.elapsed());
             }
             continue;
         }
@@ -429,7 +433,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
         // dispatches the staged successor into the freed slot before the
         // merge runs.
         if let Some(round) = inflight.pop_front() {
-            stats.record_pipeline_inflight(inflight.len());
+            stats.pipeline_inflight.set(inflight.len() as i64);
             collected = Some(collect_round(stats, round));
             continue;
         }
@@ -506,10 +510,8 @@ impl Commit<'_> {
         // can raise the `//`-path anchor cap. One shard plans for the
         // inline executor.
         let shards = (config.n_shards > 1).then(|| self.fanout.effective_shards());
-        let max_cone_anchors = self
-            .fanout
-            .effective_max_cone_anchors(config.max_cone_anchors);
-        stats.record_adaptive_shards(shards.unwrap_or(1));
+        let max_cone_anchors = self.fanout.effective_max_cone_anchors();
+        stats.adaptive_shards.set(shards.unwrap_or(1) as i64);
         let plan = router::plan_round(
             current.system(),
             &mut self.entries,
@@ -521,15 +523,17 @@ impl Commit<'_> {
         );
         // Dry-run evaluation time inside plan_round is recorded as eval;
         // keep the plan bucket to pure conflict-analysis work.
-        stats.record_plan(t_plan.elapsed().saturating_sub(plan.analysis_eval));
+        stats
+            .plan
+            .record_duration(t_plan.elapsed().saturating_sub(plan.analysis_eval));
         if let Some(h) = self.hooks {
             h.reached(Stage::Plan);
         }
         if plan.admitted.is_empty() {
             return false;
         }
-        stats.record_round();
-        stats.event(
+        stats.rounds.incr();
+        stats.recorder().record(
             "round.planned",
             fields![
                 admitted: plan.admitted.len(),
@@ -559,8 +563,10 @@ impl Commit<'_> {
             .flatten()
             .collect();
         if plan.footprint.is_global() {
-            stats.record_global_lane_round();
-            stats.event("lane.global", fields![idx: jobs[0].idx]);
+            stats.global_lane_rounds.incr();
+            stats
+                .recorder()
+                .record("lane.global", fields![idx: jobs[0].idx]);
         }
         stats.record_batch(jobs.len());
         self.summary.batches += 1;
@@ -580,9 +586,9 @@ impl Commit<'_> {
                 Ok(done) => out.push_applied(job.idx, done, job.cone_key),
                 Err(e) => out.rejected.push((job.idx, e)),
             }
-            stats.record_translate(t1.elapsed());
+            stats.translate_ns.record_duration(t1.elapsed());
         }
-        stats.record_translate_wall(t_wall.elapsed());
+        stats.translate_wall.record_duration(t_wall.elapsed());
         out
     }
 
@@ -677,7 +683,7 @@ impl Commit<'_> {
                 Err(e) => out.rejected.push((idx, e)),
             }
         }
-        stats.record_merge(t_merge.elapsed());
+        stats.merge.record_duration(t_merge.elapsed());
         let max_cones = plan
             .planned
             .iter()
@@ -763,11 +769,11 @@ impl Commit<'_> {
                     self.summary.maintain.absorb(&m);
                     let t_publish = Instant::now();
                     let snap = inner.publish(working);
-                    stats.record_publish(t_publish.elapsed());
+                    stats.publish.record_duration(t_publish.elapsed());
                     if let Some(h) = self.hooks {
                         h.reached(Stage::Publish);
                     }
-                    stats.event(
+                    stats.recorder().record(
                         "round.committed",
                         fields![
                             epoch: snap.epoch(),
@@ -795,10 +801,10 @@ impl Commit<'_> {
 
         // Requeued updates re-enter routing, in submission order.
         if !back.is_empty() {
-            stats.event("round.requeued", fields![count: back.len()]);
-            for _ in 0..back.len() {
-                stats.record_requeued();
-            }
+            stats
+                .recorder()
+                .record("round.requeued", fields![count: back.len()]);
+            stats.requeued.add(back.len() as u64);
             back.append(&mut self.entries);
             back.sort_by_key(|pu| pu.idx);
             self.entries = back;

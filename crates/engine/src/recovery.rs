@@ -118,7 +118,7 @@ pub struct RecoveryReport {
 pub(crate) fn recover_state(
     atg: &Atg,
     dir: &Path,
-    recorder: Option<&FlightRecorder>,
+    recorder: &FlightRecorder,
 ) -> Result<(XmlViewSystem, u64, RecoveryReport), RecoverError> {
     let mut report = RecoveryReport::default();
 
@@ -139,16 +139,14 @@ pub(crate) fn recover_state(
     let (ckpt_epoch, mut sys) = recovered.ok_or(RecoverError::NoCheckpoint)?;
     report.checkpoint_epoch = ckpt_epoch;
     report.checkpoint_load = t_ckpt.elapsed();
-    if let Some(rec) = recorder {
-        rec.record(
-            "recovery.checkpoint_loaded",
-            fields![
-                epoch: ckpt_epoch,
-                invalid: report.invalid_checkpoints,
-                micros: report.checkpoint_load.as_micros() as u64
-            ],
-        );
-    }
+    recorder.record(
+        "recovery.checkpoint_loaded",
+        fields![
+            epoch: ckpt_epoch,
+            invalid: report.invalid_checkpoints,
+            micros: report.checkpoint_load.as_micros() as u64
+        ],
+    );
 
     // --- 2. Scan segments, gather the replayable suffix. ---
     let t_replay = Instant::now();
@@ -196,29 +194,25 @@ pub(crate) fn recover_state(
         resumed = rec.epoch;
         // Periodic progress marks so a long replay's flight recording shows
         // where time went.
-        if let Some(r) = recorder {
-            if report.replayed_rounds % 64 == 0 {
-                r.record(
-                    "recovery.replay_progress",
-                    fields![rounds: report.replayed_rounds, epoch: resumed],
-                );
-            }
+        if report.replayed_rounds % 64 == 0 {
+            recorder.record(
+                "recovery.replay_progress",
+                fields![rounds: report.replayed_rounds, epoch: resumed],
+            );
         }
     }
     report.resumed_epoch = resumed;
     report.wal_replay = t_replay.elapsed();
-    if let Some(rec) = recorder {
-        rec.record(
-            "recovery.completed",
-            fields![
-                resumed_epoch: resumed,
-                replayed_rounds: report.replayed_rounds,
-                replayed_updates: report.replayed_updates,
-                full_evals: report.replay_full_evals,
-                dropped_rounds: report.dropped_rounds,
-                micros: report.wal_replay.as_micros() as u64
-            ],
-        );
-    }
+    recorder.record(
+        "recovery.completed",
+        fields![
+            resumed_epoch: resumed,
+            replayed_rounds: report.replayed_rounds,
+            replayed_updates: report.replayed_updates,
+            full_evals: report.replay_full_evals,
+            dropped_rounds: report.dropped_rounds,
+            micros: report.wal_replay.as_micros() as u64
+        ],
+    );
     Ok((sys, next_seq, report))
 }

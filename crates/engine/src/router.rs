@@ -257,7 +257,7 @@ pub(crate) fn plan_round(
                     "update {}: a reused analysis names a recycled id",
                     pu.idx
                 );
-                stats.record_analysis_reused();
+                stats.analyses_reused.incr();
                 (c.analysis, c.eval)
             }
             None => {
@@ -297,8 +297,8 @@ pub(crate) fn plan_round(
             }
         }
         match verdict {
-            Verdict::FissionAdmit => stats.record_fission_admit(),
-            Verdict::FissionDeny => stats.record_fission_deny(),
+            Verdict::FissionAdmit => stats.fission_admits.incr(),
+            Verdict::FissionDeny => stats.fission_denies.incr(),
             _ => {}
         }
         if !verdict.admits() {
@@ -416,6 +416,11 @@ mod tests {
             .collect()
     }
 
+    fn engine_stats(sys: &XmlViewSystem) -> EngineStats {
+        let plan_cache = Arc::clone(sys.view().plan_cache());
+        EngineStats::new(2, crate::stats::flight_recorder(), plan_cache)
+    }
+
     fn pending(idx: usize, path: &str) -> PendingUpdate {
         PendingUpdate {
             idx,
@@ -428,7 +433,7 @@ mod tests {
     #[test]
     fn inflight_seed_defers_conflicting_updates() {
         let sys = system();
-        let stats = EngineStats::new(2, false, None);
+        let stats = engine_stats(&sys);
         let paths = group_edge_paths(&sys, 1);
         let u = paths[0].as_str();
         // With the update's own footprint in flight, the planner must defer
@@ -456,7 +461,7 @@ mod tests {
     #[test]
     fn fixup_evicts_exactly_the_newly_conflicting_updates() {
         let sys = system();
-        let stats = EngineStats::new(2, false, None);
+        let stats = engine_stats(&sys);
         let paths = group_edge_paths(&sys, 2);
         assert_eq!(paths.len(), 2, "two deletable groups");
         let (u1, u2) = (paths[0].as_str(), paths[1].as_str());

@@ -274,7 +274,7 @@ fn run_round(
         } else {
             sys.translate_delete_for_merge(&job.update, job.policy, eval)
         };
-        stats.record_translate(t1.elapsed());
+        stats.translate_ns.record_duration(t1.elapsed());
 
         results.push((
             job.idx,

@@ -162,38 +162,92 @@ fn telemetry_report_and_flight_recording() {
     }
 }
 
-/// Disabling telemetry turns the engine's counters into no-ops without
-/// changing behavior.
+/// The registry of a fresh 2-shard engine, name-sorted: the exporter's
+/// JSONL keys. A metric is renamed or dropped here, deliberately, or not at
+/// all — dashboards and `rxbench`'s trace read these names.
 #[test]
-fn telemetry_off_keeps_engine_working_and_counters_quiet() {
-    let n = 400;
-    let sys = system(n);
-    let edges = group_edges(&sys, n as i64, 40);
-    assert!(edges.len() >= 2);
+fn registry_names_are_pinned() {
+    use rxview_obs::MetricSnapshot::{Counter as C, Gauge as G, Histogram as H};
     let engine = Engine::with_config(
-        sys,
+        system(200),
         EngineConfig {
             n_shards: 2,
-            telemetry: false,
             ..EngineConfig::default()
         },
     );
-    for &(h, c) in &edges[..2] {
-        let t = engine
-            .submit(delete(h, c), SideEffectPolicy::Proceed)
-            .expect("queue accepts");
-        engine.commit_pending();
-        t.wait().expect("commits regardless of telemetry");
-    }
-    let report = engine.stats().report();
-    assert_eq!(report.accepted, 0, "disabled stats must not count");
-    assert_eq!(report.latency.count, 0);
-    assert!(engine.flight_recording().is_empty());
-    engine
-        .snapshot()
-        .system()
-        .consistency_check()
-        .expect("consistent with telemetry off");
+    let kind = |m: &rxview_obs::MetricSnapshot| match m {
+        C(_) => 'c',
+        G(_) => 'g',
+        H(_) => 'h',
+    };
+    let snapshot = engine.stats().registry().snapshot();
+    let registered: Vec<(&str, char)> = snapshot
+        .iter()
+        .map(|(name, m)| (name.as_str(), kind(m)))
+        .collect();
+    let expected = [
+        ("checkpoint.completed", 'c'),
+        ("commit.batches", 'c'),
+        ("commit.calls", 'c'),
+        ("commit.max_batch", 'c'),
+        ("eval.full", 'c'),
+        ("eval.scoped", 'c'),
+        ("fission.admits", 'c'),
+        ("fission.denies", 'c'),
+        ("fold.cone_folds", 'c'),
+        ("phase.eval_ns", 'h'),
+        ("phase.fold_l_splice_ns", 'h'),
+        ("phase.fold_m_rewrite_ns", 'h'),
+        ("phase.fold_ns", 'h'),
+        ("phase.fsync_ns", 'h'),
+        ("phase.merge_ns", 'h'),
+        ("phase.overlap_ns", 'h'),
+        ("phase.plan_ns", 'h'),
+        ("phase.publish_ns", 'h'),
+        ("phase.translate_ns", 'h'),
+        ("phase.translate_wall_ns", 'h'),
+        ("phase.wal_append_ns", 'h'),
+        ("pipeline.admits", 'c'),
+        ("pipeline.fixup_evictions", 'c'),
+        ("pipeline.fixups", 'c'),
+        ("pipeline.inflight", 'g'),
+        ("pipeline.stalls", 'c'),
+        ("round.analyses_reused", 'c'),
+        ("round.global_lane", 'c'),
+        ("round.multi_cone", 'c'),
+        ("round.multi_cone_updates", 'c'),
+        ("round.multi_cone_width", 'c'),
+        ("round.planned", 'c'),
+        ("round.planned_width", 'c'),
+        ("round.realized_width", 'c'),
+        ("round.requeued", 'c'),
+        ("round.sub_rounds", 'c'),
+        ("round.sub_width", 'c'),
+        ("round.width_rounds", 'c'),
+        ("router.adaptive_shards", 'g'),
+        ("shard.busy_ns", 'h'),
+        ("shard.idle_ns", 'h'),
+        ("shard.updates.00", 'c'),
+        ("shard.updates.01", 'c'),
+        ("snapshot.published", 'c'),
+        ("snapshot.reads", 'c'),
+        ("state.allocated_ids", 'g'),
+        ("state.base_rows", 'g'),
+        ("state.free_ids", 'g'),
+        ("state.live_nodes", 'g'),
+        ("state.m_pairs", 'g'),
+        ("state.m_words", 'g'),
+        ("update.latency_ns", 'h'),
+        ("updates.accepted", 'c'),
+        ("updates.rejected", 'c'),
+        ("updates.submitted", 'c'),
+        ("wal.bytes", 'c'),
+        ("wal.records", 'c'),
+        ("wal.sync_reason.age", 'c'),
+        ("wal.sync_reason.rounds", 'c'),
+        ("wal.syncs", 'c'),
+    ];
+    assert_eq!(registered, expected);
 }
 
 /// The engine re-baselines the shared plan cache at build time: its report
@@ -266,6 +320,14 @@ fn plan_cache_report_rebaselines_per_engine() {
         templates.compiles, 0,
         "the registry compiles once per family"
     );
+    // A shape the warm-up never saw compiles through this engine — the
+    // second user of the cache — and the compile shows in its own delta.
+    let (h, c) = edges[2];
+    let headed = XmlUpdate::delete(&format!("//node[id={h}]/sub/node[id={c}]")).expect("parses");
+    let _ = engine.apply_now(headed, SideEffectPolicy::Proceed); // gone already: rejected
+    let compiled = engine.stats().report().plan_cache;
+    assert_eq!(compiled.compiles, after.compiles + 1);
+    assert!(compiled.compile_ns > after.compile_ns);
 }
 
 /// The exporter appends one registry snapshot per interval (plus a final
@@ -319,7 +381,7 @@ fn metrics_exporter_writes_jsonl() {
         "\"phase.translate_wall_ns\": {",
         "\"round.planned\": 2",
         "\"snapshot.published\": 2",
-        "\"plan.compile_ns\": {",
+        "\"phase.plan_ns\": {",
     ] {
         assert!(last.contains(needle), "snapshot missing {needle}:\n{last}");
     }

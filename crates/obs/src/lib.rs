@@ -15,9 +15,6 @@
 //!   (start-up) takes a lock; the *hot path never does* — callers hold the
 //!   returned `Arc` handles and update them directly. [`Registry::snapshot`]
 //!   produces a consistent-enough point-in-time listing for export.
-//! - **Span timers** ([`SpanTimer`], [`Stopwatch`]): measure a region and
-//!   feed a histogram (or just return the `Duration`), attributing wall
-//!   clock to named phases.
 //! - **The flight recorder** ([`FlightRecorder`]): a fixed-capacity ring
 //!   buffer of structured [`Event`]s (round committed, checkpoint start,
 //!   WAL rotation, …) that can be dumped as JSONL on demand or when
@@ -28,10 +25,9 @@
 //!   object per line, timestamped), plus [`text_report`] for a
 //!   human-readable rendering of the same snapshot.
 //!
-//! Everything is meant to stay on by default: the design target is that
-//! full instrumentation costs ≤2% of engine throughput (no current
-//! measurement — the telemetry on/off pair is to be ported into `rxbench`,
-//! ROADMAP item 5).
+//! Everything is always on: recording is relaxed atomics and there is no
+//! off switch, so every measured number includes its cost (which has not
+//! been measured on its own).
 
 #![warn(missing_docs)]
 
@@ -41,11 +37,9 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
-pub mod span;
 
 pub use export::{text_report, Exporter};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use recorder::{Event, FieldValue, FlightRecorder};
 pub use registry::{MetricSnapshot, Registry};
-pub use span::{SpanTimer, Stopwatch};

@@ -46,6 +46,13 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric registered under `name`, created by `fresh` on first use;
+    /// the typed getters below check its kind.
+    fn get_or_register(&self, name: &str, fresh: fn() -> Metric) -> Metric {
+        let mut m = self.metrics.write().expect("registry lock poisoned");
+        m.entry(name.to_owned()).or_insert_with(fresh).clone()
+    }
+
     /// The counter registered under `name`, creating it on first use.
     ///
     /// # Panics
@@ -53,39 +60,27 @@ impl Registry {
     /// a naming collision is a bug at the instrumentation site, not a
     /// runtime condition to limp through.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.write().expect("registry lock poisoned");
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric `{name}` already registered with a different kind"),
+        match self.get_or_register(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => kind_collision(name),
         }
     }
 
     /// The gauge registered under `name`, creating it on first use (same
     /// kind-collision contract as [`Registry::counter`]).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.write().expect("registry lock poisoned");
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` already registered with a different kind"),
+        match self.get_or_register(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => kind_collision(name),
         }
     }
 
     /// The histogram registered under `name`, creating it on first use
     /// (same kind-collision contract as [`Registry::counter`]).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.write().expect("registry lock poisoned");
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` already registered with a different kind"),
+        match self.get_or_register(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => kind_collision(name),
         }
     }
 
@@ -115,6 +110,10 @@ impl Registry {
             })
             .collect()
     }
+}
+
+fn kind_collision(name: &str) -> ! {
+    panic!("metric `{name}` already registered with a different kind")
 }
 
 #[cfg(test)]

@@ -113,22 +113,42 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
     }
 }
 
-/// The configuration surface is nine fields (who sets each: ARCHITECTURE.md,
-/// "Configuration"). A tenth must name, here, the two callers existing
+/// The configuration surface is six fields (who sets each: ARCHITECTURE.md,
+/// "Configuration"). A seventh must name, here, the two callers existing
 /// outside tests and examples that need different values of it — a value
 /// only one caller sets is a constant, and a switch that turns a shipped
 /// path off is a second path to test, benchmark and keep working.
 #[test]
-fn engine_config_has_nine_fields() {
+fn engine_config_has_six_fields() {
     let EngineConfig {
         max_batch: _,
-        max_queue: _,
-        max_cone_anchors: _,
         n_shards: _,
         durability: _,
         checkpoint_rounds: _,
-        telemetry: _,
         metrics_path: _,
         stage_hooks: _,
     } = EngineConfig::default();
+}
+
+/// The admission queue holds `MAX_QUEUE` un-committed updates and no more:
+/// the next `submit` is refused with `Saturated`, nothing is lost, and a
+/// commit makes room again.
+#[test]
+fn a_full_admission_queue_refuses_until_a_commit_drains_it() {
+    use rxview::engine::{engine::MAX_QUEUE, EngineError};
+    let db = rxview::workload::registrar_database();
+    let atg = rxview::workload::registrar_atg(&db).expect("valid ATG");
+    let engine = Engine::new(XmlViewSystem::new(atg, db).expect("publishes"));
+    // Matches nothing: rejected at commit, so the drain publishes no epoch.
+    let nothing = XmlUpdate::delete("course[cno=NONE]/prereq/course[cno=NONE]").expect("parses");
+    let submit = || engine.submit(nothing.clone(), SideEffectPolicy::Proceed);
+    let tickets: Vec<_> = (0..MAX_QUEUE)
+        .map(|i| submit().unwrap_or_else(|e| panic!("update {i} of {MAX_QUEUE}: {e}")))
+        .collect();
+    assert!(matches!(submit(), Err(EngineError::Saturated)));
+    assert_eq!(engine.stats().report().submitted, MAX_QUEUE as u64);
+    let summary = engine.commit_pending();
+    assert_eq!((summary.updates, summary.rejected), (MAX_QUEUE, MAX_QUEUE));
+    assert!(tickets.into_iter().all(|t| t.wait().is_err()));
+    submit().expect("a drained queue admits again");
 }
