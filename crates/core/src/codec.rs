@@ -4,11 +4,12 @@
 //! Builds on the byte-level primitives and relational encodings of
 //! [`rxview_relstore::codec`] (re-exported here) and adds:
 //!
-//! - [`put_update`]/[`read_update`]: the logical [`XmlUpdate`] + its
-//!   [`SideEffectPolicy`] — what the engine's write-ahead log records per
-//!   acknowledged round. Replaying the *logical* update through the normal
-//!   apply path re-derives ∆V, ∆R, and the `M`/`L` maintenance; logging ∆R
-//!   alone could rebuild the base tables but not the view. (The ∆R codec,
+//! - [`put_round`]/[`read_round`]: one committed round — its epoch and its
+//!   logical [`XmlUpdate`]s with their [`SideEffectPolicy`] — as the payload
+//!   of a write-ahead log record; [`put_update`]/[`read_update`] are the same
+//!   encoding of one update on its own. Replaying the *logical* update
+//!   re-derives ∆V, ∆R, and the `M`/`L` maintenance; logging ∆R alone could
+//!   rebuild the base tables but not the view. (The ∆R codec,
 //!   [`rxview_relstore::update::GroupUpdate::encode`], lives beside the
 //!   type and serves relational-level consumers.)
 //! - [`encode_system`]/[`decode_system`]: the full checkpoint payload — the
@@ -19,8 +20,40 @@
 //!   checkpoint's element-type table matches the grammar's DTD before
 //!   trusting any [`rxview_xmlkit::TypeId`] on disk.
 //!
-//! XPath targets are encoded as their display form and re-parsed on decode;
-//! the parser/printer round-trip is pinned by the xmlkit test suite.
+//! ## The round record
+//!
+//! A target path is written as its AST, never as text, so whatever the
+//! public AST can hold — any label, any constant — comes back as it went in
+//! and decoding never meets the XPath parser:
+//!
+//! ```text
+//! round  = varint epoch · varint n · update*n
+//! update = head · [insert: label(type) · tuple($A)] · path
+//!          head bit 0: 0 insert / 1 delete; bit 1: 0 Abort / 1 Proceed
+//! path   = varint n_steps · step*
+//! step   = head · [child-label: label] · [k = 63: varint (k − 63)] · filter*k
+//!          head bits 0–1: 0 self / 1 child-label / 2 child-* / 3 `//`;
+//!          bits 2–7: the filter count k, 63 = read the rest as a varint
+//! filter = 0 · path | 1 · path · str | 2 · label | 3 · filter · filter (and)
+//!        | 4 · filter · filter (or) | 5 · filter (not)
+//!        | 6 · label · varint          — [label = "n"], n a canonical u64
+//! label  = 0 · str                     — first occurrence: joins the table
+//!        | varint k ≥ 1                — the table's k-th label
+//! ```
+//!
+//! Every label (element types, the inserted type, `label()=`) goes through
+//! the record's **label table**, which the record itself spells out, so a
+//! record needs no grammar to be read. Tag 6 is the overwhelmingly common
+//! filter `[child = "decimal"]`; a constant that is not the canonical
+//! decimal form of a `u64` (`"007"`, `"+5"`, `"18446744073709551616"`)
+//! stays a string under tag 1 and comes back byte for byte. Decoding is
+//! total: counts and table indices are bounded by the input that remains
+//! and filters nest at most [`MAX_FILTER_DEPTH`] deep, the bound the parser
+//! puts on the same tree.
+//!
+//! [`read_update_v1`] reads the format this one replaced — a path as its
+//! display text — and is kept for log segments written before it; nothing
+//! writes that format.
 
 use crate::processor::XmlViewSystem;
 use crate::reach::{AncestorLoad, Reachability, RunBuf};
@@ -33,6 +66,8 @@ use rxview_relstore::codec::{
     skip_database, CodecError, Reader,
 };
 use rxview_relstore::Database;
+use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
+use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::TypeId;
 
 pub use rxview_relstore::codec::{crc32, CodecResult};
@@ -41,63 +76,334 @@ pub use rxview_relstore::codec::{crc32, CodecResult};
 // Logical updates (WAL records).
 // ---------------------------------------------------------------------------
 
-const TAG_INSERT: u8 = 0;
-const TAG_DELETE: u8 = 1;
-const TAG_POLICY_ABORT: u8 = 0;
-const TAG_POLICY_PROCEED: u8 = 1;
+const HEAD_DELETE: u8 = 1;
+const HEAD_PROCEED: u8 = 2;
 
-/// Encodes a [`SideEffectPolicy`] (one byte).
-pub fn put_policy(out: &mut Vec<u8>, policy: SideEffectPolicy) {
-    out.push(match policy {
-        SideEffectPolicy::Abort => TAG_POLICY_ABORT,
-        SideEffectPolicy::Proceed => TAG_POLICY_PROCEED,
-    });
+const STEP_SELF: u8 = 0;
+const STEP_LABEL: u8 = 1;
+const STEP_WILDCARD: u8 = 2;
+const STEP_DESCENDANT: u8 = 3;
+/// A step head's filter count that means "a varint of the rest follows".
+const FILTERS_ESCAPE: usize = 63;
+
+const FILTER_PATH: u8 = 0;
+const FILTER_PATH_EQ: u8 = 1;
+const FILTER_LABEL_IS: u8 = 2;
+const FILTER_AND: u8 = 3;
+const FILTER_OR: u8 = 4;
+const FILTER_NOT: u8 = 5;
+const FILTER_CHILD_EQ_U64: u8 = 6;
+
+/// One logged update: the logical update plus its side-effect policy.
+pub type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
+
+/// The label table of a record being written: where in the output buffer
+/// each label was first spelled. Reusable scratch — [`put_round`] clears it.
+#[derive(Debug, Default)]
+pub struct LabelTable {
+    spans: Vec<std::ops::Range<usize>>,
 }
 
-/// Decodes a [`SideEffectPolicy`].
-pub fn read_policy(r: &mut Reader<'_>) -> CodecResult<SideEffectPolicy> {
-    match r.read_u8()? {
-        TAG_POLICY_ABORT => Ok(SideEffectPolicy::Abort),
-        TAG_POLICY_PROCEED => Ok(SideEffectPolicy::Proceed),
-        t => Err(CodecError::Invalid(format!("unknown policy tag {t}"))),
+struct Encoder<'a> {
+    out: &'a mut Vec<u8>,
+    labels: &'a mut LabelTable,
+}
+
+/// `Some(n)` iff `s` is the canonical decimal form of the `u64` `n`.
+fn canonical_u64(s: &str) -> Option<u64> {
+    let canonical = s == "0" || (!s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit()));
+    s.parse().ok().filter(|_| canonical)
+}
+
+impl Encoder<'_> {
+    fn label(&mut self, label: &str) {
+        let spans = &self.labels.spans;
+        match spans
+            .iter()
+            .position(|span| &self.out[span.clone()] == label.as_bytes())
+        {
+            Some(k) => put_varint(self.out, k as u64 + 1),
+            None => {
+                self.out.push(0);
+                put_str(self.out, label);
+                let end = self.out.len();
+                self.labels.spans.push(end - label.len()..end);
+            }
+        }
+    }
+
+    fn update(&mut self, update: &XmlUpdate, policy_bit: u8) {
+        match update {
+            XmlUpdate::Insert { ty, attr, path } => {
+                self.out.push(policy_bit);
+                self.label(ty);
+                put_tuple(self.out, attr);
+                self.path(path);
+            }
+            XmlUpdate::Delete { path } => {
+                self.out.push(HEAD_DELETE | policy_bit);
+                self.path(path);
+            }
+        }
+    }
+
+    fn path(&mut self, path: &XPath) {
+        put_varint(self.out, path.steps.len() as u64);
+        for step in &path.steps {
+            let (kind, label) = match &step.kind {
+                StepKind::SelfAxis => (STEP_SELF, None),
+                StepKind::Child(NodeTest::Label(l)) => (STEP_LABEL, Some(l)),
+                StepKind::Child(NodeTest::Wildcard) => (STEP_WILDCARD, None),
+                StepKind::DescendantOrSelf => (STEP_DESCENDANT, None),
+            };
+            let k = step.filters.len();
+            self.out.push(kind | (k.min(FILTERS_ESCAPE) as u8) << 2);
+            if let Some(l) = label {
+                self.label(l);
+            }
+            if k >= FILTERS_ESCAPE {
+                put_varint(self.out, (k - FILTERS_ESCAPE) as u64);
+            }
+            for f in &step.filters {
+                self.filter(f);
+            }
+        }
+    }
+
+    fn filter(&mut self, filter: &Filter) {
+        match filter {
+            Filter::Path(p) => {
+                self.out.push(FILTER_PATH);
+                self.path(p);
+            }
+            Filter::PathEq(p, s) => {
+                if let ([step], Some(n)) = (p.steps.as_slice(), canonical_u64(s)) {
+                    if let (StepKind::Child(NodeTest::Label(l)), []) =
+                        (&step.kind, step.filters.as_slice())
+                    {
+                        self.out.push(FILTER_CHILD_EQ_U64);
+                        self.label(l);
+                        put_varint(self.out, n);
+                        return;
+                    }
+                }
+                self.out.push(FILTER_PATH_EQ);
+                self.path(p);
+                put_str(self.out, s);
+            }
+            Filter::LabelIs(l) => {
+                self.out.push(FILTER_LABEL_IS);
+                self.label(l);
+            }
+            Filter::And(a, b) => {
+                self.out.push(FILTER_AND);
+                self.filter(a);
+                self.filter(b);
+            }
+            Filter::Or(a, b) => {
+                self.out.push(FILTER_OR);
+                self.filter(a);
+                self.filter(b);
+            }
+            Filter::Not(a) => {
+                self.out.push(FILTER_NOT);
+                self.filter(a);
+            }
+        }
     }
 }
 
-/// Encodes an [`XmlUpdate`] (tag + payload; the target path in its display
-/// form).
+/// Appends one round's record payload to `out`: epoch, update count, the
+/// updates in order, all sharing one label table (module docs). A round
+/// whose paths nest filters deeper than [`MAX_FILTER_DEPTH`]
+/// ([`XPath::filter_depth`]) encodes, but [`read_round`] refuses it: the
+/// caller checks before it acknowledges anything.
+pub fn put_round(out: &mut Vec<u8>, labels: &mut LabelTable, epoch: u64, updates: &[LoggedUpdate]) {
+    labels.spans.clear();
+    put_varint(out, epoch);
+    put_varint(out, updates.len() as u64);
+    let mut enc = Encoder { out, labels };
+    for (update, policy) in updates {
+        let proceed = *policy == SideEffectPolicy::Proceed;
+        enc.update(update, if proceed { HEAD_PROCEED } else { 0 });
+    }
+}
+
+/// Encodes an [`XmlUpdate`] on its own: the round record's update form with
+/// a label table of its own and no policy (the policy bit is clear).
 pub fn put_update(out: &mut Vec<u8>, update: &XmlUpdate) {
-    match update {
-        XmlUpdate::Insert { ty, attr, path } => {
-            out.push(TAG_INSERT);
-            put_str(out, ty);
-            put_tuple(out, attr);
-            put_str(out, &path.to_string());
-        }
-        XmlUpdate::Delete { path } => {
-            out.push(TAG_DELETE);
-            put_str(out, &path.to_string());
-        }
+    let labels = &mut LabelTable::default();
+    Encoder { out, labels }.update(update, 0);
+}
+
+struct Decoder<'r, 'a> {
+    r: &'r mut Reader<'a>,
+    labels: Vec<&'a str>,
+}
+
+/// A count of things that each take at least a byte.
+fn read_count(r: &mut Reader<'_>) -> CodecResult<usize> {
+    let n = r.read_varint()?;
+    match usize::try_from(n) {
+        Ok(n) if n <= r.remaining() => Ok(n),
+        _ => Err(CodecError::Truncated),
     }
 }
 
-/// Decodes an [`XmlUpdate`], re-parsing the target path.
+impl<'a> Decoder<'_, 'a> {
+    fn label(&mut self) -> CodecResult<&'a str> {
+        match self.r.read_varint()? {
+            0 => {
+                let label = self.r.read_str()?;
+                self.labels.push(label);
+                Ok(label)
+            }
+            k => usize::try_from(k - 1)
+                .ok()
+                .and_then(|k| self.labels.get(k).copied())
+                .ok_or_else(|| {
+                    CodecError::Invalid(format!("label {k} of a table of {}", self.labels.len()))
+                }),
+        }
+    }
+
+    /// An update and its head's policy bit.
+    fn update(&mut self) -> CodecResult<(XmlUpdate, bool)> {
+        let head = self.r.read_u8()?;
+        if head & !(HEAD_DELETE | HEAD_PROCEED) != 0 {
+            return Err(CodecError::Invalid(format!("unknown update head {head}")));
+        }
+        let update = if head & HEAD_DELETE != 0 {
+            XmlUpdate::Delete {
+                path: self.path(0)?,
+            }
+        } else {
+            XmlUpdate::Insert {
+                ty: self.label()?.to_owned(),
+                attr: read_tuple(self.r)?,
+                path: self.path(0)?,
+            }
+        };
+        Ok((update, head & HEAD_PROCEED != 0))
+    }
+
+    /// A path sitting under `depth` levels of filter. Its vectors grow as
+    /// they fill: sized up front from a count, each level of a hostile nest
+    /// could reserve the whole remaining input again.
+    fn path(&mut self, depth: usize) -> CodecResult<XPath> {
+        let n_steps = read_count(self.r)?;
+        let mut steps = Vec::new();
+        for _ in 0..n_steps {
+            let head = self.r.read_u8()?;
+            let kind = match head & 3 {
+                STEP_SELF => StepKind::SelfAxis,
+                STEP_LABEL => StepKind::Child(NodeTest::Label(self.label()?.to_owned())),
+                STEP_WILDCARD => StepKind::Child(NodeTest::Wildcard),
+                _ => StepKind::DescendantOrSelf,
+            };
+            let mut k = (head >> 2) as usize;
+            if k == FILTERS_ESCAPE {
+                k = read_count(self.r)?
+                    .checked_add(FILTERS_ESCAPE)
+                    .ok_or(CodecError::Truncated)?;
+            }
+            if k > self.r.remaining() {
+                return Err(CodecError::Truncated);
+            }
+            let mut filters = Vec::new();
+            for _ in 0..k {
+                filters.push(self.filter(depth + 1)?);
+            }
+            steps.push(Step { kind, filters });
+        }
+        Ok(XPath { steps })
+    }
+
+    /// A filter that is the `depth`-th level of its nest.
+    fn filter(&mut self, depth: usize) -> CodecResult<Filter> {
+        if depth > MAX_FILTER_DEPTH {
+            return Err(CodecError::Invalid(format!(
+                "filters nest deeper than {MAX_FILTER_DEPTH}"
+            )));
+        }
+        Ok(match self.r.read_u8()? {
+            FILTER_PATH => Filter::Path(self.path(depth)?),
+            FILTER_PATH_EQ => Filter::PathEq(self.path(depth)?, self.r.read_str()?.to_owned()),
+            FILTER_LABEL_IS => Filter::LabelIs(self.label()?.to_owned()),
+            FILTER_AND => Filter::and(self.filter(depth + 1)?, self.filter(depth + 1)?),
+            FILTER_OR => Filter::or(self.filter(depth + 1)?, self.filter(depth + 1)?),
+            FILTER_NOT => Filter::not(self.filter(depth + 1)?),
+            FILTER_CHILD_EQ_U64 => {
+                let child = XPath::from_steps(vec![Step::label(self.label()?)]);
+                Filter::PathEq(child, self.r.read_varint()?.to_string())
+            }
+            t => return Err(CodecError::Invalid(format!("unknown filter tag {t}"))),
+        })
+    }
+}
+
+/// Decodes a [`put_round`] payload: the epoch and the round's updates.
+pub fn read_round(r: &mut Reader<'_>) -> CodecResult<(u64, Vec<LoggedUpdate>)> {
+    let epoch = r.read_varint()?;
+    let n = read_count(r)?;
+    let mut dec = Decoder {
+        r,
+        labels: Vec::new(),
+    };
+    let mut updates = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (update, proceed) = dec.update()?;
+        let policy = if proceed {
+            SideEffectPolicy::Proceed
+        } else {
+            SideEffectPolicy::Abort
+        };
+        updates.push((update, policy));
+    }
+    Ok((epoch, updates))
+}
+
+/// Decodes a [`put_update`] encoding.
 pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
+    let mut dec = Decoder {
+        r,
+        labels: Vec::new(),
+    };
+    match dec.update()? {
+        (update, false) => Ok(update),
+        _ => Err(CodecError::Invalid(
+            "an update on its own has no policy".into(),
+        )),
+    }
+}
+
+/// Decodes one logged update of a **v1** round record (`RXWALv1` segments):
+/// a policy byte, a tag, and the target path as its display text, which is
+/// parsed back. Read-only — v1 could log an accepted update whose text does
+/// not parse (a constant holding both kinds of quote), which is why it was
+/// replaced.
+pub fn read_update_v1(r: &mut Reader<'_>) -> CodecResult<LoggedUpdate> {
     let parse = |s: &str| {
         rxview_xmlkit::parse_xpath(s)
             .map_err(|e| CodecError::Invalid(format!("logged path `{s}` does not parse: {e}")))
     };
-    match r.read_u8()? {
-        TAG_INSERT => {
-            let ty = r.read_str()?.to_owned();
-            let attr = read_tuple(r)?;
-            let path = parse(r.read_str()?)?;
-            Ok(XmlUpdate::Insert { ty, attr, path })
-        }
-        TAG_DELETE => Ok(XmlUpdate::Delete {
+    let policy = match r.read_u8()? {
+        0 => SideEffectPolicy::Abort,
+        1 => SideEffectPolicy::Proceed,
+        t => return Err(CodecError::Invalid(format!("unknown policy tag {t}"))),
+    };
+    let update = match r.read_u8()? {
+        0 => XmlUpdate::Insert {
+            ty: r.read_str()?.to_owned(),
+            attr: read_tuple(r)?,
             path: parse(r.read_str()?)?,
-        }),
-        t => Err(CodecError::Invalid(format!("unknown update tag {t}"))),
-    }
+        },
+        1 => XmlUpdate::Delete {
+            path: parse(r.read_str()?)?,
+        },
+        t => return Err(CodecError::Invalid(format!("unknown update tag {t}"))),
+    };
+    Ok((update, policy))
 }
 
 // ---------------------------------------------------------------------------
@@ -415,15 +721,22 @@ mod tests {
             .unwrap(),
         ];
         for u in &cases {
-            for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
-                let mut out = Vec::new();
-                put_policy(&mut out, policy);
-                put_update(&mut out, u);
-                let mut r = Reader::new(&out);
-                assert_eq!(read_policy(&mut r).unwrap(), policy);
-                assert_eq!(&read_update(&mut r).unwrap(), u);
-                assert!(r.is_empty());
-            }
+            let mut out = Vec::new();
+            put_update(&mut out, u);
+            let mut r = Reader::new(&out);
+            assert_eq!(&read_update(&mut r).unwrap(), u);
+            assert!(r.is_empty());
+        }
+        // As one round, under either policy: the three updates share a label
+        // table, so `course` is spelled once.
+        for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+            let round: Vec<LoggedUpdate> = cases.iter().map(|u| (u.clone(), policy)).collect();
+            let mut out = Vec::new();
+            put_round(&mut out, &mut LabelTable::default(), 7, &round);
+            let mut r = Reader::new(&out);
+            assert_eq!(read_round(&mut r).unwrap(), (7, round));
+            assert!(r.is_empty());
+            assert_eq!(out.windows(6).filter(|w| w == b"course").count(), 1);
         }
     }
 

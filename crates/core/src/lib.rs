@@ -53,7 +53,7 @@ pub mod translate;
 pub mod update;
 pub mod viewstore;
 
-pub use codec::{decode_system, encode_system, put_policy, put_update, read_policy, read_update};
+pub use codec::{decode_system, encode_system, put_update, read_update};
 pub use dag_eval::{eval_xpath_on_dag, DagEval};
 pub use footprint::{
     plan_subtree, planned_delete_writes, planned_insert_writes, ColKey, PlannedSubtree,

@@ -377,8 +377,7 @@ impl XmlViewSystem {
 
     /// Applies an XML view update end-to-end. Phase 2 runs through the
     /// scope-aware [`XmlViewSystem::eval`], so an anchored update costs its
-    /// cones, not the view — and with it recovery replay, which is this
-    /// method once per logged update.
+    /// cones, not the view.
     pub fn apply(&mut self, update: &XmlUpdate, policy: SideEffectPolicy) -> UpdateOutcome {
         let mut timings = PhaseTimings::default();
         // Phase 1: schema-level validation.

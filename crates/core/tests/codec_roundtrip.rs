@@ -2,15 +2,20 @@
 //! format.
 //!
 //! `decode(encode(u)) == u` must hold for every [`GroupUpdate`] — all op
-//! variants, empty groups, large text payloads — and the exact byte layout
-//! is pinned so that a change to the format cannot slip through silently:
-//! WAL segments and checkpoints written by one build must stay readable by
-//! the next, or bump their version magic.
+//! variants, empty groups, large text payloads — and for every logged
+//! [`XmlUpdate`], whatever its path's AST holds, as a round record and on
+//! its own; the update decoder is total over hostile bytes; and the exact
+//! byte layout is pinned so that a change to the format cannot slip through
+//! silently: WAL segments and checkpoints written by one build must stay
+//! readable by the next, or bump their version magic.
 
 use proptest::prelude::*;
-use rxview_core::codec;
-use rxview_relstore::codec::Reader;
+use rxview_core::codec::{self, LabelTable, LoggedUpdate};
+use rxview_core::{SideEffectPolicy, XmlUpdate};
+use rxview_relstore::codec::{put_varint, CodecError, Reader};
 use rxview_relstore::{tuple, GroupUpdate, Tuple, TupleOp, Value};
+use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
+use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 
 fn value_strategy() -> BoxedStrategy<Value> {
     prop_oneof![
@@ -122,33 +127,280 @@ fn golden_bytes_pin_the_format() {
     assert_eq!(GroupUpdate::decode(&expected).unwrap(), g);
 }
 
-/// The logical-update encoding (what WAL records carry) is pinned too.
+/// The round record (what a `RXWALv2` segment frames) is pinned too: an
+/// insertion and a deletion of one round, the second spelling none of its
+/// labels again. The format this replaced opened its segments `RXWALv1`;
+/// its bytes are pinned by the engine's checked-in v1 directories.
 #[test]
 fn golden_bytes_pin_logged_updates() {
-    use rxview_core::{SideEffectPolicy, XmlUpdate};
-    let u = XmlUpdate::insert("course", tuple!["CS240"], "course/prereq").unwrap();
+    let round: Vec<LoggedUpdate> = vec![
+        (
+            XmlUpdate::insert("course", tuple!["CS240"], "course[cno=CS650]/prereq").unwrap(),
+            SideEffectPolicy::Proceed,
+        ),
+        (
+            XmlUpdate::delete("//course[cno=320]").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+    ];
     let mut out = Vec::new();
-    codec::put_policy(&mut out, SideEffectPolicy::Proceed);
-    codec::put_update(&mut out, &u);
+    codec::put_round(&mut out, &mut LabelTable::default(), 7, &round);
 
     #[rustfmt::skip]
     let expected: Vec<u8> = vec![
-        0x01,                                            // policy Proceed
-        0x00,                                            // insert tag
-        0x06, b'c', b'o', b'u', b'r', b's', b'e',        // element type
+        0x07,                                            // epoch 7
+        0x02,                                            // 2 updates
+        // update 1
+        0x02,                                            // head: insert, Proceed
+        0x00, 0x06, b'c', b'o', b'u', b'r', b's', b'e',  // new label 1: the type
         0x01,                                            // attr arity 1
         0x01, 0x05, b'C', b'S', b'2', b'4', b'0',        // Str "CS240"
-        0x0D, b'c', b'o', b'u', b'r', b's', b'e', b'/',  // path, display form
-        b'p', b'r', b'e', b'r', b'e', b'q',
+        0x02,                                            // path: 2 steps
+        0x05, 0x01,                                      // child step, 1 filter; label 1
+        0x01,                                            // filter: path = "string"
+        0x01,                                            //   path: 1 step
+        0x01, 0x00, 0x03, b'c', b'n', b'o',              //   child step; new label 2
+        0x05, b'C', b'S', b'6', b'5', b'0',              //   "CS650"
+        0x01, 0x00, 0x06, b'p', b'r', b'e', b'r', b'e', b'q', // child step; new label 3
+        // update 2
+        0x01,                                            // head: delete, Abort
+        0x02,                                            // path: 2 steps
+        0x03,                                            // `//`
+        0x05, 0x01,                                      // child step, 1 filter; label 1
+        0x06, 0x02, 0xC0, 0x02,                          // filter: [label 2 = "320"]
     ];
     assert_eq!(out, expected);
     let mut r = Reader::new(&out);
-    assert_eq!(
-        codec::read_policy(&mut r).unwrap(),
-        SideEffectPolicy::Proceed
-    );
-    assert_eq!(codec::read_update(&mut r).unwrap(), u);
+    assert_eq!(codec::read_round(&mut r).unwrap(), (7, round));
     assert!(r.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Logged updates: injective over the AST, total over bytes.
+// ---------------------------------------------------------------------------
+
+/// Labels that repeat (the pool: later occurrences are back-references) and
+/// labels that do not, with every character the text form could not carry.
+fn label_strategy() -> BoxedStrategy<String> {
+    const POOL: [&str; 6] = ["node", "id", "sub", "", "né/[x]", "it's \"q\""];
+    prop_oneof![
+        (0usize..POOL.len()).prop_map(|i| POOL[i].to_owned()),
+        (0usize..POOL.len()).prop_map(|i| POOL[i].to_owned()),
+        "[ -~]{0,6}".prop_map(|s: String| s),
+    ]
+    .boxed()
+}
+
+/// Constants on either side of "the canonical decimal form of a `u64`".
+fn constant_strategy() -> BoxedStrategy<String> {
+    const EDGES: [&str; 9] = [
+        "0",
+        "007",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "+5",
+        "",
+        "00",
+        "4000000959",
+    ];
+    prop_oneof![
+        (0usize..EDGES.len()).prop_map(|i| EDGES[i].to_owned()),
+        any::<u64>().prop_map(|n| n.to_string()),
+        "[ -~]{0,8}".prop_map(|s: String| s),
+    ]
+    .boxed()
+}
+
+fn path_strategy(filter: BoxedStrategy<Filter>) -> BoxedStrategy<XPath> {
+    let kind = prop_oneof![
+        Just(StepKind::SelfAxis),
+        label_strategy().prop_map(|l| StepKind::Child(NodeTest::Label(l))),
+        label_strategy().prop_map(|l| StepKind::Child(NodeTest::Label(l))),
+        Just(StepKind::Child(NodeTest::Wildcard)),
+        Just(StepKind::DescendantOrSelf),
+    ];
+    let step = (kind, prop::collection::vec(filter, 0..3))
+        .prop_map(|(kind, filters)| Step { kind, filters });
+    prop::collection::vec(step, 0..4)
+        .prop_map(XPath::from_steps)
+        .boxed()
+}
+
+fn filter_strategy() -> BoxedStrategy<Filter> {
+    let child = || label_strategy().prop_map(|l| XPath::from_steps(vec![Step::label(l)]));
+    let leaf = prop_oneof![
+        (child(), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
+        (child(), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
+        label_strategy().prop_map(Filter::LabelIs),
+        child().prop_map(Filter::Path),
+    ];
+    leaf.prop_recursive(4, 32, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Filter::and(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Filter::or(a, b)),
+            inner.clone().prop_map(Filter::not),
+            path_strategy(inner.clone()).prop_map(Filter::Path),
+            (path_strategy(inner), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
+        ]
+    })
+}
+
+fn update_strategy() -> BoxedStrategy<XmlUpdate> {
+    let path = || path_strategy(filter_strategy());
+    prop_oneof![
+        (label_strategy(), tuple_strategy(), path())
+            .prop_map(|(ty, attr, path)| XmlUpdate::Insert { ty, attr, path }),
+        path().prop_map(|path| XmlUpdate::Delete { path }),
+    ]
+    .boxed()
+}
+
+fn round_strategy() -> BoxedStrategy<Vec<LoggedUpdate>> {
+    let policy = any::<bool>().prop_map(|proceed| match proceed {
+        true => SideEffectPolicy::Proceed,
+        false => SideEffectPolicy::Abort,
+    });
+    prop::collection::vec((update_strategy(), policy), 0..6).boxed()
+}
+
+fn round_bytes(epoch: u64, round: &[LoggedUpdate]) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_round(&mut out, &mut LabelTable::default(), epoch, round);
+    out
+}
+
+fn read_whole_round(bytes: &[u8]) -> Result<(u64, Vec<LoggedUpdate>), CodecError> {
+    let mut r = Reader::new(bytes);
+    let round = codec::read_round(&mut r)?;
+    match r.is_empty() {
+        true => Ok(round),
+        false => Err(CodecError::Invalid("trailing bytes".into())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `decode(encode(u)) == u`, the updates of a round sharing a label
+    /// table and each update on its own; a label table reused for the next
+    /// record starts empty.
+    #[test]
+    fn logged_updates_round_trip(epoch in any::<u64>(), round in round_strategy()) {
+        let bytes = round_bytes(epoch, &round);
+        let back = read_whole_round(&bytes)
+            .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+        prop_assert_eq!(&back, &(epoch, round.clone()));
+        let mut labels = LabelTable::default();
+        for _ in 0..2 {
+            let mut again = Vec::new();
+            codec::put_round(&mut again, &mut labels, epoch, &round);
+            prop_assert!(again == bytes, "a reused label table writes the same bytes");
+        }
+        for (u, _) in &round {
+            let mut out = vec![0xAA]; // whatever the buffer held before
+            codec::put_update(&mut out, u);
+            let mut r = Reader::new(&out[1..]);
+            let back = codec::read_update(&mut r)
+                .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+            prop_assert_eq!(&back, u);
+            prop_assert!(r.is_empty());
+        }
+    }
+
+    /// No strict prefix of a record decodes, and no single changed byte
+    /// makes the decoder panic: hostile bytes are an `Err` or some other
+    /// round, which then encodes and decodes to itself.
+    #[test]
+    fn truncated_and_flipped_records_error_or_decode(
+        round in round_strategy(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 8..9),
+    ) {
+        let bytes = round_bytes(3, &round);
+        for cut in 0..bytes.len() {
+            prop_assert!(read_whole_round(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        for (at, xor) in flips {
+            let mut hostile = bytes.clone();
+            hostile[at % bytes.len()] ^= xor;
+            if let Ok((epoch, other)) = read_whole_round(&hostile) {
+                let again = read_whole_round(&round_bytes(epoch, &other));
+                prop_assert_eq!(again.ok(), Some((epoch, other)));
+            }
+        }
+    }
+}
+
+/// A step with more filters than its head byte counts (63 and up) escapes to
+/// a varint, on either side of the boundary.
+#[test]
+fn wide_steps_round_trip() {
+    for k in [62, 63, 64, 200] {
+        let mut step = Step::label("node");
+        step.filters = vec![Filter::LabelIs("node".into()); k];
+        let u = XmlUpdate::Delete {
+            path: XPath::from_steps(vec![step]),
+        };
+        let round = vec![(u, SideEffectPolicy::Proceed)];
+        assert_eq!(
+            read_whole_round(&round_bytes(1, &round)).unwrap(),
+            (1, round)
+        );
+    }
+}
+
+/// `delete node[f]`, as record bytes with `f` left to the caller: epoch 1,
+/// one update, one child step on a new label, one filter.
+fn delete_with_filter(filter: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![0x01, 0x01, 0x03, 0x01, 0x05, 0x00, 0x04];
+    bytes.extend_from_slice(b"node");
+    bytes.extend_from_slice(filter);
+    bytes
+}
+
+/// What no encoder writes is a `CodecError`, never a panic, an allocation
+/// sized by a hostile count, or a stack as deep as the input is long.
+#[test]
+fn hostile_records_error_not_panic() {
+    let invalid = |bytes: &[u8]| matches!(read_whole_round(bytes), Err(CodecError::Invalid(_)));
+    let truncated = |bytes: &[u8]| matches!(read_whole_round(bytes), Err(CodecError::Truncated));
+    // The frame itself decodes: `node[label()=node]`, the label referred back to.
+    let sane = delete_with_filter(&[0x02, 0x01]);
+    assert_eq!(read_whole_round(&sane).unwrap().1.len(), 1);
+    // A back-reference past the table (it holds one label), at a step and
+    // in a filter; an update head, a filter tag nobody writes.
+    assert!(invalid(&delete_with_filter(&[0x02, 0x02])));
+    assert!(invalid(&[0x01, 0x01, 0x03, 0x01, 0x01, 0x01]));
+    assert!(invalid(&[0x01, 0x01, 0x04]));
+    assert!(invalid(&delete_with_filter(&[0x07])));
+    // Counts larger than the input: updates, steps, filters (escaped).
+    let mut huge = Vec::new();
+    put_varint(&mut huge, u64::MAX);
+    assert!(truncated(&[&[0x01][..], &huge].concat()));
+    assert!(truncated(&[&[0x01, 0x01, 0x03][..], &huge].concat()));
+    assert!(truncated(
+        &[&[0x01, 0x01, 0x03, 0x01, 0xFF][..], &huge].concat()
+    ));
+    assert!(truncated(&[0x01, 0x01, 0x03, 0x01, 0xFF, 0x05]));
+    // A nest at the cap decodes; one level more — or a million — does not,
+    // and is refused level by level, not by the stack running out.
+    let nest = |levels: usize| {
+        let mut filter = vec![0x05; levels - 1]; // not(not(…
+        filter.extend_from_slice(&[0x02, 0x01]); // …label()=node))
+        delete_with_filter(&filter)
+    };
+    let (_, deepest) = read_whole_round(&nest(MAX_FILTER_DEPTH)).unwrap();
+    assert_eq!(deepest[0].0.path().filter_depth(), MAX_FILTER_DEPTH);
+    assert!(invalid(&nest(MAX_FILTER_DEPTH + 1)));
+    assert!(invalid(&nest(1_000_000)));
+    // The same through paths nested in filters: node[node[node[…]]].
+    let mut paths = Vec::new();
+    for _ in 0..100_000 {
+        paths.extend_from_slice(&[0x00, 0x01, 0x05, 0x01]); // path filter: 1 child step, 1 filter
+    }
+    assert!(invalid(&delete_with_filter(&paths)));
+    // An update on its own has no policy bit.
+    assert!(codec::read_update(&mut Reader::new(&sane[2..])).is_err());
 }
 
 /// A registrar update from a small pool: enrolments, prerequisite links and

@@ -365,7 +365,7 @@ impl Engine {
 
     /// Rebuilds a durable engine from its log directory after a crash: the
     /// newest valid checkpoint is loaded, the replay-log suffix past it is
-    /// replayed in epoch order through the sequential apply path, and the
+    /// replayed in epoch order, each record as the round it logs, and the
     /// engine resumes serving at the recovered epoch. `atg` must be the
     /// grammar the original engine ran under — like the relational schema
     /// it is code, not data, and the checkpoint's embedded type table is

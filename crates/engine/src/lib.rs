@@ -70,8 +70,9 @@
 //!   visible, under a configurable fsync policy; a background checkpointer
 //!   serializes recent `Arc` snapshots (fuzzy — writers never block) and
 //!   truncates the log behind them. Recovery loads the newest valid
-//!   checkpoint, replays the log suffix through the sequential apply path,
-//!   and resumes serving at the recovered epoch. See [`wal`] and
+//!   checkpoint, replays the log suffix record by record — each record as
+//!   the round it logs, one fold of `M` and `L` per record — and resumes
+//!   serving at the recovered epoch. See [`wal`] and
 //!   [`recovery`].
 //! - **Observability** ([`EngineStats`]): an engine-wide telemetry layer
 //!   built on the dependency-free [`rxview_obs`] crate — lock-free counters

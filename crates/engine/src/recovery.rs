@@ -6,15 +6,21 @@
 //! 1. **Checkpoint.** The newest checkpoint file that passes its CRC and
 //!    decodes under the caller's grammar anchors recovery; invalid or torn
 //!    checkpoints are skipped (and counted) in favor of older ones.
-//! 2. **Replay.** Every WAL segment is scanned up to its last
-//!    checksummed-complete record; records with epochs past the checkpoint
-//!    are replayed **in epoch order** through the ordinary sequential apply
-//!    path — the same `XmlViewSystem::apply` the engine's equivalence
-//!    property tests pin the concurrent write paths against, which is what
-//!    makes "replay of the acknowledged prefix" and "what the engine
-//!    actually did" the same state, observationally. Torn or corrupt log
-//!    tails end their segment's contribution and are reported, never
-//!    panicked on.
+//! 2. **Replay.** Every WAL segment (of either format, `crate::wal`) is
+//!    scanned up to its last checksummed-complete, decodable record; records
+//!    with epochs past the checkpoint are replayed **in epoch order**, each
+//!    one **as the round it logs**: every update evaluated against the state
+//!    the record starts from (`XmlViewSystem::eval`), applied in logged order
+//!    with maintenance deferred (`apply_deferred`), then one
+//!    `fold_maintenance` over the record's jobs — the inline executor's loop.
+//!    That is sound because a record holds one conflict-free round (the
+//!    engine logs nothing else), every executor is held observationally
+//!    equal to one-at-a-time application by the equivalence battery, and one
+//!    fold of such a batch equal to one fold per update by
+//!    `tests/batched_fold.rs` — so "replay of the acknowledged prefix" and
+//!    "what the engine actually did" are the same state. Torn or corrupt
+//!    log tails end their segment's contribution and are reported, never
+//!    panicked on; so is a checksummed record that does not decode, apart.
 //! 3. **Resume.** The engine restarts at the recovered epoch. If the new
 //!    configuration keeps durability on, a fresh checkpoint of the
 //!    recovered state is written first and the old segments are dropped
@@ -28,7 +34,7 @@
 //! acknowledged, durable prefix of the update history.*
 
 use crate::checkpoint;
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, LoggedUpdate, WalRecord};
 use rxview_atg::Atg;
 use rxview_core::XmlViewSystem;
 use rxview_obs::{fields, FlightRecorder};
@@ -80,21 +86,29 @@ pub struct RecoveryReport {
     pub replayed_rounds: usize,
     /// Updates replayed across those rounds.
     pub replayed_updates: usize,
+    /// Folds of `M` and `L` the replay ran: one per replayed round that
+    /// applied anything, however many updates the round holds.
+    pub replay_folds: usize,
     /// Replayed updates the apply path rejected. Always `0` when the log
     /// and checkpoint belong together (acknowledged updates replay
     /// cleanly); non-zero values indicate a mixed-up directory and are
     /// surfaced rather than hidden.
     pub replay_rejected: usize,
     /// Replayed updates whose path was evaluated by the full pass over `L`
-    /// instead of a scope ([`rxview_core::UpdateReport::scope_nodes`] was
+    /// instead of a scope ([`rxview_core::Evaluated::scope_nodes`] was
     /// `None`) — the answer to "why did this replay take so long". `0` for
     /// a log of anchored and keyed-`//` traffic.
     pub replay_full_evals: usize,
-    /// Bytes discarded after the last checksummed-complete record, summed
-    /// over all segments (the torn / corrupt suffix).
+    /// Bytes past the last record read, summed over all segments: a torn or
+    /// corrupt suffix, or everything from an undecodable record on.
     pub discarded_bytes: u64,
-    /// Segments that ended in a torn or corrupt suffix.
+    /// Segments that ended in such a suffix.
     pub torn_segments: usize,
+    /// Records that passed their checksum and did not decode (at most one
+    /// per segment: its valid prefix ends there). The bytes are what was
+    /// written, so this is a codec or version fault, not a crash mid-write;
+    /// `0` for a directory this engine wrote.
+    pub undecodable_records: usize,
     /// Log records at or below the checkpoint epoch, skipped as already
     /// reflected in the checkpoint.
     pub skipped_rounds: usize,
@@ -110,6 +124,31 @@ pub struct RecoveryReport {
     pub checkpoint_load: Duration,
     /// Wall clock spent scanning segments and replaying the WAL suffix.
     pub wal_replay: Duration,
+}
+
+/// Replays one record the way the inline executor committed its round: the
+/// updates are evaluated against the state the round starts from, applied in
+/// logged order with maintenance deferred, and folded once (module docs).
+fn replay_round(sys: &mut XmlViewSystem, updates: &[LoggedUpdate], report: &mut RecoveryReport) {
+    let paths = updates.iter().map(|(update, _)| update.path());
+    let evals: Vec<_> = paths.map(|path| sys.eval(path)).collect();
+    let mut jobs = Vec::with_capacity(updates.len());
+    for ((update, policy), eval) in updates.iter().zip(evals) {
+        report.replay_full_evals += usize::from(eval.scope_nodes.is_none());
+        match sys.apply_deferred(update, *policy, eval) {
+            Ok((_, job)) => jobs.push(job),
+            Err(_) => report.replay_rejected += 1,
+        }
+    }
+    report.replayed_updates += updates.len();
+    report.replayed_rounds += 1;
+    if !jobs.is_empty() {
+        report.replay_folds += 1;
+        let folded = jobs.len();
+        if sys.fold_maintenance(jobs).is_err() {
+            report.replay_rejected += folded;
+        }
+    }
 }
 
 /// The state reassembly half of recovery (everything except engine
@@ -153,11 +192,18 @@ pub(crate) fn recover_state(
     let segments = wal::list_segments(dir)?;
     let next_seq = segments.last().map_or(0, |(seq, _)| seq + 1);
     let mut records: Vec<WalRecord> = Vec::new();
-    for (_, path) in &segments {
+    for (seq, path) in &segments {
         let scan = wal::scan_segment(path)?;
         if scan.discarded > 0 {
             report.torn_segments += 1;
             report.discarded_bytes += scan.discarded;
+        }
+        if let Some((offset, error)) = scan.undecodable {
+            report.undecodable_records += 1;
+            recorder.record(
+                "recovery.undecodable_record",
+                fields![segment: *seq, offset: offset, error: error.to_string()],
+            );
         }
         for rec in scan.records {
             if rec.epoch > ckpt_epoch {
@@ -169,7 +215,7 @@ pub(crate) fn recover_state(
     }
     records.sort_by_key(|r| r.epoch);
 
-    // --- 3. Replay in epoch order through the sequential apply path. ---
+    // --- 3. Replay in epoch order, a record as the round it logs. ---
     let mut resumed = ckpt_epoch;
     for (i, rec) in records.iter().enumerate() {
         if rec.epoch != resumed + 1 {
@@ -181,16 +227,7 @@ pub(crate) fn recover_state(
             report.dropped_rounds = records.len() - i;
             break;
         }
-        for (update, policy) in &rec.updates {
-            report.replayed_updates += 1;
-            match sys.apply(update, *policy) {
-                Ok(applied) => {
-                    report.replay_full_evals += usize::from(applied.scope_nodes.is_none())
-                }
-                Err(_) => report.replay_rejected += 1,
-            }
-        }
-        report.replayed_rounds += 1;
+        replay_round(&mut sys, &rec.updates, &mut report);
         resumed = rec.epoch;
         // Periodic progress marks so a long replay's flight recording shows
         // where time went.

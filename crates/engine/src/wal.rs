@@ -1,37 +1,45 @@
 //! The epoch-ordered replay log (write-ahead log).
 //!
-//! The publisher is the single point where a commit round becomes final, so
-//! durability hooks there: immediately **before** a round's snapshot is
-//! published (and therefore before any ticket is acknowledged), the round is
-//! appended to the log as one record — its epoch plus the round's applied
-//! updates in submission order, in their *logical* form (`XmlUpdate` +
-//! side-effect policy). Replaying logical updates through the ordinary
-//! apply path re-derives ∆V, ∆R, and the `M`/`L` maintenance; the batched ==
-//! sequential equivalence property (`crates/engine/tests/equivalence.rs`)
-//! is exactly the guarantee that makes this replay faithful.
+//! The round pipeline's serial tail is the single point where a commit
+//! round becomes final, so durability hooks there: immediately **before** a
+//! round's snapshot is published (and therefore before any ticket is
+//! acknowledged), the round is appended to the log as one record — its
+//! epoch plus the round's applied updates in submission order, in their
+//! *logical* form (`XmlUpdate` + side-effect policy). The log is the round:
+//! recovery replays a record the way the inline executor committed it
+//! (`crate::recovery`), re-deriving ∆V, ∆R, and the `M`/`L` maintenance.
 //!
 //! ## On-disk format
 //!
 //! A log is a directory of segment files `wal-<seq>.rxlog`. Each segment is
-//! the 8-byte magic `RXWALv1\n` followed by length-prefixed, checksummed
-//! records:
+//! an 8-byte magic followed by length-prefixed, checksummed records:
 //!
 //! ```text
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
-//! payload = varint epoch
-//!         · varint update count
-//!         · per update: policy byte · XmlUpdate (core codec)
 //! ```
 //!
-//! A record with zero updates is legal — a round whose updates were all
-//! rejected still publishes (and therefore logs) an epoch, keeping the
-//! epoch sequence on disk aligned with the snapshot stream.
+//! Segments open with `RXWALv2\n`, and a payload is
+//! [`rxview_core::codec::put_round`]'s: the epoch, the update count, and the
+//! updates with their paths as ASTs over a per-record label table — a
+//! record is self-describing and is read without the XPath parser. `Wal`
+//! owns the one encoder (a frame buffer whose header is patched in place
+//! and the label scratch), reused round after round. Segments opening with
+//! `RXWALv1\n` — paths as display text, a policy byte per update — are still
+//! *read* (`scan_segment` dispatches on the magic), so a directory written
+//! before the change of format recovers; nothing writes them.
+//!
+//! A record with zero updates is legal in a segment — older engines logged
+//! one for a round whose updates were all rejected; today such a round
+//! publishes no epoch and appends nothing.
 //!
 //! Scanning is prefix-tolerant: the first record whose length overruns the
-//! file, whose checksum mismatches, or whose payload fails to decode ends
-//! the segment's valid prefix; everything after it is reported as the
-//! discarded suffix. Corrupt bytes can never panic (the codec is total) and
-//! never resurrect as phantom rounds (the CRC guards the frame).
+//! file or whose checksum mismatches ends the segment's valid prefix — a
+//! torn or corrupt tail, what a crash mid-append leaves. A record that
+//! passes its checksum and still does not decode ends the prefix too, but
+//! is reported apart ([`crate::RecoveryReport::undecodable_records`]): the
+//! bytes are what the writer wrote, so the fault is a codec's or a
+//! version's, not the disk's. Corrupt bytes can never panic (the codec is
+//! total) and never resurrect as phantom rounds (the CRC guards the frame).
 //!
 //! ## Fsync policy
 //!
@@ -47,9 +55,9 @@
 //! covered log prefix" step, done at file granularity so it never rewrites
 //! data in place.
 
-use rxview_core::codec;
-use rxview_core::{SideEffectPolicy, XmlUpdate};
-use rxview_relstore::codec::{crc32, put_varint, Reader};
+use rxview_core::codec::{self, CodecResult, LabelTable};
+use rxview_relstore::codec::{crc32, CodecError, Reader};
+use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -96,8 +104,11 @@ impl Durability {
     }
 }
 
-/// Magic bytes opening every segment file.
-pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv1\n";
+/// Magic bytes opening every segment file this engine writes.
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv2\n";
+
+/// Magic bytes of the segments older engines wrote (read-only).
+const WAL_MAGIC_V1: &[u8; 8] = b"RXWALv1\n";
 
 /// Why an append fsynced — the observable behind the GroupCommit flush
 /// accounting (`wal.sync_reason.*` metrics).
@@ -144,8 +155,7 @@ pub(crate) struct CompactOutcome {
     pub(crate) deleted: usize,
 }
 
-/// One logged update: the logical update plus its side-effect policy.
-pub(crate) type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
+pub(crate) use codec::LoggedUpdate;
 
 /// One decoded log record: a committed round.
 #[derive(Debug)]
@@ -156,60 +166,100 @@ pub(crate) struct WalRecord {
     pub(crate) updates: Vec<LoggedUpdate>,
 }
 
-/// Frames one round as a `[len][crc][payload]` record.
-pub(crate) fn encode_record(epoch: u64, updates: &[LoggedUpdate]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + 64 * updates.len());
-    put_varint(&mut payload, epoch);
-    put_varint(&mut payload, updates.len() as u64);
-    for (update, policy) in updates {
-        codec::put_policy(&mut payload, *policy);
-        codec::put_update(&mut payload, update);
-    }
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+/// The log's one encoder: frames a round as a `[len][crc][payload]` record
+/// in a buffer it keeps, the header patched in once the payload is written.
+#[derive(Debug, Default)]
+struct RecordEncoder {
+    frame: Vec<u8>,
+    labels: LabelTable,
 }
 
-fn decode_payload(payload: &[u8]) -> codec::CodecResult<WalRecord> {
+impl RecordEncoder {
+    /// The round's record. Refuses a round [`scan_segment`] could not read
+    /// back — a path whose filters nest deeper than the decoder follows (no
+    /// parsed path does), a payload past the frame's `u32` — so that what is
+    /// acknowledged is always replayable.
+    fn encode(&mut self, epoch: u64, updates: &[LoggedUpdate]) -> io::Result<&[u8]> {
+        if let Some((u, _)) = updates
+            .iter()
+            .find(|(u, _)| u.path().filter_depth() > MAX_FILTER_DEPTH)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("`{u}` nests filters deeper than {MAX_FILTER_DEPTH}: not loggable"),
+            ));
+        }
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 8]);
+        codec::put_round(&mut self.frame, &mut self.labels, epoch, updates);
+        let (header, payload) = self.frame.split_at_mut(8);
+        let len = u32::try_from(payload.len()).map_err(io::Error::other)?;
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        Ok(&self.frame)
+    }
+}
+
+fn whole_payload(r: &Reader<'_>) -> CodecResult<()> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(CodecError::Invalid(
+            "trailing bytes in record payload".into(),
+        ))
+    }
+}
+
+fn decode_payload(payload: &[u8]) -> CodecResult<WalRecord> {
+    let mut r = Reader::new(payload);
+    let (epoch, updates) = codec::read_round(&mut r)?;
+    whole_payload(&r)?;
+    Ok(WalRecord { epoch, updates })
+}
+
+/// The payload of a v1 segment's record: `varint epoch · varint n ·`
+/// n × [`codec::read_update_v1`]. Read-only.
+fn decode_payload_v1(payload: &[u8]) -> CodecResult<WalRecord> {
     let mut r = Reader::new(payload);
     let epoch = r.read_varint()?;
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
-        return Err(rxview_relstore::CodecError::Truncated);
+        return Err(CodecError::Truncated);
     }
     let mut updates = Vec::with_capacity(n);
     for _ in 0..n {
-        let policy = codec::read_policy(&mut r)?;
-        let update = codec::read_update(&mut r)?;
-        updates.push((update, policy));
+        updates.push(codec::read_update_v1(&mut r)?);
     }
-    if !r.is_empty() {
-        return Err(rxview_relstore::CodecError::Invalid(
-            "trailing bytes in record payload".into(),
-        ));
-    }
+    whole_payload(&r)?;
     Ok(WalRecord { epoch, updates })
 }
 
 /// What scanning one segment file found.
 #[derive(Debug, Default)]
 pub(crate) struct SegmentScan {
-    /// Complete, checksummed records, in file order.
+    /// The records of the segment's valid prefix, in file order.
     pub(crate) records: Vec<WalRecord>,
-    /// Bytes past the last complete record (torn tail / corruption).
+    /// Bytes past the valid prefix: a torn or corrupt tail, or everything
+    /// from an undecodable record on.
     pub(crate) discarded: u64,
+    /// Set when the prefix ended at a record that passed its checksum and
+    /// did not decode: its offset in the file and the codec's error.
+    pub(crate) undecodable: Option<(u64, CodecError)>,
 }
 
-/// Scans a segment, stopping at the first torn or corrupt record.
+/// Scans a segment of either format, stopping at the first torn, corrupt
+/// or undecodable record.
 pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let bytes = fs::read(path)?;
     let mut scan = SegmentScan::default();
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        scan.discarded = bytes.len() as u64;
-        return Ok(scan);
-    }
+    let decode = match bytes.get(..WAL_MAGIC.len()) {
+        Some(magic) if magic == WAL_MAGIC => decode_payload,
+        Some(magic) if magic == WAL_MAGIC_V1 => decode_payload_v1,
+        _ => {
+            scan.discarded = bytes.len() as u64;
+            return Ok(scan);
+        }
+    };
     let mut pos = WAL_MAGIC.len();
     loop {
         let rest = &bytes[pos..];
@@ -218,16 +268,19 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         }
         let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < 8 + len {
+        if rest.len() - 8 < len {
             break; // torn tail: the record never finished writing
         }
         let payload = &rest[8..8 + len];
         if crc32(payload) != crc {
             break; // corrupt record: stop trusting the file here
         }
-        match decode_payload(payload) {
+        match decode(payload) {
             Ok(rec) => scan.records.push(rec),
-            Err(_) => break, // checksummed but undecodable: treat as corrupt
+            Err(e) => {
+                scan.undecodable = Some((pos as u64, e));
+                break;
+            }
         }
         pos += 8 + len;
     }
@@ -293,6 +346,7 @@ pub(crate) struct Wal {
     /// than write acknowledged rounds after an unscannable point.
     poisoned: bool,
     sealed: Vec<SealedSegment>,
+    encoder: RecordEncoder,
 }
 
 impl Wal {
@@ -319,6 +373,7 @@ impl Wal {
             committed_len: WAL_MAGIC.len() as u64,
             poisoned: false,
             sealed: Vec::new(),
+            encoder: RecordEncoder::default(),
         })
     }
 
@@ -342,7 +397,7 @@ impl Wal {
                 "replay log poisoned by an earlier unrecoverable append failure",
             ));
         }
-        let record = encode_record(epoch, updates);
+        let record = self.encoder.encode(epoch, updates)?;
         let reason = match self.policy {
             Durability::Off => None,
             Durability::PerRound => Some(SyncReason::Policy),
@@ -373,7 +428,7 @@ impl Wal {
         let mut write_time = std::time::Duration::ZERO;
         let mut sync_time = std::time::Duration::ZERO;
         let appended = (|| {
-            self.file.write_all(&record)?;
+            self.file.write_all(record)?;
             write_time = t_write.elapsed();
             if reason.is_some() {
                 let t_sync = std::time::Instant::now();
@@ -429,6 +484,7 @@ impl Wal {
             let next = Wal::create(&self.dir, self.policy, self.seq + 1)?;
             let old = std::mem::replace(self, next);
             self.sealed = old.sealed;
+            self.encoder = old.encoder;
             self.sealed.push(SealedSegment {
                 path: old.path,
                 max_epoch: max,
@@ -451,6 +507,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rxview_core::{SideEffectPolicy, XmlUpdate};
     use rxview_relstore::tuple;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -460,6 +517,11 @@ mod tests {
             std::env::temp_dir().join(format!("rxview-wal-test-{tag}-{}-{n}", std::process::id()));
         fs::create_dir_all(&dir).expect("temp dir");
         dir
+    }
+
+    fn record_len(epoch: u64, updates: &[LoggedUpdate]) -> usize {
+        let mut encoder = RecordEncoder::default();
+        encoder.encode(epoch, updates).unwrap().len()
     }
 
     fn sample_updates() -> Vec<LoggedUpdate> {
@@ -503,8 +565,7 @@ mod tests {
         wal.append(2, &sample_updates()[1..]).unwrap();
         let path = list_segments(&dir).unwrap()[0].1.clone();
         let full = fs::read(&path).unwrap();
-        let record2 = encode_record(2, &sample_updates()[1..]);
-        let rec2_start = full.len() - record2.len();
+        let rec2_start = full.len() - record_len(2, &sample_updates()[1..]);
         for cut in rec2_start..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
             let scan = scan_segment(&path).unwrap();
@@ -523,8 +584,7 @@ mod tests {
         wal.append(2, &sample_updates()).unwrap();
         let path = list_segments(&dir).unwrap()[0].1.clone();
         let full = fs::read(&path).unwrap();
-        let record = encode_record(2, &sample_updates());
-        let start = full.len() - record.len();
+        let start = full.len() - record_len(2, &sample_updates());
         for i in start..full.len() {
             let mut bytes = full.clone();
             bytes[i] ^= 0x5A;
@@ -542,6 +602,73 @@ mod tests {
                 assert_eq!(scan.records[1].updates, sample_updates());
             }
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record whose bytes are what its checksum says and whose payload
+    /// still does not decode is not a torn tail: the prefix ends there, and
+    /// the scan says where and why.
+    #[test]
+    fn checksummed_undecodable_record_is_reported_apart() {
+        let dir = temp_dir("undecodable");
+        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        wal.append(1, &sample_updates()).unwrap();
+        wal.append(2, &sample_updates()).unwrap();
+        wal.append(3, &sample_updates()).unwrap();
+        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let mut bytes = fs::read(&path).unwrap();
+        let clean = scan_segment(&path).unwrap();
+        assert_eq!((clean.records.len(), clean.discarded), (3, 0));
+        assert!(clean.undecodable.is_none());
+        // Record 2: its first update's head byte (after the one-byte epoch
+        // and count) becomes one no encoder writes; the CRC is re-stamped.
+        let len = record_len(2, &sample_updates());
+        let start = WAL_MAGIC.len() + len;
+        bytes[start + 8 + 2] = 0xFF;
+        let crc = crc32(&bytes[start + 8..start + len]);
+        bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!(scan.records.len(), 1, "the prefix ends at the record");
+        assert_eq!(scan.discarded, 2 * len as u64);
+        let (offset, error) = scan.undecodable.expect("reported");
+        assert_eq!(offset, start as u64);
+        assert!(matches!(error, CodecError::Invalid(_)), "{error}");
+        // The same flip without the re-stamp is a corrupt tail, as before.
+        bytes[start + 4] ^= 1;
+        fs::write(&path, &bytes).unwrap();
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!((scan.records.len(), scan.discarded), (1, 2 * len as u64));
+        assert!(scan.undecodable.is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What the decoder would refuse is refused before it is written: a
+    /// filter nest at the decoder's cap is logged and read back, one level
+    /// deeper fails the append and leaves the segment as it was.
+    #[test]
+    fn a_round_the_decoder_would_refuse_is_not_appended() {
+        use rxview_xmlkit::xpath::{Filter, Step, XPath};
+        let nested = |levels: usize| {
+            let mut filter = Filter::LabelIs("node".into());
+            for _ in 1..levels {
+                filter = Filter::not(filter);
+            }
+            let path = XPath::from_steps(vec![Step::label("node").with_filter(filter)]);
+            vec![(XmlUpdate::Delete { path }, SideEffectPolicy::Proceed)]
+        };
+        let dir = temp_dir("depth");
+        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        wal.append(1, &nested(MAX_FILTER_DEPTH)).unwrap();
+        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let before = fs::read(&path).unwrap();
+        let refused = wal.append(2, &nested(MAX_FILTER_DEPTH + 1)).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(fs::read(&path).unwrap(), before);
+        wal.append(2, &sample_updates()).unwrap();
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!((scan.records.len(), scan.discarded), (2, 0));
+        assert_eq!(scan.records[0].updates, nested(MAX_FILTER_DEPTH));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,8 +6,8 @@
 //! the crash happened, which translate executor (inline, sharded) committed
 //! the rounds, where checkpoints interleaved, or how the log's tail was torn
 //! or corrupted. The oracle is `rxview_workload::reference_apply` — §3.2
-//! verbatim, one update at a time — not the `XmlViewSystem::apply` that
-//! replay itself runs.
+//! verbatim, one update at a time, one fold each — where replay runs a
+//! record as the round it logs: scoped evaluations, one fold per record.
 //!
 //! "Crash" is simulated by dropping the engine without any graceful
 //! shutdown and recovering from its directory; torn-tail tests additionally
@@ -51,6 +51,15 @@ fn copy_dir(src: &Path, tag: &str) -> PathBuf {
         fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy file");
     }
     dst
+}
+
+/// `crates/engine/tests/fixtures`, from the engine's manifest root or the
+/// facade's (whose `tests/recovery.rs` includes this file).
+fn fixtures() -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = ["tests/fixtures", "crates/engine/tests/fixtures"];
+    let found = dirs.iter().map(|dir| root.join(dir)).find(|p| p.is_dir());
+    found.expect("the fixtures directory")
 }
 
 fn durable_config(n_shards: usize, checkpoint_rounds: u64) -> EngineConfig {
@@ -823,10 +832,10 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr19_log_dir`, committed on a durable
-/// engine over `dir`: a deletion, a checkpoint, then a deletion and an
-/// insertion left in the log's tail. Returns the ATG and the oracle's final
-/// state.
+/// The history behind `tests/fixtures/pr{19,21,24}_log_dir`, committed on a
+/// durable engine over `dir`: a deletion, a checkpoint, then a deletion and
+/// an insertion left in the log's tail. Returns the ATG and the oracle's
+/// final state.
 fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     let (sys, atg) = system(80, 1);
     let mut ops = group_edge_deletions(&sys, 80);
@@ -855,23 +864,23 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr21_log_dir` is the directory `fixture_history` leaves
-/// behind on this tree: it writes the same bytes for the same history, and
-/// recovers them to the oracle's state.
+/// `tests/fixtures/pr24_log_dir` is the directory `fixture_history` leaves
+/// behind on this tree: it writes the same bytes for the same history (its
+/// segment opens `RXWALv2`), and recovers them to the oracle's state.
 ///
-/// `tests/fixtures/pr19_log_dir` is what it left behind on the tree before
-/// rows were stored once and cells shrank to 16 bytes (f0568a3, PR 19) — and
-/// before node ids were recycled. It stays readable: the log format and
-/// content never changed (the segments of the two directories are the same
-/// bytes — the log holds updates, never ids), and a checkpoint slot that
-/// tree wrote dead, `(type, $A, 0)` with the retired pair still in it,
-/// loads as the free id this tree writes as `(0, (), 0)`.
+/// `tests/fixtures/pr21_log_dir` is what it left behind before the log
+/// changed format (e219fe9, PR 23), `tests/fixtures/pr19_log_dir` before rows
+/// were stored once and node ids recycled (f0568a3, PR 19). Both stay
+/// readable: their segments are one file of `RXWALv1` records — the same
+/// bytes, the log holds updates, never ids — which the scan reads through the
+/// v1 decoder and replay runs as the rounds they are, and a checkpoint slot
+/// the PR-19 tree wrote dead, `(type, $A, 0)` with the retired pair still in
+/// it, loads as the free id this tree writes as `(0, (), 0)`.
 #[test]
 fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let ours = dir_bytes(&fixtures.join("pr21_log_dir"));
+    let ours = dir_bytes(&fixtures().join("pr24_log_dir"));
     let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
@@ -882,26 +891,33 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         dir_bytes(&written) == ours,
         "this tree writes other bytes than the fixture's {names:?}"
     );
-    let theirs = dir_bytes(&fixtures.join("pr19_log_dir"));
-    let segments = |dir: &[(String, Vec<u8>)]| {
-        let logs = dir.iter().filter(|(name, _)| name.ends_with(".rxlog"));
-        logs.cloned().collect::<Vec<_>>()
+    let segment = |fixture: &str| {
+        let mut dir = dir_bytes(&fixtures().join(fixture));
+        dir.retain(|(name, _)| name.ends_with(".rxlog"));
+        assert_eq!(dir.len(), 1, "{fixture}: one segment");
+        dir.pop().expect("one segment").1
     };
-    assert_eq!(segments(&theirs).len(), 1);
+    assert!(segment("pr24_log_dir").starts_with(b"RXWALv2\n"));
+    assert!(segment("pr21_log_dir").starts_with(b"RXWALv1\n"));
     assert!(
-        segments(&theirs) == segments(&ours),
-        "the log is written as before"
+        segment("pr19_log_dir") == segment("pr21_log_dir"),
+        "the v1 log never changed"
     );
 
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
-    for fixture in ["pr21_log_dir", "pr19_log_dir"] {
-        let dir = copy_dir(&fixtures.join(fixture), fixture);
+    for fixture in ["pr24_log_dir", "pr21_log_dir", "pr19_log_dir"] {
+        let dir = copy_dir(&fixtures().join(fixture), fixture);
         let (recovered, report) = recover_readonly(&atg, &dir);
         assert_eq!(
             (report.checkpoint_epoch, report.replayed_rounds),
             (1, 2),
             "{fixture}: the checkpoint, then the tail"
+        );
+        assert_eq!(
+            (report.replay_rejected, report.undecodable_records),
+            (0, 0),
+            "{fixture}"
         );
         let snapshot = recovered.snapshot();
         assert_observationally_equal(&oracle, snapshot.system(), fixture);
@@ -913,4 +929,320 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         let _ = fs::remove_dir_all(&dir);
     }
     let _ = fs::remove_dir_all(&written);
+}
+
+/// Commits `rounds` on a durable engine over `dir`, every round through one
+/// `commit_pending` that must publish exactly one epoch — one log record —
+/// and every update accepted; `oracle` follows one update at a time.
+fn commit_rounds(
+    engine: &Engine,
+    oracle: &mut XmlViewSystem,
+    rounds: &[Vec<(XmlUpdate, SideEffectPolicy)>],
+) {
+    for round in rounds {
+        let epoch = engine.snapshot().epoch();
+        let tickets: Vec<_> = round
+            .iter()
+            .map(|(u, policy)| engine.submit(u.clone(), *policy).expect("queue not full"))
+            .collect();
+        engine.commit_pending();
+        for (t, (u, policy)) in tickets.into_iter().zip(round) {
+            t.wait().unwrap_or_else(|e| panic!("`{u}` commits: {e}"));
+            reference_apply(oracle, u, *policy).expect("oracle agrees");
+        }
+        assert_eq!(engine.snapshot().epoch(), epoch + 1, "one record per round");
+    }
+}
+
+/// The history behind `tests/fixtures/pr23_v1_tail_dir`: a deletion and a
+/// checkpoint, then a tail of four records — two anchored deletions in one
+/// round, a `//`-headed filtered deletion, an insertion under a path with a
+/// structural and a negated filter committed under `Abort`, and a round of
+/// an insertion under a `//`-headed path beside a deletion. Committed on a
+/// durable engine over `dir`; returns the ATG and the oracle's final state.
+fn tail_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
+    let (sys, atg) = system(200, 7);
+    let deletions = group_edge_deletions(&sys, 200);
+    assert!(deletions.len() >= 5, "a deletable edge in five groups");
+    let fresh = |k: i64| rxview_relstore::tuple![900_000 + k, 7i64];
+    let insert = |k: i64, path: String| XmlUpdate::insert("node", fresh(k), &path).expect("parses");
+    let accepts = |u: &XmlUpdate| sys.clone().apply(u, SideEffectPolicy::Proceed).is_ok();
+    // Group heads that take children (a head whose C/F join fails is a leaf).
+    let heads: Vec<i64> = (0..5)
+        .map(|g| g * 40)
+        .filter(|h| accepts(&insert(0, format!("node[id={h}]/sub"))))
+        .collect();
+    assert!(heads.len() >= 2, "two insertable heads: {heads:?}");
+    let descendant = |u: &XmlUpdate| XmlUpdate::delete(&format!("//{}", u.path())).expect("parses");
+    use SideEffectPolicy::{Abort, Proceed};
+    let filtered = format!("node[id={}][sub/node][not(payload=\"none\")]/sub", heads[0]);
+    let rounds = [
+        vec![(deletions[0].clone(), Proceed)],
+        vec![
+            (deletions[1].clone(), Proceed),
+            (deletions[2].clone(), Proceed),
+        ],
+        vec![(descendant(&deletions[3]), Proceed)],
+        vec![(insert(1, filtered), Abort)],
+        vec![
+            (insert(2, format!("//node[id={}]/sub", heads[1])), Proceed),
+            (deletions[4].clone(), Proceed),
+        ],
+    ];
+    let engine =
+        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+    let mut oracle = sys;
+    commit_rounds(&engine, &mut oracle, &rounds[..1]);
+    engine.checkpoint_now().expect("checkpoint");
+    commit_rounds(&engine, &mut oracle, &rounds[1..]);
+    (atg, oracle)
+}
+
+/// `tests/fixtures/pr23_v1_tail_dir` is the checkpoint and the segment
+/// `tail_history` left behind on the last tree that wrote `RXWALv1`
+/// (e219fe9, PR 23; its superseded epoch-0 checkpoint is not kept): 286
+/// bytes of display-text records. Read through the v1 decoder and replayed
+/// as rounds — a two-update record, `//`-headed and filtered paths, an
+/// `Abort` — it recovers to the state the same history leaves on this tree.
+#[test]
+fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
+    let written = temp_dir("tail-rewritten");
+    let (atg, oracle) = tail_history(&written);
+    let v1 = copy_dir(&fixtures().join("pr23_v1_tail_dir"), "v1-tail");
+    for (tag, dir) in [("RXWALv2", written), ("RXWALv1", v1)] {
+        let segment = fs::read(the_only_segment(&dir)).expect("segment");
+        assert!(segment.starts_with(tag.as_bytes()), "{tag}");
+        let (recovered, report) = recover_readonly(&atg, &dir);
+        assert_eq!(
+            (report.checkpoint_epoch, report.resumed_epoch),
+            (1, 5),
+            "{tag}"
+        );
+        assert_eq!(
+            (
+                report.replayed_rounds,
+                report.replayed_updates,
+                report.replay_folds
+            ),
+            (4, 6, 4),
+            "{tag}: a record is a round, and a round one fold"
+        );
+        assert_eq!(
+            (
+                report.replay_rejected,
+                report.torn_segments,
+                report.undecodable_records
+            ),
+            (0, 0, 0),
+            "{tag}"
+        );
+        assert_eq!(report.replay_full_evals, 0, "{tag}: keyed `//` paths scope");
+        assert_observationally_equal(&oracle, recovered.snapshot().system(), tag);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The log is the round: one fold per record, whatever executor wrote it.
+// ---------------------------------------------------------------------------
+
+/// A mixed W1/W2/W3 stream with a ⊤ update in its middle, committed fourteen
+/// updates at a time by the inline executor and by three shards, crashes,
+/// and is replayed record by record: as many folds as records — fewer than
+/// updates, the records are rounds — nothing rejected, and the state of the
+/// one-at-a-time oracle.
+#[test]
+fn replay_folds_once_per_record_on_every_executors_log() {
+    let (sys, atg) = system(400, 9);
+    let flips: Vec<bool> = (0..36).map(|i| i % 3 != 1).collect();
+    let mut stream = mixed_updates(&sys, 17, &flips);
+    // The ⊤ update: an unfilterable wildcard root nothing bounds, so its
+    // round holds it alone and replay evaluates it over all of `L`.
+    let wildcard = (0..50)
+        .map(|k| XmlUpdate::delete(&format!("*/sub/node[payload={k}]")).expect("parses"))
+        .find(|u| sys.clone().apply(u, SideEffectPolicy::Proceed).is_ok());
+    stream.insert(stream.len() / 2, wildcard.expect("some payload deletes"));
+
+    let mut oracle = sys.clone();
+    let expected: Vec<bool> = stream
+        .iter()
+        .map(|u| reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).is_ok())
+        .collect();
+    let accepted = expected.iter().filter(|ok| **ok).count();
+
+    for n_shards in [1, 3] {
+        let at = format!("n_shards {n_shards}");
+        let dir = temp_dir("folds");
+        let engine = Engine::with_durability(sys.clone(), durable_config(n_shards, 0), &dir)
+            .expect("durable engine");
+        let mut outcomes = Vec::new();
+        for commit in stream.chunks(14) {
+            let tickets: Vec<_> = commit
+                .iter()
+                .map(|u| engine.submit(u.clone(), SideEffectPolicy::Proceed))
+                .collect();
+            engine.commit_pending();
+            outcomes.extend(tickets.into_iter().map(|t| t.expect("room").wait().is_ok()));
+        }
+        assert_eq!(outcomes, expected, "{at}");
+        let epoch = engine.snapshot().epoch();
+        assert_eq!(
+            engine.stats().report().global_lane_rounds,
+            1,
+            "{at}: the ⊤ round is in the log"
+        );
+        drop(engine); // crash
+
+        let (recovered, report) = recover_readonly(&atg, &dir);
+        assert_eq!(report.replayed_rounds as u64, epoch, "{at}");
+        assert_eq!(report.replayed_updates, accepted, "{at}");
+        assert_eq!(
+            report.replay_folds, report.replayed_rounds,
+            "{at}: one fold per record"
+        );
+        assert!(
+            report.replayed_rounds < report.replayed_updates,
+            "{at}: the records hold more than one update"
+        );
+        assert_eq!(report.replay_rejected, 0, "{at}");
+        assert!(report.replay_full_evals >= 1, "{at}: the ⊤ update");
+        assert_observationally_equal(&oracle, recovered.snapshot().system(), &at);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whatever the AST can hold, the log can hold.
+// ---------------------------------------------------------------------------
+
+/// The registrar view with one more course, `CS777`, under `title`; a
+/// durable engine over it in `dir`.
+fn registrar_with_course(title: &str, dir: &Path) -> (Engine, rxview_atg::Atg, XmlViewSystem) {
+    let mut db = rxview_workload::registrar_database();
+    db.insert("course", rxview_relstore::tuple!["CS777", title, "CS"])
+        .expect("valid row");
+    let atg = rxview_workload::registrar_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg.clone(), db).expect("publishes");
+    let engine =
+        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+    (engine, atg, sys)
+}
+
+/// `label[child = "constant"]`, built without the parser.
+fn keyed(label: &str, child: &str, constant: &str) -> rxview_xmlkit::xpath::Step {
+    use rxview_xmlkit::xpath::{Filter, Step, XPath};
+    let child = XPath::from_steps(vec![Step::label(child)]);
+    Step::label(label).with_filter(Filter::PathEq(child, constant.into()))
+}
+
+/// Crashes `engine`, recovers `dir` and holds the result to `oracle`, with
+/// every one of the `rounds` committed rounds replayed from a whole log.
+fn crash_and_compare(
+    engine: Engine,
+    atg: &rxview_atg::Atg,
+    dir: &Path,
+    oracle: &XmlViewSystem,
+    rounds: usize,
+) {
+    drop(engine);
+    let (recovered, report) = recover_readonly(atg, dir);
+    assert_eq!(
+        (report.torn_segments, report.undecodable_records),
+        (0, 0),
+        "every record written is read back"
+    );
+    assert_eq!(
+        (report.replayed_rounds, report.replay_rejected),
+        (rounds, 0),
+        "every acknowledged round replays"
+    );
+    assert_observationally_equal(oracle, recovered.snapshot().system(), "after the crash");
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// An accepted update must never become an undecodable record. The course
+/// title holds both kinds of quote, so the path that selects by it — built
+/// through the AST, evaluated and accepted — has no display form the parser
+/// reads back (`course[title='it's a "quoted" title']` stops at byte 17).
+/// While the log recorded paths as text (until e219fe9, PR 23) this round
+/// was written as a CRC-valid record that recovery could not decode, which
+/// ended the segment's valid prefix: the quoted round **and the three
+/// acknowledged rounds after it** were lost. The log records the AST.
+#[test]
+fn a_constant_with_both_quotes_survives_a_crash_and_so_do_the_rounds_after_it() {
+    use rxview_xmlkit::xpath::{Step, XPath};
+    let title = "it's a \"quoted\" title";
+    let dir = temp_dir("quoted");
+    let (engine, atg, sys) = registrar_with_course(title, &dir);
+    let quoted = XPath::from_steps(vec![
+        keyed("course", "title", title),
+        Step::label("takenBy"),
+    ]);
+    assert!(
+        rxview_xmlkit::parse_xpath(&quoted.to_string()).is_err(),
+        "the path has no text form"
+    );
+    let enrol = |ssn: &str, name: &str, path: XPath| XmlUpdate::Insert {
+        ty: "student".into(),
+        attr: rxview_relstore::tuple![ssn, name],
+        path,
+    };
+    let parsed = |path: &str| rxview_xmlkit::parse_xpath(path).expect("parses");
+    use SideEffectPolicy::Proceed;
+    let rounds = [
+        vec![(enrol("S77", "Zed", quoted), Proceed)],
+        vec![(
+            enrol("S78", "Yan", parsed("course[cno=CS650]/takenBy")),
+            Proceed,
+        )],
+        vec![(
+            XmlUpdate::delete("//student[ssn=S02]").expect("parses"),
+            Proceed,
+        )],
+        vec![(
+            enrol("S01", "Alice", parsed("//course[cno=CS240]/takenBy")),
+            Proceed,
+        )],
+    ];
+    let mut oracle = sys;
+    commit_rounds(&engine, &mut oracle, &rounds);
+    crash_and_compare(engine, &atg, &dir, &oracle, rounds.len());
+}
+
+/// Labels and constants holding `/`, `[`, `]`, either quote, nothing at all,
+/// or non-ASCII text come back from the log as they went in: an inserted
+/// `$A` tuple and the constants that later select it, and — in filters that
+/// hold of no node, negated — labels no DTD has.
+#[test]
+fn odd_labels_and_constants_survive_a_crash() {
+    use rxview_xmlkit::xpath::{Filter, Step, StepKind, XPath};
+    let odd = "S/[]'\"é";
+    let dir = temp_dir("odd");
+    let (engine, atg, sys) = registrar_with_course("", &dir);
+    let child = |label: &str| XPath::from_steps(vec![Step::label(label)]);
+    let no_such = |label: &str| {
+        let here = Filter::LabelIs(label.into());
+        Filter::not(Filter::or(here, Filter::Path(child(label))))
+    };
+    let enrol = XmlUpdate::Insert {
+        ty: "student".into(),
+        attr: rxview_relstore::tuple![odd, ""],
+        path: XPath::from_steps(vec![
+            keyed("course", "title", "")
+                .with_filter(no_such("we/[ird]'\"é"))
+                .with_filter(no_such(""))
+                .with_filter(Filter::not(Filter::PathEq(child("cno"), odd.into()))),
+            Step::label("takenBy"),
+        ]),
+    };
+    let student =
+        keyed("student", "ssn", odd).with_filter(Filter::PathEq(child("name"), "".into()));
+    let expel = XmlUpdate::Delete {
+        path: XPath::from_steps(vec![Step::new(StepKind::DescendantOrSelf), student]),
+    };
+    use SideEffectPolicy::Proceed;
+    let rounds = [vec![(enrol, Proceed)], vec![(expel, Proceed)]];
+    let mut oracle = sys;
+    commit_rounds(&engine, &mut oracle, &rounds);
+    crash_and_compare(engine, &atg, &dir, &oracle, rounds.len());
 }

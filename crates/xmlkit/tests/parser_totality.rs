@@ -1,7 +1,8 @@
 //! Totality of `parse_xpath`: caller text is the input of the engine's
 //! read path (`Snapshot::eval`), so no string may panic the parser — every
 //! input is `Ok` or `Err` — and whatever parses must print to a form that
-//! parses back to the same AST (the WAL logs paths in display form).
+//! parses back to the same AST (v1 log segments hold paths in display form,
+//! and are still read).
 //!
 //! Fuzz-style and deterministic, like the codec's corruption tests: every
 //! truncation, every single-byte replacement, insertion and deletion of a
