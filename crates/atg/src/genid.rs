@@ -302,6 +302,61 @@ impl Interner for GenId {
     }
 }
 
+/// A read-only interner over a [`GenId`], for a dry run of subtree
+/// generation: a live pair keeps its id, a pair that is not live gets a
+/// provisional id past the id space (the first one asked for gets
+/// [`GenId::n_allocated`]), and the interner underneath is never written.
+#[derive(Debug)]
+pub struct Provisional<'a> {
+    genid: &'a GenId,
+    ids: HashMap<(TypeId, Tuple), NodeId>,
+    /// The pair of provisional id `n_allocated + i` at `i`.
+    pairs: Vec<(TypeId, Tuple)>,
+}
+
+impl<'a> Provisional<'a> {
+    /// A dry run over `genid`, no pair interned yet.
+    pub fn new(genid: &'a GenId) -> Self {
+        Provisional {
+            genid,
+            ids: HashMap::new(),
+            pairs: Vec::new(),
+        }
+    }
+
+    fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
+        match id.index().checked_sub(self.genid.n_allocated()) {
+            Some(i) => &self.pairs[i],
+            None => self.genid.pair(id),
+        }
+    }
+}
+
+impl Interner for Provisional<'_> {
+    fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
+        if let Some(id) = self.genid.lookup(ty, &attr) {
+            return (id, false);
+        }
+        let next = NodeId((self.genid.n_allocated() + self.pairs.len()) as u32);
+        match self.ids.entry((ty, attr)) {
+            std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                self.pairs.push(e.key().clone());
+                e.insert(next);
+                (next, true)
+            }
+        }
+    }
+
+    fn type_of(&self, id: NodeId) -> TypeId {
+        self.pair(id).0
+    }
+
+    fn attr_of(&self, id: NodeId) -> &Tuple {
+        &self.pair(id).1
+    }
+}
+
 /// The interner while a whole view is built — initial publication, a
 /// checkpoint load. It allocates the ids an empty [`GenId`] would (dense,
 /// in request order, at the same key-map slots) into flat transient
@@ -447,6 +502,27 @@ mod tests {
         assert_eq!(pinned.lookup(T1, &tuple!["z"]), None);
         assert_eq!(pinned.live_ids().collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(pinned.n_free(), 0);
+    }
+
+    #[test]
+    fn a_provisional_run_keeps_live_ids_and_writes_nothing() {
+        let mut g = GenId::new();
+        let (a, _) = g.gen_id(T0, tuple!["a"]);
+        let (b, _) = g.gen_id(T0, tuple!["b"]);
+        g.retire(a);
+        let mut p = Provisional::new(&g);
+        assert_eq!(p.gen_id(T0, tuple!["b"]), (b, false));
+        // Past the id space even though `a`'s id is free, and stable.
+        assert_eq!(p.gen_id(T1, tuple!["x"]), (NodeId(2), true));
+        assert_eq!(p.gen_id(T0, tuple!["a"]), (NodeId(3), true));
+        assert_eq!(p.gen_id(T1, tuple!["x"]), (NodeId(2), false));
+        assert_eq!(
+            (p.type_of(NodeId(3)), p.attr_of(NodeId(3))),
+            (T0, &tuple!["a"])
+        );
+        assert_eq!((p.type_of(b), p.attr_of(b)), (T0, &tuple!["b"]));
+        assert_eq!((g.n_live(), g.n_allocated()), (1, 2));
+        assert_eq!(g.lookup(T1, &tuple!["x"]), None);
     }
 
     #[test]

@@ -607,54 +607,28 @@ fn compile_rule(
 /// entry's key columns must be *determined* — in an equality class containing
 /// a projected column, a parameter, or a constant.
 fn query_is_key_preserving(query: &SpjQuery, provider: &impl SchemaProvider) -> RelResult<bool> {
-    let mut offsets = Vec::with_capacity(query.from().len());
-    let mut total = 0usize;
-    for tr in query.from() {
-        offsets.push(total);
-        let schema = provider
-            .schema_of(&tr.table)
-            .ok_or_else(|| RelError::UnknownTable(tr.table.clone()))?;
-        total += schema.arity();
-    }
-    let idx = |c: ColRef| offsets[c.rel] + c.col;
-    let mut parent: Vec<usize> = (0..total).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for p in query.predicates() {
-        if let (Operand::Col(a), Operand::Col(b)) = (&p.left, &p.right) {
-            let (ra, rb) = (find(&mut parent, idx(*a)), find(&mut parent, idx(*b)));
-            parent[ra] = rb;
-        }
-    }
-    let mut determined = vec![false; total];
-    let mark = |parent: &mut [usize], c: ColRef, determined: &mut [bool]| {
-        let r = find(parent, idx(c));
-        determined[r] = true;
-    };
+    let closure = query.eq_closure(provider)?;
+    let mut determined = vec![false; closure.reps.len()];
     for c in query.projection() {
-        mark(&mut parent, *c, &mut determined);
+        determined[closure.rep(*c)] = true;
     }
     for p in query.predicates() {
         match (&p.left, &p.right) {
             (Operand::Col(c), Operand::Const(_))
             | (Operand::Const(_), Operand::Col(c))
             | (Operand::Col(c), Operand::Param(_))
-            | (Operand::Param(_), Operand::Col(c)) => mark(&mut parent, *c, &mut determined),
+            | (Operand::Param(_), Operand::Col(c)) => determined[closure.rep(*c)] = true,
             _ => {}
         }
     }
     for (rel, tr) in query.from().iter().enumerate() {
         let schema = provider.schema_of(&tr.table).expect("checked above");
-        for &kc in schema.key() {
-            let r = find(&mut parent, idx(ColRef { rel, col: kc }));
-            if !determined[r] {
-                return Ok(false);
-            }
+        if schema
+            .key()
+            .iter()
+            .any(|&col| !determined[closure.rep(ColRef { rel, col })])
+        {
+            return Ok(false);
         }
     }
     Ok(true)

@@ -19,7 +19,7 @@ pub mod publish;
 pub mod registrar;
 pub mod typereach;
 
-pub use genid::{GenId, GenIdBuilder, Interner, NodeId};
+pub use genid::{GenId, GenIdBuilder, Interner, NodeId, Provisional};
 pub use grammar::{Atg, AtgBuilder, AtgError, RuleBody};
 pub use publish::{generate_subtree, publish, Dag, PublishError, SubtreeDag};
 pub use registrar::{registrar_atg, registrar_database, registrar_schema};

@@ -19,7 +19,11 @@
 //!   to ([`planned_delete_writes`], [`planned_insert_writes`],
 //!   [`RelFootprint::add_anchor_reads`]). It is conservative: a superset of
 //!   everything the real translation can write (candidate sources instead of
-//!   the chosen one; template keys for possibly-already-present rows);
+//!   the chosen one; template keys for possibly-already-present rows). An
+//!   insertion's subtree is not planned by a walk of its own: the dry run
+//!   runs the translation's `rxview_atg::generate_subtree` over a
+//!   [`rxview_atg::Provisional`] interner, so the `gen_A` rows it plans are
+//!   exactly the ones the translation interns;
 //! - the **realized** footprint, read off the finished translation
 //!   ([`RelFootprint::realized`]) and shipped with the
 //!   [`crate::TranslatedUpdate`] so a merging publisher can assert (in debug
@@ -34,9 +38,9 @@ use crate::rel_delete::candidate_source_keys;
 use crate::rel_insert::edge_template_keys;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
-use rxview_atg::{NodeId, RuleBody, SubtreeDag};
+use rxview_atg::{Interner, NodeId, RuleBody, SubtreeDag};
 use rxview_relstore::{Database, GroupUpdate, RelResult, Tuple, TupleOp, Value, ValueType};
-use rxview_xmlkit::{Production, TypeId};
+use rxview_xmlkit::TypeId;
 use std::collections::BTreeSet;
 
 /// One typed column binding of one table: the unit of read/write overlap.
@@ -322,6 +326,7 @@ fn parse_as(ty: ValueType, text: &str) -> Option<Value> {
 /// global footprint).
 pub fn planned_delete_writes(
     vs: &ViewStore,
+    base: &Database,
     edge_parents: &[(NodeId, NodeId)],
     out: &mut RelFootprint,
 ) -> bool {
@@ -332,106 +337,49 @@ pub fn planned_delete_writes(
     let Some(sources) = candidate_source_keys(vs, &delta) else {
         return false;
     };
-    let provider = vs.atg().augmented_schemas();
     for sr in sources {
-        let Some(schema) = rxview_relstore::SchemaProvider::schema_of(&provider, &sr.table) else {
+        let Ok(table) = base.table(&sr.table) else {
             return false;
         };
-        out.add_write_row(&sr.table, schema.key(), sr.key);
+        out.add_write_row(&sr.table, table.schema().key(), sr.key);
     }
     true
 }
 
-/// The read-only plan of `insert (A, t)`'s generated subtree `ST(A, t)`: a
-/// mirror of `generate_subtree` that walks `(type, attr)` pairs through the
-/// ATG rules without interning anything. The walk stops at pairs that are
-/// already live (the subtree property: their published subtrees join
-/// wholesale) and collects them as `links`.
-#[derive(Debug, Default)]
-pub struct PlannedSubtree {
-    /// Pairs the real translation would intern, in discovery order.
-    pub fresh: Vec<(TypeId, Tuple)>,
-    /// Live nodes the generated subtree would splice.
-    pub links: Vec<NodeId>,
-    /// Production edges of the subtree as `(parent pair, child pair)`,
-    /// including edges into live pairs.
-    pub edges: Vec<(TypeId, Tuple, TypeId, Tuple)>,
-}
-
-/// Walks the would-be subtree of `insert (A, t)` read-only (see
-/// [`PlannedSubtree`]). Fails on the same relational errors generation
-/// would.
-pub fn plan_subtree(
-    vs: &ViewStore,
-    base: &Database,
-    ty: TypeId,
-    attr: &Tuple,
-) -> RelResult<PlannedSubtree> {
-    let atg = vs.atg();
-    let aug = vs.augmented(base);
-    let mut out = PlannedSubtree::default();
-    let mut seen: BTreeSet<(TypeId, Tuple)> = BTreeSet::new();
-    let mut stack = vec![(ty, attr.clone())];
-    while let Some((uty, uattr)) = stack.pop() {
-        if !seen.insert((uty, uattr.clone())) {
-            continue;
-        }
-        out.fresh.push((uty, uattr.clone()));
-        let child_types: Vec<TypeId> = match atg.dtd().production(uty) {
-            Production::PcData | Production::Empty => Vec::new(),
-            Production::Sequence(ts) | Production::Alternation(ts) => ts.clone(),
-            Production::Star(t) => vec![*t],
-        };
-        for cty in child_types {
-            for t in atg.child_tuples(&aug, uty, &uattr, cty)? {
-                out.edges.push((uty, uattr.clone(), cty, t.clone()));
-                match vs.dag().genid().lookup(cty, &t) {
-                    Some(live) => out.links.push(live),
-                    None => stack.push((cty, t)),
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Adds the planned write keys of `insert (A, t) into p`:
+/// Adds the planned write keys of `insert (A, t) into p`, given `st`, the
+/// subtree `ST(A, t)` that `rxview_atg::generate_subtree` walks into `ids`
+/// — a [`rxview_atg::Provisional`] interner over the snapshot, so the walk
+/// is the translation's own and writes nothing:
 ///
-/// - the `gen_A` rows of every pair the subtree walk would intern;
-/// - the ground template keys of every subtree production edge and of every
+/// - the `gen_A` rows of every node of `st.fresh`;
+/// - the ground template keys of every subtree edge and of every
 ///   connecting edge `(target, root)` — derivable without evaluation because
 ///   the rule queries are key-preserving (§4.1).
 ///
-/// `subtree` is `None` when the head `(A, t)` is already live (nothing is
-/// interned; only connecting edges translate). Returns `false` when a
-/// template key cannot be grounded (the caller should degrade the update to
-/// a global footprint).
+/// Returns `false` when a template key cannot be grounded (the caller
+/// should degrade the update to a global footprint).
 pub fn planned_insert_writes(
     vs: &ViewStore,
     base: &Database,
-    ty: TypeId,
-    attr: &Tuple,
-    subtree: Option<&PlannedSubtree>,
+    st: &SubtreeDag,
+    ids: &impl Interner,
     targets: &[NodeId],
     out: &mut RelFootprint,
 ) -> bool {
     let genid = vs.dag().genid();
-    if let Some(st) = subtree {
-        for (pty, pattr, cty, cattr) in &st.edges {
-            if !add_edge_keys(vs, base, *pty, pattr, *cty, cattr, out) {
-                return false;
-            }
-        }
-        for (fty, fattr) in &st.fresh {
-            out.add_gen_write(vs, *fty, fattr);
-        }
-    }
-    for &target in targets {
-        let tty = genid.type_of(target);
-        let tattr = genid.attr_of(target).clone();
-        if !add_edge_keys(vs, base, tty, &tattr, ty, attr, out) {
+    let pair = |n: NodeId| (ids.type_of(n), ids.attr_of(n));
+    let subtree_edges = st.edges.iter().map(|&(u, v)| (pair(u), pair(v)));
+    let connecting = targets.iter().map(|&t| {
+        let target = (genid.type_of(t), genid.attr_of(t));
+        (target, pair(st.root))
+    });
+    for ((pty, pattr), (cty, cattr)) in subtree_edges.chain(connecting) {
+        if !add_edge_keys(vs, base, pty, pattr, cty, cattr, out) {
             return false;
         }
+    }
+    for &n in &st.fresh {
+        out.add_gen_write(vs, ids.type_of(n), ids.attr_of(n));
     }
     true
 }
@@ -557,7 +505,7 @@ mod tests {
 
     #[test]
     fn planned_delete_covers_all_candidate_sources() {
-        let (_db, vs) = store();
+        let (db, vs) = store();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let prereq = vs.atg().dtd().type_id("prereq").unwrap();
         let p650 = vs.dag().genid().lookup(prereq, &tuple!["CS650"]).unwrap();
@@ -567,7 +515,7 @@ mod tests {
             .lookup(course, &tuple!["CS320", "Algorithms"])
             .unwrap();
         let mut fp = RelFootprint::default();
-        assert!(planned_delete_writes(&vs, &[(p650, c320)], &mut fp));
+        assert!(planned_delete_writes(&vs, &db, &[(p650, c320)], &mut fp));
         // Candidate sources of the prereq edge: the prereq tuple and the
         // course tuple.
         assert!(fp.covers_row("prereq", &tuple!["CS650", "CS320"]));
@@ -580,18 +528,17 @@ mod tests {
         let prereq = vs.atg().dtd().type_id("prereq").unwrap();
         let p650 = vs.dag().genid().lookup(prereq, &tuple!["CS650"]).unwrap();
         let attr = tuple!["MA100", "Calculus"];
-        let st = plan_subtree(&vs, &db, course, &attr).unwrap();
-        assert!(st.fresh.iter().any(|(t, a)| *t == course && *a == attr));
+        let mut ids = rxview_atg::Provisional::new(vs.dag().genid());
+        let st =
+            rxview_atg::generate_subtree(vs.atg(), &db, &mut ids, course, attr.clone()).unwrap();
+        assert!(st.fresh.contains(&st.root));
+        assert_eq!(
+            st.root.index(),
+            vs.dag().genid().n_allocated(),
+            "provisional"
+        );
         let mut fp = RelFootprint::default();
-        assert!(planned_insert_writes(
-            &vs,
-            &db,
-            course,
-            &attr,
-            Some(&st),
-            &[p650],
-            &mut fp
-        ));
+        assert!(planned_insert_writes(&vs, &db, &st, &ids, &[p650], &mut fp));
         // The connecting edge prereq(CS650) -> course(MA100) writes the
         // prereq tuple; interning writes the gen_course row.
         assert!(fp.covers_row("prereq", &tuple!["CS650", "MA100"]));

@@ -55,10 +55,7 @@ pub mod viewstore;
 
 pub use codec::{decode_system, encode_system, put_update, read_update};
 pub use dag_eval::{eval_xpath_on_dag, DagEval};
-pub use footprint::{
-    plan_subtree, planned_delete_writes, planned_insert_writes, ColKey, PlannedSubtree,
-    RelFootprint,
-};
+pub use footprint::{planned_delete_writes, planned_insert_writes, ColKey, RelFootprint};
 pub use maintain::{maintain_delete, maintain_insert, MaintainReport};
 pub use pathclass::{
     classify, filter_keys, resolve_anchors, scope_of_anchors, sub_steps, union_scope, Anchors,
@@ -66,8 +63,8 @@ pub use pathclass::{
 };
 pub use plan::{eval_plan, shape_of, PlanCache, PlanCacheStats, UpdatePlan};
 pub use processor::{
-    translate_insert_for_merge, DeferredMaintenance, Evaluated, PhaseTimings, TranslatedUpdate,
-    UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
+    DeferredMaintenance, Evaluated, PhaseTimings, TranslatedUpdate, UpdateError, UpdateOutcome,
+    UpdateReport, XmlViewSystem,
 };
 pub use reach::Reachability;
 pub use rel_delete::{

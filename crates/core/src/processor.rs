@@ -18,13 +18,13 @@ use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
 use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
 use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
-use crate::rel_insert::{translate_insertions, InsertRejection, InsertTranslation};
+use crate::rel_insert::{translate_insertions, InsertRejection};
 use crate::topo::TopoOrder;
 use crate::translate::{apply_delta, rollback_subtree, xdelete, xinsert};
 use crate::update::{SideEffectPolicy, ViewDelta, XmlUpdate};
 use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, PublishError};
-use rxview_relstore::{Database, GroupUpdate, RelError};
+use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
 use rxview_satsolver::WalkSatConfig;
 use rxview_xmlkit::{validate_delete, validate_insert, SchemaViolation, XmlTree};
 use std::fmt;
@@ -310,7 +310,6 @@ pub struct XmlViewSystem {
     vs: ViewStore,
     topo: TopoOrder,
     reach: Reachability,
-    sat_config: WalkSatConfig,
 }
 
 impl XmlViewSystem {
@@ -324,7 +323,6 @@ impl XmlViewSystem {
             vs,
             topo,
             reach,
-            sat_config: WalkSatConfig::default(),
         })
     }
 
@@ -340,14 +338,7 @@ impl XmlViewSystem {
             vs,
             topo,
             reach,
-            sat_config: WalkSatConfig::default(),
         }
-    }
-
-    /// Overrides the WalkSAT configuration (seeded for reproducibility).
-    pub fn with_sat_config(mut self, config: WalkSatConfig) -> Self {
-        self.sat_config = config;
-        self
     }
 
     /// The underlying database `I`.
@@ -562,15 +553,18 @@ impl XmlViewSystem {
         timings: &mut PhaseTimings,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         let t1 = Instant::now();
-        let t = translate_core(
-            &mut self.vs,
-            &self.base,
-            &self.reach,
-            &self.sat_config,
-            update,
-            policy,
-            eval,
-        )?;
+        let t = match update {
+            XmlUpdate::Insert { ty, attr, .. } => translate_insert(
+                &mut self.vs,
+                &self.base,
+                &self.reach,
+                ty,
+                attr,
+                policy,
+                eval,
+            ),
+            XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
+        }?;
         timings.eval += t.timings.eval;
         // Phase 5: apply ∆R to I and ∆V to V.
         if let Err(e) = self.base.apply(&t.delta_r) {
@@ -600,56 +594,28 @@ impl XmlViewSystem {
         ))
     }
 
-    /// Phases 2b–4 for a *deletion*, without applying anything: the
-    /// shard-writer entry point. Deletions never intern nodes, so this runs
-    /// on `&self` — typically a shared snapshot.
-    pub fn translate_delete_for_merge(
+    /// Phases 2b–4 without applying anything — the shard-writer entry
+    /// point, run against a shared snapshot. A deletion interns nothing and
+    /// translates on this state; an insertion interns its generated subtree
+    /// into `replica`, a [`ViewStore`] cloned from this state on first use
+    /// and kept across the updates of a round. The translation carries the
+    /// pairs the replica interned for it
+    /// ([`TranslatedUpdate::fresh_pairs`]); on failure the replica's
+    /// interning is rolled back.
+    pub fn translate(
         &self,
+        replica: &mut Option<ViewStore>,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
         eval: Evaluated,
     ) -> Result<TranslatedUpdate, UpdateError> {
-        debug_assert!(!update.is_insert(), "insertions need a mutable replica");
-        let Evaluated { eval, scope_nodes } = eval;
-        // `translate_core` takes `&mut ViewStore` only for insertion
-        // interning; reuse it through a clone-free path by dispatching on
-        // the update kind here.
-        let mut timings = PhaseTimings::default();
-        let t0 = Instant::now();
-        let side_effects = eval.side_effects(&self.vs, true);
-        timings.eval = t0.elapsed();
-        if eval.is_empty() {
-            return Err(UpdateError::EmptyTarget);
+        match update {
+            XmlUpdate::Insert { ty, attr, .. } => {
+                let vs = replica.get_or_insert_with(|| self.vs.clone());
+                translate_insert(vs, &self.base, &self.reach, ty, attr, policy, eval)
+            }
+            XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
         }
-        if !side_effects.is_empty() && policy == SideEffectPolicy::Abort {
-            return Err(UpdateError::SideEffects {
-                affected: side_effects.len(),
-            });
-        }
-        let t1 = Instant::now();
-        let delta_v = xdelete(&eval);
-        let delta_r =
-            translate_deletions(&self.vs, &self.base, &delta_v).map_err(UpdateError::Delete)?;
-        let rel_footprint = RelFootprint::realized(&self.vs, &self.base, &delta_r, None)
-            .map_err(UpdateError::Rel)?;
-        timings.translate = t1.elapsed();
-        Ok(TranslatedUpdate {
-            delta_v,
-            delta_r,
-            subtree: None,
-            selected: eval.selected,
-            side_effects: side_effects.len(),
-            sat_used: false,
-            scope_nodes,
-            timings,
-            rel_footprint,
-            fresh_pairs: Vec::new(),
-        })
-    }
-
-    /// The WalkSAT configuration used by insertion translation.
-    pub fn sat_config(&self) -> &WalkSatConfig {
-        &self.sat_config
     }
 
     /// Applies a [`TranslatedUpdate`] produced against an earlier,
@@ -760,24 +726,6 @@ impl XmlViewSystem {
         )
     }
 
-    /// Translates an update without applying anything — used by benchmarks
-    /// to time phases in isolation. Returns (`∆V` size, `∆R`).
-    pub fn dry_run_delete(
-        &self,
-        update: &XmlUpdate,
-    ) -> Result<(ViewDelta, GroupUpdate), UpdateError> {
-        let XmlUpdate::Delete { path } = update else {
-            return Err(UpdateError::EmptyTarget);
-        };
-        let eval = self.evaluate(path);
-        if eval.is_empty() {
-            return Err(UpdateError::EmptyTarget);
-        }
-        let delta = xdelete(&eval);
-        let dr = translate_deletions(&self.vs, &self.base, &delta).map_err(UpdateError::Delete)?;
-        Ok((delta, dr))
-    }
-
     /// The **republication oracle**: republishes `σ(I)` from scratch and
     /// compares against the incrementally maintained view — edges compared
     /// as `((type, $A), (type, $B))` pairs, and `M`/`L` against
@@ -828,25 +776,17 @@ impl XmlViewSystem {
     }
 }
 
-/// Phases 2b–4: side-effect detection and ∆X→∆V / ∆V→∆R translation, with
-/// application deferred. Shared by [`XmlViewSystem::apply_phases`] (which
-/// applies immediately) and the shard-writer entry points (which hand the
-/// result to [`XmlViewSystem::apply_translated`] on the master state).
-fn translate_core(
-    vs: &mut ViewStore,
-    base: &Database,
-    reach: &Reachability,
-    sat_config: &WalkSatConfig,
-    update: &XmlUpdate,
+/// Phase 2b: side-effect detection (part of the evaluation constituent of
+/// Fig.11) and the policy's verdict on it. Returns the number of witnesses.
+fn screen(
+    vs: &ViewStore,
+    eval: &DagEval,
+    deletion: bool,
     policy: SideEffectPolicy,
-    eval: Evaluated,
-) -> Result<TranslatedUpdate, UpdateError> {
-    let Evaluated { eval, scope_nodes } = eval;
-    let mut timings = PhaseTimings::default();
-    // Phase 2b: side-effect detection (part of the evaluation constituent
-    // of Fig.11).
+    timings: &mut PhaseTimings,
+) -> Result<usize, UpdateError> {
     let t0 = Instant::now();
-    let side_effects = eval.side_effects(vs, !update.is_insert());
+    let side_effects = eval.side_effects(vs, deletion);
     timings.eval = t0.elapsed();
     if eval.is_empty() {
         return Err(UpdateError::EmptyTarget);
@@ -856,89 +796,108 @@ fn translate_core(
             affected: side_effects.len(),
         });
     }
+    Ok(side_effects.len())
+}
 
-    // Phases 3–4: ∆X → ∆V → ∆R.
+/// Phases 2b–4 of `delete p`: Xdelete and Algorithm delete, nothing
+/// applied. A deletion interns nothing, so this reads `vs` — the state
+/// [`XmlViewSystem::apply`], `apply_deferred` and recovery are about to
+/// write, or the snapshot a shard translates against.
+fn translate_delete(
+    vs: &ViewStore,
+    base: &Database,
+    policy: SideEffectPolicy,
+    eval: Evaluated,
+) -> Result<TranslatedUpdate, UpdateError> {
+    let Evaluated { eval, scope_nodes } = eval;
+    let mut timings = PhaseTimings::default();
+    let side_effects = screen(vs, &eval, true, policy, &mut timings)?;
     let t1 = Instant::now();
-    let (delta_v, delta_r, subtree, sat_used) = match update {
-        XmlUpdate::Insert { ty, attr, .. } => {
-            let ty_id = vs.atg().dtd().type_id(ty).ok_or(UpdateError::Schema(
-                SchemaViolation::UnknownType(ty.clone()),
-            ))?;
-            let (delta, st) =
-                xinsert(vs, base, ty_id, attr.clone(), &eval).map_err(UpdateError::Rel)?;
-            // Cycle guard: connecting a target to a subtree that reaches
-            // (an ancestor of) the target would make the DAG cyclic.
-            // Only pre-existing nodes of ST(A,t) can close a cycle.
-            for w in st.shared_nodes() {
-                for &t in &eval.selected {
-                    if w == t || reach.is_ancestor(w, t) {
-                        rollback_subtree(vs, &st);
-                        return Err(UpdateError::Cycle);
-                    }
-                }
-            }
-            let translation: InsertTranslation =
-                match translate_insertions(vs, base, &delta, &st.fresh, sat_config) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        rollback_subtree(vs, &st);
-                        return Err(UpdateError::Insert(e));
-                    }
-                };
-            (delta, translation.delta_r, Some(st), translation.sat_used)
-        }
-        XmlUpdate::Delete { .. } => {
-            let delta = xdelete(&eval);
-            let dr = translate_deletions(vs, base, &delta).map_err(UpdateError::Delete)?;
-            (delta, dr, None, false)
-        }
-    };
-    let rel_footprint = match RelFootprint::realized(vs, base, &delta_r, subtree.as_ref()) {
-        Ok(fp) => fp,
-        Err(e) => {
-            if let Some(st) = &subtree {
-                rollback_subtree(vs, st);
-            }
-            return Err(UpdateError::Rel(e));
-        }
-    };
-    let genid = vs.dag().genid();
-    let fresh = subtree.iter().flat_map(|st| &st.fresh);
-    let fresh_pairs = fresh.map(|&f| (genid.type_of(f), genid.attr_of(f).clone()));
-    let fresh_pairs = fresh_pairs.collect();
+    let delta_v = xdelete(&eval);
+    let delta_r = translate_deletions(vs, base, &delta_v).map_err(UpdateError::Delete)?;
+    let rel_footprint = RelFootprint::realized(vs, base, &delta_r, None)?;
     timings.translate = t1.elapsed();
     Ok(TranslatedUpdate {
         delta_v,
         delta_r,
-        subtree,
+        subtree: None,
         selected: eval.selected,
-        side_effects: side_effects.len(),
-        sat_used,
+        side_effects,
+        sat_used: false,
+        scope_nodes,
+        timings,
+        rel_footprint,
+        fresh_pairs: Vec::new(),
+    })
+}
+
+/// Phases 2b–4 of `insert (ty, attr) into p`: Xinsert and Algorithm insert,
+/// nothing applied but the subtree's interning into `vs`, which a rejection
+/// rolls back.
+fn translate_insert(
+    vs: &mut ViewStore,
+    base: &Database,
+    reach: &Reachability,
+    ty: &str,
+    attr: &Tuple,
+    policy: SideEffectPolicy,
+    eval: Evaluated,
+) -> Result<TranslatedUpdate, UpdateError> {
+    let Evaluated { eval, scope_nodes } = eval;
+    let mut timings = PhaseTimings::default();
+    let side_effects = screen(vs, &eval, false, policy, &mut timings)?;
+    let t1 = Instant::now();
+    let ty_id =
+        vs.atg()
+            .dtd()
+            .type_id(ty)
+            .ok_or(UpdateError::Schema(SchemaViolation::UnknownType(
+                ty.to_owned(),
+            )))?;
+    let (delta_v, st) = xinsert(vs, base, ty_id, attr.clone(), &eval)?;
+    // Cycle guard: connecting a target to a subtree that reaches (an
+    // ancestor of) the target would make the DAG cyclic. Only pre-existing
+    // nodes of ST(A,t) can close a cycle.
+    for w in st.shared_nodes() {
+        if eval
+            .selected
+            .iter()
+            .any(|&t| w == t || reach.is_ancestor(w, t))
+        {
+            rollback_subtree(vs, &st);
+            return Err(UpdateError::Cycle);
+        }
+    }
+    let translated = translate_insertions(vs, base, &delta_v, &st.fresh, &WalkSatConfig::default())
+        .map_err(UpdateError::Insert)
+        .and_then(|t| {
+            let fp = RelFootprint::realized(vs, base, &t.delta_r, Some(&st))?;
+            Ok((t, fp))
+        });
+    let (translation, rel_footprint) = match translated {
+        Ok(done) => done,
+        Err(e) => {
+            rollback_subtree(vs, &st);
+            return Err(e);
+        }
+    };
+    let genid = vs.dag().genid();
+    let fresh_pairs = st.fresh.iter();
+    let fresh_pairs = fresh_pairs.map(|&f| (genid.type_of(f), genid.attr_of(f).clone()));
+    let fresh_pairs = fresh_pairs.collect();
+    timings.translate = t1.elapsed();
+    Ok(TranslatedUpdate {
+        delta_v,
+        delta_r: translation.delta_r,
+        subtree: Some(st),
+        selected: eval.selected,
+        side_effects,
+        sat_used: translation.sat_used,
         scope_nodes,
         timings,
         rel_footprint,
         fresh_pairs,
     })
-}
-
-/// Phases 2b–4 for an *insertion*, without applying anything: the
-/// shard-writer entry point. Insertions intern their generated subtree, so
-/// the caller provides a private [`ViewStore`] replica (`vs`) cloned from
-/// the snapshot, while `base` and `reach` may borrow the shared snapshot
-/// directly. The translation carries the pairs the replica interned for it
-/// ([`TranslatedUpdate::fresh_pairs`]); on failure the replica's interning
-/// is rolled back.
-pub fn translate_insert_for_merge(
-    vs: &mut ViewStore,
-    base: &Database,
-    reach: &Reachability,
-    sat_config: &WalkSatConfig,
-    update: &XmlUpdate,
-    policy: SideEffectPolicy,
-    eval: Evaluated,
-) -> Result<TranslatedUpdate, UpdateError> {
-    debug_assert!(update.is_insert(), "deletions translate on the snapshot");
-    translate_core(vs, base, reach, sat_config, update, policy, eval)
 }
 
 #[cfg(test)]
@@ -1103,19 +1062,15 @@ mod tests {
         let eval = sys.evaluate(u.path());
         let mut fp = crate::footprint::RelFootprint::default();
         let course = sys.view().atg().dtd().type_id("course").unwrap();
-        let st = crate::footprint::plan_subtree(
-            sys.view(),
-            sys.base(),
-            course,
-            &tuple!["MA100", "Calculus"],
-        )
-        .unwrap();
+        let mut ids = rxview_atg::Provisional::new(sys.view().dag().genid());
+        let attr = tuple!["MA100", "Calculus"];
+        let st = rxview_atg::generate_subtree(sys.view().atg(), sys.base(), &mut ids, course, attr)
+            .unwrap();
         assert!(crate::footprint::planned_insert_writes(
             sys.view(),
             sys.base(),
-            course,
-            &tuple!["MA100", "Calculus"],
-            Some(&st),
+            &st,
+            &ids,
             &eval.selected,
             &mut fp,
         ));

@@ -19,7 +19,8 @@
 //!    update is rejected outright; with a condition on an infinite-domain
 //!    variable it is avoided by choosing a fresh constant; with conditions
 //!    on finite-domain variables only, the negated condition becomes a SAT
-//!    clause.
+//!    clause. The fresh nodes' `gen_A` rows join as a key-sorted list read
+//!    after the live `gen_A` table's.
 //! 3. **SAT.** Finite-domain variables are encoded as `x = c` propositions
 //!    with domain and mutual-exclusion clauses; the formula goes to WalkSAT
 //!    (the paper's solver \[30\]), with a complete DPLL fallback on small
@@ -27,13 +28,20 @@
 //! 4. **Decode `∆R`.** Templates are instantiated from the model; unpinned
 //!    infinite-domain variables get fresh constants outside the active
 //!    domain (Theorem 4's construction).
+//!
+//! The translation derives no equality closure ([`compute_edge_closure`]
+//! is the reference it is tested against): both phases read the one
+//! [`rxview_relstore::SpjQuery::eq_closure`] computed per rule and per edge
+//! view when the [`TranslationTemplates`] registry compiles. What phase 2
+//! still does per call is what reads the tables — the greedy join order,
+//! whose tie-break is table size, and the join itself.
 
-use crate::template::TranslationTemplates;
+use crate::template::{TranslationTemplates, ViewClasses};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
-    ColRef, Database, Domain, GroupUpdate, Operand, RelError, SchemaProvider, SpjQuery, Table,
+    ColRef, Database, Domain, EqClosure, GroupUpdate, Operand, RelError, SpjQuery, Table,
     TableSchema, Tuple, Value, ValueType,
 };
 use rxview_satsolver::{
@@ -212,8 +220,6 @@ impl Vars {
 #[derive(Debug, Clone)]
 struct Template {
     table: String,
-    #[allow(dead_code)] // kept for diagnostics
-    key: Tuple,
     cells: Vec<Sym>,
 }
 
@@ -237,7 +243,6 @@ pub fn translate_insertions(
     sat_config: &WalkSatConfig,
 ) -> Result<InsertTranslation, InsertRejection> {
     let atg = vs.atg();
-    let provider = atg.augmented_schemas();
     let mut vars = Vars::default();
     let compiled = vs.templates();
 
@@ -283,56 +288,55 @@ pub fn translate_insertions(
     }
 
     // ---- Phase 2: side-effect detection over the incremented database. ----
-    // The fresh nodes' gen rows live in a small overlay read alongside the
-    // maintained gen tables (their keys are new by construction), so this
-    // phase never copies a gen table — the copy made the per-insertion cost
-    // linear in the *view* rather than in the insertion.
-    let mut gen_fresh = Database::new();
+    // The fresh nodes' gen rows, per type in key order, are read beside the
+    // maintained gen tables (their keys are new by construction): nothing
+    // is copied, so the per-insertion cost stays linear in the insertion.
+    let mut fresh_rows: HashMap<TypeId, Vec<Tuple>> = HashMap::new();
     for &n in fresh_nodes {
         let ty = vs.dag().genid().type_of(n);
-        let name = atg.gen_table_name(ty);
-        if !gen_fresh.has_table(&name) {
-            gen_fresh
-                .create_table(atg.gen_table_schema(ty))
-                .map_err(InsertRejection::Rel)?;
-        }
-        gen_fresh
-            .table_mut(&name)
-            .map_err(InsertRejection::Rel)?
-            .insert(vs.gen_row(n))
-            .map_err(InsertRejection::Rel)?;
+        fresh_rows.entry(ty).or_default().push(vs.gen_row(n));
     }
-    let by_table: BTreeMap<&str, Vec<&Template>> = {
-        let mut m: BTreeMap<&str, Vec<&Template>> = BTreeMap::new();
-        for t in templates.values() {
-            m.entry(t.table.as_str()).or_default().push(t);
-        }
-        m
+    for rows in fresh_rows.values_mut() {
+        rows.sort_unstable();
+    }
+    let mut by_table: BTreeMap<&str, Vec<&Template>> = BTreeMap::new();
+    for t in templates.values() {
+        by_table.entry(t.table.as_str()).or_default().push(t);
+    }
+    let side = SideEffects {
+        vs,
+        by_table,
+        wanted: delta.inserts.iter().copied().collect(),
     };
-    let wanted: BTreeSet<(NodeId, NodeId)> = delta.inserts.iter().copied().collect();
 
     let mut clauses: Vec<Vec<Cond>> = Vec::new(); // each to be negated
     for (&(a, b), q) in vs.edge_queries() {
-        let uses_template = q
-            .from()
-            .iter()
-            .any(|tr| by_table.contains_key(tr.table.as_str()));
-        if !uses_template {
+        // Entry 0 is the maintained gen table, never a template.
+        let template_slots: Vec<usize> = (1..q.from().len())
+            .filter(|&i| side.by_table.contains_key(q.from()[i].table.as_str()))
+            .collect();
+        if template_slots.is_empty() {
             continue;
         }
-        side_effects_for_view(
-            vs,
-            base,
-            &gen_fresh,
-            &provider,
+        let mut tables = vec![vs.gen_db().table(&q.from()[0].table)?];
+        for tr in &q.from()[1..] {
+            tables.push(base.table(&tr.table)?);
+        }
+        let view = JoinView {
             q,
-            a,
-            b,
-            &by_table,
-            &wanted,
-            &mut vars,
-            &mut clauses,
-        )?;
+            edge: (a, b),
+            classes: compiled.view_classes((a, b)),
+            tables,
+            fresh: fresh_rows.get(&a).map_or(&[], Vec::as_slice),
+        };
+        // Every non-empty subset of the template slots.
+        for mask in 1..1usize << template_slots.len() {
+            let mut as_template = vec![false; q.from().len()];
+            for (bit, &slot) in template_slots.iter().enumerate() {
+                as_template[slot] = mask & (1 << bit) != 0;
+            }
+            eval_combination(&side, &view, &as_template, &mut vars, &mut clauses)?;
+        }
     }
 
     // ---- Phase 3: SAT encoding and solving. ----
@@ -525,21 +529,16 @@ fn decode_var(
 /// [`compute_edge_closure`] derives.
 #[derive(Debug, PartialEq)]
 pub struct EdgeClosure {
-    /// Flat column offset per FROM entry.
-    pub(crate) offsets: Vec<usize>,
-    /// Final equality-class representative per flat column.
-    pub(crate) reps: Vec<usize>,
+    /// The equality classes of the rule query's columns.
+    pub(crate) classes: EqClosure,
     /// Pinned value per class representative.
     pub(crate) known: HashMap<usize, Value>,
 }
 
 impl EdgeClosure {
-    pub(crate) fn rep(&self, flat: usize) -> usize {
-        self.reps[flat]
-    }
-
-    pub(crate) fn known_at(&self, flat: usize) -> Option<&Value> {
-        self.known.get(&self.rep(flat))
+    /// The value pinning column `c`'s class, if any.
+    pub(crate) fn known_at(&self, c: ColRef) -> Option<&Value> {
+        self.known.get(&self.classes.rep(c))
     }
 }
 
@@ -619,8 +618,7 @@ pub fn compute_edge_closure(
     }
     let reps = (0..total).map(|i| find(&mut parent, i)).collect();
     Ok(EdgeClosure {
-        offsets,
-        reps,
+        classes: EqClosure { offsets, reps },
         known,
     })
 }
@@ -667,10 +665,9 @@ pub fn edge_template_keys(
     let b = edge_binding(base, templates, edge, query, parent_attr, child_attr)?;
     let mut out = Vec::with_capacity(query.from().len());
     for (rel, tr) in query.from().iter().enumerate() {
-        let offset = b.closure.offsets[rel];
         let mut key_vals = Vec::with_capacity(b.schemas[rel].key().len());
-        for &kc in b.schemas[rel].key() {
-            match b.closure.known_at(offset + kc) {
+        for &col in b.schemas[rel].key() {
+            match b.closure.known_at(ColRef { rel, col }) {
                 Some(v) => key_vals.push(v.clone()),
                 None => {
                     return Err(InsertRejection::Rel(RelError::NotKeyPreserving {
@@ -703,10 +700,9 @@ fn derive_templates(
     let mut class_var: HashMap<usize, usize> = HashMap::new();
     for (rel, tr) in query.from().iter().enumerate() {
         let schema = binding.schemas[rel];
-        let offset = binding.closure.offsets[rel];
         let mut cells = Vec::with_capacity(schema.arity());
         for col in 0..schema.arity() {
-            let r = binding.closure.rep(offset + col);
+            let r = binding.closure.classes.rep(ColRef { rel, col });
             match binding.closure.known.get(&r) {
                 Some(v) => cells.push(Sym::Known(v.clone())),
                 None => {
@@ -758,10 +754,9 @@ fn derive_templates(
         match templates.get_mut(&(tr.table.clone(), key.clone())) {
             None => {
                 templates.insert(
-                    (tr.table.clone(), key.clone()),
+                    (tr.table.clone(), key),
                     Template {
                         table: tr.table.clone(),
-                        key,
                         cells,
                     },
                 );
@@ -802,57 +797,25 @@ fn derive_templates(
     Ok(())
 }
 
-/// Symbolically evaluates one edge view over `base ∪ templates` (gen tables
-/// from `gen_plus`), for every combination using at least one template, and
-/// classifies the produced rows.
-#[allow(clippy::too_many_arguments)]
-fn side_effects_for_view(
-    vs: &ViewStore,
-    base: &Database,
-    gen_fresh: &Database,
-    provider: &Vec<TableSchema>,
-    q: &SpjQuery,
-    a: rxview_xmlkit::TypeId,
-    b: rxview_xmlkit::TypeId,
-    by_table: &BTreeMap<&str, Vec<&Template>>,
-    wanted: &BTreeSet<(NodeId, NodeId)>,
-    vars: &mut Vars,
-    clauses: &mut Vec<Vec<Cond>>,
-) -> Result<(), InsertRejection> {
-    let n_from = q.from().len();
-    // Entry kinds: index 0 is the gen table (always concrete, from
-    // gen_plus); base entries may be concrete or template.
-    let template_slots: Vec<usize> = (1..n_from)
-        .filter(|&i| by_table.contains_key(q.from()[i].table.as_str()))
-        .collect();
-    if template_slots.is_empty() {
-        return Ok(());
-    }
-    // Enumerate non-empty subsets of template slots.
-    let n_subsets = 1usize << template_slots.len();
-    for mask in 1..n_subsets {
-        let mut as_template = vec![false; n_from];
-        for (bit, &slot) in template_slots.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                as_template[slot] = true;
-            }
-        }
-        eval_combination(
-            vs,
-            base,
-            gen_fresh,
-            provider,
-            q,
-            a,
-            b,
-            &as_template,
-            by_table,
-            wanted,
-            vars,
-            clauses,
-        )?;
-    }
-    Ok(())
+/// What phase 2 joins every edge view against: the phase-1 templates per
+/// table, and the edges `∆V` asks for (a produced edge among them, or
+/// already in the view, is no side effect).
+struct SideEffects<'a> {
+    vs: &'a ViewStore,
+    by_table: BTreeMap<&'a str, Vec<&'a Template>>,
+    wanted: BTreeSet<(NodeId, NodeId)>,
+}
+
+/// One edge view as phase 2 joins it.
+struct JoinView<'a> {
+    q: &'a SpjQuery,
+    edge: (TypeId, TypeId),
+    classes: &'a ViewClasses,
+    /// The live table of every FROM entry (entry 0: the maintained gen
+    /// table of the parent type).
+    tables: Vec<&'a Table>,
+    /// The fresh nodes' rows of entry 0's gen table, in key order.
+    fresh: &'a [Tuple],
 }
 
 /// One row in the symbolic join.
@@ -862,115 +825,54 @@ struct SymRow {
     conds: Vec<Cond>,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Symbolically evaluates one edge view over `I ∪ templates` for one
+/// combination — the FROM entries marked in `as_template` read the phase-1
+/// templates, every other entry its live table — and classifies the
+/// produced rows: harmless, a SAT clause, or an unavoidable side effect.
 fn eval_combination(
-    vs: &ViewStore,
-    base: &Database,
-    gen_fresh: &Database,
-    provider: &Vec<TableSchema>,
-    q: &SpjQuery,
-    a: rxview_xmlkit::TypeId,
-    b: rxview_xmlkit::TypeId,
+    side: &SideEffects<'_>,
+    view: &JoinView<'_>,
     as_template: &[bool],
-    by_table: &BTreeMap<&str, Vec<&Template>>,
-    wanted: &BTreeSet<(NodeId, NodeId)>,
     vars: &mut Vars,
     clauses: &mut Vec<Vec<Cond>>,
 ) -> Result<(), InsertRejection> {
-    // Column offsets.
+    let q = view.q;
     let n_from = q.from().len();
-    let mut offsets = Vec::with_capacity(n_from);
-    let mut schemas: Vec<&TableSchema> = Vec::with_capacity(n_from);
-    let mut total = 0usize;
-    for tr in q.from() {
-        offsets.push(total);
-        let schema = provider
-            .schema_of(&tr.table)
-            .ok_or_else(|| RelError::UnknownTable(tr.table.clone()))?;
-        schemas.push(schema);
-        total += schema.arity();
-    }
-    let idx = |c: ColRef| offsets[c.rel] + c.col;
-
-    // Equality closure over columns: columns transitively connected by
-    // `Col = Col` predicates form one class; a class may carry a constant
-    // from a `Col = Const` predicate. This lets the join order see bindings
-    // like `gen.c1 ~ c.c1 ~ f.c1 ~ h.h1 = <const>` that the direct
-    // predicate graph only exposes one hop at a time.
-    let root_of: Vec<usize> = {
-        let mut parent: Vec<usize> = (0..total).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for p in q.predicates() {
-            if let (Operand::Col(x), Operand::Col(y)) = (&p.left, &p.right) {
-                let (rx, ry) = (find(&mut parent, idx(*x)), find(&mut parent, idx(*y)));
-                if rx != ry {
-                    parent[rx] = ry;
-                }
-            }
-        }
-        (0..total).map(|c| find(&mut parent, c)).collect()
-    };
-    let mut class_const: BTreeMap<usize, Value> = BTreeMap::new();
-    for p in q.predicates() {
-        match (&p.left, &p.right) {
-            (Operand::Col(x), Operand::Const(v)) | (Operand::Const(v), Operand::Col(x)) => {
-                class_const.insert(root_of[idx(*x)], v.clone());
-            }
-            _ => {}
-        }
-    }
+    let schemas: Vec<&TableSchema> = view.tables.iter().map(|t| t.schema()).collect();
+    // The equality classes let the join order see bindings like
+    // `gen.c1 ~ c.c1 ~ f.c1 ~ h.h1 = <const>` that the direct predicate
+    // graph only exposes one hop at a time.
+    let offsets = &view.classes.closure.offsets;
+    let root_of = &view.classes.closure.reps;
+    let class_const = &view.classes.consts;
+    let total = root_of.len();
+    let idx = |c: ColRef| view.classes.closure.flat(c);
 
     // Greedy join order: templates first (most selective); then repeatedly
     // the entry whose primary-key prefix is best bound — through the
     // equality closure — to placed entries or constants (index lookups
     // instead of full scans). Ties prefer entries with *some* bound column
     // (their scan filters rows immediately), then smaller tables.
-    let table_len = |e: usize| -> usize {
-        if as_template[e] {
-            0
-        } else if e == 0 {
-            vs.gen_db()
-                .table(&q.from()[e].table)
-                .map(|t| t.len())
-                .unwrap_or(usize::MAX)
-        } else {
-            base.table(&q.from()[e].table)
-                .map(|t| t.len())
-                .unwrap_or(usize::MAX)
-        }
+    let table_len = |e: usize| match as_template[e] {
+        true => 0,
+        false => view.tables[e].len(),
     };
     let mut order: Vec<usize> = (0..n_from).filter(|&i| as_template[i]).collect();
     let mut placed: Vec<bool> = as_template.to_vec();
     while order.len() < n_from {
-        let mut bound_roots: BTreeSet<usize> = class_const.keys().copied().collect();
+        let mut bound: Vec<bool> = class_const.iter().map(Option::is_some).collect();
         for e in (0..n_from).filter(|&e| placed[e]) {
             for c in 0..schemas[e].arity() {
-                bound_roots.insert(root_of[offsets[e] + c]);
+                bound[root_of[offsets[e] + c]] = true;
             }
         }
         // (key-prefix score, has any bound column, smaller table) — best wins.
         type Rank = (usize, bool, std::cmp::Reverse<usize>);
         let mut best: Option<(Rank, usize)> = None;
-        for e in 0..n_from {
-            if placed[e] {
-                continue;
-            }
-            let mut score = 0usize;
-            for &kc in schemas[e].key() {
-                if bound_roots.contains(&root_of[offsets[e] + kc]) {
-                    score += 1;
-                } else {
-                    break;
-                }
-            }
-            let any_bound =
-                (0..schemas[e].arity()).any(|c| bound_roots.contains(&root_of[offsets[e] + c]));
+        for e in (0..n_from).filter(|&e| !placed[e]) {
+            let is_bound = |c: &usize| bound[root_of[offsets[e] + c]];
+            let score = schemas[e].key().iter().take_while(|c| is_bound(c)).count();
+            let any_bound = (0..schemas[e].arity()).any(|c| is_bound(&c));
             let rank = (score, any_bound, std::cmp::Reverse(table_len(e)));
             if best.is_none_or(|(br, _)| rank > br) {
                 best = Some((rank, e));
@@ -987,7 +889,7 @@ fn eval_combination(
     }];
     let mut filled = vec![false; total];
 
-    for (oi, &entry) in order.iter().enumerate() {
+    for &entry in &order {
         let tr = &q.from()[entry];
         let arity = schemas[entry].arity();
         // Predicates that become fully bound once this entry fills.
@@ -1020,7 +922,7 @@ fn eval_combination(
             let mut srcs = Vec::new();
             'kc: for &kc in schemas[entry].key() {
                 let r = root_of[offsets[entry] + kc];
-                if let Some(v) = class_const.get(&r) {
+                if let Some(v) = &class_const[r] {
                     srcs.push(KeySrc::Const(v.clone()));
                     continue 'kc;
                 }
@@ -1043,7 +945,7 @@ fn eval_combination(
         } else {
             (0..arity).find_map(|c| {
                 let r = root_of[offsets[entry] + c];
-                if let Some(v) = class_const.get(&r) {
+                if let Some(v) = &class_const[r] {
                     return Some((c, KeySrc::Const(v.clone())));
                 }
                 (0..total)
@@ -1051,19 +953,9 @@ fn eval_combination(
                     .map(|g| (c, KeySrc::Abs(g)))
             })
         };
-        let table: Option<&rxview_relstore::Table> = if as_template[entry] {
-            None
-        } else if entry == 0 {
-            Some(vs.gen_db().table(&tr.table).map_err(InsertRejection::Rel)?)
-        } else {
-            Some(base.table(&tr.table).map_err(InsertRejection::Rel)?)
-        };
-        // Fresh gen rows overlay the maintained gen table (disjoint keys).
-        let fresh_table: Option<&rxview_relstore::Table> = if as_template[entry] || entry != 0 {
-            None
-        } else {
-            gen_fresh.table(&tr.table).ok()
-        };
+        // The fresh gen rows read after the maintained gen table's (their
+        // keys are disjoint from it).
+        let fresh: &[Tuple] = if entry == 0 { view.fresh } else { &[] };
 
         enum Cand<'a> {
             Template(Vec<Sym>),
@@ -1091,12 +983,12 @@ fn eval_combination(
             }
             // Candidates for this row.
             let candidates: Vec<Cand<'_>> = if as_template[entry] {
-                by_table[tr.table.as_str()]
+                side.by_table[tr.table.as_str()]
                     .iter()
                     .map(|t| Cand::Template(t.cells.iter().map(|s| vars.resolve(s)).collect()))
                     .collect()
             } else {
-                let table = table.expect("concrete entry");
+                let table = view.tables[entry];
                 // Secondary-index value for this row, if the prefix path is
                 // unavailable but some column is bound.
                 let alt: Option<(usize, Value)> = if ground && !prefix.is_empty() {
@@ -1111,28 +1003,19 @@ fn eval_combination(
                         None => None,
                     }
                 };
-                fn rows_of<'t>(
-                    t: &'t rxview_relstore::Table,
-                    ground: bool,
-                    prefix: &'t [Value],
-                    alt: &Option<(usize, Value)>,
-                ) -> Vec<Cand<'t>> {
-                    if ground && !prefix.is_empty() {
-                        t.scan_key_prefix(prefix).map(Cand::Concrete).collect()
-                    } else if let Some((c, v)) = alt {
-                        t.scan_col_eq(*c, v)
-                            .into_iter()
-                            .map(Cand::Concrete)
-                            .collect()
-                    } else {
-                        t.iter().map(Cand::Concrete).collect()
-                    }
-                }
-                let mut cands = rows_of(table, ground, &prefix, &alt);
-                if let Some(ft) = fresh_table {
-                    cands.extend(rows_of(ft, ground, &prefix, &alt));
-                }
-                cands
+                let found: Vec<&Tuple> = if ground && !prefix.is_empty() {
+                    let fresh = fresh
+                        .iter()
+                        .filter(|t| t.values()[..prefix.len()] == prefix[..]);
+                    table.scan_key_prefix(&prefix).chain(fresh).collect()
+                } else if let Some((c, v)) = &alt {
+                    let mut found = table.scan_col_eq(*c, v);
+                    found.extend(fresh.iter().filter(|t| t[*c] == *v));
+                    found
+                } else {
+                    table.iter().chain(fresh).collect()
+                };
+                found.into_iter().map(Cand::Concrete).collect()
             };
             'cand: for cand in candidates {
                 // Clone-free ground rejection: a concrete candidate whose
@@ -1193,7 +1076,6 @@ fn eval_combination(
                 next.push(new_row);
             }
         }
-        let _ = oi;
         for col in 0..arity {
             filled[offsets[entry] + col] = true;
         }
@@ -1221,9 +1103,10 @@ fn eval_combination(
             })
             .collect::<Option<Vec<_>>>()
             .map(Tuple::from_values);
+        let (a, b) = view.edge;
         let harmless = match &ground {
-            Some(t) => match vs.edge_from_row(a, b, t) {
-                Some(edge) => wanted.contains(&edge) || vs.dag().has_edge(edge.0, edge.1),
+            Some(t) => match side.vs.edge_from_row(a, b, t) {
+                Some(edge) => side.wanted.contains(&edge) || side.vs.dag().has_edge(edge.0, edge.1),
                 None => false,
             },
             None => false,

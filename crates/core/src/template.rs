@@ -1,22 +1,24 @@
 //! Compiled translation templates: precompiled ∆R skeletons per production
 //! edge.
 //!
-//! The §4.2/§4.3 translation algorithms re-derive the same *structure* for
-//! every update of a given shape: the equality closure of an inserted
-//! edge's rule query (union-find over its `Col = Col` predicates) and the
-//! candidate-source key program of a deleted edge's view query (which flat
-//! columns of which FROM entries supply each base key). Neither depends on
-//! table contents or on the concrete attribute values — only on the
-//! grammar and the table schemas, both fixed for the lifetime of a store
-//! family. So both are compiled **once per production edge** into a
+//! The §4.2/§4.3 translation algorithms rest on one static fact per rule
+//! and per edge view: the equality closure of the query's `Col = Col`
+//! predicates ([`rxview_relstore::SpjQuery::eq_closure`]). It depends on
+//! neither table contents nor attribute values — only on the grammar and
+//! the table schemas, both fixed for the lifetime of a store family — so
+//! it is computed **once per production edge**, here, and lowered into a
 //! [`TranslationTemplates`] registry:
 //!
-//! - the insert side keeps, per edge, the final union-find representatives
-//!   and an ordered *pin program* (which class is pinned by which child
+//! - the insert side keeps, per edge, the rule query's closure and an
+//!   ordered *pin program* (which class is pinned by which child
 //!   attribute position, parent attribute field, or constant) —
 //!   instantiation replays the pins against the literal attribute tuples
 //!   and yields the same [`EdgeClosure`] `compute_edge_closure` derives,
 //!   without re-walking predicates or re-running the union-find;
+//! - per edge view, phase 2 of Algorithm insert (side-effect detection)
+//!   gets the view's closure and the constant each class is pinned to
+//!   (`ViewClasses`); its join order is not compiled, because its
+//!   tie-break reads table sizes;
 //! - the delete side keeps, per edge view, a `SourceProgram`: for every
 //!   non-derived FROM entry, a `(table, key-cell…)` spec whose cells name
 //!   the output position (or constant) each key column's equality class
@@ -45,8 +47,8 @@ use crate::plan::PlanCacheStats;
 use crate::rel_insert::{EdgeClosure, InsertRejection};
 use rxview_atg::{Atg, RuleBody};
 use rxview_relstore::{
-    ColRef, EqPred, Operand, SchemaProvider, SourceRef, SpjPlan, SpjQuery, TableSchema, Tuple,
-    Value,
+    ColRef, EqClosure, EqPred, Operand, SchemaProvider, SourceRef, SpjPlan, SpjQuery, TableSchema,
+    Tuple, Value,
 };
 use rxview_xmlkit::TypeId;
 use std::collections::hash_map::Entry;
@@ -74,10 +76,7 @@ enum PinSource {
 /// representatives baked in here are final.
 #[derive(Debug)]
 pub(crate) struct EdgeTemplate {
-    /// Flat column offset per FROM entry.
-    offsets: Vec<usize>,
-    /// Final equality-class representative per flat column.
-    reps: Vec<usize>,
+    closure: EqClosure,
     /// `(flat column, value source)` in the interpretive learn order:
     /// projections by position, then constant/parameter predicates in
     /// predicate order.
@@ -85,41 +84,23 @@ pub(crate) struct EdgeTemplate {
 }
 
 impl EdgeTemplate {
-    fn compile(
-        provider: &impl SchemaProvider,
-        query: &SpjQuery,
-        param_fields: &[usize],
-    ) -> EdgeTemplate {
-        let (offsets, total) = flat_offsets(provider, query);
-        let idx = |c: ColRef| offsets[c.rel] + c.col;
-        let mut parent: Vec<usize> = (0..total).collect();
-        for p in query.predicates() {
-            if let (Operand::Col(a), Operand::Col(b)) = (&p.left, &p.right) {
-                let (ra, rb) = (find(&mut parent, idx(*a)), find(&mut parent, idx(*b)));
-                parent[ra] = rb;
-            }
-        }
+    fn compile(closure: EqClosure, query: &SpjQuery, param_fields: &[usize]) -> EdgeTemplate {
         let mut pins = Vec::new();
         for (pos, c) in query.projection().iter().enumerate() {
-            pins.push((idx(*c), PinSource::ChildAttr(pos)));
+            pins.push((closure.flat(*c), PinSource::ChildAttr(pos)));
         }
         for p in query.predicates() {
             match (&p.left, &p.right) {
                 (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                    pins.push((idx(*c), PinSource::Const(v.clone())));
+                    pins.push((closure.flat(*c), PinSource::Const(v.clone())));
                 }
                 (Operand::Col(c), Operand::Param(i)) | (Operand::Param(i), Operand::Col(c)) => {
-                    pins.push((idx(*c), PinSource::ParentAttr(param_fields[*i])));
+                    pins.push((closure.flat(*c), PinSource::ParentAttr(param_fields[*i])));
                 }
                 _ => {}
             }
         }
-        let reps = (0..total).map(|i| find(&mut parent, i)).collect();
-        EdgeTemplate {
-            offsets,
-            reps,
-            pins,
-        }
+        EdgeTemplate { closure, pins }
     }
 
     /// Replays the pin program against concrete attribute tuples. Exactly
@@ -138,7 +119,7 @@ impl EdgeTemplate {
                 PinSource::Const(v) => v.clone(),
                 PinSource::ParentAttr(field) => parent_attr[*field].clone(),
             };
-            let r = self.reps[*flat];
+            let r = self.closure.reps[*flat];
             match known.get(&r) {
                 Some(x) if *x != v => {
                     return Err(InsertRejection::KeyConflict {
@@ -151,8 +132,7 @@ impl EdgeTemplate {
             }
         }
         Ok(EdgeClosure {
-            offsets: self.offsets.clone(),
-            reps: self.reps.clone(),
+            classes: self.closure.clone(),
             known,
         })
     }
@@ -192,30 +172,22 @@ impl SourceProgram {
     fn compile(
         provider: &impl SchemaProvider,
         query: &SpjQuery,
+        closure: &EqClosure,
         skip_rels: &[usize],
     ) -> Option<SourceProgram> {
-        let (offsets, total) = flat_offsets(provider, query);
-        let idx = |c: ColRef| offsets[c.rel] + c.col;
-        let mut parent: Vec<usize> = (0..total).collect();
-        for p in query.predicates() {
-            if let (Operand::Col(a), Operand::Col(b)) = (&p.left, &p.right) {
-                let (ra, rb) = (find(&mut parent, idx(*a)), find(&mut parent, idx(*b)));
-                parent[ra] = rb;
-            }
-        }
         // First assignment wins per class, mirroring the interpretive
         // `values.entry(r).or_insert(v)`: projections by position, then
         // constant predicates in order.
         let mut cells: HashMap<usize, KeyCell> = HashMap::new();
         for (pos, c) in query.projection().iter().enumerate() {
-            let r = find(&mut parent, idx(*c));
-            cells.entry(r).or_insert(KeyCell::Out(pos));
+            cells.entry(closure.rep(*c)).or_insert(KeyCell::Out(pos));
         }
         for p in query.predicates() {
             match (&p.left, &p.right) {
                 (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                    let r = find(&mut parent, idx(*c));
-                    cells.entry(r).or_insert(KeyCell::Const(v.clone()));
+                    cells
+                        .entry(closure.rep(*c))
+                        .or_insert(KeyCell::Const(v.clone()));
                 }
                 _ => {}
             }
@@ -227,9 +199,8 @@ impl SourceProgram {
             }
             let schema = provider.schema_of(&tr.table).expect("FROM table known");
             let mut key_cells = Vec::with_capacity(schema.key().len());
-            for &kc in schema.key() {
-                let root = find(&mut parent, idx(ColRef { rel, col: kc }));
-                key_cells.push(cells.get(&root)?.clone());
+            for &col in schema.key() {
+                key_cells.push(cells.get(&closure.rep(ColRef { rel, col }))?.clone());
             }
             specs.push(SourceSpec {
                 table: tr.table.clone(),
@@ -294,37 +265,41 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, table: &str) -> S
     SpjPlan::compile(&bound, provider).expect("validated just above")
 }
 
-/// Flat column offsets of a query's FROM entries over `provider` schemas
-/// (the grammar validated every rule query against them).
-fn flat_offsets(provider: &impl SchemaProvider, query: &SpjQuery) -> (Vec<usize>, usize) {
-    let mut offsets = Vec::with_capacity(query.from().len());
-    let mut total = 0usize;
-    for tr in query.from() {
-        offsets.push(total);
-        total += provider
-            .schema_of(&tr.table)
-            .expect("FROM table known")
-            .arity();
-    }
-    (offsets, total)
+/// What phase 2 of Algorithm insert (§4.3, side-effect detection) knows of
+/// one edge view before it sees a table: the equality classes of its
+/// columns and the constant each class is pinned to. The join order is not
+/// here — its tie-break reads table sizes.
+#[derive(Debug)]
+pub(crate) struct ViewClasses {
+    pub(crate) closure: EqClosure,
+    /// Per class representative, the literal of the class's last
+    /// `Col = Const` predicate.
+    pub(crate) consts: Vec<Option<Value>>,
 }
 
-fn find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
+impl ViewClasses {
+    fn compile(closure: EqClosure, query: &SpjQuery) -> ViewClasses {
+        let mut consts = vec![None; closure.reps.len()];
+        for p in query.predicates() {
+            if let (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) =
+                (&p.left, &p.right)
+            {
+                consts[closure.rep(*c)] = Some(v.clone());
+            }
+        }
+        ViewClasses { closure, consts }
     }
-    x
 }
 
 /// The per-grammar registry of compiled translation templates: insert-side
-/// `EdgeTemplate`s and delete-side `SourceProgram`s for every
-/// production edge, compiled in one pass over the `Atg`. Cached in the
-/// engine-wide [`crate::plan::PlanCache`] (one registry per store family)
-/// and consulted by every translation consumer.
+/// `EdgeTemplate`s, and per edge view its phase-2 `ViewClasses` and
+/// delete-side `SourceProgram`, compiled in one pass over the `Atg`.
+/// Cached in the engine-wide [`crate::plan::PlanCache`] (one registry per
+/// store family) and consulted by every translation consumer.
 #[derive(Debug)]
 pub struct TranslationTemplates {
     insert: HashMap<(TypeId, TypeId), EdgeTemplate>,
+    views: HashMap<(TypeId, TypeId), ViewClasses>,
     /// `None` payload: the edge view exists but is not key-preserving in
     /// the generalized sense.
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
@@ -348,7 +323,9 @@ impl TranslationTemplates {
     pub fn compile(atg: &Atg) -> TranslationTemplates {
         let t0 = Instant::now();
         let provider: Vec<TableSchema> = atg.augmented_schemas();
+        let closure_of = |q: &SpjQuery| q.eq_closure(&provider).expect("FROM tables known");
         let mut insert = HashMap::new();
+        let mut views = HashMap::new();
         let mut delete = HashMap::new();
         let mut bound: HashMap<String, Vec<_>> = HashMap::new();
         let mut compiles = 0u64;
@@ -361,13 +338,19 @@ impl TranslationTemplates {
                 }) = atg.rule(a, b)
                 {
                     if let Entry::Vacant(slot) = insert.entry((a, b)) {
-                        slot.insert(EdgeTemplate::compile(&provider, query, param_fields));
+                        slot.insert(EdgeTemplate::compile(
+                            closure_of(query),
+                            query,
+                            param_fields,
+                        ));
                         compiles += 1;
                     }
                 }
                 if let Entry::Vacant(slot) = delete.entry((a, b)) {
                     if let Some(q) = atg.edge_view_query(a, b) {
-                        slot.insert(SourceProgram::compile(&provider, &q, &[0]));
+                        let closure = closure_of(&q);
+                        slot.insert(SourceProgram::compile(&provider, &q, &closure, &[0]));
+                        views.insert((a, b), ViewClasses::compile(closure, &q));
                         compiles += 1;
                         // Entry 0 is the derived `gen_parent`, never a source.
                         for (rel, tr) in q.from().iter().enumerate().skip(1) {
@@ -387,6 +370,7 @@ impl TranslationTemplates {
         }
         TranslationTemplates {
             insert,
+            views,
             delete,
             bound,
             hits: AtomicU64::new(0),
@@ -414,6 +398,15 @@ impl TranslationTemplates {
             .expect("every query-rule edge is compiled");
         self.hits.fetch_add(1, Ordering::Relaxed);
         t.instantiate(parent_attr, child_attr)
+    }
+
+    /// The phase-2 classes of `edge`'s view.
+    ///
+    /// # Panics
+    /// If `edge` has no edge view in the grammar the registry was compiled
+    /// from — [`TranslationTemplates::compile`] covers every one that has.
+    pub(crate) fn view_classes(&self, edge: (TypeId, TypeId)) -> &ViewClasses {
+        self.views.get(&edge).expect("every edge view is compiled")
     }
 
     /// Reconstructs the candidate sources of one output row of `edge`'s

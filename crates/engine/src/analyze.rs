@@ -49,12 +49,12 @@
 //! every update's evaluation against the planning snapshot equals its
 //! evaluation at apply time.
 
-use rxview_atg::NodeId;
+use rxview_atg::{generate_subtree, NodeId, Provisional};
 use rxview_core::{
-    plan_subtree, planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps,
-    Anchors, Evaluated, RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem,
-    MAX_CONE_ANCHORS,
+    planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps, Anchors, Evaluated,
+    RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
 };
+use rxview_relstore::Tuple;
 use rxview_xmlkit::{TypeId, XPath};
 use std::collections::HashSet;
 
@@ -249,70 +249,33 @@ impl Analysis {
             }
         }
 
-        // Pre-existing nodes an insertion would splice (the existing head,
-        // or the live nodes a fresh subtree links): kept aside for the
+        // Pre-existing nodes an insertion would splice (a live head, or the
+        // live nodes a fresh subtree links): kept aside for the
         // sub-footprint derivation below.
         let mut linked: Vec<NodeId> = Vec::new();
         let planned_ok = match update {
             XmlUpdate::Delete { .. } => {
-                planned_delete_writes(sys.view(), &eval.edge_parents, &mut rel)
+                planned_delete_writes(sys.view(), sys.base(), &eval.edge_parents, &mut rel)
             }
-            XmlUpdate::Insert { ty, attr, .. } => {
-                match sys.view().atg().dtd().type_id(ty) {
-                    // Unknown type: schema validation rejects the update
-                    // before it writes anything.
-                    None => true,
-                    Some(ty_id) => match sys.view().dag().genid().lookup(ty_id, attr) {
-                        // An existing head means the (shared) published
-                        // subtree is spliced under the targets: it joins the
-                        // footprint, and only connecting edges translate.
-                        Some(head) => {
-                            cone.insert(head);
-                            cone.extend(
-                                sys.reach().descendants(head).iter().filter(|v| interior(v)),
-                            );
-                            linked.push(head);
-                            planned_insert_writes(
-                                sys.view(),
-                                sys.base(),
-                                ty_id,
-                                attr,
-                                None,
-                                &eval.selected,
-                                &mut rel,
-                            )
+            XmlUpdate::Insert { ty, attr, .. } => match dtd.type_id(ty) {
+                // Unknown type: schema validation rejects the update before
+                // it writes anything.
+                None => true,
+                // The live nodes the subtree splices (and their descendants)
+                // join the cone.
+                Some(ty_id) => match plan_insert(sys, ty_id, attr, &eval.selected, &mut rel) {
+                    Some(links) => {
+                        for &live in links.iter().filter(|v| interior(v)) {
+                            cone.insert(live);
+                            let desc = sys.reach().descendants(live);
+                            cone.extend(desc.iter().filter(|v| interior(v)));
                         }
-                        // A fresh head: walk the would-be subtree read-only.
-                        // Pre-existing nodes it would link (and their
-                        // descendants) join the cone; the walk's pairs and
-                        // template keys become the planned writes.
-                        None => match plan_subtree(sys.view(), sys.base(), ty_id, attr) {
-                            Ok(st) => {
-                                for &live in st.links.iter().filter(|v| interior(v)) {
-                                    cone.insert(live);
-                                    cone.extend(
-                                        sys.reach()
-                                            .descendants(live)
-                                            .iter()
-                                            .filter(|v| interior(v)),
-                                    );
-                                }
-                                linked.extend_from_slice(&st.links);
-                                planned_insert_writes(
-                                    sys.view(),
-                                    sys.base(),
-                                    ty_id,
-                                    attr,
-                                    Some(&st),
-                                    &eval.selected,
-                                    &mut rel,
-                                )
-                            }
-                            Err(_) => false,
-                        },
-                    },
-                }
-            }
+                        linked = links;
+                        true
+                    }
+                    None => false,
+                },
+            },
         };
         if !planned_ok {
             // Footprint underivable: degrade to a global footprint, which
@@ -597,6 +560,27 @@ impl BatchFootprint {
         self.sub.absorb(&other.sub);
         self.rel.absorb(&other.rel);
     }
+}
+
+/// The dry run of `insert (ty, attr)` into `targets` against `sys`: the
+/// translation's own walk of `ST(A, t)` (`rxview_atg::generate_subtree`)
+/// over a [`Provisional`] interner, so nothing is interned, with its fresh
+/// pairs' `gen_A` rows and every edge's template keys added to `rel` as
+/// planned writes. Returns the live nodes the subtree splices
+/// ([`rxview_atg::SubtreeDag::shared_nodes`]: a live head, or the live
+/// nodes a fresh subtree links), or `None` when a write key cannot be
+/// derived — the update's footprint is then global.
+pub fn plan_insert(
+    sys: &XmlViewSystem,
+    ty: TypeId,
+    attr: &Tuple,
+    targets: &[NodeId],
+    rel: &mut RelFootprint,
+) -> Option<Vec<NodeId>> {
+    let (vs, base) = (sys.view(), sys.base());
+    let mut ids = Provisional::new(vs.dag().genid());
+    let st = generate_subtree(vs.atg(), base, &mut ids, ty, attr.clone()).ok()?;
+    planned_insert_writes(vs, base, &st, &ids, targets, rel).then(|| st.shared_nodes())
 }
 
 /// The evaluation scope of `path` against the *current* state of `sys`

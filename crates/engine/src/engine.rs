@@ -517,7 +517,8 @@ impl Engine {
     }
 
     /// Forces any unsynced replay-log tail to disk (useful before a planned
-    /// shutdown under [`Durability::EveryN`]). A no-op without durability.
+    /// shutdown under [`Durability::GroupCommit`]). A no-op without
+    /// durability.
     pub fn sync_wal(&self) -> io::Result<()> {
         if let Some(d) = &self.inner.durability {
             d.wal.lock().expect("wal lock poisoned").sync()?;

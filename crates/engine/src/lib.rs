@@ -108,7 +108,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use analyze::{evaluation_scope, Analysis, BatchFootprint};
+pub use analyze::{evaluation_scope, plan_insert, Analysis, BatchFootprint};
 pub use engine::{Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};

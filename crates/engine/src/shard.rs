@@ -46,8 +46,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::EngineStats;
 use rxview_atg::NodeId;
 use rxview_core::{
-    translate_insert_for_merge, Evaluated, SideEffectPolicy, TranslatedUpdate, UpdateError,
-    ViewStore, XmlUpdate,
+    Evaluated, SideEffectPolicy, TranslatedUpdate, UpdateError, ViewStore, XmlUpdate,
 };
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc, Mutex};
@@ -260,20 +259,7 @@ fn run_round(
         };
 
         let t1 = Instant::now();
-        let out = if job.update.is_insert() {
-            let vsw = vs_work.get_or_insert_with(|| sys.view().clone());
-            translate_insert_for_merge(
-                vsw,
-                sys.base(),
-                sys.reach(),
-                sys.sat_config(),
-                &job.update,
-                job.policy,
-                eval,
-            )
-        } else {
-            sys.translate_delete_for_merge(&job.update, job.policy, eval)
-        };
+        let out = sys.translate(&mut vs_work, &job.update, job.policy, eval);
         stats.translate_ns.record_duration(t1.elapsed());
 
         results.push((

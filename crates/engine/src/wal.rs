@@ -43,11 +43,12 @@
 //!
 //! ## Fsync policy
 //!
-//! [`Durability`] picks when `fsync` runs: per round, every `n` rounds, or
-//! never (logging off entirely). With `EveryN`, a crash can lose up to
-//! `n - 1` acknowledged rounds — the recovered state is still a *prefix* of
-//! the acknowledged history, just possibly a shorter one than `PerRound`
-//! guarantees.
+//! [`Durability`] picks when `fsync` runs: per round, by group commit (once
+//! `max_rounds` rounds are unsynced or the oldest is `max_micros` old), or
+//! never (logging off entirely). Under group commit a crash can lose the
+//! trailing unsynced acknowledged rounds — the recovered state is still a
+//! *prefix* of the acknowledged history, just possibly a shorter one than
+//! `PerRound` guarantees.
 //!
 //! Segments rotate when a checkpoint completes (`Wal::compact`): the
 //! current segment is sealed and a sealed segment is deleted once every
@@ -72,22 +73,17 @@ pub enum Durability {
     /// Append **and fsync** every committed round before its tickets
     /// resolve: every acknowledged update survives a crash.
     PerRound,
-    /// Append every round, fsync every `n` rounds: bounded loss — a crash
-    /// forfeits at most the trailing unsynced rounds, and recovery still
-    /// lands on a prefix of the acknowledged history. `EveryN(1)` behaves
-    /// like [`Durability::PerRound`]; `EveryN(0)` never fsyncs (the OS
-    /// decides).
-    EveryN(u64),
     /// Group-commit fsync: append every round, fsync when either
     /// `max_rounds` rounds have accumulated since the last sync or the
     /// oldest unsynced round is `max_micros` microseconds old — whichever
     /// watermark trips first, checked at append time (the commit mutex
     /// already serializes appends, so the watermark needs no timer thread).
     /// Under load this batches many rounds into one `fsync`; under trickle
-    /// traffic the age bound keeps the unsynced window short. Loss bound on
-    /// a crash: the trailing unsynced rounds, like [`Durability::EveryN`].
-    /// A zero field disables that watermark (`max_rounds: 0, max_micros: 0`
-    /// never fsyncs, like `EveryN(0)`).
+    /// traffic the age bound keeps the unsynced window short. Bounded loss:
+    /// a crash forfeits at most the trailing unsynced rounds, and recovery
+    /// still lands on a prefix of the acknowledged history. A zero field
+    /// disables that watermark (`max_rounds: 0, max_micros: 0` never
+    /// fsyncs: the OS decides).
     GroupCommit {
         /// Fsync once this many rounds are unsynced (0 = no round bound).
         max_rounds: u64,
@@ -114,8 +110,7 @@ const WAL_MAGIC_V1: &[u8; 8] = b"RXWALv1\n";
 /// accounting (`wal.sync_reason.*` metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SyncReason {
-    /// The policy syncs unconditionally on a cadence ([`Durability::PerRound`]
-    /// or [`Durability::EveryN`] hitting its count).
+    /// The policy syncs every round ([`Durability::PerRound`]).
     Policy,
     /// [`Durability::GroupCommit`]: `max_rounds` unsynced rounds accumulated.
     RoundWatermark,
@@ -328,8 +323,8 @@ pub(crate) struct Wal {
     file: File,
     path: PathBuf,
     seq: u64,
-    /// Rounds appended since the last fsync (the `EveryN` / `GroupCommit`
-    /// counter).
+    /// Rounds appended since the last fsync (the `GroupCommit` round
+    /// watermark).
     unsynced: u64,
     /// When the oldest unsynced round was appended (the `GroupCommit` age
     /// watermark); `None` = everything synced.
@@ -401,9 +396,6 @@ impl Wal {
         let reason = match self.policy {
             Durability::Off => None,
             Durability::PerRound => Some(SyncReason::Policy),
-            Durability::EveryN(n) => {
-                (n > 0 && self.unsynced + 1 >= n).then_some(SyncReason::Policy)
-            }
             Durability::GroupCommit {
                 max_rounds,
                 max_micros,
@@ -704,28 +696,28 @@ mod tests {
 
     #[test]
     fn group_commit_syncs_on_round_watermark() {
-        let dir = temp_dir("groupcommit-rounds");
-        // Age bound off: only the round watermark trips.
-        let mut wal = Wal::create(
-            &dir,
-            Durability::GroupCommit {
-                max_rounds: 4,
+        // (max_rounds, appends, fsyncs): a count that is not a multiple
+        // leaves its remainder unsynced.
+        for (max_rounds, appends, want) in [(4, 12, 3), (3, 7, 2)] {
+            let dir = temp_dir("groupcommit-rounds");
+            // Age bound off: only the round watermark trips.
+            let policy = Durability::GroupCommit {
+                max_rounds,
                 max_micros: 0,
-            },
-            0,
-        )
-        .unwrap();
-        let mut syncs = 0;
-        for epoch in 1..=12 {
-            let out = wal.append(epoch, &[]).unwrap();
-            assert!(
-                out.reason.is_none() || out.reason == Some(SyncReason::RoundWatermark),
-                "only the round watermark can trip with max_micros=0"
-            );
-            syncs += u64::from(out.synced());
+            };
+            let mut wal = Wal::create(&dir, policy, 0).unwrap();
+            let mut syncs = 0;
+            for epoch in 1..=appends {
+                let out = wal.append(epoch, &[]).unwrap();
+                assert!(
+                    out.reason.is_none() || out.reason == Some(SyncReason::RoundWatermark),
+                    "only the round watermark can trip with max_micros=0"
+                );
+                syncs += u64::from(out.synced());
+            }
+            assert_eq!(syncs, want, "{appends} appends at max_rounds={max_rounds}");
+            fs::remove_dir_all(&dir).unwrap();
         }
-        assert_eq!(syncs, 3, "12 appends at max_rounds=4 sync three times");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -776,20 +768,6 @@ mod tests {
         let scan = scan_segment(&segs[0].1).unwrap();
         assert_eq!(scan.records.len(), 5);
         assert_eq!(scan.discarded, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn every_n_counts_syncs() {
-        let dir = temp_dir("everyn");
-        let mut wal = Wal::create(&dir, Durability::EveryN(3), 0).unwrap();
-        let mut syncs = 0;
-        for epoch in 1..=7 {
-            let out = wal.append(epoch, &[]).unwrap();
-            assert!(out.reason.is_none() || out.reason == Some(SyncReason::Policy));
-            syncs += u64::from(out.synced());
-        }
-        assert_eq!(syncs, 2, "7 appends at EveryN(3) sync twice");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -39,7 +39,7 @@ pub use error::{RelError, RelResult};
 pub use eval::{eval_spj, Augmented, SpjPlan, TableSource};
 pub use lineage::{closure_source_keys, deletable_source, resolve_source, SourceRef};
 pub use schema::{schema, ColumnDef, SchemaBuilder, TableSchema};
-pub use spj::{ColRef, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};
+pub use spj::{ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};
 pub use table::Table;
 pub use tuple::Tuple;
 pub use update::{GroupUpdate, TupleOp};

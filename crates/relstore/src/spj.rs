@@ -213,6 +213,41 @@ impl SpjQuery {
         Ok(Some(result))
     }
 
+    /// The equality closure of the query's `Col = Col` predicates — the one
+    /// static fact §4.1–§4.3 derive everything else from: key preservation,
+    /// the candidate sources of Algorithm delete, the tuple templates and the
+    /// side-effect join of Algorithm insert. Unions run in predicate order,
+    /// each linking the left operand's root under the right one's, so the
+    /// representatives are the ones every reference derivation computes.
+    pub fn eq_closure(&self, provider: &impl SchemaProvider) -> RelResult<EqClosure> {
+        let mut offsets = Vec::with_capacity(self.from.len());
+        let mut total = 0usize;
+        for tr in &self.from {
+            offsets.push(total);
+            total += provider
+                .schema_of(&tr.table)
+                .ok_or_else(|| RelError::UnknownTable(tr.table.clone()))?
+                .arity();
+        }
+        let idx = |c: ColRef| offsets[c.rel] + c.col;
+        let mut parent: Vec<usize> = (0..total).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        for p in &self.predicates {
+            if let (Operand::Col(a), Operand::Col(b)) = (&p.left, &p.right) {
+                let (ra, rb) = (find(&mut parent, idx(*a)), find(&mut parent, idx(*b)));
+                parent[ra] = rb;
+            }
+        }
+        let reps = (0..total).map(|i| find(&mut parent, i)).collect();
+        Ok(EqClosure { offsets, reps })
+    }
+
     /// Extends the projection with any missing primary-key columns, making
     /// the query key-preserving (§4.1: "every SPJ query in the definition of
     /// an ATG view σ can be made key-preserving by extending its
@@ -287,6 +322,29 @@ impl SpjQuery {
             check_col(c)?;
         }
         Ok(())
+    }
+}
+
+/// The equality classes of an [`SpjQuery`]'s columns
+/// ([`SpjQuery::eq_closure`]), the columns of its FROM entries numbered
+/// flat in FROM order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EqClosure {
+    /// Flat number of each FROM entry's first column.
+    pub offsets: Vec<usize>,
+    /// Class representative per flat column.
+    pub reps: Vec<usize>,
+}
+
+impl EqClosure {
+    /// The flat number of a column.
+    pub fn flat(&self, c: ColRef) -> usize {
+        self.offsets[c.rel] + c.col
+    }
+
+    /// The representative of a column's class.
+    pub fn rep(&self, c: ColRef) -> usize {
+        self.reps[self.flat(c)]
     }
 }
 
