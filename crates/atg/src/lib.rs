@@ -21,6 +21,6 @@ pub mod typereach;
 
 pub use genid::{GenId, GenIdBuilder, Interner, NodeId, Provisional};
 pub use grammar::{Atg, AtgBuilder, AtgError, RuleBody};
-pub use publish::{generate_subtree, publish, Dag, PublishError, SubtreeDag};
+pub use publish::{generate_subtree, publish, publish_leaves_first, Dag, PublishError, SubtreeDag};
 pub use registrar::{registrar_atg, registrar_database, registrar_schema};
 pub use typereach::TypeReach;

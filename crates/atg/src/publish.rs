@@ -467,12 +467,20 @@ pub fn generate_subtree(
 /// transient [`GenIdBuilder`], and the interner and the adjacency are laid
 /// out in their pages once the whole view is known.
 pub fn publish(atg: &Atg, src: &impl TableSource) -> Result<Dag, PublishError> {
+    publish_leaves_first(atg, src).map(|(dag, _)| dag)
+}
+
+/// [`publish`], and the view's nodes leaves first ([`Dag::leaves_first`]):
+/// the order the acyclicity check computes, which is the topological order
+/// `L` of §3.1 — so a caller that builds `L` need not compute it again.
+pub fn publish_leaves_first(
+    atg: &Atg,
+    src: &impl TableSource,
+) -> Result<(Dag, Vec<NodeId>), PublishError> {
     let mut genid = GenIdBuilder::default();
     let sub = generate_subtree(atg, src, &mut genid, atg.dtd().root(), Tuple::empty())?;
     let dag = Dag::from_adjacency(genid.finish(), Some(sub.root), &sub.edges)
         .expect("a subtree lists each node's edges once, together");
-    if !dag.is_acyclic() {
-        return Err(PublishError::CyclicData);
-    }
-    Ok(dag)
+    let order = dag.leaves_first().ok_or(PublishError::CyclicData)?;
+    Ok((dag, order))
 }

@@ -466,7 +466,8 @@ fn ten_view_sizes_of_churn_leave_ids_and_bytes_where_they_were() {
     // What one more `CU` row keeps — the row, its slot in a run, its entry
     // in every column index built so far — when the table is written
     // straight through, and when it is pinned by a snapshot once per round
-    // (a run copied on write is re-grown by the vector's own doubling).
+    // (288.6 B and 289.6 B; a run copied on write has room for a full run,
+    // where a copy at its length, regrown by doubling, kept 297.4 B).
     let row_bytes = |pinned: bool| {
         let mut base = sys.base().clone();
         let wide = |k: i64| Tuple::from_values((0..16).map(|c| (k * (c == 0) as i64).into()));

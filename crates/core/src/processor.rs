@@ -313,10 +313,12 @@ pub struct XmlViewSystem {
 }
 
 impl XmlViewSystem {
-    /// Publishes `σ(I)` and builds `M` and `L`.
+    /// Publishes `σ(I)` and builds `M` and `L` — `L` from the order
+    /// publication's acyclicity check already computed, which is
+    /// [`TopoOrder::compute`]'s.
     pub fn new(atg: Atg, base: Database) -> Result<Self, PublishError> {
-        let vs = ViewStore::publish(atg, &base)?;
-        let topo = TopoOrder::compute(vs.dag());
+        let (vs, leaves_first) = ViewStore::publish_leaves_first(atg, &base)?;
+        let topo = TopoOrder::from_order(leaves_first);
         let reach = Reachability::compute(vs.dag(), &topo);
         Ok(XmlViewSystem {
             base,

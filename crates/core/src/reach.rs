@@ -29,10 +29,10 @@
 //!   the evaluators, the `L` repairs and the checkpoint encoder see is the
 //!   order an id array gave them;
 //! - [`Run::len`]: a popcount per word (not a stored length);
-//! - the Reach recurrence `⋃_p ({p} ∪ anc(p))`: every parent's words are
-//!   OR-ed into a dense scratch of one mask per block of the id space and
-//!   the touched blocks are emitted in key order — block keys are sorted, no
-//!   id is.
+//! - the Reach recurrence `⋃_p ({p} ∪ anc(p))` (and its mirror over
+//!   children, `⋃_c ({c} ∪ desc(c))`): every parent's words are OR-ed into
+//!   a dense scratch of one mask per block of the id space and the touched
+//!   blocks are emitted in key order — block keys are sorted, no id is.
 //!
 //! A run is never edited in place: changing a set builds its successor and
 //! swaps the handle, so a snapshot that still holds the old handle is
@@ -42,10 +42,13 @@
 //! and a single-pair insert would cost exactly that — which is why there is
 //! none. Everything that writes `M` is a bulk operation:
 //!
-//! - [`Reachability::compute`], [`Reachability::compute_naive`] and
-//!   [`AncestorLoad`] (under [`Reachability::from_ancestors`] and the
-//!   checkpoint decoder) build one direction run by run and derive the other
-//!   with one counting-sort transposition over words;
+//! - [`Reachability::compute`] builds both directions run by run with the
+//!   recurrence, `anc` backward over `L` and `desc` forward;
+//!   [`Reachability::compute_naive`] and [`AncestorLoad`] (under
+//!   [`Reachability::from_ancestors`] and the checkpoint decoder) build one
+//!   direction and derive the other with one counting-sort transposition
+//!   over words — a loaded `desc` must mirror the decoded `anc`, whatever
+//!   the bytes say;
 //! - maintenance edits ancestor sets wholesale
 //!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
 //!   its recurrence form [`Reachability::set_ancestors_from`],
@@ -304,18 +307,19 @@ impl BlockScratch {
         self.masks[k] |= mask;
     }
 
-    /// The Reach recurrence `⋃_{p ∈ parents} ({p} ∪ anc(p))`, into `out`.
+    /// The Reach recurrence `⋃_{v ∈ nodes} ({v} ∪ sets(v))`, into `out`:
+    /// `anc(d)` over `d`'s parents, or `desc(a)` over `a`'s children.
     /// Leaves the scratch blank.
-    fn union_over_parents(
+    fn union_over(
         &mut self,
-        anc: &PagedVec<Option<Words>>,
-        parents: impl IntoIterator<Item = NodeId>,
+        sets: &PagedVec<Option<Words>>,
+        nodes: impl IntoIterator<Item = NodeId>,
         out: &mut RunBuf,
     ) {
-        for p in parents {
-            let (key, bit) = block_of(p);
+        for v in nodes {
+            let (key, bit) = block_of(v);
             self.add(key, bit);
-            for &w in words_of(anc, p) {
+            for &w in words_of(sets, v) {
                 self.add(key_of(w), mask_of(w));
             }
         }
@@ -519,20 +523,34 @@ impl Reachability {
     /// Algorithm **Reach** (Fig.4): computes `M` in `O(n |V|)` by dynamic
     /// programming over the backward topological order — for `d` processed
     /// in backward `L` order, the ancestors of `d`'s parents are already
-    /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`.
+    /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`. The `desc`
+    /// direction is the same recurrence forward over `L`, over children:
+    /// `D_a = ⋃_{c ∈ children(a)} (desc(c) ∪ {c})`.
     pub fn compute(dag: &Dag, topo: &TopoOrder) -> Self {
-        let mut load = AncestorLoad::default();
+        let live = |v: &NodeId| dag.genid().is_live(*v);
         let mut scratch = BlockScratch::default();
-        let mut ad = RunBuf::default();
+        let mut run = RunBuf::default();
+        let (mut anc, mut desc) = (PagedVec::new(), PagedVec::new());
+        let (mut n_pairs, mut n_words) = (0, 0);
         // Backward over L = ancestors (later entries) first.
         for &d in topo.order().iter().rev() {
-            let live_parents = dag.parents(d).iter().copied();
-            let live_parents = live_parents.filter(|&p| dag.genid().is_live(p));
-            scratch.union_over_parents(&load.anc, live_parents, &mut ad);
-            load.n_pairs += ad.as_run().len();
-            store(&mut load.anc, &mut load.n_words, d, &ad.words);
+            let parents = dag.parents(d).iter().copied().filter(live);
+            scratch.union_over(&anc, parents, &mut run);
+            n_pairs += run.as_run().len();
+            store(&mut anc, &mut n_words, d, &run.words);
         }
-        load.finish()
+        // Forward over L = descendants first.
+        for &a in topo.order() {
+            let children = dag.children(a).iter().copied().filter(live);
+            scratch.union_over(&desc, children, &mut run);
+            store(&mut desc, &mut n_words, a, &run.words);
+        }
+        Reachability {
+            desc,
+            anc,
+            n_pairs,
+            n_words,
+        }
     }
 
     /// Naive recomputation baseline: a full BFS/DFS from every node, the
@@ -679,9 +697,7 @@ impl Reachability {
         batch: &mut ReachBatch,
     ) -> usize {
         let mut new = std::mem::take(&mut batch.merged);
-        batch
-            .scratch
-            .union_over_parents(&self.anc, parents, &mut new);
+        batch.scratch.union_over(&self.anc, parents, &mut new);
         let removed = self.set_ancestors(d, new.as_run(), batch);
         batch.merged = new;
         removed

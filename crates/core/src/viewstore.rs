@@ -36,14 +36,24 @@ impl ViewStore {
     /// Publishes `σ(I)` and materializes the relational coding: each
     /// `gen_A` table is bulk-loaded from its type's nodes in key order.
     pub fn publish(atg: Atg, db: &Database) -> Result<Self, PublishError> {
-        let dag = rxview_atg::publish(&atg, db)?;
+        ViewStore::publish_leaves_first(atg, db).map(|(vs, _)| vs)
+    }
+
+    /// [`ViewStore::publish`], and the view's nodes leaves first — `L`, as
+    /// publication's acyclicity check computed it
+    /// ([`rxview_atg::publish_leaves_first`]).
+    pub(crate) fn publish_leaves_first(
+        atg: Atg,
+        db: &Database,
+    ) -> Result<(Self, Vec<NodeId>), PublishError> {
+        let (dag, leaves_first) = rxview_atg::publish_leaves_first(&atg, db)?;
         let mut gen_db = Database::new();
         for ty in atg.dtd().types() {
             let table = Table::from_sorted_rows(atg.gen_table_schema(ty), gen_rows(&dag, ty))
                 .expect("distinct nodes of a type have distinct, well-typed attributes");
             gen_db.add_table(table).expect("one gen table per type");
         }
-        Ok(ViewStore::from_parts(atg, dag, gen_db))
+        Ok((ViewStore::from_parts(atg, dag, gen_db), leaves_first))
     }
 
     /// Reassembles a store from checkpointed parts — the published [`Dag`]

@@ -1,7 +1,9 @@
 //! Randomized tests of the auxiliary structures (§3.1, §3.4) on synthetic
 //! DAGs built directly through the `Dag` API: Algorithm Reach against the
-//! naive closure and the checkpoint's bulk load, and the `swap(L, u, v)`
-//! repair under random edge insertions.
+//! naive closure and the checkpoint's bulk load (whose `desc` is the
+//! transpose of `anc`, where `compute` runs the recurrence both ways — also
+//! over free and recycled ids), and the `swap(L, u, v)` repair under random
+//! edge insertions.
 
 use proptest::prelude::*;
 use rxview_atg::{Dag, NodeId};
@@ -57,6 +59,69 @@ proptest! {
         let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
         let loaded = Reachability::from_ancestors(listed).expect("runs of a computed M");
         prop_assert!(loaded.same_pairs(&fast));
+    }
+
+    /// `compute` derives `desc` by its own recurrence forward over `L`, not
+    /// by transposing `anc`: on DAGs whose id space has free ids and ids
+    /// recycled to nodes that sit anywhere in `L`, `desc(a)` is the
+    /// transpose of `anc` for every id (the checkpoint load's transposition
+    /// of the same `anc` runs), the word count is the transposition's, and
+    /// both directions are the naive closure's.
+    #[test]
+    fn computed_desc_is_the_transpose_of_anc_over_recycled_ids(
+        n in 3usize..24,
+        edges in prop::collection::vec((0usize..24, 0usize..24), 0..48),
+        victims in prop::collection::vec(1usize..24, 0..6),
+        reborn in prop::collection::vec((0usize..24, 0usize..24, 0usize..24), 0..6),
+    ) {
+        // A node's rank orders the edges: every edge climbs in rank, so any
+        // id can sit anywhere in `L`.
+        let ty = TypeId(0);
+        let node = |label: usize| Tuple::from_values([Value::Int(label as i64)]);
+        let edges: Vec<(usize, usize)> = edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
+        let mut dag = build_dag(n, &edges);
+        let mut rank: Vec<(NodeId, usize)> = (0..n)
+            .map(|i| (dag.genid().lookup(ty, &node(i)).expect("built"), i))
+            .collect();
+        // Free some ids: every edge of the victim goes, then the node.
+        for v in victims.into_iter().map(|v| v % n).filter(|&v| v != 0) {
+            let Some(at) = rank.iter().position(|&(_, r)| r == v) else { continue };
+            let (id, _) = rank.swap_remove(at);
+            for p in dag.parents(id).to_vec() {
+                dag.remove_edge(p, id);
+            }
+            for c in dag.children(id).to_vec() {
+                dag.remove_edge(id, c);
+            }
+            dag.genid_mut().retire(id);
+        }
+        // Recycle some: a new node takes the lowest free id, under the root
+        // and between two live nodes in rank.
+        for (k, (at, up, down)) in reborn.into_iter().enumerate() {
+            let (id, fresh) = dag.genid_mut().gen_id(ty, node(1_000 + k));
+            prop_assert!(fresh);
+            let r = at % n;
+            dag.add_edge(dag.root(), id);
+            for (other, other_rank) in [rank[up % rank.len()], rank[down % rank.len()]] {
+                if other_rank < r {
+                    dag.add_edge(other, id);
+                } else if other_rank > r {
+                    dag.add_edge(id, other);
+                }
+            }
+            rank.push((id, r));
+        }
+        prop_assert!(dag.is_acyclic());
+        let topo = TopoOrder::compute(&dag);
+        let fast = Reachability::compute(&dag, &topo);
+        let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
+        let transposed = Reachability::from_ancestors(listed).expect("runs of a computed M");
+        for a in (0..dag.genid().n_allocated() as u32 + 1).map(NodeId) {
+            prop_assert_eq!(fast.descendants(a), transposed.descendants(a), "desc({})", a.0);
+        }
+        prop_assert_eq!(fast.n_words(), transposed.n_words());
+        prop_assert_eq!(fast.n_pairs(), transposed.n_pairs());
+        prop_assert!(fast.same_pairs(&Reachability::compute_naive(&dag)));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   binary search over the run heads and within a run — two levels, not a
 //!   tree, so a split or merge shifts the `O(n ÷ page)` run directory. The
 //!   order is the keys' `Ord`, or a comparator the caller hands to every
-//!   call (`get_by`, `insert_by`, `remove_by`, `from_sorted_by`,
-//!   `range_by`) — how a table orders row handles by the key columns
-//!   inside the rows and stores no key.
+//!   call (`get_by`, `insert_by`, `try_insert_by`, `remove_by`,
+//!   `from_sorted_by`, `range_by`) — how a table orders row handles by the
+//!   key columns inside the rows and stores no key.
 //!
 //! Versions never observe each other: a clone and its origin stay equal to
 //! their own histories whatever the other does (model-tested in
@@ -158,6 +158,10 @@ pub struct PagedMap<K, V> {
     len: usize,
 }
 
+/// What [`PagedMap::try_insert_by`] found under the key: the stored entry,
+/// and the offered one handed back.
+pub type Occupied<'a, K, V> = (&'a (K, V), (K, V));
+
 #[derive(Debug, Clone)]
 struct Run<K, V> {
     /// The run's separator, so locating a run reads the directory only:
@@ -284,30 +288,47 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         Some((key, value))
     }
 
-    /// [`PagedMap::insert`] under the order `cmp` — the one order every
-    /// call on this map must use. A replaced entry keeps its stored key.
-    pub fn insert_by(&mut self, key: K, value: V, cmp: impl Fn(&K, &K) -> Ordering) -> Option<V> {
-        if self.runs.is_empty() {
-            self.runs.push(Run::single(key, value));
-            self.len = 1;
-            return None;
-        }
-        let (i, at) = self.search(|k| cmp(k, &key));
-        let at = match at {
-            Ok(at) => {
-                let slot = &mut Arc::make_mut(&mut self.runs[i].entries)[at].1;
-                return Some(std::mem::replace(slot, value));
+    /// [`PagedMap::search`] for `key` under `cmp`, except that a key above
+    /// the last one belongs at the end of the last run: one comparison and
+    /// no search, which is every key of an ascending load.
+    fn search_key(
+        &self,
+        key: &K,
+        cmp: impl Fn(&K, &K) -> Ordering,
+    ) -> (usize, Result<usize, usize>) {
+        if let Some(last) = self.runs.last() {
+            let end = last.entries.len();
+            if cmp(&last.entries[end - 1].0, key).is_lt() {
+                return (self.runs.len() - 1, Err(end));
             }
-            Err(at) => at,
-        };
+        }
+        self.search(|k| cmp(k, key))
+    }
+
+    /// A run's entries, to write. Copied first if another version shares
+    /// them — with room for a full run plus the entry that splits it, where
+    /// a copy at its own length would be regrown by doubling at the next
+    /// insert.
+    fn unshare(entries: &mut Arc<Vec<(K, V)>>) -> &mut Vec<(K, V)> {
+        if Arc::get_mut(entries).is_none() {
+            let mut copy = Vec::with_capacity(Self::RUN_MAX + 1);
+            copy.extend_from_slice(entries);
+            *entries = Arc::new(copy);
+        }
+        Arc::make_mut(entries)
+    }
+
+    /// Puts a new entry at position `at` of run `i`, where
+    /// [`PagedMap::search_key`] says it belongs.
+    fn insert_at(&mut self, i: usize, at: usize, key: K, value: V) {
         self.len += 1;
-        if at == Self::RUN_MAX && i + 1 == self.runs.len() {
+        if self.runs.is_empty() || at == Self::RUN_MAX && i + 1 == self.runs.len() {
             // Appending past a full last run: open a new run instead of
             // splitting, so an ascending load leaves full runs behind it.
             self.runs.push(Run::single(key, value));
-            return None;
+            return;
         }
-        let entries = Arc::make_mut(&mut self.runs[i].entries);
+        let entries = Self::unshare(&mut self.runs[i].entries);
         entries.insert(at, (key, value));
         if entries.len() > Self::RUN_MAX {
             let upper = entries.split_off(entries.len() / 2);
@@ -319,7 +340,40 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
                 },
             );
         }
-        None
+    }
+
+    /// [`PagedMap::insert`] under the order `cmp` — the one order every
+    /// call on this map must use. A replaced entry keeps its stored key.
+    pub fn insert_by(&mut self, key: K, value: V, cmp: impl Fn(&K, &K) -> Ordering) -> Option<V> {
+        match self.search_key(&key, cmp) {
+            (i, Ok(at)) => {
+                let slot = &mut Self::unshare(&mut self.runs[i].entries)[at].1;
+                Some(std::mem::replace(slot, value))
+            }
+            (i, Err(at)) => {
+                self.insert_at(i, at, key, value);
+                None
+            }
+        }
+    }
+
+    /// Inserts the entry unless one is stored under its key: one search
+    /// either way, where [`PagedMap::get_by`] then [`PagedMap::insert_by`]
+    /// make two. On a hit the map is left untouched and `Err` holds the
+    /// stored entry and the offered one, handed back.
+    pub fn try_insert_by(
+        &mut self,
+        key: K,
+        value: V,
+        cmp: impl Fn(&K, &K) -> Ordering,
+    ) -> Result<(), Occupied<'_, K, V>> {
+        match self.search_key(&key, cmp) {
+            (i, Ok(at)) => Err((&self.runs[i].entries[at], (key, value))),
+            (i, Err(at)) => {
+                self.insert_at(i, at, key, value);
+                Ok(())
+            }
+        }
     }
 
     /// Removes the entry [`PagedMap::get_by`] would find, returning it.
@@ -327,7 +381,7 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         let (i, at) = self.search(locate);
         let at = at.ok()?;
         self.len -= 1;
-        let entries = Arc::make_mut(&mut self.runs[i].entries);
+        let entries = Self::unshare(&mut self.runs[i].entries);
         let removed = entries.remove(at);
         if entries.is_empty() {
             self.runs.remove(i);
@@ -353,9 +407,12 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         } else {
             return;
         };
-        let right = self.runs.remove(left + 1);
-        let moved = Arc::try_unwrap(right.entries).unwrap_or_else(|shared| (*shared).clone());
-        Arc::make_mut(&mut self.runs[left].entries).extend(moved);
+        let right = self.runs.remove(left + 1).entries;
+        let entries = Self::unshare(&mut self.runs[left].entries);
+        match Arc::try_unwrap(right) {
+            Ok(moved) => entries.extend(moved),
+            Err(shared) => entries.extend_from_slice(&shared),
+        }
     }
 
     /// All entries in key order.

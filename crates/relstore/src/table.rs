@@ -122,25 +122,30 @@ impl Table {
 
     /// Inserts a tuple. Re-inserting an identical tuple is a no-op (set
     /// semantics); inserting a different tuple with an existing key is a
-    /// [`RelError::DuplicateKey`].
+    /// [`RelError::DuplicateKey`]. The rows are searched once.
     pub fn insert(&mut self, tuple: Tuple) -> RelResult<bool> {
         self.schema.check_tuple(&tuple)?;
         let key = self.schema.key();
-        match self.rows.get_by(|row| cmp_rows(key, row, &tuple)) {
-            Some((existing, ())) if *existing == tuple => Ok(false),
-            Some(_) => Err(RelError::DuplicateKey {
-                table: self.schema.name().into(),
-            }),
-            None => {
+        // The built column indexes take the row too, once it is in.
+        let indexed = self.col_index.iter().any(|slot| slot.get().is_some());
+        let row = indexed.then(|| tuple.clone());
+        match self
+            .rows
+            .try_insert_by(tuple, (), |a, b| cmp_rows(key, a, b))
+        {
+            Ok(()) => {
                 for (col, slot) in self.col_index.iter_mut().enumerate() {
-                    if let Some(index) = slot.get_mut() {
-                        let entry = (tuple[col].clone(), tuple.clone());
+                    if let (Some(index), Some(row)) = (slot.get_mut(), &row) {
+                        let entry = (row[col].clone(), row.clone());
                         index.insert_by(entry, (), |a, (v, row)| cmp_indexed(key, a, v, row));
                     }
                 }
-                self.rows.insert_by(tuple, (), |a, b| cmp_rows(key, a, b));
                 Ok(true)
             }
+            Err(((existing, ()), (tuple, ()))) if *existing == tuple => Ok(false),
+            Err(_) => Err(RelError::DuplicateKey {
+                table: self.schema.name().into(),
+            }),
         }
     }
 

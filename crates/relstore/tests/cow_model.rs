@@ -8,7 +8,9 @@
 //!
 //! The comparator forms of `PagedMap` (`insert_by` / `remove_by` / `get_by`
 //! / `range_by`: a set of handles ordered by a projection of what they
-//! point to) run against a `BTreeMap` keyed by the projected key, and
+//! point to) run against a `BTreeMap` keyed by the projected key — the
+//! one-search `try_insert_by` also against the `get_by` + `insert_by` pair
+//! it replaced, run for run, and under a counting comparator — and
 //! `Table` — such a set of rows, plus its lazily built column indexes — runs
 //! against a naive `Vec` of rows on a schema whose key is not a column
 //! prefix.
@@ -385,6 +387,119 @@ proptest! {
         prop_assert!(bulk.iter().eq(model.iter()));
         prop_assert!(frozen.iter().eq(original.iter()), "the clone saw the original's writes");
     }
+}
+
+/// A handle to `(payload, key)` over a key space wide enough for long
+/// ascending loads, ordered by the key alone.
+type Wide = Arc<(u32, u32)>;
+
+fn by_wide_key(a: &Wide, b: &Wide) -> std::cmp::Ordering {
+    a.1.cmp(&b.1)
+}
+
+/// The runs of a map, separators included, as `Debug` prints them — the
+/// structure two maps with the same entries can still differ in.
+fn runs_of(map: &PagedMap<Wide, ()>) -> String {
+    format!("{map:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `try_insert_by` — one search, none for a key above the last — against
+    /// a `BTreeMap` and against the two-search path it replaced (`get_by`,
+    /// then `insert_by` on a miss), over scripts that mix ascending appends,
+    /// interior inserts, keys already present and removals, with a clone
+    /// pinned now and then: a miss inserts, a hit hands back the stored
+    /// entry and the offered one and writes nothing, the two paths leave the
+    /// same runs, and the pinned clone keeps its own contents.
+    #[test]
+    fn try_insert_matches_the_model_and_leaves_the_runs_insert_by_leaves(
+        steps in prop::collection::vec((0u8..10, any::<u16>(), any::<u16>()), 0..600),
+    ) {
+        let mut once: PagedMap<Wide, ()> = PagedMap::new();
+        let mut twice: PagedMap<Wide, ()> = PagedMap::new();
+        let mut model: BTreeMap<u32, Wide> = BTreeMap::new();
+        let mut pinned: Option<(PagedMap<Wide, ()>, BTreeMap<u32, Wide>)> = None;
+        for (step, (op, pick, val)) in steps.into_iter().enumerate() {
+            let last = model.keys().next_back().copied();
+            let key = match op {
+                // Ascending: above every key, by a small stride.
+                0..=3 => last.map_or(0, |k| k + 1 + u32::from(pick % 3)),
+                // Interior, or below every key.
+                4..=5 => u32::from(pick) * 4 % (last.unwrap_or(0) + 2),
+                // A key already present, when there is one.
+                6..=7 => model.keys().nth(usize::from(pick) % model.len().max(1)).copied().unwrap_or(0),
+                8 => {
+                    // A removal, so runs split, shrink and merge.
+                    let key = u32::from(pick) % (last.unwrap_or(0) + 1);
+                    let gone = once.remove_by(|h| h.1.cmp(&key)).map(|(h, ())| h.0);
+                    prop_assert_eq!(gone, model.remove(&key).map(|h| h.0));
+                    prop_assert!(twice.remove_by(|h| h.1.cmp(&key)).is_some() == gone.is_some());
+                    continue;
+                }
+                _ => {
+                    pinned = Some((once.clone(), model.clone()));
+                    continue;
+                }
+            };
+            let offered: Wide = Arc::new((u32::from(val), key));
+            let len = once.len();
+            let verdict = once
+                .try_insert_by(offered.clone(), (), by_wide_key)
+                .map_err(|((stored, ()), (back, ()))| (stored.clone(), back));
+            match (verdict, model.get(&key)) {
+                (Ok(()), None) => {
+                    model.insert(key, offered.clone());
+                    prop_assert_eq!(once.len(), len + 1);
+                }
+                (Err((stored, back)), Some(held)) => {
+                    prop_assert!(Arc::ptr_eq(&stored, held), "the stored entry of {}", key);
+                    prop_assert!(Arc::ptr_eq(&back, &offered), "the offered entry handed back");
+                    prop_assert_eq!(once.len(), len);
+                }
+                (got, held) => prop_assert!(false, "key {}: {:?} with {:?} held", key, got, held),
+            }
+            if twice.get_by(|h| h.1.cmp(&key)).is_none() {
+                twice.insert_by(offered, (), by_wide_key);
+            }
+            if step % 16 == 0 {
+                prop_assert_eq!(runs_of(&once), runs_of(&twice));
+            }
+        }
+        prop_assert_eq!(runs_of(&once), runs_of(&twice));
+        prop_assert!(once.iter().map(|(h, ())| h).eq(model.values()));
+        if let Some((map, model)) = pinned {
+            prop_assert!(map.iter().map(|(h, ())| h).eq(model.values()), "the pinned clone moved");
+        }
+    }
+}
+
+/// An ascending load costs one comparison per key after the first — the
+/// last key of the last run, and no search — however long the map grows;
+/// a key below the last pays the two binary searches.
+#[test]
+fn an_ascending_load_compares_each_key_once() {
+    let comparisons = std::cell::Cell::new(0usize);
+    let counted = |a: &u32, b: &u32| {
+        comparisons.set(comparisons.get() + 1);
+        a.cmp(b)
+    };
+    let mut map: PagedMap<u32, ()> = PagedMap::new();
+    let n = 5_000u32;
+    for k in 0..n {
+        assert!(map.try_insert_by(2 * k, (), counted).is_ok());
+    }
+    assert_eq!(comparisons.get(), n as usize - 1);
+    assert!(map.iter().map(|(k, ())| *k).eq((0..n).map(|k| 2 * k)));
+    // The last key again is not above the last: searched for, and found.
+    comparisons.set(0);
+    assert!(map.try_insert_by(2 * (n - 1), (), counted).is_err());
+    assert!(comparisons.get() > 1, "a hit is found by search");
+    comparisons.set(0);
+    assert!(map.try_insert_by(1, (), counted).is_ok());
+    assert!(comparisons.get() > 2, "an interior key is searched for");
+    assert_eq!(map.len(), n as usize + 1);
 }
 
 /// Entries out of order — equal keys included — are refused at the first
