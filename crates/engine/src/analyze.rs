@@ -475,8 +475,8 @@ impl BatchFootprint {
     /// spurious. The router's intra-round check passes `true` (only
     /// read/write dependencies deny; the publisher re-checks the *realized*
     /// writes at merge and requeues genuine overlaps), while the blocker-set
-    /// check against deferred conflicters and in-flight rounds passes
-    /// `false` — rounds stay disjoint by construction, which is what makes
+    /// check against deferred conflicters passes `false` — an update never
+    /// overtakes an earlier one it might conflict with, which is what makes
     /// the merge-time realized check a purely intra-round affair.
     pub fn check(&self, a: &Analysis, optimistic: bool) -> Verdict {
         if self.global || a.cone.is_none() {
@@ -548,17 +548,6 @@ impl BatchFootprint {
             },
         }
         self.rel.absorb(&a.rel);
-    }
-
-    /// Unions another batch footprint into this one. The pipelined
-    /// publisher folds the footprints of every in-flight round into one
-    /// blocker set that seeds the next plan (ARCHITECTURE.md §7).
-    pub fn absorb_batch(&mut self, other: &BatchFootprint) {
-        self.global |= other.global;
-        self.hard_nodes.extend(other.hard_nodes.iter().copied());
-        self.soft_nodes.extend(other.soft_nodes.iter().copied());
-        self.sub.absorb(&other.sub);
-        self.rel.absorb(&other.rel);
     }
 }
 

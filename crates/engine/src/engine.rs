@@ -36,12 +36,15 @@ pub struct EngineConfig {
     /// the planner's stall limit — a round closes after this many
     /// consecutive conflicts.
     pub max_batch: usize,
-    /// Number of parallel shard writers (clamped to `1..=64`). Selects the
-    /// round pipeline's translate executor and nothing else: at `1` each
-    /// round is applied inline on the committing thread and no thread is
-    /// spawned; at `n >= 2` rounds are translated speculatively by `n`
-    /// shard writer threads over anchor-cone partitions and merged in
-    /// submission order (a ⊤-footprint update still runs inline, alone).
+    /// Number of parallel shard writers (clamped to `1..=64`). It selects
+    /// the round pipeline's translate executor: at `1` each round is
+    /// applied inline on the committing thread and no thread is spawned; at
+    /// `n >= 2` rounds are translated speculatively by up to `n` shard
+    /// writer threads over anchor-cone partitions and merged in submission
+    /// order (a ⊤-footprint update still runs inline, alone). It also sizes
+    /// the round — a round admits up to `n_shards * max_batch` updates —
+    /// and is the ceiling of the adaptive fan-out, which picks how many of
+    /// the `n` writers each round spans.
     pub n_shards: usize,
     /// Write-ahead logging / fsync policy. Anything but [`Durability::Off`]
     /// requires a log directory — construct with
@@ -62,10 +65,10 @@ pub struct EngineConfig {
     pub metrics_path: Option<PathBuf>,
     /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
-    /// `None` in production (the default). When set, the pipeline
-    /// announces each stage transition (plan/publish on every round,
-    /// dispatch/merge on sharded ones) and blocks on held gates, letting a
-    /// test freeze round `k` in merge while round `k+1` translates.
+    /// `None` in production (the default). When set, every round announces
+    /// its plan and its publish and blocks on held gates, letting a test
+    /// freeze the commit between round `k`'s publish and its acks, or
+    /// before round `k+1` is planned.
     pub stage_hooks: Option<crate::pipeline::StageHooks>,
 }
 

@@ -51,18 +51,13 @@
 //!   translations onto the working clone in submission order
 //!   ([`rxview_core::XmlViewSystem::apply_translated`] re-interns and
 //!   remaps, asserting in debug builds that realized footprints were
-//!   covered by planned ones). Sharded rounds are *pipelined* (two in
-//!   translation at once): the router keeps
-//!   planning ahead against the last published snapshot, and a round whose
-//!   planned footprint is disjoint from everything still in flight is
-//!   dispatched to shard translation while its predecessors are still in
-//!   merge/fold/publish — merges stay strictly in submission order, so
-//!   readers, the WAL, and acks observe the identical epoch stream
-//!   (`WAL(k) ≺ publish(k) ≺ ack(k)`); a publish landing mid-plan triggers
-//!   a footprint-diff fixup that evicts newly-conflicting updates back to
-//!   the queue. Deterministic schedules are testable through
-//!   [`pipeline::StageHooks`]. Both executors are property-tested
-//!   observationally equivalent to sequential application.
+//!   covered by planned ones). Rounds run one at a time on either
+//!   executor: a round is planned against the latest published snapshot
+//!   and merged, folded, logged and published before the next is planned,
+//!   so readers, the WAL, and acks observe one epoch stream
+//!   (`WAL(k) ≺ publish(k) ≺ ack(k)`). Deterministic schedules are
+//!   testable through [`pipeline::StageHooks`]. Both executors are
+//!   property-tested observationally equivalent to sequential application.
 //! - **Durability** ([`Durability`], [`Engine::with_durability`],
 //!   [`Engine::recover`]): the pipeline appends each committed round —
 //!   `(epoch, applied updates in submission order)` — to a checksummed,

@@ -1,17 +1,15 @@
 //! Deterministic interleaving hooks for the round pipeline.
 //!
-//! The sharded executor overlaps round `k+1`'s shard translation with round
-//! `k`'s merge/fold/publish. That overlap is scheduled by the
-//! OS, which makes "round k+1 translates while round k merges" untestable
-//! as stated — a fast machine may finish the translation before the merge
-//! even starts. [`StageHooks`] makes the schedule *controllable*: the
-//! coordinator calls the crate-internal `StageHooks::reached` at fixed
-//! points of its loop
+//! A commit runs on whichever thread calls `commit_pending`, while readers
+//! and submitters run on others, so "round 1's ticket resolved before
+//! round 2 published" or "nothing was planned while round 1 was
+//! unpublished" is a statement about a schedule the OS picks. [`StageHooks`]
+//! makes the schedule *controllable*: the coordinator calls the
+//! crate-internal `StageHooks::reached` at fixed points of each round
 //! ([`Stage`]), and a test that holds a stage gate blocks the coordinator
-//! right there — while the shard workers keep translating — then inspects
-//! counters, asserts what was (or was not) dispatched, and releases the
-//! gate. Every pipelining invariant in `crates/engine/tests/pipeline.rs`
-//! is exercised through these gates rather than asserted on faith.
+//! right there, then inspects tickets, snapshots and arrival counts, and
+//! releases the gate. The round-lifecycle tests in
+//! `crates/engine/tests/pipeline.rs` are built on these gates.
 //!
 //! Production engines leave [`crate::EngineConfig::stage_hooks`] at `None`;
 //! the commit path then pays one `Option` check per stage and nothing else.
@@ -26,21 +24,13 @@ use std::time::{Duration, Instant};
 const GATE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Fixed instrumentation points of the round pipeline, in the order one
-/// round passes through them. Every round announces `Plan` and `Publish`;
-/// `Dispatch` and `Merge` belong to sharded rounds (an inline round
-/// translates on the coordinator, between its `Plan` and `Publish`).
+/// round passes through them, on either executor. A round that applied
+/// nothing publishes nothing, so it announces `Plan` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// A round plan was formed against the latest published snapshot
-    /// (before any dispatch decision).
+    /// (before the round is translated).
     Plan,
-    /// A planned round was handed to the shard pool — its translation is
-    /// now running concurrently with whatever the coordinator does next.
-    Dispatch,
-    /// The coordinator entered the serial merge section of its **oldest**
-    /// round (shard bundles already collected; the freed pipeline slot has
-    /// been offered to the staged successor).
-    Merge,
     /// A round's snapshot was published (the epoch advanced); its tickets
     /// have not resolved yet.
     Publish,
@@ -170,28 +160,26 @@ mod tests {
         let hooks = StageHooks::new();
         hooks.reached(Stage::Plan);
         hooks.reached(Stage::Plan);
-        hooks.reached(Stage::Dispatch);
         assert_eq!(hooks.arrivals(Stage::Plan), 2);
-        assert_eq!(hooks.arrivals(Stage::Dispatch), 1);
-        assert_eq!(hooks.arrivals(Stage::Merge), 0);
+        assert_eq!(hooks.arrivals(Stage::Publish), 0);
     }
 
     #[test]
     fn held_gate_blocks_until_release() {
         let hooks = StageHooks::new();
-        hooks.hold(Stage::Merge);
+        hooks.hold(Stage::Plan);
         let worker = {
             let hooks = hooks.clone();
             std::thread::spawn(move || {
-                hooks.reached(Stage::Merge); // blocks here
+                hooks.reached(Stage::Plan); // blocks here
                 Instant::now()
             })
         };
-        hooks.wait_arrivals(Stage::Merge, 1);
+        hooks.wait_arrivals(Stage::Plan, 1);
         // The worker has arrived but must still be parked on the gate.
         std::thread::sleep(Duration::from_millis(30));
         let released_at = Instant::now();
-        hooks.release(Stage::Merge);
+        hooks.release(Stage::Plan);
         let resumed_at = worker.join().expect("worker exits");
         assert!(
             resumed_at >= released_at,

@@ -1,60 +1,51 @@
 //! The round pipeline: the one commit path. Every drained queue, at every
-//! shard count, commits as a sequence of conflict-free *rounds*, and every
-//! round runs the same stages:
+//! shard count, commits as a sequence of conflict-free *rounds*, one at a
+//! time, and every round runs the same stages:
 //!
 //! ```text
 //! plan → translate → fold → log → publish → ack
 //! ```
 //!
 //! - **plan** — [`crate::router::plan_round`] admits a conflict-free round
-//!   against the latest snapshot (the only planner);
+//!   against the latest published snapshot (the only planner);
 //! - **translate** — one of two executors turns the round into ∆R/∆V on a
 //!   working state, chosen by what the code observes:
 //!   - *inline* (`n_shards == 1`, and the one-update round of a ⊤-footprint
-//!     update at any shard count): on a drained pipeline, with no lookahead,
-//!     each job reuses its dry-run evaluation and applies sequentially
-//!     (`apply_deferred`) to the working state;
+//!     update at any shard count): each job reuses its dry-run evaluation
+//!     and applies sequentially (`apply_deferred`) to the working state;
 //!   - *sharded* (`n_shards >= 2`): the round is dispatched to the
 //!     [`crate::shard`] pool, translated speculatively against the plan
-//!     snapshot, collected, and merged in **submission order**
+//!     snapshot, waited for, and merged in **submission order**
 //!     (`apply_translated`), requeueing any update whose realized writes
 //!     overlap an earlier merge of the round or that a shard found coupled
 //!     to a same-round insertion;
 //! - **fold → log → publish → ack** — one serial tail
 //!   (`Commit::finish_round`) for both: per-cone fold coalescing, one folded
 //!   ∆(M,L) pass, one WAL append, one publication, then ticket resolution,
-//!   requeues, and revalidation of cached analyses and of the staged plan.
+//!   requeues, and revalidation of cached analyses.
 //!   `WAL(k) ≺ publish(k) ≺ ack(k)` and read-your-writes live there and
 //!   nowhere else. A round that applied nothing publishes no epoch and
 //!   appends no record.
+//!
+//! A round is planned only after its predecessor has published
+//! (ARCHITECTURE.md §7), so the snapshot a plan ran against is the latest
+//! one until the round itself publishes: the shards translate against it,
+//! and the working state is cloned from it.
 //!
 //! The round's working state is a local: the latest snapshot's system,
 //! cloned once when translation results start landing, moved into the
 //! publication on success and dropped on any failure — so a failed fold or
 //! append leaves the previous snapshot current and later rounds proceed.
 //!
-//! Sharded rounds are **pipelined** (ARCHITECTURE.md §7): the coordinator
-//! keeps one round *staged* ahead — planned against the last published
-//! snapshot with the union footprint of everything unpublished seeded as
-//! blockers, so it is disjoint from in-flight work by construction — and
-//! dispatches it as soon as a slot frees. A slot frees when a round's
-//! bundles are *collected*, not when it publishes, so up to
-//! [`PIPELINE_DEPTH`] rounds translate while their predecessors run the
-//! serial tail. If a publish landed after the plan was staged,
-//! [`crate::router::fixup_stale_plan`] first evicts what now conflicts.
-//! Rounds merge and publish strictly in plan order either way.
-//!
 //! Deterministic schedules for tests inject
 //! [`crate::pipeline::StageHooks`] through the config; the coordinator
-//! announces plan/dispatch/merge/publish transitions and blocks on held
-//! gates (`crates/engine/tests/pipeline.rs`).
+//! announces each round's plan and publish and blocks on held gates
+//! (`crates/engine/tests/pipeline.rs`).
 
-use crate::analyze::BatchFootprint;
 use crate::engine::{CommitSummary, Inner, Pending};
 use crate::pipeline::{Stage, StageHooks};
 use crate::router::{self, PendingUpdate, RoundPlan};
-use crate::shard::{PendingDispatch, ShardBundle, ShardPool, ShardResult};
-use crate::snapshot::Snapshot;
+use crate::shard::{ShardBundle, ShardPool, ShardResult};
 use rxview_atg::NodeId;
 use rxview_core::{
     DeferredMaintenance, RelFootprint, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
@@ -62,7 +53,7 @@ use rxview_core::{
 };
 use rxview_obs::fields;
 use rxview_relstore::RelError;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -171,66 +162,6 @@ impl AdaptiveFanout {
     }
 }
 
-/// Sharded rounds that may be in shard translation at once. Two is what
-/// the overlap needs — one round translating through its predecessor's
-/// merge/fold/log/publish — and what the coordinator measures:
-/// `EngineStats::overlap` times the serial tails that ran with a
-/// round in flight (`PhaseBreakdown::overlap_fraction`, `rxbench`'s
-/// `engine.ledger.overlap_fraction`).
-const PIPELINE_DEPTH: usize = 2;
-
-/// A planned round not yet handed to its executor.
-struct StagedRound {
-    plan: RoundPlan,
-    /// The snapshot the plan's analyses (and dry-run evaluations) ran
-    /// against — the shards must translate against this very state.
-    snap: Arc<Snapshot>,
-    /// Union footprint of every round that published after this plan was
-    /// formed; [`router::fixup_stale_plan`] re-checks against it at
-    /// dispatch time.
-    stale: BatchFootprint,
-    made_stale: bool,
-}
-
-/// A dispatched-but-uncollected sharded round: its shards are translating
-/// (or done) while older rounds occupy the serial tail.
-struct InflightRound {
-    plan: RoundPlan,
-    plan_epoch: u64,
-    pending: PendingDispatch,
-}
-
-/// A sharded round whose bundles have been collected but whose merge and
-/// serial tail have not run yet. Collection frees the round's translation
-/// slot: the staged successor dispatches *before* the tail, so the shards
-/// translate straight through it instead of starving behind the round
-/// barrier. The round's footprint still blocks planning until it publishes.
-struct CollectedRound {
-    plan: RoundPlan,
-    plan_epoch: u64,
-    bundles: Vec<ShardBundle>,
-}
-
-/// Blocks until every shard of the oldest in-flight round reports, ending
-/// the round's translation stage (its pipeline slot frees here, not after
-/// the merge).
-fn collect_round(stats: &crate::stats::EngineStats, round: InflightRound) -> CollectedRound {
-    let bundles = round.pending.collect();
-    if let (Some(first), Some(last)) = (
-        bundles.iter().map(|b| b.started_at).min(),
-        bundles.iter().map(|b| b.finished_at).max(),
-    ) {
-        stats
-            .translate_wall
-            .record_duration(last.saturating_duration_since(first));
-    }
-    CollectedRound {
-        plan: round.plan,
-        plan_epoch: round.plan_epoch,
-        bundles,
-    }
-}
-
 /// What a translate executor leaves for the serial tail: the round's
 /// working state with every applied update's ∆R/∆V in it, and what became
 /// of each admitted update.
@@ -274,8 +205,8 @@ impl Translated {
 }
 
 /// One `commit_pending` call's state: the ticket table (reply channel and
-/// admission timestamp per update, indexed by submission order), the
-/// still-pending updates, and the round staged ahead.
+/// admission timestamp per update, indexed by submission order) and the
+/// still-pending updates.
 struct Commit<'a> {
     inner: &'a Inner,
     hooks: Option<&'a StageHooks>,
@@ -283,11 +214,10 @@ struct Commit<'a> {
     txs: Vec<Option<mpsc::Sender<UpdateOutcome>>>,
     submitted_ats: Vec<Instant>,
     entries: Vec<PendingUpdate>,
-    staged: Option<StagedRound>,
     /// Per-shard finish time of that shard's previous round of this commit:
     /// idle time is the starvation gap between a worker finishing a round
-    /// and the *dispatch* of its next (zero for its first), which a filled
-    /// pipeline drives toward zero.
+    /// and the *dispatch* of its next (zero for its first) — the serial
+    /// tail of its round and the planning of the next.
     last_finish: Vec<Option<Instant>>,
     fanout: AdaptiveFanout,
 }
@@ -297,7 +227,6 @@ struct Commit<'a> {
 /// held.
 pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
     let n_shards = inner.config.n_shards;
-    let stats = &inner.stats;
     let mut c = Commit {
         inner,
         hooks: inner.config.stage_hooks.as_ref(),
@@ -308,7 +237,6 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
         txs: Vec::with_capacity(pending.len()),
         submitted_ats: Vec::with_capacity(pending.len()),
         entries: Vec::with_capacity(pending.len()),
-        staged: None,
         last_finish: vec![None; n_shards],
         fanout: AdaptiveFanout::new(n_shards),
     };
@@ -318,133 +246,22 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
         c.entries.push(pu);
         c.txs.push(Some(tx));
     }
-    let mut inflight: VecDeque<InflightRound> = VecDeque::new();
-    let mut collected: Option<CollectedRound> = None;
 
-    while !c.entries.is_empty() || c.staged.is_some() || !inflight.is_empty() || collected.is_some()
-    {
-        // --- Plan: keep one round staged whenever work is queued. ---
-        let mut plan_stalled = false;
-        if c.staged.is_none() && !c.entries.is_empty() {
-            // Everything unpublished blocks planning: rounds still
-            // translating AND the collected round awaiting its serial
-            // tail — its writes are not in any snapshot yet.
-            let unpublished = (!inflight.is_empty() || collected.is_some()).then(|| {
-                let mut fp = BatchFootprint::default();
-                let plans = collected.iter().map(|r| &r.plan);
-                for plan in plans.chain(inflight.iter().map(|r| &r.plan)) {
-                    fp.absorb_batch(&plan.footprint);
-                }
-                fp
-            });
-            plan_stalled = !c.plan_next(unpublished.as_ref());
-            if plan_stalled {
-                stats.pipeline_stalls.incr();
-                stats.recorder().record(
-                    "pipeline.stall",
-                    fields![inflight: inflight.len(), deferred: c.entries.len()],
-                );
-            }
-        }
-
-        // --- Inline executor: runs the staged round here and now. It never
-        // plans ahead — at one shard nothing is ever in flight, and a ⊤
-        // round is only admitted once nothing unpublished blocks it — so
-        // the pipeline is drained and the latest snapshot is the plan's. ---
-        if c.staged.as_ref().is_some_and(|s| c.runs_inline(&s.plan)) {
-            debug_assert!(inflight.is_empty() && collected.is_none());
-            let s = c.staged.take().expect("checked");
-            // This round publishes that snapshot's successor; let go first.
-            drop(s.snap);
-            let mut plan = s.plan;
-            let translated = c.translate_inline(&mut plan);
-            c.finish_round(plan, translated);
-            continue;
-        }
-
-        // --- Dispatch the staged sharded round while a slot is free. ---
-        // A slot frees when a round's bundles are *collected* (its
-        // translation is over), not when it publishes — so the successor
-        // translates through the collected round's entire serial tail and
-        // the shards never wait for work.
-        if c.staged.is_some() && !plan_stalled && inflight.len() < PIPELINE_DEPTH {
-            let mut s = c.staged.take().expect("checked");
-            if s.made_stale {
-                // One or more rounds published after this plan was formed:
-                // re-check the plan against their union footprint and
-                // evict anything newly conflicting back to the queue.
-                let evicted = router::fixup_stale_plan(&mut s.plan, &s.stale);
-                stats.record_pipeline_fixup(evicted.len());
-                stats.recorder().record(
-                    "pipeline.fixup",
-                    fields![evicted: evicted.len(), kept: s.plan.admitted.len()],
-                );
-                if !evicted.is_empty() {
-                    c.entries.extend(evicted);
-                    c.entries.sort_by_key(|pu| pu.idx);
-                }
-                if s.plan.admitted.is_empty() {
-                    continue; // the whole round was evicted; replan
-                }
-            }
-            let plan_epoch = s.snap.epoch();
-            let pool = inner
-                .pool
-                .get_or_init(|| ShardPool::new(n_shards, Arc::clone(&inner.stats)));
-            let assignments = std::mem::take(&mut s.plan.assignments);
-            let pending = pool.dispatch(&s.snap, plan_epoch, assignments);
-            if !inflight.is_empty() {
-                // True overlap: this round translates while older rounds
-                // are still unmerged.
-                stats.pipeline_admits.incr();
-                stats.recorder().record(
-                    "pipeline.admit",
-                    fields![inflight: inflight.len() + 1, plan_epoch: plan_epoch],
-                );
-            }
-            inflight.push_back(InflightRound {
-                plan: s.plan,
-                plan_epoch,
-                pending,
-            });
-            stats.pipeline_inflight.set(inflight.len() as i64);
-            if let Some(h) = c.hooks {
-                h.reached(Stage::Dispatch);
-            }
-            continue; // fill the pipeline before blocking on a merge
-        }
-
-        // --- Merge the collected round and run its serial tail. ---
-        // Rounds dispatched by the arm above are already translating, so
-        // everything below is overlapped whenever the pipeline holds
-        // anything — exactly the span younger rounds translate "for free".
-        if let Some(round) = collected.take() {
-            let t_serial = Instant::now();
-            let translated = c.merge_sharded(&round.plan, round.plan_epoch, round.bundles);
-            c.finish_round(round.plan, translated);
-            if !inflight.is_empty() {
-                stats.overlap.record_duration(t_serial.elapsed());
-            }
-            continue;
-        }
-
-        // --- Collect the oldest in-flight round's bundles. ---
-        // This ends the round's translation stage; the next iteration
-        // dispatches the staged successor into the freed slot before the
-        // merge runs.
-        if let Some(round) = inflight.pop_front() {
-            stats.pipeline_inflight.set(inflight.len() as i64);
-            collected = Some(collect_round(stats, round));
-            continue;
-        }
-
-        // Unreachable: with an empty pipeline the plan arm always stages
-        // (a nonempty queue admits its first update), and a staged round
-        // always runs or dispatches on an empty pipeline. Guard against a
-        // logic error rather than spinning; the ticket safety net below
-        // fails anything left.
-        debug_assert!(false, "round pipeline made no progress");
-        break;
+    while !c.entries.is_empty() {
+        let Some(mut plan) = c.plan_next() else {
+            // Unreachable: nothing unpublished blocks a plan, so a nonempty
+            // queue admits its first update. Guard against a logic error
+            // rather than spinning; the ticket safety net below fails
+            // anything left.
+            debug_assert!(false, "a round plan admitted nothing");
+            break;
+        };
+        let translated = if c.runs_inline(&plan) {
+            c.translate_inline(&mut plan)
+        } else {
+            c.translate_sharded(&mut plan)
+        };
+        c.finish_round(plan, translated);
     }
 
     // Every ticket must resolve.
@@ -495,11 +312,11 @@ impl Commit<'_> {
         }
     }
 
-    /// Plans the next round against the latest snapshot and stages it.
-    /// Returns `false` on a **pipeline stall** — everything scanned
-    /// conflicts with `unpublished` rounds, so the pipeline must drain one
-    /// before planning can admit again.
-    fn plan_next(&mut self, unpublished: Option<&BatchFootprint>) -> bool {
+    /// Plans the next round against the latest snapshot — which stays the
+    /// latest until the round publishes, because only a round's own publish
+    /// replaces it. Returns `None` if the plan admitted nothing, which a
+    /// nonempty queue never does.
+    fn plan_next(&mut self) -> Option<RoundPlan> {
         let stats = &self.inner.stats;
         let config = &self.inner.config;
         let current = self.inner.current();
@@ -518,7 +335,6 @@ impl Commit<'_> {
             shards,
             config.max_batch,
             max_cone_anchors,
-            unpublished,
             stats,
         );
         // Dry-run evaluation time inside plan_round is recorded as eval;
@@ -530,7 +346,7 @@ impl Commit<'_> {
             h.reached(Stage::Plan);
         }
         if plan.admitted.is_empty() {
-            return false;
+            return None;
         }
         stats.rounds.incr();
         stats.recorder().record(
@@ -542,20 +358,14 @@ impl Commit<'_> {
                 exec: self.exec_name(&plan),
             ],
         );
-        self.staged = Some(StagedRound {
-            plan,
-            snap: current,
-            stale: BatchFootprint::default(),
-            made_stale: false,
-        });
-        true
+        Some(plan)
     }
 
     /// The inline translate executor: applies the round's jobs one after
-    /// another to a clone of the latest snapshot — which, on the drained
-    /// pipeline inline rounds run on, is the state the plan's dry runs
-    /// evaluated against, so their evaluations are reused (conflict-freeness
-    /// keeps them exact on the round-mutated working state too).
+    /// another to a clone of the latest snapshot — the state the plan's dry
+    /// runs evaluated against, so their evaluations are reused
+    /// (conflict-freeness keeps them exact on the round-mutated working
+    /// state too).
     fn translate_inline(&mut self, plan: &mut RoundPlan) -> Translated {
         let stats = &self.inner.stats;
         let jobs: Vec<_> = std::mem::take(&mut plan.assignments)
@@ -592,38 +402,45 @@ impl Commit<'_> {
         out
     }
 
-    /// The sharded translate executor's merge half: applies the collected
-    /// shard translations to a clone of the latest snapshot in **submission
+    /// The sharded translate executor: dispatches the round's job lists to
+    /// the shard pool against the latest snapshot — the one the round was
+    /// planned against — waits for every shard, and merges.
+    fn translate_sharded(&mut self, plan: &mut RoundPlan) -> Translated {
+        let inner = self.inner;
+        let pool = inner
+            .pool
+            .get_or_init(|| ShardPool::new(inner.config.n_shards, Arc::clone(&inner.stats)));
+        let bundles = pool.dispatch(&inner.current(), std::mem::take(&mut plan.assignments));
+        if let (Some(first), Some(last)) = (
+            bundles.iter().map(|b| b.started_at).min(),
+            bundles.iter().map(|b| b.finished_at).max(),
+        ) {
+            inner
+                .stats
+                .translate_wall
+                .record_duration(last.saturating_duration_since(first));
+        }
+        self.merge_sharded(plan, bundles)
+    }
+
+    /// The sharded translate executor's merge half: applies the shard
+    /// translations to a clone of the latest snapshot in **submission
     /// order** — re-interning each translation's fresh pairs and remapping
     /// it into the working state's ids — so requeue decisions and base-delta
     /// application order match the sequential semantics.
-    fn merge_sharded(
-        &mut self,
-        plan: &RoundPlan,
-        plan_epoch: u64,
-        bundles: Vec<ShardBundle>,
-    ) -> Translated {
+    fn merge_sharded(&mut self, plan: &RoundPlan, bundles: Vec<ShardBundle>) -> Translated {
         let stats = &self.inner.stats;
-        if let Some(h) = self.hooks {
-            h.reached(Stage::Merge);
-        }
         self.summary.batches += bundles.len();
         let mut flat: Vec<(usize, usize, ShardResult)> = Vec::new();
         for b in bundles {
-            debug_assert_eq!(
-                b.plan_epoch, plan_epoch,
-                "bundle merged into the wrong pipeline slot"
-            );
             stats.record_batch(b.results.len());
             // Idle = starvation: how long this shard sat between finishing its
             // previous round of this commit and this round being *dispatched*
-            // (zero for its first round, or when round k+1 was dispatched
-            // before round k finished). A filled pipeline keeps the gap near
-            // zero because dispatch happens while the serial tail runs.
-            // The dispatch→pickup delay is deliberately excluded: that is CPU
-            // scheduling contention, not publisher-induced idleness, and on a
-            // small core count it cannot drop no matter how the commit loop is
-            // arranged.
+            // (zero for its first round) — its round's serial tail and the
+            // next plan. The dispatch→pickup delay is deliberately excluded:
+            // that is CPU scheduling contention, not publisher-induced
+            // idleness, and on a small core count it cannot drop no matter
+            // how the commit loop is arranged.
             let idle = self.last_finish[b.shard]
                 .map(|prev| b.dispatched_at.saturating_duration_since(prev))
                 .unwrap_or_default();
@@ -702,12 +519,11 @@ impl Commit<'_> {
     /// round's record is appended (and synced, per the policy) before its
     /// snapshot becomes visible, and accepted tickets resolve only after
     /// it is — `WAL(k) ≺ publish(k) ≺ ack(k)`, with read-your-writes as the
-    /// consequence; rounds reach here strictly in plan order, so appends
-    /// stay epoch-strict while younger rounds translate. A failed fold or
-    /// append fails the round's applied tickets and drops the working
-    /// state: nothing new is visible, the previous snapshot stays current,
-    /// and later and in-flight rounds proceed. A round that applied nothing
-    /// publishes no epoch and appends no record.
+    /// consequence; rounds reach here one at a time in plan order, so
+    /// appends are epoch-strict. A failed fold or append fails the round's
+    /// applied tickets and drops the working state: nothing new is visible,
+    /// the previous snapshot stays current, and later rounds proceed. A
+    /// round that applied nothing publishes no epoch and appends no record.
     fn finish_round(&mut self, plan: RoundPlan, translated: Translated) {
         let inner = self.inner;
         let stats = &inner.stats;
@@ -810,10 +626,8 @@ impl Commit<'_> {
             self.entries = back;
         }
         // Whatever the round committed invalidates cached analyses whose
-        // footprint it touched, and marks the staged plan (if any) stale so
-        // the dispatch arm re-checks it before handing it to the shards.
-        // Doing both for *failed* rounds too is conservative —
-        // over-blocking only costs a replan, never correctness.
+        // footprint it touched. Doing so for *failed* rounds too is
+        // conservative — a dropped cache only costs a re-analysis.
         for e in self.entries.iter_mut() {
             if e.cached
                 .as_ref()
@@ -821,10 +635,6 @@ impl Commit<'_> {
             {
                 e.cached = None;
             }
-        }
-        if let Some(s) = &mut self.staged {
-            s.stale.absorb_batch(&plan.footprint);
-            s.made_stale = true;
         }
     }
 }

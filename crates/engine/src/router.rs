@@ -22,19 +22,14 @@
 //!
 //! Updates whose paths cannot be bounded — unfilterable wildcards, bare
 //! `//`, candidate sets past the anchor cap — have a *global* (⊤) footprint
-//! and conflict with everything: they reach the front of the queue on a
-//! drained pipeline and form a one-update round that the publisher runs
-//! inline. Typed leading-`//` and wildcard-rooted paths resolve to bounded
-//! multi-anchor cones instead (see [`crate::analyze`]) and are routed like
-//! any other update.
+//! and conflict with everything: once at the front of the queue they form a
+//! one-update round that the publisher runs inline. Typed leading-`//` and
+//! wildcard-rooted paths resolve to bounded multi-anchor cones instead (see
+//! [`crate::analyze`]) and are routed like any other update.
 //!
-//! For sharded rounds the router also plans *ahead* (ARCHITECTURE.md §7):
-//! [`plan_round`] takes the union footprint of every round still in flight
-//! as a pre-seeded blocker set, so a lookahead round is disjoint from
-//! everything unmerged by construction, and [`fixup_stale_plan`] re-checks a
-//! staged plan against the footprints that published after it was formed,
-//! evicting newly-conflicting updates back to the queue instead of
-//! dispatching them against a stale snapshot.
+//! The publisher plans a round only after its predecessor has published
+//! (ARCHITECTURE.md §7), so a plan's snapshot holds every earlier round's
+//! writes and the only blockers are the updates the scan itself defers.
 //!
 //! Deferred **deletions** keep their analysis (and dry-run evaluation)
 //! across rounds: a cached analysis stays valid while its cone and keys are
@@ -145,18 +140,16 @@ pub(crate) struct RoundPlan {
     /// Per-shard job lists (index = shard id; entries may be empty), each in
     /// submission order. With one shard, `assignments[0]` is the round.
     pub(crate) assignments: Vec<Vec<ShardJob>>,
-    /// Revalidates cached analyses of the updates that stayed behind, and
-    /// blocks lookahead planning until the round publishes.
+    /// Revalidates cached analyses of the updates that stayed behind.
     pub(crate) footprint: BatchFootprint,
     /// The admitted updates (analysis caches dropped), submission order —
     /// kept for merge-time requeues and the replay-log record.
     pub(crate) admitted: Vec<PendingUpdate>,
     /// Planned analysis per admitted update, sorted by submission index
-    /// (parallel to `admitted`) — what a sharded round needs beyond its
-    /// jobs: the conservativeness contract realized translations are
-    /// asserted against in debug builds, and what [`fixup_stale_plan`]
-    /// conflict-checks against footprints published after the plan was
-    /// formed. Empty when planned for the inline executor.
+    /// (parallel to `admitted`) — what a sharded round's merge needs beyond
+    /// its jobs: each update's cone-coalescing key and cone count, and the
+    /// conservativeness contract realized translations are asserted against
+    /// in debug builds. Empty when planned for the inline executor.
     pub(crate) planned: Vec<(usize, Analysis)>,
     /// Admitted updates whose paths resolved through the multi-anchor
     /// (`//`-headed / wildcard-rooted) classifier — the publisher records
@@ -176,17 +169,9 @@ pub(crate) struct RoundPlan {
 ///
 /// `shards` is how many shard writers the round is laid out for; `None`
 /// plans for the inline executor — one job list, and no analysis outlives
-/// its admission check (an inline round is never fixed up and has no
-/// realized footprints to assert against, and holding a wide round's cones
-/// through the scan costs more than the scan).
-///
-/// `inflight` is the union footprint of every round dispatched but not yet
-/// published (the sharded executor's lookahead). Seeding the blocker set
-/// with it makes the planned round disjoint from everything unmerged *by
-/// construction*: an update conflicting with an in-flight round defers
-/// (preserving submission order against uncommitted work, exactly as if
-/// the in-flight updates had been deferred conflicters of this scan), and
-/// a ⊤ update cannot form its round until the pipeline drains.
+/// its admission check (an inline round has no realized footprints to
+/// assert against, and holding a wide round's cones through the scan costs
+/// more than the scan).
 ///
 /// Two rules live here and nowhere else:
 ///
@@ -208,7 +193,6 @@ pub(crate) fn plan_round(
     shards: Option<usize>,
     max_batch: usize,
     max_cone_anchors: usize,
-    inflight: Option<&BatchFootprint>,
     stats: &EngineStats,
 ) -> RoundPlan {
     debug_assert!(!pending.is_empty());
@@ -233,10 +217,6 @@ pub(crate) fn plan_round(
     };
     let mut blocked = BatchFootprint::default();
     let mut any_blocked = false;
-    if let Some(fp) = inflight {
-        blocked.absorb_batch(fp);
-        any_blocked = true;
-    }
     let mut deferred: Vec<PendingUpdate> = Vec::new();
 
     let mut drain = std::mem::take(pending).into_iter();
@@ -290,7 +270,7 @@ pub(crate) fn plan_round(
         };
         if verdict.admits() && any_blocked {
             // Strict: the round must stay disjoint from deferred
-            // conflicters (FIFO order) and in-flight rounds.
+            // conflicters (FIFO order).
             let blocked_verdict = blocked.check(&analysis, false);
             if verdict == Verdict::Admit || !blocked_verdict.admits() {
                 verdict = blocked_verdict;
@@ -337,156 +317,4 @@ pub(crate) fn plan_round(
     deferred.extend(drain);
     *pending = deferred;
     plan
-}
-
-/// Footprint-diff fixup for a staged (planned but undispatched) sharded
-/// round that one or more publishes overtook: re-checks every admitted
-/// update's planned analysis against `committed` — the union footprint of
-/// the rounds published since the plan was formed — and evicts conflicters
-/// from the plan, returning them for re-entry into the pending queue.
-///
-/// Because [`plan_round`] seeds its blocker set with everything in flight
-/// and realized footprints are covered by planned ones (the publisher's
-/// debug assert), the eviction set is empty in the expected case; this is
-/// the release-mode guarantee that a staged plan is never dispatched
-/// against state it conflicts with.
-pub(crate) fn fixup_stale_plan(
-    plan: &mut RoundPlan,
-    committed: &BatchFootprint,
-) -> Vec<PendingUpdate> {
-    let evict: std::collections::HashSet<usize> = plan
-        .planned
-        .iter()
-        .filter(|(_, a)| committed.conflicts(a))
-        .map(|(idx, _)| *idx)
-        .collect();
-    if evict.is_empty() {
-        return Vec::new();
-    }
-    plan.planned.retain(|(idx, _)| !evict.contains(idx));
-    for jobs in plan.assignments.iter_mut() {
-        jobs.retain(|job| !evict.contains(&job.idx));
-    }
-    let (evicted, kept) = std::mem::take(&mut plan.admitted)
-        .into_iter()
-        .partition(|pu| evict.contains(&pu.idx));
-    plan.admitted = kept;
-    plan.multi_cone_admitted = plan
-        .planned
-        .iter()
-        .filter(|(_, a)| a.is_multi_cone())
-        .count();
-    // plan.footprint intentionally stays the pre-eviction superset: it only
-    // ever *blocks* later planning, and over-blocking is always sound.
-    evicted
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rxview_core::MAX_CONE_ANCHORS;
-    use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
-
-    fn system() -> XmlViewSystem {
-        let cfg = SyntheticConfig::with_size(200);
-        let db = synthetic_database(&cfg);
-        let atg = synthetic_atg(&db).expect("valid ATG");
-        XmlViewSystem::new(atg, db).expect("publishes")
-    }
-
-    /// One guaranteed-deletable edge path per group — `node[id=h]/sub/
-    /// node[id=c]` for the group head's first `H` child: distinct groups
-    /// have disjoint cones and disjoint typed footprints (the idiom the
-    /// integration tests use throughout).
-    fn group_edge_paths(sys: &XmlViewSystem, want: usize) -> Vec<String> {
-        use rxview_relstore::Value;
-        let h = sys.base().table("H").expect("H table");
-        (0..)
-            .map(|g| g * 40)
-            .take_while(|&head| head < 200)
-            .filter_map(|head| {
-                let prefix = [Value::Int(head)];
-                let row = h.scan_key_prefix(&prefix).next()?;
-                let child = row[1].as_int().expect("int h2");
-                let path = format!("node[id={head}]/sub/node[id={child}]");
-                let u = XmlUpdate::delete(&path).expect("parses");
-                (!sys.evaluate(u.path()).is_empty()).then_some(path)
-            })
-            .take(want)
-            .collect()
-    }
-
-    fn engine_stats(sys: &XmlViewSystem) -> EngineStats {
-        let plan_cache = Arc::clone(sys.view().plan_cache());
-        EngineStats::new(2, crate::stats::flight_recorder(), plan_cache)
-    }
-
-    fn pending(idx: usize, path: &str) -> PendingUpdate {
-        PendingUpdate {
-            idx,
-            update: Arc::new(XmlUpdate::delete(path).unwrap()),
-            policy: SideEffectPolicy::Proceed,
-            cached: None,
-        }
-    }
-
-    #[test]
-    fn inflight_seed_defers_conflicting_updates() {
-        let sys = system();
-        let stats = engine_stats(&sys);
-        let paths = group_edge_paths(&sys, 1);
-        let u = paths[0].as_str();
-        // With the update's own footprint in flight, the planner must defer
-        // it (admitting nothing) instead of double-dispatching its cone.
-        let mut inflight = BatchFootprint::default();
-        inflight.absorb(&Analysis::of(&sys, &pending(0, u).update));
-        let mut queue = vec![pending(0, u)];
-        let plan = plan_round(
-            &sys,
-            &mut queue,
-            Some(2),
-            4,
-            MAX_CONE_ANCHORS,
-            Some(&inflight),
-            &stats,
-        );
-        assert!(plan.admitted.is_empty(), "conflicting update must defer");
-        assert_eq!(queue.len(), 1, "the deferred update stays queued");
-        // Without the seed the same singleton queue admits immediately.
-        let plan = plan_round(&sys, &mut queue, Some(2), 4, MAX_CONE_ANCHORS, None, &stats);
-        assert_eq!(plan.admitted.len(), 1);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn fixup_evicts_exactly_the_newly_conflicting_updates() {
-        let sys = system();
-        let stats = engine_stats(&sys);
-        let paths = group_edge_paths(&sys, 2);
-        assert_eq!(paths.len(), 2, "two deletable groups");
-        let (u1, u2) = (paths[0].as_str(), paths[1].as_str());
-        let mut queue = vec![pending(0, u1), pending(1, u2)];
-        let mut plan = plan_round(&sys, &mut queue, Some(2), 4, MAX_CONE_ANCHORS, None, &stats);
-        assert_eq!(plan.admitted.len(), 2, "disjoint deletes share a round");
-
-        // A publish whose footprint overlaps u1 (here: u1's own analysis)
-        // lands after the plan was staged: the fixup must evict u1 and
-        // leave u2's jobs intact.
-        let mut committed = BatchFootprint::default();
-        committed.absorb(&Analysis::of(&sys, &XmlUpdate::delete(u1).unwrap()));
-        let evicted = fixup_stale_plan(&mut plan, &committed);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].idx, 0);
-        assert_eq!(plan.admitted.len(), 1);
-        assert_eq!(plan.admitted[0].idx, 1);
-        assert_eq!(plan.planned.len(), 1);
-        assert_eq!(plan.planned[0].0, 1);
-        let jobs: Vec<usize> = plan.assignments.iter().flatten().map(|j| j.idx).collect();
-        assert_eq!(jobs, vec![1], "only u2's shard job survives the fixup");
-
-        // A disjoint committed footprint evicts nothing.
-        let none = fixup_stale_plan(&mut plan, &BatchFootprint::default());
-        assert!(none.is_empty());
-        assert_eq!(plan.admitted.len(), 1);
-    }
 }

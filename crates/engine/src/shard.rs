@@ -2,7 +2,10 @@
 //! updates against a shared snapshot.
 //!
 //! Each worker receives one round's job list together with the `Arc` of the
-//! snapshot the round will apply to, and runs phases 1–4 per update —
+//! snapshot the round was planned against — the latest published one, which
+//! stays the latest until the round publishes, because the publisher
+//! dispatches a round and waits for every shard before it plans the next
+//! (ARCHITECTURE.md §7) — and runs phases 1–4 per update —
 //! schema validation, (scoped) §3.2 evaluation, side-effect detection, and
 //! the ∆X→∆V→∆R translation of §3.3/§4 — without touching shared state:
 //!
@@ -16,16 +19,17 @@
 //!   publisher re-interns them on the round's working state and remaps the
 //!   translation (see [`rxview_core::XmlViewSystem::apply_translated`]).
 //!
-//! Translations are speculative: the publisher applies them only after
-//! checking that nothing committed in the meantime invalidates them. One
-//! invalidation the worker detects itself: if a translation references a
-//! node interned by an *earlier update of the same round* (possible when
-//! two insertions would generate overlapping fresh subtrees — the planned
-//! footprints catch pair-for-pair overlap, but a later update may still
-//! *link* a node an earlier one freshly interned), the later update's
-//! semantics depend on whether the earlier one commits — the worker rolls
-//! its interning back and reports [`ShardResult::Requeue`] so the router
-//! retries it against the next snapshot, where the answer is known.
+//! Translations are speculative: the publisher merges them in submission
+//! order and requeues any that an earlier merge of the same round
+//! invalidates. One invalidation the worker detects itself: if a
+//! translation references a node interned by an *earlier update of the same
+//! round* (possible when two insertions would generate overlapping fresh
+//! subtrees — the planned footprints catch pair-for-pair overlap, but a
+//! later update may still *link* a node an earlier one freshly interned),
+//! the later update's semantics depend on whether the earlier one commits —
+//! the worker rolls its interning back and reports [`ShardResult::Requeue`]
+//! so the router retries it against the next snapshot, where the answer is
+//! known.
 //!
 //! Each translated update carries its *realized* typed footprint
 //! ([`rxview_core::RelFootprint`], computed by the translation layer), so
@@ -81,10 +85,6 @@ pub(crate) enum ShardResult {
 /// Everything a shard produced for one round.
 pub(crate) struct ShardBundle {
     pub(crate) shard: usize,
-    /// Epoch of the snapshot the round was planned (and translated)
-    /// against — echoed from the dispatch so the pipelined publisher can
-    /// assert a bundle merges into the in-flight slot it was planned for.
-    pub(crate) plan_epoch: u64,
     pub(crate) results: Vec<(usize, ShardResult)>,
     /// When the publisher made this round available to the shard. Idle
     /// (starvation) time is the gap between a shard finishing one round
@@ -102,29 +102,9 @@ pub(crate) struct ShardBundle {
 
 struct RoundMsg {
     snap: Arc<Snapshot>,
-    plan_epoch: u64,
     dispatched_at: Instant,
     jobs: Vec<ShardJob>,
     reply: mpsc::Sender<ShardBundle>,
-}
-
-/// A dispatched round whose shard bundles have not been collected yet —
-/// the handle the pipelined publisher holds while the round translates
-/// concurrently with its predecessors' merge/fold/publish.
-pub(crate) struct PendingDispatch {
-    inbox: mpsc::Receiver<ShardBundle>,
-    expected: usize,
-}
-
-impl PendingDispatch {
-    /// Waits for every dispatched shard to report and returns the bundles
-    /// sorted by shard id.
-    pub(crate) fn collect(self) -> Vec<ShardBundle> {
-        let mut bundles: Vec<ShardBundle> = self.inbox.iter().collect();
-        assert_eq!(bundles.len(), self.expected, "all shards must report");
-        bundles.sort_by_key(|b| b.shard);
-        bundles
-    }
 }
 
 /// A pool of shard writer threads, spawned once per engine and fed one
@@ -155,14 +135,8 @@ impl ShardPool {
                     .name(format!("rxview-shard-{shard}"))
                     .spawn(move || {
                         while let Ok(msg) = rx.recv() {
-                            let bundle = run_round(
-                                shard,
-                                &msg.snap,
-                                msg.plan_epoch,
-                                msg.dispatched_at,
-                                msg.jobs,
-                                &stats,
-                            );
+                            let bundle =
+                                run_round(shard, &msg.snap, msg.dispatched_at, msg.jobs, &stats);
                             // Release the round snapshot before reporting:
                             // once the publisher has every bundle, no
                             // shard still pins the state it planned on.
@@ -182,16 +156,14 @@ impl ShardPool {
         }
     }
 
-    /// Sends each non-empty job list to its shard and returns immediately:
-    /// the round translates concurrently until
-    /// [`PendingDispatch::collect`] is called. `plan_epoch` tags the work
-    /// with the epoch of the snapshot it was planned against.
+    /// Sends each non-empty job list to its shard, translating against
+    /// `snap`, and blocks until every dispatched shard reports. Returns the
+    /// bundles sorted by shard id.
     pub(crate) fn dispatch(
         &self,
         snap: &Arc<Snapshot>,
-        plan_epoch: u64,
         assignments: Vec<Vec<ShardJob>>,
-    ) -> PendingDispatch {
+    ) -> Vec<ShardBundle> {
         let (reply, inbox) = mpsc::channel();
         let dispatched_at = Instant::now();
         let mut expected = 0usize;
@@ -203,14 +175,19 @@ impl ShardPool {
             self.txs[shard]
                 .send(RoundMsg {
                     snap: Arc::clone(snap),
-                    plan_epoch,
                     dispatched_at,
                     jobs,
                     reply: reply.clone(),
                 })
                 .expect("shard worker alive");
         }
-        PendingDispatch { inbox, expected }
+        // The workers hold the only senders left: the inbox ends when each
+        // has reported (or died).
+        drop(reply);
+        let mut bundles: Vec<ShardBundle> = inbox.iter().collect();
+        assert_eq!(bundles.len(), expected, "all shards must report");
+        bundles.sort_by_key(|b| b.shard);
+        bundles
     }
 }
 
@@ -227,7 +204,6 @@ impl Drop for ShardPool {
 fn run_round(
     shard: usize,
     snap: &Arc<Snapshot>,
-    plan_epoch: u64,
     dispatched_at: Instant,
     jobs: Vec<ShardJob>,
     stats: &EngineStats,
@@ -286,7 +262,6 @@ fn run_round(
 
     ShardBundle {
         shard,
-        plan_epoch,
         results,
         dispatched_at,
         started_at: t_round,

@@ -245,39 +245,22 @@ metric_table! {
         fsync: timer "phase.fsync_ns",
         /// Time spent publishing snapshots.
         publish: timer "phase.publish_ns",
-        // --- sharded pipeline (ARCHITECTURE.md §7) ---
+        // --- sharded executor (ARCHITECTURE.md §3) ---
         /// Total time shard workers spent translating (shards that received
         /// jobs only).
         shard_busy: timer "shard.busy_ns",
         /// Total time shard workers sat between consecutive rounds of a
         /// commit (the gap from finishing one round to the dispatch of the
-        /// next; zero for each shard's first round). This is the time
-        /// pipelining reclaims: the next round is dispatched while the serial
-        /// tail of the previous one runs.
+        /// next; zero for each shard's first round): the merge and serial
+        /// tail of their round plus the next plan, which run on the
+        /// committing thread one round at a time.
         shard_idle: timer "shard.idle_ns",
-        /// Total serial-tail time (merge→publish) that ran *overlapped* —
-        /// while at least one younger round was translating on the shard
-        /// pool. Zero at one shard.
-        overlap: timer "phase.overlap_ns",
-        /// Rounds dispatched to shard translation while an older round was
-        /// still unmerged (true pipeline overlap events).
-        pipeline_admits: counter "pipeline.admits",
-        /// Planning passes that admitted nothing because everything scanned
-        /// conflicts with in-flight rounds: the pipeline must drain one
-        /// before lookahead planning can proceed.
-        pipeline_stalls: counter "pipeline.stalls",
-        /// Staged plans re-checked against footprints published after they
-        /// were formed (the router's footprint-diff fixup path).
-        pipeline_fixups: counter "pipeline.fixups",
-        /// Updates evicted back to the queue by those fixups (normally zero —
-        /// lookahead plans are disjoint from in-flight work by construction).
-        pipeline_fixup_evictions: counter "pipeline.fixup_evictions",
         /// Commit rounds planned by the router (either executor).
         rounds: counter "round.planned",
-        /// One-update rounds of a ⊤-footprint update (run inline on a drained
-        /// pipeline at any shard count): only genuinely untypeable paths —
-        /// `//`-headed ones resolve to multi-anchor cones and ride ordinary
-        /// rounds.
+        /// ⊤ rounds: the one-update rounds of a ⊤-footprint update, run
+        /// inline at any shard count. Only genuinely untypeable paths form
+        /// one — `//`-headed ones resolve to multi-anchor cones and ride
+        /// ordinary rounds. (The registry name predates the rounds' name.)
         global_lane_rounds: counter "round.global_lane",
         /// Commit rounds that admitted at least one multi-cone (`//`-headed or
         /// wildcard-rooted) update — `//` traffic riding ordinary shardable
@@ -356,9 +339,6 @@ metric_table! {
         fold_ns: timer "phase.fold_ns",
         /// Admission→ack, one sample per resolved ticket: `latency`.
         update_latency_ns: timer "update.latency_ns",
-        /// Dispatched-but-uncollected rounds right now (the pipeline
-        /// occupancy gauge; the registry's only reader is the exporter).
-        pipeline_inflight: gauge "pipeline.inflight",
     }
 }
 
@@ -424,23 +404,14 @@ impl EngineStats {
     /// One shard's share of a round: `busy` is the time its worker spent
     /// translating, `idle` is the *starvation* gap between the worker
     /// finishing its previous round of this commit and the next round
-    /// being dispatched to it (zero for a shard's first round, and driven
-    /// toward zero by the pipeline: round k+1 is dispatched while round k's
-    /// serial tail runs). Dispatch→pickup delay is excluded — that is CPU
+    /// being dispatched to it (zero for a shard's first round). Dispatch→pickup
+    /// delay is excluded — that is CPU
     /// scheduling contention, not publisher-induced idleness. Only shards
     /// that received jobs report; a shard skipped by the round entirely is
     /// not "idle", it is unused.
     pub(crate) fn record_shard_round(&self, busy: Duration, idle: Duration) {
         self.shard_busy.record_duration(busy);
         self.shard_idle.record_duration(idle);
-    }
-
-    /// A staged plan was re-checked against footprints published after it
-    /// was formed (the router's footprint-diff fixup), evicting `evicted`
-    /// updates back to the queue.
-    pub(crate) fn record_pipeline_fixup(&self, evicted: usize) {
-        self.pipeline_fixups.incr();
-        self.pipeline_fixup_evictions.add(evicted as u64);
     }
 
     /// Records one conflict round's *planned* width (updates admitted by
@@ -561,13 +532,6 @@ pub struct PhaseBreakdown {
     pub fsync: Duration,
     /// Snapshot clone + publication.
     pub publish: Duration,
-    /// Serial-section time that ran overlapped with younger rounds'
-    /// translation (pipelined commit). **Not** an eighth phase: every
-    /// overlap nanosecond is already counted inside merge/fold/wal/fsync/
-    /// publish, so it is excluded from [`PhaseBreakdown::total`] and
-    /// [`PhaseBreakdown::fractions`]; see
-    /// [`PhaseBreakdown::overlap_fraction`].
-    pub overlap: Duration,
 }
 
 impl PhaseBreakdown {
@@ -610,24 +574,18 @@ impl PhaseBreakdown {
 
     /// Fraction of the phase total spent in the publisher's serialized
     /// section (everything after translation: merge + fold + wal + fsync +
-    /// publish) — the Amdahl ceiling on shard scaling that motivates
-    /// pipelined epoch commit.
+    /// publish) — the Amdahl ceiling on shard scaling.
     pub fn publisher_serial_fraction(&self) -> f64 {
         let serial = self.merge + self.fold + self.wal_append + self.fsync + self.publish;
         ratio(serial.as_secs_f64(), self.total().as_secs_f64())
     }
 
-    /// Fraction of the publisher's serial section that ran *overlapped*
-    /// with younger rounds' shard translation — the pipelined-commit
-    /// payoff: 0.0 for inline rounds (so always at one shard), approaching
-    /// 1.0 when the pipeline keeps a round in flight through every serial
-    /// section. The overlapped span is measured wall-to-wall per round and
-    /// so includes a sliver of bookkeeping (result sorting, ticket
-    /// resolution) outside the phase buckets in the denominator; the ratio
-    /// is clamped so fully-overlapped runs read exactly 1.0.
+    /// Fraction of the publisher's serial section that ran overlapped with
+    /// a younger round's translation: always `0.0`, because a round is
+    /// planned only after its predecessor has published (ARCHITECTURE.md
+    /// §7). Kept, as that constant, for callers that still report it.
     pub fn overlap_fraction(&self) -> f64 {
-        let serial = self.merge + self.fold + self.wal_append + self.fsync + self.publish;
-        ratio(self.overlap.as_secs_f64(), serial.as_secs_f64()).min(1.0)
+        0.0
     }
 }
 
@@ -666,9 +624,8 @@ impl EngineReport {
     /// Fraction of shard-round time spent starved (per worker, the gap
     /// between finishing one round and the next round's *dispatch*):
     /// `idle / (busy + idle)`, 0.0 when no sharded round ran. High values
-    /// mean workers have no work available while the publisher's serial
-    /// section runs — what the pipeline reclaims by dispatching round k+1
-    /// before round k's serial section completes.
+    /// mean workers wait while the committing thread merges, folds, logs
+    /// and publishes their round and plans the next.
     pub fn shard_idle_fraction(&self) -> f64 {
         ratio(
             self.shard_idle.as_secs_f64(),
@@ -688,7 +645,6 @@ impl EngineReport {
             wal_append: self.wal_append,
             fsync: self.fsync,
             publish: self.publish,
-            overlap: self.overlap,
         }
     }
 }
@@ -791,7 +747,7 @@ impl fmt::Display for EngineReport {
         if self.multi_cone_rounds > 0 || self.global_lane_rounds > 0 {
             writeln!(
                 f,
-                "`//` traffic: {} multi-cone updates over {} rounds (mean realized width {:.1}), {} global-lane rounds",
+                "`//` traffic: {} multi-cone updates over {} rounds (mean realized width {:.1}), {} ⊤ rounds",
                 self.multi_cone_updates,
                 self.multi_cone_rounds,
                 self.mean_multi_cone_width(),
@@ -812,18 +768,9 @@ impl fmt::Display for EngineReport {
         if self.shard_updates.len() > 1 || self.rounds > 0 {
             writeln!(
                 f,
-                "shards: {:?} updates/shard, {} rounds, {} via global lane, {} requeued, {} analyses reused, {:.0}% idle",
+                "shards: {:?} updates/shard, {} rounds, {} ⊤ rounds, {} requeued, {} analyses reused, {:.0}% idle",
                 self.shard_updates, self.rounds, self.global_lane_rounds, self.requeued,
                 self.analyses_reused, 100.0 * self.shard_idle_fraction()
-            )?;
-        }
-        if self.pipeline_admits > 0 || self.pipeline_stalls > 0 || self.pipeline_fixups > 0 {
-            writeln!(
-                f,
-                "pipeline: {} overlapped admits, {} stalls, {} fixups ({} evictions), {:.0}% of serial section overlapped",
-                self.pipeline_admits, self.pipeline_stalls, self.pipeline_fixups,
-                self.pipeline_fixup_evictions,
-                100.0 * self.phase_breakdown().overlap_fraction()
             )?;
         }
         if self.wal_records > 0 || self.checkpoints > 0 {
@@ -860,6 +807,7 @@ mod tests {
             report.mean_multi_cone_width(),
             report.shard_idle_fraction(),
             report.phase_breakdown().publisher_serial_fraction(),
+            report.phase_breakdown().overlap_fraction(),
         ] {
             assert_eq!(v, 0.0);
             assert!(v.is_finite());
@@ -876,28 +824,13 @@ mod tests {
             wal_append: Duration::from_millis(3),
             fsync: Duration::from_millis(7),
             publish: Duration::from_millis(15),
-            overlap: Duration::from_millis(25),
         };
         let sum: f64 = b.fractions().iter().map(|(_, _, frac)| frac).sum();
         assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
         let serial = b.publisher_serial_fraction();
         assert!((0.0..=1.0).contains(&serial));
         assert!((serial - 0.5).abs() < 1e-9); // 50ms serial of 100ms total
-                                              // Overlap is *within* the serial section, not an eighth phase:
-                                              // excluded from the fraction sum, reported as serial-relative.
-        assert!((b.overlap_fraction() - 0.5).abs() < 1e-9); // 25ms of 50ms
-    }
-
-    #[test]
-    fn overlap_fraction_guards_and_bounds() {
-        let fresh = PhaseBreakdown::default();
-        assert_eq!(fresh.overlap_fraction(), 0.0);
-        let b = PhaseBreakdown {
-            merge: Duration::from_millis(10),
-            overlap: Duration::from_millis(10),
-            ..PhaseBreakdown::default()
-        };
-        assert!((b.overlap_fraction() - 1.0).abs() < 1e-9);
+        assert_eq!(b.overlap_fraction(), 0.0);
     }
 
     #[test]

@@ -101,8 +101,7 @@ fn check_ops_equivalence(
         .map(|u| reference_apply(&mut seq, u, SideEffectPolicy::Proceed).is_ok())
         .collect();
 
-    // Batched engine (inline executor at `n_shards == 1`, sharded and
-    // pipelined above).
+    // Batched engine (inline executor at `n_shards == 1`, sharded above).
     let engine = Engine::with_config(
         sys,
         EngineConfig {
@@ -167,7 +166,7 @@ proptest! {
     }
 
     /// The same property under sharded parallel writers: the router, the
-    /// shard translations, the pipelined rounds and the merging publisher
+    /// shard translations, the round-by-round commit and the merging publisher
     /// must be observationally equivalent to applying the updates one at a
     /// time.
     #[test]
@@ -286,8 +285,8 @@ proptest! {
 
     /// `//`-headed updates riding shared conflict rounds preserve the
     /// batched == sequential equivalence on both write paths (skewed
-    /// hot-group workloads maximise the chance a lookahead plan goes stale
-    /// mid-flight and must take the fixup path).
+    /// hot-group workloads maximise fission, deferrals and merge-time
+    /// requeues).
     #[test]
     fn descendant_commit_equals_sequential(
         seed in 0u64..200,
@@ -473,7 +472,7 @@ fn large_independent_batch_is_equivalent_sharded() {
 
 /// Insertion-heavy deterministic sweep: fresh-subtree insertions are the
 /// source of intra-round coupling requeues, so this exercises the
-/// requeue → re-entry → replan path while later rounds are in flight.
+/// requeue → re-entry → replan path.
 #[test]
 fn insert_heavy_batches_are_equivalent() {
     let flips: Vec<bool> = (0..32).map(|i| i % 4 != 0).collect();
@@ -483,8 +482,8 @@ fn insert_heavy_batches_are_equivalent() {
 /// Updates with deliberately colliding targets must serialize correctly on
 /// the sharded path too: duplicates defer across rounds, typed leading-`//`
 /// updates resolve to bounded multi-anchor cones (riding ordinary rounds),
-/// and only genuinely untypeable paths serialize through the global lane
-/// (whose update must drain the pipeline before it runs).
+/// and only genuinely untypeable paths serialize through ⊤ rounds (one
+/// update each, run inline).
 #[test]
 fn conflicting_updates_serialize_sharded() {
     let sys = system(200, 11);
@@ -571,8 +570,8 @@ fn conflicting_updates_serialize() {
 /// nodes an earlier round inserted, and its own insertions — translated on
 /// shard replicas, merged on the working state — are handed the ids the
 /// previous round's fold released. What the engine ends on is what the
-/// sequential reference ends on, and its id space never outgrew the view by
-/// more than the rounds in flight.
+/// sequential reference ends on, and its id space never outgrew the
+/// published view by more than a few rounds' allocations.
 #[test]
 fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
     let sys = system(400, 3);
