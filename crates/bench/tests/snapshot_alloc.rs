@@ -80,7 +80,7 @@
 
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
-use rxview_engine::{Engine, EngineConfig};
+use rxview_engine::Engine;
 use rxview_relstore::codec::{put_database, read_database};
 use rxview_relstore::{tuple, Reader, Tuple};
 use rxview_workload::{
@@ -500,26 +500,19 @@ fn ten_view_sizes_of_churn_leave_ids_and_bytes_where_they_were() {
     applied.consistency_check().expect("after the soak");
     drop(applied);
 
-    for n_shards in [1, 2] {
-        let config = EngineConfig {
-            n_shards,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::with_config(sys.clone(), config);
-        let at = format!("engine, n_shards {n_shards}");
-        soak(&at, &sys, pinned, |window| {
-            let submit = |u| engine.submit(u, SideEffectPolicy::Proceed).expect("room");
-            let tickets: Vec<_> = window.into_iter().map(submit).collect();
-            engine.commit_pending();
-            for t in tickets {
-                t.wait().expect("accepted");
-            }
-            sizes(engine.snapshot().system())
-        });
-        let snapshot = engine.snapshot();
-        snapshot
-            .system()
-            .consistency_check()
-            .expect("after the soak");
-    }
+    let engine = Engine::new(sys.clone());
+    soak("engine", &sys, pinned, |window| {
+        let submit = |u| engine.submit(u, SideEffectPolicy::Proceed).expect("room");
+        let tickets: Vec<_> = window.into_iter().map(submit).collect();
+        engine.commit_pending();
+        for t in tickets {
+            t.wait().expect("accepted");
+        }
+        sizes(engine.snapshot().system())
+    });
+    let snapshot = engine.snapshot();
+    snapshot
+        .system()
+        .consistency_check()
+        .expect("after the soak");
 }

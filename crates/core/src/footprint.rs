@@ -24,10 +24,10 @@
 //!   runs the translation's `rxview_atg::generate_subtree` over a
 //!   [`rxview_atg::Provisional`] interner, so the `gen_A` rows it plans are
 //!   exactly the ones the translation interns;
-//! - the **realized** footprint, read off the finished translation
-//!   ([`RelFootprint::realized`]) and shipped with the
-//!   [`crate::TranslatedUpdate`] so a merging publisher can assert (in debug
-//!   builds) that it was covered by the plan.
+//! - the **realized** footprint, read off an applied translation's `∆R` and
+//!   subtree ([`RelFootprint::realized`]) — the oracle the planned one is
+//!   held to: it must cover every write the realized one records
+//!   ([`RelFootprint::covers_writes`], `crates/engine/tests/footprint.rs`).
 //!
 //! Conflict semantics ([`RelFootprint::conflicts`]): read/read never
 //! conflicts; read/write conflicts on the same `(table, column, value)` key;
@@ -173,7 +173,8 @@ impl RelFootprint {
     /// written by both sides. A *planned* overlap here may be spurious
     /// (candidate-source rows name every row the translation could touch),
     /// so the router tolerates it for fission-eligible peers under a shared
-    /// cone and the publisher re-checks the *realized* footprints at merge.
+    /// cone: their round applies them one after another, so the later
+    /// translation sees what the earlier one really wrote.
     pub fn writes_conflict(&self, other: &RelFootprint) -> bool {
         intersects(&self.write_rows, &other.write_rows)
     }
@@ -193,7 +194,7 @@ impl RelFootprint {
 
     /// Whether every write recorded in `realized` was planned here — the
     /// conservativeness contract between a planned footprint and the
-    /// translation it admitted (checked by the publisher in debug builds).
+    /// translation it admitted (checked by the footprint battery).
     pub fn covers_writes(&self, realized: &RelFootprint) -> bool {
         realized.write_rows.is_subset(&self.write_rows)
             && realized.write_cols.is_subset(&self.write_cols)
@@ -205,7 +206,8 @@ impl RelFootprint {
     }
 
     /// The realized footprint of a finished translation: the `∆R` rows it
-    /// writes plus the `gen_A` rows of the subtree nodes it interned.
+    /// writes plus the `gen_A` rows of the subtree nodes it interned
+    /// (`subtree.fresh`, read through `vs`, where they are live).
     pub fn realized(
         vs: &ViewStore,
         base: &Database,

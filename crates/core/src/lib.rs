@@ -15,8 +15,8 @@
 //! - [`rel_insert`]: Algorithm insert — the SAT-based heuristic for group
 //!   insertions (§4.3, Appendix A, Theorems 2 & 4);
 //! - [`footprint`]: typed `(table, column, value)` conflict footprints read
-//!   off the translation layer — the planned/realized write-set contract a
-//!   concurrent serving engine partitions updates by;
+//!   off the translation layer — the planned write sets a serving engine
+//!   partitions updates by, and the realized ones they are held to;
 //! - [`pathclass`]: target-path classification into bounded cones —
 //!   key-anchored, type-indexed multi-anchor (`//`-headed), or global —
 //!   plus the scoped-evaluation projection of `L` over a cone union;
@@ -63,8 +63,8 @@ pub use pathclass::{
 };
 pub use plan::{eval_plan, shape_of, PlanCache, PlanCacheStats, UpdatePlan};
 pub use processor::{
-    DeferredMaintenance, Evaluated, PhaseTimings, TranslatedUpdate, UpdateError, UpdateOutcome,
-    UpdateReport, XmlViewSystem,
+    DeferredMaintenance, Evaluated, PhaseTimings, UpdateError, UpdateOutcome, UpdateReport,
+    XmlViewSystem,
 };
 pub use reach::Reachability;
 pub use rel_delete::{

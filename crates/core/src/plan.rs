@@ -431,8 +431,8 @@ const CACHE_CAP_PER_SHARD: usize = 512;
 
 /// The engine-wide plan cache: shape key → compiled [`UpdatePlan`], sharded
 /// by key hash. One `Arc` lives in every [`ViewStore`] clone of a published
-/// store (planner, shard replicas, recovery replay, workload generators all
-/// share it). Compilation happens under the shard lock so a shape is
+/// store (planner, round working states, snapshot readers, recovery replay,
+/// workload generators all share it). Compilation happens under the shard lock so a shape is
 /// compiled exactly once even under concurrent probes.
 pub struct PlanCache {
     shards: Vec<Mutex<HashMap<String, Arc<UpdatePlan>>>>,
@@ -443,7 +443,7 @@ pub struct PlanCache {
     compile_ns: AtomicU64,
     /// The per-grammar translation-template registry, compiled on first
     /// demand. Lives here (not its own cache) so every consumer sharing
-    /// the plan cache — analyze, shards, inline rounds, recovery — shares
+    /// the plan cache — analyze, the engine's rounds, recovery — shares
     /// one compilation, with its own counters separate
     /// from the plan counters.
     templates: OnceLock<Arc<TranslationTemplates>>,

@@ -13,7 +13,6 @@
 //!    timed separately — the (c) constituent of Fig.11.
 
 use crate::dag_eval::DagEval;
-use crate::footprint::RelFootprint;
 use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
 use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
 use crate::reach::{ReachBatch, Reachability};
@@ -182,14 +181,20 @@ impl DeferredMaintenance {
         &self.selected
     }
 
+    /// The inserted subtree `ST(A, t)` (insertions only): what the update
+    /// spliced, and in `fresh` the nodes it interned.
+    pub fn subtree(&self) -> Option<&rxview_atg::SubtreeDag> {
+        self.subtree.as_ref()
+    }
+
     /// The *cone footprint* of this obligation: every node its ∆(M,L) pass
     /// can read or write ancestor/descendant sets of, *before* closing over
     /// descendants — the targets plus (for insertions) the subtree nodes.
     ///
     /// Two obligations whose descendant-closed footprints are disjoint
-    /// commute, which is what lets a sharded engine translate updates on
-    /// independent writers and still fold all of a round's ∆(M,L) work into
-    /// one [`XmlViewSystem::fold_maintenance`] pass on the merged state.
+    /// commute, which is what lets an engine apply a round of updates one
+    /// after another and still fold all of the round's ∆(M,L) work into one
+    /// [`XmlViewSystem::fold_maintenance`] pass.
     pub fn cone_footprint(&self) -> impl Iterator<Item = rxview_atg::NodeId> + '_ {
         self.selected
             .iter()
@@ -201,7 +206,7 @@ impl DeferredMaintenance {
     /// obligation maintains around the union of both target sets, exactly
     /// what [`XmlViewSystem::fold_maintenance`]'s single ∆(M,L)delete pass
     /// would have computed for the two jobs separately (delete maintenance
-    /// is a function of the deduplicated target union). The sharded
+    /// is a function of the deduplicated target union). The engine's
     /// publisher uses this to take a hot cone's delete ∆(M,L) obligation
     /// once per cone instead of once per update (ARCHITECTURE.md §9).
     ///
@@ -218,67 +223,26 @@ impl DeferredMaintenance {
     }
 }
 
-/// A translated-but-unapplied update: the output of phases 1–4 (validation,
-/// evaluation, side-effect detection, ∆X→∆V and ∆V→∆R translation) run
-/// against an *immutable* snapshot, with phase 5 (applying `∆R` to `I` and
-/// `∆V` to `V`) and phase 6 (maintenance) deferred to
-/// [`XmlViewSystem::apply_translated`] on a possibly different (but
-/// footprint-disjoint) state.
-///
-/// This is the hand-off type of the sharded serving engine: shard writer
-/// threads translate conflict-free updates in parallel against a shared
-/// snapshot, and a single publisher merges the resulting `TranslatedUpdate`s
-/// into the master state in submission order.
-///
-/// Node ids inside (`delta_v`, `subtree`, `selected`) are expressed in the id
-/// space of the *translating* replica: the ids of nodes live in the snapshot
-/// mean the same node on every replica (the interner is cloned), while the
-/// ids the translator interned itself (`subtree.fresh`) mean nothing outside
-/// it and are re-interned on the applying state — `apply_translated` does
-/// this from `fresh_pairs`.
-#[derive(Debug)]
-pub struct TranslatedUpdate {
+/// A translated-but-unapplied update: the output of phases 2b–4
+/// (side-effect detection, ∆X→∆V and ∆V→∆R translation), which phase 5
+/// applies to the state it was translated on.
+struct TranslatedUpdate {
     /// The edge delta `∆V`.
-    pub delta_v: ViewDelta,
+    delta_v: ViewDelta,
     /// The relational delta `∆R`.
-    pub delta_r: GroupUpdate,
-    /// The generated subtree `ST(A,t)` (insertions only), in translator ids.
-    pub subtree: Option<rxview_atg::SubtreeDag>,
-    /// The selected target nodes `r[[p]]`, in translator ids.
-    pub selected: Vec<rxview_atg::NodeId>,
+    delta_r: GroupUpdate,
+    /// The generated subtree `ST(A,t)` (insertions only).
+    subtree: Option<rxview_atg::SubtreeDag>,
+    /// The selected target nodes `r[[p]]`.
+    selected: Vec<rxview_atg::NodeId>,
     /// Number of side-effect witnesses.
-    pub side_effects: usize,
+    side_effects: usize,
     /// Whether insertion translation invoked the SAT solver.
-    pub sat_used: bool,
+    sat_used: bool,
     /// How the path was evaluated ([`Evaluated::scope_nodes`]).
-    pub scope_nodes: Option<usize>,
-    /// Evaluation + translation wall-clock on the translating thread.
-    pub timings: PhaseTimings,
-    /// The *realized* relational footprint: the `∆R` row keys this
-    /// translation writes plus the `gen_A` rows it interned — typed
-    /// `(table, column, value)` keys a merging publisher checks against the
-    /// planned footprint that admitted the update (id-independent, so it
-    /// survives the shard→master remap).
-    pub rel_footprint: RelFootprint,
-    /// The `(type, $A)` pair of every node of `subtree.fresh`, in its order
-    /// — what [`XmlViewSystem::apply_translated`] re-interns.
-    pub fresh_pairs: Vec<(rxview_xmlkit::TypeId, rxview_relstore::Tuple)>,
-}
-
-impl TranslatedUpdate {
-    /// All subtree nodes referenced by this translation (insertions only) —
-    /// the ids a sharded publisher must check for cross-update coupling.
-    pub fn subtree_nodes(&self) -> impl Iterator<Item = rxview_atg::NodeId> + '_ {
-        self.subtree.iter().flat_map(|st| st.nodes.iter().copied())
-    }
-
-    /// The subset of subtree nodes newly interned by the translator.
-    pub fn fresh_nodes(&self) -> &[rxview_atg::NodeId] {
-        self.subtree
-            .as_ref()
-            .map(|st| st.fresh.as_slice())
-            .unwrap_or(&[])
-    }
+    scope_nodes: Option<usize>,
+    /// Side-effect detection time (the part of phase 2 translation runs).
+    eval_time: Duration,
 }
 
 /// The complete system: database, views, auxiliary structures.
@@ -567,7 +531,7 @@ impl XmlViewSystem {
             ),
             XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
         }?;
-        timings.eval += t.timings.eval;
+        timings.eval += t.eval_time;
         // Phase 5: apply ∆R to I and ∆V to V.
         if let Err(e) = self.base.apply(&t.delta_r) {
             if let Some(st) = &t.subtree {
@@ -576,7 +540,7 @@ impl XmlViewSystem {
             return Err(UpdateError::Rel(e));
         }
         apply_delta(&mut self.vs, &t.delta_v, t.subtree.as_ref())?;
-        timings.translate = t1.elapsed() - t.timings.eval;
+        timings.translate = t1.elapsed() - t.eval_time;
 
         let report = UpdateReport {
             delta_v_len: t.delta_v.len(),
@@ -594,120 +558,6 @@ impl XmlViewSystem {
                 subtree: t.subtree,
             },
         ))
-    }
-
-    /// Phases 2b–4 without applying anything — the shard-writer entry
-    /// point, run against a shared snapshot. A deletion interns nothing and
-    /// translates on this state; an insertion interns its generated subtree
-    /// into `replica`, a [`ViewStore`] cloned from this state on first use
-    /// and kept across the updates of a round. The translation carries the
-    /// pairs the replica interned for it
-    /// ([`TranslatedUpdate::fresh_pairs`]); on failure the replica's
-    /// interning is rolled back.
-    pub fn translate(
-        &self,
-        replica: &mut Option<ViewStore>,
-        update: &XmlUpdate,
-        policy: SideEffectPolicy,
-        eval: Evaluated,
-    ) -> Result<TranslatedUpdate, UpdateError> {
-        match update {
-            XmlUpdate::Insert { ty, attr, .. } => {
-                let vs = replica.get_or_insert_with(|| self.vs.clone());
-                translate_insert(vs, &self.base, &self.reach, ty, attr, policy, eval)
-            }
-            XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
-        }
-    }
-
-    /// Applies a [`TranslatedUpdate`] produced against an earlier,
-    /// footprint-disjoint snapshot to this (master) state — phase 5 plus
-    /// re-interning of the translator's fresh nodes.
-    ///
-    /// The translator's fresh ids are resolved against this state's
-    /// interner through [`TranslatedUpdate::fresh_pairs`]: a pair that is
-    /// already live here keeps its master node (the translation degrades to
-    /// a shared splice), anything else is interned under whichever id this
-    /// state hands out. Every other id of the translation names a node that
-    /// was live in the translator's snapshot, and — the footprints being
-    /// disjoint from everything committed since — is the same node here.
-    ///
-    /// Returns the per-update report and the phase-6 obligation in *master*
-    /// ids, ready for [`XmlViewSystem::fold_maintenance`].
-    pub fn apply_translated(
-        &mut self,
-        t: TranslatedUpdate,
-    ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
-        use std::collections::HashMap;
-        let TranslatedUpdate {
-            mut delta_v,
-            delta_r,
-            mut subtree,
-            mut selected,
-            side_effects,
-            sat_used,
-            scope_nodes,
-            timings,
-            rel_footprint: _,
-            fresh_pairs,
-        } = t;
-
-        // Re-intern the translator's fresh nodes; build the id remap.
-        let mut map: HashMap<rxview_atg::NodeId, rxview_atg::NodeId> = HashMap::new();
-        let mut master_fresh: Vec<rxview_atg::NodeId> = Vec::new();
-        if let Some(st) = &subtree {
-            debug_assert_eq!(st.fresh.len(), fresh_pairs.len(), "a pair per fresh node");
-            for (&f, (ty, attr)) in st.fresh.iter().zip(fresh_pairs) {
-                let (mid, fresh_here) = self.vs.dag_mut().genid_mut().gen_id(ty, attr);
-                map.insert(f, mid);
-                if fresh_here {
-                    master_fresh.push(mid);
-                }
-            }
-        }
-        let remap = |v: rxview_atg::NodeId| map.get(&v).copied().unwrap_or(v);
-        if let Some(st) = subtree.as_mut() {
-            st.root = remap(st.root);
-            for n in st.nodes.iter_mut() {
-                *n = remap(*n);
-            }
-            for (u, v) in st.edges.iter_mut() {
-                *u = remap(*u);
-                *v = remap(*v);
-            }
-            st.fresh = master_fresh;
-        }
-        for (u, v) in delta_v.inserts.iter_mut() {
-            *u = remap(*u);
-            *v = remap(*v);
-        }
-        for (u, v) in delta_v.deletes.iter_mut() {
-            *u = remap(*u);
-            *v = remap(*v);
-        }
-        for s in selected.iter_mut() {
-            *s = remap(*s);
-        }
-
-        // Phase 5 on the master state.
-        if let Err(e) = self.base.apply(&delta_r) {
-            if let Some(st) = &subtree {
-                rollback_subtree(&mut self.vs, st);
-            }
-            return Err(UpdateError::Rel(e));
-        }
-        apply_delta(&mut self.vs, &delta_v, subtree.as_ref())?;
-
-        let report = UpdateReport {
-            delta_v_len: delta_v.len(),
-            delta_r,
-            side_effects,
-            maintain: MaintainReport::default(),
-            timings,
-            sat_used,
-            scope_nodes,
-        };
-        Ok((report, DeferredMaintenance { selected, subtree }))
     }
 
     /// Applies a *relational* group update directly to `I` and propagates
@@ -779,17 +629,17 @@ impl XmlViewSystem {
 }
 
 /// Phase 2b: side-effect detection (part of the evaluation constituent of
-/// Fig.11) and the policy's verdict on it. Returns the number of witnesses.
+/// Fig.11) and the policy's verdict on it. Returns the number of witnesses
+/// and the time detection took.
 fn screen(
     vs: &ViewStore,
     eval: &DagEval,
     deletion: bool,
     policy: SideEffectPolicy,
-    timings: &mut PhaseTimings,
-) -> Result<usize, UpdateError> {
+) -> Result<(usize, Duration), UpdateError> {
     let t0 = Instant::now();
     let side_effects = eval.side_effects(vs, deletion);
-    timings.eval = t0.elapsed();
+    let eval_time = t0.elapsed();
     if eval.is_empty() {
         return Err(UpdateError::EmptyTarget);
     }
@@ -798,13 +648,13 @@ fn screen(
             affected: side_effects.len(),
         });
     }
-    Ok(side_effects.len())
+    Ok((side_effects.len(), eval_time))
 }
 
 /// Phases 2b–4 of `delete p`: Xdelete and Algorithm delete, nothing
 /// applied. A deletion interns nothing, so this reads `vs` — the state
 /// [`XmlViewSystem::apply`], `apply_deferred` and recovery are about to
-/// write, or the snapshot a shard translates against.
+/// write.
 fn translate_delete(
     vs: &ViewStore,
     base: &Database,
@@ -812,13 +662,9 @@ fn translate_delete(
     eval: Evaluated,
 ) -> Result<TranslatedUpdate, UpdateError> {
     let Evaluated { eval, scope_nodes } = eval;
-    let mut timings = PhaseTimings::default();
-    let side_effects = screen(vs, &eval, true, policy, &mut timings)?;
-    let t1 = Instant::now();
+    let (side_effects, eval_time) = screen(vs, &eval, true, policy)?;
     let delta_v = xdelete(&eval);
     let delta_r = translate_deletions(vs, base, &delta_v).map_err(UpdateError::Delete)?;
-    let rel_footprint = RelFootprint::realized(vs, base, &delta_r, None)?;
-    timings.translate = t1.elapsed();
     Ok(TranslatedUpdate {
         delta_v,
         delta_r,
@@ -827,9 +673,7 @@ fn translate_delete(
         side_effects,
         sat_used: false,
         scope_nodes,
-        timings,
-        rel_footprint,
-        fresh_pairs: Vec::new(),
+        eval_time,
     })
 }
 
@@ -846,9 +690,7 @@ fn translate_insert(
     eval: Evaluated,
 ) -> Result<TranslatedUpdate, UpdateError> {
     let Evaluated { eval, scope_nodes } = eval;
-    let mut timings = PhaseTimings::default();
-    let side_effects = screen(vs, &eval, false, policy, &mut timings)?;
-    let t1 = Instant::now();
+    let (side_effects, eval_time) = screen(vs, &eval, false, policy)?;
     let ty_id =
         vs.atg()
             .dtd()
@@ -870,24 +712,14 @@ fn translate_insert(
             return Err(UpdateError::Cycle);
         }
     }
-    let translated = translate_insertions(vs, base, &delta_v, &st.fresh, &WalkSatConfig::default())
-        .map_err(UpdateError::Insert)
-        .and_then(|t| {
-            let fp = RelFootprint::realized(vs, base, &t.delta_r, Some(&st))?;
-            Ok((t, fp))
-        });
-    let (translation, rel_footprint) = match translated {
-        Ok(done) => done,
-        Err(e) => {
-            rollback_subtree(vs, &st);
-            return Err(e);
-        }
-    };
-    let genid = vs.dag().genid();
-    let fresh_pairs = st.fresh.iter();
-    let fresh_pairs = fresh_pairs.map(|&f| (genid.type_of(f), genid.attr_of(f).clone()));
-    let fresh_pairs = fresh_pairs.collect();
-    timings.translate = t1.elapsed();
+    let translation =
+        match translate_insertions(vs, base, &delta_v, &st.fresh, &WalkSatConfig::default()) {
+            Ok(t) => t,
+            Err(e) => {
+                rollback_subtree(vs, &st);
+                return Err(UpdateError::Insert(e));
+            }
+        };
     Ok(TranslatedUpdate {
         delta_v,
         delta_r: translation.delta_r,
@@ -896,9 +728,7 @@ fn translate_insert(
         side_effects,
         sat_used: translation.sat_used,
         scope_nodes,
-        timings,
-        rel_footprint,
-        fresh_pairs,
+        eval_time,
     })
 }
 

@@ -28,8 +28,8 @@
 //!   hottest call site in the delete path).
 //!
 //! The registry lives in the engine-wide [`crate::plan::PlanCache`] behind
-//! a `OnceLock`, so the analyze dry run, shard translation, inline rounds
-//! and recovery replay all share one compilation (and the
+//! a `OnceLock`, so the analyze dry run, the engine's rounds and recovery
+//! replay all share one compilation (and the
 //! planner's instantiations warm nothing — there is nothing left to warm).
 //! It is the only derivation the translation runs; the interpretive
 //! [`crate::rel_insert::compute_edge_closure`] and

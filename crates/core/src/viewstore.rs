@@ -25,10 +25,11 @@ pub struct ViewStore {
     gen_db: Database,
     edge_queries: Arc<BTreeMap<(TypeId, TypeId), SpjQuery>>,
     /// Compiled update plans *and* the per-grammar translation-template
-    /// registry, shared (`Arc`) between a snapshot's planner and the shard
-    /// replicas cloned from it: both depend only on the path shape / the
-    /// grammar and schemas, so entries never invalidate while the store's
-    /// grammar is fixed (see [`crate::plan`] and [`crate::template`]).
+    /// registry, shared (`Arc`) between a snapshot and every clone of it (a
+    /// round's working state, the next snapshot): both depend only on the
+    /// path shape / the grammar and schemas, so entries never invalidate
+    /// while the store's grammar is fixed (see [`crate::plan`] and
+    /// [`crate::template`]).
     plan_cache: Arc<crate::plan::PlanCache>,
 }
 

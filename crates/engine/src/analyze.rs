@@ -21,7 +21,7 @@
 //!     `{anchor} ∪ desc ∪ anc` — ancestors included because a `//`-match's
 //!     parent edges climb above it. Updates with disjoint cone unions (and
 //!     disjoint typed footprints) touch disjoint view regions, so `//`
-//!     traffic rides ordinary shardable rounds;
+//!     traffic rides ordinary rounds;
 //!   - *global* — nothing bounds the path (unfilterable wildcard, bare
 //!     `//`, a candidate set past [`rxview_core::MAX_CONE_ANCHORS`]): it
 //!     conflicts with everything and commits alone, in a one-update round
@@ -62,8 +62,8 @@ use std::collections::HashSet;
 /// regions its evaluation read and its translation writes, at node (not
 /// cone) granularity. Two eligible updates under one hot anchor whose
 /// sub-footprints (and typed keys) are disjoint commute — different
-/// subtrees of the shared cone — and may ride the same round on different
-/// shards even though their cones coincide.
+/// subtrees of the shared cone — and may ride the same round even though
+/// their cones coincide.
 ///
 /// Soundness of the four sets (ARCHITECTURE.md §9):
 /// - `node_reads` — every node whose structure the analysis depended on:
@@ -160,7 +160,7 @@ pub struct AnalysisParts {
     /// The conflict footprint.
     pub analysis: Analysis,
     /// The dry-run evaluation and how it ran (`None` for global-footprint
-    /// updates, which the inline executor evaluates itself).
+    /// updates, which the publisher evaluates in their round).
     pub eval: Option<Evaluated>,
     /// Wall-clock of the evaluation alone (zero when `eval` is `None`) —
     /// callers record it in the eval phase bucket; the rest of the
@@ -417,13 +417,6 @@ impl Analysis {
     pub fn demote_to_cone(&mut self) {
         self.sub = None;
     }
-
-    /// Consumes the analysis, returning the typed footprint (the router
-    /// keeps planned footprints per admitted update so the publisher can
-    /// check coverage of the realized ones).
-    pub fn into_rel(self) -> RelFootprint {
-        self.rel
-    }
 }
 
 /// The outcome of testing one update against a batch footprint.
@@ -473,11 +466,11 @@ impl BatchFootprint {
     /// including group-shared rows every sibling under the same hot anchor
     /// also names — so a planned write∩write overlap there is usually
     /// spurious. The router's intra-round check passes `true` (only
-    /// read/write dependencies deny; the publisher re-checks the *realized*
-    /// writes at merge and requeues genuine overlaps), while the blocker-set
-    /// check against deferred conflicters passes `false` — an update never
-    /// overtakes an earlier one it might conflict with, which is what makes
-    /// the merge-time realized check a purely intra-round affair.
+    /// read/write dependencies deny; the round applies its members one
+    /// after another, so a later translation sees every earlier realized
+    /// write), while the blocker-set check against deferred conflicters
+    /// passes `false` — an update never overtakes an earlier one it might
+    /// conflict with.
     pub fn check(&self, a: &Analysis, optimistic: bool) -> Verdict {
         if self.global || a.cone.is_none() {
             return Verdict::Conflict;

@@ -1,14 +1,13 @@
 //! The engine: admission queue, snapshot publication, durability wiring.
 //!
 //! [`Engine::commit_pending`] drains the queue into the round pipeline
-//! (`publisher`): one commit path at every shard count — the `router`
-//! plans conflict-free rounds, an inline or sharded (`shard`) executor
-//! translates each, and one serial tail folds, logs, publishes and acks it.
+//! (`publisher`): one commit path — the `router` plans conflict-free
+//! rounds, the committing thread applies each one update after another,
+//! and one serial tail folds, logs, publishes and acks it.
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
-use crate::shard::ShardPool;
 use crate::snapshot::Snapshot;
 use crate::stats::{self, EngineStats};
 use crate::wal::{Durability, LoggedUpdate, Wal};
@@ -19,32 +18,26 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Bound of the admission queue: [`Engine::submit`] returns
 /// [`EngineError::Saturated`] while this many updates wait for a commit.
 pub const MAX_QUEUE: usize = 65_536;
 
-/// Engine configuration: six fields, each with callers that set it
-/// differently (ARCHITECTURE.md, "Configuration").
+/// Engine configuration: six fields, five with callers that set them
+/// differently, and `n_shards`, which has no effect (ARCHITECTURE.md,
+/// "Configuration").
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Maximum updates per shard per commit round: a round admits up to
-    /// `n_shards * max_batch` conflict-free updates and pays one folded
-    /// maintenance pass, one log record and one snapshot publication. Also
-    /// the planner's stall limit — a round closes after this many
-    /// consecutive conflicts.
+    /// Maximum updates per commit round: a round admits up to `max_batch`
+    /// conflict-free updates and pays one folded maintenance pass, one log
+    /// record and one snapshot publication. Also the planner's stall limit
+    /// — a round closes after this many consecutive conflicts.
     pub max_batch: usize,
-    /// Number of parallel shard writers (clamped to `1..=64`). It selects
-    /// the round pipeline's translate executor: at `1` each round is
-    /// applied inline on the committing thread and no thread is spawned; at
-    /// `n >= 2` rounds are translated speculatively by up to `n` shard
-    /// writer threads over anchor-cone partitions and merged in submission
-    /// order (a ⊤-footprint update still runs inline, alone). It also sizes
-    /// the round — a round admits up to `n_shards * max_batch` updates —
-    /// and is the ceiling of the adaptive fan-out, which picks how many of
-    /// the `n` writers each round spans.
+    /// Has no effect: every round is applied on the committing thread, and
+    /// `max_batch` alone sizes it. Kept only because `rxbench` still sets
+    /// it (ROADMAP item 4(g) removes it).
     pub n_shards: usize,
     /// Write-ahead logging / fsync policy. Anything but [`Durability::Off`]
     /// requires a log directory — construct with
@@ -190,9 +183,6 @@ pub(crate) struct Inner {
     pub(crate) epoch: AtomicU64,
     pub(crate) stats: Arc<EngineStats>,
     pub(crate) config: EngineConfig,
-    /// Shard writer pool, spawned by the first sharded round's dispatch
-    /// (never at `n_shards == 1`).
-    pub(crate) pool: OnceLock<ShardPool>,
     /// Replay log + checkpointer (durable engines only).
     pub(crate) durability: Option<DurabilityState>,
     /// Periodic metrics exporter (spawned when a metrics path is
@@ -267,9 +257,8 @@ impl Inner {
 
 /// The concurrent view-serving engine: snapshot-isolated readers over an
 /// epoch-ordered stream of immutable [`Snapshot`]s, and writes
-/// group-committed in conflict-free rounds — translated on the committing
-/// thread by default, or by `n` parallel shard writers over anchor-cone
-/// partitions when configured with [`EngineConfig::n_shards`]` >= 2`.
+/// group-committed in conflict-free rounds, each translated on the
+/// committing thread.
 ///
 /// Cheap to clone (handles share one underlying engine); all methods take
 /// `&self`.
@@ -299,9 +288,8 @@ impl Engine {
         Engine::with_config(sys, EngineConfig::default())
     }
 
-    /// Wraps a published system with explicit tuning (`n_shards` clamped to
-    /// `1..=64`, `max_batch` raised to at least 1 — a zero batch cap could
-    /// never make commit progress).
+    /// Wraps a published system with explicit tuning (`max_batch` raised to
+    /// at least 1 — a zero batch cap could never make commit progress).
     ///
     /// # Panics
     /// Panics if `config.durability` is on: a replay log needs a directory,
@@ -427,10 +415,8 @@ impl Engine {
         durability: Option<(PathBuf, Wal)>,
         recorder: Arc<rxview_obs::FlightRecorder>,
     ) -> Self {
-        config.n_shards = config.n_shards.clamp(1, 64);
         config.max_batch = config.max_batch.max(1);
         let stats = Arc::new(EngineStats::new(
-            config.n_shards,
             recorder,
             Arc::clone(sys.view().plan_cache()),
         ));
@@ -470,7 +456,6 @@ impl Engine {
                 epoch: AtomicU64::new(epoch),
                 stats,
                 config,
-                pool: OnceLock::new(),
                 durability,
                 exporter,
             }),
@@ -650,10 +635,9 @@ impl Engine {
 
     /// Drains the admission queue and commits it through the round
     /// pipeline (`ARCHITECTURE.md` §3): the queue is planned into
-    /// conflict-free *rounds* of up to `n_shards * max_batch` updates, each
-    /// analyzed against the snapshot it will apply to; a round is
-    /// translated onto a working clone of that snapshot — inline at
-    /// `n_shards == 1`, by the shard writers otherwise — and then pays one
+    /// conflict-free *rounds* of up to `max_batch` updates, each analyzed
+    /// against the snapshot it will apply to; a round is applied, one update
+    /// after another, to a working clone of that snapshot and then pays one
     /// folded maintenance pass, one log record and one publication.
     ///
     /// Submission order is preserved between conflicting updates (an update

@@ -19,7 +19,7 @@
 //!   [`Engine::commit_pending`]): submitted [`rxview_core::XmlUpdate`]s
 //!   queue in a bounded admission queue and commit through one *round
 //!   pipeline* — plan → translate → fold → log → publish → ack. The router
-//!   plans an `n_shards * max_batch`-wide round whose members'
+//!   plans a round of up to `max_batch` updates whose
 //!   [`analyze::Analysis`] footprints are disjoint — key-anchored
 //!   target-path cones (anchors probe the maintained `gen_A` registries)
 //!   plus the typed relational footprint ([`rxview_core::RelFootprint`]) of
@@ -40,24 +40,16 @@
 //!   closure and typed `gen_A` probes ([`rxview_core::pathclass`]), so they
 //!   ride ordinary rounds; only a genuinely untypeable (⊤-footprint) path
 //!   commits alone.
-//! - **Two translate executors** ([`EngineConfig::n_shards`]): at one shard
-//!   a round is applied *inline* — its updates run
+//! - **One translate executor**: a round's updates run
 //!   [`rxview_core::XmlViewSystem::apply_deferred`] one after another on the
-//!   round's working clone, on the committing thread. At `n_shards >= 2`
-//!   shard threads translate the round *speculatively* against the shared
-//!   snapshot without applying anything (insertions intern into a private
-//!   replica and ship the pairs they interned; every translation carries its
-//!   *realized* typed footprint) and the committing thread merges the
-//!   translations onto the working clone in submission order
-//!   ([`rxview_core::XmlViewSystem::apply_translated`] re-interns and
-//!   remaps, asserting in debug builds that realized footprints were
-//!   covered by planned ones). Rounds run one at a time on either
-//!   executor: a round is planned against the latest published snapshot
-//!   and merged, folded, logged and published before the next is planned,
-//!   so readers, the WAL, and acks observe one epoch stream
-//!   (`WAL(k) ≺ publish(k) ≺ ack(k)`). Deterministic schedules are
-//!   testable through [`pipeline::StageHooks`]. Both executors are
-//!   property-tested observationally equivalent to sequential application.
+//!   round's working clone, on the committing thread, each reusing its dry
+//!   run's evaluation. Rounds run one at a time: a round is planned against
+//!   the latest published snapshot and applied, folded, logged and
+//!   published before the next is planned, so readers, the WAL, and acks
+//!   observe one epoch stream (`WAL(k) ≺ publish(k) ≺ ack(k)`).
+//!   Deterministic schedules are testable through [`pipeline::StageHooks`].
+//!   The round pipeline is property-tested observationally equivalent to
+//!   sequential application.
 //! - **Durability** ([`Durability`], [`Engine::with_durability`],
 //!   [`Engine::recover`]): the pipeline appends each committed round —
 //!   `(epoch, applied updates in submission order)` — to a checksummed,
@@ -73,8 +65,8 @@
 //!   built on the dependency-free [`rxview_obs`] crate — lock-free counters
 //!   and log₂-bucketed latency histograms in a shared metric registry,
 //!   phase-attributed round timing extending the Fig.11 constituents
-//!   ([`rxview_core::PhaseTimings`]) with plan / translate (per-shard busy
-//!   vs. idle) / merge / fold / WAL-append / fsync / publish buckets, a
+//!   ([`rxview_core::PhaseTimings`]) with plan / translate / fold /
+//!   WAL-append / fsync / publish buckets, a
 //!   ring-buffer *flight recorder* of structured round and durability
 //!   events ([`Engine::flight_recording`]), and an optional background
 //!   exporter appending registry snapshots as JSONL
@@ -98,7 +90,6 @@ pub mod pipeline;
 pub(crate) mod publisher;
 pub mod recovery;
 pub(crate) mod router;
-pub(crate) mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod wal;

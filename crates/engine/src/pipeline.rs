@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 const GATE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Fixed instrumentation points of the round pipeline, in the order one
-/// round passes through them, on either executor. A round that applied
+/// round passes through them. A round that applied
 /// nothing publishes nothing, so it announces `Plan` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {

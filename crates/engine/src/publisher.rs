@@ -1,6 +1,6 @@
-//! The round pipeline: the one commit path. Every drained queue, at every
-//! shard count, commits as a sequence of conflict-free *rounds*, one at a
-//! time, and every round runs the same stages:
+//! The round pipeline: the one commit path. Every drained queue commits as
+//! a sequence of conflict-free *rounds*, one at a time, and every round runs
+//! the same stages on the committing thread:
 //!
 //! ```text
 //! plan → translate → fold → log → publish → ack
@@ -8,34 +8,22 @@
 //!
 //! - **plan** — [`crate::router::plan_round`] admits a conflict-free round
 //!   against the latest published snapshot (the only planner);
-//! - **translate** — one of two executors turns the round into ∆R/∆V on a
-//!   working state, chosen by what the code observes:
-//!   - *inline* (`n_shards == 1`, and the one-update round of a ⊤-footprint
-//!     update at any shard count): each job reuses its dry-run evaluation
-//!     and applies sequentially (`apply_deferred`) to the working state;
-//!   - *sharded* (`n_shards >= 2`): the round is dispatched to the
-//!     [`crate::shard`] pool, translated speculatively against the plan
-//!     snapshot, waited for, and merged in **submission order**
-//!     (`apply_translated`), requeueing any update whose realized writes
-//!     overlap an earlier merge of the round or that a shard found coupled
-//!     to a same-round insertion;
-//! - **fold → log → publish → ack** — one serial tail
-//!   (`Commit::finish_round`) for both: per-cone fold coalescing, one folded
-//!   ∆(M,L) pass, one WAL append, one publication, then ticket resolution,
-//!   requeues, and revalidation of cached analyses.
-//!   `WAL(k) ≺ publish(k) ≺ ack(k)` and read-your-writes live there and
-//!   nowhere else. A round that applied nothing publishes no epoch and
-//!   appends no record.
+//! - **translate** — the round's jobs apply one after another
+//!   (`apply_deferred`) to a working clone of that snapshot, each reusing
+//!   the evaluation its plan's dry run made;
+//! - **fold → log → publish → ack** — the serial tail
+//!   (`Commit::finish_round`): per-cone fold coalescing, one folded
+//!   ∆(M,L) pass, one WAL append, one publication, then ticket resolution
+//!   and revalidation of cached analyses. `WAL(k) ≺ publish(k) ≺ ack(k)`
+//!   and read-your-writes live there and nowhere else. A round that applied
+//!   nothing publishes no epoch and appends no record.
 //!
 //! A round is planned only after its predecessor has published
-//! (ARCHITECTURE.md §7), so the snapshot a plan ran against is the latest
-//! one until the round itself publishes: the shards translate against it,
-//! and the working state is cloned from it.
-//!
-//! The round's working state is a local: the latest snapshot's system,
-//! cloned once when translation results start landing, moved into the
-//! publication on success and dropped on any failure — so a failed fold or
-//! append leaves the previous snapshot current and later rounds proceed.
+//! (ARCHITECTURE.md §3), so the snapshot a plan ran against is the latest
+//! one until the round itself publishes, and the working state is cloned
+//! from it. The working state is a local, moved into the publication on
+//! success and dropped on any failure — so a failed fold or append leaves
+//! the previous snapshot current and later rounds proceed.
 //!
 //! Deterministic schedules for tests inject
 //! [`crate::pipeline::StageHooks`] through the config; the coordinator
@@ -45,17 +33,12 @@
 use crate::engine::{CommitSummary, Inner, Pending};
 use crate::pipeline::{Stage, StageHooks};
 use crate::router::{self, PendingUpdate, RoundPlan};
-use crate::shard::{ShardBundle, ShardPool, ShardResult};
 use rxview_atg::NodeId;
-use rxview_core::{
-    DeferredMaintenance, RelFootprint, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem,
-    MAX_CONE_ANCHORS,
-};
+use rxview_core::{DeferredMaintenance, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem};
 use rxview_obs::fields;
 use rxview_relstore::RelError;
 use std::collections::HashSet;
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-cone fold coalescing (ARCHITECTURE.md §9): merges the deferred
@@ -110,59 +93,7 @@ pub(crate) fn coalesce_cone_folds(
     (out, groups)
 }
 
-/// Adaptive fan-out of the sharded executor (ARCHITECTURE.md §9): an EWMA
-/// of realized round widths decides how many shard writers the next round
-/// actually spans, and an EWMA of admitted multi-anchor cone counts can
-/// raise (never lower) the `//`-path anchor cap. Narrow rounds on an
-/// oversubscribed box waste more in dispatch/park wake-ups — and translate
-/// wall — than surplus shards return; the configured `n_shards` stays the
-/// ceiling, so wide traffic re-expands the fan-out within a few rounds.
-/// Inline rounds never feed it, so at one shard both values stay put.
-pub(crate) struct AdaptiveFanout {
-    ceiling: usize,
-    width_ewma: f64,
-    cones_ewma: f64,
-}
-
-impl AdaptiveFanout {
-    /// Jobs one shard writer is worth waking for: below this per-shard
-    /// load, dispatch overhead dominates the parallel translate win.
-    const TARGET_JOBS_PER_SHARD: f64 = 4.0;
-    const ALPHA: f64 = 0.2;
-
-    pub(crate) fn new(ceiling: usize) -> Self {
-        AdaptiveFanout {
-            ceiling,
-            // Optimistic start: full fan-out until observed widths say
-            // otherwise.
-            width_ewma: ceiling as f64 * Self::TARGET_JOBS_PER_SHARD,
-            cones_ewma: 0.0,
-        }
-    }
-
-    /// Feeds one merged round's realized width and the largest admitted
-    /// multi-anchor cone count.
-    pub(crate) fn observe(&mut self, realized_width: usize, max_cones: usize) {
-        self.width_ewma =
-            Self::ALPHA * realized_width as f64 + (1.0 - Self::ALPHA) * self.width_ewma;
-        self.cones_ewma = Self::ALPHA * max_cones as f64 + (1.0 - Self::ALPHA) * self.cones_ewma;
-    }
-
-    /// Shard writers the next round should span.
-    pub(crate) fn effective_shards(&self) -> usize {
-        ((self.width_ewma / Self::TARGET_JOBS_PER_SHARD).ceil() as usize).clamp(1, self.ceiling)
-    }
-
-    /// The anchor cap the next plan should use: never below
-    /// [`MAX_CONE_ANCHORS`], the cap reads and replay resolve under
-    /// (lowering it would degrade updates that used to shard), raised when
-    /// observed multi-anchor traffic runs close to it.
-    pub(crate) fn effective_max_cone_anchors(&self) -> usize {
-        MAX_CONE_ANCHORS.max((2.0 * self.cones_ewma).ceil() as usize)
-    }
-}
-
-/// What a translate executor leaves for the serial tail: the round's
+/// What a round's translation leaves for the serial tail: the round's
 /// working state with every applied update's ∆R/∆V in it, and what became
 /// of each admitted update.
 struct Translated {
@@ -175,33 +106,6 @@ struct Translated {
     jobs: Vec<DeferredMaintenance>,
     cone_keys: Vec<Option<NodeId>>,
     rejected: Vec<(usize, UpdateError)>,
-    /// Updates the sharded executor sends back to routing (always empty
-    /// for inline rounds).
-    requeue: HashSet<usize>,
-}
-
-impl Translated {
-    fn on(working: XmlViewSystem) -> Self {
-        Translated {
-            working,
-            applied: Vec::new(),
-            jobs: Vec::new(),
-            cone_keys: Vec::new(),
-            rejected: Vec::new(),
-            requeue: HashSet::new(),
-        }
-    }
-
-    fn push_applied(
-        &mut self,
-        idx: usize,
-        (report, job): (UpdateReport, DeferredMaintenance),
-        cone_key: Option<NodeId>,
-    ) {
-        self.applied.push((idx, report));
-        self.jobs.push(job);
-        self.cone_keys.push(cone_key);
-    }
 }
 
 /// One `commit_pending` call's state: the ticket table (reply channel and
@@ -214,19 +118,12 @@ struct Commit<'a> {
     txs: Vec<Option<mpsc::Sender<UpdateOutcome>>>,
     submitted_ats: Vec<Instant>,
     entries: Vec<PendingUpdate>,
-    /// Per-shard finish time of that shard's previous round of this commit:
-    /// idle time is the starvation gap between a worker finishing a round
-    /// and the *dispatch* of its next (zero for its first) — the serial
-    /// tail of its round and the planning of the next.
-    last_finish: Vec<Option<Instant>>,
-    fanout: AdaptiveFanout,
 }
 
 /// Commits a drained queue through the round pipeline (see the module
 /// docs). Called by [`crate::Engine::commit_pending`] with the commit mutex
 /// held.
 pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
-    let n_shards = inner.config.n_shards;
     let mut c = Commit {
         inner,
         hooks: inner.config.stage_hooks.as_ref(),
@@ -237,8 +134,6 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
         txs: Vec::with_capacity(pending.len()),
         submitted_ats: Vec::with_capacity(pending.len()),
         entries: Vec::with_capacity(pending.len()),
-        last_finish: vec![None; n_shards],
-        fanout: AdaptiveFanout::new(n_shards),
     };
     for (idx, p) in pending.into_iter().enumerate() {
         c.submitted_ats.push(p.submitted_at);
@@ -256,11 +151,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
             debug_assert!(false, "a round plan admitted nothing");
             break;
         };
-        let translated = if c.runs_inline(&plan) {
-            c.translate_inline(&mut plan)
-        } else {
-            c.translate_sharded(&mut plan)
-        };
+        let translated = c.translate(&mut plan);
         c.finish_round(plan, translated);
     }
 
@@ -279,22 +170,6 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
 }
 
 impl Commit<'_> {
-    /// Which translate executor runs `plan`: inline when the engine has one
-    /// shard or the round is a ⊤ update's, sharded otherwise. The measured
-    /// reason both exist is in ARCHITECTURE.md §3.
-    fn runs_inline(&self, plan: &RoundPlan) -> bool {
-        self.inner.config.n_shards == 1 || plan.footprint.is_global()
-    }
-
-    /// The executor's name in flight-recorder events.
-    fn exec_name(&self, plan: &RoundPlan) -> &'static str {
-        if self.runs_inline(plan) {
-            "inline"
-        } else {
-            "sharded"
-        }
-    }
-
     /// Delivers an outcome to its ticket and updates counters (including
     /// the admission→ack latency sample).
     fn resolve(&mut self, idx: usize, outcome: UpdateOutcome) {
@@ -318,23 +193,12 @@ impl Commit<'_> {
     /// nonempty queue never does.
     fn plan_next(&mut self) -> Option<RoundPlan> {
         let stats = &self.inner.stats;
-        let config = &self.inner.config;
         let current = self.inner.current();
         let t_plan = Instant::now();
-        // Adaptive fan-out: the EWMA of realized widths decides how many
-        // of the pooled shard writers this round spans (empty assignment
-        // lists are never dispatched), and sustained multi-anchor traffic
-        // can raise the `//`-path anchor cap. One shard plans for the
-        // inline executor.
-        let shards = (config.n_shards > 1).then(|| self.fanout.effective_shards());
-        let max_cone_anchors = self.fanout.effective_max_cone_anchors();
-        stats.adaptive_shards.set(shards.unwrap_or(1) as i64);
         let plan = router::plan_round(
             current.system(),
             &mut self.entries,
-            shards,
-            config.max_batch,
-            max_cone_anchors,
+            self.inner.config.max_batch,
             stats,
         );
         // Dry-run evaluation time inside plan_round is recorded as eval;
@@ -345,56 +209,61 @@ impl Commit<'_> {
         if let Some(h) = self.hooks {
             h.reached(Stage::Plan);
         }
-        if plan.admitted.is_empty() {
+        if plan.jobs.is_empty() {
             return None;
         }
         stats.rounds.incr();
         stats.recorder().record(
             "round.planned",
             fields![
-                admitted: plan.admitted.len(),
+                admitted: plan.jobs.len(),
                 deferred: self.entries.len(),
                 multi_cone: plan.multi_cone_admitted,
-                exec: self.exec_name(&plan),
             ],
         );
         Some(plan)
     }
 
-    /// The inline translate executor: applies the round's jobs one after
-    /// another to a clone of the latest snapshot — the state the plan's dry
-    /// runs evaluated against, so their evaluations are reused
-    /// (conflict-freeness keeps them exact on the round-mutated working
-    /// state too).
-    fn translate_inline(&mut self, plan: &mut RoundPlan) -> Translated {
+    /// Translates the round: applies its jobs one after another to a clone
+    /// of the latest snapshot — the state the plan's dry runs evaluated
+    /// against, so their evaluations are reused (conflict-freeness keeps
+    /// them exact on the round-mutated working state too).
+    fn translate(&mut self, plan: &mut RoundPlan) -> Translated {
         let stats = &self.inner.stats;
-        let jobs: Vec<_> = std::mem::take(&mut plan.assignments)
-            .into_iter()
-            .flatten()
-            .collect();
         if plan.footprint.is_global() {
             stats.global_lane_rounds.incr();
             stats
                 .recorder()
-                .record("lane.global", fields![idx: jobs[0].idx]);
+                .record("lane.global", fields![idx: plan.jobs[0].pending.idx]);
         }
-        stats.record_batch(jobs.len());
+        stats.record_batch(plan.jobs.len());
         self.summary.batches += 1;
-        let mut out = Translated::on(self.inner.current().system().clone());
-        // The apply loop *is* an inline round's translation wall clock.
+        let mut out = Translated {
+            working: self.inner.current().system().clone(),
+            applied: Vec::new(),
+            jobs: Vec::new(),
+            cone_keys: Vec::new(),
+            rejected: Vec::new(),
+        };
+        // The apply loop *is* a round's translation wall clock.
         let t_wall = Instant::now();
-        for job in jobs {
-            let eval = job.eval.unwrap_or_else(|| {
+        for job in &mut plan.jobs {
+            let pu = &job.pending;
+            let eval = job.eval.take().unwrap_or_else(|| {
                 // A ⊤ update has no dry run: this is its §3.2 evaluation.
                 let t0 = Instant::now();
-                let eval = out.working.eval(job.update.path());
+                let eval = out.working.eval(pu.update.path());
                 stats.record_eval(eval.scope_nodes, t0.elapsed());
                 eval
             });
             let t1 = Instant::now();
-            match out.working.apply_deferred(&job.update, job.policy, eval) {
-                Ok(done) => out.push_applied(job.idx, done, job.cone_key),
-                Err(e) => out.rejected.push((job.idx, e)),
+            match out.working.apply_deferred(&pu.update, pu.policy, eval) {
+                Ok((report, maintenance)) => {
+                    out.applied.push((pu.idx, report));
+                    out.jobs.push(maintenance);
+                    out.cone_keys.push(job.cone_key);
+                }
+                Err(e) => out.rejected.push((pu.idx, e)),
             }
             stats.translate_ns.record_duration(t1.elapsed());
         }
@@ -402,118 +271,8 @@ impl Commit<'_> {
         out
     }
 
-    /// The sharded translate executor: dispatches the round's job lists to
-    /// the shard pool against the latest snapshot — the one the round was
-    /// planned against — waits for every shard, and merges.
-    fn translate_sharded(&mut self, plan: &mut RoundPlan) -> Translated {
-        let inner = self.inner;
-        let pool = inner
-            .pool
-            .get_or_init(|| ShardPool::new(inner.config.n_shards, Arc::clone(&inner.stats)));
-        let bundles = pool.dispatch(&inner.current(), std::mem::take(&mut plan.assignments));
-        if let (Some(first), Some(last)) = (
-            bundles.iter().map(|b| b.started_at).min(),
-            bundles.iter().map(|b| b.finished_at).max(),
-        ) {
-            inner
-                .stats
-                .translate_wall
-                .record_duration(last.saturating_duration_since(first));
-        }
-        self.merge_sharded(plan, bundles)
-    }
-
-    /// The sharded translate executor's merge half: applies the shard
-    /// translations to a clone of the latest snapshot in **submission
-    /// order** — re-interning each translation's fresh pairs and remapping
-    /// it into the working state's ids — so requeue decisions and base-delta
-    /// application order match the sequential semantics.
-    fn merge_sharded(&mut self, plan: &RoundPlan, bundles: Vec<ShardBundle>) -> Translated {
-        let stats = &self.inner.stats;
-        self.summary.batches += bundles.len();
-        let mut flat: Vec<(usize, usize, ShardResult)> = Vec::new();
-        for b in bundles {
-            stats.record_batch(b.results.len());
-            // Idle = starvation: how long this shard sat between finishing its
-            // previous round of this commit and this round being *dispatched*
-            // (zero for its first round) — its round's serial tail and the
-            // next plan. The dispatch→pickup delay is deliberately excluded:
-            // that is CPU scheduling contention, not publisher-induced
-            // idleness, and on a small core count it cannot drop no matter
-            // how the commit loop is arranged.
-            let idle = self.last_finish[b.shard]
-                .map(|prev| b.dispatched_at.saturating_duration_since(prev))
-                .unwrap_or_default();
-            stats.record_shard_round(b.finished_at.saturating_duration_since(b.started_at), idle);
-            self.last_finish[b.shard] = Some(b.finished_at);
-            let shard = b.shard;
-            flat.extend(b.results.into_iter().map(|(idx, res)| (idx, shard, res)));
-        }
-        flat.sort_by_key(|(idx, _, _)| *idx);
-
-        let t_merge = Instant::now();
-        let mut out = Translated::on(self.inner.current().system().clone());
-        // Union of the realized write rows applied so far this round:
-        // admission tolerated *planned* write∩write overlap between
-        // same-cone peers, so genuine overlap is caught here and the later
-        // update requeued for the next round (see `router::plan_round`).
-        let mut realized_union = RelFootprint::default();
-        for (idx, shard, res) in flat {
-            let t = match res {
-                ShardResult::Translated(t) => t,
-                ShardResult::Reject(e) => {
-                    out.rejected.push((idx, e));
-                    continue;
-                }
-                ShardResult::Requeue => {
-                    out.requeue.insert(idx);
-                    continue;
-                }
-            };
-            // `planned` is idx-sorted (admission preserves submission
-            // order); its analysis carries the job's cone-coalescing key,
-            // and — in debug builds — the typed footprint the realized
-            // writes are asserted against.
-            let analysis = plan
-                .planned
-                .binary_search_by_key(&idx, |(i, _)| *i)
-                .ok()
-                .map(|s| &plan.planned[s].1);
-            debug_assert!(
-                analysis.is_some_and(|a| a.rel().covers_writes(&t.rel_footprint)),
-                "update {idx}: realized footprint not covered by plan"
-            );
-            if t.rel_footprint.writes_conflict(&realized_union) {
-                // An earlier merge this round realized a write to the same
-                // row: submission order wins; this update re-plans against
-                // the committed round.
-                out.requeue.insert(idx);
-                continue;
-            }
-            let realized_fp = t.rel_footprint.clone();
-            match out.working.apply_translated(*t) {
-                Ok(done) => {
-                    stats.record_shard_updates(shard, 1);
-                    out.push_applied(idx, done, analysis.and_then(|a| a.cone_key()));
-                    realized_union.absorb(&realized_fp);
-                }
-                Err(e) => out.rejected.push((idx, e)),
-            }
-        }
-        stats.merge.record_duration(t_merge.elapsed());
-        let max_cones = plan
-            .planned
-            .iter()
-            .filter(|(_, a)| a.is_multi_cone())
-            .map(|(_, a)| a.n_cones())
-            .max()
-            .unwrap_or(0);
-        self.fanout.observe(out.applied.len(), max_cones);
-        out
-    }
-
-    /// The serial tail every round ends in, whichever executor translated
-    /// it: fold → log → publish → ack, then requeues and revalidation.
+    /// The serial tail every round ends in: fold → log → publish → ack,
+    /// then revalidation of cached analyses.
     ///
     /// This is the one place the commit invariants live. Write-ahead: the
     /// round's record is appended (and synced, per the policy) before its
@@ -527,32 +286,26 @@ impl Commit<'_> {
     fn finish_round(&mut self, plan: RoundPlan, translated: Translated) {
         let inner = self.inner;
         let stats = &inner.stats;
-        let exec = self.exec_name(&plan);
         let Translated {
             mut working,
             mut applied,
             jobs,
             cone_keys,
             rejected,
-            requeue,
         } = translated;
-        stats.record_round_width(plan.admitted.len(), applied.len());
+        stats.record_round_width(plan.jobs.len(), applied.len());
         if plan.multi_cone_admitted > 0 {
             stats.record_multi_cone_round(plan.multi_cone_admitted, applied.len());
         }
-        // What became of each admitted update decides where it goes: the
-        // applied ones form the round's log record (`applied` and
-        // `admitted` are both idx-sorted; their jobs are gone, so the
-        // unwrap moves), the requeued ones re-enter routing, the rejected
-        // ones are done.
+        // The applied updates form the round's log record (`applied` and
+        // the plan's jobs are both in submission order); the rejected ones
+        // are done.
         let mut logged: Vec<crate::wal::LoggedUpdate> = Vec::with_capacity(applied.len());
-        let mut back: Vec<PendingUpdate> = Vec::new();
         let mut ok = applied.iter().map(|(idx, _)| *idx).peekable();
-        for pu in plan.admitted {
+        for job in plan.jobs {
+            let pu = job.pending;
             if ok.next_if_eq(&pu.idx).is_some() {
-                logged.push((Arc::unwrap_or_clone(pu.update), pu.policy));
-            } else if requeue.contains(&pu.idx) {
-                back.push(pu);
+                logged.push((pu.update, pu.policy));
             }
         }
         for (idx, e) in rejected {
@@ -591,11 +344,7 @@ impl Commit<'_> {
                     }
                     stats.recorder().record(
                         "round.committed",
-                        fields![
-                            epoch: snap.epoch(),
-                            updates: applied.len(),
-                            exec: exec,
-                        ],
+                        fields![epoch: snap.epoch(), updates: applied.len()],
                     );
                     if let [(_, report)] = applied.as_mut_slice() {
                         // A singleton round attributes maintenance exactly.
@@ -615,16 +364,6 @@ impl Commit<'_> {
             }
         }
 
-        // Requeued updates re-enter routing, in submission order.
-        if !back.is_empty() {
-            stats
-                .recorder()
-                .record("round.requeued", fields![count: back.len()]);
-            stats.requeued.add(back.len() as u64);
-            back.append(&mut self.entries);
-            back.sort_by_key(|pu| pu.idx);
-            self.entries = back;
-        }
         // Whatever the round committed invalidates cached analyses whose
         // footprint it touched. Doing so for *failed* rounds too is
         // conservative — a dropped cache only costs a re-analysis.

@@ -12,9 +12,9 @@
 //!    one **as the round it logs**: every update evaluated against the state
 //!    the record starts from (`XmlViewSystem::eval`), applied in logged order
 //!    with maintenance deferred (`apply_deferred`), then one
-//!    `fold_maintenance` over the record's jobs — the inline executor's loop.
+//!    `fold_maintenance` over the record's jobs — the round pipeline's loop.
 //!    That is sound because a record holds one conflict-free round (the
-//!    engine logs nothing else), every executor is held observationally
+//!    engine logs nothing else), the round pipeline is held observationally
 //!    equal to one-at-a-time application by the equivalence battery, and one
 //!    fold of such a batch equal to one fold per update by
 //!    `tests/batched_fold.rs` — so "replay of the acknowledged prefix" and
@@ -126,7 +126,7 @@ pub struct RecoveryReport {
     pub wal_replay: Duration,
 }
 
-/// Replays one record the way the inline executor committed its round: the
+/// Replays one record the way the engine committed its round: the
 /// updates are evaluated against the state the round starts from, applied in
 /// logged order with maintenance deferred, and folded once (module docs).
 fn replay_round(sys: &mut XmlViewSystem, updates: &[LoggedUpdate], report: &mut RecoveryReport) {

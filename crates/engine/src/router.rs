@@ -1,34 +1,29 @@
 //! The round pipeline's *planning* half: forms one conflict-free commit
-//! round at a time and lays it out for the executor that will translate it.
+//! round at a time, as the list of jobs the publisher applies.
 //!
-//! A round admits up to `shards * max_batch` pending updates whose
-//! [`Analysis`] footprints (anchor cones + typed relational read/write keys)
-//! are pairwise disjoint. Because the whole round is conflict-free, *any*
-//! split of it across shards is sound; the router balances by assigning each
-//! admitted update to the least-loaded shard (with one shard the single job
-//! list is the round in submission order, which is what the publisher's
-//! inline executor runs). Updates that conflict with an admitted or
-//! already-deferred update wait for a later round — an update deferred by a
-//! conflict also blocks its own later conflicters, so submission order is
-//! preserved between conflicting updates.
+//! A round admits up to `max_batch` pending updates whose [`Analysis`]
+//! footprints (anchor cones + typed relational read/write keys) are
+//! pairwise disjoint, as one job list in submission order. Updates that
+//! conflict with an admitted or already-deferred update wait for a later
+//! round — an update deferred by a conflict also blocks its own later
+//! conflicters, so submission order is preserved between conflicting
+//! updates.
 //!
 //! The analysis is a footprint-only *dry run* of the translation against the
 //! round's snapshot: it evaluates the path (scoped to the anchor cone) and
 //! derives the candidate write keys without applying or interning anything.
-//! Each admitted update ships that evaluation with its job (the executor
-//! translates against the very state the analysis ran on), and its planned
-//! [`RelFootprint`] rides in the [`RoundPlan`] so the publisher can check —
-//! in debug builds — that every realized write was planned.
+//! Each admitted update ships that evaluation with its job: the publisher
+//! translates against the very state the analysis ran on.
 //!
 //! Updates whose paths cannot be bounded — unfilterable wildcards, bare
-//! `//`, candidate sets past the anchor cap — have a *global* (⊤) footprint
-//! and conflict with everything: once at the front of the queue they form a
-//! one-update round that the publisher runs inline. Typed leading-`//` and
-//! wildcard-rooted paths resolve to bounded multi-anchor cones instead (see
+//! `//`, candidate sets past [`MAX_CONE_ANCHORS`] — have a *global* (⊤)
+//! footprint and conflict with everything: once at the front of the queue
+//! they form a one-update round. Typed leading-`//` and wildcard-rooted
+//! paths resolve to bounded multi-anchor cones instead (see
 //! [`crate::analyze`]) and are routed like any other update.
 //!
 //! The publisher plans a round only after its predecessor has published
-//! (ARCHITECTURE.md §7), so a plan's snapshot holds every earlier round's
+//! (ARCHITECTURE.md §3), so a plan's snapshot holds every earlier round's
 //! writes and the only blockers are the updates the scan itself defers.
 //!
 //! Deferred **deletions** keep their analysis (and dry-run evaluation)
@@ -41,20 +36,15 @@
 
 use crate::analyze::{Analysis, BatchFootprint, Verdict};
 use crate::engine::Pending;
-use crate::shard::ShardJob;
 use crate::stats::EngineStats;
-use rxview_core::{Evaluated, SideEffectPolicy, XmlUpdate, XmlViewSystem};
-use std::sync::Arc;
+use rxview_atg::NodeId;
+use rxview_core::{Evaluated, SideEffectPolicy, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS};
 
 /// A pending update inside one commit, keyed by its submission index. The
-/// publisher keeps the original update so that merge-time requeues can
-/// re-enter routing without a round trip through the shard, and so the
-/// round's replay-log record is built from what was admitted.
+/// round that applies it builds its replay-log record from it.
 pub(crate) struct PendingUpdate {
     pub(crate) idx: usize,
-    /// Shared with the update's job while a round translates it; sole
-    /// owner again by the time the round's log record takes it.
-    pub(crate) update: Arc<XmlUpdate>,
+    pub(crate) update: XmlUpdate,
     pub(crate) policy: SideEffectPolicy,
     pub(crate) cached: Option<CachedAnalysis>,
 }
@@ -67,13 +57,25 @@ impl PendingUpdate {
         (
             PendingUpdate {
                 idx,
-                update: Arc::new(p.update),
+                update: p.update,
                 policy: p.policy,
                 cached: None,
             },
             p.tx,
         )
     }
+}
+
+/// One admitted update of a planned round, with the router's dry-run
+/// evaluation against the round snapshot: the publisher translates against
+/// that very state, so re-evaluating would repeat the work (`None`: a ⊤
+/// update has no dry run and evaluates in the publisher).
+pub(crate) struct RoundJob {
+    pub(crate) pending: PendingUpdate,
+    pub(crate) eval: Option<Evaluated>,
+    /// The planned analysis' cone-coalescing key
+    /// ([`crate::Analysis::cone_key`]), for the round's fold.
+    pub(crate) cone_key: Option<NodeId>,
 }
 
 /// A deferred deletion's conflict analysis and dry-run evaluation, kept
@@ -132,25 +134,14 @@ impl CachedAnalysis {
     }
 }
 
-/// A planned round: the job lists, the union footprint of everything
-/// admitted, and what the publisher needs to commit it. A round whose
-/// footprint [`BatchFootprint::is_global`] is the one-update round of a ⊤
-/// update.
+/// A planned round: its jobs, the union footprint of everything admitted,
+/// and what the publisher records about it. A round whose footprint
+/// [`BatchFootprint::is_global`] is the one-update round of a ⊤ update.
 pub(crate) struct RoundPlan {
-    /// Per-shard job lists (index = shard id; entries may be empty), each in
-    /// submission order. With one shard, `assignments[0]` is the round.
-    pub(crate) assignments: Vec<Vec<ShardJob>>,
+    /// The admitted updates (analysis caches dropped), in submission order.
+    pub(crate) jobs: Vec<RoundJob>,
     /// Revalidates cached analyses of the updates that stayed behind.
     pub(crate) footprint: BatchFootprint,
-    /// The admitted updates (analysis caches dropped), submission order —
-    /// kept for merge-time requeues and the replay-log record.
-    pub(crate) admitted: Vec<PendingUpdate>,
-    /// Planned analysis per admitted update, sorted by submission index
-    /// (parallel to `admitted`) — what a sharded round's merge needs beyond
-    /// its jobs: each update's cone-coalescing key and cone count, and the
-    /// conservativeness contract realized translations are asserted against
-    /// in debug builds. Empty when planned for the inline executor.
-    pub(crate) planned: Vec<(usize, Analysis)>,
     /// Admitted updates whose paths resolved through the multi-anchor
     /// (`//`-headed / wildcard-rooted) classifier — the publisher records
     /// rounds carrying such traffic.
@@ -164,25 +155,16 @@ pub(crate) struct RoundPlan {
 /// Plans the next round against `sys` (the state the round will apply to) —
 /// the engine's only planner. Admitted updates are removed from `pending`;
 /// everything else stays, in submission order, with deletion analyses
-/// cached for reuse. The round holds at most `shards * max_batch` updates
-/// and closes early after `max_batch` consecutive conflicts.
-///
-/// `shards` is how many shard writers the round is laid out for; `None`
-/// plans for the inline executor — one job list, and no analysis outlives
-/// its admission check (an inline round has no realized footprints to
-/// assert against, and holding a wide round's cones through the scan costs
-/// more than the scan).
+/// cached for reuse. The round holds at most `max_batch` updates and closes
+/// early after `max_batch` consecutive conflicts.
 ///
 /// Two rules live here and nowhere else:
 ///
 /// - **Planned write∩write overlap between same-cone peers is tolerated at
-///   admission** (`footprint.check(.., true)`), and both executors keep
-///   that sound: the inline executor applies a round's members
-///   sequentially against the evolving working state, so a later
-///   translation sees every earlier realized write; the sharded executor
-///   translates them against one snapshot, so its merge re-checks the
-///   *realized* writes and requeues the later of a genuinely overlapping
-///   pair (ARCHITECTURE.md §9).
+///   admission** (`footprint.check(.., true)`): the publisher applies a
+///   round's members one after another against the evolving working state,
+///   so a later translation sees every earlier realized write
+///   (ARCHITECTURE.md §9).
 /// - **A non-`Proceed` update keeps the whole-cone conflict unit**: its
 ///   side-effect set is computed against the round's planning state, and
 ///   only the coarse unit guarantees no co-admitted peer under a shared
@@ -190,14 +172,10 @@ pub(crate) struct RoundPlan {
 pub(crate) fn plan_round(
     sys: &XmlViewSystem,
     pending: &mut Vec<PendingUpdate>,
-    shards: Option<usize>,
     max_batch: usize,
-    max_cone_anchors: usize,
     stats: &EngineStats,
 ) -> RoundPlan {
     debug_assert!(!pending.is_empty());
-    let n_shards = shards.unwrap_or(1);
-    let cap = n_shards * max_batch;
     // Analysis is per-update work proportional to the cone: bound the scan
     // so routing stays O(round width) rather than O(pending). The round
     // closes when it is full or when it stalls — a long run of consecutive
@@ -208,10 +186,8 @@ pub(crate) fn plan_round(
     let stall_limit = max_batch;
     let mut stalled = 0usize;
     let mut plan = RoundPlan {
-        assignments: (0..n_shards).map(|_| Vec::new()).collect(),
+        jobs: Vec::new(),
         footprint: BatchFootprint::default(),
-        admitted: Vec::new(),
-        planned: Vec::new(),
         multi_cone_admitted: 0,
         analysis_eval: std::time::Duration::ZERO,
     };
@@ -221,7 +197,7 @@ pub(crate) fn plan_round(
 
     let mut drain = std::mem::take(pending).into_iter();
     for mut pu in drain.by_ref() {
-        if plan.admitted.len() >= cap || stalled >= stall_limit {
+        if plan.jobs.len() >= max_batch || stalled >= stall_limit {
             // Admitting past a full round could reorder conflicting
             // updates; everything else waits for the next round.
             deferred.push(pu);
@@ -241,9 +217,9 @@ pub(crate) fn plan_round(
                 (c.analysis, c.eval)
             }
             None => {
-                let parts = Analysis::parts(sys, &pu.update, max_cone_anchors);
+                let parts = Analysis::parts(sys, &pu.update, MAX_CONE_ANCHORS);
                 if let Some(eval) = &parts.eval {
-                    // The dry run evaluated the path; the executor reuses
+                    // The dry run evaluated the path; the publisher reuses
                     // the result instead of evaluating again. Only the
                     // evaluation itself counts as eval time; cone and
                     // write-key derivation stay plan work.
@@ -263,7 +239,7 @@ pub(crate) fn plan_round(
         // attempts are counted either way. A ⊤ update conflicts with
         // everything, so these same checks admit it only as the first
         // update of a round nothing blocks; it then closes the round.
-        let mut verdict = if plan.admitted.is_empty() {
+        let mut verdict = if plan.jobs.is_empty() {
             Verdict::Admit
         } else {
             plan.footprint.check(&analysis, true)
@@ -295,21 +271,11 @@ pub(crate) fn plan_round(
         plan.footprint.absorb(&analysis);
         plan.multi_cone_admitted += usize::from(analysis.is_multi_cone());
         let closes_round = analysis.is_global();
-        let cone_key = analysis.cone_key();
-        if shards.is_some() {
-            plan.planned.push((pu.idx, analysis));
-        }
-        let shard = (0..n_shards)
-            .min_by_key(|&s| plan.assignments[s].len())
-            .expect("n_shards >= 1");
-        plan.assignments[shard].push(ShardJob {
-            idx: pu.idx,
-            update: Arc::clone(&pu.update),
-            policy: pu.policy,
+        plan.jobs.push(RoundJob {
+            pending: pu,
             eval,
-            cone_key,
+            cone_key: analysis.cone_key(),
         });
-        plan.admitted.push(pu);
         if closes_round {
             break;
         }

@@ -11,7 +11,7 @@
 //!   relaxed atomic on the handle at the call site; the `record_*` methods
 //!   are the ones that feed several metrics or compute what they record.
 //! - **flight recorder** — a bounded ring of structured events (round
-//!   planned / committed / requeued, a ⊤ round run inline, checkpoint
+//!   planned / committed / failed, a ⊤ round, checkpoint
 //!   start/end, WAL rotation, recovery replay progress), dumpable as JSONL;
 //! - **reports** — [`EngineReport`] is a point-in-time read of the registry,
 //!   and [`PhaseBreakdown`] attributes a run's wall clock to phases.
@@ -54,8 +54,8 @@ fn ratio(num: f64, den: f64) -> f64 {
 /// reads as `u64`, a `timer` (a nanosecond [`Histogram`]) as the `Duration`
 /// its samples sum to. `by_hand` entries are registered and recorded the
 /// same way but read irregularly — into `phases`, into `latency`, or not at
-/// all; those fields, the cache deltas and the per-shard counters are
-/// written out in the macro body.
+/// all; those fields, the cache deltas and the inert `requeued` are written
+/// out in the macro body.
 macro_rules! metric_table {
     (@handle counter) => { Counter };
     (@handle gauge) => { Gauge };
@@ -75,10 +75,9 @@ macro_rules! metric_table {
     ) => {
         /// Cumulative engine counters and phase histograms, registry-backed.
         /// Recording is lock-free (the registry lock is taken once, at
-        /// construction); readers, the shard writers and the committing
-        /// thread update the handles concurrently. Phase nanoseconds are
-        /// summed across threads where noted: per-update `translate`
-        /// measures total effort, the per-round `*_wall` and publisher-side
+        /// construction); readers, submitters and the committing thread
+        /// update the handles concurrently. Per-update `translate` sums each
+        /// update's translation, the per-round `*_wall` and publisher-side
         /// phases measure wall clock.
         #[derive(Debug)]
         pub struct EngineStats {
@@ -88,34 +87,23 @@ macro_rules! metric_table {
             /// for its plan counters (ARCHITECTURE.md §8) and its template
             /// counters (§10).
             plan_cache: (Arc<PlanCache>, PlanCacheStats, PlanCacheStats),
-            /// `shard.updates.NN`, one per shard writer.
-            shard_updates: Vec<Arc<Counter>>,
             $( $(#[$doc])* pub(crate) $field: Arc<metric_table!(@handle $kind)>, )*
             $( $(#[$hdoc])* pub(crate) $hfield: Arc<metric_table!(@handle $hkind)>, )*
         }
 
         impl EngineStats {
-            /// Stats for an engine with `n_shards` shard writers (one
-            /// per-shard update counter each; at `n_shards == 1` every round
-            /// runs inline), recording events into `recorder`. Several
+            /// Stats recording events into `recorder`. Several
             /// engines built from clones of one system share the `Arc`'d
             /// `plan_cache`, so its counters — and those of the template
             /// registry hanging off it — are snapshotted here as this
             /// engine's baseline: a report subtracts what other engines (or
             /// warm-up) already accounted.
-            pub(crate) fn new(
-                n_shards: usize,
-                recorder: Arc<FlightRecorder>,
-                plan_cache: Arc<PlanCache>,
-            ) -> Self {
+            pub(crate) fn new(recorder: Arc<FlightRecorder>, plan_cache: Arc<PlanCache>) -> Self {
                 let r = Registry::new();
                 let (plans, templates) = (plan_cache.stats(), plan_cache.template_stats());
                 EngineStats {
                     recorder,
                     plan_cache: (plan_cache, plans, templates),
-                    shard_updates: (0..n_shards.max(1))
-                        .map(|s| r.counter(&format!("shard.updates.{s:02}")))
-                        .collect(),
                     $( $field: metric_table!(@register r $kind $name), )*
                     $( $hfield: metric_table!(@register r $hkind $hname), )*
                     registry: Arc::new(r),
@@ -135,7 +123,7 @@ macro_rules! metric_table {
                     latency: self.update_latency_ns.snapshot(),
                     plan_cache: cache.stats().delta_since(plans),
                     template_cache: cache.template_stats().delta_since(templates),
-                    shard_updates: self.shard_updates.iter().map(|c| c.get()).collect(),
+                    requeued: 0,
                 }
             }
         }
@@ -146,9 +134,9 @@ macro_rules! metric_table {
             $( $(#[$doc])* pub $field: metric_table!(@value $kind), )*
             /// Cumulative per-phase time — the Fig.11 constituents (a)
             /// evaluation, (b) translation + execution, (c) maintenance —
-            /// across all commits. `translate` sums per-update effort across
-            /// shard threads; see [`EngineReport::translate_wall`] for the
-            /// critical-path view.
+            /// across all commits. `translate` sums per-update translation;
+            /// see [`EngineReport::translate_wall`] for the round's wall
+            /// clock.
             pub phases: PhaseTimings,
             /// End-to-end admission→ack latency distribution, nanoseconds.
             pub latency: rxview_obs::HistogramSnapshot,
@@ -162,11 +150,10 @@ macro_rules! metric_table {
             /// `compiles` and `compile_ns` the one-time registry build — zero
             /// when an earlier engine on the shared cache compiled it.
             pub template_cache: PlanCacheStats,
-            /// Updates *applied* per shard writer (whose translation the
-            /// merge applied — rejects and requeues are not counted). Inline
-            /// rounds involve no shard writer and add nothing: a one-shard
-            /// engine reports one always-zero entry.
-            pub shard_updates: Vec<u64>,
+            /// Always 0: a round never sends an update back to the planner.
+            /// Kept, as that constant, because `rxbench` still reads it
+            /// (ROADMAP item 4(g) drops both).
+            pub requeued: u64,
         }
     };
 }
@@ -207,9 +194,9 @@ metric_table! {
         /// pair is one id in an `anc` run and one in a `desc` run.
         m_words: gauge "state.m_words",
         // --- evaluation ---
-        /// Evaluations the commit paths ran over a scope (a projection of `L`
-        /// onto the path's anchor cones) — counted from what ran, on every
-        /// executor: the planner's dry run, the shards, the inline fallback.
+        /// Evaluations the commit path ran over a scope (a projection of `L`
+        /// onto the path's anchor cones) — counted from what ran: the
+        /// planner's dry run, or a ⊤ update's evaluation in its round.
         scoped_evals: counter "eval.scoped",
         /// Evaluations that ran the full pass over `L`: a path nothing bounds,
         /// or a cone union too large to be worth projecting — the first thing
@@ -219,13 +206,8 @@ metric_table! {
         /// Time spent in conflict analysis / round planning (the `plan`
         /// phase), dry-run evaluation excluded.
         plan: timer "phase.plan_ns",
-        /// Translation wall clock per round (first shard pickup→last bundle;
-        /// the apply loop on an inline round).
+        /// Translation wall clock per round: its apply loop.
         translate_wall: timer "phase.translate_wall_ns",
-        /// Time cloning the round's working state and merging shard
-        /// translations into it (sharded rounds only — an inline round adds
-        /// nothing here: its apply loop *is* the translate phase).
-        merge: timer "phase.merge_ns",
         /// Fold sub-span: time the folded ∆(M,L) passes spent rewriting
         /// reachability (per-node ancestor-set recompute — ∆M steps (a)/(b)
         /// on insert, the Fig.8 ancestor rewrite on delete). Part of
@@ -245,31 +227,19 @@ metric_table! {
         fsync: timer "phase.fsync_ns",
         /// Time spent publishing snapshots.
         publish: timer "phase.publish_ns",
-        // --- sharded executor (ARCHITECTURE.md §3) ---
-        /// Total time shard workers spent translating (shards that received
-        /// jobs only).
-        shard_busy: timer "shard.busy_ns",
-        /// Total time shard workers sat between consecutive rounds of a
-        /// commit (the gap from finishing one round to the dispatch of the
-        /// next; zero for each shard's first round): the merge and serial
-        /// tail of their round plus the next plan, which run on the
-        /// committing thread one round at a time.
-        shard_idle: timer "shard.idle_ns",
-        /// Commit rounds planned by the router (either executor).
+        // --- rounds ---
+        /// Commit rounds planned by the router.
         rounds: counter "round.planned",
-        /// ⊤ rounds: the one-update rounds of a ⊤-footprint update, run
-        /// inline at any shard count. Only genuinely untypeable paths form
-        /// one — `//`-headed ones resolve to multi-anchor cones and ride
-        /// ordinary rounds. (The registry name predates the rounds' name.)
+        /// ⊤ rounds: the one-update rounds of a ⊤-footprint update. Only
+        /// genuinely untypeable paths form one — `//`-headed ones resolve to
+        /// multi-anchor cones and ride ordinary rounds. (The registry name
+        /// predates the rounds' name.)
         global_lane_rounds: counter "round.global_lane",
         /// Commit rounds that admitted at least one multi-cone (`//`-headed or
-        /// wildcard-rooted) update — `//` traffic riding ordinary shardable
-        /// rounds.
+        /// wildcard-rooted) update — `//` traffic riding ordinary rounds.
         multi_cone_rounds: counter "round.multi_cone",
-        /// Multi-cone updates admitted into conflict rounds. Like
-        /// [`EngineReport::planned_width`] this counts *admissions*: an update
-        /// requeued at merge time and re-admitted next round counts once per
-        /// admission.
+        /// Multi-cone updates admitted into conflict rounds (like
+        /// [`EngineReport::planned_width`], counted at admission).
         multi_cone_updates: counter "round.multi_cone_updates",
         /// Total realized width of the multi-cone rounds (see
         /// [`EngineReport::mean_multi_cone_width`]).
@@ -288,28 +258,19 @@ metric_table! {
         /// co-admitted updates under one cone coalesce to a single ∆(M,L)
         /// fold, so with fission this runs *below* `realized_width`.
         sub_rounds: counter "round.sub_rounds",
-        /// Total merged translations covered by those fold groups (the
+        /// Total applied translations covered by those fold groups (the
         /// numerator of [`EngineReport::mean_sub_width`]).
         sub_width: counter "round.sub_width",
-        /// The adaptive fan-out controller's latest decision — shards the most
-        /// recent round was planned across (≤ the configured pool size; 1 on
-        /// a one-shard engine).
-        adaptive_shards: gauge "router.adaptive_shards",
-        /// Updates sent back to the router for a later round (cross-update
-        /// coupling or realized-write overlap detected at merge time; inline
-        /// rounds never requeue).
-        requeued: counter "round.requeued",
         /// Deferred-update conflict analyses reused across rounds instead of
         /// recomputed.
         analyses_reused: counter "round.analyses_reused",
-        // --- conflict-round widths (both executors) ---
+        // --- conflict-round widths ---
         /// Conflict rounds measured for width: every planned round that
-        /// reached the serial tail, on either executor.
+        /// reached the serial tail.
         width_rounds: counter "round.width_rounds",
         /// Total updates *admitted* into conflict rounds by the analysis.
         planned_width: counter "round.planned_width",
-        /// Total translations actually merged (planned minus
-        /// rejects/requeues).
+        /// Total updates actually applied (planned minus rejects).
         realized_width: counter "round.realized_width",
         // --- durability ---
         /// Replay-log records appended (= epochs made durable; 0 when
@@ -329,11 +290,10 @@ metric_table! {
         checkpoints: counter "checkpoint.completed",
     }
     by_hand {
-        /// Path evaluation, one sample per evaluation that ran (summed across
-        /// shard threads): `phases.eval`.
+        /// Path evaluation, one sample per evaluation that ran:
+        /// `phases.eval`.
         eval_ns: timer "phase.eval_ns",
-        /// ∆X→∆V→∆R translation, one sample per update (summed across shard
-        /// threads): `phases.translate`.
+        /// ∆X→∆V→∆R translation, one sample per update: `phases.translate`.
         translate_ns: timer "phase.translate_ns",
         /// The folded ∆(M,L) pass, one sample per round: `phases.maintain`.
         fold_ns: timer "phase.fold_ns",
@@ -374,7 +334,7 @@ impl EngineStats {
     }
 
     /// Records one commit round that admitted `updates` multi-cone
-    /// (`//`-headed or wildcard-rooted) updates and realized `width` merged
+    /// (`//`-headed or wildcard-rooted) updates and realized `width` applied
     /// translations — the direct observable of the type-indexed prefilter:
     /// `//` traffic riding shared rounds instead of one-update ⊤ rounds.
     pub(crate) fn record_multi_cone_round(&self, updates: usize, width: usize) {
@@ -385,7 +345,7 @@ impl EngineStats {
 
     /// One committed round's fold structure: `groups` maintenance groups
     /// were folded (co-admitted updates under one cone coalesce to a single
-    /// ∆(M,L) pass) covering `updates` merged translations. `updates /
+    /// ∆(M,L) pass) covering `updates` applied translations. `updates /
     /// groups` > 1 is the publisher-side observable of fission: several
     /// updates riding one fold.
     pub(crate) fn record_sub_rounds(&self, groups: usize, updates: usize) {
@@ -393,32 +353,11 @@ impl EngineStats {
         self.sub_width.add(updates as u64);
     }
 
-    /// `n` more updates of shard writer `shard` applied by a merge (an
-    /// out-of-range shard is ignored).
-    pub(crate) fn record_shard_updates(&self, shard: usize, n: usize) {
-        if let Some(c) = self.shard_updates.get(shard) {
-            c.add(n as u64);
-        }
-    }
-
-    /// One shard's share of a round: `busy` is the time its worker spent
-    /// translating, `idle` is the *starvation* gap between the worker
-    /// finishing its previous round of this commit and the next round
-    /// being dispatched to it (zero for a shard's first round). Dispatch→pickup
-    /// delay is excluded — that is CPU
-    /// scheduling contention, not publisher-induced idleness. Only shards
-    /// that received jobs report; a shard skipped by the round entirely is
-    /// not "idle", it is unused.
-    pub(crate) fn record_shard_round(&self, busy: Duration, idle: Duration) {
-        self.shard_busy.record_duration(busy);
-        self.shard_idle.record_duration(idle);
-    }
-
     /// Records one conflict round's *planned* width (updates admitted by
-    /// conflict analysis) and *realized* width (translations actually merged
-    /// — planned minus rejects and requeues), once per round on either
-    /// executor. Round widening is the structural lever of group commit, so
-    /// both are first-class observables.
+    /// conflict analysis) and *realized* width (updates actually applied —
+    /// planned minus rejects), once per round. Round widening is the
+    /// structural lever of group commit, so both are first-class
+    /// observables.
     pub(crate) fn record_round_width(&self, planned: usize, realized: usize) {
         self.width_rounds.incr();
         self.planned_width.add(planned as u64);
@@ -438,7 +377,7 @@ impl EngineStats {
             .record_duration(submitted_at.elapsed());
     }
 
-    /// One batch of `size` updates handed to an executor.
+    /// One round of `size` updates handed to translation.
     pub(crate) fn record_batch(&self, size: usize) {
         self.batches.incr();
         self.max_batch.fetch_max(size as u64);
@@ -519,10 +458,11 @@ impl EngineStats {
 pub struct PhaseBreakdown {
     /// Conflict analysis / round planning.
     pub plan: Duration,
-    /// Translation wall clock (the parallel section of a sharded round).
+    /// Translation wall clock (each round's apply loop).
     pub translate: Duration,
-    /// Merging shard translations into the working state (sharded rounds
-    /// only).
+    /// Always zero: there is no merge phase, and it is in no sum or
+    /// fraction. Kept, as that constant, because `rxbench` still reads it
+    /// (ROADMAP item 4(g) drops both).
     pub merge: Duration,
     /// The folded ∆(M,L) maintenance pass.
     pub fold: Duration,
@@ -537,24 +477,17 @@ pub struct PhaseBreakdown {
 impl PhaseBreakdown {
     /// Sum of all measured phases (the denominator of every fraction).
     pub fn total(&self) -> Duration {
-        self.plan
-            + self.translate
-            + self.merge
-            + self.fold
-            + self.wal_append
-            + self.fsync
-            + self.publish
+        self.plan + self.translate + self.fold + self.wal_append + self.fsync + self.publish
     }
 
     /// `(name, seconds, fraction-of-total)` per phase, in pipeline order.
     /// Fractions sum to 1 (up to rounding) when any time was measured.
-    pub fn fractions(&self) -> [(&'static str, f64, f64); 7] {
+    pub fn fractions(&self) -> [(&'static str, f64, f64); 6] {
         let total = self.total().as_secs_f64();
         let f = |d: Duration| (d.as_secs_f64(), ratio(d.as_secs_f64(), total));
-        let [plan, translate, merge, fold, wal_append, fsync, publish] = [
+        let [plan, translate, fold, wal_append, fsync, publish] = [
             self.plan,
             self.translate,
-            self.merge,
             self.fold,
             self.wal_append,
             self.fsync,
@@ -564,7 +497,6 @@ impl PhaseBreakdown {
         [
             ("plan", plan.0, plan.1),
             ("translate", translate.0, translate.1),
-            ("merge", merge.0, merge.1),
             ("fold", fold.0, fold.1),
             ("wal_append", wal_append.0, wal_append.1),
             ("fsync", fsync.0, fsync.1),
@@ -572,18 +504,18 @@ impl PhaseBreakdown {
         ]
     }
 
-    /// Fraction of the phase total spent in the publisher's serialized
-    /// section (everything after translation: merge + fold + wal + fsync +
-    /// publish) — the Amdahl ceiling on shard scaling.
+    /// Fraction of the phase total spent in each round's serial tail
+    /// (everything after translation: fold + wal + fsync + publish).
     pub fn publisher_serial_fraction(&self) -> f64 {
-        let serial = self.merge + self.fold + self.wal_append + self.fsync + self.publish;
+        let serial = self.fold + self.wal_append + self.fsync + self.publish;
         ratio(serial.as_secs_f64(), self.total().as_secs_f64())
     }
 
     /// Fraction of the publisher's serial section that ran overlapped with
     /// a younger round's translation: always `0.0`, because a round is
     /// planned only after its predecessor has published (ARCHITECTURE.md
-    /// §7). Kept, as that constant, for callers that still report it.
+    /// §3). Kept, as that constant, because `rxbench` still reads it
+    /// (ROADMAP item 4(g) drops both).
     pub fn overlap_fraction(&self) -> f64 {
         0.0
     }
@@ -600,7 +532,7 @@ impl EngineReport {
         ratio(self.planned_width as f64, self.width_rounds as f64)
     }
 
-    /// Average *realized* conflict-round width (merged updates per round).
+    /// Average *realized* conflict-round width (applied updates per round).
     pub fn mean_realized_width(&self) -> f64 {
         ratio(self.realized_width as f64, self.width_rounds as f64)
     }
@@ -613,7 +545,7 @@ impl EngineReport {
         ratio(self.multi_cone_width as f64, self.multi_cone_rounds as f64)
     }
 
-    /// Average merged translations per maintenance fold group (the mean
+    /// Average applied translations per maintenance fold group (the mean
     /// *sub-round width*): 1.0 means every update folded alone; > 1 means
     /// hot-cone fission coalesced same-cone co-admissions into shared
     /// folds. 0.0 when no round was measured.
@@ -621,16 +553,11 @@ impl EngineReport {
         ratio(self.sub_width as f64, self.sub_rounds as f64)
     }
 
-    /// Fraction of shard-round time spent starved (per worker, the gap
-    /// between finishing one round and the next round's *dispatch*):
-    /// `idle / (busy + idle)`, 0.0 when no sharded round ran. High values
-    /// mean workers wait while the committing thread merges, folds, logs
-    /// and publishes their round and plans the next.
+    /// Always `0.0`: no translation thread waits on the committing one.
+    /// Kept, as that constant, because `rxbench` still reads it (ROADMAP
+    /// item 4(g) drops both).
     pub fn shard_idle_fraction(&self) -> f64 {
-        ratio(
-            self.shard_idle.as_secs_f64(),
-            (self.shard_busy + self.shard_idle).as_secs_f64(),
-        )
+        0.0
     }
 
     /// This report's wall clock attributed to the commit phase taxonomy.
@@ -640,7 +567,7 @@ impl EngineReport {
         PhaseBreakdown {
             plan: self.plan,
             translate: self.translate_wall,
-            merge: self.merge,
+            merge: Duration::ZERO,
             fold: self.phases.maintain,
             wal_append: self.wal_append,
             fsync: self.fsync,
@@ -710,13 +637,12 @@ impl fmt::Display for EngineReport {
         }
         writeln!(
             f,
-            "phase time: eval {:?}, translate {:?} ({:?} wall), maintain {:?}, plan {:?}, merge {:?}, publish {:?}",
+            "phase time: eval {:?}, translate {:?} ({:?} wall), maintain {:?}, plan {:?}, publish {:?}",
             self.phases.eval,
             self.phases.translate,
             self.translate_wall,
             self.phases.maintain,
             self.plan,
-            self.merge,
             self.publish
         )?;
         if self.cone_folds > 0 {
@@ -739,10 +665,11 @@ impl fmt::Display for EngineReport {
         }
         writeln!(
             f,
-            "rounds: {} measured, mean width {:.1} planned / {:.1} realized",
+            "rounds: {} measured, mean width {:.1} planned / {:.1} realized, {} analyses reused",
             self.width_rounds,
             self.mean_planned_width(),
-            self.mean_realized_width()
+            self.mean_realized_width(),
+            self.analyses_reused
         )?;
         if self.multi_cone_rounds > 0 || self.global_lane_rounds > 0 {
             writeln!(
@@ -757,20 +684,11 @@ impl fmt::Display for EngineReport {
         if self.fission_admits > 0 || self.fission_denies > 0 {
             writeln!(
                 f,
-                "fission: {} co-admits, {} denies, {} fold groups (mean sub-width {:.1}), adaptive fan-out {}",
+                "fission: {} co-admits, {} denies, {} fold groups (mean sub-width {:.1})",
                 self.fission_admits,
                 self.fission_denies,
                 self.sub_rounds,
-                self.mean_sub_width(),
-                self.adaptive_shards
-            )?;
-        }
-        if self.shard_updates.len() > 1 || self.rounds > 0 {
-            writeln!(
-                f,
-                "shards: {:?} updates/shard, {} rounds, {} ⊤ rounds, {} requeued, {} analyses reused, {:.0}% idle",
-                self.shard_updates, self.rounds, self.global_lane_rounds, self.requeued,
-                self.analyses_reused, 100.0 * self.shard_idle_fraction()
+                self.mean_sub_width()
             )?;
         }
         if self.wal_records > 0 || self.checkpoints > 0 {
@@ -798,7 +716,7 @@ mod tests {
 
     #[test]
     fn fresh_report_means_are_zero_not_nan() {
-        let stats = EngineStats::new(4, flight_recorder(), Arc::default());
+        let stats = EngineStats::new(flight_recorder(), Arc::default());
         let report = stats.report();
         for v in [
             report.mean_batch(),
@@ -819,8 +737,8 @@ mod tests {
         let b = PhaseBreakdown {
             plan: Duration::from_millis(10),
             translate: Duration::from_millis(40),
-            merge: Duration::from_millis(5),
-            fold: Duration::from_millis(20),
+            merge: Duration::ZERO,
+            fold: Duration::from_millis(25),
             wal_append: Duration::from_millis(3),
             fsync: Duration::from_millis(7),
             publish: Duration::from_millis(15),
@@ -831,14 +749,5 @@ mod tests {
         assert!((0.0..=1.0).contains(&serial));
         assert!((serial - 0.5).abs() < 1e-9); // 50ms serial of 100ms total
         assert_eq!(b.overlap_fraction(), 0.0);
-    }
-
-    #[test]
-    fn per_shard_counters_are_independent() {
-        let stats = EngineStats::new(3, flight_recorder(), Arc::default());
-        stats.record_shard_updates(0, 2);
-        stats.record_shard_updates(2, 5);
-        stats.record_shard_updates(9, 1); // out of range: ignored
-        assert_eq!(stats.report().shard_updates, vec![2, 0, 5]);
     }
 }

@@ -6,7 +6,7 @@
 //! acknowledged), the round is appended to the log as one record — its
 //! epoch plus the round's applied updates in submission order, in their
 //! *logical* form (`XmlUpdate` + side-effect policy). The log is the round:
-//! recovery replays a record the way the inline executor committed it
+//! recovery replays a record the way the round pipeline committed it
 //! (`crate::recovery`), re-deriving ∆V, ∆R, and the `M`/`L` maintenance.
 //!
 //! ## On-disk format

@@ -143,29 +143,22 @@ fn readers_never_observe_partial_batches() {
     );
 }
 
-/// Sharded engine: the publisher merges per-shard publications into one
-/// epoch-ordered snapshot stream. Readers must observe (a) monotonically
-/// non-decreasing epochs and (b) *prefix-complete* histories — a snapshot
-/// that reflects a later-committed deletion may never be missing an
-/// earlier-committed one, no matter which shard translated either update.
+/// Rounds of four publish one epoch-ordered snapshot stream. Readers must
+/// observe (a) monotonically non-decreasing epochs and (b)
+/// *prefix-complete* histories — a snapshot that reflects a later-committed
+/// deletion may never be missing an earlier-committed one, whichever
+/// rounds committed either.
 #[test]
-fn sharded_epoch_stream_is_monotonic_and_prefix_complete() {
-    use rxview_engine::EngineConfig;
+fn epoch_stream_is_monotonic_and_prefix_complete() {
     let group = 40;
     let n = 800;
     let sys = system(n);
     let edges = group_edges(&sys, n as i64, group);
     assert!(edges.len() >= 8, "need several groups");
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
 
     // The global deletion order: edges commit in this sequence, four per
-    // commit round (one per shard when the router balances them).
+    // commit round.
     let order: Vec<(i64, i64)> = edges;
     let stop = Arc::new(AtomicBool::new(false));
     let violations: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
@@ -241,17 +234,16 @@ fn sharded_epoch_stream_is_monotonic_and_prefix_complete() {
     assert!(violations.is_empty(), "epoch stream broken: {violations:?}");
 
     let report = engine.stats().report();
-    assert!(
-        report.shard_updates.iter().filter(|&&n| n > 0).count() >= 2,
-        "multiple shards must have participated: {:?}",
-        report.shard_updates
+    assert_eq!(
+        report.rounds as usize,
+        order.len().div_ceil(4),
+        "four independent deletions a round"
     );
-    assert!(report.rounds as usize >= order.len() / 4);
     engine
         .snapshot()
         .system()
         .consistency_check()
-        .expect("consistent after sharded run");
+        .expect("consistent after the run");
 }
 
 /// A background writer thread group-commits submissions from the test
@@ -306,57 +298,47 @@ fn background_writer_drains_queue() {
 /// A displaced snapshot lives exactly as long as its readers: with nobody
 /// driving `start_writer`'s idle tick, eight `apply_now` rounds must leave
 /// the initial snapshot dead, while one a reader still holds stays alive
-/// and unchanged — on the single-writer and on the sharded path.
+/// and unchanged.
 #[test]
 fn displaced_snapshots_are_released_with_their_last_reader() {
-    use rxview_engine::EngineConfig;
     use rxview_workload::{base_fingerprint, edge_fingerprint};
-    for n_shards in [1, 2] {
-        let sys = system(400);
-        let edges = group_edges(&sys, 400, 40);
-        assert!(edges.len() >= 8, "one deletable edge per round");
-        let engine = Engine::with_config(
-            sys,
-            EngineConfig {
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
-        let initial = Arc::downgrade(&engine.snapshot());
-        let mut held = None;
-        for (round, &(h, c)) in edges[..8].iter().enumerate() {
-            if round == 3 {
-                let snap = engine.snapshot();
-                let seen = (
-                    edge_fingerprint(snap.system()),
-                    base_fingerprint(snap.system()),
-                );
-                held = Some((snap, seen));
-            }
-            let delete =
-                XmlUpdate::delete(&format!("node[id={h}]/sub/node[id={c}]")).expect("parses");
-            engine
-                .apply_now(delete, SideEffectPolicy::Proceed)
-                .expect("edge deletion commits");
+    let sys = system(400);
+    let edges = group_edges(&sys, 400, 40);
+    assert!(edges.len() >= 8, "one deletable edge per round");
+    let engine = Engine::new(sys);
+    let initial = Arc::downgrade(&engine.snapshot());
+    let mut held = None;
+    for (round, &(h, c)) in edges[..8].iter().enumerate() {
+        if round == 3 {
+            let snap = engine.snapshot();
+            let seen = (
+                edge_fingerprint(snap.system()),
+                base_fingerprint(snap.system()),
+            );
+            held = Some((snap, seen));
         }
-        assert_eq!(engine.snapshot().epoch(), 8);
-        assert!(
-            initial.upgrade().is_none(),
-            "{n_shards} shard(s): epoch 0 outlived its last reader"
-        );
-        let (snap, seen) = held.expect("taken in round 3");
-        assert_eq!(snap.epoch(), 3);
-        let now = (
-            edge_fingerprint(snap.system()),
-            base_fingerprint(snap.system()),
-        );
-        assert!(seen == now, "{n_shards} shard(s): a held snapshot changed");
-        snap.system().consistency_check().expect("held snapshot");
-        let pinned = Arc::downgrade(&snap);
-        drop(snap);
-        assert!(
-            pinned.upgrade().is_none(),
-            "{n_shards} shard(s): epoch 3 outlived its last reader"
-        );
+        let delete = XmlUpdate::delete(&format!("node[id={h}]/sub/node[id={c}]")).expect("parses");
+        engine
+            .apply_now(delete, SideEffectPolicy::Proceed)
+            .expect("edge deletion commits");
     }
+    assert_eq!(engine.snapshot().epoch(), 8);
+    assert!(
+        initial.upgrade().is_none(),
+        "epoch 0 outlived its last reader"
+    );
+    let (snap, seen) = held.expect("taken in round 3");
+    assert_eq!(snap.epoch(), 3);
+    let now = (
+        edge_fingerprint(snap.system()),
+        base_fingerprint(snap.system()),
+    );
+    assert!(seen == now, "a held snapshot changed");
+    snap.system().consistency_check().expect("held snapshot");
+    let pinned = Arc::downgrade(&snap);
+    drop(snap);
+    assert!(
+        pinned.upgrade().is_none(),
+        "epoch 3 outlived its last reader"
+    );
 }

@@ -72,23 +72,16 @@ fn workload(sys: &XmlViewSystem, seed: u64, flips: &[bool]) -> Vec<XmlUpdate> {
     ops
 }
 
-fn check_equivalence(
-    n: usize,
-    seed: u64,
-    flips: &[bool],
-    max_batch: usize,
-    n_shards: usize,
-) -> Result<(), String> {
+fn check_equivalence(n: usize, seed: u64, flips: &[bool], max_batch: usize) -> Result<(), String> {
     let sys = system(n, seed);
     let ops = workload(&sys, seed ^ 0xbeef, flips);
-    check_ops_equivalence(sys, &ops, max_batch, n_shards)
+    check_ops_equivalence(sys, &ops, max_batch)
 }
 
 fn check_ops_equivalence(
     sys: XmlViewSystem,
     ops: &[XmlUpdate],
     max_batch: usize,
-    n_shards: usize,
 ) -> Result<(), String> {
     if ops.is_empty() {
         return Ok(());
@@ -101,12 +94,11 @@ fn check_ops_equivalence(
         .map(|u| reference_apply(&mut seq, u, SideEffectPolicy::Proceed).is_ok())
         .collect();
 
-    // Batched engine (inline executor at `n_shards == 1`, sharded above).
+    // Batched engine: rounds of up to `max_batch` updates.
     let engine = Engine::with_config(
         sys,
         EngineConfig {
             max_batch,
-            n_shards,
             ..EngineConfig::default()
         },
     );
@@ -153,47 +145,32 @@ fn check_ops_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random mixed workloads, random batch caps: batched == sequential.
+    /// Random mixed workloads, random round caps — from one update a round
+    /// to wider than the stream: the router, the round-by-round commit and
+    /// the publisher's fold are observationally equivalent to applying the
+    /// updates one at a time.
     #[test]
     fn batched_commit_equals_sequential(
         seed in 0u64..200,
         flips in prop::collection::vec(any::<bool>(), 8..20),
-        max_batch in 1usize..12,
+        max_batch in 1usize..56,
     ) {
-        if let Err(e) = check_equivalence(220, seed, &flips, max_batch, 1) {
-            return Err(TestCaseError::fail(e));
-        }
-    }
-
-    /// The same property under sharded parallel writers: the router, the
-    /// shard translations, the round-by-round commit and the merging publisher
-    /// must be observationally equivalent to applying the updates one at a
-    /// time.
-    #[test]
-    fn sharded_commit_equals_sequential(
-        seed in 0u64..200,
-        flips in prop::collection::vec(any::<bool>(), 8..20),
-        max_batch in 1usize..12,
-        n_shards in 2usize..6,
-    ) {
-        if let Err(e) = check_equivalence(220, seed, &flips, max_batch, n_shards) {
+        if let Err(e) = check_equivalence(220, seed, &flips, max_batch) {
             return Err(TestCaseError::fail(e));
         }
     }
 
     /// Hot-cone fission is an optimization, not a semantics change: over
     /// skewed hot-anchor workloads — the traffic shape the sub-cone
-    /// conflict unit exists for — the sharded write path (sub-key
-    /// derivation, optimistic write∩write admission, per-cone fold
-    /// coalescing, the publisher's realized-write re-check) stays
+    /// conflict unit exists for — the write path (sub-key derivation,
+    /// optimistic write∩write admission, per-cone fold coalescing) stays
     /// equivalent to sequential application.
     #[test]
     fn hot_anchor_commit_equals_sequential(
         seed in 0u64..200,
         n_ops in 8usize..28,
         hot in 0u32..=10,
-        max_batch in 1usize..12,
-        n_shards in 2usize..6,
+        max_batch in 2usize..56,
     ) {
         let sys = system(200, seed);
         let mut gen = ShardSkewGen::new(SkewConfig {
@@ -205,7 +182,7 @@ proptest! {
             ..SkewConfig::default()
         });
         let ops = gen.ops(n_ops);
-        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch, n_shards) {
+        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -284,16 +261,14 @@ proptest! {
     }
 
     /// `//`-headed updates riding shared conflict rounds preserve the
-    /// batched == sequential equivalence on both write paths (skewed
-    /// hot-group workloads maximise fission, deferrals and merge-time
-    /// requeues).
+    /// batched == sequential equivalence (skewed hot-group workloads
+    /// maximise fission and deferrals).
     #[test]
     fn descendant_commit_equals_sequential(
         seed in 0u64..200,
         n_ops in 8usize..28,
         desc_fraction in 0u32..=10,
-        max_batch in 1usize..12,
-        n_shards in 1usize..6,
+        max_batch in 1usize..56,
     ) {
         let sys = system(220, seed);
         let mut gen = DescendantGen::new(DescendantConfig {
@@ -305,7 +280,7 @@ proptest! {
             ..DescendantConfig::default()
         });
         let ops = gen.ops(n_ops);
-        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch, n_shards) {
+        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -330,13 +305,7 @@ fn descendant_updates_ride_shared_rounds() {
         .iter()
         .map(|u| seq.apply(u, SideEffectPolicy::Proceed).is_ok())
         .collect();
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let tickets: Vec<_> = ops
         .iter()
         .map(|u| {
@@ -387,13 +356,7 @@ fn hot_anchor_fission_co_admits_disjoint_serializes_overlapping() {
         .iter()
         .map(|u| seq.apply(u, SideEffectPolicy::Proceed).is_ok())
         .collect();
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 3,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let tickets: Vec<_> = ops
         .iter()
         .map(|u| {
@@ -428,13 +391,7 @@ fn disjoint_same_cone_inserts_share_one_round() {
     use rxview_relstore::{tuple, Value};
     let sys = system(200, 11);
     let fresh: i64 = 3_000_000_000;
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 3,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let tickets: Vec<_> = (0..4)
         .map(|k| {
             let u = XmlUpdate::insert("node", tuple![fresh + k, Value::Int(k)], "node[id=0]/sub")
@@ -459,31 +416,23 @@ fn disjoint_same_cone_inserts_share_one_round() {
 #[test]
 fn large_independent_batch_is_equivalent() {
     let flips: Vec<bool> = (0..40).map(|i| i % 4 == 0).collect();
-    check_equivalence(400, 7, &flips, 16, 1).unwrap();
+    check_equivalence(400, 7, &flips, 16).unwrap();
 }
 
-/// The same deterministic case across four shard writers (multi-round,
-/// multi-bundle commits with fresh-subtree insertions to remap).
-#[test]
-fn large_independent_batch_is_equivalent_sharded() {
-    let flips: Vec<bool> = (0..40).map(|i| i % 4 == 0).collect();
-    check_equivalence(400, 7, &flips, 4, 4).unwrap();
-}
-
-/// Insertion-heavy deterministic sweep: fresh-subtree insertions are the
-/// source of intra-round coupling requeues, so this exercises the
-/// requeue → re-entry → replan path.
+/// Insertion-heavy deterministic sweep: fresh subtrees inserted up to twelve
+/// to a round.
 #[test]
 fn insert_heavy_batches_are_equivalent() {
     let flips: Vec<bool> = (0..32).map(|i| i % 4 != 0).collect();
-    check_equivalence(400, 13, &flips, 3, 4).unwrap();
+    check_equivalence(400, 13, &flips, 12).unwrap();
 }
 
-/// Updates with deliberately colliding targets must serialize correctly on
-/// the sharded path too: duplicates defer across rounds, typed leading-`//`
-/// updates resolve to bounded multi-anchor cones (riding ordinary rounds),
-/// and only genuinely untypeable paths serialize through ⊤ rounds (one
-/// update each, run inline).
+/// Updates with deliberately colliding targets, together with paths the
+/// planner bounds differently, must serialize correctly: duplicates defer
+/// across rounds, typed leading-`//` updates resolve to bounded
+/// multi-anchor cones (riding ordinary rounds), and only genuinely
+/// untypeable paths serialize through ⊤ rounds (one update each). (The
+/// name is older than the round pipeline's single executor.)
 #[test]
 fn conflicting_updates_serialize_sharded() {
     let sys = system(200, 11);
@@ -503,13 +452,7 @@ fn conflicting_updates_serialize_sharded() {
         .iter()
         .map(|u| seq.apply(u, SideEffectPolicy::Proceed).is_ok())
         .collect();
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 3,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let tickets: Vec<_> = ops
         .iter()
         .map(|u| {
@@ -567,10 +510,9 @@ fn conflicting_updates_serialize() {
 }
 
 /// Node ids are recycled: every round of this stream collects the fresh
-/// nodes an earlier round inserted, and its own insertions — translated on
-/// shard replicas, merged on the working state — are handed the ids the
-/// previous round's fold released. What the engine ends on is what the
-/// sequential reference ends on, and its id space never outgrew the
+/// nodes an earlier round inserted, and its own insertions are handed the
+/// ids the previous round's fold released. What the engine ends on is what
+/// the sequential reference ends on, and its id space never outgrew the
 /// published view by more than a few rounds' allocations.
 #[test]
 fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
@@ -585,38 +527,35 @@ fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
             .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
     }
 
-    for n_shards in [1, 2] {
-        let engine = Engine::with_config(
-            sys.clone(),
-            EngineConfig {
-                max_batch: 4,
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
-        for (k, window) in windows.iter().enumerate() {
-            let submit = |u: &XmlUpdate| {
-                let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
-                ticket.expect("queue not full")
-            };
-            let tickets: Vec<_> = window.iter().map(submit).collect();
-            engine.commit_pending();
-            for t in tickets {
-                t.wait().expect("accepted");
-            }
-            let snap = engine.snapshot();
-            assert_eq!(snap.epoch(), k as u64 + 1, "one round per window");
-            let genid = snap.system().view().dag().genid();
-            assert!(
-                genid.n_allocated() <= published + 3 * 2 * NODES_PER_INSERT,
-                "n_shards {n_shards}: {} ids for {} live nodes",
-                genid.n_allocated(),
-                genid.n_live()
-            );
+    let engine = Engine::with_config(
+        sys,
+        EngineConfig {
+            max_batch: 4,
+            ..EngineConfig::default()
+        },
+    );
+    for (k, window) in windows.iter().enumerate() {
+        let submit = |u: &XmlUpdate| {
+            let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
+            ticket.expect("queue not full")
+        };
+        let tickets: Vec<_> = window.iter().map(submit).collect();
+        engine.commit_pending();
+        for t in tickets {
+            t.wait().expect("accepted");
         }
         let snap = engine.snapshot();
-        assert_eq!(base_rows(&seq), base_rows(snap.system()));
-        assert_eq!(edge_set(&seq), edge_set(snap.system()));
-        snap.system().consistency_check().expect("republication");
+        assert_eq!(snap.epoch(), k as u64 + 1, "one round per window");
+        let genid = snap.system().view().dag().genid();
+        assert!(
+            genid.n_allocated() <= published + 3 * 2 * NODES_PER_INSERT,
+            "{} ids for {} live nodes",
+            genid.n_allocated(),
+            genid.n_live()
+        );
     }
+    let snap = engine.snapshot();
+    assert_eq!(base_rows(&seq), base_rows(snap.system()));
+    assert_eq!(edge_set(&seq), edge_set(snap.system()));
+    snap.system().consistency_check().expect("republication");
 }

@@ -1,9 +1,9 @@
 //! The planned [`rxview_core::RelFootprint`] must be *conservative*: every
 //! relational row an update actually touches when applied — its `∆R` writes
-//! and the `gen_A` rows of nodes it interns — must be covered by the
-//! footprint the conflict analysis planned against the same state. This is
-//! the contract that lets the router admit updates into one round on typed
-//! keys alone and lets the publisher drop the merge-time base-key check.
+//! and the `gen_A` rows of nodes it interns, read off the applied update by
+//! [`RelFootprint::realized`] — must be covered by the footprint the
+//! conflict analysis planned against the same state. This is the contract
+//! that lets the router admit updates into one round on typed keys alone.
 //!
 //! For the subtree an insertion generates, coverage is equality: the
 //! analysis walks `ST(A, t)` with the translation's own walk, so it plans
@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 use rxview_atg::Atg;
-use rxview_core::{RelFootprint, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview_core::{
+    DeferredMaintenance, RelFootprint, SideEffectPolicy, UpdateReport, XmlUpdate, XmlViewSystem,
+};
 use rxview_engine::{plan_insert, Analysis};
 use rxview_relstore::{schema, tuple, Database, SpjQuery};
 use rxview_workload::{
@@ -30,47 +32,35 @@ fn system(n: usize, seed: u64) -> XmlViewSystem {
     XmlViewSystem::new(atg, db).expect("publishes")
 }
 
-/// Applies `ops` sequentially; before each apply, plans the footprint
-/// against the current state and checks that the realized writes of an
-/// accepted update are covered.
+/// Applies `ops` sequentially, one fold each; before each apply, plans the
+/// footprint against the current state, and checks that it covers every
+/// write — row and key column — the applied update realized.
 fn check_conservative(sys: &mut XmlViewSystem, ops: &[XmlUpdate]) -> Result<(), String> {
     for u in ops {
         let a = Analysis::of(sys, u);
-        let live_before: BTreeSet<rxview_atg::NodeId> =
-            sys.view().dag().genid().live_ids().collect();
-        let Ok(report) = sys.apply(u, SideEffectPolicy::Proceed) else {
+        let eval = sys.eval(u.path());
+        let Ok((report, job)) = sys.apply_deferred(u, SideEffectPolicy::Proceed, eval) else {
             continue; // rejected updates write nothing
         };
+        let realized = realized(sys, &report, &job);
+        sys.fold_maintenance(vec![job]).map_err(|e| e.to_string())?;
         if a.is_global() {
             continue; // global footprints conflict with everything
         }
-        for op in report.delta_r.ops() {
-            let key = match op {
-                rxview_relstore::TupleOp::Insert { table, tuple } => sys
-                    .base()
-                    .table(table)
-                    .map_err(|e| e.to_string())?
-                    .schema()
-                    .key_of(tuple),
-                rxview_relstore::TupleOp::Delete { key, .. } => key.clone(),
-            };
-            if !a.rel().covers_row(op.table(), &key) {
-                return Err(format!("unplanned ∆R write {}({key}) by `{u}`", op.table()));
-            }
-        }
-        let genid = sys.view().dag().genid();
-        for n in genid.live_ids() {
-            if live_before.contains(&n) {
-                continue;
-            }
-            let table = sys.view().atg().gen_table_name(genid.type_of(n));
-            let row = sys.view().gen_row(n);
-            if !a.rel().covers_row(&table, &row) {
-                return Err(format!("unplanned gen write {table}({row}) by `{u}`"));
-            }
+        if !a.rel().covers_writes(&realized) {
+            let mut rows = realized.write_rows();
+            let missed = rows.find(|(table, key)| !a.rel().covers_row(table, key));
+            return Err(format!("unplanned write {missed:?} by `{u}`"));
         }
     }
     Ok(())
+}
+
+/// What `report` and `job`, just applied to `sys`, wrote: the `∆R` rows
+/// and the `gen_A` rows of the nodes the update interned.
+fn realized(sys: &XmlViewSystem, report: &UpdateReport, job: &DeferredMaintenance) -> RelFootprint {
+    RelFootprint::realized(sys.view(), sys.base(), &report.delta_r, job.subtree())
+        .expect("the tables an applied update wrote exist")
 }
 
 proptest! {
@@ -147,8 +137,9 @@ fn gen_writes(fp: &RelFootprint) -> BTreeSet<(String, rxview_relstore::Tuple)> {
 /// For a fresh-head insertion `u`, the analysis' dry run and the
 /// translation walk one subtree: the planned `gen_A` writes are the rows
 /// the translation interns, the planned splices its
-/// `SubtreeDag::shared_nodes`. Returns how many nodes the subtree splices,
-/// `None` when `u` is not a fresh-head insertion the translation accepts.
+/// `SubtreeDag::shared_nodes` — read off `u` applied to a clone of `sys`.
+/// Returns how many nodes the subtree splices, `None` when `u` is not a
+/// fresh-head insertion the translation accepts.
 fn walks_agree(sys: &XmlViewSystem, u: &XmlUpdate) -> Option<usize> {
     let XmlUpdate::Insert { ty, attr, .. } = u else {
         return None;
@@ -161,18 +152,15 @@ fn walks_agree(sys: &XmlViewSystem, u: &XmlUpdate) -> Option<usize> {
     let mut planned = RelFootprint::default();
     let links = plan_insert(sys, ty, attr, &eval.eval.selected, &mut planned)
         .expect("a fresh subtree's writes are derivable");
-    let t = sys
-        .translate(&mut None, u, SideEffectPolicy::Proceed, eval)
+    let mut applied = sys.clone();
+    let (report, job) = applied
+        .apply_deferred(u, SideEffectPolicy::Proceed, eval)
         .ok()?;
-    let subtree = t.subtree.as_ref().expect("an insertion's subtree");
+    let subtree = job.subtree().expect("an insertion's subtree");
     assert_eq!(links, subtree.shared_nodes(), "spliced nodes of `{u}`");
-    let mut interned = RelFootprint::default();
-    for (ty, attr) in &t.fresh_pairs {
-        interned.add_gen_write(sys.view(), *ty, attr);
-    }
     assert_eq!(
         gen_writes(&planned),
-        gen_writes(&interned),
+        gen_writes(&realized(&applied, &report, &job)),
         "gen rows of `{u}`"
     );
     Some(links.len())

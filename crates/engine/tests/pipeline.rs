@@ -5,14 +5,13 @@
 //! thread holds and releases stage gates, freezing the coordinator at a
 //! chosen point of a round:
 //!
-//! - **ack per round** — on both executors (inline at one shard, sharded at
-//!   two) a round's tickets resolve when it publishes, not when the whole
-//!   commit ends;
+//! - **ack per round** — a round's tickets resolve when it publishes, not
+//!   when the whole commit ends;
 //! - **one round at a time** — no plan runs while a round is unpublished:
-//!   with round 1 of a conflicting two-shard commit held at its publish,
-//!   the coordinator has planned exactly once;
-//! - **recycled ids** — a sharded churn stream ends where the sequential
-//!   reference ends, however its rounds recycle node ids.
+//!   with round 1 of a conflicting commit held at its publish, the
+//!   coordinator has planned exactly once;
+//! - **recycled ids** — a churn stream committed at once ends where the
+//!   sequential reference ends, however its rounds recycle node ids.
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig, Stage, StageHooks};
@@ -47,11 +46,12 @@ fn group_edge_deletions(sys: &XmlViewSystem, n: i64) -> Vec<XmlUpdate> {
         .collect()
 }
 
-/// Submits four disjoint group-edge deletions to an engine whose rounds hold
-/// two updates (`n_shards * max_batch == 2`), walks the coordinator to
-/// round 2's publish gate, and checks that round 1's tickets resolved when
-/// round 1 published while round 2's wait for their own round.
-fn rounds_ack_as_each_round_publishes(n_shards: usize, max_batch: usize) {
+/// Tickets resolve round by round: four disjoint group-edge deletions go to
+/// an engine whose rounds hold two updates; with the coordinator walked to
+/// round 2's publish gate, round 1's tickets resolved when round 1
+/// published while round 2's wait for their own round.
+#[test]
+fn inline_rounds_ack_as_each_round_publishes() {
     let sys = system(400, 9);
     let deletions: Vec<XmlUpdate> = group_edge_deletions(&sys, 400)
         .into_iter()
@@ -64,8 +64,7 @@ fn rounds_ack_as_each_round_publishes(n_shards: usize, max_batch: usize) {
     let engine = Engine::with_config(
         sys,
         EngineConfig {
-            n_shards,
-            max_batch,
+            max_batch: 2,
             stage_hooks: Some(hooks.clone()),
             ..EngineConfig::default()
         },
@@ -122,20 +121,8 @@ fn rounds_ack_as_each_round_publishes(n_shards: usize, max_batch: usize) {
         .expect("consistent");
 }
 
-/// Tickets resolve round by round on the inline executor.
-#[test]
-fn inline_rounds_ack_as_each_round_publishes() {
-    rounds_ack_as_each_round_publishes(1, 2);
-}
-
-/// Tickets resolve round by round on the sharded executor.
-#[test]
-fn sharded_rounds_ack_as_each_round_publishes() {
-    rounds_ack_as_each_round_publishes(2, 1);
-}
-
-/// No plan runs while a round is unpublished: with round 1 of a two-shard
-/// commit held at its publish gate, the conflicting duplicate behind it has
+/// No plan runs while a round is unpublished: with round 1 of a commit held
+/// at its publish gate, the conflicting duplicate behind it has
 /// not been planned again — it is planned, in its own round, only once
 /// round 1's writes are in the latest snapshot.
 #[test]
@@ -157,8 +144,7 @@ fn no_plan_runs_while_a_round_is_unpublished() {
     let engine = Engine::with_config(
         sys,
         EngineConfig {
-            n_shards: 2,
-            max_batch: 1, // rounds of at most n_shards * max_batch = 2 updates
+            max_batch: 2,
             stage_hooks: Some(hooks.clone()),
             ..EngineConfig::default()
         },
@@ -196,12 +182,11 @@ fn no_plan_runs_while_a_round_is_unpublished() {
     snap.system().consistency_check().expect("consistent");
 }
 
-/// Recycled ids on the sharded executor: the whole churn stream is
-/// committed at once, so each round's insertions are translated on shard
-/// replicas of a snapshot whose free ids the round's own merge is handing
-/// out, after the previous round's fold released more. A translation's
-/// fresh ids mean something on its replica only — the merge re-interns the
-/// pairs — and the sharded engine ends where the sequential reference ends.
+/// Recycled ids across rounds of one commit: the whole churn stream is
+/// committed at once, four updates a round, so each round's insertions are
+/// handed the ids the previous round's fold released, and the engine ends
+/// where the sequential reference ends. (The name predates the round
+/// pipeline's single executor; the test id is kept stable.)
 #[test]
 fn lookahead_rounds_on_recycled_ids_equal_the_reference() {
     let sys = system(400, 11);
@@ -214,8 +199,7 @@ fn lookahead_rounds_on_recycled_ids_equal_the_reference() {
     }
 
     let config = EngineConfig {
-        n_shards: 2,
-        max_batch: 2,
+        max_batch: 4,
         ..EngineConfig::default()
     };
     let engine = Engine::with_config(sys, config);

@@ -3,9 +3,8 @@
 //! The invariant under test, end to end: **a recovered engine is
 //! observationally equivalent to a sequential oracle replay of the
 //! acknowledged, durable prefix of the update history** — no matter when
-//! the crash happened, which translate executor (inline, sharded) committed
-//! the rounds, where checkpoints interleaved, or how the log's tail was torn
-//! or corrupted. The oracle is `rxview_workload::reference_apply` — §3.2
+//! the crash happened, how wide the committed rounds were, where
+//! checkpoints interleaved, or how the log's tail was torn or corrupted. The oracle is `rxview_workload::reference_apply` — §3.2
 //! verbatim, one update at a time, one fold each — where replay runs a
 //! record as the round it logs: scoped evaluations, one fold per record.
 //!
@@ -62,9 +61,8 @@ fn fixtures() -> PathBuf {
     found.expect("the fixtures directory")
 }
 
-fn durable_config(n_shards: usize, checkpoint_rounds: u64) -> EngineConfig {
+fn durable_config(checkpoint_rounds: u64) -> EngineConfig {
     EngineConfig {
-        n_shards,
         durability: Durability::PerRound,
         checkpoint_rounds,
         ..EngineConfig::default()
@@ -112,7 +110,6 @@ fn recover_readonly(atg: &rxview_atg::Atg, dir: &Path) -> (Engine, rxview_engine
 fn check_crash_recovery(
     seed: u64,
     flips: &[bool],
-    n_shards: usize,
     kill_after_chunks: usize,
     checkpoint_rounds: u64,
 ) -> Result<(), String> {
@@ -124,12 +121,8 @@ fn check_crash_recovery(
     let dir = temp_dir("prop");
 
     // The engine under test: durable, killed mid-history.
-    let engine = Engine::with_durability(
-        sys.clone(),
-        durable_config(n_shards, checkpoint_rounds),
-        &dir,
-    )
-    .map_err(|e| format!("with_durability: {e}"))?;
+    let engine = Engine::with_durability(sys.clone(), durable_config(checkpoint_rounds), &dir)
+        .map_err(|e| format!("with_durability: {e}"))?;
     let chunks: Vec<&[XmlUpdate]> = ops.chunks(5).collect();
     let committed = chunks.len().min(kill_after_chunks.max(1));
     let mut acknowledged: Vec<(XmlUpdate, bool)> = Vec::new();
@@ -162,12 +155,8 @@ fn check_crash_recovery(
     }
 
     // Recover and compare.
-    let (recovered, report) = Engine::recover(
-        atg.clone(),
-        &dir,
-        durable_config(n_shards, checkpoint_rounds),
-    )
-    .map_err(|e| format!("recover: {e}"))?;
+    let (recovered, report) = Engine::recover(atg.clone(), &dir, durable_config(checkpoint_rounds))
+        .map_err(|e| format!("recover: {e}"))?;
     if report.replay_rejected != 0 {
         return Err(format!(
             "{} acknowledged updates were rejected on replay",
@@ -231,41 +220,32 @@ fn check_crash_recovery(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random mixed workloads, random kill points, both write paths:
-    /// recovery reproduces exactly the acknowledged prefix.
+    /// Random mixed workloads, random kill points: recovery reproduces
+    /// exactly the acknowledged prefix.
     #[test]
     fn recovery_equals_acknowledged_prefix_oracle(
         seed in 0u64..500,
         flips in prop::collection::vec(any::<bool>(), 10..22),
-        n_shards in 1usize..5,
         kill_after_chunks in 1usize..6,
         checkpoint_rounds in 0u64..4,
     ) {
-        if let Err(e) = check_crash_recovery(
-            seed, &flips, n_shards, kill_after_chunks, checkpoint_rounds,
-        ) {
+        if let Err(e) = check_crash_recovery(seed, &flips, kill_after_chunks, checkpoint_rounds) {
             return Err(TestCaseError::fail(e));
         }
     }
 }
 
-/// Deterministic large-ish case across the sharded path (multi-round
-/// commits, global-lane traffic, background checkpoints every 2 epochs).
-#[test]
-fn sharded_crash_recovery_deterministic() {
-    let flips: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-    check_crash_recovery(42, &flips, 4, 3, 2).unwrap();
-}
-
-/// Kill-at-every-round sweep over four shards, the crash landing after
-/// every chunk of the history in turn: the acknowledged-prefix oracle holds
-/// at every kill point only if each sharded round's record was appended in
-/// epoch order before its snapshot became visible.
+/// Kill-at-every-round sweep over a deterministic large-ish history
+/// (global-lane traffic, background checkpoints every 2 epochs), the crash
+/// landing after every chunk of it in turn: the acknowledged-prefix oracle
+/// holds at every kill point only if each round's record was appended in
+/// epoch order before its snapshot became visible. (The name is older than
+/// the round pipeline's single executor.)
 #[test]
 fn pipelined_sharded_crash_recovery_kill_at_every_round() {
     let flips: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
     for kill_after_chunks in 1..=6 {
-        check_crash_recovery(42, &flips, 4, kill_after_chunks, 2).unwrap();
+        check_crash_recovery(42, &flips, kill_after_chunks, 2).unwrap();
     }
 }
 
@@ -289,7 +269,7 @@ fn build_logged_history(
     assert!(deletions.len() >= rounds, "enough deletable group edges");
     let dir = temp_dir("torn");
     // No automatic checkpoints: the whole history lives in one segment.
-    let engine = Engine::with_durability(sys, durable_config(1, 0), &dir).expect("durable engine");
+    let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
     let mut fingerprints = Vec::new();
     let snap = engine.snapshot();
     fingerprints.push((
@@ -382,17 +362,18 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Torn tails of a log the sharded executor wrote: six disjoint deletions
-/// drain through one `commit_pending` on two shards with `max_batch = 1`,
-/// as three two-update rounds. Truncating the log at every byte and
-/// recovering proves the WAL append stayed *epoch-strict*: every cut lands
-/// on a contiguous submission-order prefix — if round k+1's record could
-/// ever beat round k's into the log, some cut would recover a state with a
-/// hole in it and diverge from the prefix oracle.
+/// Torn tails of a log of multi-update rounds: six disjoint deletions drain
+/// through one `commit_pending` with `max_batch = 2`, as three two-update
+/// rounds. Truncating the log at every byte and recovering proves the WAL
+/// append stayed *epoch-strict*: every cut lands on a contiguous
+/// submission-order prefix — if round k+1's record could ever beat round
+/// k's into the log, some cut would recover a state with a hole in it and
+/// diverge from the prefix oracle. (The name is older than the round
+/// pipeline's single executor.)
 #[test]
 fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
-    // A round admits up to `n_shards * max_batch` = 2 disjoint updates, so
-    // six deletions drain as three two-update rounds (epochs).
+    // A round admits up to `max_batch` = 2 disjoint updates, so six
+    // deletions drain as three two-update rounds (epochs).
     let n_updates = 6;
     let per_round = 2;
     let rounds = n_updates / per_round;
@@ -413,12 +394,12 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
         fingerprints.push((base_fingerprint(&oracle), edge_fingerprint(&oracle)));
     }
 
-    let dir = temp_dir("torn-sharded");
+    let dir = temp_dir("torn-rounds");
     let engine = Engine::with_durability(
         sys,
         EngineConfig {
-            max_batch: 1,
-            ..durable_config(2, 0)
+            max_batch: 2,
+            ..durable_config(0)
         },
         &dir,
     )
@@ -517,7 +498,7 @@ fn checkpoint_interleaving_recovers_every_stage() {
     let deletions = group_edge_deletions(&sys, 400);
     assert!(deletions.len() >= 5, "enough deletable group edges");
     let dir = temp_dir("interleave");
-    let engine = Engine::with_durability(sys, durable_config(2, 0), &dir).expect("durable engine");
+    let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
 
     type Stage = (PathBuf, u64, BTreeSet<(String, String)>);
     let mut stages: Vec<Stage> = Vec::new();
@@ -584,7 +565,7 @@ fn compaction_after_checkpoint_preserves_recoverability() {
     let (sys, atg) = system(400, 31);
     let dir = temp_dir("compact");
     let engine =
-        Engine::with_durability(sys.clone(), durable_config(1, 0), &dir).expect("durable engine");
+        Engine::with_durability(sys.clone(), durable_config(0), &dir).expect("durable engine");
     let deletions = group_edge_deletions(&sys, 400);
     assert!(deletions.len() >= 4, "enough deletable group edges");
     let mut oracle = sys;
@@ -628,10 +609,10 @@ fn recover_requires_a_checkpoint_and_with_durability_a_fresh_dir() {
     // A used directory refuses a fresh durable engine.
     let dir = temp_dir("used");
     let engine =
-        Engine::with_durability(sys.clone(), durable_config(1, 0), &dir).expect("first engine");
+        Engine::with_durability(sys.clone(), durable_config(0), &dir).expect("first engine");
     drop(engine);
     assert!(
-        Engine::with_durability(sys, durable_config(1, 0), &dir).is_err(),
+        Engine::with_durability(sys, durable_config(0), &dir).is_err(),
         "existing log directory must route through Engine::recover"
     );
     let _ = fs::remove_dir_all(&empty);
@@ -646,7 +627,7 @@ fn durable_recovery_is_idempotent() {
     let dir = temp_dir("idem");
     let deletions = group_edge_deletions(&sys, 400);
     assert!(deletions.len() >= 3, "enough deletable group edges");
-    let engine = Engine::with_durability(sys, durable_config(1, 0), &dir).expect("engine");
+    let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("engine");
     for u in deletions.into_iter().take(3) {
         let t = engine
             .submit(u, SideEffectPolicy::Proceed)
@@ -656,12 +637,12 @@ fn durable_recovery_is_idempotent() {
     }
     drop(engine);
 
-    let (first, r1) = Engine::recover(atg.clone(), &dir, durable_config(1, 0)).expect("recover 1");
+    let (first, r1) = Engine::recover(atg.clone(), &dir, durable_config(0)).expect("recover 1");
     assert_eq!(r1.resumed_epoch, 3);
     let edges = edge_fingerprint(first.snapshot().system());
     drop(first);
 
-    let (second, r2) = Engine::recover(atg, &dir, durable_config(1, 0)).expect("recover 2");
+    let (second, r2) = Engine::recover(atg, &dir, durable_config(0)).expect("recover 2");
     assert_eq!(r2.resumed_epoch, 3);
     assert_eq!(
         r2.replayed_rounds, 0,
@@ -676,8 +657,8 @@ fn durable_recovery_is_idempotent() {
 /// hot-anchor stream makes rounds that genuinely co-admit several updates
 /// under one cone — this test asserts fission actually fired before the
 /// crash — then the engine dies without ceremony, at several kill points.
-/// The WAL logs merged rounds in submission order, so replay is oblivious
-/// to how wide the round was; the recovered state must still equal the
+/// The WAL logs a round's applied updates in submission order, so replay is
+/// oblivious to how wide the round was; the recovered state must still equal the
 /// acknowledged-prefix oracle.
 #[test]
 fn crash_recovery_with_fission_on_hot_cones() {
@@ -694,8 +675,8 @@ fn crash_recovery_with_fission_on_hot_cones() {
         });
         let ops = gen.ops(24);
         let dir = temp_dir("fission");
-        let engine = Engine::with_durability(sys.clone(), durable_config(3, 0), &dir)
-            .expect("durable engine");
+        let engine =
+            Engine::with_durability(sys.clone(), durable_config(0), &dir).expect("durable engine");
         let chunks: Vec<&[XmlUpdate]> = ops.chunks(8).collect();
         let committed = chunks.len().min(kill_after_chunks);
         let mut acknowledged: Vec<(XmlUpdate, bool)> = Vec::new();
@@ -729,7 +710,7 @@ fn crash_recovery_with_fission_on_hot_cones() {
         }
 
         let (recovered, rep) =
-            Engine::recover(atg, &dir, durable_config(3, 0)).expect("recovery succeeds");
+            Engine::recover(atg, &dir, durable_config(0)).expect("recovery succeeds");
         assert_eq!(rep.replay_rejected, 0);
         assert_eq!(rep.resumed_epoch, epoch_at_kill);
         assert_observationally_equal(
@@ -762,15 +743,19 @@ fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn all_rejected_round_publishes_nothing_and_logs_nothing() {
-    for n_shards in [1usize, 3] {
+    // One round per rejected update, and one round for both.
+    for max_batch in [1usize, 256] {
         let (sys, atg) = system(200, 31);
         let deletions = group_edge_deletions(&sys, 200);
         assert!(deletions.len() >= 2, "two deletable group edges");
         let dir = temp_dir("allrej");
         // Manual checkpoints only, so the directory changes exactly when a
         // round is logged.
-        let engine = Engine::with_durability(sys, durable_config(n_shards, 0), &dir)
-            .expect("durable engine");
+        let config = EngineConfig {
+            max_batch,
+            ..durable_config(0)
+        };
+        let engine = Engine::with_durability(sys, config, &dir).expect("durable engine");
         for u in &deletions[..2] {
             engine
                 .apply_now(u.clone(), SideEffectPolicy::Proceed)
@@ -781,7 +766,7 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
         let before = dir_bytes(&dir);
 
         // The same deletions again: their edges are gone, so every update of
-        // the commit is rejected — in one round at a time or all together.
+        // the commit is rejected — one round at a time or all together.
         let tickets: Vec<_> = deletions[..2]
             .iter()
             .map(|u| {
@@ -791,33 +776,33 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
             })
             .collect();
         let summary = engine.commit_pending();
-        assert_eq!(summary.rejected, 2, "n_shards {n_shards}");
+        assert_eq!(summary.rejected, 2, "max_batch {max_batch}");
         for t in tickets {
             assert!(
                 t.wait().is_err(),
-                "n_shards {n_shards}: ticket resolves Err"
+                "max_batch {max_batch}: ticket resolves Err"
             );
         }
         assert_eq!(
             engine.snapshot().epoch(),
             epoch,
-            "n_shards {n_shards}: a round that applied nothing publishes no epoch"
+            "max_batch {max_batch}: a round that applied nothing publishes no epoch"
         );
         assert_eq!(
             engine.stats().report().wal_records,
             records,
-            "n_shards {n_shards}: and appends no record"
+            "max_batch {max_batch}: and appends no record"
         );
         assert_eq!(
             dir_bytes(&dir),
             before,
-            "n_shards {n_shards}: log directory byte-identical"
+            "max_batch {max_batch}: log directory byte-identical"
         );
 
         drop(engine); // crash
         let (recovered, report) = recover_readonly(&atg, &dir);
-        assert_eq!(report.resumed_epoch, epoch, "n_shards {n_shards}");
-        assert_eq!(recovered.snapshot().epoch(), epoch, "n_shards {n_shards}");
+        assert_eq!(report.resumed_epoch, epoch, "max_batch {max_batch}");
+        assert_eq!(recovered.snapshot().epoch(), epoch, "max_batch {max_batch}");
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -844,7 +829,7 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     let head = [0, 40].into_iter().find(|&h| accepts(&insert_under(h)));
     ops.push(insert_under(head.expect("some head is insertable")));
     let engine =
-        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+        Engine::with_durability(sys.clone(), durable_config(0), dir).expect("durable engine");
     let mut oracle = sys;
     for (r, u) in ops.into_iter().enumerate() {
         engine
@@ -984,7 +969,7 @@ fn tail_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
         ],
     ];
     let engine =
-        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+        Engine::with_durability(sys.clone(), durable_config(0), dir).expect("durable engine");
     let mut oracle = sys;
     commit_rounds(&engine, &mut oracle, &rounds[..1]);
     engine.checkpoint_now().expect("checkpoint");
@@ -1037,14 +1022,15 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
 }
 
 // ---------------------------------------------------------------------------
-// The log is the round: one fold per record, whatever executor wrote it.
+// The log is the round: one fold per record, however wide the rounds were.
 // ---------------------------------------------------------------------------
 
 /// A mixed W1/W2/W3 stream with a ⊤ update in its middle, committed fourteen
-/// updates at a time by the inline executor and by three shards, crashes,
-/// and is replayed record by record: as many folds as records — fewer than
-/// updates, the records are rounds — nothing rejected, and the state of the
-/// one-at-a-time oracle.
+/// updates at a time in rounds of up to four updates and in rounds as wide
+/// as the commit, crashes, and is replayed record by record: as many folds
+/// as records — fewer than updates, the records are rounds — nothing
+/// rejected, and the state of the one-at-a-time oracle. (The name is older
+/// than the round pipeline's single executor.)
 #[test]
 fn replay_folds_once_per_record_on_every_executors_log() {
     let (sys, atg) = system(400, 9);
@@ -1064,11 +1050,14 @@ fn replay_folds_once_per_record_on_every_executors_log() {
         .collect();
     let accepted = expected.iter().filter(|ok| **ok).count();
 
-    for n_shards in [1, 3] {
-        let at = format!("n_shards {n_shards}");
+    for max_batch in [4, 256] {
+        let at = format!("max_batch {max_batch}");
         let dir = temp_dir("folds");
-        let engine = Engine::with_durability(sys.clone(), durable_config(n_shards, 0), &dir)
-            .expect("durable engine");
+        let config = EngineConfig {
+            max_batch,
+            ..durable_config(0)
+        };
+        let engine = Engine::with_durability(sys.clone(), config, &dir).expect("durable engine");
         let mut outcomes = Vec::new();
         for commit in stream.chunks(14) {
             let tickets: Vec<_> = commit
@@ -1118,7 +1107,7 @@ fn registrar_with_course(title: &str, dir: &Path) -> (Engine, rxview_atg::Atg, X
     let atg = rxview_workload::registrar_atg(&db).expect("valid ATG");
     let sys = XmlViewSystem::new(atg.clone(), db).expect("publishes");
     let engine =
-        Engine::with_durability(sys.clone(), durable_config(1, 0), dir).expect("durable engine");
+        Engine::with_durability(sys.clone(), durable_config(0), dir).expect("durable engine");
     (engine, atg, sys)
 }
 

@@ -13,8 +13,8 @@ fn system(n: usize) -> XmlViewSystem {
 }
 
 /// One deletable `(head, child)` edge path per group (see
-/// `tests/concurrent.rs`): anchored, `//`-free, so every update rides the
-/// sharded path.
+/// `tests/concurrent.rs`): anchored, `//`-free, so independent updates
+/// share rounds.
 fn group_edges(sys: &XmlViewSystem, n: i64, group: i64) -> Vec<(i64, i64)> {
     use rxview_relstore::Value;
     use rxview_xmlkit::parse_xpath;
@@ -37,21 +37,16 @@ fn delete(h: i64, c: i64) -> XmlUpdate {
     XmlUpdate::delete(&format!("node[id={h}]/sub/node[id={c}]")).expect("parses")
 }
 
-/// Per-shard committed counts are a *partition* of the sharded rounds'
-/// realized updates: they sum exactly to the accepted total.
+/// The ledger of commits of four independent deletions each: one round
+/// per commit, one latency sample per ticket, phase fractions summing to 1
+/// and the fold's sub-spans inside the fold.
 #[test]
-fn per_shard_counts_sum_to_round_total() {
+fn round_phases_and_fold_spans_are_well_formed() {
     let n = 800;
     let sys = system(n);
     let edges = group_edges(&sys, n as i64, 40);
     assert!(edges.len() >= 8, "need several independent groups");
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
 
     let mut accepted = 0u64;
     for chunk in edges.chunks(4) {
@@ -72,11 +67,11 @@ fn per_shard_counts_sum_to_round_total() {
 
     let report = engine.stats().report();
     assert_eq!(report.accepted, accepted);
+    assert_eq!(report.realized_width, accepted);
     assert_eq!(
-        report.shard_updates.iter().sum::<u64>(),
-        accepted,
-        "per-shard counts must partition the committed updates: {:?}",
-        report.shard_updates
+        report.rounds as usize,
+        edges.chunks(4).count(),
+        "one round per commit of independent deletions"
     );
     // No `//` in the workload: the global lane never ran.
     assert_eq!(report.global_lane_rounds, 0);
@@ -87,12 +82,11 @@ fn per_shard_counts_sum_to_round_total() {
     let phases = report.phase_breakdown();
     assert!(
         phases.total() > std::time::Duration::ZERO,
-        "sharded commits must record phase time"
+        "commits must record phase time"
     );
     let sum: f64 = phases.fractions().iter().map(|(_, _, f)| f).sum();
     assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
     assert!((0.0..=1.0).contains(&phases.publisher_serial_fraction()));
-    assert!((0.0..=1.0).contains(&report.shard_idle_fraction()));
     // The fold's sub-spans are timed inside the fold: deletions splice `L`
     // and rewrite `M`, and together they stay within the fold's wall clock.
     assert!(report.cone_folds > 0, "deletions fold per cone");
@@ -112,13 +106,7 @@ fn telemetry_report_and_flight_recording() {
     let sys = system(n);
     let edges = group_edges(&sys, n as i64, 40);
     assert!(edges.len() >= 2);
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 2,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     for &(h, c) in &edges[..2] {
         let t = engine
             .submit(delete(h, c), SideEffectPolicy::Proceed)
@@ -162,19 +150,13 @@ fn telemetry_report_and_flight_recording() {
     }
 }
 
-/// The registry of a fresh 2-shard engine, name-sorted: the exporter's
-/// JSONL keys. A metric is renamed or dropped here, deliberately, or not at
-/// all — dashboards and `rxbench`'s trace read these names.
+/// The registry of a fresh engine, name-sorted: the exporter's JSONL keys.
+/// A metric is renamed or dropped here, deliberately, or not at all —
+/// dashboards and `rxbench`'s trace read these names.
 #[test]
 fn registry_names_are_pinned() {
     use rxview_obs::MetricSnapshot::{Counter as C, Gauge as G, Histogram as H};
-    let engine = Engine::with_config(
-        system(200),
-        EngineConfig {
-            n_shards: 2,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(system(200));
     let kind = |m: &rxview_obs::MetricSnapshot| match m {
         C(_) => 'c',
         G(_) => 'g',
@@ -200,7 +182,6 @@ fn registry_names_are_pinned() {
         ("phase.fold_m_rewrite_ns", 'h'),
         ("phase.fold_ns", 'h'),
         ("phase.fsync_ns", 'h'),
-        ("phase.merge_ns", 'h'),
         ("phase.plan_ns", 'h'),
         ("phase.publish_ns", 'h'),
         ("phase.translate_ns", 'h'),
@@ -214,15 +195,9 @@ fn registry_names_are_pinned() {
         ("round.planned", 'c'),
         ("round.planned_width", 'c'),
         ("round.realized_width", 'c'),
-        ("round.requeued", 'c'),
         ("round.sub_rounds", 'c'),
         ("round.sub_width", 'c'),
         ("round.width_rounds", 'c'),
-        ("router.adaptive_shards", 'g'),
-        ("shard.busy_ns", 'h'),
-        ("shard.idle_ns", 'h'),
-        ("shard.updates.00", 'c'),
-        ("shard.updates.01", 'c'),
         ("snapshot.published", 'c'),
         ("snapshot.reads", 'c'),
         ("state.allocated_ids", 'g'),
@@ -267,13 +242,7 @@ fn plan_cache_report_rebaselines_per_engine() {
     assert!(pre.hits + pre.misses > 0, "warmup must probe the cache");
 
     // A fresh engine over the warmed system starts its delta at zero.
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            n_shards: 2,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let before = engine.stats().report().plan_cache;
     assert_eq!(
         before.hits + before.misses,
@@ -343,7 +312,6 @@ fn metrics_exporter_writes_jsonl() {
     let engine = Engine::with_config(
         sys,
         EngineConfig {
-            n_shards: 2,
             metrics_path: Some(path.clone()),
             ..EngineConfig::default()
         },
@@ -389,43 +357,35 @@ fn metrics_exporter_writes_jsonl() {
 }
 
 /// `scoped_evals` / `full_evals` and `UpdateReport::scope_nodes` say how
-/// each path was evaluated — what ran — on the inline executor, the shards
-/// and the global lane alike.
+/// each path was evaluated — what ran — in the planner's dry run and in a
+/// ⊤ round alike.
 #[test]
 fn eval_counters_report_what_ran() {
     let n = 800;
-    for n_shards in [1, 2] {
-        let sys = system(n);
-        let edges = group_edges(&sys, n as i64, 40);
-        assert!(edges.len() >= 3);
-        let engine = Engine::with_config(
-            sys.clone(),
-            EngineConfig {
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
-        // Anchored deletes: a scope of about one group, through the dry run.
-        for &(h, c) in &edges[..2] {
-            let report = engine
-                .apply_now(delete(h, c), SideEffectPolicy::Proceed)
-                .expect("anchored delete commits");
-            let scope = report.scope_nodes.expect("an anchored path has a scope");
-            assert!(scope > 1 && scope < sys.topo().len() / 4, "scope {scope}");
-        }
-        let report = engine.stats().report();
-        assert_eq!((report.scoped_evals, report.full_evals), (2, 0));
-        // A path nothing bounds rides the global lane and runs the full
-        // pass.
-        let (h, c) = edges[2];
-        let unbounded = XmlUpdate::delete(&format!("*/sub/node[id={c}]")).expect("parses");
-        let outcome = engine
-            .apply_now(unbounded, SideEffectPolicy::Proceed)
-            .expect("the wildcard delete finds the edge");
-        assert_eq!(outcome.scope_nodes, None, "group {h}");
-        let report = engine.stats().report();
-        assert_eq!((report.scoped_evals, report.full_evals), (2, 1));
+    let sys = system(n);
+    let edges = group_edges(&sys, n as i64, 40);
+    assert!(edges.len() >= 3);
+    let engine = Engine::new(sys.clone());
+    // Anchored deletes: a scope of about one group, through the dry run.
+    for &(h, c) in &edges[..2] {
+        let report = engine
+            .apply_now(delete(h, c), SideEffectPolicy::Proceed)
+            .expect("anchored delete commits");
+        let scope = report.scope_nodes.expect("an anchored path has a scope");
+        assert!(scope > 1 && scope < sys.topo().len() / 4, "scope {scope}");
     }
+    let report = engine.stats().report();
+    assert_eq!((report.scoped_evals, report.full_evals), (2, 0));
+    // A path nothing bounds rides the global lane and runs the full
+    // pass.
+    let (h, c) = edges[2];
+    let unbounded = XmlUpdate::delete(&format!("*/sub/node[id={c}]")).expect("parses");
+    let outcome = engine
+        .apply_now(unbounded, SideEffectPolicy::Proceed)
+        .expect("the wildcard delete finds the edge");
+    assert_eq!(outcome.scope_nodes, None, "group {h}");
+    let report = engine.stats().report();
+    assert_eq!((report.scoped_evals, report.full_evals), (2, 1));
 }
 
 /// The `state.*` gauges follow the published epoch: an engine reports its

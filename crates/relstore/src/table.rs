@@ -243,7 +243,7 @@ impl Table {
             return self.scan_key_prefix(std::slice::from_ref(value)).collect();
         }
         // `get_or_init` runs one initializer at a time, so concurrent
-        // readers (e.g. shard writer threads probing one shared snapshot)
+        // readers (e.g. reader threads probing one shared snapshot)
         // fund a single build instead of racing on duplicates.
         let index = self.col_index[col].get_or_init(|| self.build_index(col));
         index

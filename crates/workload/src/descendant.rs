@@ -3,8 +3,8 @@
 //!
 //! Before the type-indexed reachability prefilter, every leading-`//`
 //! update paid a full §3.2 evaluation and committed alone through the
-//! sharded engine's serialized global lane — a `//`-heavy stream could not
-//! scale past singleton rounds no matter how many writers existed. This
+//! engine's serialized global lane — a `//`-heavy stream could not grow
+//! past singleton rounds however wide a round was allowed to be. This
 //! generator produces exactly that stream: per sampled group it alternates
 //! inserting a fresh node under the group head with deleting it again (the
 //! same op shape as [`crate::shard_skew`]), but a configurable fraction of
@@ -13,10 +13,10 @@
 //! updates that exercise the engine's `//` planning machinery. Group
 //! sampling is skewed (`hot_fraction` of traffic on `hot_groups` groups),
 //! so the sweep covers hot labels (conflicting, serialization-bound) and
-//! cold labels (independent, shardable) alike.
+//! cold labels (independent, sharing rounds) alike.
 //!
 //! A `//node[id=H]`-headed update resolves through the `gen_node` registry
-//! to the one concrete anchor and rides ordinary shardable rounds; on an
+//! to the one concrete anchor and rides ordinary rounds; on an
 //! engine predating the prefilter the same stream collapsed to global-lane
 //! singletons.
 

@@ -6,7 +6,7 @@
 //! - [`workloads`]: the W1/W2/W3 insertion and deletion workloads;
 //! - [`path_cache`]: the parsed-XPath cache the generators draw from;
 //! - [`shard_skew`]: anchor-cone-partitioned update streams with a
-//!   controllable hot spot, for the sharded engine's scaling sweeps;
+//!   controllable hot spot, for the engine's round-width sweeps;
 //! - [`descendant`]: mixed anchored + `//`-headed update streams over hot
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
 //! - [`churn`]: steady delete / re-insert traffic with fresh keys, for the

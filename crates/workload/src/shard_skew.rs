@@ -1,13 +1,13 @@
 //! Shard-skew update workloads: anchor-cone-partitioned traffic with a
 //! controllable hot spot.
 //!
-//! The sharded engine partitions writes by anchor cone, so its scaling is
-//! governed by how evenly traffic spreads over the top-level groups of the
-//! synthetic dataset: uniform traffic keeps every shard busy, while a hot
-//! group-cluster serializes — conflicting updates to one cone can never
-//! commit in the same round, no matter how many writers exist. This
-//! generator produces that spectrum: a fraction `hot_fraction` of updates
-//! targets a small cluster of `hot_groups` anchors, the rest spread
+//! The engine partitions writes into rounds by anchor cone, so how wide its
+//! rounds grow is governed by how evenly traffic spreads over the top-level
+//! groups of the synthetic dataset: uniform traffic fills a round, while a
+//! hot group-cluster serializes — conflicting updates to one cone can never
+//! commit in the same round (below the sub-cone unit of hot-cone fission).
+//! This generator produces that spectrum: a fraction `hot_fraction` of
+//! updates targets a small cluster of `hot_groups` anchors, the rest spread
 //! uniformly over the cold groups.
 //!
 //! Each group alternates insertions of a fresh node under the group head

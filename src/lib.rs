@@ -12,13 +12,12 @@
 //!   the end-to-end processor (§3–§4).
 //! - [`engine`]: the concurrent serving layer — snapshot-isolated readers
 //!   and writes group-committed in conflict-free rounds through one round
-//!   pipeline (translated inline, or by sharded parallel writers over
-//!   anchor-cone partitions) over the core processor.
+//!   pipeline over the core processor.
 //! - [`obs`]: the dependency-free telemetry layer the engine is built on —
 //!   lock-free metric registry, log₂ latency histograms, span timers, a
 //!   ring-buffer flight recorder, and a JSONL exporter.
 //! - [`workload`]: the registrar example, the synthetic dataset of §5,
-//!   concurrent reader/writer mixes, and shard-skew traffic.
+//!   concurrent reader/writer mixes, and hot-anchor skewed traffic.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour, `README.md` for the
 //! project overview, and `ARCHITECTURE.md` for the paper→code map and the

@@ -3,8 +3,7 @@
 //! handed out again, so `allocated ids − live nodes` stays within two
 //! rounds' worth of allocations however many updates are served — through
 //! one-at-a-time `XmlViewSystem::apply` and through the engine's round
-//! pipeline on either translate executor — and all three end on the same
-//! view. This is the short cut (as many updates as the view has nodes, 64
+//! pipeline — and both end on the same view. This is the short cut (as many updates as the view has nodes, 64
 //! groups); `crates/bench/tests/snapshot_alloc.rs` holds the ten-fold soak
 //! and the allocated bytes.
 
@@ -62,28 +61,19 @@ fn churn_leaves_the_id_space_the_size_of_the_view() {
         windows * WINDOW
     );
 
-    for n_shards in [1, 2] {
-        let at = format!("n_shards {n_shards}");
-        let engine = Engine::with_config(
-            sys.clone(),
-            EngineConfig {
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
-        for (w, window) in stream(&sys).enumerate() {
-            let tickets: Vec<_> = window
-                .into_iter()
-                .map(|u| engine.submit(u, SideEffectPolicy::Proceed).expect("room"))
-                .collect();
-            engine.commit_pending();
-            for t in tickets {
-                t.wait().unwrap_or_else(|e| panic!("{at}: rejected: {e}"));
-            }
-            assert_bounded(engine.snapshot().system(), &format!("{at}, window {w}"));
+    let engine = Engine::new(sys.clone());
+    for (w, window) in stream(&sys).enumerate() {
+        let tickets: Vec<_> = window
+            .into_iter()
+            .map(|u| engine.submit(u, SideEffectPolicy::Proceed).expect("room"))
+            .collect();
+        engine.commit_pending();
+        for t in tickets {
+            t.wait().unwrap_or_else(|e| panic!("engine: rejected: {e}"));
         }
-        let report = engine.stats().report();
-        assert_eq!(report.live_nodes + report.free_ids, report.allocated_ids);
-        assert_observationally_equal(engine.snapshot().system(), &oracle, &at);
+        assert_bounded(engine.snapshot().system(), &format!("engine, window {w}"));
     }
+    let report = engine.stats().report();
+    assert_eq!(report.live_nodes + report.free_ids, report.allocated_ids);
+    assert_observationally_equal(engine.snapshot().system(), &oracle, "engine");
 }

@@ -1,8 +1,8 @@
 //! The commit path under tier-1: one deterministic mixed stream, committed
-//! through the engine's round pipeline by either translate executor, must
+//! through the engine's round pipeline in narrow and in wide rounds, must
 //! end where one-at-a-time `XmlViewSystem::apply` ends — same accept/reject
 //! vector, same view edges, same base rows — with the republication oracle
-//! green.
+//! green; and `EngineConfig::n_shards` changes no round and no logged byte.
 //!
 //! The stream covers what the pipeline branches on: anchored and
 //! `//`-headed paths, insertions and deletions, `Abort` and `Proceed`,
@@ -77,12 +77,14 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
     expected.push(vec![false; rejected.len()]);
     commits.push(rejected);
 
-    for n_shards in [1, 3] {
-        let at = format!("n_shards {n_shards}");
+    // Rounds of up to four updates, and rounds as wide as a commit. (The
+    // test's name is older than the round pipeline's single executor.)
+    for max_batch in [4, 256] {
+        let at = format!("max_batch {max_batch}");
         let engine = Engine::with_config(
             sys.clone(),
             EngineConfig {
-                n_shards,
+                max_batch,
                 ..EngineConfig::default()
             },
         );
@@ -114,10 +116,12 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
 }
 
 /// The configuration surface is six fields (who sets each: ARCHITECTURE.md,
-/// "Configuration"). A seventh must name, here, the two callers existing
-/// outside tests and examples that need different values of it — a value
-/// only one caller sets is a constant, and a switch that turns a shipped
-/// path off is a second path to test, benchmark and keep working.
+/// "Configuration"), one of them inert: `n_shards` selects nothing and
+/// sizes nothing (`n_shards_changes_no_round_and_no_log_byte`), and stays
+/// only while `rxbench` sets it. A seventh must name, here, the two callers
+/// existing outside tests and examples that need different values of it —
+/// a value only one caller sets is a constant, and a switch that turns a
+/// shipped path off is a second path to test, benchmark and keep working.
 #[test]
 fn engine_config_has_six_fields() {
     let EngineConfig {
@@ -128,6 +132,69 @@ fn engine_config_has_six_fields() {
         metrics_path: _,
         stage_hooks: _,
     } = EngineConfig::default();
+}
+
+/// `n_shards` has no effect: with `max_batch: 4`, a durable engine
+/// configured with four shards and one configured with one commit the same
+/// stream to the same acks, the same epoch after every commit — more epochs
+/// than commits, so the rounds are `max_batch` wide — and the same bytes in
+/// their log directories.
+#[test]
+fn n_shards_changes_no_round_and_no_log_byte() {
+    let db = synthetic_database(&SyntheticConfig::with_size(400));
+    let atg = synthetic_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    let (commits, _) = accepting_commits(&sys);
+    let run = |n_shards: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "rxview-commit-round-{n_shards}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig {
+            max_batch: 4,
+            n_shards,
+            durability: Durability::PerRound,
+            checkpoint_rounds: 0,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_durability(sys.clone(), config, &dir).expect("durable engine");
+        let (mut acks, mut epochs) = (Vec::new(), Vec::new());
+        for commit in &commits {
+            let tickets: Vec<_> = commit
+                .iter()
+                .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
+                .collect();
+            engine.commit_pending();
+            acks.extend(tickets.into_iter().map(|t| t.wait().is_ok()));
+            epochs.push(engine.snapshot().epoch());
+        }
+        drop(engine);
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("log directory")
+            .map(|entry| {
+                let entry = entry.expect("directory entry");
+                let bytes = std::fs::read(entry.path()).expect("readable file");
+                (entry.file_name(), bytes)
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        (acks, epochs, files)
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.0, four.0, "acks");
+    assert_eq!(one.1, four.1, "epoch after each commit");
+    assert!(
+        one.1.last() > Some(&(commits.len() as u64)),
+        "rounds of four split the commits: epochs {:?}",
+        one.1
+    );
+    assert!(one
+        .2
+        .iter()
+        .any(|(name, _)| name.to_string_lossy().ends_with(".rxlog")));
+    assert!(one.2 == four.2, "the log directories differ");
 }
 
 /// The admission queue holds `MAX_QUEUE` un-committed updates and no more:

@@ -39,94 +39,76 @@ fn reads(snap: &Snapshot, groups: usize) -> Vec<Vec<(String, Tuple)>> {
 
 #[test]
 fn held_snapshot_is_untouched_by_fifty_rounds() {
-    for n_shards in [1, 2] {
-        let db = synthetic_database(&SyntheticConfig::with_size(400));
-        let atg = synthetic_atg(&db).expect("valid ATG");
-        let sys = XmlViewSystem::new(atg, db).expect("publishes");
-        let mut oracle = sys.clone();
-        let engine = Engine::with_config(
-            sys,
-            EngineConfig {
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
+    let db = synthetic_database(&SyntheticConfig::with_size(400));
+    let atg = synthetic_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    let mut oracle = sys.clone();
+    let engine = Engine::new(sys);
 
-        let mut held = None;
-        let mut accepted = 0;
-        for round in 0..ROUNDS {
-            if round == HOLD_FROM {
-                let snap = engine.snapshot();
-                let seen = (
-                    edge_fingerprint(snap.system()),
-                    base_fingerprint(snap.system()),
-                );
-                let read = reads(&snap, 10);
-                assert!(read.iter().filter(|r| !r.is_empty()).count() >= 30);
-                held = Some((snap, seen, read));
-            }
-            // Sampled against the state the round commits on, so targets
-            // exist; inserts and deletes of all three path classes.
-            let flips = [round % 2 == 0, round % 3 == 0, round % 5 != 0];
-            let ops = mixed_updates(engine.snapshot().system(), 1_000 + round as u64, &flips);
-            let tickets: Vec<_> = ops
-                .iter()
-                .map(|u| {
-                    engine
-                        .submit(u.clone(), SideEffectPolicy::Proceed)
-                        .expect("queue has room")
-                })
-                .collect();
-            engine.commit_pending();
-            for (u, ticket) in ops.iter().zip(tickets) {
-                let engine_ok = ticket.wait().is_ok();
-                let oracle_ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
-                assert_eq!(
-                    engine_ok, oracle_ok,
-                    "{n_shards} shard(s), round {round}: `{u}`"
-                );
-                accepted += usize::from(engine_ok);
-            }
+    let mut held = None;
+    let mut accepted = 0;
+    for round in 0..ROUNDS {
+        if round == HOLD_FROM {
+            let snap = engine.snapshot();
+            let seen = (
+                edge_fingerprint(snap.system()),
+                base_fingerprint(snap.system()),
+            );
+            let read = reads(&snap, 10);
+            assert!(read.iter().filter(|r| !r.is_empty()).count() >= 30);
+            held = Some((snap, seen, read));
         }
-        assert!(
-            accepted >= ROUNDS,
-            "the rounds must change the state ({accepted} accepted)"
-        );
-
-        let (snap, seen, read) = held.expect("taken in round HOLD_FROM");
-        let latest = engine.snapshot();
-        assert!(snap.epoch() < latest.epoch());
-        let now = (
-            edge_fingerprint(snap.system()),
-            base_fingerprint(snap.system()),
-        );
-        assert!(
-            seen == now,
-            "{n_shards} shard(s): the held snapshot changed under its reader"
-        );
-        assert!(
-            seen.0 != edge_fingerprint(latest.system()),
-            "{n_shards} shard(s): the rounds never diverged from the held snapshot"
-        );
-        assert!(
-            read == reads(&snap, 10),
-            "{n_shards} shard(s): the held snapshot's reads changed under its reader"
-        );
-        assert!(
-            read != reads(&latest, 10),
-            "{n_shards} shard(s): the latest snapshot reads like the held one"
-        );
-        snap.system()
-            .consistency_check()
-            .unwrap_or_else(|e| panic!("{n_shards} shard(s), held snapshot: {e}"));
-        // Checks the latest snapshot and the oracle against republication
-        // too.
-        assert_observationally_equal(
-            latest.system(),
-            &oracle,
-            &format!("{n_shards} shard(s): engine vs one-at-a-time apply"),
-        );
+        // Sampled against the state the round commits on, so targets
+        // exist; inserts and deletes of all three path classes.
+        let flips = [round % 2 == 0, round % 3 == 0, round % 5 != 0];
+        let ops = mixed_updates(engine.snapshot().system(), 1_000 + round as u64, &flips);
+        let tickets: Vec<_> = ops
+            .iter()
+            .map(|u| {
+                engine
+                    .submit(u.clone(), SideEffectPolicy::Proceed)
+                    .expect("queue has room")
+            })
+            .collect();
+        engine.commit_pending();
+        for (u, ticket) in ops.iter().zip(tickets) {
+            let engine_ok = ticket.wait().is_ok();
+            let oracle_ok = oracle.apply(u, SideEffectPolicy::Proceed).is_ok();
+            assert_eq!(engine_ok, oracle_ok, "round {round}: `{u}`");
+            accepted += usize::from(engine_ok);
+        }
     }
+    assert!(
+        accepted >= ROUNDS,
+        "the rounds must change the state ({accepted} accepted)"
+    );
+
+    let (snap, seen, read) = held.expect("taken in round HOLD_FROM");
+    let latest = engine.snapshot();
+    assert!(snap.epoch() < latest.epoch());
+    let now = (
+        edge_fingerprint(snap.system()),
+        base_fingerprint(snap.system()),
+    );
+    assert!(seen == now, "the held snapshot changed under its reader");
+    assert!(
+        seen.0 != edge_fingerprint(latest.system()),
+        "the rounds never diverged from the held snapshot"
+    );
+    assert!(
+        read == reads(&snap, 10),
+        "the held snapshot's reads changed under its reader"
+    );
+    assert!(
+        read != reads(&latest, 10),
+        "the latest snapshot reads like the held one"
+    );
+    snap.system()
+        .consistency_check()
+        .unwrap_or_else(|e| panic!("held snapshot: {e}"));
+    // Checks the latest snapshot and the oracle against republication
+    // too.
+    assert_observationally_equal(latest.system(), &oracle, "engine vs one-at-a-time apply");
 }
 
 /// A node id means a node within one epoch. A reader pinned on the epoch in
@@ -136,68 +118,60 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
 /// recycled id is written into pages of the newer epochs only.
 #[test]
 fn a_pinned_reader_never_sees_a_recycled_id_mean_two_nodes() {
-    for n_shards in [1, 2] {
-        let db = synthetic_database(&SyntheticConfig::with_size(400));
-        let atg = synthetic_atg(&db).expect("valid ATG");
-        let sys = XmlViewSystem::new(atg, db).expect("publishes");
-        let mut gen = ChurnGen::new(&sys, 10, 40);
-        let engine = Engine::with_config(
-            sys,
-            EngineConfig {
-                n_shards,
-                ..EngineConfig::default()
-            },
-        );
-        let commit = |window: Vec<XmlUpdate>| {
-            for u in window {
-                engine
-                    .apply_now(u, SideEffectPolicy::Proceed)
-                    .expect("the churn's updates are accepted");
-            }
-        };
-        let node = |snap: &Snapshot, key: i64| {
-            let vs = snap.system().view();
-            let ty = vs.atg().dtd().type_id("node").expect("synthetic type");
-            vs.dag().genid().lookup(ty, &tuple![key, 7i64])
-        };
+    let db = synthetic_database(&SyntheticConfig::with_size(400));
+    let atg = synthetic_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    let mut gen = ChurnGen::new(&sys, 10, 40);
+    let engine = Engine::new(sys);
+    let commit = |window: Vec<XmlUpdate>| {
+        for u in window {
+            engine
+                .apply_now(u, SideEffectPolicy::Proceed)
+                .expect("the churn's updates are accepted");
+        }
+    };
+    let node = |snap: &Snapshot, key: i64| {
+        let vs = snap.system().view();
+        let ty = vs.atg().dtd().type_id("node").expect("synthetic type");
+        vs.dag().genid().lookup(ty, &tuple![key, 7i64])
+    };
 
-        // Two fresh nodes; the reader pins the epoch they are live in.
-        commit(gen.window(2));
-        let pinned = engine.snapshot();
-        let first_key = 4_000_000_001;
-        let x = node(&pinned, first_key).expect("the first fresh node");
-        let (seen, read) = (edge_fingerprint(pinned.system()), reads(&pinned, 10));
+    // Two fresh nodes; the reader pins the epoch they are live in.
+    commit(gen.window(2));
+    let pinned = engine.snapshot();
+    let first_key = 4_000_000_001;
+    let x = node(&pinned, first_key).expect("the first fresh node");
+    let (seen, read) = (edge_fingerprint(pinned.system()), reads(&pinned, 10));
 
-        // The next window deletes the older one — `x` is collected — and
-        // its insertion, under another head, is the next to ask for an id.
-        commit(gen.window(2));
-        let latest = engine.snapshot();
-        assert!(node(&latest, first_key).is_none(), "collected");
-        assert!(
-            node(&latest, first_key + 2).is_some(),
-            "the third fresh node"
-        );
-        let genid = latest.system().view().dag().genid();
-        assert!(genid.is_live(x), "the id is in use again");
-        assert_ne!(genid.attr_of(x), &tuple![first_key, 7i64]);
-        assert!(
-            genid.n_allocated() == pinned.system().view().dag().genid().n_allocated(),
-            "{n_shards} shard(s): the second insertion drew on the first one's ids"
-        );
+    // The next window deletes the older one — `x` is collected — and
+    // its insertion, under another head, is the next to ask for an id.
+    commit(gen.window(2));
+    let latest = engine.snapshot();
+    assert!(node(&latest, first_key).is_none(), "collected");
+    assert!(
+        node(&latest, first_key + 2).is_some(),
+        "the third fresh node"
+    );
+    let genid = latest.system().view().dag().genid();
+    assert!(genid.is_live(x), "the id is in use again");
+    assert_ne!(genid.attr_of(x), &tuple![first_key, 7i64]);
+    assert!(
+        genid.n_allocated() == pinned.system().view().dag().genid().n_allocated(),
+        "the second insertion drew on the first one's ids"
+    );
 
-        // In the pinned epoch `x` is still the first fresh node, whole.
-        assert_eq!(node(&pinned, first_key), Some(x));
-        assert!(node(&pinned, first_key + 2).is_none());
-        assert!(seen == edge_fingerprint(pinned.system()));
-        assert!(read == reads(&pinned, 10));
-        assert!(read != reads(&latest, 10));
-        pinned
-            .system()
-            .consistency_check()
-            .unwrap_or_else(|e| panic!("{n_shards} shard(s), pinned epoch: {e}"));
-        latest
-            .system()
-            .consistency_check()
-            .unwrap_or_else(|e| panic!("{n_shards} shard(s), latest epoch: {e}"));
-    }
+    // In the pinned epoch `x` is still the first fresh node, whole.
+    assert_eq!(node(&pinned, first_key), Some(x));
+    assert!(node(&pinned, first_key + 2).is_none());
+    assert!(seen == edge_fingerprint(pinned.system()));
+    assert!(read == reads(&pinned, 10));
+    assert!(read != reads(&latest, 10));
+    pinned
+        .system()
+        .consistency_check()
+        .unwrap_or_else(|e| panic!("pinned epoch: {e}"));
+    latest
+        .system()
+        .consistency_check()
+        .unwrap_or_else(|e| panic!("latest epoch: {e}"));
 }
