@@ -4,11 +4,11 @@
 use rxview_core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, XmlUpdate, XmlViewSystem,
 };
+use rxview_reference::{compute_naive, eval_on_tree, eval_xpath_on_dag};
 use rxview_workload::{
     dataset_stats, detached_chain_heads, synthetic_atg, synthetic_database, DatasetStats,
     SyntheticConfig, WorkloadClass, WorkloadGen,
 };
-use rxview_xmlkit::xpath::tree_eval::eval_on_tree;
 use std::time::{Duration, Instant};
 
 /// A constructed system plus its generator configuration.
@@ -161,7 +161,7 @@ pub fn fig11g_point(n: usize, k_payloads: usize, deletion: bool, seed: u64) -> (
         .expect("parses")
     };
     // Measure the selection size first (read-only).
-    let eval = rxview_core::eval_xpath_on_dag(
+    let eval = eval_xpath_on_dag(
         built.sys.view(),
         built.sys.topo(),
         built.sys.reach(),
@@ -277,7 +277,7 @@ pub struct ReachAblationRow {
     pub n: usize,
     /// [`Reachability::compute`].
     pub algorithm_reach: Duration,
-    /// [`Reachability::compute_naive`].
+    /// [`compute_naive`].
     pub naive_closure: Duration,
 }
 
@@ -289,7 +289,7 @@ pub fn ablation_reach_row(n: usize, seed: u64) -> ReachAblationRow {
     let m = Reachability::compute(dag, built.sys.topo());
     let algorithm_reach = t0.elapsed();
     let t1 = Instant::now();
-    let naive = Reachability::compute_naive(dag);
+    let naive = compute_naive(dag);
     let naive_closure = t1.elapsed();
     assert_eq!(m.n_pairs(), naive.n_pairs(), "both compute the same M");
     ReachAblationRow {

@@ -5,8 +5,8 @@
 //!   (§2.3) — edge relations, `gen_A` tables, derived edge-view queries;
 //! - [`topo`] / [`reach`]: the auxiliary structures `L` and `M` with
 //!   Algorithm Reach (§3.1, Fig.4);
-//! - [`dag_eval`]: two-pass XPath evaluation on DAGs with side-effect
-//!   detection (§3.2);
+//! - [`dag_eval`]: the result of the two-pass XPath evaluation on DAGs and
+//!   its side-effect set (§3.2), which [`plan::eval_plan`] computes;
 //! - [`translate`]: Algorithms Xinsert/Xdelete, ∆X → ∆V (§3.3, Fig.5–6);
 //! - [`maintain`]: incremental maintenance ∆(M,L)insert / ∆(M,L)delete and
 //!   garbage collection (§3.4, Fig.7–8);
@@ -54,7 +54,7 @@ pub mod update;
 pub mod viewstore;
 
 pub use codec::{decode_system, encode_system, put_update, read_update};
-pub use dag_eval::{eval_xpath_on_dag, DagEval};
+pub use dag_eval::DagEval;
 pub use footprint::{planned_delete_writes, planned_insert_writes, ColKey, RelFootprint};
 pub use maintain::{maintain_delete, maintain_insert, MaintainReport};
 pub use pathclass::{
@@ -71,8 +71,7 @@ pub use rel_delete::{
     candidate_source_keys, translate_deletions, translate_deletions_minimal, DeleteRejection,
 };
 pub use rel_insert::{
-    compute_edge_closure, edge_template_keys, translate_insertions, EdgeClosure, InsertRejection,
-    InsertTranslation,
+    edge_template_keys, translate_insertions, EdgeClosure, InsertRejection, InsertTranslation,
 };
 pub use republish::{apply_relational_update, RepublishReport};
 pub use stats::{view_stats, ViewStats};

@@ -362,7 +362,7 @@ pub(crate) fn delete_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_eval::eval_xpath_on_dag;
+    use crate::plan::eval_path;
     use crate::translate::{apply_delta, xdelete, xinsert};
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, Database};
@@ -394,7 +394,7 @@ mod tests {
         // Alice (S01, currently only under CS650) joins CS320's takenBy:
         // the shared student node gains a parent.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
@@ -410,7 +410,7 @@ mod tests {
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
         db.insert("enroll", tuple!["S01", "CS100"]).unwrap();
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
@@ -432,7 +432,7 @@ mod tests {
         let (_db, mut vs, mut topo, mut reach) = fixture();
         // Remove CS320 from CS650's prereq; CS320 survives (db still links it).
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -448,7 +448,7 @@ mod tests {
         // the student node becomes unreachable and is collected, together
         // with its pcdata children.
         let p = parse_xpath("//student[ssn=S01]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -487,7 +487,7 @@ mod tests {
             .unwrap();
         assert!(reach.is_ancestor(cs650, s02));
         let p = parse_xpath("//course[cno=CS320]/takenBy/student[ssn=S02]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -504,13 +504,13 @@ mod tests {
     fn delete_then_reinsert_round_trips() {
         let (db, mut vs, mut topo, mut reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
 
         let p2 = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval2 = eval_xpath_on_dag(&vs, &topo, &reach, &p2);
+        let eval2 = eval_path(&vs, &topo, &reach, &p2);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta2, st) =
             xinsert(&mut vs, &db, course, tuple!["CS320", "Algorithms"], &eval2).unwrap();

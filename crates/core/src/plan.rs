@@ -2,11 +2,11 @@
 //!
 //! Every update path the engine serves goes through the same three steps —
 //! normalize, classify ([`crate::pathclass::classify`]), and compile the
-//! filter predicates of the two-pass §3.2 evaluation
-//! ([`crate::dag_eval`]) — and all three depend only on the *shape* of the
-//! path and the grammar, never on the view contents or the literal values
-//! inside `p = "s"` filters. This module compiles each `(shape, grammar)`
-//! pair **once** into an [`UpdatePlan`] and caches it in a sharded,
+//! filter predicates of the two-pass §3.2 evaluation — and all three depend
+//! only on the *shape* of the path and the grammar, never on the view
+//! contents or the literal values inside `p = "s"` filters. This module
+//! compiles each `(shape, grammar)` pair **once** into an [`UpdatePlan`]
+//! and caches it in a sharded,
 //! `Arc`-shared [`PlanCache`] (which also hosts the per-grammar
 //! [`TranslationTemplates`] registry): the plan carries the slotted
 //! [`PathClass`] (filter-key values abstracted into binding slots) and the
@@ -31,10 +31,10 @@
 //! ([`ViewStore::publish`]/[`ViewStore::from_parts`] both allocate one).
 //!
 //! [`eval_plan`] is the only evaluation route of the shipped system. It is
-//! semantically identical to [`crate::dag_eval::eval_xpath_on_dag`], §3.2
-//! verbatim, which stays as the reference tests call directly:
-//! `tests/reference_oracles.rs` holds the two equal (and [`UpdatePlan::class`]
-//! equal to [`classify`]) over random update streams.
+//! semantically identical to §3.2 verbatim, `rxview_reference::eval`: that
+//! crate's tests hold the two equal on the registrar view, and
+//! `tests/reference_oracles.rs` (with [`UpdatePlan::class`] equal to
+//! [`classify`]) over random update streams.
 
 use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};
@@ -176,7 +176,7 @@ fn slotted_filter(f: &Filter, slot: &mut usize) -> Filter {
 // The compiled evaluation program.
 // ---------------------------------------------------------------------------
 
-/// Compiled predicate slots — [`crate::dag_eval`]'s bottom-up recurrences
+/// Compiled predicate slots — `rxview_reference::eval`'s bottom-up recurrences
 /// with text literals split into pinned strings and binding slots.
 pub(crate) enum PPred {
     /// `label() = name`, resolved against the grammar (unknown: const-false).
@@ -615,7 +615,7 @@ enum PRec {
 }
 
 /// Executes a compiled plan. Semantically identical to
-/// [`crate::dag_eval::eval_xpath_on_dag`] on the plan's original path with
+/// `rxview_reference::eval_xpath_on_dag` on the plan's original path with
 /// `bindings` substituted back into its `p = "s"` literals.
 pub fn eval_plan(
     vs: &ViewStore,
@@ -625,6 +625,19 @@ pub fn eval_plan(
     bindings: &[String],
 ) -> DagEval {
     SCRATCH.with(|s| eval_plan_with(&mut s.borrow_mut(), vs, topo, reach, plan, bindings))
+}
+
+/// Compiles `p` through the store's cache and runs it over `topo`: the
+/// evaluation in-crate tests translate from.
+#[cfg(test)]
+pub(crate) fn eval_path(
+    vs: &ViewStore,
+    topo: &TopoOrder,
+    reach: &Reachability,
+    p: &XPath,
+) -> DagEval {
+    let (plan, bindings) = vs.plan_cache().plan(vs.atg().dtd(), p);
+    eval_plan(vs, topo, reach, &plan, &bindings)
 }
 
 fn reclaim_records(scratch: &mut EvalScratch, records: Vec<PRec>) {
@@ -771,7 +784,7 @@ fn eval_plan_with(
                 closure.extend(cur.iter().copied());
                 for &u in &cur {
                     // Restricted to the evaluation scope (the caller's
-                    // exactness contract — see `eval_xpath_on_dag`).
+                    // exactness contract — see `XmlViewSystem::evaluate_scoped`).
                     desc_in_scope(u, &mut closure);
                 }
                 let mut cur_next = scratch.take_set();
@@ -894,7 +907,6 @@ fn eval_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_eval::eval_xpath_on_dag;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, Database};
     use rxview_xmlkit::parse_xpath;
@@ -935,35 +947,6 @@ mod tests {
         "nonexistent",
         "student/course",
     ];
-
-    #[test]
-    fn plan_eval_matches_reference_on_many_paths() {
-        let (_db, vs, topo, reach) = fixture();
-        let cache = PlanCache::default();
-        let dtd = vs.atg().dtd();
-        for path in PATHS {
-            let p = parse_xpath(path).unwrap();
-            let reference = eval_xpath_on_dag(&vs, &topo, &reach, &p);
-            // Twice: a cold and a warm (scratch-reusing) execution.
-            for _ in 0..2 {
-                let (plan, bindings) = cache.plan(dtd, &p);
-                let got = eval_plan(&vs, &topo, &reach, &plan, &bindings);
-                assert_eq!(got.selected, reference.selected, "selected on `{path}`");
-                assert_eq!(
-                    got.edge_parents, reference.edge_parents,
-                    "edge_parents on `{path}`"
-                );
-                assert_eq!(
-                    got.matched_nodes, reference.matched_nodes,
-                    "matched_nodes on `{path}`"
-                );
-                assert_eq!(
-                    got.matched_edges, reference.matched_edges,
-                    "matched_edges on `{path}`"
-                );
-            }
-        }
-    }
 
     /// `n` top-level courses with nothing below them but their own four
     /// children: a star of `5n + 1` nodes in which every cone has 5.
@@ -1009,12 +992,7 @@ mod tests {
             let before = STEP_IDS.with(Cell::get);
             let scoped = eval_plan(&vs, &scope, &reach, &plan, &bindings);
             examined.push(STEP_IDS.with(Cell::get) - before);
-            let full = eval_xpath_on_dag(&vs, &topo, &reach, &p);
             assert_eq!(scoped.selected.len(), 1);
-            assert_eq!(scoped.selected, full.selected);
-            assert_eq!(scoped.edge_parents, full.edge_parents);
-            assert_eq!(scoped.matched_nodes, full.matched_nodes);
-            assert_eq!(scoped.matched_edges, full.matched_edges);
         }
         assert_eq!(
             examined[0], examined[1],

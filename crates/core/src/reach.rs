@@ -44,11 +44,10 @@
 //!
 //! - [`Reachability::compute`] builds both directions run by run with the
 //!   recurrence, `anc` backward over `L` and `desc` forward;
-//!   [`Reachability::compute_naive`] and [`AncestorLoad`] (under
-//!   [`Reachability::from_ancestors`] and the checkpoint decoder) build one
-//!   direction and derive the other with one counting-sort transposition
-//!   over words — a loaded `desc` must mirror the decoded `anc`, whatever
-//!   the bytes say;
+//!   [`AncestorLoad`] (under [`Reachability::from_ancestors`] and the
+//!   checkpoint decoder) builds one direction and derives the other with
+//!   one counting-sort transposition over words — a loaded `desc` must
+//!   mirror the decoded `anc`, whatever the bytes say;
 //! - maintenance edits ancestor sets wholesale
 //!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
 //!   its recurrence form [`Reachability::set_ancestors_from`],
@@ -553,39 +552,6 @@ impl Reachability {
         }
     }
 
-    /// Naive recomputation baseline: a full BFS/DFS from every node, the
-    /// `O(|V|² log |V|)`-style approach the paper contrasts Reach against.
-    /// Used by the ablation bench.
-    pub fn compute_naive(dag: &Dag) -> Self {
-        let mut desc = PagedVec::new();
-        let (mut n_pairs, mut n_words) = (0, 0);
-        // `seen_from[v] == a + 1` once the search from `a` has visited `v`.
-        let mut seen_from = vec![0u32; dag.genid().n_allocated()];
-        let mut seen: Vec<NodeId> = Vec::new();
-        for a in dag.genid().live_ids() {
-            seen.clear();
-            let mut stack: Vec<NodeId> = dag.children(a).to_vec();
-            while let Some(v) = stack.pop() {
-                if dag.genid().is_live(v) && seen_from[v.index()] != a.0 + 1 {
-                    seen_from[v.index()] = a.0 + 1;
-                    seen.push(v);
-                    stack.extend_from_slice(dag.children(v));
-                }
-            }
-            seen.sort_unstable();
-            n_pairs += seen.len();
-            let below: RunBuf = seen.iter().copied().collect();
-            store(&mut desc, &mut n_words, a, &below.words);
-        }
-        let (anc, anc_words) = transpose(&desc);
-        Reachability {
-            anc,
-            desc,
-            n_pairs,
-            n_words: n_words + anc_words,
-        }
-    }
-
     /// Bulk load from `(d, anc(d))` lists of ids through an
     /// [`AncestorLoad`], with its checks and one more: the ids of a list
     /// must strictly ascend.
@@ -785,14 +751,6 @@ mod tests {
 
     fn run(raw: &[u32]) -> RunBuf {
         raw.iter().copied().map(NodeId).collect()
-    }
-
-    #[test]
-    fn reach_matches_naive() {
-        let (dag, topo, _) = fixture();
-        let fast = Reachability::compute(&dag, &topo);
-        let naive = Reachability::compute_naive(&dag);
-        assert!(fast.same_pairs(&naive));
     }
 
     #[test]

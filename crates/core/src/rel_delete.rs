@@ -299,7 +299,7 @@ pub fn translate_deletions_minimal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_eval::eval_xpath_on_dag;
+    use crate::plan::eval_path;
     use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use crate::translate::xdelete;
@@ -318,7 +318,7 @@ mod tests {
 
     fn delta_for(vs: &ViewStore, topo: &TopoOrder, reach: &Reachability, path: &str) -> ViewDelta {
         let p = parse_xpath(path).unwrap();
-        let eval = eval_xpath_on_dag(vs, topo, reach, &p);
+        let eval = eval_path(vs, topo, reach, &p);
         xdelete(&eval)
     }
 

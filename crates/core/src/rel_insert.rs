@@ -29,8 +29,9 @@
 //!    infinite-domain variables get fresh constants outside the active
 //!    domain (Theorem 4's construction).
 //!
-//! The translation derives no equality closure ([`compute_edge_closure`]
-//! is the reference it is tested against): both phases read the one
+//! The translation derives no equality closure (the interpretive
+//! `rxview_reference::compute_edge_closure` is the reference it is tested
+//! against): both phases read the one
 //! [`rxview_relstore::SpjQuery::eq_closure`] computed per rule and per edge
 //! view when the [`TranslationTemplates`] registry compiles. What phase 2
 //! still does per call is what reads the tables — the greedy join order,
@@ -526,7 +527,7 @@ fn decode_var(
 /// template with the literal attribute tuples
 /// ([`TranslationTemplates::instantiate_insert`]) is how the translation
 /// gets this struct, and reproduces exactly what the interpretive
-/// [`compute_edge_closure`] derives.
+/// `rxview_reference::compute_edge_closure` derives.
 #[derive(Debug, PartialEq)]
 pub struct EdgeClosure {
     /// The equality classes of the rule query's columns.
@@ -536,6 +537,16 @@ pub struct EdgeClosure {
 }
 
 impl EdgeClosure {
+    /// The equality classes of the rule query's columns.
+    pub fn classes(&self) -> &EqClosure {
+        &self.classes
+    }
+
+    /// Pinned value per class representative.
+    pub fn known(&self) -> &HashMap<usize, Value> {
+        &self.known
+    }
+
     /// The value pinning column `c`'s class, if any.
     pub(crate) fn known_at(&self, c: ColRef) -> Option<&Value> {
         self.known.get(&self.classes.rep(c))
@@ -547,80 +558,6 @@ impl EdgeClosure {
 struct EdgeBinding<'a> {
     schemas: Vec<&'a TableSchema>,
     closure: EdgeClosure,
-}
-
-/// The interpretive derivation of an inserted edge's [`EdgeClosure`]:
-/// union-find over the rule query's `Col = Col` predicates, then the values
-/// its projection (`child_attr`), parameters (`parent_attr` through
-/// `param_fields`) and constants pin, rejecting a class pinned twice with
-/// different values. `schemas` are those of the query's FROM entries, in
-/// order. Not on any translation path — the reference
-/// [`TranslationTemplates::instantiate_insert`] is held equal to
-/// (`tests/reference_oracles.rs`).
-pub fn compute_edge_closure(
-    schemas: &[&TableSchema],
-    query: &SpjQuery,
-    param_fields: &[usize],
-    parent_attr: &Tuple,
-    child_attr: &Tuple,
-) -> Result<EdgeClosure, InsertRejection> {
-    // Column universe.
-    let mut offsets = Vec::with_capacity(schemas.len());
-    let mut total = 0usize;
-    for schema in schemas {
-        offsets.push(total);
-        total += schema.arity();
-    }
-    let idx = |c: ColRef| offsets[c.rel] + c.col;
-    // Local union-find over columns.
-    let mut parent: Vec<usize> = (0..total).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for p in query.predicates() {
-        if let (Operand::Col(a), Operand::Col(b)) = (&p.left, &p.right) {
-            let (ra, rb) = (find(&mut parent, idx(*a)), find(&mut parent, idx(*b)));
-            parent[ra] = rb;
-        }
-    }
-    // Known values per class. All unions happened above, so the
-    // representatives observed here are final.
-    let mut known: HashMap<usize, Value> = HashMap::new();
-    let mut learn = |parent: &mut [usize], c: ColRef, v: Value| -> Result<(), InsertRejection> {
-        let r = find(parent, idx(c));
-        match known.get(&r) {
-            Some(x) if *x != v => Err(InsertRejection::KeyConflict {
-                table: "<inconsistent edge derivation>".into(),
-            }),
-            _ => {
-                known.insert(r, v);
-                Ok(())
-            }
-        }
-    };
-    for (pos, c) in query.projection().iter().enumerate() {
-        learn(&mut parent, *c, child_attr[pos].clone())?;
-    }
-    for p in query.predicates() {
-        match (&p.left, &p.right) {
-            (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                learn(&mut parent, *c, v.clone())?;
-            }
-            (Operand::Col(c), Operand::Param(i)) | (Operand::Param(i), Operand::Col(c)) => {
-                learn(&mut parent, *c, parent_attr[param_fields[*i]].clone())?;
-            }
-            _ => {}
-        }
-    }
-    let reps = (0..total).map(|i| find(&mut parent, i)).collect();
-    Ok(EdgeClosure {
-        classes: EqClosure { offsets, reps },
-        known,
-    })
 }
 
 fn edge_binding<'a>(
@@ -1141,7 +1078,7 @@ fn operand_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_eval::eval_xpath_on_dag;
+    use crate::plan::eval_path;
     use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use crate::translate::xinsert;
@@ -1170,7 +1107,7 @@ mod tests {
     fn insert_existing_course_as_prereq_yields_prereq_tuple() {
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -1196,7 +1133,7 @@ mod tests {
     fn round_trip_through_republication() {
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -1228,7 +1165,7 @@ mod tests {
         let (db, mut vs, topo, reach) = fixture();
         // Alice (S01) starts taking CS320.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1248,7 +1185,7 @@ mod tests {
         // A brand-new student S99/Zed taking CS320: needs a student tuple
         // (fully determined) and an enroll tuple.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S99", "Zed"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1282,7 +1219,7 @@ mod tests {
         // steps (db is the root context itself): use //prereq for multiple
         // targets instead.
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1306,7 +1243,7 @@ mod tests {
         // the course table has (CS240, Data Structures); the edge demands
         // (CS240, Wrong Title) — key conflict.
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
         let err = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap_err();
@@ -1319,7 +1256,7 @@ mod tests {
         // course(CS777) from both derivations must unify into one insert.
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("//prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         assert!(eval.selected.len() >= 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
@@ -1348,7 +1285,7 @@ mod tests {
         // (i.e. anything but "CS").
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS888", "Lab"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();

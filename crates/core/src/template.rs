@@ -13,8 +13,8 @@
 //!   ordered *pin program* (which class is pinned by which child
 //!   attribute position, parent attribute field, or constant) —
 //!   instantiation replays the pins against the literal attribute tuples
-//!   and yields the same [`EdgeClosure`] `compute_edge_closure` derives,
-//!   without re-walking predicates or re-running the union-find;
+//!   and yields the [`EdgeClosure`] `rxview_reference::compute_edge_closure`
+//!   derives, without re-walking predicates or re-running the union-find;
 //! - per edge view, phase 2 of Algorithm insert (side-effect detection)
 //!   gets the view's closure and the constant each class is pinned to
 //!   (`ViewClasses`); its join order is not compiled, because its
@@ -23,18 +23,17 @@
 //!   non-derived FROM entry, a `(table, key-cell…)` spec whose cells name
 //!   the output position (or constant) each key column's equality class
 //!   resolves to — instantiation is a few indexed clones per source where
-//!   `closure_source_keys` re-ran the whole union-find per candidate row
-//!   (the `source_is_safe` probe loop runs it per *evaluated* row, the
-//!   hottest call site in the delete path).
+//!   `rxview_reference::closure_source_keys` re-runs the whole union-find
+//!   per candidate row (the `source_is_safe` probe loop ran it per
+//!   *evaluated* row, the hottest call site in the delete path).
 //!
 //! The registry lives in the engine-wide [`crate::plan::PlanCache`] behind
 //! a `OnceLock`, so the analyze dry run, the engine's rounds and recovery
 //! replay all share one compilation (and the
 //! planner's instantiations warm nothing — there is nothing left to warm).
-//! It is the only derivation the translation runs; the interpretive
-//! [`crate::rel_insert::compute_edge_closure`] and
-//! [`rxview_relstore::closure_source_keys`] stay as the
-//! references `tests/reference_oracles.rs` holds it equal to.
+//! It is the only derivation the translation runs; `tests/reference_oracles.rs`
+//! holds it equal to the interpretive `rxview_reference::compute_edge_closure`
+//! (§4.3) and `rxview_reference::closure_source_keys` (§4.2).
 //!
 //! **Cache-coherence invariant:** a template depends only on the `Atg`
 //! (rules, edge-view queries) and the base/`gen_A` *schemas* — never on
@@ -104,7 +103,7 @@ impl EdgeTemplate {
     }
 
     /// Replays the pin program against concrete attribute tuples. Exactly
-    /// [`crate::rel_insert::compute_edge_closure`]'s outcome, including the
+    /// `rxview_reference::compute_edge_closure`'s outcome, including the
     /// rejection on a contradictory derivation (two pins of one class
     /// disagreeing).
     fn instantiate(
@@ -380,7 +379,7 @@ impl TranslationTemplates {
     }
 
     /// Instantiates the insert-side closure of `edge`, a production edge
-    /// with a query rule: what [`crate::rel_insert::compute_edge_closure`]
+    /// with a query rule: what `rxview_reference::compute_edge_closure`
     /// derives for the same attribute tuples, rejection included.
     ///
     /// # Panics
@@ -412,7 +411,7 @@ impl TranslationTemplates {
     /// Reconstructs the candidate sources of one output row of `edge`'s
     /// view, the derived `gen_parent` entry skipped. `None`: the view is
     /// not key-preserving in the generalized sense — exactly when
-    /// [`rxview_relstore::closure_source_keys`] returns `Ok(None)`.
+    /// `rxview_reference::closure_source_keys` returns `Ok(None)`.
     ///
     /// # Panics
     /// If `edge` has no edge view in the grammar the registry was compiled

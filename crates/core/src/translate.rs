@@ -103,7 +103,7 @@ pub fn apply_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag_eval::eval_xpath_on_dag;
+    use crate::plan::eval_path;
     use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use rxview_atg::{registrar_atg, registrar_database};
@@ -125,7 +125,7 @@ mod tests {
         let (_db, vs, topo, reach) = fixture();
         let p =
             parse_xpath("course[cno=CS650]//course[cno=CS320]/takenBy/student[ssn=S02]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         assert_eq!(delta.deletes.len(), 1);
         let takenby320 = vs
@@ -141,7 +141,7 @@ mod tests {
         // ∆X2 = delete //student[ssn=S02] → edges from every takenBy parent.
         let (_db, vs, topo, reach) = fixture();
         let p = parse_xpath("//student[ssn=S02]").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let delta = xdelete(&eval);
         assert_eq!(delta.deletes.len(), 2); // takenBy(CS320) and takenBy(CS240)
     }
@@ -152,7 +152,7 @@ mod tests {
         // as a prerequisite of CS650.
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -180,7 +180,7 @@ mod tests {
         // the view under CS650's prereq.
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
         // Fresh: course, cno, title, prereq, takenBy = 5 nodes.
@@ -197,7 +197,7 @@ mod tests {
         let (db, mut vs, topo, reach) = fixture();
         // Every prereq node (3 of them).
         let p = parse_xpath("//prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         assert_eq!(eval.selected.len(), 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, _st) =
@@ -217,7 +217,7 @@ mod tests {
     fn apply_delta_updates_dag_and_gen() {
         let (db, mut vs, topo, reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &reach, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,

@@ -214,26 +214,6 @@ impl ViewStore {
         out
     }
 
-    /// Convenience query API: evaluates `path` with freshly computed
-    /// auxiliary structures and returns `(type name, $A)` for each selected
-    /// node. Applications holding an `XmlViewSystem` should query through
-    /// its maintained structures instead; this entry point is for read-only
-    /// exploration of a published view.
-    pub fn select(&self, path: &rxview_xmlkit::XPath) -> Vec<(String, Tuple)> {
-        let topo = crate::topo::TopoOrder::compute(self.dag());
-        let reach = crate::reach::Reachability::compute(self.dag(), &topo);
-        let eval = crate::dag_eval::eval_xpath_on_dag(self, &topo, &reach, path);
-        eval.selected
-            .iter()
-            .map(|&v| {
-                (
-                    self.atg.dtd().name(self.dag.genid().type_of(v)).to_owned(),
-                    self.dag.genid().attr_of(v).clone(),
-                )
-            })
-            .collect()
-    }
-
     /// Number of live nodes `n`.
     pub fn n_nodes(&self) -> usize {
         self.dag.n_nodes()
@@ -362,16 +342,6 @@ mod tests {
             .unwrap()
             .contains_key(&tuple!["S99", "Zed"]));
         assert!(!vs.dag().genid().is_live(id));
-    }
-
-    #[test]
-    fn select_convenience_api() {
-        let (_db, vs) = store();
-        let p = rxview_xmlkit::parse_xpath("//course[cno=CS320]").unwrap();
-        let out = vs.select(&p);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, "course");
-        assert_eq!(out[0].1, tuple!["CS320", "Algorithms"]);
     }
 
     #[test]

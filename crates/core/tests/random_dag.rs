@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use rxview_atg::{Dag, NodeId};
 use rxview_core::{Reachability, TopoOrder};
+use rxview_reference::compute_naive;
 use rxview_relstore::{Tuple, Value};
 use rxview_xmlkit::TypeId;
 
@@ -52,7 +53,7 @@ proptest! {
         let topo = TopoOrder::compute(&dag);
         prop_assert!(topo.is_valid_for(&dag));
         let fast = Reachability::compute(&dag, &topo);
-        let naive = Reachability::compute_naive(&dag);
+        let naive = compute_naive(&dag);
         prop_assert!(fast.same_pairs(&naive));
         // What a checkpoint lists — each live `d` with its ascending
         // `anc(d)` — bulk-loads back to the same matrix.
@@ -121,7 +122,7 @@ proptest! {
         }
         prop_assert_eq!(fast.n_words(), transposed.n_words());
         prop_assert_eq!(fast.n_pairs(), transposed.n_pairs());
-        prop_assert!(fast.same_pairs(&Reachability::compute_naive(&dag)));
+        prop_assert!(fast.same_pairs(&compute_naive(&dag)));
     }
 
     #[test]
@@ -218,7 +219,7 @@ proptest! {
         topo.insert_at(topo.len() - 1, reborn);
         prop_assert!(topo.is_valid_for(&dag));
         let reach = Reachability::compute(&dag, &topo);
-        prop_assert!(reach.same_pairs(&Reachability::compute_naive(&dag)));
+        prop_assert!(reach.same_pairs(&compute_naive(&dag)));
         prop_assert_eq!(reach.ancestors(reborn), &[root][..]);
     }
 }

@@ -530,7 +530,8 @@ impl Engine {
     /// let snap = engine.snapshot();
     /// assert_eq!(snap.epoch(), 0); // initial publication
     /// let bob = rxview_xmlkit::parse_xpath("//student[ssn=S02]")?;
-    /// assert_eq!(snap.select(&bob).len(), 1);
+    /// let want = ("student".to_owned(), rxview_relstore::tuple!["S02", "Bob"]);
+    /// assert_eq!(snap.select(&bob), [want]); // (type, $A) per selected node
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn snapshot(&self) -> Arc<Snapshot> {

@@ -4,16 +4,17 @@
 //! view — regardless of how the conflict partitioner groups them, whether
 //! evaluation ran scoped or full, and how maintenance was folded. The
 //! sequential side of the property tests is the paper's algorithm, not the
-//! code under test: `rxview_workload::reference_apply` evaluates by §3.2
+//! code under test: `rxview_reference::reference_apply` evaluates by §3.2
 //! verbatim (`eval_xpath_on_dag` over all of `L` — no scope, no compiled
 //! plan) and folds ∆(M,L) per update.
 
 use proptest::prelude::*;
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig};
+use rxview_reference::reference_apply;
 use rxview_workload::{
-    reference_apply, synthetic_atg, synthetic_database, ChurnGen, DescendantConfig, DescendantGen,
-    ShardSkewGen, SkewConfig, SyntheticConfig, WorkloadClass, WorkloadGen, NODES_PER_INSERT,
+    synthetic_atg, synthetic_database, ChurnGen, DescendantConfig, DescendantGen, ShardSkewGen,
+    SkewConfig, SyntheticConfig, WorkloadClass, WorkloadGen, NODES_PER_INSERT,
 };
 use std::collections::BTreeSet;
 

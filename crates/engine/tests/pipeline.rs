@@ -15,9 +15,10 @@
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig, Stage, StageHooks};
+use rxview_reference::reference_apply;
 use rxview_workload::{
-    base_fingerprint, edge_fingerprint, reference_apply, synthetic_atg, synthetic_database,
-    ChurnGen, SyntheticConfig,
+    base_fingerprint, edge_fingerprint, synthetic_atg, synthetic_database, ChurnGen,
+    SyntheticConfig,
 };
 
 fn system(n: usize, seed: u64) -> XmlViewSystem {

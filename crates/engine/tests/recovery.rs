@@ -4,7 +4,7 @@
 //! observationally equivalent to a sequential oracle replay of the
 //! acknowledged, durable prefix of the update history** — no matter when
 //! the crash happened, how wide the committed rounds were, where
-//! checkpoints interleaved, or how the log's tail was torn or corrupted. The oracle is `rxview_workload::reference_apply` — §3.2
+//! checkpoints interleaved, or how the log's tail was torn or corrupted. The oracle is `rxview_reference::reference_apply` — §3.2
 //! verbatim, one update at a time, one fold each — where replay runs a
 //! record as the round it logs: scoped evaluations, one fold per record.
 //!
@@ -15,9 +15,10 @@
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Durability, Engine, EngineConfig, RecoverError};
+use rxview_reference::reference_apply;
 use rxview_workload::{
-    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
-    reference_apply, synthetic_atg, synthetic_database, SyntheticConfig,
+    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
+    synthetic_database, SyntheticConfig,
 };
 use std::collections::BTreeSet;
 use std::fs;

@@ -1,14 +1,14 @@
-//! Reference XPath evaluation on (uncompressed) XML trees.
+//! XPath on the (uncompressed) XML tree, the semantics of §2.1.
 //!
-//! This is the semantics oracle: the DAG-based evaluator of the core crate
-//! (§3.2) must select exactly the nodes this evaluator selects on the
-//! expanded tree. It is also the baseline for the compression ablation
-//! benches. Straightforward recursive set evaluation — correctness over
-//! speed.
+//! This is the semantics oracle: the DAG evaluators (§3.2, [`crate::eval`]
+//! and the compiled plans) must select exactly the nodes this evaluator
+//! selects on the expanded tree. It is also the baseline of the compression
+//! ablation (`paper_tables ablation-dag`). Straightforward recursive set
+//! evaluation — correctness over speed.
 
-use super::ast::{Filter, NodeTest, Step, StepKind, XPath};
-use crate::dtd::Dtd;
-use crate::tree::{NodeId, XmlTree};
+use rxview_xmlkit::tree::{NodeId, XmlTree};
+use rxview_xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
+use rxview_xmlkit::Dtd;
 use std::collections::HashSet;
 
 /// Evaluates `p` from the root of `tree`, returning selected nodes in
@@ -94,8 +94,7 @@ pub fn eval_filter(tree: &XmlTree, dtd: &Dtd, context: NodeId, f: &Filter) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtd::registrar_dtd;
-    use crate::xpath::parser::parse_xpath;
+    use rxview_xmlkit::{parse_xpath, registrar_dtd};
 
     /// Builds the running-example tree of Fig.1 (uncompressed):
     /// CS650 with prereq CS320; CS320 with prereq CS240; CS320 and CS240

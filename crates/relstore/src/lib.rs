@@ -37,7 +37,7 @@ pub use cow::{PagedMap, PagedVec};
 pub use database::Database;
 pub use error::{RelError, RelResult};
 pub use eval::{eval_spj, Augmented, SpjPlan, TableSource};
-pub use lineage::{closure_source_keys, deletable_source, resolve_source, SourceRef};
+pub use lineage::{deletable_source, resolve_source, SourceRef};
 pub use schema::{schema, ColumnDef, SchemaBuilder, TableSchema};
 pub use spj::{ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};
 pub use table::Table;

@@ -11,9 +11,9 @@
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
 //! - [`churn`]: steady delete / re-insert traffic with fresh keys, for the
 //!   bounded-state soaks;
-//! - [`recovery`]: mixed workloads, the sequential oracle and
-//!   id-independent state fingerprints for the equivalence and
-//!   crash-recovery batteries;
+//! - [`recovery`]: mixed workloads and id-independent state fingerprints
+//!   for the equivalence and crash-recovery batteries (their sequential
+//!   oracle is `rxview_reference::reference_apply`);
 //! - the registrar running example is re-exported from `rxview-atg`.
 
 #![warn(missing_docs)]
@@ -32,7 +32,6 @@ pub use descendant::{is_descendant_headed, DescendantConfig, DescendantGen};
 pub use path_cache::PathCache;
 pub use recovery::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
-    reference_apply,
 };
 pub use registrar_gen::{registrar_scale, registrar_scale_database, RegistrarConfig};
 pub use rxview_atg::{registrar_atg, registrar_database};

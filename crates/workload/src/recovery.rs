@@ -1,4 +1,4 @@
-//! Workload, oracle and observation helpers for the equivalence and
+//! Workload and observation helpers for the equivalence and
 //! crash-recovery test batteries (`crates/engine/tests/{equivalence,
 //! recovery}.rs`, `tests/scoped_eval.rs`).
 //!
@@ -11,24 +11,8 @@
 //! same id-independent rendering the engine equivalence tests use.
 
 use crate::workloads::{WorkloadClass, WorkloadGen};
-use rxview_core::{eval_xpath_on_dag, SideEffectPolicy, UpdateOutcome, XmlUpdate, XmlViewSystem};
+use rxview_core::{XmlUpdate, XmlViewSystem};
 use std::collections::BTreeSet;
-
-/// One-at-a-time application as the paper states it — the sequential oracle
-/// the batteries hold the engine, replay and `XmlViewSystem::apply` equal
-/// to: the §3.2 two-pass evaluation over all of `L`, run verbatim by
-/// [`eval_xpath_on_dag`] (no scope, no compiled plan), then translation,
-/// then ∆(M,L) for that one update.
-pub fn reference_apply(
-    sys: &mut XmlViewSystem,
-    update: &XmlUpdate,
-    policy: SideEffectPolicy,
-) -> UpdateOutcome {
-    let eval = eval_xpath_on_dag(sys.view(), sys.topo(), sys.reach(), update.path());
-    let (mut report, job) = sys.apply_deferred(update, policy, eval)?;
-    report.maintain = sys.fold_maintenance(vec![job])?;
-    Ok(report)
-}
 
 /// A mixed W1/W2/W3 insertion/deletion stream driven by `flips` (one update
 /// attempted per flip: `true` = insertion, `false` = deletion; classes
@@ -106,6 +90,7 @@ pub fn assert_observationally_equal(a: &XmlViewSystem, b: &XmlViewSystem, contex
 mod tests {
     use super::*;
     use crate::{synthetic_atg, synthetic_database, SyntheticConfig};
+    use rxview_core::SideEffectPolicy;
 
     #[test]
     fn fingerprints_detect_change() {

@@ -286,9 +286,8 @@ impl<'a> WorkloadGen<'a> {
 mod tests {
     use super::*;
     use crate::synthetic::{synthetic_atg, synthetic_database, SyntheticConfig};
-    use rxview_core::{
-        eval_xpath_on_dag, Reachability, SideEffectPolicy, TopoOrder, XmlViewSystem,
-    };
+    use rxview_core::{Reachability, SideEffectPolicy, TopoOrder, XmlViewSystem};
+    use rxview_reference::eval_xpath_on_dag;
 
     fn view() -> ViewStore {
         let cfg = SyntheticConfig::with_size(600);

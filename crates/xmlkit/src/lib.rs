@@ -4,10 +4,8 @@
 //!   analysis;
 //! - [`dtd_validate`]: schema-level update validation in `O(|p||D|²)` (§2.4);
 //! - [`tree`]: arena XML trees, serialization, and structural equality;
-//! - [`xpath`]: the paper's XPath fragment — parser, AST, the normal form
-//!   `η₁/…/ηₙ` used by both evaluation passes (§3.2), and a reference
-//!   evaluator on trees that serves as the semantics oracle for the DAG
-//!   evaluator in `rxview-core`.
+//! - [`xpath`]: the paper's XPath fragment — parser, AST, and the normal
+//!   form `η₁/…/ηₙ` used by both evaluation passes (§3.2).
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,9 @@
-//! The XPath fragment of §2.1: AST, parser, normal form, and a reference
-//! evaluator over trees.
+//! The XPath fragment of §2.1: AST, parser and normal form.
 
 pub mod ast;
 pub mod normalize;
 pub mod parser;
-pub mod tree_eval;
 
 pub use ast::{Filter, NodeTest, Step, StepKind, XPath};
 pub use normalize::{normalize, NormPath, NormStep};
 pub use parser::{parse_xpath, ParseError};
-pub use tree_eval::{eval_filter, eval_from, eval_on_tree};

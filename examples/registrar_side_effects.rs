@@ -11,18 +11,13 @@
 //!
 //! Run with: `cargo run --example registrar_side_effects`
 
-use rxview::core::{eval_xpath_on_dag, Reachability, TopoOrder, ViewStore};
 use rxview::prelude::*;
 use rxview::relstore::tuple;
 use rxview::workload::{registrar_atg, registrar_database};
 use rxview::xmlkit::parse_xpath;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = registrar_database();
-    let atg = registrar_atg(&db)?;
-    let vs = ViewStore::publish(atg, &db)?;
-    let topo = TopoOrder::compute(vs.dag());
-    let reach = Reachability::compute(vs.dag(), &topo);
+    let mut sys = XmlViewSystem::new(registrar_atg(&registrar_database())?, registrar_database())?;
 
     let cases: &[(&str, bool, &str)] = &[
         (
@@ -54,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (path, for_delete, why) in cases {
         let p = parse_xpath(path)?;
-        let eval = eval_xpath_on_dag(&vs, &topo, &reach, &p);
-        let s = eval.side_effects(&vs, *for_delete);
+        let eval = sys.evaluate(&p);
+        let s = eval.side_effects(sys.view(), *for_delete);
         let kind = if *for_delete { "delete" } else { "insert" };
         println!("{kind} {path}");
         println!(
@@ -77,7 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // End-to-end: what the user experience looks like when a side effect is
     // detected and they choose to carry on (§2.1: "users need to be
     // consulted").
-    let mut sys = XmlViewSystem::new(registrar_atg(&registrar_database())?, registrar_database())?;
     let u = XmlUpdate::insert(
         "course",
         tuple!["MA100", "Calculus"],

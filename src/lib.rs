@@ -1,8 +1,9 @@
 //! `rxview` — facade crate for the full reproduction of *Updating Recursive
 //! XML Views of Relations* (Choi, Cong, Fan, Viglas; ICDE 2007 / JCST 2008).
 //!
-//! This crate re-exports the workspace members so applications can depend on
-//! a single crate:
+//! This crate re-exports the production crates so applications can depend on
+//! a single crate (not `rxview-reference`, the paper's transcriptions the
+//! tests hold them to, which no production crate links):
 //!
 //! - [`relstore`]: in-memory relational engine, SPJ queries, key preservation.
 //! - [`xmlkit`]: DTDs, XML trees, and the paper's XPath fragment.

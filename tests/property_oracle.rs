@@ -9,13 +9,12 @@
 
 use proptest::prelude::*;
 use rxview::core::{
-    eval_xpath_on_dag, Reachability, SideEffectPolicy, TopoOrder, ViewStore, XmlUpdate,
-    XmlViewSystem,
+    Reachability, SideEffectPolicy, TopoOrder, ViewStore, XmlUpdate, XmlViewSystem,
 };
 use rxview::relstore::{tuple, Tuple, Value};
 use rxview::workload::{registrar_atg, registrar_database};
 use rxview::xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
-use rxview::xmlkit::xpath::tree_eval::eval_on_tree;
+use rxview_reference::{eval_on_tree, eval_xpath_on_dag};
 
 /// Random XPath over the registrar vocabulary.
 fn arb_xpath() -> impl Strategy<Value = XPath> {

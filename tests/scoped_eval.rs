@@ -7,7 +7,7 @@
 //! on every field of the result, and `apply` equal to the paper's
 //! one-at-a-time algorithm — §3.2 verbatim over all of `L` →
 //! `apply_deferred` → a fold of that one job
-//! (`rxview::workload::reference_apply`, the reference of ARCHITECTURE.md
+//! (`rxview_reference::reference_apply`, the reference of ARCHITECTURE.md
 //! invariant 1, shared with the engine's equivalence and recovery
 //! batteries) — on accept/reject, `∆R`, side effects and the final
 //! `(I, V, M, L)`.
@@ -43,9 +43,10 @@ use rxview::core::{
     classify, resolve_anchors, SideEffectPolicy, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
 };
 use rxview::workload::{
-    base_fingerprint, edge_fingerprint, mixed_updates, reference_apply, WorkloadClass, WorkloadGen,
+    base_fingerprint, edge_fingerprint, mixed_updates, WorkloadClass, WorkloadGen,
 };
 use rxview::xmlkit::parse_xpath;
+use rxview_reference::reference_apply;
 
 const ROUNDS: usize = 50;
 const GROUP_SIZE: i64 = 40;
