@@ -9,9 +9,7 @@
 //!   of a write-ahead log record; [`put_update`]/[`read_update`] are the same
 //!   encoding of one update on its own. Replaying the *logical* update
 //!   re-derives ∆V, ∆R, and the `M`/`L` maintenance; logging ∆R alone could
-//!   rebuild the base tables but not the view. (The ∆R codec,
-//!   [`rxview_relstore::update::GroupUpdate::encode`], lives beside the
-//!   type and serves relational-level consumers.)
+//!   rebuild the base tables but not the view, so ∆R has no encoding.
 //! - [`encode_system`]/[`decode_system`]: the full checkpoint payload — the
 //!   base database `I`, the `gen_A` tables, the DAG `V` (interner + edges),
 //!   the topological order `L`, and the reachability matrix `M`. The

@@ -46,7 +46,6 @@ pub mod reach;
 pub mod rel_delete;
 pub mod rel_insert;
 pub mod republish;
-pub mod stats;
 pub mod template;
 pub mod topo;
 pub mod translate;
@@ -67,14 +66,11 @@ pub use processor::{
     XmlViewSystem,
 };
 pub use reach::Reachability;
-pub use rel_delete::{
-    candidate_source_keys, translate_deletions, translate_deletions_minimal, DeleteRejection,
-};
+pub use rel_delete::{candidate_source_keys, translate_deletions, DeleteRejection};
 pub use rel_insert::{
     edge_template_keys, translate_insertions, EdgeClosure, InsertRejection, InsertTranslation,
 };
 pub use republish::{apply_relational_update, RepublishReport};
-pub use stats::{view_stats, ViewStats};
 pub use template::TranslationTemplates;
 pub use topo::TopoOrder;
 pub use translate::{apply_delta, rollback_subtree, xdelete, xinsert};

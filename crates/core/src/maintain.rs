@@ -68,8 +68,8 @@ pub struct MaintainReport {
     /// on insert; edge cascade and `gen_A` collection of unreachable nodes,
     /// then the one compaction of `L`, on delete).
     pub l_splice_ns: u64,
-    /// Per-cone fold invocations folded into this report (each
-    /// `maintain_insert`/`maintain_delete` call is one cone fold).
+    /// ∆(M,L) passes folded into this report: one per insert job, plus one
+    /// per delete pass (a fold runs at most one, over all its deletions).
     pub cone_folds: u64,
 }
 

@@ -106,9 +106,9 @@ impl PhaseTimings {
     }
 }
 
-/// What an accepted update did. Anything id-valued reported with it (a
-/// [`DeferredMaintenance`]'s targets, a [`ViewDelta`]) is valid for the
-/// epoch the update committed in and no later: ids are recycled.
+/// What an accepted update did. Anything id-valued reported with it (the
+/// nodes of a [`DeferredMaintenance`]'s subtree, a [`ViewDelta`]) is valid
+/// for the epoch the update committed in and no later: ids are recycled.
 #[derive(Debug, Clone)]
 pub struct UpdateReport {
     /// Number of edge operations in `∆V`.
@@ -166,60 +166,10 @@ pub struct DeferredMaintenance {
 }
 
 impl DeferredMaintenance {
-    /// Whether this obligation came from an insertion.
-    pub fn is_insert(&self) -> bool {
-        self.subtree.is_some()
-    }
-
-    /// Number of selected target nodes.
-    pub fn n_selected(&self) -> usize {
-        self.selected.len()
-    }
-
-    /// The selected target nodes `r[[p]]` this obligation maintains around.
-    pub fn targets(&self) -> &[rxview_atg::NodeId] {
-        &self.selected
-    }
-
     /// The inserted subtree `ST(A, t)` (insertions only): what the update
     /// spliced, and in `fresh` the nodes it interned.
     pub fn subtree(&self) -> Option<&rxview_atg::SubtreeDag> {
         self.subtree.as_ref()
-    }
-
-    /// The *cone footprint* of this obligation: every node its ∆(M,L) pass
-    /// can read or write ancestor/descendant sets of, *before* closing over
-    /// descendants — the targets plus (for insertions) the subtree nodes.
-    ///
-    /// Two obligations whose descendant-closed footprints are disjoint
-    /// commute, which is what lets an engine apply a round of updates one
-    /// after another and still fold all of the round's ∆(M,L) work into one
-    /// [`XmlViewSystem::fold_maintenance`] pass.
-    pub fn cone_footprint(&self) -> impl Iterator<Item = rxview_atg::NodeId> + '_ {
-        self.selected
-            .iter()
-            .copied()
-            .chain(self.subtree.iter().flat_map(|st| st.nodes.iter().copied()))
-    }
-
-    /// Coalesces another **deletion** obligation into this one: the merged
-    /// obligation maintains around the union of both target sets, exactly
-    /// what [`XmlViewSystem::fold_maintenance`]'s single ∆(M,L)delete pass
-    /// would have computed for the two jobs separately (delete maintenance
-    /// is a function of the deduplicated target union). The engine's
-    /// publisher uses this to take a hot cone's delete ∆(M,L) obligation
-    /// once per cone instead of once per update (ARCHITECTURE.md §9).
-    ///
-    /// # Panics
-    /// Debug-asserts both obligations are deletions — insertion obligations
-    /// carry per-update subtrees and maintain in submission order, so they
-    /// never coalesce.
-    pub fn absorb_delete(&mut self, other: DeferredMaintenance) {
-        debug_assert!(
-            !self.is_insert() && !other.is_insert(),
-            "only deletion obligations coalesce"
-        );
-        self.selected.extend(other.selected);
     }
 }
 
@@ -465,12 +415,15 @@ impl XmlViewSystem {
 
     /// Runs the deferred phase-6 work of a batch: per-subtree ∆(M,L)insert
     /// in submission order, then one ∆(M,L)delete pass over the union of all
-    /// deletion targets (including garbage collection).
+    /// deletion targets (including garbage collection). This is the one
+    /// place a batch's ∆(M,L) work is grouped: where the deletion jobs sit
+    /// in `jobs` changes nothing.
     ///
     /// A batch is what an engine round is: updates that were each evaluated
     /// against the state the batch started from, so no job targets a node
     /// another job of the batch created (`tests/batched_fold.rs` holds one
-    /// fold of such a batch equal to one fold per update).
+    /// fold of such a batch equal to one fold per update, and to a fold of
+    /// the same jobs with the deletions reordered).
     pub fn fold_maintenance(
         &mut self,
         jobs: Vec<DeferredMaintenance>,

@@ -9,7 +9,8 @@
 //! iff that source is not in the deletable source of any view tuple that
 //! must *remain*. The algorithm picks, for each deleted tuple, an arbitrary
 //! side-effect-free source (finding a *minimal* `∆R` is NP-complete,
-//! Theorem 3) and rejects the group if some tuple has none.
+//! Theorem 3; its greedy cover is a specification in `rxview-reference`)
+//! and rejects the group if some tuple has none.
 //!
 //! The remaining-tuple check is done with *database queries* rather than a
 //! scan of the whole view: for a candidate source `(S, k)`, every edge view
@@ -81,8 +82,8 @@ fn edge_row(vs: &ViewStore, u: NodeId, v: NodeId) -> Tuple {
 
 /// The union of *candidate* deletable sources over the group deletion: for
 /// every deleted edge, every `(table, key)` in its `Sr(Q, t)` — a superset
-/// of whatever `∆R` [`translate_deletions`] (or the minimal variant) can
-/// choose, derivable without any safety queries. This is the planned write
+/// of whatever `∆R` [`translate_deletions`] can choose, derivable without
+/// any safety queries. This is the planned write
 /// footprint of a deletion; `None` means lineage could not be derived for
 /// some edge (the caller should treat the update's footprint as global).
 ///
@@ -174,8 +175,8 @@ pub fn translate_deletions(
 }
 
 /// A source `(S, k)` is safe iff every view tuple whose deletable source
-/// contains it is itself scheduled for deletion.
-fn source_is_safe(
+/// contains it is itself scheduled for deletion (Fig. 9's safety test).
+pub fn source_is_safe(
     vs: &ViewStore,
     aug: &rxview_relstore::Augmented<'_>,
     templates: &TranslationTemplates,
@@ -209,91 +210,6 @@ fn source_is_safe(
         }
     }
     Ok(true)
-}
-
-/// The *minimal view deletion* problem (§4.2): find the smallest `∆R`.
-/// NP-complete even under key preservation (Theorem 3, by reduction from
-/// minimal set cover), so this is a greedy set-cover heuristic: it
-/// repeatedly deletes the safe source that covers the most not-yet-covered
-/// view deletions. Always returns a `∆R` at most as large as
-/// [`translate_deletions`]'s (and often smaller when one base tuple, e.g. a
-/// `student` row, underlies many deleted edges).
-pub fn translate_deletions_minimal(
-    vs: &ViewStore,
-    base: &Database,
-    delta: &ViewDelta,
-) -> Result<GroupUpdate, DeleteRejection> {
-    let aug = vs.augmented(base);
-    let templates = vs.templates();
-    let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
-
-    // Safe-source candidates per deleted edge.
-    let mut verdict: BTreeMap<SourceRef, bool> = BTreeMap::new();
-    let mut safe_sources_of: Vec<(usize, Vec<SourceRef>)> = Vec::new();
-    for (i, &(u, v)) in delta.deletes.iter().enumerate() {
-        let a = vs.dag().genid().type_of(u);
-        let b = vs.dag().genid().type_of(v);
-        let Some(q) = vs.edge_query(a, b) else {
-            return Err(DeleteRejection::NotDeletable {
-                view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
-            });
-        };
-        if q.from().len() <= 1 {
-            return Err(DeleteRejection::NotDeletable {
-                view: q.name().to_owned(),
-            });
-        }
-        let row = edge_row(vs, u, v);
-        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
-            DeleteRejection::Rel(RelError::NotKeyPreserving {
-                query: q.name().to_owned(),
-            })
-        })?;
-        let mut safe = Vec::new();
-        for sr in sources {
-            let ok = match verdict.get(&sr) {
-                Some(&ok) => ok,
-                None => {
-                    let ok = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
-                    verdict.insert(sr.clone(), ok);
-                    ok
-                }
-            };
-            if ok {
-                safe.push(sr);
-            }
-        }
-        if safe.is_empty() {
-            return Err(DeleteRejection::NoSafeSource {
-                view: q.name().to_owned(),
-                tuple: row.to_string(),
-            });
-        }
-        safe_sources_of.push((i, safe));
-    }
-
-    // Greedy set cover: invert to source → covered edges.
-    let mut covers: BTreeMap<SourceRef, BTreeSet<usize>> = BTreeMap::new();
-    for (i, safe) in &safe_sources_of {
-        for sr in safe {
-            covers.entry(sr.clone()).or_default().insert(*i);
-        }
-    }
-    let mut uncovered: BTreeSet<usize> = (0..delta.deletes.len()).collect();
-    let mut out = GroupUpdate::new();
-    while !uncovered.is_empty() {
-        let (best, gain) = covers
-            .iter()
-            .map(|(sr, es)| (sr.clone(), es.intersection(&uncovered).count()))
-            .max_by_key(|(sr, gain)| (*gain, std::cmp::Reverse(sr.clone())))
-            .expect("every edge has a safe source");
-        debug_assert!(gain > 0, "cover must make progress");
-        for e in &covers[&best] {
-            uncovered.remove(e);
-        }
-        out.delete(best.table.clone(), best.key.clone());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -439,70 +355,6 @@ mod tests {
             .genid()
             .lookup(course, &tuple!["CS240", "Data Structures"])
             .is_none());
-    }
-
-    #[test]
-    fn minimal_covers_shared_source_once() {
-        let (db, vs, topo, reach) = fixture();
-        // Both S02 edges share the safe source student(S02): the greedy
-        // cover deletes a single base tuple where the arbitrary-choice
-        // algorithm deletes two enroll tuples.
-        let delta = delta_for(&vs, &topo, &reach, "//student[ssn=S02]");
-        assert_eq!(delta.deletes.len(), 2);
-        let arbitrary = translate_deletions(&vs, &db, &delta).unwrap();
-        let minimal = translate_deletions_minimal(&vs, &db, &delta).unwrap();
-        assert!(minimal.len() <= arbitrary.len());
-        assert_eq!(minimal.len(), 1);
-        assert_eq!(
-            minimal.ops()[0],
-            TupleOp::Delete {
-                table: "student".into(),
-                key: tuple!["S02"]
-            }
-        );
-        // The minimal ∆R is still correct under republication.
-        let mut db2 = db.clone();
-        db2.apply(&minimal).unwrap();
-        let atg = registrar_atg(&db2).unwrap();
-        let vs2 = ViewStore::publish(atg, &db2).unwrap();
-        let student = vs2.atg().dtd().type_id("student").unwrap();
-        assert!(vs2
-            .dag()
-            .genid()
-            .lookup(student, &tuple!["S02", "Bob"])
-            .is_none());
-    }
-
-    #[test]
-    fn minimal_rejects_when_arbitrary_rejects() {
-        let (db, vs, _topo, _reach) = fixture();
-        let course = vs.atg().dtd().type_id("course").unwrap();
-        let root = vs.dag().root();
-        let cs320 = vs
-            .dag()
-            .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
-            .unwrap();
-        let delta = ViewDelta {
-            inserts: vec![],
-            deletes: vec![(root, cs320)],
-        };
-        assert!(translate_deletions_minimal(&vs, &db, &delta).is_err());
-    }
-
-    #[test]
-    fn minimal_equals_arbitrary_on_singletons() {
-        let (db, vs, topo, reach) = fixture();
-        let delta = delta_for(
-            &vs,
-            &topo,
-            &reach,
-            "course[cno=CS650]/prereq/course[cno=CS320]",
-        );
-        let a = translate_deletions(&vs, &db, &delta).unwrap();
-        let m = translate_deletions_minimal(&vs, &db, &delta).unwrap();
-        assert_eq!(a.len(), 1);
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Codec round-trip property tests and the golden-bytes pin of the on-disk
 //! format.
 //!
-//! `decode(encode(u)) == u` must hold for every [`GroupUpdate`] — all op
-//! variants, empty groups, large text payloads — and for every logged
+//! `decode(encode(t)) == t` must hold for every [`Tuple`] a checkpoint
+//! writes — every value kind, large text payloads — and for every logged
 //! [`XmlUpdate`], whatever its path's AST holds, as a round record and on
 //! its own; the update decoder is total over hostile bytes; and the exact
 //! byte layout is pinned so that a change to the format cannot slip through
@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use rxview_core::codec::{self, LabelTable, LoggedUpdate};
 use rxview_core::{SideEffectPolicy, XmlUpdate};
-use rxview_relstore::codec::{put_varint, CodecError, Reader};
-use rxview_relstore::{tuple, GroupUpdate, Tuple, TupleOp, Value};
+use rxview_relstore::codec::{put_tuple, put_varint, read_tuple, CodecError, Reader};
+use rxview_relstore::{tuple, Tuple, Value};
 use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 
@@ -32,54 +32,39 @@ fn tuple_strategy() -> BoxedStrategy<Tuple> {
         .boxed()
 }
 
-fn op_strategy() -> BoxedStrategy<TupleOp> {
-    (any::<bool>(), "[a-z_]{1,12}", tuple_strategy())
-        .prop_map(|(ins, table, tuple)| {
-            if ins {
-                TupleOp::Insert { table, tuple }
-            } else {
-                TupleOp::Delete { table, key: tuple }
-            }
-        })
-        .boxed()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `decode(encode(g)) == g` for arbitrary groups (both op variants,
-    /// empty groups included via the 0-length vec case).
-    #[test]
-    fn group_update_round_trips(ops in prop::collection::vec(op_strategy(), 0..12)) {
-        let g = GroupUpdate::from_ops(ops);
-        let bytes = g.encode();
-        let back = GroupUpdate::decode(&bytes)
-            .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
-        prop_assert_eq!(&back, &g);
-        // And no strict prefix may decode to a full group.
-        if !bytes.is_empty() {
-            prop_assert!(GroupUpdate::decode(&bytes[..bytes.len() - 1]).is_err());
-        }
-    }
 
     /// Single values and tuples round-trip through the low-level codec.
     #[test]
     fn tuples_round_trip(t in tuple_strategy()) {
         let mut out = Vec::new();
-        rxview_relstore::codec::put_tuple(&mut out, &t);
+        put_tuple(&mut out, &t);
         let mut r = Reader::new(&out);
-        let back = rxview_relstore::codec::read_tuple(&mut r)
+        let back = read_tuple(&mut r)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(back, t);
         prop_assert!(r.is_empty());
     }
 }
 
-#[test]
-fn empty_group_is_one_byte() {
-    let g = GroupUpdate::new();
-    assert_eq!(g.encode(), vec![0x00]);
-    assert_eq!(GroupUpdate::decode(&[0x00]).unwrap(), g);
+/// `tuples`, written back to back the way a checkpoint writes a table's rows.
+fn tuple_bytes(tuples: &[Tuple]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for t in tuples {
+        put_tuple(&mut out, t);
+    }
+    out
+}
+
+/// Reads back as many tuples as were written, requiring every byte used.
+fn read_tuples(bytes: &[u8], n: usize) -> Vec<Tuple> {
+    let mut r = Reader::new(bytes);
+    let back = (0..n)
+        .map(|_| read_tuple(&mut r).expect("decodes"))
+        .collect();
+    assert!(r.is_empty());
+    back
 }
 
 #[test]
@@ -87,44 +72,35 @@ fn large_text_payloads_round_trip() {
     // A megabyte-scale string value and a wide tuple: varint length
     // prefixes must hold up well past one-byte lengths.
     let big = "x".repeat(1_000_000) + "∆R≠∅"; // multi-byte UTF-8 tail
-    let mut g = GroupUpdate::new();
-    g.insert("blob", tuple![big.as_str(), 7i64]);
-    g.delete(
-        "blob",
+    let tuples = [
+        tuple![big.as_str(), 7i64],
         Tuple::from_values(vec![Value::from("k".repeat(70_000))]),
-    );
-    let bytes = g.encode();
+    ];
+    let bytes = tuple_bytes(&tuples);
     assert!(bytes.len() > 1_000_000);
-    assert_eq!(GroupUpdate::decode(&bytes).unwrap(), g);
+    assert_eq!(read_tuples(&bytes, tuples.len()), tuples);
 }
 
-/// Pins the exact on-disk byte layout of a representative group. If this
-/// test fails, the format changed: bump the WAL/checkpoint magic instead of
-/// silently breaking old files.
+/// Pins the exact on-disk byte layout of the rows a checkpoint writes. If
+/// this test fails, the format changed: bump the checkpoint magic instead
+/// of silently breaking old files.
 #[test]
 fn golden_bytes_pin_the_format() {
-    let mut g = GroupUpdate::new();
-    g.insert("course", tuple!["CS240", "DS"]);
-    g.delete("enroll", tuple![-3i64, true]);
+    let tuples = [tuple!["CS240", "DS"], tuple![-3i64, true]];
 
     #[rustfmt::skip]
     let expected: Vec<u8> = vec![
-        0x02,                                            // 2 ops
-        // op 1: insert (tag 0)
-        0x00,
-        0x06, b'c', b'o', b'u', b'r', b's', b'e',        // table "course"
+        // row 1
         0x02,                                            // tuple arity 2
         0x01, 0x05, b'C', b'S', b'2', b'4', b'0',        // Str "CS240"
         0x01, 0x02, b'D', b'S',                          // Str "DS"
-        // op 2: delete (tag 1)
-        0x01,
-        0x06, b'e', b'n', b'r', b'o', b'l', b'l',        // table "enroll"
-        0x02,                                            // key arity 2
+        // row 2
+        0x02,                                            // tuple arity 2
         0x00, 0x05,                                      // Int(-3), zigzag = 5
         0x03,                                            // Bool(true)
     ];
-    assert_eq!(g.encode(), expected);
-    assert_eq!(GroupUpdate::decode(&expected).unwrap(), g);
+    assert_eq!(tuple_bytes(&tuples), expected);
+    assert_eq!(read_tuples(&expected, tuples.len()), tuples);
 }
 
 /// The round record (what a `RXWALv2` segment frames) is pinned too: an

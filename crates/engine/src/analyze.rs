@@ -146,10 +146,6 @@ pub struct Analysis {
     /// Sub-cone footprint when the update is fission-eligible (`None`:
     /// whole-cone conflict unit).
     sub: Option<SubFootprint>,
-    /// Smallest anchor of the resolved set — the publisher's coalescing
-    /// key: same-round updates sharing it share a cone, and their deferred
-    /// delete maintenance folds once per cone.
-    cone_key: Option<NodeId>,
 }
 
 /// Everything one conflict analysis produces: the footprint, and — for
@@ -204,7 +200,6 @@ impl Analysis {
                 multi_cone: false,
                 rel: RelFootprint::default(),
                 sub: None,
-                cone_key: None,
             },
             eval: None,
             eval_time: std::time::Duration::ZERO,
@@ -289,7 +284,6 @@ impl Analysis {
         // records its pinned-probe reads into a scratch footprint that is
         // absorbed only on success — a refused walk must not widen the
         // relational footprint of a whole-cone update.
-        let cone_key = anchors.iter().copied().min();
         let mut sub = None;
         if !anchors.is_empty() {
             let mut scratch = RelFootprint::default();
@@ -361,7 +355,6 @@ impl Analysis {
                 multi_cone,
                 rel,
                 sub,
-                cone_key,
             },
             eval: Some(evaluated),
             eval_time,
@@ -399,14 +392,6 @@ impl Analysis {
     /// The sub-cone footprint, when eligible.
     pub fn sub(&self) -> Option<&SubFootprint> {
         self.sub.as_ref()
-    }
-
-    /// The publisher's cone-coalescing key: the smallest resolved anchor
-    /// (`None` for global footprints and empty candidate sets). Two
-    /// same-round updates sharing it were admitted under one cone, and
-    /// their deferred delete maintenance folds once per cone.
-    pub fn cone_key(&self) -> Option<NodeId> {
-        self.cone_key
     }
 
     /// Drops the sub-cone footprint, restoring the whole-cone conflict

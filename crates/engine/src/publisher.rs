@@ -12,9 +12,10 @@
 //!   (`apply_deferred`) to a working clone of that snapshot, each reusing
 //!   the evaluation its plan's dry run made;
 //! - **fold → log → publish → ack** — the serial tail
-//!   (`Commit::finish_round`): per-cone fold coalescing, one folded
-//!   ∆(M,L) pass, one WAL append, one publication, then ticket resolution
-//!   and revalidation of cached analyses. `WAL(k) ≺ publish(k) ≺ ack(k)`
+//!   (`Commit::finish_round`): one folded ∆(M,L) pass over the round's
+//!   jobs in application order, one WAL append, one publication, then
+//!   ticket resolution and revalidation of cached analyses.
+//!   `WAL(k) ≺ publish(k) ≺ ack(k)`
 //!   and read-your-writes live there and nowhere else. A round that applied
 //!   nothing publishes no epoch and appends no record.
 //!
@@ -33,65 +34,11 @@
 use crate::engine::{CommitSummary, Inner, Pending};
 use crate::pipeline::{Stage, StageHooks};
 use crate::router::{self, PendingUpdate, RoundPlan};
-use rxview_atg::NodeId;
 use rxview_core::{DeferredMaintenance, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem};
 use rxview_obs::fields;
 use rxview_relstore::RelError;
-use std::collections::HashSet;
 use std::sync::mpsc;
 use std::time::Instant;
-
-/// Per-cone fold coalescing (ARCHITECTURE.md §9): merges the deferred
-/// *deletion* obligations of same-round jobs admitted under one cone
-/// (matching `cone_key`s — hot-cone fission is what puts several of them
-/// in one round), so the folded maintenance pass takes the cone's ∆(M,L)
-/// exactly once per cone instead of once per update. Insert jobs keep
-/// their positions — their maintenance is order-dependent — and deletion
-/// maintenance is a function of the deduplicated target union, so merging
-/// the selections changes nothing observable. Returns the coalesced job
-/// list plus the number of distinct *sub-rounds* (cone groups) the round
-/// decomposed into — keyless jobs count as singleton groups.
-pub(crate) fn coalesce_cone_folds(
-    jobs: Vec<DeferredMaintenance>,
-    cone_keys: &[Option<NodeId>],
-) -> (Vec<DeferredMaintenance>, usize) {
-    debug_assert_eq!(jobs.len(), cone_keys.len());
-    let mut groups = 0usize;
-    let mut out: Vec<DeferredMaintenance> = Vec::with_capacity(jobs.len());
-    // cone key → slot in `out` holding the group's folded delete job.
-    let mut delete_slot: std::collections::HashMap<NodeId, usize> =
-        std::collections::HashMap::new();
-    // Cone keys that already counted as a group (deletes and inserts under
-    // one cone are one sub-round: one cone's worth of ∆(M,L) context).
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    for (job, key) in jobs.into_iter().zip(cone_keys) {
-        match key {
-            Some(k) if !job.is_insert() => {
-                if seen.insert(*k) {
-                    groups += 1;
-                }
-                match delete_slot.get(k) {
-                    Some(&slot) => out[slot].absorb_delete(job),
-                    None => {
-                        delete_slot.insert(*k, out.len());
-                        out.push(job);
-                    }
-                }
-            }
-            Some(k) => {
-                if seen.insert(*k) {
-                    groups += 1;
-                }
-                out.push(job);
-            }
-            None => {
-                groups += 1;
-                out.push(job);
-            }
-        }
-    }
-    (out, groups)
-}
 
 /// What a round's translation leaves for the serial tail: the round's
 /// working state with every applied update's ∆R/∆V in it, and what became
@@ -101,10 +48,9 @@ struct Translated {
     /// published by the tail, or dropped with the round.
     working: XmlViewSystem,
     /// Applied updates in submission order, with their deferred ∆(M,L)
-    /// obligations and cone-coalescing keys alongside.
+    /// obligations alongside.
     applied: Vec<(usize, UpdateReport)>,
     jobs: Vec<DeferredMaintenance>,
-    cone_keys: Vec<Option<NodeId>>,
     rejected: Vec<(usize, UpdateError)>,
 }
 
@@ -242,7 +188,6 @@ impl Commit<'_> {
             working: self.inner.current().system().clone(),
             applied: Vec::new(),
             jobs: Vec::new(),
-            cone_keys: Vec::new(),
             rejected: Vec::new(),
         };
         // The apply loop *is* a round's translation wall clock.
@@ -261,7 +206,6 @@ impl Commit<'_> {
                 Ok((report, maintenance)) => {
                     out.applied.push((pu.idx, report));
                     out.jobs.push(maintenance);
-                    out.cone_keys.push(job.cone_key);
                 }
                 Err(e) => out.rejected.push((pu.idx, e)),
             }
@@ -290,7 +234,6 @@ impl Commit<'_> {
             mut working,
             mut applied,
             jobs,
-            cone_keys,
             rejected,
         } = translated;
         stats.record_round_width(plan.jobs.len(), applied.len());
@@ -313,11 +256,9 @@ impl Commit<'_> {
         }
 
         if !applied.is_empty() {
-            // Per-cone fold coalescing: delete jobs admitted under one
-            // (hot) cone merge their deferred obligations, so the fold
-            // takes the cone's ∆(M,L) once per cone, not once per update.
-            let (jobs, sub_rounds) = coalesce_cone_folds(jobs, &cone_keys);
-            stats.record_sub_rounds(sub_rounds, applied.len());
+            // The jobs go in application order, as recovery replays them:
+            // how a round's ∆(M,L) work is grouped is `fold_maintenance`'s
+            // business alone.
             let t_fold = Instant::now();
             let durable = working
                 .fold_maintenance(jobs)

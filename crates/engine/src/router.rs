@@ -37,7 +37,6 @@
 use crate::analyze::{Analysis, BatchFootprint, Verdict};
 use crate::engine::Pending;
 use crate::stats::EngineStats;
-use rxview_atg::NodeId;
 use rxview_core::{Evaluated, SideEffectPolicy, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS};
 
 /// A pending update inside one commit, keyed by its submission index. The
@@ -73,9 +72,6 @@ impl PendingUpdate {
 pub(crate) struct RoundJob {
     pub(crate) pending: PendingUpdate,
     pub(crate) eval: Option<Evaluated>,
-    /// The planned analysis' cone-coalescing key
-    /// ([`crate::Analysis::cone_key`]), for the round's fold.
-    pub(crate) cone_key: Option<NodeId>,
 }
 
 /// A deferred deletion's conflict analysis and dry-run evaluation, kept
@@ -271,11 +267,7 @@ pub(crate) fn plan_round(
         plan.footprint.absorb(&analysis);
         plan.multi_cone_admitted += usize::from(analysis.is_multi_cone());
         let closes_round = analysis.is_global();
-        plan.jobs.push(RoundJob {
-            pending: pu,
-            eval,
-            cone_key: analysis.cone_key(),
-        });
+        plan.jobs.push(RoundJob { pending: pu, eval });
         if closes_round {
             break;
         }

@@ -217,9 +217,9 @@ metric_table! {
         /// topological order (fresh-interval splice + L-repair on insert,
         /// unreferenced-node GC cascade on delete). Part of `phases.maintain`.
         fold_l_splice: timer "phase.fold_l_splice_ns",
-        /// Per-cone ∆(M,L) fold invocations summed across all folded passes
-        /// (each `fold_maintenance` call contributes its coalesced group
-        /// count) — the denominator for mean per-cone fold cost.
+        /// ∆(M,L) passes the folds ran ([`MaintainReport::cone_folds`]):
+        /// one per insert job, plus one per delete pass — a round's deletion
+        /// jobs share one.
         cone_folds: counter "fold.cone_folds",
         /// Time writing replay-log records (fsync excluded).
         wal_append: timer "phase.wal_append_ns",
@@ -254,13 +254,6 @@ metric_table! {
         /// pair touches the same nodes or the same extension slot and must
         /// serialize across rounds.
         fission_denies: counter "fission.denies",
-        /// Maintenance fold groups committed across all measured rounds:
-        /// co-admitted updates under one cone coalesce to a single ∆(M,L)
-        /// fold, so with fission this runs *below* `realized_width`.
-        sub_rounds: counter "round.sub_rounds",
-        /// Total applied translations covered by those fold groups (the
-        /// numerator of [`EngineReport::mean_sub_width`]).
-        sub_width: counter "round.sub_width",
         /// Deferred-update conflict analyses reused across rounds instead of
         /// recomputed.
         analyses_reused: counter "round.analyses_reused",
@@ -343,16 +336,6 @@ impl EngineStats {
         self.multi_cone_width.add(width as u64);
     }
 
-    /// One committed round's fold structure: `groups` maintenance groups
-    /// were folded (co-admitted updates under one cone coalesce to a single
-    /// ∆(M,L) pass) covering `updates` applied translations. `updates /
-    /// groups` > 1 is the publisher-side observable of fission: several
-    /// updates riding one fold.
-    pub(crate) fn record_sub_rounds(&self, groups: usize, updates: usize) {
-        self.sub_rounds.add(groups as u64);
-        self.sub_width.add(updates as u64);
-    }
-
     /// Records one conflict round's *planned* width (updates admitted by
     /// conflict analysis) and *realized* width (updates actually applied —
     /// planned minus rejects), once per round. Round widening is the
@@ -415,8 +398,8 @@ impl EngineStats {
 
     /// One folded ∆(M,L) maintenance pass: its wall clock plus the
     /// sub-span attribution the fold loop measured itself — per-node
-    /// M-rewrite time, L-splice/GC time, and how many per-cone folds the
-    /// pass coalesced (`MaintainReport::cone_folds`).
+    /// M-rewrite time, L-splice/GC time, and how many ∆(M,L) passes it ran
+    /// (`MaintainReport::cone_folds`).
     pub(crate) fn record_maintain(&self, d: Duration, m: &MaintainReport) {
         self.fold_ns.record_duration(d);
         self.fold_m_rewrite
@@ -543,14 +526,6 @@ impl EngineReport {
     /// singleton ⊤ rounds.
     pub fn mean_multi_cone_width(&self) -> f64 {
         ratio(self.multi_cone_width as f64, self.multi_cone_rounds as f64)
-    }
-
-    /// Average applied translations per maintenance fold group (the mean
-    /// *sub-round width*): 1.0 means every update folded alone; > 1 means
-    /// hot-cone fission coalesced same-cone co-admissions into shared
-    /// folds. 0.0 when no round was measured.
-    pub fn mean_sub_width(&self) -> f64 {
-        ratio(self.sub_width as f64, self.sub_rounds as f64)
     }
 
     /// Always `0.0`: no translation thread waits on the committing one.
@@ -684,11 +659,8 @@ impl fmt::Display for EngineReport {
         if self.fission_admits > 0 || self.fission_denies > 0 {
             writeln!(
                 f,
-                "fission: {} co-admits, {} denies, {} fold groups (mean sub-width {:.1})",
-                self.fission_admits,
-                self.fission_denies,
-                self.sub_rounds,
-                self.mean_sub_width()
+                "fission: {} co-admits, {} denies",
+                self.fission_admits, self.fission_denies
             )?;
         }
         if self.wal_records > 0 || self.checkpoints > 0 {

@@ -164,8 +164,8 @@ proptest! {
     /// Hot-cone fission is an optimization, not a semantics change: over
     /// skewed hot-anchor workloads — the traffic shape the sub-cone
     /// conflict unit exists for — the write path (sub-key derivation,
-    /// optimistic write∩write admission, per-cone fold coalescing) stays
-    /// equivalent to sequential application.
+    /// optimistic write∩write admission, one fold of co-admitted peers)
+    /// stays equivalent to sequential application.
     #[test]
     fn hot_anchor_commit_equals_sequential(
         seed in 0u64..200,

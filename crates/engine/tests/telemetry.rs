@@ -89,7 +89,10 @@ fn round_phases_and_fold_spans_are_well_formed() {
     assert!((0.0..=1.0).contains(&phases.publisher_serial_fraction()));
     // The fold's sub-spans are timed inside the fold: deletions splice `L`
     // and rewrite `M`, and together they stay within the fold's wall clock.
-    assert!(report.cone_folds > 0, "deletions fold per cone");
+    assert_eq!(
+        report.cone_folds, report.rounds,
+        "a round's deletions share one delete pass"
+    );
     let sub_spans = report.fold_m_rewrite + report.fold_l_splice;
     assert!(sub_spans > std::time::Duration::ZERO);
     assert!(
@@ -195,8 +198,6 @@ fn registry_names_are_pinned() {
         ("round.planned", 'c'),
         ("round.planned_width", 'c'),
         ("round.realized_width", 'c'),
-        ("round.sub_rounds", 'c'),
-        ("round.sub_width", 'c'),
         ("round.width_rounds", 'c'),
         ("snapshot.published", 'c'),
         ("snapshot.reads", 'c'),

@@ -1,13 +1,21 @@
-//! Deletable sources through the equality closure (§4.2, Fig. 9), derived
-//! interpretively: the specification `TranslationTemplates::source_keys`
-//! (the compiled candidate-source program every deletion runs) is held
-//! equal to (`tests/reference_oracles.rs`). It keeps its own union-find;
-//! production derives classes once per query (`SpjQuery::eq_closure`).
+//! §4.2 as specifications. [`closure_source_keys`] derives deletable sources
+//! through the equality closure (Fig. 9) interpretively: the specification
+//! `TranslationTemplates::source_keys` (the compiled candidate-source
+//! program every deletion runs) is held equal to
+//! (`tests/reference_oracles.rs`). It keeps its own union-find; production
+//! derives classes once per query (`SpjQuery::eq_closure`).
+//! [`translate_deletions_minimal`] is Theorem 3's minimal view deletion as a
+//! greedy set cover over Fig. 9's safe sources; production translates with
+//! Algorithm delete alone (`rxview_core::translate_deletions`).
 
+use rxview_atg::NodeId;
+use rxview_core::rel_delete::{source_is_safe, DeleteRejection};
+use rxview_core::{ViewDelta, ViewStore};
 use rxview_relstore::{
-    ColRef, Operand, RelError, RelResult, SchemaProvider, SourceRef, SpjQuery, Tuple, Value,
+    ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider, SourceRef,
+    SpjQuery, Tuple, Value,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Computes source keys for a view tuple via the *equality closure* of the
 /// query's predicates.
@@ -109,10 +117,99 @@ pub fn closure_source_keys(
     Ok(Some(result))
 }
 
+/// The *minimal view deletion* problem (§4.2): find the smallest `∆R`.
+/// NP-complete even under key preservation (Theorem 3, by reduction from
+/// minimal set cover), so this is a greedy set-cover heuristic: it
+/// repeatedly deletes the safe source that covers the most not-yet-covered
+/// view deletions. Always returns a `∆R` at most as large as
+/// [`rxview_core::translate_deletions`]'s (and often smaller when one base
+/// tuple, e.g. a `student` row, underlies many deleted edges).
+pub fn translate_deletions_minimal(
+    vs: &ViewStore,
+    base: &Database,
+    delta: &ViewDelta,
+) -> Result<GroupUpdate, DeleteRejection> {
+    let aug = vs.augmented(base);
+    let templates = vs.templates();
+    let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
+
+    // Safe-source candidates per deleted edge.
+    let mut verdict: BTreeMap<SourceRef, bool> = BTreeMap::new();
+    let mut safe_sources_of: Vec<(usize, Vec<SourceRef>)> = Vec::new();
+    for (i, &(u, v)) in delta.deletes.iter().enumerate() {
+        let a = vs.dag().genid().type_of(u);
+        let b = vs.dag().genid().type_of(v);
+        let Some(q) = vs.edge_query(a, b) else {
+            return Err(DeleteRejection::NotDeletable {
+                view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
+            });
+        };
+        if q.from().len() <= 1 {
+            return Err(DeleteRejection::NotDeletable {
+                view: q.name().to_owned(),
+            });
+        }
+        let row = vs.gen_row(u).concat(vs.dag().genid().attr_of(v));
+        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
+            DeleteRejection::Rel(RelError::NotKeyPreserving {
+                query: q.name().to_owned(),
+            })
+        })?;
+        let mut safe = Vec::new();
+        for sr in sources {
+            let ok = match verdict.get(&sr) {
+                Some(&ok) => ok,
+                None => {
+                    let ok = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
+                    verdict.insert(sr.clone(), ok);
+                    ok
+                }
+            };
+            if ok {
+                safe.push(sr);
+            }
+        }
+        if safe.is_empty() {
+            return Err(DeleteRejection::NoSafeSource {
+                view: q.name().to_owned(),
+                tuple: row.to_string(),
+            });
+        }
+        safe_sources_of.push((i, safe));
+    }
+
+    // Greedy set cover: invert to source → covered edges.
+    let mut covers: BTreeMap<SourceRef, BTreeSet<usize>> = BTreeMap::new();
+    for (i, safe) in &safe_sources_of {
+        for sr in safe {
+            covers.entry(sr.clone()).or_default().insert(*i);
+        }
+    }
+    let mut uncovered: BTreeSet<usize> = (0..delta.deletes.len()).collect();
+    let mut out = GroupUpdate::new();
+    while !uncovered.is_empty() {
+        let (best, gain) = covers
+            .iter()
+            .map(|(sr, es)| (sr.clone(), es.intersection(&uncovered).count()))
+            .max_by_key(|(sr, gain)| (*gain, std::cmp::Reverse(sr.clone())))
+            .expect("every edge has a safe source");
+        debug_assert!(gain > 0, "cover must make progress");
+        for e in &covers[&best] {
+            uncovered.remove(e);
+        }
+        out.delete(best.table.clone(), best.key.clone());
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rxview_relstore::{schema, tuple, Database};
+    use crate::eval::eval_xpath_on_dag;
+    use rxview_atg::{registrar_atg, registrar_database};
+    use rxview_core::{translate_deletions, xdelete, Reachability, TopoOrder};
+    use rxview_relstore::{schema, tuple, TupleOp};
+    use rxview_xmlkit::parse_xpath;
 
     /// The Q_edge_takenBy_student shape: the enroll key (ssn, cno) is only
     /// determined through equality with projected columns.
@@ -216,5 +313,84 @@ mod tests {
         assert!(closure_source_keys(&q, &db, &tuple!["payload"], &[])
             .unwrap()
             .is_none());
+    }
+
+    /// The registrar view, published, with `M` and `L`.
+    fn registrar() -> (Database, ViewStore, TopoOrder, Reachability) {
+        let db = registrar_database();
+        let atg = registrar_atg(&db).unwrap();
+        let vs = ViewStore::publish(atg, &db).unwrap();
+        let topo = TopoOrder::compute(vs.dag());
+        let reach = Reachability::compute(vs.dag(), &topo);
+        (db, vs, topo, reach)
+    }
+
+    fn delta_for(vs: &ViewStore, topo: &TopoOrder, reach: &Reachability, path: &str) -> ViewDelta {
+        let p = parse_xpath(path).unwrap();
+        xdelete(&eval_xpath_on_dag(vs, topo, reach, &p))
+    }
+
+    #[test]
+    fn minimal_covers_shared_source_once() {
+        let (db, vs, topo, reach) = registrar();
+        // Both S02 edges share the safe source student(S02): the greedy
+        // cover deletes a single base tuple where the arbitrary-choice
+        // algorithm deletes two enroll tuples.
+        let delta = delta_for(&vs, &topo, &reach, "//student[ssn=S02]");
+        assert_eq!(delta.deletes.len(), 2);
+        let arbitrary = translate_deletions(&vs, &db, &delta).unwrap();
+        let minimal = translate_deletions_minimal(&vs, &db, &delta).unwrap();
+        assert!(minimal.len() <= arbitrary.len());
+        assert_eq!(minimal.len(), 1);
+        assert_eq!(
+            minimal.ops()[0],
+            TupleOp::Delete {
+                table: "student".into(),
+                key: tuple!["S02"]
+            }
+        );
+        // The minimal ∆R is still correct under republication.
+        let mut db2 = db.clone();
+        db2.apply(&minimal).unwrap();
+        let atg = registrar_atg(&db2).unwrap();
+        let vs2 = ViewStore::publish(atg, &db2).unwrap();
+        let student = vs2.atg().dtd().type_id("student").unwrap();
+        assert!(vs2
+            .dag()
+            .genid()
+            .lookup(student, &tuple!["S02", "Bob"])
+            .is_none());
+    }
+
+    #[test]
+    fn minimal_rejects_when_arbitrary_rejects() {
+        let (db, vs, _topo, _reach) = registrar();
+        let course = vs.atg().dtd().type_id("course").unwrap();
+        let root = vs.dag().root();
+        let cs320 = vs
+            .dag()
+            .genid()
+            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .unwrap();
+        let delta = ViewDelta {
+            inserts: vec![],
+            deletes: vec![(root, cs320)],
+        };
+        assert!(translate_deletions_minimal(&vs, &db, &delta).is_err());
+    }
+
+    #[test]
+    fn minimal_equals_arbitrary_on_singletons() {
+        let (db, vs, topo, reach) = registrar();
+        let delta = delta_for(
+            &vs,
+            &topo,
+            &reach,
+            "course[cno=CS650]/prereq/course[cno=CS320]",
+        );
+        let a = translate_deletions(&vs, &db, &delta).unwrap();
+        let m = translate_deletions_minimal(&vs, &db, &delta).unwrap();
+        assert_eq!(a.len(), 1);
+        assert_eq!(m.len(), 1);
     }
 }

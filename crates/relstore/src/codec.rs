@@ -4,10 +4,10 @@
 //! is no `serde`/`bincode`; durability is built on an explicit, versioned
 //! little-endian format instead. This module provides the byte-level
 //! primitives (LEB128 varints, zigzag integers, length-prefixed byte
-//! strings, CRC-32) and the encodings of every relational type a durability
-//! subsystem has to persist: [`Value`], [`Tuple`], [`TupleOp`],
-//! [`GroupUpdate`] (the paper's `∆R`), [`TableSchema`], [`Table`], and
-//! [`Database`].
+//! strings, CRC-32) and the encodings of every relational type a checkpoint
+//! persists: [`Value`], [`Tuple`], [`TableSchema`], [`Table`], and
+//! [`Database`]. The log records logical XML updates, not `∆R`
+//! (`rxview_core::codec`).
 //!
 //! Conventions, shared by every `encode_*`/`decode_*` pair:
 //!
@@ -26,7 +26,6 @@
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 use crate::tuple::Tuple;
-use crate::update::{GroupUpdate, TupleOp};
 use crate::value::{Domain, Value, ValueType};
 use crate::Database;
 use std::fmt;
@@ -338,88 +337,6 @@ fn skip_tuple(r: &mut Reader<'_>) -> CodecResult<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Group updates (∆R).
-// ---------------------------------------------------------------------------
-
-const TAG_OP_INSERT: u8 = 0;
-const TAG_OP_DELETE: u8 = 1;
-
-/// Encodes a [`TupleOp`].
-pub fn put_tuple_op(out: &mut Vec<u8>, op: &TupleOp) {
-    match op {
-        TupleOp::Insert { table, tuple } => {
-            out.push(TAG_OP_INSERT);
-            put_str(out, table);
-            put_tuple(out, tuple);
-        }
-        TupleOp::Delete { table, key } => {
-            out.push(TAG_OP_DELETE);
-            put_str(out, table);
-            put_tuple(out, key);
-        }
-    }
-}
-
-/// Decodes a [`TupleOp`].
-pub fn read_tuple_op(r: &mut Reader<'_>) -> CodecResult<TupleOp> {
-    let tag = r.read_u8()?;
-    let table = r.read_str()?.to_owned();
-    let tuple = read_tuple(r)?;
-    match tag {
-        TAG_OP_INSERT => Ok(TupleOp::Insert { table, tuple }),
-        TAG_OP_DELETE => Ok(TupleOp::Delete { table, key: tuple }),
-        t => Err(CodecError::Invalid(format!("unknown tuple-op tag {t}"))),
-    }
-}
-
-impl GroupUpdate {
-    /// Appends this group's binary encoding (op count + ops, in submission
-    /// order) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
-        for op in self.ops() {
-            put_tuple_op(out, op);
-        }
-    }
-
-    /// The group's binary encoding as a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decodes a group from `r`. Exact inverse of [`GroupUpdate::encode`]
-    /// for any group (encoded ops are already deduplicated, so rebuilding
-    /// through [`GroupUpdate::push`] preserves them verbatim).
-    pub fn decode_from(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let n = r.read_varint()? as usize;
-        if n > r.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let mut g = GroupUpdate::new();
-        for _ in 0..n {
-            g.push(read_tuple_op(r)?);
-        }
-        Ok(g)
-    }
-
-    /// Decodes a group from a standalone buffer, requiring every byte to be
-    /// consumed.
-    pub fn decode(bytes: &[u8]) -> CodecResult<Self> {
-        let mut r = Reader::new(bytes);
-        let g = GroupUpdate::decode_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Invalid(format!(
-                "{} trailing bytes after group update",
-                r.remaining()
-            )));
-        }
-        Ok(g)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Schemas, tables, databases (checkpoint payloads).
 // ---------------------------------------------------------------------------
 
@@ -678,40 +595,6 @@ mod tests {
         let mut r = Reader::new(&out);
         assert_eq!(read_tuple(&mut r).unwrap(), t);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn group_update_round_trips() {
-        let mut g = GroupUpdate::new();
-        g.insert("course", tuple!["CS240", "Data Structures"]);
-        g.delete("enroll", tuple!["S01", "CS240"]);
-        g.insert("flags", tuple![1i64, true]);
-        let bytes = g.encode();
-        assert_eq!(GroupUpdate::decode(&bytes).unwrap(), g);
-        // Empty group.
-        assert_eq!(
-            GroupUpdate::decode(&GroupUpdate::new().encode()).unwrap(),
-            GroupUpdate::new()
-        );
-    }
-
-    #[test]
-    fn group_update_rejects_trailing_garbage_and_truncation() {
-        let mut g = GroupUpdate::new();
-        g.insert("t", tuple![1i64]);
-        let mut bytes = g.encode();
-        bytes.push(0);
-        assert!(matches!(
-            GroupUpdate::decode(&bytes),
-            Err(CodecError::Invalid(_))
-        ));
-        let bytes = g.encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                GroupUpdate::decode(&bytes[..cut]).is_err(),
-                "prefix of length {cut} must not decode"
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod churn;
 pub mod descendant;
 pub mod path_cache;
 pub mod recovery;
-pub mod registrar_gen;
 pub mod shard_skew;
 pub mod synthetic;
 pub mod workloads;
@@ -33,7 +32,6 @@ pub use path_cache::PathCache;
 pub use recovery::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
 };
-pub use registrar_gen::{registrar_scale, registrar_scale_database, RegistrarConfig};
 pub use rxview_atg::{registrar_atg, registrar_database};
 pub use shard_skew::{ShardSkewGen, SkewConfig};
 pub use synthetic::{

@@ -1,6 +1,8 @@
 //! Multi-job folds: several updates applied with `apply_deferred` and then
 //! maintained by **one** `fold_maintenance` call must leave `(V, M, L)` as
-//! the same updates applied one at a time do.
+//! the same updates applied one at a time do — and, byte for byte, as the
+//! same fold with its deletion jobs in another order, since a fold runs one
+//! ∆(M,L)delete pass over all of them.
 //!
 //! Inside one fold ∆(M,L) writes `M`'s `anc` direction at once and batches
 //! the `desc` direction, so a job can read a descendant set that an earlier
@@ -11,7 +13,9 @@
 
 use proptest::prelude::*;
 use rxview::atg::NodeId;
-use rxview::core::{DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview::core::{
+    encode_system, DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem,
+};
 use rxview::relstore::tuple;
 use rxview::workload::{edge_fingerprint, registrar_atg, registrar_database};
 use std::collections::BTreeSet;
@@ -120,6 +124,33 @@ fn fold_and_compare(
     Ok(())
 }
 
+/// Folds `jobs` into `reordered` with the deletion jobs reversed and moved
+/// ahead of the insert jobs, and holds the result to `batched`, which folded
+/// the same jobs in application order, down to `encode_system` bytes.
+fn fold_reordered_and_compare(
+    reordered: &mut XmlViewSystem,
+    jobs: Vec<DeferredMaintenance>,
+    batched: &XmlViewSystem,
+) -> Result<(), TestCaseError> {
+    let (inserts, mut jobs): (Vec<_>, Vec<_>) =
+        jobs.into_iter().partition(|j| j.subtree().is_some());
+    jobs.reverse();
+    let n_deletes = jobs.len();
+    jobs.extend(inserts);
+    reordered.fold_maintenance(jobs).expect("fold");
+    let bytes = |sys: &XmlViewSystem| {
+        let mut out = Vec::new();
+        encode_system(sys, &mut out);
+        out
+    };
+    prop_assert!(
+        bytes(reordered) == bytes(batched),
+        "a fold with its {} deletion jobs moved first",
+        n_deletes
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -130,10 +161,12 @@ proptest! {
     ) {
         let mut single = system();
         let mut batched = single.clone();
+        let mut reordered = single.clone();
         // The states the open batch started from, one per side: as in an
         // engine round, every update of a batch is evaluated there.
-        let mut start = (single.clone(), batched.clone());
+        let mut start = (single.clone(), batched.clone(), reordered.clone());
         let mut jobs: Vec<DeferredMaintenance> = Vec::new();
+        let mut reordered_jobs: Vec<DeferredMaintenance> = Vec::new();
         let mut sizes = sizes.into_iter().cycle();
         let mut room = sizes.next().expect("cycled");
         for (kind, course, other) in picks {
@@ -143,7 +176,7 @@ proptest! {
             // its translation comes out as it does one at a time (the
             // engine's conflict analysis admits no other). What is under
             // test is phase 6 on the batches that remain.
-            let independent = |start: &(XmlViewSystem, XmlViewSystem)| {
+            let independent = |start: &(XmlViewSystem, XmlViewSystem, XmlViewSystem)| {
                 let (then, now) = (start.0.evaluate(u.path()), single.evaluate(u.path()));
                 let edges = |sys, eval: &rxview::core::DagEval| {
                     let ends = eval.matched_edges.iter().map(|&(p, c)| [p, c]);
@@ -160,19 +193,26 @@ proptest! {
             };
             if room == 0 || !independent(&start) {
                 fold_and_compare(&mut batched, std::mem::take(&mut jobs), &single)?;
-                start = (single.clone(), batched.clone());
+                let reordered_batch = std::mem::take(&mut reordered_jobs);
+                fold_reordered_and_compare(&mut reordered, reordered_batch, &batched)?;
+                start = (single.clone(), batched.clone(), reordered.clone());
                 room = sizes.next().expect("cycled");
             }
             let eval = start.1.evaluate(u.path());
             let deferred = batched.apply_deferred(&u, SideEffectPolicy::Proceed, eval);
+            let eval = start.2.evaluate(u.path());
+            let again = reordered.apply_deferred(&u, SideEffectPolicy::Proceed, eval);
             let applied = single.apply(&u, SideEffectPolicy::Proceed);
             prop_assert_eq!(deferred.is_ok(), applied.is_ok(), "`{}`", u);
-            if let Ok((_, job)) = deferred {
+            prop_assert_eq!(again.is_ok(), applied.is_ok(), "`{}`", u);
+            if let (Ok((_, job)), Ok((_, again))) = (deferred, again) {
                 jobs.push(job);
+                reordered_jobs.push(again);
                 room -= 1;
             }
         }
         fold_and_compare(&mut batched, jobs, &single)?;
+        fold_reordered_and_compare(&mut reordered, reordered_jobs, &batched)?;
     }
 }
 
