@@ -35,7 +35,7 @@ impl NodeId {
 }
 
 /// What subtree generation needs of an interner: `gen_id` and the pair
-/// behind an id. [`GenId`] is the one a view lives on; [`GenIdBuilder`] the
+/// behind an id. [`GenId`] is the one a view lives on; `GenIdBuilder` the
 /// transient one a whole view is first interned into.
 pub trait Interner {
     /// `gen_id(ty, $A)`: the id of the pair, and whether it was not live
@@ -151,7 +151,7 @@ fn key_map(keys: FxMap<MapKey, NodeId>) -> PagedMap<MapKey, NodeId> {
 /// The `gen_id` interner plus per-type registries (`gen_A` sets).
 ///
 /// All four parts are page-granular copy-on-write
-/// ([`rxview_relstore::cow`]): cloning an interner copies page pointers,
+/// ([`rxview_relstore::PagedMap`]): cloning an interner copies page pointers,
 /// and interning or retiring a node copies the pages that node lands on.
 /// Which ids are free is read off the live bits, so a clone frees and
 /// reuses ids on its own: an id recycled by one version still names the old
@@ -418,7 +418,7 @@ impl Interner for Provisional<'_> {
 /// storage, and [`GenIdBuilder::finish`] writes the copy-on-write pages
 /// once, full, instead of once per `gen_id`.
 #[derive(Debug, Default)]
-pub struct GenIdBuilder {
+pub(crate) struct GenIdBuilder {
     keys: FxMap<MapKey, NodeId>,
     /// `None`: a free id of the state being loaded.
     info: Vec<Option<(TypeId, Tuple)>>,
@@ -426,7 +426,7 @@ pub struct GenIdBuilder {
 
 impl GenIdBuilder {
     /// The finished interner.
-    pub fn finish(self) -> GenId {
+    pub(crate) fn finish(self) -> GenId {
         let ids = (0..self.info.len() as u32).map(NodeId);
         let mut by_type: Vec<_> = ids
             .zip(&self.info)

@@ -50,7 +50,7 @@ impl From<RelError> for PublishError {
 /// A DAG-compressed XML view: nodes are Skolem ids, edges are parent→child.
 ///
 /// Adjacency and the typed edge relations are page-granular copy-on-write
-/// ([`rxview_relstore::cow`]) with one shared slice per node, so a clone
+/// ([`rxview_relstore::PagedMap`]) with one shared slice per node, so a clone
 /// copies page pointers and an edge change rewrites the two endpoint lists
 /// and the pages they sit on — nothing proportional to the view.
 #[derive(Debug, Clone, Default)]
@@ -464,7 +464,7 @@ pub fn generate_subtree(
 }
 
 /// Publishes the full XML view `σ(I)` as a DAG: the walk interns into a
-/// transient [`GenIdBuilder`], and the interner and the adjacency are laid
+/// transient `GenIdBuilder`, and the interner and the adjacency are laid
 /// out in their pages once the whole view is known.
 pub fn publish(atg: &Atg, src: &impl TableSource) -> Result<Dag, PublishError> {
     publish_leaves_first(atg, src).map(|(dag, _)| dag)

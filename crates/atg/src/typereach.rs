@@ -61,14 +61,6 @@ impl TypeReach {
         self.reach[anc.index() * self.n + desc.index()]
     }
 
-    /// The types whose instances can contain (or be) a node of type
-    /// `target` — the candidate *containers* of a `//label` match.
-    pub fn containers_of(&self, target: TypeId) -> impl Iterator<Item = TypeId> + '_ {
-        (0..self.n as u32)
-            .map(TypeId)
-            .filter(move |a| self.can_reach(*a, target))
-    }
-
     /// The types reachable from `source` (including itself) — the node
     /// types a `//` axis starting below a `source` node can ever visit.
     pub fn reachable_from(&self, source: TypeId) -> impl Iterator<Item = TypeId> + '_ {
@@ -118,8 +110,9 @@ mod tests {
         let dtd = registrar_dtd();
         let tr = TypeReach::compute(&dtd);
         let student = dtd.type_id("student").unwrap();
-        let containers: Vec<String> = tr
-            .containers_of(student)
+        let containers: Vec<String> = dtd
+            .types()
+            .filter(|&t| tr.can_reach(t, student))
             .map(|t| dtd.name(t).to_owned())
             .collect();
         for expect in ["db", "course", "prereq", "takenBy", "student"] {

@@ -64,11 +64,11 @@ use rxview_relstore::codec::{
     skip_database, CodecError, Reader,
 };
 use rxview_relstore::Database;
-use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
+use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::TypeId;
 
-pub use rxview_relstore::codec::{crc32, CodecResult};
+use rxview_relstore::codec::CodecResult;
 
 // ---------------------------------------------------------------------------
 // Logical updates (WAL records).

@@ -45,7 +45,7 @@ use std::collections::BTreeSet;
 
 /// One typed column binding of one table: the unit of read/write overlap.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ColKey {
+pub(crate) struct ColKey {
     /// Table name (a base relation or a `gen_A` node table).
     pub table: String,
     /// Column index within that table.

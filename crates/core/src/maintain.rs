@@ -98,7 +98,7 @@ impl MaintainReport {
 ///   the earliest target) and order violations from edges onto pre-existing
 ///   nodes are repaired with the paper's `swap(L, u, v)` primitive
 ///   (Fig.7 lines 8–13).
-pub fn maintain_insert(
+pub(crate) fn maintain_insert(
     vs: &ViewStore,
     topo: &mut TopoOrder,
     reach: &mut Reachability,
@@ -281,7 +281,7 @@ pub(crate) fn insert_job(
 /// they are removed from `L`, dropped from `M`, their outgoing edges are
 /// cascaded (`∆'V`), and their `gen` entries are collected — the paper's
 /// background garbage collection.
-pub fn maintain_delete(
+pub(crate) fn maintain_delete(
     vs: &mut ViewStore,
     topo: &mut TopoOrder,
     reach: &mut Reachability,

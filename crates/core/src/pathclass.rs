@@ -44,13 +44,13 @@ use crate::reach::Reachability;
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
-use rxview_xmlkit::xpath::ast::{Filter, NodeTest, StepKind};
+use rxview_xmlkit::xpath::{Filter, NodeTest, StepKind};
 use rxview_xmlkit::{normalize, Dtd, NormStep, TypeId, XPath};
 use std::collections::BTreeSet;
 
 /// The `field = value` pairs usable for anchor detection, extracted from
 /// the filter immediately qualifying a path step.
-pub fn filter_keys(filter: &Filter, out: &mut Vec<(String, String)>) {
+pub(crate) fn filter_keys(filter: &Filter, out: &mut Vec<(String, String)>) {
     match filter {
         Filter::PathEq(p, v) => {
             if let [step] = p.steps.as_slice() {

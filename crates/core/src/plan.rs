@@ -43,8 +43,8 @@ use crate::template::TranslationTemplates;
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, NodeId};
-use rxview_xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
-use rxview_xmlkit::xpath::normalize::{normalize, NormStep};
+use rxview_xmlkit::xpath::{normalize, NormStep};
+use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::{Dtd, TypeId};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -134,7 +134,7 @@ fn shape_filter(f: &Filter, key: &mut String, vals: &mut Vec<String>) {
 
 /// The shape key and literal bindings of a path — the hot-path half of a
 /// cache probe (no AST allocation).
-pub fn shape_of(p: &XPath) -> (String, Vec<String>) {
+pub(crate) fn shape_of(p: &XPath) -> (String, Vec<String>) {
     let mut key = String::with_capacity(32);
     let mut vals = Vec::new();
     shape_path(p, &mut key, &mut vals);
@@ -226,7 +226,7 @@ pub(crate) enum PStep {
 
 /// The executable program: resolved steps plus the predicate table the
 /// bottom-up pass fills.
-pub struct EvalProgram {
+pub(crate) struct EvalProgram {
     pub(crate) steps: Vec<PStep>,
     pub(crate) preds: Vec<PPred>,
 }

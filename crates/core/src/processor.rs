@@ -198,7 +198,7 @@ struct TranslatedUpdate {
 /// The complete system: database, views, auxiliary structures.
 ///
 /// Cloning is cheap — `I`, `V` and `M` live in page-granular copy-on-write
-/// containers ([`rxview_relstore::cow`]), so a clone copies page pointers
+/// containers ([`rxview_relstore::PagedMap`]), so a clone copies page pointers
 /// plus `L`'s two dense arrays, and a clone and its origin then diverge at
 /// the cost of the pages each one writes. The serving engine's snapshots
 /// are exactly such clones.
@@ -514,8 +514,8 @@ impl XmlViewSystem {
     }
 
     /// Applies a *relational* group update directly to `I` and propagates
-    /// it to the view incrementally (the reverse direction: see
-    /// [`crate::republish`]). Lets applications that update base tables
+    /// it to the view incrementally (the reverse direction of
+    /// [`XmlViewSystem::apply`]). Lets applications that update base tables
     /// directly keep the published view, `M`, and `L` in sync without
     /// republishing.
     pub fn apply_relational(

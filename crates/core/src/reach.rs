@@ -44,7 +44,7 @@
 //!
 //! - [`Reachability::compute`] builds both directions run by run with the
 //!   recurrence, `anc` backward over `L` and `desc` forward;
-//!   [`AncestorLoad`] (under [`Reachability::from_ancestors`] and the
+//!   `AncestorLoad` (under [`Reachability::from_ancestors`] and the
 //!   checkpoint decoder) builds one direction and derives the other with
 //!   one counting-sort transposition over words — a loaded `desc` must
 //!   mirror the decoded `anc`, whatever the bytes say;
@@ -484,7 +484,7 @@ fn apply_edits(
 /// layout), one [`AncestorLoad::add`] per node: each run is stored as given
 /// and [`AncestorLoad::finish`] transposes the `desc` direction from them.
 #[derive(Debug, Default)]
-pub struct AncestorLoad {
+pub(crate) struct AncestorLoad {
     anc: PagedVec<Option<Words>>,
     n_pairs: usize,
     n_words: usize,
@@ -494,7 +494,7 @@ impl AncestorLoad {
     /// Sets `anc(d)`. Fails — rather than build a matrix whose directions or
     /// counter disagree — on a `d` listed twice and on a `d` among its own
     /// ancestors.
-    pub fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
+    pub(crate) fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
         if !words_of(&self.anc, d).is_empty() {
             return Err(format!("node {} is listed twice", d.0));
         }
@@ -507,7 +507,7 @@ impl AncestorLoad {
     }
 
     /// The matrix of the sets added.
-    pub fn finish(self) -> Reachability {
+    pub(crate) fn finish(self) -> Reachability {
         let (desc, desc_words) = transpose(&self.anc);
         Reachability {
             desc,
@@ -553,7 +553,7 @@ impl Reachability {
     }
 
     /// Bulk load from `(d, anc(d))` lists of ids through an
-    /// [`AncestorLoad`], with its checks and one more: the ids of a list
+    /// `AncestorLoad`, with its checks and one more: the ids of a list
     /// must strictly ascend.
     pub fn from_ancestors<I: IntoIterator<Item = NodeId>>(
         runs: impl IntoIterator<Item = (NodeId, I)>,

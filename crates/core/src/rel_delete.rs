@@ -21,11 +21,11 @@
 //! (this is the "more database queries as `|Ep(r)|` grows" behaviour the
 //! paper reports in Fig.11(g)).
 
-use crate::template::TranslationTemplates;
+use crate::template::{SourceRef, TranslationTemplates};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
-use rxview_relstore::{Database, GroupUpdate, RelError, SourceRef, Tuple};
+use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -90,7 +90,7 @@ fn edge_row(vs: &ViewStore, u: NodeId, v: NodeId) -> Tuple {
 /// Edges with no base source (projection rules, missing rules) make the
 /// real translation reject the whole group — which writes nothing — so they
 /// contribute no keys here.
-pub fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<SourceRef>> {
+pub(crate) fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<SourceRef>> {
     let templates = vs.templates();
     let mut out = Vec::new();
     for &(u, v) in &delta.deletes {

@@ -113,13 +113,9 @@ impl From<RelError> for InsertRejection {
 
 /// Outcome of a successful translation.
 #[derive(Debug, Clone)]
-pub struct InsertTranslation {
+pub(crate) struct InsertTranslation {
     /// The base-table insertions.
     pub delta_r: GroupUpdate,
-    /// Number of symbolic variables created.
-    pub n_vars: usize,
-    /// Number of SAT clauses generated (0 = no solver call needed).
-    pub n_clauses: usize,
     /// Whether a SAT solver ran.
     pub sat_used: bool,
 }
@@ -236,7 +232,7 @@ enum Cond {
 /// `fresh_nodes` are the nodes interned by `Xinsert` for the new subtree;
 /// their `gen_A` rows participate in side-effect detection (they will be
 /// parents of view edges once applied).
-pub fn translate_insertions(
+pub(crate) fn translate_insertions(
     vs: &ViewStore,
     base: &Database,
     delta: &ViewDelta,
@@ -282,8 +278,6 @@ pub fn translate_insertions(
         // Everything already derivable: ∆R is empty.
         return Ok(InsertTranslation {
             delta_r: GroupUpdate::new(),
-            n_vars: 0,
-            n_clauses: 0,
             sat_used: false,
         });
     }
@@ -344,7 +338,6 @@ pub fn translate_insertions(
     let mut formula = CnfFormula::new();
     let mut prop: BTreeMap<(usize, Value), PropVar> = BTreeMap::new();
     let mut used_vars: BTreeSet<usize> = BTreeSet::new();
-    let mut n_clauses = 0usize;
     {
         // Collect propositions per clause.
         let mut pending: Vec<Vec<(usize, Value)>> = Vec::new();
@@ -397,11 +390,9 @@ pub fn translate_insertions(
             let vals = vars.domain_values(v);
             let lits: Vec<_> = vals.iter().map(|c| prop[&(v, c.clone())].pos()).collect();
             formula.add_clause(lits);
-            n_clauses += 1;
             for i in 0..vals.len() {
                 for j in i + 1..vals.len() {
                     formula.add_not_both(prop[&(v, vals[i].clone())], prop[&(v, vals[j].clone())]);
-                    n_clauses += 1;
                 }
             }
         }
@@ -422,7 +413,6 @@ pub fn translate_insertions(
             }
             if !tautology {
                 formula.add_clause(lits);
-                n_clauses += 1;
             }
         }
     }
@@ -473,12 +463,7 @@ pub fn translate_insertions(
         delta_r.insert(t.table.clone(), Tuple::from_values(cells));
     }
 
-    Ok(InsertTranslation {
-        delta_r,
-        n_vars: vars.parent.len(),
-        n_clauses,
-        sat_used,
-    })
+    Ok(InsertTranslation { delta_r, sat_used })
 }
 
 fn decode_var(
@@ -518,7 +503,7 @@ fn decode_var(
 /// and the constant each class is pinned to by the child attribute
 /// (projection), the parent attribute (parameters), and constant
 /// predicates. Shared by template derivation and by footprint planning
-/// ([`edge_template_keys`]).
+/// (`edge_template_keys`).
 ///
 /// The closure depends only on the grammar, the table *schemas*, and the
 /// two attribute tuples — never on table contents — so its *structure*
@@ -591,7 +576,7 @@ fn edge_binding<'a>(
 /// `edge` is the `(parent type, child type)` production edge whose rule
 /// query is `query`: the planner's dry run instantiates the same compiled
 /// skeleton the real translation of the edge instantiates moments later.
-pub fn edge_template_keys(
+pub(crate) fn edge_template_keys(
     base: &Database,
     templates: &TranslationTemplates,
     edge: (TypeId, TypeId),

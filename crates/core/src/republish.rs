@@ -42,7 +42,7 @@ pub struct RepublishReport {
 ///
 /// Returns an error (leaving `base` updated but the view *unchanged*) if
 /// the updated data would publish a cyclic view.
-pub fn apply_relational_update(
+pub(crate) fn apply_relational_update(
     base: &mut Database,
     vs: &mut ViewStore,
     topo: &mut TopoOrder,

@@ -46,8 +46,8 @@ use crate::plan::PlanCacheStats;
 use crate::rel_insert::{EdgeClosure, InsertRejection};
 use rxview_atg::{Atg, RuleBody};
 use rxview_relstore::{
-    ColRef, EqClosure, EqPred, Operand, SchemaProvider, SourceRef, SpjPlan, SpjQuery, TableSchema,
-    Tuple, Value,
+    ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjPlan, SpjQuery, TableSchema, Tuple,
+    Value,
 };
 use rxview_xmlkit::TypeId;
 use std::collections::hash_map::Entry;
@@ -135,6 +135,17 @@ impl EdgeTemplate {
             known,
         })
     }
+}
+
+/// One element of `Sr(Q,t)` (§4.2), the *deletable source* of an edge-view
+/// row `t`: a base table and the key of the tuple that contributes to `t`.
+/// Deleting that tuple removes `t` from the view.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SourceRef {
+    /// Base table name.
+    pub table: String,
+    /// Primary key of the contributing tuple in that table.
+    pub key: Tuple,
 }
 
 /// One cell of a reconstructed source key.
@@ -234,7 +245,7 @@ impl SourceProgram {
 }
 
 /// An edge view `(A, B)` compiled bound to one row of a base table.
-pub type BoundView = ((TypeId, TypeId), SpjPlan);
+pub(crate) type BoundView = ((TypeId, TypeId), SpjPlan);
 
 /// Edge view `q` restricted to one row of base table `table`, compiled:
 /// every FROM entry of `table` gets its key columns equated with parameters

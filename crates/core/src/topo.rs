@@ -155,14 +155,6 @@ impl TopoOrder {
         self.pos.get(v)
     }
 
-    /// Whether `u` precedes `v`.
-    ///
-    /// # Panics
-    /// Panics if either node is not in `L`.
-    pub fn precedes(&self, u: NodeId, v: NodeId) -> bool {
-        self.position(u).expect("u in L") < self.position(v).expect("v in L")
-    }
-
     fn set_pos(&mut self, v: NodeId, p: usize) {
         self.pos.set(v, p);
     }

@@ -24,7 +24,7 @@ use rxview_xmlkit::TypeId;
 /// New nodes are interned into the view's `gen_id` immediately; the returned
 /// [`SubtreeDag`] records which were fresh so a rejected update can be
 /// rolled back (see [`rollback_subtree`]).
-pub fn xinsert(
+pub(crate) fn xinsert(
     vs: &mut ViewStore,
     base: &impl TableSource,
     ty: TypeId,
@@ -58,7 +58,7 @@ pub fn xinsert(
 /// rejected downstream (DTD violation, relational translation failure, or
 /// user abort on side effects): the fresh nodes — nothing else knows them
 /// yet — give their ids back.
-pub fn rollback_subtree(vs: &mut ViewStore, subtree: &SubtreeDag) {
+pub(crate) fn rollback_subtree(vs: &mut ViewStore, subtree: &SubtreeDag) {
     for &n in &subtree.fresh {
         vs.dag_mut().genid_mut().retire(n);
     }
@@ -79,7 +79,7 @@ pub fn xdelete(eval: &DagEval) -> ViewDelta {
 /// Applies a `∆V` to the DAG and the `gen_A` tables: inserts register any
 /// nodes that became live, deletions remove edges only. Returns the nodes
 /// newly registered (for rollback bookkeeping by the caller if needed).
-pub fn apply_delta(
+pub(crate) fn apply_delta(
     vs: &mut ViewStore,
     delta: &ViewDelta,
     subtree: Option<&SubtreeDag>,

@@ -34,7 +34,7 @@ impl XmlUpdate {
         ty: impl Into<String>,
         attr: Tuple,
         path: &str,
-    ) -> Result<Self, rxview_xmlkit::xpath::parser::ParseError> {
+    ) -> Result<Self, rxview_xmlkit::xpath::ParseError> {
         Ok(XmlUpdate::Insert {
             ty: ty.into(),
             attr,
@@ -43,7 +43,7 @@ impl XmlUpdate {
     }
 
     /// Convenience constructor parsing the XPath.
-    pub fn delete(path: &str) -> Result<Self, rxview_xmlkit::xpath::parser::ParseError> {
+    pub fn delete(path: &str) -> Result<Self, rxview_xmlkit::xpath::ParseError> {
         Ok(XmlUpdate::Delete {
             path: parse_xpath(path)?,
         })

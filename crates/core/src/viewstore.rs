@@ -106,7 +106,8 @@ impl ViewStore {
     }
 
     /// The per-grammar translation-template registry, compiled on first
-    /// call and shared through the plan cache (see [`crate::template`]).
+    /// call and shared through the plan cache (see
+    /// [`TranslationTemplates`](crate::TranslationTemplates)).
     pub fn templates(&self) -> Arc<crate::template::TranslationTemplates> {
         self.plan_cache.templates(&self.atg)
     }

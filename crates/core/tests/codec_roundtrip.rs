@@ -14,7 +14,7 @@ use rxview_core::codec::{self, LabelTable, LoggedUpdate};
 use rxview_core::{SideEffectPolicy, XmlUpdate};
 use rxview_relstore::codec::{put_tuple, put_varint, read_tuple, CodecError, Reader};
 use rxview_relstore::{tuple, Tuple, Value};
-use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
+use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 
 fn value_strategy() -> BoxedStrategy<Value> {

@@ -383,12 +383,6 @@ impl Analysis {
         &self.rel
     }
 
-    /// Whether the update carries a sub-cone footprint and may co-admit
-    /// with cone-overlapping eligible peers.
-    pub fn is_fission_eligible(&self) -> bool {
-        self.sub.is_some()
-    }
-
     /// The sub-cone footprint, when eligible.
     pub fn sub(&self) -> Option<&SubFootprint> {
         self.sub.as_ref()

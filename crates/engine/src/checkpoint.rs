@@ -14,6 +14,7 @@
 //! rotates and drops every segment whose records are all `<= E`
 //! (`Wal::compact`), bounding log growth.
 
+use crate::obs::fields;
 use crate::snapshot::Snapshot;
 use crate::stats::EngineStats;
 use crate::wal::Wal;
@@ -200,7 +201,7 @@ impl Checkpointer {
                 };
                 stats.recorder().record(
                     "checkpoint.start",
-                    rxview_obs::fields![epoch: snap.epoch(), source: "background"],
+                    fields![epoch: snap.epoch(), source: "background"],
                 );
                 let t0 = std::time::Instant::now();
                 match write_checkpoint(&dir, snap.epoch(), snap.system()) {
@@ -208,7 +209,7 @@ impl Checkpointer {
                         stats.checkpoints.incr();
                         stats.recorder().record(
                             "checkpoint.end",
-                            rxview_obs::fields![
+                            fields![
                                 epoch: snap.epoch(),
                                 micros: t0.elapsed().as_micros() as u64
                             ],
@@ -219,7 +220,7 @@ impl Checkpointer {
                             Err(e) => eprintln!("rxview: WAL compaction failed: {e}"),
                             Ok(out) if out.rotated => stats.recorder().record(
                                 "wal.rotate",
-                                rxview_obs::fields![
+                                fields![
                                     upto_epoch: snap.epoch(),
                                     deleted_segments: out.deleted
                                 ],

@@ -6,6 +6,7 @@
 //! and one serial tail folds, logs, publishes and acks it.
 
 use crate::checkpoint::{self, Checkpointer};
+use crate::obs::{fields, text_report, Exporter, FlightRecorder};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
 use crate::snapshot::Snapshot;
@@ -187,7 +188,7 @@ pub(crate) struct Inner {
     pub(crate) durability: Option<DurabilityState>,
     /// Periodic metrics exporter (spawned when a metrics path is
     /// configured); dropping it appends a final snapshot.
-    pub(crate) exporter: Option<rxview_obs::Exporter>,
+    pub(crate) exporter: Option<Exporter>,
 }
 
 impl Inner {
@@ -413,7 +414,7 @@ impl Engine {
         epoch: u64,
         mut config: EngineConfig,
         durability: Option<(PathBuf, Wal)>,
-        recorder: Arc<rxview_obs::FlightRecorder>,
+        recorder: Arc<FlightRecorder>,
     ) -> Self {
         config.max_batch = config.max_batch.max(1);
         let stats = Arc::new(EngineStats::new(
@@ -429,8 +430,8 @@ impl Engine {
                     .ok()
                     .and_then(|s| s.parse::<u64>().ok())
                     .unwrap_or(1000);
-                rxview_obs::Exporter::spawn(
-                    Arc::clone(stats.registry()),
+                Exporter::spawn(
+                    Arc::clone(&stats),
                     path,
                     Duration::from_millis(interval.max(1)),
                 )
@@ -476,14 +477,14 @@ impl Engine {
         let stats = &self.inner.stats;
         stats.recorder().record(
             "checkpoint.start",
-            rxview_obs::fields![epoch: snap.epoch(), trigger: "manual"],
+            fields![epoch: snap.epoch(), trigger: "manual"],
         );
         let t0 = Instant::now();
         checkpoint::write_checkpoint(&d.dir, snap.epoch(), snap.system())?;
         stats.checkpoints.incr();
         stats.recorder().record(
             "checkpoint.end",
-            rxview_obs::fields![epoch: snap.epoch(), micros: t0.elapsed().as_micros() as u64],
+            fields![epoch: snap.epoch(), micros: t0.elapsed().as_micros() as u64],
         );
         let compacted = d
             .wal
@@ -493,7 +494,7 @@ impl Engine {
         if compacted.rotated || compacted.deleted > 0 {
             stats.recorder().record(
                 "wal.rotate",
-                rxview_obs::fields![
+                fields![
                     epoch: snap.epoch(),
                     rotated: u64::from(compacted.rotated),
                     deleted_segments: compacted.deleted,
@@ -545,8 +546,8 @@ impl Engine {
     }
 
     /// A human-readable snapshot of the whole telemetry layer: the
-    /// [`crate::EngineReport`] summary, the raw metric registry (every
-    /// counter and histogram by name), and the flight-recorder state.
+    /// [`crate::EngineReport`] summary, every metric by name
+    /// ([`EngineStats::metrics`]), and the flight-recorder state.
     /// Intended for consoles and bug reports; the machine-readable
     /// equivalents are the metrics JSONL exporter and
     /// [`Engine::flight_recording`].
@@ -554,9 +555,9 @@ impl Engine {
         let stats = &self.inner.stats;
         let recorder = stats.recorder();
         format!(
-            "{}\n-- registry --\n{}-- flight recorder --\n{} events retained, {} evicted\n",
+            "{}\n-- metrics --\n{}-- flight recorder --\n{} events retained, {} evicted\n",
             stats.report(),
-            rxview_obs::text_report(stats.registry()),
+            text_report(&stats.metrics()),
             recorder.len(),
             recorder.evicted(),
         )

@@ -11,7 +11,7 @@
 //!   commit swaps atomically. Any number of reader threads evaluate XPath
 //!   (§3.2's two-pass DAG evaluation) or SPJ queries against an immutable
 //!   snapshot while the writer works; `(I, V, M)` live in page-granular
-//!   copy-on-write containers ([`rxview_relstore::cow`]), so the writer's
+//!   copy-on-write containers ([`rxview_relstore::PagedMap`]), so the writer's
 //!   working clone, its first writes, and the release of a displaced
 //!   snapshot each cost in proportion to what the round changed, and a
 //!   snapshot is freed the moment its last reader lets go.
@@ -20,7 +20,7 @@
 //!   queue in a bounded admission queue and commit through one *round
 //!   pipeline* — plan → translate → fold → log → publish → ack. The router
 //!   plans a round of up to `max_batch` updates whose
-//!   [`analyze::Analysis`] footprints are disjoint — key-anchored
+//!   [`Analysis`] footprints are disjoint — key-anchored
 //!   target-path cones (anchors probe the maintained `gen_A` registries)
 //!   plus the typed relational footprint ([`rxview_core::RelFootprint`]) of
 //!   a footprint-only dry run of the §3.3/§4 translation: the `(table,
@@ -37,7 +37,7 @@
 //!   outcomes are reported back through [`UpdateTicket`]s as each round
 //!   publishes. Leading-`//` and wildcard-rooted updates resolve to bounded
 //!   multi-anchor cones through the grammar's type-level reachability
-//!   closure and typed `gen_A` probes ([`rxview_core::pathclass`]), so they
+//!   closure and typed `gen_A` probes ([`rxview_core::classify`]), so they
 //!   ride ordinary rounds; only a genuinely untypeable (⊤-footprint) path
 //!   commits alone.
 //! - **One translate executor**: a round's updates run
@@ -47,7 +47,7 @@
 //!   the latest published snapshot and applied, folded, logged and
 //!   published before the next is planned, so readers, the WAL, and acks
 //!   observe one epoch stream (`WAL(k) ≺ publish(k) ≺ ack(k)`).
-//!   Deterministic schedules are testable through [`pipeline::StageHooks`].
+//!   Deterministic schedules are testable through [`StageHooks`].
 //!   The round pipeline is property-tested observationally equivalent to
 //!   sequential application.
 //! - **Durability** ([`Durability`], [`Engine::with_durability`],
@@ -59,19 +59,19 @@
 //!   truncates the log behind them. Recovery loads the newest valid
 //!   checkpoint, replays the log suffix record by record — each record as
 //!   the round it logs, one fold of `M` and `L` per record — and resumes
-//!   serving at the recovered epoch. See [`wal`] and
-//!   [`recovery`].
+//!   serving at the recovered epoch ([`RecoveryReport`]).
 //! - **Observability** ([`EngineStats`]): an engine-wide telemetry layer
-//!   built on the dependency-free [`rxview_obs`] crate — lock-free counters
-//!   and log₂-bucketed latency histograms in a shared metric registry,
-//!   phase-attributed round timing extending the Fig.11 constituents
-//!   ([`rxview_core::PhaseTimings`]) with plan / translate / fold /
-//!   WAL-append / fsync / publish buckets, a
+//!   built on the dependency-free [`obs`] module — lock-free counters and
+//!   log₂-bucketed latency histograms declared once, in one metric table
+//!   that is also the list of their exported names
+//!   ([`EngineStats::metrics`]), phase-attributed round timing extending
+//!   the Fig.11 constituents ([`rxview_core::PhaseTimings`]) with plan /
+//!   translate / fold / WAL-append / fsync / publish buckets, a
 //!   ring-buffer *flight recorder* of structured round and durability
 //!   events ([`Engine::flight_recording`]), and an optional background
-//!   exporter appending registry snapshots as JSONL
+//!   exporter appending that listing as JSONL
 //!   ([`EngineConfig::metrics_path`], `RXVIEW_METRICS_PATH`). See
-//!   [`Engine::telemetry_report`] and [`stats::PhaseBreakdown`].
+//!   [`Engine::telemetry_report`] and [`PhaseBreakdown`].
 //!
 //! Mapping back to the paper's Fig.3 phases: schema validation (§2.4) and
 //! translation ∆X→∆V→∆R (§3.3, §4) run unchanged per update inside
@@ -82,20 +82,24 @@
 //! it, made concrete as group commit.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod analyze;
-pub(crate) mod checkpoint;
-pub mod engine;
-pub mod pipeline;
-pub(crate) mod publisher;
-pub mod recovery;
-pub(crate) mod router;
-pub mod snapshot;
-pub mod stats;
-pub mod wal;
+mod analyze;
+mod checkpoint;
+mod engine;
+pub mod obs;
+mod pipeline;
+mod publisher;
+mod recovery;
+mod router;
+mod snapshot;
+mod stats;
+mod wal;
 
 pub use analyze::{evaluation_scope, plan_insert, Analysis, BatchFootprint};
-pub use engine::{Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle};
+pub use engine::{
+    CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle, MAX_QUEUE,
+};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};
 pub use snapshot::Snapshot;

@@ -1,17 +1,17 @@
-//! Exporting a registry: periodic JSONL snapshots + a text report.
+//! Exporting the metric listing: periodic JSONL snapshots + a text report.
 //!
 //! The [`Exporter`] is a background thread that appends one self-contained
 //! JSON object per tick to a metrics file — each line carries a timestamp
-//! and every registered metric, so any line alone reconstructs the state
-//! and consecutive lines give rates. Dropping the exporter writes one final
-//! snapshot and joins the thread, so short-lived processes (benches, tests)
-//! still leave a complete file.
+//! and every metric of [`EngineStats::metrics`], so any line alone
+//! reconstructs the state and consecutive lines give rates. Dropping the
+//! exporter writes one final snapshot and joins the thread, so short-lived
+//! processes (benches, tests) still leave a complete file.
 //!
 //! [`text_report`] renders the same snapshot for humans.
 
-use crate::hist::HistogramSnapshot;
-use crate::json::{push_f64, push_str_escaped};
-use crate::registry::{MetricSnapshot, Registry};
+use super::json::{push_f64, push_str_escaped};
+use super::{HistogramSnapshot, MetricSnapshot};
+use crate::stats::EngineStats;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -32,10 +32,9 @@ fn push_histogram_json(out: &mut String, h: &HistogramSnapshot) {
     out.push('}');
 }
 
-/// Renders one registry snapshot as a single JSON object (no newline):
+/// Renders one metric listing as a single JSON object (no newline):
 /// `{"at_micros": ..., "metrics": {...}}`.
-pub fn snapshot_json(registry: &Registry, at_micros: u64) -> String {
-    let snap = registry.snapshot();
+fn snapshot_json(snap: &[(&str, MetricSnapshot)], at_micros: u64) -> String {
     let mut out = String::with_capacity(64 + snap.len() * 48);
     let _ = write!(out, "{{\"at_micros\": {at_micros}, \"metrics\": {{");
     for (i, (name, value)) in snap.iter().enumerate() {
@@ -58,14 +57,12 @@ pub fn snapshot_json(registry: &Registry, at_micros: u64) -> String {
     out
 }
 
-/// Renders a registry snapshot as an aligned, name-sorted text table —
-/// counters and gauges as bare numbers, histograms as
-/// `count / mean / p50 / p95 / p99 / max`.
-pub fn text_report(registry: &Registry) -> String {
-    let snap = registry.snapshot();
+/// Renders a metric listing as an aligned text table — counters and gauges
+/// as bare numbers, histograms as `count / mean / p50 / p95 / p99 / max`.
+pub(crate) fn text_report(snap: &[(&str, MetricSnapshot)]) -> String {
     let width = snap.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
     let mut out = String::new();
-    for (name, value) in &snap {
+    for (name, value) in snap {
         match value {
             MetricSnapshot::Counter(v) => {
                 let _ = writeln!(out, "{name:width$}  {v}");
@@ -98,19 +95,23 @@ struct ExporterSignal {
 
 /// The periodic JSONL exporter thread (see the module docs).
 #[derive(Debug)]
-pub struct Exporter {
+pub(crate) struct Exporter {
     signal: Arc<ExporterSignal>,
     thread: Option<std::thread::JoinHandle<()>>,
     path: PathBuf,
 }
 
 impl Exporter {
-    /// Spawns an exporter appending a snapshot of `registry` to `path`
+    /// Spawns an exporter appending `stats`' metric listing to `path`
     /// every `interval` (and once at shutdown). The file is created (or
     /// appended to) lazily by the thread; I/O errors are reported to
     /// stderr once and the exporter keeps trying — telemetry must never
     /// take the engine down.
-    pub fn spawn(registry: Arc<Registry>, path: impl AsRef<Path>, interval: Duration) -> Exporter {
+    pub(crate) fn spawn(
+        stats: Arc<EngineStats>,
+        path: impl AsRef<Path>,
+        interval: Duration,
+    ) -> Exporter {
         let path = path.as_ref().to_path_buf();
         let signal = Arc::new(ExporterSignal::default());
         let thread_signal = Arc::clone(&signal);
@@ -133,11 +134,11 @@ impl Exporter {
                         *guard
                     };
                     let at = u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    let line = snapshot_json(&registry, at);
+                    let line = snapshot_json(&stats.metrics(), at);
                     if let Err(e) = append_line(&thread_path, &line) {
                         if !warned {
                             eprintln!(
-                                "rxview-obs: metrics export to {} failed: {e}",
+                                "rxview: metrics export to {} failed: {e}",
                                 thread_path.display()
                             );
                             warned = true;
@@ -157,7 +158,7 @@ impl Exporter {
     }
 
     /// Where this exporter writes.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }
@@ -188,13 +189,20 @@ impl Drop for Exporter {
 mod tests {
     use super::*;
 
+    fn histogram(v: u64) -> MetricSnapshot {
+        let h = super::super::Histogram::default();
+        h.record(v);
+        MetricSnapshot::Histogram(Box::new(h.snapshot()))
+    }
+
     #[test]
     fn snapshot_json_covers_all_kinds() {
-        let r = Registry::new();
-        r.counter("c").add(5);
-        r.gauge("g").set(-3);
-        r.histogram("h").record(100);
-        let line = snapshot_json(&r, 42);
+        let snap = [
+            ("c", MetricSnapshot::Counter(5)),
+            ("g", MetricSnapshot::Gauge(-3)),
+            ("h", histogram(100)),
+        ];
+        let line = snapshot_json(&snap, 42);
         assert!(line.starts_with("{\"at_micros\": 42, \"metrics\": {"));
         assert!(line.contains("\"c\": 5"));
         assert!(line.contains("\"g\": -3"));
@@ -204,8 +212,11 @@ mod tests {
 
     #[test]
     fn exporter_writes_final_snapshot_on_drop() {
-        let r = Arc::new(Registry::new());
-        r.counter("ticks").add(9);
+        let stats = Arc::new(EngineStats::new(
+            crate::stats::flight_recorder(),
+            Arc::default(),
+        ));
+        stats.wal_bytes.add(9);
         let path = std::env::temp_dir().join(format!(
             "rxview-obs-export-{}-{:?}.jsonl",
             std::process::id(),
@@ -215,21 +226,22 @@ mod tests {
         {
             // Interval far beyond the test's lifetime: only the shutdown
             // snapshot is guaranteed deterministic.
-            let _exporter = Exporter::spawn(Arc::clone(&r), &path, Duration::from_secs(3600));
+            let _exporter = Exporter::spawn(Arc::clone(&stats), &path, Duration::from_secs(3600));
         }
         let contents = std::fs::read_to_string(&path).expect("metrics file written");
         let lines: Vec<&str> = contents.lines().collect();
         assert!(!lines.is_empty());
-        assert!(lines.last().unwrap().contains("\"ticks\": 9"));
+        assert!(lines.last().unwrap().contains("\"wal.bytes\": 9"));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn text_report_lists_everything() {
-        let r = Registry::new();
-        r.counter("updates.accepted").add(12);
-        r.histogram("round.plan_ns").record(2048);
-        let report = text_report(&r);
+        let snap = [
+            ("round.plan_ns", histogram(2048)),
+            ("updates.accepted", MetricSnapshot::Counter(12)),
+        ];
+        let report = text_report(&snap);
         assert!(report.contains("updates.accepted"));
         assert!(report.contains("12"));
         assert!(report.contains("round.plan_ns"));

@@ -13,16 +13,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: bit widths 0..=64.
-pub const N_BUCKETS: usize = 65;
+pub(crate) const N_BUCKETS: usize = 65;
 
 /// The bucket index a value lands in: its bit width.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
 /// The inclusive value range `[lo, hi]` of bucket `i`.
-pub fn bucket_range(i: usize) -> (u64, u64) {
+pub(crate) fn bucket_range(i: usize) -> (u64, u64) {
     match i {
         0 => (0, 0),
         64 => (1u64 << 63, u64::MAX),
@@ -51,11 +51,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -87,16 +82,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Mean of recorded values, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// A point-in-time copy of the whole distribution. Concurrent recording
     /// makes this "consistent enough": each cell is read once, relaxed, so
     /// totals may disagree with buckets by in-flight updates, never more.
@@ -107,11 +92,6 @@ impl Histogram {
             sum: self.sum(),
             max: self.max(),
         }
-    }
-
-    /// Estimated `q`-quantile (`0.0..=1.0`) — see [`HistogramSnapshot::quantile`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
     }
 }
 
@@ -196,7 +176,7 @@ mod tests {
 
     #[test]
     fn exact_totals() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0, 1, 1, 5, 1000, 65_536] {
             h.record(v);
         }
@@ -213,38 +193,38 @@ mod tests {
 
     #[test]
     fn quantiles_within_bucket_resolution() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
         // Log2 buckets: any quantile estimate must be within a factor of 2
         // of the true order statistic.
         for (q, truth) in [(0.5, 500u64), (0.95, 950), (0.99, 990)] {
-            let est = h.quantile(q);
+            let est = h.snapshot().quantile(q);
             assert!(
                 est >= truth / 2 && est <= truth * 2,
                 "q={q}: est {est} vs true {truth}"
             );
         }
-        assert_eq!(h.quantile(1.0), h.max());
-        assert!(h.quantile(0.0) <= 2);
+        assert_eq!(h.snapshot().quantile(1.0), h.max());
+        assert!(h.snapshot().quantile(0.0) <= 2);
     }
 
     #[test]
     fn quantile_degenerate_cases() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
+        let h = Histogram::default();
+        assert_eq!(h.snapshot().quantile(0.5), 0, "empty histogram");
         h.record(42);
         // A single observation is every quantile, up to bucket resolution.
         for q in [0.0, 0.5, 0.99, 1.0] {
-            let est = h.quantile(q);
+            let est = h.snapshot().quantile(q);
             assert!((32..=42).contains(&est), "q={q}: {est}");
         }
     }
 
     #[test]
     fn duration_recording_saturates() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record_duration(std::time::Duration::from_nanos(1500));
         assert_eq!(h.sum(), 1500);
         h.record_duration(std::time::Duration::MAX); // > u64::MAX nanos

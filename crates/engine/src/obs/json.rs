@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (quotes included) to `out`.
-pub fn push_str_escaped(out: &mut String, s: &str) {
+pub(crate) fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,7 +29,7 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
 /// Appends `v` as a JSON number, mapping non-finite values to 0.0 (a
 /// non-finite metric is an instrumentation bug; the export must still be
 /// parseable).
-pub fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v:.6}");
     } else {

@@ -1,73 +1,57 @@
-//! Atomic counters and gauges — the scalar half of the metric registry.
+//! Atomic counters and gauges — the scalar metrics.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing counter. All operations are relaxed atomic
 /// adds/loads: concurrent writers never contend beyond the cache line.
 #[derive(Debug, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds `n`.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
     #[inline]
-    pub fn incr(&self) {
+    pub(crate) fn incr(&self) {
         self.add(1);
     }
 
     /// Raises the counter to `v` if `v` is larger (for high-watermark
     /// counters like "largest batch seen").
     #[inline]
-    pub fn fetch_max(&self, v: u64) {
+    pub(crate) fn fetch_max(&self, v: u64) {
         self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// The current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
 
-/// A settable signed gauge (queue depths, in-flight rounds, …).
+/// A settable signed gauge (sizes of the published state).
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
     /// Sets the gauge.
     #[inline]
-    pub fn set(&self, v: i64) {
+    pub(crate) fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// The current value.
     #[inline]
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -78,7 +62,7 @@ mod tests {
 
     #[test]
     fn counter_counts() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
@@ -90,9 +74,8 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let g = Gauge::new();
-        g.add(5);
-        g.add(-8);
+        let g = Gauge::default();
+        g.set(-3);
         assert_eq!(g.get(), -3);
         g.set(7);
         assert_eq!(g.get(), 7);

@@ -13,7 +13,7 @@
 //! second), not per update, so the lock is uncontended background noise —
 //! the lock-free budget is spent on the metrics, which *are* per update.
 
-use crate::json::{push_f64, push_str_escaped};
+use super::json::{push_f64, push_str_escaped};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -198,12 +198,12 @@ impl FlightRecorder {
 }
 
 /// Builds an event field list: `fields![count: 3usize, path: "a/b"]`.
-#[macro_export]
 macro_rules! fields {
     ($($name:ident : $value:expr),* $(,)?) => {
-        vec![$((stringify!($name), $crate::FieldValue::from($value))),*]
+        vec![$((stringify!($name), $crate::obs::FieldValue::from($value))),*]
     };
 }
+pub(crate) use fields;
 
 #[cfg(test)]
 mod tests {

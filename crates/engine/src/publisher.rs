@@ -32,10 +32,10 @@
 //! (`crates/engine/tests/pipeline.rs`).
 
 use crate::engine::{CommitSummary, Inner, Pending};
+use crate::obs::fields;
 use crate::pipeline::{Stage, StageHooks};
 use crate::router::{self, PendingUpdate, RoundPlan};
 use rxview_core::{DeferredMaintenance, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem};
-use rxview_obs::fields;
 use rxview_relstore::RelError;
 use std::sync::mpsc;
 use std::time::Instant;

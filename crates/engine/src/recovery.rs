@@ -34,10 +34,10 @@
 //! acknowledged, durable prefix of the update history.*
 
 use crate::checkpoint;
+use crate::obs::{fields, FlightRecorder};
 use crate::wal::{self, LoggedUpdate, WalRecord};
 use rxview_atg::Atg;
 use rxview_core::XmlViewSystem;
-use rxview_obs::{fields, FlightRecorder};
 use std::fmt;
 use std::io;
 use std::path::Path;

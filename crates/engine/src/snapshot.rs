@@ -10,7 +10,7 @@ use rxview_xmlkit::XPath;
 /// it for as long as they like; commits publish *new* snapshots and never
 /// mutate an already-published one. Consecutive snapshots share every page
 /// of `(I, V, M)` the commits between them did not write
-/// ([`rxview_relstore::cow`]), so holding an old snapshot pins only what has
+/// ([`rxview_relstore::PagedMap`]), so holding an old snapshot pins only what has
 /// changed since, and dropping the last handle to it frees only that.
 #[derive(Debug)]
 pub struct Snapshot {

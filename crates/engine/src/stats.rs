@@ -1,27 +1,29 @@
-//! Engine observability: every counter and phase timer lives in a
-//! [`rxview_obs::Registry`], with typed `Arc` handles held here so the hot
-//! paths never touch the registry lock.
+//! Engine observability: every counter and phase timer is a handle in
+//! [`EngineStats`], built from the [`crate::obs`] primitives.
 //!
 //! Three layers share this module:
 //!
 //! - **metrics** — one table (`metric_table!` below) declares each metric
-//!   once: its doc, its field, its kind and its registry name. The table
-//!   generates the [`EngineStats`] handles, their registration and the
-//!   [`EngineReport`] fields with the copy between them. Recording is a
+//!   once: its doc, its field, its kind and its exported name. The table
+//!   generates the [`EngineStats`] handles, the name-sorted listing
+//!   ([`EngineStats::metrics`]) the exporter and the text report read, and
+//!   the [`EngineReport`] fields with the copy between them. Recording is a
 //!   relaxed atomic on the handle at the call site; the `record_*` methods
 //!   are the ones that feed several metrics or compute what they record.
 //! - **flight recorder** — a bounded ring of structured events (round
 //!   planned / committed / failed, a ⊤ round, checkpoint
 //!   start/end, WAL rotation, recovery replay progress), dumpable as JSONL;
-//! - **reports** — [`EngineReport`] is a point-in-time read of the registry,
+//! - **reports** — [`EngineReport`] is a point-in-time read of the handles,
 //!   and [`PhaseBreakdown`] attributes a run's wall clock to phases.
 //!
 //! Recording is always on: there is one configuration, and every number the
 //! benchmark reports includes its cost.
 
+use crate::obs::{
+    fields, Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricSnapshot,
+};
 use crate::wal::SyncReason;
 use rxview_core::{MaintainReport, PhaseTimings, PlanCache, PlanCacheStats, XmlViewSystem};
-use rxview_obs::{fields, Counter, FlightRecorder, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,15 +49,15 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Declares the engine's metrics — `doc · field: kind "registry.name"` —
-/// and generates [`EngineStats`] (one `Arc` handle per entry, registered in
-/// `new`), [`EngineReport`] (one field per `reported` entry, under the
-/// entry's doc) and `report()`'s copy between them. A `counter` or `gauge`
-/// reads as `u64`, a `timer` (a nanosecond [`Histogram`]) as the `Duration`
-/// its samples sum to. `by_hand` entries are registered and recorded the
-/// same way but read irregularly — into `phases`, into `latency`, or not at
-/// all; those fields, the cache deltas and the inert `requeued` are written
-/// out in the macro body.
+/// Declares the engine's metrics — `doc · field: kind "exported.name"` —
+/// and generates [`EngineStats`] (one handle per entry), its name-sorted
+/// `metrics()` listing, [`EngineReport`] (one field per `reported` entry,
+/// under the entry's doc) and `report()`'s copy between them. A `counter`
+/// or `gauge` reads as `u64`, a `timer` (a nanosecond [`Histogram`]) as the
+/// `Duration` its samples sum to. `by_hand` entries are listed and recorded
+/// the same way but read irregularly — into `phases`, into `latency`, or
+/// not at all; those fields, the cache deltas and the inert `requeued` are
+/// written out in the macro body.
 macro_rules! metric_table {
     (@handle counter) => { Counter };
     (@handle gauge) => { Gauge };
@@ -63,9 +65,9 @@ macro_rules! metric_table {
     (@value counter) => { u64 };
     (@value gauge) => { u64 };
     (@value timer) => { Duration };
-    (@register $r:ident counter $name:literal) => { $r.counter($name) };
-    (@register $r:ident gauge $name:literal) => { $r.gauge($name) };
-    (@register $r:ident timer $name:literal) => { $r.histogram($name) };
+    (@snap counter $h:expr) => { MetricSnapshot::Counter($h.get()) };
+    (@snap gauge $h:expr) => { MetricSnapshot::Gauge($h.get()) };
+    (@snap timer $h:expr) => { MetricSnapshot::Histogram(Box::new($h.snapshot())) };
     (@read counter $h:expr) => { $h.get() };
     (@read gauge $h:expr) => { $h.get().max(0) as u64 };
     (@read timer $h:expr) => { Duration::from_nanos($h.sum()) };
@@ -73,22 +75,20 @@ macro_rules! metric_table {
         reported { $( $(#[$doc:meta])* $field:ident: $kind:ident $name:literal, )* }
         by_hand { $( $(#[$hdoc:meta])* $hfield:ident: $hkind:ident $hname:literal, )* }
     ) => {
-        /// Cumulative engine counters and phase histograms, registry-backed.
-        /// Recording is lock-free (the registry lock is taken once, at
-        /// construction); readers, submitters and the committing thread
-        /// update the handles concurrently. Per-update `translate` sums each
+        /// Cumulative engine counters and phase histograms. Recording is
+        /// lock-free: readers, submitters and the committing thread update
+        /// the handles concurrently. Per-update `translate` sums each
         /// update's translation, the per-round `*_wall` and publisher-side
         /// phases measure wall clock.
         #[derive(Debug)]
         pub struct EngineStats {
-            registry: Arc<Registry>,
             recorder: Arc<FlightRecorder>,
             /// The (possibly shared) plan cache with this engine's baselines
             /// for its plan counters (ARCHITECTURE.md §8) and its template
             /// counters (§10).
             plan_cache: (Arc<PlanCache>, PlanCacheStats, PlanCacheStats),
-            $( $(#[$doc])* pub(crate) $field: Arc<metric_table!(@handle $kind)>, )*
-            $( $(#[$hdoc])* pub(crate) $hfield: Arc<metric_table!(@handle $hkind)>, )*
+            $( $(#[$doc])* pub(crate) $field: metric_table!(@handle $kind), )*
+            $( $(#[$hdoc])* pub(crate) $hfield: metric_table!(@handle $hkind), )*
         }
 
         impl EngineStats {
@@ -99,15 +99,26 @@ macro_rules! metric_table {
             /// engine's baseline: a report subtracts what other engines (or
             /// warm-up) already accounted.
             pub(crate) fn new(recorder: Arc<FlightRecorder>, plan_cache: Arc<PlanCache>) -> Self {
-                let r = Registry::new();
                 let (plans, templates) = (plan_cache.stats(), plan_cache.template_stats());
                 EngineStats {
                     recorder,
                     plan_cache: (plan_cache, plans, templates),
-                    $( $field: metric_table!(@register r $kind $name), )*
-                    $( $hfield: metric_table!(@register r $hkind $hname), )*
-                    registry: Arc::new(r),
+                    $( $field: Default::default(), )*
+                    $( $hfield: Default::default(), )*
                 }
+            }
+
+            /// Every metric as `(exported name, value)`, name-sorted: the
+            /// exporter's JSONL keys and the text report's rows. Each cell
+            /// is read relaxed, so concurrent recording may skew
+            /// cross-metric relationships by in-flight updates.
+            pub fn metrics(&self) -> Vec<(&'static str, MetricSnapshot)> {
+                let mut all = vec![
+                    $( ($name, metric_table!(@snap $kind self.$field)), )*
+                    $( ($hname, metric_table!(@snap $hkind self.$hfield)), )*
+                ];
+                all.sort_unstable_by_key(|&(name, _)| name);
+                all
             }
 
             /// A consistent-enough point-in-time copy of all counters.
@@ -139,7 +150,7 @@ macro_rules! metric_table {
             /// clock.
             pub phases: PhaseTimings,
             /// End-to-end admission→ack latency distribution, nanoseconds.
-            pub latency: rxview_obs::HistogramSnapshot,
+            pub latency: HistogramSnapshot,
             /// Plan-cache counters as *this engine's delta* since it was
             /// built over its (possibly shared) cache: hits, misses,
             /// evictions, compiles, and total compile nanoseconds
@@ -232,7 +243,7 @@ metric_table! {
         rounds: counter "round.planned",
         /// ⊤ rounds: the one-update rounds of a ⊤-footprint update. Only
         /// genuinely untypeable paths form one — `//`-headed ones resolve to
-        /// multi-anchor cones and ride ordinary rounds. (The registry name
+        /// multi-anchor cones and ride ordinary rounds. (The exported name
         /// predates the rounds' name.)
         global_lane_rounds: counter "round.global_lane",
         /// Commit rounds that admitted at least one multi-cone (`//`-headed or
@@ -296,14 +307,8 @@ metric_table! {
 }
 
 impl EngineStats {
-    /// The metric registry backing these stats — for exporters and ad-hoc
-    /// inspection ([`rxview_obs::text_report`] renders it for humans).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     /// The engine's flight recorder (bounded ring of structured events).
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+    pub(crate) fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.recorder
     }
 

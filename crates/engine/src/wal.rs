@@ -56,9 +56,9 @@
 //! covered log prefix" step, done at file granularity so it never rewrites
 //! data in place.
 
-use rxview_core::codec::{self, CodecResult, LabelTable};
-use rxview_relstore::codec::{crc32, CodecError, Reader};
-use rxview_xmlkit::xpath::parser::MAX_FILTER_DEPTH;
+use rxview_core::codec::{self, LabelTable};
+use rxview_relstore::codec::{crc32, CodecError, CodecResult, Reader};
+use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};

@@ -1,26 +1,29 @@
-//! Cross-module obs tests: concurrent registry consistency and the
-//! exporter/recorder end-to-end shapes the engine relies on.
+//! Concurrency tests of the telemetry primitives (`rxview_engine::obs`):
+//! the lock-free counters, histograms and the flight recorder the engine's
+//! threads record into at once.
 
-use rxview_obs::{fields, FlightRecorder, Histogram, Registry};
+use rxview_atg::{registrar_atg, registrar_database};
+use rxview_core::XmlViewSystem;
+use rxview_engine::obs::{FieldValue, FlightRecorder, Histogram};
+use rxview_engine::Engine;
 use std::sync::Arc;
 
-/// N threads × M increments through independently-fetched handles must
-/// land exactly N·M on the shared cell — the lock-free registry's core
-/// consistency contract.
+/// N threads × M reader acquisitions must land exactly N·M on the engine's
+/// `snapshot.reads` counter — the lock-free handles' core consistency
+/// contract.
 #[test]
 fn concurrent_counter_increments_are_all_counted() {
     const N_THREADS: usize = 8;
     const M_INCREMENTS: u64 = 10_000;
-    let registry = Arc::new(Registry::new());
+    let db = registrar_database();
+    let atg = registrar_atg(&db).expect("registrar ATG");
+    let engine = Engine::new(XmlViewSystem::new(atg, db).expect("publishes"));
     let handles: Vec<_> = (0..N_THREADS)
         .map(|_| {
-            let registry = Arc::clone(&registry);
+            let engine = engine.clone();
             std::thread::spawn(move || {
-                // Each thread resolves its own handle: get-or-register must
-                // converge on one cell.
-                let counter = registry.counter("test.hits");
                 for _ in 0..M_INCREMENTS {
-                    counter.incr();
+                    drop(engine.snapshot());
                 }
             })
         })
@@ -29,7 +32,7 @@ fn concurrent_counter_increments_are_all_counted() {
         h.join().expect("no panics");
     }
     assert_eq!(
-        registry.counter("test.hits").get(),
+        engine.stats().report().snapshot_reads,
         N_THREADS as u64 * M_INCREMENTS
     );
 }
@@ -40,7 +43,7 @@ fn concurrent_counter_increments_are_all_counted() {
 fn concurrent_histogram_records_are_all_counted() {
     const N_THREADS: u64 = 8;
     const M_RECORDS: u64 = 5_000;
-    let hist = Arc::new(Histogram::new());
+    let hist = Arc::new(Histogram::default());
     let handles: Vec<_> = (0..N_THREADS)
         .map(|t| {
             let hist = Arc::clone(&hist);
@@ -67,12 +70,13 @@ fn concurrent_histogram_records_are_all_counted() {
 #[test]
 fn concurrent_flight_recording_keeps_ordered_unique_seqs() {
     let rec = Arc::new(FlightRecorder::new(512));
-    let handles: Vec<_> = (0..4)
+    let handles: Vec<_> = (0..4u64)
         .map(|t| {
             let rec = Arc::clone(&rec);
             std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    rec.record("tick", fields![thread: t as u64, i: i]);
+                    let fields = vec![("thread", FieldValue::U64(t)), ("i", FieldValue::U64(i))];
+                    rec.record("tick", fields);
                 }
             })
         })

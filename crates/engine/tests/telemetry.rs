@@ -1,5 +1,5 @@
-//! Engine-level telemetry: the registry-backed stats, the flight recorder,
-//! and the JSONL exporter, exercised through real commits.
+//! Engine-level telemetry: the metric table, the flight recorder, and the
+//! JSONL exporter, exercised through real commits.
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig};
@@ -153,23 +153,28 @@ fn telemetry_report_and_flight_recording() {
     }
 }
 
-/// The registry of a fresh engine, name-sorted: the exporter's JSONL keys.
-/// A metric is renamed or dropped here, deliberately, or not at all —
-/// dashboards and `rxbench`'s trace read these names.
+/// The metric listing of a fresh engine, name-sorted: the exporter's JSONL
+/// keys. A metric is renamed or dropped here, deliberately, or not at all —
+/// dashboards and `rxbench`'s trace read these names. Strictly ascending
+/// means no name is declared twice in the metric table.
 #[test]
 fn registry_names_are_pinned() {
-    use rxview_obs::MetricSnapshot::{Counter as C, Gauge as G, Histogram as H};
+    use rxview_engine::obs::MetricSnapshot::{self, Counter as C, Gauge as G, Histogram as H};
     let engine = Engine::new(system(200));
-    let kind = |m: &rxview_obs::MetricSnapshot| match m {
+    let kind = |m: &MetricSnapshot| match m {
         C(_) => 'c',
         G(_) => 'g',
         H(_) => 'h',
     };
-    let snapshot = engine.stats().registry().snapshot();
-    let registered: Vec<(&str, char)> = snapshot
+    let registered: Vec<(&str, char)> = engine
+        .stats()
+        .metrics()
         .iter()
-        .map(|(name, m)| (name.as_str(), kind(m)))
+        .map(|&(name, ref m)| (name, kind(m)))
         .collect();
+    for pair in registered.windows(2) {
+        assert!(pair[0].0 < pair[1].0, "{:?} then {:?}", pair[0], pair[1]);
+    }
     let expected = [
         ("checkpoint.completed", 'c'),
         ("commit.batches", 'c'),
@@ -294,7 +299,7 @@ fn plan_cache_report_rebaselines_per_engine() {
     assert!(compiled.compile_ns > after.compile_ns);
 }
 
-/// The exporter appends one registry snapshot per interval (plus a final
+/// The exporter appends one metric listing per interval (plus a final
 /// one on shutdown) to the configured JSONL path.
 #[test]
 fn metrics_exporter_writes_jsonl() {

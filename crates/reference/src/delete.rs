@@ -1,5 +1,6 @@
-//! §4.2 as specifications. [`closure_source_keys`] derives deletable sources
-//! through the equality closure (Fig. 9) interpretively: the specification
+//! §4.2 as specifications. [`deletable_source`] is `Sr(Q,t)` read off a
+//! key-preserving view's projection. [`closure_source_keys`] derives
+//! deletable sources through the equality closure (Fig. 9) interpretively: the specification
 //! `TranslationTemplates::source_keys` (the compiled candidate-source
 //! program every deletion runs) is held equal to
 //! (`tests/reference_oracles.rs`). It keeps its own union-find; production
@@ -10,17 +11,62 @@
 
 use rxview_atg::NodeId;
 use rxview_core::rel_delete::{source_is_safe, DeleteRejection};
-use rxview_core::{ViewDelta, ViewStore};
+use rxview_core::{SourceRef, ViewDelta, ViewStore};
 use rxview_relstore::{
-    ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider, SourceRef,
-    SpjQuery, Tuple, Value,
+    ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider, SpjQuery, Tuple,
+    Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Computes the deletable source `Sr(Q,t)` of view tuple `t` of a
+/// key-preserving SPJ view `V_Q = Q(I)`: for each FROM entry `Sⱼ`, key
+/// preservation identifies the *unique* base tuple `tⱼ` whose key appears in
+/// `t` such that `t₁,…,tₗ` produce `t` via `Q`. Deleting any `tⱼ` from `Sⱼ`
+/// removes `t` from the view.
+///
+/// Distinct FROM entries referring to the same base table (self-joins) yield
+/// one [`SourceRef`] each; duplicates (same table, same key) are collapsed,
+/// since deleting the base tuple once removes every copy.
+pub fn deletable_source(
+    query: &SpjQuery,
+    provider: &impl SchemaProvider,
+    t: &Tuple,
+) -> RelResult<Vec<SourceRef>> {
+    let positions =
+        query
+            .source_key_positions(provider)?
+            .ok_or_else(|| RelError::NotKeyPreserving {
+                query: query.name().into(),
+            })?;
+    if t.arity() != query.out_arity() {
+        return Err(RelError::ArityMismatch {
+            table: query.name().into(),
+            expected: query.out_arity(),
+            got: t.arity(),
+        });
+    }
+    let mut out: Vec<SourceRef> = Vec::with_capacity(positions.len());
+    for (rel, pos) in positions.iter().enumerate() {
+        let sr = SourceRef {
+            table: query.from()[rel].table.clone(),
+            key: Tuple::from_values(pos.iter().map(|&p| t[p].clone())),
+        };
+        if !out.contains(&sr) {
+            out.push(sr);
+        }
+    }
+    Ok(out)
+}
+
+/// Resolves a [`SourceRef`] to the full base tuple, if it still exists.
+pub fn resolve_source<'a>(db: &'a Database, sr: &SourceRef) -> RelResult<Option<&'a Tuple>> {
+    Ok(db.table(&sr.table)?.get(&sr.key))
+}
 
 /// Computes source keys for a view tuple via the *equality closure* of the
 /// query's predicates.
 ///
-/// [`rxview_relstore::deletable_source`] requires every base-table key
+/// [`deletable_source`] requires every base-table key
 /// column to appear in the projection verbatim. Edge views (§2.3) often
 /// determine key columns *indirectly*: a key column may be equated
 /// (through a chain of equality predicates) to a projected column or to a
@@ -208,8 +254,114 @@ mod tests {
     use crate::eval::eval_xpath_on_dag;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_core::{translate_deletions, xdelete, Reachability, TopoOrder};
-    use rxview_relstore::{schema, tuple, TupleOp};
+    use rxview_relstore::{eval_spj, schema, tuple, TupleOp};
     use rxview_xmlkit::parse_xpath;
+
+    /// A `course` / `prereq` pair joined into a key-preserving view.
+    fn lineage_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            schema("course")
+                .col_str("cno")
+                .col_str("title")
+                .col_str("dept")
+                .key(&["cno"]),
+        )
+        .unwrap();
+        db.create_table(
+            schema("prereq")
+                .col_str("cno1")
+                .col_str("cno2")
+                .key(&["cno1", "cno2"]),
+        )
+        .unwrap();
+        db.insert("course", tuple!["CS650", "Advanced DB", "CS"])
+            .unwrap();
+        db.insert("course", tuple!["CS320", "Algorithms", "CS"])
+            .unwrap();
+        db.insert("prereq", tuple!["CS650", "CS320"]).unwrap();
+        db
+    }
+
+    fn kp_query(db: &Database) -> SpjQuery {
+        let mut q = SpjQuery::builder("Q")
+            .from("prereq", "p")
+            .from("course", "c")
+            .where_col_eq_col(("p", "cno2"), ("c", "cno"))
+            .project(("c", "cno"), "cno")
+            .project(("c", "title"), "title")
+            .build(db)
+            .unwrap();
+        q.make_key_preserving(db).unwrap();
+        q
+    }
+
+    #[test]
+    fn sources_extracted_from_view_tuple() {
+        let db = lineage_db();
+        let q = kp_query(&db);
+        let rows = eval_spj(&db, &q, &[]).unwrap();
+        assert_eq!(rows.len(), 1);
+        let srcs = deletable_source(&q, &db, &rows[0]).unwrap();
+        assert_eq!(srcs.len(), 2);
+        assert_eq!(
+            srcs[0],
+            SourceRef {
+                table: "prereq".into(),
+                key: tuple!["CS650", "CS320"]
+            }
+        );
+        assert_eq!(
+            srcs[1],
+            SourceRef {
+                table: "course".into(),
+                key: tuple!["CS320"]
+            }
+        );
+        // Both resolve to live tuples.
+        for s in &srcs {
+            assert!(resolve_source(&db, s).unwrap().is_some());
+        }
+    }
+
+    #[test]
+    fn non_key_preserving_query_rejected() {
+        let db = lineage_db();
+        let q = SpjQuery::builder("bad")
+            .from("course", "c")
+            .project(("c", "title"), "title")
+            .build(&db)
+            .unwrap();
+        assert!(matches!(
+            deletable_source(&q, &db, &tuple!["Algorithms"]),
+            Err(RelError::NotKeyPreserving { .. })
+        ));
+    }
+
+    #[test]
+    fn arity_mismatch_rejected() {
+        let db = lineage_db();
+        let q = kp_query(&db);
+        assert!(matches!(
+            deletable_source(&q, &db, &tuple!["x"]),
+            Err(RelError::ArityMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn self_join_sources_deduplicated_when_keys_coincide() {
+        let db = lineage_db();
+        let q = SpjQuery::builder("self")
+            .from("course", "c1")
+            .from("course", "c2")
+            .where_col_eq_col(("c1", "cno"), ("c2", "cno"))
+            .project(("c1", "cno"), "k1")
+            .project(("c2", "cno"), "k2")
+            .build(&db)
+            .unwrap();
+        let srcs = deletable_source(&q, &db, &tuple!["CS320", "CS320"]).unwrap();
+        assert_eq!(srcs.len(), 1); // same (table, key) collapses
+    }
 
     /// The Q_edge_takenBy_student shape: the enroll key (ssn, cno) is only
     /// determined through equality with projected columns.

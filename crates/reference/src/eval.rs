@@ -28,8 +28,8 @@
 
 use rxview_atg::NodeId;
 use rxview_core::{DagEval, Reachability, TopoOrder, ViewStore};
-use rxview_xmlkit::xpath::ast::{Filter, XPath};
-use rxview_xmlkit::xpath::normalize::{normalize, NormStep};
+use rxview_xmlkit::xpath::{normalize, NormStep};
+use rxview_xmlkit::xpath::{Filter, XPath};
 use std::collections::{HashMap, HashSet};
 
 /// Compiled predicate slots for the bottom-up pass.

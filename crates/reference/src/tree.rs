@@ -6,9 +6,9 @@
 //! ablation (`paper_tables ablation-dag`). Straightforward recursive set
 //! evaluation — correctness over speed.
 
-use rxview_xmlkit::tree::{NodeId, XmlTree};
-use rxview_xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
+use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::Dtd;
+use rxview_xmlkit::{NodeId, XmlTree};
 use std::collections::HashSet;
 
 /// Evaluates `p` from the root of `tree`, returning selected nodes in

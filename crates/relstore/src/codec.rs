@@ -136,12 +136,12 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends a zigzag-coded signed varint.
-pub fn put_varint_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_varint_i64(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Appends a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
@@ -258,7 +258,7 @@ const TAG_BOOL_FALSE: u8 = 2;
 const TAG_BOOL_TRUE: u8 = 3;
 
 /// Encodes a [`Value`] (tag byte + payload).
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
+pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(i) => {
             out.push(TAG_INT);
@@ -274,7 +274,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 }
 
 /// Decodes a [`Value`].
-pub fn read_value(r: &mut Reader<'_>) -> CodecResult<Value> {
+pub(crate) fn read_value(r: &mut Reader<'_>) -> CodecResult<Value> {
     match r.read_u8()? {
         TAG_INT => Ok(Value::Int(r.read_varint_i64()?)),
         TAG_STR => Ok(Value::from(r.read_str()?)),
@@ -364,7 +364,7 @@ fn read_value_type(r: &mut Reader<'_>) -> CodecResult<ValueType> {
 }
 
 /// Encodes a [`TableSchema`] (name, columns with domains, key positions).
-pub fn put_schema(out: &mut Vec<u8>, schema: &TableSchema) {
+pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &TableSchema) {
     put_str(out, schema.name());
     put_varint(out, schema.arity() as u64);
     for col in schema.columns() {
@@ -388,7 +388,7 @@ pub fn put_schema(out: &mut Vec<u8>, schema: &TableSchema) {
 }
 
 /// Decodes a [`TableSchema`].
-pub fn read_schema(r: &mut Reader<'_>) -> CodecResult<TableSchema> {
+pub(crate) fn read_schema(r: &mut Reader<'_>) -> CodecResult<TableSchema> {
     let name = r.read_str()?.to_owned();
     let arity = r.read_varint()? as usize;
     if arity > r.remaining() {
@@ -438,7 +438,7 @@ pub fn read_schema(r: &mut Reader<'_>) -> CodecResult<TableSchema> {
 }
 
 /// Encodes a [`Table`] (schema + rows in key order).
-pub fn put_table(out: &mut Vec<u8>, table: &Table) {
+pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
     put_schema(out, table.schema());
     put_varint(out, table.len() as u64);
     for row in table.iter() {
@@ -449,14 +449,9 @@ pub fn put_table(out: &mut Vec<u8>, table: &Table) {
 /// Decodes a [`Table`], bulk-loading the rows in the key order they were
 /// written in. Rows are checked against the schema, and rows out of order
 /// (which no encoder writes) are rejected, so a decoded table upholds the
-/// same invariants as a live one.
-pub fn read_table(r: &mut Reader<'_>) -> CodecResult<Table> {
-    read_table_sharing(r, |_| std::iter::empty()).map(|(table, _)| table)
-}
-
-/// [`read_table`] for a table some of whose rows may be in memory already:
-/// `donors` lists, for the decoded schema, rows in this table's key order,
-/// and a decoded row equal to the donor at its key takes the donor's
+/// same invariants as a live one. Some of the table's rows may be in memory
+/// already: `donors` lists, for the decoded schema, rows in this table's key
+/// order, and a decoded row equal to the donor at its key takes the donor's
 /// allocation in place of one of its own — the merge compares a row's
 /// values where they were decoded, before anything is allocated for them.
 /// Returns the table and how many of its rows are donors'.
@@ -615,7 +610,8 @@ mod tests {
         let mut out = Vec::new();
         put_table(&mut out, &table);
         let mut r = Reader::new(&out);
-        let back = read_table(&mut r).unwrap();
+        let (back, shared) = read_table_sharing(&mut r, |_| std::iter::empty()).unwrap();
+        assert_eq!(shared, 0);
         assert!(r.is_empty());
         assert_eq!(back.schema(), table.schema());
         assert_eq!(back.len(), 2);

@@ -160,7 +160,7 @@ pub struct PagedMap<K, V> {
 
 /// What [`PagedMap::try_insert_by`] found under the key: the stored entry,
 /// and the offered one handed back.
-pub type Occupied<'a, K, V> = (&'a (K, V), (K, V));
+pub(crate) type Occupied<'a, K, V> = (&'a (K, V), (K, V));
 
 #[derive(Debug, Clone)]
 struct Run<K, V> {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// Tables are stored behind [`Arc`], so cloning a `Database` is `O(#tables)`
 /// regardless of row counts, and a [`Table`] keeps its rows and indexes in
-/// page-granular copy-on-write containers ([`crate::cow`]), so the first
+/// page-granular copy-on-write containers ([`PagedMap`](crate::PagedMap)), so the first
 /// write to a shared table copies its page directory and then one page per
 /// row it changes. The serving engine relies on this to publish immutable
 /// snapshots cheaply: a snapshot and the writer's working copy share every

@@ -4,40 +4,41 @@
 //!
 //! It provides:
 //! - typed schemas with primary keys and finite/infinite column domains
-//!   ([`mod@schema`], [`value`]);
-//! - key-indexed tables and databases with atomic group updates ([`table`],
-//!   [`database`], [`update`]), stored in the page-granular copy-on-write
-//!   containers of [`cow`] so that versions share everything they did not
-//!   change;
+//!   ([`schema()`], [`Value`]);
+//! - key-indexed tables and databases with atomic group updates ([`Table`],
+//!   [`Database`], [`GroupUpdate`]), stored in the page-granular
+//!   copy-on-write containers [`PagedMap`] and [`PagedVec`] so that versions
+//!   share everything they did not change;
 //! - parameterized select-project-join queries, compiled once into index
-//!   nested-loop plans and run many times ([`spj`], [`eval`]);
-//! - the paper's *key preservation* analysis (§4.1) and deletable-source
-//!   lineage (§4.2) ([`spj`], [`lineage`]).
+//!   nested-loop plans and run many times ([`SpjQuery`], [`SpjPlan`]);
+//! - the paper's *key preservation* analysis (§4.1,
+//!   [`SpjQuery::is_key_preserving`]);
+//! - the binary encoding the checkpoint and log formats are built from
+//!   ([`codec`]).
 //!
 //! Everything is deterministic: tables iterate in key order and query output
 //! is sorted, so publishing and benchmarks are reproducible.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
-pub mod cow;
-pub mod database;
-pub mod error;
-pub mod eval;
-pub mod lineage;
-pub mod schema;
-pub mod spj;
-pub mod table;
-pub mod tuple;
-pub mod update;
-pub mod value;
+mod cow;
+mod database;
+mod error;
+mod eval;
+mod schema;
+mod spj;
+mod table;
+mod tuple;
+mod update;
+mod value;
 
 pub use codec::{crc32, CodecError, CodecResult, Reader};
 pub use cow::{PagedMap, PagedVec};
 pub use database::Database;
 pub use error::{RelError, RelResult};
 pub use eval::{eval_spj, Augmented, SpjPlan, TableSource};
-pub use lineage::{deletable_source, resolve_source, SourceRef};
 pub use schema::{schema, ColumnDef, SchemaBuilder, TableSchema};
 pub use spj::{ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};
 pub use table::Table;

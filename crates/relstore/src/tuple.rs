@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// Tuples are small, frequently cloned (they are table rows, primary keys,
 /// and the keys of the Skolem `gen_id` interner of §2.3), and compared. The
 /// values sit behind an `Arc`, so a clone is a reference-count bump and the
-/// copy-on-write pages of [`crate::cow`] that hold tuples copy handles, not
+/// copy-on-write pages of [`PagedMap`](crate::PagedMap) that hold tuples copy handles, not
 /// values.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Arc<[Value]>);
@@ -88,7 +88,7 @@ impl FromIterator<Value> for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::tuple::Tuple::from_values([$($crate::value::Value::from($v)),*])
+        $crate::Tuple::from_values([$($crate::Value::from($v)),*])
     };
 }
 

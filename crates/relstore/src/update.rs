@@ -61,15 +61,6 @@ impl GroupUpdate {
         GroupUpdate::default()
     }
 
-    /// Builds a group from operations, deduplicating identical ops.
-    pub fn from_ops(ops: impl IntoIterator<Item = TupleOp>) -> Self {
-        let mut g = GroupUpdate::new();
-        for op in ops {
-            g.push(op);
-        }
-        g
-    }
-
     /// Appends an operation, skipping exact duplicates (set-keyed, so
     /// building a large group stays `O(n log n)` rather than quadratic).
     pub fn push(&mut self, op: TupleOp) {

@@ -5,17 +5,18 @@
 //! formula to Walksat \[30\]. That binary is not available offline, so this
 //! crate implements:
 //!
-//! - [`cnf`]: CNF formulas, clauses, assignments;
-//! - [`mod@walksat`]: the Selman–Kautz stochastic local-search solver the paper
-//!   uses (incomplete, fast, seeded for reproducibility);
-//! - [`mod@dpll`]: a complete DPLL solver used as a test oracle and for callers
+//! - [`CnfFormula`]: CNF formulas, clauses, assignments;
+//! - [`walksat()`]: the Selman–Kautz stochastic local-search solver the
+//!   paper uses (incomplete, fast, seeded for reproducibility);
+//! - [`dpll()`]: a complete DPLL solver used as a test oracle and for callers
 //!   that need a definite UNSAT answer on small encodings.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cnf;
-pub mod dpll;
-pub mod walksat;
+mod cnf;
+mod dpll;
+mod walksat;
 
 pub use cnf::{Assignment, Clause, CnfFormula, Lit, Var};
 pub use dpll::{dpll, DpllResult};

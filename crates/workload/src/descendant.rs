@@ -24,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rxview_core::XmlUpdate;
 use rxview_relstore::{tuple, Value};
-use rxview_xmlkit::xpath::ast::StepKind;
 
 /// Tuning of the descendant-axis generator.
 #[derive(Debug, Clone)]
@@ -129,18 +128,18 @@ impl DescendantGen {
     }
 }
 
-/// Whether an update's path leads with `//` (used by benches and tests to
-/// split a mixed stream).
-pub fn is_descendant_headed(u: &XmlUpdate) -> bool {
-    matches!(
-        u.path().steps.first().map(|s| &s.kind),
-        Some(StepKind::DescendantOrSelf)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rxview_xmlkit::xpath::StepKind;
+
+    /// Whether an update's path leads with `//`.
+    fn is_descendant_headed(u: &XmlUpdate) -> bool {
+        matches!(
+            u.path().steps.first().map(|s| &s.kind),
+            Some(StepKind::DescendantOrSelf)
+        )
+    }
 
     #[test]
     fn fraction_controls_phrasing() {

@@ -1,33 +1,36 @@
 //! `rxview-workload` — the datasets and update workloads of the paper's
 //! evaluation (§5):
 //!
-//! - [`synthetic`]: the `C`/`F`/`H`/`CU` generator, the recursive view of
-//!   Fig.10(a), and Fig.10(b)-style dataset statistics;
-//! - [`workloads`]: the W1/W2/W3 insertion and deletion workloads;
-//! - [`path_cache`]: the parsed-XPath cache the generators draw from;
-//! - [`shard_skew`]: anchor-cone-partitioned update streams with a
+//! - [`synthetic_database`] / [`synthetic_atg`]: the `C`/`F`/`H`/`CU`
+//!   generator, the recursive view of Fig.10(a), and Fig.10(b)-style
+//!   dataset statistics ([`dataset_stats`]);
+//! - [`WorkloadGen`]: the W1/W2/W3 insertion and deletion workloads;
+//! - [`PathCache`]: the parsed-XPath cache the generators draw from;
+//! - [`ShardSkewGen`]: anchor-cone-partitioned update streams with a
 //!   controllable hot spot, for the engine's round-width sweeps;
-//! - [`descendant`]: mixed anchored + `//`-headed update streams over hot
+//! - [`DescendantGen`]: mixed anchored + `//`-headed update streams over hot
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
-//! - [`churn`]: steady delete / re-insert traffic with fresh keys, for the
-//!   bounded-state soaks;
-//! - [`recovery`]: mixed workloads and id-independent state fingerprints
-//!   for the equivalence and crash-recovery batteries (their sequential
-//!   oracle is `rxview_reference::reference_apply`);
+//! - [`ChurnGen`]: steady delete / re-insert traffic with fresh keys, for
+//!   the bounded-state soaks;
+//! - [`mixed_updates`] and the id-independent state fingerprints
+//!   ([`edge_fingerprint`], [`base_fingerprint`]) for the equivalence and
+//!   crash-recovery batteries (their sequential oracle is
+//!   `rxview_reference::reference_apply`);
 //! - the registrar running example is re-exported from `rxview-atg`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod churn;
-pub mod descendant;
-pub mod path_cache;
-pub mod recovery;
-pub mod shard_skew;
-pub mod synthetic;
-pub mod workloads;
+mod churn;
+mod descendant;
+mod path_cache;
+mod recovery;
+mod shard_skew;
+mod synthetic;
+mod workloads;
 
 pub use churn::{ChurnGen, NODES_PER_INSERT};
-pub use descendant::{is_descendant_headed, DescendantConfig, DescendantGen};
+pub use descendant::{DescendantConfig, DescendantGen};
 pub use path_cache::PathCache;
 pub use recovery::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
@@ -35,7 +38,7 @@ pub use recovery::{
 pub use rxview_atg::{registrar_atg, registrar_database};
 pub use shard_skew::{ShardSkewGen, SkewConfig};
 pub use synthetic::{
-    dataset_stats, detached_chain_heads, synthetic_atg, synthetic_database, synthetic_dtd,
-    DatasetStats, SyntheticConfig,
+    dataset_stats, detached_chain_heads, synthetic_atg, synthetic_database, DatasetStats,
+    SyntheticConfig,
 };
 pub use workloads::{WorkloadClass, WorkloadGen};

@@ -7,7 +7,7 @@
 
 use rxview_core::XmlUpdate;
 use rxview_relstore::Tuple;
-use rxview_xmlkit::xpath::parser::ParseError;
+use rxview_xmlkit::xpath::ParseError;
 use rxview_xmlkit::{parse_xpath, XPath};
 use std::collections::HashMap;
 

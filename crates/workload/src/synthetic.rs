@@ -229,7 +229,7 @@ fn synthetic_schema(db: &mut Database) {
 }
 
 /// The recursive DTD of Fig.10(a).
-pub fn synthetic_dtd() -> Dtd {
+pub(crate) fn synthetic_dtd() -> Dtd {
     let mut b = Dtd::builder("db");
     b.star("db", "node").expect("fresh builder");
     b.sequence("node", &["id", "payload", "sub"])

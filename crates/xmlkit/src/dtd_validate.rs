@@ -8,7 +8,7 @@
 //! production of `A` is `A → B*`. The check runs in `O(|p| |D|²)` time.
 
 use crate::dtd::{Dtd, TypeId};
-use crate::xpath::ast::{Filter, NodeTest, StepKind, XPath};
+use crate::xpath::{Filter, NodeTest, StepKind, XPath};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -67,7 +67,7 @@ impl std::error::Error for SchemaViolation {}
 /// through which the final step arrives. Filters are ignored (they cannot be
 /// decided at the schema level and only ever *shrink* the reached set, so
 /// ignoring them is conservative — exactly what validation needs).
-pub fn schema_eval(dtd: &Dtd, p: &XPath) -> BTreeSet<(Option<TypeId>, TypeId)> {
+pub(crate) fn schema_eval(dtd: &Dtd, p: &XPath) -> BTreeSet<(Option<TypeId>, TypeId)> {
     let mut current: BTreeSet<(Option<TypeId>, TypeId)> = BTreeSet::new();
     current.insert((None, dtd.root()));
     for step in &p.steps {
@@ -214,7 +214,7 @@ pub fn validate_delete(dtd: &Dtd, p: &XPath) -> Result<(), SchemaViolation> {
 mod tests {
     use super::*;
     use crate::dtd::registrar_dtd;
-    use crate::xpath::parser::parse_xpath;
+    use crate::xpath::parse_xpath;
 
     #[test]
     fn schema_eval_tracks_types() {

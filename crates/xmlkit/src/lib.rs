@@ -1,24 +1,27 @@
 //! `rxview-xmlkit` — the XML substrate of the rxview reproduction:
 //!
-//! - [`dtd`]: normalized, possibly recursive DTDs (§2.2) with recursion
-//!   analysis;
-//! - [`dtd_validate`]: schema-level update validation in `O(|p||D|²)` (§2.4);
-//! - [`tree`]: arena XML trees, serialization, and structural equality;
+//! - [`Dtd`]: normalized, possibly recursive DTDs (§2.2) with recursion
+//!   analysis, and [`normalize_dtd`] for DTDs that are not yet normalized;
+//! - [`validate_insert`] / [`validate_delete`]: schema-level update
+//!   validation in `O(|p||D|²)` (§2.4);
+//! - [`XmlTree`]: arena XML trees, serialization, structural equality, and
+//!   [`parse_tree`] for reading a serialized tree back;
 //! - [`xpath`]: the paper's XPath fragment — parser, AST, and the normal
 //!   form `η₁/…/ηₙ` used by both evaluation passes (§3.2).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod content;
-pub mod dtd;
-pub mod dtd_validate;
-pub mod tree;
-pub mod tree_parse;
+mod content;
+mod dtd;
+mod dtd_validate;
+mod tree;
+mod tree_parse;
 pub mod xpath;
 
 pub use content::{normalize_dtd, ContentModel};
 pub use dtd::{registrar_dtd, Dtd, DtdBuilder, DtdError, Production, TypeId};
-pub use dtd_validate::{schema_eval, validate_delete, validate_insert, SchemaViolation};
+pub use dtd_validate::{validate_delete, validate_insert, SchemaViolation};
 pub use tree::{Node, NodeId, XmlTree};
 pub use tree_parse::{parse_tree, XmlParseError};
 pub use xpath::{normalize, parse_xpath, Filter, NormPath, NormStep, XPath};

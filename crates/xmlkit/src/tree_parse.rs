@@ -6,7 +6,8 @@
 //! self-closing tags, and text content in `pcdata` elements (whose types
 //! come from the DTD). Attributes are accepted and ignored except for the
 //! `ref` attribute of compact serialization, which is *not* resolvable on a
-//! tree and is rejected.
+//! tree and is rejected. Text is kept as the UTF-8 it was written in, and
+//! nesting is bounded (`MAX_NESTING`), so every input is `Ok` or `Err`.
 
 use crate::dtd::Dtd;
 use crate::tree::{NodeId, XmlTree};
@@ -29,12 +30,18 @@ impl fmt::Display for XmlParseError {
 
 impl std::error::Error for XmlParseError {}
 
+/// Deepest element nesting [`parse_tree`] descends into. Each level costs
+/// the parser a stack frame, as it costs the serializer and structural
+/// equality of the tree it returns, so caller text cannot nest deeper.
+const MAX_NESTING: usize = 1024;
+
 /// Parses a serialized XML document into a tree, resolving element names
 /// through `dtd`.
 pub fn parse_tree(input: &str, dtd: &Dtd) -> Result<XmlTree, XmlParseError> {
     let mut p = XmlParser {
-        input: input.as_bytes(),
+        input,
         pos: 0,
+        depth: 0,
         dtd,
     };
     p.skip_ws();
@@ -53,8 +60,10 @@ pub fn parse_tree(input: &str, dtd: &Dtd) -> Result<XmlTree, XmlParseError> {
 }
 
 struct XmlParser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
+    /// Elements open around the one being parsed.
+    depth: usize,
     dtd: &'a Dtd,
 }
 
@@ -73,7 +82,7 @@ impl<'a> XmlParser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -134,13 +143,27 @@ impl<'a> XmlParser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| self.err("non-UTF8 name"))?
-            .to_owned())
+        Ok(self.input[start..self.pos].to_owned())
     }
 
-    /// Parses children + text up to `</name>`.
+    /// Parses children + text up to `</name>`. Every level of nesting passes
+    /// through here, so this is where it is bounded.
     fn parse_content(
+        &mut self,
+        tree: &mut XmlTree,
+        node: NodeId,
+        name: &str,
+    ) -> Result<(), XmlParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("elements nested too deeply"));
+        }
+        self.depth += 1;
+        let parsed = self.parse_content_at_depth(tree, node, name);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn parse_content_at_depth(
         &mut self,
         tree: &mut XmlTree,
         node: NodeId,
@@ -151,7 +174,7 @@ impl<'a> XmlParser<'a> {
             match self.peek() {
                 None => return Err(self.err(&format!("unterminated <{name}>"))),
                 Some(b'<') => {
-                    if self.input[self.pos..].starts_with(b"</") {
+                    if self.input[self.pos..].starts_with("</") {
                         self.pos += 2;
                         let close = self.name()?;
                         if close != name {
@@ -166,7 +189,7 @@ impl<'a> XmlParser<'a> {
                         self.pos += 1;
                         let trimmed = text.trim();
                         if !trimmed.is_empty() {
-                            set_text(tree, node, trimmed);
+                            tree.set_node_text(node, trimmed);
                         }
                         return Ok(());
                     }
@@ -177,18 +200,17 @@ impl<'a> XmlParser<'a> {
                         self.parse_content(tree, child, &child_name)?;
                     }
                 }
-                Some(c) => {
-                    text.push(c as char);
-                    self.pos += 1;
+                Some(_) => {
+                    // Up to the next tag: `<` is ASCII, so both ends of the
+                    // run are character boundaries.
+                    let run = &self.input[self.pos..];
+                    let len = run.find('<').unwrap_or(run.len());
+                    text.push_str(&run[..len]);
+                    self.pos += len;
                 }
             }
         }
     }
-}
-
-/// Sets the text of a leaf node (pcdata content).
-fn set_text(tree: &mut XmlTree, node: NodeId, text: &str) {
-    tree.set_node_text(node, text);
 }
 
 #[cfg(test)]

@@ -93,15 +93,6 @@ impl Filter {
     pub fn not(a: Filter) -> Filter {
         Filter::Not(Box::new(a))
     }
-
-    /// All direct sub-filters (for topological processing, §3.2).
-    pub fn subfilters(&self) -> Vec<&Filter> {
-        match self {
-            Filter::And(a, b) | Filter::Or(a, b) => vec![a, b],
-            Filter::Not(a) => vec![a],
-            _ => Vec::new(),
-        }
-    }
 }
 
 /// An XPath expression: a sequence of steps evaluated from a context node.
@@ -281,7 +272,6 @@ mod tests {
             Filter::LabelIs("a".into()),
             Filter::not(Filter::LabelIs("b".into())),
         );
-        assert_eq!(f.subfilters().len(), 2);
         assert_eq!(f.to_string(), "(label()=a and not(label()=b))");
     }
 }

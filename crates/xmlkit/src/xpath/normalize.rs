@@ -79,7 +79,7 @@ fn conjoin(filters: &[Filter]) -> Option<Filter> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xpath::parser::parse_xpath;
+    use crate::xpath::parse_xpath;
 
     #[test]
     fn plain_path_maps_one_to_one() {

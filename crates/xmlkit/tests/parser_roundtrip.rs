@@ -4,9 +4,9 @@
 //! filters qualify node tests).
 
 use proptest::prelude::*;
-use rxview_xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
-use rxview_xmlkit::xpath::normalize::normalize;
-use rxview_xmlkit::xpath::parser::parse_xpath;
+use rxview_xmlkit::xpath::normalize;
+use rxview_xmlkit::xpath::parse_xpath;
+use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 
 fn arb_label() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,6}".prop_filter("reserved words", |s| {

@@ -181,7 +181,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovery.replayed_updates, recovery.replay_full_evals
     );
 
-    // 9. Observability: every engine carries a lock-free metric registry and
+    // 9. Observability: every engine carries lock-free metrics and
     //    a flight recorder; `telemetry_report` renders both human-readably.
     println!("\n{}", recovered.telemetry_report());
     let _ = std::fs::remove_dir_all(&dir);

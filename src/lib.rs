@@ -14,9 +14,6 @@
 //! - [`engine`]: the concurrent serving layer — snapshot-isolated readers
 //!   and writes group-committed in conflict-free rounds through one round
 //!   pipeline over the core processor.
-//! - [`obs`]: the dependency-free telemetry layer the engine is built on —
-//!   lock-free metric registry, log₂ latency histograms, span timers, a
-//!   ring-buffer flight recorder, and a JSONL exporter.
 //! - [`workload`]: the registrar example, the synthetic dataset of §5,
 //!   concurrent reader/writer mixes, and hot-anchor skewed traffic.
 //!
@@ -27,7 +24,6 @@
 pub use rxview_atg as atg;
 pub use rxview_core as core;
 pub use rxview_engine as engine;
-pub use rxview_obs as obs;
 pub use rxview_relstore as relstore;
 pub use rxview_satsolver as satsolver;
 pub use rxview_workload as workload;

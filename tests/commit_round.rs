@@ -202,7 +202,7 @@ fn n_shards_changes_no_round_and_no_log_byte() {
 /// commit makes room again.
 #[test]
 fn a_full_admission_queue_refuses_until_a_commit_drains_it() {
-    use rxview::engine::{engine::MAX_QUEUE, EngineError};
+    use rxview::engine::{EngineError, MAX_QUEUE};
     let db = rxview::workload::registrar_database();
     let atg = rxview::workload::registrar_atg(&db).expect("valid ATG");
     let engine = Engine::new(XmlViewSystem::new(atg, db).expect("publishes"));

@@ -13,7 +13,7 @@ use rxview::core::{
 };
 use rxview::relstore::{tuple, Tuple, Value};
 use rxview::workload::{registrar_atg, registrar_database};
-use rxview::xmlkit::xpath::ast::{Filter, NodeTest, Step, StepKind, XPath};
+use rxview::xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_reference::{eval_on_tree, eval_xpath_on_dag};
 
 /// Random XPath over the registrar vocabulary.

@@ -3,7 +3,7 @@
 //! list under `[dev-dependencies]` and nowhere else. This reads their
 //! manifests (no `cargo` subprocess).
 
-const PRODUCTION: &str = "atg core engine obs relstore satsolver xmlkit workload";
+const PRODUCTION: &str = "atg core engine relstore satsolver xmlkit workload";
 
 /// The TOML table of each mention of `rxview-reference` in `manifest`: as a
 /// key (`rxview-reference = ...`), a dotted header
