@@ -26,8 +26,12 @@
 //!
 //! ```text
 //! round  = varint epoch · varint n · update*n
-//! update = head · [insert: label(type) · tuple($A)] · path
-//!          head bit 0: 0 insert / 1 delete; bit 1: 0 Abort / 1 Proceed
+//! update = head · [insert: label(type) · tuple($A)] · path      — spelled
+//!        | head · varint k · [insert: value*] · literal*        — shaped
+//!          head bit 0: 0 insert / 1 delete; bit 1: 0 Abort / 1 Proceed;
+//!          bit 2: 0 spelled / 1 shaped, the shape table's k-th entry
+//! literal = varint (n << 1)            — n a canonical u64 below 2⁶³
+//!         | varint (len << 1 | 1) · UTF-8 bytes
 //! path   = varint n_steps · step*
 //! step   = head · [child-label: label] · [k = 63: varint (k − 63)] · filter*k
 //!          head bits 0–1: 0 self / 1 child-label / 2 child-* / 3 `//`;
@@ -44,15 +48,30 @@
 //! record needs no grammar to be read. Tag 6 is the overwhelmingly common
 //! filter `[child = "decimal"]`; a constant that is not the canonical
 //! decimal form of a `u64` (`"007"`, `"+5"`, `"18446744073709551616"`)
-//! stays a string under tag 1 and comes back byte for byte. Decoding is
-//! total: counts and table indices are bounded by the input that remains
-//! and filters nest at most [`MAX_FILTER_DEPTH`] deep, the bound the parser
-//! puts on the same tree.
+//! stays a string under tag 1 and comes back byte for byte.
+//!
+//! Every update spelled in full joins the record's **shape table**. A later
+//! update of the same shape — the same kind, an insertion's type and value
+//! types, and a path that differs only in its `p = "s"` literals, keyed by
+//! the plan cache's shape key (`plan::shape_path`) — is written *shaped*:
+//! the table index, the inserted values without their tags (the shape fixes
+//! their types), and the path's literals in the order the plan cache binds
+//! its slots (`plan::bind` puts them back). A record of 256 updates over a
+//! handful of shapes so costs about their literals per update.
+//!
+//! Decoding is total: counts, table indices and literal lengths are bounded
+//! by the input that remains, filters nest at most [`MAX_FILTER_DEPTH`]
+//! deep (the bound the parser puts on the same tree), a shaped update must
+//! name an entry of its own kind, and only an entry that weighs at most
+//! `MAX_TEMPLATE_WEIGHT` AST nodes and label bytes (the encoder spells
+//! heavier ones in full), so that a hostile record cannot clone one large
+//! entry once per two bytes.
 //!
 //! [`read_update_v1`] reads the format this one replaced — a path as its
 //! display text — and is kept for log segments written before it; nothing
 //! writes that format.
 
+use crate::plan::{bind, same_shape, shape_path};
 use crate::processor::XmlViewSystem;
 use crate::reach::{AncestorLoad, Reachability, RunBuf};
 use crate::topo::TopoOrder;
@@ -60,13 +79,14 @@ use crate::update::{SideEffectPolicy, XmlUpdate};
 use crate::viewstore::{gen_rows, ViewStore};
 use rxview_atg::{Atg, Dag, GenId, NodeId};
 use rxview_relstore::codec::{
-    put_database, put_str, put_tuple, put_varint, read_database, read_table_sharing, read_tuple,
-    skip_database, CodecError, Reader,
+    put_database, put_str, put_tuple, put_value_untagged, put_varint, read_database,
+    read_table_sharing, read_tuple, read_value_of, skip_database, CodecError, Reader,
 };
-use rxview_relstore::Database;
+use rxview_relstore::{Database, Tuple, Value, ValueType};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::TypeId;
+use std::collections::HashMap;
 
 use rxview_relstore::codec::CodecResult;
 
@@ -76,6 +96,13 @@ use rxview_relstore::codec::CodecResult;
 
 const HEAD_DELETE: u8 = 1;
 const HEAD_PROCEED: u8 = 2;
+const HEAD_SHAPED: u8 = 4;
+
+/// The most a template may weigh ([`weighs_at_most`]) and still be named by
+/// a shaped update: decoding one clones at most this much of its template
+/// for the two bytes its head and index cost. The encoder spells heavier
+/// updates in full.
+const MAX_TEMPLATE_WEIGHT: usize = 128;
 
 const STEP_SELF: u8 = 0;
 const STEP_LABEL: u8 = 1;
@@ -95,16 +122,22 @@ const FILTER_CHILD_EQ_U64: u8 = 6;
 /// One logged update: the logical update plus its side-effect policy.
 pub type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
 
-/// The label table of a record being written: where in the output buffer
-/// each label was first spelled. Reusable scratch — [`put_round`] clears it.
+/// The tables of a record being written: where in the output buffer each
+/// label was first spelled, and the shape table. Reusable scratch —
+/// [`put_round`] clears it.
 #[derive(Debug, Default)]
-pub struct LabelTable {
+pub struct RecordTables {
     spans: Vec<std::ops::Range<usize>>,
+    /// Shape key ([`shape_key`]) → the shape's index in the table and the
+    /// round's update that spelled it.
+    shapes: HashMap<String, (usize, usize)>,
+    /// The key of the update being written.
+    key: String,
 }
 
 struct Encoder<'a> {
     out: &'a mut Vec<u8>,
-    labels: &'a mut LabelTable,
+    labels: &'a mut Vec<std::ops::Range<usize>>,
 }
 
 /// `Some(n)` iff `s` is the canonical decimal form of the `u64` `n`.
@@ -113,10 +146,102 @@ fn canonical_u64(s: &str) -> Option<u64> {
     s.parse().ok().filter(|_| canonical)
 }
 
+/// The key of `update`'s entry in a record's shape table: [`shape_path`]'s
+/// key of its path, then the kind, and an insertion's type and value
+/// types; `literals` gets the path's literals in the order the shaped form
+/// writes them. Keys may collide (labels are spelled as they are); the
+/// encoder names a shape only after [`same_update_shape`] agrees.
+fn shape_key<'a>(update: &'a XmlUpdate, key: &mut String, literals: &mut Vec<&'a str>) {
+    key.clear();
+    literals.clear();
+    shape_path(update.path(), key, literals);
+    match update {
+        XmlUpdate::Delete { .. } => key.push('\u{0}'),
+        XmlUpdate::Insert { ty, attr, .. } => {
+            key.push('\u{1}');
+            key.push_str(ty);
+            key.extend(attr.iter().map(|v| match v.value_type() {
+                ValueType::Int => 'i',
+                ValueType::Str => 's',
+                ValueType::Bool => 'b',
+            }));
+        }
+    }
+}
+
+/// Whether `u` can be written as a shaped update naming `template`: the
+/// same kind, an insertion's type and value types, and a path that differs
+/// at most in its literals.
+fn same_update_shape(template: &XmlUpdate, u: &XmlUpdate) -> bool {
+    let same_types = |a: &Tuple, b: &Tuple| {
+        a.iter()
+            .map(Value::value_type)
+            .eq(b.iter().map(Value::value_type))
+    };
+    match (template, u) {
+        (XmlUpdate::Delete { path: p }, XmlUpdate::Delete { path: q }) => same_shape(p, q),
+        (
+            XmlUpdate::Insert { ty, attr, path: p },
+            XmlUpdate::Insert {
+                ty: ty2,
+                attr: attr2,
+                path: q,
+            },
+        ) => ty == ty2 && same_types(attr, attr2) && same_shape(p, q),
+        _ => false,
+    }
+}
+
+/// Whether what a shaped update clones of `template` — one unit per AST
+/// node and per byte of a label, its type included — is at most `budget`.
+/// Stops counting once over, so the answer costs at most `budget` steps.
+fn weighs_at_most(template: &XmlUpdate, budget: usize) -> bool {
+    fn spend(left: &mut usize, n: usize) -> bool {
+        left.checked_sub(n).map(|l| *left = l).is_some()
+    }
+    fn path(p: &XPath, left: &mut usize) -> bool {
+        p.steps.iter().all(|s| {
+            let label = match &s.kind {
+                StepKind::Child(NodeTest::Label(l)) => l.len(),
+                _ => 0,
+            };
+            spend(left, 1 + label) && s.filters.iter().all(|f| filter(f, left))
+        })
+    }
+    fn filter(f: &Filter, left: &mut usize) -> bool {
+        spend(left, 1)
+            && match f {
+                Filter::Path(p) | Filter::PathEq(p, _) => path(p, left),
+                Filter::LabelIs(l) => spend(left, l.len()),
+                Filter::And(a, b) | Filter::Or(a, b) => filter(a, left) && filter(b, left),
+                Filter::Not(a) => filter(a, left),
+            }
+    }
+    let mut left = budget;
+    let ty = match template {
+        XmlUpdate::Insert { ty, .. } => ty.len(),
+        XmlUpdate::Delete { .. } => 0,
+    };
+    spend(&mut left, ty) && path(template.path(), &mut left)
+}
+
+/// A shaped update's literal: `varint(n << 1)` for the canonical decimal
+/// form of a `u64` `n` below 2⁶³, otherwise `varint(len << 1 | 1)` and the
+/// UTF-8 bytes.
+fn put_literal(out: &mut Vec<u8>, s: &str) {
+    match canonical_u64(s).filter(|&n| n < 1 << 63) {
+        Some(n) => put_varint(out, n << 1),
+        None => {
+            put_varint(out, (s.len() as u64) << 1 | 1);
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
 impl Encoder<'_> {
     fn label(&mut self, label: &str) {
-        let spans = &self.labels.spans;
-        match spans
+        match self
+            .labels
             .iter()
             .position(|span| &self.out[span.clone()] == label.as_bytes())
         {
@@ -125,7 +250,7 @@ impl Encoder<'_> {
                 self.out.push(0);
                 put_str(self.out, label);
                 let end = self.out.len();
-                self.labels.spans.push(end - label.len()..end);
+                self.labels.push(end - label.len()..end);
             }
         }
     }
@@ -212,31 +337,67 @@ impl Encoder<'_> {
 }
 
 /// Appends one round's record payload to `out`: epoch, update count, the
-/// updates in order, all sharing one label table (module docs). A round
-/// whose paths nest filters deeper than [`MAX_FILTER_DEPTH`]
-/// ([`XPath::filter_depth`]) encodes, but [`read_round`] refuses it: the
-/// caller checks before it acknowledges anything.
-pub fn put_round(out: &mut Vec<u8>, labels: &mut LabelTable, epoch: u64, updates: &[LoggedUpdate]) {
-    labels.spans.clear();
+/// updates in order, all sharing one label table and one shape table
+/// (module docs). A round whose paths nest filters deeper than
+/// [`MAX_FILTER_DEPTH`] ([`XPath::filter_depth`]) encodes, but
+/// [`read_round`] refuses it: the caller checks before it acknowledges
+/// anything.
+pub fn put_round(
+    out: &mut Vec<u8>,
+    tables: &mut RecordTables,
+    epoch: u64,
+    updates: &[LoggedUpdate],
+) {
+    let RecordTables { spans, shapes, key } = tables;
+    spans.clear();
+    shapes.clear();
     put_varint(out, epoch);
     put_varint(out, updates.len() as u64);
-    let mut enc = Encoder { out, labels };
-    for (update, policy) in updates {
+    let mut literals = Vec::new();
+    let mut n_spelled = 0;
+    for (i, (update, policy)) in updates.iter().enumerate() {
         let proceed = *policy == SideEffectPolicy::Proceed;
-        enc.update(update, if proceed { HEAD_PROCEED } else { 0 });
+        let policy_bit = if proceed { HEAD_PROCEED } else { 0 };
+        shape_key(update, key, &mut literals);
+        match shapes.get(key.as_str()) {
+            Some(&(k, first)) if same_update_shape(&updates[first].0, update) => {
+                let kind_bit = match update {
+                    XmlUpdate::Insert { .. } => 0,
+                    XmlUpdate::Delete { .. } => HEAD_DELETE,
+                };
+                out.push(HEAD_SHAPED | kind_bit | policy_bit);
+                put_varint(out, k as u64);
+                if let XmlUpdate::Insert { attr, .. } = update {
+                    attr.iter().for_each(|v| put_value_untagged(out, v));
+                }
+                literals.iter().for_each(|s| put_literal(out, s));
+            }
+            named => {
+                Encoder { out, labels: spans }.update(update, policy_bit);
+                if named.is_none() && weighs_at_most(update, MAX_TEMPLATE_WEIGHT) {
+                    shapes.insert(key.clone(), (n_spelled, i));
+                }
+                n_spelled += 1;
+            }
+        }
     }
 }
 
 /// Encodes an [`XmlUpdate`] on its own: the round record's update form with
 /// a label table of its own and no policy (the policy bit is clear).
 pub fn put_update(out: &mut Vec<u8>, update: &XmlUpdate) {
-    let labels = &mut LabelTable::default();
+    let labels = &mut Vec::new();
     Encoder { out, labels }.update(update, 0);
 }
 
 struct Decoder<'r, 'a> {
     r: &'r mut Reader<'a>,
     labels: Vec<&'a str>,
+    /// The updates read so far, with their heads' policies.
+    updates: Vec<LoggedUpdate>,
+    /// The shape table: the updates spelled in full, by their index in
+    /// `updates`.
+    shapes: Vec<usize>,
 }
 
 /// A count of things that each take at least a byte.
@@ -265,24 +426,95 @@ impl<'a> Decoder<'_, 'a> {
         }
     }
 
-    /// An update and its head's policy bit.
-    fn update(&mut self) -> CodecResult<(XmlUpdate, bool)> {
+    /// Reads the next update into `updates`; one spelled in full joins the
+    /// shape table.
+    fn update(&mut self) -> CodecResult<()> {
         let head = self.r.read_u8()?;
-        if head & !(HEAD_DELETE | HEAD_PROCEED) != 0 {
+        if head & !(HEAD_DELETE | HEAD_PROCEED | HEAD_SHAPED) != 0 {
             return Err(CodecError::Invalid(format!("unknown update head {head}")));
         }
-        let update = if head & HEAD_DELETE != 0 {
-            XmlUpdate::Delete {
-                path: self.path(0)?,
-            }
+        let delete = head & HEAD_DELETE != 0;
+        let update = if head & HEAD_SHAPED != 0 {
+            self.shaped(delete)?
         } else {
-            XmlUpdate::Insert {
-                ty: self.label()?.to_owned(),
-                attr: read_tuple(self.r)?,
-                path: self.path(0)?,
+            self.shapes.push(self.updates.len());
+            if delete {
+                XmlUpdate::Delete {
+                    path: self.path(0)?,
+                }
+            } else {
+                XmlUpdate::Insert {
+                    ty: self.label()?.to_owned(),
+                    attr: read_tuple(self.r)?,
+                    path: self.path(0)?,
+                }
             }
         };
-        Ok((update, head & HEAD_PROCEED != 0))
+        let policy = match head & HEAD_PROCEED {
+            0 => SideEffectPolicy::Abort,
+            _ => SideEffectPolicy::Proceed,
+        };
+        self.updates.push((update, policy));
+        Ok(())
+    }
+
+    /// The body of a shaped update: the index of its template in the shape
+    /// table, an insertion's values untagged, and the path's literals.
+    fn shaped(&mut self, delete: bool) -> CodecResult<XmlUpdate> {
+        if self.shapes.is_empty() {
+            return Err(CodecError::Invalid(
+                "a shaped update before any shape".into(),
+            ));
+        }
+        let k = self.r.read_varint()?;
+        let template = usize::try_from(k)
+            .ok()
+            .and_then(|k| self.shapes.get(k))
+            .map(|&i| &self.updates[i].0)
+            .ok_or_else(|| {
+                CodecError::Invalid(format!("shape {k} of a table of {}", self.shapes.len()))
+            })?;
+        if !weighs_at_most(template, MAX_TEMPLATE_WEIGHT) {
+            return Err(CodecError::Invalid(format!(
+                "shape {k} weighs more than {MAX_TEMPLATE_WEIGHT}"
+            )));
+        }
+        let (inserted, path) = match (template, delete) {
+            (XmlUpdate::Delete { path }, true) => (None, path),
+            (XmlUpdate::Insert { ty, attr, path }, false) => {
+                let values = attr.iter().map(|v| read_value_of(self.r, v.value_type()));
+                (Some((ty, values.collect::<CodecResult<Tuple>>()?)), path)
+            }
+            (_, true) => {
+                let why = format!("a deletion names shape {k}, an insertion's");
+                return Err(CodecError::Invalid(why));
+            }
+            (_, false) => {
+                let why = format!("an insertion names shape {k}, a deletion's");
+                return Err(CodecError::Invalid(why));
+            }
+        };
+        // A literal that does not decode ends the record; `bind` still
+        // takes a string for it, and the path it builds is dropped.
+        let r = &mut *self.r;
+        let mut failed = None;
+        let path = bind(path, &mut || {
+            read_literal(r).unwrap_or_else(|e| {
+                failed.get_or_insert(e);
+                String::new()
+            })
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        Ok(match inserted {
+            None => XmlUpdate::Delete { path },
+            Some((ty, attr)) => XmlUpdate::Insert {
+                ty: ty.clone(),
+                attr,
+                path,
+            },
+        })
     }
 
     /// A path sitting under `depth` levels of filter. Its vectors grow as
@@ -340,35 +572,46 @@ impl<'a> Decoder<'_, 'a> {
     }
 }
 
+/// A shaped update's literal ([`put_literal`]).
+fn read_literal(r: &mut Reader<'_>) -> CodecResult<String> {
+    let v = r.read_varint()?;
+    if v & 1 == 0 {
+        return Ok((v >> 1).to_string());
+    }
+    let len = usize::try_from(v >> 1).map_err(|_| CodecError::Truncated)?;
+    std::str::from_utf8(r.read_slice(len)?)
+        .map(str::to_owned)
+        .map_err(|_| CodecError::Invalid("literal is not UTF-8".into()))
+}
+
+impl<'r, 'a> Decoder<'r, 'a> {
+    fn new(r: &'r mut Reader<'a>, n: usize) -> Self {
+        Decoder {
+            r,
+            labels: Vec::new(),
+            updates: Vec::with_capacity(n),
+            shapes: Vec::new(),
+        }
+    }
+}
+
 /// Decodes a [`put_round`] payload: the epoch and the round's updates.
 pub fn read_round(r: &mut Reader<'_>) -> CodecResult<(u64, Vec<LoggedUpdate>)> {
     let epoch = r.read_varint()?;
     let n = read_count(r)?;
-    let mut dec = Decoder {
-        r,
-        labels: Vec::new(),
-    };
-    let mut updates = Vec::with_capacity(n);
+    let mut dec = Decoder::new(r, n);
     for _ in 0..n {
-        let (update, proceed) = dec.update()?;
-        let policy = if proceed {
-            SideEffectPolicy::Proceed
-        } else {
-            SideEffectPolicy::Abort
-        };
-        updates.push((update, policy));
+        dec.update()?;
     }
-    Ok((epoch, updates))
+    Ok((epoch, dec.updates))
 }
 
 /// Decodes a [`put_update`] encoding.
 pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
-    let mut dec = Decoder {
-        r,
-        labels: Vec::new(),
-    };
-    match dec.update()? {
-        (update, false) => Ok(update),
+    let mut dec = Decoder::new(r, 1);
+    dec.update()?;
+    match dec.updates.pop() {
+        Some((update, SideEffectPolicy::Abort)) => Ok(update),
         _ => Err(CodecError::Invalid(
             "an update on its own has no policy".into(),
         )),
@@ -730,7 +973,7 @@ mod tests {
         for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
             let round: Vec<LoggedUpdate> = cases.iter().map(|u| (u.clone(), policy)).collect();
             let mut out = Vec::new();
-            put_round(&mut out, &mut LabelTable::default(), 7, &round);
+            put_round(&mut out, &mut RecordTables::default(), 7, &round);
             let mut r = Reader::new(&out);
             assert_eq!(read_round(&mut r).unwrap(), (7, round));
             assert!(r.is_empty());

@@ -9,13 +9,16 @@
 //! silently: WAL segments and checkpoints written by one build must stay
 //! readable by the next, or bump their version magic.
 
+mod common;
+
+use common::{constant_strategy, filter_strategy, label_strategy, path_strategy};
 use proptest::prelude::*;
-use rxview_core::codec::{self, LabelTable, LoggedUpdate};
+use rxview_core::codec::{self, LoggedUpdate, RecordTables};
 use rxview_core::{SideEffectPolicy, XmlUpdate};
 use rxview_relstore::codec::{put_tuple, put_varint, read_tuple, CodecError, Reader};
 use rxview_relstore::{tuple, Tuple, Value};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
-use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
+use rxview_xmlkit::xpath::{Filter, Step, XPath};
 
 fn value_strategy() -> BoxedStrategy<Value> {
     prop_oneof![
@@ -103,10 +106,14 @@ fn golden_bytes_pin_the_format() {
     assert_eq!(read_tuples(&expected, tuples.len()), tuples);
 }
 
-/// The round record (what a `RXWALv2` segment frames) is pinned too: an
+/// The round record (what a `RXWALv3` segment frames) is pinned too: an
 /// insertion and a deletion of one round, the second spelling none of its
-/// labels again. The format this replaced opened its segments `RXWALv1`;
-/// its bytes are pinned by the engine's checked-in v1 directories.
+/// labels again, then an update of each one's shape, written as the shape's
+/// index, the inserted value untagged and the literals — `"007"` as text,
+/// `4096` as a number. A record without the third and fourth update is what
+/// a `RXWALv2` segment framed; the format before that opened its segments
+/// `RXWALv1`, and its bytes are pinned by the engine's checked-in v1
+/// directories.
 #[test]
 fn golden_bytes_pin_logged_updates() {
     let round: Vec<LoggedUpdate> = vec![
@@ -118,14 +125,22 @@ fn golden_bytes_pin_logged_updates() {
             XmlUpdate::delete("//course[cno=320]").unwrap(),
             SideEffectPolicy::Abort,
         ),
+        (
+            XmlUpdate::insert("course", tuple!["CS999"], "course[cno=007]/prereq").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+        (
+            XmlUpdate::delete("//course[cno=4096]").unwrap(),
+            SideEffectPolicy::Proceed,
+        ),
     ];
     let mut out = Vec::new();
-    codec::put_round(&mut out, &mut LabelTable::default(), 7, &round);
+    codec::put_round(&mut out, &mut RecordTables::default(), 7, &round);
 
     #[rustfmt::skip]
     let expected: Vec<u8> = vec![
         0x07,                                            // epoch 7
-        0x02,                                            // 2 updates
+        0x04,                                            // 4 updates
         // update 1
         0x02,                                            // head: insert, Proceed
         0x00, 0x06, b'c', b'o', b'u', b'r', b's', b'e',  // new label 1: the type
@@ -144,6 +159,15 @@ fn golden_bytes_pin_logged_updates() {
         0x03,                                            // `//`
         0x05, 0x01,                                      // child step, 1 filter; label 1
         0x06, 0x02, 0xC0, 0x02,                          // filter: [label 2 = "320"]
+        // update 3: update 1's shape
+        0x04,                                            // head: shaped insert, Abort
+        0x00,                                            // shape 0
+        0x05, b'C', b'S', b'9', b'9', b'9',              // "CS999", untagged
+        0x07, b'0', b'0', b'7',                          // literal: 3 bytes of text
+        // update 4: update 2's shape
+        0x07,                                            // head: shaped delete, Proceed
+        0x01,                                            // shape 1
+        0x80, 0x40,                                      // literal: 4096 << 1
     ];
     assert_eq!(out, expected);
     let mut r = Reader::new(&out);
@@ -155,73 +179,6 @@ fn golden_bytes_pin_logged_updates() {
 // Logged updates: injective over the AST, total over bytes.
 // ---------------------------------------------------------------------------
 
-/// Labels that repeat (the pool: later occurrences are back-references) and
-/// labels that do not, with every character the text form could not carry.
-fn label_strategy() -> BoxedStrategy<String> {
-    const POOL: [&str; 6] = ["node", "id", "sub", "", "né/[x]", "it's \"q\""];
-    prop_oneof![
-        (0usize..POOL.len()).prop_map(|i| POOL[i].to_owned()),
-        (0usize..POOL.len()).prop_map(|i| POOL[i].to_owned()),
-        "[ -~]{0,6}".prop_map(|s: String| s),
-    ]
-    .boxed()
-}
-
-/// Constants on either side of "the canonical decimal form of a `u64`".
-fn constant_strategy() -> BoxedStrategy<String> {
-    const EDGES: [&str; 9] = [
-        "0",
-        "007",
-        "18446744073709551615",
-        "18446744073709551616",
-        "-1",
-        "+5",
-        "",
-        "00",
-        "4000000959",
-    ];
-    prop_oneof![
-        (0usize..EDGES.len()).prop_map(|i| EDGES[i].to_owned()),
-        any::<u64>().prop_map(|n| n.to_string()),
-        "[ -~]{0,8}".prop_map(|s: String| s),
-    ]
-    .boxed()
-}
-
-fn path_strategy(filter: BoxedStrategy<Filter>) -> BoxedStrategy<XPath> {
-    let kind = prop_oneof![
-        Just(StepKind::SelfAxis),
-        label_strategy().prop_map(|l| StepKind::Child(NodeTest::Label(l))),
-        label_strategy().prop_map(|l| StepKind::Child(NodeTest::Label(l))),
-        Just(StepKind::Child(NodeTest::Wildcard)),
-        Just(StepKind::DescendantOrSelf),
-    ];
-    let step = (kind, prop::collection::vec(filter, 0..3))
-        .prop_map(|(kind, filters)| Step { kind, filters });
-    prop::collection::vec(step, 0..4)
-        .prop_map(XPath::from_steps)
-        .boxed()
-}
-
-fn filter_strategy() -> BoxedStrategy<Filter> {
-    let child = || label_strategy().prop_map(|l| XPath::from_steps(vec![Step::label(l)]));
-    let leaf = prop_oneof![
-        (child(), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
-        (child(), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
-        label_strategy().prop_map(Filter::LabelIs),
-        child().prop_map(Filter::Path),
-    ];
-    leaf.prop_recursive(4, 32, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Filter::and(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Filter::or(a, b)),
-            inner.clone().prop_map(Filter::not),
-            path_strategy(inner.clone()).prop_map(Filter::Path),
-            (path_strategy(inner), constant_strategy()).prop_map(|(p, c)| Filter::PathEq(p, c)),
-        ]
-    })
-}
-
 fn update_strategy() -> BoxedStrategy<XmlUpdate> {
     let path = || path_strategy(filter_strategy());
     prop_oneof![
@@ -232,17 +189,87 @@ fn update_strategy() -> BoxedStrategy<XmlUpdate> {
     .boxed()
 }
 
-fn round_strategy() -> BoxedStrategy<Vec<LoggedUpdate>> {
-    let policy = any::<bool>().prop_map(|proceed| match proceed {
-        true => SideEffectPolicy::Proceed,
-        false => SideEffectPolicy::Abort,
+fn policy_strategy() -> BoxedStrategy<SideEffectPolicy> {
+    any::<bool>()
+        .prop_map(|proceed| match proceed {
+            true => SideEffectPolicy::Proceed,
+            false => SideEffectPolicy::Abort,
+        })
+        .boxed()
+}
+
+/// `p` with its `p = "s"` literals replaced by `constants` while they last.
+fn refill_path(p: &XPath, constants: &mut impl Iterator<Item = String>) -> XPath {
+    let steps = p.steps.iter().map(|s| Step {
+        kind: s.kind.clone(),
+        filters: s.filters.iter().map(|f| refill(f, constants)).collect(),
     });
-    prop::collection::vec((update_strategy(), policy), 0..6).boxed()
+    XPath::from_steps(steps.collect())
+}
+
+fn refill(f: &Filter, constants: &mut impl Iterator<Item = String>) -> Filter {
+    match f {
+        Filter::Path(p) => Filter::Path(refill_path(p, constants)),
+        Filter::PathEq(p, old) => {
+            let p = refill_path(p, constants);
+            Filter::PathEq(p, constants.next().unwrap_or_else(|| old.clone()))
+        }
+        Filter::LabelIs(l) => Filter::LabelIs(l.clone()),
+        Filter::And(a, b) => Filter::and(refill(a, constants), refill(b, constants)),
+        Filter::Or(a, b) => Filter::or(refill(a, constants), refill(b, constants)),
+        Filter::Not(a) => Filter::not(refill(a, constants)),
+    }
+}
+
+/// `template` with fresh literals and, for an insertion, fresh values of
+/// the same types: an update of the template's shape.
+fn of_shape(template: &XmlUpdate, constants: Vec<String>, seed: u64) -> XmlUpdate {
+    let path = refill_path(template.path(), &mut constants.into_iter());
+    match template {
+        XmlUpdate::Delete { .. } => XmlUpdate::Delete { path },
+        XmlUpdate::Insert { ty, attr, .. } => {
+            let fresh = attr.iter().zip(seed..).map(|(v, n)| match v {
+                Value::Int(_) => Value::Int(n as i64),
+                Value::Str(_) => Value::from(n.to_string()),
+                Value::Bool(_) => Value::Bool(n % 2 == 0),
+            });
+            XmlUpdate::Insert {
+                ty: ty.clone(),
+                attr: fresh.collect(),
+                path,
+            }
+        }
+    }
+}
+
+/// Rounds of independent updates, and rounds that repeat one to three
+/// shapes with fresh literals and values — an engine's rounds, whose later
+/// updates of a shape are written shaped.
+fn round_strategy() -> BoxedStrategy<Vec<LoggedUpdate>> {
+    let independent = prop::collection::vec((update_strategy(), policy_strategy()), 0..6);
+    let refills = (
+        0usize..3,
+        prop::collection::vec(constant_strategy(), 0..6),
+        any::<u64>(),
+        policy_strategy(),
+    );
+    let repeated = (
+        prop::collection::vec(update_strategy(), 1..4),
+        prop::collection::vec(refills, 1..8),
+    )
+        .prop_map(|(templates, refills)| {
+            let refilled = refills.into_iter().map(|(i, constants, seed, policy)| {
+                let template = &templates[i % templates.len()];
+                (of_shape(template, constants, seed), policy)
+            });
+            refilled.collect()
+        });
+    prop_oneof![independent, repeated].boxed()
 }
 
 fn round_bytes(epoch: u64, round: &[LoggedUpdate]) -> Vec<u8> {
     let mut out = Vec::new();
-    codec::put_round(&mut out, &mut LabelTable::default(), epoch, round);
+    codec::put_round(&mut out, &mut RecordTables::default(), epoch, round);
     out
 }
 
@@ -267,7 +294,7 @@ proptest! {
         let back = read_whole_round(&bytes)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(&back, &(epoch, round.clone()));
-        let mut labels = LabelTable::default();
+        let mut labels = RecordTables::default();
         for _ in 0..2 {
             let mut again = Vec::new();
             codec::put_round(&mut again, &mut labels, epoch, &round);
@@ -304,6 +331,27 @@ proptest! {
                 prop_assert_eq!(again.ok(), Some((epoch, other)));
             }
         }
+    }
+}
+
+/// Paths the shape key cannot tell apart — `and`s grouped either way, a
+/// label spelling the key of a filter — are different shapes: the second
+/// of each pair is spelled in full and comes back as itself.
+#[test]
+fn updates_whose_shape_keys_collide_round_trip() {
+    let label = |l: &str| Filter::LabelIs(l.into());
+    let node = |f: Filter| XPath::from_steps(vec![Step::label("node").with_filter(f)]);
+    let left = node(Filter::and(Filter::and(label("a"), label("b")), label("c")));
+    let right = node(Filter::and(label("a"), Filter::and(label("b"), label("c"))));
+    let odd = XPath::from_steps(vec![Step::label("a[/b=?]")]);
+    let keyed = rxview_xmlkit::parse_xpath("a[b=1]").unwrap();
+    for (first, second) in [(left, right), (keyed, odd)] {
+        let round: Vec<LoggedUpdate> = [first, second]
+            .into_iter()
+            .map(|path| (XmlUpdate::Delete { path }, SideEffectPolicy::Abort))
+            .collect();
+        let bytes = round_bytes(1, &round);
+        assert_eq!(read_whole_round(&bytes).unwrap(), (1, round));
     }
 }
 
@@ -347,8 +395,10 @@ fn hostile_records_error_not_panic() {
     // in a filter; an update head, a filter tag nobody writes.
     assert!(invalid(&delete_with_filter(&[0x02, 0x02])));
     assert!(invalid(&[0x01, 0x01, 0x03, 0x01, 0x01, 0x01]));
-    assert!(invalid(&[0x01, 0x01, 0x04]));
+    assert!(invalid(&[0x01, 0x01, 0x08]));
     assert!(invalid(&delete_with_filter(&[0x07])));
+    // A shaped update naming an entry of an empty table.
+    assert!(invalid(&[0x01, 0x01, 0x04]));
     // Counts larger than the input: updates, steps, filters (escaped).
     let mut huge = Vec::new();
     put_varint(&mut huge, u64::MAX);
@@ -377,6 +427,63 @@ fn hostile_records_error_not_panic() {
     assert!(invalid(&delete_with_filter(&paths)));
     // An update on its own has no policy bit.
     assert!(codec::read_update(&mut Reader::new(&sane[2..])).is_err());
+
+    // A shaped update names an entry of the record's own shape table, of its
+    // own kind and light enough to clone; its literals are UTF-8 and no
+    // longer than the input. `delete node[id = "x"]` is shape 0.
+    #[rustfmt::skip]
+    let spelled: &[u8] = &[
+        0x01, 0x01, 0x05, 0x00, 0x04, b'n', b'o', b'd', b'e', // delete: `node`, 1 filter
+        0x01, 0x01, 0x01, 0x00, 0x02, b'i', b'd', 0x01, b'x', // [id = "x"]
+    ];
+    let record = |shaped: &[u8]| [&[0x01, 0x02][..], spelled, shaped].concat();
+    let (_, sane) = read_whole_round(&record(&[0x05, 0x00, 0x03, b'y'])).unwrap();
+    let keyed_y = Step::label("node").with_filter(Filter::PathEq(
+        XPath::from_steps(vec![Step::label("id")]),
+        "y".into(),
+    ));
+    let delete_y = XmlUpdate::Delete {
+        path: XPath::from_steps(vec![keyed_y]),
+    };
+    assert_eq!(sane[1], (delete_y, SideEffectPolicy::Abort));
+    // An index past the table; an insertion naming a deletion's shape.
+    assert!(invalid(&record(&[0x05, 0x01, 0x03, b'y'])));
+    assert!(invalid(&record(&[
+        0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01
+    ])));
+    assert!(invalid(&record(&[0x04, 0x00, 0x03, b'y'])));
+    // A literal that is not UTF-8; one longer than the input.
+    assert!(invalid(&record(&[0x05, 0x00, 0x03, 0xFF])));
+    assert!(truncated(&record(&[0x05, 0x00, 0xC9, 0x01, b'y'])));
+    // A deletion naming an insertion's shape; an untagged `Bool` byte no
+    // encoder writes.
+    let insert = |flag: bool| XmlUpdate::Insert {
+        ty: "node".into(),
+        attr: tuple![flag],
+        path: XPath::from_steps(vec![Step::label("sub")]),
+    };
+    let mut spelled_insert = vec![0x01, 0x02];
+    codec::put_update(&mut spelled_insert, &insert(true));
+    let with = |shaped: &[u8]| [&spelled_insert[..], shaped].concat();
+    let (_, back) = read_whole_round(&with(&[0x04, 0x00, 0x00])).unwrap();
+    assert_eq!(back[1].0, insert(false));
+    assert!(invalid(&with(&[0x05, 0x00])));
+    assert!(invalid(&with(&[0x04, 0x00, 0x02])));
+    // A template heavier than a reference may clone: 200 `*` steps. The
+    // encoder spells every repeat of it in full instead.
+    let wildcard = Step::new(rxview_xmlkit::xpath::StepKind::Child(
+        rxview_xmlkit::xpath::NodeTest::Wildcard,
+    ));
+    let heavy = XmlUpdate::Delete {
+        path: XPath::from_steps(vec![wildcard; 200]),
+    };
+    let mut spelled_heavy = vec![0x01, 0x02];
+    codec::put_update(&mut spelled_heavy, &heavy);
+    assert!(invalid(&[&spelled_heavy[..], &[0x05, 0x00]].concat()));
+    let repeated = vec![(heavy, SideEffectPolicy::Abort); 2];
+    let bytes = round_bytes(1, &repeated);
+    assert_eq!(bytes, [&spelled_heavy[..], &spelled_heavy[2..]].concat());
+    assert_eq!(read_whole_round(&bytes).unwrap().1, repeated);
 }
 
 /// A registrar update from a small pool: enrolments, prerequisite links and

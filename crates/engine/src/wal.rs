@@ -18,15 +18,21 @@
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
 //! ```
 //!
-//! Segments open with `RXWALv2\n`, and a payload is
+//! Segments open with `RXWALv3\n`, and a payload is
 //! [`rxview_core::codec::put_round`]'s: the epoch, the update count, and the
-//! updates with their paths as ASTs over a per-record label table — a
-//! record is self-describing and is read without the XPath parser. `Wal`
-//! owns the one encoder (a frame buffer whose header is patched in place
-//! and the label scratch), reused round after round. Segments opening with
-//! `RXWALv1\n` — paths as display text, a policy byte per update — are still
-//! *read* (`scan_segment` dispatches on the magic), so a directory written
-//! before the change of format recovers; nothing writes them.
+//! updates with their paths as ASTs over a per-record label table, an
+//! update whose shape the record has spelled before written as the shape's
+//! index and its literals — a record is self-describing and is read without
+//! the XPath parser. `Wal` owns the one encoder (a frame buffer whose header
+//! is patched in place, and the label and shape scratch), reused round after
+//! round. Older segments are still *read* (`scan_segment` dispatches on the
+//! magic), so a directory written before a change of format recovers;
+//! nothing writes them:
+//!
+//! - `RXWALv2\n` records are v3 records in which no update names a shape,
+//!   and go through the one decoder, [`rxview_core::codec::read_round`];
+//! - `RXWALv1\n` records — paths as display text, a policy byte per update —
+//!   have their own ([`rxview_core::codec::read_update_v1`]).
 //!
 //! A record with zero updates is legal in a segment — older engines logged
 //! one for a round whose updates were all rejected; today such a round
@@ -56,7 +62,7 @@
 //! covered log prefix" step, done at file granularity so it never rewrites
 //! data in place.
 
-use rxview_core::codec::{self, LabelTable};
+use rxview_core::codec::{self, RecordTables};
 use rxview_relstore::codec::{crc32, CodecError, CodecResult, Reader};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use std::fs::{self, File, OpenOptions};
@@ -101,9 +107,11 @@ impl Durability {
 }
 
 /// Magic bytes opening every segment file this engine writes.
-pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv2\n";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv3\n";
 
-/// Magic bytes of the segments older engines wrote (read-only).
+/// Magic bytes of the segments older engines wrote (read-only): v2 records
+/// are v3 records that name no shape, v1 records spell paths as text.
+const WAL_MAGIC_V2: &[u8; 8] = b"RXWALv2\n";
 const WAL_MAGIC_V1: &[u8; 8] = b"RXWALv1\n";
 
 /// Why an append fsynced — the observable behind the GroupCommit flush
@@ -166,7 +174,7 @@ pub(crate) struct WalRecord {
 #[derive(Debug, Default)]
 struct RecordEncoder {
     frame: Vec<u8>,
-    labels: LabelTable,
+    tables: RecordTables,
 }
 
 impl RecordEncoder {
@@ -186,7 +194,7 @@ impl RecordEncoder {
         }
         self.frame.clear();
         self.frame.extend_from_slice(&[0; 8]);
-        codec::put_round(&mut self.frame, &mut self.labels, epoch, updates);
+        codec::put_round(&mut self.frame, &mut self.tables, epoch, updates);
         let (header, payload) = self.frame.split_at_mut(8);
         let len = u32::try_from(payload.len()).map_err(io::Error::other)?;
         header[..4].copy_from_slice(&len.to_le_bytes());
@@ -248,7 +256,7 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let bytes = fs::read(path)?;
     let mut scan = SegmentScan::default();
     let decode = match bytes.get(..WAL_MAGIC.len()) {
-        Some(magic) if magic == WAL_MAGIC => decode_payload,
+        Some(magic) if magic == WAL_MAGIC || magic == WAL_MAGIC_V2 => decode_payload,
         Some(magic) if magic == WAL_MAGIC_V1 => decode_payload_v1,
         _ => {
             scan.discarded = bytes.len() as u64;
@@ -526,7 +534,31 @@ mod tests {
                 XmlUpdate::insert("node", tuple![9i64, 1i64], "node[id=3]/sub").unwrap(),
                 SideEffectPolicy::Abort,
             ),
+            // The first update's shape again: written as its literals.
+            (
+                XmlUpdate::delete("node[id=4]/sub/node[id=8]").unwrap(),
+                SideEffectPolicy::Proceed,
+            ),
         ]
+    }
+
+    /// A v2 segment — records that name no shape — scans through the v3
+    /// decoder to the rounds it holds.
+    #[test]
+    fn a_v2_segment_reads_through_the_shared_decoder() {
+        let dir = temp_dir("v2");
+        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let unshaped = &sample_updates()[..2];
+        wal.append(1, unshaped).unwrap();
+        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], WAL_MAGIC);
+        bytes[..8].copy_from_slice(WAL_MAGIC_V2);
+        fs::write(&path, &bytes).unwrap();
+        let scan = scan_segment(&path).unwrap();
+        assert_eq!((scan.records.len(), scan.discarded), (1, 0));
+        assert_eq!(scan.records[0].updates, unshaped);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -254,9 +254,12 @@ fn pipelined_sharded_crash_recovery_kill_at_every_round() {
 // 2. Torn tails: truncate / corrupt the final record at every byte.
 // ---------------------------------------------------------------------------
 
-/// Commits `rounds` single-batch rounds on a durable engine, recording the
-/// observational fingerprint after each epoch. Returns the directory and
-/// the per-epoch fingerprints (index 0 = epoch 0, the initial state).
+/// Commits `rounds` single-batch rounds on a durable engine — one deletion
+/// each, the last two deletions of one shape, so that the last record's
+/// second update is written shaped (its head's bit 2, checked here) —
+/// recording the observational fingerprint after each epoch. Returns the
+/// directory and the per-epoch fingerprints (index 0 = epoch 0, the initial
+/// state); the history logs `rounds + 1` updates.
 #[allow(clippy::type_complexity)]
 fn build_logged_history(
     rounds: usize,
@@ -267,7 +270,7 @@ fn build_logged_history(
 ) {
     let (sys, atg) = system(400, 9);
     let deletions = group_edge_deletions(&sys, 400);
-    assert!(deletions.len() >= rounds, "enough deletable group edges");
+    assert!(deletions.len() > rounds, "enough deletable group edges");
     let dir = temp_dir("torn");
     // No automatic checkpoints: the whole history lives in one segment.
     let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
@@ -278,14 +281,23 @@ fn build_logged_history(
         edge_fingerprint(snap.system()),
     ));
     drop(snap);
-    // One deletion per round against distinct group cones: every commit is
-    // one conflict-free batch, i.e. exactly one epoch and one log record.
-    for (r, u) in deletions.into_iter().take(rounds).enumerate() {
-        let t = engine
-            .submit(u, SideEffectPolicy::Proceed)
-            .expect("queue not full");
+    // Deletions against distinct group cones: every commit is one
+    // conflict-free batch, i.e. exactly one epoch and one log record.
+    let mut commits: Vec<&[XmlUpdate]> = deletions[..rounds - 1].chunks(1).collect();
+    commits.push(&deletions[rounds - 1..=rounds]);
+    for (r, commit) in commits.into_iter().enumerate() {
+        let tickets: Vec<_> = commit
+            .iter()
+            .map(|u| {
+                engine
+                    .submit(u.clone(), SideEffectPolicy::Proceed)
+                    .expect("queue not full")
+            })
+            .collect();
         engine.commit_pending();
-        t.wait().expect("group-edge deletion commits");
+        for t in tickets {
+            t.wait().expect("group-edge deletion commits");
+        }
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), (r + 1) as u64, "one epoch per round");
         fingerprints.push((
@@ -294,6 +306,19 @@ fn build_logged_history(
         ));
     }
     drop(engine);
+    // The last record's payload: epoch, count 2, the first deletion spelled
+    // as it is on its own, then the second one's head.
+    let segment = fs::read(the_only_segment(&dir)).expect("read segment");
+    let (mut pos, mut last) = (8, 8);
+    while pos < segment.len() {
+        last = pos;
+        pos += 8 + u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    let payload = &segment[last + 8..];
+    let mut spelled = Vec::new();
+    rxview_core::put_update(&mut spelled, &deletions[rounds - 1]);
+    assert_eq!(payload[..2], [rounds as u8, 2]);
+    assert_eq!(payload[2 + spelled.len()] & 0b100, 0b100, "shaped");
     (dir, atg, fingerprints)
 }
 
@@ -348,7 +373,11 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
             usize::from(cut != boundaries[complete])
         );
         assert_eq!(report.replay_rejected, 0);
-        assert_eq!(report.replayed_updates, complete);
+        assert_eq!(
+            report.replayed_updates,
+            complete + usize::from(complete == rounds),
+            "cut at {cut}: the last record holds two updates"
+        );
         assert_eq!(
             report.replay_full_evals, 0,
             "anchored deletions replay through their scopes"
@@ -812,7 +841,7 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr{19,21,24}_log_dir`, committed on a
+/// The history behind `tests/fixtures/pr{19,21,24,32}_log_dir`, committed on a
 /// durable engine over `dir`: a deletion, a checkpoint, then a deletion and
 /// an insertion left in the log's tail. Returns the ATG and the oracle's
 /// final state.
@@ -844,23 +873,27 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr24_log_dir` is the directory `fixture_history` leaves
+/// `tests/fixtures/pr32_log_dir` is the directory `fixture_history` leaves
 /// behind on this tree: it writes the same bytes for the same history (its
-/// segment opens `RXWALv2`), and recovers them to the oracle's state.
+/// segment opens `RXWALv3`), and recovers them to the oracle's state.
 ///
+/// The older directories stay readable. `tests/fixtures/pr24_log_dir` is what
+/// `fixture_history` left behind before records named shapes (27d2c19): an
+/// `RXWALv2` segment, read by the same decoder as `RXWALv3` — its records
+/// name no shape — beside checkpoints byte for byte this tree's.
 /// `tests/fixtures/pr21_log_dir` is what it left behind before the log
-/// changed format (e219fe9, PR 23), `tests/fixtures/pr19_log_dir` before rows
-/// were stored once and node ids recycled (f0568a3, PR 19). Both stay
-/// readable: their segments are one file of `RXWALv1` records — the same
-/// bytes, the log holds updates, never ids — which the scan reads through the
-/// v1 decoder and replay runs as the rounds they are, and a checkpoint slot
-/// the PR-19 tree wrote dead, `(type, $A, 0)` with the retired pair still in
-/// it, loads as the free id this tree writes as `(0, (), 0)`.
+/// changed format (e219fe9), `tests/fixtures/pr19_log_dir` before rows were
+/// stored once and node ids recycled (f0568a3): their segments are one file
+/// of `RXWALv1` records — the same bytes, the log holds updates, never ids —
+/// which the scan reads through the v1 decoder and replay runs as the rounds
+/// they are, and a checkpoint slot the f0568a3 tree wrote dead, `(type, $A,
+/// 0)` with the retired pair still in it, loads as the free id this tree
+/// writes as `(0, (), 0)`.
 #[test]
 fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let ours = dir_bytes(&fixtures().join("pr24_log_dir"));
+    let ours = dir_bytes(&fixtures().join("pr32_log_dir"));
     let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
@@ -877,8 +910,21 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         assert_eq!(dir.len(), 1, "{fixture}: one segment");
         dir.pop().expect("one segment").1
     };
+    assert!(segment("pr32_log_dir").starts_with(b"RXWALv3\n"));
     assert!(segment("pr24_log_dir").starts_with(b"RXWALv2\n"));
     assert!(segment("pr21_log_dir").starts_with(b"RXWALv1\n"));
+    assert!(
+        segment("pr24_log_dir")[8..] == segment("pr32_log_dir")[8..],
+        "one update a record: no record names a shape, v2 bytes are v3 bytes"
+    );
+    let mut v2 = dir_bytes(&fixtures().join("pr24_log_dir"));
+    v2.retain(|(name, _)| name.ends_with(".rxck"));
+    assert!(
+        ours.iter()
+            .filter(|(name, _)| name.ends_with(".rxck"))
+            .eq(&v2),
+        "the checkpoint format did not change"
+    );
     assert!(
         segment("pr19_log_dir") == segment("pr21_log_dir"),
         "the v1 log never changed"
@@ -886,7 +932,12 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
 
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
-    for fixture in ["pr24_log_dir", "pr21_log_dir", "pr19_log_dir"] {
+    for fixture in [
+        "pr32_log_dir",
+        "pr24_log_dir",
+        "pr21_log_dir",
+        "pr19_log_dir",
+    ] {
         let dir = copy_dir(&fixtures().join(fixture), fixture);
         let (recovered, report) = recover_readonly(&atg, &dir);
         assert_eq!(
@@ -989,7 +1040,7 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
     let written = temp_dir("tail-rewritten");
     let (atg, oracle) = tail_history(&written);
     let v1 = copy_dir(&fixtures().join("pr23_v1_tail_dir"), "v1-tail");
-    for (tag, dir) in [("RXWALv2", written), ("RXWALv1", v1)] {
+    for (tag, dir) in [("RXWALv3", written), ("RXWALv1", v1)] {
         let segment = fs::read(the_only_segment(&dir)).expect("segment");
         assert!(segment.starts_with(tag.as_bytes()), "{tag}");
         let (recovered, report) = recover_readonly(&atg, &dir);

@@ -14,7 +14,10 @@
 //! - unsigned integers are LEB128 varints; signed integers are zigzag-coded
 //!   first, so small magnitudes stay small on disk;
 //! - strings and tuples are length-prefixed, never delimited;
-//! - every enum is a one-byte tag followed by its payload;
+//! - every enum is a one-byte tag followed by its payload — except a value
+//!   whose type the reader already knows ([`put_value_untagged`] /
+//!   [`read_value_of`], which a log record uses for an update whose shape
+//!   it has written before);
 //! - decoding is total: any byte sequence either decodes or returns a
 //!   [`CodecError`] — corrupt input must never panic, because the recovery
 //!   path feeds torn log tails straight into these functions.
@@ -276,11 +279,34 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
 /// Decodes a [`Value`].
 pub(crate) fn read_value(r: &mut Reader<'_>) -> CodecResult<Value> {
     match r.read_u8()? {
-        TAG_INT => Ok(Value::Int(r.read_varint_i64()?)),
-        TAG_STR => Ok(Value::from(r.read_str()?)),
+        TAG_INT => read_value_of(r, ValueType::Int),
+        TAG_STR => read_value_of(r, ValueType::Str),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
         TAG_BOOL_TRUE => Ok(Value::Bool(true)),
         t => Err(CodecError::Invalid(format!("unknown value tag {t}"))),
+    }
+}
+
+/// Encodes a [`Value`] without its tag, for a reader that knows its type
+/// ([`read_value_of`]): an `Int` zigzag-coded, a `Str` length-prefixed, a
+/// `Bool` as one byte 0 or 1. Every value takes at least a byte.
+pub fn put_value_untagged(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Int(i) => put_varint_i64(out, *i),
+        Value::Str(s) => put_str(out, s),
+        Value::Bool(b) => out.push(u8::from(*b)),
+    }
+}
+
+/// Decodes what [`put_value_untagged`] wrote for a value of type `ty`.
+pub fn read_value_of(r: &mut Reader<'_>, ty: ValueType) -> CodecResult<Value> {
+    match ty {
+        ValueType::Int => Ok(Value::Int(r.read_varint_i64()?)),
+        ValueType::Str => Ok(Value::from(r.read_str()?)),
+        ValueType::Bool => match r.read_u8()? {
+            b @ (0 | 1) => Ok(Value::Bool(b == 1)),
+            b => Err(CodecError::Invalid(format!("bool byte {b}"))),
+        },
     }
 }
 
@@ -590,6 +616,32 @@ mod tests {
         let mut r = Reader::new(&out);
         assert_eq!(read_tuple(&mut r).unwrap(), t);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn untagged_values_round_trip_under_their_type() {
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::from("héllo"),
+            Value::from(""),
+            Value::Bool(false),
+            Value::Bool(true),
+        ];
+        for v in &values {
+            let mut out = Vec::new();
+            put_value_untagged(&mut out, v);
+            assert!(!out.is_empty(), "{v:?} takes a byte");
+            let mut r = Reader::new(&out);
+            assert_eq!(&read_value_of(&mut r, v.value_type()).unwrap(), v);
+            assert!(r.is_empty());
+        }
+        let bool_of = |byte: u8| read_value_of(&mut Reader::new(&[byte]), ValueType::Bool);
+        assert!(matches!(bool_of(2), Err(CodecError::Invalid(_))));
+        assert_eq!(
+            read_value_of(&mut Reader::new(&[0x05, b'a']), ValueType::Str),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]
