@@ -44,20 +44,39 @@
 //! ```
 //!
 //! Every label (element types, the inserted type, `label()=`) goes through
-//! the record's **label table**, which the record itself spells out, so a
-//! record needs no grammar to be read. Tag 6 is the overwhelmingly common
+//! the segment's **label table**, which the segment itself spells out, so a
+//! segment needs no grammar to be read. Tag 6 is the overwhelmingly common
 //! filter `[child = "decimal"]`; a constant that is not the canonical
 //! decimal form of a `u64` (`"007"`, `"+5"`, `"18446744073709551616"`)
 //! stays a string under tag 1 and comes back byte for byte.
 //!
-//! Every update spelled in full joins the record's **shape table**. A later
+//! Every update spelled in full joins the segment's **shape table**. A later
 //! update of the same shape — the same kind, an insertion's type and value
 //! types, and a path that differs only in its `p = "s"` literals, keyed by
 //! the plan cache's shape key (`plan::shape_path`) — is written *shaped*:
 //! the table index, the inserted values without their tags (the shape fixes
 //! their types), and the path's literals in the order the plan cache binds
-//! its slots (`plan::bind` puts them back). A record of 256 updates over a
-//! handful of shapes so costs about their literals per update.
+//! its slots (`plan::bind` puts them back). A segment of rounds over a
+//! handful of shapes so costs about their literals per update, however few
+//! updates each round holds.
+//!
+//! ## Tables that live for a segment
+//!
+//! Both tables belong to a log segment (`RXWALv4`), the log's unit of
+//! reading — recovery scans a segment from its magic — and of deletion —
+//! compaction deletes whole files. The writer's [`RecordTables`] and the
+//! reader's [`ReadTables`] start empty at a segment's magic and grow record
+//! by record, so a record may name an entry that a record before it in the
+//! same segment spelled, and never one after it: a torn tail costs only
+//! itself. [`put_round`] *stages* what its record adds;
+//! [`RecordTables::commit`] keeps it once the record is in the log, and the
+//! next [`put_round`] drops whatever was staged and not committed (a refused
+//! or failed append), so no entry of a record that never reached the log
+//! reaches a later record. The writer caps the tables by starting a new
+//! segment once they hold more than a fixed number of entries.
+//! `RXWALv3` and `RXWALv2` records were written over tables of their own;
+//! they are read through the same decoder, [`ReadTables::clear`]ed before
+//! each record.
 //!
 //! Decoding is total: counts, table indices and literal lengths are bounded
 //! by the input that remains, filters nest at most [`MAX_FILTER_DEPTH`]
@@ -65,7 +84,9 @@
 //! name an entry of its own kind, and only an entry that weighs at most
 //! `MAX_TEMPLATE_WEIGHT` AST nodes and label bytes (the encoder spells
 //! heavier ones in full), so that a hostile record cannot clone one large
-//! entry once per two bytes.
+//! entry once per two bytes. The reader's tables hold slices of the
+//! segment's bytes and the updates light enough to name, so they stay
+//! within a constant factor of the segment's size.
 //!
 //! [`read_update_v1`] reads the format this one replaced — a path as its
 //! display text — and is kept for log segments written before it; nothing
@@ -122,22 +143,50 @@ const FILTER_CHILD_EQ_U64: u8 = 6;
 /// One logged update: the logical update plus its side-effect policy.
 pub type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
 
-/// The tables of a record being written: where in the output buffer each
-/// label was first spelled, and the shape table. Reusable scratch —
-/// [`put_round`] clears it.
+/// The label and shape tables of the segment being written (module docs):
+/// committed entries, which the segment's records have spelled, and the
+/// entries the last [`put_round`] staged.
 #[derive(Debug, Default)]
 pub struct RecordTables {
-    spans: Vec<std::ops::Range<usize>>,
-    /// Shape key ([`shape_key`]) → the shape's index in the table and the
-    /// round's update that spelled it.
-    shapes: HashMap<String, (usize, usize)>,
+    /// Label → its index in the label table.
+    labels: HashMap<String, usize>,
+    /// Shape key ([`shape_key`]) → the shape's index in the shape table and
+    /// the update that spelled it.
+    shapes: HashMap<String, (usize, XmlUpdate)>,
+    /// The shape table's length: every update spelled in full, named or not.
+    n_shapes: usize,
+    /// The label and shape tables' lengths at the last commit.
+    committed: (usize, usize),
     /// The key of the update being written.
     key: String,
 }
 
+impl RecordTables {
+    /// Keeps what the last [`put_round`] staged: its record is in the log,
+    /// and later records of the segment may name its entries.
+    pub fn commit(&mut self) {
+        self.committed = (self.labels.len(), self.n_shapes);
+    }
+
+    /// The committed labels and shapes: what a reader of the segment holds.
+    pub fn entries(&self) -> usize {
+        self.committed.0 + self.committed.1
+    }
+
+    /// Drops what was staged since the last commit.
+    fn roll_back(&mut self) {
+        let (labels, shapes) = self.committed;
+        if (self.labels.len(), self.n_shapes) != (labels, shapes) {
+            self.labels.retain(|_, k| *k < labels);
+            self.shapes.retain(|_, (k, _)| *k < shapes);
+            self.n_shapes = shapes;
+        }
+    }
+}
+
 struct Encoder<'a> {
     out: &'a mut Vec<u8>,
-    labels: &'a mut Vec<std::ops::Range<usize>>,
+    labels: &'a mut HashMap<String, usize>,
 }
 
 /// `Some(n)` iff `s` is the canonical decimal form of the `u64` `n`.
@@ -240,17 +289,13 @@ fn put_literal(out: &mut Vec<u8>, s: &str) {
 
 impl Encoder<'_> {
     fn label(&mut self, label: &str) {
-        match self
-            .labels
-            .iter()
-            .position(|span| &self.out[span.clone()] == label.as_bytes())
-        {
-            Some(k) => put_varint(self.out, k as u64 + 1),
+        match self.labels.get(label) {
+            Some(&k) => put_varint(self.out, k as u64 + 1),
             None => {
                 self.out.push(0);
                 put_str(self.out, label);
-                let end = self.out.len();
-                self.labels.push(end - label.len()..end);
+                let k = self.labels.len();
+                self.labels.insert(label.to_owned(), k);
             }
         }
     }
@@ -337,9 +382,11 @@ impl Encoder<'_> {
 }
 
 /// Appends one round's record payload to `out`: epoch, update count, the
-/// updates in order, all sharing one label table and one shape table
-/// (module docs). A round whose paths nest filters deeper than
-/// [`MAX_FILTER_DEPTH`] ([`XPath::filter_depth`]) encodes, but
+/// updates in order, over `tables` — the label and shape tables of the
+/// segment the record joins (module docs). What the record adds to them is
+/// staged: [`RecordTables::commit`] keeps it once the record is in the log,
+/// and the next call drops it otherwise. A round whose paths nest filters
+/// deeper than [`MAX_FILTER_DEPTH`] ([`XPath::filter_depth`]) encodes, but
 /// [`read_round`] refuses it: the caller checks before it acknowledges
 /// anything.
 pub fn put_round(
@@ -348,36 +395,40 @@ pub fn put_round(
     epoch: u64,
     updates: &[LoggedUpdate],
 ) {
-    let RecordTables { spans, shapes, key } = tables;
-    spans.clear();
-    shapes.clear();
+    tables.roll_back();
+    let RecordTables {
+        labels,
+        shapes,
+        n_shapes,
+        key,
+        ..
+    } = tables;
     put_varint(out, epoch);
     put_varint(out, updates.len() as u64);
     let mut literals = Vec::new();
-    let mut n_spelled = 0;
-    for (i, (update, policy)) in updates.iter().enumerate() {
+    for (update, policy) in updates {
         let proceed = *policy == SideEffectPolicy::Proceed;
         let policy_bit = if proceed { HEAD_PROCEED } else { 0 };
         shape_key(update, key, &mut literals);
         match shapes.get(key.as_str()) {
-            Some(&(k, first)) if same_update_shape(&updates[first].0, update) => {
+            Some((k, template)) if same_update_shape(template, update) => {
                 let kind_bit = match update {
                     XmlUpdate::Insert { .. } => 0,
                     XmlUpdate::Delete { .. } => HEAD_DELETE,
                 };
                 out.push(HEAD_SHAPED | kind_bit | policy_bit);
-                put_varint(out, k as u64);
+                put_varint(out, *k as u64);
                 if let XmlUpdate::Insert { attr, .. } = update {
                     attr.iter().for_each(|v| put_value_untagged(out, v));
                 }
                 literals.iter().for_each(|s| put_literal(out, s));
             }
             named => {
-                Encoder { out, labels: spans }.update(update, policy_bit);
+                Encoder { out, labels }.update(update, policy_bit);
                 if named.is_none() && weighs_at_most(update, MAX_TEMPLATE_WEIGHT) {
-                    shapes.insert(key.clone(), (n_spelled, i));
+                    shapes.insert(key.clone(), (*n_shapes, update.clone()));
                 }
-                n_spelled += 1;
+                *n_shapes += 1;
             }
         }
     }
@@ -386,18 +437,32 @@ pub fn put_round(
 /// Encodes an [`XmlUpdate`] on its own: the round record's update form with
 /// a label table of its own and no policy (the policy bit is clear).
 pub fn put_update(out: &mut Vec<u8>, update: &XmlUpdate) {
-    let labels = &mut Vec::new();
+    let labels = &mut HashMap::new();
     Encoder { out, labels }.update(update, 0);
+}
+
+/// The label and shape tables of the segment being read (module docs): the
+/// labels as slices of the segment's bytes, and every update spelled in
+/// full — `None` for one too heavy for a shaped update to name.
+#[derive(Debug, Default)]
+pub struct ReadTables<'a> {
+    labels: Vec<&'a str>,
+    shapes: Vec<Option<XmlUpdate>>,
+}
+
+impl ReadTables<'_> {
+    /// Empties both tables, so that the next record is read as the first of
+    /// a segment: how `RXWALv3` and `RXWALv2` records, written over tables
+    /// of their own, are read.
+    pub fn clear(&mut self) {
+        self.labels.clear();
+        self.shapes.clear();
+    }
 }
 
 struct Decoder<'r, 'a> {
     r: &'r mut Reader<'a>,
-    labels: Vec<&'a str>,
-    /// The updates read so far, with their heads' policies.
-    updates: Vec<LoggedUpdate>,
-    /// The shape table: the updates spelled in full, by their index in
-    /// `updates`.
-    shapes: Vec<usize>,
+    tables: &'r mut ReadTables<'a>,
 }
 
 /// A count of things that each take at least a byte.
@@ -411,24 +476,25 @@ fn read_count(r: &mut Reader<'_>) -> CodecResult<usize> {
 
 impl<'a> Decoder<'_, 'a> {
     fn label(&mut self) -> CodecResult<&'a str> {
+        let labels = &mut self.tables.labels;
         match self.r.read_varint()? {
             0 => {
                 let label = self.r.read_str()?;
-                self.labels.push(label);
+                labels.push(label);
                 Ok(label)
             }
             k => usize::try_from(k - 1)
                 .ok()
-                .and_then(|k| self.labels.get(k).copied())
+                .and_then(|k| labels.get(k).copied())
                 .ok_or_else(|| {
-                    CodecError::Invalid(format!("label {k} of a table of {}", self.labels.len()))
+                    CodecError::Invalid(format!("label {k} of a table of {}", labels.len()))
                 }),
         }
     }
 
-    /// Reads the next update into `updates`; one spelled in full joins the
-    /// shape table.
-    fn update(&mut self) -> CodecResult<()> {
+    /// Reads the next update and its head's policy; one spelled in full
+    /// joins the shape table.
+    fn update(&mut self) -> CodecResult<LoggedUpdate> {
         let head = self.r.read_u8()?;
         if head & !(HEAD_DELETE | HEAD_PROCEED | HEAD_SHAPED) != 0 {
             return Err(CodecError::Invalid(format!("unknown update head {head}")));
@@ -437,8 +503,7 @@ impl<'a> Decoder<'_, 'a> {
         let update = if head & HEAD_SHAPED != 0 {
             self.shaped(delete)?
         } else {
-            self.shapes.push(self.updates.len());
-            if delete {
+            let update = if delete {
                 XmlUpdate::Delete {
                     path: self.path(0)?,
                 }
@@ -448,41 +513,41 @@ impl<'a> Decoder<'_, 'a> {
                     attr: read_tuple(self.r)?,
                     path: self.path(0)?,
                 }
-            }
+            };
+            let template = weighs_at_most(&update, MAX_TEMPLATE_WEIGHT).then(|| update.clone());
+            self.tables.shapes.push(template);
+            update
         };
         let policy = match head & HEAD_PROCEED {
             0 => SideEffectPolicy::Abort,
             _ => SideEffectPolicy::Proceed,
         };
-        self.updates.push((update, policy));
-        Ok(())
+        Ok((update, policy))
     }
 
     /// The body of a shaped update: the index of its template in the shape
     /// table, an insertion's values untagged, and the path's literals.
     fn shaped(&mut self, delete: bool) -> CodecResult<XmlUpdate> {
-        if self.shapes.is_empty() {
+        let (r, shapes) = (&mut *self.r, &self.tables.shapes);
+        if shapes.is_empty() {
             return Err(CodecError::Invalid(
                 "a shaped update before any shape".into(),
             ));
         }
-        let k = self.r.read_varint()?;
-        let template = usize::try_from(k)
+        let k = r.read_varint()?;
+        let entry = usize::try_from(k)
             .ok()
-            .and_then(|k| self.shapes.get(k))
-            .map(|&i| &self.updates[i].0)
+            .and_then(|k| shapes.get(k))
             .ok_or_else(|| {
-                CodecError::Invalid(format!("shape {k} of a table of {}", self.shapes.len()))
+                CodecError::Invalid(format!("shape {k} of a table of {}", shapes.len()))
             })?;
-        if !weighs_at_most(template, MAX_TEMPLATE_WEIGHT) {
-            return Err(CodecError::Invalid(format!(
-                "shape {k} weighs more than {MAX_TEMPLATE_WEIGHT}"
-            )));
-        }
+        let template = entry.as_ref().ok_or_else(|| {
+            CodecError::Invalid(format!("shape {k} weighs more than {MAX_TEMPLATE_WEIGHT}"))
+        })?;
         let (inserted, path) = match (template, delete) {
             (XmlUpdate::Delete { path }, true) => (None, path),
             (XmlUpdate::Insert { ty, attr, path }, false) => {
-                let values = attr.iter().map(|v| read_value_of(self.r, v.value_type()));
+                let values = attr.iter().map(|v| read_value_of(r, v.value_type()));
                 (Some((ty, values.collect::<CodecResult<Tuple>>()?)), path)
             }
             (_, true) => {
@@ -496,7 +561,6 @@ impl<'a> Decoder<'_, 'a> {
         };
         // A literal that does not decode ends the record; `bind` still
         // takes a string for it, and the path it builds is dropped.
-        let r = &mut *self.r;
         let mut failed = None;
         let path = bind(path, &mut || {
             read_literal(r).unwrap_or_else(|e| {
@@ -584,34 +648,29 @@ fn read_literal(r: &mut Reader<'_>) -> CodecResult<String> {
         .map_err(|_| CodecError::Invalid("literal is not UTF-8".into()))
 }
 
-impl<'r, 'a> Decoder<'r, 'a> {
-    fn new(r: &'r mut Reader<'a>, n: usize) -> Self {
-        Decoder {
-            r,
-            labels: Vec::new(),
-            updates: Vec::with_capacity(n),
-            shapes: Vec::new(),
-        }
-    }
-}
-
-/// Decodes a [`put_round`] payload: the epoch and the round's updates.
-pub fn read_round(r: &mut Reader<'_>) -> CodecResult<(u64, Vec<LoggedUpdate>)> {
+/// Decodes a [`put_round`] payload — the epoch and the round's updates —
+/// over `tables`, those of the segment the record belongs to: the record
+/// may name what the segment's earlier records spelled, and what it spells
+/// joins them.
+pub fn read_round<'a>(
+    r: &mut Reader<'a>,
+    tables: &mut ReadTables<'a>,
+) -> CodecResult<(u64, Vec<LoggedUpdate>)> {
     let epoch = r.read_varint()?;
     let n = read_count(r)?;
-    let mut dec = Decoder::new(r, n);
+    let mut dec = Decoder { r, tables };
+    let mut updates = Vec::with_capacity(n);
     for _ in 0..n {
-        dec.update()?;
+        updates.push(dec.update()?);
     }
-    Ok((epoch, dec.updates))
+    Ok((epoch, updates))
 }
 
 /// Decodes a [`put_update`] encoding.
 pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
-    let mut dec = Decoder::new(r, 1);
-    dec.update()?;
-    match dec.updates.pop() {
-        Some((update, SideEffectPolicy::Abort)) => Ok(update),
+    let tables = &mut ReadTables::default();
+    match (Decoder { r, tables }).update()? {
+        (update, SideEffectPolicy::Abort) => Ok(update),
         _ => Err(CodecError::Invalid(
             "an update on its own has no policy".into(),
         )),
@@ -975,7 +1034,8 @@ mod tests {
             let mut out = Vec::new();
             put_round(&mut out, &mut RecordTables::default(), 7, &round);
             let mut r = Reader::new(&out);
-            assert_eq!(read_round(&mut r).unwrap(), (7, round));
+            let back = read_round(&mut r, &mut ReadTables::default()).unwrap();
+            assert_eq!(back, (7, round));
             assert!(r.is_empty());
             assert_eq!(out.windows(6).filter(|w| w == b"course").count(), 1);
         }

@@ -3,17 +3,18 @@
 //!
 //! `decode(encode(t)) == t` must hold for every [`Tuple`] a checkpoint
 //! writes — every value kind, large text payloads — and for every logged
-//! [`XmlUpdate`], whatever its path's AST holds, as a round record and on
-//! its own; the update decoder is total over hostile bytes; and the exact
-//! byte layout is pinned so that a change to the format cannot slip through
-//! silently: WAL segments and checkpoints written by one build must stay
-//! readable by the next, or bump their version magic.
+//! [`XmlUpdate`], whatever its path's AST holds, as a round record, as a
+//! segment of records sharing their tables, and on its own; the update
+//! decoder is total over hostile bytes; and the exact byte layout is pinned
+//! so that a change to the format cannot slip through silently: WAL segments
+//! and checkpoints written by one build must stay readable by the next, or
+//! bump their version magic.
 
 mod common;
 
 use common::{constant_strategy, filter_strategy, label_strategy, path_strategy};
 use proptest::prelude::*;
-use rxview_core::codec::{self, LoggedUpdate, RecordTables};
+use rxview_core::codec::{self, LoggedUpdate, ReadTables, RecordTables};
 use rxview_core::{SideEffectPolicy, XmlUpdate};
 use rxview_relstore::codec::{put_tuple, put_varint, read_tuple, CodecError, Reader};
 use rxview_relstore::{tuple, Tuple, Value};
@@ -106,17 +107,20 @@ fn golden_bytes_pin_the_format() {
     assert_eq!(read_tuples(&expected, tuples.len()), tuples);
 }
 
-/// The round record (what a `RXWALv3` segment frames) is pinned too: an
-/// insertion and a deletion of one round, the second spelling none of its
-/// labels again, then an update of each one's shape, written as the shape's
-/// index, the inserted value untagged and the literals — `"007"` as text,
-/// `4096` as a number. A record without the third and fourth update is what
-/// a `RXWALv2` segment framed; the format before that opened its segments
-/// `RXWALv1`, and its bytes are pinned by the engine's checked-in v1
-/// directories.
+/// The round records of a segment (what an `RXWALv4` segment frames) are
+/// pinned too. The first: an insertion and a deletion of one round, the
+/// second spelling none of its labels again, then an update of each one's
+/// shape, written as the shape's index, the inserted value untagged and the
+/// literals — `"007"` as text, `4096` as a number. The second names what the
+/// first spelled: a shaped insertion of the first one's shape, a deletion of
+/// a new shape over the first record's labels, and one whose label joins the
+/// table. A segment's first record is what an `RXWALv3` segment framed, and
+/// one without its third and fourth update what an `RXWALv2` segment framed;
+/// the format before that opened its segments `RXWALv1`, and its bytes are
+/// pinned by the engine's checked-in v1 directories.
 #[test]
 fn golden_bytes_pin_logged_updates() {
-    let round: Vec<LoggedUpdate> = vec![
+    let first: Vec<LoggedUpdate> = vec![
         (
             XmlUpdate::insert("course", tuple!["CS240"], "course[cno=CS650]/prereq").unwrap(),
             SideEffectPolicy::Proceed,
@@ -134,11 +138,25 @@ fn golden_bytes_pin_logged_updates() {
             SideEffectPolicy::Proceed,
         ),
     ];
-    let mut out = Vec::new();
-    codec::put_round(&mut out, &mut RecordTables::default(), 7, &round);
+    let second: Vec<LoggedUpdate> = vec![
+        (
+            XmlUpdate::insert("course", tuple!["CS111"], "course[cno=CS650]/prereq").unwrap(),
+            SideEffectPolicy::Proceed,
+        ),
+        (
+            XmlUpdate::delete("course[cno=320]/prereq").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+        (
+            XmlUpdate::delete("//title").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+    ];
+    let segment = vec![(7, first), (8, second)];
+    let records = segment_bytes(&segment);
 
     #[rustfmt::skip]
-    let expected: Vec<u8> = vec![
+    let expected_first: Vec<u8> = vec![
         0x07,                                            // epoch 7
         0x04,                                            // 4 updates
         // update 1
@@ -169,10 +187,81 @@ fn golden_bytes_pin_logged_updates() {
         0x01,                                            // shape 1
         0x80, 0x40,                                      // literal: 4096 << 1
     ];
-    assert_eq!(out, expected);
-    let mut r = Reader::new(&out);
-    assert_eq!(codec::read_round(&mut r).unwrap(), (7, round));
-    assert!(r.is_empty());
+    #[rustfmt::skip]
+    let expected_second: Vec<u8> = vec![
+        0x08,                                            // epoch 8
+        0x03,                                            // 3 updates
+        // update 1: the first record's shape 0
+        0x06,                                            // head: shaped insert, Proceed
+        0x00,                                            // shape 0
+        0x05, b'C', b'S', b'1', b'1', b'1',              // "CS111", untagged
+        0x0B, b'C', b'S', b'6', b'5', b'0',              // literal: 5 bytes of text
+        // update 2: a new shape (shape 2), every label the first record's
+        0x01,                                            // head: delete, Abort
+        0x02,                                            // path: 2 steps
+        0x05, 0x01,                                      // child step, 1 filter; label 1
+        0x06, 0x02, 0xC0, 0x02,                          // filter: [label 2 = "320"]
+        0x01, 0x03,                                      // child step; label 3
+        // update 3: shape 3, and a new label 4
+        0x01,                                            // head: delete, Abort
+        0x02,                                            // path: 2 steps
+        0x03,                                            // `//`
+        0x01, 0x00, 0x05, b't', b'i', b't', b'l', b'e',  // child step; new label 4
+    ];
+    assert_eq!(records, [expected_first, expected_second]);
+    assert_eq!(
+        read_segment(&records, Tables::Segment),
+        (segment.clone(), None)
+    );
+    // Read as a v3 segment, the first record is whole and the second names
+    // a shape it does not have.
+    let (v3, error) = read_segment(&records, Tables::Record);
+    assert_eq!(v3, segment[..1]);
+    assert!(matches!(error, Some(CodecError::Invalid(_))), "{error:?}");
+}
+
+/// `segment`'s records as one segment writes them: one [`RecordTables`],
+/// committed after every record.
+fn segment_bytes(segment: &[(u64, Vec<LoggedUpdate>)]) -> Vec<Vec<u8>> {
+    let mut tables = RecordTables::default();
+    let record = |(epoch, round): &(u64, Vec<LoggedUpdate>)| {
+        let mut out = Vec::new();
+        codec::put_round(&mut out, &mut tables, *epoch, round);
+        tables.commit();
+        out
+    };
+    segment.iter().map(record).collect()
+}
+
+/// How a segment's records share their tables.
+#[derive(Clone, Copy)]
+enum Tables {
+    /// One [`ReadTables`] for the segment (`RXWALv4`).
+    Segment,
+    /// Cleared before each record (`RXWALv3`, `RXWALv2`).
+    Record,
+}
+
+/// Reads a segment's records in order, each of them whole, up to the first
+/// that does not decode: the rounds before it, and why it did not.
+fn read_segment(
+    records: &[Vec<u8>],
+    tables: Tables,
+) -> (Vec<(u64, Vec<LoggedUpdate>)>, Option<CodecError>) {
+    let mut read = ReadTables::default();
+    let mut rounds = Vec::new();
+    for bytes in records {
+        if let Tables::Record = tables {
+            read.clear();
+        }
+        let mut r = Reader::new(bytes);
+        match codec::read_round(&mut r, &mut read) {
+            Ok(round) if r.is_empty() => rounds.push(round),
+            Ok(_) => return (rounds, Some(CodecError::Invalid("trailing bytes".into()))),
+            Err(e) => return (rounds, Some(e)),
+        }
+    }
+    (rounds, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +364,7 @@ fn round_bytes(epoch: u64, round: &[LoggedUpdate]) -> Vec<u8> {
 
 fn read_whole_round(bytes: &[u8]) -> Result<(u64, Vec<LoggedUpdate>), CodecError> {
     let mut r = Reader::new(bytes);
-    let round = codec::read_round(&mut r)?;
+    let round = codec::read_round(&mut r, &mut ReadTables::default())?;
     match r.is_empty() {
         true => Ok(round),
         false => Err(CodecError::Invalid("trailing bytes".into())),
@@ -285,20 +374,20 @@ fn read_whole_round(bytes: &[u8]) -> Result<(u64, Vec<LoggedUpdate>), CodecError
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// `decode(encode(u)) == u`, the updates of a round sharing a label
-    /// table and each update on its own; a label table reused for the next
-    /// record starts empty.
+    /// `decode(encode(u)) == u`, the updates of a round sharing its tables
+    /// and each update on its own; tables reused without a commit write the
+    /// same bytes again.
     #[test]
     fn logged_updates_round_trip(epoch in any::<u64>(), round in round_strategy()) {
         let bytes = round_bytes(epoch, &round);
         let back = read_whole_round(&bytes)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(&back, &(epoch, round.clone()));
-        let mut labels = RecordTables::default();
+        let mut tables = RecordTables::default();
         for _ in 0..2 {
             let mut again = Vec::new();
-            codec::put_round(&mut again, &mut labels, epoch, &round);
-            prop_assert!(again == bytes, "a reused label table writes the same bytes");
+            codec::put_round(&mut again, &mut tables, epoch, &round);
+            prop_assert!(again == bytes, "uncommitted tables write the same bytes");
         }
         for (u, _) in &round {
             let mut out = vec![0xAA]; // whatever the buffer held before
@@ -331,6 +420,124 @@ proptest! {
                 prop_assert_eq!(again.ok(), Some((epoch, other)));
             }
         }
+    }
+}
+
+/// One to eight rounds of a segment, epochs 1, 2, …: each refills shapes
+/// the whole segment shares with fresh literals and values, then adds
+/// updates of its own over the label pool — so a later round names shapes
+/// and labels an earlier one spelled, as an engine's trickle rounds do.
+fn segment_strategy() -> BoxedStrategy<Vec<(u64, Vec<LoggedUpdate>)>> {
+    let refill = (
+        0usize..3,
+        prop::collection::vec(constant_strategy(), 0..6),
+        any::<u64>(),
+        policy_strategy(),
+    );
+    (
+        prop::collection::vec(update_strategy(), 1..4),
+        prop::collection::vec(prop::collection::vec(refill, 0..4), 1..9),
+        prop::collection::vec(round_strategy(), 0..9),
+    )
+        .prop_map(|(templates, refills, mut own)| {
+            own.resize(refills.len(), Vec::new());
+            let rounds = refills.into_iter().zip(own).map(|(refills, own)| {
+                let shared = refills.into_iter().map(|(i, constants, seed, policy)| {
+                    let template = &templates[i % templates.len()];
+                    (of_shape(template, constants, seed), policy)
+                });
+                shared.chain(own).collect()
+            });
+            (1..).zip(rounds).collect()
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A segment's records, written over one set of tables, read back over
+    /// one set of tables to the rounds they hold; its first record is a
+    /// record of its own, as an `RXWALv3` segment's are.
+    #[test]
+    fn segments_round_trip(segment in segment_strategy()) {
+        let records = segment_bytes(&segment);
+        let (back, error) = read_segment(&records, Tables::Segment);
+        prop_assert!(error.is_none(), "decode failed: {:?}", error);
+        prop_assert_eq!(&back, &segment);
+        prop_assert!(segment_bytes(&segment) == records, "the same bytes again");
+        prop_assert_eq!(read_whole_round(&records[0]).ok(), segment.first().cloned());
+    }
+
+    /// A segment cut anywhere reads back to exactly the records before the
+    /// cut: a cut record is an error, never a round, and those before it
+    /// are whole.
+    #[test]
+    fn truncated_segments_read_to_their_record_prefix(segment in segment_strategy()) {
+        let records = segment_bytes(&segment);
+        for k in 0..records.len() {
+            let (whole, error) = read_segment(&records[..k], Tables::Segment);
+            prop_assert!(error.is_none() && whole == segment[..k], "boundary {}", k);
+            for cut in 0..records[k].len() {
+                let mut torn = records[..k].to_vec();
+                torn.push(records[k][..cut].to_vec());
+                let (prefix, error) = read_segment(&torn, Tables::Segment);
+                prop_assert!(error.is_some(), "record {} cut at {}", k, cut);
+                prop_assert_eq!(&prefix[..], &segment[..k]);
+            }
+        }
+    }
+
+    /// No changed byte in any record of a segment makes the reader panic:
+    /// the records before it read as written, and whatever the changed one
+    /// and those after it read as is some segment, which writes and reads
+    /// back to itself.
+    #[test]
+    fn flipped_segments_error_or_decode(
+        segment in segment_strategy(),
+        flips in prop::collection::vec((any::<usize>(), any::<usize>(), 1u8..=255), 8..9),
+    ) {
+        let records = segment_bytes(&segment);
+        for (record, at, xor) in flips {
+            let k = record % records.len();
+            let mut hostile = records.clone();
+            let bytes = &mut hostile[k];
+            if bytes.is_empty() {
+                continue;
+            }
+            let at = at % bytes.len();
+            bytes[at] ^= xor;
+            let (read, _) = read_segment(&hostile, Tables::Segment);
+            prop_assert!(read.len() >= k, "record {} flipped at {}", k, at);
+            prop_assert_eq!(&read[..k], &segment[..k]);
+            let again = read_segment(&segment_bytes(&read), Tables::Segment);
+            prop_assert_eq!(again, (read, None));
+        }
+    }
+
+    /// What a record stages and never commits — its append was refused or
+    /// failed — reaches no later record: the segment's other records are
+    /// the bytes a segment without it writes, and read back without it.
+    #[test]
+    fn an_uncommitted_record_leaves_nothing_behind(
+        segment in segment_strategy(),
+        aborted in round_strategy(),
+        at in any::<usize>(),
+    ) {
+        let at = at % segment.len();
+        let mut tables = RecordTables::default();
+        let mut records = Vec::new();
+        for (k, (epoch, round)) in segment.iter().enumerate() {
+            if k == at {
+                codec::put_round(&mut Vec::new(), &mut tables, 0, &aborted);
+            }
+            let mut out = Vec::new();
+            codec::put_round(&mut out, &mut tables, *epoch, round);
+            tables.commit();
+            records.push(out);
+        }
+        prop_assert!(records == segment_bytes(&segment), "aborted at {}", at);
+        prop_assert_eq!(read_segment(&records, Tables::Segment), (segment, None));
     }
 }
 
@@ -484,6 +691,31 @@ fn hostile_records_error_not_panic() {
     let bytes = round_bytes(1, &repeated);
     assert_eq!(bytes, [&spelled_heavy[..], &spelled_heavy[2..]].concat());
     assert_eq!(read_whole_round(&bytes).unwrap().1, repeated);
+
+    // Across the records of a segment: the first spells `delete node[id =
+    // "x"]` (labels 1 `node` and 2 `id`, shape 0); the second may name
+    // those, and nothing past them.
+    let segment = |second: &[u8], tables| {
+        let records = [[&[0x01, 0x01][..], spelled].concat(), second.to_vec()];
+        let (rounds, error) = read_segment(&records, tables);
+        assert!(!rounds.is_empty(), "the first record reads");
+        (rounds.len(), error)
+    };
+    let named = |second: &[u8], tables| match segment(second, tables) {
+        (2, None) => true,
+        (1, Some(CodecError::Invalid(_))) => false,
+        other => panic!("{second:?}: {other:?}"),
+    };
+    // Shape 0 is named, shape 1 is past the segment's table.
+    let delete_shaped = |k: u8| [0x02, 0x01, 0x05, k, 0x03, b'y'];
+    assert!(named(&delete_shaped(0), Tables::Segment));
+    assert!(!named(&delete_shaped(1), Tables::Segment));
+    // `delete id`: label 2 is the first record's, label 3 past the table.
+    let delete_label = |k: u8| [0x02, 0x01, 0x01, 0x01, 0x01, k];
+    assert!(named(&delete_label(2), Tables::Segment));
+    assert!(!named(&delete_label(3), Tables::Segment));
+    // A v3 record's tables are its own: the same label is past its table.
+    assert!(!named(&delete_label(2), Tables::Record));
 }
 
 /// A registrar update from a small pool: enrolments, prerequisite links and

@@ -214,8 +214,9 @@ impl Checkpointer {
                                 micros: t0.elapsed().as_micros() as u64
                             ],
                         );
+                        // A poisoned log is reported here and left as it is.
                         let compacted =
-                            wal.lock().expect("wal lock poisoned").compact(snap.epoch());
+                            crate::wal::lock(&wal).and_then(|mut w| w.compact(snap.epoch()));
                         match compacted {
                             Err(e) => eprintln!("rxview: WAL compaction failed: {e}"),
                             Ok(out) if out.rotated => stats.recorder().record(
@@ -318,6 +319,46 @@ mod tests {
             // CRC window.
             assert!(loaded.is_none(), "flip at {i} must not load");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log whose lock a panic poisoned is reported by the checkpointer and
+    /// left as it is: the checkpoint is written, compaction is skipped, and
+    /// the thread does not panic.
+    #[test]
+    fn a_poisoned_log_skips_compaction() {
+        use crate::wal::{list_segments, Durability};
+        let dir = temp_dir("poisoned");
+        let sys = system(60);
+        let wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let wal = Arc::new(Mutex::new(wal));
+        let held = Arc::clone(&wal);
+        let panicked = std::thread::spawn(move || {
+            let _held = held.lock();
+            panic!("a panic mid-append");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let stats = EngineStats::new(
+            crate::stats::flight_recorder(),
+            Arc::clone(sys.view().plan_cache()),
+        );
+        let mut ckpt = Checkpointer::spawn(dir.clone(), wal, Arc::new(stats));
+        ckpt.request(Arc::new(Snapshot::new(sys, 4)));
+        {
+            let mut st = ckpt.mailbox.slot.lock().unwrap();
+            st.shutdown = true;
+            ckpt.mailbox.cv.notify_one();
+        }
+        let thread = ckpt.thread.take().unwrap();
+        assert!(thread.join().is_ok(), "the checkpointer did not panic");
+        let written: Vec<u64> = list_checkpoints(&dir)
+            .unwrap()
+            .iter()
+            .map(|c| c.0)
+            .collect();
+        assert_eq!(written, [4]);
+        assert_eq!(list_segments(&dir).unwrap().len(), 1, "no rotation");
         fs::remove_dir_all(&dir).unwrap();
     }
 

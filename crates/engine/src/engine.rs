@@ -11,7 +11,7 @@ use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
 use crate::snapshot::Snapshot;
 use crate::stats::{self, EngineStats};
-use crate::wal::{Durability, LoggedUpdate, Wal};
+use crate::wal::{self, Durability, LoggedUpdate, Wal};
 use rxview_core::{
     SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
 };
@@ -208,8 +208,7 @@ impl Inner {
             return Ok(());
         };
         let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        let mut wal = d.wal.lock().expect("wal lock poisoned");
-        match wal.append(epoch, updates) {
+        match wal::lock(&d.wal).and_then(|mut wal| wal.append(epoch, updates)) {
             Ok(out) => {
                 self.stats
                     .record_wal_append(out.bytes, out.write_time, out.sync_time, out.reason);
@@ -486,11 +485,7 @@ impl Engine {
             "checkpoint.end",
             fields![epoch: snap.epoch(), micros: t0.elapsed().as_micros() as u64],
         );
-        let compacted = d
-            .wal
-            .lock()
-            .expect("wal lock poisoned")
-            .compact(snap.epoch())?;
+        let compacted = wal::lock(&d.wal)?.compact(snap.epoch())?;
         if compacted.rotated || compacted.deleted > 0 {
             stats.recorder().record(
                 "wal.rotate",
@@ -510,7 +505,7 @@ impl Engine {
     /// durability.
     pub fn sync_wal(&self) -> io::Result<()> {
         if let Some(d) = &self.inner.durability {
-            d.wal.lock().expect("wal lock poisoned").sync()?;
+            wal::lock(&d.wal)?.sync()?;
         }
         Ok(())
     }
@@ -691,5 +686,42 @@ impl WriterHandle {
     pub fn stop(self) {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.thread.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rxview_atg::{registrar_atg, registrar_database};
+
+    /// A panic while the log's lock is held poisons the lock; what needs the
+    /// log afterwards fails instead of panicking: the next commit resolves
+    /// its tickets `Err` and publishes nothing, and `sync_wal` and
+    /// `checkpoint_now` return errors.
+    #[test]
+    fn a_poisoned_log_fails_the_round_instead_of_panicking() {
+        let dir = std::env::temp_dir().join(format!("rxview-poisoned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = registrar_database();
+        let sys = XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
+        let engine = Engine::with_durability(sys, EngineConfig::default(), &dir).unwrap();
+        let wal = Arc::clone(&engine.inner.durability.as_ref().unwrap().wal);
+        let panicked = std::thread::spawn(move || {
+            let _held = wal.lock();
+            panic!("a panic mid-append");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        let u = XmlUpdate::delete("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
+        let ticket = engine.submit(u, SideEffectPolicy::Abort).unwrap();
+        let summary = engine.commit_pending();
+        assert_eq!((summary.accepted, summary.rejected), (0, 1));
+        assert!(matches!(ticket.wait(), Err(EngineError::Update(_))));
+        assert_eq!(engine.snapshot().epoch(), 0, "nothing published");
+        assert!(engine.sync_wal().is_err());
+        assert!(engine.checkpoint_now().is_err());
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

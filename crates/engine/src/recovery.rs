@@ -6,8 +6,9 @@
 //! 1. **Checkpoint.** The newest checkpoint file that passes its CRC and
 //!    decodes under the caller's grammar anchors recovery; invalid or torn
 //!    checkpoints are skipped (and counted) in favor of older ones.
-//! 2. **Replay.** Every WAL segment (of either format, `crate::wal`) is
-//!    scanned up to its last checksummed-complete, decodable record; records
+//! 2. **Replay.** Every WAL segment (of any format, `crate::wal`) is
+//!    scanned from its magic up to its last checksummed-complete, decodable
+//!    record; records
 //!    with epochs past the checkpoint are replayed **in epoch order**, each
 //!    one **as the round it logs**: every update evaluated against the state
 //!    the record starts from (`XmlViewSystem::eval`), applied in logged order

@@ -18,19 +18,30 @@
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
 //! ```
 //!
-//! Segments open with `RXWALv3\n`, and a payload is
+//! Segments open with `RXWALv4\n`, and a payload is
 //! [`rxview_core::codec::put_round`]'s: the epoch, the update count, and the
-//! updates with their paths as ASTs over a per-record label table, an
-//! update whose shape the record has spelled before written as the shape's
-//! index and its literals — a record is self-describing and is read without
-//! the XPath parser. `Wal` owns the one encoder (a frame buffer whose header
-//! is patched in place, and the label and shape scratch), reused round after
-//! round. Older segments are still *read* (`scan_segment` dispatches on the
+//! updates with their paths as ASTs over the segment's label table, an
+//! update whose shape the segment has spelled before written as the shape's
+//! index and its literals. The tables live for the segment: a record may
+//! name what an earlier record of its segment spelled, never anything in
+//! another file, so a segment is self-describing and is read without the
+//! XPath parser, from its magic, as recovery reads it. `Wal` owns the one
+//! encoder (a frame buffer whose header is patched in place, and the
+//! segment's tables), reused round after round; a record's additions to the
+//! tables are committed only once the record is written (and synced, when
+//! the policy asks), and dropped with a refused or failed append. Once the
+//! tables hold more than `MAX_TABLE_ENTRIES` labels and shapes, the next
+//! append first seals the segment and opens a fresh one, which bounds the
+//! encoder's memory and the reader's.
+//!
+//! Older segments are still *read* (`scan_segment` dispatches on the
 //! magic), so a directory written before a change of format recovers;
 //! nothing writes them:
 //!
-//! - `RXWALv2\n` records are v3 records in which no update names a shape,
-//!   and go through the one decoder, [`rxview_core::codec::read_round`];
+//! - `RXWALv3\n` and `RXWALv2\n` records were written over tables of their
+//!   own (v2 records name no shape), and go through the one decoder,
+//!   [`rxview_core::codec::read_round`], its tables cleared before each
+//!   record;
 //! - `RXWALv1\n` records — paths as display text, a policy byte per update —
 //!   have their own ([`rxview_core::codec::read_update_v1`]).
 //!
@@ -56,18 +67,24 @@
 //! *prefix* of the acknowledged history, just possibly a shorter one than
 //! `PerRound` guarantees.
 //!
-//! Segments rotate when a checkpoint completes (`Wal::compact`): the
-//! current segment is sealed and a sealed segment is deleted once every
-//! record in it is at or below the checkpointed epoch — the "truncate the
-//! covered log prefix" step, done at file granularity so it never rewrites
-//! data in place.
+//! Every segment is created durably: its magic is fsynced, and so is the
+//! directory that names it, once per created segment — otherwise a power
+//! loss after a rotation could drop the new file with the acknowledged
+//! rounds in it.
+//!
+//! Segments rotate when a checkpoint completes (`Wal::compact`) and when
+//! the segment's tables reach their cap: the current segment is sealed, and
+//! a sealed segment is deleted once every record in it is at or below a
+//! checkpointed epoch — the "truncate the covered log prefix" step, done at
+//! file granularity so it never rewrites data in place.
 
-use rxview_core::codec::{self, RecordTables};
+use rxview_core::codec::{self, ReadTables, RecordTables};
 use rxview_relstore::codec::{crc32, CodecError, CodecResult, Reader};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// When the replay log reaches disk (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,12 +124,18 @@ impl Durability {
 }
 
 /// Magic bytes opening every segment file this engine writes.
-pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv3\n";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv4\n";
 
-/// Magic bytes of the segments older engines wrote (read-only): v2 records
-/// are v3 records that name no shape, v1 records spell paths as text.
+/// Magic bytes of the segments older engines wrote (read-only): v3 and v2
+/// records are v4 records over tables of their own (v2 records name no
+/// shape), v1 records spell paths as text.
+const WAL_MAGIC_V3: &[u8; 8] = b"RXWALv3\n";
 const WAL_MAGIC_V2: &[u8; 8] = b"RXWALv2\n";
 const WAL_MAGIC_V1: &[u8; 8] = b"RXWALv1\n";
+
+/// The labels and shapes a segment's tables may hold before the next append
+/// starts a new segment.
+const MAX_TABLE_ENTRIES: usize = 4096;
 
 /// Why an append fsynced — the observable behind the GroupCommit flush
 /// accounting (`wal.sync_reason.*` metrics).
@@ -170,7 +193,8 @@ pub(crate) struct WalRecord {
 }
 
 /// The log's one encoder: frames a round as a `[len][crc][payload]` record
-/// in a buffer it keeps, the header patched in once the payload is written.
+/// in a buffer it keeps, the header patched in once the payload is written,
+/// over the current segment's tables.
 #[derive(Debug, Default)]
 struct RecordEncoder {
     frame: Vec<u8>,
@@ -213,9 +237,9 @@ fn whole_payload(r: &Reader<'_>) -> CodecResult<()> {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> CodecResult<WalRecord> {
+fn decode_payload<'a>(payload: &'a [u8], tables: &mut ReadTables<'a>) -> CodecResult<WalRecord> {
     let mut r = Reader::new(payload);
-    let (epoch, updates) = codec::read_round(&mut r)?;
+    let (epoch, updates) = codec::read_round(&mut r, tables)?;
     whole_payload(&r)?;
     Ok(WalRecord { epoch, updates })
 }
@@ -250,19 +274,32 @@ pub(crate) struct SegmentScan {
     pub(crate) undecodable: Option<(u64, CodecError)>,
 }
 
-/// Scans a segment of either format, stopping at the first torn, corrupt
-/// or undecodable record.
+/// How a segment's records are read, by its magic.
+#[derive(Clone, Copy, PartialEq)]
+enum Format {
+    /// `RXWALv4`: one decoder state threaded through the segment.
+    SegmentTables,
+    /// `RXWALv3` and `RXWALv2`: the same decoder, cleared before each record.
+    RecordTables,
+    /// `RXWALv1`: paths as text.
+    Text,
+}
+
+/// Scans a segment of any format, stopping at the first torn, corrupt or
+/// undecodable record.
 pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let bytes = fs::read(path)?;
     let mut scan = SegmentScan::default();
-    let decode = match bytes.get(..WAL_MAGIC.len()) {
-        Some(magic) if magic == WAL_MAGIC || magic == WAL_MAGIC_V2 => decode_payload,
-        Some(magic) if magic == WAL_MAGIC_V1 => decode_payload_v1,
+    let format = match bytes.get(..WAL_MAGIC.len()) {
+        Some(magic) if magic == WAL_MAGIC => Format::SegmentTables,
+        Some(magic) if magic == WAL_MAGIC_V3 || magic == WAL_MAGIC_V2 => Format::RecordTables,
+        Some(magic) if magic == WAL_MAGIC_V1 => Format::Text,
         _ => {
             scan.discarded = bytes.len() as u64;
             return Ok(scan);
         }
     };
+    let mut tables = ReadTables::default();
     let mut pos = WAL_MAGIC.len();
     loop {
         let rest = &bytes[pos..];
@@ -278,7 +315,14 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         if crc32(payload) != crc {
             break; // corrupt record: stop trusting the file here
         }
-        match decode(payload) {
+        if format == Format::RecordTables {
+            tables.clear();
+        }
+        let decoded = match format {
+            Format::Text => decode_payload_v1(payload),
+            _ => decode_payload(payload, &mut tables),
+        };
+        match decoded {
             Ok(rec) => scan.records.push(rec),
             Err(e) => {
                 scan.undecodable = Some((pos as u64, e));
@@ -352,9 +396,17 @@ pub(crate) struct Wal {
     encoder: RecordEncoder,
 }
 
+/// Locks the shared log. A lock poisoned by a panic mid-append is an error,
+/// not a panic: the panic may have left the segment's tables half staged,
+/// so nothing appends to the log, syncs it or compacts it again.
+pub(crate) fn lock(wal: &Mutex<Wal>) -> io::Result<MutexGuard<'_, Wal>> {
+    wal.lock()
+        .map_err(|_| io::Error::other("replay log lock poisoned by a panic"))
+}
+
 impl Wal {
-    /// Opens a fresh segment `wal-<seq>.rxlog` in `dir` for appending.
-    /// `policy` must have logging on.
+    /// Opens a fresh segment `wal-<seq>.rxlog` in `dir` for appending, its
+    /// magic and its directory entry durable. `policy` must have logging on.
     pub(crate) fn create(dir: &Path, policy: Durability, seq: u64) -> io::Result<Wal> {
         debug_assert!(policy.is_on());
         let path = segment_path(dir, seq);
@@ -364,6 +416,7 @@ impl Wal {
             .open(&path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_data()?;
+        File::open(dir)?.sync_all()?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             policy,
@@ -385,10 +438,14 @@ impl Wal {
     /// reason if this append fsynced.
     ///
     /// On failure (write *or* fsync) the segment is rolled back to the end
-    /// of the last successful record: the caller fails the round and the
-    /// epoch number will be reused, so no trace of the failed round may
-    /// stay in the file. If even the rollback fails, the log poisons
+    /// of the last successful record, and the tables to what that record
+    /// left: the caller fails the round and the epoch number will be
+    /// reused, so no trace of the failed round may stay in the file or be
+    /// named by a later record. If even the rollback fails, the log poisons
     /// itself and every further append errors out immediately.
+    ///
+    /// A segment whose tables hold more than `MAX_TABLE_ENTRIES` entries is
+    /// sealed first, and the round opens the next one.
     pub(crate) fn append(
         &mut self,
         epoch: u64,
@@ -400,7 +457,11 @@ impl Wal {
                 "replay log poisoned by an earlier unrecoverable append failure",
             ));
         }
+        if self.encoder.tables.entries() > MAX_TABLE_ENTRIES {
+            self.rotate()?;
+        }
         let record = self.encoder.encode(epoch, updates)?;
+        let bytes = record.len() as u64;
         let reason = match self.policy {
             Durability::Off => None,
             Durability::PerRound => Some(SyncReason::Policy),
@@ -438,6 +499,7 @@ impl Wal {
             Ok::<_, io::Error>(())
         })();
         if let Err(e) = appended {
+            // The tables' staged entries go with the next `put_round`.
             let rolled_back = self
                 .file
                 .set_len(self.committed_len)
@@ -447,7 +509,8 @@ impl Wal {
             }
             return Err(e);
         }
-        self.committed_len += record.len() as u64;
+        self.committed_len += bytes;
+        self.encoder.tables.commit();
         self.max_epoch = Some(self.max_epoch.map_or(epoch, |m| m.max(epoch)));
         if reason.is_some() {
             self.unsynced = 0;
@@ -458,7 +521,7 @@ impl Wal {
                 .get_or_insert_with(std::time::Instant::now);
         }
         Ok(AppendOutcome {
-            bytes: record.len() as u64,
+            bytes,
             write_time,
             sync_time,
             reason,
@@ -473,24 +536,33 @@ impl Wal {
         Ok(())
     }
 
+    /// Seals the current segment, if it has records, and opens the next one
+    /// with empty tables; the sealed segment waits in `sealed` for a
+    /// checkpoint to cover it. Returns whether it rotated.
+    fn rotate(&mut self) -> io::Result<bool> {
+        let Some(max_epoch) = self.max_epoch else {
+            return Ok(false);
+        };
+        self.sync()?;
+        let next = Wal::create(&self.dir, self.policy, self.seq + 1)?;
+        let old = std::mem::replace(self, next);
+        self.sealed = old.sealed;
+        self.sealed.push(SealedSegment {
+            path: old.path,
+            max_epoch,
+        });
+        Ok(true)
+    }
+
     /// Called after a checkpoint at `epoch` became durable: seals the
     /// current segment (if it has records), starts the next one, and
     /// deletes every sealed segment fully covered by the checkpoint.
     /// Returns what rotated/was deleted, for the `wal.rotate` flight event.
     pub(crate) fn compact(&mut self, epoch: u64) -> io::Result<CompactOutcome> {
-        let mut outcome = CompactOutcome::default();
-        if let Some(max) = self.max_epoch {
-            self.sync()?;
-            let next = Wal::create(&self.dir, self.policy, self.seq + 1)?;
-            let old = std::mem::replace(self, next);
-            self.sealed = old.sealed;
-            self.encoder = old.encoder;
-            self.sealed.push(SealedSegment {
-                path: old.path,
-                max_epoch: max,
-            });
-            outcome.rotated = true;
-        }
+        let mut outcome = CompactOutcome {
+            rotated: self.rotate()?,
+            ..CompactOutcome::default()
+        };
         self.sealed.retain(|s| {
             if s.max_epoch <= epoch {
                 let _ = fs::remove_file(&s.path); // best-effort: a survivor is re-covered next time
@@ -519,9 +591,16 @@ mod tests {
         dir
     }
 
-    fn record_len(epoch: u64, updates: &[LoggedUpdate]) -> usize {
-        let mut encoder = RecordEncoder::default();
-        encoder.encode(epoch, updates).unwrap().len()
+    /// Where each record of a segment's bytes starts, then where the last
+    /// one ends.
+    fn record_bounds(segment: &[u8]) -> Vec<usize> {
+        let mut bounds = vec![WAL_MAGIC.len()];
+        let mut pos = WAL_MAGIC.len();
+        while pos + 8 <= segment.len() {
+            pos += 8 + u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+            bounds.push(pos);
+        }
+        bounds
     }
 
     fn sample_updates() -> Vec<LoggedUpdate> {
@@ -542,22 +621,35 @@ mod tests {
         ]
     }
 
-    /// A v2 segment — records that name no shape — scans through the v3
-    /// decoder to the rounds it holds.
+    /// A v3 segment — records over tables of their own, each spelling its
+    /// labels and shapes again — and a v2 one — such records that name no
+    /// shape — scan through the shared decoder to the rounds they hold. In a
+    /// v4 segment the second record names what the first spelled.
     #[test]
-    fn a_v2_segment_reads_through_the_shared_decoder() {
-        let dir = temp_dir("v2");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
-        let unshaped = &sample_updates()[..2];
-        wal.append(1, unshaped).unwrap();
-        let path = list_segments(&dir).unwrap()[0].1.clone();
-        let mut bytes = fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], WAL_MAGIC);
-        bytes[..8].copy_from_slice(WAL_MAGIC_V2);
-        fs::write(&path, &bytes).unwrap();
-        let scan = scan_segment(&path).unwrap();
-        assert_eq!((scan.records.len(), scan.discarded), (1, 0));
-        assert_eq!(scan.records[0].updates, unshaped);
+    fn v3_and_v2_segments_read_through_the_shared_decoder() {
+        let dir = temp_dir("v3");
+        let path = dir.join("wal-0000000000.rxlog");
+        for (magic, rounds) in [
+            (WAL_MAGIC_V3, sample_updates()),
+            (WAL_MAGIC_V2, sample_updates()[..2].to_vec()),
+        ] {
+            let mut bytes = magic.to_vec();
+            for epoch in [1, 2] {
+                let record = RecordEncoder::default()
+                    .encode(epoch, &rounds)
+                    .unwrap()
+                    .to_vec();
+                bytes.extend_from_slice(&record);
+            }
+            fs::write(&path, &bytes).unwrap();
+            let scan = scan_segment(&path).unwrap();
+            assert_eq!((scan.records.len(), scan.discarded), (2, 0));
+            assert!(scan.records.iter().all(|r| r.updates == rounds));
+        }
+        let mut wal = Wal::create(&dir, Durability::PerRound, 1).unwrap();
+        let first = wal.append(1, &sample_updates()).unwrap().bytes;
+        let second = wal.append(2, &sample_updates()).unwrap().bytes;
+        assert!(second < first / 2, "{second} B after {first} B");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -589,7 +681,7 @@ mod tests {
         wal.append(2, &sample_updates()[1..]).unwrap();
         let path = list_segments(&dir).unwrap()[0].1.clone();
         let full = fs::read(&path).unwrap();
-        let rec2_start = full.len() - record_len(2, &sample_updates()[1..]);
+        let rec2_start = record_bounds(&full)[1];
         for cut in rec2_start..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
             let scan = scan_segment(&path).unwrap();
@@ -608,7 +700,7 @@ mod tests {
         wal.append(2, &sample_updates()).unwrap();
         let path = list_segments(&dir).unwrap()[0].1.clone();
         let full = fs::read(&path).unwrap();
-        let start = full.len() - record_len(2, &sample_updates());
+        let start = record_bounds(&full)[1];
         for i in start..full.len() {
             let mut bytes = full.clone();
             bytes[i] ^= 0x5A;
@@ -646,15 +738,15 @@ mod tests {
         assert!(clean.undecodable.is_none());
         // Record 2: its first update's head byte (after the one-byte epoch
         // and count) becomes one no encoder writes; the CRC is re-stamped.
-        let len = record_len(2, &sample_updates());
-        let start = WAL_MAGIC.len() + len;
+        let (start, end) = (record_bounds(&bytes)[1], record_bounds(&bytes)[2]);
         bytes[start + 8 + 2] = 0xFF;
-        let crc = crc32(&bytes[start + 8..start + len]);
+        let crc = crc32(&bytes[start + 8..end]);
         bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();
         assert_eq!(scan.records.len(), 1, "the prefix ends at the record");
-        assert_eq!(scan.discarded, 2 * len as u64);
+        let discarded = (bytes.len() - start) as u64;
+        assert_eq!(scan.discarded, discarded);
         let (offset, error) = scan.undecodable.expect("reported");
         assert_eq!(offset, start as u64);
         assert!(matches!(error, CodecError::Invalid(_)), "{error}");
@@ -662,14 +754,19 @@ mod tests {
         bytes[start + 4] ^= 1;
         fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();
-        assert_eq!((scan.records.len(), scan.discarded), (1, 2 * len as u64));
+        assert_eq!((scan.records.len(), scan.discarded), (1, discarded));
         assert!(scan.undecodable.is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// What the decoder would refuse is refused before it is written: a
     /// filter nest at the decoder's cap is logged and read back, one level
-    /// deeper fails the append and leaves the segment as it was.
+    /// deeper fails the append and leaves the segment as it was. Neither
+    /// that round nor a record encoded and never written (what a failed
+    /// write leaves) adds to the segment's tables: the round after them,
+    /// of the labels and shapes they would have added, is spelled in full,
+    /// and the segment is byte for byte the one a log that never saw them
+    /// writes.
     #[test]
     fn a_round_the_decoder_would_refuse_is_not_appended() {
         use rxview_xmlkit::xpath::{Filter, Step, XPath};
@@ -681,18 +778,78 @@ mod tests {
             let path = XPath::from_steps(vec![Step::label("node").with_filter(filter)]);
             vec![(XmlUpdate::Delete { path }, SideEffectPolicy::Proceed)]
         };
+        let leaves = |id: i64| {
+            let insert = XmlUpdate::insert("leaf", tuple![id], "node[id=5]/sub").unwrap();
+            let delete = XmlUpdate::delete(&format!("node[id=5]/sub/leaf[id={id}]")).unwrap();
+            vec![
+                (insert, SideEffectPolicy::Proceed),
+                (delete, SideEffectPolicy::Abort),
+            ]
+        };
         let dir = temp_dir("depth");
         let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
         wal.append(1, &nested(MAX_FILTER_DEPTH)).unwrap();
         let path = list_segments(&dir).unwrap()[0].1.clone();
         let before = fs::read(&path).unwrap();
-        let refused = wal.append(2, &nested(MAX_FILTER_DEPTH + 1)).unwrap_err();
+        let too_deep = [leaves(0), nested(MAX_FILTER_DEPTH + 1)].concat();
+        let refused = wal.append(2, &too_deep).unwrap_err();
         assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(fs::read(&path).unwrap(), before);
-        wal.append(2, &sample_updates()).unwrap();
+        wal.encoder.encode(2, &leaves(1)).unwrap();
+        wal.append(2, &leaves(2)).unwrap();
         let scan = scan_segment(&path).unwrap();
         assert_eq!((scan.records.len(), scan.discarded), (2, 0));
         assert_eq!(scan.records[0].updates, nested(MAX_FILTER_DEPTH));
+        assert_eq!(scan.records[1].updates, leaves(2));
+
+        let twin = temp_dir("depth-twin");
+        let mut clean = Wal::create(&twin, Durability::PerRound, 0).unwrap();
+        clean.append(1, &nested(MAX_FILTER_DEPTH)).unwrap();
+        clean.append(2, &leaves(2)).unwrap();
+        let written = fs::read(&list_segments(&twin).unwrap()[0].1).unwrap();
+        assert!(fs::read(&path).unwrap() == written);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&twin).unwrap();
+    }
+
+    /// Once a segment's tables hold more than `MAX_TABLE_ENTRIES` labels and
+    /// shapes, the next append seals the segment and opens the next one over
+    /// empty tables — a round the old segment would have written shaped is
+    /// spelled in full; a checkpoint that covers both segments deletes both.
+    #[test]
+    fn full_tables_rotate_to_a_fresh_segment() {
+        // A label and a shape per update: 2 000 entries a round.
+        let round = |n: u64| -> Vec<LoggedUpdate> {
+            let delete = |i| XmlUpdate::delete(&format!("r{n}n{i}")).unwrap();
+            (0..1000)
+                .map(|i| (delete(i), SideEffectPolicy::Abort))
+                .collect()
+        };
+        let dir = temp_dir("cap");
+        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        for epoch in 1..=3 {
+            wal.append(epoch, &round(epoch)).unwrap();
+        }
+        assert_eq!(list_segments(&dir).unwrap().len(), 1, "rotation is lazy");
+        wal.append(4, &round(3)).unwrap();
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2, "6 000 entries > {MAX_TABLE_ENTRIES}");
+        let epochs = |path: &Path| {
+            let scan = scan_segment(path).unwrap();
+            assert_eq!(scan.discarded, 0);
+            scan.records.iter().map(|r| r.epoch).collect::<Vec<_>>()
+        };
+        assert_eq!(epochs(&segments[0].1), [1, 2, 3]);
+        assert_eq!(epochs(&segments[1].1), [4]);
+        let mut fresh = RecordEncoder::default();
+        let fresh = [&WAL_MAGIC[..], fresh.encode(4, &round(3)).unwrap()].concat();
+        assert!(
+            fs::read(&segments[1].1).unwrap() == fresh,
+            "spelled in full"
+        );
+        let compacted = wal.compact(4).unwrap();
+        assert_eq!((compacted.rotated, compacted.deleted), (true, 2));
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

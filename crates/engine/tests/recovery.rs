@@ -255,11 +255,13 @@ fn pipelined_sharded_crash_recovery_kill_at_every_round() {
 // ---------------------------------------------------------------------------
 
 /// Commits `rounds` single-batch rounds on a durable engine — one deletion
-/// each, the last two deletions of one shape, so that the last record's
-/// second update is written shaped (its head's bit 2, checked here) —
-/// recording the observational fingerprint after each epoch. Returns the
-/// directory and the per-epoch fingerprints (index 0 = epoch 0, the initial
-/// state); the history logs `rounds + 1` updates.
+/// each, the last two, all of one shape — recording the observational
+/// fingerprint after each epoch. The first record spells its deletion; every
+/// later one writes its deletions *shaped*, naming the first record's shape
+/// (checked here, head by head), so that a cut or a flip in any of them
+/// lands in a record that depends on an earlier one. Returns the directory
+/// and the per-epoch fingerprints (index 0 = epoch 0, the initial state);
+/// the history logs `rounds + 1` updates.
 #[allow(clippy::type_complexity)]
 fn build_logged_history(
     rounds: usize,
@@ -306,19 +308,34 @@ fn build_logged_history(
         ));
     }
     drop(engine);
-    // The last record's payload: epoch, count 2, the first deletion spelled
-    // as it is on its own, then the second one's head.
+    // Each record's payload: its epoch and count, then — after the first
+    // record's spelled deletion — shaped Proceed deletions naming shape 0,
+    // each with its two literals.
     let segment = fs::read(the_only_segment(&dir)).expect("read segment");
-    let (mut pos, mut last) = (8, 8);
-    while pos < segment.len() {
-        last = pos;
-        pos += 8 + u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+    let mut pos = 8;
+    for r in 1..=rounds {
+        let len = u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+        let mut payload = rxview_relstore::codec::Reader::new(&segment[pos + 8..pos + 8 + len]);
+        let varint = |p: &mut rxview_relstore::codec::Reader<'_>| p.read_varint().unwrap();
+        assert_eq!(varint(&mut payload), r as u64, "epoch");
+        let n = varint(&mut payload);
+        assert_eq!(n, if r == rounds { 2 } else { 1 });
+        if r > 1 {
+            for _ in 0..n {
+                assert_eq!(payload.read_u8().unwrap(), 0b111, "record {r}: shaped");
+                assert_eq!(
+                    varint(&mut payload),
+                    0,
+                    "record {r}: the first record's shape"
+                );
+                assert_eq!(varint(&mut payload) & 1, 0, "a numeric literal");
+                assert_eq!(varint(&mut payload) & 1, 0, "a numeric literal");
+            }
+            assert!(payload.is_empty(), "record {r}: nothing spelled");
+        }
+        pos += 8 + len;
     }
-    let payload = &segment[last + 8..];
-    let mut spelled = Vec::new();
-    rxview_core::put_update(&mut spelled, &deletions[rounds - 1]);
-    assert_eq!(payload[..2], [rounds as u8, 2]);
-    assert_eq!(payload[2 + spelled.len()] & 0b100, 0b100, "shaped");
+    assert_eq!(pos, segment.len());
     (dir, atg, fingerprints)
 }
 
@@ -841,7 +858,7 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr{19,21,24,32}_log_dir`, committed on a
+/// The history behind `tests/fixtures/pr{19,21,24,32,33}_log_dir`, committed on a
 /// durable engine over `dir`: a deletion, a checkpoint, then a deletion and
 /// an insertion left in the log's tail. Returns the ATG and the oracle's
 /// final state.
@@ -873,13 +890,17 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr32_log_dir` is the directory `fixture_history` leaves
+/// `tests/fixtures/pr33_log_dir` is the directory `fixture_history` leaves
 /// behind on this tree: it writes the same bytes for the same history (its
-/// segment opens `RXWALv3`), and recovers them to the oracle's state.
+/// segment opens `RXWALv4`), and recovers them to the oracle's state.
 ///
-/// The older directories stay readable. `tests/fixtures/pr24_log_dir` is what
-/// `fixture_history` left behind before records named shapes (27d2c19): an
-/// `RXWALv2` segment, read by the same decoder as `RXWALv3` — its records
+/// The older directories stay readable. `tests/fixtures/pr32_log_dir` is what
+/// `fixture_history` left behind before a segment's records shared their
+/// tables (fba5283): an `RXWALv3` segment, read by the same decoder as
+/// `RXWALv4` with its tables cleared before each record — its first record
+/// is this tree's, its second spells again the labels this tree's names.
+/// `tests/fixtures/pr24_log_dir` is what it left behind before records named
+/// shapes (27d2c19): an `RXWALv2` segment, read the same way — its records
 /// name no shape — beside checkpoints byte for byte this tree's.
 /// `tests/fixtures/pr21_log_dir` is what it left behind before the log
 /// changed format (e219fe9), `tests/fixtures/pr19_log_dir` before rows were
@@ -893,7 +914,7 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
 fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let ours = dir_bytes(&fixtures().join("pr32_log_dir"));
+    let ours = dir_bytes(&fixtures().join("pr33_log_dir"));
     let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
@@ -910,6 +931,7 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         assert_eq!(dir.len(), 1, "{fixture}: one segment");
         dir.pop().expect("one segment").1
     };
+    assert!(segment("pr33_log_dir").starts_with(b"RXWALv4\n"));
     assert!(segment("pr32_log_dir").starts_with(b"RXWALv3\n"));
     assert!(segment("pr24_log_dir").starts_with(b"RXWALv2\n"));
     assert!(segment("pr21_log_dir").starts_with(b"RXWALv1\n"));
@@ -917,6 +939,12 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         segment("pr24_log_dir")[8..] == segment("pr32_log_dir")[8..],
         "one update a record: no record names a shape, v2 bytes are v3 bytes"
     );
+    // A segment's first record is a record of its own; the second names
+    // the first's labels where the v3 one spells them.
+    let (v4, v3) = (segment("pr33_log_dir"), segment("pr32_log_dir"));
+    let first = 8 + 8 + u32::from_le_bytes(v4[8..12].try_into().unwrap()) as usize;
+    assert!(v4[8..first] == v3[8..first], "the first record");
+    assert!(v4.len() < v3.len(), "{} B against {} B", v4.len(), v3.len());
     let mut v2 = dir_bytes(&fixtures().join("pr24_log_dir"));
     v2.retain(|(name, _)| name.ends_with(".rxck"));
     assert!(
@@ -933,6 +961,7 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
     for fixture in [
+        "pr33_log_dir",
         "pr32_log_dir",
         "pr24_log_dir",
         "pr21_log_dir",
@@ -1040,7 +1069,7 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
     let written = temp_dir("tail-rewritten");
     let (atg, oracle) = tail_history(&written);
     let v1 = copy_dir(&fixtures().join("pr23_v1_tail_dir"), "v1-tail");
-    for (tag, dir) in [("RXWALv3", written), ("RXWALv1", v1)] {
+    for (tag, dir) in [("RXWALv4", written), ("RXWALv1", v1)] {
         let segment = fs::read(the_only_segment(&dir)).expect("segment");
         assert!(segment.starts_with(tag.as_bytes()), "{tag}");
         let (recovered, report) = recover_readonly(&atg, &dir);
