@@ -30,7 +30,9 @@
 //!        | head · varint k · [insert: value*] · literal*        — shaped
 //!          head bit 0: 0 insert / 1 delete; bit 1: 0 Abort / 1 Proceed;
 //!          bit 2: 0 spelled / 1 shaped, the shape table's k-th entry
-//! literal = varint (n << 1)            — n a canonical u64 below 2⁶³
+//! value  = varint zigzag(i − last)     — an Int i; `last` its slot's state
+//!        | str | u8                    — a Str, a Bool, untagged
+//! literal = varint (zigzag(n − last) << 1)  — n a canonical u64 below 2⁶²
 //!         | varint (len << 1 | 1) · UTF-8 bytes
 //! path   = varint n_steps · step*
 //! step   = head · [child-label: label] · [k = 63: varint (k − 63)] · filter*k
@@ -62,7 +64,7 @@
 //!
 //! ## Tables that live for a segment
 //!
-//! Both tables belong to a log segment (`RXWALv4`), the log's unit of
+//! Both tables belong to a log segment (`RXWALv5`), the log's unit of
 //! reading — recovery scans a segment from its magic — and of deletion —
 //! compaction deletes whole files. The writer's [`RecordTables`] and the
 //! reader's [`ReadTables`] start empty at a segment's magic and grow record
@@ -74,9 +76,27 @@
 //! or failed append), so no entry of a record that never reached the log
 //! reaches a later record. The writer caps the tables by starting a new
 //! segment once they hold more than a fixed number of entries.
-//! `RXWALv3` and `RXWALv2` records were written over tables of their own;
-//! they are read through the same decoder, [`ReadTables::clear`]ed before
-//! each record.
+//!
+//! **Slot state.** Every entry of the shape table also holds the last value
+//! bound to each of its integer slots: an insertion's `Int` values, then the
+//! path's literals in `plan::bind`'s order. The update that spells the entry
+//! sets them (a literal that is text sets its slot to 0). A shaped update
+//! writes each integer as its zigzag-coded difference from its slot and
+//! leaves itself there; a text literal leaves its slot as it was. The keys
+//! that consecutive updates of one shape bind lie a few apart, so a slot
+//! costs about a byte where the key itself took five. The state is staged
+//! like the entries: [`put_round`] logs every committed slot it rebinds,
+//! [`RecordTables::commit`] forgets the log, and the next [`put_round`]
+//! undoes it if the record never reached the log. An `Int` delta wraps, so
+//! every one decodes; a literal stays in [0, 2⁶²) — a larger one is written
+//! as text, so `zigzag(d) << 1` cannot overflow — and a literal delta that
+//! leaves that range is refused.
+//!
+//! `RXWALv4` records wrote a shaped update's integers as they are, a literal
+//! as `varint (n << 1)` with n below 2⁶³: they are read over
+//! [`ReadTables::absolute_literals`]. `RXWALv3` and `RXWALv2` records were
+//! written so too, and over tables of their own; they are read through the
+//! same decoder, [`ReadTables::clear`]ed before each record.
 //!
 //! Decoding is total: counts, table indices and literal lengths are bounded
 //! by the input that remains, filters nest at most [`MAX_FILTER_DEPTH`]
@@ -150,15 +170,62 @@ pub type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
 pub struct RecordTables {
     /// Label → its index in the label table.
     labels: HashMap<String, usize>,
-    /// Shape key ([`shape_key`]) → the shape's index in the shape table and
-    /// the update that spelled it.
-    shapes: HashMap<String, (usize, XmlUpdate)>,
+    /// Shape key ([`shape_key`]) → the shape's entry.
+    shapes: HashMap<String, Shape>,
     /// The shape table's length: every update spelled in full, named or not.
     n_shapes: usize,
+    /// The slot state of every entry in `shapes`.
+    slots: Slots,
     /// The label and shape tables' lengths at the last commit.
     committed: (usize, usize),
     /// The key of the update being written.
     key: String,
+}
+
+/// A shape the segment's later updates may name.
+#[derive(Debug)]
+struct Shape {
+    /// Its index in the shape table.
+    index: usize,
+    /// The update that spelled it.
+    template: XmlUpdate,
+    /// Where its slots start in [`Slots::values`].
+    first_slot: usize,
+}
+
+/// The slot state of a segment's shapes (module docs), one run of slots
+/// per shape in the order they joined, and an undo log of what the staged
+/// record rebound.
+#[derive(Debug, Default)]
+struct Slots {
+    values: Vec<u64>,
+    /// A committed slot the staged record rebound, and the value it held.
+    undo: Vec<(usize, u64)>,
+    /// `values`' length at the last commit.
+    committed: usize,
+}
+
+impl Slots {
+    /// Binds `value` to slot `k`; returns the value it replaces.
+    fn rebind(&mut self, k: usize, value: u64) -> u64 {
+        let last = std::mem::replace(&mut self.values[k], value);
+        if k < self.committed {
+            self.undo.push((k, last));
+        }
+        last
+    }
+
+    fn commit(&mut self) {
+        self.undo.clear();
+        self.committed = self.values.len();
+    }
+
+    fn roll_back(&mut self) {
+        for (k, last) in self.undo.drain(..).rev() {
+            self.values[k] = last;
+        }
+        self.values.truncate(self.committed);
+    }
 }
 
 impl RecordTables {
@@ -166,6 +233,7 @@ impl RecordTables {
     /// and later records of the segment may name its entries.
     pub fn commit(&mut self) {
         self.committed = (self.labels.len(), self.n_shapes);
+        self.slots.commit();
     }
 
     /// The committed labels and shapes: what a reader of the segment holds.
@@ -178,21 +246,79 @@ impl RecordTables {
         let (labels, shapes) = self.committed;
         if (self.labels.len(), self.n_shapes) != (labels, shapes) {
             self.labels.retain(|_, k| *k < labels);
-            self.shapes.retain(|_, (k, _)| *k < shapes);
+            self.shapes.retain(|_, s| s.index < shapes);
             self.n_shapes = shapes;
         }
+        self.slots.roll_back();
     }
 }
 
-struct Encoder<'a> {
+/// A label table being written: the segment's, or an update's own.
+trait Labels<'u> {
+    /// `label`'s index in the table, or `None` once it has joined it.
+    fn index_or_add(&mut self, label: &'u str) -> Option<usize>;
+}
+
+impl Labels<'_> for HashMap<String, usize> {
+    fn index_or_add(&mut self, label: &str) -> Option<usize> {
+        let k = self.get(label).copied();
+        if k.is_none() {
+            self.insert(label.to_owned(), self.len());
+        }
+        k
+    }
+}
+
+/// The table of an update on its own: a handful of labels, borrowed.
+impl<'u> Labels<'u> for Vec<&'u str> {
+    fn index_or_add(&mut self, label: &'u str) -> Option<usize> {
+        let k = self.iter().position(|&l| l == label);
+        if k.is_none() {
+            self.push(label);
+        }
+        k
+    }
+}
+
+struct Encoder<'a, L> {
     out: &'a mut Vec<u8>,
-    labels: &'a mut HashMap<String, usize>,
+    labels: &'a mut L,
 }
 
 /// `Some(n)` iff `s` is the canonical decimal form of the `u64` `n`.
 fn canonical_u64(s: &str) -> Option<u64> {
     let canonical = s == "0" || (!s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit()));
     s.parse().ok().filter(|_| canonical)
+}
+
+/// Literals at or above this are written as text, so that a delta between
+/// two others, zigzag-coded and shifted past the tag bit, fits a `u64`.
+const LITERAL_LIMIT: u64 = 1 << 62;
+
+/// `Some(n)` iff the literal `s` is written as a number: the canonical
+/// decimal form of an `n` below [`LITERAL_LIMIT`].
+fn literal_number(s: &str) -> Option<u64> {
+    canonical_u64(s).filter(|&n| n < LITERAL_LIMIT)
+}
+
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    ((z >> 1) as i64) ^ -((z & 1) as i64)
+}
+
+/// Appends the slot state that `update`, spelled in full, gives its entry:
+/// its `Int` values, then its path's `literals` (0 for one that is text).
+fn push_slots(slots: &mut Vec<u64>, update: &XmlUpdate, literals: &[&str]) {
+    if let XmlUpdate::Insert { attr, .. } = update {
+        slots.extend(attr.iter().filter_map(|v| match v {
+            Value::Int(i) => Some(*i as u64),
+            _ => None,
+        }));
+    }
+    slots.extend(literals.iter().map(|s| literal_number(s).unwrap_or(0)));
 }
 
 /// The key of `update`'s entry in a record's shape table: [`shape_path`]'s
@@ -274,33 +400,57 @@ fn weighs_at_most(template: &XmlUpdate, budget: usize) -> bool {
     spend(&mut left, ty) && path(template.path(), &mut left)
 }
 
-/// A shaped update's literal: `varint(n << 1)` for the canonical decimal
-/// form of a `u64` `n` below 2⁶³, otherwise `varint(len << 1 | 1)` and the
-/// UTF-8 bytes.
-fn put_literal(out: &mut Vec<u8>, s: &str) {
-    match canonical_u64(s).filter(|&n| n < 1 << 63) {
-        Some(n) => put_varint(out, n << 1),
-        None => {
-            put_varint(out, (s.len() as u64) << 1 | 1);
-            out.extend_from_slice(s.as_bytes());
+/// The body of a shaped update naming `shape`: an insertion's values
+/// untagged, each `Int` as its delta from its slot, then the path's
+/// `literals`, a number as its delta from its slot and anything else as
+/// text. Rebinds the slots it writes.
+fn put_shaped(
+    out: &mut Vec<u8>,
+    slots: &mut Slots,
+    shape: &Shape,
+    update: &XmlUpdate,
+    literals: &[&str],
+) {
+    let mut k = shape.first_slot;
+    if let XmlUpdate::Insert { attr, .. } = update {
+        for v in attr.iter() {
+            match v {
+                Value::Int(i) => {
+                    let last = slots.rebind(k, *i as u64);
+                    put_varint(out, zigzag(i.wrapping_sub(last as i64)));
+                    k += 1;
+                }
+                v => put_value_untagged(out, v),
+            }
         }
+    }
+    for s in literals {
+        match literal_number(s) {
+            Some(n) => {
+                let last = slots.rebind(k, n);
+                put_varint(out, zigzag(n as i64 - last as i64) << 1);
+            }
+            None => {
+                put_varint(out, (s.len() as u64) << 1 | 1);
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
+        k += 1;
     }
 }
 
-impl Encoder<'_> {
-    fn label(&mut self, label: &str) {
-        match self.labels.get(label) {
-            Some(&k) => put_varint(self.out, k as u64 + 1),
+impl<'u, L: Labels<'u>> Encoder<'_, L> {
+    fn label(&mut self, label: &'u str) {
+        match self.labels.index_or_add(label) {
+            Some(k) => put_varint(self.out, k as u64 + 1),
             None => {
                 self.out.push(0);
                 put_str(self.out, label);
-                let k = self.labels.len();
-                self.labels.insert(label.to_owned(), k);
             }
         }
     }
 
-    fn update(&mut self, update: &XmlUpdate, policy_bit: u8) {
+    fn update(&mut self, update: &'u XmlUpdate, policy_bit: u8) {
         match update {
             XmlUpdate::Insert { ty, attr, path } => {
                 self.out.push(policy_bit);
@@ -315,7 +465,7 @@ impl Encoder<'_> {
         }
     }
 
-    fn path(&mut self, path: &XPath) {
+    fn path(&mut self, path: &'u XPath) {
         put_varint(self.out, path.steps.len() as u64);
         for step in &path.steps {
             let (kind, label) = match &step.kind {
@@ -338,7 +488,7 @@ impl Encoder<'_> {
         }
     }
 
-    fn filter(&mut self, filter: &Filter) {
+    fn filter(&mut self, filter: &'u Filter) {
         match filter {
             Filter::Path(p) => {
                 self.out.push(FILTER_PATH);
@@ -400,6 +550,7 @@ pub fn put_round(
         labels,
         shapes,
         n_shapes,
+        slots,
         key,
         ..
     } = tables;
@@ -411,22 +562,26 @@ pub fn put_round(
         let policy_bit = if proceed { HEAD_PROCEED } else { 0 };
         shape_key(update, key, &mut literals);
         match shapes.get(key.as_str()) {
-            Some((k, template)) if same_update_shape(template, update) => {
+            Some(shape) if same_update_shape(&shape.template, update) => {
                 let kind_bit = match update {
                     XmlUpdate::Insert { .. } => 0,
                     XmlUpdate::Delete { .. } => HEAD_DELETE,
                 };
                 out.push(HEAD_SHAPED | kind_bit | policy_bit);
-                put_varint(out, *k as u64);
-                if let XmlUpdate::Insert { attr, .. } = update {
-                    attr.iter().for_each(|v| put_value_untagged(out, v));
-                }
-                literals.iter().for_each(|s| put_literal(out, s));
+                put_varint(out, shape.index as u64);
+                put_shaped(out, slots, shape, update, &literals);
             }
             named => {
                 Encoder { out, labels }.update(update, policy_bit);
                 if named.is_none() && weighs_at_most(update, MAX_TEMPLATE_WEIGHT) {
-                    shapes.insert(key.clone(), (*n_shapes, update.clone()));
+                    let first_slot = slots.values.len();
+                    push_slots(&mut slots.values, update, &literals);
+                    let shape = Shape {
+                        index: *n_shapes,
+                        template: update.clone(),
+                        first_slot,
+                    };
+                    shapes.insert(key.clone(), shape);
                 }
                 *n_shapes += 1;
             }
@@ -437,26 +592,98 @@ pub fn put_round(
 /// Encodes an [`XmlUpdate`] on its own: the round record's update form with
 /// a label table of its own and no policy (the policy bit is clear).
 pub fn put_update(out: &mut Vec<u8>, update: &XmlUpdate) {
-    let labels = &mut HashMap::new();
+    let labels = &mut Vec::new();
     Encoder { out, labels }.update(update, 0);
 }
 
 /// The label and shape tables of the segment being read (module docs): the
 /// labels as slices of the segment's bytes, and every update spelled in
-/// full — `None` for one too heavy for a shaped update to name.
+/// full with its slot state — `None` for one too heavy for a shaped update
+/// to name.
 #[derive(Debug, Default)]
 pub struct ReadTables<'a> {
     labels: Vec<&'a str>,
-    shapes: Vec<Option<XmlUpdate>>,
+    shapes: Vec<Option<(XmlUpdate, Vec<u64>)>>,
+    /// Whether a shaped update's integers are written as they are, not as
+    /// deltas from its slots.
+    absolute: bool,
 }
 
 impl ReadTables<'_> {
+    /// Empty tables for records whose shaped updates write their integers
+    /// as they are: how `RXWALv4` and older records are read.
+    pub fn absolute_literals() -> Self {
+        ReadTables {
+            absolute: true,
+            ..ReadTables::default()
+        }
+    }
+
     /// Empties both tables, so that the next record is read as the first of
     /// a segment: how `RXWALv3` and `RXWALv2` records, written over tables
     /// of their own, are read.
     pub fn clear(&mut self) {
         self.labels.clear();
         self.shapes.clear();
+    }
+}
+
+/// Where a shaped update's integers come from: as they are written, or as
+/// deltas from the slots of its entry, which they then replace.
+enum Ints<'s> {
+    Absolute,
+    Deltas(std::slice::IterMut<'s, u64>),
+}
+
+impl Ints<'_> {
+    /// The next slot, in [`push_slots`]' order; `None` when absolute.
+    fn slot(&mut self) -> CodecResult<Option<&mut u64>> {
+        match self {
+            Ints::Absolute => Ok(None),
+            Ints::Deltas(slots) => slots
+                .next()
+                .map(Some)
+                .ok_or_else(|| CodecError::Invalid("more integers than slots".into())),
+        }
+    }
+
+    /// An insertion's `Int` value.
+    fn int(&mut self, r: &mut Reader<'_>) -> CodecResult<i64> {
+        let d = r.read_varint_i64()?;
+        Ok(match self.slot()? {
+            None => d,
+            Some(last) => {
+                *last = last.wrapping_add(d as u64);
+                *last as i64
+            }
+        })
+    }
+
+    /// A literal ([`put_shaped`]).
+    fn literal(&mut self, r: &mut Reader<'_>) -> CodecResult<String> {
+        let slot = self.slot()?;
+        let v = r.read_varint()?;
+        if v & 1 == 1 {
+            let len = usize::try_from(v >> 1).map_err(|_| CodecError::Truncated)?;
+            return std::str::from_utf8(r.read_slice(len)?)
+                .map(str::to_owned)
+                .map_err(|_| CodecError::Invalid("literal is not UTF-8".into()));
+        }
+        let n = match slot {
+            None => v >> 1,
+            Some(last) => {
+                let n = (*last as i64)
+                    .checked_add(unzigzag(v >> 1))
+                    .and_then(|n| u64::try_from(n).ok())
+                    .filter(|&n| n < LITERAL_LIMIT)
+                    .ok_or_else(|| {
+                        CodecError::Invalid(format!("a literal delta leaves [0, 2⁶²) from {last}"))
+                    })?;
+                *last = n;
+                n
+            }
+        };
+        Ok(n.to_string())
     }
 }
 
@@ -514,7 +741,12 @@ impl<'a> Decoder<'_, 'a> {
                     path: self.path(0)?,
                 }
             };
-            let template = weighs_at_most(&update, MAX_TEMPLATE_WEIGHT).then(|| update.clone());
+            let template = weighs_at_most(&update, MAX_TEMPLATE_WEIGHT).then(|| {
+                let (mut key, mut literals, mut slots) = (String::new(), Vec::new(), Vec::new());
+                shape_key(&update, &mut key, &mut literals);
+                push_slots(&mut slots, &update, &literals);
+                (update.clone(), slots)
+            });
             self.tables.shapes.push(template);
             update
         };
@@ -528,26 +760,35 @@ impl<'a> Decoder<'_, 'a> {
     /// The body of a shaped update: the index of its template in the shape
     /// table, an insertion's values untagged, and the path's literals.
     fn shaped(&mut self, delete: bool) -> CodecResult<XmlUpdate> {
-        let (r, shapes) = (&mut *self.r, &self.tables.shapes);
+        let r = &mut *self.r;
+        let ReadTables {
+            shapes, absolute, ..
+        } = &mut *self.tables;
         if shapes.is_empty() {
             return Err(CodecError::Invalid(
                 "a shaped update before any shape".into(),
             ));
         }
+        let n_shapes = shapes.len();
         let k = r.read_varint()?;
         let entry = usize::try_from(k)
             .ok()
-            .and_then(|k| shapes.get(k))
-            .ok_or_else(|| {
-                CodecError::Invalid(format!("shape {k} of a table of {}", shapes.len()))
-            })?;
-        let template = entry.as_ref().ok_or_else(|| {
+            .and_then(|k| shapes.get_mut(k))
+            .ok_or_else(|| CodecError::Invalid(format!("shape {k} of a table of {n_shapes}")))?;
+        let (template, slots) = entry.as_mut().ok_or_else(|| {
             CodecError::Invalid(format!("shape {k} weighs more than {MAX_TEMPLATE_WEIGHT}"))
         })?;
-        let (inserted, path) = match (template, delete) {
+        let mut ints = match absolute {
+            true => Ints::Absolute,
+            false => Ints::Deltas(slots.iter_mut()),
+        };
+        let (inserted, path) = match (&*template, delete) {
             (XmlUpdate::Delete { path }, true) => (None, path),
             (XmlUpdate::Insert { ty, attr, path }, false) => {
-                let values = attr.iter().map(|v| read_value_of(r, v.value_type()));
+                let values = attr.iter().map(|v| match v.value_type() {
+                    ValueType::Int => ints.int(r).map(Value::Int),
+                    ty => read_value_of(r, ty),
+                });
                 (Some((ty, values.collect::<CodecResult<Tuple>>()?)), path)
             }
             (_, true) => {
@@ -563,7 +804,7 @@ impl<'a> Decoder<'_, 'a> {
         // takes a string for it, and the path it builds is dropped.
         let mut failed = None;
         let path = bind(path, &mut || {
-            read_literal(r).unwrap_or_else(|e| {
+            ints.literal(r).unwrap_or_else(|e| {
                 failed.get_or_insert(e);
                 String::new()
             })
@@ -634,18 +875,6 @@ impl<'a> Decoder<'_, 'a> {
             t => return Err(CodecError::Invalid(format!("unknown filter tag {t}"))),
         })
     }
-}
-
-/// A shaped update's literal ([`put_literal`]).
-fn read_literal(r: &mut Reader<'_>) -> CodecResult<String> {
-    let v = r.read_varint()?;
-    if v & 1 == 0 {
-        return Ok((v >> 1).to_string());
-    }
-    let len = usize::try_from(v >> 1).map_err(|_| CodecError::Truncated)?;
-    std::str::from_utf8(r.read_slice(len)?)
-        .map(str::to_owned)
-        .map_err(|_| CodecError::Invalid("literal is not UTF-8".into()))
 }
 
 /// Decodes a [`put_round`] payload — the epoch and the round's updates —

@@ -107,17 +107,25 @@ fn golden_bytes_pin_the_format() {
     assert_eq!(read_tuples(&expected, tuples.len()), tuples);
 }
 
-/// The round records of a segment (what an `RXWALv4` segment frames) are
+/// The round records of a segment (what an `RXWALv5` segment frames) are
 /// pinned too. The first: an insertion and a deletion of one round, the
 /// second spelling none of its labels again, then an update of each one's
 /// shape, written as the shape's index, the inserted value untagged and the
-/// literals — `"007"` as text, `4096` as a number. The second names what the
-/// first spelled: a shaped insertion of the first one's shape, a deletion of
-/// a new shape over the first record's labels, and one whose label joins the
-/// table. A segment's first record is what an `RXWALv3` segment framed, and
-/// one without its third and fourth update what an `RXWALv2` segment framed;
-/// the format before that opened its segments `RXWALv1`, and its bytes are
-/// pinned by the engine's checked-in v1 directories.
+/// literals — `"007"` as text, `4096` as its difference from the `320` its
+/// shape's slot holds. The second names what the first spelled: a shaped
+/// insertion of the first one's shape, a deletion of a new shape over the
+/// first record's labels, and one whose label joins the table. The third
+/// spells an insertion of `Int` values, which fill its shape's slots. The
+/// fourth is all shaped: an update whose slots repeat their last binding
+/// costs its head, its index and a byte a slot, and one a step away no more.
+///
+/// What an `RXWALv4` segment framed differs from the first two records only
+/// in the literal `4096`, written as it is; read over tables that read
+/// integers so, it is the same rounds. A segment's first record is what an
+/// `RXWALv3` segment framed, and one without its third and fourth update what
+/// an `RXWALv2` segment framed; the format before that opened its segments
+/// `RXWALv1`, and its bytes are pinned by the engine's checked-in v1
+/// directories.
 #[test]
 fn golden_bytes_pin_logged_updates() {
     let first: Vec<LoggedUpdate> = vec![
@@ -138,6 +146,10 @@ fn golden_bytes_pin_logged_updates() {
             SideEffectPolicy::Proceed,
         ),
     ];
+    let keyed = |id: i64| {
+        let path = format!("course[cno={id}]/prereq");
+        XmlUpdate::insert("node", tuple![id, -7i64], &path).unwrap()
+    };
     let second: Vec<LoggedUpdate> = vec![
         (
             XmlUpdate::insert("course", tuple!["CS111"], "course[cno=CS650]/prereq").unwrap(),
@@ -152,7 +164,20 @@ fn golden_bytes_pin_logged_updates() {
             SideEffectPolicy::Abort,
         ),
     ];
-    let segment = vec![(7, first), (8, second)];
+    let third: Vec<LoggedUpdate> = vec![(keyed(2_000_000_000), SideEffectPolicy::Abort)];
+    let fourth: Vec<LoggedUpdate> = vec![
+        (keyed(2_000_000_000), SideEffectPolicy::Abort),
+        (keyed(2_000_000_001), SideEffectPolicy::Abort),
+        (
+            XmlUpdate::delete("//course[cno=4096]").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+        (
+            XmlUpdate::delete("course[cno=319]/prereq").unwrap(),
+            SideEffectPolicy::Abort,
+        ),
+    ];
+    let segment = vec![(7, first), (8, second), (9, third), (10, fourth)];
     let records = segment_bytes(&segment);
 
     #[rustfmt::skip]
@@ -185,7 +210,7 @@ fn golden_bytes_pin_logged_updates() {
         // update 4: update 2's shape
         0x07,                                            // head: shaped delete, Proceed
         0x01,                                            // shape 1
-        0x80, 0x40,                                      // literal: 4096 << 1
+        0x80, 0x76,                                      // literal: zigzag(4096 − 320) << 1
     ];
     #[rustfmt::skip]
     let expected_second: Vec<u8> = vec![
@@ -208,14 +233,56 @@ fn golden_bytes_pin_logged_updates() {
         0x03,                                            // `//`
         0x01, 0x00, 0x05, b't', b'i', b't', b'l', b'e',  // child step; new label 4
     ];
-    assert_eq!(records, [expected_first, expected_second]);
+    #[rustfmt::skip]
+    let expected_third: Vec<u8> = vec![
+        0x09,                                            // epoch 9
+        0x01,                                            // 1 update
+        // shape 4, and a new label 5
+        0x00,                                            // head: insert, Abort
+        0x00, 0x04, b'n', b'o', b'd', b'e',              // new label 5: the type
+        0x02,                                            // attr arity 2
+        0x00, 0x80, 0xD0, 0xAC, 0xF3, 0x0E,              // Int(2 000 000 000)
+        0x00, 0x0D,                                      // Int(-7)
+        0x02,                                            // path: 2 steps
+        0x05, 0x01,                                      // child step, 1 filter; label 1
+        0x06, 0x02, 0x80, 0xA8, 0xD6, 0xB9, 0x07,        // [label 2 = "2000000000"]
+        0x01, 0x03,                                      // child step; label 3
+    ];
+    #[rustfmt::skip]
+    let expected_fourth: Vec<u8> = vec![
+        0x0A,                                            // epoch 10
+        0x04,                                            // 4 updates
+        0x04, 0x04, 0x00, 0x00, 0x00,                    // shape 4, its slots as they were
+        0x04, 0x04, 0x02, 0x00, 0x04,                    // shape 4: Int +1, -7 again, literal +1
+        0x05, 0x01, 0x00,                                // shape 1: 4096 again
+        0x05, 0x02, 0x02,                                // shape 2: 320 − 1
+    ];
+    assert_eq!(
+        records,
+        [
+            expected_first.clone(),
+            expected_second.clone(),
+            expected_third,
+            expected_fourth
+        ]
+    );
     assert_eq!(
         read_segment(&records, Tables::Segment),
         (segment.clone(), None)
     );
+    let n = expected_first.len();
+    let literal_as_it_is: &[u8] = &[0x80, 0x40]; // 4096 << 1
+    let v4 = [
+        [&expected_first[..n - 2], literal_as_it_is].concat(),
+        expected_second,
+    ];
+    assert_eq!(
+        read_segment(&v4, Tables::Absolute),
+        (segment[..2].to_vec(), None)
+    );
     // Read as a v3 segment, the first record is whole and the second names
     // a shape it does not have.
-    let (v3, error) = read_segment(&records, Tables::Record);
+    let (v3, error) = read_segment(&v4, Tables::Record);
     assert_eq!(v3, segment[..1]);
     assert!(matches!(error, Some(CodecError::Invalid(_))), "{error:?}");
 }
@@ -233,12 +300,17 @@ fn segment_bytes(segment: &[(u64, Vec<LoggedUpdate>)]) -> Vec<Vec<u8>> {
     segment.iter().map(record).collect()
 }
 
-/// How a segment's records share their tables.
+/// How a segment's records share their tables, and how they write a shaped
+/// update's integers.
 #[derive(Clone, Copy)]
 enum Tables {
-    /// One [`ReadTables`] for the segment (`RXWALv4`).
+    /// One [`ReadTables`] for the segment, integers as deltas from their
+    /// slots (`RXWALv5`).
     Segment,
-    /// Cleared before each record (`RXWALv3`, `RXWALv2`).
+    /// One for the segment, integers as they are (`RXWALv4`).
+    Absolute,
+    /// Cleared before each record, integers as they are (`RXWALv3`,
+    /// `RXWALv2`).
     Record,
 }
 
@@ -248,7 +320,10 @@ fn read_segment(
     records: &[Vec<u8>],
     tables: Tables,
 ) -> (Vec<(u64, Vec<LoggedUpdate>)>, Option<CodecError>) {
-    let mut read = ReadTables::default();
+    let mut read = match tables {
+        Tables::Segment => ReadTables::default(),
+        Tables::Absolute | Tables::Record => ReadTables::absolute_literals(),
+    };
     let mut rounds = Vec::new();
     for bytes in records {
         if let Tables::Record = tables {
@@ -518,13 +593,21 @@ proptest! {
     /// What a record stages and never commits — its append was refused or
     /// failed — reaches no later record: the segment's other records are
     /// the bytes a segment without it writes, and read back without it.
+    /// The aborted round first rebinds the slots of every shape the records
+    /// before it committed, with fresh literals and values, then adds
+    /// updates of its own.
     #[test]
     fn an_uncommitted_record_leaves_nothing_behind(
         segment in segment_strategy(),
-        aborted in round_strategy(),
+        own in round_strategy(),
         at in any::<usize>(),
+        constants in prop::collection::vec(constant_strategy(), 0..6),
+        seed in any::<u64>(),
     ) {
         let at = at % segment.len();
+        let committed = segment[..at].iter().flat_map(|(_, round)| round);
+        let rebound = committed.map(|(u, policy)| (of_shape(u, constants.clone(), seed), *policy));
+        let aborted: Vec<LoggedUpdate> = rebound.chain(own).collect();
         let mut tables = RecordTables::default();
         let mut records = Vec::new();
         for (k, (epoch, round)) in segment.iter().enumerate() {
@@ -578,6 +661,32 @@ fn wide_steps_round_trip() {
             (1, round)
         );
     }
+}
+
+/// One shape's literal slot moved across the edges of the number form
+/// round-trips: `0`; 2⁶² − 1, the largest number, its delta from 0 and back
+/// the largest a literal writes; 2⁶² and `007`, text, which leave the slot
+/// as it was.
+#[test]
+fn literals_at_the_edges_of_the_number_form_round_trip() {
+    let (largest, text) = ("4611686018427387903", "4611686018427387904");
+    let keys = ["0", largest, text, "007", "0", largest, "0"];
+    let round: Vec<LoggedUpdate> = keys
+        .iter()
+        .map(|k| {
+            let u = XmlUpdate::delete(&format!("node[id={k}]")).unwrap();
+            (u, SideEffectPolicy::Proceed)
+        })
+        .collect();
+    let bytes = round_bytes(1, &round);
+    assert_eq!(read_whole_round(&bytes).unwrap(), (1, round));
+    let spelled = |k: &str| {
+        bytes
+            .windows(k.len())
+            .filter(|w| *w == k.as_bytes())
+            .count()
+    };
+    assert_eq!((spelled(text), spelled("007"), spelled(largest)), (1, 1, 0));
 }
 
 /// `delete node[f]`, as record bytes with `f` left to the caller: epoch 1,
@@ -676,6 +785,47 @@ fn hostile_records_error_not_panic() {
     assert_eq!(back[1].0, insert(false));
     assert!(invalid(&with(&[0x05, 0x00])));
     assert!(invalid(&with(&[0x04, 0x00, 0x02])));
+
+    // A literal is its delta from its slot, `zigzag(d) << 1`, and must land
+    // in [0, 2⁶²). `delete node[id = 5]` is shape 0, its slot at 5.
+    let zigzag = |d: i64| ((d << 1) ^ (d >> 63)) as u64;
+    let put = |v: u64| {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, v);
+        bytes
+    };
+    #[rustfmt::skip]
+    let spelled_5: &[u8] = &[
+        0x01, 0x01, 0x05, 0x00, 0x04, b'n', b'o', b'd', b'e', // delete: `node`, 1 filter
+        0x06, 0x00, 0x02, b'i', b'd', 0x05,                   // [id = 5]
+    ];
+    let shaped_5 = [&[0x01, 0x02][..], spelled_5, &[0x05, 0x00]].concat(); // …, shape 0
+    let literal = |d: i64| [shaped_5.clone(), put(zigzag(d) << 1)].concat();
+    let delete_id = |k: &str| XmlUpdate::delete(&format!("node[id={k}]")).unwrap();
+    let (_, bottom) = read_whole_round(&literal(-5)).unwrap();
+    assert_eq!(bottom[1].0, delete_id("0"));
+    assert!(invalid(&literal(-6)));
+    let largest = (1i64 << 62) - 1;
+    let (_, top) = read_whole_round(&literal(largest - 5)).unwrap();
+    assert_eq!(top[1].0, delete_id(&largest.to_string()));
+    assert!(invalid(&literal(largest - 4)));
+    assert!(invalid(&literal(largest)));
+    // An `Int` is its delta from its slot, zigzag-coded, and wraps: from 5,
+    // `i64::MAX` and `i64::MIN` decode, and the rounds they decode to write
+    // the same bytes again.
+    let insert_int = |i: i64| XmlUpdate::Insert {
+        ty: "node".into(),
+        attr: tuple![i],
+        path: XPath::from_steps(vec![Step::label("sub")]),
+    };
+    let mut spelled_int = vec![0x01, 0x02];
+    codec::put_update(&mut spelled_int, &insert_int(5));
+    for d in [i64::MAX, i64::MIN] {
+        let bytes = [&spelled_int[..], &[0x04, 0x00], &put(zigzag(d))].concat();
+        let (_, back) = read_whole_round(&bytes).unwrap();
+        assert_eq!(back[1].0, insert_int(5i64.wrapping_add(d)));
+        assert_eq!(round_bytes(1, &back), bytes);
+    }
     // A template heavier than a reference may clone: 200 `*` steps. The
     // encoder spells every repeat of it in full instead.
     let wildcard = Step::new(rxview_xmlkit::xpath::StepKind::Child(

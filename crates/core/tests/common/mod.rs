@@ -18,14 +18,17 @@ pub fn label_strategy() -> BoxedStrategy<String> {
     .boxed()
 }
 
-/// Constants on either side of "the canonical decimal form of a `u64`", and
-/// of 2⁶³, below which a log record writes one as a number.
+/// Constants on either side of "the canonical decimal form of a `u64`", of
+/// 2⁶², below which a log record writes one as a number, and of 2⁶³, below
+/// which an older one did.
 pub fn constant_strategy() -> BoxedStrategy<String> {
-    const EDGES: [&str; 11] = [
+    const EDGES: [&str; 13] = [
         "0",
         "007",
         "18446744073709551615",
         "18446744073709551616",
+        "4611686018427387903",
+        "4611686018427387904",
         "9223372036854775807",
         "9223372036854775808",
         "-1",

@@ -25,7 +25,7 @@ use rxview_relstore::codec::{crc32, Reader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Magic bytes opening every checkpoint file.
 pub(crate) const CKPT_MAGIC: &[u8; 8] = b"RXCKPv1\n";
@@ -158,6 +158,10 @@ pub(crate) fn clean_stale_tmps(dir: &Path) -> io::Result<()> {
 /// piling up — an unbounded queue would pin arbitrarily many full system
 /// versions in memory, and a fuzzy checkpoint only ever wants a recent one
 /// anyway.
+///
+/// A panic while the lock is held cannot leave the state invalid (it is an
+/// `Option` and a `bool`), so a poisoned lock is used as it is: a request
+/// is still served, and dropping the handle still shuts the thread down.
 #[derive(Debug, Default)]
 struct Mailbox {
     slot: Mutex<MailboxState>,
@@ -188,7 +192,7 @@ impl Checkpointer {
             .name("rxview-checkpoint".into())
             .spawn(move || loop {
                 let snap = {
-                    let mut st = inbox.slot.lock().expect("mailbox lock poisoned");
+                    let mut st = inbox.slot.lock().unwrap_or_else(PoisonError::into_inner);
                     loop {
                         if let Some(s) = st.next.take() {
                             break s;
@@ -196,7 +200,7 @@ impl Checkpointer {
                         if st.shutdown {
                             return;
                         }
-                        st = inbox.cv.wait(st).expect("mailbox lock poisoned");
+                        st = inbox.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
                 stats.recorder().record(
@@ -243,7 +247,11 @@ impl Checkpointer {
     /// Hands a snapshot to the background thread, replacing any queued one
     /// (never blocks on I/O; backlog is at most one snapshot).
     pub(crate) fn request(&self, snap: Arc<Snapshot>) {
-        let mut st = self.mailbox.slot.lock().expect("mailbox lock poisoned");
+        let mut st = self
+            .mailbox
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         st.next = Some(snap);
         self.mailbox.cv.notify_one();
     }
@@ -252,7 +260,11 @@ impl Checkpointer {
 impl Drop for Checkpointer {
     fn drop(&mut self) {
         {
-            let mut st = self.mailbox.slot.lock().expect("mailbox lock poisoned");
+            let mut st = self
+                .mailbox
+                .slot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             st.shutdown = true;
             self.mailbox.cv.notify_one();
         }
@@ -359,6 +371,40 @@ mod tests {
             .collect();
         assert_eq!(written, [4]);
         assert_eq!(list_segments(&dir).unwrap().len(), 1, "no rotation");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A mailbox whose lock a panic poisoned still hands a snapshot over, and
+    /// dropping the handle still shuts the thread down and joins it: the
+    /// checkpoint is written, and nothing panics (a panic inside `drop`
+    /// while another panic unwinds would abort the process).
+    #[test]
+    fn a_poisoned_mailbox_still_checkpoints_and_shuts_down() {
+        use crate::wal::Durability;
+        let dir = temp_dir("poisoned-mailbox");
+        let sys = system(60);
+        let wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let stats = EngineStats::new(
+            crate::stats::flight_recorder(),
+            Arc::clone(sys.view().plan_cache()),
+        );
+        let ckpt = Checkpointer::spawn(dir.clone(), Arc::new(Mutex::new(wal)), Arc::new(stats));
+        let mailbox = Arc::clone(&ckpt.mailbox);
+        let panicked = std::thread::spawn(move || {
+            let _held = mailbox.slot.lock();
+            panic!("a panic while the mailbox is held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(ckpt.mailbox.slot.is_poisoned());
+        ckpt.request(Arc::new(Snapshot::new(sys, 5)));
+        drop(ckpt);
+        let written: Vec<u64> = list_checkpoints(&dir)
+            .unwrap()
+            .iter()
+            .map(|c| c.0)
+            .collect();
+        assert_eq!(written, [5]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

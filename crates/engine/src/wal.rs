@@ -18,14 +18,16 @@
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
 //! ```
 //!
-//! Segments open with `RXWALv4\n`, and a payload is
+//! Segments open with `RXWALv5\n`, and a payload is
 //! [`rxview_core::codec::put_round`]'s: the epoch, the update count, and the
 //! updates with their paths as ASTs over the segment's label table, an
 //! update whose shape the segment has spelled before written as the shape's
-//! index and its literals. The tables live for the segment: a record may
-//! name what an earlier record of its segment spelled, never anything in
-//! another file, so a segment is self-describing and is read without the
-//! XPath parser, from its magic, as recovery reads it. `Wal` owns the one
+//! index and its literals, each integer among them as its difference from
+//! the shape's last binding of that slot. The tables and the slot state
+//! live for the segment: a record may name what an earlier record of its
+//! segment spelled or bound, never anything in another file, so a segment
+//! is self-describing and is read without the XPath parser, from its magic,
+//! as recovery reads it. `Wal` owns the one
 //! encoder (a frame buffer whose header is patched in place, and the
 //! segment's tables), reused round after round; a record's additions to the
 //! tables are committed only once the record is written (and synced, when
@@ -38,10 +40,13 @@
 //! magic), so a directory written before a change of format recovers;
 //! nothing writes them:
 //!
-//! - `RXWALv3\n` and `RXWALv2\n` records were written over tables of their
-//!   own (v2 records name no shape), and go through the one decoder,
-//!   [`rxview_core::codec::read_round`], its tables cleared before each
-//!   record;
+//! - `RXWALv4\n` records wrote a shaped update's integers as they are, and
+//!   go through the one decoder, [`rxview_core::codec::read_round`], over
+//!   tables that read them so
+//!   ([`rxview_core::codec::ReadTables::absolute_literals`]);
+//! - `RXWALv3\n` and `RXWALv2\n` records were written so too, and over
+//!   tables of their own (v2 records name no shape): the same decoder, its
+//!   tables cleared before each record;
 //! - `RXWALv1\n` records — paths as display text, a policy byte per update —
 //!   have their own ([`rxview_core::codec::read_update_v1`]).
 //!
@@ -124,14 +129,20 @@ impl Durability {
 }
 
 /// Magic bytes opening every segment file this engine writes.
-pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv4\n";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv5\n";
 
-/// Magic bytes of the segments older engines wrote (read-only): v3 and v2
-/// records are v4 records over tables of their own (v2 records name no
-/// shape), v1 records spell paths as text.
-const WAL_MAGIC_V3: &[u8; 8] = b"RXWALv3\n";
-const WAL_MAGIC_V2: &[u8; 8] = b"RXWALv2\n";
-const WAL_MAGIC_V1: &[u8; 8] = b"RXWALv1\n";
+/// Every magic [`scan_segment`] reads, newest first, and how it reads the
+/// segment's records. Older engines wrote the others (read-only): v4
+/// records are v5 records with a shaped update's integers as they are, v3
+/// and v2 records v4 records over tables of their own (v2 records name no
+/// shape), and v1 records spell paths as text.
+const FORMATS: [(&[u8; 8], Format); 5] = [
+    (WAL_MAGIC, Format::SlotDeltas),
+    (b"RXWALv4\n", Format::SegmentTables),
+    (b"RXWALv3\n", Format::RecordTables),
+    (b"RXWALv2\n", Format::RecordTables),
+    (b"RXWALv1\n", Format::Text),
+];
 
 /// The labels and shapes a segment's tables may hold before the next append
 /// starts a new segment.
@@ -277,9 +288,12 @@ pub(crate) struct SegmentScan {
 /// How a segment's records are read, by its magic.
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
-    /// `RXWALv4`: one decoder state threaded through the segment.
+    /// `RXWALv5`: one decoder state threaded through the segment.
+    SlotDeltas,
+    /// `RXWALv4`: the same, with a shaped update's integers as they are.
     SegmentTables,
-    /// `RXWALv3` and `RXWALv2`: the same decoder, cleared before each record.
+    /// `RXWALv3` and `RXWALv2`: as v4, the decoder cleared before each
+    /// record.
     RecordTables,
     /// `RXWALv1`: paths as text.
     Text,
@@ -290,16 +304,15 @@ enum Format {
 pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let bytes = fs::read(path)?;
     let mut scan = SegmentScan::default();
-    let format = match bytes.get(..WAL_MAGIC.len()) {
-        Some(magic) if magic == WAL_MAGIC => Format::SegmentTables,
-        Some(magic) if magic == WAL_MAGIC_V3 || magic == WAL_MAGIC_V2 => Format::RecordTables,
-        Some(magic) if magic == WAL_MAGIC_V1 => Format::Text,
-        _ => {
-            scan.discarded = bytes.len() as u64;
-            return Ok(scan);
-        }
+    let magic = bytes.get(..WAL_MAGIC.len());
+    let Some(&(_, format)) = FORMATS.iter().find(|(m, _)| magic == Some(&m[..])) else {
+        scan.discarded = bytes.len() as u64;
+        return Ok(scan);
     };
-    let mut tables = ReadTables::default();
+    let mut tables = match format {
+        Format::SlotDeltas => ReadTables::default(),
+        _ => ReadTables::absolute_literals(),
+    };
     let mut pos = WAL_MAGIC.len();
     loop {
         let rest = &bytes[pos..];
@@ -621,25 +634,47 @@ mod tests {
         ]
     }
 
-    /// A v3 segment — records over tables of their own, each spelling its
+    /// `sample_updates` keyed by text: a shaped update of these binds no
+    /// integer, so every format since v2 writes it as this one does.
+    fn text_keyed_updates() -> Vec<LoggedUpdate> {
+        vec![
+            (
+                XmlUpdate::delete("node[id=n3]/sub/node[id=n7]").unwrap(),
+                SideEffectPolicy::Proceed,
+            ),
+            (
+                XmlUpdate::insert("node", tuple!["n9", true], "node[id=n3]/sub").unwrap(),
+                SideEffectPolicy::Abort,
+            ),
+            (
+                XmlUpdate::delete("node[id=n4]/sub/node[id=n8]").unwrap(),
+                SideEffectPolicy::Proceed,
+            ),
+        ]
+    }
+
+    /// A v4 segment — one set of tables, a shaped update's integers as they
+    /// are — a v3 one — records over tables of their own, each spelling its
     /// labels and shapes again — and a v2 one — such records that name no
     /// shape — scan through the shared decoder to the rounds they hold. In a
-    /// v4 segment the second record names what the first spelled.
+    /// v5 segment the second record names what the first spelled.
     #[test]
-    fn v3_and_v2_segments_read_through_the_shared_decoder() {
+    fn v4_v3_and_v2_segments_read_through_the_shared_decoder() {
         let dir = temp_dir("v3");
         let path = dir.join("wal-0000000000.rxlog");
-        for (magic, rounds) in [
-            (WAL_MAGIC_V3, sample_updates()),
-            (WAL_MAGIC_V2, sample_updates()[..2].to_vec()),
+        for (magic, rounds, tables_per_segment) in [
+            (b"RXWALv4\n", text_keyed_updates(), true),
+            (b"RXWALv3\n", text_keyed_updates(), false),
+            (b"RXWALv2\n", text_keyed_updates()[..2].to_vec(), false),
         ] {
             let mut bytes = magic.to_vec();
+            let mut encoder = RecordEncoder::default();
             for epoch in [1, 2] {
-                let record = RecordEncoder::default()
-                    .encode(epoch, &rounds)
-                    .unwrap()
-                    .to_vec();
-                bytes.extend_from_slice(&record);
+                if !tables_per_segment {
+                    encoder = RecordEncoder::default();
+                }
+                bytes.extend_from_slice(encoder.encode(epoch, &rounds).unwrap());
+                encoder.tables.commit();
             }
             fs::write(&path, &bytes).unwrap();
             let scan = scan_segment(&path).unwrap();
@@ -650,6 +685,34 @@ mod tests {
         let first = wal.append(1, &sample_updates()).unwrap().bytes;
         let second = wal.append(2, &sample_updates()).unwrap().bytes;
         assert!(second < first / 2, "{second} B after {first} B");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The magic says how a shaped update's integers read. A record that
+    /// spells `delete node[id=3]`, then names its shape with the literal
+    /// varint 8: in a v4 segment that is `4 << 1`, the literal 4; in a v5
+    /// one `zigzag(2) << 1`, 3 + 2.
+    #[test]
+    fn a_shaped_literal_reads_as_its_segment_s_magic_says() {
+        #[rustfmt::skip]
+        let payload = [
+            0x01, 0x02,                                           // epoch 1, 2 updates
+            0x01, 0x01, 0x05, 0x00, 0x04, b'n', b'o', b'd', b'e', // delete: `node`, 1 filter
+            0x06, 0x00, 0x02, b'i', b'd', 0x03,                   // [id = 3]
+            0x05, 0x00, 0x08,                                     // shape 0, literal 8
+        ];
+        let dir = temp_dir("magic-literals");
+        let path = dir.join("wal-0000000000.rxlog");
+        for (magic, id) in [(b"RXWALv4\n", 4), (WAL_MAGIC, 5)] {
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            fs::write(&path, &bytes).unwrap();
+            let scan = scan_segment(&path).unwrap();
+            let want = XmlUpdate::delete(&format!("node[id={id}]")).unwrap();
+            assert_eq!(scan.records[0].updates[1].0, want);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -862,6 +925,44 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.discarded, 9);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every magic `scan_segment` reads opens the segment of a checked-in
+    /// directory under `tests/fixtures/`, and the newest directory's opens
+    /// with `WAL_MAGIC`: the format cannot change without a fixture of the
+    /// bytes it writes. The directories are named `pr<N>_…`, N ascending in
+    /// the order they were written.
+    #[test]
+    fn every_format_keeps_a_fixture() {
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let mut opened: Vec<(u32, Vec<u8>)> = Vec::new();
+        for entry in fs::read_dir(&fixtures).unwrap() {
+            let dir = entry.unwrap().path();
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            let n = name
+                .strip_prefix("pr")
+                .and_then(|s| s.split('_').next())
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("`{name}` is not named pr<N>_…"));
+            for (_, segment) in list_segments(&dir).unwrap() {
+                let bytes = fs::read(segment).unwrap();
+                opened.push((n, bytes[..WAL_MAGIC.len()].to_vec()));
+            }
+        }
+        for (magic, _) in FORMATS {
+            let tag = String::from_utf8_lossy(magic);
+            assert!(
+                opened.iter().any(|(_, m)| m == magic),
+                "no fixture opens with {}",
+                tag.trim_end()
+            );
+        }
+        let newest = opened.iter().max_by_key(|(n, _)| *n).expect("fixtures");
+        assert!(
+            newest.1 == WAL_MAGIC,
+            "pr{}'s segment is not this tree's",
+            newest.0
+        );
     }
 
     #[test]

@@ -858,10 +858,10 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr{19,21,24,32,33}_log_dir`, committed on a
-/// durable engine over `dir`: a deletion, a checkpoint, then a deletion and
-/// an insertion left in the log's tail. Returns the ATG and the oracle's
-/// final state.
+/// The history behind `tests/fixtures/pr{19,21,24,32,33,34}_log_dir`,
+/// committed on a durable engine over `dir`: a deletion, a checkpoint, then a
+/// deletion and an insertion left in the log's tail. Returns the ATG and the
+/// oracle's final state.
 fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     let (sys, atg) = system(80, 1);
     let mut ops = group_edge_deletions(&sys, 80);
@@ -890,15 +890,19 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr33_log_dir` is the directory `fixture_history` leaves
+/// `tests/fixtures/pr34_log_dir` is the directory `fixture_history` leaves
 /// behind on this tree: it writes the same bytes for the same history (its
-/// segment opens `RXWALv4`), and recovers them to the oracle's state.
+/// segment opens `RXWALv5`), and recovers them to the oracle's state.
 ///
-/// The older directories stay readable. `tests/fixtures/pr32_log_dir` is what
-/// `fixture_history` left behind before a segment's records shared their
-/// tables (fba5283): an `RXWALv3` segment, read by the same decoder as
-/// `RXWALv4` with its tables cleared before each record — its first record
-/// is this tree's, its second spells again the labels this tree's names.
+/// The older directories stay readable. `tests/fixtures/pr33_log_dir` is
+/// what `fixture_history` left behind before a shaped update wrote its
+/// integers as deltas from its slots (bed3696): an `RXWALv4` segment, read by
+/// the same decoder with integers as they are — the history spells every
+/// update of its tail, so past the magic its bytes are this tree's.
+/// `tests/fixtures/pr32_log_dir` is what it left behind before a segment's
+/// records shared their tables (fba5283): an `RXWALv3` segment, read the same
+/// way with its tables cleared before each record — its first record is this
+/// tree's, its second spells again the labels this tree's names.
 /// `tests/fixtures/pr24_log_dir` is what it left behind before records named
 /// shapes (27d2c19): an `RXWALv2` segment, read the same way — its records
 /// name no shape — beside checkpoints byte for byte this tree's.
@@ -914,7 +918,7 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
 fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let ours = dir_bytes(&fixtures().join("pr33_log_dir"));
+    let ours = dir_bytes(&fixtures().join("pr34_log_dir"));
     let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
@@ -931,6 +935,7 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         assert_eq!(dir.len(), 1, "{fixture}: one segment");
         dir.pop().expect("one segment").1
     };
+    assert!(segment("pr34_log_dir").starts_with(b"RXWALv5\n"));
     assert!(segment("pr33_log_dir").starts_with(b"RXWALv4\n"));
     assert!(segment("pr32_log_dir").starts_with(b"RXWALv3\n"));
     assert!(segment("pr24_log_dir").starts_with(b"RXWALv2\n"));
@@ -939,9 +944,19 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         segment("pr24_log_dir")[8..] == segment("pr32_log_dir")[8..],
         "one update a record: no record names a shape, v2 bytes are v3 bytes"
     );
+    // No update of the tail is shaped, so no slot is bound: the v5 segment
+    // is the v4 one past the magic, and no longer.
+    let (v5, v4) = (segment("pr34_log_dir"), segment("pr33_log_dir"));
+    assert!(
+        v5.len() <= v4.len(),
+        "{} B against {} B",
+        v5.len(),
+        v4.len()
+    );
+    assert!(v5[8..] == v4[8..], "past the magic");
     // A segment's first record is a record of its own; the second names
     // the first's labels where the v3 one spells them.
-    let (v4, v3) = (segment("pr33_log_dir"), segment("pr32_log_dir"));
+    let v3 = segment("pr32_log_dir");
     let first = 8 + 8 + u32::from_le_bytes(v4[8..12].try_into().unwrap()) as usize;
     assert!(v4[8..first] == v3[8..first], "the first record");
     assert!(v4.len() < v3.len(), "{} B against {} B", v4.len(), v3.len());
@@ -961,6 +976,7 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
     for fixture in [
+        "pr34_log_dir",
         "pr33_log_dir",
         "pr32_log_dir",
         "pr24_log_dir",
@@ -1069,7 +1085,7 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
     let written = temp_dir("tail-rewritten");
     let (atg, oracle) = tail_history(&written);
     let v1 = copy_dir(&fixtures().join("pr23_v1_tail_dir"), "v1-tail");
-    for (tag, dir) in [("RXWALv4", written), ("RXWALv1", v1)] {
+    for (tag, dir) in [("RXWALv5", written), ("RXWALv1", v1)] {
         let segment = fs::read(the_only_segment(&dir)).expect("segment");
         assert!(segment.starts_with(tag.as_bytes()), "{tag}");
         let (recovered, report) = recover_readonly(&atg, &dir);
