@@ -5,13 +5,14 @@
 //! rounds, the committing thread applies each one update after another,
 //! and one serial tail folds, logs, publishes and acks it.
 
-use crate::checkpoint::{self, Checkpointer};
-use crate::obs::{fields, text_report, Exporter, FlightRecorder};
+use crate::checkpoint::Checkpointer;
+use crate::logdir::{Log, LogDir};
+use crate::obs::{text_report, Exporter, FlightRecorder};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
 use crate::snapshot::Snapshot;
 use crate::stats::{self, EngineStats};
-use crate::wal::{self, Durability, LoggedUpdate, Wal};
+use crate::wal::{Durability, LoggedUpdate};
 use rxview_core::{
     SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
 };
@@ -163,18 +164,33 @@ pub(crate) struct Pending {
 
 /// A durable engine's logging + checkpointing machinery.
 pub(crate) struct DurabilityState {
-    /// The log directory (also holds the checkpoints).
-    pub(crate) dir: PathBuf,
-    /// The append side of the replay log, shared with the checkpointer
-    /// (which rotates it behind completed checkpoints).
-    pub(crate) wal: Arc<Mutex<Wal>>,
-    /// Epochs between automatic checkpoint requests (0 = manual only).
-    checkpoint_rounds: u64,
+    /// The open log, shared with the checkpointer.
+    pub(crate) log: Arc<Log>,
     /// Epoch of the last checkpoint *requested* (the trigger's debounce;
     /// completion is the checkpointer's business).
     last_ckpt_request: AtomicU64,
     /// The background checkpoint thread.
     ckpt: Checkpointer,
+}
+
+impl DurabilityState {
+    /// Anchors `dir` on `sys` at `epoch` and starts a checkpointer behind it.
+    /// The anchoring checkpoint is counted here, where the stats object is new.
+    fn start(
+        dir: LogDir,
+        sys: &XmlViewSystem,
+        epoch: u64,
+        config: &EngineConfig,
+        stats: &Arc<EngineStats>,
+    ) -> io::Result<Self> {
+        let log = Arc::new(dir.anchor(epoch, sys, config.durability)?);
+        stats.checkpoints.incr();
+        Ok(DurabilityState {
+            ckpt: Checkpointer::spawn(Arc::clone(&log), Arc::clone(stats))?,
+            log,
+            last_ckpt_request: AtomicU64::new(epoch),
+        })
+    }
 }
 
 pub(crate) struct Inner {
@@ -208,7 +224,7 @@ impl Inner {
             return Ok(());
         };
         let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        match wal::lock(&d.wal).and_then(|mut wal| wal.append(epoch, updates)) {
+        match d.log.wal().and_then(|mut wal| wal.append(epoch, updates)) {
             Ok(out) => {
                 self.stats
                     .record_wal_append(out.bytes, out.write_time, out.sync_time, out.reason);
@@ -241,11 +257,12 @@ impl Inner {
     /// configured epoch interval has elapsed (fuzzy: writers never wait).
     fn maybe_checkpoint(&self, snap: &Arc<Snapshot>) {
         let Some(d) = &self.durability else { return };
-        if d.checkpoint_rounds == 0 {
+        let rounds = self.config.checkpoint_rounds;
+        if rounds == 0 {
             return;
         }
         let last = d.last_ckpt_request.load(Ordering::Relaxed);
-        if snap.epoch().saturating_sub(last) >= d.checkpoint_rounds
+        if snap.epoch().saturating_sub(last) >= rounds
             && d.last_ckpt_request
                 .compare_exchange(last, snap.epoch(), Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
@@ -300,7 +317,8 @@ impl Engine {
             !config.durability.is_on(),
             "durability needs a log directory: use Engine::with_durability"
         );
-        Engine::build(sys, 0, config, None, stats::flight_recorder())
+        let stats = engine_stats(&sys, stats::flight_recorder());
+        Engine::build(sys, 0, config, stats, None)
     }
 
     /// Wraps a published system as a **durable** engine logging into `dir`
@@ -308,50 +326,26 @@ impl Engine {
     /// epoch-ordered replay log under `config.durability`'s fsync policy
     /// (an `Off` policy is promoted to [`Durability::PerRound`] — a log
     /// directory implies logging) before its tickets resolve, a checkpoint
-    /// of the initial state is
-    /// written immediately, and a background checkpointer re-checkpoints
-    /// every [`EngineConfig::checkpoint_rounds`] epochs, truncating the
-    /// covered log behind itself. After a crash, [`Engine::recover`]
-    /// rebuilds the state from the directory.
+    /// of the initial state is written immediately, and a background
+    /// checkpointer re-checkpoints every [`EngineConfig::checkpoint_rounds`]
+    /// epochs, truncating the covered log behind itself. After a crash,
+    /// [`Engine::recover`] rebuilds the state from the directory.
     ///
     /// Fails if `dir` already contains log or checkpoint files — recovering
     /// an existing directory must go through [`Engine::recover`], not
     /// silently restart history.
     pub fn with_durability(
         sys: XmlViewSystem,
-        config: EngineConfig,
+        mut config: EngineConfig,
         dir: impl AsRef<Path>,
     ) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        checkpoint::clean_stale_tmps(dir)?;
-        if !checkpoint::list_checkpoints(dir)?.is_empty()
-            || !crate::wal::list_segments(dir)?.is_empty()
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!(
-                    "`{}` already holds a replay log; use Engine::recover",
-                    dir.display()
-                ),
-            ));
+        if !config.durability.is_on() {
+            config.durability = Durability::PerRound; // a durability dir implies logging
         }
-        let policy = if config.durability.is_on() {
-            config.durability
-        } else {
-            Durability::PerRound // a durability dir implies logging
-        };
-        checkpoint::write_checkpoint(dir, 0, &sys)?;
-        let wal = Wal::create(dir, policy, 0)?;
-        let mut config = config;
-        config.durability = policy;
-        Ok(Engine::build(
-            sys,
-            0,
-            config,
-            Some((dir.to_path_buf(), wal)),
-            stats::flight_recorder(),
-        ))
+        let dir = LogDir::create(dir.as_ref())?;
+        let stats = engine_stats(&sys, stats::flight_recorder());
+        let durability = DurabilityState::start(dir, &sys, 0, &config, &stats)?;
+        Ok(Engine::build(sys, 0, config, stats, Some(durability)))
     }
 
     /// Rebuilds a durable engine from its log directory after a crash: the
@@ -373,53 +367,32 @@ impl Engine {
         dir: impl AsRef<Path>,
         config: EngineConfig,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let dir = dir.as_ref();
+        let dir = LogDir::new(dir.as_ref());
         // The recorder is created before recovery so replay-progress events
         // land in the ring the serving engine will keep — a post-recovery
         // `flight_recording()` shows what recovery did.
         let recorder = stats::flight_recorder();
-        let (sys, next_seq, report) = recovery::recover_state(&atg, dir, &recorder)?;
-        let engine = if config.durability.is_on() {
-            checkpoint::clean_stale_tmps(dir)?;
-            // Re-anchor the directory on the recovered state: checkpoint
-            // it, drop the now-covered segments, and open a fresh one.
-            checkpoint::write_checkpoint(dir, report.resumed_epoch, &sys)?;
-            for (_, path) in crate::wal::list_segments(dir)? {
-                let _ = std::fs::remove_file(path);
-            }
-            let wal = Wal::create(dir, config.durability, next_seq)?;
-            checkpoint::prune_checkpoints(dir, 2)?;
-            Engine::build(
-                sys,
-                report.resumed_epoch,
-                config,
-                Some((dir.to_path_buf(), wal)),
-                recorder,
-            )
+        let (sys, report) = recovery::recover_state(&atg, &dir, &recorder)?;
+        let epoch = report.resumed_epoch;
+        let stats = engine_stats(&sys, recorder);
+        let durability = if config.durability.is_on() {
+            Some(DurabilityState::start(dir, &sys, epoch, &config, &stats)?)
         } else {
-            Engine::build(sys, report.resumed_epoch, config, None, recorder)
+            None
         };
-        Ok((engine, report))
+        Ok((Engine::build(sys, epoch, config, stats, durability), report))
     }
 
-    /// Common construction: state + starting epoch + optionally the
-    /// durability machinery around an open log (`dir`, `wal`) + the flight
-    /// recorder (recovery passes the ring its replay-progress events landed
-    /// in). Durable callers ([`Engine::with_durability`] and the durable
-    /// [`Engine::recover`] path) have just written one anchoring
-    /// checkpoint; it is counted here, where the stats object is born.
+    /// Common construction: state, starting epoch, the stats object, and a
+    /// durable engine's log and checkpointer.
     fn build(
         sys: XmlViewSystem,
         epoch: u64,
         mut config: EngineConfig,
-        durability: Option<(PathBuf, Wal)>,
-        recorder: Arc<FlightRecorder>,
+        stats: Arc<EngineStats>,
+        durability: Option<DurabilityState>,
     ) -> Self {
         config.max_batch = config.max_batch.max(1);
-        let stats = Arc::new(EngineStats::new(
-            recorder,
-            Arc::clone(sys.view().plan_cache()),
-        ));
         let exporter = config
             .metrics_path
             .clone()
@@ -435,18 +408,6 @@ impl Engine {
                     Duration::from_millis(interval.max(1)),
                 )
             });
-        let durability = durability.map(|(dir, wal)| {
-            stats.checkpoints.incr();
-            let wal = Arc::new(Mutex::new(wal));
-            let ckpt = Checkpointer::spawn(dir.clone(), Arc::clone(&wal), Arc::clone(&stats));
-            DurabilityState {
-                dir,
-                wal,
-                checkpoint_rounds: config.checkpoint_rounds,
-                last_ckpt_request: AtomicU64::new(epoch),
-                ckpt,
-            }
-        });
         stats.record_state(&sys);
         Engine {
             inner: Arc::new(Inner {
@@ -463,8 +424,10 @@ impl Engine {
     }
 
     /// Synchronously checkpoints the *currently published* snapshot and
-    /// truncates the log behind it. Returns the checkpointed epoch.
-    /// Fails with [`io::ErrorKind::Unsupported`] on a non-durable engine.
+    /// truncates the log behind it. Returns the checkpointed epoch. A
+    /// checkpoint that fails deletes nothing and records `checkpoint.failed`
+    /// ([`Engine::flight_recording`]). Fails with
+    /// [`io::ErrorKind::Unsupported`] on a non-durable engine.
     pub fn checkpoint_now(&self) -> io::Result<u64> {
         let Some(d) = &self.inner.durability else {
             return Err(io::Error::new(
@@ -472,32 +435,8 @@ impl Engine {
                 "engine has no durability directory",
             ));
         };
-        let snap = self.inner.current();
-        let stats = &self.inner.stats;
-        stats.recorder().record(
-            "checkpoint.start",
-            fields![epoch: snap.epoch(), trigger: "manual"],
-        );
-        let t0 = Instant::now();
-        checkpoint::write_checkpoint(&d.dir, snap.epoch(), snap.system())?;
-        stats.checkpoints.incr();
-        stats.recorder().record(
-            "checkpoint.end",
-            fields![epoch: snap.epoch(), micros: t0.elapsed().as_micros() as u64],
-        );
-        let compacted = wal::lock(&d.wal)?.compact(snap.epoch())?;
-        if compacted.rotated || compacted.deleted > 0 {
-            stats.recorder().record(
-                "wal.rotate",
-                fields![
-                    epoch: snap.epoch(),
-                    rotated: u64::from(compacted.rotated),
-                    deleted_segments: compacted.deleted,
-                ],
-            );
-        }
-        checkpoint::prune_checkpoints(&d.dir, 2)?;
-        Ok(snap.epoch())
+        d.log
+            .checkpoint(&self.inner.current(), "manual", &self.inner.stats)
     }
 
     /// Forces any unsynced replay-log tail to disk (useful before a planned
@@ -505,7 +444,7 @@ impl Engine {
     /// durability.
     pub fn sync_wal(&self) -> io::Result<()> {
         if let Some(d) = &self.inner.durability {
-            wal::lock(&d.wal)?.sync()?;
+            d.log.wal()?.sync()?;
         }
         Ok(())
     }
@@ -674,6 +613,13 @@ impl Engine {
     }
 }
 
+fn engine_stats(sys: &XmlViewSystem, recorder: Arc<FlightRecorder>) -> Arc<EngineStats> {
+    Arc::new(EngineStats::new(
+        recorder,
+        Arc::clone(sys.view().plan_cache()),
+    ))
+}
+
 /// Handle to a background writer thread (see [`Engine::start_writer`]).
 #[derive(Debug)]
 pub struct WriterHandle {
@@ -705,9 +651,9 @@ mod tests {
         let db = registrar_database();
         let sys = XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
         let engine = Engine::with_durability(sys, EngineConfig::default(), &dir).unwrap();
-        let wal = Arc::clone(&engine.inner.durability.as_ref().unwrap().wal);
+        let log = Arc::clone(&engine.inner.durability.as_ref().unwrap().log);
         let panicked = std::thread::spawn(move || {
-            let _held = wal.lock();
+            let _held = log.wal.lock();
             panic!("a panic mid-append");
         })
         .join();

@@ -56,10 +56,12 @@
 //!   epoch-ordered replay log *before* the round's snapshot becomes
 //!   visible, under a configurable fsync policy; a background checkpointer
 //!   serializes recent `Arc` snapshots (fuzzy — writers never block) and
-//!   truncates the log behind them. Recovery loads the newest valid
-//!   checkpoint, replays the log suffix record by record — each record as
-//!   the round it logs, one fold of `M` and `L` per record — and resumes
-//!   serving at the recovered epoch ([`RecoveryReport`]).
+//!   truncates the log behind them. One module, `logdir`, owns the log
+//!   directory and describes it: each file, who creates and deletes it, and
+//!   the fsync order that makes each deletion safe. Recovery loads the
+//!   newest valid checkpoint, replays the log suffix record by record —
+//!   each record as the round it logs, one fold of `M` and `L` per record —
+//!   and resumes serving at the recovered epoch ([`RecoveryReport`]).
 //! - **Observability** ([`EngineStats`]): an engine-wide telemetry layer
 //!   built on the dependency-free [`obs`] module — lock-free counters and
 //!   log₂-bucketed latency histograms declared once, in one metric table
@@ -87,6 +89,7 @@
 mod analyze;
 mod checkpoint;
 mod engine;
+mod logdir;
 pub mod obs;
 mod pipeline;
 mod publisher;

@@ -22,26 +22,22 @@
 //!    "what the engine actually did" are the same state. Torn or corrupt
 //!    log tails end their segment's contribution and are reported, never
 //!    panicked on; so is a checksummed record that does not decode, apart.
-//! 3. **Resume.** The engine restarts at the recovered epoch. If the new
-//!    configuration keeps durability on, a fresh checkpoint of the
-//!    recovered state is written first and the old segments are dropped
-//!    behind it, so a recovered engine's directory is immediately
-//!    self-contained (and recovery is idempotent: recovering twice in a
-//!    row yields the same state).
+//! 3. **Resume.** The engine restarts at the recovered epoch; a durable one
+//!    first anchors the directory on the recovered state (`crate::logdir`),
+//!    which makes recovery idempotent. Recovery itself only reads.
 //!
 //! The recovery invariant, asserted end-to-end by
 //! `crates/engine/tests/recovery.rs`: *the recovered system is
 //! observationally equivalent to a sequential oracle replay of the
 //! acknowledged, durable prefix of the update history.*
 
-use crate::checkpoint;
+use crate::logdir::LogDir;
 use crate::obs::{fields, FlightRecorder};
 use crate::wal::{self, LoggedUpdate, WalRecord};
 use rxview_atg::Atg;
 use rxview_core::XmlViewSystem;
 use std::fmt;
 use std::io;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Why recovery could not produce an engine.
@@ -154,29 +150,27 @@ fn replay_round(sys: &mut XmlViewSystem, updates: &[LoggedUpdate], report: &mut 
 
 /// The state reassembly half of recovery (everything except engine
 /// construction): checkpoint load + suffix replay. Returns the recovered
-/// system, the next WAL sequence number to write, and the report.
+/// system and the report.
 pub(crate) fn recover_state(
     atg: &Atg,
-    dir: &Path,
+    dir: &LogDir,
     recorder: &FlightRecorder,
-) -> Result<(XmlViewSystem, u64, RecoveryReport), RecoverError> {
+) -> Result<(XmlViewSystem, RecoveryReport), RecoverError> {
     let mut report = RecoveryReport::default();
 
     // --- 1. Newest valid checkpoint. ---
     let t_ckpt = Instant::now();
-    let mut ckpts = checkpoint::list_checkpoints(dir)?;
-    let mut recovered: Option<(u64, XmlViewSystem)> = None;
-    while let Some((epoch, path)) = ckpts.pop() {
-        match checkpoint::load_checkpoint(&path, atg)? {
-            Some((e, sys)) => {
-                debug_assert_eq!(e, epoch, "checkpoint file name matches payload");
-                recovered = Some((e, sys));
-                break;
-            }
+    let mut listing = dir.list()?;
+    let (ckpt_epoch, mut sys) = loop {
+        let (_, path) = listing
+            .checkpoints
+            .pop()
+            .ok_or(RecoverError::NoCheckpoint)?;
+        match dir.load_checkpoint(&path, atg)? {
+            Some(loaded) => break loaded,
             None => report.invalid_checkpoints += 1,
         }
-    }
-    let (ckpt_epoch, mut sys) = recovered.ok_or(RecoverError::NoCheckpoint)?;
+    };
     report.checkpoint_epoch = ckpt_epoch;
     report.checkpoint_load = t_ckpt.elapsed();
     recorder.record(
@@ -190,11 +184,9 @@ pub(crate) fn recover_state(
 
     // --- 2. Scan segments, gather the replayable suffix. ---
     let t_replay = Instant::now();
-    let segments = wal::list_segments(dir)?;
-    let next_seq = segments.last().map_or(0, |(seq, _)| seq + 1);
     let mut records: Vec<WalRecord> = Vec::new();
-    for (seq, path) in &segments {
-        let scan = wal::scan_segment(path)?;
+    for (seq, path) in &listing.segments {
+        let scan = wal::scan_segment(&dir.read(path)?);
         if scan.discarded > 0 {
             report.torn_segments += 1;
             report.discarded_bytes += scan.discarded;
@@ -252,5 +244,5 @@ pub(crate) fn recover_state(
             micros: report.wal_replay.as_micros() as u64
         ],
     );
-    Ok((sys, next_seq, report))
+    Ok((sys, report))
 }

@@ -72,24 +72,19 @@
 //! *prefix* of the acknowledged history, just possibly a shorter one than
 //! `PerRound` guarantees.
 //!
-//! Every segment is created durably: its magic is fsynced, and so is the
-//! directory that names it, once per created segment — otherwise a power
-//! loss after a rotation could drop the new file with the acknowledged
-//! rounds in it.
-//!
 //! Segments rotate when a checkpoint completes (`Wal::compact`) and when
-//! the segment's tables reach their cap: the current segment is sealed, and
-//! a sealed segment is deleted once every record in it is at or below a
-//! checkpointed epoch — the "truncate the covered log prefix" step, done at
-//! file granularity so it never rewrites data in place.
+//! the segment's tables reach their cap; the log is truncated by deleting
+//! whole sealed segments, never by rewriting one. Who creates and deletes
+//! each file, and the fsync order that makes a deletion safe:
+//! `crate::logdir`.
 
+use crate::logdir::LogDir;
 use rxview_core::codec::{self, ReadTables, RecordTables};
 use rxview_relstore::codec::{crc32, CodecError, CodecResult, Reader};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
-use std::fs::{self, File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::path::PathBuf;
 
 /// When the replay log reaches disk (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -173,14 +168,6 @@ pub(crate) struct AppendOutcome {
     pub(crate) sync_time: std::time::Duration,
     /// `Some` iff this append fsynced, with the watermark that tripped it.
     pub(crate) reason: Option<SyncReason>,
-}
-
-#[cfg(test)]
-impl AppendOutcome {
-    /// Whether this append fsynced.
-    fn synced(&self) -> bool {
-        self.reason.is_some()
-    }
 }
 
 /// What one [`Wal::compact`] did, for the `wal.rotate` flight event.
@@ -299,33 +286,28 @@ enum Format {
     Text,
 }
 
-/// Scans a segment of any format, stopping at the first torn, corrupt or
-/// undecodable record.
-pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
-    let bytes = fs::read(path)?;
+/// Scans a segment's bytes, of any format, stopping at the first torn,
+/// corrupt or undecodable record.
+pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan::default();
     let magic = bytes.get(..WAL_MAGIC.len());
     let Some(&(_, format)) = FORMATS.iter().find(|(m, _)| magic == Some(&m[..])) else {
         scan.discarded = bytes.len() as u64;
-        return Ok(scan);
+        return scan;
     };
     let mut tables = match format {
         Format::SlotDeltas => ReadTables::default(),
         _ => ReadTables::absolute_literals(),
     };
     let mut pos = WAL_MAGIC.len();
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 8 {
+    while let Some((len, rest)) = bytes[pos..].split_first_chunk::<4>() {
+        let Some((crc, rest)) = rest.split_first_chunk::<4>() else {
             break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() - 8 < len {
+        };
+        let Some(payload) = rest.get(..u32::from_le_bytes(*len) as usize) else {
             break; // torn tail: the record never finished writing
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
+        };
+        if crc32(payload) != u32::from_le_bytes(*crc) {
             break; // corrupt record: stop trusting the file here
         }
         if format == Format::RecordTables {
@@ -342,33 +324,10 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
                 break;
             }
         }
-        pos += 8 + len;
+        pos += 8 + payload.len();
     }
     scan.discarded = (bytes.len() - pos) as u64;
-    Ok(scan)
-}
-
-/// Segment files in a log directory, ascending by sequence number.
-pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".rxlog"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            out.push((seq, entry.path()));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:010}.rxlog"))
+    scan
 }
 
 /// A sealed (no longer appended-to) segment awaiting checkpoint coverage.
@@ -378,12 +337,11 @@ struct SealedSegment {
     max_epoch: u64,
 }
 
-/// The append side of the log. One `Wal` exists per durable engine, locked
-/// briefly per round by the commit path and per checkpoint by the
-/// checkpointer.
+/// The append side of the log. One `Wal` exists per durable engine, in its
+/// `crate::logdir::Log`.
 #[derive(Debug)]
 pub(crate) struct Wal {
-    dir: PathBuf,
+    dir: LogDir,
     policy: Durability,
     file: File,
     path: PathBuf,
@@ -409,29 +367,14 @@ pub(crate) struct Wal {
     encoder: RecordEncoder,
 }
 
-/// Locks the shared log. A lock poisoned by a panic mid-append is an error,
-/// not a panic: the panic may have left the segment's tables half staged,
-/// so nothing appends to the log, syncs it or compacts it again.
-pub(crate) fn lock(wal: &Mutex<Wal>) -> io::Result<MutexGuard<'_, Wal>> {
-    wal.lock()
-        .map_err(|_| io::Error::other("replay log lock poisoned by a panic"))
-}
-
 impl Wal {
     /// Opens a fresh segment `wal-<seq>.rxlog` in `dir` for appending, its
     /// magic and its directory entry durable. `policy` must have logging on.
-    pub(crate) fn create(dir: &Path, policy: Durability, seq: u64) -> io::Result<Wal> {
+    pub(crate) fn create(dir: &LogDir, policy: Durability, seq: u64) -> io::Result<Wal> {
         debug_assert!(policy.is_on());
-        let path = segment_path(dir, seq);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        file.write_all(WAL_MAGIC)?;
-        file.sync_data()?;
-        File::open(dir)?.sync_all()?;
+        let (file, path) = dir.create_segment(seq, WAL_MAGIC)?;
         Ok(Wal {
-            dir: dir.to_path_buf(),
+            dir: dir.clone(),
             policy,
             file,
             path,
@@ -578,7 +521,7 @@ impl Wal {
         };
         self.sealed.retain(|s| {
             if s.max_epoch <= epoch {
-                let _ = fs::remove_file(&s.path); // best-effort: a survivor is re-covered next time
+                self.dir.remove(&s.path);
                 outcome.deleted += 1;
                 false
             } else {
@@ -594,6 +537,8 @@ mod tests {
     use super::*;
     use rxview_core::{SideEffectPolicy, XmlUpdate};
     use rxview_relstore::tuple;
+    use std::fs;
+    use std::path::Path;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -602,6 +547,21 @@ mod tests {
             std::env::temp_dir().join(format!("rxview-wal-test-{tag}-{}-{n}", std::process::id()));
         fs::create_dir_all(&dir).expect("temp dir");
         dir
+    }
+
+    impl AppendOutcome {
+        /// Whether this append fsynced.
+        fn synced(&self) -> bool {
+            self.reason.is_some()
+        }
+    }
+
+    fn segment_files(dir: &Path) -> Vec<(u64, PathBuf)> {
+        LogDir::new(dir).list().unwrap().segments
+    }
+
+    fn scan_file(path: &Path) -> SegmentScan {
+        scan_segment(&fs::read(path).unwrap())
     }
 
     /// Where each record of a segment's bytes starts, then where the last
@@ -677,11 +637,11 @@ mod tests {
                 encoder.tables.commit();
             }
             fs::write(&path, &bytes).unwrap();
-            let scan = scan_segment(&path).unwrap();
+            let scan = scan_file(&path);
             assert_eq!((scan.records.len(), scan.discarded), (2, 0));
             assert!(scan.records.iter().all(|r| r.updates == rounds));
         }
-        let mut wal = Wal::create(&dir, Durability::PerRound, 1).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 1).unwrap();
         let first = wal.append(1, &sample_updates()).unwrap().bytes;
         let second = wal.append(2, &sample_updates()).unwrap().bytes;
         assert!(second < first / 2, "{second} B after {first} B");
@@ -709,7 +669,7 @@ mod tests {
             bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
             bytes.extend_from_slice(&payload);
             fs::write(&path, &bytes).unwrap();
-            let scan = scan_segment(&path).unwrap();
+            let scan = scan_file(&path);
             let want = XmlUpdate::delete(&format!("node[id={id}]")).unwrap();
             assert_eq!(scan.records[0].updates[1].0, want);
         }
@@ -719,13 +679,13 @@ mod tests {
     #[test]
     fn append_scan_round_trips() {
         let dir = temp_dir("roundtrip");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &sample_updates()).unwrap();
         wal.append(2, &[]).unwrap(); // all-rejected round: epoch only
         wal.append(3, &sample_updates()[..1]).unwrap();
-        let segs = list_segments(&dir).unwrap();
+        let segs = segment_files(&dir);
         assert_eq!(segs.len(), 1);
-        let scan = scan_segment(&segs[0].1).unwrap();
+        let scan = scan_file(&segs[0].1);
         assert_eq!(scan.discarded, 0);
         assert_eq!(
             scan.records.iter().map(|r| r.epoch).collect::<Vec<_>>(),
@@ -739,15 +699,15 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded_at_every_boundary() {
         let dir = temp_dir("torn");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &sample_updates()).unwrap();
         wal.append(2, &sample_updates()[1..]).unwrap();
-        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let path = segment_files(&dir)[0].1.clone();
         let full = fs::read(&path).unwrap();
         let rec2_start = record_bounds(&full)[1];
         for cut in rec2_start..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            let scan = scan_segment(&path).unwrap();
+            let scan = scan_file(&path);
             assert_eq!(scan.records.len(), 1, "cut at {cut}");
             assert_eq!(scan.records[0].epoch, 1);
             assert_eq!(scan.discarded, (cut - rec2_start) as u64);
@@ -758,17 +718,17 @@ mod tests {
     #[test]
     fn corrupt_byte_in_last_record_never_panics() {
         let dir = temp_dir("corrupt");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &sample_updates()).unwrap();
         wal.append(2, &sample_updates()).unwrap();
-        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let path = segment_files(&dir)[0].1.clone();
         let full = fs::read(&path).unwrap();
         let start = record_bounds(&full)[1];
         for i in start..full.len() {
             let mut bytes = full.clone();
             bytes[i] ^= 0x5A;
             fs::write(&path, &bytes).unwrap();
-            let scan = scan_segment(&path).unwrap();
+            let scan = scan_file(&path);
             // The flipped record (or its frame) must not survive as epoch 2
             // with altered content unless the flip landed in the length
             // field and re-framed to garbage — either way, epoch 1 is intact
@@ -790,13 +750,13 @@ mod tests {
     #[test]
     fn checksummed_undecodable_record_is_reported_apart() {
         let dir = temp_dir("undecodable");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &sample_updates()).unwrap();
         wal.append(2, &sample_updates()).unwrap();
         wal.append(3, &sample_updates()).unwrap();
-        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let path = segment_files(&dir)[0].1.clone();
         let mut bytes = fs::read(&path).unwrap();
-        let clean = scan_segment(&path).unwrap();
+        let clean = scan_file(&path);
         assert_eq!((clean.records.len(), clean.discarded), (3, 0));
         assert!(clean.undecodable.is_none());
         // Record 2: its first update's head byte (after the one-byte epoch
@@ -806,7 +766,7 @@ mod tests {
         let crc = crc32(&bytes[start + 8..end]);
         bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        let scan = scan_segment(&path).unwrap();
+        let scan = scan_file(&path);
         assert_eq!(scan.records.len(), 1, "the prefix ends at the record");
         let discarded = (bytes.len() - start) as u64;
         assert_eq!(scan.discarded, discarded);
@@ -816,7 +776,7 @@ mod tests {
         // The same flip without the re-stamp is a corrupt tail, as before.
         bytes[start + 4] ^= 1;
         fs::write(&path, &bytes).unwrap();
-        let scan = scan_segment(&path).unwrap();
+        let scan = scan_file(&path);
         assert_eq!((scan.records.len(), scan.discarded), (1, discarded));
         assert!(scan.undecodable.is_none());
         fs::remove_dir_all(&dir).unwrap();
@@ -850,9 +810,9 @@ mod tests {
             ]
         };
         let dir = temp_dir("depth");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &nested(MAX_FILTER_DEPTH)).unwrap();
-        let path = list_segments(&dir).unwrap()[0].1.clone();
+        let path = segment_files(&dir)[0].1.clone();
         let before = fs::read(&path).unwrap();
         let too_deep = [leaves(0), nested(MAX_FILTER_DEPTH + 1)].concat();
         let refused = wal.append(2, &too_deep).unwrap_err();
@@ -860,16 +820,16 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), before);
         wal.encoder.encode(2, &leaves(1)).unwrap();
         wal.append(2, &leaves(2)).unwrap();
-        let scan = scan_segment(&path).unwrap();
+        let scan = scan_file(&path);
         assert_eq!((scan.records.len(), scan.discarded), (2, 0));
         assert_eq!(scan.records[0].updates, nested(MAX_FILTER_DEPTH));
         assert_eq!(scan.records[1].updates, leaves(2));
 
         let twin = temp_dir("depth-twin");
-        let mut clean = Wal::create(&twin, Durability::PerRound, 0).unwrap();
+        let mut clean = Wal::create(&LogDir::new(&twin), Durability::PerRound, 0).unwrap();
         clean.append(1, &nested(MAX_FILTER_DEPTH)).unwrap();
         clean.append(2, &leaves(2)).unwrap();
-        let written = fs::read(&list_segments(&twin).unwrap()[0].1).unwrap();
+        let written = fs::read(&segment_files(&twin)[0].1).unwrap();
         assert!(fs::read(&path).unwrap() == written);
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&twin).unwrap();
@@ -889,16 +849,16 @@ mod tests {
                 .collect()
         };
         let dir = temp_dir("cap");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         for epoch in 1..=3 {
             wal.append(epoch, &round(epoch)).unwrap();
         }
-        assert_eq!(list_segments(&dir).unwrap().len(), 1, "rotation is lazy");
+        assert_eq!(segment_files(&dir).len(), 1, "rotation is lazy");
         wal.append(4, &round(3)).unwrap();
-        let segments = list_segments(&dir).unwrap();
+        let segments = segment_files(&dir);
         assert_eq!(segments.len(), 2, "6 000 entries > {MAX_TABLE_ENTRIES}");
         let epochs = |path: &Path| {
-            let scan = scan_segment(path).unwrap();
+            let scan = scan_file(path);
             assert_eq!(scan.discarded, 0);
             scan.records.iter().map(|r| r.epoch).collect::<Vec<_>>()
         };
@@ -912,7 +872,7 @@ mod tests {
         );
         let compacted = wal.compact(4).unwrap();
         assert_eq!((compacted.rotated, compacted.deleted), (true, 2));
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(segment_files(&dir).len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -921,7 +881,7 @@ mod tests {
         let dir = temp_dir("magic");
         let path = dir.join("wal-0000000000.rxlog");
         fs::write(&path, b"not a log").unwrap();
-        let scan = scan_segment(&path).unwrap();
+        let scan = scan_file(&path);
         assert!(scan.records.is_empty());
         assert_eq!(scan.discarded, 9);
         fs::remove_dir_all(&dir).unwrap();
@@ -944,7 +904,7 @@ mod tests {
                 .and_then(|s| s.split('_').next())
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| panic!("`{name}` is not named pr<N>_…"));
-            for (_, segment) in list_segments(&dir).unwrap() {
+            for (_, segment) in segment_files(&dir) {
                 let bytes = fs::read(segment).unwrap();
                 opened.push((n, bytes[..WAL_MAGIC.len()].to_vec()));
             }
@@ -968,19 +928,19 @@ mod tests {
     #[test]
     fn compact_rotates_and_deletes_covered_segments() {
         let dir = temp_dir("compact");
-        let mut wal = Wal::create(&dir, Durability::PerRound, 0).unwrap();
+        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 0).unwrap();
         wal.append(1, &[]).unwrap();
         wal.append(2, &[]).unwrap();
         // Checkpoint at epoch 2 covers everything written so far.
         wal.compact(2).unwrap();
-        assert_eq!(list_segments(&dir).unwrap().len(), 1, "old segment gone");
+        assert_eq!(segment_files(&dir).len(), 1, "old segment gone");
         wal.append(3, &[]).unwrap();
         // Checkpoint at epoch 2 again: segment with epoch 3 must survive.
         wal.compact(2).unwrap();
-        let segs = list_segments(&dir).unwrap();
+        let segs = segment_files(&dir);
         assert_eq!(segs.len(), 2, "uncovered sealed segment kept + fresh one");
         wal.compact(3).unwrap();
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(segment_files(&dir).len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -995,7 +955,7 @@ mod tests {
                 max_rounds,
                 max_micros: 0,
             };
-            let mut wal = Wal::create(&dir, policy, 0).unwrap();
+            let mut wal = Wal::create(&LogDir::new(&dir), policy, 0).unwrap();
             let mut syncs = 0;
             for epoch in 1..=appends {
                 let out = wal.append(epoch, &[]).unwrap();
@@ -1016,7 +976,7 @@ mod tests {
         // Round bound far away; a tiny age bound trips on the next append
         // after the oldest unsynced round gets old enough.
         let mut wal = Wal::create(
-            &dir,
+            &LogDir::new(&dir),
             Durability::GroupCommit {
                 max_rounds: 1_000,
                 max_micros: 1, // any measurable delay exceeds this
@@ -1042,7 +1002,7 @@ mod tests {
     fn group_commit_log_scans_like_any_other() {
         let dir = temp_dir("groupcommit-scan");
         let mut wal = Wal::create(
-            &dir,
+            &LogDir::new(&dir),
             Durability::GroupCommit {
                 max_rounds: 8,
                 max_micros: 0,
@@ -1054,8 +1014,8 @@ mod tests {
             wal.append(epoch, &sample_updates()).unwrap();
         }
         wal.sync().unwrap();
-        let segs = list_segments(&dir).unwrap();
-        let scan = scan_segment(&segs[0].1).unwrap();
+        let segs = segment_files(&dir);
+        let scan = scan_file(&segs[0].1);
         assert_eq!(scan.records.len(), 5);
         assert_eq!(scan.discarded, 0);
         fs::remove_dir_all(&dir).unwrap();

@@ -640,6 +640,175 @@ fn compaction_after_checkpoint_preserves_recoverability() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A directory squatting on the name of the checkpoint at `epoch`: its
+/// rename fails, and so does the checkpoint.
+fn squat_checkpoint(dir: &Path, epoch: u64) -> PathBuf {
+    let squatter = dir.join(format!("ckpt-{epoch:020}.rxck"));
+    fs::create_dir(&squatter).expect("squat");
+    squatter
+}
+
+/// A checkpoint that fails deletes nothing. With the next checkpoint's name
+/// taken, `checkpoint_now` returns the error and records `checkpoint.failed`;
+/// every segment and older checkpoint is still there, byte for byte; the
+/// engine keeps committing; and recovery, from the older checkpoint and the
+/// whole log, equals the acknowledged prefix. Once the fault clears, the
+/// next checkpoint succeeds and its prune reaps the failed one's tmp file.
+#[test]
+fn a_failed_checkpoint_deletes_nothing() {
+    use SideEffectPolicy::Proceed;
+    let (sys, atg) = system(400, 31);
+    let deletions = group_edge_deletions(&sys, 400);
+    assert!(deletions.len() >= 4, "enough deletable group edges");
+    let dir = temp_dir("failed-ckpt");
+    let engine =
+        Engine::with_durability(sys.clone(), durable_config(0), &dir).expect("durable engine");
+    let mut oracle = sys;
+    let mut commit = |u: &XmlUpdate| {
+        engine.apply_now(u.clone(), Proceed).expect("commits");
+        reference_apply(&mut oracle, u, Proceed).expect("oracle agrees");
+    };
+    commit(&deletions[0]);
+    engine.checkpoint_now().expect("checkpoint at epoch 1");
+    commit(&deletions[1]);
+    let before = dir_bytes(&dir);
+    let squatter = squat_checkpoint(&dir, 2);
+    assert!(engine.checkpoint_now().is_err(), "the rename fails");
+    let recording = engine.flight_recording();
+    assert!(
+        recording.contains(r#""event": "checkpoint.failed", "epoch": 2, "trigger": "manual""#),
+        "{recording}"
+    );
+    let mut after = dir_bytes(&dir);
+    after.retain(|(name, _)| !name.ends_with(".tmp"));
+    assert!(after == before, "a failed checkpoint deletes nothing");
+    commit(&deletions[2]);
+    commit(&deletions[3]);
+    assert_eq!(engine.snapshot().epoch(), 4, "the engine keeps committing");
+
+    fs::remove_dir(&squatter).expect("the fault clears");
+    let crashed = copy_dir(&dir, "failed-ckpt-crash");
+    assert_eq!(engine.checkpoint_now().expect("checkpoint at epoch 4"), 4);
+    assert!(
+        dir_bytes(&dir)
+            .iter()
+            .all(|(name, _)| !name.ends_with(".tmp")),
+        "the prune reaped the tmp file"
+    );
+    drop(engine);
+    let (recovered, report) = recover_readonly(&atg, &crashed);
+    assert_eq!(
+        (report.checkpoint_epoch, report.replayed_rounds),
+        (1, 3),
+        "the older checkpoint, then every round after it"
+    );
+    assert_observationally_equal(&oracle, recovered.snapshot().system(), "after the failure");
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&crashed);
+}
+
+/// The same failure on the background path is a `checkpoint.failed` flight
+/// event, and deletes nothing either.
+#[test]
+fn a_failed_background_checkpoint_is_a_flight_event() {
+    let (sys, _) = system(200, 31);
+    let deletions = group_edge_deletions(&sys, 200);
+    let dir = temp_dir("failed-background");
+    let engine = Engine::with_durability(sys, durable_config(1), &dir).expect("durable engine");
+    let names = |dir: &Path| -> Vec<String> {
+        let files = dir_bytes(dir).into_iter().map(|(name, _)| name);
+        files.filter(|name| !name.ends_with(".tmp")).collect()
+    };
+    let initial = names(&dir);
+    squat_checkpoint(&dir, 1);
+    engine
+        .apply_now(deletions[0].clone(), SideEffectPolicy::Proceed)
+        .expect("commits");
+    // The checkpointer runs on its own thread: wait for its event.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let failed = r#""event": "checkpoint.failed", "epoch": 1, "trigger": "background", "error": "#;
+    while !engine.flight_recording().contains(failed) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no failure event: {}",
+            engine.flight_recording()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let recording = engine.flight_recording();
+    assert!(
+        recording.contains(r#""event": "checkpoint.start", "epoch": 1, "trigger": "background""#),
+        "{recording}"
+    );
+    drop(engine);
+    assert_eq!(names(&dir), initial, "nothing deleted");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A manual and a background checkpoint never overlap: `checkpoint_now` runs
+/// in a loop while the checkpointer checkpoints every epoch and another
+/// thread commits. Every checkpoint left installed loads on its own, to the
+/// prefix oracle's state at its epoch; no tmp file is left; and recovery
+/// equals the acknowledged prefix.
+#[test]
+fn manual_and_background_checkpoints_run_one_at_a_time() {
+    use SideEffectPolicy::Proceed;
+    let (sys, atg) = system(800, 5);
+    let deletions = group_edge_deletions(&sys, 800);
+    assert!(deletions.len() >= 12, "enough deletable group edges");
+    let mut oracle = sys.clone();
+    let mut prefix = vec![edge_fingerprint(&oracle)];
+    for u in &deletions {
+        reference_apply(&mut oracle, u, Proceed).expect("oracle applies");
+        prefix.push(edge_fingerprint(&oracle));
+    }
+    let dir = temp_dir("ckpt-race");
+    let engine = Engine::with_durability(sys, durable_config(1), &dir).expect("durable engine");
+    let committed = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for u in &deletions {
+                engine.apply_now(u.clone(), Proceed).expect("commits");
+            }
+            committed.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        while !committed.load(std::sync::atomic::Ordering::SeqCst) {
+            engine.checkpoint_now().expect("manual checkpoint");
+        }
+    });
+    drop(engine); // crash; the checkpointer finishes what it started
+
+    let files = dir_bytes(&dir);
+    assert!(files.iter().all(|(name, _)| !name.ends_with(".tmp")));
+    let checkpoints: Vec<&(String, Vec<u8>)> = files
+        .iter()
+        .filter(|(name, _)| name.ends_with(".rxck"))
+        .collect();
+    assert!(!checkpoints.is_empty());
+    for (name, bytes) in checkpoints {
+        let alone = temp_dir("ckpt-race-alone");
+        fs::write(alone.join(name), bytes).expect("copy");
+        let (recovered, report) = recover_readonly(&atg, &alone);
+        let epoch = report.checkpoint_epoch;
+        assert_eq!(
+            (report.invalid_checkpoints, report.replayed_rounds),
+            (0, 0),
+            "{name}"
+        );
+        assert_eq!(name, &format!("ckpt-{epoch:020}.rxck"));
+        let edges = edge_fingerprint(recovered.snapshot().system());
+        assert!(
+            edges == prefix[epoch as usize],
+            "{name}: the prefix at its epoch"
+        );
+        let _ = fs::remove_dir_all(&alone);
+    }
+    let (recovered, report) = recover_readonly(&atg, &dir);
+    assert_eq!(report.resumed_epoch, deletions.len() as u64);
+    assert_observationally_equal(&oracle, recovered.snapshot().system(), "after the race");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // 4. Directory hygiene.
 // ---------------------------------------------------------------------------
@@ -778,8 +947,9 @@ fn crash_recovery_with_fission_on_hot_cones() {
 fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
         .expect("read dir")
+        .map(|entry| entry.expect("dir entry"))
+        .filter(|entry| entry.path().is_file())
         .map(|entry| {
-            let entry = entry.expect("dir entry");
             let name = entry.file_name().to_string_lossy().into_owned();
             (name, fs::read(entry.path()).expect("read file"))
         })
