@@ -43,7 +43,7 @@ use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, SubtreeDag};
 use rxview_relstore::RelResult;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 /// What maintenance did — counts for reporting and the cascaded deletions
@@ -171,15 +171,16 @@ pub(crate) fn insert_job(
         // one pass.
         let at = targets
             .iter()
-            .filter_map(|&t| topo.position(t))
+            .filter_map(|&t| topo.position(t).map(|p| (p, t)))
             .min()
+            .and_then(|(_, t)| topo.index_of(t))
             .unwrap_or(topo.len());
         let block: Vec<NodeId> = order
             .iter()
             .copied()
             .filter(|v| topo.position(*v).is_none())
             .collect();
-        topo.insert_many_at(at.min(topo.len()), &block);
+        topo.insert_many_at(at, &block);
     }
     report.l_splice_ns += t_splice.elapsed().as_nanos() as u64;
 
@@ -276,11 +277,11 @@ pub(crate) fn insert_job(
 /// been applied to the DAG.
 ///
 /// Traverses the descendants of the deleted targets in backward topological
-/// order (ancestors first), recomputing each node's ancestor set from its
-/// surviving parents. Nodes left with no surviving parents are unreachable:
-/// they are removed from `L`, dropped from `M`, their outgoing edges are
-/// cascaded (`∆'V`), and their `gen` entries are collected — the paper's
-/// background garbage collection.
+/// order (ancestors first), bringing each node's ancestor set up to date
+/// with its surviving parents. Nodes left with no surviving parents are
+/// unreachable: they are removed from `L`, dropped from `M`, their outgoing
+/// edges are cascaded (`∆'V`), and their `gen` entries are collected — the
+/// paper's background garbage collection.
 pub(crate) fn maintain_delete(
     vs: &mut ViewStore,
     topo: &mut TopoOrder,
@@ -290,9 +291,30 @@ pub(crate) fn maintain_delete(
     delete_pass(vs, topo, reach, &mut ReachBatch::default(), selected)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Surviving parents whose `anc` runs the delete pass read — the
+    /// cost-model guard's work counter.
+    static PARENT_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_parent_runs(n: usize) {
+    PARENT_RUNS.with(|c| c.set(c.get() + n));
+}
+
 /// The ∆(M,L)delete pass of a fold over all its deletion targets. `batch`
 /// must be flushed (the pass reads `descendants`); it is flushed again
 /// before returning.
+///
+/// A target (the child of a deleted edge) has its `anc` recomputed from the
+/// parents it has left, Fig.8 lines 9–11. Below the targets that recompute
+/// is avoided: a node `d` can only lose an ancestor that a *removed* parent
+/// `r` (a node this pass collected) contributed — `r` or `anc(r)` — or one
+/// that a surviving parent lost earlier in the pass, so only those
+/// candidates are checked: a candidate stays iff a surviving parent of `d`
+/// lies below it, searched from whichever side is smaller. A node with no
+/// candidate is not touched.
 pub(crate) fn delete_pass(
     vs: &mut ViewStore,
     topo: &mut TopoOrder,
@@ -307,15 +329,23 @@ pub(crate) fn delete_pass(
 
     // LR: the targets and all their descendants, sorted by L.
     let t_lr = Instant::now();
-    let mut lr: Vec<NodeId> = selected.to_vec();
+    let mut targets = selected.to_vec();
+    sort_dedup(&mut targets);
+    let mut lr = targets.clone();
     for &v in selected {
         reach.descendants(v).extend_into(&mut lr);
     }
     sort_dedup(&mut lr);
-    lr.sort_by_key(|v| topo.position(*v).unwrap_or(usize::MAX));
+    lr.sort_by_key(|v| topo.position(*v).unwrap_or(u64::MAX));
     report.m_rewrite_ns += t_lr.elapsed().as_nanos() as u64;
 
+    // What each visited node lost from `anc` (all of it, when collected),
+    // and which collected parents each node lost.
+    let mut lost: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+    let mut cut_from: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     let mut collected: Vec<NodeId> = Vec::new();
+    let mut is_collected: HashSet<NodeId> = HashSet::new();
+    let mut open: Vec<NodeId> = Vec::new();
     // Backward traversal: ancestors first.
     for &d in lr.iter().rev() {
         // Surviving parents: edges already removed from the DAG (a
@@ -325,19 +355,94 @@ pub(crate) fn delete_pass(
         let live = |a: &NodeId| dag.genid().is_live(*a);
         let survivors = || dag.parents(d).iter().copied().filter(live);
         let orphaned = survivors().next().is_none();
-        report.m_removed += if orphaned {
+        let removed = if orphaned {
             reach.collect_node(d, batch)
-        } else {
+        } else if targets.binary_search(&d).is_ok() {
+            #[cfg(test)]
+            count_parent_runs(survivors().count());
             reach.set_ancestors_from(d, survivors(), batch)
+        } else {
+            // The candidates; a collected one reaches nothing now.
+            open.clear();
+            for r in cut_from.get(&d).into_iter().flatten() {
+                open.push(*r);
+                open.extend(lost.get(r).into_iter().flatten());
+            }
+            // `y` is a surviving parent of `d`: scan the shorter of `y`'s
+            // children and `d`'s parents.
+            let n_parents = dag.parents(d).len();
+            let reaches_d = |y: NodeId| {
+                let below = dag.children(y);
+                live(&y)
+                    && if below.len() <= n_parents {
+                        below.contains(&d)
+                    } else {
+                        dag.parents(d).contains(&y)
+                    }
+            };
+            // What the surviving parents lost, from whichever side is
+            // smaller: few nodes have lost anything, many may be parents.
+            if lost.len() < n_parents {
+                for (s, l) in &lost {
+                    if reaches_d(*s) {
+                        open.extend_from_slice(l);
+                    }
+                }
+            } else {
+                for s in survivors() {
+                    open.extend(lost.get(&s).into_iter().flatten());
+                }
+            }
+            sort_dedup(&mut open);
+            open.retain(|&x| {
+                if is_collected.contains(&x) {
+                    return true;
+                }
+                if reaches_d(x) {
+                    return false;
+                }
+                // `x` still reaches `d` iff a surviving parent lies below
+                // it. Search from the smaller side: `desc(x)` — the stored
+                // run, a superset of what `x` reaches now (the pass only
+                // removes pairs), its hits confirmed in the exact `anc` —
+                // or the survivors' exact `anc` runs.
+                let down = reach.descendants(x);
+                #[cfg(test)]
+                count_parent_runs(1);
+                if down.n_words() <= n_parents {
+                    let covers = |y: NodeId| reaches_d(y) && reach.ancestors(y).contains(&x);
+                    !down.iter().any(covers)
+                } else {
+                    !survivors().any(|s| {
+                        #[cfg(test)]
+                        count_parent_runs(1);
+                        reach.ancestors(s).contains(&x)
+                    })
+                }
+            });
+            if open.is_empty() {
+                0
+            } else {
+                let gone: RunBuf = open.iter().copied().collect();
+                reach.remove_ancestors(d, gone.as_run(), batch)
+            }
         };
+        if removed > 0 {
+            let mut was = Vec::with_capacity(removed);
+            batch.lost().extend_into(&mut was);
+            lost.insert(d, was);
+        }
+        report.m_removed += removed;
         report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
         if orphaned {
             let t_gc = Instant::now();
             collected.push(d);
+            is_collected.insert(d);
             // Cascade outgoing edges (∆'V) and collect the node.
             let children: Vec<NodeId> = vs.dag().children(d).to_vec();
             for c in children {
                 vs.dag_mut().remove_edge(d, c);
+                cut_from.entry(c).or_default().push(d);
                 report.cascaded_edges += 1;
             }
             report.gc_nodes += 1;
@@ -498,6 +603,52 @@ mod tests {
         let cs240_path = reach.is_ancestor(cs650, s02);
         assert!(cs240_path, "S02 still reachable via CS240's takenBy");
         assert_consistent(&vs, &topo, &reach);
+    }
+
+    /// §3.4's ∆(M,L)delete, as a cost model: a student enrolled in `p`
+    /// courses has `p` parents; deleting one course collects its `takenBy`
+    /// parent, whose ancestors every sibling `takenBy` still reaches. The
+    /// pass reads fewer than `p` parent runs — the same count at `p` = 20
+    /// and 200 — where the Fig.8 recompute merged all `p - 1` survivors.
+    #[test]
+    fn deleting_one_of_p_parents_reads_fewer_than_p_runs() {
+        let runs_read = |p: usize| {
+            let mut db = registrar_database();
+            for i in 0..p {
+                let cno = format!("X{i}");
+                db.insert(
+                    "course",
+                    tuple![cno.as_str(), format!("T{i}").as_str(), "CS"],
+                )
+                .unwrap();
+                db.insert("enroll", tuple!["S01", cno.as_str()]).unwrap();
+            }
+            let atg = registrar_atg(&db).unwrap();
+            let mut vs = ViewStore::publish(atg, &db).unwrap();
+            let mut topo = TopoOrder::compute(vs.dag());
+            let mut reach = Reachability::compute(vs.dag(), &topo);
+            let student = vs.atg().dtd().type_id("student").unwrap();
+            let alice = vs
+                .dag()
+                .genid()
+                .lookup(student, &tuple!["S01", "Alice"])
+                .unwrap();
+            assert_eq!(vs.dag().parents(alice).len(), p + 1);
+
+            let eval = eval_path(&vs, &topo, &reach, &parse_xpath("course[cno=X0]").unwrap());
+            apply_delta(&mut vs, &xdelete(&eval), None).unwrap();
+            PARENT_RUNS.with(|c| c.set(0));
+            let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+            assert!(report.gc_nodes >= 3, "the course, its prereq and takenBy");
+            assert_consistent(&vs, &topo, &reach);
+            PARENT_RUNS.with(|c| c.get())
+        };
+        let (small, large) = (runs_read(20), runs_read(200));
+        assert!(
+            small < 20 && large < 200,
+            "{small} / {large} parent runs read"
+        );
+        assert_eq!(small, large, "the work does not grow with p");
     }
 
     #[test]

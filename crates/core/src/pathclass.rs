@@ -502,10 +502,10 @@ pub fn union_scope(
     anchors: &[NodeId],
     with_ancestors: bool,
 ) -> TopoOrder {
-    // Gathered as `(position in L, node)`, so one sort orders the union and
+    // Gathered as `(rank in L, node)`, so one sort orders the union and
     // puts duplicates (shared descendants, the root above every `//`
     // anchor) side by side; nodes `L` does not hold are not live.
-    let mut cone: Vec<(usize, NodeId)> = Vec::new();
+    let mut cone: Vec<(u64, NodeId)> = Vec::new();
     let mut add = |v: NodeId| cone.extend(topo.position(v).map(|p| (p, v)));
     add(vs.dag().root());
     for &a in anchors {

@@ -709,6 +709,7 @@ fn eval_plan_with(
     let program = &plan.program;
     let preds = &program.preds;
     let n = topo.len();
+    let slots = topo.n_slots();
     let np = preds.len();
     scratch.keep = n.max(POOL_KEEP);
 
@@ -719,8 +720,9 @@ fn eval_plan_with(
     let genid = vs.dag().genid();
     let mut val = std::mem::take(&mut scratch.val);
     val.clear();
-    val.resize(np * n, false);
-    for (vi, &v) in topo.order().iter().enumerate() {
+    val.resize(np * slots, false);
+    for &v in topo.order() {
+        let Some(vi) = topo.slot(v) else { continue };
         let vty = genid.type_of(v);
         let text_is = |s: &str| atg.dtd().is_pcdata(vty) && atg.text_eq(vty, genid.attr_of(v), s);
         for (pi, pred) in preds.iter().enumerate() {
@@ -729,37 +731,37 @@ fn eval_plan_with(
                 PPred::TypeIs(ty) => Some(vty) == *ty,
                 PPred::TextLit(s) => text_is(s),
                 PPred::TextSlot(slot) => text_is(bindings.get(*slot).map_or("", String::as_str)),
-                PPred::And(a, b) => val[*a * n + vi] && val[*b * n + vi],
-                PPred::Or(a, b) => val[*a * n + vi] || val[*b * n + vi],
-                PPred::Not(a) => !val[*a * n + vi],
+                PPred::And(a, b) => val[*a * slots + vi] && val[*b * slots + vi],
+                PPred::Or(a, b) => val[*a * slots + vi] || val[*b * slots + vi],
+                PPred::Not(a) => !val[*a * slots + vi],
                 PPred::SuffixFilter { filter, next } => {
-                    val[*filter * n + vi] && val[*next * n + vi]
+                    val[*filter * slots + vi] && val[*next * slots + vi]
                 }
                 PPred::SuffixLabel { ty, next } => match ty {
                     None => false,
                     Some(ty) => vs.dag().children(v).iter().any(|&c| {
                         vs.dag().genid().type_of(c) == *ty
-                            && topo.position(c).is_some_and(|ci| val[*next * n + ci])
+                            && topo.slot(c).is_some_and(|ci| val[*next * slots + ci])
                     }),
                 },
                 PPred::SuffixWildcard { next } => vs
                     .dag()
                     .children(v)
                     .iter()
-                    .any(|&c| topo.position(c).is_some_and(|ci| val[*next * n + ci])),
+                    .any(|&c| topo.slot(c).is_some_and(|ci| val[*next * slots + ci])),
                 PPred::SuffixDesc { next } => {
-                    val[*next * n + vi]
+                    val[*next * slots + vi]
                         || vs
                             .dag()
                             .children(v)
                             .iter()
-                            .any(|&c| topo.position(c).is_some_and(|ci| val[pi * n + ci]))
+                            .any(|&c| topo.slot(c).is_some_and(|ci| val[pi * slots + ci]))
                 }
             };
-            val[pi * n + vi] = value;
+            val[pi * slots + vi] = value;
         }
     }
-    let holds = |pi: usize, v: NodeId| topo.position(v).is_some_and(|i| val[pi * n + i]);
+    let holds = |pi: usize, v: NodeId| topo.slot(v).is_some_and(|i| val[pi * slots + i]);
     // scope ∩ desc(u), found by walking whichever is shorter: the stored
     // run (membership = a position probe) or the scope order (membership =
     // `is_ancestor`, itself a search of the shorter of `anc(d)` / `desc(u)`).

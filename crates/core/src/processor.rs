@@ -394,10 +394,11 @@ impl XmlViewSystem {
     /// with others) to [`XmlViewSystem::fold_maintenance`] before the next
     /// evaluation that depends on fresh `M`/`L` state.
     ///
-    /// The serving engine uses this to amortize maintenance over a
-    /// conflict-free batch: per-update work stays proportional to the
-    /// update, and the `M`/`L` upkeep of all deletions collapses into a
-    /// single ∆(M,L)delete pass.
+    /// The serving engine folds each update's job before it evaluates the
+    /// next one; a caller that evaluated a whole batch against the batch's
+    /// start state may fold the batch's jobs together instead, and the
+    /// `M`/`L` upkeep of all its deletions collapses into a single
+    /// ∆(M,L)delete pass.
     ///
     /// `eval` is an [`Evaluated`] — what [`XmlViewSystem::eval`] returned,
     /// so the report can say how the path was evaluated — or a bare
@@ -419,11 +420,12 @@ impl XmlViewSystem {
     /// place a batch's ∆(M,L) work is grouped: where the deletion jobs sit
     /// in `jobs` changes nothing.
     ///
-    /// A batch is what an engine round is: updates that were each evaluated
-    /// against the state the batch started from, so no job targets a node
-    /// another job of the batch created (`tests/batched_fold.rs` holds one
-    /// fold of such a batch equal to one fold per update, and to a fold of
-    /// the same jobs with the deletions reordered).
+    /// The engine hands it one job at a time. A batch of several is updates
+    /// that were each evaluated against the state the batch started from,
+    /// so no job targets a node another job of the batch created
+    /// (`tests/batched_fold.rs` holds one fold of such a batch equal to one
+    /// fold per update, and to a fold of the same jobs with the deletions
+    /// reordered).
     pub fn fold_maintenance(
         &mut self,
         jobs: Vec<DeferredMaintenance>,

@@ -111,6 +111,12 @@ impl<'a> Run<'a> {
         self.words.iter().map(ones).sum()
     }
 
+    /// Number of block words: at most 32 ids each, so a bound on
+    /// [`Run::len`] that costs nothing.
+    pub(crate) fn n_words(self) -> usize {
+        self.words.len()
+    }
+
     /// Whether the set holds no id.
     pub fn is_empty(self) -> bool {
         self.words.is_empty()
@@ -440,6 +446,11 @@ pub struct ReachBatch {
 }
 
 impl ReachBatch {
+    /// The ancestors the last rewrite of an `anc` run removed.
+    pub(crate) fn lost(&self) -> Run<'_> {
+        self.lost.as_run()
+    }
+
     /// Queues `d` under every ancestor it just gained or lost.
     fn queue(&mut self, d: NodeId) {
         let gained = self.gained.as_run().iter().map(|a| (a, d, true));
@@ -633,6 +644,18 @@ impl Reachability {
         self.n_pairs += added;
         batch.queue(d);
         added
+    }
+
+    /// `anc(d) ∖= gone` — ∆(M,L)delete's write when it knows which
+    /// ancestors `d` may have lost. Returns the number of pairs removed;
+    /// their `desc` halves are queued in `batch`.
+    pub fn remove_ancestors(&mut self, d: NodeId, gone: Run<'_>, batch: &mut ReachBatch) -> usize {
+        let old = self.ancestors(d);
+        let mut new = std::mem::take(&mut batch.merged);
+        minus(old, gone, &mut new);
+        let removed = self.set_ancestors(d, new.as_run(), batch);
+        batch.merged = new;
+        removed
     }
 
     /// Replaces `anc(d)` by `new` (a set without `d`) wholesale — deletion

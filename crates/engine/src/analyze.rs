@@ -1,53 +1,30 @@
-//! Conflict analysis and scoped-evaluation planning for batched commits.
+//! **rxbench-only; ROADMAP 4(h) deletes them.** The conflict analysis the
+//! engine's round planner used before rounds became serial: the engine
+//! calls nothing here. `rxbench`'s traced library replay still times
+//! [`Analysis::of`], [`BatchFootprint`] and [`evaluation_scope`], so those
+//! three names — and only those — stay exported, in this one place, until
+//! the `[benchmark]` PR stops naming them.
 //!
-//! Two submitted updates may ride in the same conflict-free batch only if
-//! applying one cannot change what the other's path selects, what its
-//! translation writes, or what its deferred `M`/`L` maintenance touches.
-//! This module computes a conservative per-update [`Analysis`] from two
-//! complementary views of the update:
+//! An [`Analysis`] is a conservative footprint of one update against one
+//! state, from two views of the update:
 //!
 //! - **Cone union** (view structure): the target path is classified by
-//!   [`rxview_core::pathclass`] into one of
-//!   - *anchored* — the first normalized step is a labelled child step; the
-//!     cone is `{anchor} ∪ desc(anchor)` for each top-level node satisfying
-//!     the step's `field = value` filters (descendant sets come from the
-//!     maintained reachability matrix `M`, §3.1);
-//!   - *multi-anchor* — a leading-`//label` (or wildcard-rooted) path whose
-//!     candidate matches are enumerated concretely: the ATG's type-level
-//!     reachability closure ([`rxview_atg::TypeReach`]) bounds which types
-//!     can match, and the `gen_label` registry is probed with the filter's
-//!     typed `(table, column, value)` keys, exactly like an anchored-filter
-//!     probe. The cone is the union over the candidates of
-//!     `{anchor} ∪ desc ∪ anc` — ancestors included because a `//`-match's
-//!     parent edges climb above it. Updates with disjoint cone unions (and
-//!     disjoint typed footprints) touch disjoint view regions, so `//`
-//!     traffic rides ordinary rounds;
-//!   - *global* — nothing bounds the path (unfilterable wildcard, bare
-//!     `//`, a candidate set past [`rxview_core::MAX_CONE_ANCHORS`]): it
-//!     conflicts with everything and commits alone, in a one-update round
-//!     — a rare fallback rather than what every `//` update does.
+//!   [`rxview_core::pathclass`] — *anchored* (`{anchor} ∪ desc(anchor)`
+//!   per top-level node satisfying the first step's filters),
+//!   *multi-anchor* (a leading-`//label` or wildcard-rooted path whose
+//!   candidates the typed `gen_A` probes enumerate; their ancestors join
+//!   the cone), or *global* (nothing bounds the path; it conflicts with
+//!   everything).
 //! - **Typed relational footprint** ([`rxview_core::RelFootprint`]): a
 //!   footprint-only dry run of the §3.3/§4 translation — nothing applied,
 //!   nothing interned — yields the `(table, column, value)` keys the update
-//!   reads (filter probes against the `gen_A` tables) and may write
-//!   (candidate deletable sources for deletions; ground template keys and
-//!   the pairs it would intern for insertions). Read/read never
-//!   conflicts; read/write and write/write on the same key do.
+//!   reads and may write. Read/read never conflicts; read/write and
+//!   write/write on the same key do.
 //!
-//! The cone union doubles as an evaluation *scope*: projecting the
-//! maintained topological order `L` onto `{root} ∪ cones`
-//! ([`rxview_core::union_scope`]) yields a valid order for the sub-DAG, and
-//! the §3.2 two-pass evaluation run over that projection returns exactly
-//! the matches of the full evaluation — at cost proportional to the cones,
-//! not the view. Anchors are resolved and scopes built by the one resolver
-//! every evaluation in the system goes through
-//! ([`rxview_core::resolve_anchors`], behind
-//! [`rxview_core::XmlViewSystem::eval`]); the analysis only adds the typed
-//! reads the resolution depends on. The dry run needs that evaluation
-//! anyway (deletion write keys come from the matched edges), so the analysis
-//! returns it for the write path to reuse: within a conflict-free round
-//! every update's evaluation against the planning snapshot equals its
-//! evaluation at apply time.
+//! A fission-eligible update also carries a sub-cone footprint
+//! ([`SubFootprint`]) at node granularity, so two updates under one hot
+//! anchor can be told apart. `crates/engine/tests/footprint.rs` holds
+//! planned footprints conservative against what the translation realizes.
 
 use rxview_atg::{generate_subtree, NodeId, Provisional};
 use rxview_core::{
@@ -65,7 +42,7 @@ use std::collections::HashSet;
 /// subtrees of the shared cone — and may ride the same round even though
 /// their cones coincide.
 ///
-/// Soundness of the four sets (ARCHITECTURE.md §9):
+/// Soundness of the four sets:
 /// - `node_reads` — every node whose structure the analysis depended on:
 ///   the anchors themselves (a concurrent delete *of* the anchor must
 ///   conflict even with an unfiltered anchored path), every node on a
@@ -156,12 +133,8 @@ pub struct AnalysisParts {
     /// The conflict footprint.
     pub analysis: Analysis,
     /// The dry-run evaluation and how it ran (`None` for global-footprint
-    /// updates, which the publisher evaluates in their round).
+    /// updates).
     pub eval: Option<Evaluated>,
-    /// Wall-clock of the evaluation alone (zero when `eval` is `None`) —
-    /// callers record it in the eval phase bucket; the rest of the
-    /// analysis is partition work.
-    pub eval_time: std::time::Duration,
 }
 
 impl Analysis {
@@ -202,7 +175,6 @@ impl Analysis {
                 sub: None,
             },
             eval: None,
-            eval_time: std::time::Duration::ZERO,
         };
 
         let class = sys.class_of(update.path());
@@ -213,12 +185,8 @@ impl Analysis {
             return global();
         };
 
-        // The dry-run evaluation: exact on the cone-union scope, and
-        // reusable by the write path because the round applies to this very
-        // state.
-        let t_eval = std::time::Instant::now();
+        // The dry-run evaluation: exact on the cone-union scope.
         let evaluated = sys.eval_within(update.path(), &resolved);
-        let eval_time = t_eval.elapsed();
         let eval = &evaluated.eval;
         let Anchors {
             nodes: anchors,
@@ -258,18 +226,20 @@ impl Analysis {
                 None => true,
                 // The live nodes the subtree splices (and their descendants)
                 // join the cone.
-                Some(ty_id) => match plan_insert(sys, ty_id, attr, &eval.selected, &mut rel) {
-                    Some(links) => {
-                        for &live in links.iter().filter(|v| interior(v)) {
-                            cone.insert(live);
-                            let desc = sys.reach().descendants(live);
-                            cone.extend(desc.iter().filter(|v| interior(v)));
+                Some(ty_id) => {
+                    match Self::plan_insert(sys, ty_id, attr, &eval.selected, &mut rel) {
+                        Some(links) => {
+                            for &live in links.iter().filter(|v| interior(v)) {
+                                cone.insert(live);
+                                let desc = sys.reach().descendants(live);
+                                cone.extend(desc.iter().filter(|v| interior(v)));
+                            }
+                            linked = links;
+                            true
                         }
-                        linked = links;
-                        true
+                        None => false,
                     }
-                    None => false,
-                },
+                }
             },
         };
         if !planned_ok {
@@ -357,7 +327,6 @@ impl Analysis {
                 sub,
             },
             eval: Some(evaluated),
-            eval_time,
         }
     }
 
@@ -388,9 +357,30 @@ impl Analysis {
         self.sub.as_ref()
     }
 
+    /// The dry run of `insert (ty, attr)` into `targets` against `sys`: the
+    /// translation's own walk of `ST(A, t)` (`rxview_atg::generate_subtree`)
+    /// over a [`Provisional`] interner, so nothing is interned, with its fresh
+    /// pairs' `gen_A` rows and every edge's template keys added to `rel` as
+    /// planned writes. Returns the live nodes the subtree splices
+    /// ([`rxview_atg::SubtreeDag::shared_nodes`]: a live head, or the live
+    /// nodes a fresh subtree links), or `None` when a write key cannot be
+    /// derived — the update's footprint is then global.
+    pub fn plan_insert(
+        sys: &XmlViewSystem,
+        ty: TypeId,
+        attr: &Tuple,
+        targets: &[NodeId],
+        rel: &mut RelFootprint,
+    ) -> Option<Vec<NodeId>> {
+        let (vs, base) = (sys.view(), sys.base());
+        let mut ids = Provisional::new(vs.dag().genid());
+        let st = generate_subtree(vs.atg(), base, &mut ids, ty, attr.clone()).ok()?;
+        planned_insert_writes(vs, base, &st, &ids, targets, rel).then(|| st.shared_nodes())
+    }
+
     /// Drops the sub-cone footprint, restoring the whole-cone conflict
-    /// unit. The router demotes non-`Proceed` updates: an `Abort`-policy
-    /// side-effect set is computed against the round's planning state, and
+    /// unit. A batch of non-`Proceed` updates needs it: an `Abort`-policy
+    /// side-effect set is computed against the batch's start state, and
     /// only the coarse cone unit guarantees no co-admitted peer perturbs
     /// it.
     pub fn demote_to_cone(&mut self) {
@@ -444,12 +434,11 @@ impl BatchFootprint {
     /// name every candidate-source row the translation *could* touch —
     /// including group-shared rows every sibling under the same hot anchor
     /// also names — so a planned write∩write overlap there is usually
-    /// spurious. The router's intra-round check passes `true` (only
-    /// read/write dependencies deny; the round applies its members one
-    /// after another, so a later translation sees every earlier realized
-    /// write), while the blocker-set check against deferred conflicters
-    /// passes `false` — an update never overtakes an earlier one it might
-    /// conflict with.
+    /// spurious. A check inside one batch whose members apply one after
+    /// another passes `true` (only read/write dependencies deny: a later
+    /// translation sees every earlier realized write); a check against
+    /// updates deferred past the batch passes `false` — an update never
+    /// overtakes an earlier one it might conflict with.
     pub fn check(&self, a: &Analysis, optimistic: bool) -> Verdict {
         if self.global || a.cone.is_none() {
             return Verdict::Conflict;
@@ -496,11 +485,6 @@ impl BatchFootprint {
         }
     }
 
-    /// Whether the batch holds a ⊤ (global-footprint) update.
-    pub(crate) fn is_global(&self) -> bool {
-        self.global
-    }
-
     /// Whether adding an update with footprint `a` would conflict (strict:
     /// planned write/write overlaps deny).
     pub fn conflicts(&self, a: &Analysis) -> bool {
@@ -521,27 +505,6 @@ impl BatchFootprint {
         }
         self.rel.absorb(&a.rel);
     }
-}
-
-/// The dry run of `insert (ty, attr)` into `targets` against `sys`: the
-/// translation's own walk of `ST(A, t)` (`rxview_atg::generate_subtree`)
-/// over a [`Provisional`] interner, so nothing is interned, with its fresh
-/// pairs' `gen_A` rows and every edge's template keys added to `rel` as
-/// planned writes. Returns the live nodes the subtree splices
-/// ([`rxview_atg::SubtreeDag::shared_nodes`]: a live head, or the live
-/// nodes a fresh subtree links), or `None` when a write key cannot be
-/// derived — the update's footprint is then global.
-pub fn plan_insert(
-    sys: &XmlViewSystem,
-    ty: TypeId,
-    attr: &Tuple,
-    targets: &[NodeId],
-    rel: &mut RelFootprint,
-) -> Option<Vec<NodeId>> {
-    let (vs, base) = (sys.view(), sys.base());
-    let mut ids = Provisional::new(vs.dag().genid());
-    let st = generate_subtree(vs.atg(), base, &mut ids, ty, attr.clone()).ok()?;
-    planned_insert_writes(vs, base, &st, &ids, targets, rel).then(|| st.shared_nodes())
 }
 
 /// The evaluation scope of `path` against the *current* state of `sys`

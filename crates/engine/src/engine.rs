@@ -1,9 +1,9 @@
 //! The engine: admission queue, snapshot publication, durability wiring.
 //!
 //! [`Engine::commit_pending`] drains the queue into the round pipeline
-//! (`publisher`): one commit path — the `router` plans conflict-free
-//! rounds, the committing thread applies each one update after another,
-//! and one serial tail folds, logs, publishes and acks it.
+//! (`publisher`): one commit path — a round is the queue's next prefix, the
+//! committing thread evaluates, applies and folds its updates one after
+//! another, and one serial tail logs, publishes and acks it.
 
 use crate::checkpoint::Checkpointer;
 use crate::logdir::{Log, LogDir};
@@ -32,10 +32,9 @@ pub const MAX_QUEUE: usize = 65_536;
 /// "Configuration").
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Maximum updates per commit round: a round admits up to `max_batch`
-    /// conflict-free updates and pays one folded maintenance pass, one log
-    /// record and one snapshot publication. Also the planner's stall limit
-    /// — a round closes after this many consecutive conflicts.
+    /// Maximum updates per commit round: a round takes the next
+    /// `max_batch` queued updates and pays one log record and one snapshot
+    /// publication for them.
     pub max_batch: usize,
     /// Has no effect: every round is applied on the committing thread, and
     /// `max_batch` alone sizes it. Kept only because `rxbench` still sets
@@ -112,11 +111,8 @@ pub struct UpdateTicket {
 impl UpdateTicket {
     /// Blocks until the update's batch commits (or the engine drops it).
     ///
-    /// Note on the returned [`UpdateReport`]: maintenance of `M`/`L` is
-    /// folded per batch, so `report.maintain` carries real counters only
-    /// when the update committed in a batch of its own; in a multi-update
-    /// batch it is zeroed, and the folded totals are available through
-    /// [`CommitSummary::maintain`] and [`crate::EngineStats`].
+    /// The returned [`UpdateReport`]'s `maintain` is the update's own fold
+    /// of `M` and `L`.
     pub fn wait(self) -> Result<UpdateReport, EngineError> {
         match self.rx.recv() {
             Ok(Ok(report)) => Ok(report),
@@ -141,15 +137,14 @@ impl UpdateTicket {
 pub struct CommitSummary {
     /// Updates drained from the queue.
     pub updates: usize,
-    /// Conflict-free batches they were partitioned into.
+    /// Rounds they were committed in.
     pub batches: usize,
     /// Updates accepted.
     pub accepted: usize,
     /// Updates rejected.
     pub rejected: usize,
-    /// Folded `M`/`L` maintenance totals across all batches of this commit
-    /// (per-update reports carry these counters only for singleton batches
-    /// — see [`UpdateTicket::wait`]).
+    /// `M`/`L` maintenance totals across the published rounds of this
+    /// commit (each update's report carries its own).
     pub maintain: rxview_core::MaintainReport,
 }
 
@@ -274,7 +269,7 @@ impl Inner {
 
 /// The concurrent view-serving engine: snapshot-isolated readers over an
 /// epoch-ordered stream of immutable [`Snapshot`]s, and writes
-/// group-committed in conflict-free rounds, each translated on the
+/// group-committed in rounds, each applied update by update on the
 /// committing thread.
 ///
 /// Cheap to clone (handles share one underlying engine); all methods take
@@ -350,8 +345,8 @@ impl Engine {
 
     /// Rebuilds a durable engine from its log directory after a crash: the
     /// newest valid checkpoint is loaded, the replay-log suffix past it is
-    /// replayed in epoch order, each record as the round it logs, and the
-    /// engine resumes serving at the recovered epoch. `atg` must be the
+    /// replayed in epoch order, update by update as the engine applied it,
+    /// and the engine resumes serving at the recovered epoch. `atg` must be the
     /// grammar the original engine ran under — like the relational schema
     /// it is code, not data, and the checkpoint's embedded type table is
     /// validated against it.
@@ -570,14 +565,13 @@ impl Engine {
     }
 
     /// Drains the admission queue and commits it through the round
-    /// pipeline (`ARCHITECTURE.md` §3): the queue is planned into
-    /// conflict-free *rounds* of up to `max_batch` updates, each analyzed
-    /// against the snapshot it will apply to; a round is applied, one update
-    /// after another, to a working clone of that snapshot and then pays one
-    /// folded maintenance pass, one log record and one publication.
+    /// pipeline (`ARCHITECTURE.md` §3): the queue is cut into *rounds* of up
+    /// to `max_batch` updates in submission order; each update of a round is
+    /// evaluated, applied and folded against the state the one before it
+    /// left, on a working clone of the latest snapshot, and the round then
+    /// pays one log record and one publication.
     ///
-    /// Submission order is preserved between conflicting updates (an update
-    /// deferred by a conflict also blocks its own later conflicters).
+    /// Outcomes equal one-at-a-time application in submission order.
     /// Tickets resolve round by round: a round's outcomes are delivered as
     /// soon as its snapshot is visible, so a caller that observed its
     /// ticket can read its own write. A round in which nothing applied

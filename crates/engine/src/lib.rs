@@ -15,41 +15,25 @@
 //!   working clone, its first writes, and the release of a displaced
 //!   snapshot each cost in proportion to what the round changed, and a
 //!   snapshot is freed the moment its last reader lets go.
-//! - **Group commit in conflict-free rounds** ([`Engine::submit`],
+//! - **Serial group commit** ([`Engine::submit`],
 //!   [`Engine::commit_pending`]): submitted [`rxview_core::XmlUpdate`]s
 //!   queue in a bounded admission queue and commit through one *round
-//!   pipeline* — plan → translate → fold → log → publish → ack. The router
-//!   plans a round of up to `max_batch` updates whose
-//!   [`Analysis`] footprints are disjoint — key-anchored
-//!   target-path cones (anchors probe the maintained `gen_A` registries)
-//!   plus the typed relational footprint ([`rxview_core::RelFootprint`]) of
-//!   a footprint-only dry run of the §3.3/§4 translation: the `(table,
-//!   column, value)` keys the update reads and may write. Each round runs
-//!   the paper's phases with two amortizations: evaluation of a classified
-//!   path is *scoped* to its anchor cones (a projection of `L`,
-//!   [`rxview_core::XmlViewSystem::eval`] — the same entry point readers
-//!   and recovery replay evaluate through) and reused from the dry run, and
-//!   phase 6 — maintenance of `M` and `L` (§3.4) — is *folded* into a
-//!   single ∆(M,L) pass per round
-//!   ([`rxview_core::XmlViewSystem::fold_maintenance`]), followed by one
-//!   log record and one published epoch — so readers keep a single
-//!   coherent, epoch-ordered snapshot stream. Per-update accept/reject
-//!   outcomes are reported back through [`UpdateTicket`]s as each round
-//!   publishes. Leading-`//` and wildcard-rooted updates resolve to bounded
-//!   multi-anchor cones through the grammar's type-level reachability
-//!   closure and typed `gen_A` probes ([`rxview_core::classify`]), so they
-//!   ride ordinary rounds; only a genuinely untypeable (⊤-footprint) path
-//!   commits alone.
-//! - **One translate executor**: a round's updates run
-//!   [`rxview_core::XmlViewSystem::apply_deferred`] one after another on the
-//!   round's working clone, on the committing thread, each reusing its dry
-//!   run's evaluation. Rounds run one at a time: a round is planned against
-//!   the latest published snapshot and applied, folded, logged and
-//!   published before the next is planned, so readers, the WAL, and acks
-//!   observe one epoch stream (`WAL(k) ≺ publish(k) ≺ ack(k)`).
+//!   pipeline*. A round is the queue's next prefix of up to `max_batch`
+//!   updates, in submission order; on the committing thread each update in
+//!   turn is evaluated against the round's working state
+//!   ([`rxview_core::XmlViewSystem::eval`] — the scope-aware entry point
+//!   readers and recovery replay evaluate through: anchors probe the
+//!   maintained `gen_A` registries, and `L` is projected onto their
+//!   cones), applied
+//!   ([`rxview_core::XmlViewSystem::apply_deferred`]) and folded
+//!   ([`rxview_core::XmlViewSystem::fold_maintenance`] of its one job) — the
+//!   paper's one-update-at-a-time semantics, so every update sees the state
+//!   the one before it left and a round is conflict-free by construction.
+//!   The round then pays one log record and one published epoch, so readers
+//!   keep a single coherent, epoch-ordered snapshot stream
+//!   (`WAL(k) ≺ publish(k) ≺ ack(k)`). Per-update accept/reject outcomes
+//!   are reported back through [`UpdateTicket`]s as each round publishes.
 //!   Deterministic schedules are testable through [`StageHooks`].
-//!   The round pipeline is property-tested observationally equivalent to
-//!   sequential application.
 //! - **Durability** ([`Durability`], [`Engine::with_durability`],
 //!   [`Engine::recover`]): the pipeline appends each committed round —
 //!   `(epoch, applied updates in submission order)` — to a checksummed,
@@ -60,8 +44,13 @@
 //!   directory and describes it: each file, who creates and deletes it, and
 //!   the fsync order that makes each deletion safe. Recovery loads the
 //!   newest valid checkpoint, replays the log suffix record by record —
-//!   each record as the round it logs, one fold of `M` and `L` per record —
-//!   and resumes serving at the recovered epoch ([`RecoveryReport`]).
+//!   each record as the serial application it logs, one fold of `M` and `L`
+//!   per update — and resumes serving at the recovered epoch
+//!   ([`RecoveryReport`]).
+//! - **rxbench-only names**: [`Analysis`], [`BatchFootprint`] and
+//!   [`evaluation_scope`] are the conflict analysis the round planner used
+//!   before rounds became serial. The engine calls none of them; `rxbench`
+//!   still times them, and ROADMAP item 4(h) deletes them.
 //! - **Observability** ([`EngineStats`]): an engine-wide telemetry layer
 //!   built on the dependency-free [`obs`] module — lock-free counters and
 //!   log₂-bucketed latency histograms declared once, in one metric table
@@ -79,9 +68,9 @@
 //! translation ∆X→∆V→∆R (§3.3, §4) run unchanged per update inside
 //! [`rxview_core::XmlViewSystem::apply_deferred`]; XPath evaluation +
 //! side-effect detection (§3.2) runs per update but scoped where the
-//! conflict analysis proves it sound; background maintenance (§3.4) runs
-//! once per round — which is exactly the "background" role the paper assigns
-//! it, made concrete as group commit.
+//! resolved anchors bound the path; background maintenance (§3.4) runs per
+//! update, inside the round, before the next update evaluates — and the
+//! round's log record and publication are what group commit amortises.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -94,12 +83,11 @@ pub mod obs;
 mod pipeline;
 mod publisher;
 mod recovery;
-mod router;
 mod snapshot;
 mod stats;
 mod wal;
 
-pub use analyze::{evaluation_scope, plan_insert, Analysis, BatchFootprint};
+pub use analyze::{evaluation_scope, Analysis, BatchFootprint};
 pub use engine::{
     CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle, MAX_QUEUE,
 };

@@ -28,8 +28,8 @@ const GATE_TIMEOUT: Duration = Duration::from_secs(60);
 /// nothing publishes nothing, so it announces `Plan` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// A round plan was formed against the latest published snapshot
-    /// (before the round is translated).
+    /// A round was formed from the queue's next prefix, after its
+    /// predecessor published (before its first update is evaluated).
     Plan,
     /// A round's snapshot was published (the epoch advanced); its tickets
     /// have not resolved yet.

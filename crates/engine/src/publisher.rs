@@ -1,69 +1,79 @@
-//! The round pipeline: the one commit path. Every drained queue commits as
-//! a sequence of conflict-free *rounds*, one at a time, and every round runs
-//! the same stages on the committing thread:
+//! The round pipeline: the one commit path. A drained queue commits as a
+//! sequence of *rounds* — consecutive prefixes of the queue, up to
+//! `max_batch` updates each, in submission order — one at a time, and
+//! every round runs the same stages on the committing thread:
 //!
 //! ```text
-//! plan → translate → fold → log → publish → ack
+//! (eval → apply → fold) per update → log → publish → ack
 //! ```
 //!
-//! - **plan** — [`crate::router::plan_round`] admits a conflict-free round
-//!   against the latest published snapshot (the only planner);
-//! - **translate** — the round's jobs apply one after another
-//!   (`apply_deferred`) to a working clone of that snapshot, each reusing
-//!   the evaluation its plan's dry run made;
-//! - **fold → log → publish → ack** — the serial tail
-//!   (`Commit::finish_round`): one folded ∆(M,L) pass over the round's
-//!   jobs in application order, one WAL append, one publication, then
-//!   ticket resolution and revalidation of cached analyses.
+//! - **the apply loop** — each update in turn is evaluated against the
+//!   round's working state (`XmlViewSystem::eval`), applied with its
+//!   maintenance deferred (`apply_deferred`), and folded on its own
+//!   (`fold_maintenance(vec![job])`): the paper's one-update-at-a-time
+//!   semantics (§3.2–§3.4), so every update sees the state the one before
+//!   it left. Nothing is planned: a round is conflict-free by construction.
+//! - **log → publish → ack** — the serial tail (`Commit::finish_round`):
+//!   one WAL append, one publication, then ticket resolution.
 //!   `WAL(k) ≺ publish(k) ≺ ack(k)`
 //!   and read-your-writes live there and nowhere else. A round that applied
 //!   nothing publishes no epoch and appends no record.
 //!
-//! A round is planned only after its predecessor has published
-//! (ARCHITECTURE.md §3), so the snapshot a plan ran against is the latest
-//! one until the round itself publishes, and the working state is cloned
-//! from it. The working state is a local, moved into the publication on
+//! A round is formed only after its predecessor has published
+//! (ARCHITECTURE.md §3), and its working state is cloned from the latest
+//! snapshot. The working state is a local, moved into the publication on
 //! success and dropped on any failure — so a failed fold or append leaves
 //! the previous snapshot current and later rounds proceed.
 //!
 //! Deterministic schedules for tests inject
 //! [`crate::pipeline::StageHooks`] through the config; the coordinator
-//! announces each round's plan and publish and blocks on held gates
+//! announces each round's formation and publish and blocks on held gates
 //! (`crates/engine/tests/pipeline.rs`).
 
 use crate::engine::{CommitSummary, Inner, Pending};
 use crate::obs::fields;
 use crate::pipeline::{Stage, StageHooks};
-use crate::router::{self, PendingUpdate, RoundPlan};
-use rxview_core::{DeferredMaintenance, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem};
+use crate::wal::LoggedUpdate;
+use rxview_core::{
+    MaintainReport, SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate,
+    XmlViewSystem,
+};
 use rxview_relstore::RelError;
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// What a round's translation leaves for the serial tail: the round's
-/// working state with every applied update's ∆R/∆V in it, and what became
-/// of each admitted update.
-struct Translated {
-    /// The latest snapshot's system plus this round's applied updates;
-    /// published by the tail, or dropped with the round.
+/// A pending update inside one commit, keyed by its submission index. The
+/// round that applies it builds its replay-log record from it.
+struct PendingUpdate {
+    idx: usize,
+    update: XmlUpdate,
+    policy: SideEffectPolicy,
+}
+
+/// What a round's apply loop leaves for the serial tail.
+struct Applied {
+    /// The latest snapshot's system plus this round's applied updates, each
+    /// folded; published by the tail, or dropped with the round.
     working: XmlViewSystem,
-    /// Applied updates in submission order, with their deferred ∆(M,L)
-    /// obligations alongside.
-    applied: Vec<(usize, UpdateReport)>,
-    jobs: Vec<DeferredMaintenance>,
-    rejected: Vec<(usize, UpdateError)>,
+    /// Applied updates in submission order, each with its own fold in its
+    /// report.
+    reports: Vec<(usize, UpdateReport)>,
+    /// The round's log record: the applied updates, in the same order.
+    logged: Vec<LoggedUpdate>,
+    /// The round's folds, summed.
+    maintain: MaintainReport,
+    /// A fold failed: the working state is not to be published.
+    failed: Option<String>,
 }
 
 /// One `commit_pending` call's state: the ticket table (reply channel and
-/// admission timestamp per update, indexed by submission order) and the
-/// still-pending updates.
+/// admission timestamp per update, indexed by submission order).
 struct Commit<'a> {
     inner: &'a Inner,
     hooks: Option<&'a StageHooks>,
     summary: CommitSummary,
     txs: Vec<Option<mpsc::Sender<UpdateOutcome>>>,
     submitted_ats: Vec<Instant>,
-    entries: Vec<PendingUpdate>,
 }
 
 /// Commits a drained queue through the round pipeline (see the module
@@ -79,38 +89,26 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
         },
         txs: Vec::with_capacity(pending.len()),
         submitted_ats: Vec::with_capacity(pending.len()),
-        entries: Vec::with_capacity(pending.len()),
     };
+    let mut entries = Vec::with_capacity(pending.len());
     for (idx, p) in pending.into_iter().enumerate() {
         c.submitted_ats.push(p.submitted_at);
-        let (pu, tx) = PendingUpdate::new(idx, p);
-        c.entries.push(pu);
-        c.txs.push(Some(tx));
+        c.txs.push(Some(p.tx));
+        entries.push(PendingUpdate {
+            idx,
+            update: p.update,
+            policy: p.policy,
+        });
     }
 
-    while !c.entries.is_empty() {
-        let Some(mut plan) = c.plan_next() else {
-            // Unreachable: nothing unpublished blocks a plan, so a nonempty
-            // queue admits its first update. Guard against a logic error
-            // rather than spinning; the ticket safety net below fails
-            // anything left.
-            debug_assert!(false, "a round plan admitted nothing");
+    let mut queue = entries.into_iter();
+    loop {
+        let round: Vec<PendingUpdate> = queue.by_ref().take(inner.config.max_batch).collect();
+        if round.is_empty() {
             break;
-        };
-        let translated = c.translate(&mut plan);
-        c.finish_round(plan, translated);
-    }
-
-    // Every ticket must resolve.
-    for idx in 0..c.txs.len() {
-        if c.txs[idx].is_some() {
-            c.resolve(
-                idx,
-                Err(UpdateError::Rel(RelError::MalformedQuery(
-                    "update lost by engine".into(),
-                ))),
-            );
         }
+        let applied = c.apply_round(round);
+        c.finish_round(applied);
     }
     c.summary
 }
@@ -133,187 +131,138 @@ impl Commit<'_> {
         }
     }
 
-    /// Plans the next round against the latest snapshot — which stays the
-    /// latest until the round publishes, because only a round's own publish
-    /// replaces it. Returns `None` if the plan admitted nothing, which a
-    /// nonempty queue never does.
-    fn plan_next(&mut self) -> Option<RoundPlan> {
+    /// The apply loop: evaluates, applies and folds the round's updates one
+    /// after another on a clone of the latest snapshot. A rejected update is
+    /// resolved here and leaves nothing behind; after a failed fold the
+    /// rest of the round fails with it.
+    fn apply_round(&mut self, round: Vec<PendingUpdate>) -> Applied {
         let stats = &self.inner.stats;
-        let current = self.inner.current();
-        let t_plan = Instant::now();
-        let plan = router::plan_round(
-            current.system(),
-            &mut self.entries,
-            self.inner.config.max_batch,
-            stats,
-        );
-        // Dry-run evaluation time inside plan_round is recorded as eval;
-        // keep the plan bucket to pure conflict-analysis work.
-        stats
-            .plan
-            .record_duration(t_plan.elapsed().saturating_sub(plan.analysis_eval));
         if let Some(h) = self.hooks {
             h.reached(Stage::Plan);
         }
-        if plan.jobs.is_empty() {
-            return None;
-        }
         stats.rounds.incr();
-        stats.recorder().record(
-            "round.planned",
-            fields![
-                admitted: plan.jobs.len(),
-                deferred: self.entries.len(),
-                multi_cone: plan.multi_cone_admitted,
-            ],
-        );
-        Some(plan)
-    }
-
-    /// Translates the round: applies its jobs one after another to a clone
-    /// of the latest snapshot — the state the plan's dry runs evaluated
-    /// against, so their evaluations are reused (conflict-freeness keeps
-    /// them exact on the round-mutated working state too).
-    fn translate(&mut self, plan: &mut RoundPlan) -> Translated {
-        let stats = &self.inner.stats;
-        if plan.footprint.is_global() {
-            stats.global_lane_rounds.incr();
-            stats
-                .recorder()
-                .record("lane.global", fields![idx: plan.jobs[0].pending.idx]);
-        }
-        stats.record_batch(plan.jobs.len());
+        stats
+            .recorder()
+            .record("round.planned", fields![admitted: round.len()]);
+        stats.record_batch(round.len());
         self.summary.batches += 1;
-        let mut out = Translated {
+        let width = round.len();
+        let mut out = Applied {
             working: self.inner.current().system().clone(),
-            applied: Vec::new(),
-            jobs: Vec::new(),
-            rejected: Vec::new(),
+            reports: Vec::with_capacity(width),
+            logged: Vec::with_capacity(width),
+            maintain: MaintainReport::default(),
+            failed: None,
         };
-        // The apply loop *is* a round's translation wall clock.
+        // The loop's wall clock, less its evaluations and folds, is the
+        // round's translation: the three rows partition it.
         let t_wall = Instant::now();
-        for job in &mut plan.jobs {
-            let pu = &job.pending;
-            let eval = job.eval.take().unwrap_or_else(|| {
-                // A ⊤ update has no dry run: this is its §3.2 evaluation.
-                let t0 = Instant::now();
-                let eval = out.working.eval(pu.update.path());
-                stats.record_eval(eval.scope_nodes, t0.elapsed());
-                eval
-            });
-            let t1 = Instant::now();
-            match out.working.apply_deferred(&pu.update, pu.policy, eval) {
-                Ok((report, maintenance)) => {
-                    out.applied.push((pu.idx, report));
-                    out.jobs.push(maintenance);
-                }
-                Err(e) => out.rejected.push((pu.idx, e)),
+        let mut eval_and_fold = Duration::ZERO;
+        for pu in round {
+            if let Some(msg) = &out.failed {
+                let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
+                self.resolve(pu.idx, Err(e));
+                continue;
             }
-            stats.translate_ns.record_duration(t1.elapsed());
+            let t_eval = Instant::now();
+            let eval = out.working.eval(pu.update.path());
+            let d_eval = t_eval.elapsed();
+            stats.record_eval(eval.scope_nodes, d_eval);
+            let t_apply = Instant::now();
+            let applied = out.working.apply_deferred(&pu.update, pu.policy, eval);
+            stats.translate_ns.record_duration(t_apply.elapsed());
+            let (mut report, job) = match applied {
+                Ok(applied) => applied,
+                Err(e) => {
+                    eval_and_fold += d_eval;
+                    self.resolve(pu.idx, Err(e));
+                    continue;
+                }
+            };
+            let t_fold = Instant::now();
+            let folded = out.working.fold_maintenance(vec![job]);
+            let d_fold = t_fold.elapsed();
+            eval_and_fold += d_eval + d_fold;
+            match folded {
+                Ok(m) => {
+                    stats.record_maintain(d_fold, &m);
+                    out.maintain.absorb(&m);
+                    report.maintain = m;
+                    out.reports.push((pu.idx, report));
+                    out.logged.push((pu.update, pu.policy));
+                }
+                Err(e) => {
+                    let msg = format!("update maintenance failed: {e}");
+                    stats.record_round_failure("fold_maintenance", out.reports.len() + 1);
+                    let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
+                    self.resolve(pu.idx, Err(e));
+                    out.failed = Some(msg);
+                }
+            }
         }
-        stats.translate_wall.record_duration(t_wall.elapsed());
+        stats
+            .translate_wall
+            .record_duration(t_wall.elapsed().saturating_sub(eval_and_fold));
+        stats.record_round_width(width, out.reports.len());
         out
     }
 
-    /// The serial tail every round ends in: fold → log → publish → ack,
-    /// then revalidation of cached analyses.
+    /// The serial tail every round ends in: log → publish → ack.
     ///
     /// This is the one place the commit invariants live. Write-ahead: the
     /// round's record is appended (and synced, per the policy) before its
     /// snapshot becomes visible, and accepted tickets resolve only after
     /// it is — `WAL(k) ≺ publish(k) ≺ ack(k)`, with read-your-writes as the
-    /// consequence; rounds reach here one at a time in plan order, so
+    /// consequence; rounds reach here one at a time in queue order, so
     /// appends are epoch-strict. A failed fold or append fails the round's
     /// applied tickets and drops the working state: nothing new is visible,
     /// the previous snapshot stays current, and later rounds proceed. A
     /// round that applied nothing publishes no epoch and appends no record.
-    fn finish_round(&mut self, plan: RoundPlan, translated: Translated) {
+    fn finish_round(&mut self, applied: Applied) {
         let inner = self.inner;
         let stats = &inner.stats;
-        let Translated {
-            mut working,
-            mut applied,
-            jobs,
-            rejected,
-        } = translated;
-        stats.record_round_width(plan.jobs.len(), applied.len());
-        if plan.multi_cone_admitted > 0 {
-            stats.record_multi_cone_round(plan.multi_cone_admitted, applied.len());
+        let Applied {
+            working,
+            reports,
+            logged,
+            maintain,
+            failed,
+        } = applied;
+        if reports.is_empty() {
+            return;
         }
-        // The applied updates form the round's log record (`applied` and
-        // the plan's jobs are both in submission order); the rejected ones
-        // are done.
-        let mut logged: Vec<crate::wal::LoggedUpdate> = Vec::with_capacity(applied.len());
-        let mut ok = applied.iter().map(|(idx, _)| *idx).peekable();
-        for job in plan.jobs {
-            let pu = job.pending;
-            if ok.next_if_eq(&pu.idx).is_some() {
-                logged.push((pu.update, pu.policy));
-            }
-        }
-        for (idx, e) in rejected {
-            self.resolve(idx, Err(e));
-        }
-
-        if !applied.is_empty() {
-            // The jobs go in application order, as recovery replays them:
-            // how a round's ∆(M,L) work is grouped is `fold_maintenance`'s
-            // business alone.
-            let t_fold = Instant::now();
-            let durable = working
-                .fold_maintenance(jobs)
-                .map_err(|e| ("fold_maintenance", format!("round maintenance failed: {e}")))
-                .and_then(|m| {
-                    stats.record_maintain(t_fold.elapsed(), &m);
-                    inner
-                        .log_round(&logged)
-                        .map_err(|msg| ("wal_append", msg))?;
-                    Ok(m)
-                });
-            // The record is written: free its updates here, not behind the
-            // acks — what a commit frees last, the next reader's first
-            // allocation pays to consolidate.
-            drop(logged);
-            match durable {
-                Ok(m) => {
-                    self.summary.maintain.absorb(&m);
-                    let t_publish = Instant::now();
-                    let snap = inner.publish(working);
-                    stats.publish.record_duration(t_publish.elapsed());
-                    if let Some(h) = self.hooks {
-                        h.reached(Stage::Publish);
-                    }
-                    stats.recorder().record(
-                        "round.committed",
-                        fields![epoch: snap.epoch(), updates: applied.len()],
-                    );
-                    if let [(_, report)] = applied.as_mut_slice() {
-                        // A singleton round attributes maintenance exactly.
-                        report.maintain = m;
-                    }
-                    for (idx, report) in applied {
-                        self.resolve(idx, Ok(report));
-                    }
+        let durable = match failed {
+            Some(msg) => Err(msg),
+            None => inner
+                .log_round(&logged)
+                .inspect_err(|_| stats.record_round_failure("wal_append", reports.len())),
+        };
+        // The record is written: free its updates here, not behind the
+        // acks — what a commit frees last, the next reader's first
+        // allocation pays to consolidate.
+        drop(logged);
+        match durable {
+            Ok(()) => {
+                self.summary.maintain.absorb(&maintain);
+                let t_publish = Instant::now();
+                let snap = inner.publish(working);
+                stats.publish.record_duration(t_publish.elapsed());
+                if let Some(h) = self.hooks {
+                    h.reached(Stage::Publish);
                 }
-                Err((stage, msg)) => {
-                    stats.record_round_failure(stage, applied.len());
-                    for (idx, _) in applied {
-                        let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                        self.resolve(idx, Err(e));
-                    }
+                stats.recorder().record(
+                    "round.committed",
+                    fields![epoch: snap.epoch(), updates: reports.len()],
+                );
+                for (idx, report) in reports {
+                    self.resolve(idx, Ok(report));
                 }
             }
-        }
-
-        // Whatever the round committed invalidates cached analyses whose
-        // footprint it touched. Doing so for *failed* rounds too is
-        // conservative — a dropped cache only costs a re-analysis.
-        for e in self.entries.iter_mut() {
-            if e.cached
-                .as_ref()
-                .is_some_and(|c| !c.survives(&plan.footprint))
-            {
-                e.cached = None;
+            Err(msg) => {
+                for (idx, _) in reports {
+                    let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
+                    self.resolve(idx, Err(e));
+                }
             }
         }
     }

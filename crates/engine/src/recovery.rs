@@ -8,20 +8,19 @@
 //!    checkpoints are skipped (and counted) in favor of older ones.
 //! 2. **Replay.** Every WAL segment (of any format, `crate::wal`) is
 //!    scanned from its magic up to its last checksummed-complete, decodable
-//!    record; records
-//!    with epochs past the checkpoint are replayed **in epoch order**, each
-//!    one **as the round it logs**: every update evaluated against the state
-//!    the record starts from (`XmlViewSystem::eval`), applied in logged order
-//!    with maintenance deferred (`apply_deferred`), then one
-//!    `fold_maintenance` over the record's jobs — the round pipeline's loop.
-//!    That is sound because a record holds one conflict-free round (the
-//!    engine logs nothing else), the round pipeline is held observationally
-//!    equal to one-at-a-time application by the equivalence battery, and one
-//!    fold of such a batch equal to one fold per update by
-//!    `tests/batched_fold.rs` — so "replay of the acknowledged prefix" and
-//!    "what the engine actually did" are the same state. Torn or corrupt
-//!    log tails end their segment's contribution and are reported, never
-//!    panicked on; so is a checksummed record that does not decode, apart.
+//!    record; records with epochs past the checkpoint are replayed **in
+//!    epoch order**, each one **as the serial application it logs**: every
+//!    update in logged order is evaluated against the state the one before
+//!    it left, applied and folded on its own (`XmlViewSystem::apply`) — the
+//!    round pipeline's apply loop, and `rxview_reference::reference_apply`'s
+//!    semantics. So "replay of the acknowledged prefix" and "what the engine
+//!    actually did" are the same state by construction. Records written by
+//!    older engines, whose rounds were planned conflict-free, replay the
+//!    same way: within such a round no update reads what another writes, so
+//!    serial application reaches the state the engine published. Torn or
+//!    corrupt log tails end their segment's contribution and are reported,
+//!    never panicked on; so is a checksummed record that does not decode,
+//!    apart.
 //! 3. **Resume.** The engine restarts at the recovered epoch; a durable one
 //!    first anchors the directory on the recovered state (`crate::logdir`),
 //!    which makes recovery idempotent. Recovery itself only reads.
@@ -83,17 +82,18 @@ pub struct RecoveryReport {
     pub replayed_rounds: usize,
     /// Updates replayed across those rounds.
     pub replayed_updates: usize,
-    /// Folds of `M` and `L` the replay ran: one per replayed round that
-    /// applied anything, however many updates the round holds.
+    /// Folds of `M` and `L` the replay ran: one per replayed update that
+    /// applied, as the engine folded it.
     pub replay_folds: usize,
     /// Replayed updates the apply path rejected. Always `0` when the log
     /// and checkpoint belong together (acknowledged updates replay
     /// cleanly); non-zero values indicate a mixed-up directory and are
     /// surfaced rather than hidden.
     pub replay_rejected: usize,
-    /// Replayed updates whose path was evaluated by the full pass over `L`
-    /// instead of a scope ([`rxview_core::Evaluated::scope_nodes`] was
-    /// `None`) — the answer to "why did this replay take so long". `0` for
+    /// Replayed updates that applied after their path was evaluated by the
+    /// full pass over `L` instead of a scope
+    /// ([`rxview_core::UpdateReport::scope_nodes`] was `None`) — the answer
+    /// to "why did this replay take so long". `0` for
     /// a log of anchored and keyed-`//` traffic.
     pub replay_full_evals: usize,
     /// Bytes past the last record read, summed over all segments: a torn or
@@ -123,29 +123,21 @@ pub struct RecoveryReport {
     pub wal_replay: Duration,
 }
 
-/// Replays one record the way the engine committed its round: the
-/// updates are evaluated against the state the round starts from, applied in
-/// logged order with maintenance deferred, and folded once (module docs).
+/// Replays one record the way the engine committed its round: each update
+/// in logged order is evaluated, applied and folded against the state the
+/// one before it left — `XmlViewSystem::apply` (module docs).
 fn replay_round(sys: &mut XmlViewSystem, updates: &[LoggedUpdate], report: &mut RecoveryReport) {
-    let paths = updates.iter().map(|(update, _)| update.path());
-    let evals: Vec<_> = paths.map(|path| sys.eval(path)).collect();
-    let mut jobs = Vec::with_capacity(updates.len());
-    for ((update, policy), eval) in updates.iter().zip(evals) {
-        report.replay_full_evals += usize::from(eval.scope_nodes.is_none());
-        match sys.apply_deferred(update, *policy, eval) {
-            Ok((_, job)) => jobs.push(job),
+    for (update, policy) in updates {
+        match sys.apply(update, *policy) {
+            Ok(applied) => {
+                report.replay_folds += 1;
+                report.replay_full_evals += usize::from(applied.scope_nodes.is_none());
+            }
             Err(_) => report.replay_rejected += 1,
         }
     }
     report.replayed_updates += updates.len();
     report.replayed_rounds += 1;
-    if !jobs.is_empty() {
-        report.replay_folds += 1;
-        let folded = jobs.len();
-        if sys.fold_maintenance(jobs).is_err() {
-            report.replay_rejected += folded;
-        }
-    }
 }
 
 /// The state reassembly half of recovery (everything except engine
@@ -208,7 +200,7 @@ pub(crate) fn recover_state(
     }
     records.sort_by_key(|r| r.epoch);
 
-    // --- 3. Replay in epoch order, a record as the round it logs. ---
+    // --- 3. Replay in epoch order, a record as the serial application it logs. ---
     let mut resumed = ckpt_epoch;
     for (i, rec) in records.iter().enumerate() {
         if rec.epoch != resumed + 1 {

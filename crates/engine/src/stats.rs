@@ -11,8 +11,8 @@
 //!   relaxed atomic on the handle at the call site; the `record_*` methods
 //!   are the ones that feed several metrics or compute what they record.
 //! - **flight recorder** — a bounded ring of structured events (round
-//!   planned / committed / failed, a ⊤ round, checkpoint
-//!   start/end, WAL rotation, recovery replay progress), dumpable as JSONL;
+//!   formed / committed / failed, checkpoint start/end, WAL rotation,
+//!   recovery replay progress), dumpable as JSONL;
 //! - **reports** — [`EngineReport`] is a point-in-time read of the handles,
 //!   and [`PhaseBreakdown`] attributes a run's wall clock to phases.
 //!
@@ -161,7 +161,7 @@ macro_rules! metric_table {
             /// `compiles` and `compile_ns` the one-time registry build — zero
             /// when an earlier engine on the shared cache compiled it.
             pub template_cache: PlanCacheStats,
-            /// Always 0: a round never sends an update back to the planner.
+            /// Always 0: nothing plans a round, so nothing is sent back.
             /// Kept, as that constant, because `rxbench` still reads it
             /// (ROADMAP item 4(g) drops both).
             pub requeued: u64,
@@ -206,18 +206,19 @@ metric_table! {
         m_words: gauge "state.m_words",
         // --- evaluation ---
         /// Evaluations the commit path ran over a scope (a projection of `L`
-        /// onto the path's anchor cones) — counted from what ran: the
-        /// planner's dry run, or a ⊤ update's evaluation in its round.
+        /// onto the path's anchor cones), one per update a round evaluated.
         scoped_evals: counter "eval.scoped",
         /// Evaluations that ran the full pass over `L`: a path nothing bounds,
         /// or a cone union too large to be worth projecting — the first thing
         /// to look at when an update was slow.
         full_evals: counter "eval.full",
         // --- phase timers, one sample per round ---
-        /// Time spent in conflict analysis / round planning (the `plan`
-        /// phase), dry-run evaluation excluded.
+        /// Always empty: a round is a queue prefix, and nothing plans it.
+        /// Kept because `rxbench` still reads it (ROADMAP item 4(g)).
         plan: timer "phase.plan_ns",
-        /// Translation wall clock per round: its apply loop.
+        /// Translation wall clock per round: its apply loop, less the
+        /// evaluations and folds it ran (recorded as `phase.eval_ns` and
+        /// `phase.fold_ns`).
         translate_wall: timer "phase.translate_wall_ns",
         /// Fold sub-span: time the folded ∆(M,L) passes spent rewriting
         /// reachability (per-node ancestor-set recompute — ∆M steps (a)/(b)
@@ -229,8 +230,7 @@ metric_table! {
         /// unreferenced-node GC cascade on delete). Part of `phases.maintain`.
         fold_l_splice: timer "phase.fold_l_splice_ns",
         /// ∆(M,L) passes the folds ran ([`MaintainReport::cone_folds`]):
-        /// one per insert job, plus one per delete pass — a round's deletion
-        /// jobs share one.
+        /// one per applied update.
         cone_folds: counter "fold.cone_folds",
         /// Time writing replay-log records (fsync excluded).
         wal_append: timer "phase.wal_append_ns",
@@ -239,40 +239,19 @@ metric_table! {
         /// Time spent publishing snapshots.
         publish: timer "phase.publish_ns",
         // --- rounds ---
-        /// Commit rounds planned by the router.
+        /// Commit rounds formed from the queue. (The exported name predates
+        /// serial rounds.)
         rounds: counter "round.planned",
-        /// ⊤ rounds: the one-update rounds of a ⊤-footprint update. Only
-        /// genuinely untypeable paths form one — `//`-headed ones resolve to
-        /// multi-anchor cones and ride ordinary rounds. (The exported name
-        /// predates the rounds' name.)
-        global_lane_rounds: counter "round.global_lane",
-        /// Commit rounds that admitted at least one multi-cone (`//`-headed or
-        /// wildcard-rooted) update — `//` traffic riding ordinary rounds.
-        multi_cone_rounds: counter "round.multi_cone",
-        /// Multi-cone updates admitted into conflict rounds (like
-        /// [`EngineReport::planned_width`], counted at admission).
-        multi_cone_updates: counter "round.multi_cone_updates",
-        /// Total realized width of the multi-cone rounds (see
-        /// [`EngineReport::mean_multi_cone_width`]).
-        multi_cone_width: counter "round.multi_cone_width",
-        // --- hot-cone fission (ARCHITECTURE.md §9) ---
-        /// Updates admitted into a round *sharing* an anchor cone with an
-        /// earlier admission because their realized sub-cone footprints
-        /// (pinned keys, touched edges, extension slots) are disjoint.
+        /// Always 0: nothing admits an update into a round by its footprint
+        /// any more. Kept because `rxbench` still reads it (ROADMAP item
+        /// 4(g)).
         fission_admits: counter "fission.admits",
-        /// Fission-eligible updates denied co-admission because their sub-cone
-        /// footprint overlaps an earlier admission's under the same cone: the
-        /// pair touches the same nodes or the same extension slot and must
-        /// serialize across rounds.
+        /// Always 0, as `fission.admits`.
         fission_denies: counter "fission.denies",
-        /// Deferred-update conflict analyses reused across rounds instead of
-        /// recomputed.
-        analyses_reused: counter "round.analyses_reused",
-        // --- conflict-round widths ---
-        /// Conflict rounds measured for width: every planned round that
-        /// reached the serial tail.
+        // --- round widths ---
+        /// Rounds measured for width: every round formed.
         width_rounds: counter "round.width_rounds",
-        /// Total updates *admitted* into conflict rounds by the analysis.
+        /// Total updates taken into rounds.
         planned_width: counter "round.planned_width",
         /// Total updates actually applied (planned minus rejects).
         realized_width: counter "round.realized_width",
@@ -299,7 +278,7 @@ metric_table! {
         eval_ns: timer "phase.eval_ns",
         /// ∆X→∆V→∆R translation, one sample per update: `phases.translate`.
         translate_ns: timer "phase.translate_ns",
-        /// The folded ∆(M,L) pass, one sample per round: `phases.maintain`.
+        /// The ∆(M,L) fold, one sample per applied update: `phases.maintain`.
         fold_ns: timer "phase.fold_ns",
         /// Admission→ack, one sample per resolved ticket: `latency`.
         update_latency_ns: timer "update.latency_ns",
@@ -331,21 +310,9 @@ impl EngineStats {
         }
     }
 
-    /// Records one commit round that admitted `updates` multi-cone
-    /// (`//`-headed or wildcard-rooted) updates and realized `width` applied
-    /// translations — the direct observable of the type-indexed prefilter:
-    /// `//` traffic riding shared rounds instead of one-update ⊤ rounds.
-    pub(crate) fn record_multi_cone_round(&self, updates: usize, width: usize) {
-        self.multi_cone_rounds.incr();
-        self.multi_cone_updates.add(updates as u64);
-        self.multi_cone_width.add(width as u64);
-    }
-
-    /// Records one conflict round's *planned* width (updates admitted by
-    /// conflict analysis) and *realized* width (updates actually applied —
-    /// planned minus rejects), once per round. Round widening is the
-    /// structural lever of group commit, so both are first-class
-    /// observables.
+    /// Records one round's *planned* width (updates taken from the queue)
+    /// and *realized* width (updates applied — planned minus rejects), once
+    /// per round: how many updates share a log record and a publication.
     pub(crate) fn record_round_width(&self, planned: usize, realized: usize) {
         self.width_rounds.incr();
         self.planned_width.add(planned as u64);
@@ -444,15 +411,16 @@ impl EngineStats {
 /// to 1 whenever any phase time was recorded at all.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseBreakdown {
-    /// Conflict analysis / round planning.
+    /// Always zero: nothing plans a round ([`EngineStats`]' `phase.plan_ns`).
     pub plan: Duration,
-    /// Translation wall clock (each round's apply loop).
+    /// Translation wall clock (each round's apply loop, less its
+    /// evaluations and folds).
     pub translate: Duration,
     /// Always zero: there is no merge phase, and it is in no sum or
     /// fraction. Kept, as that constant, because `rxbench` still reads it
     /// (ROADMAP item 4(g) drops both).
     pub merge: Duration,
-    /// The folded ∆(M,L) maintenance pass.
+    /// The per-update ∆(M,L) folds.
     pub fold: Duration,
     /// Replay-log record writes.
     pub wal_append: Duration,
@@ -515,22 +483,14 @@ impl EngineReport {
         ratio((self.accepted + self.rejected) as f64, self.batches as f64)
     }
 
-    /// Average *planned* conflict-round width (admitted updates per round).
+    /// Average *planned* round width (updates taken per round).
     pub fn mean_planned_width(&self) -> f64 {
         ratio(self.planned_width as f64, self.width_rounds as f64)
     }
 
-    /// Average *realized* conflict-round width (applied updates per round).
+    /// Average *realized* round width (applied updates per round).
     pub fn mean_realized_width(&self) -> f64 {
         ratio(self.realized_width as f64, self.width_rounds as f64)
-    }
-
-    /// Average realized width of the rounds that carried `//`-headed or
-    /// wildcard-rooted traffic — the headline of the type-indexed
-    /// prefilter: > 1 means such updates commit in shared rounds instead of
-    /// singleton ⊤ rounds.
-    pub fn mean_multi_cone_width(&self) -> f64 {
-        ratio(self.multi_cone_width as f64, self.multi_cone_rounds as f64)
     }
 
     /// Always `0.0`: no translation thread waits on the committing one.
@@ -617,12 +577,11 @@ impl fmt::Display for EngineReport {
         }
         writeln!(
             f,
-            "phase time: eval {:?}, translate {:?} ({:?} wall), maintain {:?}, plan {:?}, publish {:?}",
+            "phase time: eval {:?}, translate {:?} ({:?} wall), maintain {:?}, publish {:?}",
             self.phases.eval,
             self.phases.translate,
             self.translate_wall,
             self.phases.maintain,
-            self.plan,
             self.publish
         )?;
         if self.cone_folds > 0 {
@@ -645,29 +604,11 @@ impl fmt::Display for EngineReport {
         }
         writeln!(
             f,
-            "rounds: {} measured, mean width {:.1} planned / {:.1} realized, {} analyses reused",
+            "rounds: {} measured, mean width {:.1} planned / {:.1} realized",
             self.width_rounds,
             self.mean_planned_width(),
             self.mean_realized_width(),
-            self.analyses_reused
         )?;
-        if self.multi_cone_rounds > 0 || self.global_lane_rounds > 0 {
-            writeln!(
-                f,
-                "`//` traffic: {} multi-cone updates over {} rounds (mean realized width {:.1}), {} ⊤ rounds",
-                self.multi_cone_updates,
-                self.multi_cone_rounds,
-                self.mean_multi_cone_width(),
-                self.global_lane_rounds
-            )?;
-        }
-        if self.fission_admits > 0 || self.fission_denies > 0 {
-            writeln!(
-                f,
-                "fission: {} co-admits, {} denies",
-                self.fission_admits, self.fission_denies
-            )?;
-        }
         if self.wal_records > 0 || self.checkpoints > 0 {
             writeln!(
                 f,
@@ -699,7 +640,6 @@ mod tests {
             report.mean_batch(),
             report.mean_planned_width(),
             report.mean_realized_width(),
-            report.mean_multi_cone_width(),
             report.shard_idle_fraction(),
             report.phase_breakdown().publisher_serial_fraction(),
             report.phase_breakdown().overlap_fraction(),

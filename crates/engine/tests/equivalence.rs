@@ -1,8 +1,10 @@
-//! Batched group commit must be *observationally equivalent* to applying
+//! Serial group commit must be *observationally equivalent* to applying
 //! the same updates one at a time, in submission order: identical
 //! accept/reject pattern, identical final base database, identical final
-//! view — regardless of how the conflict partitioner groups them, whether
-//! evaluation ran scoped or full, and how maintenance was folded. The
+//! view — however many updates share a round and whether evaluation ran
+//! scoped or full. A round is the queue's next `max_batch` updates, and
+//! every applied update is folded on its own, so a commit of `n` updates
+//! runs `⌈n / max_batch⌉` rounds and one ∆(M,L) fold per applied update. The
 //! sequential side of the property tests is the paper's algorithm, not the
 //! code under test: `rxview_reference::reference_apply` evaluates by §3.2
 //! verbatim (`eval_xpath_on_dag` over all of `L` — no scope, no compiled
@@ -119,7 +121,21 @@ fn check_ops_equivalence(
             ops.len()
         ));
     }
+    if summary.batches != ops.len().div_ceil(max_batch) {
+        return Err(format!(
+            "{} updates at max_batch {max_batch} ran {} rounds",
+            ops.len(),
+            summary.batches
+        ));
+    }
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
+    let folds = engine.stats().report().cone_folds;
+    if folds != summary.accepted as u64 {
+        return Err(format!(
+            "{folds} folds for {} applied updates",
+            summary.accepted
+        ));
+    }
 
     if seq_outcomes != eng_outcomes {
         return Err(format!(
@@ -147,9 +163,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random mixed workloads, random round caps — from one update a round
-    /// to wider than the stream: the router, the round-by-round commit and
-    /// the publisher's fold are observationally equivalent to applying the
-    /// updates one at a time.
+    /// to wider than the stream: the round-by-round commit is
+    /// observationally equivalent to applying the updates one at a time.
     #[test]
     fn batched_commit_equals_sequential(
         seed in 0u64..200,
@@ -161,11 +176,9 @@ proptest! {
         }
     }
 
-    /// Hot-cone fission is an optimization, not a semantics change: over
-    /// skewed hot-anchor workloads — the traffic shape the sub-cone
-    /// conflict unit exists for — the write path (sub-key derivation,
-    /// optimistic write∩write admission, one fold of co-admitted peers)
-    /// stays equivalent to sequential application.
+    /// Skewed hot-anchor workloads — chains of updates under a few anchors,
+    /// each reading what the one before it wrote, inside one round — stay
+    /// equivalent to sequential application.
     #[test]
     fn hot_anchor_commit_equals_sequential(
         seed in 0u64..200,
@@ -261,9 +274,9 @@ proptest! {
         }
     }
 
-    /// `//`-headed updates riding shared conflict rounds preserve the
-    /// batched == sequential equivalence (skewed hot-group workloads
-    /// maximise fission and deferrals).
+    /// `//`-headed updates riding shared rounds preserve the batched ==
+    /// sequential equivalence (skewed hot-group workloads put dependent
+    /// updates side by side).
     #[test]
     fn descendant_commit_equals_sequential(
         seed in 0u64..200,
@@ -287,10 +300,10 @@ proptest! {
     }
 }
 
-/// A purely `//`-headed stream over independent groups must commit in
-/// *shared* rounds — the acceptance criterion of the type-indexed
-/// prefilter: no global-lane singletons, realized multi-cone round width
-/// above 1, and still observationally equivalent to sequential.
+/// A purely `//`-headed stream over independent groups commits in one
+/// *shared* round — serial rounds never split a queue prefix by path class
+/// — with one fold per applied update, and still observationally
+/// equivalent to sequential.
 #[test]
 fn descendant_updates_ride_shared_rounds() {
     let sys = system(400, 23);
@@ -321,22 +334,19 @@ fn descendant_updates_ride_shared_rounds() {
     assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
     let report = engine.stats().report();
     assert_eq!(
-        report.global_lane_rounds, 0,
-        "typed `//` updates never ride the global lane"
+        report.rounds, 1,
+        "40 updates under max_batch 256: one round"
     );
-    assert!(report.multi_cone_rounds > 0, "multi-cone rounds recorded");
-    assert!(
-        report.mean_multi_cone_width() > 1.0,
-        "independent `//` updates must share rounds (got width {:.2})",
-        report.mean_multi_cone_width()
-    );
+    let applied = eng_outcomes.iter().filter(|&&ok| ok).count() as u64;
+    assert!(applied > 1, "independent `//` updates share the round");
+    assert_eq!(report.cone_folds, applied, "one fold per applied update");
 }
 
-/// The hot-cone fission acceptance shape, deterministically: updates under
-/// ONE anchor cone with disjoint realized sub-keys must co-admit into a
-/// shared round, while overlapping sub-keys (a delete of the very node an
-/// earlier insert creates) must NOT share a round — the read/write typed
-/// dependency serializes them even though fission shares the cone.
+/// Updates under ONE anchor cone share a round, dependent ones included: a
+/// delete of the very node an earlier insert of the round creates finds it,
+/// because each update is evaluated against the state the one before it
+/// left. (The name is older than serial rounds; what it serializes is the
+/// round's apply loop.)
 #[test]
 fn hot_anchor_fission_co_admits_disjoint_serializes_overlapping() {
     use rxview_relstore::{tuple, Value};
@@ -373,16 +383,11 @@ fn hot_anchor_fission_co_admits_disjoint_serializes_overlapping() {
     assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
     engine.snapshot().system().consistency_check().unwrap();
     let report = engine.stats().report();
-    assert!(
-        report.fission_admits >= 2,
-        "three same-cone inserts with disjoint sub-keys co-admit (got {} co-admits)",
-        report.fission_admits
+    assert_eq!(
+        report.rounds, 1,
+        "the dependent delete shares its insert's round"
     );
-    assert!(
-        report.rounds >= 2,
-        "the dependent delete must not share its insert's round (got {} rounds)",
-        report.rounds
-    );
+    assert_eq!(report.cone_folds, 4, "one fold per applied update");
 }
 
 /// Four inserts of distinct fresh nodes under one group head share one
@@ -410,7 +415,7 @@ fn disjoint_same_cone_inserts_share_one_round() {
         report.rounds, 1,
         "four disjoint same-cone inserts share one round"
     );
-    assert_eq!(report.fission_admits, 3, "all but the first co-admit");
+    assert_eq!(report.cone_folds, 4, "one fold per applied update");
 }
 
 /// A deterministic large-ish case exercising multi-batch commits.
@@ -428,12 +433,11 @@ fn insert_heavy_batches_are_equivalent() {
     check_equivalence(400, 13, &flips, 12).unwrap();
 }
 
-/// Updates with deliberately colliding targets, together with paths the
-/// planner bounds differently, must serialize correctly: duplicates defer
-/// across rounds, typed leading-`//` updates resolve to bounded
-/// multi-anchor cones (riding ordinary rounds), and only genuinely
-/// untypeable paths serialize through ⊤ rounds (one update each). (The
-/// name is older than the round pipeline's single executor.)
+/// Updates with deliberately colliding targets, together with typed
+/// leading-`//` paths and an unfilterable wildcard, serialize correctly in
+/// one round: an exact duplicate of an applied deletion is rejected inside
+/// the round, because it is evaluated after its twin's fold. (The name is
+/// older than the round pipeline's single executor.)
 #[test]
 fn conflicting_updates_serialize_sharded() {
     let sys = system(200, 11);
@@ -469,14 +473,20 @@ fn conflicting_updates_serialize_sharded() {
     engine.snapshot().system().consistency_check().unwrap();
     let report = engine.stats().report();
     assert_eq!(
-        report.global_lane_rounds, 1,
-        "only the unfilterable wildcard uses the global lane"
+        report.rounds, 1,
+        "13 updates under max_batch 256: one round"
     );
-    assert!(
-        report.multi_cone_updates >= 2,
-        "typed `//`-deletes ride multi-cone rounds"
-    );
-    assert!(report.rounds >= 2, "duplicates must defer across rounds");
+    let applied = eng_outcomes.iter().filter(|&&ok| ok).count() as u64;
+    assert_eq!(report.cone_folds, applied, "one fold per applied update");
+    for i in 0..5 {
+        if eng_outcomes[i] {
+            assert!(
+                !eng_outcomes[i + 5],
+                "`{}` applied twice in one round",
+                ops[i]
+            );
+        }
+    }
 }
 
 /// Updates with deliberately colliding targets must serialize correctly.

@@ -2,8 +2,10 @@
 //! relational row an update actually touches when applied — its `∆R` writes
 //! and the `gen_A` rows of nodes it interns, read off the applied update by
 //! [`RelFootprint::realized`] — must be covered by the footprint the
-//! conflict analysis planned against the same state. This is the contract
-//! that lets the router admit updates into one round on typed keys alone.
+//! conflict analysis planned against the same state. The engine no longer
+//! plans rounds (they are queue prefixes, applied serially); the analysis
+//! stays, rxbench-only, until ROADMAP item 4(h) deletes it, and this is its
+//! contract.
 //!
 //! For the subtree an insertion generates, coverage is equality: the
 //! analysis walks `ST(A, t)` with the translation's own walk, so it plans
@@ -15,7 +17,7 @@ use rxview_atg::Atg;
 use rxview_core::{
     DeferredMaintenance, RelFootprint, SideEffectPolicy, UpdateReport, XmlUpdate, XmlViewSystem,
 };
-use rxview_engine::{plan_insert, Analysis};
+use rxview_engine::Analysis;
 use rxview_relstore::{schema, tuple, Database, SpjQuery};
 use rxview_workload::{
     synthetic_atg, synthetic_database, ShardSkewGen, SkewConfig, SyntheticConfig, WorkloadClass,
@@ -150,7 +152,7 @@ fn walks_agree(sys: &XmlViewSystem, u: &XmlUpdate) -> Option<usize> {
     }
     let eval = sys.eval(u.path());
     let mut planned = RelFootprint::default();
-    let links = plan_insert(sys, ty, attr, &eval.eval.selected, &mut planned)
+    let links = Analysis::plan_insert(sys, ty, attr, &eval.eval.selected, &mut planned)
         .expect("a fresh subtree's writes are derivable");
     let mut applied = sys.clone();
     let (report, job) = applied

@@ -7,9 +7,10 @@
 //!
 //! - **ack per round** — a round's tickets resolve when it publishes, not
 //!   when the whole commit ends;
-//! - **one round at a time** — no plan runs while a round is unpublished:
-//!   with round 1 of a conflicting commit held at its publish, the
-//!   coordinator has planned exactly once;
+//! - **one round at a time** — no round is formed while a round is
+//!   unpublished: with round 1 held at its publish, the coordinator has
+//!   formed exactly one round, and a duplicate deletion in it is already
+//!   rejected;
 //! - **recycled ids** — a churn stream committed at once ends where the
 //!   sequential reference ends, however its rounds recycle node ids.
 
@@ -122,23 +123,30 @@ fn inline_rounds_ack_as_each_round_publishes() {
         .expect("consistent");
 }
 
-/// No plan runs while a round is unpublished: with round 1 of a commit held
-/// at its publish gate, the conflicting duplicate behind it has
-/// not been planned again — it is planned, in its own round, only once
-/// round 1's writes are in the latest snapshot.
+/// No round is formed while a round is unpublished, and a duplicate
+/// deletion is rejected inside the round it shares with its twin: with
+/// round 1 — the delete and its duplicate — held at its publish gate, the
+/// coordinator has formed one round, the duplicate is already rejected (it
+/// was evaluated after its twin's fold), and the third update waits for
+/// round 2, formed only once round 1's writes are in the latest snapshot.
 #[test]
 fn no_plan_runs_while_a_round_is_unpublished() {
     let sys = system(400, 9);
     let deletions = group_edge_deletions(&sys, 400);
-    assert!(!deletions.is_empty(), "a deletable group edge");
-    // The same delete twice: maximal conflict, and the second outcome
-    // depends on the first's effect.
-    let u = deletions[0].clone();
-
+    assert!(deletions.len() >= 2, "deletable group edges");
+    // The same delete twice — the second outcome depends on the first's
+    // effect — then an independent one.
+    let ops = [
+        deletions[0].clone(),
+        deletions[0].clone(),
+        deletions[1].clone(),
+    ];
     let mut oracle = sys.clone();
-    let first_ok = oracle.apply(&u, SideEffectPolicy::Proceed).is_ok();
-    let second_ok = oracle.apply(&u, SideEffectPolicy::Proceed).is_ok();
-    assert!(first_ok, "the edge exists, the first delete succeeds");
+    let expected: Vec<bool> = ops
+        .iter()
+        .map(|u| oracle.apply(u, SideEffectPolicy::Proceed).is_ok())
+        .collect();
+    assert_eq!(expected, [true, false, true], "the duplicate is rejected");
 
     let hooks = StageHooks::new();
     hooks.hold(Stage::Publish);
@@ -150,12 +158,14 @@ fn no_plan_runs_while_a_round_is_unpublished() {
             ..EngineConfig::default()
         },
     );
-    let t1 = engine
-        .submit(u.clone(), SideEffectPolicy::Proceed)
-        .expect("queue not full");
-    let t2 = engine
-        .submit(u.clone(), SideEffectPolicy::Proceed)
-        .expect("queue not full");
+    let tickets: Vec<_> = ops
+        .iter()
+        .map(|u| {
+            engine
+                .submit(u.clone(), SideEffectPolicy::Proceed)
+                .expect("queue not full")
+        })
+        .collect();
     let committer = {
         let engine = engine.clone();
         std::thread::spawn(move || engine.commit_pending())
@@ -165,18 +175,27 @@ fn no_plan_runs_while_a_round_is_unpublished() {
     assert_eq!(
         hooks.arrivals(Stage::Plan),
         1,
-        "nothing is planned while round 1 is unpublished"
+        "no round is formed while round 1 is unpublished"
     );
-    assert!(t1.try_wait().is_none(), "round 1 acks after its publish");
+    assert!(
+        tickets[0].try_wait().is_none(),
+        "round 1 acks after its publish"
+    );
+    assert!(
+        matches!(tickets[1].try_wait(), Some(Err(_))),
+        "the duplicate is rejected inside round 1"
+    );
+    assert!(tickets[2].try_wait().is_none(), "round 2 is not formed yet");
 
     hooks.release(Stage::Publish);
     committer.join().expect("committer panicked");
-    assert_eq!(t1.wait().is_ok(), first_ok);
-    assert_eq!(t2.wait().is_ok(), second_ok);
+    let outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
+    assert_eq!(outcomes[0], expected[0]);
+    assert_eq!(outcomes[2], expected[2]);
     assert_eq!(
         hooks.arrivals(Stage::Plan),
         2,
-        "the duplicate is planned in its own round after the publish"
+        "round 2 is formed after round 1's publish"
     );
     let snap = engine.snapshot();
     assert_eq!(edge_fingerprint(&oracle), edge_fingerprint(snap.system()));

@@ -283,8 +283,8 @@ fn build_logged_history(
         edge_fingerprint(snap.system()),
     ));
     drop(snap);
-    // Deletions against distinct group cones: every commit is one
-    // conflict-free batch, i.e. exactly one epoch and one log record.
+    // Deletions against distinct group cones: every commit is one round,
+    // i.e. exactly one epoch and one log record.
     let mut commits: Vec<&[XmlUpdate]> = deletions[..rounds - 1].chunks(1).collect();
     commits.push(&deletions[rounds - 1..=rounds]);
     for (r, commit) in commits.into_iter().enumerate() {
@@ -869,13 +869,13 @@ fn durable_recovery_is_idempotent() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Crash recovery under hot-cone fission (ARCHITECTURE.md §9). A skewed
-/// hot-anchor stream makes rounds that genuinely co-admit several updates
-/// under one cone — this test asserts fission actually fired before the
-/// crash — then the engine dies without ceremony, at several kill points.
-/// The WAL logs a round's applied updates in submission order, so replay is
-/// oblivious to how wide the round was; the recovered state must still equal the
-/// acknowledged-prefix oracle.
+/// Crash recovery on hot cones. A skewed hot-anchor stream makes rounds
+/// that apply several updates under one cone, each reading what the one
+/// before it wrote — this test asserts rounds that wide committed before
+/// the crash — then the engine dies without ceremony, at several kill
+/// points. The WAL logs a round's applied updates in submission order, and
+/// replay applies them in that order; the recovered state must equal the
+/// acknowledged-prefix oracle. (The name is older than serial rounds.)
 #[test]
 fn crash_recovery_with_fission_on_hot_cones() {
     use rxview_workload::{ShardSkewGen, SkewConfig};
@@ -911,10 +911,13 @@ fn crash_recovery_with_fission_on_hot_cones() {
             }
         }
         let report = engine.stats().report();
+        assert_eq!(
+            report.rounds as usize, committed,
+            "one round per commit of 8"
+        );
         assert!(
-            report.fission_admits > 0,
-            "kill={kill_after_chunks}: the skewed stream must exercise fission before the \
-             crash (0 co-admits)"
+            report.realized_width > report.rounds,
+            "kill={kill_after_chunks}: some round applied several hot-cone updates"
         );
         let epoch_at_kill = engine.snapshot().epoch();
         drop(engine); // crash
@@ -1270,8 +1273,8 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
                 report.replayed_updates,
                 report.replay_folds
             ),
-            (4, 6, 4),
-            "{tag}: a record is a round, and a round one fold"
+            (4, 6, 6),
+            "{tag}: a record is a round, and each update one fold"
         );
         assert_eq!(
             (
@@ -1289,22 +1292,24 @@ fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
 }
 
 // ---------------------------------------------------------------------------
-// The log is the round: one fold per record, however wide the rounds were.
+// The log is the round: a record is replayed as the serial application the
+// engine ran, one fold per update, however wide the rounds were.
 // ---------------------------------------------------------------------------
 
-/// A mixed W1/W2/W3 stream with a ⊤ update in its middle, committed fourteen
-/// updates at a time in rounds of up to four updates and in rounds as wide
-/// as the commit, crashes, and is replayed record by record: as many folds
-/// as records — fewer than updates, the records are rounds — nothing
-/// rejected, and the state of the one-at-a-time oracle. (The name is older
-/// than the round pipeline's single executor.)
+/// A mixed W1/W2/W3 stream with an unfilterable wildcard in its middle,
+/// committed fourteen updates at a time in rounds of up to four updates and
+/// in rounds as wide as the commit, crashes, and is replayed record by
+/// record: as many records as published rounds — fewer than updates —, one
+/// fold per applied update as the engine folded it, nothing rejected, and
+/// the state of the one-at-a-time oracle. (The name is older than serial
+/// replay: a record now costs one fold per update.)
 #[test]
 fn replay_folds_once_per_record_on_every_executors_log() {
     let (sys, atg) = system(400, 9);
     let flips: Vec<bool> = (0..36).map(|i| i % 3 != 1).collect();
     let mut stream = mixed_updates(&sys, 17, &flips);
-    // The ⊤ update: an unfilterable wildcard root nothing bounds, so its
-    // round holds it alone and replay evaluates it over all of `L`.
+    // An unfilterable wildcard root nothing bounds: replay evaluates it over
+    // all of `L`.
     let wildcard = (0..50)
         .map(|k| XmlUpdate::delete(&format!("*/sub/node[payload={k}]")).expect("parses"))
         .find(|u| sys.clone().apply(u, SideEffectPolicy::Proceed).is_ok());
@@ -1336,26 +1341,28 @@ fn replay_folds_once_per_record_on_every_executors_log() {
         }
         assert_eq!(outcomes, expected, "{at}");
         let epoch = engine.snapshot().epoch();
+        let engine_report = engine.stats().report();
+        let rounds: usize = stream.chunks(14).map(|c| c.len().div_ceil(max_batch)).sum();
         assert_eq!(
-            engine.stats().report().global_lane_rounds,
-            1,
-            "{at}: the ⊤ round is in the log"
+            engine_report.rounds as usize, rounds,
+            "{at}: rounds are queue prefixes"
         );
+        assert_eq!(engine_report.cone_folds as usize, accepted, "{at}");
         drop(engine); // crash
 
         let (recovered, report) = recover_readonly(&atg, &dir);
         assert_eq!(report.replayed_rounds as u64, epoch, "{at}");
         assert_eq!(report.replayed_updates, accepted, "{at}");
         assert_eq!(
-            report.replay_folds, report.replayed_rounds,
-            "{at}: one fold per record"
+            report.replay_folds, report.replayed_updates,
+            "{at}: one fold per applied update"
         );
         assert!(
             report.replayed_rounds < report.replayed_updates,
             "{at}: the records hold more than one update"
         );
         assert_eq!(report.replay_rejected, 0, "{at}");
-        assert!(report.replay_full_evals >= 1, "{at}: the ⊤ update");
+        assert!(report.replay_full_evals >= 1, "{at}: the wildcard");
         assert_observationally_equal(&oracle, recovered.snapshot().system(), &at);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -38,8 +38,9 @@ fn delete(h: i64, c: i64) -> XmlUpdate {
 }
 
 /// The ledger of commits of four independent deletions each: one round
-/// per commit, one latency sample per ticket, phase fractions summing to 1
-/// and the fold's sub-spans inside the fold.
+/// per commit, one latency sample per ticket, phase fractions summing to 1,
+/// one fold per applied update and the fold's sub-spans inside the folds,
+/// and no plan time (a round is a queue prefix).
 #[test]
 fn round_phases_and_fold_spans_are_well_formed() {
     let n = 800;
@@ -73,8 +74,11 @@ fn round_phases_and_fold_spans_are_well_formed() {
         edges.chunks(4).count(),
         "one round per commit of independent deletions"
     );
-    // No `//` in the workload: the global lane never ran.
-    assert_eq!(report.global_lane_rounds, 0);
+    assert_eq!(
+        report.plan,
+        std::time::Duration::ZERO,
+        "nothing plans a round"
+    );
     // Every accepted update produced one admission→ack latency sample.
     assert_eq!(report.latency.count, accepted + report.rejected);
     // The phase breakdown is a well-formed attribution: non-negative
@@ -88,11 +92,8 @@ fn round_phases_and_fold_spans_are_well_formed() {
     assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
     assert!((0.0..=1.0).contains(&phases.publisher_serial_fraction()));
     // The fold's sub-spans are timed inside the fold: deletions splice `L`
-    // and rewrite `M`, and together they stay within the fold's wall clock.
-    assert_eq!(
-        report.cone_folds, report.rounds,
-        "a round's deletions share one delete pass"
-    );
+    // and rewrite `M`, and together they stay within the folds' wall clock.
+    assert_eq!(report.cone_folds, accepted, "one fold per applied update");
     let sub_spans = report.fold_m_rewrite + report.fold_l_splice;
     assert!(sub_spans > std::time::Duration::ZERO);
     assert!(
@@ -195,11 +196,6 @@ fn registry_names_are_pinned() {
         ("phase.translate_ns", 'h'),
         ("phase.translate_wall_ns", 'h'),
         ("phase.wal_append_ns", 'h'),
-        ("round.analyses_reused", 'c'),
-        ("round.global_lane", 'c'),
-        ("round.multi_cone", 'c'),
-        ("round.multi_cone_updates", 'c'),
-        ("round.multi_cone_width", 'c'),
         ("round.planned", 'c'),
         ("round.planned_width", 'c'),
         ("round.realized_width", 'c'),
@@ -363,8 +359,8 @@ fn metrics_exporter_writes_jsonl() {
 }
 
 /// `scoped_evals` / `full_evals` and `UpdateReport::scope_nodes` say how
-/// each path was evaluated — what ran — in the planner's dry run and in a
-/// ⊤ round alike.
+/// each path was evaluated — what ran — for a bounded path and for one
+/// nothing bounds alike.
 #[test]
 fn eval_counters_report_what_ran() {
     let n = 800;
@@ -372,7 +368,7 @@ fn eval_counters_report_what_ran() {
     let edges = group_edges(&sys, n as i64, 40);
     assert!(edges.len() >= 3);
     let engine = Engine::new(sys.clone());
-    // Anchored deletes: a scope of about one group, through the dry run.
+    // Anchored deletes: a scope of about one group.
     for &(h, c) in &edges[..2] {
         let report = engine
             .apply_now(delete(h, c), SideEffectPolicy::Proceed)
@@ -382,8 +378,7 @@ fn eval_counters_report_what_ran() {
     }
     let report = engine.stats().report();
     assert_eq!((report.scoped_evals, report.full_evals), (2, 0));
-    // A path nothing bounds rides the global lane and runs the full
-    // pass.
+    // A path nothing bounds runs the full pass.
     let (h, c) = edges[2];
     let unbounded = XmlUpdate::delete(&format!("*/sub/node[id={c}]")).expect("parses");
     let outcome = engine

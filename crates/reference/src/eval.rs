@@ -172,6 +172,14 @@ pub fn eval_xpath_on_dag(
     }
     let preds = compiler.preds;
     let n = topo.len();
+    // Each node's index in `L`, the column of the value matrix.
+    let index: HashMap<NodeId, usize> = topo
+        .order()
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i))
+        .collect();
+    let position = |v: NodeId| index.get(&v).copied();
     let mut val: Vec<Vec<bool>> = preds.iter().map(|_| vec![false; n]).collect();
     let mut text_cache: HashMap<NodeId, String> = HashMap::new();
     for (vi, &v) in topo.order().iter().enumerate() {
@@ -191,27 +199,27 @@ pub fn eval_xpath_on_dag(
                     None => false,
                     Some(ty) => vs.dag().children(v).iter().any(|&c| {
                         vs.dag().genid().type_of(c) == *ty
-                            && topo.position(c).is_some_and(|ci| val[*next][ci])
+                            && position(c).is_some_and(|ci| val[*next][ci])
                     }),
                 },
                 Pred::SuffixWildcard { next } => vs
                     .dag()
                     .children(v)
                     .iter()
-                    .any(|&c| topo.position(c).is_some_and(|ci| val[*next][ci])),
+                    .any(|&c| position(c).is_some_and(|ci| val[*next][ci])),
                 Pred::SuffixDesc { next } => {
                     val[*next][vi]
                         || vs
                             .dag()
                             .children(v)
                             .iter()
-                            .any(|&c| topo.position(c).is_some_and(|ci| val[pi][ci]))
+                            .any(|&c| position(c).is_some_and(|ci| val[pi][ci]))
                 }
             };
             val[pi][vi] = value;
         }
     }
-    let holds = |pi: usize, v: NodeId| topo.position(v).is_some_and(|i| val[pi][i]);
+    let holds = |pi: usize, v: NodeId| position(v).is_some_and(|i| val[pi][i]);
 
     // ---- Top-down forward pass. ----
     let root = vs.dag().root();
@@ -271,7 +279,7 @@ pub fn eval_xpath_on_dag(
                         reach
                             .descendants(u)
                             .iter()
-                            .filter(|d| topo.position(*d).is_some()),
+                            .filter(|d| position(*d).is_some()),
                     );
                 }
                 records.push(StepRecord::Desc {

@@ -12,8 +12,8 @@
 //! - [`core`]: XPath-on-DAG evaluation, side effects, update translation, and
 //!   the end-to-end processor (§3–§4).
 //! - [`engine`]: the concurrent serving layer — snapshot-isolated readers
-//!   and writes group-committed in conflict-free rounds through one round
-//!   pipeline over the core processor.
+//!   and writes group-committed in rounds — queue prefixes applied one
+//!   update at a time — through one round pipeline over the core processor.
 //! - [`workload`]: the registrar example, the synthetic dataset of §5,
 //!   concurrent reader/writer mixes, and hot-anchor skewed traffic.
 //!

@@ -7,9 +7,10 @@
 //! The stream covers what the pipeline branches on: anchored and
 //! `//`-headed paths, insertions and deletions, `Abort` and `Proceed`,
 //! updates that must be rejected (replayed deletions, a top-level node with
-//! no safe source), one ⊤-footprint update (an unfilterable wildcard root,
-//! which commits alone), and a commit in which *every* update is rejected —
-//! which must publish no epoch.
+//! no safe source), one unfilterable wildcard root (evaluated over all of
+//! `L`), and a commit in which *every* update is rejected — which must
+//! publish no epoch. A commit of `n` updates runs `⌈n / max_batch⌉` rounds,
+//! and every applied update is folded on its own.
 
 use rxview::prelude::*;
 use rxview::workload::{
@@ -107,9 +108,14 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
         // Checks both sides against republication too.
         assert_observationally_equal(engine.snapshot().system(), &oracle, &at);
         let report = engine.stats().report();
+        let rounds: usize = commits.iter().map(|c| c.len().div_ceil(max_batch)).sum();
         assert_eq!(
-            report.global_lane_rounds, 1,
-            "{at}: exactly the wildcard-rooted update commits alone"
+            report.rounds as usize, rounds,
+            "{at}: rounds are queue prefixes"
+        );
+        assert_eq!(
+            report.cone_folds, report.accepted,
+            "{at}: a fold per applied update"
         );
         assert_eq!(report.snapshots_published, engine.snapshot().epoch());
     }

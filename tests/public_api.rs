@@ -31,7 +31,7 @@ const PINNED: [(&str, &str); 7] = [
         "engine",
         "Analysis BatchFootprint CommitSummary Durability Engine EngineConfig EngineError \
          EngineReport EngineStats MAX_QUEUE PhaseBreakdown RecoverError RecoveryReport Snapshot \
-         Stage StageHooks UpdateTicket WriterHandle evaluation_scope obs:: plan_insert",
+         Stage StageHooks UpdateTicket WriterHandle evaluation_scope obs::",
     ),
     (
         "relstore",
