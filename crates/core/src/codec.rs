@@ -92,11 +92,9 @@
 //! as text, so `zigzag(d) << 1` cannot overflow — and a literal delta that
 //! leaves that range is refused.
 //!
-//! `RXWALv4` records wrote a shaped update's integers as they are, a literal
-//! as `varint (n << 1)` with n below 2⁶³: they are read over
-//! [`ReadTables::absolute_literals`]. `RXWALv3` and `RXWALv2` records were
-//! written so too, and over tables of their own; they are read through the
-//! same decoder, [`ReadTables::clear`]ed before each record.
+//! `RXWALv4` records, one format back, wrote a shaped update's integers as
+//! they are, a literal as `varint (n << 1)` with n below 2⁶³: they are read
+//! over [`ReadTables::absolute_literals`].
 //!
 //! Decoding is total: counts, table indices and literal lengths are bounded
 //! by the input that remains, filters nest at most [`MAX_FILTER_DEPTH`]
@@ -107,10 +105,6 @@
 //! entry once per two bytes. The reader's tables hold slices of the
 //! segment's bytes and the updates light enough to name, so they stay
 //! within a constant factor of the segment's size.
-//!
-//! [`read_update_v1`] reads the format this one replaced — a path as its
-//! display text — and is kept for log segments written before it; nothing
-//! writes that format.
 
 use crate::plan::{bind, same_shape, shape_path};
 use crate::processor::XmlViewSystem;
@@ -611,20 +605,12 @@ pub struct ReadTables<'a> {
 
 impl ReadTables<'_> {
     /// Empty tables for records whose shaped updates write their integers
-    /// as they are: how `RXWALv4` and older records are read.
+    /// as they are: how `RXWALv4` records are read.
     pub fn absolute_literals() -> Self {
         ReadTables {
             absolute: true,
             ..ReadTables::default()
         }
-    }
-
-    /// Empties both tables, so that the next record is read as the first of
-    /// a segment: how `RXWALv3` and `RXWALv2` records, written over tables
-    /// of their own, are read.
-    pub fn clear(&mut self) {
-        self.labels.clear();
-        self.shapes.clear();
     }
 }
 
@@ -904,35 +890,6 @@ pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
             "an update on its own has no policy".into(),
         )),
     }
-}
-
-/// Decodes one logged update of a **v1** round record (`RXWALv1` segments):
-/// a policy byte, a tag, and the target path as its display text, which is
-/// parsed back. Read-only — v1 could log an accepted update whose text does
-/// not parse (a constant holding both kinds of quote), which is why it was
-/// replaced.
-pub fn read_update_v1(r: &mut Reader<'_>) -> CodecResult<LoggedUpdate> {
-    let parse = |s: &str| {
-        rxview_xmlkit::parse_xpath(s)
-            .map_err(|e| CodecError::Invalid(format!("logged path `{s}` does not parse: {e}")))
-    };
-    let policy = match r.read_u8()? {
-        0 => SideEffectPolicy::Abort,
-        1 => SideEffectPolicy::Proceed,
-        t => return Err(CodecError::Invalid(format!("unknown policy tag {t}"))),
-    };
-    let update = match r.read_u8()? {
-        0 => XmlUpdate::Insert {
-            ty: r.read_str()?.to_owned(),
-            attr: read_tuple(r)?,
-            path: parse(r.read_str()?)?,
-        },
-        1 => XmlUpdate::Delete {
-            path: parse(r.read_str()?)?,
-        },
-        t => return Err(CodecError::Invalid(format!("unknown update tag {t}"))),
-    };
-    Ok((update, policy))
 }
 
 // ---------------------------------------------------------------------------
@@ -1324,6 +1281,42 @@ mod tests {
         b.apply(&u, SideEffectPolicy::Proceed).unwrap();
         assert_eq!(a.view().n_edges(), b.view().n_edges());
         b.consistency_check().unwrap();
+    }
+
+    /// A slot written dead with the pair it held still in it, `(type, $A,
+    /// 0)` — what trees before recycled ids wrote — loads as a free id: the
+    /// pair is not interned, the next node takes the slot, and the DAG is
+    /// written back with the slot as `(0, (), 0)`.
+    #[test]
+    fn a_dead_slot_holding_its_pair_loads_as_a_free_id() {
+        let sys = system();
+        let dtd = sys.view().atg().dtd();
+        let genid = sys.view().dag().genid();
+        let root = sys.view().dag().root();
+        let (ty, pair) = (TypeId(1), tuple!["CS999"]);
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, dtd.n_types() as u64);
+        for t in dtd.types() {
+            put_str(&mut bytes, dtd.name(t));
+        }
+        put_varint(&mut bytes, 2);
+        put_varint(&mut bytes, genid.type_of(root).0 as u64);
+        put_tuple(&mut bytes, genid.attr_of(root));
+        bytes.push(1);
+        let dead = bytes.len();
+        put_varint(&mut bytes, ty.0 as u64);
+        put_tuple(&mut bytes, &pair);
+        bytes.push(0);
+        let tail = bytes.len();
+        bytes.extend_from_slice(&[1, 0, 0]); // root id 0, no child lists
+        let dag = read_dag(&mut Reader::new(&bytes), dtd).unwrap();
+        let loaded = dag.genid();
+        assert!(loaded.is_live(NodeId(0)) && !loaded.is_live(NodeId(1)));
+        assert_eq!((loaded.n_free(), loaded.lookup(ty, &pair)), (1, None));
+        assert_eq!(loaded.clone().gen_id(ty, pair), (NodeId(1), true));
+        let mut back = Vec::new();
+        put_dag(&mut back, &dag, dtd);
+        assert_eq!(back, [&bytes[..dead], &[0, 0, 0], &bytes[tail..]].concat());
     }
 
     #[test]

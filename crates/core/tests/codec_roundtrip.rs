@@ -121,11 +121,7 @@ fn golden_bytes_pin_the_format() {
 ///
 /// What an `RXWALv4` segment framed differs from the first two records only
 /// in the literal `4096`, written as it is; read over tables that read
-/// integers so, it is the same rounds. A segment's first record is what an
-/// `RXWALv3` segment framed, and one without its third and fourth update what
-/// an `RXWALv2` segment framed; the format before that opened its segments
-/// `RXWALv1`, and its bytes are pinned by the engine's checked-in v1
-/// directories.
+/// integers so, it is the same rounds. Older formats are not read.
 #[test]
 fn golden_bytes_pin_logged_updates() {
     let first: Vec<LoggedUpdate> = vec![
@@ -280,11 +276,6 @@ fn golden_bytes_pin_logged_updates() {
         read_segment(&v4, Tables::Absolute),
         (segment[..2].to_vec(), None)
     );
-    // Read as a v3 segment, the first record is whole and the second names
-    // a shape it does not have.
-    let (v3, error) = read_segment(&v4, Tables::Record);
-    assert_eq!(v3, segment[..1]);
-    assert!(matches!(error, Some(CodecError::Invalid(_))), "{error:?}");
 }
 
 /// `segment`'s records as one segment writes them: one [`RecordTables`],
@@ -309,9 +300,6 @@ enum Tables {
     Segment,
     /// One for the segment, integers as they are (`RXWALv4`).
     Absolute,
-    /// Cleared before each record, integers as they are (`RXWALv3`,
-    /// `RXWALv2`).
-    Record,
 }
 
 /// Reads a segment's records in order, each of them whole, up to the first
@@ -322,13 +310,10 @@ fn read_segment(
 ) -> (Vec<(u64, Vec<LoggedUpdate>)>, Option<CodecError>) {
     let mut read = match tables {
         Tables::Segment => ReadTables::default(),
-        Tables::Absolute | Tables::Record => ReadTables::absolute_literals(),
+        Tables::Absolute => ReadTables::absolute_literals(),
     };
     let mut rounds = Vec::new();
     for bytes in records {
-        if let Tables::Record = tables {
-            read.clear();
-        }
         let mut r = Reader::new(bytes);
         match codec::read_round(&mut r, &mut read) {
             Ok(round) if r.is_empty() => rounds.push(round),
@@ -533,7 +518,7 @@ proptest! {
 
     /// A segment's records, written over one set of tables, read back over
     /// one set of tables to the rounds they hold; its first record is a
-    /// record of its own, as an `RXWALv3` segment's are.
+    /// record of its own.
     #[test]
     fn segments_round_trip(segment in segment_strategy()) {
         let records = segment_bytes(&segment);
@@ -864,8 +849,6 @@ fn hostile_records_error_not_panic() {
     let delete_label = |k: u8| [0x02, 0x01, 0x01, 0x01, 0x01, k];
     assert!(named(&delete_label(2), Tables::Segment));
     assert!(!named(&delete_label(3), Tables::Segment));
-    // A v3 record's tables are its own: the same label is past its table.
-    assert!(!named(&delete_label(2), Tables::Record));
 }
 
 /// A registrar update from a small pool: enrolments, prerequisite links and

@@ -354,9 +354,16 @@ impl Engine {
     /// Returns the engine plus a [`RecoveryReport`] describing what was
     /// replayed and what (if anything) was discarded as torn or corrupt.
     /// If `config.durability` keeps logging on, the recovered state is
-    /// re-checkpointed and old segments are dropped before serving resumes,
-    /// making recovery idempotent; with durability off the directory is
-    /// only read.
+    /// re-checkpointed and the segments it was read from are deleted before
+    /// serving resumes, making recovery idempotent; with durability off the
+    /// directory is only read.
+    ///
+    /// # Errors
+    /// With durability on, a directory the recovery could not read in full
+    /// ([`RecoveryReport::stops_short`]: dropped rounds, undecodable records
+    /// or segments, rejected replays) is [`RecoverError::StopsShort`], and
+    /// no file is touched: a torn tail is the only loss recovery deletes.
+    /// Recover with durability off to serve the prefix it read.
     pub fn recover(
         atg: rxview_atg::Atg,
         dir: impl AsRef<Path>,
@@ -368,6 +375,9 @@ impl Engine {
         // `flight_recording()` shows what recovery did.
         let recorder = stats::flight_recorder();
         let (sys, report) = recovery::recover_state(&atg, &dir, &recorder)?;
+        if config.durability.is_on() && report.stops_short() {
+            return Err(RecoverError::StopsShort(Box::new(report)));
+        }
         let epoch = report.resumed_epoch;
         let stats = engine_stats(&sys, recorder);
         let durability = if config.durability.is_on() {

@@ -7,7 +7,8 @@
 //! - `wal-<seq>.rxlog`, a log segment (records: `crate::wal`). Created when
 //!   a log opens (the anchor) or rotates (`Wal::compact`, or full tables);
 //!   deleted by `Wal::compact` once a checkpoint covers all its records, and
-//!   by the anchor.
+//!   by the anchor, which a durable recovery runs only on a directory it read
+//!   in full (`crate::recovery`).
 //! - `ckpt-<epoch>.rxck`, `(I, V, M, L)` at a published epoch: `RXCKPv1\n`,
 //!   the payload's length (u64 LE) and CRC-32 (u32 LE), then the payload,
 //!   `varint epoch` · [`rxview_core::codec::encode_system`]. Written only by

@@ -6,8 +6,8 @@
 //! 1. **Checkpoint.** The newest checkpoint file that passes its CRC and
 //!    decodes under the caller's grammar anchors recovery; invalid or torn
 //!    checkpoints are skipped (and counted) in favor of older ones.
-//! 2. **Replay.** Every WAL segment (of any format, `crate::wal`) is
-//!    scanned from its magic up to its last checksummed-complete, decodable
+//! 2. **Replay.** Every WAL segment (this format or one back, `crate::wal`)
+//!    is scanned from its magic up to its last checksummed-complete, decodable
 //!    record; records with epochs past the checkpoint are replayed **in
 //!    epoch order**, each one **as the serial application it logs**: every
 //!    update in logged order is evaluated against the state the one before
@@ -20,10 +20,19 @@
 //!    serial application reaches the state the engine published. Torn or
 //!    corrupt log tails end their segment's contribution and are reported,
 //!    never panicked on; so is a checksummed record that does not decode,
-//!    apart.
+//!    apart, and a segment whose magic this binary does not read.
 //! 3. **Resume.** The engine restarts at the recovered epoch; a durable one
 //!    first anchors the directory on the recovered state (`crate::logdir`),
 //!    which makes recovery idempotent. Recovery itself only reads.
+//!
+//! The anchor deletes every segment, so a durable recovery anchors only on
+//! a directory it read in full: one whose report shows dropped rounds,
+//! undecodable records or rejected replays
+//! ([`RecoveryReport::stops_short`]) is refused with
+//! [`RecoverError::StopsShort`], and no file is touched. A torn tail is the
+//! one loss the anchor may delete: its bytes were never acknowledged. A
+//! read-only recovery (durability off) serves the prefix it read, for
+//! inspection.
 //!
 //! The recovery invariant, asserted end-to-end by
 //! `crates/engine/tests/recovery.rs`: *the recovered system is
@@ -49,6 +58,11 @@ pub enum RecoverError {
     /// writes its first checkpoint at creation, so this means the
     /// directory never belonged to one, or lost its checkpoints.)
     NoCheckpoint,
+    /// A durable recovery read less than the directory holds
+    /// ([`RecoveryReport::stops_short`]), so it did not anchor, which would
+    /// delete what it could not read: the directory is as it was. The report
+    /// says what stopped it; a read-only recovery serves the prefix.
+    StopsShort(Box<RecoveryReport>),
 }
 
 impl fmt::Display for RecoverError {
@@ -58,6 +72,13 @@ impl fmt::Display for RecoverError {
             RecoverError::NoCheckpoint => {
                 write!(f, "no valid checkpoint found to anchor recovery")
             }
+            RecoverError::StopsShort(r) => write!(
+                f,
+                "recovery stopped short of the log at epoch {} ({} rounds dropped, {} \
+                 undecodable records, {} replayed updates rejected); the directory is \
+                 left as it is",
+                r.resumed_epoch, r.dropped_rounds, r.undecodable_records, r.replay_rejected
+            ),
         }
     }
 }
@@ -101,10 +122,11 @@ pub struct RecoveryReport {
     pub discarded_bytes: u64,
     /// Segments that ended in such a suffix.
     pub torn_segments: usize,
-    /// Records that passed their checksum and did not decode (at most one
-    /// per segment: its valid prefix ends there). The bytes are what was
-    /// written, so this is a codec or version fault, not a crash mid-write;
-    /// `0` for a directory this engine wrote.
+    /// Records that passed their checksum and did not decode, and segments
+    /// whose magic this binary does not read (at most one per segment: its
+    /// valid prefix ends there, at offset 0 for a magic). The bytes are what
+    /// was written, so this is a codec or version fault, not a crash
+    /// mid-write; `0` for a directory this engine or the one before it wrote.
     pub undecodable_records: usize,
     /// Log records at or below the checkpoint epoch, skipped as already
     /// reflected in the checkpoint.
@@ -121,6 +143,15 @@ pub struct RecoveryReport {
     pub checkpoint_load: Duration,
     /// Wall clock spent scanning segments and replaying the WAL suffix.
     pub wal_replay: Duration,
+}
+
+impl RecoveryReport {
+    /// Whether the directory holds acknowledged history this recovery did
+    /// not reach: `dropped_rounds`, `undecodable_records` or
+    /// `replay_rejected` is non-zero. A torn tail alone is not such history.
+    pub fn stops_short(&self) -> bool {
+        self.dropped_rounds > 0 || self.undecodable_records > 0 || self.replay_rejected > 0
+    }
 }
 
 /// Replays one record the way the engine committed its round: each update

@@ -36,19 +36,7 @@
 //! append first seals the segment and opens a fresh one, which bounds the
 //! encoder's memory and the reader's.
 //!
-//! Older segments are still *read* (`scan_segment` dispatches on the
-//! magic), so a directory written before a change of format recovers;
-//! nothing writes them:
-//!
-//! - `RXWALv4\n` records wrote a shaped update's integers as they are, and
-//!   go through the one decoder, [`rxview_core::codec::read_round`], over
-//!   tables that read them so
-//!   ([`rxview_core::codec::ReadTables::absolute_literals`]);
-//! - `RXWALv3\n` and `RXWALv2\n` records were written so too, and over
-//!   tables of their own (v2 records name no shape): the same decoder, its
-//!   tables cleared before each record;
-//! - `RXWALv1\n` records — paths as display text, a policy byte per update —
-//!   have their own ([`rxview_core::codec::read_update_v1`]).
+//! One format back, `RXWALv4\n` (integers as they are), is read and never written.
 //!
 //! A record with zero updates is legal in a segment — older engines logged
 //! one for a round whose updates were all rejected; today such a round
@@ -60,8 +48,12 @@
 //! passes its checksum and still does not decode ends the prefix too, but
 //! is reported apart ([`crate::RecoveryReport::undecodable_records`]): the
 //! bytes are what the writer wrote, so the fault is a codec's or a
-//! version's, not the disk's. Corrupt bytes can never panic (the codec is
-//! total) and never resurrect as phantom rounds (the CRC guards the frame).
+//! version's, not the disk's. So is a segment that opens with a full magic
+//! this binary does not read: it is reported as undecodable at offset 0, and
+//! a durable recovery refuses the directory (`crate::recovery`). A file
+//! shorter than a magic is a crash inside segment creation, and torn.
+//! Corrupt bytes can never panic (the codec is total) and never resurrect
+//! as phantom rounds (the CRC guards the frame).
 //!
 //! ## Fsync policy
 //!
@@ -126,17 +118,13 @@ impl Durability {
 /// Magic bytes opening every segment file this engine writes.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv5\n";
 
-/// Every magic [`scan_segment`] reads, newest first, and how it reads the
-/// segment's records. Older engines wrote the others (read-only): v4
-/// records are v5 records with a shaped update's integers as they are, v3
-/// and v2 records v4 records over tables of their own (v2 records name no
-/// shape), and v1 records spell paths as text.
-const FORMATS: [(&[u8; 8], Format); 5] = [
-    (WAL_MAGIC, Format::SlotDeltas),
-    (b"RXWALv4\n", Format::SegmentTables),
-    (b"RXWALv3\n", Format::RecordTables),
-    (b"RXWALv2\n", Format::RecordTables),
-    (b"RXWALv1\n", Format::Text),
+/// The empty tables a segment's records are read over.
+type NewTables = fn() -> ReadTables<'static>;
+
+/// Each magic [`scan_segment`] reads, this binary's and one back, with its tables.
+const FORMATS: [(&[u8; 8], NewTables); 2] = [
+    (WAL_MAGIC, ReadTables::default),
+    (b"RXWALv4\n", ReadTables::absolute_literals),
 ];
 
 /// The labels and shapes a segment's tables may hold before the next append
@@ -225,37 +213,14 @@ impl RecordEncoder {
     }
 }
 
-fn whole_payload(r: &Reader<'_>) -> CodecResult<()> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(CodecError::Invalid(
-            "trailing bytes in record payload".into(),
-        ))
-    }
-}
-
 fn decode_payload<'a>(payload: &'a [u8], tables: &mut ReadTables<'a>) -> CodecResult<WalRecord> {
     let mut r = Reader::new(payload);
     let (epoch, updates) = codec::read_round(&mut r, tables)?;
-    whole_payload(&r)?;
-    Ok(WalRecord { epoch, updates })
-}
-
-/// The payload of a v1 segment's record: `varint epoch · varint n ·`
-/// n × [`codec::read_update_v1`]. Read-only.
-fn decode_payload_v1(payload: &[u8]) -> CodecResult<WalRecord> {
-    let mut r = Reader::new(payload);
-    let epoch = r.read_varint()?;
-    let n = r.read_varint()? as usize;
-    if n > r.remaining() {
-        return Err(CodecError::Truncated);
+    if !r.is_empty() {
+        return Err(CodecError::Invalid(
+            "trailing bytes in record payload".into(),
+        ));
     }
-    let mut updates = Vec::with_capacity(n);
-    for _ in 0..n {
-        updates.push(codec::read_update_v1(&mut r)?);
-    }
-    whole_payload(&r)?;
     Ok(WalRecord { epoch, updates })
 }
 
@@ -272,33 +237,23 @@ pub(crate) struct SegmentScan {
     pub(crate) undecodable: Option<(u64, CodecError)>,
 }
 
-/// How a segment's records are read, by its magic.
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    /// `RXWALv5`: one decoder state threaded through the segment.
-    SlotDeltas,
-    /// `RXWALv4`: the same, with a shaped update's integers as they are.
-    SegmentTables,
-    /// `RXWALv3` and `RXWALv2`: as v4, the decoder cleared before each
-    /// record.
-    RecordTables,
-    /// `RXWALv1`: paths as text.
-    Text,
-}
-
-/// Scans a segment's bytes, of any format, stopping at the first torn,
-/// corrupt or undecodable record.
+/// Scans a segment's bytes, stopping at the first torn, corrupt or
+/// undecodable record. A file shorter than a magic is torn whole; one whose
+/// magic `FORMATS` does not list is undecodable from offset 0.
 pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
-    let mut scan = SegmentScan::default();
-    let magic = bytes.get(..WAL_MAGIC.len());
-    let Some(&(_, format)) = FORMATS.iter().find(|(m, _)| magic == Some(&m[..])) else {
-        scan.discarded = bytes.len() as u64;
+    let mut scan = SegmentScan {
+        discarded: bytes.len() as u64,
+        ..SegmentScan::default()
+    };
+    let Some(magic) = bytes.get(..WAL_MAGIC.len()) else {
         return scan;
     };
-    let mut tables = match format {
-        Format::SlotDeltas => ReadTables::default(),
-        _ => ReadTables::absolute_literals(),
+    let Some((_, tables)) = FORMATS.iter().find(|(m, _)| magic == &m[..]) else {
+        let why = format!("unknown segment magic {:?}", String::from_utf8_lossy(magic));
+        scan.undecodable = Some((0, CodecError::Invalid(why)));
+        return scan;
     };
+    let mut tables = tables();
     let mut pos = WAL_MAGIC.len();
     while let Some((len, rest)) = bytes[pos..].split_first_chunk::<4>() {
         let Some((crc, rest)) = rest.split_first_chunk::<4>() else {
@@ -310,14 +265,7 @@ pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
         if crc32(payload) != u32::from_le_bytes(*crc) {
             break; // corrupt record: stop trusting the file here
         }
-        if format == Format::RecordTables {
-            tables.clear();
-        }
-        let decoded = match format {
-            Format::Text => decode_payload_v1(payload),
-            _ => decode_payload(payload, &mut tables),
-        };
-        match decoded {
+        match decode_payload(payload, &mut tables) {
             Ok(rec) => scan.records.push(rec),
             Err(e) => {
                 scan.undecodable = Some((pos as u64, e));
@@ -595,7 +543,7 @@ mod tests {
     }
 
     /// `sample_updates` keyed by text: a shaped update of these binds no
-    /// integer, so every format since v2 writes it as this one does.
+    /// integer, so v4 writes it as v5 does.
     fn text_keyed_updates() -> Vec<LoggedUpdate> {
         vec![
             (
@@ -614,33 +562,25 @@ mod tests {
     }
 
     /// A v4 segment — one set of tables, a shaped update's integers as they
-    /// are — a v3 one — records over tables of their own, each spelling its
-    /// labels and shapes again — and a v2 one — such records that name no
-    /// shape — scan through the shared decoder to the rounds they hold. In a
+    /// are — scans through the shared decoder to the rounds it holds. In a
     /// v5 segment the second record names what the first spelled.
     #[test]
-    fn v4_v3_and_v2_segments_read_through_the_shared_decoder() {
-        let dir = temp_dir("v3");
+    fn a_v4_segment_reads_through_the_shared_decoder() {
+        let dir = temp_dir("v4");
         let path = dir.join("wal-0000000000.rxlog");
-        for (magic, rounds, tables_per_segment) in [
-            (b"RXWALv4\n", text_keyed_updates(), true),
-            (b"RXWALv3\n", text_keyed_updates(), false),
-            (b"RXWALv2\n", text_keyed_updates()[..2].to_vec(), false),
-        ] {
-            let mut bytes = magic.to_vec();
-            let mut encoder = RecordEncoder::default();
-            for epoch in [1, 2] {
-                if !tables_per_segment {
-                    encoder = RecordEncoder::default();
-                }
-                bytes.extend_from_slice(encoder.encode(epoch, &rounds).unwrap());
-                encoder.tables.commit();
-            }
-            fs::write(&path, &bytes).unwrap();
-            let scan = scan_file(&path);
-            assert_eq!((scan.records.len(), scan.discarded), (2, 0));
-            assert!(scan.records.iter().all(|r| r.updates == rounds));
+        let mut bytes = b"RXWALv4\n".to_vec();
+        let mut encoder = RecordEncoder::default();
+        for epoch in [1, 2] {
+            bytes.extend_from_slice(encoder.encode(epoch, &text_keyed_updates()).unwrap());
+            encoder.tables.commit();
         }
+        fs::write(&path, &bytes).unwrap();
+        let scan = scan_file(&path);
+        assert_eq!((scan.records.len(), scan.discarded), (2, 0));
+        assert!(scan
+            .records
+            .iter()
+            .all(|r| r.updates == text_keyed_updates()));
         let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 1).unwrap();
         let first = wal.append(1, &sample_updates()).unwrap().bytes;
         let second = wal.append(2, &sample_updates()).unwrap().bytes;
@@ -876,15 +816,37 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A file shorter than a magic is what a crash inside segment creation
+    /// leaves: torn, the whole file discarded.
     #[test]
     fn missing_magic_discards_whole_file() {
-        let dir = temp_dir("magic");
-        let path = dir.join("wal-0000000000.rxlog");
-        fs::write(&path, b"not a log").unwrap();
-        let scan = scan_file(&path);
-        assert!(scan.records.is_empty());
-        assert_eq!(scan.discarded, 9);
-        fs::remove_dir_all(&dir).unwrap();
+        let scan = scan_segment(b"RXWAL");
+        assert!(scan.records.is_empty() && scan.undecodable.is_none());
+        assert_eq!(scan.discarded, 5);
+    }
+
+    /// A full magic this binary does not read — another file, a newer
+    /// binary's segment, a format more than one back — is not a torn tail:
+    /// the segment is undecodable from offset 0, whatever its records hold.
+    #[test]
+    fn an_unknown_magic_is_unreadable_not_torn() {
+        let mut v3 = b"RXWALv3\n".to_vec();
+        v3.extend_from_slice(
+            RecordEncoder::default()
+                .encode(1, &text_keyed_updates())
+                .unwrap(),
+        );
+        for bytes in [&b"not a log"[..], b"RXWALv9\n", &v3] {
+            let scan = scan_segment(bytes);
+            assert!(scan.records.is_empty());
+            assert_eq!(scan.discarded, bytes.len() as u64);
+            let (offset, error) = scan.undecodable.expect("reported");
+            assert_eq!(offset, 0);
+            assert!(
+                error.to_string().contains("unknown segment magic"),
+                "{error}"
+            );
+        }
     }
 
     /// Every magic `scan_segment` reads opens the segment of a checked-in

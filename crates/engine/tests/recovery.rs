@@ -262,27 +262,14 @@ fn pipelined_sharded_crash_recovery_kill_at_every_round() {
 /// lands in a record that depends on an earlier one. Returns the directory
 /// and the per-epoch fingerprints (index 0 = epoch 0, the initial state);
 /// the history logs `rounds + 1` updates.
-#[allow(clippy::type_complexity)]
-fn build_logged_history(
-    rounds: usize,
-) -> (
-    PathBuf,
-    rxview_atg::Atg,
-    Vec<(BTreeSet<(String, String)>, BTreeSet<(String, String)>)>,
-) {
+fn build_logged_history(rounds: usize) -> (PathBuf, rxview_atg::Atg, Vec<Fingerprint>) {
     let (sys, atg) = system(400, 9);
     let deletions = group_edge_deletions(&sys, 400);
     assert!(deletions.len() > rounds, "enough deletable group edges");
     let dir = temp_dir("torn");
     // No automatic checkpoints: the whole history lives in one segment.
     let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
-    let mut fingerprints = Vec::new();
-    let snap = engine.snapshot();
-    fingerprints.push((
-        base_fingerprint(snap.system()),
-        edge_fingerprint(snap.system()),
-    ));
-    drop(snap);
+    let mut fingerprints = vec![fingerprint(engine.snapshot().system())];
     // Deletions against distinct group cones: every commit is one round,
     // i.e. exactly one epoch and one log record.
     let mut commits: Vec<&[XmlUpdate]> = deletions[..rounds - 1].chunks(1).collect();
@@ -302,10 +289,7 @@ fn build_logged_history(
         }
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), (r + 1) as u64, "one epoch per round");
-        fingerprints.push((
-            base_fingerprint(snap.system()),
-            edge_fingerprint(snap.system()),
-        ));
+        fingerprints.push(fingerprint(snap.system()));
     }
     drop(engine);
     // Each record's payload: its epoch and count, then — after the first
@@ -353,21 +337,25 @@ fn the_only_segment(dir: &Path) -> PathBuf {
     segs.pop().expect("one segment")
 }
 
+/// Where each record of a segment's bytes starts (walking the `[u32 len][u32
+/// crc]` frames from the magic), then where the last one ends.
+fn record_bounds(segment: &[u8]) -> Vec<usize> {
+    let mut bounds = vec![8];
+    let mut pos = 8;
+    while pos + 8 <= segment.len() {
+        pos += 8 + u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+        bounds.push(pos);
+    }
+    bounds
+}
+
 #[test]
 fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
     let rounds = 3;
     let (dir, atg, fingerprints) = build_logged_history(rounds);
     let seg_path = the_only_segment(&dir);
     let full = fs::read(&seg_path).expect("read segment");
-
-    // Locate record boundaries by walking the frames ([u32 len][u32 crc]).
-    let mut boundaries = vec![8usize]; // after the magic
-    let mut pos = 8usize;
-    while pos + 8 <= full.len() {
-        let len = u32::from_le_bytes(full[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-        boundaries.push(pos);
-    }
+    let boundaries = record_bounds(&full);
     assert_eq!(boundaries.len(), rounds + 1, "one record per round");
     assert_eq!(*boundaries.last().unwrap(), full.len());
 
@@ -433,12 +421,12 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
     // epoch k is the sequential application of the first `k * per_round`
     // deletions.
     let mut oracle = sys.clone();
-    let mut fingerprints = vec![(base_fingerprint(&oracle), edge_fingerprint(&oracle))];
+    let mut fingerprints = vec![fingerprint(&oracle)];
     for epoch in deletions.chunks(per_round) {
         for u in epoch {
             reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).expect("oracle applies");
         }
-        fingerprints.push((base_fingerprint(&oracle), edge_fingerprint(&oracle)));
+        fingerprints.push(fingerprint(&oracle));
     }
 
     let dir = temp_dir("torn-rounds");
@@ -468,13 +456,7 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
 
     let seg_path = the_only_segment(&dir);
     let full = fs::read(&seg_path).expect("read segment");
-    let mut boundaries = vec![8usize]; // after the magic
-    let mut pos = 8usize;
-    while pos + 8 <= full.len() {
-        let len = u32::from_le_bytes(full[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-        boundaries.push(pos);
-    }
+    let boundaries = record_bounds(&full);
     assert_eq!(boundaries.len(), rounds + 1, "one record per round");
     assert_eq!(*boundaries.last().unwrap(), full.len());
 
@@ -502,12 +484,7 @@ fn corrupt_final_record_recovers_prefix_never_panics() {
     let (dir, atg, fingerprints) = build_logged_history(rounds);
     let seg_path = the_only_segment(&dir);
     let full = fs::read(&seg_path).expect("read segment");
-    let mut pos = 8usize;
-    for _ in 0..rounds - 1 {
-        let len = u32::from_le_bytes(full[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-    }
-    let last_record_start = pos;
+    let last_record_start = record_bounds(&full)[rounds - 1];
 
     // Flip every byte of the final record, one at a time.
     for i in last_record_start..full.len() {
@@ -869,6 +846,142 @@ fn durable_recovery_is_idempotent() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A state's base and view fingerprints.
+type Fingerprint = (BTreeSet<(String, String)>, BTreeSet<(String, String)>);
+
+fn fingerprint(sys: &XmlViewSystem) -> Fingerprint {
+    (base_fingerprint(sys), edge_fingerprint(sys))
+}
+
+/// Recovers `dir`, which holds acknowledged history no recovery can read in
+/// full. A durable recovery errs with a report that stops at `epoch` with
+/// `(dropped_rounds, undecodable_records)` = `lost`, and leaves every file
+/// byte for byte as it was; a read-only one serves that prefix, `want`.
+fn assert_refused_and_left_as_it_is(
+    atg: &rxview_atg::Atg,
+    dir: &Path,
+    epoch: u64,
+    lost: (usize, usize),
+    want: &Fingerprint,
+) {
+    let before = dir_bytes(dir);
+    match Engine::recover(atg.clone(), dir, durable_config(0)) {
+        Err(RecoverError::StopsShort(report)) => {
+            assert_eq!(report.resumed_epoch, epoch);
+            assert_eq!((report.dropped_rounds, report.undecodable_records), lost);
+        }
+        other => panic!("expected StopsShort, got {:?}", other.map(|(_, r)| r)),
+    }
+    assert!(
+        dir_bytes(dir) == before,
+        "a refused recovery touches no file"
+    );
+    let (engine, report) = recover_readonly(atg, dir);
+    assert!(report.stops_short());
+    assert_eq!(report.resumed_epoch, epoch);
+    assert_eq!((report.dropped_rounds, report.undecodable_records), lost);
+    let snap = engine.snapshot();
+    assert!(&fingerprint(snap.system()) == want, "the prefix at {epoch}");
+    snap.system().consistency_check().expect("consistent");
+}
+
+/// A durable recovery deletes only what it has read. Each of three
+/// directories holds `build_logged_history`'s epoch-0 checkpoint and one
+/// segment that no recovery reads in full: the segment under a newer
+/// binary's magic, `RXWALv9`; with its second record re-checksummed around a
+/// head byte no encoder writes; and framed by hand as `RXWALv3`, records over
+/// tables of their own, a format this binary no longer reads. Each is
+/// refused and left as it is, and a read-only recovery serves its prefix.
+#[test]
+fn a_segment_recovery_cannot_read_in_full_is_refused_and_left_as_it_is() {
+    use rxview_core::codec::{put_round, RecordTables};
+    use rxview_relstore::codec::crc32;
+    use SideEffectPolicy::Proceed;
+    let (dir, atg, _) = build_logged_history(3);
+    let path = the_only_segment(&dir);
+    let full = fs::read(&path).expect("read segment");
+    let bounds = record_bounds(&full);
+    // The history's first two rounds, one deletion each, and the prefix
+    // oracle's state before and after the first.
+    let (mut oracle, _) = system(400, 9);
+    let deletions = group_edge_deletions(&oracle, 400);
+    let mut prefix = vec![fingerprint(&oracle)];
+    reference_apply(&mut oracle, &deletions[0], Proceed).expect("oracle applies");
+    prefix.push(fingerprint(&oracle));
+
+    fs::write(&path, [b"RXWALv9\n", &full[8..]].concat()).expect("write");
+    assert_refused_and_left_as_it_is(&atg, &dir, 0, (0, 1), &prefix[0]);
+
+    let (start, end) = (bounds[1], bounds[2]);
+    let mut bytes = full.clone();
+    bytes[start + 8 + 2] = 0xFF; // after the one-byte epoch and count
+    let crc = crc32(&bytes[start + 8..end]);
+    bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&path, &bytes).expect("write");
+    assert_refused_and_left_as_it_is(&atg, &dir, 1, (0, 1), &prefix[1]);
+
+    // The first two rounds as `RXWALv3` framed them; the first record is
+    // this tree's.
+    let mut v3 = b"RXWALv3\n".to_vec();
+    for (epoch, u) in (1..).zip(&deletions[..2]) {
+        let round = [(u.clone(), Proceed)];
+        let mut payload = Vec::new();
+        put_round(&mut payload, &mut RecordTables::default(), epoch, &round);
+        v3.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v3.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v3.extend_from_slice(&payload);
+    }
+    assert!(v3[8..bounds[1]] == full[8..bounds[1]], "the first record");
+    fs::write(&path, &v3).expect("write");
+    assert_refused_and_left_as_it_is(&atg, &dir, 0, (0, 1), &prefix[0]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A log missing a middle segment: four deletions over three segments —
+/// rounds 1–2, 3 and 4 — beside the epoch-0 checkpoint, each segment as the
+/// engine wrote it, kept before a checkpoint's compaction deleted it. Whole,
+/// the directory recovers every round; without the middle segment a durable
+/// recovery is refused and leaves it as it is, and a read-only one replays
+/// rounds 1–2 and reports round 4 dropped.
+#[test]
+fn a_log_missing_a_middle_segment_is_refused_and_left_as_it_is() {
+    use SideEffectPolicy::Proceed;
+    let (sys, atg) = system(400, 9);
+    let deletions = group_edge_deletions(&sys, 400);
+    let mut oracle = sys.clone();
+    let mut fingerprints = vec![fingerprint(&oracle)];
+    let written = temp_dir("middle-written");
+    let engine = Engine::with_durability(sys, durable_config(0), &written).expect("durable");
+    let mut kept = dir_bytes(&written);
+    kept.retain(|(name, _)| name.ends_with(".rxck"));
+    for (r, u) in deletions[..4].iter().enumerate() {
+        engine.apply_now(u.clone(), Proceed).expect("commits");
+        reference_apply(&mut oracle, u, Proceed).expect("oracle agrees");
+        fingerprints.push(fingerprint(&oracle));
+        if r > 0 {
+            let segments = dir_bytes(&written).into_iter();
+            kept.extend(segments.filter(|(name, _)| name.ends_with(".rxlog")));
+            engine.checkpoint_now().expect("checkpoint");
+        }
+    }
+    drop(engine);
+    let dir = temp_dir("middle");
+    for (name, bytes) in &kept {
+        fs::write(dir.join(name), bytes).expect("write");
+    }
+    let names: Vec<&str> = kept.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names.len(), 4, "a checkpoint and three segments: {names:?}");
+    let (whole, report) = recover_readonly(&atg, &dir);
+    assert_eq!((report.replayed_rounds, report.stops_short()), (4, false));
+    assert!(fingerprint(whole.snapshot().system()) == fingerprints[4]);
+    drop(whole);
+
+    fs::remove_file(dir.join(names[2])).expect("the middle segment");
+    assert_refused_and_left_as_it_is(&atg, &dir, 2, (1, 0), &fingerprints[2]);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&written);
+}
+
 /// Crash recovery on hot cones. A skewed hot-anchor stream makes rounds
 /// that apply several updates under one cone, each reading what the one
 /// before it wrote — this test asserts rounds that wide committed before
@@ -1031,8 +1144,8 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr{19,21,24,32,33,34}_log_dir`,
-/// committed on a durable engine over `dir`: a deletion, a checkpoint, then a
+/// The history behind `tests/fixtures/pr{33,34}_log_dir`, committed on a
+/// durable engine over `dir`: a deletion, a checkpoint, then a
 /// deletion and an insertion left in the log's tail. Returns the ATG and the
 /// oracle's final state.
 fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
@@ -1067,28 +1180,14 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
 /// behind on this tree: it writes the same bytes for the same history (its
 /// segment opens `RXWALv5`), and recovers them to the oracle's state.
 ///
-/// The older directories stay readable. `tests/fixtures/pr33_log_dir` is
-/// what `fixture_history` left behind before a shaped update wrote its
+/// The directory one format back stays readable: `tests/fixtures/pr33_log_dir`
+/// is what `fixture_history` left behind before a shaped update wrote its
 /// integers as deltas from its slots (bed3696): an `RXWALv4` segment, read by
 /// the same decoder with integers as they are — the history spells every
-/// update of its tail, so past the magic its bytes are this tree's.
-/// `tests/fixtures/pr32_log_dir` is what it left behind before a segment's
-/// records shared their tables (fba5283): an `RXWALv3` segment, read the same
-/// way with its tables cleared before each record — its first record is this
-/// tree's, its second spells again the labels this tree's names.
-/// `tests/fixtures/pr24_log_dir` is what it left behind before records named
-/// shapes (27d2c19): an `RXWALv2` segment, read the same way — its records
-/// name no shape — beside checkpoints byte for byte this tree's.
-/// `tests/fixtures/pr21_log_dir` is what it left behind before the log
-/// changed format (e219fe9), `tests/fixtures/pr19_log_dir` before rows were
-/// stored once and node ids recycled (f0568a3): their segments are one file
-/// of `RXWALv1` records — the same bytes, the log holds updates, never ids —
-/// which the scan reads through the v1 decoder and replay runs as the rounds
-/// they are, and a checkpoint slot the f0568a3 tree wrote dead, `(type, $A,
-/// 0)` with the retired pair still in it, loads as the free id this tree
-/// writes as `(0, (), 0)`.
+/// update of its tail, so past the magic its bytes are this tree's — beside
+/// checkpoints byte for byte this tree's.
 #[test]
-fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own() {
+fn this_tree_and_one_format_back_recover_and_this_tree_rewrites_its_own() {
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
     let ours = dir_bytes(&fixtures().join("pr34_log_dir"));
@@ -1108,54 +1207,23 @@ fn directories_of_this_tree_and_of_pr19_recover_and_this_tree_rewrites_its_own()
         assert_eq!(dir.len(), 1, "{fixture}: one segment");
         dir.pop().expect("one segment").1
     };
-    assert!(segment("pr34_log_dir").starts_with(b"RXWALv5\n"));
-    assert!(segment("pr33_log_dir").starts_with(b"RXWALv4\n"));
-    assert!(segment("pr32_log_dir").starts_with(b"RXWALv3\n"));
-    assert!(segment("pr24_log_dir").starts_with(b"RXWALv2\n"));
-    assert!(segment("pr21_log_dir").starts_with(b"RXWALv1\n"));
-    assert!(
-        segment("pr24_log_dir")[8..] == segment("pr32_log_dir")[8..],
-        "one update a record: no record names a shape, v2 bytes are v3 bytes"
-    );
     // No update of the tail is shaped, so no slot is bound: the v5 segment
-    // is the v4 one past the magic, and no longer.
+    // is the v4 one past the magic.
     let (v5, v4) = (segment("pr34_log_dir"), segment("pr33_log_dir"));
-    assert!(
-        v5.len() <= v4.len(),
-        "{} B against {} B",
-        v5.len(),
-        v4.len()
-    );
+    assert!(v5.starts_with(b"RXWALv5\n") && v4.starts_with(b"RXWALv4\n"));
     assert!(v5[8..] == v4[8..], "past the magic");
-    // A segment's first record is a record of its own; the second names
-    // the first's labels where the v3 one spells them.
-    let v3 = segment("pr32_log_dir");
-    let first = 8 + 8 + u32::from_le_bytes(v4[8..12].try_into().unwrap()) as usize;
-    assert!(v4[8..first] == v3[8..first], "the first record");
-    assert!(v4.len() < v3.len(), "{} B against {} B", v4.len(), v3.len());
-    let mut v2 = dir_bytes(&fixtures().join("pr24_log_dir"));
-    v2.retain(|(name, _)| name.ends_with(".rxck"));
+    let mut checkpoints = dir_bytes(&fixtures().join("pr33_log_dir"));
+    checkpoints.retain(|(name, _)| name.ends_with(".rxck"));
     assert!(
         ours.iter()
             .filter(|(name, _)| name.ends_with(".rxck"))
-            .eq(&v2),
+            .eq(&checkpoints),
         "the checkpoint format did not change"
-    );
-    assert!(
-        segment("pr19_log_dir") == segment("pr21_log_dir"),
-        "the v1 log never changed"
     );
 
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
-    for fixture in [
-        "pr34_log_dir",
-        "pr33_log_dir",
-        "pr32_log_dir",
-        "pr24_log_dir",
-        "pr21_log_dir",
-        "pr19_log_dir",
-    ] {
+    for fixture in ["pr34_log_dir", "pr33_log_dir"] {
         let dir = copy_dir(&fixtures().join(fixture), fixture);
         let (recovered, report) = recover_readonly(&atg, &dir);
         assert_eq!(
@@ -1203,8 +1271,8 @@ fn commit_rounds(
     }
 }
 
-/// The history behind `tests/fixtures/pr23_v1_tail_dir`: a deletion and a
-/// checkpoint, then a tail of four records — two anchored deletions in one
+/// A deletion and a checkpoint, then a tail of four records — two anchored
+/// deletions in one
 /// round, a `//`-headed filtered deletion, an insertion under a path with a
 /// structural and a negated filter committed under `Abort`, and a round of
 /// an insertion under a `//`-headed path beside a deletion. Committed on a
@@ -1247,48 +1315,35 @@ fn tail_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr23_v1_tail_dir` is the checkpoint and the segment
-/// `tail_history` left behind on the last tree that wrote `RXWALv1`
-/// (e219fe9, PR 23; its superseded epoch-0 checkpoint is not kept): 286
-/// bytes of display-text records. Read through the v1 decoder and replayed
-/// as rounds — a two-update record, `//`-headed and filtered paths, an
-/// `Abort` — it recovers to the state the same history leaves on this tree.
+/// `tail_history`'s log — a two-update record, `//`-headed and filtered
+/// paths, an `Abort` — replays record by record, one fold per update, to the
+/// oracle's state.
 #[test]
-fn a_v1_tail_written_by_the_parent_replays_as_rounds() {
-    let written = temp_dir("tail-rewritten");
-    let (atg, oracle) = tail_history(&written);
-    let v1 = copy_dir(&fixtures().join("pr23_v1_tail_dir"), "v1-tail");
-    for (tag, dir) in [("RXWALv5", written), ("RXWALv1", v1)] {
-        let segment = fs::read(the_only_segment(&dir)).expect("segment");
-        assert!(segment.starts_with(tag.as_bytes()), "{tag}");
-        let (recovered, report) = recover_readonly(&atg, &dir);
-        assert_eq!(
-            (report.checkpoint_epoch, report.resumed_epoch),
-            (1, 5),
-            "{tag}"
-        );
-        assert_eq!(
-            (
-                report.replayed_rounds,
-                report.replayed_updates,
-                report.replay_folds
-            ),
-            (4, 6, 6),
-            "{tag}: a record is a round, and each update one fold"
-        );
-        assert_eq!(
-            (
-                report.replay_rejected,
-                report.torn_segments,
-                report.undecodable_records
-            ),
-            (0, 0, 0),
-            "{tag}"
-        );
-        assert_eq!(report.replay_full_evals, 0, "{tag}: keyed `//` paths scope");
-        assert_observationally_equal(&oracle, recovered.snapshot().system(), tag);
-        let _ = fs::remove_dir_all(&dir);
-    }
+fn a_tail_of_descendant_filtered_and_abort_rounds_replays_as_logged() {
+    let dir = temp_dir("tail");
+    let (atg, oracle) = tail_history(&dir);
+    let (recovered, report) = recover_readonly(&atg, &dir);
+    assert_eq!((report.checkpoint_epoch, report.resumed_epoch), (1, 5));
+    assert_eq!(
+        (
+            report.replayed_rounds,
+            report.replayed_updates,
+            report.replay_folds
+        ),
+        (4, 6, 6),
+        "a record is a round, and each update one fold"
+    );
+    assert_eq!(
+        (
+            report.replay_rejected,
+            report.torn_segments,
+            report.undecodable_records
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(report.replay_full_evals, 0, "keyed `//` paths scope");
+    assert_observationally_equal(&oracle, recovered.snapshot().system(), "the tail");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 //! Totality of `parse_xpath`: caller text is the input of the engine's
 //! read path (`Snapshot::eval`), so no string may panic the parser — every
 //! input is `Ok` or `Err` — and whatever parses must print to a form that
-//! parses back to the same AST (v1 log segments hold paths in display form,
-//! and are still read).
+//! parses back to the same AST.
 //!
 //! Fuzz-style and deterministic, like the codec's corruption tests: every
 //! truncation, every single-byte replacement, insertion and deletion of a
