@@ -21,7 +21,7 @@
 //!   engine partitions updates by, and the realized ones they are held to;
 //! - [`classify`]: target-path classification into bounded cones —
 //!   key-anchored, type-indexed multi-anchor (`//`-headed), or global —
-//!   plus the scoped-evaluation projection of `L` over a cone union;
+//!   plus the evaluation scope of a cone union, its nodes in `L` order;
 //! - [`PlanCache`]: compiled update plans — each `(path shape, grammar)`
 //!   pair is compiled once into a classified, executable program and cached
 //!   in the `Arc`-shared engine-wide cache, with an allocation-reusing

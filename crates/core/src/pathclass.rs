@@ -30,9 +30,9 @@
 //!   the update conflicts with everything and the engine serializes it.
 //!
 //! The same anchor set doubles as an **evaluation scope**
-//! ([`scope_of_anchors`], [`union_scope`]): projecting the maintained
-//! topological order `L` onto `{root} ∪ cones` yields a valid order for the
-//! sub-DAG, and the §3.2 two-pass evaluation over that projection returns
+//! ([`scope_of_anchors`], [`union_scope`]): the nodes of `{root} ∪ cones`
+//! in the maintained topological order `L` are a valid order for the
+//! sub-DAG, and the §3.2 two-pass evaluation over that subsequence returns
 //! exactly the matches of the full evaluation (`tests/scoped_eval.rs` and
 //! the engine's property tests assert this equality). Every evaluation in
 //! the system — the analyzer's dry run, reads, `apply`, recovery replay —
@@ -449,16 +449,16 @@ fn candidates(
     )
 }
 
-/// A cone union is projected only while it is at most `1 / SCOPE_SHARE` of
-/// `L`; above that it is evaluated on the full `L`. Measured at 512 groups
-/// (43 473 nodes) over four path shapes, projection plus the scoped passes
-/// against the full pass: 0.23–0.41× at |L|/4, 0.46–0.89× at |L|/2,
-/// 0.97–2.0× at |L| — the projection (gather, sort by position, position
-/// map) is what a scope near the view cannot pay back. Every keyed head of
-/// the benchmark traffic (≈ 10² nodes) is far below the line; an unfiltered
-/// anchored head (every top-level cone: the view) and a `//` head on the
-/// widely shared `payload` type (≈ 300 parents, ≈ 6 k ancestors per node)
-/// are well above it.
+/// A cone union is gathered into a scope only while it is at most
+/// `1 / SCOPE_SHARE` of `L`; above that it is evaluated on the full `L`.
+/// Measured at 512 groups (43 473 nodes) over four path shapes, building
+/// the scope plus the scoped passes against the full pass: 0.23–0.41× at
+/// |L|/4, 0.46–0.89× at |L|/2, 0.97–2.0× at |L| — building the scope
+/// (gather, sort by position) is what a scope near the view cannot pay
+/// back. Every keyed head of the benchmark traffic (≈ 10² nodes) is far
+/// below the line; an unfiltered anchored head (every top-level cone: the
+/// view) and a `//` head on the widely shared `payload` type (≈ 300
+/// parents, ≈ 6 k ancestors per node) are well above it.
 const SCOPE_SHARE: usize = 2;
 
 /// The evaluation scope of a resolved anchor set ([`union_scope`]), or
@@ -472,7 +472,7 @@ pub fn scope_of_anchors(
     topo: &TopoOrder,
     reach: &Reachability,
     anchors: &Anchors,
-) -> Option<TopoOrder> {
+) -> Option<Vec<NodeId>> {
     let bound: usize = anchors
         .nodes
         .iter()
@@ -489,19 +489,19 @@ pub fn scope_of_anchors(
         .then(|| union_scope(vs, topo, reach, &anchors.nodes, anchors.with_ancestors))
 }
 
-/// The scope order for a union of anchor cones: the projection of `L` onto
-/// `{root} ∪ ⋃ₐ ({a} ∪ desc(a) [∪ anc(a)])` — text nodes included, because
-/// evaluation needs them for value filters. `with_ancestors` must be set
-/// for `//`-headed paths: their matched root-paths and parent edges climb
-/// above the anchors, so exact scoped evaluation needs the ancestor chains
-/// in scope.
+/// The scope for a union of anchor cones: the nodes of `{root} ∪ ⋃ₐ ({a}
+/// ∪ desc(a) [∪ anc(a)])` in `L` order, a subsequence of `L` — text nodes
+/// included, because evaluation needs them for value filters.
+/// `with_ancestors` must be set for `//`-headed paths: their matched
+/// root-paths and parent edges climb above the anchors, so exact scoped
+/// evaluation needs the ancestor chains in scope.
 pub fn union_scope(
     vs: &ViewStore,
     topo: &TopoOrder,
     reach: &Reachability,
     anchors: &[NodeId],
     with_ancestors: bool,
-) -> TopoOrder {
+) -> Vec<NodeId> {
     // Gathered as `(rank in L, node)`, so one sort orders the union and
     // puts duplicates (shared descendants, the root above every `//`
     // anchor) side by side; nodes `L` does not hold are not live.
@@ -517,7 +517,7 @@ pub fn union_scope(
     }
     cone.sort_unstable();
     cone.dedup();
-    TopoOrder::from_order(cone.into_iter().map(|(_, v)| v).collect())
+    cone.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]
@@ -681,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn union_scope_is_a_valid_projection() {
+    fn union_scope_is_a_subsequence_of_l() {
         let vs = store();
         let topo = TopoOrder::compute(vs.dag());
         let reach = Reachability::compute(vs.dag(), &topo);
@@ -700,15 +700,15 @@ mod tests {
         // The scope respects the maintained order and contains the anchor,
         // its descendants, its ancestors, and the root.
         let m = anchors[0];
-        assert!(scope.position(m).is_some());
-        assert!(scope.position(vs.dag().root()).is_some());
+        assert!(scope.contains(&m));
+        assert!(scope.contains(&vs.dag().root()));
         for d in reach.descendants(m) {
-            assert!(scope.position(d).is_some());
+            assert!(scope.contains(&d));
         }
         for a in reach.ancestors(m) {
-            assert!(scope.position(a).is_some());
+            assert!(scope.contains(&a));
         }
-        for w in scope.order().windows(2) {
+        for w in scope.windows(2) {
             assert!(topo.position(w[0]).unwrap() < topo.position(w[1]).unwrap());
         }
     }
@@ -729,6 +729,6 @@ mod tests {
         assert!(scope("course[cno=CS650]/prereq").is_none());
         assert!(scope("//course").is_none());
         let small = scope("course[cno=NOPE]/prereq").expect("empty anchor set");
-        assert_eq!(small.order(), &[vs.dag().root()]);
+        assert_eq!(small, [vs.dag().root()]);
     }
 }

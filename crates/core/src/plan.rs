@@ -43,6 +43,7 @@ use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};
 use crate::reach::Reachability;
 use crate::template::TranslationTemplates;
+#[cfg(test)]
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, NodeId};
@@ -587,9 +588,22 @@ impl PlanCache {
 /// evaluation performs no set/matrix allocations — only the materialized
 /// [`DagEval`] output allocates (value filters compare a `pcdata` node's
 /// attribute values in place, [`Atg::text_eq`], so there is no text memo).
+///
+/// The matrix is indexed by node id, `np` cells per id over the interner's
+/// id space ([`rxview_atg::GenId::n_allocated`]), so evaluation needs no
+/// position lookup. Nothing in it is cleared between evaluations: a node
+/// is in the running evaluation's scope iff its stamp is the evaluation's
+/// generation, and the bottom-up pass writes all `np` cells of a node
+/// before anything reads them. An evaluation so writes `(np + 1) × |scope|`
+/// cells, whatever the size of the view.
 #[derive(Default)]
 struct EvalScratch {
+    /// Predicate values: `val[v.index() * np + pi]`.
     val: Vec<bool>,
+    /// Per node id, the generation of the last evaluation that held it.
+    stamp: Vec<u32>,
+    /// The running evaluation's generation; 0 is no evaluation's.
+    generation: u32,
     /// Capacity bound applied to what this evaluation takes from the pools:
     /// its scope length, at least [`POOL_KEEP`].
     keep: usize,
@@ -610,6 +624,21 @@ struct EvalScratch {
 const POOL_KEEP: usize = 1 << 9;
 
 impl EvalScratch {
+    /// Starts an evaluation over `n_ids` node ids with `np` predicates: a
+    /// fresh generation, and the arena grown (never shrunk) to cover them.
+    fn begin(&mut self, n_ids: usize, np: usize) {
+        self.val.resize(self.val.len().max(n_ids * np), false);
+        self.stamp.resize(self.stamp.len().max(n_ids), 0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Every 2^32 evaluations on a thread: forget them all.
+            #[cfg(test)]
+            tests::ARENA_CELLS.with(|c| c.set(c.get() + self.stamp.len()));
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
     fn take_set(&mut self) -> HashSet<NodeId> {
         let mut s = self.node_sets.pop().unwrap_or_default();
         s.shrink_to(self.keep);
@@ -659,17 +688,20 @@ enum PRec {
     },
 }
 
-/// Executes a compiled plan. Semantically identical to
+/// Executes a compiled plan over `order`: all of `L`
+/// ([`crate::TopoOrder::order`]) or a scope, a subsequence of it closed
+/// under descendants. Semantically identical to
 /// `rxview_reference::eval_xpath_on_dag` on the plan's original path with
-/// `bindings` substituted back into its `p = "s"` literals.
+/// `bindings` substituted back into its `p = "s"` literals, when every match
+/// lies inside `order`.
 pub fn eval_plan(
     vs: &ViewStore,
-    topo: &TopoOrder,
+    order: &[NodeId],
     reach: &Reachability,
     plan: &UpdatePlan,
     bindings: &[String],
 ) -> DagEval {
-    SCRATCH.with(|s| eval_plan_with(&mut s.borrow_mut(), vs, topo, reach, plan, bindings))
+    SCRATCH.with(|s| eval_plan_with(&mut s.borrow_mut(), vs, order, reach, plan, bindings))
 }
 
 /// Compiles `p` through the store's cache and runs it over `topo`: the
@@ -682,7 +714,7 @@ pub(crate) fn eval_path(
     p: &XPath,
 ) -> DagEval {
     let (plan, bindings) = vs.plan_cache().plan(vs.atg().dtd(), p);
-    eval_plan(vs, topo, reach, &plan, &bindings)
+    eval_plan(vs, topo.order(), reach, &plan, &bindings)
 }
 
 fn reclaim_records(scratch: &mut EvalScratch, records: Vec<PRec>) {
@@ -701,69 +733,70 @@ fn reclaim_records(scratch: &mut EvalScratch, records: Vec<PRec>) {
 fn eval_plan_with(
     scratch: &mut EvalScratch,
     vs: &ViewStore,
-    topo: &TopoOrder,
+    order: &[NodeId],
     reach: &Reachability,
     plan: &UpdatePlan,
     bindings: &[String],
 ) -> DagEval {
     let program = &plan.program;
     let preds = &program.preds;
-    let n = topo.len();
-    let slots = topo.n_slots();
+    let n = order.len();
     let np = preds.len();
     scratch.keep = n.max(POOL_KEEP);
 
     // ---- Bottom-up pass over the scope order. ----
-    // The matrix moves out of the arena for the duration of the call so
-    // the set pools stay borrowable; it returns before exit.
+    // The matrix and stamps move out of the arena for the duration of the
+    // call so the set pools stay borrowable; they return before exit.
     let atg = vs.atg();
     let genid = vs.dag().genid();
+    scratch.begin(genid.n_allocated(), np);
+    let generation = scratch.generation;
     let mut val = std::mem::take(&mut scratch.val);
-    val.clear();
-    val.resize(np * slots, false);
-    for &v in topo.order() {
-        let Some(vi) = topo.slot(v) else { continue };
+    let mut stamp = std::mem::take(&mut scratch.stamp);
+    #[cfg(test)]
+    tests::ARENA_CELLS.with(|c| c.set(c.get() + (np + 1) * n));
+    for &v in order {
+        let vi = v.index() * np;
+        stamp[v.index()] = generation;
         let vty = genid.type_of(v);
         let text_is = |s: &str| atg.dtd().is_pcdata(vty) && atg.text_eq(vty, genid.attr_of(v), s);
         for (pi, pred) in preds.iter().enumerate() {
+            // A child's cells hold this evaluation's values iff it is in
+            // scope.
+            let child_holds = |pi: usize, c: NodeId| {
+                stamp.get(c.index()) == Some(&generation) && val[c.index() * np + pi]
+            };
             let value = match pred {
                 PPred::True => true,
                 PPred::TypeIs(ty) => Some(vty) == *ty,
                 PPred::TextLit(s) => text_is(s),
                 PPred::TextSlot(slot) => text_is(bindings.get(*slot).map_or("", String::as_str)),
-                PPred::And(a, b) => val[*a * slots + vi] && val[*b * slots + vi],
-                PPred::Or(a, b) => val[*a * slots + vi] || val[*b * slots + vi],
-                PPred::Not(a) => !val[*a * slots + vi],
-                PPred::SuffixFilter { filter, next } => {
-                    val[*filter * slots + vi] && val[*next * slots + vi]
-                }
+                PPred::And(a, b) => val[vi + *a] && val[vi + *b],
+                PPred::Or(a, b) => val[vi + *a] || val[vi + *b],
+                PPred::Not(a) => !val[vi + *a],
+                PPred::SuffixFilter { filter, next } => val[vi + *filter] && val[vi + *next],
                 PPred::SuffixLabel { ty, next } => match ty {
                     None => false,
-                    Some(ty) => vs.dag().children(v).iter().any(|&c| {
-                        vs.dag().genid().type_of(c) == *ty
-                            && topo.slot(c).is_some_and(|ci| val[*next * slots + ci])
-                    }),
+                    Some(ty) => vs
+                        .dag()
+                        .children(v)
+                        .iter()
+                        .any(|&c| genid.type_of(c) == *ty && child_holds(*next, c)),
                 },
-                PPred::SuffixWildcard { next } => vs
-                    .dag()
-                    .children(v)
-                    .iter()
-                    .any(|&c| topo.slot(c).is_some_and(|ci| val[*next * slots + ci])),
+                PPred::SuffixWildcard { next } => {
+                    vs.dag().children(v).iter().any(|&c| child_holds(*next, c))
+                }
                 PPred::SuffixDesc { next } => {
-                    val[*next * slots + vi]
-                        || vs
-                            .dag()
-                            .children(v)
-                            .iter()
-                            .any(|&c| topo.slot(c).is_some_and(|ci| val[pi * slots + ci]))
+                    val[vi + *next] || vs.dag().children(v).iter().any(|&c| child_holds(pi, c))
                 }
             };
-            val[pi * slots + vi] = value;
+            val[vi + pi] = value;
         }
     }
-    let holds = |pi: usize, v: NodeId| topo.slot(v).is_some_and(|i| val[pi * slots + i]);
+    let in_scope = |v: NodeId| stamp.get(v.index()) == Some(&generation);
+    let holds = |pi: usize, v: NodeId| in_scope(v) && val[v.index() * np + pi];
     // scope ∩ desc(u), found by walking whichever is shorter: the stored
-    // run (membership = a position probe) or the scope order (membership =
+    // run (membership = the node's stamp) or the scope order (membership =
     // `is_ancestor`, itself a search of the shorter of `anc(d)` / `desc(u)`).
     // A `//` step under the root of a 10²-node scope so costs 10² probes,
     // not the root's whole |V|-long run. The child steps below treat a
@@ -773,14 +806,9 @@ fn eval_plan_with(
         #[cfg(test)]
         tests::STEP_IDS.with(|c| c.set(c.get() + run.len().min(n)));
         if run.len() <= n {
-            out.extend(run.iter().filter(|d| topo.position(*d).is_some()));
+            out.extend(run.iter().filter(|&d| in_scope(d)));
         } else {
-            out.extend(
-                topo.order()
-                    .iter()
-                    .copied()
-                    .filter(|&d| reach.is_ancestor(u, d)),
-            );
+            out.extend(order.iter().copied().filter(|&d| reach.is_ancestor(u, d)));
         }
     };
 
@@ -815,7 +843,7 @@ fn eval_plan_with(
                         // More children than the scope has nodes (the root,
                         // under an anchored head): walk the scope instead.
                         // A child outside it lies on no complete match.
-                        for &d in topo.order() {
+                        for &d in order {
                             if wanted(d) && vs.dag().parents(d).contains(&u) {
                                 edges.push((u, d));
                                 after.insert(d);
@@ -849,6 +877,7 @@ fn eval_plan_with(
         reclaim_records(scratch, records);
         scratch.put_set(cur);
         scratch.val = val;
+        scratch.stamp = stamp;
         return DagEval::default();
     }
     let mut selected: Vec<NodeId> = cur.iter().copied().collect();
@@ -948,6 +977,7 @@ fn eval_plan_with(
     scratch.put_edge_set(matched_edge_set);
     scratch.put_edge_set(final_edges);
     scratch.val = val;
+    scratch.stamp = stamp;
     out
 }
 
@@ -1018,6 +1048,9 @@ mod tests {
         /// source, the shorter of its `desc` run (its child list) and the
         /// scope.
         pub(super) static STEP_IDS: Cell<usize> = const { Cell::new(0) };
+        /// Arena cells (predicate values and scope stamps) evaluations on
+        /// this thread wrote or reset.
+        pub(super) static ARENA_CELLS: Cell<usize> = const { Cell::new(0) };
     }
 
     fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
@@ -1076,9 +1109,15 @@ mod tests {
         }
     }
 
+    /// §3.2 on a scope, as a cost model: the ids the steps examine and the
+    /// arena cells the passes write are the same in a 101-node and a
+    /// 10 001-node star. Clearing the value matrix per evaluation would
+    /// write `np × |id space|` cells here, and fail the second check.
     fn step_work_is_the_same_in_a_small_and_a_large_star(path: &str) {
         let p = parse_xpath(path).unwrap();
         let mut examined = Vec::new();
+        let mut written = Vec::new();
+        let mut bound = 0;
         for n in [20, 2_000] {
             let (vs, topo, reach) = star(n);
             assert_eq!(topo.len(), 5 * n + 1);
@@ -1090,9 +1129,11 @@ mod tests {
             let scope = crate::pathclass::scope_of_anchors(&vs, &topo, &reach, &anchors)
                 .expect("a 6-node cone is worth projecting");
             assert_eq!(scope.len(), 6);
-            let before = STEP_IDS.with(Cell::get);
+            bound = (plan.program.preds.len() + 1) * scope.len();
+            let (ids, cells) = (STEP_IDS.with(Cell::get), ARENA_CELLS.with(Cell::get));
             let scoped = eval_plan(&vs, &scope, &reach, &plan, &bindings);
-            examined.push(STEP_IDS.with(Cell::get) - before);
+            examined.push(STEP_IDS.with(Cell::get) - ids);
+            written.push(ARENA_CELLS.with(Cell::get) - cells);
             assert_eq!(scoped.selected.len(), 1);
         }
         assert_eq!(
@@ -1102,6 +1143,15 @@ mod tests {
         // At most the scope per source: `//` under the root, then a child
         // step from each of its 6 members, then one from the match.
         assert!(examined[0] <= 24, "`{path}`: {} ids", examined[0]);
+        assert_eq!(
+            written[0], written[1],
+            "`{path}`: arena writes grew with the star"
+        );
+        assert!(
+            written[0] <= bound,
+            "`{path}`: {} arena cells past (np + 1) × |scope| = {bound}",
+            written[0]
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::topo::TopoOrder;
 use crate::translate::{apply_delta, rollback_subtree, xdelete, xinsert};
 use crate::update::{SideEffectPolicy, ViewDelta, XmlUpdate};
 use crate::viewstore::ViewStore;
-use rxview_atg::{Atg, PublishError};
+use rxview_atg::{Atg, NodeId, PublishError};
 use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
 use rxview_satsolver::WalkSatConfig;
 use rxview_xmlkit::{validate_delete, validate_insert, SchemaViolation, XmlTree};
@@ -136,9 +136,9 @@ pub struct UpdateReport {
 pub struct Evaluated {
     /// The evaluation.
     pub eval: DagEval,
-    /// Number of nodes in the scope order the passes ran over; `None` when
-    /// they ran over all of `L` (a global path, a cone union too large to
-    /// be worth projecting, or an evaluation whose caller did not say).
+    /// Number of nodes in the scope the passes ran over; `None` when they
+    /// ran over all of `L` (a global path, a cone union too large to be
+    /// worth gathering, or an evaluation whose caller did not say).
     pub scope_nodes: Option<usize>,
 }
 
@@ -320,19 +320,27 @@ impl XmlViewSystem {
     /// held equal to, and its fallback for paths nothing bounds. Runs the
     /// path's compiled plan from the shared cache, like every evaluation.
     pub fn evaluate(&self, path: &rxview_xmlkit::XPath) -> DagEval {
-        self.run_passes(path, &self.topo)
+        self.run_passes(path, self.topo.order())
     }
 
-    /// Evaluates a path with evaluation restricted to the nodes of `scope`
-    /// (typically a projection of `L` onto a descendant-closed cone — see
-    /// [`TopoOrder::from_order`]). Nodes outside the scope never satisfy a
-    /// filter, so the caller must guarantee every possible match lies inside
-    /// the scope; [`XmlViewSystem::scope_of`] builds scopes that do.
-    pub fn evaluate_scoped(&self, path: &rxview_xmlkit::XPath, scope: &TopoOrder) -> DagEval {
+    /// Evaluates a path over the nodes of `scope` only: a subsequence of
+    /// `L` (ascending along [`XmlViewSystem::topo`]) closed under
+    /// descendants, as [`XmlViewSystem::scope_of`] returns. Nodes outside
+    /// the scope never satisfy a filter, so the caller must guarantee every
+    /// possible match lies inside the scope; the scopes `scope_of` builds
+    /// do.
+    pub fn evaluate_scoped(&self, path: &rxview_xmlkit::XPath, scope: &[NodeId]) -> DagEval {
+        debug_assert!(
+            scope.windows(2).all(|w| {
+                let rank = |v| self.topo.position(v).expect("a scope node is in L");
+                rank(w[0]) < rank(w[1])
+            }),
+            "a scope ascends along L"
+        );
         self.run_passes(path, scope)
     }
 
-    fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &TopoOrder) -> DagEval {
+    fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &[NodeId]) -> DagEval {
         let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
         crate::plan::eval_plan(&self.vs, order, &self.reach, &plan, &bindings)
     }
@@ -346,13 +354,12 @@ impl XmlViewSystem {
         plan.class(&bindings)
     }
 
-    /// The evaluation scope of `path` against the current state: the
-    /// projection of `L` onto `{root} ∪ cones` of its resolved anchors
-    /// (ancestor chains included for `//`-headed paths). `None` when the
-    /// full pass is the right evaluation — nothing bounds the path, or its
-    /// cone union is too large a share of `L` to be worth projecting
-    /// ([`scope_of_anchors`]).
-    pub fn scope_of(&self, path: &rxview_xmlkit::XPath) -> Option<TopoOrder> {
+    /// The evaluation scope of `path` against the current state: the nodes
+    /// of `{root} ∪ cones` of its resolved anchors (ancestor chains included
+    /// for `//`-headed paths), in `L` order. `None` when the full pass is
+    /// the right evaluation — nothing bounds the path, or its cone union is
+    /// too large a share of `L` to be worth gathering ([`scope_of_anchors`]).
+    pub fn scope_of(&self, path: &rxview_xmlkit::XPath) -> Option<Vec<NodeId>> {
         scope_of_anchors(&self.vs, &self.topo, &self.reach, &self.anchors_of(path)?)
     }
 
@@ -363,8 +370,8 @@ impl XmlViewSystem {
     }
 
     /// **The** evaluation entry point of writes, reads and replay: resolve
-    /// the path's anchors from the `gen_A` registries, project `L` onto
-    /// their cones, run the §3.2 passes on the projection — or on all of
+    /// the path's anchors from the `gen_A` registries, gather their cones in
+    /// `L` order, run the §3.2 passes on that scope — or on all of
     /// `L` when [`XmlViewSystem::scope_of`] has no scope to offer. Returns
     /// exactly what [`XmlViewSystem::evaluate`] returns (every match of a
     /// classified path lies inside its cones; `tests/scoped_eval.rs` holds

@@ -19,15 +19,14 @@
 //! one-update splice or removal so writes `O(∆L)` labels amortised (times
 //! `log |L|` at worst, at a hot spot), not the suffix of `L` behind it; the order vector itself still shifts its tail
 //! (one `memmove`). Labels are ranks, not indices: [`TopoOrder::position`]
-//! compares, [`TopoOrder::index_of`] finds a node in [`TopoOrder::order`]
-//! by binary search, and [`TopoOrder::slot`] gives evaluation a dense index.
+//! compares, and [`TopoOrder::index_of`] finds a node in
+//! [`TopoOrder::order`] by binary search.
 //!
-//! Small projections of `L` (evaluation scopes, which are never edited)
-//! keep a hash map from node to index instead, since their ids span the
-//! whole id space and a dense table would cost an `O(max id)` fill.
+//! `L` has this one form. An evaluation scope is a plain subsequence of
+//! [`TopoOrder::order`] (`pathclass::union_scope`), and the evaluator
+//! indexes its per-node arrays by node id, so nothing indexes a scope.
 
 use rxview_atg::{Dag, NodeId};
-use std::collections::HashMap;
 
 /// Label sentinel for nodes not present in `L`.
 const ABSENT: u32 = u32::MAX;
@@ -45,27 +44,12 @@ thread_local! {
     static LABEL_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Position lookup: order labels for the maintained full `L`, indices for
-/// small scoped projections.
-#[derive(Debug, Clone)]
-enum PosMap {
-    /// Gapped order labels indexed by node id ([`ABSENT`] = not in `L`).
-    Labels(Vec<u32>),
-    /// Index in `order` per node, for projections whose ids are sparse.
-    Sparse(HashMap<NodeId, u32>),
-}
-
-impl Default for PosMap {
-    fn default() -> Self {
-        PosMap::Labels(Vec::new())
-    }
-}
-
 /// The maintained topological order.
 #[derive(Debug, Clone, Default)]
 pub struct TopoOrder {
     order: Vec<NodeId>,
-    pos: PosMap,
+    /// Gapped order labels indexed by node id ([`ABSENT`] = not in `L`).
+    labels: Vec<u32>,
 }
 
 /// Whether a label block of `2^level` labels may hold `count` nodes.
@@ -92,33 +76,18 @@ impl TopoOrder {
         TopoOrder::from_order(order)
     }
 
-    /// Builds an order directly from a node list, which must already be
-    /// topologically sorted (descendants before ancestors).
-    ///
-    /// This is the entry point for *scoped* evaluation: the serving engine
-    /// restricts XPath evaluation of a key-anchored update to the anchor's
-    /// cone by projecting the maintained `L` onto `{root} ∪ {anchor} ∪
-    /// desc(anchor)` — a subset closed under descendants, so the projection
-    /// of a valid order is itself valid for the sub-DAG.
+    /// Labels a full order, which must already be topologically sorted
+    /// (descendants before ancestors): `L` as publication computed it, or
+    /// as a checkpoint stored it. The labels are spread evenly over the
+    /// label space.
     pub fn from_order(order: Vec<NodeId>) -> Self {
         let width = order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
-        // Labels only when the ids are reasonably packed (the maintained
-        // full L); a sparse projection pays a hash map instead of an
-        // `O(max id)` fill.
-        if width <= 4 * order.len() {
-            let mut l = TopoOrder {
-                order,
-                pos: PosMap::Labels(vec![ABSENT; width]),
-            };
-            l.spread(0, l.order.len(), 0, SPACE);
-            l
-        } else {
-            let index = order.iter().enumerate().map(|(i, &n)| (n, i as u32));
-            TopoOrder {
-                pos: PosMap::Sparse(index.collect()),
-                order,
-            }
-        }
+        let mut l = TopoOrder {
+            order,
+            labels: vec![ABSENT; width],
+        };
+        l.spread(0, l.order.len(), 0, SPACE);
+        l
     }
 
     /// The order `L` (index 0 = first = descendant-most).
@@ -140,83 +109,34 @@ impl TopoOrder {
     /// `position(u) < position(v)` iff `u` precedes `v`. A rank is not an
     /// index ([`TopoOrder::index_of`] is).
     pub fn position(&self, v: NodeId) -> Option<u64> {
-        match &self.pos {
-            PosMap::Labels(labels) => labels
-                .get(v.index())
-                .copied()
-                .filter(|&l| l != ABSENT)
-                .map(u64::from),
-            PosMap::Sparse(index) => index.get(&v).map(|&i| u64::from(i)),
-        }
+        self.labels
+            .get(v.index())
+            .copied()
+            .filter(|&l| l != ABSENT)
+            .map(u64::from)
     }
 
     /// The index of `v` in [`TopoOrder::order`] — a binary search over the
     /// labels.
     pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        match &self.pos {
-            PosMap::Labels(_) => {
-                let p = self.position(v)?;
-                Some(self.order.partition_point(|&n| self.label(n) < p))
-            }
-            PosMap::Sparse(index) => index.get(&v).map(|&i| i as usize),
-        }
+        let p = self.position(v)?;
+        Some(self.order.partition_point(|&n| self.label(n) < p))
     }
 
-    /// A dense index for `v` below [`TopoOrder::n_slots`], for per-node
-    /// arrays over `L` (the evaluator's value matrix): the node id's index
-    /// under labels, the index in `order` for a sparse projection. `None`
-    /// when `v` is not in `L`.
-    #[inline]
-    pub fn slot(&self, v: NodeId) -> Option<usize> {
-        match &self.pos {
-            PosMap::Labels(labels) => match labels.get(v.index()) {
-                Some(&l) if l != ABSENT => Some(v.index()),
-                _ => None,
-            },
-            PosMap::Sparse(index) => index.get(&v).map(|&i| i as usize),
-        }
-    }
-
-    /// The bound of [`TopoOrder::slot`].
-    pub fn n_slots(&self) -> usize {
-        match &self.pos {
-            PosMap::Labels(labels) => labels.len(),
-            PosMap::Sparse(_) => self.order.len(),
-        }
-    }
-
-    /// The label of a node known to be in `L` (labels only).
+    /// The label of a node known to be in `L`.
     #[inline]
     fn label(&self, v: NodeId) -> u64 {
-        match &self.pos {
-            PosMap::Labels(labels) => u64::from(labels[v.index()]),
-            PosMap::Sparse(index) => u64::from(index[&v]),
-        }
-    }
-
-    fn labels_mut(&mut self) -> &mut Vec<u32> {
-        if let PosMap::Sparse(_) = self.pos {
-            // The first edit of a projection labels it; nothing edits one in
-            // practice.
-            let width = self.order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
-            self.pos = PosMap::Labels(vec![ABSENT; width]);
-            self.spread(0, self.order.len(), 0, SPACE);
-        }
-        match &mut self.pos {
-            PosMap::Labels(labels) => labels,
-            PosMap::Sparse(_) => unreachable!("labelled above"),
-        }
+        u64::from(self.labels[v.index()])
     }
 
     /// Sets `v`'s label; `label` is below [`SPACE`] or is [`ABSENT`].
     fn set_label(&mut self, v: NodeId, label: u64) {
         #[cfg(test)]
         LABEL_WRITES.with(|c| c.set(c.get() + 1));
-        let labels = self.labels_mut();
-        if v.index() >= labels.len() {
-            labels.resize(v.index() + 1, ABSENT);
+        if v.index() >= self.labels.len() {
+            self.labels.resize(v.index() + 1, ABSENT);
         }
-        labels[v.index()] = label as u32;
+        self.labels[v.index()] = label as u32;
     }
 
     /// Labels `order[from..to]` evenly over the labels `[base, end)`.
@@ -266,7 +186,6 @@ impl TopoOrder {
         }
         at.sort_unstable();
         at.dedup();
-        self.labels_mut();
         for &i in &at {
             let v = self.order[i];
             self.set_label(v, ABSENT.into());
@@ -297,7 +216,6 @@ impl TopoOrder {
         if nodes.is_empty() {
             return;
         }
-        self.labels_mut();
         let k = nodes.len();
         self.order.splice(at..at, nodes.iter().copied());
         let lower = match at {
@@ -445,21 +363,6 @@ mod tests {
         assert_eq!(l.len(), 64 + 9000);
         assert_ranked(&l);
         assert_eq!(l.order()[l.len() - 1], NodeId(66 + 3 * 2999));
-    }
-
-    #[test]
-    fn a_projection_answers_slots_and_labels_on_its_first_edit() {
-        let mut l = TopoOrder::from_order(vec![NodeId(5000), NodeId(3), NodeId(90_000)]);
-        assert_eq!(l.n_slots(), 3);
-        assert_eq!(l.slot(NodeId(90_000)), Some(2));
-        assert_eq!(l.slot(NodeId(4)), None);
-        l.insert_at(1, NodeId(7));
-        assert_eq!(
-            l.order(),
-            [NodeId(5000), NodeId(7), NodeId(3), NodeId(90_000)]
-        );
-        assert_ranked(&l);
-        assert_eq!(l.slot(NodeId(90_000)), Some(90_000));
     }
 
     #[test]

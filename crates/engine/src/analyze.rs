@@ -29,7 +29,7 @@
 use rxview_atg::{generate_subtree, NodeId, Provisional};
 use rxview_core::{
     planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps, Anchors, Evaluated,
-    RelFootprint, SubStep, TopoOrder, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
+    RelFootprint, SubStep, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
 };
 use rxview_relstore::Tuple;
 use rxview_xmlkit::{TypeId, XPath};
@@ -440,10 +440,9 @@ impl BatchFootprint {
     /// updates deferred past the batch passes `false` — an update never
     /// overtakes an earlier one it might conflict with.
     pub fn check(&self, a: &Analysis, optimistic: bool) -> Verdict {
-        if self.global || a.cone.is_none() {
+        let Some(cone) = a.cone.as_ref().filter(|_| !self.global) else {
             return Verdict::Conflict;
-        }
-        let cone = a.cone.as_ref().expect("checked above");
+        };
         match &a.sub {
             Some(sub) => {
                 // Eligible: a whole-cone member's overlap is fatal; an
@@ -508,12 +507,12 @@ impl BatchFootprint {
 }
 
 /// The evaluation scope of `path` against the *current* state of `sys`
-/// ([`XmlViewSystem::scope_of`]): the projection of `L` onto `{root} ∪
-/// cones` (ancestor chains included for `//`-headed paths). Returns `None`
-/// when the full pass is the right evaluation — the path stays global, or
-/// its cone union is too large a share of `L` to be worth projecting — in
-/// which case the caller must run the full evaluation.
-pub fn evaluation_scope(sys: &XmlViewSystem, path: &XPath) -> Option<TopoOrder> {
+/// ([`XmlViewSystem::scope_of`]): the nodes of `{root} ∪ cones` (ancestor
+/// chains included for `//`-headed paths) in `L` order. Returns `None` when
+/// the full pass is the right evaluation — the path stays global, or its
+/// cone union is too large a share of `L` to be worth gathering — in which
+/// case the caller must run the full evaluation.
+pub fn evaluation_scope(sys: &XmlViewSystem, path: &XPath) -> Option<Vec<NodeId>> {
     sys.scope_of(path)
 }
 

@@ -20,7 +20,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Bound of the admission queue: [`Engine::submit`] returns
@@ -204,9 +204,17 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// The latest snapshot without counting as a reader acquisition
-    /// (internal commit-path use).
+    /// (internal commit-path use). The lock guards one pointer swap, which
+    /// a panic cannot leave half done, so a poisoned lock is taken as it is.
     pub(crate) fn current(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snapshot.read().expect("snapshot lock poisoned"))
+        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The admission queue. Each edit of it is one `push` or one `take`,
+    /// so a panic cannot leave it torn, and a poisoned lock is taken as it
+    /// is.
+    fn queue(&self) -> MutexGuard<'_, Vec<Pending>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends the replay-log record for the epoch the *next* [`Inner::publish`]
@@ -239,7 +247,10 @@ impl Inner {
         self.stats.record_state(&sys);
         let snap = Arc::new(Snapshot::new(sys, epoch));
         let displaced = {
-            let mut guard = self.snapshot.write().expect("snapshot lock poisoned");
+            let mut guard = self
+                .snapshot
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *guard, Arc::clone(&snap))
         };
         drop(displaced);
@@ -476,7 +487,7 @@ impl Engine {
     /// ```
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.inner.stats.snapshot_reads.incr();
-        Arc::clone(&self.inner.snapshot.read().expect("snapshot lock poisoned"))
+        self.inner.current()
     }
 
     /// Engine counters.
@@ -547,7 +558,7 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         let submitted_at = Instant::now();
         {
-            let mut queue = self.inner.queue.lock().expect("queue lock poisoned");
+            let mut queue = self.inner.queue();
             if queue.len() >= MAX_QUEUE {
                 return Err(EngineError::Saturated);
             }
@@ -589,7 +600,7 @@ impl Engine {
     pub fn commit_pending(&self) -> CommitSummary {
         let _guard = self.inner.commit_mx.lock().expect("commit lock poisoned");
         let pending: Vec<Pending> = {
-            let mut queue = self.inner.queue.lock().expect("queue lock poisoned");
+            let mut queue = self.inner.queue();
             std::mem::take(&mut *queue)
         };
         if pending.is_empty() {

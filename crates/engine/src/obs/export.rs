@@ -15,7 +15,7 @@ use crate::stats::EngineStats;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 fn push_histogram_json(out: &mut String, h: &HistogramSnapshot) {
@@ -93,6 +93,14 @@ struct ExporterSignal {
     cv: Condvar,
 }
 
+impl ExporterSignal {
+    /// The stop flag. A `bool` cannot be left torn, so a poisoned lock is
+    /// taken as it is.
+    fn stopped(&self) -> MutexGuard<'_, bool> {
+        self.stopped.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The periodic JSONL exporter thread (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Exporter {
@@ -123,15 +131,12 @@ impl Exporter {
                 let mut warned = false;
                 loop {
                     let stopped = {
-                        let guard = thread_signal
-                            .stopped
-                            .lock()
-                            .expect("exporter lock poisoned");
-                        let (guard, _) = thread_signal
-                            .cv
-                            .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                            .expect("exporter lock poisoned");
-                        *guard
+                        let guard = thread_signal.stopped();
+                        let waited =
+                            thread_signal
+                                .cv
+                                .wait_timeout_while(guard, interval, |stopped| !*stopped);
+                        *waited.unwrap_or_else(PoisonError::into_inner).0
                     };
                     let at = u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
                     let line = snapshot_json(&stats.metrics(), at);
@@ -175,7 +180,7 @@ fn append_line(path: &Path, line: &str) -> io::Result<()> {
 impl Drop for Exporter {
     fn drop(&mut self) {
         {
-            let mut stopped = self.signal.stopped.lock().expect("exporter lock poisoned");
+            let mut stopped = self.signal.stopped();
             *stopped = true;
             self.signal.cv.notify_one();
         }

@@ -16,7 +16,7 @@
 use super::json::{push_f64, push_str_escaped};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One field of a structured event.
@@ -136,10 +136,17 @@ impl FlightRecorder {
         }
     }
 
+    /// The ring. Every edit of it is a counter bump, a `pop_front` or a
+    /// `push_back`, none of which a panic leaves half done, so a poisoned
+    /// lock is taken as it is.
+    fn state(&self) -> MutexGuard<'_, RecorderState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one event, evicting the oldest if the ring is full.
     pub fn record(&self, kind: &'static str, fields: Vec<(&'static str, FieldValue)>) {
         let at_micros = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let mut st = self.state.lock().expect("recorder lock poisoned");
+        let mut st = self.state();
         let seq = st.next_seq;
         st.next_seq += 1;
         if st.ring.len() == self.capacity {
@@ -156,11 +163,7 @@ impl FlightRecorder {
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("recorder lock poisoned")
-            .ring
-            .len()
+        self.state().ring.len()
     }
 
     /// Whether nothing has been recorded (or everything was evicted).
@@ -170,18 +173,12 @@ impl FlightRecorder {
 
     /// Events that fell off the ring since creation.
     pub fn evicted(&self) -> u64 {
-        self.state.lock().expect("recorder lock poisoned").evicted
+        self.state().evicted
     }
 
     /// A copy of the retained window, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.state
-            .lock()
-            .expect("recorder lock poisoned")
-            .ring
-            .iter()
-            .cloned()
-            .collect()
+        self.state().ring.iter().cloned().collect()
     }
 
     /// The retained window as JSONL (one event object per line, oldest

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a blocked coordinator (or a waiting test) tolerates a gate
@@ -55,7 +55,7 @@ pub struct StageHooks {
 
 impl fmt::Debug for StageHooks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.inner.0.lock().expect("stage hooks poisoned");
+        let state = self.state();
         f.debug_struct("StageHooks")
             .field("held", &state.held)
             .field("arrivals", &state.arrivals)
@@ -69,73 +69,62 @@ impl StageHooks {
         StageHooks::default()
     }
 
+    /// The gate state. A panic while it is held (a gate timeout) leaves
+    /// it whole — each edit is one set or map operation — so a poisoned
+    /// lock is taken as it is.
+    fn state(&self) -> MutexGuard<'_, HookState> {
+        self.inner.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on the gate condition for at most one poll interval.
+    fn wait<'a>(&self, state: MutexGuard<'a, HookState>) -> MutexGuard<'a, HookState> {
+        let waited = self.inner.1.wait_timeout(state, Duration::from_millis(50));
+        waited.unwrap_or_else(PoisonError::into_inner).0
+    }
+
     /// Engine side: record an arrival at `stage`, then block while the
     /// stage's gate is held. Panics (failing the test, not hanging it) if
     /// the gate stays held past the timeout.
     pub(crate) fn reached(&self, stage: Stage) {
-        let (lock, cv) = &*self.inner;
-        let mut state = lock.lock().expect("stage hooks poisoned");
+        let mut state = self.state();
         *state.arrivals.entry(stage).or_insert(0) += 1;
-        cv.notify_all();
+        self.inner.1.notify_all();
         let t0 = Instant::now();
         while state.held.contains(&stage) {
             assert!(
                 t0.elapsed() < GATE_TIMEOUT,
                 "stage gate {stage:?} held past {GATE_TIMEOUT:?} — missing release?"
             );
-            let (guard, _) = cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("stage hooks poisoned");
-            state = guard;
+            state = self.wait(state);
         }
     }
 
     /// Test side: hold `stage`'s gate — the next coordinator arrival there
     /// blocks until [`StageHooks::release`].
     pub fn hold(&self, stage: Stage) {
-        let (lock, cv) = &*self.inner;
-        lock.lock()
-            .expect("stage hooks poisoned")
-            .held
-            .insert(stage);
-        cv.notify_all();
+        self.state().held.insert(stage);
+        self.inner.1.notify_all();
     }
 
     /// Test side: release `stage`'s gate, unblocking a coordinator waiting
     /// there (idempotent).
     pub fn release(&self, stage: Stage) {
-        let (lock, cv) = &*self.inner;
-        lock.lock()
-            .expect("stage hooks poisoned")
-            .held
-            .remove(&stage);
-        cv.notify_all();
+        self.state().held.remove(&stage);
+        self.inner.1.notify_all();
     }
 
     /// How many times the coordinator has arrived at `stage` (arrivals are
     /// counted before any blocking, so a coordinator parked on a held gate
     /// has already been counted).
     pub fn arrivals(&self, stage: Stage) -> u64 {
-        let (lock, _) = &*self.inner;
-        *self
-            .inner
-            .0
-            .lock()
-            .expect("stage hooks poisoned")
-            .arrivals
-            .get(&stage)
-            .unwrap_or(&{
-                let _ = lock;
-                0
-            })
+        self.state().arrivals.get(&stage).copied().unwrap_or(0)
     }
 
     /// Test side: block until `stage` has been arrived at `count` times in
     /// total. Panics after the gate timeout — a schedule that never gets
     /// there is a failed test, not a hung one.
     pub fn wait_arrivals(&self, stage: Stage, count: u64) {
-        let (lock, cv) = &*self.inner;
-        let mut state = lock.lock().expect("stage hooks poisoned");
+        let mut state = self.state();
         let t0 = Instant::now();
         while state.arrivals.get(&stage).copied().unwrap_or(0) < count {
             assert!(
@@ -143,10 +132,7 @@ impl StageHooks {
                 "stage {stage:?} never reached {count} arrivals ({} so far)",
                 state.arrivals.get(&stage).copied().unwrap_or(0)
             );
-            let (guard, _) = cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("stage hooks poisoned");
-            state = guard;
+            state = self.wait(state);
         }
     }
 }

@@ -590,7 +590,7 @@ mod tests {
             // Twice: a cold and a warm (scratch-reusing) execution.
             for _ in 0..2 {
                 let (plan, bindings) = cache.plan(dtd, &p);
-                let got = eval_plan(&vs, &topo, &reach, &plan, &bindings);
+                let got = eval_plan(&vs, topo.order(), &reach, &plan, &bindings);
                 assert_eq!(got.selected, reference.selected, "selected on `{path}`");
                 assert_eq!(
                     got.edge_parents, reference.edge_parents,

@@ -1,16 +1,28 @@
 //! A ratchet for the top-level docs (ROADMAP item 11(a)): ARCHITECTURE.md's
-//! size is pinned and only goes down — a change that adds prose removes as
-//! much elsewhere, and one that removes more lowers the pin — and every
-//! `crates/…` path that ARCHITECTURE.md, README.md or ROADMAP.md cites
-//! exists, so a change that deletes or moves a file cannot leave a citation
-//! of it behind.
+//! size, its sections titled by PR number and its stub sections are pinned
+//! and only go down — a change that adds prose removes as much elsewhere,
+//! and one that removes more lowers the pin — every `crates/…` path that
+//! ARCHITECTURE.md, README.md or ROADMAP.md cites exists, so a change that
+//! deletes or moves a file cannot leave a citation of it behind, and every
+//! ROADMAP item cited in code or docs is one ROADMAP.md lists.
 
 use std::path::Path;
 
 /// ARCHITECTURE.md's size in bytes.
-const ARCHITECTURE_BYTES: usize = 93_236;
+const ARCHITECTURE_BYTES: usize = 93_167;
+
+/// ARCHITECTURE.md's `## ` sections titled by PR number ("…, PR 8: …").
+const PR_TITLED_SECTIONS: usize = 2;
+
+/// ARCHITECTURE.md's `## ` sections with fewer than three lines of body —
+/// a pointer to another section, not a description.
+const STUB_SECTIONS: usize = 1;
 
 const CITING: [&str; 3] = ["ARCHITECTURE.md", "README.md", "ROADMAP.md"];
+
+/// Where ROADMAP items are cited besides [`CITING`]: every `.rs` / `.md`
+/// file under these directories. CHANGES.md is history and is not read.
+const ITEM_CITING_DIRS: [&str; 2] = ["crates", "tests"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -26,6 +38,148 @@ fn architecture_md_only_shrinks() {
     assert!(
         bytes == ARCHITECTURE_BYTES,
         "ARCHITECTURE.md shrank to {bytes} B: lower its pin from {ARCHITECTURE_BYTES}"
+    );
+}
+
+/// ARCHITECTURE.md's `## ` sections: title and non-blank body lines.
+fn sections(text: &str) -> Vec<(&str, usize)> {
+    let mut out: Vec<(&str, usize)> = Vec::new();
+    for line in text.lines() {
+        if let Some(title) = line.strip_prefix("## ") {
+            out.push((title, 0));
+        } else if let Some(last) = out.last_mut() {
+            last.1 += usize::from(!line.trim().is_empty());
+        }
+    }
+    out
+}
+
+/// Whether a section title names a PR: "PR" followed by a number.
+fn titled_by_pr(title: &str) -> bool {
+    title
+        .match_indices("PR ")
+        .any(|(at, _)| title[at + 3..].starts_with(|c: char| c.is_ascii_digit()))
+}
+
+#[test]
+fn architecture_sections_by_pr_and_stubs_only_go_down() {
+    let text = std::fs::read_to_string(root().join("ARCHITECTURE.md")).unwrap();
+    let sections = sections(&text);
+    assert!(sections.len() > 10, "only {} sections", sections.len());
+    let count = |keep: &dyn Fn(&(&str, usize)) -> bool| {
+        let hits: Vec<&str> = sections.iter().filter(|s| keep(s)).map(|s| s.0).collect();
+        (hits.len(), hits)
+    };
+    for (what, pin, (found, titles)) in [
+        (
+            "sections titled by PR number",
+            PR_TITLED_SECTIONS,
+            count(&|s| titled_by_pr(s.0)),
+        ),
+        ("stub sections", STUB_SECTIONS, count(&|s| s.1 < 3)),
+    ] {
+        assert!(
+            found <= pin,
+            "ARCHITECTURE.md gained {what}: {found} > {pin} ({titles:?})"
+        );
+        assert!(
+            found == pin,
+            "ARCHITECTURE.md has {found} {what}: lower its pin from {pin}"
+        );
+    }
+}
+
+/// The number `s` starts with, and what follows it.
+fn leading_number(s: &str) -> Option<(u32, &str)> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    Some((s[..end].parse().ok()?, &s[end..]))
+}
+
+/// The item numbers ROADMAP.md lists: each numbered item (`N. **…`) and
+/// each entry of its "Closed so far" list (`- N (…`).
+fn listed_items(roadmap: &str) -> Vec<u32> {
+    roadmap
+        .lines()
+        .filter_map(|line| match leading_number(line) {
+            Some((n, rest)) if rest.starts_with(". **") => Some(n),
+            _ => match leading_number(line.strip_prefix("- ")?) {
+                Some((n, rest)) if rest.starts_with(" (") => Some(n),
+                _ => None,
+            },
+        })
+        .collect()
+}
+
+/// The ROADMAP item numbers a line cites: `ROADMAP item N…` and
+/// `ROADMAP N(x)`.
+fn cited_items(line: &str) -> Vec<u32> {
+    line.match_indices("ROADMAP ")
+        .filter_map(|(at, m)| {
+            let rest = &line[at + m.len()..];
+            let rest = rest.strip_prefix("item ").unwrap_or(rest);
+            Some(leading_number(rest)?.0)
+        })
+        .collect()
+}
+
+/// Every `.rs` and `.md` file under `dir`, `target` directories skipped.
+fn text_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                text_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn every_cited_roadmap_item_is_listed() {
+    let listed = listed_items(&std::fs::read_to_string(root().join("ROADMAP.md")).unwrap());
+    assert!(listed.len() > 15, "only {} items listed", listed.len());
+    let mut files: Vec<_> = CITING.iter().map(|f| root().join(f)).collect();
+    for dir in ITEM_CITING_DIRS {
+        text_files(&root().join(dir), &mut files);
+    }
+    let (mut checked, mut unlisted) = (0, Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for item in cited_items(line) {
+                checked += 1;
+                if !listed.contains(&item) {
+                    let name = file.strip_prefix(root()).unwrap().display();
+                    unlisted.push(format!("{name}:{}: item {item}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 20, "only {checked} item citations found");
+    assert!(
+        unlisted.is_empty(),
+        "ROADMAP items cited but not listed:\n{}",
+        unlisted.join("\n")
+    );
+}
+
+#[test]
+fn items_and_sections_are_read_as_written() {
+    assert_eq!(
+        cited_items("(ROADMAP item 6a; ROADMAP 4(h), ROADMAP's x, ROADMAP item)"),
+        [6, 4]
+    );
+    assert_eq!(
+        listed_items("1. **A.**\n2. x\n- 5 (done);\n- 18 (a) and 19 (b)\n17. **B.**"),
+        [1, 5, 18, 17]
+    );
+    assert!(titled_by_pr("8. Compiled update plans, PR 8: a cache"));
+    assert!(!titled_by_pr("11. Evaluation cost model: PRs"));
+    assert_eq!(
+        sections("# A\n## 1. x\n\none\ntwo\n## 2. y\n"),
+        [("1. x", 2), ("2. y", 0)]
     );
 }
 

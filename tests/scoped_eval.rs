@@ -1,8 +1,8 @@
 //! The oracle for scope-resolved evaluation — one that does not share the
 //! optimisation. Reads (`Snapshot::eval`), `XmlViewSystem::apply` and with
 //! it recovery replay all evaluate through `XmlViewSystem::eval`: resolve
-//! the path's anchors from the `gen_A` registries, project `L` onto their
-//! cones, run the §3.2 passes on the projection. This file holds that entry
+//! the path's anchors from the `gen_A` registries, gather their cones in
+//! `L` order, run the §3.2 passes on that scope. This file holds that entry
 //! point equal to the full pass over all of `L` (`XmlViewSystem::evaluate`)
 //! on every field of the result, and `apply` equal to the paper's
 //! one-at-a-time algorithm — §3.2 verbatim over all of `L` →
@@ -28,6 +28,9 @@
 //!   (a leading filter step classifies `Global`), so the evaluation result
 //!   survives; what fails is the scope's stated shape — `root in scope` in
 //!   `assert_same_eval`, on the first anchored path.
+//!
+//! It also holds a checkpoint of a view whose id space is mostly free to
+//! the system it was taken from (`a_sparse_id_space_decodes_whole`).
 //! - *skipping the top-level filter on anchored probes* (`candidates`
 //!   without the `parents(c).contains(&root)` test): `node[id=c]` for an
 //!   inner node `c` anchors at `c` — evaluation stays exact (the scope only
@@ -40,11 +43,14 @@ mod common;
 use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic};
 use proptest::prelude::*;
 use rxview::core::{
-    classify, resolve_anchors, SideEffectPolicy, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
+    classify, decode_system, encode_system, resolve_anchors, SideEffectPolicy, XmlUpdate,
+    XmlViewSystem, MAX_CONE_ANCHORS,
 };
+use rxview::relstore::{tuple, Reader};
 use rxview::workload::{
     base_fingerprint, edge_fingerprint, mixed_updates, WorkloadClass, WorkloadGen,
 };
+use rxview::workload::{registrar_atg, registrar_database};
 use rxview::xmlkit::parse_xpath;
 use rxview_reference::reference_apply;
 
@@ -54,9 +60,9 @@ const GROUP_SIZE: i64 = 40;
 /// What the scope-aware entry point is expected to have run on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ran {
-    /// A projection of `L` (any size).
+    /// A scope, a subsequence of `L` (any size).
     Scoped,
-    /// A projection holding the root alone: the anchor set is empty.
+    /// A scope holding the root alone: the anchor set is empty.
     RootOnly,
     /// All of `L`.
     Full,
@@ -91,7 +97,7 @@ fn assert_same_eval(sys: &XmlViewSystem, path: &str, ran: Ran, ctx: &str) {
     );
     if let Some(scope) = &scope {
         let root = sys.view().dag().root();
-        assert!(scope.position(root).is_some(), "root in scope, `{path}`");
+        assert!(scope.contains(&root), "root in scope, `{path}`");
         let class = classify(sys.view().atg().dtd(), &p);
         let anchors = resolve_anchors(sys.view(), &class, MAX_CONE_ANCHORS, None)
             .expect("a scope has anchors");
@@ -360,6 +366,65 @@ fn scoped_eval_equals_the_full_pass() {
     }
     check_registrar_paths(&reg, "after three updates");
     assert_same_state(&reg, &reg_oracle, "registrar");
+}
+
+fn system_bytes(sys: &XmlViewSystem) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_system(sys, &mut bytes);
+    bytes
+}
+
+/// A checkpoint of a view whose id space is mostly free — live ids spanning
+/// more than four times the live nodes — decodes into the one form of `L`: it is
+/// consistent, its scoped evaluation equals its full pass, and an anchored
+/// insert folds into it exactly as into the system it was taken from.
+#[test]
+fn a_sparse_id_space_decodes_whole() {
+    const EXTRA: usize = 60;
+    let mut db = registrar_database();
+    for i in 0..EXTRA {
+        db.insert("course", tuple![format!("X{i}"), format!("T{i}"), "CS"])
+            .unwrap();
+    }
+    let atg = registrar_atg(&db).expect("valid ATG");
+    let mut sys = XmlViewSystem::new(atg, db).expect("publishes");
+    for i in 0..EXTRA {
+        let u = XmlUpdate::delete(&format!("course[cno=X{i}]")).expect("parses");
+        sys.apply(&u, SideEffectPolicy::Abort)
+            .unwrap_or_else(|e| panic!("`{u}`: {e}"));
+    }
+    // The ids `L` holds span more than four times its length.
+    let span = |sys: &XmlViewSystem| {
+        let genid = sys.view().dag().genid();
+        let top = genid.live_ids().map(|v| v.index() + 1).max().unwrap_or(0);
+        (top, genid.n_live())
+    };
+    let (top, live) = span(&sys);
+    assert!(top > 4 * live, "ids up to {top} for {live} live nodes");
+
+    let bytes = system_bytes(&sys);
+    let mut decoded = decode_system(sys.view().atg(), &mut Reader::new(&bytes)).expect("decodes");
+    assert_eq!(span(&decoded), (top, live), "ids stay sparse");
+    decoded.consistency_check().unwrap();
+    assert_eq!(system_bytes(&decoded), bytes);
+    check_registrar_paths(&decoded, "decoded from a sparse id space");
+
+    let insert = XmlUpdate::insert(
+        "course",
+        tuple!["MA200", "Algebra"],
+        "course[cno=CS240]/prereq",
+    )
+    .expect("parses");
+    let want = sys.apply(&insert, SideEffectPolicy::Proceed).unwrap();
+    let got = decoded.apply(&insert, SideEffectPolicy::Proceed).unwrap();
+    assert!(got.scope_nodes.is_some(), "the insert evaluated scoped");
+    let fold = |r: &rxview::core::UpdateReport| {
+        let m = &r.maintain;
+        (m.m_inserted, m.m_removed, m.gc_nodes, m.cascaded_edges)
+    };
+    assert_eq!(fold(&got), fold(&want), "fold");
+    assert_eq!(system_bytes(&decoded), system_bytes(&sys), "(I, V, M, L)");
+    decoded.consistency_check().unwrap();
 }
 
 proptest! {
