@@ -3,8 +3,10 @@
 //! nodes and edges that decide XML side effects — a side effect exists iff
 //! a matched node has an *unmatched* incoming DAG edge, i.e. the affected
 //! subtree also occurs in the tree at positions `p` does not select (§2.1).
-//! [`crate::plan::eval_plan`] computes it; `rxview_reference::eval` is the
-//! §3.2 transcription it is held equal to.
+//! [`crate::plan::eval_plan`] computes it — a complete match through a `//`
+//! step is where that step's suffix predicate holds, looked up, not an
+//! intersection of `M` runs — and `rxview_reference::eval` is the §3.2
+//! transcription it is held equal to.
 
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;

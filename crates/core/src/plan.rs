@@ -11,9 +11,11 @@
 //! [`TranslationTemplates`] registry): the plan carries the slotted
 //! [`PathClass`] (filter-key values abstracted into binding slots) and the
 //! compiled predicate program; per call the engine only re-derives the
-//! *bindings* — the literal values — and executes the program through a
-//! thread-local scratch arena that reuses every working allocation of the
-//! forward/backward passes.
+//! *bindings* — the literal values — and executes the program over a
+//! thread-local predicate value matrix (`EvalScratch`). From its first
+//! `//` on, a path's steps compile into suffix predicates, so the backward
+//! pass prunes a `//` step by lookups in that matrix: evaluation reads `M`
+//! only for the forward `//` closure, and hashes nothing.
 //!
 //! **Cache key.** The key is the path's shape: its serialized AST with every
 //! `p = "s"` literal replaced by `?`. Two paths with the same shape share
@@ -52,7 +54,7 @@ use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::{Dtd, TypeId};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -267,8 +269,10 @@ pub(crate) enum PStep {
     Label(Option<TypeId>),
     /// Child step on `*`.
     Wildcard,
-    /// `//`.
-    Desc,
+    /// `//`, with its suffix predicate — "this step and the rest of the
+    /// path match at or below the node", a `SuffixDesc` — and that of the
+    /// steps after it.
+    Desc { suffix: usize, next: usize },
 }
 
 /// The executable program: resolved steps plus the predicate table the
@@ -390,14 +394,41 @@ impl UpdatePlan {
             dtd,
             preds: Vec::new(),
         };
-        let mut steps = Vec::with_capacity(norm.steps.len());
-        for step in &norm.steps {
-            steps.push(match step {
+        let mut steps: Vec<PStep> = norm
+            .steps
+            .iter()
+            .map(|step| match step {
                 NormStep::FilterStep(f) => PStep::Filter(compiler.compile_filter(f)),
                 NormStep::Label(name) => PStep::Label(dtd.type_id(name)),
                 NormStep::Wildcard => PStep::Wildcard,
-                NormStep::DescendantOrSelf => PStep::Desc,
-            });
+                NormStep::DescendantOrSelf => PStep::Desc { suffix: 0, next: 0 },
+            })
+            .collect();
+        // From the first `//` on, the steps compile into the suffix chain a
+        // filter path compiles into, so the bottom-up pass also decides at
+        // every node whether the rest of the path matches at or below it —
+        // what the backward pass looks up to prune a `//` step. A top-level
+        // filter step's chain link reuses the predicate the step holds.
+        if let Some(first) = steps.iter().position(|s| matches!(s, PStep::Desc { .. })) {
+            let mut rest = compiler.push(PPred::True);
+            for step in steps[first..].iter_mut().rev() {
+                rest = match step {
+                    PStep::Filter(filter) => compiler.push(PPred::SuffixFilter {
+                        filter: *filter,
+                        next: rest,
+                    }),
+                    PStep::Label(ty) => compiler.push(PPred::SuffixLabel {
+                        ty: *ty,
+                        next: rest,
+                    }),
+                    PStep::Wildcard => compiler.push(PPred::SuffixWildcard { next: rest }),
+                    PStep::Desc { suffix, next } => {
+                        *next = rest;
+                        *suffix = compiler.push(PPred::SuffixDesc { next: rest });
+                        *suffix
+                    }
+                };
+            }
         }
         UpdatePlan {
             shape,
@@ -580,14 +611,13 @@ impl PlanCache {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation-reusing plan execution.
+// Plan execution.
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch arena for [`eval_plan`]: the predicate value matrix
-/// and pools for the forward/backward working sets. Steady state, an
-/// evaluation performs no set/matrix allocations — only the materialized
-/// [`DagEval`] output allocates (value filters compare a `pcdata` node's
-/// attribute values in place, [`Atg::text_eq`], so there is no text memo).
+/// Per-thread scratch arena for [`eval_plan`]: the predicate value matrix.
+/// The passes' working sets are sorted `Vec<NodeId>`s built per
+/// evaluation; value filters compare a `pcdata` node's attribute values in
+/// place ([`Atg::text_eq`]), so there is no text memo.
 ///
 /// The matrix is indexed by node id, `np` cells per id over the interner's
 /// id space ([`rxview_atg::GenId::n_allocated`]), so evaluation needs no
@@ -604,24 +634,7 @@ struct EvalScratch {
     stamp: Vec<u32>,
     /// The running evaluation's generation; 0 is no evaluation's.
     generation: u32,
-    /// Capacity bound applied to what this evaluation takes from the pools:
-    /// its scope length, at least [`POOL_KEEP`].
-    keep: usize,
-    node_sets: Vec<HashSet<NodeId>>,
-    edge_vecs: Vec<Vec<(NodeId, NodeId)>>,
-    edge_sets: Vec<HashSet<(NodeId, NodeId)>>,
 }
-
-/// Floor of what a pooled set or buffer may hold when an evaluation takes
-/// it; above it, the bound is the evaluation's own scope length
-/// ([`EvalScratch::keep`]). Clearing or iterating a hash set costs its
-/// capacity, not its length, so what one full pass grew must not tax every
-/// scoped evaluation after it on the thread. Measured at 512 groups,
-/// `//node[id=k]/sub` over its 109-node scope: 43 µs on a fresh thread,
-/// 80 µs once the thread had run the same path's full pass (a 43 k-entry
-/// closure), 42 µs with the pool bounded. Full passes keep handing their
-/// large tables to each other.
-const POOL_KEEP: usize = 1 << 9;
 
 impl EvalScratch {
     /// Starts an evaluation over `n_ids` node ids with `np` predicates: a
@@ -638,43 +651,15 @@ impl EvalScratch {
             self.generation = 1;
         }
     }
-
-    fn take_set(&mut self) -> HashSet<NodeId> {
-        let mut s = self.node_sets.pop().unwrap_or_default();
-        s.shrink_to(self.keep);
-        s
-    }
-    fn put_set(&mut self, mut s: HashSet<NodeId>) {
-        s.clear();
-        self.node_sets.push(s);
-    }
-    fn take_edges(&mut self) -> Vec<(NodeId, NodeId)> {
-        let mut v = self.edge_vecs.pop().unwrap_or_default();
-        v.shrink_to(self.keep);
-        v
-    }
-    fn put_edges(&mut self, mut v: Vec<(NodeId, NodeId)>) {
-        v.clear();
-        self.edge_vecs.push(v);
-    }
-    fn take_edge_set(&mut self) -> HashSet<(NodeId, NodeId)> {
-        let mut s = self.edge_sets.pop().unwrap_or_default();
-        s.shrink_to(self.keep);
-        s
-    }
-    fn put_edge_set(&mut self, mut s: HashSet<(NodeId, NodeId)>) {
-        s.clear();
-        self.edge_sets.push(s);
-    }
 }
 
 thread_local! {
     static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
 }
 
-/// Forward-pass record for backward pruning — filter steps keep only their
-/// predicate index (the value matrix outlives the pass), so no set is
-/// cloned per step.
+/// Forward-pass record for backward pruning: a child step keeps its edges,
+/// a `//` step its closure, and filter and `//` steps the indices of the
+/// predicates they look up (the value matrix outlives the pass).
 enum PRec {
     Filter {
         pred: usize,
@@ -683,8 +668,9 @@ enum PRec {
         edges: Vec<(NodeId, NodeId)>,
     },
     Desc {
-        sources: HashSet<NodeId>,
-        closure: HashSet<NodeId>,
+        suffix: usize,
+        next: usize,
+        closure: Vec<NodeId>,
     },
 }
 
@@ -717,17 +703,9 @@ pub(crate) fn eval_path(
     eval_plan(vs, topo.order(), reach, &plan, &bindings)
 }
 
-fn reclaim_records(scratch: &mut EvalScratch, records: Vec<PRec>) {
-    for r in records {
-        match r {
-            PRec::Filter { .. } => {}
-            PRec::Child { edges } => scratch.put_edges(edges),
-            PRec::Desc { sources, closure } => {
-                scratch.put_set(sources);
-                scratch.put_set(closure);
-            }
-        }
-    }
+fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
+    v.sort_unstable();
+    v.dedup();
 }
 
 fn eval_plan_with(
@@ -742,15 +720,15 @@ fn eval_plan_with(
     let preds = &program.preds;
     let n = order.len();
     let np = preds.len();
-    scratch.keep = n.max(POOL_KEEP);
 
     // ---- Bottom-up pass over the scope order. ----
-    // The matrix and stamps move out of the arena for the duration of the
-    // call so the set pools stay borrowable; they return before exit.
     let atg = vs.atg();
     let genid = vs.dag().genid();
     scratch.begin(genid.n_allocated(), np);
     let generation = scratch.generation;
+    // The matrix and stamps move out of the arena for the call and return
+    // before exit: indexed through a borrow of the arena, the loop below
+    // ran anchored full passes ≈ 7 % slower.
     let mut val = std::mem::take(&mut scratch.val);
     let mut stamp = std::mem::take(&mut scratch.stamp);
     #[cfg(test)]
@@ -801,7 +779,8 @@ fn eval_plan_with(
     // A `//` step under the root of a 10²-node scope so costs 10² probes,
     // not the root's whole |V|-long run. The child steps below treat a
     // parent with more children than the scope has nodes the same way.
-    let desc_in_scope = |u: NodeId, out: &mut HashSet<NodeId>| {
+    // This is the only read of `M` an evaluation makes.
+    let desc_in_scope = |u: NodeId, out: &mut Vec<NodeId>| {
         let run = reach.descendants(u);
         #[cfg(test)]
         tests::STEP_IDS.with(|c| c.set(c.get() + run.len().min(n)));
@@ -812,10 +791,8 @@ fn eval_plan_with(
         }
     };
 
-    // ---- Top-down forward pass. ----
-    let root = vs.dag().root();
-    let mut cur = scratch.take_set();
-    cur.insert(root);
+    // ---- Top-down forward pass, over sorted, deduplicated node sets. ----
+    let mut cur = vec![vs.dag().root()];
     let mut records: Vec<PRec> = Vec::with_capacity(program.steps.len());
     for step in &program.steps {
         match step {
@@ -828,17 +805,13 @@ fn eval_plan_with(
                     PStep::Label(ty) => ty.is_some_and(|t| genid.type_of(c) == t),
                     _ => true,
                 };
-                let mut edges = scratch.take_edges();
-                let mut after = scratch.take_set();
+                let mut edges = Vec::new();
                 for &u in &cur {
                     let kids = vs.dag().children(u);
                     #[cfg(test)]
                     tests::STEP_IDS.with(|c| c.set(c.get() + kids.len().min(n)));
                     if kids.len() <= n {
-                        for &c in kids.iter().filter(|&&c| wanted(c)) {
-                            edges.push((u, c));
-                            after.insert(c);
-                        }
+                        edges.extend(kids.iter().filter(|&&c| wanted(c)).map(|&c| (u, c)));
                     } else {
                         // More children than the scope has nodes (the root,
                         // under an anchored head): walk the scope instead.
@@ -846,139 +819,107 @@ fn eval_plan_with(
                         for &d in order {
                             if wanted(d) && vs.dag().parents(d).contains(&u) {
                                 edges.push((u, d));
-                                after.insert(d);
                             }
                         }
                     }
                 }
+                cur = edges.iter().map(|&(_, c)| c).collect();
+                sort_dedup(&mut cur);
                 records.push(PRec::Child { edges });
-                scratch.put_set(std::mem::replace(&mut cur, after));
             }
-            PStep::Desc => {
-                let mut closure = scratch.take_set();
-                closure.extend(cur.iter().copied());
-                for &u in &cur {
-                    // Restricted to the evaluation scope (the caller's
-                    // exactness contract — see `XmlViewSystem::evaluate_scoped`).
-                    desc_in_scope(u, &mut closure);
+            PStep::Desc { suffix, next } => {
+                // Restricted to the evaluation scope (the caller's
+                // exactness contract — see `XmlViewSystem::evaluate_scoped`).
+                for i in 0..cur.len() {
+                    let u = cur[i];
+                    desc_in_scope(u, &mut cur);
                 }
-                let mut cur_next = scratch.take_set();
-                cur_next.extend(closure.iter().copied());
-                let sources = std::mem::replace(&mut cur, cur_next);
-                records.push(PRec::Desc { sources, closure });
+                sort_dedup(&mut cur);
+                records.push(PRec::Desc {
+                    suffix: *suffix,
+                    next: *next,
+                    closure: cur.clone(),
+                });
             }
         }
         if cur.is_empty() {
             break;
         }
     }
-
     if cur.is_empty() {
-        reclaim_records(scratch, records);
-        scratch.put_set(cur);
         scratch.val = val;
         scratch.stamp = stamp;
         return DagEval::default();
     }
-    let mut selected: Vec<NodeId> = cur.iter().copied().collect();
-    selected.sort_unstable();
 
     // ---- Backward pruning: keep only complete matches. ----
-    let mut useful = scratch.take_set();
-    useful.extend(cur.iter().copied());
-    let mut matched = scratch.take_set();
-    matched.extend(cur.iter().copied());
-    let mut matched_edge_set = scratch.take_edge_set();
-    let mut final_edges = scratch.take_edge_set();
-    fn only_filters_after(records: &[PRec], ri: usize) -> bool {
-        records[ri + 1..]
-            .iter()
-            .all(|r| matches!(r, PRec::Filter { .. }))
-    }
-    for ri in (0..records.len()).rev() {
-        match &records[ri] {
-            PRec::Filter { pred } => {
-                useful.retain(|&v| holds(*pred, v));
-            }
+    // `useful` holds, per record from the last back, the nodes reached
+    // before it that lie on a complete match (a `//` step's also holds
+    // closure nodes that are no source; the step before it is a filter,
+    // whose `retain` drops them, or a child step, whose edges never reach
+    // them).
+    let mut useful = cur.clone();
+    let mut matched = cur.clone();
+    let mut matched_edges = Vec::new();
+    let mut edge_parents = Vec::new();
+    // Whether only filter steps follow the record: its matched edges into
+    // a selected node are then `Ep(r)`'s.
+    let mut only_filters_after = true;
+    for record in records.into_iter().rev() {
+        let filter = matches!(record, PRec::Filter { .. });
+        match record {
+            PRec::Filter { pred } => useful.retain(|&v| holds(pred, v)),
             PRec::Child { edges } => {
-                let mut prev = scratch.take_set();
-                for &(u, c) in edges {
-                    if useful.contains(&c) {
-                        matched_edge_set.insert((u, c));
-                        if only_filters_after(&records, ri) {
-                            final_edges.insert((u, c));
+                let mut prev = Vec::new();
+                for (u, c) in edges {
+                    if useful.binary_search(&c).is_ok() {
+                        matched_edges.push((u, c));
+                        if only_filters_after {
+                            edge_parents.push((u, c));
                         }
-                        prev.insert(u);
+                        prev.push(u);
                     }
                 }
-                scratch.put_set(std::mem::replace(&mut useful, prev));
+                sort_dedup(&mut prev);
+                useful = prev;
             }
-            PRec::Desc { sources, closure } => {
-                let mut target_anc = scratch.take_set();
-                target_anc.extend(useful.iter().copied());
-                for &t in &useful {
-                    target_anc.extend(reach.ancestors(t));
-                }
-                let mut prev = scratch.take_set();
-                prev.extend(sources.iter().copied().filter(|s| target_anc.contains(s)));
-                let universal = prev.contains(&root);
-                let mut source_desc = scratch.take_set();
-                if !universal {
-                    // Only ever intersected with `closure`, which lies in
-                    // the scope.
-                    source_desc.extend(prev.iter().copied());
-                    for &s in &prev {
-                        desc_in_scope(s, &mut source_desc);
-                    }
-                }
-                let mut mid = scratch.take_set();
-                mid.extend(
-                    closure.iter().copied().filter(|x| {
-                        target_anc.contains(x) && (universal || source_desc.contains(x))
-                    }),
-                );
-                for &u in &mid {
-                    for &c in vs.dag().children(u) {
-                        if mid.contains(&c) {
-                            matched_edge_set.insert((u, c));
-                            if useful.contains(&c) && only_filters_after(&records, ri) {
-                                final_edges.insert((u, c));
+            PRec::Desc {
+                suffix,
+                next,
+                mut closure,
+            } => {
+                // A closure node is an ancestor-or-self of a node that
+                // completes the match iff the step's suffix predicate holds
+                // there — and then so is every source above it, so the
+                // complete matches through this step are exactly where it
+                // holds. An edge is on one iff it holds at both ends.
+                closure.retain(|&x| holds(suffix, x));
+                for &x in &closure {
+                    for &c in vs.dag().children(x) {
+                        if holds(suffix, c) {
+                            matched_edges.push((x, c));
+                            if only_filters_after && holds(next, c) {
+                                edge_parents.push((x, c));
                             }
                         }
                     }
                 }
-                matched.extend(mid.iter().copied());
-                scratch.put_set(std::mem::replace(&mut useful, prev));
-                scratch.put_set(target_anc);
-                scratch.put_set(source_desc);
-                scratch.put_set(mid);
+                useful = closure;
             }
         }
-        matched.extend(useful.iter().copied());
+        only_filters_after &= filter;
+        matched.extend_from_slice(&useful);
     }
-
-    let mut edge_parents: Vec<(NodeId, NodeId)> = final_edges
-        .iter()
-        .copied()
-        .filter(|(_, v)| cur.contains(v))
-        .collect();
-    edge_parents.sort_unstable();
-
-    let out = DagEval {
-        selected,
-        edge_parents,
-        matched_nodes: matched.iter().copied().collect(),
-        matched_edges: matched_edge_set.iter().copied().collect(),
-    };
-    reclaim_records(scratch, records);
-    scratch.put_set(cur);
-    scratch.put_set(useful);
-    scratch.put_set(matched);
-    scratch.put_edge_set(matched_edge_set);
-    scratch.put_edge_set(final_edges);
+    sort_dedup(&mut edge_parents);
     scratch.val = val;
     scratch.stamp = stamp;
-    out
+
+    DagEval {
+        selected: cur,
+        edge_parents,
+        matched_nodes: matched.into_iter().collect(),
+        matched_edges: matched_edges.into_iter().collect(),
+    }
 }
 
 /// The log codec's AST strategies (`tests/common/mod.rs`).
@@ -1046,7 +987,7 @@ mod tests {
     thread_local! {
         /// Ids the `//` and child steps examined on this thread: per
         /// source, the shorter of its `desc` run (its child list) and the
-        /// scope.
+        /// scope. Every id of `M` an evaluation reads is counted here.
         pub(super) static STEP_IDS: Cell<usize> = const { Cell::new(0) };
         /// Arena cells (predicate values and scope stamps) evaluations on
         /// this thread wrote or reset.
@@ -1096,6 +1037,53 @@ mod tests {
         let topo = TopoOrder::compute(vs.dag());
         let reach = Reachability::compute(vs.dag(), &topo);
         (vs, topo, reach)
+    }
+
+    /// `n` courses in one prerequisite chain, `prereq(Cᵢ, Cᵢ₊₁)`, under the
+    /// one top-level course `C0` (the others are in Math): `5n + 1` nodes,
+    /// as deep as the chain is long.
+    fn chain(n: usize) -> (ViewStore, TopoOrder, Reachability) {
+        let mut db = Database::new();
+        rxview_atg::registrar_schema(&mut db);
+        for i in 0..n {
+            let dept = if i == 0 { "CS" } else { "Math" };
+            db.insert("course", tuple![format!("C{i}"), format!("T{i}"), dept])
+                .unwrap();
+            if i > 0 {
+                db.insert("prereq", tuple![format!("C{}", i - 1), format!("C{i}")])
+                    .unwrap();
+            }
+        }
+        let atg = registrar_atg(&db).unwrap();
+        let vs = ViewStore::publish(atg, &db).unwrap();
+        let topo = TopoOrder::compute(vs.dag());
+        let reach = Reachability::compute(vs.dag(), &topo);
+        (vs, topo, reach)
+    }
+
+    /// §3.2's O(|p| · |V|) bound, as a cost model: the full pass of
+    /// `//course` over a chain 10× longer reads at most ≈ 10× the ids of
+    /// `M` (and child lists). Pruning the `//` step by unioning every
+    /// target's `anc` run reads Σ |anc| — quadratic in the chain's length.
+    #[test]
+    fn a_full_desc_pass_reads_m_in_proportion_to_the_view() {
+        let p = parse_xpath("//course").unwrap();
+        let mut read = Vec::new();
+        for n in [40, 400] {
+            let (vs, topo, reach) = chain(n);
+            assert_eq!(topo.len(), 5 * n + 1);
+            let ids = STEP_IDS.with(Cell::get);
+            let out = eval_path(&vs, &topo, &reach, &p);
+            read.push(STEP_IDS.with(Cell::get) - ids);
+            assert_eq!(out.selected.len(), n);
+            assert_eq!(out.matched_nodes.len(), 2 * n);
+        }
+        assert!(
+            read[1] <= 11 * read[0],
+            "ids read grew {} → {} over a 10× longer chain",
+            read[0],
+            read[1]
+        );
     }
 
     #[test]

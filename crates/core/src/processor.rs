@@ -527,17 +527,25 @@ impl XmlViewSystem {
     /// [`XmlViewSystem::apply`]). Lets applications that update base tables
     /// directly keep the published view, `M`, and `L` in sync without
     /// republishing.
+    ///
+    /// An `Err` — a rejected operation, or data that would publish a
+    /// cyclic view — leaves the system as it was: the update runs on a
+    /// clone, kept only if it succeeds. The clone shares `I`, the view and
+    /// `M` page by page and copies `L`'s two arrays.
     pub fn apply_relational(
         &mut self,
         update: &rxview_relstore::GroupUpdate,
     ) -> rxview_relstore::RelResult<crate::republish::RepublishReport> {
-        crate::republish::apply_relational_update(
-            &mut self.base,
-            &mut self.vs,
-            &mut self.topo,
-            &mut self.reach,
+        let mut next = self.clone();
+        let report = crate::republish::apply_relational_update(
+            &mut next.base,
+            &mut next.vs,
+            &mut next.topo,
+            &mut next.reach,
             update,
-        )
+        )?;
+        *self = next;
+        Ok(report)
     }
 
     /// The **republication oracle**: republishes `σ(I)` from scratch and

@@ -40,8 +40,11 @@ pub struct RepublishReport {
 
 /// Applies `update` to `base` and incrementally propagates it to the view.
 ///
-/// Returns an error (leaving `base` updated but the view *unchanged*) if
-/// the updated data would publish a cyclic view.
+/// Returns an error if the updated data would publish a cyclic view, or
+/// if `base` rejects the update; the arguments are then left part-way
+/// updated (`base` may hold the update while the view does not), so
+/// [`crate::XmlViewSystem::apply_relational`] runs this on a clone it
+/// drops on error.
 pub(crate) fn apply_relational_update(
     base: &mut Database,
     vs: &mut ViewStore,

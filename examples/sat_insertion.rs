@@ -1,9 +1,11 @@
 //! The insertion-translation pipeline of §4.3 / Appendix A, up close.
 //!
 //! Re-creates the spirit of Examples 8–9: a view whose free columns range
-//! over a *finite* domain, so the side-effect conditions become genuine SAT
-//! clauses (rather than being avoided with fresh constants), and the
-//! WalkSAT solver decides how to instantiate the inserted tuples.
+//! over a *finite* domain, so fresh constants cannot avoid a side effect.
+//! The first view-level insert is decided by an existing row (no SAT); the
+//! second leaves the join column unpinned, so its side-effect conditions
+//! become SAT clauses and the WalkSAT solver decides how to instantiate the
+//! inserted tuples.
 //!
 //! Run with: `cargo run --example sat_insertion`
 
@@ -15,6 +17,7 @@ use rxview::xmlkit::Dtd;
 
 /// R1(a: key, b: bool-like finite), R2(c: key, d: finite) — the shape of
 /// Example 8, published as a flat XML view pairing R1 and R2 rows on b = d.
+/// R1 holds `(a0, 0)`; R2 starts empty.
 fn database() -> Database {
     let mut db = Database::new();
     db.create_table(
@@ -32,7 +35,6 @@ fn database() -> Database {
     )
     .expect("fresh db");
     db.insert("r1", tuple!["a0", 0i64]).expect("valid row");
-    db.insert("r2", tuple!["c0", 1i64]).expect("valid row");
     db
 }
 
@@ -82,16 +84,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Now end-to-end through the view.
     println!("\n== view-level insertion with finite-domain free columns ==");
-    let db = database();
+    let mut db = database();
+    db.insert("r2", tuple!["c0", 1i64])?;
     let atg = build_atg(&db);
     let mut sys = XmlViewSystem::new(atg, db)?;
     println!("initial view rows (a0 pairs with nothing — b=0 vs d=1):");
     println!("{}", sys.expand_tree().serialize(sys.view().atg().dtd()));
 
-    // Insert the pair (a1, c0): the system must create r1(a1, b) with b
-    // constrained so that *only* the requested row appears. Since r2 has
-    // d=1, b must be 1 to produce (a1, c0)... but b=1 is exactly what makes
-    // the pair appear, and no other r2 tuple exists — clean insert.
+    // Insert the pair (a1, c0): r1(a1, b) must join r2(c0) on b = d, and
+    // the existing row pins d = 1, so b = 1 with no choice left — the SAT
+    // step is not reached.
     let u = XmlUpdate::insert("row", tuple!["a1", "c0"], ".")?;
     // `.` selects the root (doc) — rows are inserted under it.
     let r = sys.apply(&u, SideEffectPolicy::Proceed)?;
@@ -112,27 +114,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
     println!("consistency check passed");
 
-    // Now a genuinely constrained case: insert (a2, c0) AND demand that
-    // (a2, ...) pairs with nothing else. With a second r2 tuple of d=0 the
-    // SAT instance forces a choice.
+    // Now the case the SAT step exists for: r1 = {a0: b=0} and r2 empty.
+    // Inserting the pair (a3, c9) creates r1(a3, b) and r2(c9, d) with the
+    // join variable b = d left unpinned by any existing row, and the
+    // side-effect row (a0, c9) — present iff d = 0 — turns into a clause
+    // the solver must satisfy: it picks b = d = 1.
     sys = {
-        let mut db = database();
-        db.insert("r2", tuple!["c1", 0i64])?;
+        let db = database();
         let atg = build_atg(&db);
         XmlViewSystem::new(atg, db)?
     };
-    let u = XmlUpdate::insert("row", tuple!["a2", "c0"], ".")?;
-    match sys.apply(&u, SideEffectPolicy::Proceed) {
-        Ok(r) => {
-            println!("\ninsert row (a2, c0) with r2 = {{c0:1, c1:0}}:");
-            println!("  ∆R = {} op(s), SAT used: {}", r.delta_r.len(), r.sat_used);
-            print!("  {}", r.delta_r);
-            println!("  note: b=1 pairs a2 with c0 only — b=0 would side-effect (a2, c1)");
-            sys.consistency_check()
-                .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
-            println!("  consistency check passed");
-        }
-        Err(e) => println!("\ninsert rejected: {e}"),
-    }
+    let u = XmlUpdate::insert("row", tuple!["a3", "c9"], ".")?;
+    let r = sys.apply(&u, SideEffectPolicy::Proceed)?;
+    println!("\ninsert row (a3, c9) with r1 = {{a0:0}}, r2 empty:");
+    println!("  ∆R = {} op(s), SAT used: {}", r.delta_r.len(), r.sat_used);
+    print!("  {}", r.delta_r);
+    assert!(
+        r.sat_used,
+        "the unpinned join column must reach the SAT step"
+    );
+    let d_val = sys
+        .base()
+        .table("r2")?
+        .get(&tuple!["c9"])
+        .expect("inserted")[1]
+        .clone();
+    println!("  chosen d for c9: {d_val} (d=0 would pair a0 with c9)");
+    sys.consistency_check()
+        .map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
+    println!("  consistency check passed");
     Ok(())
 }

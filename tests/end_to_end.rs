@@ -383,6 +383,32 @@ fn mixed_xml_and_relational_updates_interleave() {
 }
 
 #[test]
+fn a_failed_relational_update_leaves_the_system_unchanged() {
+    use rxview::core::encode_system;
+    use rxview::relstore::GroupUpdate;
+    let bytes = |sys: &XmlViewSystem| {
+        let mut out = Vec::new();
+        encode_system(sys, &mut out);
+        out
+    };
+    let mut sys = registrar_system();
+    let before = bytes(&sys);
+    // CS240 -> CS650 closes the cycle CS650 -> CS320 -> CS240 -> CS650.
+    let mut g = GroupUpdate::new();
+    g.insert("prereq", tuple!["CS240", "CS650"]);
+    assert!(sys.apply_relational(&g).is_err());
+    assert!(
+        bytes(&sys) == before,
+        "a rejected update changed the system"
+    );
+    sys.consistency_check().unwrap();
+    // The view still serves updates, and republication agrees with them.
+    let d = XmlUpdate::delete("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
+    sys.apply(&d, SideEffectPolicy::Proceed).unwrap();
+    sys.consistency_check().unwrap();
+}
+
+#[test]
 fn relational_updates_on_synthetic_data() {
     use rxview::relstore::{GroupUpdate, Tuple, Value};
     let mut sys = synthetic_system(200, 13);
