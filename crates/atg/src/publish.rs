@@ -8,7 +8,7 @@
 
 use crate::genid::{GenId, GenIdBuilder, Interner, NodeId};
 use crate::grammar::Atg;
-use rxview_relstore::{PagedMap, PagedVec, RelError, TableSource, Tuple};
+use rxview_relstore::{PagedVec, RelError, TableSource, Tuple};
 use rxview_xmlkit::{Production, TypeId, XmlTree};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -49,45 +49,84 @@ impl From<RelError> for PublishError {
 
 /// A DAG-compressed XML view: nodes are Skolem ids, edges are parent→child.
 ///
-/// Adjacency and the typed edge relations are page-granular copy-on-write
-/// ([`rxview_relstore::PagedMap`]) with one shared slice per node, so a clone
-/// copies page pointers and an edge change rewrites the two endpoint lists
-/// and the pages they sit on — nothing proportional to the view.
+/// The edges are the child lists, and the parent lists mirror them; both
+/// are page-granular copy-on-write ([`rxview_relstore::PagedVec`]) with one
+/// 24-byte slot per node, so a clone copies page pointers and an edge
+/// change rewrites the two endpoint slots and the pages they sit on —
+/// nothing proportional to the view.
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
     genid: GenId,
     root: Option<NodeId>,
     children: PagedVec<Adjacent>,
     parents: PagedVec<Adjacent>,
-    /// The edge relations `edge_A_B` as one ordered set of
-    /// `(A, B, parent, child)`.
-    edge_rels: PagedMap<(TypeId, TypeId, NodeId, NodeId), ()>,
+    n_edges: usize,
 }
 
-/// One node's ordered neighbour list (`None` = empty).
-type Adjacent = Option<Arc<[NodeId]>>;
+/// Neighbour ids an [`Adjacent`] slot holds without an allocation.
+const INLINE: usize = 4;
+
+/// One node's ordered neighbour list: up to [`INLINE`] ids in the slot
+/// itself, a longer list behind one shared allocation. 24 B either way.
+#[derive(Debug, Clone, Default)]
+enum Adjacent {
+    #[default]
+    Empty,
+    /// The first `.0` ids of `.1`.
+    Inline(u8, [NodeId; INLINE]),
+    Shared(Arc<[NodeId]>),
+}
+
+impl Adjacent {
+    fn collect(ids: impl ExactSizeIterator<Item = NodeId>) -> Adjacent {
+        match ids.len() {
+            0 => Adjacent::Empty,
+            n if n <= INLINE => {
+                let mut inline = [NodeId(0); INLINE];
+                for (slot, id) in inline.iter_mut().zip(ids) {
+                    *slot = id;
+                }
+                Adjacent::Inline(n as u8, inline)
+            }
+            _ => Adjacent::Shared(ids.collect()),
+        }
+    }
+
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Adjacent::Empty => &[],
+            Adjacent::Inline(n, ids) => &ids[..usize::from(*n)],
+            Adjacent::Shared(ids) => ids,
+        }
+    }
+}
 
 fn neighbours(lists: &PagedVec<Adjacent>, v: NodeId) -> &[NodeId] {
-    lists
-        .get(v.index())
-        .and_then(|l| l.as_deref())
-        .unwrap_or(&[])
+    lists.get(v.index()).map_or(&[], Adjacent::as_slice)
 }
 
 /// Appends `w` to `v`'s list.
 fn link(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) {
-    let grown = neighbours(lists, v).iter().copied().chain([w]).collect();
-    *lists.get_mut(v.index()) = Some(grown);
+    let slot = lists.get_mut(v.index());
+    *slot = match std::mem::take(slot) {
+        Adjacent::Empty => Adjacent::Inline(1, [w; INLINE]),
+        Adjacent::Inline(n, mut ids) if usize::from(n) < INLINE => {
+            ids[usize::from(n)] = w;
+            Adjacent::Inline(n + 1, ids)
+        }
+        full => Adjacent::Shared(full.as_slice().iter().copied().chain([w]).collect()),
+    };
 }
 
 /// Removes the first `w` from `v`'s list; `false` if absent.
 fn unlink(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) -> bool {
-    let old = neighbours(lists, v);
-    let Some(at) = old.iter().position(|&x| x == w) else {
+    let Some(at) = neighbours(lists, v).iter().position(|&x| x == w) else {
         return false;
     };
-    let shrunk: Arc<[NodeId]> = old[..at].iter().chain(&old[at + 1..]).copied().collect();
-    *lists.get_mut(v.index()) = (!shrunk.is_empty()).then_some(shrunk);
+    let slot = lists.get_mut(v.index());
+    let old = std::mem::take(slot);
+    let ids = old.as_slice();
+    *slot = Adjacent::collect((0..ids.len() - 1).map(|i| ids[i + usize::from(i >= at)]));
     true
 }
 
@@ -98,10 +137,9 @@ impl Dag {
     }
 
     /// Builds a DAG over `genid` from its whole edge list, writing every
-    /// adjacency list and every page of the edge relations once — where
-    /// [`Dag::add_edge`] rewrites both endpoint lists per edge. `edges`
-    /// lists each parent's edges together, in child order; a node's
-    /// parents come out in the order their edges are listed.
+    /// adjacency list once — where [`Dag::add_edge`] rewrites both endpoint
+    /// lists per edge. `edges` lists each parent's edges together, in child
+    /// order; a node's parents come out in the order their edges are listed.
     ///
     /// # Errors
     /// The first edge that repeats an earlier one, reopens a parent whose
@@ -136,7 +174,7 @@ impl Dag {
         }
         let children = group
             .iter()
-            .map(|g| Some(edges[g.clone()?].iter().map(|e| e.1).collect()))
+            .map(|g| Adjacent::collect(edges[g.clone().unwrap_or_default()].iter().map(|e| e.1)))
             .collect();
 
         // The parent lists, by a counting sort of the edges on their child.
@@ -150,20 +188,14 @@ impl Dag {
             fill[v.index()] += 1;
         }
         let parents = (0..n)
-            .map(|v| (n_parents[v] > 0).then(|| by_child[fill[v] - n_parents[v]..fill[v]].into()))
+            .map(|v| Adjacent::collect(by_child[fill[v] - n_parents[v]..fill[v]].iter().copied()))
             .collect();
-
-        let mut rels: Vec<_> = edges
-            .iter()
-            .map(|&(u, v)| ((genid.type_of(u), genid.type_of(v), u, v), ()))
-            .collect();
-        rels.sort_unstable();
         Ok(Dag {
             genid,
             root,
             children,
             parents,
-            edge_rels: PagedMap::from_sorted(rels).expect("no edge is listed twice"),
+            n_edges: edges.len(),
         })
     }
 
@@ -206,10 +238,6 @@ impl Dag {
         self.children(u).contains(&v)
     }
 
-    fn edge_key(&self, u: NodeId, v: NodeId) -> (TypeId, TypeId, NodeId, NodeId) {
-        (self.genid.type_of(u), self.genid.type_of(v), u, v)
-    }
-
     /// Adds edge `(u, v)`, appending `v` as the rightmost child of `u`
     /// (the paper's insertion semantics, §2.1). No-op if present.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
@@ -218,7 +246,7 @@ impl Dag {
         }
         link(&mut self.children, u, v);
         link(&mut self.parents, v, u);
-        self.edge_rels.insert(self.edge_key(u, v), ());
+        self.n_edges += 1;
         true
     }
 
@@ -228,21 +256,16 @@ impl Dag {
             return false;
         }
         unlink(&mut self.parents, v, u);
-        self.edge_rels.remove(&self.edge_key(u, v));
+        self.n_edges -= 1;
         true
     }
 
-    /// The edge relation `edge_A_B`: its `(parent, child)` pairs, ascending.
-    pub fn edge_rel(&self, a: TypeId, b: TypeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edge_rels
-            .range_from(&(a, b, NodeId(0), NodeId(0)))
-            .take_while(move |((ta, tb, ..), ())| (*ta, *tb) == (a, b))
-            .map(|((.., u, v), ())| (*u, *v))
-    }
-
-    /// All edges, in deterministic order (by type pair, then node pair).
+    /// All edges, by parent id, then in each parent's child order.
     pub fn all_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edge_rels.iter().map(|((.., u, v), ())| (*u, *v))
+        let parents = (0..).map(NodeId);
+        parents
+            .zip(self.children.iter())
+            .flat_map(|(u, list)| list.as_slice().iter().map(move |&v| (u, v)))
     }
 
     /// Number of live nodes.
@@ -252,7 +275,7 @@ impl Dag {
 
     /// Number of edges.
     pub fn n_edges(&self) -> usize {
-        self.edge_rels.len()
+        self.n_edges
     }
 
     /// Expands the DAG into an (uncompressed) [`XmlTree`].
@@ -483,4 +506,103 @@ pub fn publish_leaves_first(
         .expect("a subtree lists each node's edges once, together");
     let order = dag.leaves_first().ok_or(PublishError::CyclicData)?;
     Ok((dag, order))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A few nodes on one page, so an edit to one slot copies its
+    /// neighbours' slots along with it.
+    const NODES: u32 = 3;
+
+    fn lists_match(lists: &PagedVec<Adjacent>, model: &[Vec<NodeId>]) -> bool {
+        model.iter().enumerate().all(|(v, ids)| {
+            let slot = lists.get(v).cloned().unwrap_or_default();
+            // Four ids or fewer sit in the slot, more behind one handle.
+            slot.as_slice() == ids.as_slice()
+                && matches!(slot, Adjacent::Shared(_)) == (ids.len() > INLINE)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `link` / `unlink` against a `Vec` per node, across lengths 0–6:
+        /// growing past four ids moves a list behind a handle, shrinking
+        /// back to four brings it into the slot, and a clone taken before
+        /// each edit does not see it.
+        #[test]
+        fn a_slot_matches_a_vec_on_both_sides_of_the_inline_bound(
+            steps in prop::collection::vec((any::<bool>(), 0..NODES, 0u32..8), 0..300),
+        ) {
+            let mut lists = PagedVec::<Adjacent>::new();
+            let mut model = vec![Vec::new(); NODES as usize];
+            for (grow, v, w) in steps {
+                let (v, w) = (NodeId(v), NodeId(w));
+                let before = (lists.clone(), model.clone());
+                let ids = &mut model[v.index()];
+                if grow && ids.len() < 6 {
+                    link(&mut lists, v, w);
+                    ids.push(w);
+                } else {
+                    let at = ids.iter().position(|&x| x == w);
+                    prop_assert_eq!(unlink(&mut lists, v, w), at.is_some());
+                    if let Some(at) = at {
+                        ids.remove(at);
+                    }
+                }
+                prop_assert!(lists_match(&lists, &model));
+                prop_assert!(lists_match(&before.0, &before.1), "a clone saw the edit");
+            }
+        }
+
+        /// `add_edge` / `remove_edge` keep the edge count, the edges the
+        /// child lists give, and the parent lists in step with a model
+        /// edge list; a clone taken before each edit does not see it.
+        #[test]
+        fn edges_are_the_child_lists_and_their_count(
+            steps in prop::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 0..300),
+        ) {
+            let mut dag = Dag::new();
+            let mut model: Vec<(NodeId, NodeId)> = Vec::new();
+            for (add, u, v) in steps {
+                let (u, v) = (NodeId(u), NodeId(v));
+                let before = (dag.clone(), model.clone());
+                let at = model.iter().position(|&e| e == (u, v));
+                if add {
+                    prop_assert_eq!(dag.add_edge(u, v), at.is_none());
+                    if at.is_none() {
+                        model.push((u, v));
+                    }
+                } else {
+                    prop_assert_eq!(dag.remove_edge(u, v), at.is_some());
+                    if let Some(at) = at {
+                        model.remove(at);
+                    }
+                }
+                for (dag, model) in [(&dag, &model), (&before.0, &before.1)] {
+                    let listed: usize = (0..8).map(|u| dag.children(NodeId(u)).len()).sum();
+                    prop_assert_eq!(dag.n_edges(), model.len());
+                    prop_assert_eq!(dag.all_edges().count(), listed);
+                    prop_assert_eq!(listed, model.len());
+                    // By parent id, then in each parent's child order.
+                    let mut by_parent = model.clone();
+                    by_parent.sort_by_key(|e| e.0);
+                    prop_assert!(dag.all_edges().eq(by_parent));
+                    for w in (0..8).map(NodeId) {
+                        let parents: Vec<NodeId> =
+                            model.iter().filter(|e| e.1 == w).map(|e| e.0).collect();
+                        prop_assert_eq!(dag.parents(w), parents.as_slice());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_is_three_words() {
+        assert_eq!(std::mem::size_of::<Adjacent>(), 24);
+    }
 }

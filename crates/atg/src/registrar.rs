@@ -186,8 +186,14 @@ mod tests {
         // CS320->CS240).
         let dbty = atg.dtd().root();
         let prereq = atg.dtd().type_id("prereq").unwrap();
-        assert_eq!(dag.edge_rel(dbty, course).count(), 3);
-        assert_eq!(dag.edge_rel(prereq, course).count(), 2);
+        let typed = |a, b| {
+            let ty = |v| dag.genid().type_of(v);
+            dag.all_edges()
+                .filter(|&(u, v)| (ty(u), ty(v)) == (a, b))
+                .count()
+        };
+        assert_eq!(typed(dbty, course), 3);
+        assert_eq!(typed(prereq, course), 2);
     }
 
     #[test]

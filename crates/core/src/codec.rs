@@ -950,8 +950,7 @@ fn read_node(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<NodeId> {
 /// Decodes a [`Dag`], bulk-loading the interner from its id space (every
 /// live node gets the [`NodeId`] it was written under; every slot written
 /// dead — whatever pair an older writer left in it — is a free id) and the
-/// adjacency from the child lists (which reproduces their order and the
-/// typed edge relations).
+/// adjacency from the child lists (which reproduces their order).
 fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
     let n_types = r.read_varint()? as usize;
     if n_types != dtd.n_types() {

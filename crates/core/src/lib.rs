@@ -2,7 +2,8 @@
 //! Views of Relations* (Choi, Cong, Fan, Viglas; ICDE 2007):
 //!
 //! - [`ViewStore`]: the relational coding `V_σ` of the DAG-compressed view
-//!   (§2.3) — edge relations, `gen_A` tables, derived edge-view queries;
+//!   (§2.3) — the DAG's child lists, `gen_A` tables, derived edge-view
+//!   queries;
 //! - [`TopoOrder`] / [`Reachability`]: the auxiliary structures `L` and `M`
 //!   with Algorithm Reach (§3.1, Fig.4);
 //! - [`DagEval`]: the result of the two-pass XPath evaluation on DAGs and

@@ -1,7 +1,7 @@
 //! The relational coding of the DAG-compressed XML view (§2.3).
 //!
 //! A [`ViewStore`] bundles:
-//! - the published [`Dag`] (edge relations + Skolem interner);
+//! - the published [`Dag`] (child and parent lists + Skolem interner);
 //! - the derived `gen_A` node tables, materialized as ordinary relations so
 //!   that the edge views `Q_edge_A_B` are plain SPJ queries over the
 //!   *augmented* database (base ∪ gen);
@@ -284,8 +284,12 @@ mod tests {
                 .iter()
                 .filter_map(|r| vs.edge_from_row(a, b, r))
                 .collect();
-            let from_dag: std::collections::BTreeSet<(NodeId, NodeId)> =
-                vs.dag().edge_rel(a, b).collect();
+            let ty = |v| vs.dag().genid().type_of(v);
+            let from_dag: std::collections::BTreeSet<(NodeId, NodeId)> = vs
+                .dag()
+                .all_edges()
+                .filter(|&(u, v)| (ty(u), ty(v)) == (a, b))
+                .collect();
             assert_eq!(
                 from_query,
                 from_dag,

@@ -55,7 +55,9 @@ pub struct EngineConfig {
     /// falls back to the `RXVIEW_METRICS_PATH` environment variable; if
     /// that is unset too, no exporter thread is spawned. The snapshot
     /// interval comes from `RXVIEW_METRICS_INTERVAL_MS` (default 1000), and
-    /// a final snapshot is always appended when the engine drops.
+    /// a final snapshot is always appended when the engine drops. If the
+    /// thread cannot be spawned, the engine serves without it and says so
+    /// once on stderr.
     pub metrics_path: Option<PathBuf>,
     /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
@@ -413,16 +415,20 @@ impl Engine {
             .metrics_path
             .clone()
             .or_else(|| std::env::var_os("RXVIEW_METRICS_PATH").map(PathBuf::from))
-            .map(|path| {
+            .and_then(|path| {
                 let interval = std::env::var("RXVIEW_METRICS_INTERVAL_MS")
                     .ok()
                     .and_then(|s| s.parse::<u64>().ok())
                     .unwrap_or(1000);
-                Exporter::spawn(
-                    Arc::clone(&stats),
-                    path,
-                    Duration::from_millis(interval.max(1)),
-                )
+                let interval = Duration::from_millis(interval.max(1));
+                Exporter::spawn(Arc::clone(&stats), &path, interval)
+                    .map_err(|e| {
+                        eprintln!(
+                            "rxview: metrics export to {} not started: {e}",
+                            path.display()
+                        );
+                    })
+                    .ok()
             });
         stats.record_state(&sys);
         Engine {

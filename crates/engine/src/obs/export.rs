@@ -115,11 +115,14 @@ impl Exporter {
     /// appended to) lazily by the thread; I/O errors are reported to
     /// stderr once and the exporter keeps trying — telemetry must never
     /// take the engine down.
+    ///
+    /// # Errors
+    /// The thread could not be spawned.
     pub(crate) fn spawn(
         stats: Arc<EngineStats>,
         path: impl AsRef<Path>,
         interval: Duration,
-    ) -> Exporter {
+    ) -> io::Result<Exporter> {
         let path = path.as_ref().to_path_buf();
         let signal = Arc::new(ExporterSignal::default());
         let thread_signal = Arc::clone(&signal);
@@ -153,13 +156,12 @@ impl Exporter {
                         return;
                     }
                 }
-            })
-            .expect("spawn metrics exporter");
-        Exporter {
+            })?;
+        Ok(Exporter {
             signal,
             thread: Some(thread),
             path,
-        }
+        })
     }
 
     /// Where this exporter writes.
@@ -231,7 +233,8 @@ mod tests {
         {
             // Interval far beyond the test's lifetime: only the shutdown
             // snapshot is guaranteed deterministic.
-            let _exporter = Exporter::spawn(Arc::clone(&stats), &path, Duration::from_secs(3600));
+            let _exporter = Exporter::spawn(Arc::clone(&stats), &path, Duration::from_secs(3600))
+                .expect("spawns");
         }
         let contents = std::fs::read_to_string(&path).expect("metrics file written");
         let lines: Vec<&str> = contents.lines().collect();

@@ -13,13 +13,14 @@
 //! - [`PagedVec`] holds what is indexed by a dense id (node adjacency,
 //!   interner slots, `M`'s per-node sets);
 //! - [`PagedMap`] holds what is ordered (table rows, secondary indexes,
-//!   the interner's key map, the typed edge relations): sorted runs with
+//!   the interner's key map, the `gen_A` registries): sorted runs with
 //!   binary search over the run heads and within a run — two levels, not a
 //!   tree, so a split or merge shifts the `O(n ÷ page)` run directory. The
 //!   order is the keys' `Ord`, or a comparator the caller hands to every
 //!   call (`get_by`, `insert_by`, `try_insert_by`, `remove_by`,
 //!   `from_sorted_by`, `range_by`) — how a table orders row handles by the
-//!   key columns inside the rows and stores no key.
+//!   key columns inside the rows, and a column index the same handles by
+//!   one column and then the key, and neither stores a key.
 //!
 //! Versions never observe each other: a clone and its origin stay equal to
 //! their own histories whatever the other does (model-tested in

@@ -33,10 +33,10 @@ pub struct Table {
     col_index: Vec<OnceLock<ColIndex>>,
 }
 
-/// One column's secondary index: the `(value, row)` pairs of all rows,
-/// ordered by the value and then the row's key — a value's rows enumerate
-/// in primary-key order, exactly like a full scan would.
-type ColIndex = PagedMap<(Value, Tuple), ()>;
+/// One column's secondary index: a handle to every row, ordered by the
+/// row's value in that column and then by its key — a value's rows
+/// enumerate in primary-key order, exactly like a full scan would.
+type ColIndex = PagedMap<Tuple, ()>;
 
 /// Orders two rows by the key columns `key`.
 fn cmp_rows(key: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
@@ -57,13 +57,10 @@ fn cmp_row_to_key(key: &[usize], row: &Tuple, probe: &[Value]) -> Ordering {
         .unwrap_or_else(|| key.len().cmp(&probe.len()))
 }
 
-/// Orders an entry of a column index against the entry `row` has, or would
-/// have, under `value`.
-fn cmp_indexed(key: &[usize], entry: &(Value, Tuple), value: &Value, row: &Tuple) -> Ordering {
-    entry
-        .0
-        .cmp(value)
-        .then_with(|| cmp_rows(key, &entry.1, row))
+/// Orders two rows as column `col`'s index does: by that column, then by
+/// the key columns `key`.
+fn cmp_indexed(key: &[usize], col: usize, a: &Tuple, b: &Tuple) -> Ordering {
+    a[col].cmp(&b[col]).then_with(|| cmp_rows(key, a, b))
 }
 
 impl Table {
@@ -136,8 +133,7 @@ impl Table {
             Ok(()) => {
                 for (col, slot) in self.col_index.iter_mut().enumerate() {
                     if let (Some(index), Some(row)) = (slot.get_mut(), &row) {
-                        let entry = (row[col].clone(), row.clone());
-                        index.insert_by(entry, (), |a, (v, row)| cmp_indexed(key, a, v, row));
+                        index.insert_by(row.clone(), (), |a, b| cmp_indexed(key, col, a, b));
                     }
                 }
                 Ok(true)
@@ -160,7 +156,7 @@ impl Table {
             })?;
         for (col, slot) in self.col_index.iter_mut().enumerate() {
             if let Some(index) = slot.get_mut() {
-                index.remove_by(|e| cmp_indexed(cols, e, &removed[col], &removed));
+                index.remove_by(|row| cmp_indexed(cols, col, row, &removed));
             }
         }
         Ok(removed)
@@ -247,26 +243,23 @@ impl Table {
         // fund a single build instead of racing on duplicates.
         let index = self.col_index[col].get_or_init(|| self.build_index(col));
         index
-            .range_by(|(v, _)| v < value)
-            .take_while(|((v, _), ())| v == value)
-            .map(|((_, row), ())| row)
+            .range_by(|row| row[col] < *value)
+            .map(|(row, ())| row)
+            .take_while(|row| row[col] == *value)
             .collect()
     }
 
     fn build_index(&self, col: usize) -> ColIndex {
         #[cfg(test)]
         tests::INDEX_BUILDS.with(|n| n.set(n.get() + 1));
-        let mut pairs: Vec<(Value, Tuple)> = self
-            .iter()
-            .map(|row| (row[col].clone(), row.clone()))
-            .collect();
+        let mut rows: Vec<Tuple> = self.iter().cloned().collect();
         // Stable, so a value's rows stay in the key order they were read in.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.sort_by(|a, b| a[col].cmp(&b[col]));
         let key = self.schema.key();
-        ColIndex::from_sorted_by(pairs.into_iter().map(|pair| (pair, ())), |a, (v, row)| {
-            cmp_indexed(key, a, v, row)
+        ColIndex::from_sorted_by(rows.into_iter().map(|row| (row, ())), |a, b| {
+            cmp_indexed(key, col, a, b)
         })
-        .expect("primary keys are distinct, so the pairs are")
+        .expect("primary keys are distinct, so the rows are")
     }
 }
 

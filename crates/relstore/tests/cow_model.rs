@@ -11,9 +11,10 @@
 //! point to) run against a `BTreeMap` keyed by the projected key — the
 //! one-search `try_insert_by` also against the `get_by` + `insert_by` pair
 //! it replaced, run for run, and under a counting comparator — and
-//! `Table` — such a set of rows, plus its lazily built column indexes — runs
+//! `Table` — such a set of rows, plus its lazily built column indexes (sets
+//! of the same row handles, ordered by the column and then the key) — runs
 //! against a naive `Vec` of rows on a schema whose key is not a column
-//! prefix.
+//! prefix, with an index built at any point of the script.
 
 use proptest::prelude::*;
 use rxview_relstore::{schema, PagedMap, PagedVec, RelError, Table, Tuple, Value};
@@ -301,6 +302,59 @@ proptest! {
             if model.len() > 1 {
                 let reversed = Table::from_sorted_rows(t(), owned(table.iter()).into_iter().rev());
                 prop_assert!(matches!(reversed, Err(RelError::UnsortedRows { .. })));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A column index built at a random point of an insert/delete
+    /// interleaving, with clones pinned along the way: a clone pinned
+    /// before the build builds its own when probed, one pinned after
+    /// shares the built index page for page, and none sees a later edit.
+    /// Every probe equals a filtered full scan in key order.
+    #[test]
+    fn an_index_built_mid_script_matches_a_filtered_scan_under_pinned_clones(
+        steps in prop::collection::vec((0u8..5, (0i64..12, 0i64..12, 0i64..4, 0i64..3)), 0..400),
+        build_at in 0usize..400,
+        pin_every in 5usize..60,
+    ) {
+        let t = || schema("T").col_int("a").col_int("b").col_int("c").col_int("d").key(&["c", "a"]);
+        let (mut table, mut model) = (Table::new(t()), Rows::new());
+        let mut pinned: Vec<(Table, Rows)> = Vec::new();
+        for (i, (op, (a, c, b, d))) in steps.into_iter().enumerate() {
+            if i == build_at {
+                let got = owned(table.scan_col_eq(1, &Value::Int(b)));
+                prop_assert_eq!(got, in_key_order(&model, |r| r[1] == b));
+            }
+            if i % pin_every == 0 {
+                pinned.push((table.clone(), model.clone()));
+            }
+            let row = [a, b, c, d];
+            let held = model.iter().position(|r| (r[2], r[0]) == (c, a));
+            match held {
+                None if op < 3 => {
+                    prop_assert_eq!(table.insert(row_tuple(&row)), Ok(true));
+                    model.push(row);
+                }
+                Some(at) if op >= 3 => {
+                    let key = Tuple::from_values([Value::Int(c), Value::Int(a)]);
+                    prop_assert_eq!(table.delete(&key), Ok(row_tuple(&model.swap_remove(at))));
+                }
+                _ => {}
+            }
+        }
+        pinned.push((table, model));
+        for (table, model) in &pinned {
+            for b in 0..4 {
+                let got = owned(table.scan_col_eq(1, &Value::Int(b)));
+                prop_assert_eq!(got, in_key_order(model, |r| r[1] == b));
+            }
+            for d in 0..3 {
+                let got = owned(table.scan_col_eq(3, &Value::Int(d)));
+                prop_assert_eq!(got, in_key_order(model, |r| r[3] == d));
             }
         }
     }

@@ -9,9 +9,9 @@
 use std::path::Path;
 
 /// Files of `crates/engine/src` with a panic site, and how many; every other
-/// file has none. The two left are the commit lock (a panic mid-round leaves
-/// the working state half applied) and the exporter's thread spawn.
-const PINNED: [(&str, usize); 2] = [("engine.rs", 1), ("obs/export.rs", 1)];
+/// file has none. The one left is the commit lock (a panic mid-round leaves
+/// the working state half applied).
+const PINNED: [(&str, usize); 1] = [("engine.rs", 1)];
 
 const SITES: [&str; 4] = [".expect(", ".unwrap()", "panic!", "unreachable!"];
 
