@@ -6,10 +6,12 @@
 //! (`cargo run --release -p rxview-bench --bin paper_tables -- all`),
 //! including, by name, the two ablations (`ablation-reach`: Algorithm
 //! Reach vs naive closure; `ablation-dag`: DAG evaluation vs tree
-//! expansion).
+//! expansion). The `pairs` binary runs the alternating parent/change
+//! protocol of the `BENCH_*.json` files over `rxbench` ([`pairs`]).
 
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod pairs;
 
 pub use harness::*;

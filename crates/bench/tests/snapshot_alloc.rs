@@ -21,7 +21,7 @@
 //! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 | 1.05 |
 //! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B | 245.4 B |
 //! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 | 0.70 (equal rows share since PR 21) |
-//! | ten-fold soak, `M` words per pair, first → last sample | — | — | — | — | 2.76 B → 2.76 B on all three executors |
+//! | ten-fold soak, `M` words per pair, first → last sample | — | — | — | — | 2.76 B → 2.76 B on all three executors (1.38 B → 1.38 B once `M` is one way) |
 //!
 //! (The last four rows' third column is this file run on PR 19's tree,
 //! where the round row read 358 711 B in 647 calls: a row sat beside a
@@ -32,17 +32,15 @@
 //! figures + 5 %.)
 //!
 //! (At rxbench's 512 groups the left column is ≈ 15 MB and ≈ 52 MB.) Of the
-//! right columns, 87 KB of the clone is `L`'s two dense arrays and the
-//! root's `desc` run, rewritten whole once per inserting fold (merged into a
-//! scratch buffer, then copied behind its `Arc`), was about 85 KB of the
-//! round as an id array and is ≈ 5 KB as block words — the two O(view)
-//! remainders ARCHITECTURE.md §8 names. The `M` row is what stays
-//! allocated, both directions and the handle pages included, divided by
-//! `n_pairs()`: two ids per pair at 8 B per ≈ 5.6-id word plus 16 B of `Arc`
-//! header per non-empty set. The clone ceilings are a tenth of the left
-//! column; the round's call ceiling was re-based when `M` went from B-tree
-//! sets to runs, its byte ceiling (the measured figure + 5 %) and the
-//! per-pair ceiling when the runs went from ids to block words.
+//! right columns, 87 KB of the clone is `L`'s two dense arrays, the O(view)
+//! remainder ARCHITECTURE.md §8 names. The `M` row is what stays
+//! allocated, the handle pages included, divided by `n_pairs()`: one id per
+//! pair at 8 B per ≈ 5.6-id word plus 16 B of `Arc` header per non-empty
+//! set (two ids per pair until `M` kept its `anc` runs only). The clone
+//! ceilings are a tenth of the left column; the round's call ceiling was
+//! re-based when `M` went from B-tree sets to runs, its byte ceiling and the
+//! per-pair ceiling (each the measured figure + 5 %) when the runs went
+//! from ids to block words and again when `M` dropped its `desc` runs.
 //!
 //! Evaluating the round's path, `node[id=k]/sub`, on the same fixture —
 //! what every read, `apply` and replayed update pays before it translates
@@ -89,6 +87,15 @@
 //! The two ceilings are now 190 B (the measured figure + 5 %) and 4.0
 //! calls: a second copy of the edges (≈ 29 B per node) or an `Arc` per
 //! neighbour list again (≈ 1.6 calls and ≈ 27 B per node) fails them.
+//!
+//! Storing `M` one way — each node's `anc` run only, a descendant set a
+//! walk down the child lists — moved these figures, this file run on both
+//! trees: `M` per pair 4.6 → 2.39 B; `sys.clone()` 108 171 B in 21 calls
+//! → 105 467 B in 20; the round 199 748 B in 412 calls → 189 192 B in 400
+//! (the root's `desc` run, ≈ 5 KB rewritten by every inserting fold, is
+//! gone); the soak's words per pair 2.76 → 1.38 B. The ceilings are now
+//! 2.51 B per pair and 198 652 B per round: a second direction again
+//! (≈ 2.2 B per pair) fails the first.
 
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
@@ -323,7 +330,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         "publication made {publish_calls_per_node:.1} allocator calls per node"
     );
 
-    println!("M after compute: {m_bytes} B live, {bytes_per_pair:.1} B per pair");
+    println!("M after compute: {m_bytes} B live, {bytes_per_pair:.2} B per pair");
     println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");
     println!("clone + anchored insert + fold + drop: {round_bytes} B in {round_calls} calls");
     println!("full evaluate: {full_eval_calls} calls; scope-aware eval: {scoped_eval_calls} calls");
@@ -340,13 +347,13 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         clone_calls <= 4_365,
         "clone made {clone_calls} allocator calls"
     );
-    assert!(round_bytes <= 254_792, "round allocated {round_bytes} B");
+    assert!(round_bytes <= 198_652, "round allocated {round_bytes} B");
     assert!(
         round_calls <= 1_000,
         "round made {round_calls} allocator calls"
     );
     assert!(
-        bytes_per_pair <= 5.5,
+        bytes_per_pair <= 2.51,
         "M keeps {bytes_per_pair:.1} B per pair allocated"
     );
 }
@@ -403,8 +410,9 @@ fn sizes(sys: &XmlViewSystem) -> [usize; 5] {
 /// updates each, after one more that grows the state to its working size
 /// (caches, lazy indexes, the first fresh nodes): the free ids never exceed
 /// two rounds' allocations, the process holds through the last sample
-/// what it held through the first, and a pair of `M` costs at the last
-/// sample at most 1.25 × the words it cost at the first — recycled ids keep
+/// what it held through the first, and a pair of `M` — stored once, in its
+/// descendant's `anc` run — costs at the last sample at most 1.25 × the
+/// words it cost at the first — recycled ids keep
 /// subtrees on neighbouring ids, or `M`'s block words would thin out towards
 /// their worst case of one id each.
 ///

@@ -9,36 +9,33 @@
 //!
 //! # Cost model
 //!
-//! `M`'s sets are immutable runs ([`crate::reach`]), so both algorithms are
-//! written as bulk edits of whole ancestor sets, and a *fold* — all the
-//! jobs one [`crate::XmlViewSystem::fold_maintenance`] call is handed —
-//! shares one [`ReachBatch`]:
+//! `M`'s sets are immutable ancestor runs ([`crate::reach`]), so both
+//! algorithms are written as bulk edits of whole ancestor sets, and a
+//! *fold* — all the jobs one [`crate::XmlViewSystem::fold_maintenance`]
+//! call is handed — shares one [`ReachBatch`] of merge buffers:
 //!
-//! - **eager:** every `anc(x)` an insert job or the delete pass changes is
+//! - **`M`:** every `anc(x)` an insert job or the delete pass changes is
 //!   rewritten at once, one merge per `x` per job. These runs are short
 //!   (the depth of the view, a few thousand ids for a widely shared node),
 //!   and later jobs of the same fold read them: `anc(target)` for ∆M part
-//!   (b), and the `swap` repair's "is `x` below `v`" test, which therefore
-//!   asks the `anc` direction only;
-//! - **batched:** the `desc` half of those pairs is queued in one flat list
-//!   and flushed with one sort and one merge per touched ancestor — after
-//!   the last insert job (the delete pass builds `LR` from `descendants`)
-//!   and again after the delete pass. The root's run, which every job of a fold touches,
-//!   is thus copied once or twice per fold. An insert job that reads
-//!   `desc(v)` of an old node `v` shared into its subtree reads it through
-//!   the batch ([`Reachability::descendants_in`]), or it would miss what an
-//!   earlier job of the same fold queued under `v`;
+//!   (b), and the `swap` repair's "is `x` below `v`" test. An insert writes
+//!   the runs of the nodes below its target and nothing else — no run of an
+//!   ancestor, so the work does not grow with the view;
+//! - **descendant sets** — ∆M part (a)'s `desc(v)` of each fresh node, part
+//!   (b)'s subtree below the inserted root, and the delete pass's `LR` — are
+//!   walks down the DAG's child lists ([`crate::reach::DescWalk`]) as the
+//!   fold finds it: every edge of the fold's updates is already in place, so
+//!   nothing a job reads waits on another job's write;
 //! - **`L`:** an insert job splices and repairs as it goes (the next job
 //!   needs positions); the delete pass only *names* its garbage-collected
 //!   nodes and compacts `L` once, since nothing reads a position after
 //!   `LR` is sorted;
 //! - **ids:** a collected node's id goes back to the interner last, after
-//!   that compaction and the final flush — until then `L` and the batch
-//!   still name it.
+//!   that compaction — until then `L` still names it.
 //!
 //! [`maintain_insert`] and [`maintain_delete`] are folds of one job.
 
-use crate::reach::{ReachBatch, Reachability, RunBuf};
+use crate::reach::{with_walk, ReachBatch, Reachability, RunBuf};
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, SubtreeDag};
@@ -60,9 +57,9 @@ pub struct MaintainReport {
     pub gc_nodes: usize,
     /// Cascaded edge deletions `∆'V` applied by the collector.
     pub cascaded_edges: usize,
-    /// Nanoseconds spent rewriting `M` (∆M parts (a)/(b) on insert; building
-    /// `LR` and the per-node ancestor-set recomputation on delete; the
-    /// flushes of the batched `desc` direction).
+    /// Nanoseconds spent rewriting `M` (∆M parts (a)/(b) on insert, their
+    /// descendant walks included; building `LR` and the per-node
+    /// ancestor-set recomputation on delete).
     pub m_rewrite_ns: u64,
     /// Nanoseconds spent splicing/repairing `L` (block splice + swap repair
     /// on insert; edge cascade and `gen_A` collection of unreachable nodes,
@@ -89,9 +86,9 @@ impl MaintainReport {
 /// Algorithm **∆(M,L)insert** (Fig.7) for one inserted subtree. Call
 /// *after* the `∆V` insertions have been applied to the DAG.
 ///
-/// - `∆M` part (a): reachability inside the inserted `ST(A,t)` is computed
-///   by the Reach recurrence over the fresh nodes (memoizing into existing
-///   descendant sets at the subtree boundary);
+/// - `∆M` part (a): every fresh node of the inserted `ST(A,t)` becomes an
+///   ancestor of what a walk down the DAG reaches from it, old nodes below
+///   the subtree boundary included;
 /// - `∆M` part (b): every ancestor-or-self of a target in `r[[p]]` gains all
 ///   of `ST(A,t)`'s nodes and their descendants;
 /// - `L` part: fresh nodes are spliced in (children before parents, before
@@ -105,10 +102,14 @@ pub(crate) fn maintain_insert(
     subtree: &SubtreeDag,
     targets: &[NodeId],
 ) -> MaintainReport {
-    let mut batch = ReachBatch::default();
-    let mut report = insert_job(vs, topo, reach, &mut batch, subtree, targets);
-    flush(reach, &mut batch, &mut report);
-    report
+    insert_job(
+        vs,
+        topo,
+        reach,
+        &mut ReachBatch::default(),
+        subtree,
+        targets,
+    )
 }
 
 /// Turns gathered ids into a set in ascending order.
@@ -117,15 +118,8 @@ fn sort_dedup(ids: &mut Vec<NodeId>) {
     ids.dedup();
 }
 
-/// Applies the fold's queued `desc`-direction edits, on the `M` clock.
-pub(crate) fn flush(reach: &mut Reachability, batch: &mut ReachBatch, report: &mut MaintainReport) {
-    let t_m = Instant::now();
-    reach.flush(batch);
-    report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
-}
-
-/// One ∆(M,L)insert job of a fold: `L` is left valid and `anc` exact for
-/// the jobs so far, `desc` is owed `batch`'s flush.
+/// One ∆(M,L)insert job of a fold: `L` is left valid and `M` exact for
+/// the jobs so far.
 pub(crate) fn insert_job(
     vs: &ViewStore,
     topo: &mut TopoOrder,
@@ -186,44 +180,26 @@ pub(crate) fn insert_job(
 
     // ---- ∆M (a): descendants of every fresh node. ----
     let t_m = Instant::now();
-    // Memoized DFS: desc(v) = ∪_c ({c} ∪ desc(c)); old nodes answer from M
-    // as the fold so far has left it.
-    let mut below: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    fn desc_of_fresh(
-        dag: &rxview_atg::Dag,
-        reach: &Reachability,
-        batch: &mut ReachBatch,
-        fresh: &BTreeSet<NodeId>,
-        below: &mut HashMap<NodeId, Vec<NodeId>>,
-        v: NodeId,
-    ) {
-        if below.contains_key(&v) {
-            return;
-        }
-        let mut out = Vec::new();
-        for &c in dag.children(v) {
-            out.push(c);
-            if fresh.contains(&c) {
-                desc_of_fresh(dag, reach, batch, fresh, below, c);
-                out.extend_from_slice(&below[&c]);
-            } else {
-                // The DAG may have just gained edges below old nodes only
-                // via the subtree root connections; those are handled by (b).
-                reach.descendants_in(c, batch).extend_into(&mut out);
-            }
-        }
-        sort_dedup(&mut out);
-        below.insert(v, out);
-    }
-    for &v in &subtree.fresh {
-        desc_of_fresh(dag, reach, batch, &fresh, &mut below, v);
-    }
     // The new pairs as `(desc, anc)`, so that sorting groups them by the
     // node whose `anc` run they extend.
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    for (&v, desc) in &below {
-        pairs.extend(desc.iter().filter(|&&x| x != v).map(|&x| (x, v)));
-    }
+    // `{root} ∪ desc(root)`, which part (b) reads, then each fresh node's
+    // `{v} ∪ desc(v)`: a walk of the DAG as the fold has left it.
+    let mut closure = Vec::new();
+    let mut below = Vec::new();
+    with_walk(|walk| {
+        walk.closure(dag, [subtree.root], &mut closure, usize::MAX);
+        for &v in &subtree.fresh {
+            let desc = if v == subtree.root {
+                &closure[1..]
+            } else {
+                below.clear();
+                walk.closure(dag, [v], &mut below, usize::MAX);
+                &below[1..]
+            };
+            pairs.extend(desc.iter().map(|&x| (x, v)));
+        }
+    });
 
     // ---- ∆M (b): ancestors of targets reach the whole subtree. ----
     let mut anc_targets: Vec<NodeId> = targets.to_vec();
@@ -231,15 +207,8 @@ pub(crate) fn insert_job(
         reach.ancestors(t).extend_into(&mut anc_targets);
     }
     sort_dedup(&mut anc_targets);
-    let mut below_targets =
-        |d: NodeId| pairs.extend(anc_targets.iter().filter(|&&a| a != d).map(|&a| (d, a)));
-    below_targets(subtree.root);
-    match below.get(&subtree.root) {
-        Some(desc) => desc.iter().copied().for_each(below_targets),
-        None => reach
-            .descendants_in(subtree.root, batch)
-            .iter()
-            .for_each(below_targets),
+    for &d in &closure {
+        pairs.extend(anc_targets.iter().filter(|&&a| a != d).map(|&a| (d, a)));
     }
     pairs.sort_unstable();
     pairs.dedup();
@@ -258,7 +227,6 @@ pub(crate) fn insert_job(
     let repair = |topo: &mut TopoOrder, u: NodeId, v: NodeId| {
         if let (Some(pu), Some(pv)) = (topo.position(u), topo.position(v)) {
             if pu < pv {
-                // `anc` is exact here; `desc(v)` still waits for the flush.
                 topo.swap(u, v, &|x| reach.ancestors(x).contains(&v));
             }
         }
@@ -303,9 +271,7 @@ fn count_parent_runs(n: usize) {
     PARENT_RUNS.with(|c| c.set(c.get() + n));
 }
 
-/// The ∆(M,L)delete pass of a fold over all its deletion targets. `batch`
-/// must be flushed (the pass reads `descendants`); it is flushed again
-/// before returning.
+/// The ∆(M,L)delete pass of a fold over all its deletion targets.
 ///
 /// A target (the child of a deleted edge) has its `anc` recomputed from the
 /// parents it has left, Fig.8 lines 9–11. Below the targets that recompute
@@ -313,8 +279,8 @@ fn count_parent_runs(n: usize) {
 /// `r` (a node this pass collected) contributed — `r` or `anc(r)` — or one
 /// that a surviving parent lost earlier in the pass, so only those
 /// candidates are checked: a candidate stays iff a surviving parent of `d`
-/// lies below it, searched from whichever side is smaller. A node with no
-/// candidate is not touched.
+/// lies below it, searched in the survivors' exact `anc` runs. A node with
+/// no candidate is not touched.
 pub(crate) fn delete_pass(
     vs: &mut ViewStore,
     topo: &mut TopoOrder,
@@ -327,16 +293,14 @@ pub(crate) fn delete_pass(
         ..MaintainReport::default()
     };
 
-    // LR: the targets and all their descendants, sorted by L.
+    // LR: the targets and all their descendants — one walk down from the
+    // deleted edges' children, whose subtrees are still whole — sorted by L.
     let t_lr = Instant::now();
     let mut targets = selected.to_vec();
     sort_dedup(&mut targets);
-    let mut lr = targets.clone();
-    for &v in selected {
-        reach.descendants(v).extend_into(&mut lr);
-    }
-    sort_dedup(&mut lr);
-    lr.sort_by_key(|v| topo.position(*v).unwrap_or(u64::MAX));
+    let mut lr = Vec::new();
+    with_walk(|walk| walk.closure(vs.dag(), targets.iter().copied(), &mut lr, usize::MAX));
+    lr.sort_unstable_by_key(|&v| (topo.position(v).unwrap_or(u64::MAX), v));
     report.m_rewrite_ns += t_lr.elapsed().as_nanos() as u64;
 
     // What each visited node lost from `anc` (all of it, when collected),
@@ -402,23 +366,12 @@ pub(crate) fn delete_pass(
                     return false;
                 }
                 // `x` still reaches `d` iff a surviving parent lies below
-                // it. Search from the smaller side: `desc(x)` — the stored
-                // run, a superset of what `x` reaches now (the pass only
-                // removes pairs), its hits confirmed in the exact `anc` —
-                // or the survivors' exact `anc` runs.
-                let down = reach.descendants(x);
-                #[cfg(test)]
-                count_parent_runs(1);
-                if down.n_words() <= n_parents {
-                    let covers = |y: NodeId| reaches_d(y) && reach.ancestors(y).contains(&x);
-                    !down.iter().any(covers)
-                } else {
-                    !survivors().any(|s| {
-                        #[cfg(test)]
-                        count_parent_runs(1);
-                        reach.ancestors(s).contains(&x)
-                    })
-                }
+                // it: a search in each survivor's exact `anc` run.
+                !survivors().any(|s| {
+                    #[cfg(test)]
+                    count_parent_runs(1);
+                    reach.ancestors(s).contains(&x)
+                })
             });
             if open.is_empty() {
                 0
@@ -452,10 +405,9 @@ pub(crate) fn delete_pass(
     let t_l = Instant::now();
     topo.remove_many(&collected);
     report.l_splice_ns += t_l.elapsed().as_nanos() as u64;
-    flush(reach, batch, &mut report);
     // Only now is nothing kept under a collected id — its edges are gone,
-    // `L` is compacted, `batch` holds no edit naming it — so only now may
-    // the interner hand it out again (a fold allocates nothing itself).
+    // its `anc` run is empty, `L` is compacted — so only now may the
+    // interner hand it out again (a fold allocates nothing itself).
     let t_gc = Instant::now();
     for &d in &collected {
         vs.unregister_node(d)?;
@@ -499,7 +451,7 @@ mod tests {
         // Alice (S01, currently only under CS650) joins CS320's takenBy:
         // the shared student node gains a parent.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
@@ -515,7 +467,7 @@ mod tests {
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
         db.insert("enroll", tuple!["S01", "CS100"]).unwrap();
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
@@ -537,7 +489,7 @@ mod tests {
         let (_db, mut vs, mut topo, mut reach) = fixture();
         // Remove CS320 from CS650's prereq; CS320 survives (db still links it).
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -553,7 +505,7 @@ mod tests {
         // the student node becomes unreachable and is collected, together
         // with its pcdata children.
         let p = parse_xpath("//student[ssn=S01]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -592,7 +544,7 @@ mod tests {
             .unwrap();
         assert!(reach.is_ancestor(cs650, s02));
         let p = parse_xpath("//course[cno=CS320]/takenBy/student[ssn=S02]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -635,7 +587,7 @@ mod tests {
                 .unwrap();
             assert_eq!(vs.dag().parents(alice).len(), p + 1);
 
-            let eval = eval_path(&vs, &topo, &reach, &parse_xpath("course[cno=X0]").unwrap());
+            let eval = eval_path(&vs, &topo, &parse_xpath("course[cno=X0]").unwrap());
             apply_delta(&mut vs, &xdelete(&eval), None).unwrap();
             PARENT_RUNS.with(|c| c.set(0));
             let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
@@ -651,17 +603,57 @@ mod tests {
         assert_eq!(small, large, "the work does not grow with p");
     }
 
+    /// §3.4's ∆(M,L)insert, as a cost model: an anchored insert writes the
+    /// `anc` runs of the subtree it adds and nothing above it — the same
+    /// ids of `M` under a 101-node and a 10 001-node star. Storing `desc`
+    /// as well rewrote the root's run, every node of the view, per insert.
+    /// (Ids, not words: how many words the same ids take depends on whether
+    /// the anchor's ids share a block with the root's, which the star's
+    /// size decides.)
+    #[test]
+    fn an_anchored_insert_writes_the_same_m_ids_at_two_view_sizes() {
+        let written = |n: usize| {
+            let mut db = Database::new();
+            rxview_atg::registrar_schema(&mut db);
+            for i in 0..n {
+                let (cno, title) = (format!("C{i}"), format!("T{i}"));
+                db.insert("course", tuple![cno.as_str(), title.as_str(), "CS"])
+                    .unwrap();
+            }
+            db.insert("course", tuple!["NEW", "Fresh", "Math"]).unwrap();
+            let atg = registrar_atg(&db).unwrap();
+            let mut vs = ViewStore::publish(atg, &db).unwrap();
+            let mut topo = TopoOrder::compute(vs.dag());
+            let mut reach = Reachability::compute(vs.dag(), &topo);
+            assert_eq!(topo.len(), 5 * n + 1);
+            let p = parse_xpath("course[cno=C7]/prereq").unwrap();
+            let eval = eval_path(&vs, &topo, &p);
+            let course = vs.atg().dtd().type_id("course").unwrap();
+            let (delta, st) = xinsert(&mut vs, &db, course, tuple!["NEW", "Fresh"], &eval).unwrap();
+            apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+            let before = crate::reach::IDS_WRITTEN.with(|c| c.get());
+            let report = maintain_insert(&vs, &mut topo, &mut reach, &st, &eval.selected);
+            let ids = crate::reach::IDS_WRITTEN.with(|c| c.get()) - before;
+            assert_eq!(ids, report.m_inserted, "only the new subtree's runs");
+            assert_consistent(&vs, &topo, &reach);
+            ids
+        };
+        let (small, large) = (written(20), written(2_000));
+        assert!(small > 0 && small <= 32, "{small} ids written");
+        assert_eq!(small, large, "the ids written grow with the view");
+    }
+
     #[test]
     fn delete_then_reinsert_round_trips() {
         let (db, mut vs, mut topo, mut reach) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
         maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
 
         let p2 = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval2 = eval_path(&vs, &topo, &reach, &p2);
+        let eval2 = eval_path(&vs, &topo, &p2);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta2, st) =
             xinsert(&mut vs, &db, course, tuple!["CS320", "Algorithms"], &eval2).unwrap();

@@ -40,7 +40,7 @@
 //! [`crate::XmlViewSystem::eval`].
 
 use crate::footprint::{pin_filter, FilterPin};
-use crate::reach::Reachability;
+use crate::reach::{with_walk, Reachability};
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
@@ -464,29 +464,18 @@ const SCOPE_SHARE: usize = 2;
 /// The evaluation scope of a resolved anchor set ([`union_scope`]), or
 /// `None` when the cone union could exceed `|L| / 2` — decided from
 /// `Σ (1 + |desc(a)| + |anc(a)|)` over the anchors, an upper bound on the
-/// union that is read off `M` before anything is built (cones that overlap
-/// are counted twice, so a `None` can be pessimistic; a `Some` never is).
-/// One rule for writes, reads and replay.
+/// union (cones that overlap are counted twice, so a `None` can be
+/// pessimistic; a `Some` never is). Each `desc(a)` is a walk that stops as
+/// soon as the sum passes the budget, so a scope that is not built costs at
+/// most `|L| / 2` steps of the walk. One rule for writes, reads and replay.
 pub fn scope_of_anchors(
     vs: &ViewStore,
     topo: &TopoOrder,
     reach: &Reachability,
     anchors: &Anchors,
 ) -> Option<Vec<NodeId>> {
-    let bound: usize = anchors
-        .nodes
-        .iter()
-        .map(|&a| {
-            let up = if anchors.with_ancestors {
-                reach.ancestors(a).len()
-            } else {
-                0
-            };
-            1 + reach.descendants(a).len() + up
-        })
-        .sum();
-    (bound * SCOPE_SHARE <= topo.len())
-        .then(|| union_scope(vs, topo, reach, &anchors.nodes, anchors.with_ancestors))
+    let (nodes, up) = (&anchors.nodes, anchors.with_ancestors);
+    gather_scope(vs, topo, reach, nodes, up, topo.len() / SCOPE_SHARE)
 }
 
 /// The scope for a union of anchor cones: the nodes of `{root} ∪ ⋃ₐ ({a}
@@ -502,22 +491,48 @@ pub fn union_scope(
     anchors: &[NodeId],
     with_ancestors: bool,
 ) -> Vec<NodeId> {
+    gather_scope(vs, topo, reach, anchors, with_ancestors, usize::MAX).unwrap_or_default()
+}
+
+/// [`union_scope`], or `None` once `Σ (1 + |desc(a)| [+ |anc(a)|])` over
+/// the anchors passes `budget`.
+fn gather_scope(
+    vs: &ViewStore,
+    topo: &TopoOrder,
+    reach: &Reachability,
+    anchors: &[NodeId],
+    with_ancestors: bool,
+    budget: usize,
+) -> Option<Vec<NodeId>> {
+    let mut cone = vec![vs.dag().root()];
+    let mut spent = 0usize;
+    with_walk(|walk| {
+        for &a in anchors {
+            let up = reach.ancestors(a);
+            let up_len = if with_ancestors { up.len() } else { 0 };
+            // One set per anchor: a node two cones share counts in both.
+            let start = cone.len();
+            let left = budget.checked_sub(spent.saturating_add(up_len))?;
+            if !walk.closure(vs.dag(), [a], &mut cone, start.saturating_add(left)) {
+                return None;
+            }
+            spent += up_len + (cone.len() - start);
+            if with_ancestors {
+                up.extend_into(&mut cone);
+            }
+        }
+        Some(())
+    })?;
     // Gathered as `(rank in L, node)`, so one sort orders the union and
     // puts duplicates (shared descendants, the root above every `//`
     // anchor) side by side; nodes `L` does not hold are not live.
-    let mut cone: Vec<(u64, NodeId)> = Vec::new();
-    let mut add = |v: NodeId| cone.extend(topo.position(v).map(|p| (p, v)));
-    add(vs.dag().root());
-    for &a in anchors {
-        add(a);
-        reach.descendants(a).iter().for_each(&mut add);
-        if with_ancestors {
-            reach.ancestors(a).iter().for_each(&mut add);
-        }
-    }
-    cone.sort_unstable();
-    cone.dedup();
-    cone.into_iter().map(|(_, v)| v).collect()
+    let mut ranked = Vec::with_capacity(cone.len());
+    ranked.extend(cone.iter().filter_map(|&v| Some((topo.position(v)?, v))));
+    ranked.sort_unstable();
+    ranked.dedup();
+    cone.clear();
+    cone.extend(ranked.into_iter().map(|(_, v)| v));
+    Some(cone)
 }
 
 #[cfg(test)]
@@ -702,7 +717,7 @@ mod tests {
         let m = anchors[0];
         assert!(scope.contains(&m));
         assert!(scope.contains(&vs.dag().root()));
-        for d in reach.descendants(m) {
+        for d in crate::reach::descendants(vs.dag(), m) {
             assert!(scope.contains(&d));
         }
         for a in reach.ancestors(m) {

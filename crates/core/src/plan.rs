@@ -14,8 +14,9 @@
 //! *bindings* — the literal values — and executes the program over a
 //! thread-local predicate value matrix (`EvalScratch`). From its first
 //! `//` on, a path's steps compile into suffix predicates, so the backward
-//! pass prunes a `//` step by lookups in that matrix: evaluation reads `M`
-//! only for the forward `//` closure, and hashes nothing.
+//! pass prunes a `//` step by lookups in that matrix, and the forward `//`
+//! closure is a walk down the DAG's child lists ([`crate::reach::DescWalk`]):
+//! evaluation reads no `M` run, and hashes nothing.
 //!
 //! **Cache key.** The key is the path's shape: its serialized AST with every
 //! `p = "s"` literal replaced by `?`. Two paths with the same shape share
@@ -43,12 +44,12 @@
 
 use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};
-use crate::reach::Reachability;
+use crate::reach::with_walk;
 use crate::template::TranslationTemplates;
 #[cfg(test)]
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
-use rxview_atg::{Atg, NodeId};
+use rxview_atg::{Atg, Dag, NodeId};
 use rxview_xmlkit::xpath::{normalize, NormStep};
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::{Dtd, TypeId};
@@ -683,24 +684,18 @@ enum PRec {
 pub fn eval_plan(
     vs: &ViewStore,
     order: &[NodeId],
-    reach: &Reachability,
     plan: &UpdatePlan,
     bindings: &[String],
 ) -> DagEval {
-    SCRATCH.with(|s| eval_plan_with(&mut s.borrow_mut(), vs, order, reach, plan, bindings))
+    SCRATCH.with(|s| eval_plan_with(&mut s.borrow_mut(), vs, order, plan, bindings))
 }
 
 /// Compiles `p` through the store's cache and runs it over `topo`: the
 /// evaluation in-crate tests translate from.
 #[cfg(test)]
-pub(crate) fn eval_path(
-    vs: &ViewStore,
-    topo: &TopoOrder,
-    reach: &Reachability,
-    p: &XPath,
-) -> DagEval {
+pub(crate) fn eval_path(vs: &ViewStore, topo: &TopoOrder, p: &XPath) -> DagEval {
     let (plan, bindings) = vs.plan_cache().plan(vs.atg().dtd(), p);
-    eval_plan(vs, topo.order(), reach, &plan, &bindings)
+    eval_plan(vs, topo.order(), &plan, &bindings)
 }
 
 fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
@@ -708,17 +703,44 @@ fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
     v.dedup();
 }
 
+/// The children of `u` a step over the scope `order` follows that `keep`
+/// admits: from `u`'s child list, or — when `u` has more children than the
+/// scope has nodes (the root, under an anchored head) — from the scope's
+/// members that list `u` as a parent; a child outside the scope lies on no
+/// complete match. A `//` step under the root of a 10²-node scope so
+/// examines 10² ids, not the root's |V|-long child list.
+fn scope_kids<'a>(
+    dag: &'a Dag,
+    order: &'a [NodeId],
+    u: NodeId,
+    keep: impl Fn(NodeId) -> bool + Copy + 'a,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let kids = dag.children(u);
+    #[cfg(test)]
+    tests::STEP_IDS.with(|c| c.set(c.get() + kids.len().min(order.len())));
+    let (list, scan) = if kids.len() <= order.len() {
+        (kids, &[][..])
+    } else {
+        (&[][..], order)
+    };
+    let below_u = scan
+        .iter()
+        .filter(move |&&d| keep(d) && dag.parents(d).contains(&u));
+    list.iter()
+        .filter(move |&&c| keep(c))
+        .chain(below_u)
+        .copied()
+}
+
 fn eval_plan_with(
     scratch: &mut EvalScratch,
     vs: &ViewStore,
     order: &[NodeId],
-    reach: &Reachability,
     plan: &UpdatePlan,
     bindings: &[String],
 ) -> DagEval {
     let program = &plan.program;
     let preds = &program.preds;
-    let n = order.len();
     let np = preds.len();
 
     // ---- Bottom-up pass over the scope order. ----
@@ -732,7 +754,7 @@ fn eval_plan_with(
     let mut val = std::mem::take(&mut scratch.val);
     let mut stamp = std::mem::take(&mut scratch.stamp);
     #[cfg(test)]
-    tests::ARENA_CELLS.with(|c| c.set(c.get() + (np + 1) * n));
+    tests::ARENA_CELLS.with(|c| c.set(c.get() + (np + 1) * order.len()));
     for &v in order {
         let vi = v.index() * np;
         stamp[v.index()] = generation;
@@ -773,23 +795,7 @@ fn eval_plan_with(
     }
     let in_scope = |v: NodeId| stamp.get(v.index()) == Some(&generation);
     let holds = |pi: usize, v: NodeId| in_scope(v) && val[v.index() * np + pi];
-    // scope ∩ desc(u), found by walking whichever is shorter: the stored
-    // run (membership = the node's stamp) or the scope order (membership =
-    // `is_ancestor`, itself a search of the shorter of `anc(d)` / `desc(u)`).
-    // A `//` step under the root of a 10²-node scope so costs 10² probes,
-    // not the root's whole |V|-long run. The child steps below treat a
-    // parent with more children than the scope has nodes the same way.
-    // This is the only read of `M` an evaluation makes.
-    let desc_in_scope = |u: NodeId, out: &mut Vec<NodeId>| {
-        let run = reach.descendants(u);
-        #[cfg(test)]
-        tests::STEP_IDS.with(|c| c.set(c.get() + run.len().min(n)));
-        if run.len() <= n {
-            out.extend(run.iter().filter(|&d| in_scope(d)));
-        } else {
-            out.extend(order.iter().copied().filter(|&d| reach.is_ancestor(u, d)));
-        }
-    };
+    let dag = vs.dag();
 
     // ---- Top-down forward pass, over sorted, deduplicated node sets. ----
     let mut cur = vec![vs.dag().root()];
@@ -807,33 +813,25 @@ fn eval_plan_with(
                 };
                 let mut edges = Vec::new();
                 for &u in &cur {
-                    let kids = vs.dag().children(u);
-                    #[cfg(test)]
-                    tests::STEP_IDS.with(|c| c.set(c.get() + kids.len().min(n)));
-                    if kids.len() <= n {
-                        edges.extend(kids.iter().filter(|&&c| wanted(c)).map(|&c| (u, c)));
-                    } else {
-                        // More children than the scope has nodes (the root,
-                        // under an anchored head): walk the scope instead.
-                        // A child outside it lies on no complete match.
-                        for &d in order {
-                            if wanted(d) && vs.dag().parents(d).contains(&u) {
-                                edges.push((u, d));
-                            }
-                        }
-                    }
+                    edges.extend(scope_kids(dag, order, u, &wanted).map(|c| (u, c)));
                 }
                 cur = edges.iter().map(|&(_, c)| c).collect();
                 sort_dedup(&mut cur);
                 records.push(PRec::Child { edges });
             }
             PStep::Desc { suffix, next } => {
-                // Restricted to the evaluation scope (the caller's
-                // exactness contract — see `XmlViewSystem::evaluate_scoped`).
-                for i in 0..cur.len() {
-                    let u = cur[i];
-                    desc_in_scope(u, &mut cur);
-                }
+                // `cur ∪ desc(cur)`: one walk down from every source,
+                // restricted to the evaluation scope (the caller's exactness
+                // contract — see `XmlViewSystem::evaluate_scoped`). This is
+                // the only descendant set an evaluation builds; it reads no
+                // `M` run.
+                with_walk(|walk| {
+                    walk.begin(genid.n_allocated());
+                    cur.iter().for_each(|&u| _ = walk.reach(u));
+                    walk.run(&mut cur, 0, usize::MAX, |u| {
+                        scope_kids(dag, order, u, &in_scope)
+                    });
+                });
                 sort_dedup(&mut cur);
                 records.push(PRec::Desc {
                     suffix: *suffix,
@@ -931,6 +929,7 @@ mod ast_strategies;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach::Reachability;
     use proptest::prelude::*;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, Database};
@@ -985,9 +984,10 @@ mod tests {
     }
 
     thread_local! {
-        /// Ids the `//` and child steps examined on this thread: per
-        /// source, the shorter of its `desc` run (its child list) and the
-        /// scope. Every id of `M` an evaluation reads is counted here.
+        /// Ids the `//` and child steps examined on this thread: per node
+        /// a step expands — a child step's sources, every node a `//`
+        /// step's walk reaches — the shorter of its child list and the
+        /// scope.
         pub(super) static STEP_IDS: Cell<usize> = const { Cell::new(0) };
         /// Arena cells (predicate values and scope stamps) evaluations on
         /// this thread wrote or reset.
@@ -1042,7 +1042,7 @@ mod tests {
     /// `n` courses in one prerequisite chain, `prereq(Cᵢ, Cᵢ₊₁)`, under the
     /// one top-level course `C0` (the others are in Math): `5n + 1` nodes,
     /// as deep as the chain is long.
-    fn chain(n: usize) -> (ViewStore, TopoOrder, Reachability) {
+    fn chain(n: usize) -> (ViewStore, TopoOrder) {
         let mut db = Database::new();
         rxview_atg::registrar_schema(&mut db);
         for i in 0..n {
@@ -1057,26 +1057,35 @@ mod tests {
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (vs, topo, reach)
+        (vs, topo)
     }
 
     /// §3.2's O(|p| · |V|) bound, as a cost model: the full pass of
-    /// `//course` over a chain 10× longer reads at most ≈ 10× the ids of
-    /// `M` (and child lists). Pruning the `//` step by unioning every
-    /// target's `anc` run reads Σ |anc| — quadratic in the chain's length.
+    /// `//course` walks each node of the view once and reads each child
+    /// list once — at most `|L| + |E|` ids over a chain of either length,
+    /// so ≈ 10× the ids over one 10× longer. Pruning the `//` step by
+    /// unioning every target's `anc` run reads Σ |anc| — quadratic in the
+    /// chain's length — and reading the root's `desc` run alone would be
+    /// `|L|` ids of `M`.
     #[test]
-    fn a_full_desc_pass_reads_m_in_proportion_to_the_view() {
+    fn a_full_desc_pass_walks_the_view_once() {
         let p = parse_xpath("//course").unwrap();
         let mut read = Vec::new();
         for n in [40, 400] {
-            let (vs, topo, reach) = chain(n);
+            let (vs, topo) = chain(n);
             assert_eq!(topo.len(), 5 * n + 1);
             let ids = STEP_IDS.with(Cell::get);
-            let out = eval_path(&vs, &topo, &reach, &p);
-            read.push(STEP_IDS.with(Cell::get) - ids);
+            let out = eval_path(&vs, &topo, &p);
+            let walked = STEP_IDS.with(Cell::get) - ids;
             assert_eq!(out.selected.len(), n);
             assert_eq!(out.matched_nodes.len(), 2 * n);
+            assert!(
+                walked <= topo.len() + vs.dag().n_edges(),
+                "{walked} ids over {} nodes and {} edges",
+                topo.len(),
+                vs.dag().n_edges()
+            );
+            read.push(walked);
         }
         assert!(
             read[1] <= 11 * read[0],
@@ -1088,10 +1097,9 @@ mod tests {
 
     #[test]
     fn step_work_follows_the_scope_not_the_view() {
-        // Over a 6-node scope the `//` step under the root must examine the
-        // scope, not the root's `desc` run, and the child step the scope,
-        // not the root's children — the same handful of ids in a 101-node
-        // star and a 10 001-node one.
+        // Over a 6-node scope the `//` step's walk and the child step under
+        // the root must examine the scope, not the root's children — the
+        // same handful of ids in a 101-node star and a 10 001-node one.
         for path in ["//course[cno=C7]/prereq", "course[cno=C7]/prereq"] {
             step_work_is_the_same_in_a_small_and_a_large_star(path);
         }
@@ -1119,7 +1127,7 @@ mod tests {
             assert_eq!(scope.len(), 6);
             bound = (plan.program.preds.len() + 1) * scope.len();
             let (ids, cells) = (STEP_IDS.with(Cell::get), ARENA_CELLS.with(Cell::get));
-            let scoped = eval_plan(&vs, &scope, &reach, &plan, &bindings);
+            let scoped = eval_plan(&vs, &scope, &plan, &bindings);
             examined.push(STEP_IDS.with(Cell::get) - ids);
             written.push(ARENA_CELLS.with(Cell::get) - cells);
             assert_eq!(scoped.selected.len(), 1);

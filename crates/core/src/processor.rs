@@ -13,7 +13,7 @@
 //!    timed separately — the (c) constituent of Fig.11.
 
 use crate::dag_eval::DagEval;
-use crate::maintain::{delete_pass, flush, insert_job, MaintainReport};
+use crate::maintain::{delete_pass, insert_job, MaintainReport};
 use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
 use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
@@ -342,7 +342,7 @@ impl XmlViewSystem {
 
     fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &[NodeId]) -> DagEval {
         let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
-        crate::plan::eval_plan(&self.vs, order, &self.reach, &plan, &bindings)
+        crate::plan::eval_plan(&self.vs, order, &plan, &bindings)
     }
 
     /// The [`PathClass`] of `path`, through the shared plan cache: the
@@ -441,9 +441,7 @@ impl XmlViewSystem {
         if jobs.is_empty() {
             return Ok(agg);
         }
-        // One batch per fold: `M`'s `desc` direction is rewritten once per
-        // touched ancestor for all the insert jobs together, and once more
-        // for the delete pass (see `maintain`'s cost model).
+        // One batch of merge buffers per fold (see `maintain`'s cost model).
         let mut batch = ReachBatch::default();
         let mut delete_targets: Vec<rxview_atg::NodeId> = Vec::new();
         for job in jobs {
@@ -459,7 +457,6 @@ impl XmlViewSystem {
                 None => delete_targets.extend(job.selected),
             }
         }
-        flush(&mut self.reach, &mut batch, &mut agg);
         if !delete_targets.is_empty() {
             agg.absorb(&delete_pass(
                 &mut self.vs,

@@ -2,8 +2,10 @@
 //!
 //! `M` supports the `//` axis on DAGs: `M(anc, desc)` is set iff `anc` is a
 //! (strict) ancestor of `desc`. Following the paper, only the set bits are
-//! stored — as a relation `M(anc, desc)`, realized here as adjacency sets in
-//! both directions so `anc(a)` and `desc(a)` are each one lookup.
+//! stored — as a relation `M(anc, desc)`, realized here as one adjacency
+//! set per node, its ancestors: `anc(d)` is one lookup, and `desc(a)` — the
+//! other direction, which ∆(M,L) and the evaluator read far less often — is
+//! a walk down the DAG's child lists ([`descendants`]).
 //!
 //! # Layout and cost model
 //!
@@ -14,7 +16,7 @@
 //! has a member, keys strictly ascending, no word with an empty mask — so a
 //! set has exactly one representation and runs compare as word slices.
 //! Publication and lowest-free-id-first recycling keep a subtree on
-//! neighbouring ids, so a word holds ≈ 5.6 ids (≈ 1.4 bytes per stored id
+//! neighbouring ids, so a word holds several ids (≈ 1.4 bytes per stored id
 //! plus one 16-byte header per non-empty set, against 4 for a plain id
 //! array and ≈ 25 for a B-tree set). The worst case is a run whose every id
 //! sits alone in its block: 8 bytes per id.
@@ -29,10 +31,10 @@
 //!   the evaluators, the `L` repairs and the checkpoint encoder see is the
 //!   order an id array gave them;
 //! - [`Run::len`]: a popcount per word (not a stored length);
-//! - the Reach recurrence `⋃_p ({p} ∪ anc(p))` (and its mirror over
-//!   children, `⋃_c ({c} ∪ desc(c))`): every parent's words are OR-ed into
-//!   a dense scratch of one mask per block of the id space and the touched
-//!   blocks are emitted in key order — block keys are sorted, no id is.
+//! - the Reach recurrence `⋃_p ({p} ∪ anc(p))`: every parent's words are
+//!   OR-ed into a dense scratch of one mask per block of the id space and
+//!   the touched blocks are emitted in key order — block keys are sorted,
+//!   no id is.
 //!
 //! A run is never edited in place: changing a set builds its successor and
 //! swaps the handle, so a snapshot that still holds the old handle is
@@ -42,32 +44,27 @@
 //! and a single-pair insert would cost exactly that — which is why there is
 //! none. Everything that writes `M` is a bulk operation:
 //!
-//! - [`Reachability::compute`] builds both directions run by run with the
-//!   recurrence, `anc` backward over `L` and `desc` forward;
-//!   `AncestorLoad` (under [`Reachability::from_ancestors`] and the
-//!   checkpoint decoder) builds one direction and derives the other with
-//!   one counting-sort transposition over words — a loaded `desc` must
-//!   mirror the decoded `anc`, whatever the bytes say;
+//! - [`Reachability::compute`] builds every run with the recurrence,
+//!   backward over `L`; `AncestorLoad` (under
+//!   [`Reachability::from_ancestors`] and the checkpoint decoder) stores
+//!   the runs it is given;
 //! - maintenance edits ancestor sets wholesale
 //!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
 //!   its recurrence form [`Reachability::set_ancestors_from`],
-//!   [`Reachability::collect_node`]). The `anc` direction is written at once
-//!   — those runs are small, and later jobs of the same fold read them. The
-//!   `desc` half of every changed pair is queued in a [`ReachBatch`] — one
-//!   flat list of `(ancestor, node, add)` — and applied by
-//!   [`Reachability::flush`], which sorts the list once and does one merge
-//!   per touched ancestor, however many pairs it gained or lost: the root's
-//!   run (every node of the view) is rewritten once per flush, not once per
-//!   job. Until the flush, `desc` lags `anc`; a reader that must not miss
-//!   queued pairs asks [`Reachability::descendants_in`].
+//!   [`Reachability::collect_node`]), each written at once: a job of a
+//!   fold reads what the jobs before it wrote. An insert rewrites the runs
+//!   of the nodes below its target — the root's run is empty, and no run
+//!   grows with the view.
 //!
-//! [`Reachability::n_pairs`] is accounted on the `anc` direction alone, so
-//! the lag can neither double- nor under-count; [`Reachability::n_words`]
-//! counts what both directions store.
+//! A descendant set costs what it holds: the walk visits each node below
+//! its sources once and reads each of their child lists once, `O(desc +
+//! edges)`, against `O(words)` for a stored run — the price of not storing
+//! the second direction, paid only where `desc` is read.
 
 use crate::topo::TopoOrder;
 use rxview_atg::{Dag, NodeId};
 use rxview_relstore::PagedVec;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -109,12 +106,6 @@ impl<'a> Run<'a> {
     pub fn len(self) -> usize {
         let ones = |&w: &u64| mask_of(w).count_ones() as usize;
         self.words.iter().map(ones).sum()
-    }
-
-    /// Number of block words: at most 32 ids each, so a bound on
-    /// [`Run::len`] that costs nothing.
-    pub(crate) fn n_words(self) -> usize {
-        self.words.len()
     }
 
     /// Whether the set holds no id.
@@ -312,9 +303,8 @@ impl BlockScratch {
         self.masks[k] |= mask;
     }
 
-    /// The Reach recurrence `⋃_{v ∈ nodes} ({v} ∪ sets(v))`, into `out`:
-    /// `anc(d)` over `d`'s parents, or `desc(a)` over `a`'s children.
-    /// Leaves the scratch blank.
+    /// The Reach recurrence `⋃_{v ∈ nodes} ({v} ∪ anc(v))`, into `out`:
+    /// `anc(d)` over `d`'s parents. Leaves the scratch blank.
     fn union_over(
         &mut self,
         sets: &PagedVec<Option<Words>>,
@@ -344,9 +334,18 @@ fn words_of(sets: &PagedVec<Option<Words>>, v: NodeId) -> &[u64] {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Ids of `M` stored on this thread, counted over every run written —
+    /// the cost-model guards' count of what a maintenance fold rewrites.
+    pub(crate) static IDS_WRITTEN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Replaces `v`'s set by the run `words`, keeping the count of stored words.
 fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, words: &[u64]) {
     debug_assert!(is_run(words), "a stored set is a run");
+    #[cfg(test)]
+    IDS_WRITTEN.with(|c| c.set(c.get() + Run { words }.len()));
     let old = words_of(sets, v).len();
     *n_words = *n_words - old + words.len();
     if !words.is_empty() {
@@ -357,63 +356,9 @@ fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, wor
     }
 }
 
-/// The other direction of a family of sets — `out[x] ∋ v` iff `sets[v] ∋ x`
-/// — and the number of words it stores. A counting sort over one flat word
-/// buffer: visiting `v` in ascending order fills every bucket in key order,
-/// and a bucket starts a new word whenever `v` enters a new block.
-fn transpose(sets: &PagedVec<Option<Words>>) -> (PagedVec<Option<Words>>, usize) {
-    let runs = || {
-        let numbered = (0u32..).map(NodeId).zip(sets.iter());
-        numbered.filter_map(|(v, words)| {
-            let words = words.as_deref()?;
-            Some((block_of(v), Run { words }))
-        })
-    };
-    let last_member = |(_, run): (_, Run<'_>)| run.words.last().map(|&w| key_of(w) as usize);
-    let width = runs()
-        .filter_map(last_member)
-        .max()
-        .map_or(0, |k| (k + 1) << 5);
-    // Bucket `x` is `flat[start[x]..start[x + 1]]`; `in_block[x]` is the
-    // block of the last `v` put in it (no block has the key `u32::MAX`).
-    let mut start = vec![0usize; width + 1];
-    let mut in_block = vec![u32::MAX; width];
-    for ((key, _), run) in runs() {
-        for x in run {
-            if std::mem::replace(&mut in_block[x.index()], key) != key {
-                start[x.index() + 1] += 1;
-            }
-        }
-    }
-    for x in 0..width {
-        start[x + 1] += start[x];
-    }
-    let mut next = start.clone();
-    let mut flat = vec![0u64; start[width]];
-    in_block.fill(u32::MAX);
-    for ((key, bit), run) in runs() {
-        for x in run {
-            let x = x.index();
-            if std::mem::replace(&mut in_block[x], key) != key {
-                flat[next[x]] = word(key, 0);
-                next[x] += 1;
-            }
-            flat[next[x] - 1] |= u64::from(bit);
-        }
-    }
-    let mut out = PagedVec::new();
-    for x in 0..width {
-        let bucket = &flat[start[x]..start[x + 1]];
-        if !bucket.is_empty() {
-            *out.get_mut(x) = Some(bucket.into());
-        }
-    }
-    (out, flat.len())
-}
-
-/// The stored reachability matrix.
+/// The stored reachability matrix: per node, its ancestors.
 ///
-/// The runs sit behind per-node `Arc`s in two copy-on-write [`PagedVec`]s
+/// The runs sit behind per-node `Arc`s in one copy-on-write [`PagedVec`]
 /// indexed by node id: cloning `M` (which the serving engine does for every
 /// published snapshot) copies page pointers and *shares* every run, and a
 /// maintenance pass replaces only the runs it rewrites plus the pages
@@ -421,27 +366,20 @@ fn transpose(sets: &PagedVec<Option<Words>>) -> (PagedVec<Option<Words>>, usize)
 /// what its round replaced — O(∆M) allocations, not O(|M|) or O(n).
 #[derive(Debug, Clone, Default)]
 pub struct Reachability {
-    desc: PagedVec<Option<Words>>,
     anc: PagedVec<Option<Words>>,
     /// `Σ_d |anc(d)|`.
     n_pairs: usize,
-    /// Words stored, both directions.
+    /// Words stored.
     n_words: usize,
 }
 
-/// The `desc`-direction edits queued by the bulk ancestor writes of one
-/// maintenance fold until [`Reachability::flush`] applies them — plus the
-/// scratch buffers those writes merge in.
+/// The scratch buffers the bulk ancestor writes of one maintenance fold
+/// merge in, and what the last of them removed.
 #[derive(Debug, Default)]
 pub struct ReachBatch {
-    /// `(a, x, add)` in queue order: add `x` to `desc(a)`, or remove it.
-    pending: Vec<(NodeId, NodeId, bool)>,
     gained: RunBuf,
     lost: RunBuf,
     merged: RunBuf,
-    /// What [`Reachability::descendants_in`] last answered with, when that
-    /// was not a stored run.
-    patched: RunBuf,
     scratch: BlockScratch,
 }
 
@@ -450,50 +388,10 @@ impl ReachBatch {
     pub(crate) fn lost(&self) -> Run<'_> {
         self.lost.as_run()
     }
-
-    /// Queues `d` under every ancestor it just gained or lost.
-    fn queue(&mut self, d: NodeId) {
-        let gained = self.gained.as_run().iter().map(|a| (a, d, true));
-        self.pending.extend(gained);
-        let lost = self.lost.as_run().iter().map(|a| (a, d, false));
-        self.pending.extend(lost);
-    }
-}
-
-/// `stored` with `edits` — one ancestor's, stably sorted by node, so a
-/// node's edits are in queue order and its last one decides — applied, into
-/// `out`; `add` and `del` are scratch.
-fn apply_edits(
-    stored: &[u64],
-    edits: &[(NodeId, NodeId, bool)],
-    [add, del]: [&mut RunBuf; 2],
-    out: &mut RunBuf,
-) {
-    add.clear();
-    del.clear();
-    for of_x in edits.chunk_by(|l, r| l.1 == r.1) {
-        let &(_, x, added) = of_x.last().expect("chunks are non-empty");
-        if added {
-            add.push(x);
-        } else {
-            del.push(x);
-        }
-    }
-    let stored = Run { words: stored };
-    match (add.words.is_empty(), del.words.is_empty()) {
-        (_, true) => union(stored, add.as_run(), out),
-        (true, false) => minus(stored, del.as_run(), out),
-        (false, false) => {
-            let mut all = RunBuf::default();
-            union(stored, add.as_run(), &mut all);
-            minus(all.as_run(), del.as_run(), out);
-        }
-    }
 }
 
 /// Bulk load of `M` from per-descendant ancestor sets (the checkpoint's
-/// layout), one [`AncestorLoad::add`] per node: each run is stored as given
-/// and [`AncestorLoad::finish`] transposes the `desc` direction from them.
+/// layout), one [`AncestorLoad::add`] per node, each run stored as given.
 #[derive(Debug, Default)]
 pub(crate) struct AncestorLoad {
     anc: PagedVec<Option<Words>>,
@@ -502,7 +400,7 @@ pub(crate) struct AncestorLoad {
 }
 
 impl AncestorLoad {
-    /// Sets `anc(d)`. Fails — rather than build a matrix whose directions or
+    /// Sets `anc(d)`. Fails — rather than build a matrix whose runs or
     /// counter disagree — on a `d` listed twice and on a `d` among its own
     /// ancestors.
     pub(crate) fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
@@ -519,12 +417,10 @@ impl AncestorLoad {
 
     /// The matrix of the sets added.
     pub(crate) fn finish(self) -> Reachability {
-        let (desc, desc_words) = transpose(&self.anc);
         Reachability {
-            desc,
             anc: self.anc,
             n_pairs: self.n_pairs,
-            n_words: self.n_words + desc_words,
+            n_words: self.n_words,
         }
     }
 }
@@ -533,14 +429,12 @@ impl Reachability {
     /// Algorithm **Reach** (Fig.4): computes `M` in `O(n |V|)` by dynamic
     /// programming over the backward topological order — for `d` processed
     /// in backward `L` order, the ancestors of `d`'s parents are already
-    /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`. The `desc`
-    /// direction is the same recurrence forward over `L`, over children:
-    /// `D_a = ⋃_{c ∈ children(a)} (desc(c) ∪ {c})`.
+    /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`.
     pub fn compute(dag: &Dag, topo: &TopoOrder) -> Self {
         let live = |v: &NodeId| dag.genid().is_live(*v);
         let mut scratch = BlockScratch::default();
         let mut run = RunBuf::default();
-        let (mut anc, mut desc) = (PagedVec::new(), PagedVec::new());
+        let mut anc = PagedVec::new();
         let (mut n_pairs, mut n_words) = (0, 0);
         // Backward over L = ancestors (later entries) first.
         for &d in topo.order().iter().rev() {
@@ -549,14 +443,7 @@ impl Reachability {
             n_pairs += run.as_run().len();
             store(&mut anc, &mut n_words, d, &run.words);
         }
-        // Forward over L = descendants first.
-        for &a in topo.order() {
-            let children = dag.children(a).iter().copied().filter(live);
-            scratch.union_over(&desc, children, &mut run);
-            store(&mut desc, &mut n_words, a, &run.words);
-        }
         Reachability {
-            desc,
             anc,
             n_pairs,
             n_words,
@@ -584,21 +471,9 @@ impl Reachability {
         Ok(load.finish())
     }
 
-    /// Whether `a` is a strict ancestor of `d`: a search in the run of fewer
-    /// words among `anc(d)` and `desc(a)`.
+    /// Whether `a` is a strict ancestor of `d`: one search in `anc(d)`.
     pub fn is_ancestor(&self, a: NodeId, d: NodeId) -> bool {
-        let (up, down) = (self.ancestors(d), self.descendants(a));
-        if up.words.len() <= down.words.len() {
-            up.contains(&a)
-        } else {
-            down.contains(&d)
-        }
-    }
-
-    /// `desc(a)`: strict descendants of `a`.
-    pub fn descendants(&self, a: NodeId) -> Run<'_> {
-        let words = words_of(&self.desc, a);
-        Run { words }
+        self.ancestors(d).contains(&a)
     }
 
     /// `anc(d)`: strict ancestors of `d`.
@@ -607,29 +482,8 @@ impl Reachability {
         Run { words }
     }
 
-    /// `desc(a)` as a later job of the same fold must see it: the stored
-    /// run with `batch`'s queued edits under `a` applied.
-    pub fn descendants_in<'a>(&'a self, a: NodeId, batch: &'a mut ReachBatch) -> Run<'a> {
-        let ReachBatch {
-            pending,
-            gained,
-            lost,
-            patched,
-            ..
-        } = batch;
-        let under_a = pending.iter().filter(|edit| edit.0 == a);
-        let mut edits: Vec<_> = under_a.copied().collect();
-        if edits.is_empty() {
-            return self.descendants(a);
-        }
-        edits.sort_by_key(|edit| edit.1);
-        apply_edits(words_of(&self.desc, a), &edits, [gained, lost], patched);
-        patched.as_run()
-    }
-
     /// `anc(d) ∪= extra` (a set without `d`) — ∆(M,L)insert's write.
-    /// Returns the number of pairs added; their `desc` halves are queued
-    /// in `batch`.
+    /// Returns the number of pairs added.
     pub fn add_ancestors(&mut self, d: NodeId, extra: Run<'_>, batch: &mut ReachBatch) -> usize {
         debug_assert!(!extra.contains(&d), "M is irreflexive");
         let old = self.ancestors(d);
@@ -637,18 +491,15 @@ impl Reachability {
         if batch.gained.words.is_empty() {
             return 0;
         }
-        batch.lost.clear();
         union(old, batch.gained.as_run(), &mut batch.merged);
         store(&mut self.anc, &mut self.n_words, d, &batch.merged.words);
         let added = batch.gained.as_run().len();
         self.n_pairs += added;
-        batch.queue(d);
         added
     }
 
     /// `anc(d) ∖= gone` — ∆(M,L)delete's write when it knows which
-    /// ancestors `d` may have lost. Returns the number of pairs removed;
-    /// their `desc` halves are queued in `batch`.
+    /// ancestors `d` may have lost. Returns the number of pairs removed.
     pub fn remove_ancestors(&mut self, d: NodeId, gone: Run<'_>, batch: &mut ReachBatch) -> usize {
         let old = self.ancestors(d);
         let mut new = std::mem::take(&mut batch.merged);
@@ -660,7 +511,7 @@ impl Reachability {
 
     /// Replaces `anc(d)` by `new` (a set without `d`) wholesale — deletion
     /// maintenance, Fig.8 lines 9–11. Returns the number of pairs removed;
-    /// the `desc` halves of every changed pair are queued in `batch`.
+    /// the batch keeps them for the delete pass.
     pub fn set_ancestors(&mut self, d: NodeId, new: Run<'_>, batch: &mut ReachBatch) -> usize {
         debug_assert!(!new.contains(&d), "M is irreflexive");
         let old = self.ancestors(d);
@@ -672,7 +523,6 @@ impl Reachability {
         let removed = batch.lost.as_run().len();
         self.n_pairs = self.n_pairs + batch.gained.as_run().len() - removed;
         store(&mut self.anc, &mut self.n_words, d, new.words);
-        batch.queue(d);
         removed
     }
 
@@ -693,33 +543,12 @@ impl Reachability {
     }
 
     /// Forgets a garbage-collected node: `anc(d)` is emptied like any other
-    /// ancestor rewrite and `desc(d)` is dropped as it stands. The caller
-    /// owes every former descendant a [`Reachability::set_ancestors_from`]
-    /// parents that no longer include `d` (∆(M,L)delete visits them all,
-    /// ancestors first). Returns the number of pairs `(a, d)` removed.
+    /// ancestor rewrite. The caller owes every former descendant a
+    /// [`Reachability::set_ancestors_from`] parents that no longer include
+    /// `d` (∆(M,L)delete visits them all, ancestors first). Returns the
+    /// number of pairs `(a, d)` removed.
     pub fn collect_node(&mut self, d: NodeId, batch: &mut ReachBatch) -> usize {
-        store(&mut self.desc, &mut self.n_words, d, &[]);
         self.set_ancestors(d, Run::default(), batch)
-    }
-
-    /// Applies `batch`'s queued `desc`-direction edits — one sort of the
-    /// queue, one rewrite per touched ancestor — and leaves it empty.
-    pub fn flush(&mut self, batch: &mut ReachBatch) {
-        let ReachBatch {
-            pending,
-            gained,
-            lost,
-            merged,
-            ..
-        } = batch;
-        // Stable: edits of one `(a, x)` stay in queue order.
-        pending.sort_by_key(|&(a, x, _)| (a, x));
-        for under_a in pending.chunk_by(|l, r| l.0 == r.0) {
-            let a = under_a[0].0;
-            apply_edits(words_of(&self.desc, a), under_a, [gained, lost], merged);
-            store(&mut self.desc, &mut self.n_words, a, &merged.words);
-        }
-        pending.clear();
     }
 
     /// Number of stored pairs, the `|M|` of Fig.10(b).
@@ -727,31 +556,137 @@ impl Reachability {
         self.n_pairs
     }
 
-    /// Number of block words stored, `anc` and `desc` runs together: once
-    /// flushed, `2 * n_pairs / n_words` ids per word.
+    /// Number of block words stored: `n_pairs / n_words` ids per word.
     pub fn n_words(&self) -> usize {
         self.n_words
     }
 
-    /// Structural equality with another matrix: both directions, node by
-    /// node, and both pairs of counters against a recount.
+    /// Structural equality with another matrix: the runs, node by node, and
+    /// both counters against a recount.
     pub fn same_pairs(&self, other: &Reachability) -> bool {
-        let width = [&self.desc, &self.anc, &other.desc, &other.anc]
-            .map(PagedVec::len)
-            .into_iter()
-            .max()
-            .unwrap_or(0);
+        let width = self.anc.len().max(other.anc.len());
         let (mut pairs, mut words) = (0, 0);
         let same_runs = (0..width as u32).map(NodeId).all(|v| {
-            let (up, down) = (self.ancestors(v), self.descendants(v));
+            let up = self.ancestors(v);
             pairs += up.len();
-            words += up.words.len() + down.words.len();
-            up == other.ancestors(v) && down == other.descendants(v)
+            words += up.words.len();
+            up == other.ancestors(v)
         });
         same_runs
             && [self.n_pairs, other.n_pairs] == [pairs; 2]
             && [self.n_words, other.n_words] == [words; 2]
     }
+}
+
+/// A descendant set, now that `M` stores ancestors only: a walk down the
+/// `Dag`'s child lists. Each node the walk reaches is stamped with the
+/// set's generation, so it is reached once, and nothing is cleared between
+/// sets: a walk writes a stamp per node it reaches, whatever the size of
+/// the view. The nodes reached are their own work list — the walk expands
+/// its output in order, breadth first. One walk per thread ([`with_walk`])
+/// serves the evaluator's `//` steps, the scope builder and the maintenance
+/// fold, so no call allocates `O(|V|)`.
+#[derive(Debug, Default)]
+pub(crate) struct DescWalk {
+    /// Per node id, the generation of the last set that reached it.
+    stamp: Vec<u32>,
+    /// The running set's generation; 0 is no set's.
+    generation: u32,
+}
+
+impl DescWalk {
+    /// Starts a new set over the ids below `n_ids`: no node is reached.
+    pub(crate) fn begin(&mut self, n_ids: usize) {
+        if self.stamp.len() < n_ids {
+            self.stamp.resize(n_ids, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Every 2^32 sets on a thread: forget them all.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Marks `v` — an id below the `n_ids` the set began with — reached;
+    /// whether the set had not reached it yet. (No growth check here: one
+    /// in the walk's inner loop made it half as fast again.)
+    pub(crate) fn reach(&mut self, v: NodeId) -> bool {
+        let stamp = &mut self.stamp[v.index()];
+        std::mem::replace(stamp, self.generation) != self.generation
+    }
+
+    /// Walks below `out[from..]`, nodes the set has reached: each of
+    /// `children(u)` — the children of `u` worth entering — that the set had
+    /// not reached is appended to `out` and walked in turn. Stops once `out`
+    /// holds more than `limit` nodes, and then returns `false`.
+    pub(crate) fn run<I: IntoIterator<Item = NodeId>>(
+        &mut self,
+        out: &mut Vec<NodeId>,
+        from: usize,
+        limit: usize,
+        mut children: impl FnMut(NodeId) -> I,
+    ) -> bool {
+        let mut next = from;
+        while let Some(&u) = out.get(next) {
+            if out.len() > limit {
+                return false;
+            }
+            next += 1;
+            for c in children(u) {
+                if self.reach(c) {
+                    out.push(c);
+                }
+            }
+        }
+        out.len() <= limit
+    }
+
+    /// Starts a new set and appends to `out` each node of `sources` and
+    /// below them once, sources first: `{s} ∪ desc(s)` over the sources (an
+    /// id the interner never handed out names no node, and is skipped).
+    /// Stops past `limit` like [`DescWalk::run`].
+    pub(crate) fn closure(
+        &mut self,
+        dag: &Dag,
+        sources: impl IntoIterator<Item = NodeId>,
+        out: &mut Vec<NodeId>,
+        limit: usize,
+    ) -> bool {
+        let n_ids = dag.genid().n_allocated();
+        self.begin(n_ids);
+        let from = out.len();
+        for s in sources.into_iter().filter(|s| s.index() < n_ids) {
+            if self.reach(s) {
+                out.push(s);
+            }
+        }
+        self.run(out, from, limit, |u| dag.children(u).iter().copied())
+    }
+}
+
+thread_local! {
+    static WALK: RefCell<DescWalk> = RefCell::new(DescWalk::default());
+}
+
+/// Runs `f` on this thread's [`DescWalk`] — or, inside another call that
+/// holds it, on a walk of its own.
+pub(crate) fn with_walk<R>(f: impl FnOnce(&mut DescWalk) -> R) -> R {
+    WALK.with(|walk| match walk.try_borrow_mut() {
+        Ok(mut walk) => f(&mut walk),
+        Err(_) => f(&mut DescWalk::default()),
+    })
+}
+
+/// `desc(a)`: the strict descendants of `a` in `dag`, ascending.
+pub fn descendants(dag: &Dag, a: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    with_walk(|walk| walk.closure(dag, [a], &mut out, usize::MAX));
+    if !out.is_empty() {
+        out.swap_remove(0);
+    }
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]
@@ -780,8 +715,27 @@ mod tests {
     fn root_reaches_everything() {
         let (dag, topo, _) = fixture();
         let m = Reachability::compute(&dag, &topo);
-        assert_eq!(m.descendants(dag.root()).len(), dag.n_nodes() - 1);
+        let below = descendants(&dag, dag.root());
+        assert_eq!(below.len(), dag.n_nodes() - 1);
+        assert!(below.iter().all(|&d| m.is_ancestor(dag.root(), d)));
         assert!(m.ancestors(dag.root()).is_empty());
+    }
+
+    #[test]
+    fn a_walk_stops_past_its_limit_and_a_set_reaches_a_node_once() {
+        let (dag, _, _) = fixture();
+        let root = dag.root();
+        let mut out = Vec::new();
+        with_walk(|walk| {
+            assert!(!walk.closure(&dag, [root], &mut out, 3));
+            assert!(out.len() > 3 && out.len() < dag.n_nodes());
+            out.clear();
+            assert!(walk.closure(&dag, [root, root], &mut out, usize::MAX));
+            assert_eq!(out.len(), dag.n_nodes());
+            // A new set reaches every node again.
+            assert!(walk.closure(&dag, [root], &mut out, usize::MAX));
+            assert_eq!(out.len(), 2 * dag.n_nodes());
+        });
     }
 
     #[test]
@@ -848,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_edits_reach_both_directions_at_the_flush() {
+    fn ancestor_edits_are_written_at_once() {
         let mut m = Reachability::default();
         let mut batch = ReachBatch::default();
         assert_eq!(
@@ -860,23 +814,17 @@ mod tests {
             0
         );
         assert_eq!(m.n_pairs(), 3);
-        // `anc` is written at once; `desc` waits for the flush, but the
-        // batch-aware read already sees the queued pair.
         assert_eq!(m.ancestors(NodeId(9)), ids(&[1, 2, 3]));
-        assert!(m.descendants(NodeId(1)).is_empty());
-        assert_eq!(m.descendants_in(NodeId(1), &mut batch), ids(&[9]));
-        m.flush(&mut batch);
-        assert_eq!(m.descendants(NodeId(1)), ids(&[9]));
-        assert_eq!(m.n_words(), 4);
+        assert!(m.is_ancestor(NodeId(1), NodeId(9)));
+        assert_eq!(m.n_words(), 1);
 
         assert_eq!(
             m.set_ancestors(NodeId(9), run(&[2, 4]).as_run(), &mut batch),
             2
         );
-        m.flush(&mut batch);
+        assert_eq!(batch.lost(), ids(&[1, 3]));
         assert!(m.is_ancestor(NodeId(4), NodeId(9)));
         assert!(!m.is_ancestor(NodeId(1), NodeId(9)));
-        assert!(m.descendants(NodeId(3)).is_empty());
         assert_eq!(m.n_pairs(), 2);
         let rebuilt =
             Reachability::from_ancestors([(NodeId(9), ids(&[2, 4]))]).expect("well-formed");
@@ -895,7 +843,6 @@ mod tests {
             m.set_ancestors(NodeId(3), run(&[1]).as_run(), &mut batch),
             1
         );
-        m.flush(&mut batch);
         assert_eq!(m.n_pairs(), 1);
         assert!(m.is_ancestor(NodeId(1), NodeId(3)));
         let rebuilt = Reachability::from_ancestors([(NodeId(3), ids(&[1]))]).expect("well-formed");
@@ -912,7 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn same_pairs_compares_both_directions_and_the_counters() {
+    fn same_pairs_compares_the_runs_and_the_counters() {
         let (dag, topo, _) = fixture();
         let m = Reachability::compute(&dag, &topo);
         assert!(m.same_pairs(&m.clone()));
@@ -921,8 +868,8 @@ mod tests {
             .find(|&v| m.ancestors(v).len() >= 2)
             .expect("some node has two ancestors");
 
-        // `desc` and the counters right, one `anc` run wrong: an id swapped
-        // for one that is no ancestor, so the length (and the count) holds.
+        // The counters right, one run wrong: an id swapped for one that is
+        // no ancestor, so the length (and the count) holds.
         let mut wrong_anc = m.clone();
         let mut swapped: Vec<NodeId> = m.ancestors(victim).iter().skip(1).collect();
         swapped.push(victim);

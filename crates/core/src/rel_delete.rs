@@ -216,40 +216,33 @@ pub fn source_is_safe(
 mod tests {
     use super::*;
     use crate::plan::eval_path;
-    use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use crate::translate::xdelete;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, TupleOp};
     use rxview_xmlkit::parse_xpath;
 
-    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
+    fn fixture() -> (Database, ViewStore, TopoOrder) {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (db, vs, topo, reach)
+        (db, vs, topo)
     }
 
-    fn delta_for(vs: &ViewStore, topo: &TopoOrder, reach: &Reachability, path: &str) -> ViewDelta {
+    fn delta_for(vs: &ViewStore, topo: &TopoOrder, path: &str) -> ViewDelta {
         let p = parse_xpath(path).unwrap();
-        let eval = eval_path(vs, topo, reach, &p);
+        let eval = eval_path(vs, topo, &p);
         xdelete(&eval)
     }
 
     #[test]
     fn prereq_edge_deletes_prereq_tuple() {
-        let (db, vs, topo, reach) = fixture();
+        let (db, vs, topo) = fixture();
         // Deleting CS320 from CS650's prerequisites must delete the
         // prereq(CS650, CS320) tuple — not the course itself (which would
         // side-effect the top-level CS320).
-        let delta = delta_for(
-            &vs,
-            &topo,
-            &reach,
-            "course[cno=CS650]/prereq/course[cno=CS320]",
-        );
+        let delta = delta_for(&vs, &topo, "course[cno=CS650]/prereq/course[cno=CS320]");
         let dr = translate_deletions(&vs, &db, &delta).unwrap();
         assert_eq!(dr.len(), 1);
         assert_eq!(
@@ -263,12 +256,12 @@ mod tests {
 
     #[test]
     fn student_everywhere_can_delete_enrolls() {
-        let (db, vs, topo, reach) = fixture();
+        let (db, vs, topo) = fixture();
         // Deleting S02 from every takenBy: enroll tuples go; the student
         // tuple must NOT be touched if... actually deleting the student
         // tuple would remove both edges at once and is also safe here.
         // The algorithm picks the first safe source per edge.
-        let delta = delta_for(&vs, &topo, &reach, "//student[ssn=S02]");
+        let delta = delta_for(&vs, &topo, "//student[ssn=S02]");
         assert_eq!(delta.deletes.len(), 2);
         let dr = translate_deletions(&vs, &db, &delta).unwrap();
         // Either one student deletion covers both, or two enroll deletions.
@@ -288,13 +281,8 @@ mod tests {
 
     #[test]
     fn single_occurrence_deletion_is_clean() {
-        let (db, vs, topo, reach) = fixture();
-        let delta = delta_for(
-            &vs,
-            &topo,
-            &reach,
-            "course[cno=CS650]/takenBy/student[ssn=S01]",
-        );
+        let (db, vs, topo) = fixture();
+        let delta = delta_for(&vs, &topo, "course[cno=CS650]/takenBy/student[ssn=S01]");
         let dr = translate_deletions(&vs, &db, &delta).unwrap();
         // Must delete enroll(S01, CS650) — deleting student S01 would also
         // work; check that the chosen ops, when applied, do exactly ∆V.
@@ -315,7 +303,7 @@ mod tests {
 
     #[test]
     fn partial_deletion_of_shared_edge_rejected_when_unavoidable() {
-        let (db, vs, _topo, _reach) = fixture();
+        let (db, vs, _topo) = fixture();
         // Deleting the db→CS320 edge (the top-level course listing) while
         // keeping CS320 as a prerequisite: sources are course(CS320) —
         // deleting it would also kill the prereq edge (side effect) — so
@@ -339,10 +327,10 @@ mod tests {
 
     #[test]
     fn deleting_all_occurrences_of_course_succeeds() {
-        let (db, vs, topo, reach) = fixture();
+        let (db, vs, topo) = fixture();
         // //course[cno=CS240] matches the top-level listing AND the prereq
         // occurrence; deleting both edges lets course(CS240) itself go.
-        let delta = delta_for(&vs, &topo, &reach, "//course[cno=CS240]");
+        let delta = delta_for(&vs, &topo, "//course[cno=CS240]");
         assert_eq!(delta.deletes.len(), 2);
         let dr = translate_deletions(&vs, &db, &delta).unwrap();
         let mut db2 = db.clone();
@@ -359,7 +347,7 @@ mod tests {
 
     #[test]
     fn projection_edge_not_deletable() {
-        let (db, vs, _topo, _reach) = fixture();
+        let (db, vs, _topo) = fixture();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let cno = vs.atg().dtd().type_id("cno").unwrap();
         let cs320 = vs

@@ -1064,20 +1064,18 @@ fn operand_value(
 mod tests {
     use super::*;
     use crate::plan::eval_path;
-    use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use crate::translate::xinsert;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, TupleOp};
     use rxview_xmlkit::parse_xpath;
 
-    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
+    fn fixture() -> (Database, ViewStore, TopoOrder) {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (db, vs, topo, reach)
+        (db, vs, topo)
     }
 
     fn cfg() -> WalkSatConfig {
@@ -1090,9 +1088,9 @@ mod tests {
 
     #[test]
     fn insert_existing_course_as_prereq_yields_prereq_tuple() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -1116,9 +1114,9 @@ mod tests {
 
     #[test]
     fn round_trip_through_republication() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -1147,10 +1145,10 @@ mod tests {
 
     #[test]
     fn insert_student_creates_enroll_only() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         // Alice (S01) starts taking CS320.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1166,11 +1164,11 @@ mod tests {
 
     #[test]
     fn insert_unknown_student_fills_free_columns() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         // A brand-new student S99/Zed taking CS320: needs a student tuple
         // (fully determined) and an enroll tuple.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S99", "Zed"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1199,12 +1197,12 @@ mod tests {
         // impossible without a side effect... actually dept must be "CS"
         // for Qdb_course; the dept column is free and gets pinned by the
         // selection predicate — inserting course CS777 works with dept=CS.
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         // Target: the root's course list is not reachable by an XPath with
         // steps (db is the root context itself): use //prereq for multiple
         // targets instead.
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1223,12 +1221,12 @@ mod tests {
 
     #[test]
     fn conflicting_attribute_rejected() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         // Insert "CS240" with a *different title* than the stored course:
         // the course table has (CS240, Data Structures); the edge demands
         // (CS240, Wrong Title) — key conflict.
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
         let err = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap_err();
@@ -1239,9 +1237,9 @@ mod tests {
     fn duplicate_edge_insertions_unify_templates() {
         // Two targets demand the same new course CS777: templates for
         // course(CS777) from both derivations must unify into one insert.
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("//prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         assert!(eval.selected.len() >= 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
@@ -1268,9 +1266,9 @@ mod tests {
         // Inserting a new course: its dept column is free; the decode must
         // choose a value that does NOT create a db→course side effect
         // (i.e. anything but "CS").
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS888", "Lab"], &eval).unwrap();
         let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
@@ -1304,7 +1302,7 @@ mod tests {
 
     #[test]
     fn empty_delta_translates_to_empty() {
-        let (db, vs, _topo, _reach) = fixture();
+        let (db, vs, _topo) = fixture();
         let delta = ViewDelta::default();
         let tr = translate_insertions(&vs, &db, &delta, &[], &cfg()).unwrap();
         assert!(tr.delta_r.is_empty());

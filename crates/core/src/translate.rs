@@ -104,28 +104,26 @@ pub(crate) fn apply_delta(
 mod tests {
     use super::*;
     use crate::plan::eval_path;
-    use crate::reach::Reachability;
     use crate::topo::TopoOrder;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, Database};
     use rxview_xmlkit::parse_xpath;
 
-    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
+    fn fixture() -> (Database, ViewStore, TopoOrder) {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (db, vs, topo, reach)
+        (db, vs, topo)
     }
 
     #[test]
     fn xdelete_example5_single_edge() {
         // ∆X: delete course[cno=CS650]//course[cno=CS320]/takenBy/student[ssn=S02]
-        let (_db, vs, topo, reach) = fixture();
+        let (_db, vs, topo) = fixture();
         let p =
             parse_xpath("course[cno=CS650]//course[cno=CS320]/takenBy/student[ssn=S02]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         assert_eq!(delta.deletes.len(), 1);
         let takenby320 = vs
@@ -139,9 +137,9 @@ mod tests {
     #[test]
     fn xdelete_example5_group() {
         // ∆X2 = delete //student[ssn=S02] → edges from every takenBy parent.
-        let (_db, vs, topo, reach) = fixture();
+        let (_db, vs, topo) = fixture();
         let p = parse_xpath("//student[ssn=S02]").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         assert_eq!(delta.deletes.len(), 2); // takenBy(CS320) and takenBy(CS240)
     }
@@ -150,9 +148,9 @@ mod tests {
     fn xinsert_existing_course_adds_single_edge() {
         // Insert CS240 (already a published course: its subtree is shared)
         // as a prerequisite of CS650.
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,
@@ -175,12 +173,12 @@ mod tests {
 
     #[test]
     fn xinsert_new_course_generates_subtree() {
-        let (mut db, mut vs, topo, reach) = fixture();
+        let (mut db, mut vs, topo) = fixture();
         // Add a brand-new course to the base data first, then insert it into
         // the view under CS650's prereq.
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
         // Fresh: course, cno, title, prereq, takenBy = 5 nodes.
@@ -194,10 +192,10 @@ mod tests {
 
     #[test]
     fn xinsert_at_multiple_targets() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         // Every prereq node (3 of them).
         let p = parse_xpath("//prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         assert_eq!(eval.selected.len(), 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, _st) =
@@ -215,9 +213,9 @@ mod tests {
 
     #[test]
     fn apply_delta_updates_dag_and_gen() {
-        let (db, mut vs, topo, reach) = fixture();
+        let (db, mut vs, topo) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
-        let eval = eval_path(&vs, &topo, &reach, &p);
+        let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(
             &mut vs,

@@ -1,16 +1,18 @@
 //! Randomized tests of the auxiliary structures (§3.1, §3.4) on synthetic
 //! DAGs built directly through the `Dag` API: Algorithm Reach against the
-//! naive closure and the checkpoint's bulk load (whose `desc` is the
-//! transpose of `anc`, where `compute` runs the recurrence both ways — also
-//! over free and recycled ids), and the `swap(L, u, v)` repair under random
-//! edge insertions.
+//! naive closure and the checkpoint's bulk load, `M`'s one direction
+//! (`is_ancestor`) and the descendant walk that stands in for the other
+//! against a model closure — also over free and recycled ids — and the
+//! `swap(L, u, v)` repair under random edge insertions.
 
 use proptest::prelude::*;
 use rxview_atg::{Dag, NodeId};
+use rxview_core::reach::descendants;
 use rxview_core::{Reachability, TopoOrder};
 use rxview_reference::compute_naive;
 use rxview_relstore::{Tuple, Value};
 use rxview_xmlkit::TypeId;
+use std::collections::BTreeSet;
 
 /// Builds a DAG with `n` nodes and the given forward edges `(i, j)` with
 /// `i < j` (guaranteeing acyclicity). Node 0 is the root; every node is
@@ -38,6 +40,21 @@ fn build_dag(n: usize, edges: &[(usize, usize)]) -> Dag {
     dag
 }
 
+/// The model closure: every `(a, d)` with `d` strictly below `a`, by one
+/// search down the child lists per live node.
+fn closure(dag: &Dag) -> BTreeSet<(NodeId, NodeId)> {
+    let mut pairs = BTreeSet::new();
+    for a in dag.genid().live_ids() {
+        let mut stack = dag.children(a).to_vec();
+        while let Some(d) = stack.pop() {
+            if pairs.insert((a, d)) {
+                stack.extend_from_slice(dag.children(d));
+            }
+        }
+    }
+    pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -62,14 +79,13 @@ proptest! {
         prop_assert!(loaded.same_pairs(&fast));
     }
 
-    /// `compute` derives `desc` by its own recurrence forward over `L`, not
-    /// by transposing `anc`: on DAGs whose id space has free ids and ids
-    /// recycled to nodes that sit anywhere in `L`, `desc(a)` is the
-    /// transpose of `anc` for every id (the checkpoint load's transposition
-    /// of the same `anc` runs), the word count is the transposition's, and
-    /// both directions are the naive closure's.
+    /// `M` stores ancestors only: on DAGs whose id space has free ids and
+    /// ids recycled to nodes that sit anywhere in `L`, `is_ancestor` answers
+    /// the model closure for every pair of ids, the descendant walk returns
+    /// the closure's `desc(a)` for every id, and the checkpoint's bulk load
+    /// of the computed runs is the same matrix, word for word.
     #[test]
-    fn computed_desc_is_the_transpose_of_anc_over_recycled_ids(
+    fn the_walk_and_is_ancestor_match_the_closure_over_recycled_ids(
         n in 3usize..24,
         edges in prop::collection::vec((0usize..24, 0usize..24), 0..48),
         victims in prop::collection::vec(1usize..24, 0..6),
@@ -115,13 +131,20 @@ proptest! {
         prop_assert!(dag.is_acyclic());
         let topo = TopoOrder::compute(&dag);
         let fast = Reachability::compute(&dag, &topo);
-        let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
-        let transposed = Reachability::from_ancestors(listed).expect("runs of a computed M");
-        for a in (0..dag.genid().n_allocated() as u32 + 1).map(NodeId) {
-            prop_assert_eq!(fast.descendants(a), transposed.descendants(a), "desc({})", a.0);
+        let model = closure(&dag);
+        let ids = || (0..dag.genid().n_allocated() as u32 + 1).map(NodeId);
+        for a in ids() {
+            for d in ids() {
+                prop_assert_eq!(fast.is_ancestor(a, d), model.contains(&(a, d)), "({}, {})", a.0, d.0);
+            }
+            let below: Vec<NodeId> = model.range((a, NodeId(0))..=(a, NodeId(u32::MAX))).map(|&(_, d)| d).collect();
+            prop_assert_eq!(descendants(&dag, a), below, "desc({})", a.0);
         }
-        prop_assert_eq!(fast.n_words(), transposed.n_words());
-        prop_assert_eq!(fast.n_pairs(), transposed.n_pairs());
+        let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
+        let loaded = Reachability::from_ancestors(listed).expect("runs of a computed M");
+        prop_assert!(loaded.same_pairs(&fast));
+        prop_assert_eq!(fast.n_words(), loaded.n_words());
+        prop_assert_eq!(fast.n_pairs(), model.len());
         prop_assert!(fast.same_pairs(&compute_naive(&dag)));
     }
 

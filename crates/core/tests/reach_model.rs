@@ -1,7 +1,6 @@
 //! Model tests of the compact reachability matrix: the block-word run
-//! primitives against `BTreeSet` algebra, and `Reachability`'s bulk edits —
-//! queued in a `ReachBatch`, read through it, flushed — against a plain set
-//! of `(anc, desc)` pairs. The *clone-then-diverge* case is the executable
+//! primitives against `BTreeSet` algebra, and `Reachability`'s bulk edits
+//! of ancestor runs against a plain set of `(anc, desc)` pairs. The *clone-then-diverge* case is the executable
 //! form of ARCHITECTURE invariant 10 for `M`: runs are shared between a
 //! snapshot and its successor, so an edit that wrote through a shared run
 //! would show up as one of the two no longer matching its own model.
@@ -49,8 +48,6 @@ enum Edit {
     SetFrom(u32, Vec<u32>),
     /// `collect_node(d)`, then the rewrite it owes every former descendant.
     Collect(u32),
-    /// `flush`.
-    Flush,
 }
 
 const N: u32 = 24;
@@ -77,12 +74,11 @@ fn edit_strategy() -> impl Strategy<Value = Edit> {
         (node.clone(), above()).prop_map(|(d, ids)| Edit::Set(d, ids)),
         (node.clone(), above()).prop_map(|(d, ids)| Edit::SetFrom(d, ids)),
         node.prop_map(Edit::Collect),
-        Just(Edit::Flush),
     ]
 }
 
 /// Applies `edit` to the matrix and to the model, checking every count the
-/// matrix reports and the batch-aware read along the way.
+/// matrix reports and every run along the way.
 fn apply(
     m: &mut Reachability,
     batch: &mut ReachBatch,
@@ -127,24 +123,18 @@ fn apply(
                 m.set_ancestors(x, packed(&ancestors_in(model, x)).as_run(), batch);
             }
         }
-        Edit::Flush => m.flush(batch),
     }
-    // `anc` and the counter are exact at once; `desc` through the batch.
+    // Every run and the counter are exact at once.
     prop_assert_eq!(m.n_pairs(), model.len());
     for v in (0..N).map(NodeId) {
         prop_assert_eq!(m.ancestors(v), ancestors_in(model, v), "anc({})", v.0);
-        prop_assert_eq!(
-            m.descendants_in(v, batch),
-            descendants_in(model, v),
-            "desc({}) through the batch",
-            v.0
-        );
     }
     Ok(())
 }
 
-/// After a flush the matrix equals a bulk load of the model.
-fn check_flushed(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
+/// The matrix equals a bulk load of the model, and answers `is_ancestor` as
+/// the model does for every pair.
+fn check_loaded(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
     let runs: Vec<(NodeId, Vec<NodeId>)> = (0..N)
         .map(NodeId)
         .map(|d| (d, ancestors_in(model, d)))
@@ -152,7 +142,6 @@ fn check_flushed(m: &Reachability, model: &Pairs) -> Result<(), TestCaseError> {
     let loaded = Reachability::from_ancestors(runs).expect("the model is well-formed");
     prop_assert!(m.same_pairs(&loaded));
     for a in (0..N).map(NodeId) {
-        prop_assert_eq!(m.descendants(a), descendants_in(model, a), "desc({})", a.0);
         for d in (0..N).map(NodeId) {
             prop_assert_eq!(m.is_ancestor(a, d), model.contains(&(a, d)));
         }
@@ -210,9 +199,9 @@ proptest! {
         }
     }
 
-    /// Any interleaving of bulk edits and flushes keeps the matrix equal to
-    /// the pair model: `anc` and `n_pairs` at once, `desc` through the batch
-    /// before a flush and in the stored runs after it.
+    /// Any sequence of bulk edits keeps the matrix equal to the pair model:
+    /// every `anc` run and `n_pairs` after each edit, and `is_ancestor` for
+    /// every pair at the end.
     #[test]
     fn bulk_edits_match_the_pair_model(
         edits in prop::collection::vec(edit_strategy(), 1..40),
@@ -222,8 +211,7 @@ proptest! {
         for edit in &edits {
             apply(&mut m, &mut batch, &mut model, edit)?;
         }
-        m.flush(&mut batch);
-        check_flushed(&m, &model)?;
+        check_loaded(&m, &model)?;
     }
 
     /// Clone-then-diverge: a snapshot and its successor share every run, and
@@ -239,7 +227,6 @@ proptest! {
         for edit in &shared {
             apply(&mut m, &mut batch, &mut model, edit)?;
         }
-        m.flush(&mut batch);
         let (mut fork, mut fork_batch, mut fork_model) =
             (m.clone(), ReachBatch::default(), model.clone());
         // Interleaved, so each side writes while the other's runs are live.
@@ -251,39 +238,35 @@ proptest! {
                 apply(&mut fork, &mut fork_batch, &mut fork_model, edit)?;
             }
         }
-        m.flush(&mut batch);
-        fork.flush(&mut fork_batch);
-        check_flushed(&m, &model)?;
-        check_flushed(&fork, &fork_model)?;
+        check_loaded(&m, &model)?;
+        check_loaded(&fork, &fork_model)?;
     }
 }
 
 /// A recycled slot: node 9 is collected and its id handed to a new node —
-/// other ancestors, other descendants — inside the same batch, before the
-/// flush that applies the old node's removals. The queued edits are ordered
-/// per id and the last one decides, so the new node's pairs survive the old
-/// node's removals whichever ancestors they share.
+/// other ancestors, other descendants — in the same sequence of edits. The
+/// new node's run holds its own ancestors only, and no run above or below
+/// it keeps a pair of the old node.
 #[test]
-fn a_slot_collected_and_reused_before_the_flush_holds_the_new_node_only() {
+fn a_slot_collected_and_reused_holds_the_new_node_only() {
     let (mut m, mut batch, mut model) =
         (Reachability::default(), ReachBatch::default(), Pairs::new());
     let script = [
         Edit::Add(9, vec![1, 2, 3]),
         Edit::Add(12, vec![9, 3]),
-        Edit::Flush,
         // Collected: 12 is rewritten from the parents it has left.
         Edit::Collect(9),
-        // Reused while `desc(1..=3)` still hold `9` and a queued removal.
+        // Reused: other ancestors, another descendant.
         Edit::Add(9, vec![2, 4]),
         Edit::Add(15, vec![9]),
     ];
     for edit in &script {
         apply(&mut m, &mut batch, &mut model, edit).expect("matches the model");
     }
-    m.flush(&mut batch);
-    check_flushed(&m, &model).expect("matches the model");
+    check_loaded(&m, &model).expect("matches the model");
     assert_eq!(m.ancestors(NodeId(9)), run([2, 4]));
-    assert_eq!(m.descendants(NodeId(9)), run([15]));
-    assert!(m.descendants(NodeId(1)).is_empty());
-    assert_eq!(m.descendants(NodeId(2)), run([9]));
+    assert_eq!(m.ancestors(NodeId(12)), run([3]));
+    assert_eq!(m.ancestors(NodeId(15)), run([9]));
+    assert!(!m.is_ancestor(NodeId(1), NodeId(9)));
+    assert!(!m.is_ancestor(NodeId(9), NodeId(12)));
 }

@@ -27,6 +27,7 @@
 //! planned footprints conservative against what the translation realizes.
 
 use rxview_atg::{generate_subtree, NodeId, Provisional};
+use rxview_core::reach::descendants;
 use rxview_core::{
     planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps, Anchors, Evaluated,
     RelFootprint, SubStep, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
@@ -163,7 +164,8 @@ impl Analysis {
         max_cone_anchors: usize,
     ) -> AnalysisParts {
         let dtd = sys.view().atg().dtd();
-        let genid = sys.view().dag().genid();
+        let dag = sys.view().dag();
+        let genid = dag.genid();
         let root = sys.view().dag().root();
         let interior = |v: &NodeId| !dtd.is_pcdata(genid.type_of(*v));
         let global = || AnalysisParts {
@@ -198,7 +200,7 @@ impl Analysis {
         let n_cones = anchors.len();
         for &a in &anchors {
             cone.insert(a);
-            cone.extend(sys.reach().descendants(a).iter().filter(|v| interior(v)));
+            cone.extend(descendants(dag, a).into_iter().filter(|v| interior(v)));
             if with_ancestors {
                 // A `//`-match's parent edges and matched root-paths climb
                 // above it: its ancestor chain (minus the root, which every
@@ -231,8 +233,8 @@ impl Analysis {
                         Some(links) => {
                             for &live in links.iter().filter(|v| interior(v)) {
                                 cone.insert(live);
-                                let desc = sys.reach().descendants(live);
-                                cone.extend(desc.iter().filter(|v| interior(v)));
+                                let desc = descendants(dag, live);
+                                cone.extend(desc.into_iter().filter(|v| interior(v)));
                             }
                             linked = links;
                             true
@@ -279,7 +281,7 @@ impl Analysis {
                             if interior(&c) {
                                 f.node_writes.insert(c);
                                 f.node_writes.extend(
-                                    sys.reach().descendants(c).iter().filter(|v| interior(v)),
+                                    descendants(dag, c).into_iter().filter(|v| interior(v)),
                                 );
                             }
                         }
@@ -301,7 +303,7 @@ impl Analysis {
                             for &l in linked.iter().filter(|v| interior(v)) {
                                 f.node_reads.insert(l);
                                 f.node_reads.extend(
-                                    sys.reach().descendants(l).iter().filter(|v| interior(v)),
+                                    descendants(dag, l).into_iter().filter(|v| interior(v)),
                                 );
                                 scratch.add_gen_write(
                                     sys.view(),

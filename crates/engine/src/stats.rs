@@ -201,8 +201,8 @@ metric_table! {
         free_ids: gauge "state.free_ids",
         /// Pairs of `M` in the latest published epoch.
         m_pairs: gauge "state.m_pairs",
-        /// 32-id block words `M` stores those pairs in, both directions: each
-        /// pair is one id in an `anc` run and one in a `desc` run.
+        /// 32-id block words `M` stores those pairs in: each pair is one id
+        /// in its descendant's `anc` run, so `m_pairs / m_words` ids per word.
         m_words: gauge "state.m_words",
         // --- evaluation ---
         /// Evaluations the commit path ran over a scope (a projection of `L`
@@ -546,7 +546,7 @@ impl fmt::Display for EngineReport {
             self.free_ids,
             self.m_pairs,
             self.m_words,
-            (2 * self.m_pairs) as f64 / self.m_words.max(1) as f64
+            self.m_pairs as f64 / self.m_words.max(1) as f64
         )?;
         writeln!(
             f,

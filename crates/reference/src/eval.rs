@@ -146,6 +146,21 @@ enum StepRecord {
     },
 }
 
+/// `desc(u)`: `M` stores each node's ancestors only, so `u`'s descendants
+/// are a search down the DAG's child lists.
+fn descendants(vs: &ViewStore, u: NodeId) -> HashSet<NodeId> {
+    let mut seen = HashSet::new();
+    let mut stack = vec![u];
+    while let Some(v) = stack.pop() {
+        for &c in vs.dag().children(v) {
+            if seen.insert(c) {
+                stack.push(c);
+            }
+        }
+    }
+    seen
+}
+
 /// Evaluates the update path `p` on the view.
 pub fn eval_xpath_on_dag(
     vs: &ViewStore,
@@ -276,9 +291,8 @@ pub fn eval_xpath_on_dag(
                     // caller's contract: every possible match (and, for
                     // `//` heads, its ancestors) lies inside the scope.
                     closure.extend(
-                        reach
-                            .descendants(u)
-                            .iter()
+                        descendants(vs, u)
+                            .into_iter()
                             .filter(|d| position(*d).is_some()),
                     );
                 }
@@ -349,7 +363,7 @@ pub fn eval_xpath_on_dag(
                 if !universal {
                     source_desc.extend(prev.iter().copied());
                     for &s in &prev {
-                        source_desc.extend(reach.descendants(s));
+                        source_desc.extend(descendants(vs, s));
                     }
                 }
                 let mid: HashSet<NodeId> = closure
@@ -590,7 +604,7 @@ mod tests {
             // Twice: a cold and a warm (scratch-reusing) execution.
             for _ in 0..2 {
                 let (plan, bindings) = cache.plan(dtd, &p);
-                let got = eval_plan(&vs, topo.order(), &reach, &plan, &bindings);
+                let got = eval_plan(&vs, topo.order(), &plan, &bindings);
                 assert_eq!(got.selected, reference.selected, "selected on `{path}`");
                 assert_eq!(
                     got.edge_parents, reference.edge_parents,
@@ -631,7 +645,7 @@ mod tests {
                 let anchors = resolve_anchors(&vs, &plan.class(&bindings), 64, None).unwrap();
                 let scope = scope_of_anchors(&vs, &topo, &reach, &anchors)
                     .expect("a 6-node cone is worth projecting");
-                let scoped = eval_plan(&vs, &scope, &reach, &plan, &bindings);
+                let scoped = eval_plan(&vs, &scope, &plan, &bindings);
                 let full = eval_xpath_on_dag(&vs, &topo, &reach, &p);
                 assert_eq!(scoped.selected.len(), 1);
                 assert_eq!(scoped.selected, full.selected);

@@ -9,7 +9,7 @@ use rxview_core::Reachability;
 /// Naive recomputation baseline: a full DFS from every node, the
 /// `O(|V|² log |V|)`-style approach the paper contrasts Reach against. Each
 /// search collects one node's ancestors; the matrix is loaded through
-/// [`Reachability::from_ancestors`], which derives the `desc` direction.
+/// [`Reachability::from_ancestors`], which stores them as they are.
 pub fn compute_naive(dag: &Dag) -> Reachability {
     // `seen_from[v] == d + 1` once the search from `d` has visited `v`.
     let mut seen_from = vec![0u32; dag.genid().n_allocated()];

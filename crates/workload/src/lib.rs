@@ -5,7 +5,6 @@
 //!   generator, the recursive view of Fig.10(a), and Fig.10(b)-style
 //!   dataset statistics ([`dataset_stats`]);
 //! - [`WorkloadGen`]: the W1/W2/W3 insertion and deletion workloads;
-//! - [`PathCache`]: the parsed-XPath cache the generators draw from;
 //! - [`ShardSkewGen`]: anchor-cone-partitioned update streams with a
 //!   controllable hot spot, for the engine's round-width sweeps;
 //! - [`DescendantGen`]: mixed anchored + `//`-headed update streams over hot
@@ -31,7 +30,6 @@ mod workloads;
 
 pub use churn::{ChurnGen, NODES_PER_INSERT};
 pub use descendant::{DescendantConfig, DescendantGen};
-pub use path_cache::PathCache;
 pub use recovery::{
     assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates,
 };

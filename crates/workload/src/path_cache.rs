@@ -13,18 +13,18 @@ use std::collections::HashMap;
 
 /// A memoizing XPath parser: each distinct path string is parsed once.
 #[derive(Debug, Default)]
-pub struct PathCache {
+pub(crate) struct PathCache {
     map: HashMap<String, XPath>,
 }
 
 impl PathCache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PathCache::default()
     }
 
     /// Parses `text`, serving repeats from the cache.
-    pub fn parse(&mut self, text: &str) -> Result<XPath, ParseError> {
+    pub(crate) fn parse(&mut self, text: &str) -> Result<XPath, ParseError> {
         if let Some(p) = self.map.get(text) {
             return Ok(p.clone());
         }
@@ -34,14 +34,14 @@ impl PathCache {
     }
 
     /// A `delete p` update with the path served from the cache.
-    pub fn delete(&mut self, path: &str) -> Result<XmlUpdate, ParseError> {
+    pub(crate) fn delete(&mut self, path: &str) -> Result<XmlUpdate, ParseError> {
         Ok(XmlUpdate::Delete {
             path: self.parse(path)?,
         })
     }
 
     /// An `insert (A, t) into p` update with the path served from the cache.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         ty: impl Into<String>,
         attr: Tuple,
@@ -53,16 +53,6 @@ impl PathCache {
             path: self.parse(path)?,
         })
     }
-
-    /// Distinct paths parsed so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -72,12 +62,12 @@ mod tests {
     #[test]
     fn repeats_are_served_from_the_cache() {
         let mut cache = PathCache::new();
-        assert!(cache.is_empty());
+        assert!(cache.map.is_empty());
         let first = cache.parse("node[id=7]/sub/node").unwrap();
         let again = cache.delete("node[id=7]/sub/node").unwrap();
         assert_eq!(again.path(), &first);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.map.len(), 1);
         assert!(cache.parse("node[").is_err());
-        assert_eq!(cache.len(), 1, "a failed parse caches nothing");
+        assert_eq!(cache.map.len(), 1, "a failed parse caches nothing");
     }
 }

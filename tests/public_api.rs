@@ -46,8 +46,8 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "workload",
-        "ChurnGen DatasetStats DescendantConfig DescendantGen NODES_PER_INSERT PathCache \
-         ShardSkewGen SkewConfig SyntheticConfig WorkloadClass WorkloadGen \
+        "ChurnGen DatasetStats DescendantConfig DescendantGen NODES_PER_INSERT ShardSkewGen \
+         SkewConfig SyntheticConfig WorkloadClass WorkloadGen \
          assert_observationally_equal base_fingerprint dataset_stats detached_chain_heads \
          edge_fingerprint mixed_updates registrar_atg registrar_database synthetic_atg \
          synthetic_database",
