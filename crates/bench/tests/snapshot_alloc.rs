@@ -101,11 +101,12 @@ use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
 use rxview_engine::Engine;
 use rxview_relstore::codec::{put_database, read_database};
-use rxview_relstore::{tuple, Reader, Tuple};
+use rxview_relstore::{tuple, Database, Reader, Tuple};
 use rxview_workload::{
     synthetic_atg, synthetic_database, ChurnGen, SyntheticConfig, NODES_PER_INSERT,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -113,10 +114,25 @@ struct Counting;
 
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed.
+/// Bytes allocated and not yet freed, by every thread (the soak's engine
+/// allocates on its own).
 static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// Allocations not yet freed.
-static LIVE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Bytes this thread allocated less those it freed, and allocations
+    /// likewise: what [`kept_by`] reads, so that another test's thread
+    /// releasing its thread-locals as it exits is not counted as a result's
+    /// bytes coming free.
+    static THREAD_LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+}
+
+/// Adds `bytes` and `allocs` to this thread's live counts.
+fn thread_live(bytes: isize, allocs: isize) {
+    THREAD_LIVE.with(|c| {
+        let (b, a) = c.get();
+        c.set((b + bytes, a + allocs));
+    });
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain atomics and
@@ -126,14 +142,14 @@ unsafe impl GlobalAlloc for Counting {
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        thread_live(layout.size() as isize, 1);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
+        thread_live(-(layout.size() as isize), -1);
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -144,6 +160,7 @@ unsafe impl GlobalAlloc for Counting {
         // Wrapping, as two steps: the sum stays right whichever is larger.
         LIVE.fetch_add(new_size, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        thread_live(new_size as isize - layout.size() as isize, 0);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -163,18 +180,13 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     )
 }
 
-/// What `f`'s result keeps allocated: bytes and allocations.
-fn kept_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (b0, a0) = (
-        LIVE.load(Ordering::Relaxed),
-        LIVE_ALLOCS.load(Ordering::Relaxed),
-    );
+/// What `f`'s result keeps allocated, counted on this thread: bytes and
+/// allocations, negative where `f` freed more than it kept.
+fn kept_by<T>(f: impl FnOnce() -> T) -> (T, isize, isize) {
+    let (b0, a0) = THREAD_LIVE.with(Cell::get);
     let out = f();
-    (
-        out,
-        LIVE.load(Ordering::Relaxed) - b0,
-        LIVE_ALLOCS.load(Ordering::Relaxed) - a0,
-    )
+    let (b1, a1) = THREAD_LIVE.with(Cell::get);
+    (out, b1 - b0, a1 - a0)
 }
 
 const GROUPS: usize = 128;
@@ -190,21 +202,26 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     // anything else is alive. The fixture's `CU` shares `C`'s rows, so the
     // distinct rows are those of `C`, `F` and `H`.
     let cfg = SyntheticConfig::with_size(GROUPS * GROUP_SIZE);
-    let (db, base_bytes, base_allocs) = kept_by(|| synthetic_database(&cfg));
+    let (mut db, base_bytes, base_allocs) = kept_by(|| synthetic_database(&cfg));
+    let rows_in = |db: &Database, t: &str| db.table(t).expect("synthetic table").len();
+    let distinct_rows = rows_in(&db, "C") + rows_in(&db, "F") + rows_in(&db, "H");
+    let allocs_per_row = base_allocs as f64 / distinct_rows as f64;
+    // `I` as `XmlViewSystem::new` keeps it: the `F` rows equal to `C`'s
+    // give their allocations back.
+    let (shared, shared_bytes, _) = kept_by(|| db.share_equal_rows());
+    let built_bytes_per_row = (base_bytes + shared_bytes) as f64 / db.total_rows() as f64;
     let atg = synthetic_atg(&db).expect("synthetic ATG");
     let (vs, view_bytes, _) = {
         let atg = atg.clone();
         kept_by(|| ViewStore::publish(atg, &db).expect("fixture publishes"))
     };
-    let rows_in = |t: &str| db.table(t).expect("synthetic table").len();
-    let distinct_rows = rows_in("C") + rows_in("F") + rows_in("H");
     let bytes_per_row = base_bytes as f64 / db.total_rows() as f64;
-    let allocs_per_row = base_allocs as f64 / distinct_rows as f64;
     let bytes_per_node = view_bytes as f64 / vs.n_nodes() as f64;
     println!(
         "I: {base_bytes} B live in {base_allocs} allocations for {} rows ({distinct_rows} \
          distinct): {bytes_per_row:.1} B per row, {allocs_per_row:.3} allocations per distinct \
-         row; V: {view_bytes} B live for {} nodes, {bytes_per_node:.1} B per node",
+         row; {built_bytes_per_row:.1} B per row once {shared} rows share; V: {view_bytes} B \
+         live for {} nodes, {bytes_per_node:.1} B per node",
         db.total_rows(),
         vs.n_nodes()
     );
@@ -212,6 +229,10 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     assert!(
         bytes_per_row <= 152.0,
         "I keeps {bytes_per_row:.1} B per base row allocated"
+    );
+    assert!(
+        built_bytes_per_row <= 102.0,
+        "I after XmlViewSystem::new keeps {built_bytes_per_row:.1} B per base row allocated"
     );
     assert!(
         allocs_per_row <= 1.10,
@@ -263,9 +284,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
 
     // What `M` keeps allocated once built — an O(|M|) figure, so counted
     // on its own before the O(∆) ones.
-    let live_before = LIVE.load(Ordering::Relaxed);
-    let m = Reachability::compute(sys.view().dag(), sys.topo());
-    let m_bytes = LIVE.load(Ordering::Relaxed) - live_before;
+    let (m, m_bytes, _) = kept_by(|| Reachability::compute(sys.view().dag(), sys.topo()));
     let bytes_per_pair = m_bytes as f64 / m.n_pairs() as f64;
     assert_eq!(m.n_pairs(), sys.reach().n_pairs());
     drop(m);
@@ -347,7 +366,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         clone_calls <= 4_365,
         "clone made {clone_calls} allocator calls"
     );
-    assert!(round_bytes <= 198_652, "round allocated {round_bytes} B");
+    assert!(round_bytes <= 196_283, "round allocated {round_bytes} B");
     assert!(
         round_calls <= 1_000,
         "round made {round_calls} allocator calls"
@@ -359,11 +378,13 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
 }
 
 /// A state loaded from its checkpoint keeps allocated what the same state
-/// keeps once published: `decode_system` gives every `gen_A` row the
-/// interner's `$A` tuple and every `CU` row `C`'s, as publication and the
-/// generator do. (Before the decoder shared, this ratio was 1.16. It can
-/// dip below one: `F`'s rows that equal `C`'s share too, which no
-/// publication arranges.)
+/// keeps once published, to within 2 % either way: `decode_system` gives
+/// every `gen_A` row the interner's `$A` tuple, and both constructors give
+/// a row equal to the row at its key in an earlier table of its shape that
+/// row's allocation (`CU`'s rows are `C`'s, and so are most of `F`'s). The
+/// published state still holds the `C.c6` index its publication built,
+/// which a loaded one builds on its first probe. (Before the decoder
+/// shared, the ratio was 1.16; while only the decoder shared, 0.82.)
 #[test]
 fn a_decoded_state_keeps_what_the_published_state_keeps() {
     let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -381,7 +402,7 @@ fn a_decoded_state_keeps_what_the_published_state_keeps() {
     let ratio = decoded as f64 / published as f64;
     println!("published state: {published} B live; decoded: {decoded} B live ({ratio:.3} x)");
     assert!(
-        ratio <= 1.02,
+        (0.98..=1.02).contains(&ratio),
         "a decoded state keeps {ratio:.3} x the published"
     );
     drop(back);

@@ -227,10 +227,13 @@ pub struct XmlViewSystem {
 }
 
 impl XmlViewSystem {
-    /// Publishes `σ(I)` and builds `M` and `L` — `L` from the order
-    /// publication's acyclicity check already computed, which is
-    /// [`TopoOrder::compute`]'s.
-    pub fn new(atg: Atg, base: Database) -> Result<Self, PublishError> {
+    /// Loads `I` as a checkpoint load does — equal rows of same-shape
+    /// tables stored once ([`Database::share_equal_rows`]), before anything
+    /// is built on them — then publishes `σ(I)` and builds `M` and `L`, `L`
+    /// from the order publication's acyclicity check already computed,
+    /// which is [`TopoOrder::compute`]'s.
+    pub fn new(atg: Atg, mut base: Database) -> Result<Self, PublishError> {
+        base.share_equal_rows();
         let (vs, leaves_first) = ViewStore::publish_leaves_first(atg, &base)?;
         let topo = TopoOrder::from_order(leaves_first);
         let reach = Reachability::compute(vs.dag(), &topo);

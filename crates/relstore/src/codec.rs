@@ -27,7 +27,7 @@
 //! version tag in the enclosing file headers.
 
 use crate::schema::{ColumnDef, TableSchema};
-use crate::table::Table;
+use crate::table::{RowDonors, Table};
 use crate::tuple::Tuple;
 use crate::value::{Domain, Value, ValueType};
 use crate::Database;
@@ -478,9 +478,10 @@ pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
 /// same invariants as a live one. Some of the table's rows may be in memory
 /// already: `donors` lists, for the decoded schema, rows in this table's key
 /// order, and a decoded row equal to the donor at its key takes the donor's
-/// allocation in place of one of its own — the merge compares a row's
-/// values where they were decoded, before anything is allocated for them.
-/// Returns the table and how many of its rows are donors'.
+/// allocation in place of one of its own — through the key-order merge
+/// [`Database::share_equal_rows`] runs too, comparing a row's values where
+/// they were decoded, before anything is allocated for them. Returns the
+/// table and how many of its rows are donors'.
 pub fn read_table_sharing<'d, I>(
     r: &mut Reader<'_>,
     donors: impl FnOnce(&TableSchema) -> I,
@@ -493,13 +494,7 @@ where
     if n > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut donors = donors(&schema).peekable();
-    let key = schema.key().to_vec();
-    let before = |donor: &[Value], row: &[Value]| {
-        let mut cols = key.iter().map(|&c| donor.get(c).cmp(&row.get(c)));
-        cols.find(|o| o.is_ne()).is_some_and(|o| o.is_lt())
-    };
-    let mut shared = 0;
+    let mut donors = RowDonors::new(schema.key(), donors(&schema));
     // Rows go from the input to their pages, with no list in between; a
     // row that fails to decode ends the stream.
     let mut failed = None;
@@ -508,10 +503,8 @@ where
             failed = Some(e);
             return None;
         }
-        while donors.next_if(|d| before(d.values(), &r.values)).is_some() {}
-        Some(match donors.next_if(|d| d.values() == r.values) {
+        Some(match donors.equal_to(&r.values) {
             Some(donor) => {
-                shared += 1;
                 r.values.clear();
                 donor.clone()
             }
@@ -523,7 +516,7 @@ where
         return Err(e);
     }
     let table = table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))?;
-    Ok((table, shared))
+    Ok((table, donors.shared()))
 }
 
 /// Encodes a whole [`Database`] (table count + tables, name order).
@@ -536,9 +529,10 @@ pub fn put_database(out: &mut Vec<u8>, db: &Database) {
 }
 
 /// Decodes a whole [`Database`]. A row equal to the row at the same key of
-/// an earlier table of the same shape (column types and key) shares that
-/// row's allocation, as the two do when one tuple was inserted into both
-/// tables (a universe table beside its subset).
+/// the first earlier table of the same shape (column types and key) shares
+/// that row's allocation — the donor and the merge
+/// [`Database::share_equal_rows`] uses, so a decoded `I` is stored as the
+/// one `XmlViewSystem::new` builds.
 pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     let n = r.read_varint()? as usize;
     if n > r.remaining() {
@@ -546,18 +540,8 @@ pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     }
     let mut db = Database::new();
     for _ in 0..n {
-        let same_shape = |schema: &TableSchema| {
-            fn types(s: &TableSchema) -> impl Iterator<Item = ValueType> + '_ {
-                s.columns().iter().map(|c| c.ty)
-            }
-            let shaped = |t: &&Table| {
-                t.schema().key() == schema.key() && types(t.schema()).eq(types(schema))
-            };
-            let tables = db.table_names().map(|name| db.table(name).expect("listed"));
-            let earlier: Option<&Table> = tables.into_iter().find(shaped);
-            earlier.into_iter().flat_map(Table::iter)
-        };
-        let (table, _) = read_table_sharing(r, same_shape)?;
+        let donor = |schema: &TableSchema| db.same_shape(schema).into_iter().flat_map(Table::iter);
+        let (table, _) = read_table_sharing(r, donor)?;
         db.add_table(table)
             .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
     }

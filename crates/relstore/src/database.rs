@@ -2,9 +2,10 @@
 
 use crate::error::{RelError, RelResult};
 use crate::schema::TableSchema;
-use crate::table::Table;
+use crate::table::{RowDonors, Table};
 use crate::tuple::Tuple;
 use crate::update::{GroupUpdate, TupleOp};
+use crate::value::ValueType;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -70,6 +71,50 @@ impl Database {
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(String::as_str)
+    }
+
+    /// The first table of the same shape as `schema` — the same column
+    /// types and the same key — in name order: the donor whose equal rows
+    /// a table of that shape loads as its own (a universe table beside its
+    /// subset, a join partner repeating its columns).
+    pub(crate) fn same_shape(&self, schema: &TableSchema) -> Option<&Table> {
+        fn types(s: &TableSchema) -> impl Iterator<Item = ValueType> + '_ {
+            s.columns().iter().map(|c| c.ty)
+        }
+        self.tables
+            .values()
+            .map(Arc::as_ref)
+            .find(|t| t.schema().key() == schema.key() && types(t.schema()).eq(types(schema)))
+    }
+
+    /// Rebuilds every table in name order, as a checkpoint load builds
+    /// them: a row equal to the row at its key in the first table before it
+    /// of the same shape (column types and key) takes that row's
+    /// allocation, and each table's pages are written full
+    /// ([`Table::from_sorted_rows`]).
+    /// No value, order or byte on disk moves. Column indexes are left to be
+    /// rebuilt on their next probe, so nothing built on the old rows holds
+    /// them. Returns how many rows took a donor's allocation.
+    pub fn share_equal_rows(&mut self) -> usize {
+        let mut rebuilt = Database::new();
+        let mut shared = 0;
+        for (name, table) in std::mem::take(&mut self.tables) {
+            let loaded = {
+                let schema = table.schema().clone();
+                let donor = rebuilt.same_shape(&schema).into_iter();
+                let mut donors = RowDonors::new(schema.key(), donor.flat_map(Table::iter));
+                let rows = table
+                    .iter()
+                    .map(|row| donors.equal_to(row.values()).unwrap_or(row).clone());
+                let loaded = Table::from_sorted_rows(schema, rows)
+                    .expect("a table's rows are valid and in key order");
+                shared += donors.shared();
+                loaded
+            };
+            rebuilt.tables.insert(name, Arc::new(loaded));
+        }
+        *self = rebuilt;
+        shared
     }
 
     /// Total number of rows across all tables.

@@ -63,6 +63,63 @@ fn cmp_indexed(key: &[usize], col: usize, a: &Tuple, b: &Tuple) -> Ordering {
     a[col].cmp(&b[col]).then_with(|| cmp_rows(key, a, b))
 }
 
+/// The rows of a donor table, read in key order beside the rows of a table
+/// being loaded in the same order: a loaded row equal to the donor's row at
+/// its key takes that row's allocation. One merge of the two key orders —
+/// each comparison either passes a donor row or ends a loaded row's search,
+/// so a load makes at most `|table| + |donor|` of them, and none without a
+/// donor. What [`Database::share_equal_rows`](crate::Database::share_equal_rows)
+/// and the checkpoint decoder share equal rows through.
+pub(crate) struct RowDonors<'d, I: Iterator<Item = &'d Tuple>> {
+    key: Vec<usize>,
+    rows: std::iter::Peekable<I>,
+    shared: usize,
+}
+
+impl<'d, I: Iterator<Item = &'d Tuple>> RowDonors<'d, I> {
+    /// Donor rows `rows`, ascending under the key columns `key`.
+    pub(crate) fn new(key: &[usize], rows: I) -> Self {
+        RowDonors {
+            key: key.to_vec(),
+            rows: rows.peekable(),
+            shared: 0,
+        }
+    }
+
+    /// The donor row equal to `row`, if the donor has one at its key. Rows
+    /// are asked about in ascending key order; the donor rows below `row`'s
+    /// key are passed for good. `row` is compared where it lies, so a
+    /// decoder asks before it allocates anything; a column it lacks orders
+    /// first and equals nothing.
+    pub(crate) fn equal_to(&mut self, row: &[Value]) -> Option<&'d Tuple> {
+        while let Some(donor) = self.rows.peek() {
+            #[cfg(test)]
+            tests::ROW_COMPARISONS.with(|n| n.set(n.get() + 1));
+            let mut cols = self
+                .key
+                .iter()
+                .map(|&c| donor.values().get(c).cmp(&row.get(c)));
+            match cols.find(|o| o.is_ne()).unwrap_or(Ordering::Equal) {
+                Ordering::Less => {
+                    self.rows.next();
+                }
+                Ordering::Equal => {
+                    let donor = self.rows.next().filter(|d| d.values() == row)?;
+                    self.shared += 1;
+                    return Some(donor);
+                }
+                Ordering::Greater => return None,
+            }
+        }
+        None
+    }
+
+    /// How many rows [`RowDonors::equal_to`] has handed a donor's row.
+    pub(crate) fn shared(&self) -> usize {
+        self.shared
+    }
+}
+
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
@@ -273,6 +330,9 @@ mod tests {
     thread_local! {
         /// Secondary-index builds on this thread.
         pub(super) static INDEX_BUILDS: Cell<usize> = const { Cell::new(0) };
+        /// Donor rows compared with a loaded row on this thread
+        /// ([`RowDonors::equal_to`]).
+        pub(super) static ROW_COMPARISONS: Cell<usize> = const { Cell::new(0) };
     }
 
     fn course_table() -> Table {
@@ -373,6 +433,81 @@ mod tests {
         let mut t = course_table();
         assert!(t.insert(tuple!["CS320"]).is_err());
         assert!(t.insert(tuple![1i64, "x"]).is_err());
+    }
+
+    /// A table `name` of `(k, v)` integer rows keyed on `k`.
+    fn keyed(name: &str, rows: impl IntoIterator<Item = (i64, i64)>) -> Table {
+        let schema = schema(name).col_int("k").col_int("v").key(&["k"]);
+        Table::from_sorted_rows(schema, rows.into_iter().map(|(k, v)| tuple![k, v])).unwrap()
+    }
+
+    #[test]
+    fn a_loaded_row_takes_the_donor_row_at_its_key_only_if_equal() {
+        // Keys on the donor's side only (1, 4, 9), on the loaded side only
+        // (0, 5, 10, 11), on both and equal (2, 6), on both and unequal (3).
+        let donor = keyed("a", [(1, 0), (2, 20), (3, 30), (4, 0), (6, 60), (9, 0)]);
+        let loaded = [(0, 0), (2, 20), (3, 31), (5, 0), (6, 60), (10, 0), (11, 0)];
+        let mut donors = RowDonors::new(&[0], donor.iter());
+        let took: Vec<Option<i64>> = loaded
+            .iter()
+            .map(|&(k, v)| {
+                let row = tuple![k, v];
+                let found = donors.equal_to(row.values());
+                found.map(|d| {
+                    assert!(std::ptr::eq(d, donor.get(&tuple![k]).unwrap()));
+                    k
+                })
+            })
+            .collect();
+        assert_eq!(took, [None, Some(2), None, None, Some(6), None, None]);
+        assert_eq!(donors.shared(), 2);
+        // A decoded row shorter than the key equals nothing, and panics
+        // nowhere.
+        let mut donors = RowDonors::new(&[0, 1], donor.iter());
+        assert!(donors.equal_to(&[]).is_none());
+        assert!(donors.equal_to(&[Value::Int(2)]).is_none());
+    }
+
+    #[test]
+    fn sharing_compares_each_row_at_most_once_per_side() {
+        // `a` is `b`'s donor (same shape, earlier by name): every other key
+        // of `b` is in `a`, every third of those equal; `c` has no donor.
+        let compared = |n: i64| {
+            let mut db = crate::Database::new();
+            db.add_table(keyed("a", (0..n).map(|k| (2 * k, k % 3))))
+                .unwrap();
+            db.add_table(keyed("b", (0..n).map(|k| (k, 0)))).unwrap();
+            db.add_table(Table::new(schema("c").col_str("s").key(&["s"])))
+                .unwrap();
+            let before = ROW_COMPARISONS.with(Cell::get);
+            let shared = db.share_equal_rows();
+            let (a, b) = (db.table("a").unwrap(), db.table("b").unwrap());
+            let equal: Vec<&Tuple> = b.iter().filter(|r| a.contains_tuple(r)).collect();
+            assert_eq!(shared, equal.len());
+            assert!(equal.iter().all(|r| {
+                let donor = a.get(&tuple![r[0].clone()]).unwrap();
+                std::ptr::eq(r.values().as_ptr(), donor.values().as_ptr())
+            }));
+            (ROW_COMPARISONS.with(Cell::get) - before, a.len() + b.len())
+        };
+        for n in [100, 10_000] {
+            let (made, bound) = compared(n);
+            assert!(
+                made <= bound,
+                "{made} comparisons at n = {n}, bound {bound}"
+            );
+            assert!(
+                made >= bound / 2,
+                "{made} comparisons at n = {n}: the merge did not run"
+            );
+        }
+        // Without a donor the pass compares nothing.
+        let mut db = crate::Database::new();
+        db.add_table(keyed("only", (0..1_000).map(|k| (k, k))))
+            .unwrap();
+        let before = ROW_COMPARISONS.with(Cell::get);
+        assert_eq!(db.share_equal_rows(), 0);
+        assert_eq!(ROW_COMPARISONS.with(Cell::get), before);
     }
 
     #[test]

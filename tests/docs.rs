@@ -3,13 +3,16 @@
 //! and only go down — a change that adds prose removes as much elsewhere,
 //! and one that removes more lowers the pin — every `crates/…` path that
 //! ARCHITECTURE.md, README.md or ROADMAP.md cites exists, so a change that
-//! deletes or moves a file cannot leave a citation of it behind, and every
-//! ROADMAP item cited in code or docs is one ROADMAP.md lists.
+//! deletes or moves a file cannot leave a citation of it behind, every
+//! ROADMAP item cited in code or docs is one ROADMAP.md lists, and every
+//! metric name ARCHITECTURE.md §6 cites is one the engine exports.
 
+use rxview::atg::{registrar_atg, registrar_database};
+use rxview::prelude::{Engine, XmlViewSystem};
 use std::path::Path;
 
 /// ARCHITECTURE.md's size in bytes.
-const ARCHITECTURE_BYTES: usize = 92_333;
+const ARCHITECTURE_BYTES: usize = 92_326;
 
 /// ARCHITECTURE.md's `## ` sections titled by PR number ("…, PR 8: …").
 const PR_TITLED_SECTIONS: usize = 1;
@@ -253,4 +256,108 @@ fn citations_are_read_as_written() {
         ["crates/bench/"]
     );
     assert_eq!(must_exist("crates/shims/*"), ["crates/shims/"]);
+}
+
+/// The text of ARCHITECTURE.md's section `## {number}` up to the next one.
+fn section(text: &str, number: &str) -> String {
+    let start = text.find(&format!("\n## {number} ")).unwrap() + 1;
+    let body = &text[start..];
+    body[..body[3..].find("\n## ").map_or(body.len(), |end| end + 3)].to_owned()
+}
+
+/// Each alternative of a path's first `{a, b}` group, recursively.
+fn expand(name: &str) -> Vec<String> {
+    match (name.find('{'), name.find('}')) {
+        (Some(open), Some(close)) if open < close => name[open + 1..close]
+            .split(',')
+            .flat_map(|alt| {
+                expand(&format!(
+                    "{}{}{}",
+                    &name[..open],
+                    alt.trim(),
+                    &name[close + 1..]
+                ))
+            })
+            .collect(),
+        _ => vec![name.to_owned()],
+    }
+}
+
+/// The metric names a text cites: every backticked span shaped like a
+/// dotted name — lower-case words joined by dots, `{a, b}` groups allowed,
+/// spanning lines or not — each group expanded. A span with any other
+/// character (a path, a call, a pattern) names no metric. The flight
+/// recorder's bullet names events, not metrics, and is skipped.
+fn metric_names(text: &str) -> Vec<String> {
+    let shaped = |span: &str| {
+        let word = |w: &str| {
+            !w.is_empty()
+                && w.chars()
+                    .all(|c| c.is_ascii_lowercase() || "_{}, ".contains(c) || c.is_ascii_digit())
+        };
+        span.contains('.') && span.split('.').all(word)
+    };
+    let mut names = Vec::new();
+    for block in text
+        .split("\n- ")
+        .filter(|b| !b.starts_with("**Flight recorder**"))
+    {
+        for span in block.split('`').skip(1).step_by(2) {
+            let span = span.split_whitespace().collect::<Vec<_>>().join(" ");
+            if shaped(&span) {
+                names.extend(expand(&span));
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_metric_architecture_section_6_names_is_exported() {
+    let text = std::fs::read_to_string(root().join("ARCHITECTURE.md")).unwrap();
+    let cited = metric_names(&section(&text, "6."));
+    let db = registrar_database();
+    let engine = Engine::new(XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap());
+    let exported: Vec<&str> = engine
+        .stats()
+        .metrics()
+        .iter()
+        .map(|&(name, _)| name)
+        .collect();
+    assert!(
+        cited.len() >= 10,
+        "only {} metric names found: {cited:?}",
+        cited.len()
+    );
+    let unknown: Vec<&String> = cited
+        .iter()
+        .filter(|n| !exported.contains(&n.as_str()))
+        .collect();
+    assert!(
+        unknown.is_empty(),
+        "ARCHITECTURE.md §6 names metrics EngineStats::metrics() does not export: {unknown:?}"
+    );
+}
+
+#[test]
+fn metric_names_are_read_as_written() {
+    let text = "x\n- **A** `wal.syncs` and `state.{base_rows,\n  m_pairs}`, `stats.rounds.incr()`,\n  \
+                `engine/src/stats.rs`, `obs::Exporter`, `recovery.*`, `a.{b,c}.{d, e}`, `RXVIEW_X`\n\
+                - **Flight recorder** `round.committed`";
+    assert_eq!(
+        metric_names(text),
+        [
+            "wal.syncs",
+            "state.base_rows",
+            "state.m_pairs",
+            "a.b.d",
+            "a.b.e",
+            "a.c.d",
+            "a.c.e"
+        ]
+    );
+    assert_eq!(
+        section("# T\n## 5. a\nx\n## 6. b\ny\n## 7. c\n", "6."),
+        "## 6. b\ny"
+    );
 }

@@ -1,5 +1,7 @@
 //! Layout guards for the resident state under tier-1: what a cell and a row
-//! handle cost, and that a table keeps the row it was given — once.
+//! handle cost, that a table keeps the row it was given — once — and that
+//! both constructors store a row equal to the row at its key in an earlier
+//! table of the same shape once.
 //!
 //! Every row of `I`, every `gen_A` row, every interner attribute and every
 //! column-index entry is an array of `Value`s behind a `Tuple` handle, so a
@@ -7,8 +9,11 @@
 //! state costs"; the per-row and per-node byte counts are held by
 //! `crates/bench/tests/snapshot_alloc.rs`, which needs its own allocator).
 
+use rxview::core::codec::{decode_system, encode_system};
 use rxview::prelude::*;
-use rxview::relstore::{schema, tuple, Table};
+use rxview::relstore::{schema, tuple, Reader, Table};
+use rxview::workload::{synthetic_atg, synthetic_database, SyntheticConfig};
+use std::collections::BTreeSet;
 
 #[test]
 fn a_cell_and_a_row_handle_are_sixteen_bytes() {
@@ -38,4 +43,75 @@ fn a_table_stores_the_row_it_was_given_and_nothing_beside_it() {
     let back = h.delete(&tuple![7i64]).expect("present");
     assert!(std::ptr::eq(back.values().as_ptr(), cells));
     assert!(h.is_empty() && h.scan_col_eq(1, &Value::Int(9)).is_empty());
+}
+
+/// Whether two rows are one allocation.
+fn same_cells(a: &Tuple, b: &Tuple) -> bool {
+    std::ptr::eq(a.values().as_ptr(), b.values().as_ptr())
+}
+
+/// The keys (`c1`) at which `F`'s row is `C`'s allocation.
+fn f_keys_sharing_c(base: &Database) -> BTreeSet<Value> {
+    let (c, f) = (base.table("C").unwrap(), base.table("F").unwrap());
+    let at_key = |row: &Tuple| c.get(&tuple![row[0].clone()]);
+    let shared = f
+        .iter()
+        .filter(|&row| at_key(row).is_some_and(|c| same_cells(c, row)));
+    shared.map(|row| row[0].clone()).collect()
+}
+
+#[test]
+fn construction_stores_equal_rows_of_same_shape_tables_once_as_a_checkpoint_load_does() {
+    let db = synthetic_database(&SyntheticConfig::with_size(10 * 40));
+    let given = db.clone();
+    let sys = XmlViewSystem::new(synthetic_atg(&db).unwrap(), db).unwrap();
+    let base = sys.base();
+
+    // `F` (after `C` and `CU` in name order, and of their shape) takes
+    // `C`'s allocation wherever its row equals `C`'s — which most do — and
+    // keeps an allocation of its own wherever it does not.
+    let (c, f) = (base.table("C").unwrap(), base.table("F").unwrap());
+    let (mut equal, mut unequal) = (0, 0);
+    for (c_row, f_row) in c.iter().zip(f.iter()) {
+        assert_eq!(c_row[0], f_row[0], "one F row per C row, by key");
+        if c_row == f_row {
+            assert!(
+                same_cells(c_row, f_row),
+                "F row {f_row} equals C's and is a copy"
+            );
+            equal += 1;
+        } else {
+            let was = given.table("F").unwrap().get(&tuple![f_row[0].clone()]);
+            assert!(
+                was.is_some_and(|was| same_cells(was, f_row)),
+                "F row {f_row}"
+            );
+            unequal += 1;
+        }
+    }
+    assert!(
+        equal > 4 * unequal && unequal > 0,
+        "{equal} equal, {unequal} not"
+    );
+
+    // `C` and `H` have no earlier table of their shape: their rows are the
+    // allocations they were given. `CU` was given `C`'s.
+    for name in ["C", "H", "CU"] {
+        let (kept, was) = (base.table(name).unwrap(), given.table(name).unwrap());
+        assert_eq!(kept.len(), was.len());
+        assert!(
+            kept.iter().zip(was.iter()).all(|(a, b)| same_cells(a, b)),
+            "{name}"
+        );
+    }
+    let cu = base.table("CU").unwrap();
+    assert!(c.iter().zip(cu.iter()).all(|(a, b)| same_cells(a, b)));
+
+    // A checkpoint load shares at exactly the same keys.
+    let mut bytes = Vec::new();
+    encode_system(&sys, &mut bytes);
+    let back = decode_system(sys.view().atg(), &mut Reader::new(&bytes)).unwrap();
+    let shared = f_keys_sharing_c(base);
+    assert_eq!(shared.len(), equal);
+    assert_eq!(f_keys_sharing_c(back.base()), shared);
 }
