@@ -315,6 +315,19 @@ impl GenId {
         }
     }
 
+    /// Shrinks the id space back to `len` ids, its length before a rejected
+    /// insertion interned a subtree; every id past it must be free. Their
+    /// key map entries stay behind as any released node's do.
+    pub fn truncate(&mut self, len: usize) {
+        debug_assert!(
+            (len..self.live.len()).all(|i| !self.live[i]),
+            "a live id past {len}"
+        );
+        self.info.truncate(len);
+        self.live.truncate(len);
+        self.first_free = self.first_free.min(len);
+    }
+
     /// Entries released nodes may leave in the key map before it is worth
     /// rebuilding, however few nodes are live.
     const STALE_KEYS: usize = if cfg!(test) { 4 } else { 1024 };

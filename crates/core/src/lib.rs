@@ -10,9 +10,9 @@
 //!   its side-effect set (§3.2), which [`eval_plan`] computes;
 //! - `xinsert` / [`xdelete`]: Algorithms Xinsert/Xdelete, ∆X → ∆V (§3.3,
 //!   Fig.5–6);
-//! - `maintain_insert` / `maintain_delete`: incremental maintenance
+//! - [`XmlViewSystem::fold_maintenance`]: incremental maintenance
 //!   ∆(M,L)insert / ∆(M,L)delete and garbage collection (§3.4, Fig.7–8),
-//!   run per round by [`XmlViewSystem::fold_maintenance`];
+//!   one fold per round;
 //! - [`translate_deletions`]: Algorithm delete — PTIME group deletions under
 //!   key preservation (§4.2, Fig.9, Theorem 1);
 //! - `translate_insertions`: Algorithm insert — the SAT-based heuristic
@@ -50,14 +50,13 @@ mod processor;
 pub mod reach;
 pub mod rel_delete;
 mod rel_insert;
-mod republish;
 mod template;
 mod topo;
 mod translate;
 mod update;
 mod viewstore;
 
-pub use codec::{decode_system, encode_system, put_update, read_update};
+pub use codec::{decode_system, encode_system, put_update};
 pub use dag_eval::DagEval;
 pub use footprint::{planned_delete_writes, planned_insert_writes, RelFootprint};
 pub use maintain::MaintainReport;
@@ -73,7 +72,6 @@ pub use processor::{
 pub use reach::Reachability;
 pub use rel_delete::{translate_deletions, DeleteRejection};
 pub use rel_insert::{EdgeClosure, InsertRejection};
-pub use republish::RepublishReport;
 pub use template::{SourceRef, TranslationTemplates};
 pub use topo::TopoOrder;
 pub use translate::xdelete;

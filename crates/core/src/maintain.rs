@@ -33,7 +33,9 @@
 //! - **ids:** a collected node's id goes back to the interner last, after
 //!   that compaction — until then `L` still names it.
 //!
-//! [`maintain_insert`] and [`maintain_delete`] are folds of one job.
+//! A fold runs one [`insert_job`] per insertion and one [`delete_pass`]
+//! over all its deletions; a single update's maintenance is a fold of one
+//! job.
 
 use crate::reach::{with_walk, ReachBatch, Reachability, RunBuf};
 use crate::topo::TopoOrder;
@@ -83,8 +85,15 @@ impl MaintainReport {
     }
 }
 
-/// Algorithm **∆(M,L)insert** (Fig.7) for one inserted subtree. Call
-/// *after* the `∆V` insertions have been applied to the DAG.
+/// Turns gathered ids into a set in ascending order.
+fn sort_dedup(ids: &mut Vec<NodeId>) {
+    ids.sort_unstable();
+    ids.dedup();
+}
+
+/// Algorithm **∆(M,L)insert** (Fig.7) for one inserted subtree, one job of
+/// a fold: `L` is left valid and `M` exact for the jobs so far. Call *after*
+/// the `∆V` insertions have been applied to the DAG.
 ///
 /// - `∆M` part (a): every fresh node of the inserted `ST(A,t)` becomes an
 ///   ancestor of what a walk down the DAG reaches from it, old nodes below
@@ -95,31 +104,6 @@ impl MaintainReport {
 ///   the earliest target) and order violations from edges onto pre-existing
 ///   nodes are repaired with the paper's `swap(L, u, v)` primitive
 ///   (Fig.7 lines 8–13).
-pub(crate) fn maintain_insert(
-    vs: &ViewStore,
-    topo: &mut TopoOrder,
-    reach: &mut Reachability,
-    subtree: &SubtreeDag,
-    targets: &[NodeId],
-) -> MaintainReport {
-    insert_job(
-        vs,
-        topo,
-        reach,
-        &mut ReachBatch::default(),
-        subtree,
-        targets,
-    )
-}
-
-/// Turns gathered ids into a set in ascending order.
-fn sort_dedup(ids: &mut Vec<NodeId>) {
-    ids.sort_unstable();
-    ids.dedup();
-}
-
-/// One ∆(M,L)insert job of a fold: `L` is left valid and `M` exact for
-/// the jobs so far.
 pub(crate) fn insert_job(
     vs: &ViewStore,
     topo: &mut TopoOrder,
@@ -241,24 +225,6 @@ pub(crate) fn insert_job(
     report
 }
 
-/// Algorithm **∆(M,L)delete** (Fig.8). Call *after* the `∆V` deletions have
-/// been applied to the DAG.
-///
-/// Traverses the descendants of the deleted targets in backward topological
-/// order (ancestors first), bringing each node's ancestor set up to date
-/// with its surviving parents. Nodes left with no surviving parents are
-/// unreachable: they are removed from `L`, dropped from `M`, their outgoing
-/// edges are cascaded (`∆'V`), and their `gen` entries are collected — the
-/// paper's background garbage collection.
-pub(crate) fn maintain_delete(
-    vs: &mut ViewStore,
-    topo: &mut TopoOrder,
-    reach: &mut Reachability,
-    selected: &[NodeId],
-) -> RelResult<MaintainReport> {
-    delete_pass(vs, topo, reach, &mut ReachBatch::default(), selected)
-}
-
 #[cfg(test)]
 thread_local! {
     /// Surviving parents whose `anc` runs the delete pass read — the
@@ -271,7 +237,16 @@ fn count_parent_runs(n: usize) {
     PARENT_RUNS.with(|c| c.set(c.get() + n));
 }
 
-/// The ∆(M,L)delete pass of a fold over all its deletion targets.
+/// Algorithm **∆(M,L)delete** (Fig.8): the pass of a fold over all its
+/// deletion targets. Call *after* the `∆V` deletions have been applied to
+/// the DAG.
+///
+/// Traverses the descendants of the deleted targets in backward topological
+/// order (ancestors first), bringing each node's ancestor set up to date
+/// with its surviving parents. Nodes left with no surviving parents are
+/// unreachable: they are removed from `L`, dropped from `M`, their outgoing
+/// edges are cascaded (`∆'V`), and their `gen` entries are collected — the
+/// paper's background garbage collection.
 ///
 /// A target (the child of a deleted edge) has its `anc` recomputed from the
 /// parents it has left, Fig.8 lines 9–11. Below the targets that recompute
@@ -425,13 +400,13 @@ mod tests {
     use rxview_relstore::{tuple, Database};
     use rxview_xmlkit::parse_xpath;
 
-    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
+    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability, ReachBatch) {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
         let reach = Reachability::compute(vs.dag(), &topo);
-        (db, vs, topo, reach)
+        (db, vs, topo, reach, ReachBatch::default())
     }
 
     /// Oracle: after maintenance, L and M must equal recomputation.
@@ -447,7 +422,7 @@ mod tests {
 
     #[test]
     fn insert_existing_shared_subtree_maintains_m_and_l() {
-        let (db, mut vs, mut topo, mut reach) = fixture();
+        let (db, mut vs, mut topo, mut reach, mut b) = fixture();
         // Alice (S01, currently only under CS650) joins CS320's takenBy:
         // the shared student node gains a parent.
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
@@ -455,7 +430,7 @@ mod tests {
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
-        let report = maintain_insert(&vs, &mut topo, &mut reach, &st, &eval.selected);
+        let report = insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
         // takenBy320 (and CS320, its ancestors) now reach Alice's subtree.
         assert!(report.m_inserted > 0);
         assert_consistent(&vs, &topo, &reach);
@@ -463,7 +438,7 @@ mod tests {
 
     #[test]
     fn insert_fresh_subtree_maintains_m_and_l() {
-        let (mut db, mut vs, mut topo, mut reach) = fixture();
+        let (mut db, mut vs, mut topo, mut reach, mut b) = fixture();
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
         db.insert("enroll", tuple!["S01", "CS100"]).unwrap();
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
@@ -471,7 +446,7 @@ mod tests {
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
         apply_delta(&mut vs, &delta, Some(&st)).unwrap();
-        maintain_insert(&vs, &mut topo, &mut reach, &st, &eval.selected);
+        insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
         assert_consistent(&vs, &topo, &reach);
         // The new course's takenBy shares student S01 (Alice) — an edge onto
         // a pre-existing node, exercising the swap repair.
@@ -486,13 +461,13 @@ mod tests {
 
     #[test]
     fn delete_edge_keeps_shared_node() {
-        let (_db, mut vs, mut topo, mut reach) = fixture();
+        let (_db, mut vs, mut topo, mut reach, mut b) = fixture();
         // Remove CS320 from CS650's prereq; CS320 survives (db still links it).
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
-        let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
         assert_eq!(report.gc_nodes, 0);
         assert!(report.m_removed > 0); // prereq650 no longer reaches CS320's subtree
         assert_consistent(&vs, &topo, &reach);
@@ -500,7 +475,7 @@ mod tests {
 
     #[test]
     fn delete_last_edge_garbage_collects() {
-        let (_db, mut vs, mut topo, mut reach) = fixture();
+        let (_db, mut vs, mut topo, mut reach, mut b) = fixture();
         // Delete every occurrence of S01 (only under CS650's takenBy):
         // the student node becomes unreachable and is collected, together
         // with its pcdata children.
@@ -508,7 +483,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
-        let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
         assert_eq!(report.gc_nodes, 3); // student + ssn + name
         assert!(report.cascaded_edges >= 2);
         let student = vs.atg().dtd().type_id("student").unwrap();
@@ -529,7 +504,7 @@ mod tests {
     fn delete_shared_child_updates_reachability_of_all_ancestors() {
         // Example 6: deleting S02 below CS320 also severs CS650's
         // reachability to S02 (the CS320 subtree is shared).
-        let (_db, mut vs, mut topo, mut reach) = fixture();
+        let (_db, mut vs, mut topo, mut reach, mut b) = fixture();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let student = vs.atg().dtd().type_id("student").unwrap();
         let cs650 = vs
@@ -547,7 +522,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
-        maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
         // S02 still taken by CS240 (kept), so the node survives...
         assert!(vs.dag().genid().is_live(s02));
         // ...but CS320 (and CS650 through it) no longer reach S02 via CS320's
@@ -579,6 +554,7 @@ mod tests {
             let mut vs = ViewStore::publish(atg, &db).unwrap();
             let mut topo = TopoOrder::compute(vs.dag());
             let mut reach = Reachability::compute(vs.dag(), &topo);
+            let mut b = ReachBatch::default();
             let student = vs.atg().dtd().type_id("student").unwrap();
             let alice = vs
                 .dag()
@@ -590,7 +566,8 @@ mod tests {
             let eval = eval_path(&vs, &topo, &parse_xpath("course[cno=X0]").unwrap());
             apply_delta(&mut vs, &xdelete(&eval), None).unwrap();
             PARENT_RUNS.with(|c| c.set(0));
-            let report = maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+            let report =
+                delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
             assert!(report.gc_nodes >= 3, "the course, its prereq and takenBy");
             assert_consistent(&vs, &topo, &reach);
             PARENT_RUNS.with(|c| c.get())
@@ -625,6 +602,7 @@ mod tests {
             let mut vs = ViewStore::publish(atg, &db).unwrap();
             let mut topo = TopoOrder::compute(vs.dag());
             let mut reach = Reachability::compute(vs.dag(), &topo);
+            let mut b = ReachBatch::default();
             assert_eq!(topo.len(), 5 * n + 1);
             let p = parse_xpath("course[cno=C7]/prereq").unwrap();
             let eval = eval_path(&vs, &topo, &p);
@@ -632,7 +610,7 @@ mod tests {
             let (delta, st) = xinsert(&mut vs, &db, course, tuple!["NEW", "Fresh"], &eval).unwrap();
             apply_delta(&mut vs, &delta, Some(&st)).unwrap();
             let before = crate::reach::IDS_WRITTEN.with(|c| c.get());
-            let report = maintain_insert(&vs, &mut topo, &mut reach, &st, &eval.selected);
+            let report = insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
             let ids = crate::reach::IDS_WRITTEN.with(|c| c.get()) - before;
             assert_eq!(ids, report.m_inserted, "only the new subtree's runs");
             assert_consistent(&vs, &topo, &reach);
@@ -645,12 +623,12 @@ mod tests {
 
     #[test]
     fn delete_then_reinsert_round_trips() {
-        let (db, mut vs, mut topo, mut reach) = fixture();
+        let (db, mut vs, mut topo, mut reach, mut b) = fixture();
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
         apply_delta(&mut vs, &delta, None).unwrap();
-        maintain_delete(&mut vs, &mut topo, &mut reach, &eval.selected).unwrap();
+        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
 
         let p2 = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval2 = eval_path(&vs, &topo, &p2);
@@ -658,7 +636,7 @@ mod tests {
         let (delta2, st) =
             xinsert(&mut vs, &db, course, tuple!["CS320", "Algorithms"], &eval2).unwrap();
         apply_delta(&mut vs, &delta2, Some(&st)).unwrap();
-        maintain_insert(&vs, &mut topo, &mut reach, &st, &eval2.selected);
+        insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval2.selected);
         assert_consistent(&vs, &topo, &reach);
     }
 }

@@ -481,6 +481,7 @@ impl XmlViewSystem {
         timings: &mut PhaseTimings,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         let t1 = Instant::now();
+        let space = self.vs.dag().genid().n_allocated();
         let t = match update {
             XmlUpdate::Insert { ty, attr, .. } => translate_insert(
                 &mut self.vs,
@@ -497,7 +498,7 @@ impl XmlViewSystem {
         // Phase 5: apply ∆R to I and ∆V to V.
         if let Err(e) = self.base.apply(&t.delta_r) {
             if let Some(st) = &t.subtree {
-                rollback_subtree(&mut self.vs, st);
+                rollback_subtree(&mut self.vs, st, space);
             }
             return Err(UpdateError::Rel(e));
         }
@@ -520,32 +521,6 @@ impl XmlViewSystem {
                 subtree: t.subtree,
             },
         ))
-    }
-
-    /// Applies a *relational* group update directly to `I` and propagates
-    /// it to the view incrementally (the reverse direction of
-    /// [`XmlViewSystem::apply`]). Lets applications that update base tables
-    /// directly keep the published view, `M`, and `L` in sync without
-    /// republishing.
-    ///
-    /// An `Err` — a rejected operation, or data that would publish a
-    /// cyclic view — leaves the system as it was: the update runs on a
-    /// clone, kept only if it succeeds. The clone shares `I`, the view and
-    /// `M` page by page and copies `L`'s two arrays.
-    pub fn apply_relational(
-        &mut self,
-        update: &rxview_relstore::GroupUpdate,
-    ) -> rxview_relstore::RelResult<crate::republish::RepublishReport> {
-        let mut next = self.clone();
-        let report = crate::republish::apply_relational_update(
-            &mut next.base,
-            &mut next.vs,
-            &mut next.topo,
-            &mut next.reach,
-            update,
-        )?;
-        *self = next;
-        Ok(report)
     }
 
     /// The **republication oracle**: republishes `σ(I)` from scratch and
@@ -668,6 +643,7 @@ fn translate_insert(
             .ok_or(UpdateError::Schema(SchemaViolation::UnknownType(
                 ty.to_owned(),
             )))?;
+    let space = vs.dag().genid().n_allocated();
     let (delta_v, st) = xinsert(vs, base, ty_id, attr.clone(), &eval)?;
     // Cycle guard: connecting a target to a subtree that reaches (an
     // ancestor of) the target would make the DAG cyclic. Only pre-existing
@@ -678,7 +654,7 @@ fn translate_insert(
             .iter()
             .any(|&t| w == t || reach.is_ancestor(w, t))
         {
-            rollback_subtree(vs, &st);
+            rollback_subtree(vs, &st, space);
             return Err(UpdateError::Cycle);
         }
     }
@@ -686,7 +662,7 @@ fn translate_insert(
         match translate_insertions(vs, base, &delta_v, &st.fresh, &WalkSatConfig::default()) {
             Ok(t) => t,
             Err(e) => {
-                rollback_subtree(vs, &st);
+                rollback_subtree(vs, &st, space);
                 return Err(UpdateError::Insert(e));
             }
         };

@@ -315,8 +315,7 @@ pub struct TranslationTemplates {
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
     /// Per base table, every edge view whose definition mentions it,
     /// compiled bound to one row of that table ([`compile_bound`]), in edge
-    /// order — what the delete side's safety probes and incremental
-    /// republishing evaluate.
+    /// order — what the delete side's safety probes evaluate.
     bound: HashMap<String, Vec<BoundView>>,
     /// Successful template instantiations (insert + delete probes).
     hits: AtomicU64,

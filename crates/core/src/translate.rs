@@ -54,14 +54,16 @@ pub(crate) fn xinsert(
     Ok((delta, subtree))
 }
 
-/// Undoes the interning performed by [`xinsert`] when the update is
-/// rejected downstream (DTD violation, relational translation failure, or
-/// user abort on side effects): the fresh nodes — nothing else knows them
-/// yet — give their ids back.
-pub(crate) fn rollback_subtree(vs: &mut ViewStore, subtree: &SubtreeDag) {
+/// Undoes [`xinsert`]'s interning when the update is rejected after it (a
+/// cycle, no ∆R, or `I` refusing ∆R; a side-effect abort comes earlier and
+/// interns nothing): the fresh nodes give their ids back, and the id space
+/// returns to `space`, its length before [`xinsert`].
+pub(crate) fn rollback_subtree(vs: &mut ViewStore, subtree: &SubtreeDag, space: usize) {
+    let genid = vs.dag_mut().genid_mut();
     for &n in &subtree.fresh {
-        vs.dag_mut().genid_mut().retire(n);
+        genid.retire(n);
     }
+    genid.truncate(space);
 }
 
 /// Algorithm **Xdelete** (Fig.6): translates `delete p` into the group
@@ -174,6 +176,7 @@ mod tests {
     #[test]
     fn xinsert_new_course_generates_subtree() {
         let (mut db, mut vs, topo) = fixture();
+        let space = vs.dag().genid().n_allocated();
         // Add a brand-new course to the base data first, then insert it into
         // the view under CS650's prereq.
         db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
@@ -186,8 +189,9 @@ mod tests {
         // Inner edges (4) + connecting edge (1).
         assert_eq!(delta.inserts.len(), 5);
         // Rollback releases the fresh nodes.
-        rollback_subtree(&mut vs, &st);
+        rollback_subtree(&mut vs, &st, space);
         assert!(!vs.dag().genid().is_live(st.root));
+        assert_eq!(vs.dag().genid().n_allocated(), space);
     }
 
     #[test]

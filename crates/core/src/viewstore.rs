@@ -91,7 +91,7 @@ impl ViewStore {
     }
 
     /// Mutable DAG access (update application).
-    pub fn dag_mut(&mut self) -> &mut Dag {
+    pub(crate) fn dag_mut(&mut self) -> &mut Dag {
         &mut self.dag
     }
 
@@ -137,7 +137,7 @@ impl ViewStore {
 
     /// Generates the subtree `ST(A, t)` into this store's interner (see
     /// [`rxview_atg::generate_subtree`]).
-    pub fn generate_subtree(
+    pub(crate) fn generate_subtree(
         &mut self,
         src: &impl TableSource,
         ty: TypeId,
@@ -152,7 +152,7 @@ impl ViewStore {
     }
 
     /// Registers a (newly live) node in its `gen_A` table.
-    pub fn register_node(&mut self, id: NodeId) -> RelResult<()> {
+    pub(crate) fn register_node(&mut self, id: NodeId) -> RelResult<()> {
         let ty = self.dag.genid().type_of(id);
         let name = self.atg.gen_table_name(ty);
         let row = self.gen_row(id);
@@ -163,7 +163,7 @@ impl ViewStore {
     /// Removes a node from its `gen_A` table (garbage collection, §2.3) and
     /// releases its id in the interner. The caller has already removed the
     /// node's edges and its entries in `M` and `L`.
-    pub fn unregister_node(&mut self, id: NodeId) -> RelResult<()> {
+    pub(crate) fn unregister_node(&mut self, id: NodeId) -> RelResult<()> {
         let ty = self.dag.genid().type_of(id);
         let name = self.atg.gen_table_name(ty);
         let row = self.gen_row(id);

@@ -9,7 +9,7 @@
 //! state, from two views of the update:
 //!
 //! - **Cone union** (view structure): the target path is classified by
-//!   [`rxview_core::pathclass`] — *anchored* (`{anchor} ∪ desc(anchor)`
+//!   [`rxview_core::classify`] — *anchored* (`{anchor} ∪ desc(anchor)`
 //!   per top-level node satisfying the first step's filters),
 //!   *multi-anchor* (a leading-`//label` or wildcard-rooted path whose
 //!   candidates the typed `gen_A` probes enumerate; their ancestors join

@@ -114,6 +114,19 @@ impl<T: Clone + Default> PagedVec<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.pages.iter().flat_map(|p| p.iter()).take(self.len)
     }
+
+    /// Shortens the vector to `len` slots (a no-op if it is not longer);
+    /// the dropped slots read as `T::default()` if it grows back over them.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        for i in len..self.len.min(len.next_multiple_of(Self::PAGE)) {
+            *self.get_mut(i) = T::default();
+        }
+        self.pages.truncate(len.div_ceil(Self::PAGE));
+        self.len = len;
+    }
 }
 
 impl<T: Clone + Default> Index<usize> for PagedVec<T> {
@@ -537,6 +550,12 @@ mod tests {
         assert_eq!(v.iter().count(), 902);
         // The gap pages are one shared blank page.
         assert!(Arc::ptr_eq(&v.pages[0], &v.pages[1]));
+        // Truncated slots read as never written when it grows back.
+        v.truncate(900);
+        *v.get_mut(901) = 1;
+        assert_eq!((v[900], v.iter().count()), (0, 902));
+        v.truncate(PAGE);
+        assert_eq!((v.len(), v.pages.len()), (PAGE, 1));
     }
 
     #[test]

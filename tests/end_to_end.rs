@@ -3,7 +3,7 @@
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `M` and `L` equal to
 //! recomputation.
 
-use rxview::core::{SideEffectPolicy, UpdateError, XmlUpdate, XmlViewSystem};
+use rxview::core::{encode_system, SideEffectPolicy, UpdateError, XmlUpdate, XmlViewSystem};
 use rxview::relstore::tuple;
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
@@ -132,6 +132,12 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     db.insert("prereq", tuple!["MA200", "CS240"]).unwrap();
     let atg = registrar_atg(&db).unwrap();
     let mut sys = XmlViewSystem::new(atg, db).unwrap();
+    let bytes = |sys: &XmlViewSystem| {
+        let mut out = Vec::new();
+        encode_system(sys, &mut out);
+        out
+    };
+    let before = bytes(&sys);
     let before_nodes = sys.view().n_nodes();
     // ST(course, MA200) is all fresh down to the old CS240 it shares —
     // below which the target sits: CS240 → prereq → MA200 → prereq → CS240.
@@ -144,6 +150,12 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     let err = sys.apply(&u, SideEffectPolicy::Proceed).unwrap_err();
     assert!(matches!(err, UpdateError::Cycle), "got: {err}");
     assert_eq!(sys.view().n_nodes(), before_nodes);
+    // Down to the id space the interning grew: a recovered engine, whose
+    // log holds accepted updates only, rebuilds these bytes.
+    assert!(
+        bytes(&sys) == before,
+        "a rejected insertion changed the system"
+    );
     sys.consistency_check().unwrap();
 }
 
@@ -350,85 +362,6 @@ fn mixed_long_session_on_synthetic_data() {
     for u in &ops {
         let _ = sys.apply(u, SideEffectPolicy::Proceed);
     }
-    sys.consistency_check().unwrap();
-}
-
-#[test]
-fn mixed_xml_and_relational_updates_interleave() {
-    use rxview::relstore::GroupUpdate;
-    let mut sys = registrar_system();
-    // XML-level: enroll a new student through the view.
-    let u = XmlUpdate::insert(
-        "student",
-        tuple!["S90", "Hugh"],
-        "course[cno=CS650]/takenBy",
-    )
-    .unwrap();
-    sys.apply(&u, SideEffectPolicy::Proceed).unwrap();
-    // Relational-level: another application adds a prereq tuple directly.
-    let mut g = GroupUpdate::new();
-    g.insert("prereq", tuple!["CS650", "CS240"]);
-    let r = sys.apply_relational(&g).unwrap();
-    assert_eq!(r.edges_added, 1);
-    sys.consistency_check().unwrap();
-    // XML-level again: the relationally-added edge is deletable via XPath.
-    let d = XmlUpdate::delete("course[cno=CS650]/prereq/course[cno=CS240]").unwrap();
-    sys.apply(&d, SideEffectPolicy::Proceed).unwrap();
-    sys.consistency_check().unwrap();
-    assert!(!sys
-        .base()
-        .table("prereq")
-        .unwrap()
-        .contains_key(&tuple!["CS650", "CS240"]));
-}
-
-#[test]
-fn a_failed_relational_update_leaves_the_system_unchanged() {
-    use rxview::core::encode_system;
-    use rxview::relstore::GroupUpdate;
-    let bytes = |sys: &XmlViewSystem| {
-        let mut out = Vec::new();
-        encode_system(sys, &mut out);
-        out
-    };
-    let mut sys = registrar_system();
-    let before = bytes(&sys);
-    // CS240 -> CS650 closes the cycle CS650 -> CS320 -> CS240 -> CS650.
-    let mut g = GroupUpdate::new();
-    g.insert("prereq", tuple!["CS240", "CS650"]);
-    assert!(sys.apply_relational(&g).is_err());
-    assert!(
-        bytes(&sys) == before,
-        "a rejected update changed the system"
-    );
-    sys.consistency_check().unwrap();
-    // The view still serves updates, and republication agrees with them.
-    let d = XmlUpdate::delete("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
-    sys.apply(&d, SideEffectPolicy::Proceed).unwrap();
-    sys.consistency_check().unwrap();
-}
-
-#[test]
-fn relational_updates_on_synthetic_data() {
-    use rxview::relstore::{GroupUpdate, Tuple, Value};
-    let mut sys = synthetic_system(200, 13);
-    // Link two published nodes relationally (forward edge: acyclic).
-    let mut ids: Vec<i64> = Vec::new();
-    let node = sys.view().atg().dtd().type_id("node").unwrap();
-    for v in sys.view().dag().genid().ids_of_type(node).take(40) {
-        ids.push(sys.view().dag().genid().attr_of(v)[0].as_int().unwrap());
-    }
-    ids.sort_unstable();
-    let (a, b) = (ids[0], ids[ids.len() - 1]);
-    // Only attempt if the H tuple is new and the parent has a matching F row
-    // (internal node) — otherwise the edge view ignores it, which must also
-    // keep the view consistent.
-    let mut g = GroupUpdate::new();
-    g.insert("H", Tuple::from_values([Value::Int(a), Value::Int(b)]));
-    match sys.apply_relational(&g) {
-        Ok(_) | Err(_) => {}
-    }
-    // Whether the tuple produced an edge or not, view must match republish.
     sys.consistency_check().unwrap();
 }
 

@@ -20,12 +20,11 @@ const PINNED: [(&str, &str); 7] = [
         "core",
         "Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated \
          InsertRejection MAX_CONE_ANCHORS MaintainReport PathClass PhaseTimings PlanCache \
-         PlanCacheStats Reachability RelFootprint RepublishReport SideEffectPolicy SourceRef \
-         SubStep TopoOrder TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport \
-         ViewDelta ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system encode_system \
-         eval_plan planned_delete_writes planned_insert_writes put_update reach:: read_update \
-         rel_delete:: resolve_anchors scope_of_anchors sub_steps translate_deletions union_scope \
-         xdelete",
+         PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef SubStep TopoOrder \
+         TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport ViewDelta \
+         ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system encode_system eval_plan \
+         planned_delete_writes planned_insert_writes put_update reach:: rel_delete:: \
+         resolve_anchors scope_of_anchors sub_steps translate_deletions union_scope xdelete",
     ),
     (
         "engine",
