@@ -1,4 +1,4 @@
-//! The Skolem function `gen_id` and the `gen_A` node registries (§2.3).
+//! The Skolem function `gen_id` (§2.3): one node id per live `(type, $A)`.
 //!
 //! The paper assumes "a compact, unique value associated with each tuple
 //! value of semantic attribute `$A`", computed by a Skolem function `gen_id`
@@ -148,9 +148,9 @@ fn key_map(keys: FxMap<MapKey, NodeId>) -> PagedMap<MapKey, NodeId> {
     PagedMap::from_sorted(keys).expect("hashes are distinct map keys")
 }
 
-/// The `gen_id` interner plus per-type registries (`gen_A` sets).
+/// The `gen_id` interner.
 ///
-/// All four parts are page-granular copy-on-write
+/// All three parts are page-granular copy-on-write
 /// ([`rxview_relstore::PagedMap`]): cloning an interner copies page pointers,
 /// and interning or retiring a node copies the pages that node lands on.
 /// Which ids are free is read off the live bits, so a clone frees and
@@ -182,8 +182,6 @@ pub struct GenId {
     n_live: usize,
     /// No id below this one is free.
     first_free: usize,
-    /// The `gen_A` sets as one ordered set of `(type, id)`.
-    by_type: PagedMap<(TypeId, NodeId), ()>,
 }
 
 impl GenId {
@@ -195,15 +193,24 @@ impl GenId {
     /// Rebuilds an interner from its id space — the pair of every id in id
     /// order, `None` for a free one — writing every page once.
     ///
+    /// `repeats(ty)` names the type whose `$A` a node of `ty` repeats — its
+    /// parent's, under an identity projection rule — if there is one. A
+    /// slot of `ty` whose `$A` equals that of a live pair of that type
+    /// loaded before it keeps that pair's tuple, so the two are one
+    /// allocation, as publication and subtree generation leave them.
+    ///
     /// # Errors
     /// The id of the first pair that repeats an earlier one.
     pub fn from_slots(
         slots: impl IntoIterator<Item = Option<(TypeId, Tuple)>>,
+        repeats: impl Fn(TypeId) -> Option<TypeId>,
     ) -> Result<GenId, usize> {
         let mut builder = GenIdBuilder::default();
         for (id, slot) in slots.into_iter().enumerate() {
             match slot {
                 Some((ty, attr)) => {
+                    let donor = repeats(ty).and_then(|of| builder.lookup(of, &attr));
+                    let attr = donor.map_or(attr, |d| builder.pair(d).1.clone());
                     if !builder.gen_id(ty, attr).1 {
                         return Err(id);
                     }
@@ -242,7 +249,6 @@ impl GenId {
         *self.live.get_mut(id) = true;
         let id = NodeId(id as u32);
         self.map.insert(key, id);
-        self.by_type.insert((ty, id), ());
         self.n_live += 1;
         (id, true)
     }
@@ -272,14 +278,6 @@ impl GenId {
         self.live.get(id.index()) == Some(&true)
     }
 
-    /// The `gen_A` set: live node ids of a type, ascending.
-    pub fn ids_of_type(&self, ty: TypeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_type
-            .range_from(&(ty, NodeId(0)))
-            .take_while(move |((t, _), ())| *t == ty)
-            .map(|((_, id), ())| *id)
-    }
-
     /// Number of live nodes.
     pub fn n_live(&self) -> usize {
         self.n_live
@@ -304,7 +302,6 @@ impl GenId {
         if !self.is_live(id) {
             return;
         }
-        self.by_type.remove(&(self.type_of(id), id));
         self.n_live -= 1;
         *self.live.get_mut(id.index()) = false;
         self.first_free = self.first_free.min(id.index());
@@ -440,33 +437,35 @@ pub(crate) struct GenIdBuilder {
 impl GenIdBuilder {
     /// The finished interner.
     pub(crate) fn finish(self) -> GenId {
-        let ids = (0..self.info.len() as u32).map(NodeId);
-        let mut by_type: Vec<_> = ids
-            .zip(&self.info)
-            .filter_map(|(id, slot)| Some(((slot.as_ref()?.0, id), ())))
-            .collect();
-        by_type.sort_unstable();
         let is_free = |slot: &Option<_>| slot.is_none();
         let first_free = self.info.iter().position(is_free);
         GenId {
             map: key_map(self.keys),
             first_free: first_free.unwrap_or(self.info.len()),
             live: self.info.iter().map(Option::is_some).collect(),
+            n_live: self.info.iter().flatten().count(),
             info: self.info.into_iter().collect(),
-            n_live: by_type.len(),
-            by_type: PagedMap::from_sorted(by_type).expect("ids are distinct"),
         }
     }
 
     fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
         self.info[id.index()].as_ref().expect("an interned id")
     }
+
+    /// Where `(ty, $A)` belongs in the key map, and its id if interned.
+    fn probe(&self, ty: TypeId, attr: &Tuple) -> (MapKey, Option<NodeId>) {
+        let slot = |k: &MapKey| self.keys.get(k).copied();
+        probe(slot, |id| Some(self.pair(id)), ty, attr)
+    }
+
+    fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
+        self.probe(ty, attr).1
+    }
 }
 
 impl Interner for GenIdBuilder {
     fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        let slot = |k: &MapKey| self.keys.get(k).copied();
-        match probe(slot, |id| Some(self.pair(id)), ty, &attr) {
+        match self.probe(ty, &attr) {
             (_, Some(id)) => (id, false),
             (key, None) => {
                 let id = NodeId(self.info.len() as u32);
@@ -521,14 +520,9 @@ mod tests {
         assert_eq!(g.attr_of(a), &tuple!["k", 1i64]);
     }
 
-    #[test]
-    fn gen_sets_track_types() {
-        let mut g = GenId::new();
-        g.gen_id(T0, tuple!["a"]);
-        g.gen_id(T0, tuple!["b"]);
-        g.gen_id(T1, tuple!["a"]);
-        assert_eq!(g.ids_of_type(T0).count(), 2);
-        assert_eq!(g.ids_of_type(T1).count(), 1);
+    /// The live ids of a type, ascending.
+    fn of_type(g: &GenId, ty: TypeId) -> Vec<NodeId> {
+        g.live_ids().filter(|&id| g.type_of(id) == ty).collect()
     }
 
     #[test]
@@ -542,7 +536,7 @@ mod tests {
         g.retire(c); // a free id is left alone
         assert!(!g.is_live(a) && !g.is_live(c) && !g.is_live(NodeId(9)));
         assert_eq!(g.lookup(T0, &tuple!["a"]), None);
-        assert_eq!(g.ids_of_type(T0).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(of_type(&g, T0), vec![b]);
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (1, 2, 3));
 
         // The lowest free id first — to whichever pair asks, the old one
@@ -551,7 +545,7 @@ mod tests {
         assert_eq!((g.type_of(a), g.attr_of(a)), (T0, &tuple!["d"]));
         assert_eq!(g.gen_id(T0, tuple!["a"]), (c, true));
         assert_eq!(g.gen_id(T1, tuple!["c"]), (NodeId(3), true));
-        assert_eq!(g.ids_of_type(T0).collect::<Vec<_>>(), vec![a, b, c]);
+        assert_eq!(of_type(&g, T0), vec![a, b, c]);
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (4, 0, 4));
         // Freed below the last one handed out: found again.
         g.retire(b);
@@ -679,11 +673,11 @@ mod tests {
         // Once the entries left behind outnumber half the live pairs (and
         // the test build's slack of four), the map is rebuilt from the live
         // pairs: one entry each, everything found where it now belongs.
-        let live_before: Vec<NodeId> = g.ids_of_type(T0).collect();
+        let live_before: Vec<NodeId> = of_type(&g, T0);
         for &id in &live_before[..14] {
             g.retire(id);
         }
-        let survivors: Vec<NodeId> = g.ids_of_type(T0).collect();
+        let survivors: Vec<NodeId> = of_type(&g, T0);
         assert_eq!(survivors.len(), 6);
         assert!(entries(&g, T0).len() < 21, "rebuilt along the way");
         assert_eq!(g.map.len() - g.n_live(), entries(&g, T0).len() - 6);
@@ -705,7 +699,7 @@ mod tests {
             None,
             None,
         ];
-        let mut g = GenId::from_slots(slots).expect("distinct pairs");
+        let mut g = GenId::from_slots(slots, |_| None).expect("distinct pairs");
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (2, 3, 5));
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(g.lookup(T1, &tuple!["a"]), Some(NodeId(2)));
@@ -713,6 +707,28 @@ mod tests {
             assert_eq!(g.gen_id(T0, tuple![want as i64]), (NodeId(want), true));
         }
         let twice = [Some((T0, tuple!["a"])), None, Some((T0, tuple!["a"]))];
-        assert_eq!(GenId::from_slots(twice).err(), Some(2));
+        assert_eq!(GenId::from_slots(twice, |_| None).err(), Some(2));
+    }
+
+    #[test]
+    fn a_loaded_slot_keeps_the_tuple_of_the_pair_it_repeats() {
+        let same = |a: &Tuple, b: &Tuple| std::ptr::eq(a.values().as_ptr(), b.values().as_ptr());
+        const T2: TypeId = TypeId(2);
+        let slots = [
+            Some((T0, tuple!["a", 1i64])),
+            Some((T1, tuple!["a", 1i64])),
+            Some((T1, tuple!["b", 2i64])),
+            Some((T2, tuple!["a", 1i64])),
+            Some((T0, tuple!["b", 2i64])),
+        ];
+        let repeats = |ty| (ty == T1).then_some(T0);
+        let g = GenId::from_slots(slots, repeats).expect("distinct pairs");
+        let attr = |i| g.attr_of(NodeId(i));
+        // A pair of the repeating type with an equal `$A` loaded before it.
+        assert!(same(attr(1), attr(0)));
+        // None loaded yet, or a type that repeats nothing: its own tuple.
+        assert!(!same(attr(2), attr(4)) && attr(2) == attr(4));
+        assert!(!same(attr(3), attr(0)) && attr(3) == attr(0));
+        assert_eq!(g.lookup(T1, &tuple!["a", 1i64]), Some(NodeId(1)));
     }
 }

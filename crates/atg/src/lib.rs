@@ -4,7 +4,7 @@
 //! - [`Atg`]: the grammar itself — semantic attributes, query/projection
 //!   rules, validation (including the §4.1 key-preservation condition), and
 //!   derivation of the relational *edge views* `Q_edge_A_B`;
-//! - [`GenId`]: the Skolem `gen_id` interner and `gen_A` registries;
+//! - [`GenId`]: the Skolem `gen_id` interner;
 //! - [`publish()`]: generation of the view `σ(I)` directly as a [`Dag`],
 //!   subtree generation `ST(A,t)` ([`generate_subtree`]), tree expansion,
 //!   and acyclicity checking;

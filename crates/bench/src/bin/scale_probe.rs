@@ -1,26 +1,88 @@
-//! Diagnostic: prints per-phase build times (generation, publishing, L, M)
-//! across sizes to verify linear scaling of the substrate. Not part of the
-//! paper's tables; useful when tuning the generator or the evaluator.
+//! State census: what each part of `(I, V, L, M)` keeps allocated at 256
+//! and 512 groups of the synthetic dataset, and how long building it took.
+//!
+//! The binary runs under the counting allocator of
+//! [`rxview_bench::alloc_count`] and prints, per part, the bytes it keeps
+//! live, the same bytes rounded up to glibc's malloc chunks — what resident
+//! memory pays — the live allocations, and the allocator calls made while
+//! building it. `I` is counted as generated and
+//! after `Database::share_equal_rows`, which `XmlViewSystem::new` runs
+//! before it publishes. ARCHITECTURE.md §15's table reads these figures.
+//!
+//! ```text
+//! cargo run --release -p rxview-bench --bin scale_probe
+//! ```
 
+use rxview_bench::alloc_count::{allocated_by, kept_by, Counting, Kept};
+use rxview_core::{Reachability, TopoOrder, ViewStore};
 use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What building one part kept and cost.
+struct Census {
+    kept: Kept,
+    calls: usize,
+    took: Duration,
+}
+
+/// Runs `f`, counting what its result keeps allocated.
+fn census<T>(f: impl FnOnce() -> T) -> (T, Census) {
+    let t0 = Instant::now();
+    let ((out, kept), _, calls) = allocated_by(|| kept_by(f));
+    let took = t0.elapsed();
+    (out, Census { kept, calls, took })
+}
+
+fn row(part: &str, c: &Census, per: &str) {
+    println!(
+        "  {part:<14} {:>11} {:>11} {:>9} {:>9} {:>8.1} ms  {per}",
+        c.kept.bytes,
+        c.kept.chunks,
+        c.kept.allocs,
+        c.calls,
+        c.took.as_secs_f64() * 1e3
+    );
+}
+
 fn main() {
-    for n in [1000usize, 2000, 4000, 8000] {
-        let cfg = SyntheticConfig::with_size(n);
-        let t0 = Instant::now();
-        let db = synthetic_database(&cfg);
-        let t_gen = t0.elapsed();
-        let atg = synthetic_atg(&db).unwrap();
-        let t1 = Instant::now();
-        let vs = rxview_core::ViewStore::publish(atg, &db).unwrap();
-        let t_pub = t1.elapsed();
-        let t2 = Instant::now();
-        let topo = rxview_core::TopoOrder::compute(vs.dag());
-        let t_topo = t2.elapsed();
-        let t3 = Instant::now();
-        let reach = rxview_core::Reachability::compute(vs.dag(), &topo);
-        let t_reach = t3.elapsed();
-        println!("n={n}: gen={t_gen:?} publish={t_pub:?} topo={t_topo:?} reach={t_reach:?} nodes={} edges={} m={}",
-            vs.n_nodes(), vs.n_edges(), reach.n_pairs());
+    const GROUP_SIZE: usize = 40;
+    for groups in [256, 512] {
+        let cfg = SyntheticConfig::with_size(groups * GROUP_SIZE);
+        let (mut db, generated) = census(|| synthetic_database(&cfg));
+        let (shared, sharing) = census(|| db.share_equal_rows());
+        let atg = synthetic_atg(&db).expect("synthetic ATG");
+        let (vs, v) = census(|| ViewStore::publish(atg, &db).expect("publishes"));
+        let (topo, l) = census(|| TopoOrder::compute(vs.dag()));
+        let (m, reach) = census(|| Reachability::compute(vs.dag(), &topo));
+        let (rows, nodes, pairs) = (db.total_rows(), vs.n_nodes(), m.n_pairs());
+        let shared_i = Census {
+            kept: generated.kept + sharing.kept,
+            calls: sharing.calls,
+            took: sharing.took,
+        };
+        println!(
+            "{groups} groups: {rows} base rows ({shared} share an equal row), {nodes} view \
+             nodes, {} edges, {pairs} pairs of M in {} words",
+            vs.n_edges(),
+            m.n_words()
+        );
+        println!(
+            "  {:<14} {:>11} {:>11} {:>9} {:>9} {:>11}",
+            "part", "live B", "chunk B", "allocs", "calls", "built in"
+        );
+        let per_row = |c: &Census| format!("{:.1} B per row", c.kept.chunks as f64 / rows as f64);
+        row("I generated", &generated, &per_row(&generated));
+        row("I shared", &shared_i, &per_row(&shared_i));
+        let per_node =
+            |c: &Census| format!("{:.1} B per node", c.kept.chunks as f64 / nodes as f64);
+        row("V", &v, &per_node(&v));
+        row("L", &l, &per_node(&l));
+        let per_pair = format!("{:.2} B per pair", reach.kept.chunks as f64 / pairs as f64);
+        row("M", &reach, &per_pair);
+        let total = shared_i.kept.chunks + v.kept.chunks + l.kept.chunks + reach.kept.chunks;
+        println!("  (I, V, L, M): {total} B in chunks");
     }
 }

@@ -12,16 +12,16 @@
 //! Figures at 128 groups (5 120 `C` rows, 10 807 view nodes), this file run
 //! on each tree:
 //!
-//! | | whole-structure CoW (PR 12) | paged sharing (PR 13) | `M` as sorted runs | rows stored once, 16-byte cells (PR 20) | `M` as 32-id block words (PR 22) |
-//! |---|---|---|---|---|---|
-//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls | 115 131 B in 22 calls | 115 131 B in 22 calls |
-//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls | 329 559 B in 646 calls | 242 659 B in 644 calls |
-//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B | 9.9 B | 4.6 B |
-//! | `I` after `synthetic_database`, per base row | — | — | 246.3 B | 145.2 B | 145.2 B |
-//! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 | 1.05 |
-//! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B | 245.4 B |
-//! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 | 0.70 (equal rows share since PR 21) |
-//! | ten-fold soak, `M` words per pair, first → last sample | — | — | — | — | 2.76 B → 2.76 B on all three executors (1.38 B → 1.38 B once `M` is one way) |
+//! | | whole-structure CoW | paged sharing | `M` as sorted runs | rows stored once, 16-byte cells | `M` as 32-id block words | what the grammar repeats stored once |
+//! |---|---|---|---|---|---|---|
+//! | `sys.clone()` | 3 183 445 B in 43 653 calls | 120 403 B in 22 calls | 123 091 B in 22 calls | 115 131 B in 22 calls | 115 131 B in 22 calls | 104 075 B in 19 calls |
+//! | clone + anchored insert + fold + drop | 9 698 226 B in 107 692 calls | 426 019 B in 2 720 calls | 387 647 B in 793 calls | 329 559 B in 646 calls | 242 659 B in 644 calls | 182 232 B in 391 calls |
+//! | `M` after `Reachability::compute`, per pair | — | 25.5 B | 9.9 B | 9.9 B | 4.6 B | 1.78 B |
+//! | `I` after `synthetic_database`, per base row | — | — | 246.3 B | 145.2 B | 145.2 B | 145.2 B |
+//! | `I`, live allocations per distinct row | — | — | 1.77 | 1.05 | 1.05 | 1.05 |
+//! | `V` after `ViewStore::publish`, per view node | — | — | 280.1 B | 245.4 B | 245.4 B | 156.3 B |
+//! | `read_database`, allocator calls per row | — | — | 2.62 | 1.04 | 0.70 (equal rows share on load) | 0.70 |
+//! | ten-fold soak, `M` words per pair, first → last sample | — | — | — | — | 2.76 B → 2.76 B on all three executors (1.38 B → 1.38 B once `M` is one way) | 1.38 B → 1.38 B |
 //!
 //! (The last four rows' third column is this file run on PR 19's tree,
 //! where the round row read 358 711 B in 647 calls: a row sat beside a
@@ -96,7 +96,21 @@
 //! gone); the soak's words per pair 2.76 → 1.38 B. The ceilings are now
 //! 2.51 B per pair and 198 652 B per round: a second direction again
 //! (≈ 2.2 B per pair) fails the first.
+//!
+//! Storing once what the grammar repeats — a `sub`'s `$A` is its `node`'s
+//! tuple, the children of a node that have no other parent hold one `anc`
+//! run, and the interner keeps no `(type, id)` set beside the `gen_A`
+//! tables — moved these figures, this file run on both trees: `V` per
+//! view node 180.8 → 156.3 B; `M` per pair 2.39 → 1.78 B;
+//! `ViewStore::publish` 3.61 → 3.26 calls per published node;
+//! `sys.clone()` 105 467 B in 20 calls → 104 075 B in 19; the round
+//! 186 936 B in 400 calls → 182 232 B in 391. The ceilings are now the
+//! measured figures + 5 %: 164.1 B per node, 1.87 B per pair, 3.42 calls
+//! per published node and 191 344 B per round. A copy of each `sub`'s `$A`
+//! again (≈ 16 B per node) fails the first, a run per node again the
+//! second.
 
+use rxview_bench::alloc_count::{allocated_by, kept_by, live_bytes, Counting};
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
 use rxview_engine::Engine;
@@ -105,89 +119,10 @@ use rxview_relstore::{tuple, Database, Reader, Tuple};
 use rxview_workload::{
     synthetic_atg, synthetic_database, ChurnGen, SyntheticConfig, NODES_PER_INSERT,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-struct Counting;
-
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed, by every thread (the soak's engine
-/// allocates on its own).
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Bytes this thread allocated less those it freed, and allocations
-    /// likewise: what [`kept_by`] reads, so that another test's thread
-    /// releasing its thread-locals as it exits is not counted as a result's
-    /// bytes coming free.
-    static THREAD_LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
-}
-
-/// Adds `bytes` and `allocs` to this thread's live counts.
-fn thread_live(bytes: isize, allocs: isize) {
-    THREAD_LIVE.with(|c| {
-        let (b, a) = c.get();
-        c.set((b + bytes, a + allocs));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics and
-// allocate nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        thread_live(layout.size() as isize, 1);
-        // SAFETY: `layout` is the caller's, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        thread_live(-(layout.size() as isize), -1);
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // Wrapping, as two steps: the sum stays right whichever is larger.
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        thread_live(new_size as isize - layout.size() as isize, 0);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Bytes requested and allocator calls made while `f` runs.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (b0, c0) = (BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
-    let out = f();
-    (
-        out,
-        BYTES.load(Ordering::Relaxed) - b0,
-        CALLS.load(Ordering::Relaxed) - c0,
-    )
-}
-
-/// What `f`'s result keeps allocated, counted on this thread: bytes and
-/// allocations, negative where `f` freed more than it kept.
-fn kept_by<T>(f: impl FnOnce() -> T) -> (T, isize, isize) {
-    let (b0, a0) = THREAD_LIVE.with(Cell::get);
-    let out = f();
-    let (b1, a1) = THREAD_LIVE.with(Cell::get);
-    (out, b1 - b0, a1 - a0)
-}
 
 const GROUPS: usize = 128;
 const GROUP_SIZE: usize = 40;
@@ -202,26 +137,28 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
     // anything else is alive. The fixture's `CU` shares `C`'s rows, so the
     // distinct rows are those of `C`, `F` and `H`.
     let cfg = SyntheticConfig::with_size(GROUPS * GROUP_SIZE);
-    let (mut db, base_bytes, base_allocs) = kept_by(|| synthetic_database(&cfg));
+    let (mut db, base) = kept_by(|| synthetic_database(&cfg));
+    let (base_bytes, base_allocs) = (base.bytes, base.allocs);
     let rows_in = |db: &Database, t: &str| db.table(t).expect("synthetic table").len();
     let distinct_rows = rows_in(&db, "C") + rows_in(&db, "F") + rows_in(&db, "H");
     let allocs_per_row = base_allocs as f64 / distinct_rows as f64;
     // `I` as `XmlViewSystem::new` keeps it: the `F` rows equal to `C`'s
     // give their allocations back.
-    let (shared, shared_bytes, _) = kept_by(|| db.share_equal_rows());
-    let built_bytes_per_row = (base_bytes + shared_bytes) as f64 / db.total_rows() as f64;
+    let (shared, shared_bytes) = kept_by(|| db.share_equal_rows());
+    let built_bytes_per_row = (base_bytes + shared_bytes.bytes) as f64 / db.total_rows() as f64;
     let atg = synthetic_atg(&db).expect("synthetic ATG");
-    let (vs, view_bytes, _) = {
+    let (vs, view) = {
         let atg = atg.clone();
         kept_by(|| ViewStore::publish(atg, &db).expect("fixture publishes"))
     };
     let bytes_per_row = base_bytes as f64 / db.total_rows() as f64;
+    let view_bytes = view.bytes;
     let bytes_per_node = view_bytes as f64 / vs.n_nodes() as f64;
     println!(
         "I: {base_bytes} B live in {base_allocs} allocations for {} rows ({distinct_rows} \
          distinct): {bytes_per_row:.1} B per row, {allocs_per_row:.3} allocations per distinct \
          row; {built_bytes_per_row:.1} B per row once {shared} rows share; V: {view_bytes} B \
-         live for {} nodes, {bytes_per_node:.1} B per node",
+         live for {} nodes, {bytes_per_node:.2} B per node",
         db.total_rows(),
         vs.n_nodes()
     );
@@ -239,7 +176,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         "I keeps {allocs_per_row:.3} allocations per distinct row"
     );
     assert!(
-        bytes_per_node <= 190.0,
+        bytes_per_node <= 164.1,
         "V keeps {bytes_per_node:.1} B per view node allocated"
     );
 
@@ -284,8 +221,8 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
 
     // What `M` keeps allocated once built — an O(|M|) figure, so counted
     // on its own before the O(∆) ones.
-    let (m, m_bytes, _) = kept_by(|| Reachability::compute(sys.view().dag(), sys.topo()));
-    let bytes_per_pair = m_bytes as f64 / m.n_pairs() as f64;
+    let (m, m_kept) = kept_by(|| Reachability::compute(sys.view().dag(), sys.topo()));
+    let bytes_per_pair = m_kept.bytes as f64 / m.n_pairs() as f64;
     assert_eq!(m.n_pairs(), sys.reach().n_pairs());
     drop(m);
 
@@ -326,15 +263,15 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         atg.dtd().type_id("sub").expect("synthetic DTD"),
         atg.dtd().type_id("node").expect("synthetic DTD"),
     );
-    let genid = vs.dag().genid();
-    let subs: Vec<&Tuple> = genid.ids_of_type(sub).map(|id| genid.attr_of(id)).collect();
+    let gen_sub = vs.gen_db().table("gen_sub").expect("synthetic gen table");
+    let subs: Vec<&Tuple> = gen_sub.iter().collect();
     let (rows, _, rule_calls) = allocated_by(|| {
         let rows = |attr: &&Tuple| atg.child_tuples(&db, sub, attr, node).expect("runs").len();
         subs.iter().map(rows).sum::<usize>()
     });
     let calls_per_rule = rule_calls as f64 / subs.len() as f64;
     println!(
-        "publish: {publish_calls} calls for {} nodes, {publish_calls_per_node:.1} per node; \
+        "publish: {publish_calls} calls for {} nodes, {publish_calls_per_node:.2} per node; \
          Qsub_node: {calls_per_rule:.1} calls per evaluation ({} of them, {:.2} rows each)",
         vs.n_nodes(),
         subs.len(),
@@ -345,11 +282,14 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         "one Qsub_node evaluation made {calls_per_rule:.1} allocator calls"
     );
     assert!(
-        publish_calls_per_node <= 4.0,
+        publish_calls_per_node <= 3.42,
         "publication made {publish_calls_per_node:.1} allocator calls per node"
     );
 
-    println!("M after compute: {m_bytes} B live, {bytes_per_pair:.2} B per pair");
+    println!(
+        "M after compute: {} B live, {bytes_per_pair:.3} B per pair",
+        m_kept.bytes
+    );
     println!("sys.clone(): {clone_bytes} B in {clone_calls} calls");
     println!("clone + anchored insert + fold + drop: {round_bytes} B in {round_calls} calls");
     println!("full evaluate: {full_eval_calls} calls; scope-aware eval: {scoped_eval_calls} calls");
@@ -366,13 +306,13 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         clone_calls <= 4_365,
         "clone made {clone_calls} allocator calls"
     );
-    assert!(round_bytes <= 196_283, "round allocated {round_bytes} B");
+    assert!(round_bytes <= 191_344, "round allocated {round_bytes} B");
     assert!(
         round_calls <= 1_000,
         "round made {round_calls} allocator calls"
     );
     assert!(
-        bytes_per_pair <= 2.51,
+        bytes_per_pair <= 1.87,
         "M keeps {bytes_per_pair:.1} B per pair allocated"
     );
 }
@@ -393,12 +333,13 @@ fn a_decoded_state_keeps_what_the_published_state_keeps() {
         let atg = synthetic_atg(&db).expect("synthetic ATG");
         XmlViewSystem::new(atg, db).expect("fixture publishes")
     };
-    let (sys, published, _) = kept_by(publish);
+    let (sys, published) = kept_by(publish);
     let mut bytes = Vec::new();
     encode_system(&sys, &mut bytes);
     let atg = sys.view().atg();
     let decode = || decode_system(atg, &mut Reader::new(&bytes)).expect("decodes");
-    let (back, decoded, _) = kept_by(decode);
+    let (back, decoded) = kept_by(decode);
+    let (published, decoded) = (published.bytes, decoded.bytes);
     let ratio = decoded as f64 / published as f64;
     println!("published state: {published} B live; decoded: {decoded} B live ({ratio:.3} x)");
     assert!(
@@ -468,7 +409,7 @@ fn soak(
             most_free = most_free.max(allocated - live);
             rows = base_rows - rows_at_start;
             per_pair = (8 * m_words) as f64 / m_pairs as f64;
-            let beside = LIVE.load(Ordering::Relaxed) as f64 - rows as f64 * row_bytes;
+            let beside = live_bytes() as f64 - rows as f64 * row_bytes;
             (lowest, highest) = (lowest.min(beside), highest.max(beside));
         }
         held.push([lowest, highest]);
@@ -514,7 +455,7 @@ fn ten_view_sizes_of_churn_leave_ids_and_bytes_where_they_were() {
         let wide = |k: i64| Tuple::from_values((0..16).map(|c| (k * (c == 0) as i64).into()));
         base.insert("CU", wide(5_000_000_000)).expect("unshares");
         let n = 4096;
-        let ((), bytes, _) = kept_by(|| {
+        let ((), kept) = kept_by(|| {
             let mut pin = None;
             for k in 1..=n {
                 if pinned && (k as usize).is_multiple_of(WINDOW / 2) {
@@ -525,7 +466,7 @@ fn ten_view_sizes_of_churn_leave_ids_and_bytes_where_they_were() {
             }
             drop(pin);
         });
-        bytes as f64 / n as f64
+        kept.bytes as f64 / n as f64
     };
     let (written_through, pinned) = (row_bytes(false), row_bytes(true));
     println!("a kept row of `CU`: {written_through:.1} B, {pinned:.1} B under snapshots");

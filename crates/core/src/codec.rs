@@ -108,11 +108,11 @@
 
 use crate::plan::{bind, same_shape, shape_path};
 use crate::processor::XmlViewSystem;
-use crate::reach::{AncestorLoad, Reachability, RunBuf};
+use crate::reach::{only_parent, AncestorLoad, Reachability, RunBuf};
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
 use crate::viewstore::{gen_rows, ViewStore};
-use rxview_atg::{Atg, Dag, GenId, NodeId};
+use rxview_atg::{Atg, Dag, GenId, NodeId, RuleBody};
 use rxview_relstore::codec::{
     put_database, put_str, put_tuple, put_value_untagged, put_varint, read_database,
     read_table_sharing, read_tuple, read_value_of, skip_database, CodecError, Reader,
@@ -947,11 +947,27 @@ fn read_node(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<NodeId> {
         .ok_or_else(|| CodecError::Invalid(format!("node id {id} names no live node")))
 }
 
+/// The type whose `$A` a node of `ty` repeats: a parent type whose rule for
+/// `ty` is the identity projection (`node → sub` in the synthetic grammar).
+fn repeated_type(atg: &Atg, ty: TypeId) -> Option<TypeId> {
+    let identity = |parent: TypeId| match atg.rule(parent, ty) {
+        Some(RuleBody::Project { fields }) => {
+            fields.iter().copied().eq(0..atg.attr_fields(parent).len())
+        }
+        _ => false,
+    };
+    atg.dtd().types().find(|&parent| identity(parent))
+}
+
 /// Decodes a [`Dag`], bulk-loading the interner from its id space (every
 /// live node gets the [`NodeId`] it was written under; every slot written
 /// dead — whatever pair an older writer left in it — is a free id) and the
-/// adjacency from the child lists (which reproduces their order).
-fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
+/// adjacency from the child lists (which reproduces their order). A node
+/// whose `$A` its parent's identity rule copied keeps its parent's tuple,
+/// as after publication: a parent's id precedes its children's there and
+/// in a generated subtree, so the parent is loaded first.
+fn read_dag(r: &mut Reader<'_>, atg: &Atg) -> CodecResult<Dag> {
+    let dtd = atg.dtd();
     let n_types = r.read_varint()? as usize;
     if n_types != dtd.n_types() {
         return Err(CodecError::Invalid(format!(
@@ -986,7 +1002,8 @@ fn read_dag(r: &mut Reader<'_>, dtd: &rxview_xmlkit::Dtd) -> CodecResult<Dag> {
             b => return Err(CodecError::Invalid(format!("bad liveness byte {b}"))),
         });
     }
-    let genid = GenId::from_slots(slots).map_err(|slot| {
+    let repeats: Vec<_> = dtd.types().map(|ty| repeated_type(atg, ty)).collect();
+    let genid = GenId::from_slots(slots, |ty| repeats[ty.index()]).map_err(|slot| {
         CodecError::Invalid(format!(
             "duplicate (type, attr) pair at interner slot {slot}"
         ))
@@ -1041,9 +1058,11 @@ fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
 }
 
 /// Decodes the reachability matrix: every listed ancestor set is packed into
-/// block words as its ids are read and stored as written; the `desc`
-/// direction is derived from them once.
-fn read_reach(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<Reachability> {
+/// block words as its ids are read and stored as written — once for the
+/// children of a node that have no other parent, as
+/// [`Reachability::compute`] stores them.
+fn read_reach(r: &mut Reader<'_>, dag: &Dag) -> CodecResult<Reachability> {
+    let genid = dag.genid();
     let n_alloc = genid.n_allocated();
     let n_entries = r.read_varint()? as usize;
     if n_entries > r.remaining() {
@@ -1079,7 +1098,8 @@ fn read_reach(r: &mut Reader<'_>, genid: &GenId) -> CodecResult<Reachability> {
         // Rejects what the encoder never writes and a per-pair load would
         // have absorbed silently: a `d` listed twice, a `d` among its own
         // ancestors.
-        load.add(d, anc.as_run()).map_err(CodecError::Invalid)?;
+        let load_d = load.add(d, only_parent(dag, d), anc.as_run());
+        load_d.map_err(CodecError::Invalid)?;
     }
     Ok(load.finish())
 }
@@ -1110,10 +1130,9 @@ pub fn encode_system(sys: &XmlViewSystem, out: &mut Vec<u8>) {
 /// [`ViewStore::publish`]) — each is compared where it was decoded against
 /// the interner's next tuple in key order, and nothing is allocated for it.
 fn read_gen_db(r: &mut Reader<'_>, atg: &Atg, dag: &Dag) -> CodecResult<Database> {
-    let types = atg.dtd().types();
-    let registries: Vec<_> = types
-        .map(|ty| (atg.gen_table_name(ty), gen_rows(dag, ty)))
-        .collect();
+    let rows = gen_rows(dag, atg.dtd().n_types());
+    let names = atg.dtd().types().map(|ty| atg.gen_table_name(ty));
+    let registries: Vec<_> = names.zip(rows).collect();
     // The nodes a table registers, by its name — none, and then nothing is
     // shared and the table refused, if it names no type.
     let rows_of = |name: &str| {
@@ -1154,7 +1173,7 @@ pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem
     let mut gen_section = r.fork();
     skip_database(r)?;
     let gen_end = r.position();
-    let dag = read_dag(r, atg.dtd())?;
+    let dag = read_dag(r, atg)?;
     let gen_db = read_gen_db(&mut gen_section, atg, &dag)?;
     if gen_section.position() != gen_end {
         return Err(CodecError::Invalid(
@@ -1176,7 +1195,7 @@ pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem
         order.push(read_node(r, dag.genid())?);
     }
     let topo = TopoOrder::from_order(order);
-    let reach = read_reach(r, dag.genid())?;
+    let reach = read_reach(r, &dag)?;
     let vs = ViewStore::from_parts(atg.clone(), dag, gen_db);
     Ok(XmlViewSystem::from_parts(base, vs, topo, reach))
 }
@@ -1308,7 +1327,7 @@ mod tests {
         bytes.push(0);
         let tail = bytes.len();
         bytes.extend_from_slice(&[1, 0, 0]); // root id 0, no child lists
-        let dag = read_dag(&mut Reader::new(&bytes), dtd).unwrap();
+        let dag = read_dag(&mut Reader::new(&bytes), sys.view().atg()).unwrap();
         let loaded = dag.genid();
         assert!(loaded.is_live(NodeId(0)) && !loaded.is_live(NodeId(1)));
         assert_eq!((loaded.n_free(), loaded.lookup(ty, &pair)), (1, None));
@@ -1325,7 +1344,7 @@ mod tests {
         let mut bytes = Vec::new();
         put_reach(&mut bytes, dag, sys.reach());
         let mut r = Reader::new(&bytes);
-        let back = read_reach(&mut r, dag.genid()).unwrap();
+        let back = read_reach(&mut r, dag).unwrap();
         assert!(r.is_empty());
         assert!(back.same_pairs(sys.reach()));
     }
@@ -1350,9 +1369,10 @@ mod tests {
     #[test]
     fn hostile_reach_entries_error_not_panic() {
         let ten = (0..10i64).map(|i| Some((TypeId(0), tuple![i])));
-        let genid = GenId::from_slots(ten).unwrap();
+        let genid = GenId::from_slots(ten, |_| None).unwrap();
+        let dag = Dag::from_adjacency(genid, None, &[]).unwrap();
         let decode =
-            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), &genid);
+            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), &dag);
         let m = decode(&[(5, &[1, 2]), (7, &[1, 5])]).unwrap();
         assert_eq!(m.n_pairs(), 4);
         // What the encoder never writes and a per-pair load would absorb:

@@ -20,7 +20,9 @@
 //!   and later jobs of the same fold read them: `anc(target)` for ∆M part
 //!   (b), and the `swap` repair's "is `x` below `v`" test. An insert writes
 //!   the runs of the nodes below its target and nothing else — no run of an
-//!   ancestor, so the work does not grow with the view;
+//!   ancestor, so the work does not grow with the view — and then gives
+//!   each fresh node with one parent the allocation of a sibling's equal
+//!   run;
 //! - **descendant sets** — ∆M part (a)'s `desc(v)` of each fresh node, part
 //!   (b)'s subtree below the inserted root, and the delete pass's `LR` — are
 //!   walks down the DAG's child lists ([`crate::reach::DescWalk`]) as the
@@ -201,6 +203,11 @@ pub(crate) fn insert_job(
         ancs.clear();
         ancs.extend(of_d.iter().map(|&(_, a)| a));
         report.m_inserted += reach.add_ancestors(of_d[0].0, ancs.as_run(), batch);
+    }
+    // A fresh node with one parent holds the run its siblings do, as after
+    // `Reachability::compute`.
+    for &v in &subtree.fresh {
+        reach.share_sibling_run(dag, v);
     }
     report.m_rewrite_ns += t_m.elapsed().as_nanos() as u64;
 
@@ -457,6 +464,37 @@ mod tests {
             .lookup(student, &tuple!["S01", "Alice"])
             .unwrap();
         assert!(vs.dag().parents(alice).len() >= 2);
+    }
+
+    /// The fresh nodes of an anchored insert that have one parent hold
+    /// their run in the allocation a sibling holds, as `compute` would
+    /// have stored them: the new course's `cno`, `prereq` and `takenBy`.
+    #[test]
+    fn an_insert_fold_gives_fresh_only_children_one_run() {
+        let (mut db, mut vs, mut topo, mut reach, mut b) = fixture();
+        db.insert("course", tuple!["CS100", "Intro", "CS"]).unwrap();
+        let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
+        let eval = eval_path(&vs, &topo, &p);
+        let course = vs.atg().dtd().type_id("course").unwrap();
+        let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
+        apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+        insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
+        assert_consistent(&vs, &topo, &reach);
+
+        let only = |v| crate::reach::only_parent(vs.dag(), v);
+        let new_course = st.root;
+        let group: Vec<NodeId> = st
+            .fresh
+            .iter()
+            .copied()
+            .filter(|&v| only(v) == Some(new_course))
+            .collect();
+        assert!(group.len() >= 3, "{group:?}");
+        assert!(group.iter().all(|&v| reach.same_run(group[0], v)));
+        // And every other group of only children still is one allocation.
+        for g in crate::reach::only_children(vs.dag()) {
+            assert!(g.iter().all(|&v| reach.same_run(g[0], v)), "{g:?}");
+        }
     }
 
     #[test]

@@ -373,6 +373,13 @@ pub fn resolve_anchors(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `gen_A` rows an unfiltered candidate set mapped to ids — the cost
+    /// model's count.
+    static GEN_ROWS_READ: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The live nodes of `ty` that can satisfy `keys` — among the root's
 /// children when `top_level`, anywhere otherwise. `None` when more than
 /// `cap` candidates would have to be enumerated.
@@ -423,13 +430,21 @@ fn candidates(
         if let Some(rel) = rel {
             rel.add_table_read(atg.gen_table_name(ty));
         }
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for id in genid.ids_of_type(ty) {
-            if nodes.len() >= cap {
-                return None;
-            }
-            nodes.push(id);
+        // The registry lists the type's live nodes: its length decides the
+        // cap before a row is read.
+        let table = vs.gen_db().table(&atg.gen_table_name(ty)).ok()?;
+        if table.len() > cap {
+            return None;
         }
+        // Every row stands for a live node; one that does not resolve
+        // leaves the set unbounded rather than short.
+        let node_of = |row: &rxview_relstore::Tuple| {
+            #[cfg(test)]
+            GEN_ROWS_READ.with(|c| c.set(c.get() + 1));
+            vs.node_of_gen_row(ty, row)
+        };
+        let mut nodes: Vec<NodeId> = table.iter().map(node_of).collect::<Option<_>>()?;
+        nodes.sort_unstable();
         return Some(nodes);
     };
 
@@ -441,9 +456,8 @@ fn candidates(
     Some(
         rows.into_iter()
             .filter(|row| rest.iter().all(|(c, v)| &row[*c] == v))
-            // Gen rows mirror live nodes, and for non-root types the row
-            // *is* the attribute tuple.
-            .filter_map(|row| genid.lookup(ty, row))
+            // Gen rows mirror live nodes.
+            .filter_map(|row| vs.node_of_gen_row(ty, row))
             .filter(|&c| !top_level || dag.parents(c).contains(&root))
             .collect(),
     )
@@ -582,6 +596,36 @@ mod tests {
             classify(dtd, &parse_xpath("nonexistent/x").unwrap()),
             PathClass::Global
         );
+    }
+
+    /// ROADMAP item 17's cost model for an unfiltered `//` head: the
+    /// `gen_A` registry's length decides the cap before any row is read,
+    /// and under the cap the rows map to the type's live ids, ascending —
+    /// the root's stand-in row to the root.
+    #[test]
+    fn an_unfiltered_head_reads_no_row_past_its_cap() {
+        let vs = store();
+        let genid = vs.dag().genid();
+        let rows_read = || GEN_ROWS_READ.with(|c| c.get());
+        for ty in vs.atg().dtd().types() {
+            let live: Vec<NodeId> = genid
+                .live_ids()
+                .filter(|&v| genid.type_of(v) == ty)
+                .collect();
+            let name = vs.atg().dtd().name(ty);
+            let before = rows_read();
+            let found = candidates(&vs, ty, &[], false, live.len(), None);
+            assert_eq!(found.as_ref(), Some(&live), "`//{name}`");
+            assert_eq!(rows_read() - before, live.len(), "`//{name}`");
+            if let Some(cap) = live.len().checked_sub(1) {
+                let before = rows_read();
+                assert_eq!(candidates(&vs, ty, &[], false, cap, None), None);
+                assert_eq!(rows_read(), before, "`//{name}` past its cap");
+            }
+        }
+        let db = vs.atg().dtd().root();
+        let root = candidates(&vs, db, &[], false, 1, None);
+        assert_eq!(root, Some(vec![vs.dag().root()]));
     }
 
     /// `//ty[keys]` resolved under `cap`, reads recorded into `rel`.

@@ -40,6 +40,14 @@
 //! swaps the handle, so a snapshot that still holds the old handle is
 //! unaffected and releasing it frees one allocation, not a tree.
 //!
+//! Children whose only live parent is `p` all have `anc = anc(p) ∪ {p}`,
+//! and they hold that run as **one** allocation: [`Reachability::compute`]
+//! and the checkpoint load store it once per `p`, and a maintenance fold
+//! hands a fresh such child the handle a sibling holds. Rewriting one
+//! child's run later swaps that child's handle only. The counters count
+//! per node — a shared run's words once per node that holds it — so they
+//! do not depend on what is shared.
+//!
 //! That makes the unit of cost "one rewrite of a touched set", `O(words)`,
 //! and a single-pair insert would cost exactly that — which is why there is
 //! none. Everything that writes `M` is a bulk operation:
@@ -343,17 +351,39 @@ thread_local! {
 
 /// Replaces `v`'s set by the run `words`, keeping the count of stored words.
 fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, words: &[u64]) {
-    debug_assert!(is_run(words), "a stored set is a run");
+    store_handle(sets, n_words, v, (!words.is_empty()).then(|| words.into()));
+}
+
+/// [`store`] of a run already allocated, `None` for the empty set.
+fn store_handle(
+    sets: &mut PagedVec<Option<Words>>,
+    n_words: &mut usize,
+    v: NodeId,
+    words: Option<Words>,
+) {
+    debug_assert!(words.as_deref().is_none_or(|w| !w.is_empty() && is_run(w)));
+    let new = words.as_deref().unwrap_or_default();
     #[cfg(test)]
-    IDS_WRITTEN.with(|c| c.set(c.get() + Run { words }.len()));
+    IDS_WRITTEN.with(|c| c.set(c.get() + Run { words: new }.len()));
     let old = words_of(sets, v).len();
-    *n_words = *n_words - old + words.len();
-    if !words.is_empty() {
-        *sets.get_mut(v.index()) = Some(words.into());
+    *n_words = *n_words - old + new.len();
+    if words.is_some() {
+        *sets.get_mut(v.index()) = words;
     } else if old != 0 {
         // Probed first: emptying an empty slot must not copy a shared page.
         *sets.get_mut(v.index()) = None;
     }
+}
+
+/// `d`'s live parent when it has exactly one.
+pub(crate) fn only_parent(dag: &Dag, d: NodeId) -> Option<NodeId> {
+    let mut live = dag
+        .parents(d)
+        .iter()
+        .copied()
+        .filter(|&p| dag.genid().is_live(p));
+    let p = live.next()?;
+    live.next().is_none().then_some(p)
 }
 
 /// The stored reachability matrix: per node, its ancestors.
@@ -391,28 +421,63 @@ impl ReachBatch {
 }
 
 /// Bulk load of `M` from per-descendant ancestor sets (the checkpoint's
-/// layout), one [`AncestorLoad::add`] per node, each run stored as given.
+/// layout, and what [`Reachability::compute`] derives), one
+/// [`AncestorLoad::add`] per node, each run stored as given — once for all
+/// the children of one `p` that have no other parent.
 #[derive(Debug, Default)]
 pub(crate) struct AncestorLoad {
     anc: PagedVec<Option<Words>>,
     n_pairs: usize,
     n_words: usize,
+    /// At each parent `p`, the run the first of its only-parent children
+    /// was given: `anc(p) ∪ {p}` in a consistent matrix. Dropped with the
+    /// load.
+    by_parent: Vec<Option<Words>>,
 }
 
 impl AncestorLoad {
-    /// Sets `anc(d)`. Fails — rather than build a matrix whose runs or
+    /// Sets `anc(d)`, where `only_parent` is `d`'s one live parent if it
+    /// has exactly one. Fails — rather than build a matrix whose runs or
     /// counter disagree — on a `d` listed twice and on a `d` among its own
     /// ancestors.
-    pub(crate) fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
+    pub(crate) fn add(
+        &mut self,
+        d: NodeId,
+        only_parent: Option<NodeId>,
+        ancestors: Run<'_>,
+    ) -> Result<(), String> {
         if !words_of(&self.anc, d).is_empty() {
             return Err(format!("node {} is listed twice", d.0));
         }
         if ancestors.contains(&d) {
             return Err(format!("node {} is its own ancestor", d.0));
         }
-        self.n_pairs += ancestors.len();
-        store(&mut self.anc, &mut self.n_words, d, ancestors.words);
+        self.put(d, only_parent, ancestors);
         Ok(())
+    }
+
+    /// [`AncestorLoad::add`] without its checks. A run equal to the one an
+    /// earlier child of `only_parent` was given is stored as that child's
+    /// allocation; any other run as one of its own.
+    fn put(&mut self, d: NodeId, only_parent: Option<NodeId>, ancestors: Run<'_>) {
+        self.n_pairs += ancestors.len();
+        let words = ancestors.words;
+        let handle = match only_parent {
+            _ if words.is_empty() => None,
+            Some(p) => {
+                if self.by_parent.len() <= p.index() {
+                    self.by_parent.resize(p.index() + 1, None);
+                }
+                let sibling = self.by_parent[p.index()].get_or_insert_with(|| words.into());
+                Some(if **sibling == *words {
+                    sibling.clone()
+                } else {
+                    words.into()
+                })
+            }
+            None => Some(words.into()),
+        };
+        store_handle(&mut self.anc, &mut self.n_words, d, handle);
     }
 
     /// The matrix of the sets added.
@@ -434,20 +499,14 @@ impl Reachability {
         let live = |v: &NodeId| dag.genid().is_live(*v);
         let mut scratch = BlockScratch::default();
         let mut run = RunBuf::default();
-        let mut anc = PagedVec::new();
-        let (mut n_pairs, mut n_words) = (0, 0);
+        let mut load = AncestorLoad::default();
         // Backward over L = ancestors (later entries) first.
         for &d in topo.order().iter().rev() {
             let parents = dag.parents(d).iter().copied().filter(live);
-            scratch.union_over(&anc, parents, &mut run);
-            n_pairs += run.as_run().len();
-            store(&mut anc, &mut n_words, d, &run.words);
+            scratch.union_over(&load.anc, parents, &mut run);
+            load.put(d, only_parent(dag, d), run.as_run());
         }
-        Reachability {
-            anc,
-            n_pairs,
-            n_words,
-        }
+        load.finish()
     }
 
     /// Bulk load from `(d, anc(d))` lists of ids through an
@@ -466,7 +525,7 @@ impl Reachability {
                 }
                 run.push(a);
             }
-            load.add(d, run.as_run())?;
+            load.add(d, None, run.as_run())?;
         }
         Ok(load.finish())
     }
@@ -540,6 +599,45 @@ impl Reachability {
         let removed = self.set_ancestors(d, new.as_run(), batch);
         batch.merged = new;
         removed
+    }
+
+    /// Gives `v`, a node with one live parent `p`, the allocation of the
+    /// run another such child of `p` holds, if the two runs are equal — as
+    /// they are in an exact matrix, where both are `anc(p) ∪ {p}`. What a
+    /// maintenance fold calls on the nodes it makes, once their runs are
+    /// exact; it writes no id and keeps the counters.
+    pub(crate) fn share_sibling_run(&mut self, dag: &Dag, v: NodeId) {
+        let Some(p) = only_parent(dag, v) else {
+            return;
+        };
+        let Some(Some(own)) = self.anc.get(v.index()) else {
+            return;
+        };
+        let mut siblings = dag.children(p).iter().copied();
+        let sibling = siblings.find(|&c| c != v && only_parent(dag, c) == Some(p));
+        let Some(Some(theirs)) = sibling.and_then(|c| self.anc.get(c.index())) else {
+            return;
+        };
+        if !Arc::ptr_eq(own, theirs) && own == theirs {
+            let shared = Some(theirs.clone());
+            *self.anc.get_mut(v.index()) = shared;
+        }
+    }
+
+    /// Whether `a` and `b` hold their `anc` runs in one allocation.
+    #[cfg(test)]
+    pub(crate) fn same_run(&self, a: NodeId, b: NodeId) -> bool {
+        match (self.anc.get(a.index()), self.anc.get(b.index())) {
+            (Some(Some(x)), Some(Some(y))) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
+    /// Number of distinct run allocations held.
+    #[cfg(test)]
+    pub(crate) fn n_allocations(&self) -> usize {
+        let runs = self.anc.iter().flatten().map(|w| w.as_ptr());
+        runs.collect::<std::collections::HashSet<_>>().len()
     }
 
     /// Forgets a garbage-collected node: `anc(d)` is emptied like any other
@@ -689,6 +787,19 @@ pub fn descendants(dag: &Dag, a: NodeId) -> Vec<NodeId> {
     out
 }
 
+/// The children of each node that have no other live parent, where there
+/// are two or more: the runs each group must hold as one allocation.
+#[cfg(test)]
+pub(crate) fn only_children(dag: &Dag) -> Vec<Vec<NodeId>> {
+    let mut by_parent = std::collections::BTreeMap::<NodeId, Vec<NodeId>>::new();
+    for v in dag.genid().live_ids() {
+        if let Some(p) = only_parent(dag, v) {
+            by_parent.entry(p).or_default().push(v);
+        }
+    }
+    by_parent.into_values().filter(|g| g.len() > 1).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,6 +820,64 @@ mod tests {
 
     fn run(raw: &[u32]) -> RunBuf {
         raw.iter().copied().map(NodeId).collect()
+    }
+
+    /// Whether each group is one allocation, and the groups are distinct
+    /// ones.
+    fn shared_per_group(m: &Reachability, groups: &[Vec<NodeId>]) -> bool {
+        let one_each = groups
+            .iter()
+            .all(|g| g.iter().all(|&v| m.same_run(g[0], v)));
+        let heads = groups.iter().map(|g| g[0]);
+        let distinct = heads
+            .clone()
+            .enumerate()
+            .all(|(i, a)| heads.clone().skip(i + 1).all(|b| !m.same_run(a, b)));
+        one_each && distinct
+    }
+
+    #[test]
+    fn only_children_hold_one_run_after_compute_and_after_a_checkpoint_load() {
+        use crate::codec::{decode_system, encode_system};
+        let db = registrar_database();
+        let sys = crate::XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
+        let dag = sys.view().dag();
+        let groups = only_children(dag);
+        assert!(groups.len() >= 3, "{groups:?}");
+        let computed = Reachability::compute(dag, sys.topo());
+        let mut bytes = Vec::new();
+        encode_system(&sys, &mut bytes);
+        let reader = &mut rxview_relstore::codec::Reader::new(&bytes);
+        let back = decode_system(sys.view().atg(), reader).unwrap();
+        for m in [&computed, sys.reach(), back.reach()] {
+            assert!(shared_per_group(m, &groups));
+            assert!(m.same_pairs(&computed));
+        }
+        // Nothing else shares: a node with two parents keeps its own run.
+        let shared_nodes: usize = groups.iter().map(Vec::len).sum();
+        let runs = dag
+            .genid()
+            .live_ids()
+            .filter(|&v| !computed.ancestors(v).is_empty());
+        let saved = runs.count() - computed.n_allocations();
+        assert_eq!(saved, shared_nodes - groups.len());
+    }
+
+    #[test]
+    fn rewriting_one_only_child_leaves_its_siblings_and_a_pinned_clone() {
+        let (dag, topo, _) = fixture();
+        let mut m = Reachability::compute(&dag, &topo);
+        let group = only_children(&dag).swap_remove(0);
+        let (v, w) = (group[0], group[1]);
+        let was: Vec<NodeId> = m.ancestors(v).iter().collect();
+        let pinned = m.clone();
+        let fewer: RunBuf = was.iter().copied().skip(1).collect();
+        m.set_ancestors(v, fewer.as_run(), &mut ReachBatch::default());
+        assert!(!m.same_run(v, w) && m.ancestors(v) == &was[1..]);
+        assert!(group[1..]
+            .iter()
+            .all(|&x| m.same_run(w, x) && m.ancestors(x) == was));
+        assert!(pinned.same_run(v, w) && pinned.ancestors(v) == was);
     }
 
     #[test]

@@ -49,8 +49,9 @@ impl ViewStore {
     ) -> Result<(Self, Vec<NodeId>), PublishError> {
         let (dag, leaves_first) = rxview_atg::publish_leaves_first(&atg, db)?;
         let mut gen_db = Database::new();
-        for ty in atg.dtd().types() {
-            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), gen_rows(&dag, ty))
+        let rows = gen_rows(&dag, atg.dtd().n_types());
+        for (ty, rows) in atg.dtd().types().zip(rows) {
+            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), rows)
                 .expect("distinct nodes of a type have distinct, well-typed attributes");
             gen_db.add_table(table).expect("one gen table per type");
         }
@@ -151,6 +152,18 @@ impl ViewStore {
         gen_row_of(self.dag.genid().attr_of(id))
     }
 
+    /// The live node of `ty` a `gen_A` row stands for — the inverse of
+    /// [`ViewStore::gen_row`]: the unit row of a type with no attribute
+    /// fields stands for the empty `$A`.
+    pub(crate) fn node_of_gen_row(&self, ty: TypeId, row: &Tuple) -> Option<NodeId> {
+        let genid = self.dag.genid();
+        if self.atg.attr_fields(ty).is_empty() {
+            genid.lookup(ty, &Tuple::empty())
+        } else {
+            genid.lookup(ty, row)
+        }
+    }
+
     /// Registers a (newly live) node in its `gen_A` table.
     pub(crate) fn register_node(&mut self, id: NodeId) -> RelResult<()> {
         let ty = self.dag.genid().type_of(id);
@@ -226,16 +239,19 @@ impl ViewStore {
     }
 }
 
-/// The rows of a type's `gen_A` table, in its key order: for every live
-/// node of the type the interner's own `$A` tuple — a handle to it, not a
-/// copy — which is how a published view pays for an attribute once.
-pub(crate) fn gen_rows(dag: &Dag, ty: TypeId) -> Vec<Tuple> {
+/// The rows of every type's `gen_A` table, indexed by type, each in its
+/// key order: for every live node the interner's own `$A` tuple — a handle
+/// to it, not a copy — which is how a published view pays for an attribute
+/// once. One pass over the interner's slots groups them by type.
+pub(crate) fn gen_rows(dag: &Dag, n_types: usize) -> Vec<Vec<Tuple>> {
     let genid = dag.genid();
-    let rows = genid
-        .ids_of_type(ty)
-        .map(|id| gen_row_of(genid.attr_of(id)));
-    let mut rows: Vec<Tuple> = rows.collect();
-    rows.sort_unstable();
+    let mut rows = vec![Vec::new(); n_types];
+    for id in genid.live_ids() {
+        rows[genid.type_of(id).index()].push(gen_row_of(genid.attr_of(id)));
+    }
+    for rows in &mut rows {
+        rows.sort_unstable();
+    }
     rows
 }
 
@@ -266,10 +282,9 @@ mod tests {
         let (_db, vs) = store();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let gen_course = vs.gen_db().table("gen_course").unwrap();
-        assert_eq!(
-            gen_course.len(),
-            vs.dag().genid().ids_of_type(course).count()
-        );
+        let genid = vs.dag().genid();
+        let is_course = |&id: &NodeId| genid.type_of(id) == course;
+        assert_eq!(gen_course.len(), genid.live_ids().filter(is_course).count());
         assert!(gen_course.contains_key(&tuple!["CS320", "Algorithms"]));
     }
 

@@ -212,11 +212,11 @@ proptest! {
         let sys = system(180, seed);
         let vs = sys.view();
         let node_ty = vs.atg().dtd().type_id("node").expect("synthetic DTD");
-        let ids: Vec<i64> = vs
-            .dag()
-            .genid()
-            .ids_of_type(node_ty)
-            .map(|v| vs.dag().genid().attr_of(v)[0].as_int().expect("int id"))
+        let genid = vs.dag().genid();
+        let ids: Vec<i64> = genid
+            .live_ids()
+            .filter(|&v| genid.type_of(v) == node_ty)
+            .map(|v| genid.attr_of(v)[0].as_int().expect("int id"))
             .collect();
         if ids.is_empty() {
             return Ok(());

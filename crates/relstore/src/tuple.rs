@@ -39,11 +39,18 @@ impl Tuple {
         &self.0
     }
 
-    /// Projects the tuple onto the given positions.
+    /// Projects the tuple onto the given positions. The identity projection
+    /// — every position once, in order — hands back this tuple's own
+    /// allocation rather than a copy of it.
     ///
     /// # Panics
     /// Panics if a position is out of range (projections are schema-derived).
     pub fn project(&self, positions: &[usize]) -> Tuple {
+        let identity =
+            positions.len() == self.arity() && positions.iter().copied().eq(0..self.arity());
+        if identity {
+            return self.clone();
+        }
         Tuple(positions.iter().map(|&i| self.0[i].clone()).collect())
     }
 
@@ -109,6 +116,18 @@ mod tests {
     fn project_selects_positions() {
         let t = tuple![10i64, 20i64, 30i64];
         assert_eq!(t.project(&[2, 0]), tuple![30i64, 10i64]);
+    }
+
+    #[test]
+    fn the_identity_projection_is_the_same_allocation() {
+        let t = tuple![10i64, 20i64];
+        let same = |a: &Tuple, b: &Tuple| std::ptr::eq(a.values().as_ptr(), b.values().as_ptr());
+        assert!(same(&t.project(&[0, 1]), &t));
+        for other in [&[1, 0][..], &[0], &[0, 1, 1]] {
+            let p = t.project(other);
+            assert!(!same(&p, &t), "{other:?}");
+        }
+        assert_eq!(t.project(&[0, 1, 1]), tuple![10i64, 20i64, 20i64]);
     }
 
     #[test]

@@ -329,7 +329,11 @@ pub fn dataset_stats(
     reach: &rxview_core::Reachability,
 ) -> DatasetStats {
     let node_ty = vs.atg().dtd().type_id("node").expect("synthetic DTD");
-    let node_ids: Vec<_> = vs.dag().genid().ids_of_type(node_ty).collect();
+    let genid = vs.dag().genid();
+    let node_ids: Vec<_> = genid
+        .live_ids()
+        .filter(|&v| genid.type_of(v) == node_ty)
+        .collect();
     let shared = node_ids
         .iter()
         .filter(|&&v| vs.dag().parents(v).len() > 1)

@@ -102,7 +102,7 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
     let dag = sys.view().dag();
 
     // The interner: same ids for the same pairs, all live, and findable
-    // through the bulk-built key map and `gen_A` sets.
+    // through the bulk-built key map.
     let n = ref_dag.genid().n_allocated();
     assert!(n > 1);
     assert_eq!(dag.genid().n_allocated(), n);
@@ -118,10 +118,6 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
         assert_eq!(dag.parents(id), ref_dag.parents(id), "parents of {id:?}");
     }
     for ty in atg.dtd().types() {
-        assert!(dag
-            .genid()
-            .ids_of_type(ty)
-            .eq(ref_dag.genid().ids_of_type(ty)));
         for child in atg.dtd().children_of(ty) {
             let edge_rel = |dag: &Dag| {
                 let typed = |&(u, v): &(NodeId, NodeId)| {

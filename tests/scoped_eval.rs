@@ -37,6 +37,12 @@
 //!   grows) but the anchor set, and with it every cone the planner builds,
 //!   is wrong: the `RootOnly` expectation on a non-top-level key fails
 //!   (`Some(108)` nodes against `Some(1)`).
+//! - *mapping an unfiltered `//` head's `gen_A` rows back with
+//!   `lookup(ty, row)`, only the root's stand-in row special-cased*: the
+//!   one-column row of `catalog__star1`, whose `$A` is empty, resolves to
+//!   nothing and the head anchors nowhere —
+//!   `a_descendant_head_onto_an_empty_attribute_type_finds_its_node` fails
+//!   on its anchors (`Some([])` against the star node).
 
 mod common;
 
@@ -426,6 +432,102 @@ fn a_sparse_id_space_decodes_whole() {
     assert_eq!(fold(&got), fold(&want), "fold");
     assert_eq!(system_bytes(&decoded), system_bytes(&sys), "(I, V, M, L)");
     decoded.consistency_check().unwrap();
+}
+
+/// The catalog view of `examples/normalized_dtd.rs`: DTD normalization
+/// synthesizes `catalog__star1`, a type below the root whose `$A` is empty.
+fn catalog() -> XmlViewSystem {
+    use rxview::relstore::{schema, Database, SpjQuery};
+    use rxview::xmlkit::{normalize_dtd, ContentModel as Cm};
+    let dtd = normalize_dtd(
+        "catalog",
+        &[
+            (
+                "catalog",
+                Cm::seq([Cm::name("vendor"), Cm::star(Cm::name("item"))]),
+            ),
+            ("item", Cm::seq([Cm::name("sku"), Cm::name("title")])),
+            ("vendor", Cm::PcData),
+        ],
+    )
+    .expect("normalizes");
+    let mut db = Database::new();
+    let vendor = schema("vendor").col_str("vid").col_str("vname");
+    db.create_table(vendor.key(&["vid"])).unwrap();
+    let item = schema("item").col_str("sku").col_str("title");
+    db.create_table(item.key(&["sku"])).unwrap();
+    db.insert("vendor", tuple!["v1", "ACME"]).unwrap();
+    db.insert("item", tuple!["sku-1", "Anvil"]).unwrap();
+    db.insert("item", tuple!["sku-2", "Rocket Skates"]).unwrap();
+    let q_items = SpjQuery::builder("Qitems")
+        .from("item", "i")
+        .project(("i", "sku"), "sku")
+        .project(("i", "title"), "title")
+        .build(&db)
+        .unwrap();
+    let q_vendor = SpjQuery::builder("Qvendor")
+        .from("vendor", "v")
+        .where_col_eq_const(("v", "vid"), "v1")
+        .project(("v", "vname"), "vname")
+        .build(&db)
+        .unwrap();
+    let mut b = rxview::atg::Atg::builder(dtd);
+    b.attr("catalog", &[])
+        .attr("vendor", &["vname"])
+        .attr("catalog__star1", &[])
+        .attr("item", &["sku", "title"])
+        .attr("sku", &["sku"])
+        .attr("title", &["title"]);
+    b.rule_query("catalog", "vendor", q_vendor, &[])
+        .rule_project("catalog", "catalog__star1", &[])
+        .rule_query("catalog__star1", "item", q_items, &[])
+        .rule_project("item", "sku", &["sku"])
+        .rule_project("item", "title", &["title"]);
+    let atg = b.build(&db).expect("valid ATG");
+    XmlViewSystem::new(atg, db).expect("publishes")
+}
+
+/// A `//` head onto a non-root type whose `$A` is empty — its `gen_A` row is
+/// the one-column stand-in, not its `$A` — anchors at that type's node:
+/// reads and updates under it match what the full pass matches.
+#[test]
+fn a_descendant_head_onto_an_empty_attribute_type_finds_its_node() {
+    let mut sys = catalog();
+    let mut oracle = sys.clone();
+    let star = sys.view().atg().dtd().type_id("catalog__star1").unwrap();
+    let genid = sys.view().dag().genid();
+    let want: Vec<_> = genid
+        .live_ids()
+        .filter(|&v| genid.type_of(v) == star)
+        .collect();
+    assert_eq!(want.len(), 1);
+    let p = parse_xpath("//catalog__star1").unwrap();
+    let class = classify(sys.view().atg().dtd(), &p);
+    let anchors = resolve_anchors(sys.view(), &class, MAX_CONE_ANCHORS, None);
+    assert_eq!(anchors.map(|a| a.nodes), Some(want));
+    // The star's cone is most of this small view: whether it runs scoped
+    // is the `|L| / 2` budget's call, what it selects is not.
+    for path in [
+        "//catalog__star1",
+        "//catalog__star1/item",
+        "//catalog__star1/item[sku=sku-2]",
+    ] {
+        assert_same_eval(&sys, path, Ran::Either, "catalog");
+    }
+    for u in [
+        XmlUpdate::insert("item", tuple!["sku-3", "Tornado Seeds"], "//catalog__star1"),
+        XmlUpdate::delete("//catalog__star1/item[sku=sku-1]"),
+    ] {
+        let u = u.expect("parses");
+        assert!(apply_both(
+            &mut sys,
+            &mut oracle,
+            &u,
+            SideEffectPolicy::Abort
+        ));
+    }
+    assert_same_state(&sys, &oracle, "catalog");
+    assert_same_eval(&sys, "//catalog__star1/item", Ran::Either, "catalog, after");
 }
 
 proptest! {

@@ -1,7 +1,8 @@
 //! Layout guards for the resident state under tier-1: what a cell and a row
-//! handle cost, that a table keeps the row it was given — once — and that
-//! both constructors store a row equal to the row at its key in an earlier
-//! table of the same shape once.
+//! handle cost, that a table keeps the row it was given — once — that both
+//! constructors store a row equal to the row at its key in an earlier table
+//! of the same shape once, and that a `sub` node's `$A` is its `node`'s
+//! allocation however the state was built.
 //!
 //! Every row of `I`, every `gen_A` row, every interner attribute and every
 //! column-index entry is an array of `Value`s behind a `Tuple` handle, so a
@@ -9,6 +10,7 @@
 //! state costs"; the per-row and per-node byte counts are held by
 //! `crates/bench/tests/snapshot_alloc.rs`, which needs its own allocator).
 
+use rxview::atg::NodeId;
 use rxview::core::codec::{decode_system, encode_system};
 use rxview::prelude::*;
 use rxview::relstore::{schema, tuple, Reader, Table};
@@ -114,4 +116,53 @@ fn construction_stores_equal_rows_of_same_shape_tables_once_as_a_checkpoint_load
     let shared = f_keys_sharing_c(base);
     assert_eq!(shared.len(), equal);
     assert_eq!(f_keys_sharing_c(back.base()), shared);
+}
+
+/// The `sub` nodes whose `$A` is their parent `node`'s allocation — which
+/// must be every one of them.
+fn subs_sharing_their_node(sys: &XmlViewSystem) -> BTreeSet<NodeId> {
+    let (dag, dtd) = (sys.view().dag(), sys.view().atg().dtd());
+    let genid = dag.genid();
+    let (node, sub) = (dtd.type_id("node").unwrap(), dtd.type_id("sub").unwrap());
+    let subs: Vec<NodeId> = genid
+        .live_ids()
+        .filter(|&v| genid.type_of(v) == sub)
+        .collect();
+    let gen_sub = sys.view().gen_db().table("gen_sub").unwrap();
+    let mut sharing = BTreeSet::new();
+    for &v in &subs {
+        let &[parent] = dag.parents(v) else {
+            panic!("sub {v:?} has one parent");
+        };
+        assert_eq!(genid.type_of(parent), node);
+        let attr = genid.attr_of(v);
+        if same_cells(attr, genid.attr_of(parent)) {
+            sharing.insert(v);
+        }
+        // The `gen_sub` row is the same allocation again.
+        let row = gen_sub.get(attr).expect("registered");
+        assert!(same_cells(row, attr), "gen_sub row of {v:?}");
+    }
+    assert_eq!(sharing.len(), subs.len(), "every sub shares its node's $A");
+    sharing
+}
+
+#[test]
+fn a_sub_keeps_its_nodes_attribute_published_loaded_and_maintained() {
+    let db = synthetic_database(&SyntheticConfig::with_size(10 * 40));
+    let mut sys = XmlViewSystem::new(synthetic_atg(&db).unwrap(), db).unwrap();
+    let published = subs_sharing_their_node(&sys);
+    assert!(published.len() > 100, "{} subs", published.len());
+
+    // A checkpoint load shares at exactly the same nodes.
+    let mut bytes = Vec::new();
+    encode_system(&sys, &mut bytes);
+    let back = decode_system(sys.view().atg(), &mut Reader::new(&bytes)).unwrap();
+    assert_eq!(subs_sharing_their_node(&back), published);
+
+    // So does a subtree an insertion generates.
+    let insert = XmlUpdate::insert("node", tuple![400i64, 0i64], "node[id=0]/sub").unwrap();
+    sys.apply(&insert, SideEffectPolicy::Proceed).unwrap();
+    let maintained = subs_sharing_their_node(&sys);
+    assert!(maintained.len() > published.len());
 }
