@@ -7,14 +7,19 @@
 //! memory pays — the live allocations, and the allocator calls made while
 //! building it. `I` is counted as generated and
 //! after `Database::share_equal_rows`, which `XmlViewSystem::new` runs
-//! before it publishes. ARCHITECTURE.md §15's table reads these figures.
+//! before it publishes. It then prints the state's checkpoint: the bytes of
+//! each section `encode_system` writes — `I`, `V` (the interner's id space
+//! and the child lists), `L` — and the medians of three `encode_system` and
+//! `decode_system` runs. ARCHITECTURE.md §15's table reads these figures.
 //!
 //! ```text
 //! cargo run --release -p rxview-bench --bin scale_probe
 //! ```
 
 use rxview_bench::alloc_count::{allocated_by, kept_by, Counting, Kept};
-use rxview_core::{Reachability, TopoOrder, ViewStore};
+use rxview_core::codec::{decode_system, encode_system};
+use rxview_core::{Reachability, TopoOrder, ViewStore, XmlViewSystem};
+use rxview_relstore::codec::{put_database, put_varint, Reader};
 use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use std::time::{Duration, Instant};
 
@@ -44,6 +49,47 @@ fn row(part: &str, c: &Census, per: &str) {
         c.kept.allocs,
         c.calls,
         c.took.as_secs_f64() * 1e3
+    );
+}
+
+/// The median of three runs of `f`, in ms.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[1]
+}
+
+/// The checkpoint row: `encode_system`'s bytes per section and its and
+/// `decode_system`'s time. `I` and `L` are measured as the codec writes
+/// them; `V` is what the payload holds beside them.
+fn checkpoint_row(sys: &XmlViewSystem) {
+    let mut bytes = Vec::new();
+    encode_system(sys, &mut bytes);
+    let mut i = Vec::new();
+    put_database(&mut i, sys.base());
+    let mut l = Vec::new();
+    put_varint(&mut l, sys.topo().len() as u64);
+    for &n in sys.topo().order() {
+        put_varint(&mut l, n.0 as u64);
+    }
+    let v = bytes.len() - i.len() - l.len();
+    let encode = median_ms(|| encode_system(sys, &mut Vec::with_capacity(bytes.len())));
+    let atg = sys.view().atg();
+    let decode = median_ms(|| {
+        decode_system(atg, &mut Reader::new(&bytes)).expect("decodes");
+    });
+    println!(
+        "  checkpoint: {} B (I {} B, V {v} B, L {} B); encode_system {encode:.1} ms, \
+         decode_system {decode:.1} ms",
+        bytes.len(),
+        i.len(),
+        l.len()
     );
 }
 
@@ -84,5 +130,6 @@ fn main() {
         row("M", &reach, &per_pair);
         let total = shared_i.kept.chunks + v.kept.chunks + l.kept.chunks + reach.kept.chunks;
         println!("  (I, V, L, M): {total} B in chunks");
+        checkpoint_row(&XmlViewSystem::from_parts(db, vs, topo, m));
     }
 }

@@ -10,13 +10,17 @@
 //!   encoding of one update on its own. Replaying the *logical* update
 //!   re-derives ∆V, ∆R, and the `M`/`L` maintenance; logging ∆R alone could
 //!   rebuild the base tables but not the view, so ∆R has no encoding.
-//! - [`encode_system`]/[`decode_system`]: the full checkpoint payload — the
-//!   base database `I`, the `gen_A` tables, the DAG `V` (interner + edges),
-//!   the topological order `L`, and the reachability matrix `M`. The
-//!   grammar σ itself is *not* serialized: like the relational schema, it
-//!   is code, and [`decode_system`] takes it as input — validating that the
+//! - [`encode_system`]/[`decode_system`]: the checkpoint payload — what
+//!   only the system's history decides: the base database `I`, the DAG `V`
+//!   (the interner's id space and the child lists) and the topological
+//!   order `L`. The `gen_A` tables and the reachability matrix `M` follow
+//!   from them, and [`decode_system`] rebuilds them with the code
+//!   publication builds them with. The grammar σ itself is *not*
+//!   serialized: like the relational schema, it is code, and
+//!   [`decode_system`] takes it as input — validating that the
 //!   checkpoint's element-type table matches the grammar's DTD before
 //!   trusting any [`rxview_xmlkit::TypeId`] on disk.
+//!   [`decode_system_v1`] reads the layout one format back.
 //!
 //! ## The round record
 //!
@@ -92,10 +96,6 @@
 //! as text, so `zigzag(d) << 1` cannot overflow — and a literal delta that
 //! leaves that range is refused.
 //!
-//! `RXWALv4` records, one format back, wrote a shaped update's integers as
-//! they are, a literal as `varint (n << 1)` with n below 2⁶³: they are read
-//! over [`ReadTables::absolute_literals`].
-//!
 //! Decoding is total: counts, table indices and literal lengths are bounded
 //! by the input that remains, filters nest at most [`MAX_FILTER_DEPTH`]
 //! deep (the bound the parser puts on the same tree), a shaped update must
@@ -108,16 +108,16 @@
 
 use crate::plan::{bind, same_shape, shape_path};
 use crate::processor::XmlViewSystem;
-use crate::reach::{only_parent, AncestorLoad, Reachability, RunBuf};
+use crate::reach::Reachability;
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
-use crate::viewstore::{gen_rows, ViewStore};
+use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, Dag, GenId, NodeId, RuleBody};
 use rxview_relstore::codec::{
-    put_database, put_str, put_tuple, put_value_untagged, put_varint, read_database,
-    read_table_sharing, read_tuple, read_value_of, skip_database, CodecError, Reader,
+    put_database, put_str, put_tuple, put_value_untagged, put_varint, read_database, read_tuple,
+    read_value_of, skip_database, CodecError, Reader,
 };
-use rxview_relstore::{Database, Tuple, Value, ValueType};
+use rxview_relstore::{Tuple, Value, ValueType};
 use rxview_xmlkit::xpath::MAX_FILTER_DEPTH;
 use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
 use rxview_xmlkit::TypeId;
@@ -598,56 +598,31 @@ pub fn put_update(out: &mut Vec<u8>, update: &XmlUpdate) {
 pub struct ReadTables<'a> {
     labels: Vec<&'a str>,
     shapes: Vec<Option<(XmlUpdate, Vec<u64>)>>,
-    /// Whether a shaped update's integers are written as they are, not as
-    /// deltas from its slots.
-    absolute: bool,
 }
 
-impl ReadTables<'_> {
-    /// Empty tables for records whose shaped updates write their integers
-    /// as they are: how `RXWALv4` records are read.
-    pub fn absolute_literals() -> Self {
-        ReadTables {
-            absolute: true,
-            ..ReadTables::default()
-        }
-    }
-}
-
-/// Where a shaped update's integers come from: as they are written, or as
-/// deltas from the slots of its entry, which they then replace.
-enum Ints<'s> {
-    Absolute,
-    Deltas(std::slice::IterMut<'s, u64>),
-}
+/// A shaped update's integers: deltas from the slots of its entry, in
+/// [`push_slots`]' order, which they then replace.
+struct Ints<'s>(std::slice::IterMut<'s, u64>);
 
 impl Ints<'_> {
-    /// The next slot, in [`push_slots`]' order; `None` when absolute.
-    fn slot(&mut self) -> CodecResult<Option<&mut u64>> {
-        match self {
-            Ints::Absolute => Ok(None),
-            Ints::Deltas(slots) => slots
-                .next()
-                .map(Some)
-                .ok_or_else(|| CodecError::Invalid("more integers than slots".into())),
-        }
+    /// The next slot.
+    fn slot(&mut self) -> CodecResult<&mut u64> {
+        self.0
+            .next()
+            .ok_or_else(|| CodecError::Invalid("more integers than slots".into()))
     }
 
     /// An insertion's `Int` value.
     fn int(&mut self, r: &mut Reader<'_>) -> CodecResult<i64> {
         let d = r.read_varint_i64()?;
-        Ok(match self.slot()? {
-            None => d,
-            Some(last) => {
-                *last = last.wrapping_add(d as u64);
-                *last as i64
-            }
-        })
+        let last = self.slot()?;
+        *last = last.wrapping_add(d as u64);
+        Ok(*last as i64)
     }
 
     /// A literal ([`put_shaped`]).
     fn literal(&mut self, r: &mut Reader<'_>) -> CodecResult<String> {
-        let slot = self.slot()?;
+        let last = self.slot()?;
         let v = r.read_varint()?;
         if v & 1 == 1 {
             let len = usize::try_from(v >> 1).map_err(|_| CodecError::Truncated)?;
@@ -655,20 +630,14 @@ impl Ints<'_> {
                 .map(str::to_owned)
                 .map_err(|_| CodecError::Invalid("literal is not UTF-8".into()));
         }
-        let n = match slot {
-            None => v >> 1,
-            Some(last) => {
-                let n = (*last as i64)
-                    .checked_add(unzigzag(v >> 1))
-                    .and_then(|n| u64::try_from(n).ok())
-                    .filter(|&n| n < LITERAL_LIMIT)
-                    .ok_or_else(|| {
-                        CodecError::Invalid(format!("a literal delta leaves [0, 2⁶²) from {last}"))
-                    })?;
-                *last = n;
-                n
-            }
-        };
+        let n = (*last as i64)
+            .checked_add(unzigzag(v >> 1))
+            .and_then(|n| u64::try_from(n).ok())
+            .filter(|&n| n < LITERAL_LIMIT)
+            .ok_or_else(|| {
+                CodecError::Invalid(format!("a literal delta leaves [0, 2⁶²) from {last}"))
+            })?;
+        *last = n;
         Ok(n.to_string())
     }
 }
@@ -747,9 +716,7 @@ impl<'a> Decoder<'_, 'a> {
     /// table, an insertion's values untagged, and the path's literals.
     fn shaped(&mut self, delete: bool) -> CodecResult<XmlUpdate> {
         let r = &mut *self.r;
-        let ReadTables {
-            shapes, absolute, ..
-        } = &mut *self.tables;
+        let shapes = &mut self.tables.shapes;
         if shapes.is_empty() {
             return Err(CodecError::Invalid(
                 "a shaped update before any shape".into(),
@@ -764,10 +731,7 @@ impl<'a> Decoder<'_, 'a> {
         let (template, slots) = entry.as_mut().ok_or_else(|| {
             CodecError::Invalid(format!("shape {k} weighs more than {MAX_TEMPLATE_WEIGHT}"))
         })?;
-        let mut ints = match absolute {
-            true => Ints::Absolute,
-            false => Ints::Deltas(slots.iter_mut()),
-        };
+        let mut ints = Ints(slots.iter_mut());
         let (inserted, path) = match (&*template, delete) {
             (XmlUpdate::Delete { path }, true) => (None, path),
             (XmlUpdate::Insert { ty, attr, path }, false) => {
@@ -893,7 +857,7 @@ pub fn read_update(r: &mut Reader<'_>) -> CodecResult<XmlUpdate> {
 }
 
 // ---------------------------------------------------------------------------
-// DAG, L, M (checkpoint payloads).
+// DAG (checkpoint payload).
 // ---------------------------------------------------------------------------
 
 /// Encodes the published [`Dag`]: the DTD's type-name table (validated on
@@ -1033,157 +997,65 @@ fn read_dag(r: &mut Reader<'_>, atg: &Atg) -> CodecResult<Dag> {
         .map_err(|(u, v)| CodecError::Invalid(format!("edge ({}, {}) listed twice", u.0, v.0)))
 }
 
-/// Encodes the reachability matrix `M` as per-descendant ancestor sets
-/// (delta-coded, ascending — the paper's "only set bits" representation).
-fn put_reach(out: &mut Vec<u8>, dag: &Dag, reach: &Reachability) {
-    let entries: Vec<NodeId> = dag
-        .genid()
-        .live_ids()
-        .filter(|&d| !reach.ancestors(d).is_empty())
-        .collect();
-    put_varint(out, entries.len() as u64);
-    let mut pairs = 0usize;
-    for d in entries {
-        let anc = reach.ancestors(d);
-        put_varint(out, d.0 as u64);
-        put_varint(out, anc.len() as u64);
-        let mut prev = 0u64;
-        for a in anc {
-            put_varint(out, a.0 as u64 - prev);
-            prev = a.0 as u64;
+/// Steps over an `RXCKPv1` checkpoint's `M` section, bounds-checked: the
+/// per-descendant ancestor sets, each `d` with its count and its ids
+/// delta-coded.
+fn skip_reach(r: &mut Reader<'_>) -> CodecResult<()> {
+    for _ in 0..read_count(r)? {
+        r.read_varint()?;
+        for _ in 0..read_count(r)? {
+            r.read_varint()?;
         }
-        pairs += anc.len();
     }
-    debug_assert_eq!(pairs, reach.n_pairs(), "M pairs confined to live nodes");
-}
-
-/// Decodes the reachability matrix: every listed ancestor set is packed into
-/// block words as its ids are read and stored as written — once for the
-/// children of a node that have no other parent, as
-/// [`Reachability::compute`] stores them.
-fn read_reach(r: &mut Reader<'_>, dag: &Dag) -> CodecResult<Reachability> {
-    let genid = dag.genid();
-    let n_alloc = genid.n_allocated();
-    let n_entries = r.read_varint()? as usize;
-    if n_entries > r.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut load = AncestorLoad::default();
-    let mut anc = RunBuf::default();
-    for _ in 0..n_entries {
-        let d = read_node(r, genid)?;
-        let n_anc = r.read_varint()? as usize;
-        if n_anc > r.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        anc.clear();
-        let mut prev = 0u64;
-        for i in 0..n_anc {
-            let delta = r.read_varint()?;
-            // Checked: a hostile delta must become a CodecError, not an
-            // overflow panic (the codec is total over arbitrary bytes).
-            let a = prev
-                .checked_add(delta)
-                .ok_or_else(|| CodecError::Invalid("ancestor delta overflows".into()))?;
-            // The first id is absolute (delta from 0); later ids must
-            // strictly ascend.
-            if (i > 0 && delta == 0) || a >= n_alloc as u64 {
-                return Err(CodecError::Invalid(format!(
-                    "ancestor id {a} out of order or range"
-                )));
-            }
-            anc.push(NodeId(a as u32));
-            prev = a;
-        }
-        // Rejects what the encoder never writes and a per-pair load would
-        // have absorbed silently: a `d` listed twice, a `d` among its own
-        // ancestors.
-        let load_d = load.add(d, only_parent(dag, d), anc.as_run());
-        load_d.map_err(CodecError::Invalid)?;
-    }
-    Ok(load.finish())
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Full system state.
 // ---------------------------------------------------------------------------
 
-/// Serializes the complete system state `(I, V, M, L)` — base database,
-/// `gen_A` tables, DAG, topological order, reachability matrix — into
-/// `out`. The grammar is intentionally excluded (see the module docs).
+/// Serializes what only the system's history decides — the base database
+/// `I`, the DAG `V` (the interner's id space and the child lists) and the
+/// topological order `L` — into `out` (`RXCKPv2`). The `gen_A` tables and
+/// `M` follow from them and are rebuilt on load; the grammar is
+/// intentionally excluded (see the module docs).
 pub fn encode_system(sys: &XmlViewSystem, out: &mut Vec<u8>) {
     let vs = sys.view();
     put_database(out, sys.base());
-    put_database(out, vs.gen_db());
     put_dag(out, vs.dag(), vs.atg().dtd());
     let order = sys.topo().order();
     put_varint(out, order.len() as u64);
     for &n in order {
         put_varint(out, n.0 as u64);
     }
-    put_reach(out, vs.dag(), sys.reach());
-}
-
-/// Decodes the `gen_A` tables against the interner they register: a type's
-/// table must list exactly the `$A` tuples of its live nodes, and its rows
-/// *are* those tuples (one allocation per attribute, as after
-/// [`ViewStore::publish`]) — each is compared where it was decoded against
-/// the interner's next tuple in key order, and nothing is allocated for it.
-fn read_gen_db(r: &mut Reader<'_>, atg: &Atg, dag: &Dag) -> CodecResult<Database> {
-    let rows = gen_rows(dag, atg.dtd().n_types());
-    let names = atg.dtd().types().map(|ty| atg.gen_table_name(ty));
-    let registries: Vec<_> = names.zip(rows).collect();
-    // The nodes a table registers, by its name — none, and then nothing is
-    // shared and the table refused, if it names no type.
-    let rows_of = |name: &str| {
-        let named = registries.iter().find(|(table, _)| table == name);
-        named.map_or(&[][..], |(_, rows)| rows)
-    };
-    let n_tables = r.read_varint()? as usize;
-    if n_tables != registries.len() {
-        return Err(CodecError::Invalid(format!(
-            "{n_tables} gen tables for {} element types",
-            registries.len()
-        )));
-    }
-    let mut gen_db = Database::new();
-    for _ in 0..n_tables {
-        let (table, shared) = read_table_sharing(r, |schema| rows_of(schema.name()).iter())?;
-        let registered = rows_of(table.schema().name()).len();
-        if (shared, table.len()) != (registered, registered) {
-            return Err(CodecError::Invalid(format!(
-                "`{}` does not list the interner's live nodes of its type",
-                table.schema().name()
-            )));
-        }
-        gen_db
-            .add_table(table)
-            .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
-    }
-    Ok(gen_db)
 }
 
 /// Reassembles a system from [`encode_system`] bytes under `atg`, which
 /// must be the grammar the state was produced with (the embedded type-name
 /// table is checked against it).
 pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem> {
+    decode_sections(atg, r, false)
+}
+
+/// [`decode_system`] for a checkpoint one format back (`RXCKPv1`), which
+/// also wrote the `gen_A` tables after `I` and `M` after `L`: both are
+/// stepped over and rebuilt as [`decode_system`] rebuilds them.
+pub fn decode_system_v1(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem> {
+    decode_sections(atg, r, true)
+}
+
+/// Reads `I`, `V` and `L` — over the `gen_A` and `M` sections too when
+/// `v1` — then rebuilds the rest with the code publication builds it with:
+/// the `gen_A` tables from the interner ([`ViewStore::from_dag`]) and `M`
+/// by Algorithm Reach backward over `L`, once `L` is checked to list every
+/// live node once, children before parents.
+fn decode_sections(atg: &Atg, r: &mut Reader<'_>, v1: bool) -> CodecResult<XmlViewSystem> {
     let base = read_database(r)?;
-    // The `gen_A` tables are written before the interner whose tuples their
-    // rows are: step over them, and decode them once it is rebuilt.
-    let mut gen_section = r.fork();
-    skip_database(r)?;
-    let gen_end = r.position();
+    if v1 {
+        skip_database(r)?;
+    }
     let dag = read_dag(r, atg)?;
-    let gen_db = read_gen_db(&mut gen_section, atg, &dag)?;
-    if gen_section.position() != gen_end {
-        return Err(CodecError::Invalid(
-            "gen tables decode to another length".into(),
-        ));
-    }
-    let n_order = r.read_varint()? as usize;
-    if n_order > r.remaining() {
-        return Err(CodecError::Truncated);
-    }
+    let n_order = read_count(r)?;
     if n_order != dag.n_nodes() {
         return Err(CodecError::Invalid(format!(
             "L has {n_order} entries for {} live nodes",
@@ -1195,8 +1067,17 @@ pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem
         order.push(read_node(r, dag.genid())?);
     }
     let topo = TopoOrder::from_order(order);
-    let reach = read_reach(r, &dag)?;
-    let vs = ViewStore::from_parts(atg.clone(), dag, gen_db);
+    if !topo.is_valid_for(&dag) {
+        return Err(CodecError::Invalid(
+            "L repeats a node or is not a topological order of V".into(),
+        ));
+    }
+    if v1 {
+        skip_reach(r)?;
+    }
+    let vs = ViewStore::from_dag(atg.clone(), dag)
+        .map_err(|e| CodecError::Invalid(format!("gen tables rejected: {e}")))?;
+    let reach = Reachability::compute(vs.dag(), &topo);
     Ok(XmlViewSystem::from_parts(base, vs, topo, reach))
 }
 
@@ -1338,67 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn reach_round_trips_through_the_bulk_load() {
-        let sys = system();
-        let dag = sys.view().dag();
-        let mut bytes = Vec::new();
-        put_reach(&mut bytes, dag, sys.reach());
-        let mut r = Reader::new(&bytes);
-        let back = read_reach(&mut r, dag).unwrap();
-        assert!(r.is_empty());
-        assert!(back.same_pairs(sys.reach()));
-    }
-
-    /// `M` bytes as the encoder lays them out: each `d` with its ancestor
-    /// ids delta-coded.
-    fn reach_bytes(entries: &[(u64, &[u64])]) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_varint(&mut out, entries.len() as u64);
-        for (d, anc) in entries {
-            put_varint(&mut out, *d);
-            put_varint(&mut out, anc.len() as u64);
-            let mut prev = 0;
-            for a in *anc {
-                put_varint(&mut out, a - prev);
-                prev = *a;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn hostile_reach_entries_error_not_panic() {
-        let ten = (0..10i64).map(|i| Some((TypeId(0), tuple![i])));
-        let genid = GenId::from_slots(ten, |_| None).unwrap();
-        let dag = Dag::from_adjacency(genid, None, &[]).unwrap();
-        let decode =
-            |entries: &[(u64, &[u64])]| read_reach(&mut Reader::new(&reach_bytes(entries)), &dag);
-        let m = decode(&[(5, &[1, 2]), (7, &[1, 5])]).unwrap();
-        assert_eq!(m.n_pairs(), 4);
-        // What the encoder never writes and a per-pair load would absorb:
-        // a `d` listed twice, a `d` among its own ancestors.
-        let twice: &[(u64, &[u64])] = &[(5, &[1]), (5, &[2])];
-        let own_ancestor: &[(u64, &[u64])] = &[(5, &[1, 5])];
-        // Rejected before the bulk load, and still: a repeated id, ids
-        // beyond the interner.
-        let repeated: &[(u64, &[u64])] = &[(5, &[2, 2])];
-        let anc_out_of_range: &[(u64, &[u64])] = &[(5, &[1, 10])];
-        let d_out_of_range: &[(u64, &[u64])] = &[(10, &[1])];
-        for hostile in [
-            twice,
-            own_ancestor,
-            repeated,
-            anc_out_of_range,
-            d_out_of_range,
-        ] {
-            assert!(
-                matches!(decode(hostile), Err(CodecError::Invalid(_))),
-                "{hostile:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn grammar_mismatch_is_detected() {
         let sys = system();
         let mut bytes = Vec::new();
@@ -1432,5 +1252,79 @@ mod tests {
         for cut in (0..bytes.len()).step_by(7) {
             assert!(decode_system(&atg, &mut Reader::new(&bytes[..cut])).is_err());
         }
+    }
+
+    /// `M` is computed backward over the loaded `L`, so an `L` that lists
+    /// a node twice or puts a parent before its child is refused, not
+    /// loaded into a system that fails its own consistency check.
+    #[test]
+    fn a_checkpoint_whose_l_is_not_a_topological_order_is_refused() {
+        let sys = system();
+        let mut bytes = Vec::new();
+        encode_system(&sys, &mut bytes);
+        let l_bytes = |order: &[NodeId]| {
+            let mut out = Vec::new();
+            put_varint(&mut out, order.len() as u64);
+            for n in order {
+                put_varint(&mut out, n.0 as u64);
+            }
+            out
+        };
+        let order = sys.topo().order();
+        assert!(bytes.ends_with(&l_bytes(order)), "L is the last section");
+        let before_l = &bytes[..bytes.len() - l_bytes(order).len()];
+        let reversed: Vec<NodeId> = order.iter().rev().copied().collect();
+        let mut repeated = order.to_vec();
+        repeated[1] = repeated[0];
+        let atg = sys.view().atg();
+        for forged in [reversed, repeated] {
+            let bytes = [before_l, &l_bytes(&forged)].concat();
+            let decoded = decode_system(atg, &mut Reader::new(&bytes));
+            assert!(
+                matches!(decoded, Err(CodecError::Invalid(_))),
+                "{forged:?} must be refused"
+            );
+        }
+    }
+
+    /// `n` courses in one prerequisite chain under one top-level course:
+    /// `5n + 1` view nodes, and `M` quadratic in `n`.
+    fn chain(n: usize) -> XmlViewSystem {
+        let mut db = rxview_relstore::Database::new();
+        rxview_atg::registrar_schema(&mut db);
+        for i in 0..n {
+            let dept = if i == 0 { "CS" } else { "Math" };
+            db.insert("course", tuple![format!("C{i}"), format!("T{i}"), dept])
+                .unwrap();
+            if i > 0 {
+                db.insert("prereq", tuple![format!("C{}", i - 1), format!("C{i}")])
+                    .unwrap();
+            }
+        }
+        XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap()
+    }
+
+    /// A checkpoint grows with `V`, not with `M` (ROADMAP item 17): over a
+    /// 201- and a 2 001-node chain, where `M`'s pairs grow ≈ 100×, its
+    /// bytes grow at most 12× — 10× the nodes, and ids and keys a byte
+    /// longer (11.3× measured).
+    #[test]
+    fn a_checkpoint_grows_with_the_view_not_with_m() {
+        let mut sizes = Vec::new();
+        for n in [40, 400] {
+            let sys = chain(n);
+            assert_eq!(sys.view().n_nodes(), 5 * n + 1);
+            let mut bytes = Vec::new();
+            encode_system(&sys, &mut bytes);
+            sizes.push((bytes.len(), sys.reach().n_pairs()));
+        }
+        let [(small, small_m), (large, large_m)] = sizes[..] else {
+            unreachable!()
+        };
+        assert!(large_m > 50 * small_m, "M: {small_m} → {large_m} pairs");
+        assert!(
+            large <= 12 * small,
+            "checkpoint bytes grew {small} → {large} over a 10× longer chain"
+        );
     }
 }

@@ -28,8 +28,8 @@
 //! - [`union`] / [`minus`]: one linear merge by key, `|` or `& !` per shared
 //!   block, a word emptied by `minus` dropped;
 //! - iteration ([`Run::iter`]): `trailing_zeros` per id, ascending — so what
-//!   the evaluators, the `L` repairs and the checkpoint encoder see is the
-//!   order an id array gave them;
+//!   the evaluators and the `L` repairs see is the order an id array gave
+//!   them;
 //! - [`Run::len`]: a popcount per word (not a stored length);
 //! - the Reach recurrence `⋃_p ({p} ∪ anc(p))`: every parent's words are
 //!   OR-ed into a dense scratch of one mask per block of the id space and
@@ -42,8 +42,9 @@
 //!
 //! Children whose only live parent is `p` all have `anc = anc(p) ∪ {p}`,
 //! and they hold that run as **one** allocation: [`Reachability::compute`]
-//! and the checkpoint load store it once per `p`, and a maintenance fold
-//! hands a fresh such child the handle a sibling holds. Rewriting one
+//! — which is also how a checkpoint load rebuilds `M` — stores it once per
+//! `p`, and a maintenance fold hands a fresh such child the handle a
+//! sibling holds. Rewriting one
 //! child's run later swaps that child's handle only. The counters count
 //! per node — a shared run's words once per node that holds it — so they
 //! do not depend on what is shared.
@@ -53,9 +54,10 @@
 //! none. Everything that writes `M` is a bulk operation:
 //!
 //! - [`Reachability::compute`] builds every run with the recurrence,
-//!   backward over `L`; `AncestorLoad` (under
-//!   [`Reachability::from_ancestors`] and the checkpoint decoder) stores
-//!   the runs it is given;
+//!   backward over `L`, at publication and at a checkpoint load, which
+//!   stores no `M`; `AncestorLoad` (under [`Reachability::from_ancestors`],
+//!   which the reference crate loads its closure through) stores the runs
+//!   it is given;
 //! - maintenance edits ancestor sets wholesale
 //!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
 //!   its recurrence form [`Reachability::set_ancestors_from`],
@@ -420,12 +422,13 @@ impl ReachBatch {
     }
 }
 
-/// Bulk load of `M` from per-descendant ancestor sets (the checkpoint's
-/// layout, and what [`Reachability::compute`] derives), one
-/// [`AncestorLoad::add`] per node, each run stored as given — once for all
-/// the children of one `p` that have no other parent.
+/// Bulk load of `M` from per-descendant ancestor sets (what
+/// [`Reachability::compute`] derives, and what
+/// [`Reachability::from_ancestors`] is given), one run per node, stored as
+/// given — once for all the children of one `p` that have no other parent
+/// when `compute` names `p`.
 #[derive(Debug, Default)]
-pub(crate) struct AncestorLoad {
+struct AncestorLoad {
     anc: PagedVec<Option<Words>>,
     n_pairs: usize,
     n_words: usize,
@@ -436,28 +439,23 @@ pub(crate) struct AncestorLoad {
 }
 
 impl AncestorLoad {
-    /// Sets `anc(d)`, where `only_parent` is `d`'s one live parent if it
-    /// has exactly one. Fails — rather than build a matrix whose runs or
+    /// Sets `anc(d)`. Fails — rather than build a matrix whose runs or
     /// counter disagree — on a `d` listed twice and on a `d` among its own
     /// ancestors.
-    pub(crate) fn add(
-        &mut self,
-        d: NodeId,
-        only_parent: Option<NodeId>,
-        ancestors: Run<'_>,
-    ) -> Result<(), String> {
+    fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
         if !words_of(&self.anc, d).is_empty() {
             return Err(format!("node {} is listed twice", d.0));
         }
         if ancestors.contains(&d) {
             return Err(format!("node {} is its own ancestor", d.0));
         }
-        self.put(d, only_parent, ancestors);
+        self.put(d, None, ancestors);
         Ok(())
     }
 
-    /// [`AncestorLoad::add`] without its checks. A run equal to the one an
-    /// earlier child of `only_parent` was given is stored as that child's
+    /// Sets `anc(d)`, where `only_parent` is `d`'s one live parent if it
+    /// has exactly one. A run equal to the one an earlier child of
+    /// `only_parent` was given is stored as that child's
     /// allocation; any other run as one of its own.
     fn put(&mut self, d: NodeId, only_parent: Option<NodeId>, ancestors: Run<'_>) {
         self.n_pairs += ancestors.len();
@@ -481,7 +479,7 @@ impl AncestorLoad {
     }
 
     /// The matrix of the sets added.
-    pub(crate) fn finish(self) -> Reachability {
+    fn finish(self) -> Reachability {
         Reachability {
             anc: self.anc,
             n_pairs: self.n_pairs,
@@ -525,7 +523,7 @@ impl Reachability {
                 }
                 run.push(a);
             }
-            load.add(d, None, run.as_run())?;
+            load.add(d, run.as_run())?;
         }
         Ok(load.finish())
     }

@@ -249,13 +249,17 @@ impl TopoOrder {
         }
     }
 
-    /// Checks the topological invariant against a DAG (test/debug helper):
-    /// every live child precedes its parents.
+    /// Checks the topological invariant against a DAG: `L` lists every live
+    /// node once, and every live child precedes its parents. The checkpoint
+    /// decoder holds a loaded `L` to it.
     pub fn is_valid_for(&self, dag: &Dag) -> bool {
         if self.order.len() != dag.genid().live_ids().count() {
             return false;
         }
         for u in dag.genid().live_ids() {
+            if self.position(u).is_none() {
+                return false;
+            }
             for &c in dag.children(u) {
                 if !dag.genid().is_live(c) {
                     continue;

@@ -48,21 +48,30 @@ impl ViewStore {
         db: &Database,
     ) -> Result<(Self, Vec<NodeId>), PublishError> {
         let (dag, leaves_first) = rxview_atg::publish_leaves_first(&atg, db)?;
+        let vs = ViewStore::from_dag(atg, dag)
+            .expect("distinct nodes of a type have distinct, well-typed attributes");
+        Ok((vs, leaves_first))
+    }
+
+    /// The store over a [`Dag`], published or loaded: each `gen_A` table is
+    /// laid out from the interner — its type's live nodes in key order
+    /// ([`gen_rows`]), bulk-loaded with [`Table::from_sorted_rows`]. Fails
+    /// on a `$A` its table's schema rejects or two nodes of a type with one
+    /// `gen_A` row, which only a corrupt checkpoint holds.
+    pub(crate) fn from_dag(atg: Atg, dag: Dag) -> RelResult<Self> {
         let mut gen_db = Database::new();
         let rows = gen_rows(&dag, atg.dtd().n_types());
         for (ty, rows) in atg.dtd().types().zip(rows) {
-            let table = Table::from_sorted_rows(atg.gen_table_schema(ty), rows)
-                .expect("distinct nodes of a type have distinct, well-typed attributes");
-            gen_db.add_table(table).expect("one gen table per type");
+            gen_db.add_table(Table::from_sorted_rows(atg.gen_table_schema(ty), rows)?)?;
         }
-        Ok((ViewStore::from_parts(atg, dag, gen_db), leaves_first))
+        Ok(ViewStore::from_parts(atg, dag, gen_db))
     }
 
-    /// Reassembles a store from checkpointed parts — the published [`Dag`]
-    /// and the `gen_A` database — without re-running `σ(I)`. The edge-view
-    /// queries are grammar-derived (bounded by `|DTD|`, §2.3) and are
-    /// rebuilt from `atg`, which must be the same grammar the parts were
-    /// produced under; the durability codec validates that before calling.
+    /// Assembles a store from its parts — a [`Dag`] and the `gen_A`
+    /// database that registers its nodes — without re-running `σ(I)`. The
+    /// edge-view queries are grammar-derived (bounded by `|DTD|`, §2.3) and
+    /// are rebuilt from `atg`, which must be the grammar the parts were
+    /// produced under.
     pub fn from_parts(atg: Atg, dag: Dag, gen_db: Database) -> Self {
         let mut edge_queries = BTreeMap::new();
         for parent in atg.dtd().types() {
@@ -243,7 +252,7 @@ impl ViewStore {
 /// key order: for every live node the interner's own `$A` tuple — a handle
 /// to it, not a copy — which is how a published view pays for an attribute
 /// once. One pass over the interner's slots groups them by type.
-pub(crate) fn gen_rows(dag: &Dag, n_types: usize) -> Vec<Vec<Tuple>> {
+fn gen_rows(dag: &Dag, n_types: usize) -> Vec<Vec<Tuple>> {
     let genid = dag.genid();
     let mut rows = vec![Vec::new(); n_types];
     for id in genid.live_ids() {

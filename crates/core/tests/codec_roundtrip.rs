@@ -118,10 +118,6 @@ fn golden_bytes_pin_the_format() {
 /// spells an insertion of `Int` values, which fill its shape's slots. The
 /// fourth is all shaped: an update whose slots repeat their last binding
 /// costs its head, its index and a byte a slot, and one a step away no more.
-///
-/// What an `RXWALv4` segment framed differs from the first two records only
-/// in the literal `4096`, written as it is; read over tables that read
-/// integers so, it is the same rounds. Older formats are not read.
 #[test]
 fn golden_bytes_pin_logged_updates() {
     let first: Vec<LoggedUpdate> = vec![
@@ -256,26 +252,13 @@ fn golden_bytes_pin_logged_updates() {
     assert_eq!(
         records,
         [
-            expected_first.clone(),
-            expected_second.clone(),
+            expected_first,
+            expected_second,
             expected_third,
             expected_fourth
         ]
     );
-    assert_eq!(
-        read_segment(&records, Tables::Segment),
-        (segment.clone(), None)
-    );
-    let n = expected_first.len();
-    let literal_as_it_is: &[u8] = &[0x80, 0x40]; // 4096 << 1
-    let v4 = [
-        [&expected_first[..n - 2], literal_as_it_is].concat(),
-        expected_second,
-    ];
-    assert_eq!(
-        read_segment(&v4, Tables::Absolute),
-        (segment[..2].to_vec(), None)
-    );
+    assert_eq!(read_segment(&records), (segment, None));
 }
 
 /// `segment`'s records as one segment writes them: one [`RecordTables`],
@@ -291,27 +274,10 @@ fn segment_bytes(segment: &[(u64, Vec<LoggedUpdate>)]) -> Vec<Vec<u8>> {
     segment.iter().map(record).collect()
 }
 
-/// How a segment's records share their tables, and how they write a shaped
-/// update's integers.
-#[derive(Clone, Copy)]
-enum Tables {
-    /// One [`ReadTables`] for the segment, integers as deltas from their
-    /// slots (`RXWALv5`).
-    Segment,
-    /// One for the segment, integers as they are (`RXWALv4`).
-    Absolute,
-}
-
 /// Reads a segment's records in order, each of them whole, up to the first
 /// that does not decode: the rounds before it, and why it did not.
-fn read_segment(
-    records: &[Vec<u8>],
-    tables: Tables,
-) -> (Vec<(u64, Vec<LoggedUpdate>)>, Option<CodecError>) {
-    let mut read = match tables {
-        Tables::Segment => ReadTables::default(),
-        Tables::Absolute => ReadTables::absolute_literals(),
-    };
+fn read_segment(records: &[Vec<u8>]) -> (Vec<(u64, Vec<LoggedUpdate>)>, Option<CodecError>) {
+    let mut read = ReadTables::default();
     let mut rounds = Vec::new();
     for bytes in records {
         let mut r = Reader::new(bytes);
@@ -522,7 +488,7 @@ proptest! {
     #[test]
     fn segments_round_trip(segment in segment_strategy()) {
         let records = segment_bytes(&segment);
-        let (back, error) = read_segment(&records, Tables::Segment);
+        let (back, error) = read_segment(&records);
         prop_assert!(error.is_none(), "decode failed: {:?}", error);
         prop_assert_eq!(&back, &segment);
         prop_assert!(segment_bytes(&segment) == records, "the same bytes again");
@@ -536,12 +502,12 @@ proptest! {
     fn truncated_segments_read_to_their_record_prefix(segment in segment_strategy()) {
         let records = segment_bytes(&segment);
         for k in 0..records.len() {
-            let (whole, error) = read_segment(&records[..k], Tables::Segment);
+            let (whole, error) = read_segment(&records[..k]);
             prop_assert!(error.is_none() && whole == segment[..k], "boundary {}", k);
             for cut in 0..records[k].len() {
                 let mut torn = records[..k].to_vec();
                 torn.push(records[k][..cut].to_vec());
-                let (prefix, error) = read_segment(&torn, Tables::Segment);
+                let (prefix, error) = read_segment(&torn);
                 prop_assert!(error.is_some(), "record {} cut at {}", k, cut);
                 prop_assert_eq!(&prefix[..], &segment[..k]);
             }
@@ -567,10 +533,10 @@ proptest! {
             }
             let at = at % bytes.len();
             bytes[at] ^= xor;
-            let (read, _) = read_segment(&hostile, Tables::Segment);
+            let (read, _) = read_segment(&hostile);
             prop_assert!(read.len() >= k, "record {} flipped at {}", k, at);
             prop_assert_eq!(&read[..k], &segment[..k]);
-            let again = read_segment(&segment_bytes(&read), Tables::Segment);
+            let again = read_segment(&segment_bytes(&read));
             prop_assert_eq!(again, (read, None));
         }
     }
@@ -605,7 +571,7 @@ proptest! {
             records.push(out);
         }
         prop_assert!(records == segment_bytes(&segment), "aborted at {}", at);
-        prop_assert_eq!(read_segment(&records, Tables::Segment), (segment, None));
+        prop_assert_eq!(read_segment(&records), (segment, None));
     }
 }
 
@@ -830,25 +796,25 @@ fn hostile_records_error_not_panic() {
     // Across the records of a segment: the first spells `delete node[id =
     // "x"]` (labels 1 `node` and 2 `id`, shape 0); the second may name
     // those, and nothing past them.
-    let segment = |second: &[u8], tables| {
+    let segment = |second: &[u8]| {
         let records = [[&[0x01, 0x01][..], spelled].concat(), second.to_vec()];
-        let (rounds, error) = read_segment(&records, tables);
+        let (rounds, error) = read_segment(&records);
         assert!(!rounds.is_empty(), "the first record reads");
         (rounds.len(), error)
     };
-    let named = |second: &[u8], tables| match segment(second, tables) {
+    let named = |second: &[u8]| match segment(second) {
         (2, None) => true,
         (1, Some(CodecError::Invalid(_))) => false,
         other => panic!("{second:?}: {other:?}"),
     };
     // Shape 0 is named, shape 1 is past the segment's table.
     let delete_shaped = |k: u8| [0x02, 0x01, 0x05, k, 0x03, b'y'];
-    assert!(named(&delete_shaped(0), Tables::Segment));
-    assert!(!named(&delete_shaped(1), Tables::Segment));
+    assert!(named(&delete_shaped(0)));
+    assert!(!named(&delete_shaped(1)));
     // `delete id`: label 2 is the first record's, label 3 past the table.
     let delete_label = |k: u8| [0x02, 0x01, 0x01, 0x01, 0x01, k];
-    assert!(named(&delete_label(2), Tables::Segment));
-    assert!(!named(&delete_label(3), Tables::Segment));
+    assert!(named(&delete_label(2)));
+    assert!(!named(&delete_label(3)));
 }
 
 /// A registrar update from a small pool: enrolments, prerequisite links and

@@ -1,6 +1,7 @@
 //! Randomized tests of the auxiliary structures (§3.1, §3.4) on synthetic
 //! DAGs built directly through the `Dag` API: Algorithm Reach against the
-//! naive closure and the checkpoint's bulk load, `M`'s one direction
+//! naive closure and the bulk load the reference crate stores its closure
+//! through (`Reachability::from_ancestors`), `M`'s one direction
 //! (`is_ancestor`) and the descendant walk that stands in for the other
 //! against a model closure — also over free and recycled ids — and the
 //! `swap(L, u, v)` repair under random edge insertions.
@@ -72,8 +73,8 @@ proptest! {
         let fast = Reachability::compute(&dag, &topo);
         let naive = compute_naive(&dag);
         prop_assert!(fast.same_pairs(&naive));
-        // What a checkpoint lists — each live `d` with its ascending
-        // `anc(d)` — bulk-loads back to the same matrix.
+        // Each live `d` with its ascending `anc(d)` bulk-loads back to the
+        // same matrix.
         let listed = dag.genid().live_ids().map(|d| (d, fast.ancestors(d)));
         let loaded = Reachability::from_ancestors(listed).expect("runs of a computed M");
         prop_assert!(loaded.same_pairs(&fast));
@@ -82,8 +83,8 @@ proptest! {
     /// `M` stores ancestors only: on DAGs whose id space has free ids and
     /// ids recycled to nodes that sit anywhere in `L`, `is_ancestor` answers
     /// the model closure for every pair of ids, the descendant walk returns
-    /// the closure's `desc(a)` for every id, and the checkpoint's bulk load
-    /// of the computed runs is the same matrix, word for word.
+    /// the closure's `desc(a)` for every id, and the bulk load of the
+    /// computed runs is the same matrix, word for word.
     #[test]
     fn the_walk_and_is_ancestor_match_the_closure_over_recycled_ids(
         n in 3usize..24,

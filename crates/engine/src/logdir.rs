@@ -9,11 +9,14 @@
 //!   deleted by `Wal::compact` once a checkpoint covers all its records, and
 //!   by the anchor, which a durable recovery runs only on a directory it read
 //!   in full (`crate::recovery`).
-//! - `ckpt-<epoch>.rxck`, `(I, V, M, L)` at a published epoch: `RXCKPv1\n`,
-//!   the payload's length (u64 LE) and CRC-32 (u32 LE), then the payload,
-//!   `varint epoch` · [`rxview_core::codec::encode_system`]. Written only by
-//!   `LogDir::write_checkpoint`; pruned to the newest [`KEEP_CHECKPOINTS`]
-//!   after every checkpoint and anchor.
+//! - `ckpt-<epoch>.rxck`, the state at a published epoch: `RXCKPv2\n`, the
+//!   payload's length (u64 LE) and CRC-32 (u32 LE), then the payload,
+//!   `varint epoch` · [`rxview_core::codec::encode_system`] — `I`, `V` and
+//!   `L`; the load rebuilds `gen_A` and `M` from them. One format back,
+//!   `RXCKPv1\n` (which also held `gen_A` and `M`), is read and never
+//!   written (`FORMATS`). Written only by `LogDir::write_checkpoint`;
+//!   pruned to the newest [`KEEP_CHECKPOINTS`] after every checkpoint and
+//!   anchor.
 //! - `ckpt-<epoch>.rxck.tmp`, a checkpoint being written, renamed into place
 //!   when whole. One a crash left is ignored by recovery and pruned.
 //!
@@ -41,15 +44,25 @@ use crate::stats::EngineStats;
 use crate::wal::{Durability, Wal};
 use rxview_atg::Atg;
 use rxview_core::{codec, XmlViewSystem};
-use rxview_relstore::codec::{crc32, put_varint, Reader};
+use rxview_relstore::codec::{crc32, put_varint, CodecResult, Reader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Magic bytes opening every checkpoint file.
-const CKPT_MAGIC: &[u8; 8] = b"RXCKPv1\n";
+/// Magic bytes opening every checkpoint file this engine writes.
+pub(crate) const CKPT_MAGIC: &[u8; 8] = b"RXCKPv2\n";
+
+/// Decodes a checkpoint's system under its grammar.
+type DecodeSystem = fn(&Atg, &mut Reader<'_>) -> CodecResult<XmlViewSystem>;
+
+/// Each magic [`LogDir::load_checkpoint`] reads, this binary's and one back,
+/// with the decoder of its layout.
+pub(crate) const FORMATS: [(&[u8; 8], DecodeSystem); 2] = [
+    (CKPT_MAGIC, codec::decode_system),
+    (b"RXCKPv1\n", codec::decode_system_v1),
+];
 
 /// Checkpoints a prune keeps: the newest, and a spare in case the newest is
 /// lost to a corruption its CRC later rejects.
@@ -173,8 +186,9 @@ impl LogDir {
         self.sync()
     }
 
-    /// Decodes a checkpoint file under `atg`. Returns the epoch and the
-    /// reassembled system, or `None` if the file is torn, corrupt, or encoded
+    /// Decodes a checkpoint file under `atg`, in the layout its magic names.
+    /// Returns the epoch and the reassembled system, or `None` if the file
+    /// is torn, corrupt, of a format `FORMATS` does not list, or encoded
     /// under a different grammar — recovery then falls back to an older one.
     pub(crate) fn load_checkpoint(
         &self,
@@ -189,12 +203,13 @@ impl LogDir {
             let (len, rest) = rest.split_first_chunk::<8>()?;
             let (crc, rest) = rest.split_first_chunk::<4>()?;
             let payload = rest.get(..usize::try_from(u64::from_le_bytes(*len)).ok()?)?;
-            if magic != CKPT_MAGIC || crc32(payload) != u32::from_le_bytes(*crc) {
+            let (_, decode) = FORMATS.iter().find(|(m, _)| magic == *m)?;
+            if crc32(payload) != u32::from_le_bytes(*crc) {
                 return None;
             }
             let mut r = Reader::new(payload);
             let epoch = r.read_varint().ok()?;
-            let sys = codec::decode_system(atg, &mut r).ok()?;
+            let sys = decode(atg, &mut r).ok()?;
             r.is_empty().then_some((epoch, sys))
         })())
     }

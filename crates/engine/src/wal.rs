@@ -36,8 +36,6 @@
 //! append first seals the segment and opens a fresh one, which bounds the
 //! encoder's memory and the reader's.
 //!
-//! One format back, `RXWALv4\n` (integers as they are), is read and never written.
-//!
 //! A record with zero updates is legal in a segment — older engines logged
 //! one for a round whose updates were all rejected; today such a round
 //! publishes no epoch and appends nothing.
@@ -118,14 +116,9 @@ impl Durability {
 /// Magic bytes opening every segment file this engine writes.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"RXWALv5\n";
 
-/// The empty tables a segment's records are read over.
-type NewTables = fn() -> ReadTables<'static>;
-
-/// Each magic [`scan_segment`] reads, this binary's and one back, with its tables.
-const FORMATS: [(&[u8; 8], NewTables); 2] = [
-    (WAL_MAGIC, ReadTables::default),
-    (b"RXWALv4\n", ReadTables::absolute_literals),
-];
+/// Each magic [`scan_segment`] reads: this binary's, and one format back
+/// once the format next changes.
+const FORMATS: [&[u8; 8]; 1] = [WAL_MAGIC];
 
 /// The labels and shapes a segment's tables may hold before the next append
 /// starts a new segment.
@@ -248,12 +241,12 @@ pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let Some(magic) = bytes.get(..WAL_MAGIC.len()) else {
         return scan;
     };
-    let Some((_, tables)) = FORMATS.iter().find(|(m, _)| magic == &m[..]) else {
+    if !FORMATS.iter().any(|m| magic == &m[..]) {
         let why = format!("unknown segment magic {:?}", String::from_utf8_lossy(magic));
         scan.undecodable = Some((0, CodecError::Invalid(why)));
         return scan;
-    };
-    let mut tables = tables();
+    }
+    let mut tables = ReadTables::default();
     let mut pos = WAL_MAGIC.len();
     while let Some((len, rest)) = bytes[pos..].split_first_chunk::<4>() {
         let Some((crc, rest)) = rest.split_first_chunk::<4>() else {
@@ -542,80 +535,6 @@ mod tests {
         ]
     }
 
-    /// `sample_updates` keyed by text: a shaped update of these binds no
-    /// integer, so v4 writes it as v5 does.
-    fn text_keyed_updates() -> Vec<LoggedUpdate> {
-        vec![
-            (
-                XmlUpdate::delete("node[id=n3]/sub/node[id=n7]").unwrap(),
-                SideEffectPolicy::Proceed,
-            ),
-            (
-                XmlUpdate::insert("node", tuple!["n9", true], "node[id=n3]/sub").unwrap(),
-                SideEffectPolicy::Abort,
-            ),
-            (
-                XmlUpdate::delete("node[id=n4]/sub/node[id=n8]").unwrap(),
-                SideEffectPolicy::Proceed,
-            ),
-        ]
-    }
-
-    /// A v4 segment — one set of tables, a shaped update's integers as they
-    /// are — scans through the shared decoder to the rounds it holds. In a
-    /// v5 segment the second record names what the first spelled.
-    #[test]
-    fn a_v4_segment_reads_through_the_shared_decoder() {
-        let dir = temp_dir("v4");
-        let path = dir.join("wal-0000000000.rxlog");
-        let mut bytes = b"RXWALv4\n".to_vec();
-        let mut encoder = RecordEncoder::default();
-        for epoch in [1, 2] {
-            bytes.extend_from_slice(encoder.encode(epoch, &text_keyed_updates()).unwrap());
-            encoder.tables.commit();
-        }
-        fs::write(&path, &bytes).unwrap();
-        let scan = scan_file(&path);
-        assert_eq!((scan.records.len(), scan.discarded), (2, 0));
-        assert!(scan
-            .records
-            .iter()
-            .all(|r| r.updates == text_keyed_updates()));
-        let mut wal = Wal::create(&LogDir::new(&dir), Durability::PerRound, 1).unwrap();
-        let first = wal.append(1, &sample_updates()).unwrap().bytes;
-        let second = wal.append(2, &sample_updates()).unwrap().bytes;
-        assert!(second < first / 2, "{second} B after {first} B");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The magic says how a shaped update's integers read. A record that
-    /// spells `delete node[id=3]`, then names its shape with the literal
-    /// varint 8: in a v4 segment that is `4 << 1`, the literal 4; in a v5
-    /// one `zigzag(2) << 1`, 3 + 2.
-    #[test]
-    fn a_shaped_literal_reads_as_its_segment_s_magic_says() {
-        #[rustfmt::skip]
-        let payload = [
-            0x01, 0x02,                                           // epoch 1, 2 updates
-            0x01, 0x01, 0x05, 0x00, 0x04, b'n', b'o', b'd', b'e', // delete: `node`, 1 filter
-            0x06, 0x00, 0x02, b'i', b'd', 0x03,                   // [id = 3]
-            0x05, 0x00, 0x08,                                     // shape 0, literal 8
-        ];
-        let dir = temp_dir("magic-literals");
-        let path = dir.join("wal-0000000000.rxlog");
-        for (magic, id) in [(b"RXWALv4\n", 4), (WAL_MAGIC, 5)] {
-            let mut bytes = magic.to_vec();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            fs::write(&path, &bytes).unwrap();
-            let scan = scan_file(&path);
-            let want = XmlUpdate::delete(&format!("node[id={id}]")).unwrap();
-            assert_eq!(scan.records[0].updates[1].0, want);
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn append_scan_round_trips() {
         let dir = temp_dir("roundtrip");
@@ -826,17 +745,17 @@ mod tests {
     }
 
     /// A full magic this binary does not read — another file, a newer
-    /// binary's segment, a format more than one back — is not a torn tail:
+    /// binary's segment, a format it no longer reads — is not a torn tail:
     /// the segment is undecodable from offset 0, whatever its records hold.
     #[test]
     fn an_unknown_magic_is_unreadable_not_torn() {
-        let mut v3 = b"RXWALv3\n".to_vec();
-        v3.extend_from_slice(
+        let mut v4 = b"RXWALv4\n".to_vec();
+        v4.extend_from_slice(
             RecordEncoder::default()
-                .encode(1, &text_keyed_updates())
+                .encode(1, &sample_updates())
                 .unwrap(),
         );
-        for bytes in [&b"not a log"[..], b"RXWALv9\n", &v3] {
+        for bytes in [&b"not a log"[..], b"RXWALv9\n", &v4] {
             let scan = scan_segment(bytes);
             assert!(scan.records.is_empty());
             assert_eq!(scan.discarded, bytes.len() as u64);
@@ -850,41 +769,57 @@ mod tests {
     }
 
     /// Every magic `scan_segment` reads opens the segment of a checked-in
-    /// directory under `tests/fixtures/`, and the newest directory's opens
-    /// with `WAL_MAGIC`: the format cannot change without a fixture of the
+    /// directory under `tests/fixtures/`, and every magic a checkpoint load
+    /// reads (`logdir::FORMATS`) one of its checkpoints; the newest
+    /// directory's segment opens with `WAL_MAGIC` and its checkpoints with
+    /// `CKPT_MAGIC`: neither format can change without a fixture of the
     /// bytes it writes. The directories are named `pr<N>_…`, N ascending in
     /// the order they were written.
     #[test]
     fn every_format_keeps_a_fixture() {
+        use crate::logdir::{CKPT_MAGIC, FORMATS as CKPT_FORMATS};
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-        let mut opened: Vec<(u32, Vec<u8>)> = Vec::new();
+        // The magic each segment and each checkpoint opens with, by the
+        // number of its directory.
+        let (mut segments, mut checkpoints) = (Vec::new(), Vec::new());
         for entry in fs::read_dir(&fixtures).unwrap() {
             let dir = entry.unwrap().path();
             let name = dir.file_name().unwrap().to_string_lossy().into_owned();
-            let n = name
+            let n: u32 = name
                 .strip_prefix("pr")
                 .and_then(|s| s.split('_').next())
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| panic!("`{name}` is not named pr<N>_…"));
-            for (_, segment) in segment_files(&dir) {
-                let bytes = fs::read(segment).unwrap();
-                opened.push((n, bytes[..WAL_MAGIC.len()].to_vec()));
-            }
+            let listing = LogDir::new(&dir).list().unwrap();
+            let magic = |(_, path): (u64, PathBuf)| (n, fs::read(path).unwrap()[..8].to_vec());
+            segments.extend(listing.segments.into_iter().map(magic));
+            checkpoints.extend(listing.checkpoints.into_iter().map(magic));
         }
-        for (magic, _) in FORMATS {
-            let tag = String::from_utf8_lossy(magic);
+        let read = [
+            (FORMATS.to_vec(), WAL_MAGIC, &segments, "segment"),
+            (
+                CKPT_FORMATS.iter().map(|(magic, _)| *magic).collect(),
+                CKPT_MAGIC,
+                &checkpoints,
+                "checkpoint",
+            ),
+        ];
+        let newest = segments.iter().map(|(n, _)| *n).max().expect("fixtures");
+        for (magics, this_tree, opened, kind) in read {
+            for magic in magics {
+                let tag = String::from_utf8_lossy(magic);
+                assert!(
+                    opened.iter().any(|(_, m)| m == magic),
+                    "no fixture {kind} opens with {}",
+                    tag.trim_end()
+                );
+            }
+            let mut newest_files = opened.iter().filter(|(n, _)| *n == newest).peekable();
             assert!(
-                opened.iter().any(|(_, m)| m == magic),
-                "no fixture opens with {}",
-                tag.trim_end()
+                newest_files.peek().is_some() && newest_files.all(|(_, m)| m == this_tree),
+                "pr{newest}'s {kind}s are not this tree's"
             );
         }
-        let newest = opened.iter().max_by_key(|(n, _)| *n).expect("fixtures");
-        assert!(
-            newest.1 == WAL_MAGIC,
-            "pr{}'s segment is not this tree's",
-            newest.0
-        );
     }
 
     #[test]

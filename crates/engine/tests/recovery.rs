@@ -889,8 +889,8 @@ fn assert_refused_and_left_as_it_is(
 /// directories holds `build_logged_history`'s epoch-0 checkpoint and one
 /// segment that no recovery reads in full: the segment under a newer
 /// binary's magic, `RXWALv9`; with its second record re-checksummed around a
-/// head byte no encoder writes; and framed by hand as `RXWALv3`, records over
-/// tables of their own, a format this binary no longer reads. Each is
+/// head byte no encoder writes; and framed by hand as `RXWALv4`, a format
+/// this binary no longer reads. Each is
 /// refused and left as it is, and a read-only recovery serves its prefix.
 #[test]
 fn a_segment_recovery_cannot_read_in_full_is_refused_and_left_as_it_is() {
@@ -920,19 +920,19 @@ fn a_segment_recovery_cannot_read_in_full_is_refused_and_left_as_it_is() {
     fs::write(&path, &bytes).expect("write");
     assert_refused_and_left_as_it_is(&atg, &dir, 1, (0, 1), &prefix[1]);
 
-    // The first two rounds as `RXWALv3` framed them; the first record is
+    // The first two rounds framed under `RXWALv4`; the first record is
     // this tree's.
-    let mut v3 = b"RXWALv3\n".to_vec();
+    let mut v4 = b"RXWALv4\n".to_vec();
     for (epoch, u) in (1..).zip(&deletions[..2]) {
         let round = [(u.clone(), Proceed)];
         let mut payload = Vec::new();
         put_round(&mut payload, &mut RecordTables::default(), epoch, &round);
-        v3.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        v3.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v3.extend_from_slice(&payload);
+        v4.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v4.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v4.extend_from_slice(&payload);
     }
-    assert!(v3[8..bounds[1]] == full[8..bounds[1]], "the first record");
-    fs::write(&path, &v3).expect("write");
+    assert!(v4[8..bounds[1]] == full[8..bounds[1]], "the first record");
+    fs::write(&path, &v4).expect("write");
     assert_refused_and_left_as_it_is(&atg, &dir, 0, (0, 1), &prefix[0]);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -1144,7 +1144,7 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 // The on-disk format is older than the in-memory one.
 // ---------------------------------------------------------------------------
 
-/// The history behind `tests/fixtures/pr{33,34}_log_dir`, committed on a
+/// The history behind `tests/fixtures/pr{34,45}_log_dir`, committed on a
 /// durable engine over `dir`: a deletion, a checkpoint, then a
 /// deletion and an insertion left in the log's tail. Returns the ATG and the
 /// oracle's final state.
@@ -1176,21 +1176,21 @@ fn fixture_history(dir: &Path) -> (rxview_atg::Atg, XmlViewSystem) {
     (atg, oracle)
 }
 
-/// `tests/fixtures/pr34_log_dir` is the directory `fixture_history` leaves
+/// `tests/fixtures/pr45_log_dir` is the directory `fixture_history` leaves
 /// behind on this tree: it writes the same bytes for the same history (its
-/// segment opens `RXWALv5`), and recovers them to the oracle's state.
+/// segment opens `RXWALv5`, its checkpoints `RXCKPv2`), and recovers them to
+/// the oracle's state.
 ///
-/// The directory one format back stays readable: `tests/fixtures/pr33_log_dir`
-/// is what `fixture_history` left behind before a shaped update wrote its
-/// integers as deltas from its slots (bed3696): an `RXWALv4` segment, read by
-/// the same decoder with integers as they are — the history spells every
-/// update of its tail, so past the magic its bytes are this tree's — beside
-/// checkpoints byte for byte this tree's.
+/// The directory one format back stays readable: `tests/fixtures/pr34_log_dir`
+/// is what `fixture_history` left behind while a checkpoint also held the
+/// `gen_A` tables and `M` (`RXCKPv1`). The log's format did not change, so
+/// its segment is this tree's byte for byte; its checkpoints are larger, and
+/// load to the same state.
 #[test]
 fn this_tree_and_one_format_back_recover_and_this_tree_rewrites_its_own() {
     let written = temp_dir("rewritten");
     let (atg, oracle) = fixture_history(&written);
-    let ours = dir_bytes(&fixtures().join("pr34_log_dir"));
+    let ours = dir_bytes(&fixtures().join("pr45_log_dir"));
     let names: Vec<&str> = ours.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names.len(),
@@ -1201,29 +1201,37 @@ fn this_tree_and_one_format_back_recover_and_this_tree_rewrites_its_own() {
         dir_bytes(&written) == ours,
         "this tree writes other bytes than the fixture's {names:?}"
     );
-    let segment = |fixture: &str| {
+    let files = |fixture: &str, suffix: &str| {
         let mut dir = dir_bytes(&fixtures().join(fixture));
-        dir.retain(|(name, _)| name.ends_with(".rxlog"));
-        assert_eq!(dir.len(), 1, "{fixture}: one segment");
-        dir.pop().expect("one segment").1
+        dir.retain(|(name, _)| name.ends_with(suffix));
+        dir
     };
-    // No update of the tail is shaped, so no slot is bound: the v5 segment
-    // is the v4 one past the magic.
-    let (v5, v4) = (segment("pr34_log_dir"), segment("pr33_log_dir"));
-    assert!(v5.starts_with(b"RXWALv5\n") && v4.starts_with(b"RXWALv4\n"));
-    assert!(v5[8..] == v4[8..], "past the magic");
-    let mut checkpoints = dir_bytes(&fixtures().join("pr33_log_dir"));
-    checkpoints.retain(|(name, _)| name.ends_with(".rxck"));
-    assert!(
-        ours.iter()
-            .filter(|(name, _)| name.ends_with(".rxck"))
-            .eq(&checkpoints),
-        "the checkpoint format did not change"
+    let (segment, back) = (
+        files("pr45_log_dir", ".rxlog"),
+        files("pr34_log_dir", ".rxlog"),
     );
+    assert_eq!((segment.len(), back.len()), (1, 1), "one segment each");
+    assert!(segment == back, "the log format did not change");
+    let (checkpoints, back) = (
+        files("pr45_log_dir", ".rxck"),
+        files("pr34_log_dir", ".rxck"),
+    );
+    assert_eq!(checkpoints.len(), back.len());
+    for ((name, ours), (back_name, theirs)) in checkpoints.iter().zip(&back) {
+        assert_eq!(name, back_name);
+        assert!(ours.starts_with(b"RXCKPv2\n") && theirs.starts_with(b"RXCKPv1\n"));
+        assert!(
+            ours.len() < theirs.len(),
+            "{name}: {} B against {} B one format back",
+            ours.len(),
+            theirs.len()
+        );
+    }
 
     let free_ids = oracle.view().dag().genid().n_free();
     assert!(free_ids > 0, "the history collects nodes");
-    for fixture in ["pr34_log_dir", "pr33_log_dir"] {
+    let mut states = Vec::new();
+    for fixture in ["pr45_log_dir", "pr34_log_dir"] {
         let dir = copy_dir(&fixtures().join(fixture), fixture);
         let (recovered, report) = recover_readonly(&atg, &dir);
         assert_eq!(
@@ -1243,9 +1251,48 @@ fn this_tree_and_one_format_back_recover_and_this_tree_rewrites_its_own() {
             free_ids,
             "{fixture}: collected nodes' slots are free ids"
         );
+        let mut state = Vec::new();
+        rxview_core::encode_system(snapshot.system(), &mut state);
+        rxview_relstore::codec::put_database(&mut state, snapshot.system().view().gen_db());
+        states.push(state);
         let _ = fs::remove_dir_all(&dir);
     }
+    assert!(states[0] == states[1], "both formats recover one state");
     let _ = fs::remove_dir_all(&written);
+}
+
+/// The `RXCKPv1` decoder takes bytes from disk: `pr34_log_dir`'s checkpoint
+/// payloads, cut short at every 53rd byte, are each an error, and with a
+/// byte flipped at every 53rd position decode or fail without a panic.
+#[test]
+fn a_checkpoint_one_format_back_cut_or_flipped_is_an_error_not_a_panic() {
+    use rxview_core::codec::decode_system_v1;
+    use rxview_relstore::codec::Reader;
+    let (_, atg) = system(80, 1);
+    let decode = |payload: &[u8]| {
+        let mut r = Reader::new(payload);
+        r.read_varint()?; // the epoch
+        decode_system_v1(&atg, &mut r).map(|sys| (sys, r.is_empty()))
+    };
+    let mut checkpoints = dir_bytes(&fixtures().join("pr34_log_dir"));
+    checkpoints.retain(|(name, _)| name.ends_with(".rxck"));
+    assert_eq!(checkpoints.len(), 2);
+    for (name, bytes) in &checkpoints {
+        assert!(bytes.starts_with(b"RXCKPv1\n"), "{name}");
+        // Magic, payload length (u64) and CRC-32 (u32), then the payload.
+        let payload = &bytes[20..];
+        let (whole, consumed) = decode(payload).expect("the intact payload decodes");
+        assert!(consumed, "{name}: the payload is read to its end");
+        whole.consistency_check().unwrap();
+        for cut in (0..payload.len()).step_by(53) {
+            assert!(decode(&payload[..cut]).is_err(), "{name}: cut at {cut}");
+        }
+        for i in (0..payload.len()).step_by(53) {
+            let mut flipped = payload.to_vec();
+            flipped[i] ^= 0x5a;
+            let _ = decode(&flipped);
+        }
+    }
 }
 
 /// Commits `rounds` on a durable engine over `dir`, every round through one

@@ -181,15 +181,6 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
-    /// A second cursor at this one's position, for a section that can only
-    /// be decoded once a later one has been.
-    pub fn fork(&self) -> Reader<'a> {
-        Reader {
-            values: Vec::new(),
-            ..*self
-        }
-    }
-
     /// Bytes left.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -480,12 +471,11 @@ pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
 /// order, and a decoded row equal to the donor at its key takes the donor's
 /// allocation in place of one of its own — through the key-order merge
 /// [`Database::share_equal_rows`] runs too, comparing a row's values where
-/// they were decoded, before anything is allocated for them. Returns the
-/// table and how many of its rows are donors'.
-pub fn read_table_sharing<'d, I>(
+/// they were decoded, before anything is allocated for them.
+fn read_table_sharing<'d, I>(
     r: &mut Reader<'_>,
     donors: impl FnOnce(&TableSchema) -> I,
-) -> CodecResult<(Table, usize)>
+) -> CodecResult<Table>
 where
     I: Iterator<Item = &'d Tuple>,
 {
@@ -515,8 +505,7 @@ where
     if let Some(e) = failed {
         return Err(e);
     }
-    let table = table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))?;
-    Ok((table, donors.shared()))
+    table.map_err(|e| CodecError::Invalid(format!("rows rejected: {e}")))
 }
 
 /// Encodes a whole [`Database`] (table count + tables, name order).
@@ -541,7 +530,7 @@ pub fn read_database(r: &mut Reader<'_>) -> CodecResult<Database> {
     let mut db = Database::new();
     for _ in 0..n {
         let donor = |schema: &TableSchema| db.same_shape(schema).into_iter().flat_map(Table::iter);
-        let (table, _) = read_table_sharing(r, donor)?;
+        let table = read_table_sharing(r, donor)?;
         db.add_table(table)
             .map_err(|e| CodecError::Invalid(format!("duplicate table: {e}")))?;
     }
@@ -646,8 +635,7 @@ mod tests {
         let mut out = Vec::new();
         put_table(&mut out, &table);
         let mut r = Reader::new(&out);
-        let (back, shared) = read_table_sharing(&mut r, |_| std::iter::empty()).unwrap();
-        assert_eq!(shared, 0);
+        let back = read_table_sharing(&mut r, |_| std::iter::empty()).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.schema(), table.schema());
         assert_eq!(back.len(), 2);

@@ -12,12 +12,13 @@
 //! the registrar view, where students and prerequisite courses are shared
 //! and the jobs of a batch therefore meet at shared nodes.
 
+mod common;
+
+use common::state_bytes;
 use proptest::prelude::*;
 use rxview::atg::NodeId;
 use rxview::core::reach::descendants;
-use rxview::core::{
-    encode_system, DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem,
-};
+use rxview::core::{DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview::relstore::tuple;
 use rxview::workload::{edge_fingerprint, registrar_atg, registrar_database};
 use std::collections::BTreeSet;
@@ -128,7 +129,7 @@ fn fold_and_compare(
 
 /// Folds `jobs` into `reordered` with the deletion jobs reversed and moved
 /// ahead of the insert jobs, and holds the result to `batched`, which folded
-/// the same jobs in application order, down to `encode_system` bytes.
+/// the same jobs in application order, down to `state_bytes`.
 fn fold_reordered_and_compare(
     reordered: &mut XmlViewSystem,
     jobs: Vec<DeferredMaintenance>,
@@ -140,13 +141,8 @@ fn fold_reordered_and_compare(
     let n_deletes = jobs.len();
     jobs.extend(inserts);
     reordered.fold_maintenance(jobs).expect("fold");
-    let bytes = |sys: &XmlViewSystem| {
-        let mut out = Vec::new();
-        encode_system(sys, &mut out);
-        out
-    };
     prop_assert!(
-        bytes(reordered) == bytes(batched),
+        state_bytes(reordered) == state_bytes(batched),
         "a fold with its {} deletion jobs moved first",
         n_deletes
     );

@@ -3,7 +3,10 @@
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `M` and `L` equal to
 //! recomputation.
 
-use rxview::core::{encode_system, SideEffectPolicy, UpdateError, XmlUpdate, XmlViewSystem};
+mod common;
+
+use common::state_bytes;
+use rxview::core::{SideEffectPolicy, UpdateError, XmlUpdate, XmlViewSystem};
 use rxview::relstore::tuple;
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
@@ -132,12 +135,7 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     db.insert("prereq", tuple!["MA200", "CS240"]).unwrap();
     let atg = registrar_atg(&db).unwrap();
     let mut sys = XmlViewSystem::new(atg, db).unwrap();
-    let bytes = |sys: &XmlViewSystem| {
-        let mut out = Vec::new();
-        encode_system(sys, &mut out);
-        out
-    };
-    let before = bytes(&sys);
+    let before = state_bytes(&sys);
     let before_nodes = sys.view().n_nodes();
     // ST(course, MA200) is all fresh down to the old CS240 it shares —
     // below which the target sits: CS240 → prereq → MA200 → prereq → CS240.
@@ -153,7 +151,7 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     // Down to the id space the interning grew: a recovered engine, whose
     // log holds accepted updates only, rebuilds these bytes.
     assert!(
-        bytes(&sys) == before,
+        state_bytes(&sys) == before,
         "a rejected insertion changed the system"
     );
     sys.consistency_check().unwrap();

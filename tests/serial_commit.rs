@@ -4,9 +4,9 @@
 //! on its own, so the engine must reach *exactly* what
 //! `rxview_reference::reference_apply` — §3.2 verbatim, then translation,
 //! then ∆(M,L) for that one update — reaches: the same accept bitmap and the
-//! same `(I, V, M, L)`, down to the checkpoint encoding's bytes (node ids,
-//! `L`'s order and `M`'s runs included), after every commit and at every
-//! round cap. And a durable engine killed after any record recovers to that
+//! same `(I, V, M, L)`, down to the checkpoint encoding's bytes (node ids
+//! and `L`'s order included), the `gen_A` tables and `M`'s ancestor sets,
+//! after every commit and at every round cap. And a durable engine killed after any record recovers to that
 //! same state for the prefix the log holds.
 //!
 //! The stream is a hot anchor's: every commit inserts fresh nodes under one
@@ -17,7 +17,9 @@
 //! node with no safe source), and one carries an unfilterable wildcard
 //! that the full §3.2 pass evaluates.
 
-use rxview::core::encode_system;
+mod common;
+
+use common::state_bytes;
 use rxview::prelude::*;
 use rxview::workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use rxview_reference::reference_apply;
@@ -29,13 +31,6 @@ fn system() -> XmlViewSystem {
     let db = synthetic_database(&SyntheticConfig::with_size(400));
     let atg = synthetic_atg(&db).expect("valid ATG");
     XmlViewSystem::new(atg, db).expect("publishes")
-}
-
-/// The checkpoint encoding of `(I, V, M, L)`.
-fn state(sys: &XmlViewSystem) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_system(sys, &mut out);
-    out
 }
 
 /// Six commits of the hot-anchor stream (module docs).
@@ -80,7 +75,7 @@ fn reference(sys: &XmlViewSystem, commits: &[Commit]) -> (Vec<Vec<bool>>, Vec<Ve
                 .iter()
                 .map(|(u, p)| reference_apply(&mut oracle, u, *p).is_ok())
                 .collect();
-            (accepted, state(&oracle))
+            (accepted, state_bytes(&oracle))
         })
         .unzip()
 }
@@ -113,7 +108,7 @@ fn every_round_cap_reaches_the_reference_state_after_every_commit() {
             let at = format!("max_batch {max_batch}, commit {c}");
             assert_eq!(commit_all(&engine, commit), accepted[c], "{at}");
             assert!(
-                state(engine.snapshot().system()) == states[c],
+                state_bytes(engine.snapshot().system()) == states[c],
                 "{at}: (I, V, M, L)"
             );
         }
@@ -171,7 +166,7 @@ fn a_crash_after_any_record_recovers_the_acknowledged_prefix() {
         let applied = accepted[..=r].iter().flatten().filter(|ok| **ok).count();
         assert_eq!(report.replay_folds, applied, "round {r}: a fold per update");
         assert!(
-            state(recovered.snapshot().system()) == states[r],
+            state_bytes(recovered.snapshot().system()) == states[r],
             "round {r}"
         );
         drop(recovered);
