@@ -10,7 +10,10 @@
 //! before it publishes. It then prints the state's checkpoint: the bytes of
 //! each section `encode_system` writes — `I`, `V` (the interner's id space
 //! and the child lists), `L` — and the medians of three `encode_system` and
-//! `decode_system` runs. ARCHITECTURE.md §15's table reads these figures.
+//! `decode_system` runs, and what each way of comparing two states costs:
+//! allocator calls and median ms of the `Exact` and `Observed` digests,
+//! `consistency_check` and the two string fingerprints. ARCHITECTURE.md
+//! §15's table reads these figures.
 //!
 //! ```text
 //! cargo run --release -p rxview-bench --bin scale_probe
@@ -20,7 +23,10 @@ use rxview_bench::alloc_count::{allocated_by, kept_by, Counting, Kept};
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, TopoOrder, ViewStore, XmlViewSystem};
 use rxview_relstore::codec::{put_database, put_varint, Reader};
-use rxview_workload::{synthetic_atg, synthetic_database, SyntheticConfig};
+use rxview_workload::{
+    base_fingerprint, edge_fingerprint, synthetic_atg, synthetic_database, SyntheticConfig,
+};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 #[global_allocator]
@@ -93,6 +99,27 @@ fn checkpoint_row(sys: &XmlViewSystem) {
     );
 }
 
+/// The comparison row, ungated: per way of deciding "same state" — the two
+/// digests, the republication oracle and the two string fingerprints
+/// `rxbench`'s `state_hashes` still builds — the allocator calls of one run
+/// and the median of three runs' ms.
+fn comparison_row(sys: &XmlViewSystem) {
+    let ways: [(&str, &dyn Fn()); 5] = [
+        ("Exact", &|| _ = black_box(sys.exact_digest())),
+        ("Observed", &|| _ = black_box(sys.observed_digest())),
+        ("consistency_check", &|| {
+            sys.consistency_check().expect("consistent")
+        }),
+        ("edge_fingerprint", &|| _ = black_box(edge_fingerprint(sys))),
+        ("base_fingerprint", &|| _ = black_box(base_fingerprint(sys))),
+    ];
+    let costs = ways.map(|(name, f)| {
+        let ((), _, calls) = allocated_by(f);
+        format!("{name} {calls} calls {:.1} ms", median_ms(f))
+    });
+    println!("  comparison: {}", costs.join("; "));
+}
+
 fn main() {
     const GROUP_SIZE: usize = 40;
     for groups in [256, 512] {
@@ -130,6 +157,8 @@ fn main() {
         row("M", &reach, &per_pair);
         let total = shared_i.kept.chunks + v.kept.chunks + l.kept.chunks + reach.kept.chunks;
         println!("  (I, V, L, M): {total} B in chunks");
-        checkpoint_row(&XmlViewSystem::from_parts(db, vs, topo, m));
+        let sys = XmlViewSystem::from_parts(db, vs, topo, m);
+        checkpoint_row(&sys);
+        comparison_row(&sys);
     }
 }

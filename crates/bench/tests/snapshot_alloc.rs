@@ -349,6 +349,28 @@ fn a_decoded_state_keeps_what_the_published_state_keeps() {
     drop(back);
 }
 
+/// Comparing two states allocates nothing however large they are (a cost
+/// model pinned as a count, ROADMAP item 17): each digest makes the same
+/// number of allocator calls — none — at 32 groups and at four times that,
+/// where a string or set entry per edge or row would grow with both.
+#[test]
+fn the_digests_make_no_allocator_call_at_either_size() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let calls = |groups: usize| {
+        let db = synthetic_database(&SyntheticConfig::with_size(groups * GROUP_SIZE));
+        let sys = XmlViewSystem::new(synthetic_atg(&db).expect("synthetic ATG"), db).unwrap();
+        let (_, _, exact) = allocated_by(|| sys.exact_digest());
+        let (_, _, observed) = allocated_by(|| sys.observed_digest());
+        [exact, observed]
+    };
+    let (small, large) = (calls(GROUPS / 4), calls(GROUPS));
+    assert_eq!(
+        (small, large),
+        ([0, 0], [0, 0]),
+        "calls of [Exact, Observed]"
+    );
+}
+
 /// Updates per window of the soak, and per engine round.
 const WINDOW: usize = 32;
 

@@ -35,13 +35,17 @@
 //!   state that the serving engine's write-ahead log and checkpoints are
 //!   built on;
 //! - [`XmlViewSystem`]: the end-to-end framework of Fig.3, including the
-//!   republication oracle `∆X(T) = σ(∆R(I))`.
+//!   republication oracle `∆X(T) = σ(∆R(I))`;
+//! - [`Exact`] / [`Observed`]: the two digests of a state
+//!   ([`XmlViewSystem::exact_digest`], [`XmlViewSystem::observed_digest`])
+//!   through which every comparison of two states runs.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 pub mod codec;
 mod dag_eval;
+mod digest;
 mod footprint;
 mod maintain;
 mod pathclass;
@@ -58,6 +62,7 @@ mod viewstore;
 
 pub use codec::{decode_system, encode_system, put_update};
 pub use dag_eval::DagEval;
+pub use digest::{Exact, Observed, StateDigest};
 pub use footprint::{planned_delete_writes, planned_insert_writes, RelFootprint};
 pub use maintain::MaintainReport;
 pub use pathclass::{

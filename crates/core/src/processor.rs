@@ -524,42 +524,26 @@ impl XmlViewSystem {
     }
 
     /// The **republication oracle**: republishes `σ(I)` from scratch and
-    /// compares against the incrementally maintained view — edges compared
-    /// as `((type, $A), (type, $B))` pairs, and `M`/`L` against
-    /// recomputation. This is the paper's correctness criterion
-    /// `∆X(T) = σ(∆R(I))` made executable.
+    /// compares against the incrementally maintained view — edges and
+    /// `gen_A` through the [`Observed`](crate::Observed) digest's sections,
+    /// so no node outlives its last parent — checks that each `gen_A` table
+    /// holds one row per live node of its type and no other, and checks
+    /// `M`/`L` against recomputation. This is the paper's correctness
+    /// criterion `∆X(T) = σ(∆R(I))` made executable.
     pub fn consistency_check(&self) -> Result<(), String> {
         let fresh = ViewStore::publish(self.vs.atg().clone(), &self.base)
             .map_err(|e| format!("republication failed: {e}"))?;
-        let edge_key = |vs: &ViewStore, u, v| {
-            (
-                (
-                    vs.dag().genid().type_of(u),
-                    vs.dag().genid().attr_of(u).clone(),
-                ),
-                (
-                    vs.dag().genid().type_of(v),
-                    vs.dag().genid().attr_of(v).clone(),
-                ),
-            )
-        };
-        let mine: std::collections::BTreeSet<_> = self
-            .vs
-            .dag()
-            .all_edges()
-            .map(|(u, v)| edge_key(&self.vs, u, v))
-            .collect();
-        let theirs: std::collections::BTreeSet<_> = fresh
-            .dag()
-            .all_edges()
-            .map(|(u, v)| edge_key(&fresh, u, v))
-            .collect();
-        if mine != theirs {
-            let extra = mine.difference(&theirs).count();
-            let missing = theirs.difference(&mine).count();
+        if crate::digest::edges(&self.vs) != crate::digest::edges(&fresh) {
             return Err(format!(
-                "view diverged from republication: {extra} extra, {missing} missing edges"
+                "view diverged from republication: {} edges maintained, {} republished, \
+                 the Observed `edges` section differs",
+                self.vs.n_edges(),
+                fresh.n_edges()
             ));
+        }
+        self.vs.check_gen_tables()?;
+        if crate::digest::database(self.vs.gen_db()) != crate::digest::database(fresh.gen_db()) {
+            return Err("live nodes diverged from republication: `gen_A` differs".into());
         }
         if !self.topo.is_valid_for(self.vs.dag()) {
             return Err("topological order invalid".into());

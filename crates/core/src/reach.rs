@@ -144,6 +144,12 @@ impl<'a> Run<'a> {
         out.reserve(self.len());
         out.extend(self.iter());
     }
+
+    /// The block words: one set has one spelling (keys ascending, no empty
+    /// mask), so equal sets have equal words.
+    pub(crate) fn words(self) -> &'a [u64] {
+        self.words
+    }
 }
 
 impl<'a> IntoIterator for Run<'a> {

@@ -237,6 +237,31 @@ impl ViewStore {
         out
     }
 
+    /// Whether each `gen_A` table is what [`ViewStore::from_dag`] lays out:
+    /// one row per live node of its type ([`gen_row_of`] its `$A`) and no
+    /// other — rows counted per type and each live node's row looked up.
+    pub(crate) fn check_gen_tables(&self) -> Result<(), String> {
+        let (genid, dtd) = (self.dag.genid(), self.atg.dtd());
+        let table = |ty| self.gen_db.table(&self.atg.gen_table_name(ty));
+        let tables = dtd.types().map(table).collect::<RelResult<Vec<_>>>();
+        let tables = tables.map_err(|e| e.to_string())?;
+        let mut live = vec![0; tables.len()];
+        for id in genid.live_ids() {
+            let (ty, row) = (genid.type_of(id), gen_row_of(genid.attr_of(id)));
+            live[ty.index()] += 1;
+            if !tables[ty.index()].contains_tuple(&row) {
+                return Err(format!("gen_{} lacks node {}'s row", dtd.name(ty), id.0));
+            }
+        }
+        let extra = dtd
+            .types()
+            .find(|t| tables[t.index()].len() != live[t.index()]);
+        match extra {
+            Some(ty) => Err(format!("gen_{} holds a row of no live node", dtd.name(ty))),
+            None => Ok(()),
+        }
+    }
+
     /// Number of live nodes `n`.
     pub fn n_nodes(&self) -> usize {
         self.dag.n_nodes()

@@ -301,7 +301,6 @@ fn background_writer_drains_queue() {
 /// and unchanged.
 #[test]
 fn displaced_snapshots_are_released_with_their_last_reader() {
-    use rxview_workload::{base_fingerprint, edge_fingerprint};
     let sys = system(400);
     let edges = group_edges(&sys, 400, 40);
     assert!(edges.len() >= 8, "one deletable edge per round");
@@ -311,10 +310,7 @@ fn displaced_snapshots_are_released_with_their_last_reader() {
     for (round, &(h, c)) in edges[..8].iter().enumerate() {
         if round == 3 {
             let snap = engine.snapshot();
-            let seen = (
-                edge_fingerprint(snap.system()),
-                base_fingerprint(snap.system()),
-            );
+            let seen = snap.system().exact_digest();
             held = Some((snap, seen));
         }
         let delete = XmlUpdate::delete(&format!("node[id={h}]/sub/node[id={c}]")).expect("parses");
@@ -329,11 +325,8 @@ fn displaced_snapshots_are_released_with_their_last_reader() {
     );
     let (snap, seen) = held.expect("taken in round 3");
     assert_eq!(snap.epoch(), 3);
-    let now = (
-        edge_fingerprint(snap.system()),
-        base_fingerprint(snap.system()),
-    );
-    assert!(seen == now, "a held snapshot changed");
+    let changed = seen.first_difference(&snap.system().exact_digest());
+    assert_eq!(changed, None, "a held snapshot changed");
     snap.system().consistency_check().expect("held snapshot");
     let pinned = Arc::downgrade(&snap);
     drop(snap);

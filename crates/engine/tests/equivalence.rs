@@ -15,10 +15,9 @@ use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig};
 use rxview_reference::reference_apply;
 use rxview_workload::{
-    synthetic_atg, synthetic_database, ChurnGen, DescendantConfig, DescendantGen, ShardSkewGen,
-    SkewConfig, SyntheticConfig, WorkloadClass, WorkloadGen, NODES_PER_INSERT,
+    mixed_updates, synthetic_atg, synthetic_database, ChurnGen, DescendantConfig, DescendantGen,
+    ShardSkewGen, SkewConfig, SyntheticConfig, WorkloadClass, WorkloadGen, NODES_PER_INSERT,
 };
-use std::collections::BTreeSet;
 
 fn system(n: usize, seed: u64) -> XmlViewSystem {
     let mut cfg = SyntheticConfig::with_size(n);
@@ -28,56 +27,16 @@ fn system(n: usize, seed: u64) -> XmlViewSystem {
     XmlViewSystem::new(atg, db).expect("publishes")
 }
 
-/// View edges as `((type, $A), (type, $B))` pairs — node-id independent.
-fn edge_set(sys: &XmlViewSystem) -> BTreeSet<(String, String)> {
-    let vs = sys.view();
-    let render = |v| {
-        format!(
-            "{}:{}",
-            vs.atg().dtd().name(vs.dag().genid().type_of(v)),
-            vs.dag().genid().attr_of(v)
-        )
-    };
-    vs.dag()
-        .all_edges()
-        .map(|(u, v)| (render(u), render(v)))
-        .collect()
-}
-
-fn base_rows(sys: &XmlViewSystem) -> BTreeSet<(String, String)> {
-    let base = sys.base();
-    base.table_names()
-        .flat_map(|t| {
-            base.table(t)
-                .expect("listed table exists")
-                .iter()
-                .map(move |row| (t.to_owned(), row.to_string()))
-        })
-        .collect()
-}
-
-fn workload(sys: &XmlViewSystem, seed: u64, flips: &[bool]) -> Vec<XmlUpdate> {
-    let mut gen = WorkloadGen::new(sys.view(), seed);
-    let mut ops = Vec::new();
-    for (i, &ins) in flips.iter().enumerate() {
-        // W1 paths use `//` (global footprint, forces serialization);
-        // W2/W3 are `/`-anchored (batchable, scoped evaluation).
-        let class = WorkloadClass::all()[i % 3];
-        let op = if ins {
-            gen.insertion(class)
-        } else {
-            gen.deletion(class)
-        };
-        if let Some(u) = op {
-            ops.push(u);
-        }
-    }
-    ops
+/// The first section of the [`Observed`](rxview_core::Observed) digest —
+/// `I`, `gen_A`, edges by `((type, $A), (type, $B))` — in which two states
+/// differ: node-id independent.
+fn diverges(a: &XmlViewSystem, b: &XmlViewSystem) -> Option<&'static str> {
+    a.observed_digest().first_difference(&b.observed_digest())
 }
 
 fn check_equivalence(n: usize, seed: u64, flips: &[bool], max_batch: usize) -> Result<(), String> {
     let sys = system(n, seed);
-    let ops = workload(&sys, seed ^ 0xbeef, flips);
+    let ops = mixed_updates(&sys, seed ^ 0xbeef, flips);
     check_ops_equivalence(sys, &ops, max_batch)
 }
 
@@ -147,11 +106,10 @@ fn check_ops_equivalence(
         ));
     }
     let snap = engine.snapshot();
-    if base_rows(&seq) != base_rows(snap.system()) {
-        return Err("final base database diverged".into());
-    }
-    if edge_set(&seq) != edge_set(snap.system()) {
-        return Err("final view diverged".into());
+    if let Some(section) = diverges(&seq, snap.system()) {
+        return Err(format!(
+            "final state diverged in Observed section `{section}`"
+        ));
     }
     snap.system()
         .consistency_check()
@@ -331,7 +289,7 @@ fn descendant_updates_ride_shared_rounds() {
     engine.commit_pending();
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
     assert_eq!(seq_outcomes, eng_outcomes);
-    assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
+    assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     let report = engine.stats().report();
     assert_eq!(
         report.rounds, 1,
@@ -380,7 +338,7 @@ fn hot_anchor_fission_co_admits_disjoint_serializes_overlapping() {
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
     assert_eq!(seq_outcomes, eng_outcomes);
     assert!(eng_outcomes.iter().all(|&ok| ok), "all four ops apply");
-    assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
+    assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     engine.snapshot().system().consistency_check().unwrap();
     let report = engine.stats().report();
     assert_eq!(
@@ -437,7 +395,7 @@ fn insert_heavy_batches_are_equivalent() {
 /// leading-`//` paths and an unfilterable wildcard, serialize correctly in
 /// one round: an exact duplicate of an applied deletion is rejected inside
 /// the round, because it is evaluated after its twin's fold. (The name is
-/// older than the round pipeline's single executor.)
+/// older than serial rounds; nothing is sharded.)
 #[test]
 fn conflicting_updates_serialize_sharded() {
     let sys = system(200, 11);
@@ -446,11 +404,12 @@ fn conflicting_updates_serialize_sharded() {
     ops.extend(gen.deletions(WorkloadClass::W2, 3));
     ops.extend(gen.deletions(WorkloadClass::W1, 2));
     ops.extend(ops.clone()); // exact duplicates: second run must see first's effect
-                             // Two typed leading-`//` deletes (payload values are drawn from 0..50):
-                             // since PR 5 these resolve to bounded multi-anchor cones.
+                             // Two typed leading-`//` deletes (payload values are drawn from 0..50),
+                             // each resolving to a bounded multi-anchor cone.
     ops.push(XmlUpdate::delete("//node[payload=7]/sub/node").unwrap());
     ops.push(XmlUpdate::delete("//node[payload=11]/sub/node").unwrap());
-    // An unfilterable wildcard root: genuinely untypeable, global lane.
+    // An unfilterable wildcard root: genuinely untypeable, evaluated over
+    // all of `L`.
     ops.push(XmlUpdate::delete("*/sub/node[payload=13]").unwrap());
     let mut seq = sys.clone();
     let seq_outcomes: Vec<bool> = ops
@@ -469,7 +428,7 @@ fn conflicting_updates_serialize_sharded() {
     engine.commit_pending();
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
     assert_eq!(seq_outcomes, eng_outcomes);
-    assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
+    assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     engine.snapshot().system().consistency_check().unwrap();
     let report = engine.stats().report();
     assert_eq!(
@@ -516,7 +475,7 @@ fn conflicting_updates_serialize() {
     engine.commit_pending();
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
     assert_eq!(seq_outcomes, eng_outcomes);
-    assert_eq!(edge_set(&seq), edge_set(engine.snapshot().system()));
+    assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     engine.snapshot().system().consistency_check().unwrap();
 }
 
@@ -566,7 +525,6 @@ fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
         );
     }
     let snap = engine.snapshot();
-    assert_eq!(base_rows(&seq), base_rows(snap.system()));
-    assert_eq!(edge_set(&seq), edge_set(snap.system()));
+    assert_eq!(diverges(&seq, snap.system()), None);
     snap.system().consistency_check().expect("republication");
 }

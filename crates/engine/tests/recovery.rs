@@ -13,14 +13,12 @@
 //! rewrite the log file byte by byte, the way a real power cut truncates an
 //! in-flight append.
 
-use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview_core::{Observed, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Durability, Engine, EngineConfig, RecoverError};
 use rxview_reference::reference_apply;
 use rxview_workload::{
-    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
-    synthetic_database, SyntheticConfig,
+    assert_observationally_equal, mixed_updates, synthetic_atg, synthetic_database, SyntheticConfig,
 };
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -174,11 +172,8 @@ fn check_crash_recovery(
     if snap.epoch() != epoch_at_kill {
         return Err("recovered snapshot epoch mismatch".into());
     }
-    if base_fingerprint(&oracle) != base_fingerprint(snap.system()) {
-        return Err("recovered base database diverged from oracle".into());
-    }
-    if edge_fingerprint(&oracle) != edge_fingerprint(snap.system()) {
-        return Err("recovered view diverged from oracle".into());
+    if let Some(section) = observed_difference(snap.system(), &oracle.observed_digest()) {
+        return Err(format!("recovered state diverged in `{section}`"));
     }
     snap.system()
         .consistency_check()
@@ -209,8 +204,8 @@ fn check_crash_recovery(
             }
         }
         let snap = recovered.snapshot();
-        if edge_fingerprint(&oracle) != edge_fingerprint(snap.system()) {
-            return Err("post-recovery view diverged".into());
+        if let Some(section) = observed_difference(snap.system(), &oracle.observed_digest()) {
+            return Err(format!("post-recovery state diverged in `{section}`"));
         }
     }
     drop(recovered);
@@ -255,21 +250,21 @@ fn pipelined_sharded_crash_recovery_kill_at_every_round() {
 // ---------------------------------------------------------------------------
 
 /// Commits `rounds` single-batch rounds on a durable engine — one deletion
-/// each, the last two, all of one shape — recording the observational
-/// fingerprint after each epoch. The first record spells its deletion; every
+/// each, the last two, all of one shape — recording the Observed digest
+/// after each epoch. The first record spells its deletion; every
 /// later one writes its deletions *shaped*, naming the first record's shape
 /// (checked here, head by head), so that a cut or a flip in any of them
 /// lands in a record that depends on an earlier one. Returns the directory
-/// and the per-epoch fingerprints (index 0 = epoch 0, the initial state);
+/// and the per-epoch digests (index 0 = epoch 0, the initial state);
 /// the history logs `rounds + 1` updates.
-fn build_logged_history(rounds: usize) -> (PathBuf, rxview_atg::Atg, Vec<Fingerprint>) {
+fn build_logged_history(rounds: usize) -> (PathBuf, rxview_atg::Atg, Vec<Observed>) {
     let (sys, atg) = system(400, 9);
     let deletions = group_edge_deletions(&sys, 400);
     assert!(deletions.len() > rounds, "enough deletable group edges");
     let dir = temp_dir("torn");
     // No automatic checkpoints: the whole history lives in one segment.
     let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
-    let mut fingerprints = vec![fingerprint(engine.snapshot().system())];
+    let mut digests = vec![engine.snapshot().system().observed_digest()];
     // Deletions against distinct group cones: every commit is one round,
     // i.e. exactly one epoch and one log record.
     let mut commits: Vec<&[XmlUpdate]> = deletions[..rounds - 1].chunks(1).collect();
@@ -289,7 +284,7 @@ fn build_logged_history(rounds: usize) -> (PathBuf, rxview_atg::Atg, Vec<Fingerp
         }
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), (r + 1) as u64, "one epoch per round");
-        fingerprints.push(fingerprint(snap.system()));
+        digests.push(snap.system().observed_digest());
     }
     drop(engine);
     // Each record's payload: its epoch and count, then — after the first
@@ -320,7 +315,7 @@ fn build_logged_history(rounds: usize) -> (PathBuf, rxview_atg::Atg, Vec<Fingerp
         pos += 8 + len;
     }
     assert_eq!(pos, segment.len());
-    (dir, atg, fingerprints)
+    (dir, atg, digests)
 }
 
 fn the_only_segment(dir: &Path) -> PathBuf {
@@ -352,7 +347,7 @@ fn record_bounds(segment: &[u8]) -> Vec<usize> {
 #[test]
 fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
     let rounds = 3;
-    let (dir, atg, fingerprints) = build_logged_history(rounds);
+    let (dir, atg, digests) = build_logged_history(rounds);
     let seg_path = the_only_segment(&dir);
     let full = fs::read(&seg_path).expect("read segment");
     let boundaries = record_bounds(&full);
@@ -389,9 +384,9 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
         );
         let snap = engine.snapshot();
         assert_eq!(snap.epoch(), complete as u64);
-        let (base, edges) = &fingerprints[complete];
-        assert_eq!(&base_fingerprint(snap.system()), base, "cut at {cut}");
-        assert_eq!(&edge_fingerprint(snap.system()), edges, "cut at {cut}");
+        let want = &digests[complete];
+        let differs = observed_difference(snap.system(), want);
+        assert_eq!(differs, None, "cut at {cut}");
         snap.system().consistency_check().expect("consistent");
     }
     let _ = fs::remove_dir_all(&dir);
@@ -421,12 +416,12 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
     // epoch k is the sequential application of the first `k * per_round`
     // deletions.
     let mut oracle = sys.clone();
-    let mut fingerprints = vec![fingerprint(&oracle)];
+    let mut digests = vec![oracle.observed_digest()];
     for epoch in deletions.chunks(per_round) {
         for u in epoch {
             reference_apply(&mut oracle, u, SideEffectPolicy::Proceed).expect("oracle applies");
         }
-        fingerprints.push(fingerprint(&oracle));
+        digests.push(oracle.observed_digest());
     }
 
     let dir = temp_dir("torn-rounds");
@@ -470,9 +465,9 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
         );
         assert_eq!(report.replay_rejected, 0, "cut at {cut}");
         let snap = engine.snapshot();
-        let (base, edges) = &fingerprints[complete];
-        assert_eq!(&base_fingerprint(snap.system()), base, "cut at {cut}");
-        assert_eq!(&edge_fingerprint(snap.system()), edges, "cut at {cut}");
+        let want = &digests[complete];
+        let differs = observed_difference(snap.system(), want);
+        assert_eq!(differs, None, "cut at {cut}");
         snap.system().consistency_check().expect("consistent");
     }
     let _ = fs::remove_dir_all(&dir);
@@ -481,7 +476,7 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
 #[test]
 fn corrupt_final_record_recovers_prefix_never_panics() {
     let rounds = 3;
-    let (dir, atg, fingerprints) = build_logged_history(rounds);
+    let (dir, atg, digests) = build_logged_history(rounds);
     let seg_path = the_only_segment(&dir);
     let full = fs::read(&seg_path).expect("read segment");
     let last_record_start = record_bounds(&full)[rounds - 1];
@@ -501,9 +496,9 @@ fn corrupt_final_record_recovers_prefix_never_panics() {
         );
         assert!(report.discarded_bytes > 0, "flip at byte {i}");
         let snap = engine.snapshot();
-        let (base, edges) = &fingerprints[rounds - 1];
-        assert_eq!(&base_fingerprint(snap.system()), base, "flip at byte {i}");
-        assert_eq!(&edge_fingerprint(snap.system()), edges, "flip at byte {i}");
+        let want = &digests[rounds - 1];
+        let differs = observed_difference(snap.system(), want);
+        assert_eq!(differs, None, "flip at byte {i}");
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -524,7 +519,7 @@ fn checkpoint_interleaving_recovers_every_stage() {
     let dir = temp_dir("interleave");
     let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
 
-    type Stage = (PathBuf, u64, BTreeSet<(String, String)>);
+    type Stage = (PathBuf, u64, Observed);
     let mut stages: Vec<Stage> = Vec::new();
     let mut checkpointed_at: Vec<u64> = vec![0];
     for (r, u) in deletions.into_iter().take(5).enumerate() {
@@ -544,13 +539,13 @@ fn checkpoint_interleaving_recovers_every_stage() {
         stages.push((
             copy_dir(&dir, "stage"),
             snap.epoch(),
-            edge_fingerprint(snap.system()),
+            snap.system().observed_digest(),
         ));
     }
     drop(engine);
 
     let mut last_epoch = 0;
-    for (stage_dir, epoch, edges) in &stages {
+    for (stage_dir, epoch, want) in &stages {
         let (engine, report) = recover_readonly(&atg, stage_dir);
         // Epoch monotonicity across the stage sequence.
         assert!(*epoch >= last_epoch);
@@ -572,7 +567,7 @@ fn checkpoint_interleaving_recovers_every_stage() {
         );
         // Prefix-complete: the recovered view is exactly the stage's.
         let snap = engine.snapshot();
-        assert_eq!(&edge_fingerprint(snap.system()), edges);
+        assert_eq!(observed_difference(snap.system(), want), None);
         snap.system().consistency_check().expect("consistent");
         drop(snap);
         drop(engine);
@@ -734,10 +729,10 @@ fn manual_and_background_checkpoints_run_one_at_a_time() {
     let deletions = group_edge_deletions(&sys, 800);
     assert!(deletions.len() >= 12, "enough deletable group edges");
     let mut oracle = sys.clone();
-    let mut prefix = vec![edge_fingerprint(&oracle)];
+    let mut prefix = vec![oracle.observed_digest()];
     for u in &deletions {
         reference_apply(&mut oracle, u, Proceed).expect("oracle applies");
-        prefix.push(edge_fingerprint(&oracle));
+        prefix.push(oracle.observed_digest());
     }
     let dir = temp_dir("ckpt-race");
     let engine = Engine::with_durability(sys, durable_config(1), &dir).expect("durable engine");
@@ -773,11 +768,8 @@ fn manual_and_background_checkpoints_run_one_at_a_time() {
             "{name}"
         );
         assert_eq!(name, &format!("ckpt-{epoch:020}.rxck"));
-        let edges = edge_fingerprint(recovered.snapshot().system());
-        assert!(
-            edges == prefix[epoch as usize],
-            "{name}: the prefix at its epoch"
-        );
+        let differs = observed_difference(recovered.snapshot().system(), &prefix[epoch as usize]);
+        assert_eq!(differs, None, "{name}: the prefix at its epoch");
         let _ = fs::remove_dir_all(&alone);
     }
     let (recovered, report) = recover_readonly(&atg, &dir);
@@ -832,7 +824,7 @@ fn durable_recovery_is_idempotent() {
 
     let (first, r1) = Engine::recover(atg.clone(), &dir, durable_config(0)).expect("recover 1");
     assert_eq!(r1.resumed_epoch, 3);
-    let edges = edge_fingerprint(first.snapshot().system());
+    let first_state = first.snapshot().system().observed_digest();
     drop(first);
 
     let (second, r2) = Engine::recover(atg, &dir, durable_config(0)).expect("recover 2");
@@ -841,16 +833,16 @@ fn durable_recovery_is_idempotent() {
         r2.replayed_rounds, 0,
         "second recovery anchors on the re-checkpointed state"
     );
-    assert_eq!(edge_fingerprint(second.snapshot().system()), edges);
+    let differs = observed_difference(second.snapshot().system(), &first_state);
+    assert_eq!(differs, None);
     drop(second);
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A state's base and view fingerprints.
-type Fingerprint = (BTreeSet<(String, String)>, BTreeSet<(String, String)>);
-
-fn fingerprint(sys: &XmlViewSystem) -> Fingerprint {
-    (base_fingerprint(sys), edge_fingerprint(sys))
+/// The first section in which a state's [`Observed`] digest differs from
+/// one taken earlier.
+fn observed_difference(sys: &XmlViewSystem, want: &Observed) -> Option<&'static str> {
+    sys.observed_digest().first_difference(want)
 }
 
 /// Recovers `dir`, which holds acknowledged history no recovery can read in
@@ -862,7 +854,7 @@ fn assert_refused_and_left_as_it_is(
     dir: &Path,
     epoch: u64,
     lost: (usize, usize),
-    want: &Fingerprint,
+    want: &Observed,
 ) {
     let before = dir_bytes(dir);
     match Engine::recover(atg.clone(), dir, durable_config(0)) {
@@ -881,7 +873,8 @@ fn assert_refused_and_left_as_it_is(
     assert_eq!(report.resumed_epoch, epoch);
     assert_eq!((report.dropped_rounds, report.undecodable_records), lost);
     let snap = engine.snapshot();
-    assert!(&fingerprint(snap.system()) == want, "the prefix at {epoch}");
+    let differs = observed_difference(snap.system(), want);
+    assert_eq!(differs, None, "the prefix at {epoch}");
     snap.system().consistency_check().expect("consistent");
 }
 
@@ -905,9 +898,9 @@ fn a_segment_recovery_cannot_read_in_full_is_refused_and_left_as_it_is() {
     // oracle's state before and after the first.
     let (mut oracle, _) = system(400, 9);
     let deletions = group_edge_deletions(&oracle, 400);
-    let mut prefix = vec![fingerprint(&oracle)];
+    let mut prefix = vec![oracle.observed_digest()];
     reference_apply(&mut oracle, &deletions[0], Proceed).expect("oracle applies");
-    prefix.push(fingerprint(&oracle));
+    prefix.push(oracle.observed_digest());
 
     fs::write(&path, [b"RXWALv9\n", &full[8..]].concat()).expect("write");
     assert_refused_and_left_as_it_is(&atg, &dir, 0, (0, 1), &prefix[0]);
@@ -949,7 +942,7 @@ fn a_log_missing_a_middle_segment_is_refused_and_left_as_it_is() {
     let (sys, atg) = system(400, 9);
     let deletions = group_edge_deletions(&sys, 400);
     let mut oracle = sys.clone();
-    let mut fingerprints = vec![fingerprint(&oracle)];
+    let mut digests = vec![oracle.observed_digest()];
     let written = temp_dir("middle-written");
     let engine = Engine::with_durability(sys, durable_config(0), &written).expect("durable");
     let mut kept = dir_bytes(&written);
@@ -957,7 +950,7 @@ fn a_log_missing_a_middle_segment_is_refused_and_left_as_it_is() {
     for (r, u) in deletions[..4].iter().enumerate() {
         engine.apply_now(u.clone(), Proceed).expect("commits");
         reference_apply(&mut oracle, u, Proceed).expect("oracle agrees");
-        fingerprints.push(fingerprint(&oracle));
+        digests.push(oracle.observed_digest());
         if r > 0 {
             let segments = dir_bytes(&written).into_iter();
             kept.extend(segments.filter(|(name, _)| name.ends_with(".rxlog")));
@@ -973,11 +966,12 @@ fn a_log_missing_a_middle_segment_is_refused_and_left_as_it_is() {
     assert_eq!(names.len(), 4, "a checkpoint and three segments: {names:?}");
     let (whole, report) = recover_readonly(&atg, &dir);
     assert_eq!((report.replayed_rounds, report.stops_short()), (4, false));
-    assert!(fingerprint(whole.snapshot().system()) == fingerprints[4]);
+    let differs = observed_difference(whole.snapshot().system(), &digests[4]);
+    assert_eq!(differs, None);
     drop(whole);
 
     fs::remove_file(dir.join(names[2])).expect("the middle segment");
-    assert_refused_and_left_as_it_is(&atg, &dir, 2, (1, 0), &fingerprints[2]);
+    assert_refused_and_left_as_it_is(&atg, &dir, 2, (1, 0), &digests[2]);
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&written);
 }
@@ -1251,13 +1245,11 @@ fn this_tree_and_one_format_back_recover_and_this_tree_rewrites_its_own() {
             free_ids,
             "{fixture}: collected nodes' slots are free ids"
         );
-        let mut state = Vec::new();
-        rxview_core::encode_system(snapshot.system(), &mut state);
-        rxview_relstore::codec::put_database(&mut state, snapshot.system().view().gen_db());
-        states.push(state);
+        states.push(snapshot.system().exact_digest());
         let _ = fs::remove_dir_all(&dir);
     }
-    assert!(states[0] == states[1], "both formats recover one state");
+    let differs = states[0].first_difference(&states[1]);
+    assert_eq!(differs, None, "both formats recover one state");
     let _ = fs::remove_dir_all(&written);
 }
 

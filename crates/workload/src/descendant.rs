@@ -2,23 +2,19 @@
 //! over hot and cold anchor cones.
 //!
 //! Before the type-indexed reachability prefilter, every leading-`//`
-//! update paid a full §3.2 evaluation and committed alone through the
-//! engine's serialized global lane — a `//`-heavy stream could not grow
-//! past singleton rounds however wide a round was allowed to be. This
-//! generator produces exactly that stream: per sampled group it alternates
-//! inserting a fresh node under the group head with deleting it again (the
-//! same op shape as [`crate::shard_skew`]), but a configurable fraction of
-//! the operations phrase their target path with a leading `//` —
-//! `//node[id=H]/sub` instead of `node[id=H]/sub` — semantically identical
-//! updates that exercise the engine's `//` planning machinery. Group
-//! sampling is skewed (`hot_fraction` of traffic on `hot_groups` groups),
-//! so the sweep covers hot labels (conflicting, serialization-bound) and
-//! cold labels (independent, sharing rounds) alike.
+//! update paid a full §3.2 evaluation. This generator produces that
+//! stream: per sampled group it alternates inserting a fresh node under the
+//! group head with deleting it again (the same op shape as
+//! [`crate::shard_skew`]), but a configurable fraction of the operations
+//! phrase their target path with a leading `//` — `//node[id=H]/sub`
+//! instead of `node[id=H]/sub` — semantically identical updates that
+//! exercise the evaluator's `//` anchor resolution. Group sampling is
+//! skewed (`hot_fraction` of traffic on `hot_groups` groups), so the sweep
+//! covers hot cones (each update rewriting what the one before it wrote)
+//! and cold ones alike.
 //!
 //! A `//node[id=H]`-headed update resolves through the `gen_node` registry
-//! to the one concrete anchor and rides ordinary rounds; on an
-//! engine predating the prefilter the same stream collapsed to global-lane
-//! singletons.
+//! to the one concrete anchor, and its evaluation costs that anchor's cone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -11,10 +11,12 @@
 //!   and cold anchor cones, for the type-indexed `//` planning sweeps;
 //! - [`ChurnGen`]: steady delete / re-insert traffic with fresh keys, for
 //!   the bounded-state soaks;
-//! - [`mixed_updates`] and the id-independent state fingerprints
-//!   ([`edge_fingerprint`], [`base_fingerprint`]) for the equivalence and
+//! - [`mixed_updates`] and [`assert_observationally_equal`] (on
+//!   `XmlViewSystem::observed_digest`) for the equivalence and
 //!   crash-recovery batteries (their sequential oracle is
-//!   `rxview_reference::reference_apply`);
+//!   `rxview_reference::reference_apply`); the string fingerprints
+//!   ([`edge_fingerprint`], [`base_fingerprint`]) remain for `rxbench`
+//!   alone;
 //! - the registrar running example is re-exported from `rxview-atg`.
 
 #![warn(missing_docs)]

@@ -14,13 +14,12 @@
 
 mod common;
 
-use common::state_bytes;
 use proptest::prelude::*;
 use rxview::atg::NodeId;
 use rxview::core::reach::descendants;
 use rxview::core::{DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview::relstore::tuple;
-use rxview::workload::{edge_fingerprint, registrar_atg, registrar_database};
+use rxview::workload::{registrar_atg, registrar_database};
 use std::collections::BTreeSet;
 
 /// The registrar instance plus rows that are in `I` but not (yet) in the
@@ -105,9 +104,11 @@ fn fold_and_compare(
         n_jobs
     );
     prop_assert_eq!(
-        edge_fingerprint(batched),
-        edge_fingerprint(single),
-        "V after a fold of {} jobs",
+        batched
+            .observed_digest()
+            .first_difference(&single.observed_digest()),
+        None,
+        "(I, gen_A, V) after a fold of {} jobs",
         n_jobs
     );
     // `M` is held to its recomputation from `V` below; equal `V`s then
@@ -129,7 +130,7 @@ fn fold_and_compare(
 
 /// Folds `jobs` into `reordered` with the deletion jobs reversed and moved
 /// ahead of the insert jobs, and holds the result to `batched`, which folded
-/// the same jobs in application order, down to `state_bytes`.
+/// the same jobs in application order, down to the `Exact` digest.
 fn fold_reordered_and_compare(
     reordered: &mut XmlViewSystem,
     jobs: Vec<DeferredMaintenance>,
@@ -141,8 +142,11 @@ fn fold_reordered_and_compare(
     let n_deletes = jobs.len();
     jobs.extend(inserts);
     reordered.fold_maintenance(jobs).expect("fold");
-    prop_assert!(
-        state_bytes(reordered) == state_bytes(batched),
+    prop_assert_eq!(
+        reordered
+            .exact_digest()
+            .first_difference(&batched.exact_digest()),
+        None,
         "a fold with its {} deletion jobs moved first",
         n_deletes
     );

@@ -4,8 +4,7 @@
 #![allow(dead_code)] // each test file uses its own subset
 
 use proptest::prelude::*;
-use rxview::core::{encode_system, XmlUpdate, XmlViewSystem};
-use rxview::relstore::codec::put_database;
+use rxview::core::{XmlUpdate, XmlViewSystem};
 use rxview::relstore::{Tuple, Value};
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
@@ -18,21 +17,6 @@ pub fn synthetic(n: usize, seed: u64) -> XmlViewSystem {
     let db = synthetic_database(&cfg);
     let atg = synthetic_atg(&db).expect("valid ATG");
     XmlViewSystem::new(atg, db).expect("publishes")
-}
-
-/// The whole state as bytes: the checkpoint encoding of `(I, V, L)`, then
-/// what a checkpoint rebuilds rather than stores — the `gen_A` tables and
-/// `M` as each live node's ancestor ids.
-pub fn state_bytes(sys: &XmlViewSystem) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_system(sys, &mut out);
-    put_database(&mut out, sys.view().gen_db());
-    for v in sys.view().dag().genid().live_ids() {
-        let anc = sys.reach().ancestors(v);
-        out.extend((anc.len() as u32).to_le_bytes());
-        out.extend(anc.iter().flat_map(|a| a.0.to_le_bytes()));
-    }
-    out
 }
 
 /// The registrar view of Fig.1.

@@ -1,13 +1,16 @@
 //! End-to-end integration tests across all crates: every update that the
 //! system accepts must satisfy the paper's correctness criterion
-//! `∆X(T) = σ(∆R(I))`, checked by republication, with `M` and `L` equal to
-//! recomputation.
+//! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
+//! live nodes and `M` and `L` equal to recomputation. The last two tests
+//! hold the oracle and the two state digests to states forged one part
+//! wrong.
 
-mod common;
-
-use common::state_bytes;
-use rxview::core::{SideEffectPolicy, UpdateError, XmlUpdate, XmlViewSystem};
+use rxview::atg::{Dag, GenId, NodeId};
+use rxview::core::{
+    Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate, XmlViewSystem,
+};
 use rxview::relstore::tuple;
+use rxview::relstore::Database;
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
     WorkloadClass, WorkloadGen,
@@ -95,9 +98,7 @@ fn synthetic_workload_all_classes_consistent() {
 #[test]
 fn rejected_updates_leave_no_trace() {
     let mut sys = registrar_system();
-    let before_nodes = sys.view().n_nodes();
-    let before_edges = sys.view().n_edges();
-    let before_rows = sys.base().total_rows();
+    let before = sys.exact_digest();
     let rejects = [
         // Schema violation: cno is a sequence child.
         XmlUpdate::delete("course/cno").unwrap(),
@@ -120,9 +121,7 @@ fn rejected_updates_leave_no_trace() {
             "`{u}` should be rejected"
         );
     }
-    assert_eq!(sys.view().n_nodes(), before_nodes);
-    assert_eq!(sys.view().n_edges(), before_edges);
-    assert_eq!(sys.base().total_rows(), before_rows);
+    assert_eq!(sys.exact_digest().first_difference(&before), None);
     sys.consistency_check().unwrap();
 }
 
@@ -135,7 +134,7 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     db.insert("prereq", tuple!["MA200", "CS240"]).unwrap();
     let atg = registrar_atg(&db).unwrap();
     let mut sys = XmlViewSystem::new(atg, db).unwrap();
-    let before = state_bytes(&sys);
+    let before = sys.exact_digest();
     let before_nodes = sys.view().n_nodes();
     // ST(course, MA200) is all fresh down to the old CS240 it shares —
     // below which the target sits: CS240 → prereq → MA200 → prereq → CS240.
@@ -150,8 +149,9 @@ fn insertion_closing_a_cycle_at_a_shared_descendant_is_rejected() {
     assert_eq!(sys.view().n_nodes(), before_nodes);
     // Down to the id space the interning grew: a recovered engine, whose
     // log holds accepted updates only, rebuilds these bytes.
-    assert!(
-        state_bytes(&sys) == before,
+    assert_eq!(
+        sys.exact_digest().first_difference(&before),
+        None,
         "a rejected insertion changed the system"
     );
     sys.consistency_check().unwrap();
@@ -374,4 +374,166 @@ fn expanded_view_serializes_and_parses_back() {
     // The compact (id/ref) form is strictly smaller on this shared view.
     let compact = sys.view().dag().serialize_compact(sys.view().atg());
     assert!(compact.len() < text.len());
+}
+
+/// A system's parts, to forge a copy with one of them changed through the
+/// public `from_parts` doors.
+struct Parts {
+    base: Database,
+    dag: Dag,
+    gen_db: Database,
+    topo: TopoOrder,
+    reach: Reachability,
+}
+
+type Edge = (NodeId, NodeId);
+
+/// `sys` rebuilt from its parts after `change`.
+fn forge(sys: &XmlViewSystem, change: impl FnOnce(&mut Parts)) -> XmlViewSystem {
+    let mut p = Parts {
+        base: sys.base().clone(),
+        dag: sys.view().dag().clone(),
+        gen_db: sys.view().gen_db().clone(),
+        topo: sys.topo().clone(),
+        reach: sys.reach().clone(),
+    };
+    change(&mut p);
+    let vs = ViewStore::from_parts(sys.view().atg().clone(), p.dag, p.gen_db);
+    XmlViewSystem::from_parts(p.base, vs, p.topo, p.reach)
+}
+
+/// The first row of `table` in `db`, deleted.
+fn delete_first_row(db: &mut Database, table: &str) {
+    let t = db.table(table).unwrap();
+    let key = t.schema().key_of(t.iter().next().expect("a row"));
+    db.delete(table, &key).unwrap();
+}
+
+/// The republication oracle checks `gen_A` against the live nodes: a
+/// `gen_course` row missing, or one for a course that is not in the view,
+/// is refused, though the edges, `L` and `M` all match.
+#[test]
+fn the_oracle_refuses_a_gen_table_that_is_not_the_live_nodes() {
+    let sys = registrar_system();
+    assert_eq!(forge(&sys, |_| ()).consistency_check(), Ok(()));
+    let missing = forge(&sys, |p| delete_first_row(&mut p.gen_db, "gen_course"));
+    let ghost = tuple!["CS999", "Not in the view"];
+    let extra = forge(&sys, |p| {
+        assert!(p.gen_db.insert("gen_course", ghost).unwrap())
+    });
+    for forged in [missing, extra] {
+        let err = forged.consistency_check().unwrap_err();
+        assert!(err.contains("gen_course"), "{err}");
+    }
+}
+
+/// A live node no parent links — garbage collection missed it — is
+/// refused: republication has no such node, though it adds no edge and
+/// `gen_A`, `L` and `M` all account for it.
+#[test]
+fn the_oracle_refuses_a_node_that_outlived_its_last_parent() {
+    let sys = registrar_system();
+    let orphan = forge(&sys, |p| {
+        let course = sys.view().atg().dtd().type_id("course").unwrap();
+        let ghost = tuple!["CS999", "Orphan"];
+        let mut genid = p.dag.genid().clone();
+        let (id, _) = genid.gen_id(course, ghost.clone());
+        let edges: Vec<_> = p.dag.all_edges().collect();
+        p.dag = Dag::from_adjacency(genid, Some(p.dag.root()), &edges).unwrap();
+        assert!(p.gen_db.insert("gen_course", ghost).unwrap());
+        let order = [&[id], p.topo.order()].concat();
+        p.topo = TopoOrder::from_order(order);
+        p.reach = Reachability::compute(&p.dag, &p.topo);
+    });
+    let err = orphan.consistency_check().unwrap_err();
+    assert!(err.contains("gen_A"), "{err}");
+}
+
+/// One part changed at a time through the public doors: each digest names
+/// the section the change lands in first — `Exact` every section, and
+/// `Observed` none of what depends on ids or order alone.
+#[test]
+fn each_digest_names_the_section_a_change_lands_in() {
+    let sys = registrar_system();
+    let (dag, genid) = (sys.view().dag(), sys.view().dag().genid());
+    let differs = |change: &dyn Fn(&mut Parts)| {
+        let forged = forge(&sys, change);
+        let exact = forged.exact_digest().first_difference(&sys.exact_digest());
+        (
+            exact,
+            forged
+                .observed_digest()
+                .first_difference(&sys.observed_digest()),
+        )
+    };
+    let relink = |p: &mut Parts, genid: GenId, change: &dyn Fn(&mut [Edge])| {
+        let mut edges: Vec<_> = dag.all_edges().collect();
+        change(&mut edges);
+        p.dag = Dag::from_adjacency(genid, Some(dag.root()), &edges).expect("an adjacency");
+    };
+    let student = sys.view().atg().dtd().type_id("student").unwrap();
+    let first = genid
+        .live_ids()
+        .find(|&v| genid.type_of(v) == student)
+        .unwrap();
+    let parent = genid
+        .live_ids()
+        .find(|&v| dag.children(v).len() > 1)
+        .unwrap();
+    // A student edge retargeted to a student its parent lacks.
+    let (u, v, w) = (dag
+        .all_edges()
+        .filter(|&(_, v)| genid.type_of(v) == student))
+    .find_map(|(u, v)| {
+        let other = |&w: &NodeId| genid.type_of(w) == student && !dag.has_edge(u, w);
+        genid.live_ids().find(other).map(|w| (u, v, w))
+    })
+    .expect("a student another parent lacks");
+
+    assert_eq!(differs(&|_| ()), (None, None));
+    let base = differs(&|p| delete_first_row(&mut p.base, "enroll"));
+    assert_eq!(base, (Some("I"), Some("I")));
+    let gen = differs(&|p| delete_first_row(&mut p.gen_db, "gen_student"));
+    assert_eq!(gen, (Some("gen_A"), Some("gen_A")));
+    // A slot's `$A`, in the interner alone.
+    let renamed = differs(&|p| {
+        let slots = (0..genid.n_allocated() as u32).map(NodeId).map(|v| {
+            let attr = if v == first {
+                tuple!["S99", "Renamed"]
+            } else {
+                genid.attr_of(v).clone()
+            };
+            genid.is_live(v).then(|| (genid.type_of(v), attr))
+        });
+        relink(p, GenId::from_slots(slots, |_| None).unwrap(), &|_| ());
+    });
+    assert_eq!(renamed, (Some("ids"), Some("edges")));
+    let reordered = differs(&|p| {
+        let at = |e: &[Edge]| e.iter().position(|e| e.0 == parent).unwrap();
+        relink(p, genid.clone(), &|e| e.swap(at(e), at(e) + 1));
+    });
+    assert_eq!(reordered, (Some("children"), None));
+    let retargeted = differs(&|p| {
+        let at = |e: &[Edge]| e.iter().position(|e| *e == (u, v)).unwrap();
+        relink(p, genid.clone(), &|e| e[at(e)].1 = w);
+    });
+    assert_eq!(retargeted, (Some("children"), Some("edges")));
+    // Two independent entries of `L`: its first two, both leaves.
+    let swapped = differs(&|p| {
+        let mut order = sys.topo().order().to_vec();
+        assert!(order[..2].iter().all(|&n| dag.children(n).is_empty()));
+        order.swap(0, 1);
+        p.topo = TopoOrder::from_order(order);
+        assert!(p.topo.is_valid_for(dag));
+    });
+    assert_eq!(swapped, (Some("L"), None));
+    // One `anc` run: a student's first ancestor dropped.
+    let dropped = differs(&|p| {
+        let runs = genid.live_ids().map(|d| {
+            let run = sys.reach().ancestors(d).iter();
+            (d, run.skip(usize::from(d == first)))
+        });
+        p.reach = Reachability::from_ancestors(runs).unwrap();
+    });
+    assert_eq!(dropped, (Some("M"), None));
 }

@@ -18,9 +18,10 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "core",
-        "Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated \
-         InsertRejection MAX_CONE_ANCHORS MaintainReport PathClass PhaseTimings PlanCache \
-         PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef SubStep TopoOrder \
+        "Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated Exact \
+         InsertRejection MAX_CONE_ANCHORS MaintainReport Observed PathClass PhaseTimings \
+         PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \
+         StateDigest SubStep TopoOrder \
          TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport ViewDelta \
          ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system encode_system eval_plan \
          planned_delete_writes planned_insert_writes put_update reach:: rel_delete:: \

@@ -4,8 +4,8 @@
 //! on its own, so the engine must reach *exactly* what
 //! `rxview_reference::reference_apply` — §3.2 verbatim, then translation,
 //! then ∆(M,L) for that one update — reaches: the same accept bitmap and the
-//! same `(I, V, M, L)`, down to the checkpoint encoding's bytes (node ids
-//! and `L`'s order included), the `gen_A` tables and `M`'s ancestor sets,
+//! same `(I, V, M, L)`, down to the `Exact` digest (node ids, child order,
+//! `L`'s order, the `gen_A` tables and `M`'s ancestor runs included),
 //! after every commit and at every round cap. And a durable engine killed after any record recovers to that
 //! same state for the prefix the log holds.
 //!
@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::state_bytes;
+use rxview::core::Exact;
 use rxview::prelude::*;
 use rxview::workload::{synthetic_atg, synthetic_database, SyntheticConfig};
 use rxview_reference::reference_apply;
@@ -66,7 +66,7 @@ fn commits() -> Vec<Commit> {
 
 /// Each commit through the reference, one update at a time: the accept
 /// bitmap per commit and the state after it.
-fn reference(sys: &XmlViewSystem, commits: &[Commit]) -> (Vec<Vec<bool>>, Vec<Vec<u8>>) {
+fn reference(sys: &XmlViewSystem, commits: &[Commit]) -> (Vec<Vec<bool>>, Vec<Exact>) {
     let mut oracle = sys.clone();
     commits
         .iter()
@@ -75,7 +75,7 @@ fn reference(sys: &XmlViewSystem, commits: &[Commit]) -> (Vec<Vec<bool>>, Vec<Ve
                 .iter()
                 .map(|(u, p)| reference_apply(&mut oracle, u, *p).is_ok())
                 .collect();
-            (accepted, state_bytes(&oracle))
+            (accepted, oracle.exact_digest())
         })
         .unzip()
 }
@@ -107,10 +107,8 @@ fn every_round_cap_reaches_the_reference_state_after_every_commit() {
         for (c, commit) in commits.iter().enumerate() {
             let at = format!("max_batch {max_batch}, commit {c}");
             assert_eq!(commit_all(&engine, commit), accepted[c], "{at}");
-            assert!(
-                state_bytes(engine.snapshot().system()) == states[c],
-                "{at}: (I, V, M, L)"
-            );
+            let got = engine.snapshot().system().exact_digest();
+            assert_eq!(got.first_difference(&states[c]), None, "{at}: (I, V, M, L)");
         }
         let report = engine.stats().report();
         let rounds: usize = commits.iter().map(|c| c.len().div_ceil(max_batch)).sum();
@@ -165,10 +163,8 @@ fn a_crash_after_any_record_recovers_the_acknowledged_prefix() {
         assert_eq!(report.replay_rejected, 0, "round {r}");
         let applied = accepted[..=r].iter().flatten().filter(|ok| **ok).count();
         assert_eq!(report.replay_folds, applied, "round {r}: a fold per update");
-        assert!(
-            state_bytes(recovered.snapshot().system()) == states[r],
-            "round {r}"
-        );
+        let got = recovered.snapshot().system().exact_digest();
+        assert_eq!(got.first_difference(&states[r]), None, "round {r}");
         drop(recovered);
         std::fs::remove_dir_all(&copy).expect("removed copy");
     }

@@ -12,8 +12,8 @@
 use rxview::prelude::*;
 use rxview::relstore::tuple;
 use rxview::workload::{
-    assert_observationally_equal, base_fingerprint, edge_fingerprint, mixed_updates, synthetic_atg,
-    synthetic_database, ChurnGen, SyntheticConfig,
+    assert_observationally_equal, mixed_updates, synthetic_atg, synthetic_database, ChurnGen,
+    SyntheticConfig,
 };
 use rxview::xmlkit::parse_xpath;
 
@@ -50,10 +50,7 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
     for round in 0..ROUNDS {
         if round == HOLD_FROM {
             let snap = engine.snapshot();
-            let seen = (
-                edge_fingerprint(snap.system()),
-                base_fingerprint(snap.system()),
-            );
+            let seen = snap.system().exact_digest();
             let read = reads(&snap, 10);
             assert!(read.iter().filter(|r| !r.is_empty()).count() >= 30);
             held = Some((snap, seen, read));
@@ -86,13 +83,11 @@ fn held_snapshot_is_untouched_by_fifty_rounds() {
     let (snap, seen, read) = held.expect("taken in round HOLD_FROM");
     let latest = engine.snapshot();
     assert!(snap.epoch() < latest.epoch());
-    let now = (
-        edge_fingerprint(snap.system()),
-        base_fingerprint(snap.system()),
-    );
-    assert!(seen == now, "the held snapshot changed under its reader");
+    let changed = seen.first_difference(&snap.system().exact_digest());
+    assert_eq!(changed, None, "the held snapshot changed under its reader");
+    let edges = |s: &Snapshot| s.system().observed_digest().section("edges");
     assert!(
-        seen.0 != edge_fingerprint(latest.system()),
+        edges(&snap) != edges(&latest),
         "the rounds never diverged from the held snapshot"
     );
     assert!(
@@ -141,7 +136,7 @@ fn a_pinned_reader_never_sees_a_recycled_id_mean_two_nodes() {
     let pinned = engine.snapshot();
     let first_key = 4_000_000_001;
     let x = node(&pinned, first_key).expect("the first fresh node");
-    let (seen, read) = (edge_fingerprint(pinned.system()), reads(&pinned, 10));
+    let (seen, read) = (pinned.system().exact_digest(), reads(&pinned, 10));
 
     // The next window deletes the older one — `x` is collected — and
     // its insertion, under another head, is the next to ask for an id.
@@ -163,7 +158,7 @@ fn a_pinned_reader_never_sees_a_recycled_id_mean_two_nodes() {
     // In the pinned epoch `x` is still the first fresh node, whole.
     assert_eq!(node(&pinned, first_key), Some(x));
     assert!(node(&pinned, first_key + 2).is_none());
-    assert!(seen == edge_fingerprint(pinned.system()));
+    assert_eq!(seen.first_difference(&pinned.system().exact_digest()), None);
     assert!(read == reads(&pinned, 10));
     assert!(read != reads(&latest, 10));
     pinned
