@@ -1,6 +1,6 @@
 //! `rxview-bench` — the harness that regenerates every table and figure of
-//! the paper's evaluation (§5). See DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! the paper's evaluation (§5). ARCHITECTURE.md maps the paper to the code,
+//! and the `paper_tables` binary's docs list the experiments it prints.
 //!
 //! Everything runs from the `paper_tables` binary
 //! (`cargo run --release -p rxview-bench --bin paper_tables -- all`),

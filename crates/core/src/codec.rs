@@ -56,15 +56,17 @@
 //! decimal form of a `u64` (`"007"`, `"+5"`, `"18446744073709551616"`)
 //! stays a string under tag 1 and comes back byte for byte.
 //!
-//! Every update spelled in full joins the segment's **shape table**. A later
-//! update of the same shape — the same kind, an insertion's type and value
-//! types, and a path that differs only in its `p = "s"` literals, keyed by
-//! the plan cache's shape key (`plan::shape_path`) — is written *shaped*:
-//! the table index, the inserted values without their tags (the shape fixes
-//! their types), and the path's literals in the order the plan cache binds
-//! its slots (`plan::bind` puts them back). A segment of rounds over a
-//! handful of shapes so costs about their literals per update, however few
-//! updates each round holds.
+//! Every update spelled in full joins the segment's **shape table**, keyed
+//! by its update key (`shape::update_key`): the plan cache's key of its
+//! path, then its kind, and an insertion's type and value types. The key is
+//! injective, so a later update with an entry's key is of that entry's
+//! shape — the same kind, type and value types, and a path that differs
+//! only in its `p = "s"` literals — and is written *shaped*: the table
+//! index, the inserted values without their tags (the shape fixes their
+//! types), and the path's literals in the order the plan cache binds its
+//! slots (`shape::bind` puts them back). A segment of rounds over a handful
+//! of shapes so costs about their literals per update, however few updates
+//! each round holds.
 //!
 //! ## Tables that live for a segment
 //!
@@ -83,7 +85,7 @@
 //!
 //! **Slot state.** Every entry of the shape table also holds the last value
 //! bound to each of its integer slots: an insertion's `Int` values, then the
-//! path's literals in `plan::bind`'s order. The update that spells the entry
+//! path's literals in `shape::bind`'s order. The update that spells the entry
 //! sets them (a literal that is text sets its slot to 0). A shaped update
 //! writes each integer as its zigzag-coded difference from its slot and
 //! leaves itself there; a text literal leaves its slot as it was. The keys
@@ -106,9 +108,9 @@
 //! segment's bytes and the updates light enough to name, so they stay
 //! within a constant factor of the segment's size.
 
-use crate::plan::{bind, same_shape, shape_path};
 use crate::processor::XmlViewSystem;
 use crate::reach::Reachability;
+use crate::shape::{bind, update_key};
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
 use crate::viewstore::ViewStore;
@@ -164,7 +166,7 @@ pub type LoggedUpdate = (XmlUpdate, SideEffectPolicy);
 pub struct RecordTables {
     /// Label → its index in the label table.
     labels: HashMap<String, usize>,
-    /// Shape key ([`shape_key`]) → the shape's entry.
+    /// Update key (`shape::update_key`) → the shape's entry.
     shapes: HashMap<String, Shape>,
     /// The shape table's length: every update spelled in full, named or not.
     n_shapes: usize,
@@ -181,8 +183,6 @@ pub struct RecordTables {
 struct Shape {
     /// Its index in the shape table.
     index: usize,
-    /// The update that spelled it.
-    template: XmlUpdate,
     /// Where its slots start in [`Slots::values`].
     first_slot: usize,
 }
@@ -313,52 +313,6 @@ fn push_slots(slots: &mut Vec<u64>, update: &XmlUpdate, literals: &[&str]) {
         }));
     }
     slots.extend(literals.iter().map(|s| literal_number(s).unwrap_or(0)));
-}
-
-/// The key of `update`'s entry in a record's shape table: [`shape_path`]'s
-/// key of its path, then the kind, and an insertion's type and value
-/// types; `literals` gets the path's literals in the order the shaped form
-/// writes them. Keys may collide (labels are spelled as they are); the
-/// encoder names a shape only after [`same_update_shape`] agrees.
-fn shape_key<'a>(update: &'a XmlUpdate, key: &mut String, literals: &mut Vec<&'a str>) {
-    key.clear();
-    literals.clear();
-    shape_path(update.path(), key, literals);
-    match update {
-        XmlUpdate::Delete { .. } => key.push('\u{0}'),
-        XmlUpdate::Insert { ty, attr, .. } => {
-            key.push('\u{1}');
-            key.push_str(ty);
-            key.extend(attr.iter().map(|v| match v.value_type() {
-                ValueType::Int => 'i',
-                ValueType::Str => 's',
-                ValueType::Bool => 'b',
-            }));
-        }
-    }
-}
-
-/// Whether `u` can be written as a shaped update naming `template`: the
-/// same kind, an insertion's type and value types, and a path that differs
-/// at most in its literals.
-fn same_update_shape(template: &XmlUpdate, u: &XmlUpdate) -> bool {
-    let same_types = |a: &Tuple, b: &Tuple| {
-        a.iter()
-            .map(Value::value_type)
-            .eq(b.iter().map(Value::value_type))
-    };
-    match (template, u) {
-        (XmlUpdate::Delete { path: p }, XmlUpdate::Delete { path: q }) => same_shape(p, q),
-        (
-            XmlUpdate::Insert { ty, attr, path: p },
-            XmlUpdate::Insert {
-                ty: ty2,
-                attr: attr2,
-                path: q,
-            },
-        ) => ty == ty2 && same_types(attr, attr2) && same_shape(p, q),
-        _ => false,
-    }
 }
 
 /// Whether what a shaped update clones of `template` — one unit per AST
@@ -554,9 +508,9 @@ pub fn put_round(
     for (update, policy) in updates {
         let proceed = *policy == SideEffectPolicy::Proceed;
         let policy_bit = if proceed { HEAD_PROCEED } else { 0 };
-        shape_key(update, key, &mut literals);
+        update_key(update, key, &mut literals);
         match shapes.get(key.as_str()) {
-            Some(shape) if same_update_shape(&shape.template, update) => {
+            Some(shape) => {
                 let kind_bit = match update {
                     XmlUpdate::Insert { .. } => 0,
                     XmlUpdate::Delete { .. } => HEAD_DELETE,
@@ -565,14 +519,13 @@ pub fn put_round(
                 put_varint(out, shape.index as u64);
                 put_shaped(out, slots, shape, update, &literals);
             }
-            named => {
+            None => {
                 Encoder { out, labels }.update(update, policy_bit);
-                if named.is_none() && weighs_at_most(update, MAX_TEMPLATE_WEIGHT) {
+                if weighs_at_most(update, MAX_TEMPLATE_WEIGHT) {
                     let first_slot = slots.values.len();
                     push_slots(&mut slots.values, update, &literals);
                     let shape = Shape {
                         index: *n_shapes,
-                        template: update.clone(),
                         first_slot,
                     };
                     shapes.insert(key.clone(), shape);
@@ -698,7 +651,7 @@ impl<'a> Decoder<'_, 'a> {
             };
             let template = weighs_at_most(&update, MAX_TEMPLATE_WEIGHT).then(|| {
                 let (mut key, mut literals, mut slots) = (String::new(), Vec::new(), Vec::new());
-                shape_key(&update, &mut key, &mut literals);
+                update_key(&update, &mut key, &mut literals);
                 push_slots(&mut slots, &update, &literals);
                 (update.clone(), slots)
             });

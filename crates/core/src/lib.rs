@@ -54,11 +54,18 @@ mod processor;
 pub mod reach;
 pub mod rel_delete;
 mod rel_insert;
+mod shape;
 mod template;
 mod topo;
 mod translate;
 mod update;
 mod viewstore;
+
+/// The AST strategies the property tests share (`tests/common/mod.rs`).
+#[cfg(test)]
+#[allow(unreachable_pub)]
+#[path = "../tests/common/mod.rs"]
+mod ast_strategies;
 
 pub use codec::{decode_system, encode_system, put_update};
 pub use dag_eval::DagEval;

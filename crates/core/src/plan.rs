@@ -18,14 +18,14 @@
 //! closure is a walk down the DAG's child lists ([`crate::reach::DescWalk`]):
 //! evaluation reads no `M` run, and hashes nothing.
 //!
-//! **Cache key.** The key is the path's shape: its serialized AST with every
-//! `p = "s"` literal replaced by `?`. Two paths with the same shape share
-//! one compiled plan; the literals are re-bound per evaluation. Workloads
-//! that touch millions of distinct keys (`node[id=…]/sub`) therefore hit a
-//! handful of cache entries. A log record keys its shape table the same way
-//! and writes a repeated shape as its literals, in the same order
-//! ([`crate::codec`]): [`shape_path`] collects them, [`bind`] puts them
-//! back, for a plan's slots and for a record's reader alike.
+//! **Cache key.** The key is the path's shape key ([`crate::shape`]): its
+//! AST with every `p = "s"` literal a slot, in a grammar that keys two
+//! paths alike exactly when they differ at most in those literals. Two
+//! paths of one shape share one compiled plan; the literals are re-bound
+//! per evaluation. Workloads that touch millions of distinct keys
+//! (`node[id=…]/sub`) therefore hit a handful of cache entries. A log
+//! record keys its shape table by the same key and writes a repeated shape
+//! as its literals, in the same order ([`crate::codec`]).
 //!
 //! **Invalidation contract.** A plan depends only on the [`Dtd`] (type-name
 //! resolution) — not on the DAG, the gen tables, or the topological order —
@@ -45,13 +45,14 @@
 use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};
 use crate::reach::with_walk;
+use crate::shape::{bind, shape_of};
 use crate::template::TranslationTemplates;
 #[cfg(test)]
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, Dag, NodeId};
 use rxview_xmlkit::xpath::{normalize, NormStep};
-use rxview_xmlkit::xpath::{Filter, NodeTest, Step, StepKind, XPath};
+use rxview_xmlkit::xpath::{Filter, XPath};
 use rxview_xmlkit::{Dtd, TypeId};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -62,7 +63,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Shape extraction: cache key + bindings, and the slotted AST for compiles.
+// Slots: the sentinel AST a plan compiles.
 // ---------------------------------------------------------------------------
 
 /// Slot sentinels survive a round-trip through [`classify`]'s key
@@ -80,107 +81,6 @@ fn parse_sentinel(s: &str) -> Option<usize> {
         .ok()
 }
 
-/// Serializes the path's shape into `key` (literals as `?`) and collects
-/// the literal values, in pre-order traversal order, into `vals`. The
-/// traversal order here and in [`bind`] must match: slot `i` binds the
-/// `i`-th literal either walk encounters — of a compiled plan, and of a
-/// shaped update in a log record (`crate::codec`).
-pub(crate) fn shape_path<'a>(p: &'a XPath, key: &mut String, vals: &mut Vec<&'a str>) {
-    for step in &p.steps {
-        match &step.kind {
-            StepKind::SelfAxis => key.push('.'),
-            StepKind::Child(NodeTest::Label(l)) => {
-                key.push('/');
-                key.push_str(l);
-            }
-            StepKind::Child(NodeTest::Wildcard) => key.push_str("/*"),
-            StepKind::DescendantOrSelf => key.push_str("//"),
-        }
-        for f in &step.filters {
-            key.push('[');
-            shape_filter(f, key, vals);
-            key.push(']');
-        }
-    }
-}
-
-fn shape_filter<'a>(f: &'a Filter, key: &mut String, vals: &mut Vec<&'a str>) {
-    match f {
-        Filter::Path(p) => {
-            key.push('(');
-            shape_path(p, key, vals);
-            key.push(')');
-        }
-        Filter::PathEq(p, v) => {
-            shape_path(p, key, vals);
-            key.push_str("=?");
-            vals.push(v);
-        }
-        Filter::LabelIs(l) => {
-            key.push_str("label()=");
-            key.push_str(l);
-        }
-        Filter::And(a, b) => {
-            shape_filter(a, key, vals);
-            key.push_str(" and ");
-            shape_filter(b, key, vals);
-        }
-        Filter::Or(a, b) => {
-            key.push('{');
-            shape_filter(a, key, vals);
-            key.push_str(" or ");
-            shape_filter(b, key, vals);
-            key.push('}');
-        }
-        Filter::Not(a) => {
-            key.push_str("not<");
-            shape_filter(a, key, vals);
-            key.push('>');
-        }
-    }
-}
-
-/// The shape key and literal bindings of a path — the hot-path half of a
-/// cache probe (no AST allocation).
-pub(crate) fn shape_of(p: &XPath) -> (String, Vec<String>) {
-    let mut key = String::with_capacity(32);
-    let mut vals = Vec::new();
-    shape_path(p, &mut key, &mut vals);
-    (key, vals.into_iter().map(str::to_owned).collect())
-}
-
-/// Rebuilds `p` with its `p = "s"` literals replaced, in [`shape_path`]'s
-/// order, by what successive calls of `literal` return; `p`'s own literals
-/// are not read. With the slot sentinels, it is the path a plan compiles
-/// ([`slotted`]); with the literals of a path `q` of `p`'s shape
-/// ([`same_shape`]), it is `q` — how a log record's shaped update is read.
-pub(crate) fn bind(p: &XPath, literal: &mut impl FnMut() -> String) -> XPath {
-    XPath {
-        steps: p
-            .steps
-            .iter()
-            .map(|s| Step {
-                kind: s.kind.clone(),
-                filters: s.filters.iter().map(|f| bind_filter(f, literal)).collect(),
-            })
-            .collect(),
-    }
-}
-
-fn bind_filter(f: &Filter, literal: &mut impl FnMut() -> String) -> Filter {
-    match f {
-        Filter::Path(p) => Filter::Path(bind(p, literal)),
-        Filter::PathEq(p, _) => {
-            let p = bind(p, literal);
-            Filter::PathEq(p, literal())
-        }
-        Filter::LabelIs(l) => Filter::LabelIs(l.clone()),
-        Filter::And(a, b) => Filter::and(bind_filter(a, literal), bind_filter(b, literal)),
-        Filter::Or(a, b) => Filter::or(bind_filter(a, literal), bind_filter(b, literal)),
-        Filter::Not(a) => Filter::not(bind_filter(a, literal)),
-    }
-}
-
 /// `p` with its `p = "s"` literals replaced by slot sentinels, and how many
 /// there are: the path a plan compiles (cache miss).
 fn slotted(p: &XPath) -> (XPath, usize) {
@@ -190,36 +90,6 @@ fn slotted(p: &XPath) -> (XPath, usize) {
         slot_sentinel(n_slots - 1)
     });
     (path, n_slots)
-}
-
-/// Whether `a` and `b` differ at most in their `p = "s"` literals, so that
-/// binding `b`'s literals into `a` ([`bind`]) rebuilds `b`. Equal
-/// [`shape_of`] keys do not imply it: the key spells labels as they are and
-/// writes nested `and`s alike however they group.
-pub(crate) fn same_shape(a: &XPath, b: &XPath) -> bool {
-    let same_step = |s: &Step, t: &Step| {
-        s.kind == t.kind
-            && s.filters.len() == t.filters.len()
-            && s.filters
-                .iter()
-                .zip(&t.filters)
-                .all(|(f, g)| same_filter_shape(f, g))
-    };
-    a.steps.len() == b.steps.len() && a.steps.iter().zip(&b.steps).all(|(s, t)| same_step(s, t))
-}
-
-fn same_filter_shape(f: &Filter, g: &Filter) -> bool {
-    match (f, g) {
-        (Filter::Path(p), Filter::Path(q)) | (Filter::PathEq(p, _), Filter::PathEq(q, _)) => {
-            same_shape(p, q)
-        }
-        (Filter::LabelIs(l), Filter::LabelIs(m)) => l == m,
-        (Filter::And(a, b), Filter::And(c, d)) | (Filter::Or(a, b), Filter::Or(c, d)) => {
-            same_filter_shape(a, c) && same_filter_shape(b, d)
-        }
-        (Filter::Not(a), Filter::Not(c)) => same_filter_shape(a, c),
-        _ => false,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -920,12 +790,6 @@ fn eval_plan_with(
     }
 }
 
-/// The log codec's AST strategies (`tests/common/mod.rs`).
-#[cfg(test)]
-#[allow(unreachable_pub)]
-#[path = "../tests/common/mod.rs"]
-mod ast_strategies;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,42 +809,16 @@ mod tests {
         /// — over every AST the log codec's strategy draws.
         #[test]
         fn binding_a_paths_literals_into_its_slotted_form_rebuilds_it(
-            p in super::ast_strategies::path_strategy(super::ast_strategies::filter_strategy()),
+            p in crate::ast_strategies::path_strategy(crate::ast_strategies::filter_strategy()),
         ) {
             let (slotted, n_slots) = slotted(&p);
             let (key, literals) = shape_of(&p);
             prop_assert_eq!(literals.len(), n_slots);
             prop_assert_eq!(shape_of(&slotted).0, key);
-            prop_assert!(same_shape(&slotted, &p));
             let mut literals = literals.into_iter();
             let back = bind(&slotted, &mut || literals.next().expect("a literal per slot"));
             prop_assert_eq!(back, p);
         }
-    }
-
-    #[test]
-    fn same_shape_tells_apart_what_the_shape_key_does_not() {
-        let and =
-            |a: &str, b: &str| Filter::and(Filter::LabelIs(a.into()), Filter::LabelIs(b.into()));
-        let grouped = |left: bool| {
-            let f = if left {
-                Filter::and(and("a", "b"), Filter::LabelIs("c".into()))
-            } else {
-                Filter::and(Filter::LabelIs("a".into()), and("b", "c"))
-            };
-            XPath::from_steps(vec![Step::label("node").with_filter(f)])
-        };
-        let (left, right) = (grouped(true), grouped(false));
-        assert_eq!(shape_of(&left).0, shape_of(&right).0);
-        assert!(!same_shape(&left, &right));
-        // A label holding the key's own punctuation.
-        let odd = XPath::from_steps(vec![Step::label("a[/b=?]")]);
-        let keyed = parse_xpath("a[b=1]").unwrap();
-        assert_eq!(shape_of(&odd).0, shape_of(&keyed).0);
-        assert!(!same_shape(&odd, &keyed));
-        // Literals are all that may differ.
-        let other = parse_xpath("a[b=2]").unwrap();
-        assert!(same_shape(&keyed, &other));
     }
 
     thread_local! {

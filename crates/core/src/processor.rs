@@ -24,7 +24,6 @@ use crate::update::{SideEffectPolicy, ViewDelta, XmlUpdate};
 use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, NodeId, PublishError};
 use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
-use rxview_satsolver::WalkSatConfig;
 use rxview_xmlkit::{validate_delete, validate_insert, SchemaViolation, XmlTree};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -527,8 +526,9 @@ impl XmlViewSystem {
     /// compares against the incrementally maintained view — edges and
     /// `gen_A` through the [`Observed`](crate::Observed) digest's sections,
     /// so no node outlives its last parent — checks that each `gen_A` table
-    /// holds one row per live node of its type and no other, and checks
-    /// `M`/`L` against recomputation. This is the paper's correctness
+    /// holds one row per live node of its type and no other, checks that
+    /// `L` is a topological order of the view, and `M` against Algorithm
+    /// Reach recomputed over `L`. This is the paper's correctness
     /// criterion `∆X(T) = σ(∆R(I))` made executable.
     pub fn consistency_check(&self) -> Result<(), String> {
         let fresh = ViewStore::publish(self.vs.atg().clone(), &self.base)
@@ -548,8 +548,7 @@ impl XmlViewSystem {
         if !self.topo.is_valid_for(self.vs.dag()) {
             return Err("topological order invalid".into());
         }
-        let fresh_topo = TopoOrder::compute(self.vs.dag());
-        let fresh_reach = Reachability::compute(self.vs.dag(), &fresh_topo);
+        let fresh_reach = Reachability::compute(self.vs.dag(), &self.topo);
         if !self.reach.same_pairs(&fresh_reach) {
             return Err("reachability matrix diverged from recomputation".into());
         }
@@ -642,14 +641,13 @@ fn translate_insert(
             return Err(UpdateError::Cycle);
         }
     }
-    let translation =
-        match translate_insertions(vs, base, &delta_v, &st.fresh, &WalkSatConfig::default()) {
-            Ok(t) => t,
-            Err(e) => {
-                rollback_subtree(vs, &st, space);
-                return Err(UpdateError::Insert(e));
-            }
-        };
+    let translation = match translate_insertions(vs, base, &delta_v, &st.fresh) {
+        Ok(t) => t,
+        Err(e) => {
+            rollback_subtree(vs, &st, space);
+            return Err(UpdateError::Insert(e));
+        }
+    };
     Ok(TranslatedUpdate {
         delta_v,
         delta_r: translation.delta_r,

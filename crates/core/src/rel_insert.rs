@@ -237,7 +237,6 @@ pub(crate) fn translate_insertions(
     base: &Database,
     delta: &ViewDelta,
     fresh_nodes: &[NodeId],
-    sat_config: &WalkSatConfig,
 ) -> Result<InsertTranslation, InsertRejection> {
     let atg = vs.atg();
     let mut vars = Vars::default();
@@ -422,7 +421,7 @@ pub(crate) fn translate_insertions(
         None
     } else {
         sat_used = true;
-        match walksat(&formula, sat_config) {
+        match walksat(&formula, &WalkSatConfig::default()) {
             WalkSatResult::Sat(m) => Some(m),
             WalkSatResult::Unknown => {
                 // Complete fallback on small instances.
@@ -1078,14 +1077,6 @@ mod tests {
         (db, vs, topo)
     }
 
-    fn cfg() -> WalkSatConfig {
-        WalkSatConfig {
-            max_flips: 10_000,
-            max_tries: 5,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn insert_existing_course_as_prereq_yields_prereq_tuple() {
         let (db, mut vs, topo) = fixture();
@@ -1100,7 +1091,7 @@ mod tests {
             &eval,
         )
         .unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         assert_eq!(tr.delta_r.len(), 1);
         assert_eq!(
             tr.delta_r.ops()[0],
@@ -1126,7 +1117,7 @@ mod tests {
             &eval,
         )
         .unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         let mut db2 = db.clone();
         db2.apply(&tr.delta_r).unwrap();
         // Republication oracle: σ(∆R(I)) has CS240 under CS650's prereq.
@@ -1151,7 +1142,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         assert_eq!(tr.delta_r.len(), 1);
         assert_eq!(
             tr.delta_r.ops()[0],
@@ -1171,7 +1162,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S99", "Zed"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         let tables: BTreeSet<&str> = tr.delta_r.ops().iter().map(|o| o.table()).collect();
         assert!(tables.contains("student"));
         assert!(tables.contains("enroll"));
@@ -1205,7 +1196,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         let mut db2 = db.clone();
         db2.apply(&tr.delta_r).unwrap();
         // The new course tuple must carry dept=CS — otherwise Qdb_course
@@ -1229,7 +1220,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
-        let err = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap_err();
+        let err = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap_err();
         assert!(matches!(err, InsertRejection::KeyConflict { .. }));
     }
 
@@ -1243,7 +1234,7 @@ mod tests {
         assert!(eval.selected.len() >= 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         let course_inserts = tr
             .delta_r
             .ops()
@@ -1271,7 +1262,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS888", "Lab"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh, &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
         let course_row = tr
             .delta_r
             .ops()
@@ -1304,7 +1295,7 @@ mod tests {
     fn empty_delta_translates_to_empty() {
         let (db, vs, _topo) = fixture();
         let delta = ViewDelta::default();
-        let tr = translate_insertions(&vs, &db, &delta, &[], &cfg()).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta, &[]).unwrap();
         assert!(tr.delta_r.is_empty());
     }
 }

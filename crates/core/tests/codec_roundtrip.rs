@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{constant_strategy, filter_strategy, label_strategy, path_strategy};
+use common::{constant_strategy, filter_strategy, label_strategy, path_strategy, refill_path};
 use proptest::prelude::*;
 use rxview_core::codec::{self, LoggedUpdate, ReadTables, RecordTables};
 use rxview_core::{SideEffectPolicy, XmlUpdate};
@@ -313,29 +313,6 @@ fn policy_strategy() -> BoxedStrategy<SideEffectPolicy> {
         .boxed()
 }
 
-/// `p` with its `p = "s"` literals replaced by `constants` while they last.
-fn refill_path(p: &XPath, constants: &mut impl Iterator<Item = String>) -> XPath {
-    let steps = p.steps.iter().map(|s| Step {
-        kind: s.kind.clone(),
-        filters: s.filters.iter().map(|f| refill(f, constants)).collect(),
-    });
-    XPath::from_steps(steps.collect())
-}
-
-fn refill(f: &Filter, constants: &mut impl Iterator<Item = String>) -> Filter {
-    match f {
-        Filter::Path(p) => Filter::Path(refill_path(p, constants)),
-        Filter::PathEq(p, old) => {
-            let p = refill_path(p, constants);
-            Filter::PathEq(p, constants.next().unwrap_or_else(|| old.clone()))
-        }
-        Filter::LabelIs(l) => Filter::LabelIs(l.clone()),
-        Filter::And(a, b) => Filter::and(refill(a, constants), refill(b, constants)),
-        Filter::Or(a, b) => Filter::or(refill(a, constants), refill(b, constants)),
-        Filter::Not(a) => Filter::not(refill(a, constants)),
-    }
-}
-
 /// `template` with fresh literals and, for an insertion, fresh values of
 /// the same types: an update of the template's shape.
 fn of_shape(template: &XmlUpdate, constants: Vec<String>, seed: u64) -> XmlUpdate {
@@ -575,9 +552,11 @@ proptest! {
     }
 }
 
-/// Paths the shape key cannot tell apart — `and`s grouped either way, a
-/// label spelling the key of a filter — are different shapes: the second
-/// of each pair is spelled in full and comes back as itself.
+/// Paths whose keys collided while the shape key spelled labels as they
+/// are and left `and`s unbracketed — `and`s grouped either way, a label
+/// spelling the key of a filter — are different shapes with keys of their
+/// own: the second of each pair is spelled in full and comes back as
+/// itself.
 #[test]
 fn updates_whose_shape_keys_collide_round_trip() {
     let label = |l: &str| Filter::LabelIs(l.into());

@@ -10,8 +10,7 @@
 //!   `h1 < h2`, which guarantees the published view is acyclic;
 //! - `CU` is the universe of `C`-tuples: whenever `h2` joins it always
 //!   yields a tuple. The paper materializes 100M tuples; we set `CU = C`
-//!   and draw `h2` from live keys — the same invariant at laptop scale
-//!   (see DESIGN.md, substitution 2).
+//!   and draw `h2` from live keys — the same invariant at laptop scale.
 //!
 //! The recursively defined view of Fig.10(a) is, per recursion step,
 //! `π_{c1,f1,h1,h2} σ_{c1=f1 ∧ f1=h1 ∧ h2=c′1 ∧ c2=f2 ∧ c3=f3 ∧ c4=f4}

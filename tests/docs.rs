@@ -4,15 +4,17 @@
 //! and one that removes more lowers the pin — every `crates/…` path that
 //! ARCHITECTURE.md, README.md or ROADMAP.md cites exists, so a change that
 //! deletes or moves a file cannot leave a citation of it behind, every
-//! ROADMAP item cited in code or docs is one ROADMAP.md lists, and every
-//! metric name ARCHITECTURE.md §6 cites is one the engine exports.
+//! `*.md` file an inner doc comment (`//!`) under `src/` or `crates/` names
+//! exists, every ROADMAP item cited in code or docs is one ROADMAP.md
+//! lists, and every metric name ARCHITECTURE.md §6 cites is one the engine
+//! exports.
 
 use rxview::atg::{registrar_atg, registrar_database};
 use rxview::prelude::{Engine, XmlViewSystem};
 use std::path::Path;
 
 /// ARCHITECTURE.md's size in bytes.
-const ARCHITECTURE_BYTES: usize = 91_983;
+const ARCHITECTURE_BYTES: usize = 91_972;
 
 /// ARCHITECTURE.md's `## ` sections titled by PR number ("…, PR 8: …").
 const PR_TITLED_SECTIONS: usize = 1;
@@ -241,8 +243,56 @@ fn every_cited_crate_path_exists() {
     );
 }
 
+/// The `*.md` files a line names: each run of path characters that ends in
+/// `.md` and has a name before it.
+fn md_files(line: &str) -> Vec<&str> {
+    let in_path = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    line.match_indices(".md")
+        .filter(|&(at, _)| !line[at + 3..].starts_with(|c: char| in_path(c) && c != '.'))
+        .map(|(at, _)| &line[line[..at].trim_end_matches(in_path).len()..at + 3])
+        .filter(|name| name.len() > 3)
+        .collect()
+}
+
+#[test]
+fn every_md_file_an_inner_doc_names_exists() {
+    let mut files = Vec::new();
+    for dir in ["src", "crates"] {
+        text_files(&root().join(dir), &mut files);
+    }
+    let (mut checked, mut missing) = (0, Vec::new());
+    for file in files
+        .iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = std::fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if !line.trim_start().starts_with("//!") {
+                continue;
+            }
+            for name in md_files(line) {
+                checked += 1;
+                if !root().join(name).exists() {
+                    let file = file.strip_prefix(root()).unwrap().display();
+                    missing.push(format!("{file}:{}: {name}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 5, "only {checked} `*.md` names found");
+    assert!(
+        missing.is_empty(),
+        "`*.md` files named in inner docs that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
 #[test]
 fn citations_are_read_as_written() {
+    assert_eq!(
+        md_files("//! See DESIGN.md, `crates/x/README.md`. Not *.md, a.mdx or b.md_x."),
+        ["DESIGN.md", "crates/x/README.md"]
+    );
     assert_eq!(
         cited("(`crates/engine/src/wal.rs`, see crates/core.) and xcrates/no"),
         ["crates/engine/src/wal.rs", "crates/core"]

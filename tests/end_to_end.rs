@@ -1,20 +1,24 @@
 //! End-to-end integration tests across all crates: every update that the
 //! system accepts must satisfy the paper's correctness criterion
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
-//! live nodes and `M` and `L` equal to recomputation. The last two tests
-//! hold the oracle and the two state digests to states forged one part
-//! wrong.
+//! live nodes and `M` and `L` equal to recomputation. Three tests hold the
+//! plan cache and the log's shape table to paths whose labels spell the
+//! shape key's punctuation; the last three hold the oracle and the two
+//! state digests to states forged one part wrong.
 
 use rxview::atg::{Dag, GenId, NodeId};
 use rxview::core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate, XmlViewSystem,
 };
+use rxview::engine::{Durability, Engine, EngineConfig};
 use rxview::relstore::tuple;
 use rxview::relstore::Database;
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
     WorkloadClass, WorkloadGen,
 };
+use rxview::xmlkit::parse_xpath;
+use rxview::xmlkit::xpath::{Filter, Step, XPath};
 
 fn registrar_system() -> XmlViewSystem {
     let db = registrar_database();
@@ -374,6 +378,110 @@ fn expanded_view_serializes_and_parses_back() {
     // The compact (id/ref) form is strictly smaller on this shared view.
     let compact = sys.view().dag().serialize_compact(sys.view().atg());
     assert!(compact.len() < text.len());
+}
+
+/// `course[/cno=?]/prereq`, written as two steps of which the first is
+/// labelled `course[/cno=?]`: a label may hold any character, the shape
+/// key's own punctuation included. It selects nothing.
+fn odd_path() -> XPath {
+    XPath::from_steps(vec![Step::label("course[/cno=?]"), Step::label("prereq")])
+}
+
+/// Evaluating a path whose label spells `course[cno=…]`'s shape key leaves
+/// `course[cno=CS650]` selecting what it selects on a fresh system: the
+/// odd path is a shape of its own, with a plan of its own.
+#[test]
+fn a_label_spelling_a_shape_key_gets_its_own_plan() {
+    let course = parse_xpath("course[cno=CS650]").unwrap();
+    let fresh = registrar_system().eval(&course).eval.selected;
+    assert_eq!(fresh.len(), 1);
+    let sys = registrar_system();
+    let odd = XPath::from_steps(vec![Step::label("course[/cno=?]")]);
+    assert!(sys.eval(&odd).eval.selected.is_empty());
+    assert_eq!(sys.eval(&course).eval.selected, fresh);
+}
+
+/// The same through an engine: after an update on the odd path is
+/// committed (and rejected: it selects nothing), an insertion under
+/// `course[cno=CS650]/prereq` is accepted with the ∆R a fresh engine
+/// derives, and a snapshot read of `course[cno=CS650]` returns its node.
+#[test]
+fn an_engine_that_saw_the_odd_path_commits_what_a_fresh_one_does() {
+    let insert = |path: XPath| XmlUpdate::Insert {
+        ty: "course".into(),
+        attr: tuple!["MA100", "Calculus"],
+        path,
+    };
+    let target = parse_xpath("course[cno=CS650]/prereq").unwrap();
+    let fresh = Engine::new(registrar_system())
+        .apply_now(insert(target.clone()), SideEffectPolicy::Proceed)
+        .expect("a fresh engine accepts the insertion");
+    let engine = Engine::new(registrar_system());
+    let odd = engine
+        .submit(insert(odd_path()), SideEffectPolicy::Proceed)
+        .unwrap();
+    engine.commit_pending();
+    assert!(odd.wait().is_err(), "the odd path selects nothing");
+    let report = engine
+        .apply_now(insert(target), SideEffectPolicy::Proceed)
+        .expect("the insertion is accepted after the odd path");
+    assert_eq!(report.delta_r, fresh.delta_r);
+    let course = parse_xpath("course[cno=CS650]").unwrap();
+    let read = engine.snapshot().select(&course);
+    assert_eq!(
+        read,
+        [("course".to_owned(), tuple!["CS650", "Advanced DB"])]
+    );
+}
+
+/// `course[cno=CS650][not(prereq/course)]/prereq`, the filter under `not`
+/// written as two steps, or (`odd`) as one step labelled `prereq/course`,
+/// which no node has: only the odd form's `not` holds at CS650, though the
+/// two look alike but for their labels.
+fn guarded(odd: bool) -> XPath {
+    let inner = match odd {
+        true => XPath::from_steps(vec![Step::label("prereq/course")]),
+        false => parse_xpath("prereq/course").unwrap(),
+    };
+    let mut path = parse_xpath("course[cno=CS650]/prereq").unwrap();
+    path.steps[0].filters.push(Filter::not(Filter::Path(inner)));
+    path
+}
+
+/// Through the log: a durable engine accepts an insertion on the odd form
+/// of `guarded`, rejects one on the other form after it, and accepts one
+/// under `course[cno=CS320]/prereq`; recovery reads the segment and replays
+/// both accepted updates to the engine's state.
+#[test]
+fn a_log_holding_the_odd_path_recovers_to_the_engines_state() {
+    let dir = std::env::temp_dir().join(format!("rxview-odd-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = EngineConfig {
+        durability: Durability::PerRound,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::with_durability(registrar_system(), durable, &dir).unwrap();
+    let insert = |cno: &str, path: XPath| XmlUpdate::Insert {
+        ty: "course".into(),
+        attr: tuple![cno, "Calculus"],
+        path,
+    };
+    let accepted = |u| engine.apply_now(u, SideEffectPolicy::Proceed).is_ok();
+    let cs320 = parse_xpath("course[cno=CS320]/prereq").unwrap();
+    let outcomes = [
+        accepted(insert("MA100", guarded(true))),
+        accepted(insert("MA300", guarded(false))),
+        accepted(insert("MA100", cs320)),
+    ];
+    assert_eq!(outcomes, [true, false, true]);
+    let atg = engine.snapshot().system().view().atg().clone();
+    let (recovered, report) = Engine::recover(atg, &dir, EngineConfig::default()).unwrap();
+    assert_eq!((report.replayed_updates, report.replay_rejected), (2, 0));
+    let state = engine.snapshot().system().exact_digest();
+    let back = recovered.snapshot().system().exact_digest();
+    assert_eq!(back.first_difference(&state), None);
+    drop((engine, recovered));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A system's parts, to forge a copy with one of them changed through the
