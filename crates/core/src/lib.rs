@@ -78,8 +78,8 @@ pub use pathclass::{
 };
 pub use plan::{eval_plan, PlanCache, PlanCacheStats, UpdatePlan};
 pub use processor::{
-    DeferredMaintenance, Evaluated, PhaseTimings, UpdateError, UpdateOutcome, UpdateReport,
-    XmlViewSystem,
+    Admitted, DeferredMaintenance, Evaluated, PhaseTimings, UpdateError, UpdateOutcome,
+    UpdateReport, XmlViewSystem,
 };
 pub use reach::Reachability;
 pub use rel_delete::{translate_deletions, DeleteRejection};

@@ -97,13 +97,10 @@ fn slotted(p: &XPath) -> (XPath, usize) {
 // ---------------------------------------------------------------------------
 
 /// Compiled predicate slots — `rxview_reference::eval`'s bottom-up recurrences
-/// with text literals split into pinned strings and binding slots.
+/// with every text literal a binding slot.
 pub(crate) enum PPred {
     /// `label() = name`, resolved against the grammar (unknown: const-false).
     TypeIs(Option<TypeId>),
-    /// `text(v) == s` for a literal that was not slotted (defensive; every
-    /// parsed literal is slotted today).
-    TextLit(String),
     /// `text(v) == bindings[slot]`.
     TextSlot(usize),
     /// Constant true (terminal of existential path filters).
@@ -195,10 +192,10 @@ impl<'a> ProgramCompiler<'a> {
                 self.compile_path(p, t)
             }
             Filter::PathEq(p, s) => {
-                let t = match parse_sentinel(s) {
-                    Some(slot) => self.push(PPred::TextSlot(slot)),
-                    None => self.push(PPred::TextLit(s.clone())),
-                };
+                // A plan compiles `slotted(path)`, every literal of which is a
+                // sentinel; past the bindings, a slot reads as unbound.
+                let slot = parse_sentinel(s).unwrap_or(usize::MAX);
+                let t = self.push(PPred::TextSlot(slot));
                 self.compile_path(p, t)
             }
             Filter::And(a, b) => {
@@ -639,7 +636,6 @@ fn eval_plan_with(
             let value = match pred {
                 PPred::True => true,
                 PPred::TypeIs(ty) => Some(vty) == *ty,
-                PPred::TextLit(s) => text_is(s),
                 PPred::TextSlot(slot) => text_is(bindings.get(*slot).map_or("", String::as_str)),
                 PPred::And(a, b) => val[vi + *a] && val[vi + *b],
                 PPred::Or(a, b) => val[vi + *a] || val[vi + *b],

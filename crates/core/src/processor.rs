@@ -4,8 +4,11 @@
 //! views `V` (the DAG coding), and the auxiliary structures `M` and `L`.
 //! Each XML update flows through the paper's phases:
 //!
-//! 1. **DTD validation** at the schema level (§2.4);
-//! 2. **XPath evaluation on the DAG** + side-effect detection (§3.2);
+//! 1. **admission** ([`XmlViewSystem::admit`]): DTD validation at the
+//!    schema level (§2.4), then the path's compiled plan — neither reads
+//!    the state;
+//! 2. **XPath evaluation on the DAG**, through the admitted plan, +
+//!    side-effect detection (§3.2);
 //! 3. **∆X → ∆V** (Xinsert / Xdelete, §3.3);
 //! 4. **∆V → ∆R** (Algorithm delete / insert, §4);
 //! 5. apply `∆R` to `I` and `∆V` to `V`;
@@ -15,6 +18,7 @@
 use crate::dag_eval::DagEval;
 use crate::maintain::{delete_pass, insert_job, MaintainReport};
 use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
+use crate::plan::{eval_plan, UpdatePlan};
 use crate::reach::{ReachBatch, Reachability};
 use crate::rel_delete::{translate_deletions, DeleteRejection};
 use crate::rel_insert::{translate_insertions, InsertRejection};
@@ -26,6 +30,7 @@ use rxview_atg::{Atg, NodeId, PublishError};
 use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
 use rxview_xmlkit::{validate_delete, validate_insert, SchemaViolation, XmlTree};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why an update was rejected.
@@ -152,6 +157,15 @@ impl From<DagEval> for Evaluated {
 
 /// Alias kept for API symmetry with the paper's terminology.
 pub type UpdateOutcome = Result<UpdateReport, UpdateError>;
+
+/// An update past [`XmlViewSystem::admit`]: schema-valid (§2.4), with its
+/// path's compiled plan and literal bindings. Neither depends on the state,
+/// so it holds on every state of its grammar.
+#[derive(Debug, Clone)]
+pub struct Admitted {
+    plan: Arc<UpdatePlan>,
+    bindings: Vec<String>,
+}
 
 /// The phase-6 obligation left behind by [`XmlViewSystem::apply_deferred`]:
 /// everything ∆(M,L)insert / ∆(M,L)delete needs to run later, possibly
@@ -284,30 +298,44 @@ impl XmlViewSystem {
         self.vs.dag().expand(self.vs.atg())
     }
 
-    /// Applies an XML view update end-to-end. Phase 2 runs through the
-    /// scope-aware [`XmlViewSystem::eval`], so an anchored update costs its
+    /// Applies an XML view update end-to-end: admission
+    /// ([`XmlViewSystem::admit`]), then phase 2 through the admitted plan
+    /// ([`XmlViewSystem::eval_admitted`]), so an anchored update costs its
     /// cones, not the view.
     pub fn apply(&mut self, update: &XmlUpdate, policy: SideEffectPolicy) -> UpdateOutcome {
-        let mut timings = PhaseTimings::default();
-        // Phase 1: schema-level validation.
-        self.validate_schema(update)?;
+        let admitted = self.admit(update)?;
 
         // Phase 2: evaluate the XPath on the DAG.
         let t0 = Instant::now();
-        let eval = self.eval(update.path());
-        timings.eval = t0.elapsed();
+        let eval = self.eval_admitted(&admitted);
+        let d_eval = t0.elapsed();
 
         // Phases 2b–5 plus inline phase 6.
-        let (mut report, job) = self.apply_phases(update, policy, eval, &mut timings)?;
+        let (mut report, job) = self.apply_admitted(update, policy, eval)?;
         let t2 = Instant::now();
         report.maintain = self.fold_maintenance(vec![job])?;
-        timings.maintain = t2.elapsed();
-        report.timings = timings;
+        report.timings.eval += d_eval;
+        report.timings.maintain = t2.elapsed();
         Ok(report)
     }
 
-    /// Phase 1 on its own: schema-level validation (§2.4).
-    pub fn validate_schema(&self, update: &XmlUpdate) -> Result<(), UpdateError> {
+    /// **The** admission of an update, run first by [`XmlViewSystem::apply`]
+    /// (so by recovery replay) and by the serving engine's `submit`:
+    /// schema-level validation (§2.4), then one plan-cache lookup. A
+    /// schema-invalid update is refused before anything is looked up.
+    pub fn admit(&self, update: &XmlUpdate) -> Result<Admitted, UpdateError> {
+        self.validate_schema(update)?;
+        let (plan, bindings) = self.plan_of(update.path());
+        Ok(Admitted { plan, bindings })
+    }
+
+    fn plan_of(&self, path: &rxview_xmlkit::XPath) -> (Arc<UpdatePlan>, Vec<String>) {
+        self.vs.plan_cache().plan(self.vs.atg().dtd(), path)
+    }
+
+    /// Schema-level validation (§2.4), which `admit` and `apply_deferred` run
+    /// first.
+    fn validate_schema(&self, update: &XmlUpdate) -> Result<(), UpdateError> {
         let dtd = self.vs.atg().dtd();
         match update {
             XmlUpdate::Insert { ty, path, .. } => {
@@ -322,7 +350,8 @@ impl XmlViewSystem {
     /// held equal to, and its fallback for paths nothing bounds. Runs the
     /// path's compiled plan from the shared cache, like every evaluation.
     pub fn evaluate(&self, path: &rxview_xmlkit::XPath) -> DagEval {
-        self.run_passes(path, self.topo.order())
+        let (plan, bindings) = self.plan_of(path);
+        self.run_passes(&plan, &bindings, None)
     }
 
     /// Evaluates a path over the nodes of `scope` only: a subsequence of
@@ -332,6 +361,20 @@ impl XmlViewSystem {
     /// possible match lies inside the scope; the scopes `scope_of` builds
     /// do.
     pub fn evaluate_scoped(&self, path: &rxview_xmlkit::XPath, scope: &[NodeId]) -> DagEval {
+        let (plan, bindings) = self.plan_of(path);
+        self.run_passes(&plan, &bindings, Some(scope))
+    }
+
+    /// The §3.2 passes of `plan` over `scope`, or over all of `L`.
+    fn run_passes(
+        &self,
+        plan: &UpdatePlan,
+        bindings: &[String],
+        scope: Option<&[NodeId]>,
+    ) -> DagEval {
+        let Some(scope) = scope else {
+            return eval_plan(&self.vs, self.topo.order(), plan, bindings);
+        };
         debug_assert!(
             scope.windows(2).all(|w| {
                 let rank = |v| self.topo.position(v).expect("a scope node is in L");
@@ -339,12 +382,7 @@ impl XmlViewSystem {
             }),
             "a scope ascends along L"
         );
-        self.run_passes(path, scope)
-    }
-
-    fn run_passes(&self, path: &rxview_xmlkit::XPath, order: &[NodeId]) -> DagEval {
-        let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
-        crate::plan::eval_plan(&self.vs, order, &plan, &bindings)
+        eval_plan(&self.vs, scope, plan, bindings)
     }
 
     /// The [`PathClass`] of `path`, through the shared plan cache: the
@@ -352,7 +390,7 @@ impl XmlViewSystem {
     /// path's literals — equal to [`crate::pathclass::classify`] on the
     /// concrete path (`tests/reference_oracles.rs`).
     pub fn class_of(&self, path: &rxview_xmlkit::XPath) -> PathClass {
-        let (plan, bindings) = self.vs.plan_cache().plan(self.vs.atg().dtd(), path);
+        let (plan, bindings) = self.plan_of(path);
         plan.class(&bindings)
     }
 
@@ -362,65 +400,70 @@ impl XmlViewSystem {
     /// the right evaluation — nothing bounds the path, or its cone union is
     /// too large a share of `L` to be worth gathering ([`scope_of_anchors`]).
     pub fn scope_of(&self, path: &rxview_xmlkit::XPath) -> Option<Vec<NodeId>> {
-        scope_of_anchors(&self.vs, &self.topo, &self.reach, &self.anchors_of(path)?)
+        self.scope_of_class(&self.class_of(path))
     }
 
-    /// The anchors of `path` as reads and replay resolve them: nothing
-    /// planned, so no reads recorded, under the default anchor cap.
-    fn anchors_of(&self, path: &rxview_xmlkit::XPath) -> Option<Anchors> {
-        resolve_anchors(&self.vs, &self.class_of(path), MAX_CONE_ANCHORS, None)
+    /// [`XmlViewSystem::scope_of`] of a class: nothing planned, so no reads
+    /// recorded, under the default anchor cap.
+    fn scope_of_class(&self, class: &PathClass) -> Option<Vec<NodeId>> {
+        let anchors = resolve_anchors(&self.vs, class, MAX_CONE_ANCHORS, None)?;
+        scope_of_anchors(&self.vs, &self.topo, &self.reach, &anchors)
     }
 
-    /// **The** evaluation entry point of writes, reads and replay: resolve
-    /// the path's anchors from the `gen_A` registries, gather their cones in
-    /// `L` order, run the §3.2 passes on that scope — or on all of
-    /// `L` when [`XmlViewSystem::scope_of`] has no scope to offer. Returns
-    /// exactly what [`XmlViewSystem::evaluate`] returns (every match of a
-    /// classified path lies inside its cones; `tests/scoped_eval.rs` holds
-    /// the two equal), at a cost proportional to what the path can touch.
+    /// **The** evaluation entry point of reads: one plan-cache lookup gives
+    /// the path's class — its anchors, resolved from the `gen_A` registries,
+    /// and their cones in `L` order — and the §3.2 passes run on that scope,
+    /// or on all of `L` ([`XmlViewSystem::scope_of`]). Returns exactly what
+    /// [`XmlViewSystem::evaluate`] returns (`tests/scoped_eval.rs`), at a
+    /// cost proportional to what the path can touch.
     pub fn eval(&self, path: &rxview_xmlkit::XPath) -> Evaluated {
-        match self.anchors_of(path) {
-            Some(anchors) => self.eval_within(path, &anchors),
-            None => self.evaluate(path).into(),
-        }
+        let (plan, bindings) = self.plan_of(path);
+        let scope = self.scope_of_class(&plan.class(&bindings));
+        self.eval_over(&plan, &bindings, scope)
+    }
+
+    /// [`XmlViewSystem::eval`] through an admitted update's plan, looking
+    /// nothing up: the evaluation of writes and replay.
+    pub fn eval_admitted(&self, admitted: &Admitted) -> Evaluated {
+        let Admitted { plan, bindings } = admitted;
+        let scope = self.scope_of_class(&plan.class(bindings));
+        self.eval_over(plan, bindings, scope)
     }
 
     /// [`XmlViewSystem::eval`] for a caller that has already resolved the
     /// path's anchors (the conflict analyzer, which needs them for cones).
     pub fn eval_within(&self, path: &rxview_xmlkit::XPath, anchors: &Anchors) -> Evaluated {
-        match scope_of_anchors(&self.vs, &self.topo, &self.reach, anchors) {
-            Some(scope) => Evaluated {
-                eval: self.evaluate_scoped(path, &scope),
-                scope_nodes: Some(scope.len()),
-            },
-            None => self.evaluate(path).into(),
+        let (plan, bindings) = self.plan_of(path);
+        let scope = scope_of_anchors(&self.vs, &self.topo, &self.reach, anchors);
+        self.eval_over(&plan, &bindings, scope)
+    }
+
+    fn eval_over(
+        &self,
+        plan: &UpdatePlan,
+        bindings: &[String],
+        scope: Option<Vec<NodeId>>,
+    ) -> Evaluated {
+        Evaluated {
+            eval: self.run_passes(plan, bindings, scope.as_deref()),
+            scope_nodes: scope.as_ref().map(Vec::len),
         }
     }
 
-    /// Phases 2b–5 with a caller-supplied evaluation, deferring phase 6:
-    /// side-effect detection, ∆X→∆V, ∆V→∆R, and application of both deltas.
-    /// The returned [`DeferredMaintenance`] must be handed (possibly batched
-    /// with others) to [`XmlViewSystem::fold_maintenance`] before the next
-    /// evaluation that depends on fresh `M`/`L` state.
-    ///
-    /// The serving engine folds each update's job before it evaluates the
-    /// next one; a caller that evaluated a whole batch against the batch's
-    /// start state may fold the batch's jobs together instead, and the
-    /// `M`/`L` upkeep of all its deletions collapses into a single
-    /// ∆(M,L)delete pass.
-    ///
-    /// `eval` is an [`Evaluated`] — what [`XmlViewSystem::eval`] returned,
-    /// so the report can say how the path was evaluated — or a bare
-    /// [`DagEval`] from a caller that evaluated some other way.
+    /// Schema validation, then [`XmlViewSystem::apply_admitted`] with an
+    /// evaluation the caller made some other way — the reference's §3.2
+    /// verbatim, or a batch evaluated against its start state, whose jobs
+    /// one fold can take together (all its deletions' `M`/`L` upkeep in a
+    /// single ∆(M,L)delete pass). `eval` is an [`Evaluated`] or a bare
+    /// [`DagEval`].
     pub fn apply_deferred(
         &mut self,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
         eval: impl Into<Evaluated>,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
-        let mut timings = PhaseTimings::default();
         self.validate_schema(update)?;
-        self.apply_phases(update, policy, eval.into(), &mut timings)
+        self.apply_admitted(update, policy, eval.into())
     }
 
     /// Runs the deferred phase-6 work of a batch: per-subtree ∆(M,L)insert
@@ -471,13 +514,17 @@ impl XmlViewSystem {
         Ok(agg)
     }
 
-    /// Phases 2b–5: side-effect detection, translation, and application.
-    fn apply_phases(
+    /// Phases 2b–5 of an admitted update, given its evaluation, deferring
+    /// phase 6: side-effect detection, ∆X→∆V, ∆V→∆R, and application of
+    /// both deltas. The returned [`DeferredMaintenance`] must be handed
+    /// (possibly batched with others) to [`XmlViewSystem::fold_maintenance`]
+    /// before the next evaluation that depends on fresh `M`/`L` state. The
+    /// serving engine's commit loop applies through it.
+    pub fn apply_admitted(
         &mut self,
         update: &XmlUpdate,
         policy: SideEffectPolicy,
         eval: Evaluated,
-        timings: &mut PhaseTimings,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
         let t1 = Instant::now();
         let space = self.vs.dag().genid().n_allocated();
@@ -493,7 +540,6 @@ impl XmlViewSystem {
             ),
             XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
         }?;
-        timings.eval += t.eval_time;
         // Phase 5: apply ∆R to I and ∆V to V.
         if let Err(e) = self.base.apply(&t.delta_r) {
             if let Some(st) = &t.subtree {
@@ -502,14 +548,18 @@ impl XmlViewSystem {
             return Err(UpdateError::Rel(e));
         }
         apply_delta(&mut self.vs, &t.delta_v, t.subtree.as_ref())?;
-        timings.translate = t1.elapsed() - t.eval_time;
+        let timings = PhaseTimings {
+            eval: t.eval_time,
+            translate: t1.elapsed() - t.eval_time,
+            maintain: Duration::ZERO,
+        };
 
         let report = UpdateReport {
             delta_v_len: t.delta_v.len(),
             delta_r: t.delta_r,
             side_effects: t.side_effects,
             maintain: MaintainReport::default(),
-            timings: *timings,
+            timings,
             sat_used: t.sat_used,
             scope_nodes: t.scope_nodes,
         };

@@ -1,5 +1,6 @@
 //! The engine: admission queue, snapshot publication, durability wiring.
 //!
+//! [`Engine::submit`] admits an update on the caller's thread and queues it;
 //! [`Engine::commit_pending`] drains the queue into the round pipeline
 //! (`publisher`): one commit path — a round is the queue's next prefix, the
 //! committing thread evaluates, applies and folds its updates one after
@@ -14,7 +15,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::{self, EngineStats};
 use crate::wal::{Durability, LoggedUpdate};
 use rxview_core::{
-    SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
+    Admitted, SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
 };
 use std::fmt;
 use std::io;
@@ -150,13 +151,30 @@ pub struct CommitSummary {
     pub maintain: rxview_core::MaintainReport,
 }
 
+/// A queued update, admitted at `submit`: the commit loop evaluates
+/// through `admitted`'s plan, and validates and looks up nothing.
 pub(crate) struct Pending {
     pub(crate) update: XmlUpdate,
     pub(crate) policy: SideEffectPolicy,
-    pub(crate) tx: mpsc::Sender<UpdateOutcome>,
-    /// Admission time — closes the admission→ack latency sample when the
-    /// outcome resolves.
-    pub(crate) submitted_at: Instant,
+    pub(crate) admitted: Admitted,
+    pub(crate) reply: Reply,
+}
+
+/// The sending half of an [`UpdateTicket`], and its submission time.
+pub(crate) struct Reply {
+    tx: mpsc::Sender<UpdateOutcome>,
+    submitted_at: Instant,
+}
+
+impl Reply {
+    /// Delivers `outcome` and counts it, with its submit→resolve latency.
+    /// Returns whether it was accepted.
+    pub(crate) fn resolve(self, stats: &EngineStats, outcome: UpdateOutcome) -> bool {
+        let accepted = outcome.is_ok();
+        stats.record_outcome(accepted, self.submitted_at);
+        let _ = self.tx.send(outcome); // receiver may have given up
+        accepted
+    }
 }
 
 /// A durable engine's logging + checkpointing machinery.
@@ -533,9 +551,15 @@ impl Engine {
         self.inner.exporter.as_ref().map(|e| e.path())
     }
 
-    /// Enqueues an update for the next group commit, returning a
-    /// [`UpdateTicket`] that resolves once the update's snapshot is
-    /// visible (read-your-writes).
+    /// Admits an update on the caller's thread and enqueues it for the
+    /// next group commit, returning an [`UpdateTicket`] that resolves once
+    /// the update's snapshot is visible (read-your-writes).
+    ///
+    /// Admission ([`XmlViewSystem::admit`]) reads only the grammar: an
+    /// update it refuses (a schema violation, §2.4) comes back as a ticket
+    /// that is already resolved `Err`, and takes no queue slot, no round
+    /// and no log byte. An admitted update carries its compiled plan, so
+    /// the commit loop looks nothing up.
     ///
     /// ```
     /// use rxview_atg::{registrar_atg, registrar_database};
@@ -562,20 +586,28 @@ impl Engine {
         policy: SideEffectPolicy,
     ) -> Result<UpdateTicket, EngineError> {
         let (tx, rx) = mpsc::channel();
-        let submitted_at = Instant::now();
-        {
-            let mut queue = self.inner.queue();
-            if queue.len() >= MAX_QUEUE {
-                return Err(EngineError::Saturated);
+        let reply = Reply {
+            tx,
+            submitted_at: Instant::now(),
+        };
+        let stats = &self.inner.stats;
+        let admission = self.inner.current().system().admit(&update);
+        match admission {
+            Ok(admitted) => {
+                let mut queue = self.inner.queue();
+                if queue.len() >= MAX_QUEUE {
+                    return Err(EngineError::Saturated);
+                }
+                queue.push(Pending {
+                    update,
+                    policy,
+                    admitted,
+                    reply,
+                });
             }
-            queue.push(Pending {
-                update,
-                policy,
-                tx,
-                submitted_at,
-            });
+            Err(e) => _ = reply.resolve(stats, Err(e)),
         }
-        self.inner.stats.submitted.incr();
+        stats.submitted.incr();
         Ok(UpdateTicket { rx })
     }
 

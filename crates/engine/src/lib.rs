@@ -16,16 +16,18 @@
 //!   snapshot each cost in proportion to what the round changed, and a
 //!   snapshot is freed the moment its last reader lets go.
 //! - **Serial group commit** ([`Engine::submit`],
-//!   [`Engine::commit_pending`]): submitted [`rxview_core::XmlUpdate`]s
-//!   queue in a bounded admission queue and commit through one *round
-//!   pipeline*. A round is the queue's next prefix of up to `max_batch`
-//!   updates, in submission order; on the committing thread each update in
-//!   turn is evaluated against the round's working state
-//!   ([`rxview_core::XmlViewSystem::eval`] — the scope-aware entry point
-//!   readers and recovery replay evaluate through: anchors probe the
-//!   maintained `gen_A` registries, and `L` is projected onto their
-//!   cones), applied
-//!   ([`rxview_core::XmlViewSystem::apply_deferred`]) and folded
+//!   [`Engine::commit_pending`]): a submitted [`rxview_core::XmlUpdate`] is
+//!   admitted on the submitter's thread
+//!   ([`rxview_core::XmlViewSystem::admit`]: schema-checked, its plan
+//!   resolved; a refusal resolves its ticket there), queues in a bounded
+//!   admission queue and commits through one *round pipeline*. A round is
+//!   the queue's next prefix of up to `max_batch` updates, in submission
+//!   order; on the committing thread each update in turn is evaluated
+//!   against the round's working state through its admitted plan
+//!   ([`rxview_core::XmlViewSystem::eval_admitted`] — scope-aware like the
+//!   reads' `eval`: anchors probe the maintained `gen_A` registries, and
+//!   `L` is projected onto their cones), applied
+//!   ([`rxview_core::XmlViewSystem::apply_admitted`]) and folded
 //!   ([`rxview_core::XmlViewSystem::fold_maintenance`] of its one job) — the
 //!   paper's one-update-at-a-time semantics, so every update sees the state
 //!   the one before it left and a round is conflict-free by construction.
@@ -64,9 +66,10 @@
 //!   ([`EngineConfig::metrics_path`], `RXVIEW_METRICS_PATH`). See
 //!   [`Engine::telemetry_report`] and [`PhaseBreakdown`].
 //!
-//! Mapping back to the paper's Fig.3 phases: schema validation (§2.4) and
-//! translation ∆X→∆V→∆R (§3.3, §4) run unchanged per update inside
-//! [`rxview_core::XmlViewSystem::apply_deferred`]; XPath evaluation +
+//! Mapping back to the paper's Fig.3 phases: schema validation (§2.4) runs
+//! once per update, at `submit`, before anything is evaluated; translation
+//! ∆X→∆V→∆R (§3.3, §4) runs unchanged per update inside
+//! [`rxview_core::XmlViewSystem::apply_admitted`]; XPath evaluation +
 //! side-effect detection (§3.2) runs per update but scoped where the
 //! resolved anchors bound the path; background maintenance (§3.4) runs per
 //! update, inside the round, before the next update evaluates — and the

@@ -7,12 +7,18 @@
 //! (eval → apply → fold) per update → log → publish → ack
 //! ```
 //!
+//! Every queued update was admitted at `submit` (`XmlViewSystem::admit`:
+//! schema-checked, its plan resolved), on the submitter's thread; an
+//! update admission refused never reaches a round.
+//!
 //! - **the apply loop** — each update in turn is evaluated against the
-//!   round's working state (`XmlViewSystem::eval`), applied with its
-//!   maintenance deferred (`apply_deferred`), and folded on its own
+//!   round's working state through the plan it was admitted with
+//!   (`eval_admitted`), applied with its maintenance deferred
+//!   (`apply_admitted`), and folded on its own
 //!   (`fold_maintenance(vec![job])`): the paper's one-update-at-a-time
 //!   semantics (§3.2–§3.4), so every update sees the state the one before
-//!   it left. Nothing is planned: a round is conflict-free by construction.
+//!   it left. Nothing is planned, validated or looked up: a round is
+//!   conflict-free by construction.
 //! - **log → publish → ack** — the serial tail (`Commit::finish_round`):
 //!   one WAL append, one publication, then ticket resolution.
 //!   `WAL(k) ≺ publish(k) ≺ ack(k)`
@@ -30,25 +36,13 @@
 //! announces each round's formation and publish and blocks on held gates
 //! (`crates/engine/tests/pipeline.rs`).
 
-use crate::engine::{CommitSummary, Inner, Pending};
+use crate::engine::{CommitSummary, Inner, Pending, Reply};
 use crate::obs::fields;
 use crate::pipeline::{Stage, StageHooks};
 use crate::wal::LoggedUpdate;
-use rxview_core::{
-    MaintainReport, SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate,
-    XmlViewSystem,
-};
+use rxview_core::{MaintainReport, UpdateError, UpdateOutcome, UpdateReport, XmlViewSystem};
 use rxview_relstore::RelError;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// A pending update inside one commit, keyed by its submission index. The
-/// round that applies it builds its replay-log record from it.
-struct PendingUpdate {
-    idx: usize,
-    update: XmlUpdate,
-    policy: SideEffectPolicy,
-}
 
 /// What a round's apply loop leaves for the serial tail.
 struct Applied {
@@ -57,7 +51,7 @@ struct Applied {
     working: XmlViewSystem,
     /// Applied updates in submission order, each with its own fold in its
     /// report.
-    reports: Vec<(usize, UpdateReport)>,
+    reports: Vec<(Reply, UpdateReport)>,
     /// The round's log record: the applied updates, in the same order.
     logged: Vec<LoggedUpdate>,
     /// The round's folds, summed.
@@ -66,14 +60,11 @@ struct Applied {
     failed: Option<String>,
 }
 
-/// One `commit_pending` call's state: the ticket table (reply channel and
-/// admission timestamp per update, indexed by submission order).
+/// One `commit_pending` call's state.
 struct Commit<'a> {
     inner: &'a Inner,
     hooks: Option<&'a StageHooks>,
     summary: CommitSummary,
-    txs: Vec<Option<mpsc::Sender<UpdateOutcome>>>,
-    submitted_ats: Vec<Instant>,
 }
 
 /// Commits a drained queue through the round pipeline (see the module
@@ -87,23 +78,10 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
             updates: pending.len(),
             ..CommitSummary::default()
         },
-        txs: Vec::with_capacity(pending.len()),
-        submitted_ats: Vec::with_capacity(pending.len()),
     };
-    let mut entries = Vec::with_capacity(pending.len());
-    for (idx, p) in pending.into_iter().enumerate() {
-        c.submitted_ats.push(p.submitted_at);
-        c.txs.push(Some(p.tx));
-        entries.push(PendingUpdate {
-            idx,
-            update: p.update,
-            policy: p.policy,
-        });
-    }
-
-    let mut queue = entries.into_iter();
+    let mut queue = pending.into_iter();
     loop {
-        let round: Vec<PendingUpdate> = queue.by_ref().take(inner.config.max_batch).collect();
+        let round: Vec<Pending> = queue.by_ref().take(inner.config.max_batch).collect();
         if round.is_empty() {
             break;
         }
@@ -114,28 +92,21 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
 }
 
 impl Commit<'_> {
-    /// Delivers an outcome to its ticket and updates counters (including
-    /// the admission→ack latency sample).
-    fn resolve(&mut self, idx: usize, outcome: UpdateOutcome) {
-        let accepted = outcome.is_ok();
-        self.inner
-            .stats
-            .record_outcome(accepted, self.submitted_ats[idx]);
-        if accepted {
+    /// Delivers an outcome to its ticket and counts it.
+    fn resolve(&mut self, reply: Reply, outcome: UpdateOutcome) {
+        if reply.resolve(&self.inner.stats, outcome) {
             self.summary.accepted += 1;
         } else {
             self.summary.rejected += 1;
         }
-        if let Some(tx) = self.txs[idx].take() {
-            let _ = tx.send(outcome); // receiver may have given up
-        }
     }
 
     /// The apply loop: evaluates, applies and folds the round's updates one
-    /// after another on a clone of the latest snapshot. A rejected update is
-    /// resolved here and leaves nothing behind; after a failed fold the
-    /// rest of the round fails with it.
-    fn apply_round(&mut self, round: Vec<PendingUpdate>) -> Applied {
+    /// after another on a clone of the latest snapshot, each through the
+    /// plan it was admitted with. A rejected update is resolved here and
+    /// leaves nothing behind; after a failed fold the rest of the round
+    /// fails with it.
+    fn apply_round(&mut self, round: Vec<Pending>) -> Applied {
         let stats = &self.inner.stats;
         if let Some(h) = self.hooks {
             h.reached(Stage::Plan);
@@ -158,24 +129,24 @@ impl Commit<'_> {
         // round's translation: the three rows partition it.
         let t_wall = Instant::now();
         let mut eval_and_fold = Duration::ZERO;
-        for pu in round {
+        for p in round {
             if let Some(msg) = &out.failed {
                 let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                self.resolve(pu.idx, Err(e));
+                self.resolve(p.reply, Err(e));
                 continue;
             }
             let t_eval = Instant::now();
-            let eval = out.working.eval(pu.update.path());
+            let eval = out.working.eval_admitted(&p.admitted);
             let d_eval = t_eval.elapsed();
             stats.record_eval(eval.scope_nodes, d_eval);
             let t_apply = Instant::now();
-            let applied = out.working.apply_deferred(&pu.update, pu.policy, eval);
+            let applied = out.working.apply_admitted(&p.update, p.policy, eval);
             stats.translate_ns.record_duration(t_apply.elapsed());
             let (mut report, job) = match applied {
                 Ok(applied) => applied,
                 Err(e) => {
                     eval_and_fold += d_eval;
-                    self.resolve(pu.idx, Err(e));
+                    self.resolve(p.reply, Err(e));
                     continue;
                 }
             };
@@ -188,14 +159,14 @@ impl Commit<'_> {
                     stats.record_maintain(d_fold, &m);
                     out.maintain.absorb(&m);
                     report.maintain = m;
-                    out.reports.push((pu.idx, report));
-                    out.logged.push((pu.update, pu.policy));
+                    out.reports.push((p.reply, report));
+                    out.logged.push((p.update, p.policy));
                 }
                 Err(e) => {
                     let msg = format!("update maintenance failed: {e}");
                     stats.record_round_failure("fold_maintenance", out.reports.len() + 1);
                     let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                    self.resolve(pu.idx, Err(e));
+                    self.resolve(p.reply, Err(e));
                     out.failed = Some(msg);
                 }
             }
@@ -254,14 +225,14 @@ impl Commit<'_> {
                     "round.committed",
                     fields![epoch: snap.epoch(), updates: reports.len()],
                 );
-                for (idx, report) in reports {
-                    self.resolve(idx, Ok(report));
+                for (reply, report) in reports {
+                    self.resolve(reply, Ok(report));
                 }
             }
             Err(msg) => {
-                for (idx, _) in reports {
+                for (reply, _) in reports {
                     let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                    self.resolve(idx, Err(e));
+                    self.resolve(reply, Err(e));
                 }
             }
         }

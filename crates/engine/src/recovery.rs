@@ -155,8 +155,9 @@ impl RecoveryReport {
 }
 
 /// Replays one record the way the engine committed its round: each update
-/// in logged order is evaluated, applied and folded against the state the
-/// one before it left — `XmlViewSystem::apply` (module docs).
+/// in logged order is admitted, evaluated through its admitted plan,
+/// applied and folded against the state the one before it left —
+/// `XmlViewSystem::apply` (module docs).
 fn replay_round(sys: &mut XmlViewSystem, updates: &[LoggedUpdate], report: &mut RecoveryReport) {
     for (update, policy) in updates {
         match sys.apply(update, *policy) {

@@ -172,11 +172,11 @@ macro_rules! metric_table {
 metric_table! {
     reported {
         // --- update lifecycle ---
-        /// Updates admitted to the queue.
+        /// Updates submitted: queued, or refused at admission.
         submitted: counter "updates.submitted",
         /// Updates accepted by a commit.
         accepted: counter "updates.accepted",
-        /// Updates rejected by a commit.
+        /// Updates rejected, at admission or by a commit.
         rejected: counter "updates.rejected",
         // --- commits / snapshots ---
         /// `commit_pending` rounds that found work.

@@ -528,3 +528,224 @@ fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
     assert_eq!(diverges(&seq, snap.system()), None);
     snap.system().consistency_check().expect("republication");
 }
+
+/// `valid`, interleaved with updates §2.4's validation refuses (flagged
+/// `true`) — deletions and insertions of a type the target does not hold,
+/// paths that reach no type, an unknown inserted type — with the updates
+/// of `valid` under a shape not seen before (an `[id]` filter, which every
+/// `node` satisfies, on the first step), and with updates that select
+/// nothing.
+fn admission_stream(valid: &[XmlUpdate]) -> Vec<(XmlUpdate, bool)> {
+    use rxview_relstore::tuple;
+    use rxview_xmlkit::xpath::Filter;
+    let fresh: i64 = 3_000_000_000;
+    let refused = [
+        XmlUpdate::delete("node[id=0]/sub").unwrap(),
+        XmlUpdate::insert("sub", tuple![fresh, 0], "node[id=0]/sub").unwrap(),
+        XmlUpdate::delete("node[id=0]/sub/nothing").unwrap(),
+        XmlUpdate::insert("node", tuple![fresh, 0], "nothing[id=0]/sub").unwrap(),
+        XmlUpdate::insert("nothing", tuple![fresh], "node[id=0]/sub").unwrap(),
+    ];
+    let empty = [
+        XmlUpdate::delete("node[id=999999999]/sub/node").unwrap(),
+        XmlUpdate::insert("node", tuple![fresh + 1, 1], "node[id=999999999]/sub").unwrap(),
+    ];
+    let reshaped = |u: &XmlUpdate| {
+        let mut u = u.clone();
+        let (XmlUpdate::Insert { path, .. } | XmlUpdate::Delete { path }) = &mut u;
+        let id = rxview_xmlkit::parse_xpath("id").unwrap();
+        path.steps[0].filters.push(Filter::Path(id));
+        u
+    };
+    let mut stream = Vec::new();
+    for (i, u) in valid.iter().enumerate() {
+        stream.push((u.clone(), false));
+        if i % 2 == 0 {
+            stream.push((refused[i / 2 % refused.len()].clone(), true));
+        }
+        if i % 3 == 1 {
+            stream.push((reshaped(u), false));
+        }
+        if i % 4 == 2 {
+            stream.push((empty[i / 4 % empty.len()].clone(), false));
+        }
+    }
+    stream
+}
+
+/// An outcome as the battery compares it: accepted, or the rejection.
+fn verdict<T>(outcome: &Result<T, rxview_core::UpdateError>) -> String {
+    match outcome {
+        Ok(_) => "accepted".to_owned(),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Plan-cache probes so far: hits and misses, and compiles.
+fn probes(sys: &XmlViewSystem) -> u64 {
+    let s = sys.view().plan_cache().stats();
+    s.hits + s.misses + s.compiles
+}
+
+/// The admission battery: an update is schema-checked and its plan looked
+/// up once, at `submit`, on the submitter's thread. A refused update's
+/// ticket is resolved before any commit; the rest reach the verdicts and
+/// the state of one-at-a-time `apply` and of `reference_apply`, by the
+/// Exact digest, and `commit_pending` probes the plan cache not once —
+/// it evaluates through the plans the updates were admitted with. A read
+/// looks its plan up once.
+#[test]
+fn admission_refuses_at_submit_and_the_commit_loop_looks_nothing_up() {
+    use rxview_engine::EngineError;
+    let sys = system(200, 5);
+    let flips: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
+    let valid = mixed_updates(&sys, 0x5eed, &flips);
+    let stream = admission_stream(&valid);
+    let n_refused = stream.iter().filter(|(_, refused)| *refused).count();
+    assert!(n_refused >= 5, "every kind of refusal is in the stream");
+
+    let mut by_apply = sys.clone();
+    let mut by_reference = sys.clone();
+    let mut expected = Vec::new();
+    for (u, refused) in &stream {
+        let applied = verdict(&by_apply.apply(u, SideEffectPolicy::Proceed));
+        let reference = verdict(&reference_apply(
+            &mut by_reference,
+            u,
+            SideEffectPolicy::Proceed,
+        ));
+        assert_eq!(applied, reference, "`{u}`");
+        assert_eq!(*refused, applied.starts_with("Schema("), "`{u}`: {applied}");
+        expected.push(applied);
+    }
+    assert!(expected.iter().any(|v| v == "EmptyTarget"));
+    assert!(expected.iter().filter(|v| *v == "accepted").count() > valid.len() / 2);
+
+    let engine = Engine::with_config(
+        sys,
+        EngineConfig {
+            max_batch: 4,
+            ..EngineConfig::default()
+        },
+    );
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|(u, _)| engine.submit(u.clone(), SideEffectPolicy::Proceed).unwrap())
+        .collect();
+    let mut verdicts: Vec<Option<String>> = tickets
+        .iter()
+        .map(|t| {
+            t.try_wait().map(|outcome| match outcome {
+                Err(EngineError::Update(e)) => verdict::<()>(&Err(e)),
+                other => panic!("resolved at submit as {other:?}"),
+            })
+        })
+        .collect();
+    let at_submit: Vec<bool> = verdicts.iter().map(Option::is_some).collect();
+    let refused: Vec<bool> = stream.iter().map(|(_, refused)| *refused).collect();
+    assert_eq!(
+        at_submit, refused,
+        "exactly the refused tickets resolve at submit"
+    );
+
+    let probed = probes(engine.snapshot().system());
+    let summary = engine.commit_pending();
+    assert_eq!(
+        probes(engine.snapshot().system()),
+        probed,
+        "the commit loop probed the plan cache"
+    );
+    assert_eq!(
+        summary.updates,
+        stream.len() - n_refused,
+        "a refusal takes no queue slot"
+    );
+    assert_eq!(summary.batches, summary.updates.div_ceil(4));
+    for (v, t) in verdicts.iter_mut().zip(tickets) {
+        if v.is_none() {
+            *v = Some(verdict(&t.wait().map_err(|e| match e {
+                EngineError::Update(e) => e,
+                other => panic!("{other}"),
+            })));
+        }
+    }
+    let verdicts: Vec<String> = verdicts.into_iter().map(Option::unwrap).collect();
+    assert_eq!(verdicts, expected);
+    let report = engine.stats().report();
+    assert_eq!(report.submitted, stream.len() as u64);
+    let accepted = expected.iter().filter(|v| *v == "accepted").count() as u64;
+    assert_eq!(
+        (report.accepted, report.rejected),
+        (accepted, stream.len() as u64 - accepted)
+    );
+
+    let snap = engine.snapshot();
+    assert_eq!(snap.system().exact_digest(), by_apply.exact_digest());
+    assert_eq!(snap.system().exact_digest(), by_reference.exact_digest());
+
+    let path = valid[0].path();
+    let lookups = || {
+        let s = snap.system().view().plan_cache().stats();
+        s.hits + s.misses
+    };
+    let before = lookups();
+    snap.system().eval(path);
+    assert_eq!(
+        lookups() - before,
+        1,
+        "`XmlViewSystem::eval` looks its plan up once"
+    );
+    let before = lookups();
+    snap.eval(path);
+    assert_eq!(
+        lookups() - before,
+        1,
+        "`Snapshot::eval` looks its plan up once"
+    );
+}
+
+/// A durable engine's log directory is the same, byte for byte, whether or
+/// not the stream held the updates admission refuses: a refusal takes no
+/// round and writes no log byte. Rounds of 4 updates, so a refusal that
+/// took a queue slot would move the rounds' boundaries.
+#[test]
+fn refused_updates_leave_the_log_directory_byte_identical() {
+    let sys = system(200, 5);
+    let flips: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
+    let stream = admission_stream(&mixed_updates(&sys, 0x5eed, &flips));
+    let logged = |tag: &str, with_refused: bool| {
+        let dir =
+            std::env::temp_dir().join(format!("rxview-admission-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig {
+            max_batch: 4,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_durability(sys.clone(), config, &dir).unwrap();
+        let tickets: Vec<_> = stream
+            .iter()
+            .filter(|(_, refused)| with_refused || !refused)
+            .map(|(u, _)| engine.submit(u.clone(), SideEffectPolicy::Proceed).unwrap())
+            .collect();
+        engine.commit_pending();
+        let waited = tickets.into_iter().map(|t| t.wait().is_ok());
+        let accepted = waited.filter(|&ok| ok).count();
+        drop(engine);
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (accepted, files)
+    };
+    let (accepted, with) = logged("with", true);
+    assert!(accepted > 0);
+    assert!(with
+        .iter()
+        .any(|(name, _)| name.to_string_lossy().ends_with(".rxlog")));
+    assert_eq!(logged("without", false), (accepted, with));
+}

@@ -10,15 +10,15 @@ use rxview::atg::{Dag, GenId, NodeId};
 use rxview::core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate, XmlViewSystem,
 };
-use rxview::engine::{Durability, Engine, EngineConfig};
+use rxview::engine::{Durability, Engine, EngineConfig, EngineError};
 use rxview::relstore::tuple;
 use rxview::relstore::Database;
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
     WorkloadClass, WorkloadGen,
 };
-use rxview::xmlkit::parse_xpath;
 use rxview::xmlkit::xpath::{Filter, Step, XPath};
+use rxview::xmlkit::{parse_xpath, SchemaViolation};
 
 fn registrar_system() -> XmlViewSystem {
     let db = registrar_database();
@@ -401,10 +401,13 @@ fn a_label_spelling_a_shape_key_gets_its_own_plan() {
     assert_eq!(sys.eval(&course).eval.selected, fresh);
 }
 
-/// The same through an engine: after an update on the odd path is
-/// committed (and rejected: it selects nothing), an insertion under
-/// `course[cno=CS650]/prereq` is accepted with the ∆R a fresh engine
-/// derives, and a snapshot read of `course[cno=CS650]` returns its node.
+/// The same through an engine. The insertion on the odd path is refused
+/// at admission: its first label names no type of the DTD, so §2.4's
+/// validation finds it `Unreachable`, and its ticket is resolved at
+/// `submit`, before any commit, without a probe of the plan cache. An
+/// insertion under `course[cno=CS650]/prereq` is then accepted with the ∆R
+/// a fresh engine derives, and a snapshot read of `course[cno=CS650]`
+/// returns its node.
 #[test]
 fn an_engine_that_saw_the_odd_path_commits_what_a_fresh_one_does() {
     let insert = |path: XPath| XmlUpdate::Insert {
@@ -417,11 +420,30 @@ fn an_engine_that_saw_the_odd_path_commits_what_a_fresh_one_does() {
         .apply_now(insert(target.clone()), SideEffectPolicy::Proceed)
         .expect("a fresh engine accepts the insertion");
     let engine = Engine::new(registrar_system());
+    let lookups = || {
+        let s = engine.snapshot().system().view().plan_cache().stats();
+        s.hits + s.misses
+    };
+    let before = lookups();
     let odd = engine
         .submit(insert(odd_path()), SideEffectPolicy::Proceed)
         .unwrap();
+    let verdict = odd.try_wait();
+    assert!(
+        matches!(
+            verdict,
+            Some(Err(EngineError::Update(UpdateError::Schema(
+                SchemaViolation::Unreachable
+            ))))
+        ),
+        "refused at submit as unreachable, not {verdict:?}"
+    );
     engine.commit_pending();
-    assert!(odd.wait().is_err(), "the odd path selects nothing");
+    assert_eq!(
+        lookups(),
+        before,
+        "the refused update reached the plan cache"
+    );
     let report = engine
         .apply_now(insert(target), SideEffectPolicy::Proceed)
         .expect("the insertion is accepted after the odd path");

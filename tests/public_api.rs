@@ -18,7 +18,7 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "core",
-        "Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated Exact \
+        "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated Exact \
          InsertRejection MAX_CONE_ANCHORS MaintainReport Observed PathClass PhaseTimings \
          PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \
          StateDigest SubStep TopoOrder \
