@@ -10,6 +10,12 @@
 //! semantics relies on (two nodes with the same type and `$A` value are one
 //! physical node in the DAG).
 //!
+//! The interner's index is §2.3's relation `gen_A` itself: per element type
+//! one [`Table`] of the live nodes' `$A` rows, each carrying its node's id,
+//! which the edge views join with. Interning a pair is one ordered insert
+//! into its type's table, a lookup one search, a release one removal —
+//! there is no second `$A` index to keep in step with it.
+//!
 //! A node that leaves the view (garbage collection, §3.4; the rollback of a
 //! rejected insertion) gives its id back: [`GenId::retire`] releases the
 //! pair and frees the id, and [`GenId::gen_id`] hands out the lowest free
@@ -18,10 +24,10 @@
 //! allocates, not by the updates served — and a [`NodeId`] names a node
 //! only within the state (the snapshot epoch) it was read from.
 
-use rxview_relstore::{PagedMap, PagedVec, Tuple};
+use rxview_relstore::{PagedVec, RelError, RelResult, Table, TableSchema, Tuple, Value};
 use rxview_xmlkit::TypeId;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node in the published DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,15 +53,11 @@ pub trait Interner {
     fn attr_of(&self, id: NodeId) -> &Tuple;
 }
 
-/// A hash of an open-addressed key map, per element type.
-type MapKey = (TypeId, u64);
-
 /// FxHash (rustc's): one multiply-rotate step per word written, so an
 /// integer attribute hashes in a few cycles where SipHash's rounds were
-/// half of interning. The interner hashes the view's own attribute values,
-/// which need no defence against chosen collisions; the result is the same
-/// on every run and build, and ids never depend on it (they are handed out
-/// in request order).
+/// half of interning. The transient interners hash the view's own
+/// attribute values, which need no defence against chosen collisions; ids
+/// never depend on it (they are handed out in request order).
 #[derive(Debug, Default, Clone, Copy)]
 struct FxHasher(u64);
 
@@ -105,70 +107,67 @@ impl Hasher for FxHasher {
 /// A `HashMap` under [`FxHasher`].
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Where `(ty, $A)` sits in an open-addressed key map, and the id there if
-/// interned; otherwise where it belongs — the first stale entry on its probe
-/// sequence, or the vacant hash that ends it. `slot` reads the map;
-/// `live_pair` gives the pair of a live id and `None` for an entry left
-/// behind by a node that was released since.
-fn probe<'a>(
-    slot: impl Fn(&MapKey) -> Option<NodeId>,
-    live_pair: impl Fn(NodeId) -> Option<&'a (TypeId, Tuple)>,
-    ty: TypeId,
-    attr: &Tuple,
-) -> (MapKey, Option<NodeId>) {
-    let mut hasher = FxHasher::default();
-    attr.hash(&mut hasher);
-    // Under test every pair of a type collides with a quarter of the
-    // others, so the unit tests walk probe sequences.
-    let mut h = if cfg!(test) {
-        hasher.finish() % 4
-    } else {
-        hasher.finish()
-    };
-    let mut reusable = None;
-    loop {
-        let Some(id) = slot(&(ty, h)) else {
-            return (reusable.unwrap_or((ty, h)), None);
-        };
-        match live_pair(id) {
-            Some((t, a)) if (*t, a) == (ty, attr) => return ((ty, h), Some(id)),
-            // Another pair's — of another type even, if the entry's own
-            // node went and its id was handed out again.
-            Some(_) => {}
-            None => reusable = reusable.or(Some((ty, h))),
-        }
-        h = h.wrapping_add(1);
+/// The one column of the `gen_A` schema of a type whose `$A` is empty
+/// ([`crate::Atg::gen_table_schema`]); no attribute field may take its name.
+pub(crate) const UNIT_COLUMN: &str = "__unit";
+
+/// Whether `schema` is the `gen_A` schema of a type whose `$A` is empty.
+fn is_unit(schema: &TableSchema) -> bool {
+    matches!(schema.columns(), [c] if c.name == UNIT_COLUMN)
+}
+
+/// Whether `attr` is a `$A` of the type whose `gen_A` schema is `schema`:
+/// the empty tuple exactly when the schema is the unit one, and otherwise a
+/// row the schema itself accepts. Checking [`gen_row`]'s image instead
+/// would let `(0)` through for a type with an empty `$A`, and `()` for one
+/// whose `$A` is a single Int — both would then name another pair's row.
+fn fits(schema: &TableSchema, attr: &Tuple) -> RelResult<()> {
+    match (is_unit(schema), attr.arity()) {
+        (true, 0) => Ok(()),
+        (false, _) => schema.check_tuple(attr),
+        (true, got) => Err(RelError::ArityMismatch {
+            table: schema.name().to_owned(),
+            expected: 0,
+            got,
+        }),
     }
 }
 
-/// A key map written page by page from entries gathered in a hash map.
-fn key_map(keys: FxMap<MapKey, NodeId>) -> PagedMap<MapKey, NodeId> {
-    let mut keys: Vec<_> = keys.into_iter().collect();
-    keys.sort_unstable();
-    PagedMap::from_sorted(keys).expect("hashes are distinct map keys")
+/// The `gen_A` row of a node with semantic attribute `attr`: `attr` itself
+/// — the same allocation — or, for the empty `$A`, the one-column unit row
+/// that makes the relation representable.
+fn gen_row(attr: &Tuple) -> Tuple {
+    match attr.arity() {
+        0 => Tuple::from_values([Value::Int(0)]),
+        _ => attr.clone(),
+    }
+}
+
+/// The key `gen_A` holds `attr`'s row under: its values, or the unit row's.
+fn gen_key(attr: &Tuple) -> &[Value] {
+    const UNIT: &[Value] = &[Value::Int(0)];
+    match attr.arity() {
+        0 => UNIT,
+        _ => attr.values(),
+    }
 }
 
 /// The `gen_id` interner.
 ///
-/// All three parts are page-granular copy-on-write
-/// ([`rxview_relstore::PagedMap`]): cloning an interner copies page pointers,
-/// and interning or retiring a node copies the pages that node lands on.
-/// Which ids are free is read off the live bits, so a clone frees and
-/// reuses ids on its own: an id recycled by one version still names the old
-/// node, or nothing, in every other.
+/// Every part is page-granular copy-on-write ([`rxview_relstore::PagedVec`],
+/// [`Table`]'s pages): cloning an interner copies page pointers, and
+/// interning or retiring a node copies the pages that node lands on. Which
+/// ids are free is read off the live bits, so a clone frees and reuses ids
+/// on its own: an id recycled by one version still names the old node, or
+/// nothing, in every other.
 #[derive(Debug, Clone, Default)]
 pub struct GenId {
-    /// `(type, hash of $A)` → id, with open addressing: a pair whose hash
-    /// is taken by another pair of its type sits at the next free hash.
-    /// Keying by hash keeps the map's pages plain data — a lookup compares
-    /// integers and reads one `$A` — and scatters them: releasing a node
-    /// does not write the map (a round that collects a few hundred nodes
-    /// would copy every page of it). The entry stays behind, recognisable
-    /// by an id that is free or carries another pair by now, keeps its
-    /// probe sequence whole, and is taken over by the next pair that
-    /// belongs there; once such entries outnumber half the live ones the
-    /// map is rebuilt from the live pairs ([`GenId::retire`]).
-    map: PagedMap<MapKey, NodeId>,
+    /// Per element type, in type order, the relation `gen_A` of §2.3: one
+    /// row per live node of the type — its `$A` ([`gen_row`]) — carrying
+    /// the node's id. The edge views join these tables, and they are the
+    /// one `$A` → id index: interning a pair is one ordered insert,
+    /// looking one up one search, retiring a node one removal.
+    tables: Vec<Table<NodeId>>,
     /// `(type, $A)` per id of the id space, `None` only for an id loaded
     /// free and in the padding of the last page. A freed id keeps the pair
     /// it had until it is handed out again: a page of this vector is 64
@@ -185,13 +184,15 @@ pub struct GenId {
 }
 
 impl GenId {
-    /// An empty interner.
-    pub fn new() -> Self {
-        GenId::default()
+    /// An empty interner over the `gen_A` schemas of a grammar's element
+    /// types, in type order ([`crate::Atg::gen_table_schemas`]).
+    pub fn new(schemas: Vec<TableSchema>) -> Self {
+        GenIdBuilder::new(schemas).finish()
     }
 
-    /// Rebuilds an interner from its id space — the pair of every id in id
-    /// order, `None` for a free one — writing every page once.
+    /// Rebuilds an interner over `schemas` from its id space — the pair of
+    /// every id in id order, `None` for a free one — writing every page
+    /// once.
     ///
     /// `repeats(ty)` names the type whose `$A` a node of `ty` repeats — its
     /// parent's, under an identity projection rule — if there is one. A
@@ -200,17 +201,21 @@ impl GenId {
     /// allocation, as publication and subtree generation leave them.
     ///
     /// # Errors
-    /// The id of the first pair that repeats an earlier one.
+    /// The id of the first pair whose type has no `gen_A` schema, whose
+    /// `$A` that schema rejects, or that repeats an earlier pair.
     pub fn from_slots(
+        schemas: Vec<TableSchema>,
         slots: impl IntoIterator<Item = Option<(TypeId, Tuple)>>,
         repeats: impl Fn(TypeId) -> Option<TypeId>,
     ) -> Result<GenId, usize> {
-        let mut builder = GenIdBuilder::default();
+        let mut builder = GenIdBuilder::new(schemas);
         for (id, slot) in slots.into_iter().enumerate() {
             match slot {
                 Some((ty, attr)) => {
-                    let donor = repeats(ty).and_then(|of| builder.lookup(of, &attr));
-                    let attr = donor.map_or(attr, |d| builder.pair(d).1.clone());
+                    let schema = builder.schemas.get(ty.index()).ok_or(id)?;
+                    fits(schema, &attr).map_err(|_| id)?;
+                    let donor = repeats(ty).and_then(|of| builder.ids.get(&(of, attr.clone())));
+                    let attr = donor.map_or(attr, |&d| builder.pair(d).1.clone());
                     if !builder.gen_id(ty, attr).1 {
                         return Err(id);
                     }
@@ -221,20 +226,31 @@ impl GenId {
         Ok(builder.finish())
     }
 
-    fn probe(&self, ty: TypeId, attr: &Tuple) -> (MapKey, Option<NodeId>) {
-        let live_pair = |id| self.is_live(id).then(|| self.pair(id));
-        probe(|k| self.map.get(k).copied(), live_pair, ty, attr)
+    /// The `gen_A` table of `ty`: a row per live node of the type, carrying
+    /// its id, in key order.
+    pub fn table(&self, ty: TypeId) -> &Table<NodeId> {
+        &self.tables[ty.index()]
+    }
+
+    /// Whether `attr` is a `$A` of `ty` — empty exactly when the type's
+    /// `gen_A` schema is the unit one, else a row that schema accepts — as
+    /// every interned `$A` must be: what a caller checks of a `$A` no rule
+    /// produced.
+    pub fn check(&self, ty: TypeId, attr: &Tuple) -> RelResult<()> {
+        fits(self.table(ty).schema(), attr)
     }
 
     /// `gen_id(ty, $A)`: returns the node id for the pair, taking the lowest
     /// free id (or, with none free, the next new one) if the pair is not
     /// live. The boolean is `true` when the node was not live before the
     /// call.
+    ///
+    /// # Panics
+    /// If `attr` is not a `$A` of `ty` ([`GenId::check`]): always when its
+    /// `gen_A` row does not fit the schema, under debug assertions also
+    /// when only the empty / unit distinction is wrong.
     pub fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        let (key, found) = self.probe(ty, &attr);
-        if let Some(id) = found {
-            return (id, false);
-        }
+        debug_assert!(self.check(ty, &attr).is_ok(), "a `$A` of its type");
         // Lowest first, so that the nodes of one subtree — and of one round
         // — land on neighbouring ids and share the pages they write, as
         // they did when every id was new.
@@ -244,18 +260,29 @@ impl GenId {
             false => None,
         };
         let id = id.unwrap_or(space);
+        // Whether or not the pair takes it, every id below `id` is live:
+        // a pair that is live already scans no further next time.
+        self.first_free = id;
+        let table = &mut self.tables[ty.index()];
+        let inserted = table.insert_entry(gen_row(&attr), NodeId(id as u32));
+        if let Some(&live) = inserted.expect("a `$A` that fits its `gen_A` schema") {
+            return (live, false);
+        }
         self.first_free = id + 1;
         *self.info.get_mut(id) = Some((ty, attr));
         *self.live.get_mut(id) = true;
-        let id = NodeId(id as u32);
-        self.map.insert(key, id);
         self.n_live += 1;
-        (id, true)
+        (NodeId(id as u32), true)
     }
 
     /// Looks up a pair without allocating.
     pub fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
-        self.probe(ty, attr).1
+        let table = self.tables.get(ty.index())?;
+        // The unit row is the empty `$A`'s alone.
+        if is_unit(table.schema()) != (attr.arity() == 0) {
+            return None;
+        }
+        table.entry(gen_key(attr)).map(|(_, &id)| id)
     }
 
     fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
@@ -271,6 +298,12 @@ impl GenId {
     /// The semantic attribute `$A` tuple of a live node.
     pub fn attr_of(&self, id: NodeId) -> &Tuple {
         &self.pair(id).1
+    }
+
+    /// The `gen_A` row of a live node: its `$A` — the same allocation —
+    /// or the unit row of an empty one.
+    pub fn gen_row(&self, id: NodeId) -> Tuple {
+        gen_row(self.attr_of(id))
     }
 
     /// Whether the id names a node (is not free, nor beyond the id space).
@@ -294,27 +327,25 @@ impl GenId {
     }
 
     /// Releases a node that left the view (garbage collection of
-    /// unreachable `gen_B` entries, §2.3; rollback): the pair is no longer
-    /// interned and the id is free for [`GenId::gen_id`] to hand out. The
-    /// caller has already dropped everything it keeps under the id. A free
-    /// id is left alone.
+    /// unreachable `gen_B` entries, §2.3; rollback): its `gen_A` row goes
+    /// and the id is free for [`GenId::gen_id`] to hand out. The caller has
+    /// already dropped everything it keeps under the id. A free id is left
+    /// alone.
     pub fn retire(&mut self, id: NodeId) {
         if !self.is_live(id) {
             return;
         }
+        let (ty, attr) = self.info[id.index()].as_ref().expect("a live id's pair");
+        let removed = self.tables[ty.index()].remove(gen_key(attr));
+        debug_assert_eq!(removed.map(|(_, at)| at), Some(id), "a live node's row");
         self.n_live -= 1;
         *self.live.get_mut(id.index()) = false;
         self.first_free = self.first_free.min(id.index());
-        // Every live pair has one entry of the key map; the rest were left
-        // behind by released nodes.
-        if self.map.len() - self.n_live > self.n_live / 2 + Self::STALE_KEYS {
-            self.rebuild_key_map();
-        }
     }
 
     /// Shrinks the id space back to `len` ids, its length before a rejected
-    /// insertion interned a subtree; every id past it must be free. Their
-    /// key map entries stay behind as any released node's do.
+    /// insertion interned a subtree; every id past it must be free — and
+    /// so, retired, without a row.
     pub fn truncate(&mut self, len: usize) {
         debug_assert!(
             (len..self.live.len()).all(|i| !self.live[i]),
@@ -323,24 +354,6 @@ impl GenId {
         self.info.truncate(len);
         self.live.truncate(len);
         self.first_free = self.first_free.min(len);
-    }
-
-    /// Entries released nodes may leave in the key map before it is worth
-    /// rebuilding, however few nodes are live.
-    const STALE_KEYS: usize = if cfg!(test) { 4 } else { 1024 };
-
-    /// The key map of the live pairs alone, each where an empty map would
-    /// have put it.
-    fn rebuild_key_map(&mut self) {
-        let mut keys = FxMap::with_capacity_and_hasher(self.n_live, BuildHasherDefault::default());
-        for id in self.live_ids() {
-            let slot = |k: &MapKey| keys.get(k).copied();
-            let (ty, attr) = (self.type_of(id), self.attr_of(id));
-            let (key, found) = probe(slot, |v| Some(self.pair(v)), ty, attr);
-            debug_assert_eq!(found, None, "live pairs are distinct");
-            keys.insert(key, id);
-        }
-        self.map = key_map(keys);
     }
 
     /// All live node ids, ascending.
@@ -424,26 +437,52 @@ impl Interner for Provisional<'_> {
 
 /// The interner while a whole view is built — initial publication, a
 /// checkpoint load. It allocates the ids an empty [`GenId`] would (dense,
-/// in request order, at the same key-map slots) into flat transient
-/// storage, and [`GenIdBuilder::finish`] writes the copy-on-write pages
-/// once, full, instead of once per `gen_id`.
-#[derive(Debug, Default)]
+/// in request order) through a transient hash map, and
+/// [`GenIdBuilder::finish`] writes the copy-on-write pages once, full — the
+/// `gen_A` tables sorted per type — instead of once per `gen_id`.
+#[derive(Debug)]
 pub(crate) struct GenIdBuilder {
-    keys: FxMap<MapKey, NodeId>,
+    schemas: Vec<TableSchema>,
+    ids: FxMap<(TypeId, Tuple), NodeId>,
     /// `None`: a free id of the state being loaded.
     info: Vec<Option<(TypeId, Tuple)>>,
 }
 
 impl GenIdBuilder {
+    /// An empty builder over the `gen_A` schemas, in type order.
+    pub(crate) fn new(schemas: Vec<TableSchema>) -> Self {
+        GenIdBuilder {
+            schemas,
+            ids: FxMap::default(),
+            info: Vec::new(),
+        }
+    }
+
     /// The finished interner.
+    ///
+    /// # Panics
+    /// If a `$A` does not fit its type's `gen_A` schema.
     pub(crate) fn finish(self) -> GenId {
+        let mut rows = vec![Vec::new(); self.schemas.len()];
+        let live = self.info.iter().enumerate();
+        for (id, (ty, attr)) in live.filter_map(|(id, slot)| Some((id, slot.as_ref()?))) {
+            rows[ty.index()].push((gen_row(attr), NodeId(id as u32)));
+        }
+        let tables = self
+            .schemas
+            .into_iter()
+            .zip(rows)
+            .map(|(schema, mut rows)| {
+                rows.sort_unstable();
+                Table::from_sorted(schema, rows).expect("well-typed, distinct `$A` rows")
+            });
         let is_free = |slot: &Option<_>| slot.is_none();
         let first_free = self.info.iter().position(is_free);
         GenId {
-            map: key_map(self.keys),
+            tables: tables.collect(),
             first_free: first_free.unwrap_or(self.info.len()),
             live: self.info.iter().map(Option::is_some).collect(),
-            n_live: self.info.iter().flatten().count(),
+            n_live: self.ids.len(),
             info: self.info.into_iter().collect(),
         }
     }
@@ -451,27 +490,17 @@ impl GenIdBuilder {
     fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
         self.info[id.index()].as_ref().expect("an interned id")
     }
-
-    /// Where `(ty, $A)` belongs in the key map, and its id if interned.
-    fn probe(&self, ty: TypeId, attr: &Tuple) -> (MapKey, Option<NodeId>) {
-        let slot = |k: &MapKey| self.keys.get(k).copied();
-        probe(slot, |id| Some(self.pair(id)), ty, attr)
-    }
-
-    fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
-        self.probe(ty, attr).1
-    }
 }
 
 impl Interner for GenIdBuilder {
     fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        match self.probe(ty, &attr) {
-            (_, Some(id)) => (id, false),
-            (key, None) => {
-                let id = NodeId(self.info.len() as u32);
-                self.keys.insert(key, id);
-                self.info.push(Some((ty, attr)));
-                (id, true)
+        let next = NodeId(self.info.len() as u32);
+        match self.ids.entry((ty, attr)) {
+            std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                self.info.push(Some(e.key().clone()));
+                e.insert(next);
+                (next, true)
             }
         }
     }
@@ -488,17 +517,39 @@ impl Interner for GenIdBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rxview_relstore::tuple;
+    use rxview_relstore::{schema, tuple, ColumnDef, ValueType};
 
     const T0: TypeId = TypeId(0);
     const T1: TypeId = TypeId(1);
+    const T2: TypeId = TypeId(2);
+
+    /// An empty interner over three types whose `$A` has the columns
+    /// `cols`.
+    fn over(cols: &[ValueType]) -> Vec<TableSchema> {
+        let named = cols.iter().enumerate();
+        let columns: Vec<ColumnDef> = named
+            .map(|(i, &c)| ColumnDef::new(format!("c{i}"), c))
+            .collect();
+        let schema = |ty| {
+            TableSchema::new(
+                format!("gen_t{ty}"),
+                columns.clone(),
+                (0..cols.len()).collect(),
+            )
+        };
+        (0..3).map(schema).collect()
+    }
+
+    fn strs() -> GenId {
+        GenId::new(over(&[ValueType::Str]))
+    }
 
     #[test]
     fn interning_is_stable() {
-        let mut g = GenId::new();
-        let (a, fresh_a) = g.gen_id(T0, tuple!["CS320", "Algorithms"]);
+        let mut g = strs();
+        let (a, fresh_a) = g.gen_id(T0, tuple!["CS320"]);
         assert!(fresh_a);
-        let (b, fresh_b) = g.gen_id(T0, tuple!["CS320", "Algorithms"]);
+        let (b, fresh_b) = g.gen_id(T0, tuple!["CS320"]);
         assert!(!fresh_b);
         assert_eq!(a, b);
         assert_eq!(g.n_live(), 1);
@@ -506,7 +557,7 @@ mod tests {
 
     #[test]
     fn same_tuple_different_type_distinct() {
-        let mut g = GenId::new();
+        let mut g = strs();
         let (a, _) = g.gen_id(T0, tuple!["x"]);
         let (b, _) = g.gen_id(T1, tuple!["x"]);
         assert_ne!(a, b);
@@ -514,7 +565,7 @@ mod tests {
 
     #[test]
     fn type_and_attr_recoverable() {
-        let mut g = GenId::new();
+        let mut g = GenId::new(over(&[ValueType::Str, ValueType::Int]));
         let (a, _) = g.gen_id(T0, tuple!["k", 1i64]);
         assert_eq!(g.type_of(a), T0);
         assert_eq!(g.attr_of(a), &tuple!["k", 1i64]);
@@ -527,7 +578,7 @@ mod tests {
 
     #[test]
     fn a_retired_id_is_released_and_handed_out_again() {
-        let mut g = GenId::new();
+        let mut g = strs();
         let (a, _) = g.gen_id(T0, tuple!["a"]);
         let (b, _) = g.gen_id(T0, tuple!["b"]);
         let (c, _) = g.gen_id(T1, tuple!["c"]);
@@ -550,11 +601,63 @@ mod tests {
         // Freed below the last one handed out: found again.
         g.retire(b);
         assert_eq!(g.gen_id(T1, tuple!["e"]), (b, true));
+        // Each type's `gen_A` table is its live pairs, in key order, each
+        // row the interned `$A` itself and carrying its id.
+        for ty in [T0, T1] {
+            let rows: Vec<(&Tuple, NodeId)> =
+                g.table(ty).entries().map(|(r, &id)| (r, id)).collect();
+            let mut live: Vec<(&Tuple, NodeId)> = of_type(&g, ty)
+                .into_iter()
+                .map(|id| (g.attr_of(id), id))
+                .collect();
+            live.sort();
+            assert_eq!(rows, live);
+            let same = |r: &Tuple, id| std::ptr::eq(r.values(), g.attr_of(id).values());
+            assert!(rows.iter().all(|&(r, id)| same(r, id)));
+        }
+    }
+
+    #[test]
+    fn the_empty_attribute_is_the_unit_row() {
+        let mut g = GenId::new(vec![schema("gen_root").col_int("__unit").key(&["__unit"])]);
+        let (root, _) = g.gen_id(T0, Tuple::empty());
+        assert_eq!(g.lookup(T0, &Tuple::empty()), Some(root));
+        let rows: Vec<_> = g.table(T0).entries().collect();
+        assert_eq!(rows, [(&tuple![0i64], &root)]);
+        assert!(g.check(T0, &Tuple::empty()).is_ok() && g.check(T0, &tuple!["x"]).is_err());
+        // The unit row's own value is no `$A` of the type.
+        assert!(g.check(T0, &tuple![0i64]).is_err());
+        assert_eq!(g.lookup(T0, &tuple![0i64]), None);
+        g.retire(root);
+        assert!(g.table(T0).is_empty() && g.lookup(T0, &Tuple::empty()).is_none());
+    }
+
+    /// The empty `$A` is the unit row only where the type's `$A` is empty:
+    /// beside a one-Int type's `(0)` it is no `$A` at all.
+    #[test]
+    fn the_empty_attribute_is_no_row_of_a_type_with_fields() {
+        let mut g = GenId::new(over(&[ValueType::Int]));
+        let (zero, _) = g.gen_id(T0, tuple![0i64]);
+        assert!(g.check(T0, &Tuple::empty()).is_err());
+        assert_eq!(g.lookup(T0, &Tuple::empty()), None);
+        assert_eq!(g.lookup(T0, &tuple![0i64]), Some(zero));
+    }
+
+    /// A slot whose `$A` shares its `gen_A` row with another's, though the
+    /// pairs differ, is refused like a repeated pair.
+    #[test]
+    fn from_slots_refuses_an_attribute_that_only_its_row_fits() {
+        let unit = || vec![schema("gen_root").col_int("__unit").key(&["__unit"])];
+        let slots = [Some((T0, Tuple::empty())), Some((T0, tuple![0i64]))];
+        assert_eq!(GenId::from_slots(unit(), slots, |_| None).err(), Some(1));
+        let slots = [Some((T0, tuple![0i64])), Some((T0, Tuple::empty()))];
+        let ints = over(&[ValueType::Int]);
+        assert_eq!(GenId::from_slots(ints, slots, |_| None).err(), Some(1));
     }
 
     #[test]
     fn a_clone_recycles_on_its_own() {
-        let mut g = GenId::new();
+        let mut g = strs();
         let (a, _) = g.gen_id(T0, tuple!["a"]);
         let (b, _) = g.gen_id(T0, tuple!["b"]);
         let pinned = g.clone();
@@ -568,7 +671,7 @@ mod tests {
 
     #[test]
     fn a_provisional_run_keeps_live_ids_and_writes_nothing() {
-        let mut g = GenId::new();
+        let mut g = strs();
         let (a, _) = g.gen_id(T0, tuple!["a"]);
         let (b, _) = g.gen_id(T0, tuple!["b"]);
         g.retire(a);
@@ -589,7 +692,7 @@ mod tests {
 
     #[test]
     fn live_ids_iterate_in_order() {
-        let mut g = GenId::new();
+        let mut g = strs();
         let (a, _) = g.gen_id(T0, tuple!["a"]);
         let (b, _) = g.gen_id(T0, tuple!["b"]);
         let (c, _) = g.gen_id(T1, tuple!["c"]);
@@ -597,97 +700,6 @@ mod tests {
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(g.n_allocated(), 3);
         assert_eq!(g.n_live(), 2);
-    }
-
-    /// The key-map entries of `ty`: hash and id, in hash order.
-    fn entries(g: &GenId, ty: TypeId) -> Vec<(u64, NodeId)> {
-        let of_ty = g.map.iter().filter(|((t, _), _)| *t == ty);
-        of_ty.map(|((_, h), id)| (*h, *id)).collect()
-    }
-
-    #[test]
-    fn colliding_pairs_stay_distinct() {
-        // Twenty pairs of one type over four test hashes: every lookup
-        // walks a probe sequence past other pairs.
-        let mut g = GenId::new();
-        let ids: Vec<NodeId> = (0..20i64).map(|i| g.gen_id(T0, tuple![i]).0).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(id, NodeId(i as u32));
-            assert_eq!(g.lookup(T0, &tuple![i as i64]), Some(id));
-            assert_eq!(g.gen_id(T0, tuple![i as i64]), (id, false));
-        }
-        assert_eq!(g.lookup(T0, &tuple![20i64]), None);
-        assert_eq!(g.lookup(T1, &tuple![3i64]), None);
-    }
-
-    #[test]
-    fn released_pairs_leave_entries_that_keep_probe_sequences_whole() {
-        let mut g = GenId::new();
-        let ids: Vec<NodeId> = (0..20i64).map(|i| g.gen_id(T0, tuple![i]).0).collect();
-        // Twenty entries over four test hashes: one unbroken sequence.
-        assert_eq!(entries(&g, T0).len(), 20);
-        let at = |g: &GenId, id: NodeId| {
-            let found = entries(g, T0).into_iter().find(|e| e.1 == id);
-            found.expect("interned").0
-        };
-
-        // Releasing a pair does not write the map: its entry stays, every
-        // pair behind it is still found, and the pair itself is not.
-        let h3 = at(&g, ids[3]);
-        g.retire(ids[3]);
-        assert!(entries(&g, T0).contains(&(h3, ids[3])));
-        assert_eq!(g.lookup(T0, &tuple![3i64]), None);
-        for i in (0..20).filter(|&i| i != 3) {
-            assert_eq!(g.lookup(T0, &tuple![i as i64]), Some(ids[i]), "pair {i}");
-        }
-        // The same pair takes the entry over (and the released id) — as
-        // does any other pair whose sequence passes it.
-        assert_eq!(g.gen_id(T0, tuple![3i64]), (ids[3], true));
-        assert_eq!((at(&g, ids[3]), entries(&g, T0).len()), (h3, 20));
-        g.retire(ids[3]);
-        // (A pair that adds no entry took the one left behind: it is the
-        // only one.)
-        let passes = |v: &i64| {
-            let mut trial = g.clone();
-            trial.gen_id(T0, tuple![*v]);
-            entries(&trial, T0).len() == 20
-        };
-        let other = (100..200i64)
-            .find(passes)
-            .expect("a pair hashing at or before h3");
-        assert_eq!(g.gen_id(T0, tuple![other]), (ids[3], true));
-        assert_eq!((at(&g, ids[3]), entries(&g, T0).len()), (h3, 20));
-
-        // An entry left behind whose id went to a pair that sits elsewhere
-        // — of another type, with the very same `$A` — reads as another
-        // pair's: skipped, never matched, never taken.
-        g.retire(ids[19]);
-        let h19 = at(&g, ids[19]);
-        assert_eq!(g.gen_id(T1, tuple![19i64]), (ids[19], true));
-        assert!(entries(&g, T0).contains(&(h19, ids[19])), "still there");
-        assert_eq!(g.lookup(T0, &tuple![19i64]), None);
-        let (back, fresh) = g.gen_id(T0, tuple![19i64]);
-        assert!(fresh && at(&g, back) > h19, "placed behind the stale entry");
-        assert_eq!(entries(&g, T0).len(), 21);
-
-        // Once the entries left behind outnumber half the live pairs (and
-        // the test build's slack of four), the map is rebuilt from the live
-        // pairs: one entry each, everything found where it now belongs.
-        let live_before: Vec<NodeId> = of_type(&g, T0);
-        for &id in &live_before[..14] {
-            g.retire(id);
-        }
-        let survivors: Vec<NodeId> = of_type(&g, T0);
-        assert_eq!(survivors.len(), 6);
-        assert!(entries(&g, T0).len() < 21, "rebuilt along the way");
-        assert_eq!(g.map.len() - g.n_live(), entries(&g, T0).len() - 6);
-        for &id in &survivors {
-            assert_eq!(g.lookup(T0, &g.attr_of(id).clone()), Some(id));
-        }
-        for &id in &live_before[..14] {
-            assert!(!g.is_live(id));
-        }
-        assert_eq!(g.lookup(T1, &tuple![19i64]), Some(ids[19]));
     }
 
     #[test]
@@ -699,21 +711,31 @@ mod tests {
             None,
             None,
         ];
-        let mut g = GenId::from_slots(slots, |_| None).expect("distinct pairs");
+        let str_cols = || over(&[ValueType::Str]);
+        let mut g = GenId::from_slots(str_cols(), slots, |_| None).expect("distinct pairs");
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (2, 3, 5));
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(g.lookup(T1, &tuple!["a"]), Some(NodeId(2)));
         for want in [1, 3, 4, 5] {
-            assert_eq!(g.gen_id(T0, tuple![want as i64]), (NodeId(want), true));
+            let attr = tuple![format!("n{want}").as_str()];
+            assert_eq!(g.gen_id(T0, attr), (NodeId(want), true));
         }
         let twice = [Some((T0, tuple!["a"])), None, Some((T0, tuple!["a"]))];
-        assert_eq!(GenId::from_slots(twice, |_| None).err(), Some(2));
+        assert_eq!(
+            GenId::from_slots(str_cols(), twice, |_| None).err(),
+            Some(2)
+        );
+        // A `$A` its `gen_A` schema rejects names its slot too.
+        let mistyped = [Some((T0, tuple!["a"])), Some((T1, tuple![7i64]))];
+        assert_eq!(
+            GenId::from_slots(str_cols(), mistyped, |_| None).err(),
+            Some(1)
+        );
     }
 
     #[test]
     fn a_loaded_slot_keeps_the_tuple_of_the_pair_it_repeats() {
         let same = |a: &Tuple, b: &Tuple| std::ptr::eq(a.values().as_ptr(), b.values().as_ptr());
-        const T2: TypeId = TypeId(2);
         let slots = [
             Some((T0, tuple!["a", 1i64])),
             Some((T1, tuple!["a", 1i64])),
@@ -722,7 +744,8 @@ mod tests {
             Some((T0, tuple!["b", 2i64])),
         ];
         let repeats = |ty| (ty == T1).then_some(T0);
-        let g = GenId::from_slots(slots, repeats).expect("distinct pairs");
+        let cols = over(&[ValueType::Str, ValueType::Int]);
+        let g = GenId::from_slots(cols, slots, repeats).expect("distinct pairs");
         let attr = |i| g.attr_of(NodeId(i));
         // A pair of the repeating type with an equal `$A` loaded before it.
         assert!(same(attr(1), attr(0)));

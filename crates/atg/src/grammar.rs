@@ -17,6 +17,7 @@
 //! key is determined by the rule's output, parameters, and constants through
 //! its equality predicates), which is what makes update translation possible.
 
+use crate::genid::UNIT_COLUMN;
 use rxview_relstore::{
     ColRef, EqPred, Operand, RelError, RelResult, SchemaProvider, SpjPlan, SpjQuery, TableRef,
     TableSchema, TableSource, Tuple, ValueType,
@@ -152,14 +153,15 @@ impl Atg {
         self.rules.get(&(parent, child))
     }
 
-    /// Schemas of the base relations referenced by the grammar's rules.
-    pub fn base_schemas(&self) -> &[TableSchema] {
-        &self.base_schemas
-    }
-
     /// The name of the derived node table `gen_A` (§2.3).
     pub fn gen_table_name(&self, ty: TypeId) -> String {
         format!("gen_{}", self.dtd.name(ty))
+    }
+
+    /// The type whose `gen_A` table is called `name`: the inverse of
+    /// [`Atg::gen_table_name`].
+    pub fn gen_table_type(&self, name: &str) -> Option<TypeId> {
+        self.dtd.type_id(name.strip_prefix("gen_")?)
     }
 
     /// Schema of `gen_A`: one column per attribute field, all-key.
@@ -172,7 +174,7 @@ impl Atg {
         if fields.is_empty() {
             return TableSchema::new(
                 self.gen_table_name(ty),
-                vec![rxview_relstore::ColumnDef::new("__unit", ValueType::Int)],
+                vec![rxview_relstore::ColumnDef::new(UNIT_COLUMN, ValueType::Int)],
                 vec![0],
             );
         }
@@ -185,13 +187,20 @@ impl Atg {
         TableSchema::new(self.gen_table_name(ty), cols, key)
     }
 
+    /// The schema of every `gen_A` table, in type order: what a view's
+    /// interner is built over ([`crate::GenId::new`]).
+    pub fn gen_table_schemas(&self) -> Vec<TableSchema> {
+        self.dtd
+            .types()
+            .map(|ty| self.gen_table_schema(ty))
+            .collect()
+    }
+
     /// All schemas: base relations plus every `gen_A` table. This is the
     /// schema provider for the *augmented* edge views of §2.3.
     pub fn augmented_schemas(&self) -> Vec<TableSchema> {
         let mut out = self.base_schemas.clone();
-        for ty in self.dtd.types() {
-            out.push(self.gen_table_schema(ty));
-        }
+        out.extend(self.gen_table_schemas());
         out
     }
 
@@ -261,7 +270,7 @@ impl Atg {
         }
         if self.attr_fields(parent).is_empty() {
             projection.push(ColRef { rel: 0, col: 0 });
-            out_names.push("p___unit".into());
+            out_names.push(format!("p_{UNIT_COLUMN}"));
         }
         match rule {
             RuleBody::Project { fields } => {
@@ -385,6 +394,12 @@ impl AtgBuilder {
             let ty = dtd
                 .type_id(tyname)
                 .ok_or_else(|| AtgError::UnknownType(tyname.clone()))?;
+            if fields.iter().any(|f| f == UNIT_COLUMN) {
+                return Err(AtgError::AttrMismatch {
+                    ty: tyname.clone(),
+                    detail: format!("the field name `{UNIT_COLUMN}` is reserved"),
+                });
+            }
             attr_names[ty.index()] = fields.clone();
         }
 

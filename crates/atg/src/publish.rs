@@ -131,9 +131,12 @@ fn unlink(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) -> bool {
 }
 
 impl Dag {
-    /// An empty DAG.
-    pub fn new() -> Self {
-        Dag::default()
+    /// A DAG without edges over `genid`.
+    pub fn new(genid: GenId) -> Self {
+        Dag {
+            genid,
+            ..Dag::default()
+        }
     }
 
     /// Builds a DAG over `genid` from its whole edge list, writing every
@@ -500,7 +503,7 @@ pub fn publish_leaves_first(
     atg: &Atg,
     src: &impl TableSource,
 ) -> Result<(Dag, Vec<NodeId>), PublishError> {
-    let mut genid = GenIdBuilder::default();
+    let mut genid = GenIdBuilder::new(atg.gen_table_schemas());
     let sub = generate_subtree(atg, src, &mut genid, atg.dtd().root(), Tuple::empty())?;
     let dag = Dag::from_adjacency(genid.finish(), Some(sub.root), &sub.edges)
         .expect("a subtree lists each node's edges once, together");
@@ -565,7 +568,7 @@ mod tests {
         fn edges_are_the_child_lists_and_their_count(
             steps in prop::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 0..300),
         ) {
-            let mut dag = Dag::new();
+            let mut dag = Dag::default();
             let mut model: Vec<(NodeId, NodeId)> = Vec::new();
             for (add, u, v) in steps {
                 let (u, v) = (NodeId(u), NodeId(v));

@@ -296,6 +296,17 @@ mod tests {
         assert!(matches!(err, AtgError::NotKeyPreserving { .. }));
     }
 
+    /// `__unit` names the one column of an empty `$A`'s `gen_A`: a field
+    /// of that name would make a one-field `$A` look empty.
+    #[test]
+    fn the_unit_column_name_is_no_field_name() {
+        let db = registrar_database();
+        let mut b = Atg::builder(registrar_dtd());
+        b.attr("db", &[]).attr("course", &["__unit"]);
+        let err = b.build(&db).unwrap_err();
+        assert!(matches!(err, AtgError::AttrMismatch { .. }), "{err}");
+    }
+
     #[test]
     fn missing_rule_detected() {
         let db = registrar_database();

@@ -142,7 +142,7 @@ fn fig11(sizes: &[usize], insertions: bool, ops: usize) {
         }
     }
     if insertions {
-        println!("(SAT solver engaged on demand; rejected ops include key conflicts — see EXPERIMENTS.md)");
+        println!("(SAT solver engaged on demand; rejected ops include key conflicts — see README.md and ARCHITECTURE.md §1)");
     }
     println!();
 }

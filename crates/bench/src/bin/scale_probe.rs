@@ -7,7 +7,7 @@
 //! memory pays — the live allocations, and the allocator calls made while
 //! building it. `I` is counted as generated and
 //! after `Database::share_equal_rows`, which `XmlViewSystem::new` runs
-//! before it publishes. It then prints the state's checkpoint: the bytes of
+//! before it publishes; `V` is then split by part (`V by part`). It then prints the state's checkpoint: the bytes of
 //! each section `encode_system` writes — `I`, `V` (the interner's id space
 //! and the child lists), `L` — and the medians of three `encode_system` and
 //! `decode_system` runs, and what each way of comparing two states costs:
@@ -19,10 +19,12 @@
 //! cargo run --release -p rxview-bench --bin scale_probe
 //! ```
 
+use rxview_atg::{Dag, GenId, NodeId};
 use rxview_bench::alloc_count::{allocated_by, kept_by, Counting, Kept};
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, TopoOrder, ViewStore, XmlViewSystem};
 use rxview_relstore::codec::{put_database, put_varint, Reader};
+use rxview_relstore::PagedVec;
 use rxview_workload::{
     base_fingerprint, edge_fingerprint, synthetic_atg, synthetic_database, SyntheticConfig,
 };
@@ -69,6 +71,50 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
         .collect();
     ms.sort_by(f64::total_cmp);
     ms[1]
+}
+
+/// The `V by part` row, in chunk bytes per node: the `Dag`'s child slots
+/// and their parent mirror, the interner's `info` and `live` vectors, the
+/// `$A` → id index (the `gen_A` tables), and the rest of `V` — the `$A`
+/// allocations not shared with `I`, and the grammar's edge views. Each part
+/// but the rest is rebuilt alone from handles into `vs`, so it counts what
+/// it holds beside the tuples they share.
+fn v_parts_row(vs: &ViewStore, v: &Census) {
+    let (dag, genid) = (vs.dag(), vs.dag().genid());
+    let edges: Vec<_> = dag.all_edges().collect();
+    let ids = (0..genid.n_allocated() as u32).map(NodeId);
+    let slots: Vec<_> = ids
+        .map(|id| {
+            genid
+                .is_live(id)
+                .then(|| (genid.type_of(id), genid.attr_of(id).clone()))
+        })
+        .collect();
+    let kept = |c: Census| c.kept.chunks;
+    let handles = kept(census(|| genid.clone()).1);
+    let adjacency = kept(census(|| Dag::from_adjacency(genid.clone(), Some(dag.root()), &edges)).1);
+    let adjacency = adjacency - handles;
+    let info_live = kept(
+        census(|| {
+            let info: PagedVec<_> = slots.iter().cloned().collect();
+            let live: PagedVec<bool> = slots.iter().map(Option::is_some).collect();
+            (info, live)
+        })
+        .1,
+    );
+    let schemas = vs.atg().gen_table_schemas();
+    let interner = kept(census(|| GenId::from_slots(schemas, slots.iter().cloned(), |_| None)).1);
+    let parts = [
+        ("Dag slots", adjacency),
+        ("interner info/live", info_live),
+        ("$A index", interner - info_live),
+        (
+            "rest ($A not in I, edge views)",
+            v.kept.chunks - adjacency - interner,
+        ),
+    ];
+    let per_node = parts.map(|(part, b)| format!("{part} {:.1}", b as f64 / vs.n_nodes() as f64));
+    println!("  V by part (chunk B per node): {}", per_node.join(", "));
 }
 
 /// The checkpoint row: `encode_system`'s bytes per section and its and
@@ -155,6 +201,7 @@ fn main() {
         row("L", &l, &per_node(&l));
         let per_pair = format!("{:.2} B per pair", reach.kept.chunks as f64 / pairs as f64);
         row("M", &reach, &per_pair);
+        v_parts_row(&vs, &v);
         let total = shared_i.kept.chunks + v.kept.chunks + l.kept.chunks + reach.kept.chunks;
         println!("  (I, V, L, M): {total} B in chunks");
         let sys = XmlViewSystem::from_parts(db, vs, topo, m);

@@ -263,7 +263,7 @@ fn clone_write_and_release_allocate_in_proportion_to_the_change() {
         atg.dtd().type_id("sub").expect("synthetic DTD"),
         atg.dtd().type_id("node").expect("synthetic DTD"),
     );
-    let gen_sub = vs.gen_db().table("gen_sub").expect("synthetic gen table");
+    let gen_sub = vs.dag().genid().table(sub);
     let subs: Vec<&Tuple> = gen_sub.iter().collect();
     let (rows, _, rule_calls) = allocated_by(|| {
         let rows = |attr: &&Tuple| atg.child_tuples(&db, sub, attr, node).expect("runs").len();
@@ -400,11 +400,10 @@ fn sizes(sys: &XmlViewSystem) -> [usize; 5] {
 /// subtrees on neighbouring ids, or `M`'s block words would thin out towards
 /// their worst case of one id each.
 ///
-/// "Holds" is a band, not a number: the interner's key map collects the
-/// entries of released pairs and its runs split as new pairs land, until
-/// it is rebuilt compact a few times per sample — so a sample's lowest
-/// reading is compared with the first sample's lowest, and highest with
-/// highest.
+/// "Holds" is a band, not a number: the paged runs of the tables and the
+/// interner split as new rows land and merge as rows go — so a sample's
+/// lowest reading is compared with the first sample's lowest, and highest
+/// with highest.
 ///
 /// Less one thing. `I` keeps the `CU` row of every key ever inserted: the
 /// deletion of a fresh node removes its `H` row, the minimal `∆R` the paper

@@ -920,11 +920,12 @@ fn read_dag(r: &mut Reader<'_>, atg: &Atg) -> CodecResult<Dag> {
         });
     }
     let repeats: Vec<_> = dtd.types().map(|ty| repeated_type(atg, ty)).collect();
-    let genid = GenId::from_slots(slots, |ty| repeats[ty.index()]).map_err(|slot| {
-        CodecError::Invalid(format!(
-            "duplicate (type, attr) pair at interner slot {slot}"
-        ))
-    })?;
+    let genid = GenId::from_slots(atg.gen_table_schemas(), slots, |ty| repeats[ty.index()])
+        .map_err(|slot| {
+            CodecError::Invalid(format!(
+                "interner slot {slot} repeats a (type, attr) pair or breaks its gen_A schema"
+            ))
+        })?;
     let root = match r.read_u8()? {
         1 => Some(read_node(r, &genid)?),
         _ => None,
@@ -999,7 +1000,7 @@ pub fn decode_system_v1(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSys
 
 /// Reads `I`, `V` and `L` — over the `gen_A` and `M` sections too when
 /// `v1` — then rebuilds the rest with the code publication builds it with:
-/// the `gen_A` tables from the interner ([`ViewStore::from_dag`]) and `M`
+/// the `gen_A` tables with the interner ([`GenId::from_slots`]) and `M`
 /// by Algorithm Reach backward over `L`, once `L` is checked to list every
 /// live node once, children before parents.
 fn decode_sections(atg: &Atg, r: &mut Reader<'_>, v1: bool) -> CodecResult<XmlViewSystem> {
@@ -1028,8 +1029,7 @@ fn decode_sections(atg: &Atg, r: &mut Reader<'_>, v1: bool) -> CodecResult<XmlVi
     if v1 {
         skip_reach(r)?;
     }
-    let vs = ViewStore::from_dag(atg.clone(), dag)
-        .map_err(|e| CodecError::Invalid(format!("gen tables rejected: {e}")))?;
+    let vs = ViewStore::from_parts(atg.clone(), dag);
     let reach = Reachability::compute(vs.dag(), &topo);
     Ok(XmlViewSystem::from_parts(base, vs, topo, reach))
 }
@@ -1144,7 +1144,7 @@ mod tests {
         let dtd = sys.view().atg().dtd();
         let genid = sys.view().dag().genid();
         let root = sys.view().dag().root();
-        let (ty, pair) = (TypeId(1), tuple!["CS999"]);
+        let (ty, pair) = (TypeId(1), tuple!["CS999", "Ghost"]);
         let mut bytes = Vec::new();
         put_varint(&mut bytes, dtd.n_types() as u64);
         for t in dtd.types() {
@@ -1204,6 +1204,34 @@ mod tests {
         for cut in (0..bytes.len()).step_by(7) {
             assert!(decode_system(&atg, &mut Reader::new(&bytes[..cut])).is_err());
         }
+    }
+
+    /// Each interner slot is checked to be a `$A` of its type, not only to
+    /// have a `gen_A` row that fits: a slot `(root, (0))` beside the root's
+    /// `(root, ())` — the one unit row for two pairs — is refused, not
+    /// loaded into one table twice.
+    #[test]
+    fn a_checkpoint_whose_slot_repeats_the_unit_row_is_refused() {
+        let sys = system();
+        let atg = sys.view().atg();
+        let dtd = atg.dtd();
+        let root_ty = sys.view().dag().genid().type_of(sys.view().dag().root());
+        let mut bytes = Vec::new();
+        put_database(&mut bytes, sys.base());
+        put_varint(&mut bytes, dtd.n_types() as u64);
+        for ty in dtd.types() {
+            put_str(&mut bytes, dtd.name(ty));
+        }
+        put_varint(&mut bytes, 2);
+        for attr in [Tuple::empty(), tuple![0i64]] {
+            put_varint(&mut bytes, root_ty.0 as u64);
+            put_tuple(&mut bytes, &attr);
+            bytes.push(1);
+        }
+        // The root is node 0, nothing has children, and `L` is (1, 0).
+        bytes.extend_from_slice(&[1, 0, 0, 2, 1, 0]);
+        let decoded = decode_system(atg, &mut Reader::new(&bytes));
+        assert!(matches!(decoded, Err(CodecError::Invalid(_))));
     }
 
     /// `M` is computed backward over the loaded `L`, so an `L` that lists

@@ -13,7 +13,7 @@
 use crate::processor::XmlViewSystem;
 use crate::viewstore::ViewStore;
 use rxview_atg::{GenId, NodeId};
-use rxview_relstore::Database;
+use rxview_relstore::{Database, Table};
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// A digest: one 128-bit hash per named section, compared in name order.
@@ -70,17 +70,29 @@ fn section(feed: impl FnOnce(&mut Wide)) -> u128 {
     (u128::from(h.0[0].finish()) << 64) | u128::from(h.0[1].finish())
 }
 
-/// A database: its tables by name, each with its row count and its rows in
-/// key order.
-pub(crate) fn database(db: &Database) -> u128 {
+/// Tables under their names, each with its row count and its rows in key
+/// order.
+fn tables<'a, P: Clone + 'a>(named: impl Iterator<Item = (&'a str, &'a Table<P>)>) -> u128 {
     section(|h| {
-        for name in db.table_names() {
-            let table = db.table(name).expect("a listed table exists");
+        for (name, table) in named {
             name.hash(h);
             table.len().hash(h);
             table.iter().for_each(|row| row.hash(h));
         }
     })
+}
+
+/// A database: its tables by name.
+pub(crate) fn database(db: &Database) -> u128 {
+    let table = |name| (name, db.table(name).expect("a listed table exists"));
+    tables(db.table_names().map(table))
+}
+
+/// The interner's `gen_A` tables, per type under its type's name — the ids
+/// they carry are the `ids` section's business.
+pub(crate) fn gen_tables(vs: &ViewStore) -> u128 {
+    let (dtd, genid) = (vs.atg().dtd(), vs.dag().genid());
+    tables(dtd.types().map(|ty| (dtd.name(ty), genid.table(ty))))
 }
 
 /// One edge by `((type, $A), (type, $B))`.
@@ -126,7 +138,7 @@ impl XmlViewSystem {
                     (dag.n_nodes() > 0).then(|| dag.root()).hash(h);
                     ids.clone().for_each(|id| dag.children(id).hash(h));
                 }),
-                database(vs.gen_db()),
+                gen_tables(vs),
                 section(|h| self.topo().order().hash(h)),
                 section(|h| {
                     let m = self.reach();
@@ -143,7 +155,7 @@ impl XmlViewSystem {
         let vs = self.view();
         StateDigest {
             names: &OBSERVED,
-            sections: [database(self.base()), database(vs.gen_db()), edges(vs)],
+            sections: [database(self.base()), gen_tables(vs), edges(vs)],
         }
     }
 }

@@ -43,7 +43,6 @@ use crate::reach::{with_walk, ReachBatch, Reachability, RunBuf};
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, SubtreeDag};
-use rxview_relstore::RelResult;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
@@ -269,7 +268,7 @@ pub(crate) fn delete_pass(
     reach: &mut Reachability,
     batch: &mut ReachBatch,
     selected: &[NodeId],
-) -> RelResult<MaintainReport> {
+) -> MaintainReport {
     let mut report = MaintainReport {
         cone_folds: 1,
         ..MaintainReport::default()
@@ -392,10 +391,10 @@ pub(crate) fn delete_pass(
     // interner hand it out again (a fold allocates nothing itself).
     let t_gc = Instant::now();
     for &d in &collected {
-        vs.unregister_node(d)?;
+        vs.dag_mut().genid_mut().retire(d);
     }
     report.l_splice_ns += t_gc.elapsed().as_nanos() as u64;
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -436,7 +435,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
-        apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+        apply_delta(&mut vs, &delta);
         let report = insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
         // takenBy320 (and CS320, its ancestors) now reach Alice's subtree.
         assert!(report.m_inserted > 0);
@@ -452,7 +451,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
-        apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+        apply_delta(&mut vs, &delta);
         insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
         assert_consistent(&vs, &topo, &reach);
         // The new course's takenBy shares student S01 (Alice) — an edge onto
@@ -477,7 +476,7 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS100", "Intro"], &eval).unwrap();
-        apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+        apply_delta(&mut vs, &delta);
         insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
         assert_consistent(&vs, &topo, &reach);
 
@@ -504,8 +503,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
-        apply_delta(&mut vs, &delta, None).unwrap();
-        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
+        apply_delta(&mut vs, &delta);
+        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected);
         assert_eq!(report.gc_nodes, 0);
         assert!(report.m_removed > 0); // prereq650 no longer reaches CS320's subtree
         assert_consistent(&vs, &topo, &reach);
@@ -520,8 +519,8 @@ mod tests {
         let p = parse_xpath("//student[ssn=S01]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
-        apply_delta(&mut vs, &delta, None).unwrap();
-        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
+        apply_delta(&mut vs, &delta);
+        let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected);
         assert_eq!(report.gc_nodes, 3); // student + ssn + name
         assert!(report.cascaded_edges >= 2);
         let student = vs.atg().dtd().type_id("student").unwrap();
@@ -531,9 +530,9 @@ mod tests {
             .lookup(student, &tuple!["S01", "Alice"])
             .is_none());
         assert!(!vs
-            .gen_db()
-            .table("gen_student")
-            .unwrap()
+            .dag()
+            .genid()
+            .table(student)
             .contains_key(&tuple!["S01", "Alice"]));
         assert_consistent(&vs, &topo, &reach);
     }
@@ -559,8 +558,8 @@ mod tests {
         let p = parse_xpath("//course[cno=CS320]/takenBy/student[ssn=S02]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
-        apply_delta(&mut vs, &delta, None).unwrap();
-        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
+        apply_delta(&mut vs, &delta);
+        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected);
         // S02 still taken by CS240 (kept), so the node survives...
         assert!(vs.dag().genid().is_live(s02));
         // ...but CS320 (and CS650 through it) no longer reach S02 via CS320's
@@ -602,10 +601,9 @@ mod tests {
             assert_eq!(vs.dag().parents(alice).len(), p + 1);
 
             let eval = eval_path(&vs, &topo, &parse_xpath("course[cno=X0]").unwrap());
-            apply_delta(&mut vs, &xdelete(&eval), None).unwrap();
+            apply_delta(&mut vs, &xdelete(&eval));
             PARENT_RUNS.with(|c| c.set(0));
-            let report =
-                delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
+            let report = delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected);
             assert!(report.gc_nodes >= 3, "the course, its prereq and takenBy");
             assert_consistent(&vs, &topo, &reach);
             PARENT_RUNS.with(|c| c.get())
@@ -646,7 +644,7 @@ mod tests {
             let eval = eval_path(&vs, &topo, &p);
             let course = vs.atg().dtd().type_id("course").unwrap();
             let (delta, st) = xinsert(&mut vs, &db, course, tuple!["NEW", "Fresh"], &eval).unwrap();
-            apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+            apply_delta(&mut vs, &delta);
             let before = crate::reach::IDS_WRITTEN.with(|c| c.get());
             let report = insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval.selected);
             let ids = crate::reach::IDS_WRITTEN.with(|c| c.get()) - before;
@@ -665,15 +663,15 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let delta = xdelete(&eval);
-        apply_delta(&mut vs, &delta, None).unwrap();
-        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected).unwrap();
+        apply_delta(&mut vs, &delta);
+        delete_pass(&mut vs, &mut topo, &mut reach, &mut b, &eval.selected);
 
         let p2 = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval2 = eval_path(&vs, &topo, &p2);
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta2, st) =
             xinsert(&mut vs, &db, course, tuple!["CS320", "Algorithms"], &eval2).unwrap();
-        apply_delta(&mut vs, &delta2, Some(&st)).unwrap();
+        apply_delta(&mut vs, &delta2);
         insert_job(&vs, &mut topo, &mut reach, &mut b, &st, &eval2.selected);
         assert_consistent(&vs, &topo, &reach);
     }

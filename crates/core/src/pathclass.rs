@@ -431,33 +431,29 @@ fn candidates(
             rel.add_table_read(atg.gen_table_name(ty));
         }
         // The registry lists the type's live nodes: its length decides the
-        // cap before a row is read.
-        let table = vs.gen_db().table(&atg.gen_table_name(ty)).ok()?;
+        // cap before a row is read, and every row carries its node's id.
+        let table = genid.table(ty);
         if table.len() > cap {
             return None;
         }
-        // Every row stands for a live node; one that does not resolve
-        // leaves the set unbounded rather than short.
-        let node_of = |row: &rxview_relstore::Tuple| {
+        let node_of = |(_, &id): (_, &NodeId)| {
             #[cfg(test)]
             GEN_ROWS_READ.with(|c| c.set(c.get() + 1));
-            vs.node_of_gen_row(ty, row)
+            id
         };
-        let mut nodes: Vec<NodeId> = table.iter().map(node_of).collect::<Option<_>>()?;
+        let mut nodes: Vec<NodeId> = table.entries().map(node_of).collect();
         nodes.sort_unstable();
         return Some(nodes);
     };
 
-    let table = vs.gen_db().table(&atg.gen_table_name(ty)).ok()?;
-    let rows = table.scan_col_eq(*col, value);
+    let rows = genid.table(ty).entries_col_eq(*col, value);
     if rows.len() > cap {
         return None;
     }
     Some(
         rows.into_iter()
-            .filter(|row| rest.iter().all(|(c, v)| &row[*c] == v))
-            // Gen rows mirror live nodes.
-            .filter_map(|row| vs.node_of_gen_row(ty, row))
+            .filter(|(row, _)| rest.iter().all(|(c, v)| &row[*c] == v))
+            .map(|(_, &id)| id)
             .filter(|&c| !top_level || dag.parents(c).contains(&root))
             .collect(),
     )

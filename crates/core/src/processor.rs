@@ -509,7 +509,7 @@ impl XmlViewSystem {
                 &mut self.reach,
                 &mut batch,
                 &delete_targets,
-            )?);
+            ));
         }
         Ok(agg)
     }
@@ -547,7 +547,7 @@ impl XmlViewSystem {
             }
             return Err(UpdateError::Rel(e));
         }
-        apply_delta(&mut self.vs, &t.delta_v, t.subtree.as_ref())?;
+        apply_delta(&mut self.vs, &t.delta_v);
         let timings = PhaseTimings {
             eval: t.eval_time,
             translate: t1.elapsed() - t.eval_time,
@@ -574,9 +574,8 @@ impl XmlViewSystem {
 
     /// The **republication oracle**: republishes `σ(I)` from scratch and
     /// compares against the incrementally maintained view — edges and
-    /// `gen_A` through the [`Observed`](crate::Observed) digest's sections,
-    /// so no node outlives its last parent — checks that each `gen_A` table
-    /// holds one row per live node of its type and no other, checks that
+    /// `gen_A` (the live nodes) through the [`Observed`](crate::Observed)
+    /// digest's sections, so no node outlives its last parent — checks that
     /// `L` is a topological order of the view, and `M` against Algorithm
     /// Reach recomputed over `L`. This is the paper's correctness
     /// criterion `∆X(T) = σ(∆R(I))` made executable.
@@ -591,8 +590,7 @@ impl XmlViewSystem {
                 fresh.n_edges()
             ));
         }
-        self.vs.check_gen_tables()?;
-        if crate::digest::database(self.vs.gen_db()) != crate::digest::database(fresh.gen_db()) {
+        if crate::digest::gen_tables(&self.vs) != crate::digest::gen_tables(&fresh) {
             return Err("live nodes diverged from republication: `gen_A` differs".into());
         }
         if !self.topo.is_valid_for(self.vs.dag()) {
@@ -691,7 +689,7 @@ fn translate_insert(
             return Err(UpdateError::Cycle);
         }
     }
-    let translation = match translate_insertions(vs, base, &delta_v, &st.fresh) {
+    let translation = match translate_insertions(vs, base, &delta_v) {
         Ok(t) => t,
         Err(e) => {
             rollback_subtree(vs, &st, space);

@@ -77,7 +77,8 @@ impl From<RelError> for DeleteRejection {
 
 /// The edge-view output row for an edge: `$A` fields ++ `$B` fields.
 fn edge_row(vs: &ViewStore, u: NodeId, v: NodeId) -> Tuple {
-    vs.gen_row(u).concat(vs.dag().genid().attr_of(v))
+    let genid = vs.dag().genid();
+    genid.gen_row(u).concat(genid.attr_of(v))
 }
 
 /// The union of *candidate* deletable sources over the group deletion: for
@@ -178,7 +179,7 @@ pub fn translate_deletions(
 /// contains it is itself scheduled for deletion (Fig. 9's safety test).
 pub fn source_is_safe(
     vs: &ViewStore,
-    aug: &rxview_relstore::Augmented<'_>,
+    aug: &impl rxview_relstore::TableSource,
     templates: &TranslationTemplates,
     sr: &SourceRef,
     deleted: &BTreeSet<(NodeId, NodeId)>,

@@ -19,8 +19,8 @@
 //!    update is rejected outright; with a condition on an infinite-domain
 //!    variable it is avoided by choosing a fresh constant; with conditions
 //!    on finite-domain variables only, the negated condition becomes a SAT
-//!    clause. The fresh nodes' `gen_A` rows join as a key-sorted list read
-//!    after the live `gen_A` table's.
+//!    clause. The fresh nodes join through their `gen_A` tables, which
+//!    they entered when `Xinsert` interned them.
 //! 3. **SAT.** Finite-domain variables are encoded as `x = c` propositions
 //!    with domain and mutual-exclusion clauses; the formula goes to WalkSAT
 //!    (the paper's solver \[30\]), with a complete DPLL fallback on small
@@ -42,8 +42,8 @@ use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
-    ColRef, Database, Domain, EqClosure, GroupUpdate, Operand, RelError, SpjQuery, Table,
-    TableSchema, Tuple, Value, ValueType,
+    ColRef, Database, Domain, EqClosure, GroupUpdate, Operand, Probe, RelError, RowSource,
+    SpjQuery, Table, TableSchema, Tuple, Value, ValueType,
 };
 use rxview_satsolver::{
     dpll, walksat, CnfFormula, DpllResult, Var as PropVar, WalkSatConfig, WalkSatResult,
@@ -229,14 +229,13 @@ enum Cond {
 
 /// Main entry: translates the edge insertions of `delta` into `∆R`.
 ///
-/// `fresh_nodes` are the nodes interned by `Xinsert` for the new subtree;
-/// their `gen_A` rows participate in side-effect detection (they will be
-/// parents of view edges once applied).
+/// The nodes `Xinsert` interned for the new subtree are in their `gen_A`
+/// tables already, so side-effect detection joins them as parents of view
+/// edges like every live node.
 pub(crate) fn translate_insertions(
     vs: &ViewStore,
     base: &Database,
     delta: &ViewDelta,
-    fresh_nodes: &[NodeId],
 ) -> Result<InsertTranslation, InsertRejection> {
     let atg = vs.atg();
     let mut vars = Vars::default();
@@ -282,17 +281,6 @@ pub(crate) fn translate_insertions(
     }
 
     // ---- Phase 2: side-effect detection over the incremented database. ----
-    // The fresh nodes' gen rows, per type in key order, are read beside the
-    // maintained gen tables (their keys are new by construction): nothing
-    // is copied, so the per-insertion cost stays linear in the insertion.
-    let mut fresh_rows: HashMap<TypeId, Vec<Tuple>> = HashMap::new();
-    for &n in fresh_nodes {
-        let ty = vs.dag().genid().type_of(n);
-        fresh_rows.entry(ty).or_default().push(vs.gen_row(n));
-    }
-    for rows in fresh_rows.values_mut() {
-        rows.sort_unstable();
-    }
     let mut by_table: BTreeMap<&str, Vec<&Template>> = BTreeMap::new();
     for t in templates.values() {
         by_table.entry(t.table.as_str()).or_default().push(t);
@@ -312,7 +300,7 @@ pub(crate) fn translate_insertions(
         if template_slots.is_empty() {
             continue;
         }
-        let mut tables = vec![vs.gen_db().table(&q.from()[0].table)?];
+        let mut tables: Vec<&dyn RowSource> = vec![vs.dag().genid().table(a)];
         for tr in &q.from()[1..] {
             tables.push(base.table(&tr.table)?);
         }
@@ -321,7 +309,6 @@ pub(crate) fn translate_insertions(
             edge: (a, b),
             classes: compiled.view_classes((a, b)),
             tables,
-            fresh: fresh_rows.get(&a).map_or(&[], Vec::as_slice),
         };
         // Every non-empty subset of the template slots.
         for mask in 1..1usize << template_slots.len() {
@@ -732,11 +719,9 @@ struct JoinView<'a> {
     q: &'a SpjQuery,
     edge: (TypeId, TypeId),
     classes: &'a ViewClasses,
-    /// The live table of every FROM entry (entry 0: the maintained gen
+    /// The live table of every FROM entry (entry 0: the interner's gen
     /// table of the parent type).
-    tables: Vec<&'a Table>,
-    /// The fresh nodes' rows of entry 0's gen table, in key order.
-    fresh: &'a [Tuple],
+    tables: Vec<&'a dyn RowSource>,
 }
 
 /// One row in the symbolic join.
@@ -776,7 +761,7 @@ fn eval_combination(
     // (their scan filters rows immediately), then smaller tables.
     let table_len = |e: usize| match as_template[e] {
         true => 0,
-        false => view.tables[e].len(),
+        false => view.tables[e].n_rows(),
     };
     let mut order: Vec<usize> = (0..n_from).filter(|&i| as_template[i]).collect();
     let mut placed: Vec<bool> = as_template.to_vec();
@@ -874,10 +859,6 @@ fn eval_combination(
                     .map(|g| (c, KeySrc::Abs(g)))
             })
         };
-        // The fresh gen rows read after the maintained gen table's (their
-        // keys are disjoint from it).
-        let fresh: &[Tuple] = if entry == 0 { view.fresh } else { &[] };
-
         enum Cand<'a> {
             Template(Vec<Sym>),
             Concrete(&'a Tuple),
@@ -924,19 +905,14 @@ fn eval_combination(
                         None => None,
                     }
                 };
-                let found: Vec<&Tuple> = if ground && !prefix.is_empty() {
-                    let fresh = fresh
-                        .iter()
-                        .filter(|t| t.values()[..prefix.len()] == prefix[..]);
-                    table.scan_key_prefix(&prefix).chain(fresh).collect()
-                } else if let Some((c, v)) = &alt {
-                    let mut found = table.scan_col_eq(*c, v);
-                    found.extend(fresh.iter().filter(|t| t[*c] == *v));
-                    found
-                } else {
-                    table.iter().chain(fresh).collect()
+                let probe = match &alt {
+                    _ if ground && !prefix.is_empty() => Probe::KeyPrefix(&prefix),
+                    Some((c, v)) => Probe::ColEq(*c, v),
+                    None => Probe::All,
                 };
-                found.into_iter().map(Cand::Concrete).collect()
+                let mut found = Vec::new();
+                table.scan(probe, &mut |row| found.push(Cand::Concrete(row)));
+                found
             };
             'cand: for cand in candidates {
                 // Clone-free ground rejection: a concrete candidate whose
@@ -1083,7 +1059,7 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(
+        let (delta, _) = xinsert(
             &mut vs,
             &db,
             course,
@@ -1091,7 +1067,7 @@ mod tests {
             &eval,
         )
         .unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         assert_eq!(tr.delta_r.len(), 1);
         assert_eq!(
             tr.delta_r.ops()[0],
@@ -1109,7 +1085,7 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(
+        let (delta, _) = xinsert(
             &mut vs,
             &db,
             course,
@@ -1117,7 +1093,7 @@ mod tests {
             &eval,
         )
         .unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         let mut db2 = db.clone();
         db2.apply(&tr.delta_r).unwrap();
         // Republication oracle: σ(∆R(I)) has CS240 under CS650's prereq.
@@ -1141,8 +1117,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let (delta, _) = xinsert(&mut vs, &db, student, tuple!["S01", "Alice"], &eval).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         assert_eq!(tr.delta_r.len(), 1);
         assert_eq!(
             tr.delta_r.ops()[0],
@@ -1161,8 +1137,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS320]/takenBy").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let student = vs.atg().dtd().type_id("student").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, student, tuple!["S99", "Zed"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let (delta, _) = xinsert(&mut vs, &db, student, tuple!["S99", "Zed"], &eval).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         let tables: BTreeSet<&str> = tr.delta_r.ops().iter().map(|o| o.table()).collect();
         assert!(tables.contains("student"));
         assert!(tables.contains("enroll"));
@@ -1195,8 +1171,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let (delta, _) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         let mut db2 = db.clone();
         db2.apply(&tr.delta_r).unwrap();
         // The new course tuple must carry dept=CS — otherwise Qdb_course
@@ -1219,8 +1195,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
-        let err = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap_err();
+        let (delta, _) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
+        let err = translate_insertions(&vs, &db, &delta).unwrap_err();
         assert!(matches!(err, InsertRejection::KeyConflict { .. }));
     }
 
@@ -1233,8 +1209,8 @@ mod tests {
         let eval = eval_path(&vs, &topo, &p);
         assert!(eval.selected.len() >= 3);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let (delta, _) = xinsert(&mut vs, &db, course, tuple!["CS777", "Seminar"], &eval).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         let course_inserts = tr
             .delta_r
             .ops()
@@ -1261,8 +1237,8 @@ mod tests {
         let p = parse_xpath("course[cno=CS320]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(&mut vs, &db, course, tuple!["CS888", "Lab"], &eval).unwrap();
-        let tr = translate_insertions(&vs, &db, &delta, &st.fresh).unwrap();
+        let (delta, _) = xinsert(&mut vs, &db, course, tuple!["CS888", "Lab"], &eval).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         let course_row = tr
             .delta_r
             .ops()
@@ -1295,7 +1271,7 @@ mod tests {
     fn empty_delta_translates_to_empty() {
         let (db, vs, _topo) = fixture();
         let delta = ViewDelta::default();
-        let tr = translate_insertions(&vs, &db, &delta, &[]).unwrap();
+        let tr = translate_insertions(&vs, &db, &delta).unwrap();
         assert!(tr.delta_r.is_empty());
     }
 }

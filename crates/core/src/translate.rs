@@ -11,7 +11,7 @@
 use crate::dag_eval::DagEval;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
-use rxview_atg::{NodeId, SubtreeDag};
+use rxview_atg::SubtreeDag;
 use rxview_relstore::{RelError, TableSource, Tuple};
 use rxview_xmlkit::TypeId;
 
@@ -31,6 +31,9 @@ pub(crate) fn xinsert(
     attr: Tuple,
     eval: &DagEval,
 ) -> Result<(ViewDelta, SubtreeDag), RelError> {
+    // The one `$A` no rule produced: it must fit its `gen_A` table before
+    // it is interned into it.
+    vs.dag().genid().check(ty, &attr)?;
     let subtree = vs.generate_subtree(base, ty, attr).map_err(|e| match e {
         rxview_atg::PublishError::Rel(r) => r,
         rxview_atg::PublishError::CyclicData => {
@@ -78,28 +81,15 @@ pub fn xdelete(eval: &DagEval) -> ViewDelta {
     }
 }
 
-/// Applies a `∆V` to the DAG and the `gen_A` tables: inserts register any
-/// nodes that became live, deletions remove edges only. Returns the nodes
-/// newly registered (for rollback bookkeeping by the caller if needed).
-pub(crate) fn apply_delta(
-    vs: &mut ViewStore,
-    delta: &ViewDelta,
-    subtree: Option<&SubtreeDag>,
-) -> Result<Vec<NodeId>, RelError> {
-    let mut registered = Vec::new();
-    if let Some(st) = subtree {
-        for &n in &st.fresh {
-            vs.register_node(n)?;
-            registered.push(n);
-        }
-    }
+/// Applies a `∆V` to the DAG's edges; an inserted subtree's fresh nodes
+/// entered their `gen_A` tables when [`xinsert`] interned them.
+pub(crate) fn apply_delta(vs: &mut ViewStore, delta: &ViewDelta) {
     for &(u, v) in &delta.inserts {
         vs.dag_mut().add_edge(u, v);
     }
     for &(u, v) in &delta.deletes {
         vs.dag_mut().remove_edge(u, v);
     }
-    Ok(registered)
 }
 
 #[cfg(test)]
@@ -188,10 +178,40 @@ mod tests {
         assert_eq!(st.fresh.len(), 5);
         // Inner edges (4) + connecting edge (1).
         assert_eq!(delta.inserts.len(), 5);
-        // Rollback releases the fresh nodes.
+        // Interned, the new course is in `gen_course` at once.
+        let row = |vs: &ViewStore| {
+            vs.dag()
+                .genid()
+                .table(course)
+                .contains_key(&tuple!["CS100", "Intro"])
+        };
+        assert!(row(&vs));
+        // Rollback releases the fresh nodes, rows and all.
         rollback_subtree(&mut vs, &st, space);
-        assert!(!vs.dag().genid().is_live(st.root));
+        assert!(!vs.dag().genid().is_live(st.root) && !row(&vs));
         assert_eq!(vs.dag().genid().n_allocated(), space);
+    }
+
+    #[test]
+    fn xinsert_refuses_an_attribute_its_gen_table_rejects() {
+        let (db, mut vs, topo) = fixture();
+        let eval = eval_path(
+            &vs,
+            &topo,
+            &parse_xpath("course[cno=CS650]/prereq").unwrap(),
+        );
+        let course = vs.atg().dtd().type_id("course").unwrap();
+        let space = vs.dag().genid().n_allocated();
+        // A mistyped `$A`, and one a field short of `gen_course`'s row.
+        for attr in [tuple![1i64, 2i64], tuple!["CS999"]] {
+            assert!(xinsert(&mut vs, &db, course, attr, &eval).is_err());
+        }
+        // The root's `$A` is empty: its unit row's value is no `$A` of it,
+        // though `gen_db` would take the row.
+        let root = vs.dag().root();
+        let db_ty = vs.dag().genid().type_of(root);
+        assert!(xinsert(&mut vs, &db, db_ty, tuple![0i64], &eval).is_err());
+        assert_eq!(vs.dag().genid().n_allocated(), space, "nothing interned");
     }
 
     #[test]
@@ -221,7 +241,7 @@ mod tests {
         let p = parse_xpath("course[cno=CS650]/prereq").unwrap();
         let eval = eval_path(&vs, &topo, &p);
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let (delta, st) = xinsert(
+        let (delta, _) = xinsert(
             &mut vs,
             &db,
             course,
@@ -230,14 +250,14 @@ mod tests {
         )
         .unwrap();
         let n_edges = vs.dag().n_edges();
-        apply_delta(&mut vs, &delta, Some(&st)).unwrap();
+        apply_delta(&mut vs, &delta);
         assert_eq!(vs.dag().n_edges(), n_edges + 1);
         // Deleting it again restores the count.
         let d = ViewDelta {
             inserts: vec![],
             deletes: delta.inserts.clone(),
         };
-        apply_delta(&mut vs, &d, None).unwrap();
+        apply_delta(&mut vs, &d);
         assert_eq!(vs.dag().n_edges(), n_edges);
     }
 }

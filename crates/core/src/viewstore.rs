@@ -1,16 +1,18 @@
 //! The relational coding of the DAG-compressed XML view (§2.3).
 //!
 //! A [`ViewStore`] bundles:
-//! - the published [`Dag`] (child and parent lists + Skolem interner);
-//! - the derived `gen_A` node tables, materialized as ordinary relations so
-//!   that the edge views `Q_edge_A_B` are plain SPJ queries over the
-//!   *augmented* database (base ∪ gen);
-//! - the derived edge-view queries themselves, one per production edge —
-//!   a **bounded** number of relational views even for recursive σ (the
-//!   paper's observation 3 in §2.3).
+//! - the published [`Dag`] (child and parent lists + Skolem interner),
+//!   whose interner keeps the `gen_A` node tables — one per element type,
+//!   a row per live node carrying its id — as its only `$A` → id index;
+//! - the derived edge-view queries, one per production edge — a
+//!   **bounded** number of relational views even for recursive σ (the
+//!   paper's observation 3 in §2.3) — which are plain SPJ queries over the
+//!   *augmented* database (base ∪ gen, [`ViewStore::augmented`]).
 
 use rxview_atg::{Atg, Dag, NodeId, PublishError, SubtreeDag};
-use rxview_relstore::{Augmented, Database, RelResult, SpjQuery, Table, TableSource, Tuple, Value};
+use rxview_relstore::{
+    Database, RowSource, SchemaProvider, SpjQuery, TableSchema, TableSource, Tuple,
+};
 use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -22,7 +24,6 @@ pub struct ViewStore {
     /// lives, so clones share them.
     atg: Arc<Atg>,
     dag: Dag,
-    gen_db: Database,
     edge_queries: Arc<BTreeMap<(TypeId, TypeId), SpjQuery>>,
     /// Compiled update plans *and* the per-grammar translation-template
     /// registry, shared (`Arc`) between a snapshot and every clone of it (a
@@ -33,9 +34,32 @@ pub struct ViewStore {
     plan_cache: Arc<crate::plan::PlanCache>,
 }
 
+/// The edge views' table source: the base relations, and each type's
+/// `gen_A` table of the interner under its name.
+struct Augmented<'a> {
+    base: &'a Database,
+    vs: &'a ViewStore,
+}
+
+impl SchemaProvider for Augmented<'_> {
+    fn schema_of(&self, table: &str) -> Option<&TableSchema> {
+        self.table_src(table).map(RowSource::schema)
+    }
+}
+
+impl TableSource for Augmented<'_> {
+    fn table_src(&self, name: &str) -> Option<&dyn RowSource> {
+        if let Ok(table) = self.base.table(name) {
+            return Some(table);
+        }
+        let ty = self.vs.atg.gen_table_type(name)?;
+        Some(self.vs.dag.genid().table(ty))
+    }
+}
+
 impl ViewStore {
-    /// Publishes `σ(I)` and materializes the relational coding: each
-    /// `gen_A` table is bulk-loaded from its type's nodes in key order.
+    /// Publishes `σ(I)`: the interner's `gen_A` tables are bulk-loaded from
+    /// each type's nodes in key order.
     pub fn publish(atg: Atg, db: &Database) -> Result<Self, PublishError> {
         ViewStore::publish_leaves_first(atg, db).map(|(vs, _)| vs)
     }
@@ -48,31 +72,15 @@ impl ViewStore {
         db: &Database,
     ) -> Result<(Self, Vec<NodeId>), PublishError> {
         let (dag, leaves_first) = rxview_atg::publish_leaves_first(&atg, db)?;
-        let vs = ViewStore::from_dag(atg, dag)
-            .expect("distinct nodes of a type have distinct, well-typed attributes");
-        Ok((vs, leaves_first))
+        Ok((ViewStore::from_parts(atg, dag), leaves_first))
     }
 
-    /// The store over a [`Dag`], published or loaded: each `gen_A` table is
-    /// laid out from the interner — its type's live nodes in key order
-    /// ([`gen_rows`]), bulk-loaded with [`Table::from_sorted_rows`]. Fails
-    /// on a `$A` its table's schema rejects or two nodes of a type with one
-    /// `gen_A` row, which only a corrupt checkpoint holds.
-    pub(crate) fn from_dag(atg: Atg, dag: Dag) -> RelResult<Self> {
-        let mut gen_db = Database::new();
-        let rows = gen_rows(&dag, atg.dtd().n_types());
-        for (ty, rows) in atg.dtd().types().zip(rows) {
-            gen_db.add_table(Table::from_sorted_rows(atg.gen_table_schema(ty), rows)?)?;
-        }
-        Ok(ViewStore::from_parts(atg, dag, gen_db))
-    }
-
-    /// Assembles a store from its parts — a [`Dag`] and the `gen_A`
-    /// database that registers its nodes — without re-running `σ(I)`. The
-    /// edge-view queries are grammar-derived (bounded by `|DTD|`, §2.3) and
-    /// are rebuilt from `atg`, which must be the grammar the parts were
-    /// produced under.
-    pub fn from_parts(atg: Atg, dag: Dag, gen_db: Database) -> Self {
+    /// Assembles a store over a [`Dag`], published or loaded, without
+    /// re-running `σ(I)`. The edge-view queries are grammar-derived
+    /// (bounded by `|DTD|`, §2.3) and are rebuilt from `atg`, which must be
+    /// the grammar the DAG was produced under — its interner built over
+    /// [`Atg::gen_table_schemas`].
+    pub fn from_parts(atg: Atg, dag: Dag) -> Self {
         let mut edge_queries = BTreeMap::new();
         for parent in atg.dtd().types() {
             for child in atg.dtd().children_of(parent) {
@@ -84,7 +92,6 @@ impl ViewStore {
         ViewStore {
             atg: Arc::new(atg),
             dag,
-            gen_db,
             edge_queries: Arc::new(edge_queries),
             plan_cache: Arc::default(),
         }
@@ -105,11 +112,6 @@ impl ViewStore {
         &mut self.dag
     }
 
-    /// The database of `gen_A` tables.
-    pub fn gen_db(&self) -> &Database {
-        &self.gen_db
-    }
-
     /// The shared compiled-plan cache (see [`crate::plan::PlanCache`]).
     pub fn plan_cache(&self) -> &Arc<crate::plan::PlanCache> {
         &self.plan_cache
@@ -127,12 +129,10 @@ impl ViewStore {
         self.plan_cache.template_stats()
     }
 
-    /// The augmented table source: base relations shadowing the gen tables.
-    pub fn augmented<'a>(&'a self, base: &'a Database) -> Augmented<'a> {
-        Augmented {
-            primary: base,
-            secondary: &self.gen_db,
-        }
+    /// The augmented table source: base relations shadowing the interner's
+    /// `gen_A` tables.
+    pub fn augmented<'a>(&'a self, base: &'a Database) -> impl TableSource + 'a {
+        Augmented { base, vs: self }
     }
 
     /// The edge-view query for a production edge.
@@ -154,45 +154,6 @@ impl ViewStore {
         attr: Tuple,
     ) -> Result<SubtreeDag, PublishError> {
         rxview_atg::generate_subtree(&self.atg, src, self.dag.genid_mut(), ty, attr)
-    }
-
-    /// The `gen_A` row for a node (unit tuple for zero-arity attributes).
-    pub fn gen_row(&self, id: NodeId) -> Tuple {
-        gen_row_of(self.dag.genid().attr_of(id))
-    }
-
-    /// The live node of `ty` a `gen_A` row stands for — the inverse of
-    /// [`ViewStore::gen_row`]: the unit row of a type with no attribute
-    /// fields stands for the empty `$A`.
-    pub(crate) fn node_of_gen_row(&self, ty: TypeId, row: &Tuple) -> Option<NodeId> {
-        let genid = self.dag.genid();
-        if self.atg.attr_fields(ty).is_empty() {
-            genid.lookup(ty, &Tuple::empty())
-        } else {
-            genid.lookup(ty, row)
-        }
-    }
-
-    /// Registers a (newly live) node in its `gen_A` table.
-    pub(crate) fn register_node(&mut self, id: NodeId) -> RelResult<()> {
-        let ty = self.dag.genid().type_of(id);
-        let name = self.atg.gen_table_name(ty);
-        let row = self.gen_row(id);
-        self.gen_db.table_mut(&name)?.insert(row)?;
-        Ok(())
-    }
-
-    /// Removes a node from its `gen_A` table (garbage collection, §2.3) and
-    /// releases its id in the interner. The caller has already removed the
-    /// node's edges and its entries in `M` and `L`.
-    pub(crate) fn unregister_node(&mut self, id: NodeId) -> RelResult<()> {
-        let ty = self.dag.genid().type_of(id);
-        let name = self.atg.gen_table_name(ty);
-        let row = self.gen_row(id);
-        let key = self.gen_db.table(&name)?.schema().key_of(&row);
-        let _ = self.gen_db.table_mut(&name)?.delete(&key);
-        self.dag.genid_mut().retire(id);
-        Ok(())
     }
 
     /// Maps an edge-view output row (`$A` fields ++ `$B` fields) back to the
@@ -237,31 +198,6 @@ impl ViewStore {
         out
     }
 
-    /// Whether each `gen_A` table is what [`ViewStore::from_dag`] lays out:
-    /// one row per live node of its type ([`gen_row_of`] its `$A`) and no
-    /// other — rows counted per type and each live node's row looked up.
-    pub(crate) fn check_gen_tables(&self) -> Result<(), String> {
-        let (genid, dtd) = (self.dag.genid(), self.atg.dtd());
-        let table = |ty| self.gen_db.table(&self.atg.gen_table_name(ty));
-        let tables = dtd.types().map(table).collect::<RelResult<Vec<_>>>();
-        let tables = tables.map_err(|e| e.to_string())?;
-        let mut live = vec![0; tables.len()];
-        for id in genid.live_ids() {
-            let (ty, row) = (genid.type_of(id), gen_row_of(genid.attr_of(id)));
-            live[ty.index()] += 1;
-            if !tables[ty.index()].contains_tuple(&row) {
-                return Err(format!("gen_{} lacks node {}'s row", dtd.name(ty), id.0));
-            }
-        }
-        let extra = dtd
-            .types()
-            .find(|t| tables[t.index()].len() != live[t.index()]);
-        match extra {
-            Some(ty) => Err(format!("gen_{} holds a row of no live node", dtd.name(ty))),
-            None => Ok(()),
-        }
-    }
-
     /// Number of live nodes `n`.
     pub fn n_nodes(&self) -> usize {
         self.dag.n_nodes()
@@ -270,31 +206,6 @@ impl ViewStore {
     /// Number of edges `|V|`.
     pub fn n_edges(&self) -> usize {
         self.dag.n_edges()
-    }
-}
-
-/// The rows of every type's `gen_A` table, indexed by type, each in its
-/// key order: for every live node the interner's own `$A` tuple — a handle
-/// to it, not a copy — which is how a published view pays for an attribute
-/// once. One pass over the interner's slots groups them by type.
-fn gen_rows(dag: &Dag, n_types: usize) -> Vec<Vec<Tuple>> {
-    let genid = dag.genid();
-    let mut rows = vec![Vec::new(); n_types];
-    for id in genid.live_ids() {
-        rows[genid.type_of(id).index()].push(gen_row_of(genid.attr_of(id)));
-    }
-    for rows in &mut rows {
-        rows.sort_unstable();
-    }
-    rows
-}
-
-/// The `gen_A` row of a node with attribute `attr`.
-fn gen_row_of(attr: &Tuple) -> Tuple {
-    if attr.arity() == 0 {
-        Tuple::from_values([Value::Int(0)])
-    } else {
-        attr.clone()
     }
 }
 
@@ -315,7 +226,7 @@ mod tests {
     fn gen_tables_mirror_live_nodes() {
         let (_db, vs) = store();
         let course = vs.atg().dtd().type_id("course").unwrap();
-        let gen_course = vs.gen_db().table("gen_course").unwrap();
+        let gen_course = vs.dag().genid().table(course);
         let genid = vs.dag().genid();
         let is_course = |&id: &NodeId| genid.type_of(id) == course;
         assert_eq!(gen_course.len(), genid.live_ids().filter(is_course).count());
@@ -372,30 +283,6 @@ mod tests {
         // Element text concatenates.
         let t = vs.text_value(cs320, &mut cache);
         assert!(t.starts_with("CS320Algorithms"));
-    }
-
-    #[test]
-    fn register_unregister_round_trip() {
-        let (_db, mut vs) = store();
-        let student = vs.atg().dtd().type_id("student").unwrap();
-        let (id, fresh) = vs
-            .dag_mut()
-            .genid_mut()
-            .gen_id(student, tuple!["S99", "Zed"]);
-        assert!(fresh);
-        vs.register_node(id).unwrap();
-        assert!(vs
-            .gen_db()
-            .table("gen_student")
-            .unwrap()
-            .contains_key(&tuple!["S99", "Zed"]));
-        vs.unregister_node(id).unwrap();
-        assert!(!vs
-            .gen_db()
-            .table("gen_student")
-            .unwrap()
-            .contains_key(&tuple!["S99", "Zed"]));
-        assert!(!vs.dag().genid().is_live(id));
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! `swap(L, u, v)` repair under random edge insertions.
 
 use proptest::prelude::*;
-use rxview_atg::{Dag, NodeId};
+use rxview_atg::{Dag, GenId, NodeId};
 use rxview_core::reach::descendants;
 use rxview_core::{Reachability, TopoOrder};
 use rxview_reference::compute_naive;
-use rxview_relstore::{Tuple, Value};
+use rxview_relstore::{schema, Tuple, Value};
 use rxview_xmlkit::TypeId;
 use std::collections::BTreeSet;
 
@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 /// `i < j` (guaranteeing acyclicity). Node 0 is the root; every node is
 /// additionally connected from the root so all nodes are live and reachable.
 fn build_dag(n: usize, edges: &[(usize, usize)]) -> Dag {
-    let mut dag = Dag::new();
+    let mut dag = Dag::new(GenId::new(vec![schema("gen_t").col_int("i").key(&["i"])]));
     let ty = TypeId(0);
     let ids: Vec<NodeId> = (0..n)
         .map(|i| {

@@ -195,7 +195,11 @@ pub fn translate_deletions_minimal(
                 view: q.name().to_owned(),
             });
         }
-        let row = vs.gen_row(u).concat(vs.dag().genid().attr_of(v));
+        let row = vs
+            .dag()
+            .genid()
+            .gen_row(u)
+            .concat(vs.dag().genid().attr_of(v));
         let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),

@@ -13,7 +13,7 @@
 //! - [`PagedVec`] holds what is indexed by a dense id (node adjacency,
 //!   interner slots, `M`'s per-node sets);
 //! - [`PagedMap`] holds what is ordered (table rows, secondary indexes,
-//!   the interner's key map, the `gen_A` registries): sorted runs with
+//!   the interner's `gen_A` tables): sorted runs with
 //!   binary search over the run heads and within a run — two levels, not a
 //!   tree, so a split or merge shifts the `O(n ÷ page)` run directory. The
 //!   order is the keys' `Ord`, or a comparator the caller hands to every
@@ -256,7 +256,11 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         (i, at)
     }
 
-    /// [`PagedMap::from_sorted`] under the order `cmp`.
+    /// Builds the map from entries already in strictly ascending order
+    /// under `cmp`: full runs written once each, where repeated
+    /// [`PagedMap::insert_by`] searches the directory and the last run per
+    /// key. The result is the map an ascending `insert_by` load leaves
+    /// behind, run for run.
     ///
     /// # Errors
     /// The index of the first entry whose key is not above its
@@ -293,9 +297,9 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
     }
 
     /// The entry whose key `locate` finds `Equal`; it must find the keys
-    /// before it `Less` and the keys after it `Greater`. This is
-    /// [`PagedMap::get`] for a map ordered by a comparator, or probed by
-    /// borrowed parts of a key: the probe builds no key.
+    /// before it `Less` and the keys after it `Greater`: a map ordered by a
+    /// comparator is probed by borrowed parts of a key, and the probe
+    /// builds no key.
     pub fn get_by(&self, locate: impl Fn(&K) -> Ordering) -> Option<(&K, &V)> {
         let (i, at) = self.search(locate);
         let (key, value) = &self.runs.get(i)?.entries[at.ok()?];
@@ -356,8 +360,9 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         }
     }
 
-    /// [`PagedMap::insert`] under the order `cmp` — the one order every
-    /// call on this map must use. A replaced entry keeps its stored key.
+    /// Inserts or replaces under the order `cmp` — the one order every call
+    /// on this map must use — returning the value replaced. A replaced
+    /// entry keeps its stored key.
     pub fn insert_by(&mut self, key: K, value: V, cmp: impl Fn(&K, &K) -> Ordering) -> Option<V> {
         match self.search_key(&key, cmp) {
             (i, Ok(at)) => {
@@ -457,46 +462,6 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
     }
 }
 
-/// The same map under the keys' own order.
-impl<K: Ord + Clone, V: Clone> PagedMap<K, V> {
-    /// Builds the map from entries already in strictly ascending key order:
-    /// full runs written once each, where repeated [`PagedMap::insert`]
-    /// searches the directory and the last run per key. The result is the
-    /// map an ascending `insert` load leaves behind, run for run.
-    ///
-    /// # Errors
-    /// The index of the first entry whose key is not above its
-    /// predecessor's.
-    pub fn from_sorted<I: IntoIterator<Item = (K, V)>>(entries: I) -> Result<Self, usize> {
-        Self::from_sorted_by(entries, K::cmp)
-    }
-
-    /// The value stored under `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.get_by(|k| k.cmp(key)).map(|(_, value)| value)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts or replaces, returning the value replaced.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.insert_by(key, value, K::cmp)
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.remove_by(|k| k.cmp(key)).map(|(_, value)| value)
-    }
-
-    /// The entries with key `>= lower`, in key order.
-    pub fn range_from<'a>(&'a self, lower: &K) -> Range<'a, K, V> {
-        self.range_by(|k| k < lower)
-    }
-}
-
 /// The entries of a [`PagedMap`] from a lower bound on, in key order.
 #[derive(Debug)]
 pub struct Range<'a, K, V> {
@@ -525,6 +490,11 @@ mod tests {
 
     const PAGE: usize = PagedVec::<u32>::PAGE;
     const RUN_MAX: usize = PagedMap::<u32, u32>::RUN_MAX;
+
+    /// The probe for `key` under the keys' own order.
+    fn probe<K: Ord>(key: &K) -> impl Fn(&K) -> Ordering + '_ {
+        move |k| k.cmp(key)
+    }
 
     #[test]
     fn pages_hold_a_byte_budget() {
@@ -579,16 +549,16 @@ mod tests {
         // Descending load: every insert lands at the front of run 0, so the
         // run fills to capacity and splits in half.
         for k in (0..=RUN_MAX as u32).rev() {
-            assert_eq!(m.insert(k, k * 2), None);
+            assert_eq!(m.insert_by(k, k * 2, Ord::cmp), None);
         }
         assert_eq!(m.runs.len(), 2);
         assert_eq!(m.len(), RUN_MAX + 1);
         let keys: Vec<u32> = m.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..=RUN_MAX as u32).collect::<Vec<_>>());
-        assert_eq!(m.insert(3, 0), Some(6));
+        assert_eq!(m.insert_by(3, 0, Ord::cmp), Some(6));
         for k in 0..=RUN_MAX as u32 {
-            assert!(m.remove(&k).is_some());
-            assert_eq!(m.remove(&k), None);
+            assert!(m.remove_by(probe(&k)).is_some());
+            assert!(m.remove_by(probe(&k)).is_none());
         }
         assert!(m.is_empty());
         assert!(m.runs.is_empty());
@@ -598,47 +568,50 @@ mod tests {
     fn ascending_load_leaves_full_runs() {
         let mut m: PagedMap<u32, u32> = PagedMap::new();
         for k in 0..(4 * RUN_MAX as u32) {
-            m.insert(k, k);
+            m.insert_by(k, k, Ord::cmp);
         }
         assert_eq!(m.runs.len(), 4);
         assert!(m.runs.iter().all(|r| r.entries.len() == RUN_MAX));
     }
 
     #[test]
-    fn range_from_starts_inside_a_run() {
+    fn range_by_starts_inside_a_run() {
         let mut m: PagedMap<u32, ()> = PagedMap::new();
         for k in (0..200).step_by(2) {
-            m.insert(k, ());
+            m.insert_by(k, (), Ord::cmp);
         }
-        let from = |lo: u32| m.range_from(&lo).map(|(k, _)| *k).collect::<Vec<_>>();
+        let from = |lo: u32| m.range_by(|k| *k < lo).map(|(k, _)| *k).collect::<Vec<_>>();
         assert_eq!(from(0).len(), 100);
         assert_eq!(from(101)[..2], [102, 104]);
         assert_eq!(from(198), [198]);
         assert!(from(199).is_empty());
-        assert!(PagedMap::<u32, ()>::new().range_from(&0).next().is_none());
+        assert!(PagedMap::<u32, ()>::new()
+            .range_by(|_| false)
+            .next()
+            .is_none());
     }
 
     #[test]
     fn map_clone_shares_runs_until_written() {
         let mut a: PagedMap<u32, u32> = PagedMap::new();
         for k in 0..(3 * RUN_MAX as u32) {
-            a.insert(k, k);
+            a.insert_by(k, k, Ord::cmp);
         }
         let mut b = a.clone();
-        b.remove(&(RUN_MAX as u32 + 1));
-        assert!(a.contains_key(&(RUN_MAX as u32 + 1)));
-        assert!(!b.contains_key(&(RUN_MAX as u32 + 1)));
+        b.remove_by(probe(&(RUN_MAX as u32 + 1)));
+        assert!(a.get_by(probe(&(RUN_MAX as u32 + 1))).is_some());
+        assert!(b.get_by(probe(&(RUN_MAX as u32 + 1))).is_none());
         assert!(Arc::ptr_eq(&a.runs[0].entries, &b.runs[0].entries));
         assert!(!Arc::ptr_eq(&a.runs[1].entries, &b.runs[1].entries));
         assert!(Arc::ptr_eq(&a.runs[2].entries, &b.runs[2].entries));
     }
 
     #[test]
-    fn comparator_forms_leave_the_runs_the_ord_forms_leave() {
-        // One script through `insert` / `remove` on plain keys and through
-        // `insert_by` / `remove_by` on `(noise, key)` entries of the same
-        // size ordered by the key alone: the same runs, separators
-        // included, while the map grows to a dozen runs and drains again.
+    fn a_comparator_on_part_of_an_entry_leaves_the_runs_its_key_leaves() {
+        // One script on plain keys under their own order and on
+        // `(noise, key)` entries of the same size ordered by the key alone:
+        // the same runs, separators included, while the map grows to a
+        // dozen runs and drains again.
         let mut plain: PagedMap<u64, ()> = PagedMap::new();
         let mut by: PagedMap<(u32, u32), ()> = PagedMap::new();
         let mut most_runs = 0;
@@ -647,15 +620,15 @@ mod tests {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             let key = (x >> 8) % 3_000;
             if (x >> 4) % 4 < if step < 4_000 { 3 } else { 1 } {
-                let was = plain.insert(u64::from(key), ());
+                let was = plain.insert_by(u64::from(key), (), Ord::cmp);
                 assert_eq!(by.insert_by((step, key), (), |a, b| a.1.cmp(&b.1)), was);
             } else {
-                let was = plain.remove(&u64::from(key));
+                let was = plain.remove_by(probe(&u64::from(key))).map(|_| ());
                 assert_eq!(by.remove_by(|e| e.1.cmp(&key)).map(|_| ()), was);
             }
             assert_eq!(
                 by.get_by(|e| e.1.cmp(&key)).is_some(),
-                plain.contains_key(&u64::from(key))
+                plain.get_by(probe(&u64::from(key))).is_some()
             );
             if step % 250 == 0 {
                 most_runs = most_runs.max(plain.runs.len());
@@ -683,9 +656,9 @@ mod tests {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             let key = (x >> 8) % 5_000;
             if (x >> 4) % 4 < if step < 10_000 { 3 } else { 1 } {
-                m.insert(key, step);
+                m.insert_by(key, step, Ord::cmp);
             } else {
-                m.remove(&key);
+                m.remove_by(probe(&key)).map(|(_, v)| v);
             }
             assert!(m
                 .runs

@@ -63,11 +63,6 @@ impl Database {
             .ok_or_else(|| RelError::UnknownTable(name.into()))
     }
 
-    /// Whether a table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(String::as_str)
@@ -226,8 +221,6 @@ mod tests {
     #[test]
     fn create_and_lookup_tables() {
         let d = db();
-        assert!(d.has_table("course"));
-        assert!(!d.has_table("student"));
         assert!(d.table("missing").is_err());
         assert_eq!(
             d.table_names().collect::<Vec<_>>(),

@@ -12,7 +12,7 @@
 use crate::database::Database;
 use crate::error::{RelError, RelResult};
 use crate::spj::{ColRef, EqPred, Operand, SchemaProvider, SpjQuery};
-use crate::table::Table;
+use crate::table::{Probe, RowSource};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cell::Cell;
@@ -22,44 +22,16 @@ use std::cmp::Ordering;
 ///
 /// Besides plain [`Database`]s, the update-translation algorithms evaluate
 /// edge views over the *augmented* database — base relations plus the
-/// derived `gen_A` node tables (§2.3) — without copying either side;
-/// [`Augmented`] provides that composition.
+/// interner's `gen_A` node tables (§2.3) — without copying either side:
+/// every table is read through [`RowSource`], whatever its payload.
 pub trait TableSource: SchemaProvider {
     /// Resolves a table by name.
-    fn table_src(&self, name: &str) -> Option<&Table>;
+    fn table_src(&self, name: &str) -> Option<&dyn RowSource>;
 }
 
 impl TableSource for Database {
-    fn table_src(&self, name: &str) -> Option<&Table> {
-        self.table(name).ok()
-    }
-}
-
-/// Two table sources layered: `primary` shadows `secondary`.
-#[derive(Debug, Clone, Copy)]
-pub struct Augmented<'a> {
-    /// Looked up first.
-    pub primary: &'a Database,
-    /// Fallback (e.g. the `gen_A` tables).
-    pub secondary: &'a Database,
-}
-
-impl SchemaProvider for Augmented<'_> {
-    fn schema_of(&self, table: &str) -> Option<&crate::schema::TableSchema> {
-        self.primary
-            .table(table)
-            .ok()
-            .map(|t| t.schema())
-            .or_else(|| self.secondary.table(table).ok().map(|t| t.schema()))
-    }
-}
-
-impl TableSource for Augmented<'_> {
-    fn table_src(&self, name: &str) -> Option<&Table> {
-        self.primary
-            .table(name)
-            .ok()
-            .or_else(|| self.secondary.table(name).ok())
+    fn table_src(&self, name: &str) -> Option<&dyn RowSource> {
+        self.table(name).ok().map(|t| t as &dyn RowSource)
     }
 }
 
@@ -82,7 +54,7 @@ enum Access {
     /// lookup when the whole key is.
     KeyPrefix(Vec<Src>),
     /// A column off the key's prefix is bound: the table's lazy column
-    /// index ([`Table::scan_col_eq`]).
+    /// index ([`crate::Table::scan_col_eq`]).
     ColEq(usize, Src),
     /// Nothing is bound: every row.
     Scan,
@@ -312,7 +284,7 @@ struct Run<'a> {
     /// Per step, its table and — the register file — the row it has bound
     /// while the steps below it run. A `Cell`, so that a step's access path
     /// can read the registers above it while those below are rebound.
-    slots: Vec<(&'a Table, Cell<Option<&'a Tuple>>)>,
+    slots: Vec<(&'a dyn RowSource, Cell<Option<&'a Tuple>>)>,
     params: &'a [Value],
 }
 
@@ -339,7 +311,7 @@ impl<'a> Run<'a> {
             return;
         };
         let (table, bound) = &self.slots[at];
-        let admit = |row: &'a Tuple| {
+        let mut admit = |row: &'a Tuple| {
             if step
                 .checks
                 .iter()
@@ -360,13 +332,10 @@ impl<'a> Run<'a> {
                         .find(|o| o.is_ne())
                         .unwrap_or(Ordering::Equal)
                 };
-                table.scan_key_range(locate).for_each(admit);
+                table.scan(Probe::KeyRange(&locate), &mut admit);
             }
-            Access::ColEq(col, src) => table
-                .scan_col_eq(*col, self.value(src))
-                .into_iter()
-                .for_each(admit),
-            Access::Scan => table.iter().for_each(admit),
+            Access::ColEq(col, src) => table.scan(Probe::ColEq(*col, self.value(src)), &mut admit),
+            Access::Scan => table.scan(Probe::All, &mut admit),
         }
     }
 }

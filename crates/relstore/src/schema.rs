@@ -139,11 +139,6 @@ impl TableSchema {
         }
         Ok(())
     }
-
-    /// Whether column `i` is part of the primary key.
-    pub fn is_key_column(&self, i: usize) -> bool {
-        self.key.contains(&i)
-    }
 }
 
 /// Builder-style helper: `schema("course").col_int("cno").col_str("title").key(&["cno"])`.
@@ -231,8 +226,6 @@ mod tests {
         assert_eq!(s.name(), "course");
         assert_eq!(s.arity(), 3);
         assert_eq!(s.key(), &[0]);
-        assert!(s.is_key_column(0));
-        assert!(!s.is_key_column(1));
     }
 
     #[test]

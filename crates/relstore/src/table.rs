@@ -8,14 +8,16 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
-/// A table with set semantics, ordered by primary key.
+/// A table with set semantics, ordered by primary key, each row carrying a
+/// payload `P` — nothing for a base relation, the node id for a `gen_A`
+/// table of the interner, whose rows *are* its `$A` → id index.
 ///
-/// Each row is stored once: the rows are a [`PagedMap`] set of row handles
-/// whose order is the key columns compared where they sit in the row, so
-/// that iteration order — and therefore published views, benchmarks, and
-/// test output — is deterministic, and so that a clone shares every page of
-/// rows with its origin: the copy-on-write `Database` pays for the rows a
-/// writer changes, not for the table they live in.
+/// Each row is stored once: the rows are a [`PagedMap`] of row handles
+/// (and payloads) whose order is the key columns compared where they sit
+/// in the row, so that iteration order — and therefore published views,
+/// benchmarks, and test output — is deterministic, and so that a clone
+/// shares every page of rows with its origin: the copy-on-write `Database`
+/// pays for the rows a writer changes, not for the table they live in.
 ///
 /// Point lookups on a column other than the leading key column go through
 /// lazily built per-column secondary indexes ([`Table::scan_col_eq`]): the
@@ -24,19 +26,20 @@ use std::sync::{Arc, OnceLock};
 /// An index is part of the table's shared state: mutations maintain it
 /// incrementally, and a clone carries it along page for page like the rows.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub struct Table<P = ()> {
     schema: Arc<TableSchema>,
-    rows: PagedMap<Tuple, ()>,
+    rows: PagedMap<Tuple, P>,
     /// One slot per column, filled on the first probe of that column. A
     /// slot is either empty or a complete index (an initializer that
     /// panics leaves it empty), so there is no lock to poison.
-    col_index: Vec<OnceLock<ColIndex>>,
+    col_index: Vec<OnceLock<ColIndex<P>>>,
 }
 
-/// One column's secondary index: a handle to every row, ordered by the
-/// row's value in that column and then by its key — a value's rows
-/// enumerate in primary-key order, exactly like a full scan would.
-type ColIndex = PagedMap<Tuple, ()>;
+/// One column's secondary index: a handle to every row and its payload,
+/// ordered by the row's value in that column and then by its key — a
+/// value's rows enumerate in primary-key order, exactly like a full scan
+/// would.
+type ColIndex<P> = PagedMap<Tuple, P>;
 
 /// Orders two rows by the key columns `key`.
 fn cmp_rows(key: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
@@ -123,40 +126,54 @@ impl<'d, I: Iterator<Item = &'d Tuple>> RowDonors<'d, I> {
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
-        Table {
-            col_index: (0..schema.arity()).map(|_| OnceLock::new()).collect(),
-            schema: Arc::new(schema),
-            rows: PagedMap::new(),
-        }
+        Table::from_sorted(schema, []).expect("no rows to reject")
     }
 
-    /// Builds a table from rows already in strictly ascending primary-key
-    /// order — what a checkpoint lists and what a bulk publication sorts:
-    /// the row pages are written full, once each, where repeated
-    /// [`Table::insert`] searches for every key. Rows are checked against
-    /// the schema like inserted ones.
+    /// [`Table::from_sorted`] for rows that carry no payload.
     pub fn from_sorted_rows(
         schema: TableSchema,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> RelResult<Self> {
-        let mut table = Table::new(schema);
-        let schema = &*table.schema;
-        // The pages are filled straight from `rows`; a row the schema
+        Table::from_sorted(schema, rows.into_iter().map(|row| (row, ())))
+    }
+
+    /// Inserts a tuple. Re-inserting an identical tuple is a no-op (set
+    /// semantics); inserting a different tuple with an existing key is a
+    /// [`RelError::DuplicateKey`]. The rows are searched once.
+    pub fn insert(&mut self, tuple: Tuple) -> RelResult<bool> {
+        Ok(self.insert_entry(tuple, ())?.is_none())
+    }
+}
+
+impl<P: Clone> Table<P> {
+    /// Builds a table from rows already in strictly ascending primary-key
+    /// order, each with its payload — what a checkpoint lists and what a
+    /// bulk publication sorts: the row pages are written full, once each,
+    /// where repeated inserts search for every key. Rows are checked
+    /// against the schema like inserted ones.
+    pub fn from_sorted(
+        schema: TableSchema,
+        entries: impl IntoIterator<Item = (Tuple, P)>,
+    ) -> RelResult<Self> {
+        // The pages are filled straight from `entries`; a row the schema
         // rejects ends the stream and is reported once it has.
         let mut rejected = None;
-        let checked = rows.into_iter().map_while(|row| {
-            let check = schema.check_tuple(&row);
-            rejected = check.err();
-            rejected.is_none().then_some((row, ()))
+        let checked = entries.into_iter().map_while(|entry| {
+            rejected = schema.check_tuple(&entry.0).err();
+            rejected.is_none().then_some(entry)
         });
         let built = PagedMap::from_sorted_by(checked, |a, b| cmp_rows(schema.key(), a, b));
         if let Some(e) = rejected {
             return Err(e);
         }
-        table.rows = built.map_err(|_| RelError::UnsortedRows {
+        let rows = built.map_err(|_| RelError::UnsortedRows {
             table: schema.name().into(),
         })?;
-        Ok(table)
+        Ok(Table {
+            col_index: (0..schema.arity()).map(|_| OnceLock::new()).collect(),
+            schema: Arc::new(schema),
+            rows,
+        })
     }
 
     /// The table's schema.
@@ -174,28 +191,29 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Inserts a tuple. Re-inserting an identical tuple is a no-op (set
-    /// semantics); inserting a different tuple with an existing key is a
-    /// [`RelError::DuplicateKey`]. The rows are searched once.
-    pub fn insert(&mut self, tuple: Tuple) -> RelResult<bool> {
+    /// Inserts a tuple with its payload, searching the rows once: `None`
+    /// when it went in, and the payload of an identical tuple already in
+    /// the table (set semantics: nothing changes); a different tuple with
+    /// the key is a [`RelError::DuplicateKey`].
+    pub fn insert_entry(&mut self, tuple: Tuple, payload: P) -> RelResult<Option<&P>> {
         self.schema.check_tuple(&tuple)?;
         let key = self.schema.key();
         // The built column indexes take the row too, once it is in.
         let indexed = self.col_index.iter().any(|slot| slot.get().is_some());
-        let row = indexed.then(|| tuple.clone());
+        let entry = indexed.then(|| (tuple.clone(), payload.clone()));
         match self
             .rows
-            .try_insert_by(tuple, (), |a, b| cmp_rows(key, a, b))
+            .try_insert_by(tuple, payload, |a, b| cmp_rows(key, a, b))
         {
             Ok(()) => {
                 for (col, slot) in self.col_index.iter_mut().enumerate() {
-                    if let (Some(index), Some(row)) = (slot.get_mut(), &row) {
-                        index.insert_by(row.clone(), (), |a, b| cmp_indexed(key, col, a, b));
+                    if let (Some(index), Some((row, p))) = (slot.get_mut(), &entry) {
+                        index.insert_by(row.clone(), p.clone(), |a, b| cmp_indexed(key, col, a, b));
                     }
                 }
-                Ok(true)
+                Ok(None)
             }
-            Err(((existing, ()), (tuple, ()))) if *existing == tuple => Ok(false),
+            Err(((existing, held), (tuple, _))) if *existing == tuple => Ok(Some(held)),
             Err(_) => Err(RelError::DuplicateKey {
                 table: self.schema.name().into(),
             }),
@@ -204,27 +222,34 @@ impl Table {
 
     /// Deletes the tuple with the given primary key. Errors if absent.
     pub fn delete(&mut self, key: &Tuple) -> RelResult<Tuple> {
+        let removed = self.remove(key.values()).map(|(row, _)| row);
+        removed.ok_or_else(|| RelError::MissingKey {
+            table: self.schema.name().into(),
+        })
+    }
+
+    /// Removes the row with primary-key values `key`, if there is one, and
+    /// hands it back with its payload.
+    pub fn remove(&mut self, key: &[Value]) -> Option<(Tuple, P)> {
         let cols = self.schema.key();
-        let (removed, ()) = self
-            .rows
-            .remove_by(|row| cmp_row_to_key(cols, row, key.values()))
-            .ok_or_else(|| RelError::MissingKey {
-                table: self.schema.name().into(),
-            })?;
+        let removed = self.rows.remove_by(|row| cmp_row_to_key(cols, row, key))?;
         for (col, slot) in self.col_index.iter_mut().enumerate() {
             if let Some(index) = slot.get_mut() {
-                index.remove_by(|row| cmp_indexed(cols, col, row, &removed));
+                index.remove_by(|row| cmp_indexed(cols, col, row, &removed.0));
             }
         }
-        Ok(removed)
+        Some(removed)
+    }
+
+    /// The row with primary-key values `key`, and its payload.
+    pub fn entry(&self, key: &[Value]) -> Option<(&Tuple, &P)> {
+        let cols = self.schema.key();
+        self.rows.get_by(|row| cmp_row_to_key(cols, row, key))
     }
 
     /// Looks up a tuple by primary key.
     pub fn get(&self, key: &Tuple) -> Option<&Tuple> {
-        let cols = self.schema.key();
-        self.rows
-            .get_by(|row| cmp_row_to_key(cols, row, key.values()))
-            .map(|(row, ())| row)
+        self.entry(key.values()).map(|(row, _)| row)
     }
 
     /// Whether a tuple with this primary key exists.
@@ -239,12 +264,17 @@ impl Table {
             && self
                 .rows
                 .get_by(|row| cmp_rows(key, row, tuple))
-                .is_some_and(|(row, ())| row == tuple)
+                .is_some_and(|(row, _)| row == tuple)
     }
 
     /// Iterates over rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter().map(|(row, ())| row)
+        self.rows.iter().map(|(row, _)| row)
+    }
+
+    /// Iterates over rows and their payloads in key order.
+    pub fn entries(&self) -> impl Iterator<Item = (&Tuple, &P)> {
+        self.rows.iter()
     }
 
     /// Iterates over the rows whose primary key starts with `prefix`
@@ -255,7 +285,7 @@ impl Table {
     pub fn scan_key_prefix<'a, 'p>(
         &'a self,
         prefix: &'p [Value],
-    ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p> {
+    ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p, P> {
         let key = self.schema.key();
         // A prefix longer than the key matches nothing.
         self.scan_key_range(move |row| match key.get(..prefix.len()) {
@@ -273,13 +303,13 @@ impl Table {
     pub fn scan_key_range<'a, F>(
         &'a self,
         locate: F,
-    ) -> impl Iterator<Item = &'a Tuple> + use<'a, F>
+    ) -> impl Iterator<Item = &'a Tuple> + use<'a, F, P>
     where
         F: Fn(&Tuple) -> Ordering,
     {
         self.rows
             .range_by(|row| locate(row) == Ordering::Less)
-            .map(|(row, ())| row)
+            .map(|(row, _)| row)
             .take_while(move |row| locate(row) == Ordering::Equal)
     }
 
@@ -287,36 +317,88 @@ impl Table {
     /// secondary index — the access path for equality bindings that do not
     /// reach the primary key's prefix (e.g. probing `H` by `h2`). Row order
     /// follows the primary-key order, as for every other scan.
+    pub fn scan_col_eq(&self, col: usize, value: &Value) -> Vec<&Tuple> {
+        let entries = self.entries_col_eq(col, value).into_iter();
+        entries.map(|(row, _)| row).collect()
+    }
+
+    /// [`Table::scan_col_eq`] with each row's payload.
     ///
     /// The leading key column needs no index of its own: the primary order
     /// already groups its values, so the probe is a key-prefix range (every
     /// `gen_A` probe of a node's first attribute field takes this path).
-    pub fn scan_col_eq(&self, col: usize, value: &Value) -> Vec<&Tuple> {
-        if self.schema.key().first() == Some(&col) {
-            return self.scan_key_prefix(std::slice::from_ref(value)).collect();
-        }
-        // `get_or_init` runs one initializer at a time, so concurrent
-        // readers (e.g. reader threads probing one shared snapshot)
-        // fund a single build instead of racing on duplicates.
-        let index = self.col_index[col].get_or_init(|| self.build_index(col));
+    pub fn entries_col_eq(&self, col: usize, value: &Value) -> Vec<(&Tuple, &P)> {
+        // Either map orders its rows by column `col` first.
+        let index = match self.schema.key().first() == Some(&col) {
+            true => &self.rows,
+            // `get_or_init` runs one initializer at a time, so concurrent
+            // readers (e.g. reader threads probing one shared snapshot)
+            // fund a single build instead of racing on duplicates.
+            false => self.col_index[col].get_or_init(|| self.build_index(col)),
+        };
         index
             .range_by(|row| row[col] < *value)
-            .map(|(row, ())| row)
-            .take_while(|row| row[col] == *value)
+            .take_while(|(row, _)| row[col] == *value)
             .collect()
     }
 
-    fn build_index(&self, col: usize) -> ColIndex {
+    fn build_index(&self, col: usize) -> ColIndex<P> {
         #[cfg(test)]
         tests::INDEX_BUILDS.with(|n| n.set(n.get() + 1));
-        let mut rows: Vec<Tuple> = self.iter().cloned().collect();
+        let mut entries: Vec<(Tuple, P)> = self
+            .entries()
+            .map(|(r, p)| (r.clone(), p.clone()))
+            .collect();
         // Stable, so a value's rows stay in the key order they were read in.
-        rows.sort_by(|a, b| a[col].cmp(&b[col]));
+        entries.sort_by(|a, b| a.0[col].cmp(&b.0[col]));
         let key = self.schema.key();
-        ColIndex::from_sorted_by(rows.into_iter().map(|row| (row, ())), |a, b| {
-            cmp_indexed(key, col, a, b)
-        })
-        .expect("primary keys are distinct, so the rows are")
+        ColIndex::from_sorted_by(entries, |a, b| cmp_indexed(key, col, a, b))
+            .expect("primary keys are distinct, so the rows are")
+    }
+}
+
+/// How a [`RowSource::scan`] finds its rows.
+#[derive(Clone, Copy)]
+pub enum Probe<'p> {
+    /// The rows whose primary key starts with the values
+    /// ([`Table::scan_key_prefix`]).
+    KeyPrefix(&'p [Value]),
+    /// The rows the function finds `Equal` ([`Table::scan_key_range`]).
+    KeyRange(&'p dyn Fn(&Tuple) -> Ordering),
+    /// The rows whose column equals the value ([`Table::scan_col_eq`]).
+    ColEq(usize, &'p Value),
+    /// Every row.
+    All,
+}
+
+/// What the evaluators read a FROM entry through: a [`Table`] of any
+/// payload, its rows in key order under one of its access paths — so a
+/// base relation and a `gen_A` table of the interner join alike.
+pub trait RowSource {
+    /// The rows' schema.
+    fn schema(&self) -> &TableSchema;
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
+    /// Calls `each` on every row `probe` finds, in key order.
+    fn scan<'a>(&'a self, probe: Probe<'_>, each: &mut dyn FnMut(&'a Tuple));
+}
+
+impl<P: Clone> RowSource for Table<P> {
+    fn schema(&self) -> &TableSchema {
+        &self.schema
+    }
+
+    fn n_rows(&self) -> usize {
+        self.len()
+    }
+
+    fn scan<'a>(&'a self, probe: Probe<'_>, each: &mut dyn FnMut(&'a Tuple)) {
+        match probe {
+            Probe::KeyPrefix(prefix) => self.scan_key_prefix(prefix).for_each(each),
+            Probe::KeyRange(locate) => self.scan_key_range(locate).for_each(each),
+            Probe::ColEq(col, value) => self.scan_col_eq(col, value).into_iter().for_each(each),
+            Probe::All => self.iter().for_each(each),
+        }
     }
 }
 

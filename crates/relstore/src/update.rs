@@ -20,11 +20,6 @@ impl TupleOp {
             TupleOp::Insert { table, .. } | TupleOp::Delete { table, .. } => table,
         }
     }
-
-    /// Whether this is an insertion.
-    pub fn is_insert(&self) -> bool {
-        matches!(self, TupleOp::Insert { .. })
-    }
 }
 
 impl fmt::Display for TupleOp {
@@ -40,7 +35,7 @@ impl fmt::Display for TupleOp {
 ///
 /// The paper's translation algorithms always produce homogeneous groups
 /// (only insertions or only deletions, §4.1); [`GroupUpdate`] does not
-/// enforce this, but [`GroupUpdate::is_homogeneous`] reports it.
+/// enforce this.
 #[derive(Debug, Clone, Default)]
 pub struct GroupUpdate {
     ops: Vec<TupleOp>,
@@ -100,13 +95,6 @@ impl GroupUpdate {
         self.ops.is_empty()
     }
 
-    /// Whether all operations are of the same kind (all inserts or all deletes).
-    pub fn is_homogeneous(&self) -> bool {
-        self.ops
-            .windows(2)
-            .all(|w| w[0].is_insert() == w[1].is_insert())
-    }
-
     /// Merges another group into this one.
     pub fn extend(&mut self, other: GroupUpdate) {
         for op in other.ops {
@@ -137,17 +125,6 @@ mod tests {
         g.insert("t", tuple![1i64]);
         g.delete("t", tuple![2i64]);
         assert_eq!(g.len(), 2);
-    }
-
-    #[test]
-    fn homogeneity_detection() {
-        let mut g = GroupUpdate::new();
-        g.insert("t", tuple![1i64]);
-        g.insert("u", tuple![2i64]);
-        assert!(g.is_homogeneous());
-        g.delete("t", tuple![1i64]);
-        assert!(!g.is_homogeneous());
-        assert!(GroupUpdate::new().is_homogeneous());
     }
 
     #[test]

@@ -72,14 +72,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Returns the boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl Value {
@@ -175,14 +167,6 @@ impl Domain {
         Domain::Finite(vec![Value::Bool(false), Value::Bool(true)])
     }
 
-    /// Returns the enumerated values if the domain is finite.
-    pub fn finite_values(&self) -> Option<&[Value]> {
-        match self {
-            Domain::Infinite => None,
-            Domain::Finite(vs) => Some(vs),
-        }
-    }
-
     /// Whether `v` is admissible in this domain.
     pub fn contains(&self, v: &Value) -> bool {
         match self {
@@ -235,13 +219,12 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_str(), None);
         assert_eq!(Value::from("ab").as_str(), Some("ab"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
     }
 
     #[test]
     fn boolean_domain_is_finite_with_two_values() {
         let d = Domain::boolean();
-        assert_eq!(d.finite_values().unwrap().len(), 2);
+        assert!(matches!(&d, Domain::Finite(vs) if vs.len() == 2));
         assert!(d.contains(&Value::Bool(false)));
         assert!(!d.contains(&Value::Int(0)));
     }
@@ -249,7 +232,6 @@ mod tests {
     #[test]
     fn infinite_domain_contains_everything() {
         assert!(Domain::Infinite.contains(&Value::Int(42)));
-        assert!(Domain::Infinite.finite_values().is_none());
     }
 
     #[test]

@@ -38,6 +38,12 @@ fn script() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec((0u8..10, any::<u8>(), 0u16..KEYS, any::<u16>()), 0..900)
 }
 
+/// The probe for `key` under the keys' own order: what `get_by` /
+/// `remove_by` locate a key of an `Ord`-keyed map with.
+fn probe<K: Ord>(key: &K) -> impl Fn(&K) -> std::cmp::Ordering + '_ {
+    move |k| k.cmp(key)
+}
+
 /// Values are handles, as in the engine's pages: a page copy clones them.
 fn value(v: u16) -> Arc<u16> {
     Arc::new(v)
@@ -63,19 +69,19 @@ proptest! {
             let (map, model) = &mut versions[at];
             match op {
                 0..=3 => {
-                    let old = map.insert(key, value(val)).map(|v| *v);
+                    let old = map.insert_by(key, value(val), Ord::cmp).map(|v| *v);
                     prop_assert_eq!(old, model.insert(key, value(val)).map(|v| *v));
                 }
                 4..=5 => {
-                    let old = map.remove(&key).map(|v| *v);
+                    let old = map.remove_by(probe(&key)).map(|(_, v)| *v);
                     prop_assert_eq!(old, model.remove(&key).map(|v| *v));
                 }
                 6 => {
-                    prop_assert_eq!(map.get(&key).map(|v| **v), model.get(&key).map(|v| **v));
-                    prop_assert_eq!(map.contains_key(&key), model.contains_key(&key));
+                    prop_assert_eq!(map.get_by(probe(&key)).map(|(_, v)| **v), model.get(&key).map(|v| **v));
+                    prop_assert_eq!(map.get_by(probe(&key)).is_some(), model.contains_key(&key));
                 }
                 7 => {
-                    let got: Vec<u16> = map.range_from(&key).map(|(k, _)| *k).take(40).collect();
+                    let got: Vec<u16> = map.range_by(|k| *k < key).map(|(k, _)| *k).take(40).collect();
                     let want: Vec<u16> = model.range(key..).map(|(k, _)| *k).take(40).collect();
                     prop_assert_eq!(got, want);
                 }
@@ -373,10 +379,10 @@ proptest! {
         steps in prop::collection::vec((0u8..8, 0u16..KEYS, any::<u16>()), 0..300),
     ) {
         let sorted: BTreeMap<u16, Arc<u16>> = keys.iter().map(|&k| (k, value(k))).collect();
-        let mut bulk = PagedMap::from_sorted(sorted.clone()).expect("a BTreeMap iterates ascending");
+        let mut bulk = PagedMap::from_sorted_by(sorted.clone(), Ord::cmp).expect("a BTreeMap iterates ascending");
         let mut one_by_one = PagedMap::new();
         for (k, v) in &sorted {
-            one_by_one.insert(*k, v.clone());
+            one_by_one.insert_by(*k, v.clone(), Ord::cmp);
         }
         prop_assert!(check_map(&bulk, &sorted));
         prop_assert!(bulk.iter().map(|(k, v)| (*k, **v)).eq(one_by_one.iter().map(|(k, v)| (*k, **v))));
@@ -386,21 +392,21 @@ proptest! {
         for (op, key, val) in steps {
             match op {
                 0..=2 => {
-                    let old = bulk.insert(key, value(val)).map(|v| *v);
-                    prop_assert_eq!(old, one_by_one.insert(key, value(val)).map(|v| *v));
+                    let old = bulk.insert_by(key, value(val), Ord::cmp).map(|v| *v);
+                    prop_assert_eq!(old, one_by_one.insert_by(key, value(val), Ord::cmp).map(|v| *v));
                     prop_assert_eq!(old, model.insert(key, value(val)).map(|v| *v));
                 }
                 3..=5 => {
-                    let old = bulk.remove(&key).map(|v| *v);
-                    prop_assert_eq!(old, one_by_one.remove(&key).map(|v| *v));
+                    let old = bulk.remove_by(probe(&key)).map(|(_, v)| *v);
+                    prop_assert_eq!(old, one_by_one.remove_by(probe(&key)).map(|(_, v)| *v));
                     prop_assert_eq!(old, model.remove(&key).map(|v| *v));
                 }
                 6 => {
-                    let got: Vec<u16> = bulk.range_from(&key).map(|(k, _)| *k).take(40).collect();
+                    let got: Vec<u16> = bulk.range_by(|k| *k < key).map(|(k, _)| *k).take(40).collect();
                     let want: Vec<u16> = model.range(key..).map(|(k, _)| *k).take(40).collect();
                     prop_assert_eq!(got, want);
                 }
-                _ => prop_assert_eq!(bulk.get(&key).map(|v| **v), model.get(&key).map(|v| **v)),
+                _ => prop_assert_eq!(bulk.get_by(probe(&key)).map(|(_, v)| **v), model.get(&key).map(|v| **v)),
             }
         }
         prop_assert!(check_map(&bulk, &model));
@@ -562,19 +568,26 @@ fn an_ascending_load_compares_each_key_once() {
 fn from_sorted_refuses_unsorted_entries() {
     let ascending = |n: u16| (0..n).map(|k| (k, ()));
     assert_eq!(
-        PagedMap::from_sorted(ascending(300)).map(|m| m.len()),
+        PagedMap::from_sorted_by(ascending(300), Ord::cmp).map(|m| m.len()),
         Ok(300)
     );
-    assert_eq!(PagedMap::<u16, ()>::from_sorted([]).map(|m| m.len()), Ok(0));
+    assert_eq!(
+        PagedMap::<u16, ()>::from_sorted_by([], Ord::cmp).map(|m| m.len()),
+        Ok(0)
+    );
     for at in [1usize, 63, 64, 65, 128, 299] {
         let repeated = ascending(300).map(|(k, ())| (k - u16::from(k as usize >= at), ()));
         assert_eq!(
-            PagedMap::from_sorted(repeated).err(),
+            PagedMap::from_sorted_by(repeated, Ord::cmp).err(),
             Some(at),
             "repeat at {at}"
         );
         let dipped = ascending(300).map(|(k, ())| (if k as usize == at { 0 } else { k }, ()));
-        assert_eq!(PagedMap::from_sorted(dipped).err(), Some(at), "dip at {at}");
+        assert_eq!(
+            PagedMap::from_sorted_by(dipped, Ord::cmp).err(),
+            Some(at),
+            "dip at {at}"
+        );
     }
 }
 
@@ -590,7 +603,7 @@ fn map_drains_to_empty_in_any_order() {
         // A stride coprime to `n` visits every key, scattered.
         for i in 0..n {
             let k = i * 77 % n; // 77 and 500 are coprime
-            map.insert(k, value(k));
+            map.insert_by(k, value(k), Ord::cmp);
             model.insert(k, value(k));
         }
         (map, model)
@@ -604,14 +617,17 @@ fn map_drains_to_empty_in_any_order() {
         let (mut map, mut model) = fill();
         assert!(check_map(&map, &model));
         for k in order {
-            assert_eq!(map.remove(&k).map(|v| *v), model.remove(&k).map(|v| *v));
+            assert_eq!(
+                map.remove_by(probe(&k)).map(|(_, v)| *v),
+                model.remove(&k).map(|v| *v)
+            );
             assert_eq!(
                 map.iter().next().map(|(k, _)| *k),
                 model.keys().next().copied(),
                 "first key after removing {k}"
             );
             assert_eq!(
-                map.range_from(&k).next().map(|(k, _)| *k),
+                map.range_by(|m| *m < k).next().map(|(k, _)| *k),
                 model.range(k..).next().map(|(k, _)| *k),
             );
             assert_eq!(map.len(), model.len());
@@ -628,19 +644,25 @@ fn map_drains_to_empty_in_any_order() {
 fn map_first_and_last_keys() {
     let mut map = PagedMap::new();
     for k in 100u16..400 {
-        map.insert(k, ());
+        map.insert_by(k, (), Ord::cmp);
     }
-    assert_eq!(map.range_from(&0).next().map(|(k, ())| *k), Some(100));
+    assert_eq!(map.range_by(|_| false).next().map(|(k, ())| *k), Some(100));
     assert_eq!(
-        map.range_from(&399).map(|(k, ())| *k).collect::<Vec<_>>(),
+        map.range_by(|k| *k < 399)
+            .map(|(k, ())| *k)
+            .collect::<Vec<_>>(),
         [399]
     );
-    assert!(map.range_from(&400).next().is_none());
-    map.insert(3, ());
+    assert!(map.range_by(|k| *k < 400).next().is_none());
+    map.insert_by(3, (), Ord::cmp);
     assert_eq!(map.iter().next().map(|(k, ())| *k), Some(3));
-    assert!(map.contains_key(&3) && map.contains_key(&399) && !map.contains_key(&4));
-    assert_eq!(map.remove(&3), Some(()));
-    assert_eq!(map.remove(&399), Some(()));
+    assert!(
+        map.get_by(probe(&3)).is_some()
+            && map.get_by(probe(&399)).is_some()
+            && map.get_by(probe(&4)).is_none()
+    );
+    assert_eq!(map.remove_by(probe(&3)).map(|(_, v)| v), Some(()));
+    assert_eq!(map.remove_by(probe(&399)).map(|(_, v)| v), Some(()));
     assert_eq!(map.iter().next().map(|(k, ())| *k), Some(100));
     assert_eq!(map.iter().last().map(|(k, ())| *k), Some(398));
     assert_eq!(map.len(), 299);

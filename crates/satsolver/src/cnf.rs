@@ -170,11 +170,6 @@ impl CnfFormula {
         self.clauses.iter().all(|c| c.eval(assignment))
     }
 
-    /// Number of clauses `assignment` leaves unsatisfied.
-    pub fn n_unsatisfied(&self, assignment: &Assignment) -> usize {
-        self.clauses.iter().filter(|c| !c.eval(assignment)).count()
-    }
-
     /// Whether any clause is empty (making the formula trivially UNSAT).
     pub fn has_empty_clause(&self) -> bool {
         self.clauses.iter().any(Clause::is_empty)
@@ -264,11 +259,9 @@ mod tests {
         let mut asg = Assignment::all_false(2);
         asg.set(a, true);
         assert!(f.eval(&asg));
-        assert_eq!(f.n_unsatisfied(&asg), 0);
         // a=F, b=F violates the first clause.
         asg.set(a, false);
         assert!(!f.eval(&asg));
-        assert_eq!(f.n_unsatisfied(&asg), 1);
     }
 
     #[test]

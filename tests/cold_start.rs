@@ -4,12 +4,12 @@
 //!
 //! The reference publisher below is that replaced code, kept as the
 //! oracle: it expands one node at a time, interns through `GenId::gen_id`,
-//! links through `Dag::add_edge`, registers `gen_A` rows through
-//! `Table::insert`, and orders `L` with the `BTreeSet` Kahn pass. Node ids,
-//! child and parent order, `gen_A` rows, `L` and the `Exact` digest of a
-//! published system must all equal its.
+//! links through `Dag::add_edge`, writes the `gen_A` rows it expects by
+//! hand through `Table::insert`, and orders `L` with the `BTreeSet` Kahn
+//! pass. Node ids, child and parent order, the interner's `gen_A` tables,
+//! `L` and the `Exact` digest of a published system must all equal its.
 
-use rxview::atg::{registrar_atg, registrar_database, Dag, NodeId, PublishError};
+use rxview::atg::{registrar_atg, registrar_database, Dag, GenId, NodeId, PublishError};
 use rxview::core::codec::{decode_system, encode_system};
 use rxview::core::{Reachability, TopoOrder};
 use rxview::prelude::*;
@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// `σ(I)` one node, one key, one edge at a time.
 fn reference_publish(atg: &Atg, db: &Database) -> (Dag, Database) {
-    let mut dag = Dag::new();
+    let mut dag = Dag::new(GenId::new(atg.gen_table_schemas()));
     let (root, _) = dag.genid_mut().gen_id(atg.dtd().root(), Tuple::empty());
     dag.set_root(root);
     let mut stack = vec![root];
@@ -96,7 +96,7 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
     let dag = sys.view().dag();
 
     // The interner: same ids for the same pairs, all live, and findable
-    // through the bulk-built key map.
+    // through the bulk-built `gen_A` tables.
     let n = ref_dag.genid().n_allocated();
     assert!(n > 1);
     assert_eq!(dag.genid().n_allocated(), n);
@@ -122,14 +122,19 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
             assert_eq!(edge_rel(dag), edge_rel(&ref_dag));
         }
         let name = atg.gen_table_name(ty);
-        let rows = |gen: &Database| {
-            gen.table(&name)
-                .unwrap()
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows(sys.view().gen_db()), rows(&ref_gen), "{name}");
+        let expected: Vec<_> = ref_gen.table(&name).unwrap().iter().collect();
+        for dag in [dag, &ref_dag] {
+            let rows: Vec<_> = dag.genid().table(ty).entries().collect();
+            assert!(
+                rows.iter().map(|r| r.0).eq(expected.iter().copied()),
+                "{name}"
+            );
+            let carried = |&(row, id): &(&Tuple, &NodeId)| dag.genid().gen_row(*id) == *row;
+            assert!(
+                rows.iter().all(carried),
+                "{name}: a row carries another node's id"
+            );
+        }
     }
     assert!(dag.all_edges().eq(ref_dag.all_edges()));
     assert_eq!(dag.n_edges(), ref_dag.n_edges());
@@ -139,12 +144,8 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
 
     let ref_topo = TopoOrder::from_order(ref_order);
     let ref_reach = Reachability::compute(&ref_dag, &ref_topo);
-    let ref_sys = XmlViewSystem::from_parts(
-        db,
-        ViewStore::from_parts(atg, ref_dag, ref_gen),
-        ref_topo,
-        ref_reach,
-    );
+    let ref_sys =
+        XmlViewSystem::from_parts(db, ViewStore::from_parts(atg, ref_dag), ref_topo, ref_reach);
     let differs = sys.exact_digest().first_difference(&ref_sys.exact_digest());
     assert_eq!(differs, None, "the Exact digest");
     sys.consistency_check().unwrap();

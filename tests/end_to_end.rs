@@ -511,7 +511,6 @@ fn a_log_holding_the_odd_path_recovers_to_the_engines_state() {
 struct Parts {
     base: Database,
     dag: Dag,
-    gen_db: Database,
     topo: TopoOrder,
     reach: Reachability,
 }
@@ -523,12 +522,11 @@ fn forge(sys: &XmlViewSystem, change: impl FnOnce(&mut Parts)) -> XmlViewSystem 
     let mut p = Parts {
         base: sys.base().clone(),
         dag: sys.view().dag().clone(),
-        gen_db: sys.view().gen_db().clone(),
         topo: sys.topo().clone(),
         reach: sys.reach().clone(),
     };
     change(&mut p);
-    let vs = ViewStore::from_parts(sys.view().atg().clone(), p.dag, p.gen_db);
+    let vs = ViewStore::from_parts(sys.view().atg().clone(), p.dag);
     XmlViewSystem::from_parts(p.base, vs, p.topo, p.reach)
 }
 
@@ -539,27 +537,9 @@ fn delete_first_row(db: &mut Database, table: &str) {
     db.delete(table, &key).unwrap();
 }
 
-/// The republication oracle checks `gen_A` against the live nodes: a
-/// `gen_course` row missing, or one for a course that is not in the view,
-/// is refused, though the edges, `L` and `M` all match.
-#[test]
-fn the_oracle_refuses_a_gen_table_that_is_not_the_live_nodes() {
-    let sys = registrar_system();
-    assert_eq!(forge(&sys, |_| ()).consistency_check(), Ok(()));
-    let missing = forge(&sys, |p| delete_first_row(&mut p.gen_db, "gen_course"));
-    let ghost = tuple!["CS999", "Not in the view"];
-    let extra = forge(&sys, |p| {
-        assert!(p.gen_db.insert("gen_course", ghost).unwrap())
-    });
-    for forged in [missing, extra] {
-        let err = forged.consistency_check().unwrap_err();
-        assert!(err.contains("gen_course"), "{err}");
-    }
-}
-
 /// A live node no parent links — garbage collection missed it — is
 /// refused: republication has no such node, though it adds no edge and
-/// `gen_A`, `L` and `M` all account for it.
+/// `L` and `M` account for it (its `gen_A` row is its interning's).
 #[test]
 fn the_oracle_refuses_a_node_that_outlived_its_last_parent() {
     let sys = registrar_system();
@@ -570,7 +550,6 @@ fn the_oracle_refuses_a_node_that_outlived_its_last_parent() {
         let (id, _) = genid.gen_id(course, ghost.clone());
         let edges: Vec<_> = p.dag.all_edges().collect();
         p.dag = Dag::from_adjacency(genid, Some(p.dag.root()), &edges).unwrap();
-        assert!(p.gen_db.insert("gen_course", ghost).unwrap());
         let order = [&[id], p.topo.order()].concat();
         p.topo = TopoOrder::from_order(order);
         p.reach = Reachability::compute(&p.dag, &p.topo);
@@ -623,9 +602,7 @@ fn each_digest_names_the_section_a_change_lands_in() {
     assert_eq!(differs(&|_| ()), (None, None));
     let base = differs(&|p| delete_first_row(&mut p.base, "enroll"));
     assert_eq!(base, (Some("I"), Some("I")));
-    let gen = differs(&|p| delete_first_row(&mut p.gen_db, "gen_student"));
-    assert_eq!(gen, (Some("gen_A"), Some("gen_A")));
-    // A slot's `$A`, in the interner alone.
+    // A slot's `$A`: its `gen_A` row with it.
     let renamed = differs(&|p| {
         let slots = (0..genid.n_allocated() as u32).map(NodeId).map(|v| {
             let attr = if v == first {
@@ -635,9 +612,14 @@ fn each_digest_names_the_section_a_change_lands_in() {
             };
             genid.is_live(v).then(|| (genid.type_of(v), attr))
         });
-        relink(p, GenId::from_slots(slots, |_| None).unwrap(), &|_| ());
+        let schemas = sys.view().atg().gen_table_schemas();
+        relink(
+            p,
+            GenId::from_slots(schemas, slots, |_| None).unwrap(),
+            &|_| (),
+        );
     });
-    assert_eq!(renamed, (Some("ids"), Some("edges")));
+    assert_eq!(renamed, (Some("ids"), Some("gen_A")));
     let reordered = differs(&|p| {
         let at = |e: &[Edge]| e.iter().position(|e| e.0 == parent).unwrap();
         relink(p, genid.clone(), &|e| e.swap(at(e), at(e) + 1));

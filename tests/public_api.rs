@@ -35,8 +35,8 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "relstore",
-        "Augmented CodecError CodecResult ColRef ColumnDef Database Domain EqClosure EqPred \
-         GroupUpdate Operand PagedMap PagedVec Reader RelError RelResult SchemaBuilder \
+        "CodecError CodecResult ColRef ColumnDef Database Domain EqClosure EqPred GroupUpdate \
+         Operand PagedMap PagedVec Probe Reader RelError RelResult RowSource SchemaBuilder \
          SchemaProvider SpjBuilder SpjPlan SpjQuery Table TableRef TableSchema TableSource Tuple \
          TupleOp Value ValueType codec:: crc32 eval_spj schema tuple!",
     ),

@@ -10,7 +10,7 @@
 //! state costs"; the per-row and per-node byte counts are held by
 //! `crates/bench/tests/snapshot_alloc.rs`, which needs its own allocator).
 
-use rxview::atg::NodeId;
+use rxview::atg::{registrar_atg, registrar_database, NodeId};
 use rxview::core::codec::{decode_system, encode_system};
 use rxview::prelude::*;
 use rxview::relstore::{schema, tuple, Reader, Table};
@@ -128,7 +128,7 @@ fn subs_sharing_their_node(sys: &XmlViewSystem) -> BTreeSet<NodeId> {
         .live_ids()
         .filter(|&v| genid.type_of(v) == sub)
         .collect();
-    let gen_sub = sys.view().gen_db().table("gen_sub").unwrap();
+    let gen_sub = genid.table(sub);
     let mut sharing = BTreeSet::new();
     for &v in &subs {
         let &[parent] = dag.parents(v) else {
@@ -165,4 +165,58 @@ fn a_sub_keeps_its_nodes_attribute_published_loaded_and_maintained() {
     sys.apply(&insert, SideEffectPolicy::Proceed).unwrap();
     let maintained = subs_sharing_their_node(&sys);
     assert!(maintained.len() > published.len());
+}
+
+/// Each type's `gen_A` table is its live nodes: one row per live node, the
+/// interner's own `$A` allocation (the unit row for an empty `$A`),
+/// carrying the node's id.
+fn assert_rows_are_the_live_nodes(sys: &XmlViewSystem) {
+    let (genid, dtd) = (sys.view().dag().genid(), sys.view().atg().dtd());
+    let mut rows = 0;
+    for ty in dtd.types() {
+        for (row, &id) in genid.table(ty).entries() {
+            let name = dtd.name(ty);
+            assert!(genid.is_live(id), "gen_{name} names free id {}", id.0);
+            assert_eq!(
+                genid.type_of(id),
+                ty,
+                "gen_{name} names a node of another type"
+            );
+            match genid.attr_of(id) {
+                attr if attr.arity() == 0 => assert_eq!(row, &tuple![0i64], "gen_{name}"),
+                attr => assert!(same_cells(row, attr), "gen_{name} row of {id:?}"),
+            }
+            rows += 1;
+        }
+    }
+    assert_eq!(rows, genid.n_live(), "a live node without a row");
+}
+
+#[test]
+fn the_gen_tables_are_the_live_nodes_after_a_collection_and_a_rollback() {
+    let db = registrar_database();
+    let mut sys = XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
+    assert_rows_are_the_live_nodes(&sys);
+    let root = sys.view().dag().root();
+    assert!(sys.view().dag().genid().attr_of(root).arity() == 0);
+
+    // A fold that collects the student and its two text nodes.
+    let delete = XmlUpdate::delete("course[cno=CS650]/takenBy/student[ssn=S01]").unwrap();
+    let report = sys.apply(&delete, SideEffectPolicy::Proceed).unwrap();
+    assert!(report.maintain.gc_nodes >= 3, "{:?}", report.maintain);
+    assert_rows_are_the_live_nodes(&sys);
+
+    // A rejected insertion: its fresh nodes were interned — rows and all —
+    // before `I` refused the course's new title, and are rolled back.
+    let space = sys.view().dag().genid().n_allocated();
+    let insert = XmlUpdate::insert(
+        "course",
+        tuple!["CS320", "Another title"],
+        "course[cno=CS650]/prereq",
+    )
+    .unwrap();
+    assert!(sys.apply(&insert, SideEffectPolicy::Proceed).is_err());
+    assert_eq!(sys.view().dag().genid().n_allocated(), space);
+    assert_rows_are_the_live_nodes(&sys);
+    sys.consistency_check().unwrap();
 }
