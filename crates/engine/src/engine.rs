@@ -8,7 +8,7 @@
 
 use crate::checkpoint::Checkpointer;
 use crate::logdir::{Log, LogDir};
-use crate::obs::{text_report, Exporter, FlightRecorder};
+use crate::obs::{FlightRecorder, MetricSnapshot};
 use crate::publisher;
 use crate::recovery::{self, RecoverError, RecoveryReport};
 use crate::snapshot::Snapshot;
@@ -17,18 +17,18 @@ use crate::wal::{Durability, LoggedUpdate};
 use rxview_core::{
     Admitted, SideEffectPolicy, UpdateError, UpdateOutcome, UpdateReport, XmlUpdate, XmlViewSystem,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Bound of the admission queue: [`Engine::submit`] returns
 /// [`EngineError::Saturated`] while this many updates wait for a commit.
 pub const MAX_QUEUE: usize = 65_536;
 
-/// Engine configuration: six fields, five with callers that set them
+/// Engine configuration: five fields, four with callers that set them
 /// differently, and `n_shards`, which has no effect (ARCHITECTURE.md,
 /// "Configuration").
 #[derive(Debug, Clone)]
@@ -51,15 +51,6 @@ pub struct EngineConfig {
     /// [`Engine::checkpoint_now`] still work). Ignored when durability is
     /// off.
     pub checkpoint_rounds: u64,
-    /// Write periodic JSONL metric snapshots to this file (see
-    /// [`Engine::telemetry_report`] for the human-readable view). `None`
-    /// falls back to the `RXVIEW_METRICS_PATH` environment variable; if
-    /// that is unset too, no exporter thread is spawned. The snapshot
-    /// interval comes from `RXVIEW_METRICS_INTERVAL_MS` (default 1000), and
-    /// a final snapshot is always appended when the engine drops. If the
-    /// thread cannot be spawned, the engine serves without it and says so
-    /// once on stderr.
-    pub metrics_path: Option<PathBuf>,
     /// Deterministic interleaving gates for the round pipeline
     /// ([`crate::pipeline::StageHooks`]) — a test-only instrument; leave
     /// `None` in production (the default). When set, every round announces
@@ -76,7 +67,6 @@ impl Default for EngineConfig {
             n_shards: 1,
             durability: Durability::Off,
             checkpoint_rounds: 1024,
-            metrics_path: None,
             stage_hooks: None,
         }
     }
@@ -217,9 +207,6 @@ pub(crate) struct Inner {
     pub(crate) config: EngineConfig,
     /// Replay log + checkpointer (durable engines only).
     pub(crate) durability: Option<DurabilityState>,
-    /// Periodic metrics exporter (spawned when a metrics path is
-    /// configured); dropping it appends a final snapshot.
-    pub(crate) exporter: Option<Exporter>,
 }
 
 impl Inner {
@@ -429,25 +416,6 @@ impl Engine {
         durability: Option<DurabilityState>,
     ) -> Self {
         config.max_batch = config.max_batch.max(1);
-        let exporter = config
-            .metrics_path
-            .clone()
-            .or_else(|| std::env::var_os("RXVIEW_METRICS_PATH").map(PathBuf::from))
-            .and_then(|path| {
-                let interval = std::env::var("RXVIEW_METRICS_INTERVAL_MS")
-                    .ok()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or(1000);
-                let interval = Duration::from_millis(interval.max(1));
-                Exporter::spawn(Arc::clone(&stats), &path, interval)
-                    .map_err(|e| {
-                        eprintln!(
-                            "rxview: metrics export to {} not started: {e}",
-                            path.display()
-                        );
-                    })
-                    .ok()
-            });
         stats.record_state(&sys);
         Engine {
             inner: Arc::new(Inner {
@@ -458,7 +426,6 @@ impl Engine {
                 stats,
                 config,
                 durability,
-                exporter,
             }),
         }
     }
@@ -523,7 +490,7 @@ impl Engine {
     /// [`crate::EngineReport`] summary, every metric by name
     /// ([`EngineStats::metrics`]), and the flight-recorder state.
     /// Intended for consoles and bug reports; the machine-readable
-    /// equivalents are the metrics JSONL exporter and
+    /// equivalents are [`EngineStats::metrics`], [`EngineStats::report`] and
     /// [`Engine::flight_recording`].
     pub fn telemetry_report(&self) -> String {
         let stats = &self.inner.stats;
@@ -539,16 +506,9 @@ impl Engine {
 
     /// The flight recorder's retained event window as JSONL (one structured
     /// event per line, oldest first) — the machine-readable "what just
-    /// happened" dump. Also written to the `RXVIEW_FLIGHT_DUMP` file, if
-    /// set, whenever a round fails mid-commit.
+    /// happened" dump.
     pub fn flight_recording(&self) -> String {
         self.inner.stats.recorder().dump_jsonl()
-    }
-
-    /// Where the periodic metrics exporter writes, if one is running (see
-    /// [`EngineConfig::metrics_path`]).
-    pub fn metrics_path(&self) -> Option<&Path> {
-        self.inner.exporter.as_ref().map(|e| e.path())
     }
 
     /// Admits an update on the caller's thread and enqueues it for the
@@ -647,23 +607,30 @@ impl Engine {
         self.inner.stats.commits.incr();
         publisher::commit(&self.inner, pending)
     }
+}
 
-    /// Spawns a background writer thread that group-commits the queue every
-    /// `interval` until the handle is stopped.
-    pub fn start_writer(&self, interval: Duration) -> WriterHandle {
-        let engine = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                engine.commit_pending();
-                std::thread::sleep(interval);
-            }
-            // Final drain so no ticket is left behind.
-            engine.commit_pending();
-        });
-        WriterHandle { stop, thread }
+/// Renders a metric listing as an aligned text table — counters and gauges
+/// as bare numbers, histograms as `count / mean / p50 / p95 / p99 / max`.
+fn text_report(snap: &[(&str, MetricSnapshot)]) -> String {
+    let width = snap.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+    let mut out = String::new();
+    for (name, value) in snap {
+        let _ = match value {
+            MetricSnapshot::Counter(v) => writeln!(out, "{name:width$}  {v}"),
+            MetricSnapshot::Gauge(v) => writeln!(out, "{name:width$}  {v}"),
+            MetricSnapshot::Histogram(h) => writeln!(
+                out,
+                "{name:width$}  n={} mean={:.0} p50={} p95={} p99={} max={}",
+                h.count,
+                h.mean(),
+                h.quantile(0.5),
+                h.quantile(0.95),
+                h.quantile(0.99),
+                h.max
+            ),
+        };
     }
+    out
 }
 
 fn engine_stats(sys: &XmlViewSystem, recorder: Arc<FlightRecorder>) -> Arc<EngineStats> {
@@ -673,21 +640,6 @@ fn engine_stats(sys: &XmlViewSystem, recorder: Arc<FlightRecorder>) -> Arc<Engin
     ))
 }
 
-/// Handle to a background writer thread (see [`Engine::start_writer`]).
-#[derive(Debug)]
-pub struct WriterHandle {
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl WriterHandle {
-    /// Stops the writer after a final queue drain and waits for it to exit.
-    pub fn stop(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.thread.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,8 +647,9 @@ mod tests {
 
     /// A panic while the log's lock is held poisons the lock; what needs the
     /// log afterwards fails instead of panicking: the next commit resolves
-    /// its tickets `Err` and publishes nothing, and `sync_wal` and
-    /// `checkpoint_now` return errors.
+    /// its tickets `Err`, publishes nothing and records one `round.failed`
+    /// event naming the append, and `sync_wal` and `checkpoint_now` return
+    /// errors.
     #[test]
     fn a_poisoned_log_fails_the_round_instead_of_panicking() {
         let dir = std::env::temp_dir().join(format!("rxview-poisoned-{}", std::process::id()));
@@ -718,9 +671,38 @@ mod tests {
         assert_eq!((summary.accepted, summary.rejected), (0, 1));
         assert!(matches!(ticket.wait(), Err(EngineError::Update(_))));
         assert_eq!(engine.snapshot().epoch(), 0, "nothing published");
+        let recording = engine.flight_recording();
+        let failed: Vec<&str> = recording
+            .lines()
+            .filter(|l| l.contains("\"event\": \"round.failed\""))
+            .collect();
+        assert_eq!(failed.len(), 1, "{recording}");
+        assert!(
+            failed[0].contains("\"reason\": \"wal_append\""),
+            "{}",
+            failed[0]
+        );
         assert!(engine.sync_wal().is_err());
         assert!(engine.checkpoint_now().is_err());
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn text_report_lists_everything() {
+        let h = crate::obs::Histogram::default();
+        h.record(2048);
+        let snap = [
+            (
+                "round.plan_ns",
+                MetricSnapshot::Histogram(Box::new(h.snapshot())),
+            ),
+            ("updates.accepted", MetricSnapshot::Counter(12)),
+        ];
+        let report = text_report(&snap);
+        assert!(report.contains("updates.accepted"));
+        assert!(report.contains("12"));
+        assert!(report.contains("round.plan_ns"));
+        assert!(report.contains("n=1"));
     }
 }

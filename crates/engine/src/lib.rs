@@ -61,9 +61,9 @@
 //!   the Fig.11 constituents ([`rxview_core::PhaseTimings`]) with plan /
 //!   translate / fold / WAL-append / fsync / publish buckets, a
 //!   ring-buffer *flight recorder* of structured round and durability
-//!   events ([`Engine::flight_recording`]), and an optional background
-//!   exporter appending that listing as JSONL
-//!   ([`EngineConfig::metrics_path`], `RXVIEW_METRICS_PATH`). See
+//!   events ([`Engine::flight_recording`]). Telemetry leaves the engine only
+//!   when a caller reads it: the engine starts no thread but the
+//!   checkpointer and reads no environment variable. See
 //!   [`Engine::telemetry_report`] and [`PhaseBreakdown`].
 //!
 //! Mapping back to the paper's Fig.3 phases: schema validation (§2.4) runs
@@ -91,9 +91,7 @@ mod stats;
 mod wal;
 
 pub use analyze::{evaluation_scope, Analysis, BatchFootprint};
-pub use engine::{
-    CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, WriterHandle, MAX_QUEUE,
-};
+pub use engine::{CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, MAX_QUEUE};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};
 pub use snapshot::Snapshot;

@@ -1,9 +1,9 @@
 //! Minimal JSON emission helpers (escape + finite number formatting).
 //!
-//! The exporter and flight recorder emit JSONL by hand — the container has
-//! no serde — so the two sharp edges live here once: string escaping and
-//! the guarantee that no `NaN`/`Infinity` literal (which strict parsers,
-//! including the CI schema check, reject) ever reaches a file.
+//! The flight recorder emits JSONL by hand — the workspace has no serde —
+//! so the two sharp edges live here once: string escaping and the
+//! guarantee that no `NaN`/`Infinity` literal (which strict parsers reject)
+//! ever reaches a dump.
 
 use std::fmt::Write as _;
 
@@ -27,7 +27,7 @@ pub(crate) fn push_str_escaped(out: &mut String, s: &str) {
 }
 
 /// Appends `v` as a JSON number, mapping non-finite values to 0.0 (a
-/// non-finite metric is an instrumentation bug; the export must still be
+/// non-finite field is an instrumentation bug; the dump must still be
 /// parseable).
 pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {

@@ -14,25 +14,22 @@
 //!   [`crate::EngineStats::metrics`] reads them out, name-sorted.
 //! - **The flight recorder** ([`FlightRecorder`]): a fixed-capacity ring
 //!   buffer of structured [`Event`]s (round committed, checkpoint start,
-//!   WAL rotation, …) that can be dumped as JSONL on demand or when
-//!   something goes wrong — the last N things the engine did, always
-//!   available, never growing.
-//! - **The exporter**: a background thread that periodically appends that
-//!   listing to a JSONL metrics file (one self-contained JSON object per
-//!   line, timestamped), plus a human-readable rendering of the same
-//!   listing for [`crate::Engine::telemetry_report`].
+//!   WAL rotation, …) that can be dumped as JSONL on demand — the last N
+//!   things the engine did, always available, never growing.
+//!
+//! Nothing here starts a thread or writes a file: telemetry leaves the
+//! engine only when a caller asks ([`crate::EngineStats::metrics`],
+//! [`crate::Engine::telemetry_report`], [`crate::Engine::flight_recording`]).
 //!
 //! Everything is always on: recording is relaxed atomics and there is no
 //! off switch, so every measured number includes its cost (which has not
 //! been measured on its own).
 
-mod export;
 mod hist;
 mod json;
 mod metrics;
 mod recorder;
 
-pub(crate) use export::{text_report, Exporter};
 pub use hist::{Histogram, HistogramSnapshot};
 pub(crate) use metrics::{Counter, Gauge};
 pub(crate) use recorder::fields;

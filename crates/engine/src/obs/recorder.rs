@@ -6,8 +6,7 @@
 //! rotation, recovery replay progress — is appended as an [`Event`]; once
 //! the ring is full the oldest events fall off (and are counted), so memory
 //! is bounded no matter how long the engine runs. [`FlightRecorder::dump_jsonl`]
-//! renders the retained window as one JSON object per line, on demand or
-//! when a round fails.
+//! renders the retained window as one JSON object per line, on demand.
 //!
 //! Recording takes a mutex: events are per *round* (tens to hundreds per
 //! second), not per update, so the lock is uncontended background noise —

@@ -28,8 +28,8 @@
 //! A round is formed only after its predecessor has published
 //! (ARCHITECTURE.md §3), and its working state is cloned from the latest
 //! snapshot. The working state is a local, moved into the publication on
-//! success and dropped on any failure — so a failed fold or append leaves
-//! the previous snapshot current and later rounds proceed.
+//! success and dropped if the log append fails — the one way a round can
+//! fail — so the previous snapshot stays current and later rounds proceed.
 //!
 //! Deterministic schedules for tests inject
 //! [`crate::pipeline::StageHooks`] through the config; the coordinator
@@ -56,8 +56,6 @@ struct Applied {
     logged: Vec<LoggedUpdate>,
     /// The round's folds, summed.
     maintain: MaintainReport,
-    /// A fold failed: the working state is not to be published.
-    failed: Option<String>,
 }
 
 /// One `commit_pending` call's state.
@@ -104,8 +102,7 @@ impl Commit<'_> {
     /// The apply loop: evaluates, applies and folds the round's updates one
     /// after another on a clone of the latest snapshot, each through the
     /// plan it was admitted with. A rejected update is resolved here and
-    /// leaves nothing behind; after a failed fold the rest of the round
-    /// fails with it.
+    /// leaves nothing behind.
     fn apply_round(&mut self, round: Vec<Pending>) -> Applied {
         let stats = &self.inner.stats;
         if let Some(h) = self.hooks {
@@ -123,18 +120,12 @@ impl Commit<'_> {
             reports: Vec::with_capacity(width),
             logged: Vec::with_capacity(width),
             maintain: MaintainReport::default(),
-            failed: None,
         };
         // The loop's wall clock, less its evaluations and folds, is the
         // round's translation: the three rows partition it.
         let t_wall = Instant::now();
         let mut eval_and_fold = Duration::ZERO;
         for p in round {
-            if let Some(msg) = &out.failed {
-                let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                self.resolve(p.reply, Err(e));
-                continue;
-            }
             let t_eval = Instant::now();
             let eval = out.working.eval_admitted(&p.admitted);
             let d_eval = t_eval.elapsed();
@@ -151,25 +142,14 @@ impl Commit<'_> {
                 }
             };
             let t_fold = Instant::now();
-            let folded = out.working.fold_maintenance(vec![job]);
+            let Ok(m) = out.working.fold_maintenance(vec![job]);
             let d_fold = t_fold.elapsed();
             eval_and_fold += d_eval + d_fold;
-            match folded {
-                Ok(m) => {
-                    stats.record_maintain(d_fold, &m);
-                    out.maintain.absorb(&m);
-                    report.maintain = m;
-                    out.reports.push((p.reply, report));
-                    out.logged.push((p.update, p.policy));
-                }
-                Err(e) => {
-                    let msg = format!("update maintenance failed: {e}");
-                    stats.record_round_failure("fold_maintenance", out.reports.len() + 1);
-                    let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
-                    self.resolve(p.reply, Err(e));
-                    out.failed = Some(msg);
-                }
-            }
+            stats.record_maintain(d_fold, &m);
+            out.maintain.absorb(&m);
+            report.maintain = m;
+            out.reports.push((p.reply, report));
+            out.logged.push((p.update, p.policy));
         }
         stats
             .translate_wall
@@ -185,8 +165,9 @@ impl Commit<'_> {
     /// snapshot becomes visible, and accepted tickets resolve only after
     /// it is — `WAL(k) ≺ publish(k) ≺ ack(k)`, with read-your-writes as the
     /// consequence; rounds reach here one at a time in queue order, so
-    /// appends are epoch-strict. A failed fold or append fails the round's
-    /// applied tickets and drops the working state: nothing new is visible,
+    /// appends are epoch-strict. A failed append fails the round's applied
+    /// tickets, records `round.failed` and drops the working state: nothing
+    /// new is visible,
     /// the previous snapshot stays current, and later rounds proceed. A
     /// round that applied nothing publishes no epoch and appends no record.
     fn finish_round(&mut self, applied: Applied) {
@@ -197,17 +178,11 @@ impl Commit<'_> {
             reports,
             logged,
             maintain,
-            failed,
         } = applied;
         if reports.is_empty() {
             return;
         }
-        let durable = match failed {
-            Some(msg) => Err(msg),
-            None => inner
-                .log_round(&logged)
-                .inspect_err(|_| stats.record_round_failure("wal_append", reports.len())),
-        };
+        let durable = inner.log_round(&logged);
         // The record is written: free its updates here, not behind the
         // acks — what a commit frees last, the next reader's first
         // allocation pays to consolidate.
@@ -230,6 +205,10 @@ impl Commit<'_> {
                 }
             }
             Err(msg) => {
+                stats.recorder().record(
+                    "round.failed",
+                    fields![reason: "wal_append", updates: reports.len()],
+                );
                 for (reply, _) in reports {
                     let e = UpdateError::Rel(RelError::MalformedQuery(msg.clone()));
                     self.resolve(reply, Err(e));

@@ -6,22 +6,20 @@
 //! - **metrics** — one table (`metric_table!` below) declares each metric
 //!   once: its doc, its field, its kind and its exported name. The table
 //!   generates the [`EngineStats`] handles, the name-sorted listing
-//!   ([`EngineStats::metrics`]) the exporter and the text report read, and
+//!   ([`EngineStats::metrics`]) the text report reads, and
 //!   the [`EngineReport`] fields with the copy between them. Recording is a
 //!   relaxed atomic on the handle at the call site; the `record_*` methods
 //!   are the ones that feed several metrics or compute what they record.
 //! - **flight recorder** — a bounded ring of structured events (round
 //!   formed / committed / failed, checkpoint start/end, WAL rotation,
-//!   recovery replay progress), dumpable as JSONL;
+//!   recovery replay progress), dumpable as JSONL on demand;
 //! - **reports** — [`EngineReport`] is a point-in-time read of the handles,
 //!   and [`PhaseBreakdown`] attributes a run's wall clock to phases.
 //!
 //! Recording is always on: there is one configuration, and every number the
 //! benchmark reports includes its cost.
 
-use crate::obs::{
-    fields, Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricSnapshot,
-};
+use crate::obs::{Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, MetricSnapshot};
 use crate::wal::SyncReason;
 use rxview_core::{MaintainReport, PhaseTimings, PlanCache, PlanCacheStats, XmlViewSystem};
 use std::fmt;
@@ -109,7 +107,7 @@ macro_rules! metric_table {
             }
 
             /// Every metric as `(exported name, value)`, name-sorted: the
-            /// exporter's JSONL keys and the text report's rows. Each cell
+            /// text report's rows. Each cell
             /// is read relaxed, so concurrent recording may skew
             /// cross-metric relationships by in-flight updates.
             pub fn metrics(&self) -> Vec<(&'static str, MetricSnapshot)> {
@@ -291,25 +289,6 @@ impl EngineStats {
         &self.recorder
     }
 
-    /// A round (or batch) failed mid-commit: record the failure event and,
-    /// if `RXVIEW_FLIGHT_DUMP` names a file, append the retained flight
-    /// window there — the post-mortem a crash-looped engine leaves behind.
-    pub(crate) fn record_round_failure(&self, reason: &str, updates: usize) {
-        self.recorder
-            .record("round.failed", fields![reason: reason, updates: updates]);
-        if let Some(path) = std::env::var_os("RXVIEW_FLIGHT_DUMP") {
-            use std::io::Write as _;
-            let dumped = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(self.recorder.dump_jsonl().as_bytes()));
-            if let Err(e) = dumped {
-                eprintln!("rxview: flight dump to {path:?} failed: {e}");
-            }
-        }
-    }
-
     /// Records one round's *planned* width (updates taken from the queue)
     /// and *realized* width (updates applied — planned minus rejects), once
     /// per round: how many updates share a log record and a publication.
@@ -458,13 +437,6 @@ impl PhaseBreakdown {
             ("fsync", fsync.0, fsync.1),
             ("publish", publish.0, publish.1),
         ]
-    }
-
-    /// Fraction of the phase total spent in each round's serial tail
-    /// (everything after translation: fold + wal + fsync + publish).
-    pub fn publisher_serial_fraction(&self) -> f64 {
-        let serial = self.fold + self.wal_append + self.fsync + self.publish;
-        ratio(serial.as_secs_f64(), self.total().as_secs_f64())
     }
 
     /// Fraction of the publisher's serial section that ran overlapped with
@@ -641,7 +613,6 @@ mod tests {
             report.mean_planned_width(),
             report.mean_realized_width(),
             report.shard_idle_fraction(),
-            report.phase_breakdown().publisher_serial_fraction(),
             report.phase_breakdown().overlap_fraction(),
         ] {
             assert_eq!(v, 0.0);
@@ -662,9 +633,6 @@ mod tests {
         };
         let sum: f64 = b.fractions().iter().map(|(_, _, frac)| frac).sum();
         assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
-        let serial = b.publisher_serial_fraction();
-        assert!((0.0..=1.0).contains(&serial));
-        assert!((serial - 0.5).abs() < 1e-9); // 50ms serial of 100ms total
         assert_eq!(b.overlap_fraction(), 0.0);
     }
 }

@@ -246,15 +246,26 @@ fn epoch_stream_is_monotonic_and_prefix_complete() {
         .expect("consistent after the run");
 }
 
-/// A background writer thread group-commits submissions from the test
-/// thread while readers poll; nothing deadlocks and every ticket resolves.
+/// A writer thread looping on `commit_pending` group-commits submissions
+/// from the test thread while readers poll; nothing deadlocks and every
+/// ticket resolves.
 #[test]
 fn background_writer_drains_queue() {
     let sys = system(200);
     let edges = group_edges(&sys, 200, 40);
     assert!(edges.len() >= 5);
     let engine = Engine::new(sys);
-    let writer = engine.start_writer(Duration::from_millis(1));
+    let writer_stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let engine = engine.clone();
+        let stop = Arc::clone(&writer_stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                engine.commit_pending();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
     let reader_stop = Arc::new(AtomicBool::new(false));
     let reader = {
         let engine = engine.clone();
@@ -285,7 +296,8 @@ fn background_writer_drains_queue() {
     for t in tickets {
         t.wait().expect("background writer commits edge deletions");
     }
-    writer.stop();
+    writer_stop.store(true, Ordering::Relaxed);
+    writer.join().expect("writer panicked");
     reader_stop.store(true, Ordering::Relaxed);
     reader.join().expect("reader panicked");
     engine
@@ -295,8 +307,8 @@ fn background_writer_drains_queue() {
         .expect("consistent");
 }
 
-/// A displaced snapshot lives exactly as long as its readers: with nobody
-/// driving `start_writer`'s idle tick, eight `apply_now` rounds must leave
+/// A displaced snapshot lives exactly as long as its readers: with no
+/// writer thread committing on a tick, eight `apply_now` rounds must leave
 /// the initial snapshot dead, while one a reader still holds stays alive
 /// and unchanged.
 #[test]

@@ -1,5 +1,5 @@
-//! Engine-level telemetry: the metric table, the flight recorder, and the
-//! JSONL exporter, exercised through real commits.
+//! Engine-level telemetry: the metric table, the text report and the
+//! flight recorder, exercised through real commits.
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview_engine::{Engine, EngineConfig};
@@ -90,7 +90,6 @@ fn round_phases_and_fold_spans_are_well_formed() {
     );
     let sum: f64 = phases.fractions().iter().map(|(_, _, f)| f).sum();
     assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
-    assert!((0.0..=1.0).contains(&phases.publisher_serial_fraction()));
     // The fold's sub-spans are timed inside the fold: deletions splice `L`
     // and rewrite `M`, and together they stay within the folds' wall clock.
     assert_eq!(report.cone_folds, accepted, "one fold per applied update");
@@ -103,7 +102,8 @@ fn round_phases_and_fold_spans_are_well_formed() {
     );
 }
 
-/// `telemetry_report` and the flight recording expose the round history.
+/// The metric listing, `telemetry_report` and the flight recording expose
+/// the round history.
 #[test]
 fn telemetry_report_and_flight_recording() {
     let n = 400;
@@ -118,6 +118,25 @@ fn telemetry_report_and_flight_recording() {
         engine.commit_pending();
         t.wait().expect("commits");
     }
+
+    let metrics = engine.stats().metrics();
+    let metric = |name: &str| {
+        metrics
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, m)| m)
+            .unwrap_or_else(|| panic!("no metric {name}"))
+    };
+    use rxview_engine::obs::MetricSnapshot::{Counter, Histogram};
+    for name in ["updates.accepted", "round.planned", "snapshot.published"] {
+        assert!(
+            matches!(metric(name), Counter(2)),
+            "{name}: {:?}",
+            metric(name)
+        );
+    }
+    assert!(matches!(metric("update.latency_ns"), Histogram(h) if h.count > 0));
+    assert!(matches!(metric("phase.plan_ns"), Histogram(_)));
 
     let report = engine.telemetry_report();
     for needle in [
@@ -154,8 +173,8 @@ fn telemetry_report_and_flight_recording() {
     }
 }
 
-/// The metric listing of a fresh engine, name-sorted: the exporter's JSONL
-/// keys. A metric is renamed or dropped here, deliberately, or not at all —
+/// The metric listing of a fresh engine, name-sorted: the text report's
+/// rows. A metric is renamed or dropped here, deliberately, or not at all —
 /// dashboards and `rxbench`'s trace read these names. Strictly ascending
 /// means no name is declared twice in the metric table.
 #[test]
@@ -293,69 +312,6 @@ fn plan_cache_report_rebaselines_per_engine() {
     let compiled = engine.stats().report().plan_cache;
     assert_eq!(compiled.compiles, after.compiles + 1);
     assert!(compiled.compile_ns > after.compile_ns);
-}
-
-/// The exporter appends one metric listing per interval (plus a final
-/// one on shutdown) to the configured JSONL path.
-#[test]
-fn metrics_exporter_writes_jsonl() {
-    let dir = std::env::temp_dir().join(format!(
-        "rxview-telemetry-test-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("metrics.jsonl");
-
-    let n = 400;
-    let sys = system(n);
-    let edges = group_edges(&sys, n as i64, 40);
-    assert!(edges.len() >= 2);
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            metrics_path: Some(path.clone()),
-            ..EngineConfig::default()
-        },
-    );
-    assert_eq!(engine.metrics_path(), Some(path.as_path()));
-    for &(h, c) in &edges[..2] {
-        let t = engine
-            .submit(delete(h, c), SideEffectPolicy::Proceed)
-            .expect("queue accepts");
-        engine.commit_pending();
-        t.wait().expect("commits");
-    }
-    drop(engine); // exporter flushes a final snapshot on shutdown
-
-    let text = std::fs::read_to_string(&path).expect("metrics file written");
-    // One self-contained JSON object per line.
-    for line in text.lines() {
-        assert!(
-            line.starts_with("{\"at_micros\": ") && line.ends_with('}'),
-            "malformed snapshot line:\n{line}"
-        );
-    }
-    let last = text.lines().last().expect("at least one snapshot line");
-    for needle in [
-        "\"metrics\": {",
-        "\"updates.accepted\": 2",
-        "\"update.latency_ns\": {",
-        "\"p99\": ",
-        "\"phase.translate_wall_ns\": {",
-        "\"round.planned\": 2",
-        "\"snapshot.published\": 2",
-        "\"phase.plan_ns\": {",
-    ] {
-        assert!(last.contains(needle), "snapshot missing {needle}:\n{last}");
-    }
-    // Match value positions only: a metric *name* may legitimately contain
-    // "inf" as a substring.
-    assert!(
-        !last.contains("NaN") && !last.contains(": inf") && !last.contains(": -inf"),
-        "non-finite JSON"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `scoped_evals` / `full_evals` and `UpdateReport::scope_nodes` say how

@@ -15,6 +15,7 @@ pub fn reference_apply(
 ) -> UpdateOutcome {
     let eval = eval_xpath_on_dag(sys.view(), sys.topo(), sys.reach(), update.path());
     let (mut report, job) = sys.apply_deferred(update, policy, eval)?;
-    report.maintain = sys.fold_maintenance(vec![job])?;
+    let Ok(maintain) = sys.fold_maintenance(vec![job]);
+    report.maintain = maintain;
     Ok(report)
 }

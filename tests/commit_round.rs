@@ -121,21 +121,20 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
     }
 }
 
-/// The configuration surface is six fields (who sets each: ARCHITECTURE.md,
+/// The configuration surface is five fields (who sets each: ARCHITECTURE.md,
 /// "Configuration"), one of them inert: `n_shards` selects nothing and
 /// sizes nothing (`n_shards_changes_no_round_and_no_log_byte`), and stays
-/// only while `rxbench` sets it. A seventh must name, here, the two callers
+/// only while `rxbench` sets it. A sixth must name, here, the two callers
 /// existing outside tests and examples that need different values of it —
 /// a value only one caller sets is a constant, and a switch that turns a
 /// shipped path off is a second path to test, benchmark and keep working.
 #[test]
-fn engine_config_has_six_fields() {
+fn engine_config_has_five_fields() {
     let EngineConfig {
         max_batch: _,
         n_shards: _,
         durability: _,
         checkpoint_rounds: _,
-        metrics_path: _,
         stage_hooks: _,
     } = EngineConfig::default();
 }
