@@ -17,12 +17,15 @@
 //! there is no second `$A` index to keep in step with it.
 //!
 //! A node that leaves the view (garbage collection, §3.4; the rollback of a
-//! rejected insertion) gives its id back: [`GenId::retire`] releases the
-//! pair and frees the id, and [`GenId::gen_id`] hands out the lowest free
-//! id before it extends the id space. Everything indexed by [`NodeId`] is
-//! therefore bounded by the largest view held plus what one round
-//! allocates, not by the updates served — and a [`NodeId`] names a node
-//! only within the state (the snapshot epoch) it was read from.
+//! rejected insertion) gives its id back: [`GenId::retire`] removes its
+//! `gen_A` row and clears its slot — the `$A` handle goes with it, and a
+//! page of slots that holds no live id any more is the shared blank page
+//! ([`PagedVec::clear`]) — and [`GenId::gen_id`] hands out the lowest free
+//! id before it extends the id space. A free id so holds nothing: what is
+//! indexed by [`NodeId`] is bounded by the largest view held plus what one
+//! round allocates, not by the updates served, and the pages of a range of
+//! free ids are one page. A [`NodeId`] names a node only within the state
+//! (the snapshot epoch) it was read from.
 
 use rxview_relstore::{PagedVec, RelError, RelResult, Table, TableSchema, Tuple, Value};
 use rxview_xmlkit::TypeId;
@@ -154,12 +157,12 @@ fn gen_key(attr: &Tuple) -> &[Value] {
 
 /// The `gen_id` interner.
 ///
-/// Every part is page-granular copy-on-write ([`rxview_relstore::PagedVec`],
-/// [`Table`]'s pages): cloning an interner copies page pointers, and
-/// interning or retiring a node copies the pages that node lands on. Which
-/// ids are free is read off the live bits, so a clone frees and reuses ids
-/// on its own: an id recycled by one version still names the old node, or
-/// nothing, in every other.
+/// Every part is page-granular copy-on-write ([`PagedVec`], [`Table`]'s
+/// pages): cloning an interner copies page pointers, and interning or
+/// retiring a node copies the pages that node lands on. Which ids are free
+/// is read off the slots, so a clone frees and reuses ids on its own: an id
+/// recycled by one version still names the old node, or nothing, in every
+/// other.
 #[derive(Debug, Clone, Default)]
 pub struct GenId {
     /// Per element type, in type order, the relation `gen_A` of §2.3: one
@@ -168,16 +171,12 @@ pub struct GenId {
     /// one `$A` → id index: interning a pair is one ordered insert,
     /// looking one up one search, retiring a node one removal.
     tables: Vec<Table<NodeId>>,
-    /// `(type, $A)` per id of the id space, `None` only for an id loaded
-    /// free and in the padding of the last page. A freed id keeps the pair
-    /// it had until it is handed out again: a page of this vector is 64
-    /// tuple handles, and clearing one slot of it would copy them all (and
-    /// release them all again with the displaced snapshot) per collected
-    /// node — the pages are written where new nodes land, and no more.
+    /// `(type, $A)` per id of the id space: the only record of liveness,
+    /// `None` for a free id (and in the padding of the last page).
+    /// [`GenId::retire`] clears the slot through [`PagedVec::clear`], so a
+    /// free id holds no `$A`, and a page of free ids is the vector's one
+    /// blank page.
     info: PagedVec<Option<(TypeId, Tuple)>>,
-    /// Which ids are live, a byte each: an id of the id space is live or
-    /// free.
-    live: PagedVec<bool>,
     n_live: usize,
     /// No id below this one is free.
     first_free: usize,
@@ -256,7 +255,7 @@ impl GenId {
         // they did when every id was new.
         let space = self.info.len();
         let id = match self.n_live < space {
-            true => (self.first_free..space).find(|&i| !self.live[i]),
+            true => (self.first_free..space).find(|&i| self.info[i].is_none()),
             false => None,
         };
         let id = id.unwrap_or(space);
@@ -270,7 +269,6 @@ impl GenId {
         }
         self.first_free = id + 1;
         *self.info.get_mut(id) = Some((ty, attr));
-        *self.live.get_mut(id) = true;
         self.n_live += 1;
         (NodeId(id as u32), true)
     }
@@ -286,8 +284,8 @@ impl GenId {
     }
 
     fn pair(&self, id: NodeId) -> &(TypeId, Tuple) {
-        debug_assert!(self.is_live(id), "node {} is not live", id.0);
-        self.info[id.index()].as_ref().expect("an id handed out")
+        let slot = self.info.get(id.index()).and_then(Option::as_ref);
+        slot.unwrap_or_else(|| panic!("node {} is not live", id.0))
     }
 
     /// The element type of a live node.
@@ -308,7 +306,7 @@ impl GenId {
 
     /// Whether the id names a node (is not free, nor beyond the id space).
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.live.get(id.index()) == Some(&true)
+        matches!(self.info.get(id.index()), Some(Some(_)))
     }
 
     /// Number of live nodes.
@@ -327,19 +325,18 @@ impl GenId {
     }
 
     /// Releases a node that left the view (garbage collection of
-    /// unreachable `gen_B` entries, §2.3; rollback): its `gen_A` row goes
-    /// and the id is free for [`GenId::gen_id`] to hand out. The caller has
-    /// already dropped everything it keeps under the id. A free id is left
-    /// alone.
+    /// unreachable `gen_B` entries, §2.3; rollback): its `gen_A` row goes,
+    /// its slot is cleared — its `$A` released with it — and the id is free
+    /// for [`GenId::gen_id`] to hand out. The caller has already dropped
+    /// everything it keeps under the id. A free id is left alone.
     pub fn retire(&mut self, id: NodeId) {
-        if !self.is_live(id) {
+        let Some(Some((ty, attr))) = self.info.get(id.index()) else {
             return;
-        }
-        let (ty, attr) = self.info[id.index()].as_ref().expect("a live id's pair");
+        };
         let removed = self.tables[ty.index()].remove(gen_key(attr));
         debug_assert_eq!(removed.map(|(_, at)| at), Some(id), "a live node's row");
+        self.info.clear(id.index());
         self.n_live -= 1;
-        *self.live.get_mut(id.index()) = false;
         self.first_free = self.first_free.min(id.index());
     }
 
@@ -348,20 +345,19 @@ impl GenId {
     /// so, retired, without a row.
     pub fn truncate(&mut self, len: usize) {
         debug_assert!(
-            (len..self.live.len()).all(|i| !self.live[i]),
+            self.info.iter().skip(len).all(Option::is_none),
             "a live id past {len}"
         );
         self.info.truncate(len);
-        self.live.truncate(len);
         self.first_free = self.first_free.min(len);
     }
 
     /// All live node ids, ascending.
     pub fn live_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.live
+        self.info
             .iter()
             .enumerate()
-            .filter(|(_, live)| **live)
+            .filter(|(_, slot)| slot.is_some())
             .map(|(i, _)| NodeId(i as u32))
     }
 }
@@ -481,7 +477,6 @@ impl GenIdBuilder {
         GenId {
             tables: tables.collect(),
             first_free: first_free.unwrap_or(self.info.len()),
-            live: self.info.iter().map(Option::is_some).collect(),
             n_live: self.ids.len(),
             info: self.info.into_iter().collect(),
         }

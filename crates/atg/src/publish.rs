@@ -68,7 +68,7 @@ const INLINE: usize = 4;
 
 /// One node's ordered neighbour list: up to [`INLINE`] ids in the slot
 /// itself, a longer list behind one shared allocation. 24 B either way.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 enum Adjacent {
     #[default]
     Empty,
@@ -118,15 +118,18 @@ fn link(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) {
     };
 }
 
-/// Removes the first `w` from `v`'s list; `false` if absent.
+/// Removes the first `w` from `v`'s list; `false` if absent. An emptied
+/// list is cleared ([`PagedVec::clear`]), so a page of nodes without
+/// neighbours is the shared blank page.
 fn unlink(lists: &mut PagedVec<Adjacent>, v: NodeId, w: NodeId) -> bool {
-    let Some(at) = neighbours(lists, v).iter().position(|&x| x == w) else {
+    let ids = neighbours(lists, v);
+    let Some(at) = ids.iter().position(|&x| x == w) else {
         return false;
     };
-    let slot = lists.get_mut(v.index());
-    let old = std::mem::take(slot);
-    let ids = old.as_slice();
-    *slot = Adjacent::collect((0..ids.len() - 1).map(|i| ids[i + usize::from(i >= at)]));
+    match Adjacent::collect((0..ids.len() - 1).map(|i| ids[i + usize::from(i >= at)])) {
+        Adjacent::Empty => lists.clear(v.index()),
+        rest => *lists.get_mut(v.index()) = rest,
+    }
     true
 }
 

@@ -73,7 +73,7 @@ thread_local! {
 /// The glibc chunk that serves a request of `size` bytes: the request plus
 /// an 8-byte header, rounded up to 16 bytes, at least 32 — what resident
 /// memory pays for it.
-fn chunk(size: usize) -> isize {
+pub fn chunk(size: usize) -> isize {
     ((size + 8 + 15) & !15).max(32) as isize
 }
 

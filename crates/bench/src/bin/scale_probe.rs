@@ -12,15 +12,18 @@
 //! and the child lists), `L` — and the medians of three `encode_system` and
 //! `decode_system` runs, and what each way of comparing two states costs:
 //! allocator calls and median ms of the `Exact` and `Observed` digests,
-//! `consistency_check` and the two string fingerprints. ARCHITECTURE.md
-//! §15's table reads these figures.
+//! `consistency_check` and the two string fingerprints. Last, at 512
+//! groups, the `free ids` row: what the state still holds per free id once
+//! the subtrees of half the groups are deleted. ARCHITECTURE.md §15's
+//! table reads these figures.
 //!
 //! ```text
 //! cargo run --release -p rxview-bench --bin scale_probe
 //! ```
 
 use rxview_atg::{Dag, GenId, NodeId};
-use rxview_bench::alloc_count::{allocated_by, kept_by, Counting, Kept};
+use rxview_bench::alloc_count::{allocated_by, chunk, kept_by, Counting, Kept};
+use rxview_bench::collect::Collection;
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, TopoOrder, ViewStore, XmlViewSystem};
 use rxview_relstore::codec::{put_database, put_varint, Reader};
@@ -74,7 +77,7 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
 }
 
 /// The `V by part` row, in chunk bytes per node: the `Dag`'s child slots
-/// and their parent mirror, the interner's `info` and `live` vectors, the
+/// and their parent mirror, the interner's `(type, $A)` slots, the
 /// `$A` → id index (the `gen_A` tables), and the rest of `V` — the `$A`
 /// allocations not shared with `I`, and the grammar's edge views. Each part
 /// but the rest is rebuilt alone from handles into `vs`, so it counts what
@@ -94,20 +97,13 @@ fn v_parts_row(vs: &ViewStore, v: &Census) {
     let handles = kept(census(|| genid.clone()).1);
     let adjacency = kept(census(|| Dag::from_adjacency(genid.clone(), Some(dag.root()), &edges)).1);
     let adjacency = adjacency - handles;
-    let info_live = kept(
-        census(|| {
-            let info: PagedVec<_> = slots.iter().cloned().collect();
-            let live: PagedVec<bool> = slots.iter().map(Option::is_some).collect();
-            (info, live)
-        })
-        .1,
-    );
+    let info = kept(census(|| slots.iter().cloned().collect::<PagedVec<_>>()).1);
     let schemas = vs.atg().gen_table_schemas();
     let interner = kept(census(|| GenId::from_slots(schemas, slots.iter().cloned(), |_| None)).1);
     let parts = [
         ("Dag slots", adjacency),
-        ("interner info/live", info_live),
-        ("$A index", interner - info_live),
+        ("interner slots", info),
+        ("$A index", interner - info),
         (
             "rest ($A not in I, edge views)",
             v.kept.chunks - adjacency - interner,
@@ -166,6 +162,50 @@ fn comparison_row(sys: &XmlViewSystem) {
     println!("  comparison: {}", costs.join("; "));
 }
 
+/// The `free ids` row, at 512 groups once the subtrees of half of them are
+/// deleted ([`Collection`]): per free id, in chunk bytes, what the state
+/// still holds of the collected nodes' `$A` — their allocations less what
+/// the deletions released of them, which a second run that keeps its own
+/// handle on every collected `$A` tells apart from the rest — and what the
+/// deletions gave back beyond it, beside the pages of the per-id tables
+/// whose ids they left all free.
+fn free_ids_row(groups: usize) {
+    let fell = |hold: bool| {
+        let mut c = Collection::of(groups);
+        let genid = c.sys.view().dag().genid();
+        let held: Vec<_> = match hold {
+            true => c
+                .collected
+                .iter()
+                .map(|&v| genid.attr_of(v).clone())
+                .collect(),
+            false => Vec::new(),
+        };
+        let ((), kept) = kept_by(|| c.run());
+        drop(held);
+        (c, -kept.chunks)
+    };
+    let ((c, all), (_, beyond)) = (fell(false), fell(true));
+    let genid = c.sys.view().dag().genid();
+    let free = genid.n_free() as f64;
+    let attrs: isize = c.attr_sizes.iter().map(|&size| chunk(size)).sum();
+    let pages: isize = c.emptied.iter().map(|&(b, n)| chunk(b) * n as isize).sum();
+    let n_pages: usize = c.emptied.iter().map(|&(_, n)| n).sum();
+    println!(
+        "  free ids (the subtrees of {} of {groups} groups deleted): {} of {} ids free; per \
+         free id the state still holds `$A` {:.1} B of the {:.1} B collected, and the \
+         deletions gave back {:.1} B beyond it; the {n_pages} pages of ids they left free \
+         are {:.1} B",
+        c.updates.len(),
+        genid.n_free(),
+        genid.n_allocated(),
+        (attrs - (all - beyond)) as f64 / free,
+        attrs as f64 / free,
+        beyond as f64 / free,
+        pages as f64 / free,
+    );
+}
+
 fn main() {
     const GROUP_SIZE: usize = 40;
     for groups in [256, 512] {
@@ -208,4 +248,5 @@ fn main() {
         checkpoint_row(&sys);
         comparison_row(&sys);
     }
+    free_ids_row(512);
 }

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc_count;
+pub mod collect;
 pub mod harness;
 pub mod pairs;
 

@@ -420,7 +420,7 @@ fn candidates(
                 dag.children(root)
                     .iter()
                     .copied()
-                    .filter(|&c| genid.type_of(c) == ty && genid.is_live(c))
+                    .filter(|&c| genid.is_live(c) && genid.type_of(c) == ty)
                     .collect(),
             );
         }

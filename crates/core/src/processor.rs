@@ -213,7 +213,7 @@ struct TranslatedUpdate {
 ///
 /// Cloning is cheap — `I`, `V` and `M` live in page-granular copy-on-write
 /// containers ([`rxview_relstore::PagedMap`]), so a clone copies page pointers
-/// plus `L`'s two dense arrays, and a clone and its origin then diverge at
+/// plus `L`'s order, and a clone and its origin then diverge at
 /// the cost of the pages each one writes. The serving engine's snapshots
 /// are exactly such clones.
 ///

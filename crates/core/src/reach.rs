@@ -375,11 +375,10 @@ fn store_handle(
     IDS_WRITTEN.with(|c| c.set(c.get() + Run { words: new }.len()));
     let old = words_of(sets, v).len();
     *n_words = *n_words - old + new.len();
-    if words.is_some() {
-        *sets.get_mut(v.index()) = words;
-    } else if old != 0 {
-        // Probed first: emptying an empty slot must not copy a shared page.
-        *sets.get_mut(v.index()) = None;
+    match words {
+        Some(_) => *sets.get_mut(v.index()) = words,
+        // A page left with no set is the shared blank page.
+        None => sets.clear(v.index()),
     }
 }
 

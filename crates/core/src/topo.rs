@@ -7,8 +7,12 @@
 //! [`TopoOrder::swap`], the paper's `swap(L, u, v)` primitive.
 //!
 //! The maintained `L` answers "which of `u`, `v` comes first" through
-//! *order labels*: a dense table keyed by [`NodeId`] index holds, per node,
-//! a `u32` that ascends along `L`, with gaps between neighbours. A splice
+//! *order labels*: a table keyed by [`NodeId`] index holds, per node, a
+//! `u32` that ascends along `L`, with gaps between neighbours. The table is
+//! page-granular copy-on-write ([`PagedVec`]) with "absent" as its default:
+//! a clone of the state copies page pointers, a splice copies the pages its
+//! labels land on, and a removal clears its labels, so a page of ids none
+//! of which is in `L` is the shared blank page. A splice
 //! labels only the nodes it inserts while the gap around the insertion
 //! point lasts; when it runs out, the smallest aligned label block around
 //! the point whose density is under its level's threshold is relabelled
@@ -27,9 +31,20 @@
 //! indexes its per-node arrays by node id, so nothing indexes a scope.
 
 use rxview_atg::{Dag, NodeId};
+use rxview_relstore::PagedVec;
 
 /// Label sentinel for nodes not present in `L`.
 const ABSENT: u32 = u32::MAX;
+
+/// A node's order label, [`ABSENT`] by default.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Label(u32);
+
+impl Default for Label {
+    fn default() -> Self {
+        Label(ABSENT)
+    }
+}
 
 /// Labels live in `[0, SPACE)` — every `u32` but [`ABSENT`]; block
 /// arithmetic runs in `u64`, and the top block of `2^LABEL_BITS` labels is
@@ -49,7 +64,7 @@ thread_local! {
 pub struct TopoOrder {
     order: Vec<NodeId>,
     /// Gapped order labels indexed by node id ([`ABSENT`] = not in `L`).
-    labels: Vec<u32>,
+    labels: PagedVec<Label>,
 }
 
 /// Whether a label block of `2^level` labels may hold `count` nodes.
@@ -81,10 +96,9 @@ impl TopoOrder {
     /// as a checkpoint stored it. The labels are spread evenly over the
     /// label space.
     pub fn from_order(order: Vec<NodeId>) -> Self {
-        let width = order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
         let mut l = TopoOrder {
             order,
-            labels: vec![ABSENT; width],
+            labels: PagedVec::new(),
         };
         l.spread(0, l.order.len(), 0, SPACE);
         l
@@ -111,9 +125,8 @@ impl TopoOrder {
     pub fn position(&self, v: NodeId) -> Option<u64> {
         self.labels
             .get(v.index())
-            .copied()
-            .filter(|&l| l != ABSENT)
-            .map(u64::from)
+            .filter(|&&l| l != Label::default())
+            .map(|l| u64::from(l.0))
     }
 
     /// The index of `v` in [`TopoOrder::order`] — a binary search over the
@@ -126,17 +139,18 @@ impl TopoOrder {
     /// The label of a node known to be in `L`.
     #[inline]
     fn label(&self, v: NodeId) -> u64 {
-        u64::from(self.labels[v.index()])
+        u64::from(self.labels[v.index()].0)
     }
 
     /// Sets `v`'s label; `label` is below [`SPACE`] or is [`ABSENT`].
     fn set_label(&mut self, v: NodeId, label: u64) {
         #[cfg(test)]
         LABEL_WRITES.with(|c| c.set(c.get() + 1));
-        if v.index() >= self.labels.len() {
-            self.labels.resize(v.index() + 1, ABSENT);
+        if label == u64::from(ABSENT) {
+            self.labels.clear(v.index());
+        } else {
+            *self.labels.get_mut(v.index()) = Label(label as u32);
         }
-        self.labels[v.index()] = label as u32;
     }
 
     /// Labels `order[from..to]` evenly over the labels `[base, end)`.

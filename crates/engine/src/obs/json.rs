@@ -1,9 +1,9 @@
-//! Minimal JSON emission helpers (escape + finite number formatting).
+//! Minimal JSON emission: string escaping.
 //!
 //! The flight recorder emits JSONL by hand — the workspace has no serde —
-//! so the two sharp edges live here once: string escaping and the
-//! guarantee that no `NaN`/`Infinity` literal (which strict parsers reject)
-//! ever reaches a dump.
+//! so the one sharp edge lives here once: escaping a string literal. Its
+//! fields are unsigned integers and strings, so no `NaN` / `Infinity`
+//! literal can reach a dump.
 
 use std::fmt::Write as _;
 
@@ -26,17 +26,6 @@ pub(crate) fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` as a JSON number, mapping non-finite values to 0.0 (a
-/// non-finite field is an instrumentation bug; the dump must still be
-/// parseable).
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.6}");
-    } else {
-        out.push_str("0.0");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,17 +35,5 @@ mod tests {
         let mut s = String::new();
         push_str_escaped(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn non_finite_never_leaks() {
-        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut s = String::new();
-            push_f64(&mut s, v);
-            assert_eq!(s, "0.0");
-        }
-        let mut s = String::new();
-        push_f64(&mut s, 1.5);
-        assert!(s.starts_with("1.5"));
     }
 }

@@ -12,7 +12,7 @@
 //! second), not per update, so the lock is uncontended background noise —
 //! the lock-free budget is spent on the metrics, which *are* per update.
 
-use super::json::{push_f64, push_str_escaped};
+use super::json::push_str_escaped;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -23,10 +23,6 @@ use std::time::Instant;
 pub enum FieldValue {
     /// Unsigned integer field.
     U64(u64),
-    /// Signed integer field.
-    I64(i64),
-    /// Floating-point field (non-finite values export as 0.0).
-    F64(f64),
     /// String field.
     Str(String),
 }
@@ -39,16 +35,6 @@ impl From<u64> for FieldValue {
 impl From<usize> for FieldValue {
     fn from(v: usize) -> Self {
         FieldValue::U64(v as u64)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
     }
 }
 impl From<&str> for FieldValue {
@@ -93,10 +79,6 @@ impl Event {
                 FieldValue::U64(v) => {
                     let _ = write!(out, "{v}");
                 }
-                FieldValue::I64(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                FieldValue::F64(v) => push_f64(&mut out, *v),
                 FieldValue::Str(s) => push_str_escaped(&mut out, s),
             }
         }

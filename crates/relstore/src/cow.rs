@@ -48,12 +48,16 @@ const PAGE_BYTES: usize = 1024;
 ///
 /// Slots never written read as `T::default()`; [`PagedVec::get_mut`] grows
 /// the vector on demand, so a sparse id space costs one shared blank page
-/// per gap.
+/// per gap, and [`PagedVec::clear`] hands a page whose every slot is back
+/// at its default over to that same blank page.
 #[derive(Debug, Clone)]
 pub struct PagedVec<T> {
     /// Every page has exactly [`PagedVec::PAGE`] slots.
     pages: Vec<Arc<[T]>>,
     len: usize,
+    /// The page of defaults every blank page of the vector is, made at the
+    /// first gap, cleared page or collected page of defaults.
+    blank: Option<Arc<[T]>>,
 }
 
 impl<T> Default for PagedVec<T> {
@@ -61,6 +65,7 @@ impl<T> Default for PagedVec<T> {
         PagedVec {
             pages: Vec::new(),
             len: 0,
+            blank: None,
         }
     }
 }
@@ -103,11 +108,47 @@ impl<T: Clone + Default> PagedVec<T> {
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         let page = i / Self::PAGE;
         if self.pages.len() <= page {
-            let blank: Arc<[T]> = (0..Self::PAGE).map(|_| T::default()).collect();
+            let blank = self.blank();
             self.pages.resize(page + 1, blank);
         }
         self.len = self.len.max(i + 1);
         &mut Arc::make_mut(&mut self.pages[page])[i % Self::PAGE]
+    }
+
+    /// The shared blank page.
+    fn blank(&mut self) -> Arc<[T]> {
+        let page = || (0..Self::PAGE).map(|_| T::default()).collect();
+        self.blank.get_or_insert_with(page).clone()
+    }
+
+    /// Sets slot `i` back to `T::default()`: the one write that gives
+    /// memory back. A slot already at its default is not written (nor its
+    /// page copied); a page left with no other slot off its default becomes
+    /// the vector's shared blank page — the page it held is released, not
+    /// copied, and a version that shares it keeps it. `i` at or past
+    /// [`PagedVec::len`] reads as the default already.
+    pub fn clear(&mut self, i: usize)
+    where
+        T: PartialEq,
+    {
+        if i >= self.len {
+            return;
+        }
+        let (page, at) = (i / Self::PAGE, i % Self::PAGE);
+        let blank = T::default();
+        let slots = &self.pages[page];
+        if slots[at] == blank {
+            return;
+        }
+        if slots
+            .iter()
+            .enumerate()
+            .all(|(j, slot)| j == at || *slot == blank)
+        {
+            self.pages[page] = self.blank();
+        } else {
+            Arc::make_mut(&mut self.pages[page])[at] = blank;
+        }
     }
 
     /// The slots `0..len` in index order.
@@ -139,24 +180,30 @@ impl<T: Clone + Default> Index<usize> for PagedVec<T> {
     }
 }
 
-impl<T: Clone + Default> FromIterator<T> for PagedVec<T> {
+impl<T: Clone + Default + PartialEq> FromIterator<T> for PagedVec<T> {
     /// Builds the vector page by page: every page is allocated once at its
     /// final size and written once, where repeated [`PagedVec::push`] looks
-    /// up (and unshares) the last page per slot.
+    /// up (and unshares) the last page per slot. A page that comes out
+    /// all defaults — a range of free ids — is the shared blank page, as
+    /// [`PagedVec::clear`] leaves it.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut iter = iter.into_iter().fuse();
-        let mut pages = Vec::new();
-        let mut len = 0;
+        let mut vec = PagedVec::new();
+        let blank = T::default();
         loop {
             let mut filled = 0;
             let page: Arc<[T]> = (0..Self::PAGE)
                 .map(|_| iter.next().inspect(|_| filled += 1).unwrap_or_default())
                 .collect();
             if filled == 0 {
-                return PagedVec { pages, len };
+                return vec;
             }
-            pages.push(page);
-            len += filled;
+            let page = match page.iter().all(|slot| *slot == blank) {
+                true => vec.blank(),
+                false => page,
+            };
+            vec.pages.push(page);
+            vec.len += filled;
         }
     }
 }
@@ -526,6 +573,53 @@ mod tests {
         assert_eq!((v[900], v.iter().count()), (0, 902));
         v.truncate(PAGE);
         assert_eq!((v.len(), v.pages.len()), (PAGE, 1));
+    }
+
+    #[test]
+    fn a_page_cleared_to_defaults_becomes_the_shared_blank_page() {
+        let mut v: PagedVec<u32> = PagedVec::new();
+        *v.get_mut(3 * PAGE - 1) = 5;
+        for i in PAGE..2 * PAGE {
+            *v.get_mut(i) = 1;
+        }
+        let pinned = v.clone();
+        for i in PAGE..2 * PAGE - 1 {
+            v.clear(i);
+        }
+        // One slot still off its default: the page is a copy, not blank.
+        assert!(!Arc::ptr_eq(&v.pages[1], &v.pages[0]));
+        v.clear(2 * PAGE - 1);
+        assert!(Arc::ptr_eq(&v.pages[1], &v.pages[0]));
+        assert_eq!(
+            (v.len(), v[2 * PAGE - 1], v[3 * PAGE - 1]),
+            (3 * PAGE, 0, 5)
+        );
+        // The clone keeps what it held; a cleared page is written afresh.
+        assert!(pinned.iter().skip(PAGE).take(PAGE).all(|&x| x == 1));
+        *v.get_mut(PAGE) = 2;
+        assert_eq!((v[PAGE], v[0]), (2, 0));
+        // Clearing a default slot, or one past the end, writes nothing.
+        let before = v.clone();
+        v.clear(0);
+        v.clear(9 * PAGE);
+        assert!(Arc::ptr_eq(&v.pages[0], &before.pages[0]));
+        assert_eq!(v.len(), 3 * PAGE);
+        // The last live slot of a page that is shared: replaced, not copied.
+        let mut w: PagedVec<u32> = PagedVec::new();
+        *w.get_mut(7) = 1;
+        let held = w.clone();
+        w.clear(7);
+        assert!(Arc::ptr_eq(&w.pages[0], w.blank.as_ref().unwrap()));
+        assert_eq!(held[7], 1);
+    }
+
+    #[test]
+    fn a_collected_page_of_defaults_is_the_shared_blank_page() {
+        let slots = (0..3 * PAGE as u32).map(|i| u32::from(i < 5));
+        let v: PagedVec<u32> = slots.collect();
+        assert_eq!((v.len(), v[4], v[5]), (3 * PAGE, 1, 0));
+        assert!(!Arc::ptr_eq(&v.pages[0], &v.pages[1]));
+        assert!(Arc::ptr_eq(&v.pages[1], &v.pages[2]));
     }
 
     #[test]

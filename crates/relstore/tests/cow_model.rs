@@ -120,7 +120,14 @@ proptest! {
                     }
                     model[i] = val;
                 }
-                6..=7 => prop_assert_eq!(vec.get(i), model.get(i)),
+                6 => prop_assert_eq!(vec.get(i), model.get(i)),
+                7 => {
+                    // Back to the default; the length stays.
+                    vec.clear(i);
+                    if let Some(slot) = model.get_mut(i) {
+                        *slot = 0;
+                    }
+                }
                 8 => {
                     prop_assert_eq!(vec.len(), model.len());
                     prop_assert!(vec.iter().eq(model.iter()), "version {} diverged", at);
