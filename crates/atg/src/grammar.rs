@@ -113,7 +113,6 @@ pub struct Atg {
     attr_types: Vec<Vec<ValueType>>,
     rules: BTreeMap<(TypeId, TypeId), RuleBody>,
     base_schemas: Vec<TableSchema>,
-    type_reach: crate::typereach::TypeReach,
 }
 
 impl Atg {
@@ -129,13 +128,6 @@ impl Atg {
     /// The DTD `D` embedded in the grammar.
     pub fn dtd(&self) -> &Dtd {
         &self.dtd
-    }
-
-    /// The type-level descendant-or-self closure of the production graph,
-    /// computed once at grammar construction: which node types a `//label`
-    /// step can ever match below which containers.
-    pub fn type_reach(&self) -> &crate::typereach::TypeReach {
-        &self.type_reach
     }
 
     /// Field names of `$ty`.
@@ -573,14 +565,12 @@ impl AtgBuilder {
             .into_iter()
             .map(Option::unwrap_or_default)
             .collect();
-        let type_reach = crate::typereach::TypeReach::compute(&dtd);
         Ok(Atg {
             dtd,
             attr_names,
             attr_types,
             rules,
             base_schemas,
-            type_reach,
         })
     }
 }

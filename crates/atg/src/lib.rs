@@ -8,9 +8,11 @@
 //! - [`publish()`]: generation of the view `σ(I)` directly as a [`Dag`],
 //!   subtree generation `ST(A,t)` ([`generate_subtree`]), tree expansion,
 //!   and acyclicity checking;
-//! - [`registrar_atg`]: the paper's running example (`I₀`, `D₀`, `σ₀`);
-//! - [`TypeReach`]: the type-level descendant-or-self closure of the
-//!   production graph — the static bound behind `//`-path planning.
+//! - [`registrar_atg`]: the paper's running example (`I₀`, `D₀`, `σ₀`).
+//!
+//! The static bound behind `//`-path planning, the descendant-or-self
+//! closure of the production graph, is the DTD's own
+//! ([`rxview_xmlkit::Dtd::can_reach`]).
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -19,10 +21,8 @@ mod genid;
 mod grammar;
 mod publish;
 mod registrar;
-mod typereach;
 
 pub use genid::{GenId, Interner, NodeId, Provisional};
 pub use grammar::{Atg, AtgBuilder, AtgError, RuleBody};
 pub use publish::{generate_subtree, publish, publish_leaves_first, Dag, PublishError, SubtreeDag};
 pub use registrar::{registrar_atg, registrar_database, registrar_schema};
-pub use typereach::TypeReach;

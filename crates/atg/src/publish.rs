@@ -316,58 +316,6 @@ impl Dag {
         }
     }
 
-    /// Serializes the DAG *without* expanding shared subtrees: the first
-    /// occurrence of a node is emitted in full with an `id` attribute; every
-    /// further occurrence becomes an empty element with a `ref` attribute.
-    /// This is the textual counterpart of the compression of Fig.1 (the
-    /// dotted arrows), and stays linear in the DAG size where
-    /// [`Dag::expand`] can be exponential.
-    pub fn serialize_compact(&self, atg: &Atg) -> String {
-        let mut out = String::new();
-        let mut emitted: BTreeSet<NodeId> = BTreeSet::new();
-        self.write_compact(atg, self.root(), 0, &mut emitted, &mut out);
-        out
-    }
-
-    fn write_compact(
-        &self,
-        atg: &Atg,
-        v: NodeId,
-        depth: usize,
-        emitted: &mut BTreeSet<NodeId>,
-        out: &mut String,
-    ) {
-        use std::fmt::Write as _;
-        let pad = "  ".repeat(depth);
-        let ty = self.genid.type_of(v);
-        let name = atg.dtd().name(ty);
-        let shared = self.parents(v).len() > 1;
-        if !emitted.insert(v) {
-            let _ = writeln!(out, "{pad}<{name} ref=\"n{}\"/>", v.0);
-            return;
-        }
-        let id_attr = if shared {
-            format!(" id=\"n{}\"", v.0)
-        } else {
-            String::new()
-        };
-        if atg.dtd().is_pcdata(ty) {
-            let text = atg.text_of(ty, self.genid.attr_of(v));
-            let _ = writeln!(out, "{pad}<{name}{id_attr}>{text}</{name}>");
-            return;
-        }
-        let children = self.children(v);
-        if children.is_empty() {
-            let _ = writeln!(out, "{pad}<{name}{id_attr}/>");
-            return;
-        }
-        let _ = writeln!(out, "{pad}<{name}{id_attr}>");
-        for &c in children {
-            self.write_compact(atg, c, depth + 1, emitted, out);
-        }
-        let _ = writeln!(out, "{pad}</{name}>");
-    }
-
     /// The live nodes leaves first — every node after all of its children,
     /// the root last, the smallest ready id next: the topological order `L`
     /// of §3.1, by Kahn's algorithm on out-degrees. `None` if the live
@@ -395,11 +343,6 @@ impl Dag {
             }
         }
         (order.len() == genid.n_live()).then_some(order)
-    }
-
-    /// Whether the live nodes hold no cycle.
-    pub fn is_acyclic(&self) -> bool {
-        self.leaves_first().is_some()
     }
 }
 

@@ -177,7 +177,7 @@ mod tests {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let dag = publish(&atg, &db).unwrap();
-        assert!(dag.is_acyclic());
+        assert!(dag.leaves_first().is_some());
         let course = atg.dtd().type_id("course").unwrap();
         // Three distinct CS course nodes, each stored once despite the
         // shared prerequisite subtrees.
@@ -223,7 +223,7 @@ mod tests {
         // CS240 three times (top-level + under CS320 twice).
         let course = dtd.type_id("course").unwrap();
         let course_nodes = tree
-            .preorder()
+            .descendants(tree.root())
             .into_iter()
             .filter(|&n| tree.node(n).ty() == course)
             .count();
@@ -232,34 +232,6 @@ mod tests {
         let s = tree.serialize(dtd);
         assert!(s.contains("<cno>CS650</cno>"));
         assert!(!s.contains("MA100")); // non-CS filtered out
-    }
-
-    #[test]
-    fn compact_serialization_shares_subtrees() {
-        let db = registrar_database();
-        let atg = registrar_atg(&db).unwrap();
-        let dag = publish(&atg, &db).unwrap();
-        let compact = dag.serialize_compact(&atg);
-        // CS320's full subtree appears once; the second occurrence is a ref.
-        assert_eq!(compact.matches("<cno>CS320</cno>").count(), 1);
-        assert!(compact.contains("ref=\"n"));
-        // Compact output is smaller than the full expansion.
-        let full = dag.expand(&atg).serialize(atg.dtd());
-        assert!(compact.len() < full.len());
-        // Every ref points at an id that was emitted.
-        for refline in compact.lines().filter(|l| l.contains("ref=\"")) {
-            let id = refline
-                .split("ref=\"")
-                .nth(1)
-                .unwrap()
-                .split('\"')
-                .next()
-                .unwrap();
-            assert!(
-                compact.contains(&format!("id=\"{id}\"")),
-                "dangling ref {id} in:\n{compact}"
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! `TypeReach` soundness: the static type-level closure must admit every
-//! ancestor/descendant pair that can occur in a published instance, and it
-//! must agree with a naive per-type graph search on arbitrary DTDs.
+//! The DTD's descendant-or-self closure (`Dtd::can_reach`): it must agree
+//! with a naive per-type graph search on arbitrary DTDs, and admit every
+//! ancestor/descendant pair that can occur in a published instance.
 
 use proptest::prelude::*;
-use rxview_atg::{publish, registrar_atg, registrar_database, TypeReach};
+use rxview_atg::{publish, registrar_atg, registrar_database};
 use rxview_xmlkit::{Dtd, TypeId};
 use std::collections::BTreeSet;
 
@@ -51,25 +51,33 @@ fn random_dtd(n: usize, edges: &[(usize, usize)]) -> Dtd {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On arbitrary production graphs (including cyclic ones), the closure
-    /// equals the naive per-type BFS.
+    /// On arbitrary production graphs (including cyclic ones, and past one
+    /// 64-bit word of types), the closure equals the naive per-type BFS, and
+    /// the DTD is recursive iff some type is reachable from one of its
+    /// children.
     #[test]
     fn closure_matches_naive_bfs(
-        n in 1usize..12,
-        edges in prop::collection::vec((0usize..12, 0usize..12), 0..30),
+        n in 1usize..80,
+        edges in prop::collection::vec((0usize..80, 0usize..80), 0..120),
     ) {
         let dtd = random_dtd(n, &edges);
-        let tr = TypeReach::compute(&dtd);
         for a in dtd.types() {
             let naive = naive_reachable(&dtd, a);
+            prop_assert!(dtd.reachable_from(a).eq(naive.iter().copied()));
             for d in dtd.types() {
                 prop_assert_eq!(
-                    tr.can_reach(a, d),
+                    dtd.can_reach(a, d),
                     naive.contains(&d),
                     "{} -> {}", dtd.name(a), dtd.name(d)
                 );
             }
         }
+        let in_cycle = dtd.types().any(|t| {
+            dtd.children_of(t)
+                .iter()
+                .any(|&c| naive_reachable(&dtd, c).contains(&t))
+        });
+        prop_assert_eq!(dtd.is_recursive(), in_cycle);
     }
 }
 
@@ -82,7 +90,6 @@ fn published_dag_pairs_are_admitted() {
     let db = registrar_database();
     let atg = registrar_atg(&db).unwrap();
     let dag = publish(&atg, &db).unwrap();
-    let tr = atg.type_reach();
     let genid = dag.genid();
     for a in genid.live_ids() {
         // DFS to all concrete descendants of `a`.
@@ -95,7 +102,7 @@ fn published_dag_pairs_are_admitted() {
         }
         for d in seen {
             assert!(
-                tr.can_reach(genid.type_of(a), genid.type_of(d)),
+                atg.dtd().can_reach(genid.type_of(a), genid.type_of(d)),
                 "instance pair not admitted by type closure: {:?} -> {:?}",
                 genid.type_of(a),
                 genid.type_of(d)

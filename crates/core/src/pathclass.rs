@@ -1,10 +1,9 @@
 //! Path classification and anchor resolution: which bounded region of the
-//! view can a path touch — for conflict planning, and for evaluation?
+//! view can a path touch, and so which nodes must an evaluation visit?
 //!
-//! The serving engine partitions concurrent updates by *cones* — node sets
-//! closed enough under the DAG structure that two updates with disjoint
-//! cones (and disjoint typed relational footprints) commute. This module
-//! owns the classification ([`classify`]) and the one resolver
+//! A *cone* is a node set closed enough under the DAG structure that a
+//! path's matches, and the edges it matches, lie inside it. This module owns
+//! the classification ([`classify`]) and the one resolver
 //! ([`resolve_anchors`]) that turns a class into concrete anchor nodes by
 //! probing the maintained `gen_A` registries — single key-anchored cones,
 //! and **bounded multi-anchor cones** for leading-`//` and wildcard-rooted
@@ -13,12 +12,12 @@
 //! - [`PathClass::Anchored`] — the first normalized step is a labelled
 //!   child step: every match lies under a *top-level* node of that type
 //!   satisfying the step's `field = value` filters. One cone per anchor.
-//! - [`PathClass::Descendant`] — the path leads with `//label`. The ATG's
-//!   [`rxview_atg::TypeReach`] closure statically bounds where such a match
-//!   can sit, and — when the filter pins a single-field `pcdata` projection
-//!   — the maintained `gen_label` table is probed with the typed
-//!   `(table, column, value)` key to enumerate the *concrete* candidate
-//!   matches. The cone is the union over
+//! - [`PathClass::Descendant`] — the path leads with `//label`. The DTD's
+//!   descendant-or-self closure ([`rxview_xmlkit::Dtd::can_reach`])
+//!   statically bounds where such a match can sit, and — when the filter
+//!   pins a single-field `pcdata` projection — the maintained `gen_label`
+//!   table is probed with the typed `(table, column, value)` key to
+//!   enumerate the *concrete* candidate matches. The cone is the union over
 //!   those anchors of `{anchor} ∪ desc(anchor) ∪ anc(anchor)` — ancestors
 //!   included because a `//`-match's parent edges and matched root-paths
 //!   climb above the anchor.
@@ -27,7 +26,7 @@
 //!   anchors resolve per candidate type, like `Anchored` but multi-typed.
 //! - [`PathClass::Global`] — nothing bounds the path (unfilterable
 //!   wildcard, `//` not followed by a label, unknown label, empty path):
-//!   the update conflicts with everything and the engine serializes it.
+//!   it is evaluated over the whole view.
 //!
 //! The same anchor set doubles as an **evaluation scope**
 //! ([`scope_of_anchors`], [`union_scope`]): the nodes of `{root} ∪ cones`
@@ -35,9 +34,10 @@
 //! sub-DAG, and the §3.2 two-pass evaluation over that subsequence returns
 //! exactly the matches of the full evaluation (`tests/scoped_eval.rs` and
 //! the engine's property tests assert this equality). Every evaluation in
-//! the system — the analyzer's dry run, reads, `apply`, recovery replay —
-//! resolves its scope here, through
-//! [`crate::XmlViewSystem::eval`].
+//! the system — reads, `apply`, recovery replay — resolves its scope here,
+//! through [`crate::XmlViewSystem::eval`]; so does `rxbench`'s conflict
+//! analysis (`rxview_engine::Analysis`), which also records the reads a
+//! resolution makes.
 
 use crate::footprint::{pin_filter, FilterPin};
 use crate::reach::{with_walk, Reachability};
@@ -268,8 +268,8 @@ pub fn sub_steps(
 }
 
 /// Largest candidate-anchor set a `//`-headed or wildcard-rooted path may
-/// resolve to before it is treated as global: the bound the engine's
-/// planner, reads and replay all resolve under.
+/// resolve to before it is treated as global: the bound reads, `apply` and
+/// replay all resolve under.
 pub const MAX_CONE_ANCHORS: usize = 64;
 
 /// The resolved anchor set of a classified path ([`resolve_anchors`]): a
@@ -287,7 +287,8 @@ pub struct Anchors {
 }
 
 /// Resolves the anchor set of a classified path against the current state —
-/// the **one** resolver behind conflict planning, reads, `apply` and replay.
+/// the **one** resolver behind reads, `apply`, replay and the conflict
+/// analysis.
 /// Every head is answered from the maintained `gen_A` registries through
 /// their lazy column indexes:
 ///
@@ -313,13 +314,13 @@ pub struct Anchors {
 /// a `//` head is bounded only by the type's instance count (then any
 /// interning or GC of the type would change the answer). Probes are
 /// classified by the same `pin_filter` the read recording uses — the probe
-/// must consult exactly the keys recorded as reads, or a round could stop
-/// being conflict-free.
+/// must consult exactly the keys recorded as reads, or a planned footprint
+/// could miss a read the resolution made.
 ///
 /// Soundness: unusable filter conjuncts only narrow the real match set
 /// further, a top-level match is by definition a child of the root, and
-/// [`rxview_atg::TypeReach`] guarantees no `//` match can exist outside the
-/// type's instance set.
+/// the DTD's closure ([`rxview_xmlkit::Dtd::can_reach`]) guarantees no `//`
+/// match can exist outside the type's instance set.
 pub fn resolve_anchors(
     vs: &ViewStore,
     class: &PathClass,
@@ -400,7 +401,7 @@ fn candidates(
     }
     // Static bound: a type unreachable from the root has no live instances
     // and never will have.
-    if !top_level && !atg.type_reach().can_reach(atg.dtd().root(), ty) {
+    if !top_level && !atg.dtd().can_reach(atg.dtd().root(), ty) {
         return Some(Vec::new());
     }
     let mut probes: Vec<(usize, rxview_relstore::Value)> = Vec::new();

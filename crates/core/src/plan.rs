@@ -44,7 +44,7 @@
 
 use crate::dag_eval::DagEval;
 use crate::pathclass::{classify, PathClass};
-use crate::reach::with_walk;
+use crate::reach::{with_walk, Stamps};
 use crate::shape::{bind, shape_of};
 use crate::template::TranslationTemplates;
 #[cfg(test)]
@@ -376,9 +376,9 @@ const CACHE_CAP_PER_SHARD: usize = 512;
 
 /// The engine-wide plan cache: shape key → compiled [`UpdatePlan`], sharded
 /// by key hash. One `Arc` lives in every [`ViewStore`] clone of a published
-/// store (planner, round working states, snapshot readers, recovery replay,
-/// workload generators all share it). Compilation happens under the shard lock so a shape is
-/// compiled exactly once even under concurrent probes.
+/// store (round working states, snapshot readers, recovery replay and
+/// workload generators share it). Compilation happens under the shard lock,
+/// so a shape is compiled exactly once even under concurrent probes.
 pub struct PlanCache {
     shards: Vec<Mutex<HashMap<String, Arc<UpdatePlan>>>>,
     hits: AtomicU64,
@@ -498,25 +498,20 @@ impl PlanCache {
 struct EvalScratch {
     /// Predicate values: `val[v.index() * np + pi]`.
     val: Vec<bool>,
-    /// Per node id, the generation of the last evaluation that held it.
-    stamp: Vec<u32>,
-    /// The running evaluation's generation; 0 is no evaluation's.
-    generation: u32,
+    /// The running evaluation's scope: the ids it marked.
+    scope: Stamps,
 }
 
 impl EvalScratch {
     /// Starts an evaluation over `n_ids` node ids with `np` predicates: a
-    /// fresh generation, and the arena grown (never shrunk) to cover them.
+    /// fresh scope generation, and the arena grown (never shrunk) to cover
+    /// them.
     fn begin(&mut self, n_ids: usize, np: usize) {
         self.val.resize(self.val.len().max(n_ids * np), false);
-        self.stamp.resize(self.stamp.len().max(n_ids), 0);
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Every 2^32 evaluations on a thread: forget them all.
+        if self.scope.begin(n_ids) {
+            // Every 2^32 evaluations on a thread the stamps are zeroed.
             #[cfg(test)]
-            tests::ARENA_CELLS.with(|c| c.set(c.get() + self.stamp.len()));
-            self.stamp.fill(0);
-            self.generation = 1;
+            tests::ARENA_CELLS.with(|c| c.set(c.get() + self.scope.len()));
         }
     }
 }
@@ -614,25 +609,22 @@ fn eval_plan_with(
     let atg = vs.atg();
     let genid = vs.dag().genid();
     scratch.begin(genid.n_allocated(), np);
-    let generation = scratch.generation;
     // The matrix and stamps move out of the arena for the call and return
     // before exit: indexed through a borrow of the arena, the loop below
     // ran anchored full passes ≈ 7 % slower.
     let mut val = std::mem::take(&mut scratch.val);
-    let mut stamp = std::mem::take(&mut scratch.stamp);
+    let mut scope = std::mem::take(&mut scratch.scope);
     #[cfg(test)]
     tests::ARENA_CELLS.with(|c| c.set(c.get() + (np + 1) * order.len()));
     for &v in order {
         let vi = v.index() * np;
-        stamp[v.index()] = generation;
+        scope.mark(v);
         let vty = genid.type_of(v);
         let text_is = |s: &str| atg.dtd().is_pcdata(vty) && atg.text_eq(vty, genid.attr_of(v), s);
         for (pi, pred) in preds.iter().enumerate() {
             // A child's cells hold this evaluation's values iff it is in
             // scope.
-            let child_holds = |pi: usize, c: NodeId| {
-                stamp.get(c.index()) == Some(&generation) && val[c.index() * np + pi]
-            };
+            let child_holds = |pi: usize, c: NodeId| scope.holds(c) && val[c.index() * np + pi];
             let value = match pred {
                 PPred::True => true,
                 PPred::TypeIs(ty) => Some(vty) == *ty,
@@ -659,7 +651,7 @@ fn eval_plan_with(
             val[vi + pi] = value;
         }
     }
-    let in_scope = |v: NodeId| stamp.get(v.index()) == Some(&generation);
+    let in_scope = |v: NodeId| scope.holds(v);
     let holds = |pi: usize, v: NodeId| in_scope(v) && val[v.index() * np + pi];
     let dag = vs.dag();
 
@@ -712,7 +704,7 @@ fn eval_plan_with(
     }
     if cur.is_empty() {
         scratch.val = val;
-        scratch.stamp = stamp;
+        scratch.scope = scope;
         return DagEval::default();
     }
 
@@ -776,7 +768,7 @@ fn eval_plan_with(
     }
     sort_dedup(&mut edge_parents);
     scratch.val = val;
-    scratch.stamp = stamp;
+    scratch.scope = scope;
 
     DagEval {
         selected: cur,

@@ -679,42 +679,80 @@ impl Reachability {
     }
 }
 
+/// A per-id generation arena: one `u32` stamp per node id, and the running
+/// generation. An id is marked in the running generation iff its stamp is
+/// the generation, so starting a new one clears nothing — a user writes a
+/// stamp per id it marks, whatever the size of the view. The evaluator's
+/// scope and [`DescWalk`]'s reached set are both one.
+#[derive(Debug, Default)]
+pub(crate) struct Stamps {
+    /// Per node id, the generation that last marked it.
+    stamp: Vec<u32>,
+    /// The running generation; 0 is no generation's.
+    generation: u32,
+}
+
+impl Stamps {
+    /// Starts a new generation over the ids below `n_ids`, growing (never
+    /// shrinking) the arena to cover them: no id is marked. Whether the
+    /// arena was zeroed whole — once every 2^32 generations, when the
+    /// counter wraps and restarts at 1.
+    pub(crate) fn begin(&mut self, n_ids: usize) -> bool {
+        if self.stamp.len() < n_ids {
+            self.stamp.resize(n_ids, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        let wrapped = self.generation == 0;
+        if wrapped {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        wrapped
+    }
+
+    /// Marks `v` — an id below the `n_ids` the generation began with;
+    /// whether it was not marked yet. (No growth check here: one in the
+    /// walk's inner loop made it half as fast again.)
+    pub(crate) fn mark(&mut self, v: NodeId) -> bool {
+        let stamp = &mut self.stamp[v.index()];
+        std::mem::replace(stamp, self.generation) != self.generation
+    }
+
+    /// Whether the running generation marked `v` (any id; one past the
+    /// arena was never marked).
+    pub(crate) fn holds(&self, v: NodeId) -> bool {
+        self.stamp.get(v.index()) == Some(&self.generation)
+    }
+
+    /// The arena's length in ids.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.stamp.len()
+    }
+}
+
 /// A descendant set, now that `M` stores ancestors only: a walk down the
-/// `Dag`'s child lists. Each node the walk reaches is stamped with the
-/// set's generation, so it is reached once, and nothing is cleared between
-/// sets: a walk writes a stamp per node it reaches, whatever the size of
-/// the view. The nodes reached are their own work list — the walk expands
-/// its output in order, breadth first. One walk per thread ([`with_walk`])
-/// serves the evaluator's `//` steps, the scope builder and the maintenance
-/// fold, so no call allocates `O(|V|)`.
+/// `Dag`'s child lists. Each node the walk reaches is marked in the set's
+/// generation of a [`Stamps`] arena, so it is reached once. The nodes
+/// reached are their own work list — the walk expands its output in order,
+/// breadth first. One walk per thread ([`with_walk`]) serves the
+/// evaluator's `//` steps, the scope builder and the maintenance fold, so
+/// no call allocates `O(|V|)`.
 #[derive(Debug, Default)]
 pub(crate) struct DescWalk {
-    /// Per node id, the generation of the last set that reached it.
-    stamp: Vec<u32>,
-    /// The running set's generation; 0 is no set's.
-    generation: u32,
+    reached: Stamps,
 }
 
 impl DescWalk {
     /// Starts a new set over the ids below `n_ids`: no node is reached.
     pub(crate) fn begin(&mut self, n_ids: usize) {
-        if self.stamp.len() < n_ids {
-            self.stamp.resize(n_ids, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Every 2^32 sets on a thread: forget them all.
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
+        self.reached.begin(n_ids);
     }
 
     /// Marks `v` — an id below the `n_ids` the set began with — reached;
-    /// whether the set had not reached it yet. (No growth check here: one
-    /// in the walk's inner loop made it half as fast again.)
+    /// whether the set had not reached it yet.
     pub(crate) fn reach(&mut self, v: NodeId) -> bool {
-        let stamp = &mut self.stamp[v.index()];
-        std::mem::replace(stamp, self.generation) != self.generation
+        self.reached.mark(v)
     }
 
     /// Walks below `out[from..]`, nodes the set has reached: each of

@@ -67,7 +67,7 @@ proptest! {
         let edges: Vec<(usize, usize)> =
             edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let dag = build_dag(n, &edges);
-        prop_assert!(dag.is_acyclic());
+        prop_assert!(dag.leaves_first().is_some());
         let topo = TopoOrder::compute(&dag);
         prop_assert!(topo.is_valid_for(&dag));
         let fast = Reachability::compute(&dag, &topo);
@@ -129,7 +129,7 @@ proptest! {
             }
             rank.push((id, r));
         }
-        prop_assert!(dag.is_acyclic());
+        prop_assert!(dag.leaves_first().is_some());
         let topo = TopoOrder::compute(&dag);
         let fast = Reachability::compute(&dag, &topo);
         let model = closure(&dag);

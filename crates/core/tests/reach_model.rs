@@ -5,7 +5,7 @@
 //! snapshot and its successor, so an edit that wrote through a shared run
 //! would show up as one of the two no longer matching its own model.
 //!
-//! Root `tests/reach_model.rs` includes this file, so tier-1 runs it too.
+//! The facade's `tests/reach_model.rs` includes this file and runs it.
 
 use proptest::prelude::*;
 use rxview_atg::NodeId;

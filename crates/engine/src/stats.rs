@@ -179,9 +179,9 @@ metric_table! {
         // --- commits / snapshots ---
         /// `commit_pending` rounds that found work.
         commits: counter "commit.calls",
-        /// Conflict-free batches committed.
+        /// Rounds committed (queue prefixes of at most `max_batch` updates).
         batches: counter "commit.batches",
-        /// Largest batch committed.
+        /// Largest round committed.
         max_batch: counter "commit.max_batch",
         /// Snapshots published (= epochs advanced).
         snapshots_published: counter "snapshot.published",

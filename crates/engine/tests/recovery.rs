@@ -51,13 +51,10 @@ fn copy_dir(src: &Path, tag: &str) -> PathBuf {
     dst
 }
 
-/// `crates/engine/tests/fixtures`, from the engine's manifest root or the
-/// facade's (whose `tests/recovery.rs` includes this file).
+/// `crates/engine/tests/fixtures`, from the facade's manifest root (its
+/// `tests/recovery.rs` includes this file).
 fn fixtures() -> PathBuf {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let dirs = ["tests/fixtures", "crates/engine/tests/fixtures"];
-    let found = dirs.iter().map(|dir| root.join(dir)).find(|p| p.is_dir());
-    found.expect("the fixtures directory")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/engine/tests/fixtures")
 }
 
 fn durable_config(checkpoint_rounds: u64) -> EngineConfig {

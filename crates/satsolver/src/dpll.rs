@@ -23,11 +23,6 @@ impl DpllResult {
             DpllResult::Unsat => None,
         }
     }
-
-    /// Whether the result is SAT.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, DpllResult::Sat(_))
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn empty_formula_sat() {
-        assert!(dpll(&CnfFormula::new()).is_sat());
+        assert!(dpll(&CnfFormula::new()).assignment().is_some());
     }
 
     #[test]
@@ -222,10 +217,10 @@ mod tests {
             let w = walksat(&f, &WalkSatConfig { max_flips: 2000, max_tries: 3, ..Default::default() });
             if let WalkSatResult::Sat(a) = &w {
                 prop_assert!(f.eval(a));
-                prop_assert!(d.is_sat());
+                prop_assert!(d.assignment().is_some());
             }
             // If DPLL says UNSAT, WalkSAT must not find a witness.
-            if !d.is_sat() {
+            if d.assignment().is_none() {
                 prop_assert!(matches!(w, WalkSatResult::Unknown));
             }
         }

@@ -53,12 +53,6 @@ impl ChurnGen {
             .expect("generated path parses")
     }
 
-    /// Number of heads the generator works over; a window holds at most
-    /// that many updates.
-    pub fn n_heads(&self) -> usize {
-        self.idle.len() + self.live.len()
-    }
-
     /// The next window of `w` updates, no two under one head: `w / 2`
     /// deletions of the oldest live fresh nodes, then `w / 2` insertions of
     /// new ones — all insertions while fewer than `w / 2` are live.
@@ -96,7 +90,8 @@ mod tests {
         let atg = synthetic_atg(&db).expect("valid ATG");
         let mut sys = XmlViewSystem::new(atg, db).expect("publishes");
         let mut gen = ChurnGen::new(&sys, 16, 40);
-        assert!(gen.n_heads() >= 8, "{} heads take children", gen.n_heads());
+        let heads = gen.idle.len() + gen.live.len();
+        assert!(heads >= 8, "{heads} heads take children");
         let published = sys.view().n_nodes();
         let mut sizes = Vec::new();
         for _ in 0..6 {

@@ -281,7 +281,7 @@ mod tests {
         .unwrap();
         assert!(d.is_recursive());
         let part = d.root();
-        assert!(d.recursive_types().contains(&part));
+        assert!(d.children_of(part).iter().any(|&c| d.can_reach(c, part)));
     }
 
     #[test]

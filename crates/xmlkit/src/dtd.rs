@@ -11,7 +11,7 @@
 //! footnote ①), so this is the only form we model. A DTD is *recursive* if a
 //! type is defined (directly or indirectly) in terms of itself.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Interned identifier of an element type.
@@ -79,6 +79,9 @@ pub struct Dtd {
     by_name: HashMap<String, TypeId>,
     prods: Vec<Production>,
     root: TypeId,
+    /// The descendant-or-self closure, one row of bit words per type
+    /// ([`closure`]).
+    closure: Vec<u64>,
 }
 
 impl Dtd {
@@ -136,35 +139,55 @@ impl Dtd {
         matches!(self.production(t), Production::PcData)
     }
 
-    /// Types reachable from `t` in the type graph (including `t`).
-    pub fn reachable_from(&self, t: TypeId) -> BTreeSet<TypeId> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![t];
-        while let Some(u) = stack.pop() {
-            if seen.insert(u) {
-                stack.extend(self.children_of(u));
-            }
-        }
-        seen
+    /// Whether a node of type `desc` can occur at or below a node of type
+    /// `anc`: `desc` is reachable from `anc` through zero or more production
+    /// edges. A static over-approximation of every instance — a `//` step
+    /// below an `anc` node can only ever land on such a type.
+    pub fn can_reach(&self, anc: TypeId, desc: TypeId) -> bool {
+        let words = self.names.len().div_ceil(64);
+        self.closure[anc.index() * words + desc.index() / 64] >> (desc.index() % 64) & 1 == 1
+    }
+
+    /// Types reachable from `t` in the type graph (including `t`), in id
+    /// order.
+    pub fn reachable_from(&self, t: TypeId) -> impl Iterator<Item = TypeId> + '_ {
+        self.types().filter(move |&d| self.can_reach(t, d))
     }
 
     /// Whether the DTD is recursive: some type reaches itself through one or
     /// more production edges.
     pub fn is_recursive(&self) -> bool {
-        self.types().any(|t| self.type_in_cycle(t))
+        self.types()
+            .any(|t| self.children_of(t).iter().any(|&c| self.can_reach(c, t)))
     }
+}
 
-    /// The set of types that participate in a cycle.
-    pub fn recursive_types(&self) -> BTreeSet<TypeId> {
-        self.types().filter(|&t| self.type_in_cycle(t)).collect()
+/// The descendant-or-self closure of the production graph `prods`, as rows
+/// of `n.div_ceil(64)` bit words: bit `d` of row `a` is set iff type `d` is
+/// reachable from type `a`. Saturates `row(a) |= row(c)` over the edges
+/// `a → c`; the type graph is a few dozen nodes, closed once per DTD.
+fn closure(prods: &[Production]) -> Vec<u64> {
+    let words = prods.len().div_ceil(64);
+    let mut rows = vec![0u64; prods.len() * words];
+    for t in 0..prods.len() {
+        rows[t * words + t / 64] |= 1 << (t % 64);
     }
-
-    fn type_in_cycle(&self, t: TypeId) -> bool {
-        // t is in a cycle iff t is reachable from one of its children.
-        self.children_of(t)
-            .iter()
-            .any(|&c| self.reachable_from(c).contains(&t))
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (a, prod) in prods.iter().enumerate() {
+            for c in prod.child_types() {
+                for w in 0..words {
+                    let add = rows[c.index() * words + w] & !rows[a * words + w];
+                    if add != 0 {
+                        rows[a * words + w] |= add;
+                        changed = true;
+                    }
+                }
+            }
+        }
     }
+    rows
 }
 
 impl fmt::Display for Dtd {
@@ -295,6 +318,7 @@ impl DtdBuilder {
         Ok(Dtd {
             names,
             by_name,
+            closure: closure(&prods),
             prods,
             root,
         })
@@ -324,6 +348,7 @@ pub fn registrar_dtd() -> Dtd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn registrar_dtd_builds() {
@@ -349,12 +374,10 @@ mod tests {
     fn recursion_detected_via_prereq() {
         let d = registrar_dtd();
         assert!(d.is_recursive());
-        let course = d.type_id("course").unwrap();
-        let prereq = d.type_id("prereq").unwrap();
-        let rec = d.recursive_types();
-        assert!(rec.contains(&course));
-        assert!(rec.contains(&prereq));
-        assert!(!rec.contains(&d.type_id("student").unwrap()));
+        let ty = |n: &str| d.type_id(n).unwrap();
+        assert!(d.can_reach(ty("prereq"), ty("course")));
+        assert!(d.can_reach(ty("course"), ty("prereq")));
+        assert!(!d.can_reach(ty("student"), ty("takenBy")));
     }
 
     #[test]
@@ -364,7 +387,6 @@ mod tests {
         b.star("b", "c").unwrap();
         let d = b.build().unwrap();
         assert!(!d.is_recursive());
-        assert!(d.recursive_types().is_empty());
     }
 
     #[test]
@@ -408,12 +430,13 @@ mod tests {
     #[test]
     fn reachability_closure() {
         let d = registrar_dtd();
-        let from_root = d.reachable_from(d.root());
-        assert_eq!(from_root.len(), 9); // everything reachable from db
-        let student = d.type_id("student").unwrap();
-        let from_student = d.reachable_from(student);
-        assert!(from_student.contains(&d.type_id("ssn").unwrap()));
-        assert!(!from_student.contains(&d.type_id("course").unwrap()));
+        assert_eq!(d.reachable_from(d.root()).count(), 9); // everything reachable from db
+        let ty = |n: &str| d.type_id(n).unwrap();
+        assert!(d.can_reach(ty("student"), ty("ssn")));
+        assert!(d.can_reach(ty("course"), ty("course"))); // recursive via prereq
+        assert!(d.can_reach(ty("takenBy"), ty("ssn")));
+        assert!(!d.can_reach(ty("student"), ty("course")));
+        assert!(!d.can_reach(ty("ssn"), ty("name")));
     }
 
     #[test]

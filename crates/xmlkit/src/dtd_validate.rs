@@ -93,15 +93,10 @@ pub(crate) fn schema_eval(dtd: &Dtd, p: &XPath) -> BTreeSet<(Option<TypeId>, Typ
             StepKind::DescendantOrSelf => {
                 for &(via, t) in &current {
                     next.insert((via, t));
-                    // All strict descendants, remembering the last edge.
-                    let mut stack: Vec<TypeId> = vec![t];
-                    let mut seen: BTreeSet<(TypeId, TypeId)> = BTreeSet::new();
-                    while let Some(u) = stack.pop() {
+                    // Every strict descendant, with the type it hangs under.
+                    for u in dtd.reachable_from(t) {
                         for c in dtd.children_of(u) {
-                            if seen.insert((u, c)) {
-                                next.insert((Some(u), c));
-                                stack.push(c);
-                            }
+                            next.insert((Some(u), c));
                         }
                     }
                 }

@@ -1,11 +1,12 @@
 //! `rxview-xmlkit` — the XML substrate of the rxview reproduction:
 //!
-//! - [`Dtd`]: normalized, possibly recursive DTDs (§2.2) with recursion
-//!   analysis, and [`normalize_dtd`] for DTDs that are not yet normalized;
+//! - [`Dtd`]: normalized, possibly recursive DTDs (§2.2) with their
+//!   descendant-or-self type closure ([`Dtd::can_reach`]), computed once,
+//!   and [`normalize_dtd`] for DTDs that are not yet normalized;
 //! - [`validate_insert`] / [`validate_delete`]: schema-level update
 //!   validation in `O(|p||D|²)` (§2.4);
-//! - [`XmlTree`]: arena XML trees, serialization, structural equality, and
-//!   [`parse_tree`] for reading a serialized tree back;
+//! - [`XmlTree`]: arena XML trees and their serialization (the view
+//!   expanded for printing);
 //! - [`xpath`]: the paper's XPath fragment — parser, AST, and the normal
 //!   form `η₁/…/ηₙ` used by both evaluation passes (§3.2).
 
@@ -16,12 +17,10 @@ mod content;
 mod dtd;
 mod dtd_validate;
 mod tree;
-mod tree_parse;
 pub mod xpath;
 
 pub use content::{normalize_dtd, ContentModel};
 pub use dtd::{registrar_dtd, Dtd, DtdBuilder, DtdError, Production, TypeId};
 pub use dtd_validate::{validate_delete, validate_insert, SchemaViolation};
 pub use tree::{Node, NodeId, XmlTree};
-pub use tree_parse::{parse_tree, XmlParseError};
 pub use xpath::{normalize, parse_xpath, Filter, NormPath, NormStep, XPath};

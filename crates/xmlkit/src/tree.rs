@@ -103,12 +103,6 @@ impl XmlTree {
         id
     }
 
-    /// Sets (or replaces) the direct text content of a node — used by the
-    /// parser when loading serialized documents.
-    pub fn set_node_text(&mut self, id: NodeId, text: impl Into<String>) {
-        self.nodes[id.index()].text = Some(text.into());
-    }
-
     /// Appends a `pcdata` child with text content.
     pub fn add_text_child(
         &mut self,
@@ -136,20 +130,6 @@ impl XmlTree {
         for &c in &n.children {
             self.collect_text(c, out);
         }
-    }
-
-    /// All node ids in pre-order.
-    pub fn preorder(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            // Push children reversed so they pop in document order.
-            for &c in self.node(id).children().iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
     }
 
     /// All descendants of `id` (excluding `id`), pre-order.
@@ -188,25 +168,6 @@ impl XmlTree {
             }
             let _ = writeln!(out, "{pad}</{name}>");
         }
-    }
-
-    /// Structural equality of two subtrees (type, text, and child order).
-    pub fn subtree_eq(&self, a: NodeId, other: &XmlTree, b: NodeId) -> bool {
-        let na = self.node(a);
-        let nb = other.node(b);
-        na.ty == nb.ty
-            && na.text == nb.text
-            && na.children.len() == nb.children.len()
-            && na
-                .children
-                .iter()
-                .zip(&nb.children)
-                .all(|(&ca, &cb)| self.subtree_eq(ca, other, cb))
-    }
-
-    /// Structural equality of whole trees.
-    pub fn tree_eq(&self, other: &XmlTree) -> bool {
-        self.subtree_eq(self.root, other, other.root)
     }
 }
 
@@ -257,14 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn preorder_visits_document_order() {
+    fn descendants_visit_document_order() {
         let (_, t) = sample();
-        let order = t.preorder();
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], t.root());
+        let order = t.descendants(t.root());
+        assert_eq!(order.len(), 3);
         // cno before title
-        assert_eq!(t.node(order[2]).text(), Some("CS320"));
-        assert_eq!(t.node(order[3]).text(), Some("Algorithms"));
+        assert_eq!(t.node(order[1]).text(), Some("CS320"));
+        assert_eq!(t.node(order[2]).text(), Some("Algorithms"));
     }
 
     #[test]
@@ -283,17 +243,5 @@ mod tests {
         assert!(s.contains("<db>"));
         assert!(s.contains("<cno>CS320</cno>"));
         assert!(s.contains("</db>"));
-    }
-
-    #[test]
-    fn structural_equality() {
-        let (_, t1) = sample();
-        let (_, t2) = sample();
-        assert!(t1.tree_eq(&t2));
-        let (_, mut t3) = sample();
-        let course = t3.node(t3.root()).children()[0];
-        let d = registrar_dtd();
-        t3.add_text_child(course, d.type_id("title").unwrap(), "Extra");
-        assert!(!t1.tree_eq(&t3));
     }
 }

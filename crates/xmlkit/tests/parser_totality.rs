@@ -9,14 +9,8 @@
 //! (`crates/core/src/plan.rs`'s `PATHS`) and the shapes rxbench and the
 //! W1–W3 generators phrase — plus random strings over a path-flavoured
 //! alphabet and raw random bytes.
-//!
-//! `parse_tree`, the inverse of `XmlTree::serialize`, is held to the same
-//! standard on a serialized registrar document: its non-ASCII text survives
-//! the round trip, nesting deep enough to exhaust the stack is an `Err`, and
-//! no truncation or single-byte edit panics.
 
 use rxview_xmlkit::xpath::parse_xpath;
-use rxview_xmlkit::{parse_tree, registrar_dtd, Dtd, XmlTree};
 
 /// `crates/core/src/plan.rs`'s `PATHS`, then the benchmark's read and write
 /// shapes and the W1–W3 workload shapes (bare and quoted literals).
@@ -194,82 +188,5 @@ fn a_literal_prints_inside_the_quotes_it_does_not_hold() {
         let parsed = parse_xpath(path).unwrap_or_else(|e| panic!("`{path}`: {e}"));
         assert_eq!(parsed.to_string(), printed);
         check(path);
-    }
-}
-
-/// A registrar document (Fig. 1's shape) whose text is not all ASCII.
-fn registrar_document() -> (Dtd, XmlTree) {
-    let dtd = registrar_dtd();
-    let ty = |n: &str| dtd.type_id(n).unwrap();
-    let mut tree = XmlTree::new(dtd.root());
-    let course = tree.add_child(tree.root(), ty("course"));
-    tree.add_text_child(course, ty("cno"), "CS650");
-    tree.add_text_child(course, ty("title"), "Zoë's Café: ∆ and ∇");
-    let prereq = tree.add_child(course, ty("prereq"));
-    let inner = tree.add_child(prereq, ty("course"));
-    tree.add_text_child(inner, ty("cno"), "CS320");
-    tree.add_text_child(inner, ty("title"), "Algorithms");
-    let taken_by = tree.add_child(course, ty("takenBy"));
-    let student = tree.add_child(taken_by, ty("student"));
-    tree.add_text_child(student, ty("ssn"), "S02");
-    tree.add_text_child(student, ty("name"), "Björk Guðmundsdóttir");
-    (dtd, tree)
-}
-
-#[test]
-fn non_ascii_text_survives_a_serialize_parse_round_trip() {
-    let (dtd, tree) = registrar_document();
-    let text = tree.serialize(&dtd);
-    let parsed = parse_tree(&text, &dtd).unwrap_or_else(|e| panic!("{e}:\n{text}"));
-    assert!(
-        tree.tree_eq(&parsed),
-        "round trip changed the tree:\n{text}"
-    );
-    let course = parsed.node(parsed.root()).children()[0];
-    let title = parsed.node(course).children()[1];
-    assert_eq!(parsed.node(title).text(), Some("Zoë's Café: ∆ and ∇"));
-}
-
-#[test]
-fn deep_nesting_is_an_error_not_a_stack_overflow() {
-    let dtd = registrar_dtd();
-    let nested = |depth: usize| {
-        format!(
-            "<db>{}{}</db>",
-            "<course><prereq>".repeat(depth),
-            "</prereq></course>".repeat(depth)
-        )
-    };
-    let shallow = parse_tree(&nested(100), &dtd).expect("100 levels parse");
-    assert_eq!(shallow.len(), 1 + 2 * 100);
-    assert!(parse_tree(&nested(200_000), &dtd).is_err());
-    // Unclosed, too: the bound holds on the way down.
-    assert!(parse_tree(&"<course><prereq>".repeat(200_000), &dtd).is_err());
-}
-
-#[test]
-fn tree_truncations_and_byte_edits_never_panic() {
-    let (dtd, tree) = registrar_document();
-    let text = tree.serialize(&dtd);
-    let parse = |bytes: &[u8]| {
-        let _ = parse_tree(&String::from_utf8_lossy(bytes), &dtd);
-    };
-    let bytes = text.as_bytes();
-    for cut in 0..=bytes.len() {
-        parse(&bytes[..cut]);
-        parse(&bytes[cut..]);
-    }
-    for at in 0..bytes.len() {
-        let mut deleted = bytes.to_vec();
-        deleted.remove(at);
-        parse(&deleted);
-        for b in 0..=255u8 {
-            let mut replaced = bytes.to_vec();
-            replaced[at] = b;
-            parse(&replaced);
-            let mut inserted = bytes.to_vec();
-            inserted.insert(at, b);
-            parse(&inserted);
-        }
     }
 }

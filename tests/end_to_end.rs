@@ -367,19 +367,6 @@ fn mixed_long_session_on_synthetic_data() {
     sys.consistency_check().unwrap();
 }
 
-#[test]
-fn expanded_view_serializes_and_parses_back() {
-    let sys = registrar_system();
-    let dtd = sys.view().atg().dtd();
-    let tree = sys.expand_tree();
-    let text = tree.serialize(dtd);
-    let parsed = rxview::xmlkit::parse_tree(&text, dtd).expect("serialized view parses");
-    assert!(tree.tree_eq(&parsed));
-    // The compact (id/ref) form is strictly smaller on this shared view.
-    let compact = sys.view().dag().serialize_compact(sys.view().atg());
-    assert!(compact.len() < text.len());
-}
-
 /// `course[/cno=?]/prereq`, written as two steps of which the first is
 /// labelled `course[/cno=?]`: a label may hold any character, the shape
 /// key's own punctuation included. It selects nothing.

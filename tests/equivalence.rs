@@ -1,8 +1,10 @@
-//! Tier-1 run of the engine's equivalence battery, so that the default
-//! `cargo test -q` holds batched group commit — every executor, scoped or
-//! full evaluation, folded maintenance — to one-at-a-time application of
-//! the same updates (ROADMAP item 6a): the tests live with the crate they
-//! test.
+//! The one run of the engine's equivalence battery: batched group commit —
+//! every executor, scoped or full evaluation, folded maintenance — held to
+//! one-at-a-time application of the same updates.
+//!
+//! The file lives with the crate it tests; `crates/engine/Cargo.toml`
+//! leaves it to this runner (`autotests = false`), so `cargo test` compiles
+//! and runs it once.
 
 #[path = "../crates/engine/tests/equivalence.rs"]
 mod equivalence;

@@ -1,8 +1,10 @@
-//! Tier-1 run of the engine's footprint battery, so that the default
-//! `cargo test -q` holds the conflict analysis' planned footprints to the
-//! writes the translation realizes, and its subtree walk to the
-//! translation's (ROADMAP item 6a): the tests live with the crate they
-//! test.
+//! The one run of the engine's footprint battery: the conflict analysis'
+//! planned footprints held to the writes the translation realizes, and its
+//! subtree walk to the translation's.
+//!
+//! The file lives with the crate it tests; `crates/engine/Cargo.toml`
+//! leaves it to this runner (`autotests = false`), so `cargo test` compiles
+//! and runs it once.
 
 #[path = "../crates/engine/tests/footprint.rs"]
 mod footprint;

@@ -1,8 +1,10 @@
-//! Tier-1 run of the engine's crash-recovery battery, so that the default
-//! `cargo test -q` holds recovery to the acknowledged-prefix oracle — torn
-//! tails at every byte, both log formats' checked-in directories, one fold
-//! per replayed record (ROADMAP item 6a): the tests live with the crate
-//! they test.
+//! The one run of the engine's crash-recovery battery: recovery held to the
+//! acknowledged-prefix oracle — torn tails at every byte, both log formats'
+//! checked-in directories, one fold per replayed record.
+//!
+//! The file lives with the crate it tests; `crates/engine/Cargo.toml`
+//! leaves it to this runner (`autotests = false`), so `cargo test` compiles
+//! and runs it once.
 
 #[path = "../crates/engine/tests/recovery.rs"]
 mod recovery;
