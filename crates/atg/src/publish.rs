@@ -357,7 +357,7 @@ pub struct SubtreeDag {
     pub nodes: Vec<NodeId>,
     /// The subset of `nodes` that were newly allocated (not previously live);
     /// used for rollback when the update is later rejected, and by the
-    /// incremental maintenance of `M` and `L` (§3.4).
+    /// incremental maintenance of `L` (§3.4).
     pub fresh: Vec<NodeId>,
 }
 

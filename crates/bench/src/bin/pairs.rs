@@ -14,7 +14,8 @@
 //! length unless said otherwise: per pair index ([`PAIRS`] of them) every
 //! workload once per side, the parent first on even indexes; then one pair
 //! per workload at `--unused-seed` — a seed no run used while the change
-//! was written — the change first; then [`TRACED`] traced pairs, the
+//! was written — the change first; then the traced pairs — three, or the
+//! prediction file's `"traced_pairs"` (3 to 10, [`traced_pairs`]) — the
 //! change first on even indexes. Around every run it
 //! reads the stolen share of the CPU from `/proc/stat`, and runs a session
 //! during which more than 1 % was stolen once more, keeping the second.
@@ -24,12 +25,9 @@
 //! [`rxview_bench::pairs`] derives — the prediction file's entries scored.
 //! `tests/bench_pairs.rs` re-derives them from every file this tool wrote.
 
-use rxview_bench::pairs::{arr, derive, directions, round, Json, PAIRS};
+use rxview_bench::pairs::{arr, derive, directions, round, traced_pairs, Json, PAIRS};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-/// Traced pairs per workload.
-const TRACED: usize = 3;
 
 /// A run during which more of the CPU was stolen is run once more.
 const QUIET_STEAL: f64 = 0.01;
@@ -258,6 +256,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let (name, rev) = (need("--name")?, need("--parent")?);
     let scratch = PathBuf::from(need("--scratch")?);
     let predictions = read(Path::new(need("--predictions")?))?;
+    let n_traced = traced_pairs(&predictions)?;
     let unused_seed = need("--unused-seed")?;
     let unused_seed: u64 = unused_seed
         .parse()
@@ -330,7 +329,7 @@ fn run(args: &[String]) -> Result<(), String> {
     for (w, runs) in workloads.iter().zip(&mut runs) {
         runs[1].push(pair(sides, w, Some(unused_seed), false, None)?);
     }
-    for i in 0..TRACED {
+    for i in 0..n_traced {
         for (w, runs) in workloads.iter().zip(&mut runs) {
             let traced = Some(&traced_metrics[..]);
             runs[2].push(pair(sides, w, None, i % 2 == 1, traced)?);
@@ -356,9 +355,10 @@ fn run(args: &[String]) -> Result<(), String> {
             Json::Str(format!(
                 "rxbench, {PAIRS} alternating parent/change pairs per workload at its default \
                  seed (untraced), one pair per workload at an unused seed ({unused_seed}), \
-                 {TRACED} traced pairs per workload at the default seed"
+                 {n_traced} traced pairs per workload at the default seed"
             )),
         ),
+        ("traced_pairs", Json::Num(n_traced as f64)),
         ("parent", Json::Str(parent_desc)),
         (
             "change",

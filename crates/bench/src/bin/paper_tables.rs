@@ -10,8 +10,12 @@
 //! Experiments: `fig10b`, `fig11-del` (Fig.11 a–c), `fig11-ins` (Fig.11 d–f),
 //! `fig11g`, `fig11h`, `table1`, or `all`. `--large` appends 100K (and, for
 //! table1, exercises the same sizes) to the sweep. The two ablations run by
-//! name only: `ablation-reach` (D1) and `ablation-dag` (D2).
+//! name only: `ablation-reach` (D1: Algorithm Reach vs the naive closure,
+//! then D1b: the serving system's walks vs keeping `M`, on the workload
+//! fixtures at 256 and 512 groups and on a deep chain and a wide-sharing
+//! DAG — its own sizes) and `ablation-dag` (D2).
 
+use rxview_bench::walks::{dag_row, workload_row, Cost, WalkRow};
 use rxview_bench::{
     ablation_dag_rows, ablation_reach_row, fig10b_row, fig11_cell, fig11g_point, fig11h_point,
     fmt_dur, table1_row, PhaseAgg,
@@ -200,17 +204,20 @@ fn fig11h() {
 
 fn table1(sizes: &[usize]) {
     println!("== Table 1: incremental maintenance of L and M vs recomputation ==");
+    println!("   (L: the serving fold; ∆M: the paper's M halves, run beside it)");
     println!(
-        "{:>9} {:>12} {:>12} {:>14} {:>14}",
-        "|C|", "incr ins", "incr del", "recompute L", "recompute M"
+        "{:>9} {:>11} {:>11} {:>11} {:>11} {:>12} {:>12}",
+        "|C|", "L ins", "∆M ins", "L del", "∆M del", "recompute L", "recompute M"
     );
     for &n in sizes {
         let r = table1_row(n, 42);
         println!(
-            "{:>9} {:>12} {:>12} {:>14} {:>14}",
+            "{:>9} {:>11} {:>11} {:>11} {:>11} {:>12} {:>12}",
             r.n,
             fmt_dur(r.incr_insert),
+            fmt_dur(r.delta_m_insert),
             fmt_dur(r.incr_delete),
+            fmt_dur(r.delta_m_delete),
             fmt_dur(r.recompute_l),
             fmt_dur(r.recompute_m),
         );
@@ -219,6 +226,77 @@ fn table1(sizes: &[usize]) {
 }
 
 fn ablation_reach(sizes: &[usize]) {
+    reach_vs_naive(sizes);
+    walks_vs_m();
+}
+
+/// The walks the serving system answers reachability with, against `M`'s
+/// upkeep and reads: per update of each workload fixture at 256 and 512
+/// groups, and per call on a deep chain and a wide-sharing DAG.
+fn walks_vs_m() {
+    println!("== Ablation D1b: walks over the DAG vs keeping M (ns per update) ==");
+    println!(
+        "{:<28} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "shape",
+        "ops",
+        "anc walk",
+        "anc M",
+        "guard wk",
+        "guard M",
+        "fold L",
+        "∆M",
+        "walks",
+        "+fold L",
+        "M total"
+    );
+    let print = |r: &WalkRow| {
+        let per = |c: &Cost| format!("{:.0}", c.ns_per(r.updates));
+        println!(
+            "{:<28} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.0} {:>9.0} {:>9.0}",
+            r.shape,
+            r.updates,
+            per(&r.anc_walk),
+            per(&r.anc_read),
+            per(&r.guard_walk),
+            per(&r.guard_read),
+            per(&r.fold_l),
+            per(&r.delta_m),
+            r.walks_ns(false),
+            r.walks_ns(true),
+            r.m_ns(),
+        );
+    };
+    for groups in [256, 512] {
+        for workload in ["uniform_wide", "skew_sharded", "paper_classes"] {
+            print(&workload_row(workload, groups, 256));
+        }
+    }
+    let dags = [dag_row(2_000, true, 200), dag_row(2_000, false, 200)];
+    for r in &dags {
+        print(r);
+    }
+    println!("   worst case per call (ns):");
+    for r in &dags {
+        let call = |c: &Cost| {
+            format!(
+                "{:.0} mean / {} worst",
+                c.ns_per(c.calls),
+                c.worst.as_nanos()
+            )
+        };
+        println!(
+            "   {:<28} anc walk {}, anc M {}; guard walk {}, guard M {}",
+            r.shape,
+            call(&r.anc_walk),
+            call(&r.anc_read),
+            call(&r.guard_walk),
+            call(&r.guard_read),
+        );
+    }
+    println!();
+}
+
+fn reach_vs_naive(sizes: &[usize]) {
     println!("== Ablation D1: Algorithm Reach (Fig.4) vs naive per-node closure ==");
     println!(
         "{:>9} {:>16} {:>16}",

@@ -26,8 +26,8 @@ pub struct Collection {
     /// Per per-id table, the bytes of one of its pages and how many ranges
     /// of a page's ids held something before the deletions and hold no
     /// live id after: the interner's slots, the `Dag`'s child and parent
-    /// slots, `M`'s `anc` handles, `L`'s labels.
-    pub emptied: [(usize, usize); 5],
+    /// slots, `L`'s labels.
+    pub emptied: [(usize, usize); 4],
 }
 
 /// The bytes of one page of a per-id table whose slots take `slot` bytes:
@@ -67,7 +67,7 @@ impl Collection {
         for u in &updates {
             after.apply(u, SideEffectPolicy::Proceed).expect("accepted");
         }
-        let (dag, reach, topo) = (sys.view().dag(), sys.reach(), sys.topo());
+        let (dag, topo) = (sys.view().dag(), sys.topo());
         let genid = dag.genid();
         let space = genid.n_allocated();
         let survives = |v: NodeId| after.view().dag().genid().is_live(v);
@@ -82,12 +82,11 @@ impl Collection {
         let attr_sizes = attrs.iter().map(|t| 16 + 16 * t.arity()).collect();
 
         let info = std::mem::size_of::<Option<(TypeId, Tuple)>>();
-        // A 24-byte adjacency slot, an `Option<Arc<[u64]>>`, a `u32`.
-        let tables: [(usize, &dyn Fn(NodeId) -> bool); 5] = [
+        // A 24-byte adjacency slot, a `u32`.
+        let tables: [(usize, &dyn Fn(NodeId) -> bool); 4] = [
             (info, &|v| genid.is_live(v)),
             (24, &|v| !dag.children(v).is_empty()),
             (24, &|v| !dag.parents(v).is_empty()),
-            (16, &|v| !reach.ancestors(v).is_empty()),
             (4, &|v| topo.position(v).is_some()),
         ];
         let emptied = tables.map(|(slot, held)| {

@@ -1,6 +1,7 @@
 //! Shared experiment harness: system construction, workload execution with
 //! per-phase timing, and the row types each figure/table prints.
 
+use crate::maintain::{apply_tracked, TrackedM};
 use rxview_core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, XmlUpdate, XmlViewSystem,
 };
@@ -19,7 +20,7 @@ pub struct BuiltSystem {
     pub sys: XmlViewSystem,
     /// Wall-clock time to publish the view.
     pub publish_time: Duration,
-    /// Wall-clock time to build `M` and `L`.
+    /// Wall-clock time to build `L` and compute `M`.
     pub aux_time: Duration,
 }
 
@@ -37,8 +38,8 @@ pub fn build_system(n: usize, detached_chains: Vec<usize>, seed: u64) -> BuiltSy
     let topo = TopoOrder::compute(vs.dag());
     let _reach = Reachability::compute(vs.dag(), &topo);
     let aux_time = t1.elapsed();
-    // XmlViewSystem recomputes internally; the timings above are reported
-    // separately for Fig.10(b)/Table 1 context.
+    // XmlViewSystem builds `L` itself and holds no `M`; the timings above
+    // are reported separately for Fig.10(b)/Table 1 context.
     let sys = XmlViewSystem::new(atg, db).expect("publishes");
     BuiltSystem {
         cfg,
@@ -105,8 +106,8 @@ pub fn run_updates(sys: &mut XmlViewSystem, ops: &[XmlUpdate]) -> PhaseAgg {
 pub fn fig10b_row(n: usize, seed: u64) -> DatasetStats {
     let built = build_system(n, Vec::new(), seed);
     let topo = built.sys.topo();
-    let reach = built.sys.reach();
-    dataset_stats(&built.cfg, built.sys.base(), built.sys.view(), topo, reach)
+    let reach = Reachability::compute(built.sys.view().dag(), topo);
+    dataset_stats(&built.cfg, built.sys.base(), built.sys.view(), topo, &reach)
 }
 
 /// One Fig.11(a–f) cell: run one workload class (deletions or insertions)
@@ -161,12 +162,8 @@ pub fn fig11g_point(n: usize, k_payloads: usize, deletion: bool, seed: u64) -> (
         .expect("parses")
     };
     // Measure the selection size first (read-only).
-    let eval = eval_xpath_on_dag(
-        built.sys.view(),
-        built.sys.topo(),
-        built.sys.reach(),
-        op.path(),
-    );
+    let (vs, topo) = (built.sys.view(), built.sys.topo());
+    let eval = eval_xpath_on_dag(vs, topo, &Reachability::compute(vs.dag(), topo), op.path());
     let size = if deletion {
         eval.edge_parents.len()
     } else {
@@ -218,22 +215,28 @@ fn chain_head_attr(sys: &XmlViewSystem, head: i64) -> rxview_relstore::Tuple {
 }
 
 /// One Table-1 row: incremental maintenance cost for one insertion and one
-/// deletion vs recomputing `L` and `M` from scratch.
+/// deletion — the serving fold's `L` half and the paper's ∆M
+/// ([`crate::maintain`]), apart — vs recomputing `L` and `M` from scratch.
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// |C|.
     pub n: usize,
-    /// Incremental maintenance time for an insertion.
+    /// The serving fold (`L` and collection) of an insertion.
     pub incr_insert: Duration,
-    /// Incremental maintenance time for a deletion.
+    /// ∆M of the same insertion.
+    pub delta_m_insert: Duration,
+    /// The serving fold (`L` and collection) of a deletion.
     pub incr_delete: Duration,
+    /// ∆M of the same deletion.
+    pub delta_m_delete: Duration,
     /// Recomputing `L` from scratch.
     pub recompute_l: Duration,
     /// Recomputing `M` from scratch.
     pub recompute_m: Duration,
 }
 
-/// Runs the Table-1 comparison at size `n`.
+/// Runs the Table-1 comparison at size `n`, and checks the incremental `M`
+/// against the recomputed one.
 pub fn table1_row(n: usize, seed: u64) -> Table1Row {
     let mut built = build_system(n, Vec::new(), seed);
     let (ins, del) = {
@@ -243,26 +246,27 @@ pub fn table1_row(n: usize, seed: u64) -> Table1Row {
             gen.deletions(WorkloadClass::W2, 1).pop().expect("op"),
         )
     };
-    let incr_insert = built
-        .sys
-        .apply(&ins, SideEffectPolicy::Proceed)
-        .map(|r| r.timings.maintain)
-        .unwrap_or_default();
-    let incr_delete = built
-        .sys
-        .apply(&del, SideEffectPolicy::Proceed)
-        .map(|r| r.timings.maintain)
-        .unwrap_or_default();
+    let mut m = TrackedM::of(&built.sys);
+    let mut timed = |u: &XmlUpdate| {
+        apply_tracked(&mut built.sys, &mut m, u, SideEffectPolicy::Proceed)
+            .map(|(r, delta)| (r.timings.maintain, delta.took))
+            .unwrap_or_default()
+    };
+    let (incr_insert, delta_m_insert) = timed(&ins);
+    let (incr_delete, delta_m_delete) = timed(&del);
     let t0 = Instant::now();
     let topo = TopoOrder::compute(built.sys.view().dag());
     let recompute_l = t0.elapsed();
     let t1 = Instant::now();
-    let _m = Reachability::compute(built.sys.view().dag(), &topo);
+    let recomputed = Reachability::compute(built.sys.view().dag(), &topo);
     let recompute_m = t1.elapsed();
+    assert!(m.m().same_pairs(&recomputed), "∆M equals Algorithm Reach");
     Table1Row {
         n,
         incr_insert,
+        delta_m_insert,
         incr_delete,
+        delta_m_delete,
         recompute_l,
         recompute_m,
     }
@@ -331,7 +335,8 @@ pub fn ablation_dag_rows(n: usize, seed: u64) -> Vec<DagAblationRow> {
     ];
     let built = build_system(n, Vec::new(), seed);
     let (sys, vs) = (&built.sys, built.sys.view());
-    let tree_nodes = dataset_stats(&built.cfg, sys.base(), vs, sys.topo(), sys.reach()).tree_nodes;
+    let m = Reachability::compute(vs.dag(), sys.topo());
+    let tree_nodes = dataset_stats(&built.cfg, sys.base(), vs, sys.topo(), &m).tree_nodes;
     let tree = (tree_nodes <= ABLATION_TREE_CAP).then(|| vs.dag().expand(vs.atg()));
     PATHS
         .iter()

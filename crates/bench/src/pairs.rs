@@ -17,7 +17,8 @@
 //! - `workloads.<w>.unused_seed`: one more pair, at a seed no run used
 //!   while the change was written;
 //! - `workloads.<w>.traced`: traced pairs, whose records carry the
-//!   per-layer metrics the predictions name;
+//!   per-layer metrics the predictions name — `traced_pairs` of them
+//!   ([`traced_pairs`]), which the file records;
 //! - `workloads.<w>.summary` / `traced_summary`: per metric, derived from
 //!   the pairs by [`summarize`];
 //! - `predictions` / `verdicts`: the checked-in prediction list, and what
@@ -32,6 +33,28 @@ pub use json::Json;
 /// The alternating pairs per workload a file records, and the fewest a
 /// `claim` is scored on.
 pub const PAIRS: usize = 10;
+
+/// Traced pairs per workload, unless the prediction file sets
+/// `"traced_pairs"` — from this up to [`PAIRS`], so that a traced row can
+/// be claimed.
+pub const TRACED: usize = 3;
+
+/// The traced pairs a prediction file asks for: its `"traced_pairs"`, a
+/// whole number from [`TRACED`] to [`PAIRS`], or [`TRACED`] when absent.
+pub fn traced_pairs(predictions: &Json) -> Result<usize, String> {
+    let Some(n) = predictions.get("traced_pairs") else {
+        return Ok(TRACED);
+    };
+    match n.as_f64() {
+        Some(n) if n.fract() == 0.0 && (TRACED as f64..=PAIRS as f64).contains(&n) => {
+            Ok(n as usize)
+        }
+        _ => Err(format!(
+            "`traced_pairs` must be a whole number from {TRACED} to {PAIRS}, not {}",
+            n.compact()
+        )),
+    }
+}
 
 /// The elements of `value` when it is an array (none otherwise).
 pub fn arr(value: Option<&Json>) -> &[Json] {

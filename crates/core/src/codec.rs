@@ -8,14 +8,14 @@
 //!   logical [`XmlUpdate`]s with their [`SideEffectPolicy`] — as the payload
 //!   of a write-ahead log record; [`put_update`]/[`read_update`] are the same
 //!   encoding of one update on its own. Replaying the *logical* update
-//!   re-derives ∆V, ∆R, and the `M`/`L` maintenance; logging ∆R alone could
+//!   re-derives ∆V, ∆R, and the `L` maintenance; logging ∆R alone could
 //!   rebuild the base tables but not the view, so ∆R has no encoding.
 //! - [`encode_system`]/[`decode_system`]: the checkpoint payload — what
 //!   only the system's history decides: the base database `I`, the DAG `V`
 //!   (the interner's id space and the child lists) and the topological
-//!   order `L`. The `gen_A` tables and the reachability matrix `M` follow
-//!   from them, and [`decode_system`] rebuilds them with the code
-//!   publication builds them with. The grammar σ itself is *not*
+//!   order `L`. The `gen_A` tables follow from them, and [`decode_system`]
+//!   rebuilds them with the code publication builds them with; the system
+//!   holds no reachability matrix `M`. The grammar σ itself is *not*
 //!   serialized: like the relational schema, it is code, and
 //!   [`decode_system`] takes it as input — validating that the
 //!   checkpoint's element-type table matches the grammar's DTD before
@@ -109,7 +109,6 @@
 //! within a constant factor of the segment's size.
 
 use crate::processor::XmlViewSystem;
-use crate::reach::Reachability;
 use crate::shape::{bind, update_key};
 use crate::topo::TopoOrder;
 use crate::update::{SideEffectPolicy, XmlUpdate};
@@ -970,9 +969,9 @@ fn skip_reach(r: &mut Reader<'_>) -> CodecResult<()> {
 
 /// Serializes what only the system's history decides — the base database
 /// `I`, the DAG `V` (the interner's id space and the child lists) and the
-/// topological order `L` — into `out` (`RXCKPv2`). The `gen_A` tables and
-/// `M` follow from them and are rebuilt on load; the grammar is
-/// intentionally excluded (see the module docs).
+/// topological order `L` — into `out` (`RXCKPv2`). The `gen_A` tables
+/// follow from them and are rebuilt on load; the grammar is intentionally
+/// excluded (see the module docs).
 pub fn encode_system(sys: &XmlViewSystem, out: &mut Vec<u8>) {
     let vs = sys.view();
     put_database(out, sys.base());
@@ -993,16 +992,16 @@ pub fn decode_system(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem
 
 /// [`decode_system`] for a checkpoint one format back (`RXCKPv1`), which
 /// also wrote the `gen_A` tables after `I` and `M` after `L`: both are
-/// stepped over and rebuilt as [`decode_system`] rebuilds them.
+/// stepped over; the `gen_A` tables are rebuilt as [`decode_system`]
+/// rebuilds them, and `M` is not kept.
 pub fn decode_system_v1(atg: &Atg, r: &mut Reader<'_>) -> CodecResult<XmlViewSystem> {
     decode_sections(atg, r, true)
 }
 
 /// Reads `I`, `V` and `L` — over the `gen_A` and `M` sections too when
-/// `v1` — then rebuilds the rest with the code publication builds it with:
-/// the `gen_A` tables with the interner ([`GenId::from_slots`]) and `M`
-/// by Algorithm Reach backward over `L`, once `L` is checked to list every
-/// live node once, children before parents.
+/// `v1` — then rebuilds the `gen_A` tables with the code publication builds
+/// them with (the interner, [`GenId::from_slots`]), and checks that `L`
+/// lists every live node once, children before parents.
 fn decode_sections(atg: &Atg, r: &mut Reader<'_>, v1: bool) -> CodecResult<XmlViewSystem> {
     let base = read_database(r)?;
     if v1 {
@@ -1030,8 +1029,7 @@ fn decode_sections(atg: &Atg, r: &mut Reader<'_>, v1: bool) -> CodecResult<XmlVi
         skip_reach(r)?;
     }
     let vs = ViewStore::from_parts(atg.clone(), dag);
-    let reach = Reachability::compute(vs.dag(), &topo);
-    Ok(XmlViewSystem::from_parts(base, vs, topo, reach))
+    Ok(XmlViewSystem::with_order(base, vs, topo))
 }
 
 #[cfg(test)]
@@ -1234,9 +1232,9 @@ mod tests {
         assert!(matches!(decoded, Err(CodecError::Invalid(_))));
     }
 
-    /// `M` is computed backward over the loaded `L`, so an `L` that lists
-    /// a node twice or puts a parent before its child is refused, not
-    /// loaded into a system that fails its own consistency check.
+    /// The maintenance of `L` assumes it valid, so an `L` that lists a node
+    /// twice or puts a parent before its child is refused, not loaded into
+    /// a system that fails its own consistency check.
     #[test]
     fn a_checkpoint_whose_l_is_not_a_topological_order_is_refused() {
         let sys = system();
@@ -1296,7 +1294,8 @@ mod tests {
             assert_eq!(sys.view().n_nodes(), 5 * n + 1);
             let mut bytes = Vec::new();
             encode_system(&sys, &mut bytes);
-            sizes.push((bytes.len(), sys.reach().n_pairs()));
+            let m = crate::reach::Reachability::compute(sys.view().dag(), sys.topo());
+            sizes.push((bytes.len(), m.n_pairs()));
         }
         let [(small, small_m), (large, large_m)] = sizes[..] else {
             unreachable!()

@@ -2,7 +2,7 @@
 //! [`XmlViewSystem`], each a fixed array of named 128-bit sections, each
 //! section one `std::hash` stream over the state with no allocation.
 //! [`Exact`] is the state by id: what [`encode_system`](crate::encode_system)
-//! writes, and the `gen_A` tables and `M` a load rebuilds. [`Observed`] is
+//! writes, and the `gen_A` tables a load rebuilds. [`Observed`] is
 //! id-free, for states of different histories (an engine against
 //! `reference_apply`, a recovery against its oracle): `I`, `gen_A`, and the
 //! edges by `((type, $A), (type, $B))` hashed one by one and summed —
@@ -24,12 +24,12 @@ pub struct StateDigest<const N: usize> {
 }
 
 /// [`XmlViewSystem::exact_digest`]'s sections.
-pub type Exact = StateDigest<6>;
+pub type Exact = StateDigest<5>;
 
 /// [`XmlViewSystem::observed_digest`]'s sections.
 pub type Observed = StateDigest<3>;
 
-const EXACT: [&str; 6] = ["I", "ids", "children", "gen_A", "L", "M"];
+const EXACT: [&str; 5] = ["I", "ids", "children", "gen_A", "L"];
 const OBSERVED: [&str; 3] = ["I", "gen_A", "edges"];
 
 impl<const N: usize> StateDigest<N> {
@@ -113,8 +113,7 @@ pub(crate) fn edges(vs: &ViewStore) -> u128 {
 impl XmlViewSystem {
     /// The [`Exact`] digest: `I` (tables by name, rows in key order); the
     /// id space (its size, each id's liveness, a live one's type and `$A`);
-    /// the root and each id's child list; `gen_A`; `L`'s order; each id's
-    /// `anc` run and `M`'s counts.
+    /// the root and each id's child list; `gen_A`; `L`'s order.
     pub fn exact_digest(&self) -> Exact {
         let vs = self.view();
         let (dag, dtd) = (vs.dag(), vs.atg().dtd());
@@ -140,11 +139,6 @@ impl XmlViewSystem {
                 }),
                 gen_tables(vs),
                 section(|h| self.topo().order().hash(h)),
-                section(|h| {
-                    let m = self.reach();
-                    (m.n_pairs(), m.n_words()).hash(h);
-                    ids.clone().for_each(|id| m.ancestors(id).words().hash(h));
-                }),
             ],
         }
     }

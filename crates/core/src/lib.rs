@@ -5,14 +5,15 @@
 //!   (§2.3) — the DAG's child lists, `gen_A` tables, derived edge-view
 //!   queries;
 //! - [`TopoOrder`] / [`Reachability`]: the auxiliary structures `L` and `M`
-//!   with Algorithm Reach (§3.1, Fig.4);
+//!   with Algorithm Reach (§3.1, Fig.4). The system maintains `L` and holds
+//!   no `M`: [`reach`]'s walks over the DAG answer what `M` would;
 //! - [`DagEval`]: the result of the two-pass XPath evaluation on DAGs and
 //!   its side-effect set (§3.2), which [`eval_plan`] computes;
 //! - `xinsert` / [`xdelete`]: Algorithms Xinsert/Xdelete, ∆X → ∆V (§3.3,
 //!   Fig.5–6);
-//! - [`XmlViewSystem::fold_maintenance`]: incremental maintenance
-//!   ∆(M,L)insert / ∆(M,L)delete and garbage collection (§3.4, Fig.7–8),
-//!   one fold per round;
+//! - [`XmlViewSystem::fold_maintenance`]: incremental maintenance of `L`
+//!   (the `L` halves of ∆(M,L)insert / ∆(M,L)delete) and garbage
+//!   collection (§3.4, Fig.7–8), one fold per update;
 //! - [`translate_deletions`]: Algorithm delete — PTIME group deletions under
 //!   key preservation (§4.2, Fig.9, Theorem 1);
 //! - `translate_insertions`: Algorithm insert — the SAT-based heuristic
@@ -71,7 +72,7 @@ pub use codec::{decode_system, encode_system, put_update};
 pub use dag_eval::DagEval;
 pub use digest::{Exact, Observed, StateDigest};
 pub use footprint::{planned_delete_writes, planned_insert_writes, RelFootprint};
-pub use maintain::MaintainReport;
+pub use maintain::{delete_pass, insert_job, MaintainReport};
 pub use pathclass::{
     classify, resolve_anchors, scope_of_anchors, sub_steps, union_scope, Anchors, PathClass,
     SubStep, MAX_CONE_ANCHORS,

@@ -40,7 +40,7 @@
 //! resolution makes.
 
 use crate::footprint::{pin_filter, FilterPin};
-use crate::reach::{with_walk, Reachability};
+use crate::reach::with_walk;
 use crate::topo::TopoOrder;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
@@ -139,13 +139,15 @@ pub fn classify(dtd: &Dtd, path: &XPath) -> PathClass {
     }
 }
 
-/// One post-anchor step of a *fission-decomposable* path. The engine's
-/// hot-cone fission (sub-cone conflict keys for updates sharing one hot
-/// anchor) needs every step below the anchor head to be accountable either
-/// through typed relational reads or through a per-anchor extension key;
-/// [`sub_steps`] walks the normalized path and says which discipline each
-/// step falls under — or refuses, in which case the update keeps the
-/// whole-cone conflict unit.
+/// One post-anchor step of a *fission-decomposable* path: an input of
+/// `rxbench`'s conflict analysis (`rxview_engine::Analysis`) only — no
+/// engine path plans with it; a round is a serial group commit. That
+/// analysis splits a hot anchor's cone into sub-cone conflict keys when
+/// every step below the anchor head is accountable either through typed
+/// relational reads or through a per-anchor extension key; [`sub_steps`]
+/// walks the normalized path and says which discipline each step falls
+/// under — or refuses, in which case the update keeps the whole-cone
+/// conflict unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubStep {
     /// The step's `field = value` filters pin its match set to the typed
@@ -159,20 +161,21 @@ pub enum SubStep {
     /// set is "all children of type `T` under the previous step's matches",
     /// which is typed-visible only when those parents are known exactly —
     /// so the walker accepts an open step *immediately after the anchor
-    /// head only* (parents = the resolved anchors), and the engine guards
+    /// head only* (parents = the resolved anchors), and the analysis keys
     /// it with per-`(anchor, type)` extension read/write keys instead of
     /// relational ones.
     Open(TypeId),
 }
 
-/// The `field = value` keys of a filter usable for fission, or `None`-like
-/// `false` when the filter has any conjunct that does **not** decompose
-/// into single-field equality keys (existential sub-paths, disjunction,
-/// negation, label tests): those can flip on structural changes the typed
-/// keys cannot see, so the path must keep its whole-cone conflict unit.
-/// Contrast [`filter_keys`], which extracts a best-effort subset — fine for
-/// anchor *narrowing* (a superset of matches stays sound) but not for
-/// fission, where missing a conjunct widens the set of invisible writers.
+/// The `field = value` keys of a filter usable for the conflict analysis'
+/// sub-cone keys ([`SubStep`]), or `None`-like `false` when the filter has
+/// any conjunct that does **not** decompose into single-field equality keys
+/// (existential sub-paths, disjunction, negation, label tests): those can
+/// flip on structural changes the typed keys cannot see, so the path must
+/// keep its whole-cone conflict unit. Contrast [`filter_keys`], which
+/// extracts a best-effort subset — fine for anchor *narrowing* (a superset
+/// of matches stays sound) but not for sub-cone keys, where missing a
+/// conjunct widens the set of invisible writers.
 fn strict_filter_keys(filter: &Filter, out: &mut Vec<(String, String)>) -> bool {
     match filter {
         Filter::PathEq(p, v) => match p.steps.as_slice() {
@@ -476,17 +479,17 @@ const SCOPE_SHARE: usize = 2;
 /// `None` when the cone union could exceed `|L| / 2` — decided from
 /// `Σ (1 + |desc(a)| + |anc(a)|)` over the anchors, an upper bound on the
 /// union (cones that overlap are counted twice, so a `None` can be
-/// pessimistic; a `Some` never is). Each `desc(a)` is a walk that stops as
-/// soon as the sum passes the budget, so a scope that is not built costs at
-/// most `|L| / 2` steps of the walk. One rule for writes, reads and replay.
+/// pessimistic; a `Some` never is). Each `anc(a)` and `desc(a)` is a walk
+/// that stops as soon as the sum passes the budget, so a scope that is not
+/// built costs at most `|L| / 2` steps of the walks. One rule for writes,
+/// reads and replay.
 pub fn scope_of_anchors(
     vs: &ViewStore,
     topo: &TopoOrder,
-    reach: &Reachability,
     anchors: &Anchors,
 ) -> Option<Vec<NodeId>> {
     let (nodes, up) = (&anchors.nodes, anchors.with_ancestors);
-    gather_scope(vs, topo, reach, nodes, up, topo.len() / SCOPE_SHARE)
+    gather_scope(vs, topo, nodes, up, topo.len() / SCOPE_SHARE)
 }
 
 /// The scope for a union of anchor cones: the nodes of `{root} ∪ ⋃ₐ ({a}
@@ -498,11 +501,10 @@ pub fn scope_of_anchors(
 pub fn union_scope(
     vs: &ViewStore,
     topo: &TopoOrder,
-    reach: &Reachability,
     anchors: &[NodeId],
     with_ancestors: bool,
 ) -> Vec<NodeId> {
-    gather_scope(vs, topo, reach, anchors, with_ancestors, usize::MAX).unwrap_or_default()
+    gather_scope(vs, topo, anchors, with_ancestors, usize::MAX).unwrap_or_default()
 }
 
 /// [`union_scope`], or `None` once `Σ (1 + |desc(a)| [+ |anc(a)|])` over
@@ -510,27 +512,31 @@ pub fn union_scope(
 fn gather_scope(
     vs: &ViewStore,
     topo: &TopoOrder,
-    reach: &Reachability,
     anchors: &[NodeId],
     with_ancestors: bool,
     budget: usize,
 ) -> Option<Vec<NodeId>> {
-    let mut cone = vec![vs.dag().root()];
+    let dag = vs.dag();
+    let mut cone = vec![dag.root()];
     let mut spent = 0usize;
     with_walk(|walk| {
         for &a in anchors {
-            let up = reach.ancestors(a);
-            let up_len = if with_ancestors { up.len() } else { 0 };
-            // One set per anchor: a node two cones share counts in both.
+            // One set per anchor and direction: a node two cones share
+            // counts in both.
             let start = cone.len();
-            let left = budget.checked_sub(spent.saturating_add(up_len))?;
-            if !walk.closure(vs.dag(), [a], &mut cone, start.saturating_add(left)) {
+            if with_ancestors {
+                let left = budget.checked_sub(spent)?;
+                if !walk.ancestors(dag, a, &mut cone, start.saturating_add(left)) {
+                    return None;
+                }
+            }
+            let below = cone.len();
+            spent += below - start;
+            let left = budget.checked_sub(spent)?;
+            if !walk.closure(dag, [a], &mut cone, below.saturating_add(left)) {
                 return None;
             }
-            spent += up_len + (cone.len() - start);
-            if with_ancestors {
-                up.extend_into(&mut cone);
-            }
+            spent += cone.len() - below;
         }
         Some(())
     })?;
@@ -740,7 +746,6 @@ mod tests {
     fn union_scope_is_a_subsequence_of_l() {
         let vs = store();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
         let dtd = vs.atg().dtd();
         let student = dtd.type_id("student").unwrap();
         let anchors = descendant(
@@ -752,7 +757,7 @@ mod tests {
         )
         .expect("bounded");
         assert_eq!(anchors.len(), 1);
-        let scope = union_scope(&vs, &topo, &reach, &anchors, true);
+        let scope = union_scope(&vs, &topo, &anchors, true);
         // The scope respects the maintained order and contains the anchor,
         // its descendants, its ancestors, and the root.
         let m = anchors[0];
@@ -761,7 +766,9 @@ mod tests {
         for d in crate::reach::descendants(vs.dag(), m) {
             assert!(scope.contains(&d));
         }
-        for a in reach.ancestors(m) {
+        let up = crate::reach::ancestors(vs.dag(), m);
+        assert!(up.contains(&vs.dag().root()) && up.len() > 2, "{up:?}");
+        for a in up {
             assert!(scope.contains(&a));
         }
         for w in scope.windows(2) {
@@ -769,16 +776,49 @@ mod tests {
         }
     }
 
+    /// A `//` anchor's ancestors are a walk up the parent lists that
+    /// reaches `|anc(a)|` ids and no more — counted under a 21- and a
+    /// 201-course view where the anchor, a student enrolled in every
+    /// course, has ancestors in proportion to the view.
+    #[test]
+    fn a_descendant_anchors_ancestor_walk_reaches_its_ancestors_only() {
+        use crate::reach::{Reachability, ANCESTOR_IDS};
+        let reached = |n: usize| {
+            let mut db = registrar_database();
+            for i in 0..n {
+                let cno = format!("X{i}");
+                let row = tuple![cno.as_str(), format!("T{i}").as_str(), "CS"];
+                db.insert("course", row).unwrap();
+                db.insert("enroll", tuple!["S01", cno.as_str()]).unwrap();
+            }
+            let vs = ViewStore::publish(registrar_atg(&db).unwrap(), &db).unwrap();
+            let topo = TopoOrder::compute(vs.dag());
+            let path = parse_xpath("//student[ssn=S01]/name").unwrap();
+            let class = classify(vs.atg().dtd(), &path);
+            let anchors = resolve_anchors(&vs, &class, 64, None).expect("classified");
+            assert!(anchors.with_ancestors && anchors.nodes.len() == 1);
+            let before = ANCESTOR_IDS.with(|c| c.get());
+            let scope = union_scope(&vs, &topo, &anchors.nodes, true);
+            let walked = ANCESTOR_IDS.with(|c| c.get()) - before;
+            let m = Reachability::compute(vs.dag(), &topo);
+            let anc = m.ancestors(anchors.nodes[0]);
+            assert_eq!(walked, anc.len(), "the walk reaches anc(a)");
+            assert!(anc.iter().all(|a| scope.contains(&a)));
+            walked
+        };
+        let (small, large) = (reached(20), reached(200));
+        assert!(large >= small + 2 * 180, "{small} / {large} ancestors");
+    }
+
     #[test]
     fn a_scope_near_the_view_is_not_built() {
         let vs = store();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
         let dtd = vs.atg().dtd();
         let scope = |path: &str| {
             let class = classify(dtd, &parse_xpath(path).unwrap());
             let anchors = resolve_anchors(&vs, &class, 64, None).expect("classified");
-            scope_of_anchors(&vs, &topo, &reach, &anchors)
+            scope_of_anchors(&vs, &topo, &anchors)
         };
         // CS650's cone is most of the registrar view; a leaf course's (its
         // three text/container children) is not; no anchors, no cones.

@@ -781,7 +781,6 @@ fn eval_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reach::Reachability;
     use proptest::prelude::*;
     use rxview_atg::{registrar_atg, registrar_database};
     use rxview_relstore::{tuple, Database};
@@ -820,13 +819,12 @@ mod tests {
         pub(super) static ARENA_CELLS: Cell<usize> = const { Cell::new(0) };
     }
 
-    fn fixture() -> (Database, ViewStore, TopoOrder, Reachability) {
+    fn fixture() -> (Database, ViewStore, TopoOrder) {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (db, vs, topo, reach)
+        (db, vs, topo)
     }
 
     const PATHS: &[&str] = &[
@@ -851,7 +849,7 @@ mod tests {
 
     /// `n` top-level courses with nothing below them but their own four
     /// children: a star of `5n + 1` nodes in which every cone has 5.
-    fn star(n: usize) -> (ViewStore, TopoOrder, Reachability) {
+    fn star(n: usize) -> (ViewStore, TopoOrder) {
         let mut db = Database::new();
         rxview_atg::registrar_schema(&mut db);
         for i in 0..n {
@@ -861,8 +859,7 @@ mod tests {
         let atg = registrar_atg(&db).unwrap();
         let vs = ViewStore::publish(atg, &db).unwrap();
         let topo = TopoOrder::compute(vs.dag());
-        let reach = Reachability::compute(vs.dag(), &topo);
-        (vs, topo, reach)
+        (vs, topo)
     }
 
     /// `n` courses in one prerequisite chain, `prereq(Cᵢ, Cᵢ₊₁)`, under the
@@ -941,14 +938,14 @@ mod tests {
         let mut written = Vec::new();
         let mut bound = 0;
         for n in [20, 2_000] {
-            let (vs, topo, reach) = star(n);
+            let (vs, topo) = star(n);
             assert_eq!(topo.len(), 5 * n + 1);
             let cache = PlanCache::default();
             let (plan, bindings) = cache.plan(vs.atg().dtd(), &p);
             let anchors =
                 crate::pathclass::resolve_anchors(&vs, &plan.class(&bindings), 64, None).unwrap();
             assert_eq!(anchors.nodes.len(), 1);
-            let scope = crate::pathclass::scope_of_anchors(&vs, &topo, &reach, &anchors)
+            let scope = crate::pathclass::scope_of_anchors(&vs, &topo, &anchors)
                 .expect("a 6-node cone is worth projecting");
             assert_eq!(scope.len(), 6);
             bound = (plan.program.preds.len() + 1) * scope.len();
@@ -978,7 +975,7 @@ mod tests {
 
     #[test]
     fn plan_class_matches_direct_classification() {
-        let (_db, vs, _topo, _reach) = fixture();
+        let (_db, vs, _topo) = fixture();
         let cache = PlanCache::default();
         let dtd = vs.atg().dtd();
         for path in PATHS {
@@ -994,7 +991,7 @@ mod tests {
 
     #[test]
     fn shapes_share_plans_across_literals() {
-        let (_db, vs, _topo, _reach) = fixture();
+        let (_db, vs, _topo) = fixture();
         let cache = PlanCache::default();
         let dtd = vs.atg().dtd();
         let a = parse_xpath("course[cno=CS320]").unwrap();

@@ -1,8 +1,11 @@
 //! The end-to-end update-processing framework of §2.4 (Fig.3).
 //!
 //! An [`XmlViewSystem`] owns the published database `I`, the relational
-//! views `V` (the DAG coding), and the auxiliary structures `M` and `L`.
-//! Each XML update flows through the paper's phases:
+//! views `V` (the DAG coding), and the topological order `L`. The paper's
+//! second auxiliary structure, the reachability matrix `M`, is not held:
+//! what it answers (a `//` anchor's ancestors, the insertion cycle check,
+//! the `L` repair's "below `v`") is a walk over the DAG
+//! ([`crate::reach`]). Each XML update flows through the paper's phases:
 //!
 //! 1. **admission** ([`XmlViewSystem::admit`]): DTD validation at the
 //!    schema level (§2.4), then the path's compiled plan — neither reads
@@ -12,14 +15,14 @@
 //! 3. **∆X → ∆V** (Xinsert / Xdelete, §3.3);
 //! 4. **∆V → ∆R** (Algorithm delete / insert, §4);
 //! 5. apply `∆R` to `I` and `∆V` to `V`;
-//! 6. **background maintenance** of `M`, `L`, and the `gen` tables (§3.4),
-//!    timed separately — the (c) constituent of Fig.11.
+//! 6. **background maintenance** of `L` and the `gen` tables (§3.4), timed
+//!    separately — the (c) constituent of Fig.11.
 
 use crate::dag_eval::DagEval;
 use crate::maintain::{delete_pass, insert_job, MaintainReport};
 use crate::pathclass::{resolve_anchors, scope_of_anchors, Anchors, PathClass, MAX_CONE_ANCHORS};
 use crate::plan::{eval_plan, UpdatePlan};
-use crate::reach::{ReachBatch, Reachability};
+use crate::reach::{closes_cycle, Reachability}; // `rxbench`'s surface until ROADMAP 4(h)
 use crate::rel_delete::{translate_deletions, DeleteRejection};
 use crate::rel_insert::{translate_insertions, InsertRejection};
 use crate::topo::TopoOrder;
@@ -95,7 +98,7 @@ pub struct PhaseTimings {
     pub eval: Duration,
     /// ∆X→∆V and ∆V→∆R translation plus applying both.
     pub translate: Duration,
-    /// Background maintenance of `M`, `L`, gen tables.
+    /// Background maintenance of `L` and the gen tables.
     pub maintain: Duration,
 }
 
@@ -169,8 +172,9 @@ pub struct Admitted {
 }
 
 /// The phase-6 obligation left behind by [`XmlViewSystem::apply_deferred`]:
-/// everything ∆(M,L)insert / ∆(M,L)delete needs to run later, possibly
-/// folded with the obligations of other updates in the same batch.
+/// everything the `L` halves of ∆(M,L)insert / ∆(M,L)delete need to run
+/// later, possibly folded with the obligations of other updates in the same
+/// batch.
 #[derive(Debug)]
 pub struct DeferredMaintenance {
     /// `r[[p]]` — the selected target nodes.
@@ -180,6 +184,11 @@ pub struct DeferredMaintenance {
 }
 
 impl DeferredMaintenance {
+    /// `r[[p]]`: the nodes the update's path selected.
+    pub fn selected(&self) -> &[NodeId] {
+        &self.selected
+    }
+
     /// The inserted subtree `ST(A, t)` (insertions only): what the update
     /// spliced, and in `fresh` the nodes it interned.
     pub fn subtree(&self) -> Option<&rxview_atg::SubtreeDag> {
@@ -211,7 +220,7 @@ struct TranslatedUpdate {
 
 /// The complete system: database, views, auxiliary structures.
 ///
-/// Cloning is cheap — `I`, `V` and `M` live in page-granular copy-on-write
+/// Cloning is cheap — `I` and `V` live in page-granular copy-on-write
 /// containers ([`rxview_relstore::PagedMap`]), so a clone copies page pointers
 /// plus `L`'s order, and a clone and its origin then diverge at
 /// the cost of the pages each one writes. The serving engine's snapshots
@@ -237,41 +246,38 @@ pub struct XmlViewSystem {
     base: Database,
     vs: ViewStore,
     topo: TopoOrder,
-    reach: Reachability,
 }
 
 impl XmlViewSystem {
     /// Loads `I` as a checkpoint load does — equal rows of same-shape
     /// tables stored once ([`Database::share_equal_rows`]), before anything
-    /// is built on them — then publishes `σ(I)` and builds `M` and `L`, `L`
-    /// from the order publication's acyclicity check already computed,
-    /// which is [`TopoOrder::compute`]'s.
+    /// is built on them — then publishes `σ(I)` and takes `L` from the order
+    /// publication's acyclicity check already computed, which is
+    /// [`TopoOrder::compute`]'s.
     pub fn new(atg: Atg, mut base: Database) -> Result<Self, PublishError> {
         base.share_equal_rows();
         let (vs, leaves_first) = ViewStore::publish_leaves_first(atg, &base)?;
         let topo = TopoOrder::from_order(leaves_first);
-        let reach = Reachability::compute(vs.dag(), &topo);
-        Ok(XmlViewSystem {
-            base,
-            vs,
-            topo,
-            reach,
-        })
+        Ok(XmlViewSystem { base, vs, topo })
+    }
+
+    /// A system from its parts, `topo` a valid order of the store's live
+    /// DAG: what a checkpoint load builds.
+    pub(crate) fn with_order(base: Database, vs: ViewStore, topo: TopoOrder) -> Self {
+        XmlViewSystem { base, vs, topo }
     }
 
     /// Reassembles a system from checkpointed parts without re-publishing
     /// `σ(I)` — the recovery path's constructor. The caller (the durability
     /// codec) is responsible for the parts being mutually consistent: `topo`
-    /// a valid order of the store's live DAG and `reach` its transitive
-    /// closure. Recovery tests validate the result against the
-    /// republication oracle ([`XmlViewSystem::consistency_check`]).
-    pub fn from_parts(base: Database, vs: ViewStore, topo: TopoOrder, reach: Reachability) -> Self {
-        XmlViewSystem {
-            base,
-            vs,
-            topo,
-            reach,
-        }
+    /// a valid order of the store's live DAG. Recovery tests validate the
+    /// result against the republication oracle
+    /// ([`XmlViewSystem::consistency_check`]). The last argument is dropped
+    /// unread: the system holds no `M`, and the parameter stays for
+    /// `rxbench`'s caller until ROADMAP 4(h).
+    #[rustfmt::skip]
+    pub fn from_parts(base: Database, vs: ViewStore, topo: TopoOrder, _: Reachability) -> Self { // ROADMAP 4(h)
+        Self::with_order(base, vs, topo)
     }
 
     /// The underlying database `I`.
@@ -289,9 +295,12 @@ impl XmlViewSystem {
         &self.topo
     }
 
-    /// The reachability matrix `M`.
-    pub fn reach(&self) -> &Reachability {
-        &self.reach
+    /// The reachability matrix `M` of the current view, computed by
+    /// Algorithm Reach backward over `L` at each call: `O(|M|)`, for
+    /// inspection and for `rxbench`'s caller until ROADMAP 4(h).
+    #[rustfmt::skip]
+    pub fn reach(&self) -> Reachability { // ROADMAP 4(h)
+        Reachability::compute(self.vs.dag(), &self.topo) // ROADMAP 4(h)
     }
 
     /// Expands the current view to an XML tree (mostly for inspection).
@@ -409,7 +418,7 @@ impl XmlViewSystem {
     /// recorded, under the default anchor cap.
     fn scope_of_class(&self, class: &PathClass) -> Option<Vec<NodeId>> {
         let anchors = resolve_anchors(&self.vs, class, MAX_CONE_ANCHORS, None)?;
-        scope_of_anchors(&self.vs, &self.topo, &self.reach, &anchors)
+        scope_of_anchors(&self.vs, &self.topo, &anchors)
     }
 
     /// **The** evaluation entry point of reads: one plan-cache lookup gives
@@ -436,7 +445,7 @@ impl XmlViewSystem {
     /// path's anchors (the conflict analyzer, which needs them for cones).
     pub fn eval_within(&self, path: &rxview_xmlkit::XPath, anchors: &Anchors) -> Evaluated {
         let (plan, bindings) = self.plan_of(path);
-        let scope = scope_of_anchors(&self.vs, &self.topo, &self.reach, anchors);
+        let scope = scope_of_anchors(&self.vs, &self.topo, anchors);
         self.eval_over(&plan, &bindings, scope)
     }
 
@@ -455,8 +464,8 @@ impl XmlViewSystem {
     /// Schema validation, then [`XmlViewSystem::apply_admitted`] with an
     /// evaluation the caller made some other way — the reference's §3.2
     /// verbatim, or a batch evaluated against its start state, whose jobs
-    /// one fold can take together (all its deletions' `M`/`L` upkeep in a
-    /// single ∆(M,L)delete pass). `eval` is an [`Evaluated`] or a bare
+    /// one fold can take together (all its deletions' upkeep in a single
+    /// delete pass). `eval` is an [`Evaluated`] or a bare
     /// [`DagEval`].
     pub fn apply_deferred(
         &mut self,
@@ -468,11 +477,11 @@ impl XmlViewSystem {
         self.apply_admitted(update, policy, eval.into())
     }
 
-    /// Runs the deferred phase-6 work of a batch: per-subtree ∆(M,L)insert
-    /// in submission order, then one ∆(M,L)delete pass over the union of all
-    /// deletion targets (including garbage collection). This is the one
-    /// place a batch's ∆(M,L) work is grouped: where the deletion jobs sit
-    /// in `jobs` changes nothing.
+    /// Runs the deferred phase-6 work of a batch: per-subtree `L` splice and
+    /// repair (∆(M,L)insert's `L` half) in submission order, then one delete
+    /// pass over the union of all deletion targets (garbage collection and
+    /// `L`'s compaction). This is the one place a batch's maintenance is
+    /// grouped: where the deletion jobs sit in `jobs` changes nothing.
     ///
     /// The engine hands it one job at a time. A batch of several is updates
     /// that were each evaluated against the state the batch started from,
@@ -488,19 +497,12 @@ impl XmlViewSystem {
         jobs: Vec<DeferredMaintenance>,
     ) -> Result<MaintainReport, Infallible> {
         let mut agg = MaintainReport::default();
-        if jobs.is_empty() {
-            return Ok(agg);
-        }
-        // One batch of merge buffers per fold (see `maintain`'s cost model).
-        let mut batch = ReachBatch::default();
         let mut delete_targets: Vec<rxview_atg::NodeId> = Vec::new();
         for job in jobs {
             match job.subtree {
                 Some(st) => agg.absorb(&insert_job(
-                    &self.vs,
+                    self.vs.dag(),
                     &mut self.topo,
-                    &mut self.reach,
-                    &mut batch,
                     &st,
                     &job.selected,
                 )),
@@ -508,13 +510,8 @@ impl XmlViewSystem {
             }
         }
         if !delete_targets.is_empty() {
-            agg.absorb(&delete_pass(
-                &mut self.vs,
-                &mut self.topo,
-                &mut self.reach,
-                &mut batch,
-                &delete_targets,
-            ));
+            let dag = self.vs.dag_mut();
+            agg.absorb(&delete_pass(dag, &mut self.topo, &delete_targets));
         }
         Ok(agg)
     }
@@ -523,7 +520,7 @@ impl XmlViewSystem {
     /// phase 6: side-effect detection, ∆X→∆V, ∆V→∆R, and application of
     /// both deltas. The returned [`DeferredMaintenance`] must be handed
     /// (possibly batched with others) to [`XmlViewSystem::fold_maintenance`]
-    /// before the next evaluation that depends on fresh `M`/`L` state. The
+    /// before the next evaluation that depends on a fresh `L`. The
     /// serving engine's commit loop applies through it.
     pub fn apply_admitted(
         &mut self,
@@ -534,15 +531,9 @@ impl XmlViewSystem {
         let t1 = Instant::now();
         let space = self.vs.dag().genid().n_allocated();
         let t = match update {
-            XmlUpdate::Insert { ty, attr, .. } => translate_insert(
-                &mut self.vs,
-                &self.base,
-                &self.reach,
-                ty,
-                attr,
-                policy,
-                eval,
-            ),
+            XmlUpdate::Insert { ty, attr, .. } => {
+                translate_insert(&mut self.vs, &self.base, &self.topo, ty, attr, policy, eval)
+            }
             XmlUpdate::Delete { .. } => translate_delete(&self.vs, &self.base, policy, eval),
         }?;
         // Phase 5: apply ∆R to I and ∆V to V.
@@ -580,10 +571,9 @@ impl XmlViewSystem {
     /// The **republication oracle**: republishes `σ(I)` from scratch and
     /// compares against the incrementally maintained view — edges and
     /// `gen_A` (the live nodes) through the [`Observed`](crate::Observed)
-    /// digest's sections, so no node outlives its last parent — checks that
-    /// `L` is a topological order of the view, and `M` against Algorithm
-    /// Reach recomputed over `L`. This is the paper's correctness
-    /// criterion `∆X(T) = σ(∆R(I))` made executable.
+    /// digest's sections, so no node outlives its last parent — and checks
+    /// that `L` is a topological order of the view. This is the paper's
+    /// correctness criterion `∆X(T) = σ(∆R(I))` made executable.
     pub fn consistency_check(&self) -> Result<(), String> {
         let fresh = ViewStore::publish(self.vs.atg().clone(), &self.base)
             .map_err(|e| format!("republication failed: {e}"))?;
@@ -600,10 +590,6 @@ impl XmlViewSystem {
         }
         if !self.topo.is_valid_for(self.vs.dag()) {
             return Err("topological order invalid".into());
-        }
-        let fresh_reach = Reachability::compute(self.vs.dag(), &self.topo);
-        if !self.reach.same_pairs(&fresh_reach) {
-            return Err("reachability matrix diverged from recomputation".into());
         }
         Ok(())
     }
@@ -664,7 +650,7 @@ fn translate_delete(
 fn translate_insert(
     vs: &mut ViewStore,
     base: &Database,
-    reach: &Reachability,
+    topo: &TopoOrder,
     ty: &str,
     attr: &Tuple,
     policy: SideEffectPolicy,
@@ -681,18 +667,9 @@ fn translate_insert(
             )))?;
     let space = vs.dag().genid().n_allocated();
     let (delta_v, st) = xinsert(vs, base, ty_id, attr.clone(), &eval)?;
-    // Cycle guard: connecting a target to a subtree that reaches (an
-    // ancestor of) the target would make the DAG cyclic. Only pre-existing
-    // nodes of ST(A,t) can close a cycle.
-    for w in st.shared_nodes() {
-        if eval
-            .selected
-            .iter()
-            .any(|&t| w == t || reach.is_ancestor(w, t))
-        {
-            rollback_subtree(vs, &st, space);
-            return Err(UpdateError::Cycle);
-        }
+    if closes_cycle(vs.dag(), topo, st.shared_nodes(), &eval.selected) {
+        rollback_subtree(vs, &st, space);
+        return Err(UpdateError::Cycle);
     }
     let translation = match translate_insertions(vs, base, &delta_v) {
         Ok(t) => t,
@@ -900,6 +877,42 @@ mod tests {
             after_apply.hits > after_plan.hits,
             "real translation instantiates the same templates"
         );
+    }
+
+    /// The cycle guard as a cost model: over an anchored stream — each
+    /// insert links an existing course below another's `prereq`, so its
+    /// subtree is all shared — the walk reads the same child lists under a
+    /// 21- and a 2 001-course view: it never enters what `L` places below
+    /// the target.
+    #[test]
+    fn the_cycle_guard_reads_the_same_child_lists_at_two_view_sizes() {
+        let reads = |n: usize| {
+            let mut db = registrar_database();
+            for i in 0..n {
+                let (cno, title) = (format!("X{i}"), format!("T{i}"));
+                db.insert("course", tuple![cno.as_str(), title.as_str(), "CS"])
+                    .unwrap();
+            }
+            let mut sys = XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
+            crate::reach::GUARD_CHILD_READS.with(|c| c.set(0));
+            for i in 0..10 {
+                let (cno, title) = (format!("X{}", i + 1), format!("T{}", i + 1));
+                let path = format!("course[cno=X{i}]/prereq");
+                let u = XmlUpdate::insert("course", tuple![cno.as_str(), title.as_str()], &path)
+                    .unwrap();
+                sys.apply(&u, SideEffectPolicy::Proceed).unwrap();
+            }
+            // The chain closed: X10 above X0 is a cycle.
+            let u =
+                XmlUpdate::insert("course", tuple!["X0", "T0"], "course[cno=X10]/prereq").unwrap();
+            let err = sys.apply(&u, SideEffectPolicy::Proceed).unwrap_err();
+            assert!(matches!(err, UpdateError::Cycle), "{err}");
+            sys.consistency_check().unwrap();
+            crate::reach::GUARD_CHILD_READS.with(|c| c.get())
+        };
+        let (small, large) = (reads(20), reads(2_000));
+        assert!(small > 0 && small <= 400, "{small} child lists read");
+        assert_eq!(small, large, "the guard's reads grow with the view");
     }
 
     #[test]

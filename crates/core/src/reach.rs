@@ -1,15 +1,22 @@
-//! The reachability matrix `M` and Algorithm Reach (§3.1, Fig.4).
+//! The reachability matrix `M` and Algorithm Reach (§3.1, Fig.4), and the
+//! walks that answer reachability without it.
 //!
-//! `M` supports the `//` axis on DAGs: `M(anc, desc)` is set iff `anc` is a
-//! (strict) ancestor of `desc`. Following the paper, only the set bits are
-//! stored — as a relation `M(anc, desc)`, realized here as one adjacency
-//! set per node, its ancestors: `anc(d)` is one lookup, and `desc(a)` — the
-//! other direction, which ∆(M,L) and the evaluator read far less often — is
-//! a walk down the DAG's child lists ([`descendants`]).
+//! `M(anc, desc)` is set iff `anc` is a (strict) ancestor of `desc`. The
+//! paper keeps `M` beside `L` so that `//` evaluation and the insertion
+//! cycle check are lookups. The serving system holds no `M`: every question
+//! it asks is a walk over the `Dag` — down the child lists ([`descendants`],
+//! the evaluator's `//` steps, the scope builder, the cycle guard, the `L`
+//! repair) or up the parent lists (the ancestors of a `//` anchor) — marked
+//! in a per-id `Stamps` arena, so a walk costs what it visits. `M` is
+//! computed when asked for ([`Reachability::compute`]), and the paper's
+//! incremental ∆M (Fig.7/8), which the bench harness runs beside the serving
+//! fold (`crates/bench/src/maintain.rs`), edits it through the bulk writes
+//! below.
 //!
 //! # Layout and cost model
 //!
-//! Each per-node set is one *run*: an immutable `Arc<[u64]>` of **block
+//! `M` stores each node's ancestors. Each per-node set is one *run*: an
+//! immutable `Arc<[u64]>` of **block
 //! words**. The id space is cut into blocks of 32 ids; a word is
 //! `block key << 32 | 32-bit mask` (key = `id >> 5`, bit `id & 31` of the
 //! mask set iff the id is in the set), a run holds one word per block that
@@ -27,9 +34,7 @@
 //!   search over the keys and one bit test;
 //! - [`union`] / [`minus`]: one linear merge by key, `|` or `& !` per shared
 //!   block, a word emptied by `minus` dropped;
-//! - iteration ([`Run::iter`]): `trailing_zeros` per id, ascending — so what
-//!   the evaluators and the `L` repairs see is the order an id array gave
-//!   them;
+//! - iteration ([`Run::iter`]): `trailing_zeros` per id, ascending;
 //! - [`Run::len`]: a popcount per word (not a stored length);
 //! - the Reach recurrence `⋃_p ({p} ∪ anc(p))`: every parent's words are
 //!   OR-ed into a dense scratch of one mask per block of the id space and
@@ -37,39 +42,26 @@
 //!   no id is.
 //!
 //! A run is never edited in place: changing a set builds its successor and
-//! swaps the handle, so a snapshot that still holds the old handle is
-//! unaffected and releasing it frees one allocation, not a tree.
+//! swaps the handle, so a clone that still holds the old handle is
+//! unaffected.
 //!
 //! Children whose only live parent is `p` all have `anc = anc(p) ∪ {p}`,
 //! and they hold that run as **one** allocation: [`Reachability::compute`]
-//! — which is also how a checkpoint load rebuilds `M` — stores it once per
-//! `p`, and a maintenance fold hands a fresh such child the handle a
-//! sibling holds. Rewriting one
-//! child's run later swaps that child's handle only. The counters count
-//! per node — a shared run's words once per node that holds it — so they
-//! do not depend on what is shared.
+//! stores it once per `p`, and ∆M hands a fresh such child the handle a
+//! sibling holds ([`Reachability::share_sibling_run`]). The counters count
+//! per node, so they do not depend on what is shared.
 //!
-//! That makes the unit of cost "one rewrite of a touched set", `O(words)`,
-//! and a single-pair insert would cost exactly that — which is why there is
-//! none. Everything that writes `M` is a bulk operation:
+//! Everything that writes `M` is a bulk operation: [`Reachability::compute`]
+//! builds every run with the recurrence, backward over `L`;
+//! [`Reachability::from_ancestors`] (which the reference crate loads its
+//! closure through) stores the runs it is given; ∆M edits ancestor sets
+//! wholesale ([`Reachability::add_ancestors`],
+//! [`Reachability::set_ancestors`] and its recurrence form
+//! [`Reachability::set_ancestors_from`], [`Reachability::collect_node`]).
 //!
-//! - [`Reachability::compute`] builds every run with the recurrence,
-//!   backward over `L`, at publication and at a checkpoint load, which
-//!   stores no `M`; `AncestorLoad` (under [`Reachability::from_ancestors`],
-//!   which the reference crate loads its closure through) stores the runs
-//!   it is given;
-//! - maintenance edits ancestor sets wholesale
-//!   ([`Reachability::add_ancestors`], [`Reachability::set_ancestors`] and
-//!   its recurrence form [`Reachability::set_ancestors_from`],
-//!   [`Reachability::collect_node`]), each written at once: a job of a
-//!   fold reads what the jobs before it wrote. An insert rewrites the runs
-//!   of the nodes below its target — the root's run is empty, and no run
-//!   grows with the view.
-//!
-//! A descendant set costs what it holds: the walk visits each node below
-//! its sources once and reads each of their child lists once, `O(desc +
-//! edges)`, against `O(words)` for a stored run — the price of not storing
-//! the second direction, paid only where `desc` is read.
+//! A walk costs what it reaches: it visits each node on its side of its
+//! sources once and reads each of their adjacency lists once, `O(nodes +
+//! edges)`, against `O(words)` for a stored run.
 
 use crate::topo::TopoOrder;
 use rxview_atg::{Dag, NodeId};
@@ -143,12 +135,6 @@ impl<'a> Run<'a> {
     pub fn extend_into(self, out: &mut Vec<NodeId>) {
         out.reserve(self.len());
         out.extend(self.iter());
-    }
-
-    /// The block words: one set has one spelling (keys ascending, no empty
-    /// mask), so equal sets have equal words.
-    pub(crate) fn words(self) -> &'a [u64] {
-        self.words
     }
 }
 
@@ -350,13 +336,6 @@ fn words_of(sets: &PagedVec<Option<Words>>, v: NodeId) -> &[u64] {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Ids of `M` stored on this thread, counted over every run written —
-    /// the cost-model guards' count of what a maintenance fold rewrites.
-    pub(crate) static IDS_WRITTEN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Replaces `v`'s set by the run `words`, keeping the count of stored words.
 fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, words: &[u64]) {
     store_handle(sets, n_words, v, (!words.is_empty()).then(|| words.into()));
@@ -371,8 +350,6 @@ fn store_handle(
 ) {
     debug_assert!(words.as_deref().is_none_or(|w| !w.is_empty() && is_run(w)));
     let new = words.as_deref().unwrap_or_default();
-    #[cfg(test)]
-    IDS_WRITTEN.with(|c| c.set(c.get() + Run { words: new }.len()));
     let old = words_of(sets, v).len();
     *n_words = *n_words - old + new.len();
     match words {
@@ -422,7 +399,7 @@ pub struct ReachBatch {
 
 impl ReachBatch {
     /// The ancestors the last rewrite of an `anc` run removed.
-    pub(crate) fn lost(&self) -> Run<'_> {
+    pub fn lost(&self) -> Run<'_> {
         self.lost.as_run()
     }
 }
@@ -609,7 +586,7 @@ impl Reachability {
     /// they are in an exact matrix, where both are `anc(p) ∪ {p}`. What a
     /// maintenance fold calls on the nodes it makes, once their runs are
     /// exact; it writes no id and keeps the counters.
-    pub(crate) fn share_sibling_run(&mut self, dag: &Dag, v: NodeId) {
+    pub fn share_sibling_run(&mut self, dag: &Dag, v: NodeId) {
         let Some(p) = only_parent(dag, v) else {
             return;
         };
@@ -628,8 +605,7 @@ impl Reachability {
     }
 
     /// Whether `a` and `b` hold their `anc` runs in one allocation.
-    #[cfg(test)]
-    pub(crate) fn same_run(&self, a: NodeId, b: NodeId) -> bool {
+    pub fn same_run(&self, a: NodeId, b: NodeId) -> bool {
         match (self.anc.get(a.index()), self.anc.get(b.index())) {
             (Some(Some(x)), Some(Some(y))) => Arc::ptr_eq(x, y),
             _ => false,
@@ -781,6 +757,42 @@ impl DescWalk {
         out.len() <= limit
     }
 
+    /// Whether the set has reached `v`.
+    pub(crate) fn holds(&self, v: NodeId) -> bool {
+        self.reached.holds(v)
+    }
+
+    /// Starts a new set and appends to `out` each strict ancestor of `a`
+    /// once: a walk up the live parent lists, nearest first. Stops past
+    /// `limit` like [`DescWalk::run`].
+    pub(crate) fn ancestors(
+        &mut self,
+        dag: &Dag,
+        a: NodeId,
+        out: &mut Vec<NodeId>,
+        limit: usize,
+    ) -> bool {
+        let n_ids = dag.genid().n_allocated();
+        self.begin(n_ids);
+        let from = out.len();
+        if a.index() < n_ids {
+            self.reach(a);
+            let live = |p: &NodeId| dag.genid().is_live(*p);
+            for p in dag.parents(a).iter().copied().filter(live) {
+                if self.reach(p) {
+                    out.push(p);
+                }
+            }
+            let within = self.run(out, from, limit, |u| {
+                dag.parents(u).iter().copied().filter(live)
+            });
+            #[cfg(test)]
+            ANCESTOR_IDS.with(|c| c.set(c.get() + out.len() - from));
+            return within;
+        }
+        out.len() <= limit
+    }
+
     /// Starts a new set and appends to `out` each node of `sources` and
     /// below them once, sources first: `{s} ∪ desc(s)` over the sources (an
     /// id the interner never handed out names no node, and is skipped).
@@ -815,6 +827,67 @@ pub(crate) fn with_walk<R>(f: impl FnOnce(&mut DescWalk) -> R) -> R {
         Ok(mut walk) => f(&mut walk),
         Err(_) => f(&mut DescWalk::default()),
     })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Ids the ancestor walks of this thread reached — the cost-model
+    /// guard's count of what a `//` anchor's ancestors cost.
+    pub(crate) static ANCESTOR_IDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `anc(a)`: the strict ancestors of `a` in `dag`, ascending.
+pub fn ancestors(dag: &Dag, a: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    with_walk(|walk| walk.ancestors(dag, a, &mut out, usize::MAX));
+    out.sort_unstable();
+    out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Child lists the cycle guard read on this thread — the cost-model
+    /// guard's work counter.
+    pub(crate) static GUARD_CHILD_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The insertion cycle guard: connecting `targets` to an inserted subtree
+/// `ST(A, t)` closes a cycle iff one of its pre-existing nodes — `shared`:
+/// only these have edges yet, and fresh nodes reach only through them — is
+/// a target or an ancestor of one. One walk down from `shared`, which
+/// never enters a node `L` places below every target: a node reaches only
+/// nodes `L` lists before it, so none of those reaches a target. `topo`
+/// must be valid for `dag` — the updates before this one folded.
+pub fn closes_cycle(
+    dag: &Dag,
+    topo: &TopoOrder,
+    shared: impl IntoIterator<Item = NodeId>,
+    targets: &[NodeId],
+) -> bool {
+    let mut targets = targets.to_vec();
+    targets.sort_unstable();
+    let is_target = |v: &NodeId| targets.binary_search(v).is_ok();
+    let floor = targets.iter().map(|&t| topo.position(t).unwrap_or(0)).min();
+    let Some(floor) = floor else {
+        return false;
+    };
+    let above = |c: &NodeId| topo.position(*c).is_none_or(|p| p >= floor);
+    let mut reached = Vec::new();
+    let n_ids = dag.genid().n_allocated();
+    with_walk(|walk| {
+        walk.begin(n_ids);
+        for w in shared.into_iter().filter(|w| w.index() < n_ids && above(w)) {
+            if walk.reach(w) {
+                reached.push(w);
+            }
+        }
+        walk.run(&mut reached, 0, usize::MAX, |u| {
+            #[cfg(test)]
+            GUARD_CHILD_READS.with(|c| c.set(c.get() + 1));
+            dag.children(u).iter().copied().filter(above)
+        });
+    });
+    reached.iter().any(is_target)
 }
 
 /// `desc(a)`: the strict descendants of `a` in `dag`, ascending.
@@ -890,7 +963,7 @@ mod tests {
         encode_system(&sys, &mut bytes);
         let reader = &mut rxview_relstore::codec::Reader::new(&bytes);
         let back = decode_system(sys.view().atg(), reader).unwrap();
-        for m in [&computed, sys.reach(), back.reach()] {
+        for m in [&computed, &sys.reach(), &back.reach()] {
             assert!(shared_per_group(m, &groups));
             assert!(m.same_pairs(&computed));
         }

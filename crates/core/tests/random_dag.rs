@@ -3,13 +3,17 @@
 //! naive closure and the bulk load the reference crate stores its closure
 //! through (`Reachability::from_ancestors`), `M`'s one direction
 //! (`is_ancestor`) and the descendant walk that stands in for the other
-//! against a model closure — also over free and recycled ids — and the
-//! `swap(L, u, v)` repair under random edge insertions.
+//! against a model closure — also over free and recycled ids — the
+//! `swap(L, u, v)` repair under random edge insertions, and the serving
+//! fold's `L` half (`insert_job`, `delete_pass`) with the paper's ∆M
+//! (`rxview_bench::maintain`) beside it on deep-chain and wide-sharing
+//! DAGs, held after every job to a valid `L` and to Algorithm Reach.
 
 use proptest::prelude::*;
-use rxview_atg::{Dag, GenId, NodeId};
-use rxview_core::reach::descendants;
-use rxview_core::{Reachability, TopoOrder};
+use rxview_atg::{Dag, GenId, NodeId, SubtreeDag};
+use rxview_bench::maintain::TrackedM;
+use rxview_core::reach::{closes_cycle, descendants};
+use rxview_core::{delete_pass, insert_job, Reachability, TopoOrder};
 use rxview_reference::compute_naive;
 use rxview_relstore::{schema, Tuple, Value};
 use rxview_xmlkit::TypeId;
@@ -245,5 +249,162 @@ proptest! {
         let reach = Reachability::compute(&dag, &topo);
         prop_assert!(reach.same_pairs(&compute_naive(&dag)));
         prop_assert_eq!(reach.ancestors(reborn), &[root][..]);
+    }
+
+    /// Jobs of several edges on a deep chain and on a DAG of wide sharing:
+    /// a fresh node linked under several targets and onto several old
+    /// nodes, an old node linked under several targets — so a job's later
+    /// edges still wait for their `swap` while an earlier one is repaired
+    /// — folded `batch` insertions at a time, as `fold_maintenance` folds a
+    /// batch, so a job's edges also wait on the jobs before it; and edge
+    /// deletions, which may collect. After every fold `L` is a valid order
+    /// of the live nodes and ∆M's `M` is Algorithm Reach's; between folds
+    /// the cycle guard answers what `M` does for reversed edges.
+    #[test]
+    fn folds_keep_l_valid_and_delta_m_exact_on_deep_and_wide_dags(
+        deep in 0usize..2,
+        n in 4usize..40,
+        batch in 1usize..4,
+        jobs in prop::collection::vec(
+            (0usize..3, prop::collection::vec(0usize..1_000, 1..5), 0usize..1_000),
+            1..16,
+        ),
+    ) {
+        let ty = TypeId(0);
+        let node = |label: usize| Tuple::from_values([Value::Int(label as i64)]);
+        let edges: Vec<(usize, usize)> = if deep == 1 {
+            (2..n).map(|j| (j - 1, j)).collect()
+        } else {
+            // Up to three more parents per node, spread over the nodes
+            // before it, besides the root.
+            let spread = |j: usize, salt: usize| j.wrapping_mul(2_654_435_761 + salt).rotate_left(13) % j;
+            (1..n).flat_map(|j| [(spread(j, 0), j), (spread(j, 1), j), (j / 2, j)]).collect()
+        };
+        let mut dag = build_dag(n, &[]);
+        let id = |dag: &Dag, i: usize| dag.genid().lookup(ty, &node(i)).expect("built");
+        if deep == 1 {
+            // One chain under the root: its edges go, but to node 1.
+            let (root, first) = (dag.root(), id(&dag, 1));
+            for v in dag.children(root).to_vec() {
+                if v != first {
+                    dag.remove_edge(root, v);
+                }
+            }
+        }
+        for &(i, j) in &edges {
+            let (u, v) = (id(&dag, i), id(&dag, j));
+            if !dag.has_edge(u, v) {
+                dag.add_edge(u, v);
+            }
+        }
+        // A node's rank orders every edge, so none closes a cycle.
+        let mut rank: Vec<(NodeId, usize)> = (0..n).map(|i| (id(&dag, i), i * 1_000)).collect();
+        let mut topo = TopoOrder::compute(&dag);
+        let mut m = TrackedM::from(Reachability::compute(&dag, &topo));
+        let mut pending: Vec<(SubtreeDag, Vec<NodeId>)> = Vec::new();
+        let total = jobs.len();
+        for (k, (kind, picks, at)) in jobs.into_iter().enumerate() {
+            rank.retain(|&(v, _)| dag.genid().is_live(v));
+            let pick = |i: usize| rank[i % rank.len()];
+            match kind {
+                // A fresh node at rank `at`, under the picks below it and
+                // above the picks over it.
+                0 => {
+                    let r = at * n + 1;
+                    let (f, fresh) = dag.genid_mut().gen_id(ty, node(100_000 + k));
+                    prop_assert!(fresh);
+                    let (mut targets, mut below) = (Vec::new(), Vec::new());
+                    for (v, rv) in picks.iter().map(|&i| pick(i)) {
+                        if rv < r && !targets.contains(&v) {
+                            targets.push(v);
+                        } else if rv > r && !below.contains(&v) {
+                            below.push(v);
+                        }
+                    }
+                    if targets.is_empty() {
+                        targets.push(dag.root());
+                    }
+                    for &t in &targets {
+                        dag.add_edge(t, f);
+                    }
+                    for &x in &below {
+                        dag.add_edge(f, x);
+                    }
+                    rank.push((f, r));
+                    let st = SubtreeDag {
+                        root: f,
+                        edges: below.iter().map(|&x| (f, x)).collect(),
+                        nodes: [f].into_iter().chain(below).collect(),
+                        fresh: vec![f],
+                    };
+                    pending.push((st, targets));
+                }
+                // An old node under the picks ranked below it that are not
+                // its parents yet.
+                1 => {
+                    let (v, rv) = pick(at);
+                    let mut targets = Vec::new();
+                    for (u, ru) in picks.iter().map(|&i| pick(i)) {
+                        if ru < rv && !dag.has_edge(u, v) && !targets.contains(&u) {
+                            targets.push(u);
+                        }
+                    }
+                    if targets.is_empty() {
+                        continue;
+                    }
+                    // Between folds `L` is valid, and the guard refuses the
+                    // reversed edges exactly when `M` does.
+                    for &t in targets.iter().filter(|_| pending.is_empty()) {
+                        prop_assert_eq!(
+                            closes_cycle(&dag, &topo, [t], &[v]),
+                            m.m().is_ancestor(t, v),
+                            "guard on ({}, {})", v.0, t.0
+                        );
+                        prop_assert!(!closes_cycle(&dag, &topo, [v], &[t]));
+                    }
+                    for &t in &targets {
+                        dag.add_edge(t, v);
+                    }
+                    let st = SubtreeDag { root: v, edges: Vec::new(), nodes: vec![v], fresh: Vec::new() };
+                    pending.push((st, targets));
+                }
+                // The edge into a pick from one of its parents, in a fold
+                // of its own.
+                _ => {
+                    fold_inserts(&dag, &mut topo, &mut m, &mut pending);
+                    let (c, _) = pick(at);
+                    let Some(&p) = dag.parents(c).first() else { continue };
+                    dag.remove_edge(p, c);
+                    m.delete(&dag, &[c]);
+                    delete_pass(&mut dag, &mut topo, &[c]);
+                }
+            }
+            if pending.len() >= batch || k + 1 == total {
+                fold_inserts(&dag, &mut topo, &mut m, &mut pending);
+            }
+            if pending.is_empty() {
+                prop_assert!(topo.is_valid_for(&dag), "L after job {}", k);
+                prop_assert_eq!(topo.len(), dag.genid().n_live());
+                let recomputed = Reachability::compute(&dag, &topo);
+                prop_assert!(m.m().same_pairs(&recomputed), "M after job {}", k);
+            }
+        }
+    }
+}
+
+/// One fold of the insertions `pending` holds, whose edges are all in
+/// `dag`: ∆M's halves in order, then the serving fold's `insert_job`s in
+/// order, as `TrackedM::fold` and `fold_maintenance` run them.
+fn fold_inserts(
+    dag: &Dag,
+    topo: &mut TopoOrder,
+    m: &mut TrackedM,
+    pending: &mut Vec<(SubtreeDag, Vec<NodeId>)>,
+) {
+    for (st, targets) in pending.iter() {
+        m.insert(dag, st, targets);
+    }
+    for (st, targets) in pending.drain(..) {
+        insert_job(dag, topo, &st, &targets);
     }
 }

@@ -27,7 +27,7 @@
 //! planned footprints conservative against what the translation realizes.
 
 use rxview_atg::{generate_subtree, NodeId, Provisional};
-use rxview_core::reach::descendants;
+use rxview_core::reach::{ancestors, descendants};
 use rxview_core::{
     planned_delete_writes, planned_insert_writes, resolve_anchors, sub_steps, Anchors, Evaluated,
     RelFootprint, SubStep, XmlUpdate, XmlViewSystem, MAX_CONE_ANCHORS,
@@ -52,7 +52,7 @@ use std::collections::HashSet;
 ///   splice (their closures decide link targets).
 /// - `node_writes` — deletions only: per deleted matched edge `(p, c)`,
 ///   the child `c` and its descendant closure (detachment, the GC
-///   candidates, and the `∆(M,L)` fold all stay inside it). Insertions
+///   candidates, and the delete pass all stay inside it). Insertions
 ///   write no *existing* node's subtree — fresh nodes are invisible until
 ///   publish, and splice targets appear as extension writes.
 /// - `ext_reads` / `ext_writes` — per-`(node, type)` *extension* keys
@@ -205,12 +205,8 @@ impl Analysis {
                 // A `//`-match's parent edges and matched root-paths climb
                 // above it: its ancestor chain (minus the root, which every
                 // cone would share) joins the footprint.
-                cone.extend(
-                    sys.reach()
-                        .ancestors(a)
-                        .iter()
-                        .filter(|v| *v != root && interior(v)),
-                );
+                let up = ancestors(dag, a).into_iter();
+                cone.extend(up.filter(|v| *v != root && interior(v)));
             }
         }
 
@@ -800,7 +796,6 @@ mod tests {
             let scope = rxview_core::union_scope(
                 sys.view(),
                 sys.topo(),
-                sys.reach(),
                 &anchors.nodes,
                 anchors.with_ancestors,
             );

@@ -105,7 +105,7 @@ impl UpdateTicket {
     /// Blocks until the update's batch commits (or the engine drops it).
     ///
     /// The returned [`UpdateReport`]'s `maintain` is the update's own fold
-    /// of `M` and `L`.
+    /// of `L`.
     pub fn wait(self) -> Result<UpdateReport, EngineError> {
         match self.rx.recv() {
             Ok(Ok(report)) => Ok(report),
@@ -136,7 +136,7 @@ pub struct CommitSummary {
     pub accepted: usize,
     /// Updates rejected.
     pub rejected: usize,
-    /// `M`/`L` maintenance totals across the published rounds of this
+    /// Maintenance totals across the published rounds of this
     /// commit (each update's report carries its own).
     pub maintain: rxview_core::MaintainReport,
 }

@@ -2,15 +2,15 @@
 //! update framework.
 //!
 //! The core [`rxview_core::XmlViewSystem`] reproduces the paper faithfully
-//! but serially: one mutable `(I, V, M, L)` state, one update at a time.
+//! but serially: one mutable `(I, V, L)` state, one update at a time.
 //! This crate wraps it in a production-shaped engine:
 //!
 //! - **Snapshot isolation** ([`Snapshot`], [`Engine::snapshot`]): the whole
-//!   system state — database `I`, views `V`, reachability `M`, order `L` —
+//!   system state — database `I`, views `V`, order `L` —
 //!   is published behind an epoch-stamped [`std::sync::Arc`] that a write
 //!   commit swaps atomically. Any number of reader threads evaluate XPath
 //!   (§3.2's two-pass DAG evaluation) or SPJ queries against an immutable
-//!   snapshot while the writer works; `(I, V, M)` live in page-granular
+//!   snapshot while the writer works; `(I, V)` live in page-granular
 //!   copy-on-write containers ([`rxview_relstore::PagedMap`]), so the writer's
 //!   working clone, its first writes, and the release of a displaced
 //!   snapshot each cost in proportion to what the round changed, and a
@@ -46,8 +46,8 @@
 //!   directory and describes it: each file, who creates and deletes it, and
 //!   the fsync order that makes each deletion safe. Recovery loads the
 //!   newest valid checkpoint, replays the log suffix record by record —
-//!   each record as the serial application it logs, one fold of `M` and `L`
-//!   per update — and resumes serving at the recovered epoch
+//!   each record as the serial application it logs, one fold of `L` per
+//!   update — and resumes serving at the recovered epoch
 //!   ([`RecoveryReport`]).
 //! - **rxbench-only names**: [`Analysis`], [`BatchFootprint`] and
 //!   [`evaluation_scope`] are the conflict analysis the round planner used

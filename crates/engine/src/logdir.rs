@@ -12,7 +12,7 @@
 //! - `ckpt-<epoch>.rxck`, the state at a published epoch: `RXCKPv2\n`, the
 //!   payload's length (u64 LE) and CRC-32 (u32 LE), then the payload,
 //!   `varint epoch` · [`rxview_core::codec::encode_system`] — `I`, `V` and
-//!   `L`; the load rebuilds `gen_A` and `M` from them. One format back,
+//!   `L`; the load rebuilds `gen_A` from them. One format back,
 //!   `RXCKPv1\n` (which also held `gen_A` and `M`), is read and never
 //!   written (`FORMATS`). Written only by `LogDir::write_checkpoint`;
 //!   pruned to the newest [`KEEP_CHECKPOINTS`] after every checkpoint and

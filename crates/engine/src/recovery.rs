@@ -103,7 +103,7 @@ pub struct RecoveryReport {
     pub replayed_rounds: usize,
     /// Updates replayed across those rounds.
     pub replayed_updates: usize,
-    /// Folds of `M` and `L` the replay ran: one per replayed update that
+    /// Folds of `L` the replay ran: one per replayed update that
     /// applied, as the engine folded it.
     pub replay_folds: usize,
     /// Replayed updates the apply path rejected. Always `0` when the log

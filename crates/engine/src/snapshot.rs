@@ -4,12 +4,12 @@ use rxview_core::{DagEval, XmlViewSystem};
 use rxview_relstore::Tuple;
 use rxview_xmlkit::XPath;
 
-/// One immutable version of the full system state `(I, V, M, L)`.
+/// One immutable version of the full system state `(I, V, L)`.
 ///
 /// Readers obtain a snapshot from [`crate::Engine::snapshot`] and keep using
 /// it for as long as they like; commits publish *new* snapshots and never
 /// mutate an already-published one. Consecutive snapshots share every page
-/// of `(I, V, M)` the commits between them did not write
+/// of `(I, V)` the commits between them did not write
 /// ([`rxview_relstore::PagedMap`]), so holding an old snapshot pins only what has
 /// changed since, and dropping the last handle to it frees only that.
 #[derive(Debug)]
@@ -29,7 +29,7 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The underlying system (read-only): database, views, `M`, `L`.
+    /// The underlying system (read-only): database, views, `L`.
     pub fn system(&self) -> &XmlViewSystem {
         &self.sys
     }

@@ -197,11 +197,6 @@ metric_table! {
         allocated_ids: gauge "state.allocated_ids",
         /// Ids of that space waiting to be handed out again.
         free_ids: gauge "state.free_ids",
-        /// Pairs of `M` in the latest published epoch.
-        m_pairs: gauge "state.m_pairs",
-        /// 32-id block words `M` stores those pairs in: each pair is one id
-        /// in its descendant's `anc` run, so `m_pairs / m_words` ids per word.
-        m_words: gauge "state.m_words",
         // --- evaluation ---
         /// Evaluations the commit path ran over a scope (a projection of `L`
         /// onto the path's anchor cones), one per update a round evaluated.
@@ -218,16 +213,12 @@ metric_table! {
         /// evaluations and folds it ran (recorded as `phase.eval_ns` and
         /// `phase.fold_ns`).
         translate_wall: timer "phase.translate_wall_ns",
-        /// Fold sub-span: time the folded ∆(M,L) passes spent rewriting
-        /// reachability (per-node ancestor-set recompute — ∆M steps (a)/(b)
-        /// on insert, the Fig.8 ancestor rewrite on delete). Part of
-        /// `phases.maintain`, not an extra phase.
-        fold_m_rewrite: timer "phase.fold_m_rewrite_ns",
-        /// Fold sub-span: time the folded ∆(M,L) passes spent splicing the
-        /// topological order (fresh-interval splice + L-repair on insert,
-        /// unreferenced-node GC cascade on delete). Part of `phases.maintain`.
+        /// Fold sub-span: time the folded passes spent inside `L`'s
+        /// maintenance (fresh-block splice + `swap` repair on insert,
+        /// unreferenced-node GC cascade and compaction on delete), as the
+        /// fold loop measured it. Part of `phases.maintain`.
         fold_l_splice: timer "phase.fold_l_splice_ns",
-        /// ∆(M,L) passes the folds ran ([`MaintainReport::cone_folds`]):
+        /// Maintenance passes the folds ran ([`MaintainReport::cone_folds`]):
         /// one per applied update.
         cone_folds: counter "fold.cone_folds",
         /// Time writing replay-log records (fsync excluded).
@@ -276,7 +267,7 @@ metric_table! {
         eval_ns: timer "phase.eval_ns",
         /// ∆X→∆V→∆R translation, one sample per update: `phases.translate`.
         translate_ns: timer "phase.translate_ns",
-        /// The ∆(M,L) fold, one sample per applied update: `phases.maintain`.
+        /// The fold, one sample per applied update: `phases.maintain`.
         fold_ns: timer "phase.fold_ns",
         /// Admission→ack, one sample per resolved ticket: `latency`.
         update_latency_ns: timer "update.latency_ns",
@@ -320,18 +311,14 @@ impl EngineStats {
     /// The size of the state an epoch serves: rows of `I`, live nodes of
     /// the view, the interner's id space and how much of it is free — a
     /// collected node's id is handed out again, so the id space stops at
-    /// the largest view served plus a round's allocations — and the pairs of
-    /// `M` with the block words both its directions store them in, whose
-    /// ratio falls if recycling ever scatters subtrees over the id space.
-    /// All are counts the structures already keep.
+    /// the largest view served plus a round's allocations. All are counts
+    /// the structures already keep.
     pub(crate) fn record_state(&self, sys: &XmlViewSystem) {
         let genid = sys.view().dag().genid();
         self.base_rows.set(sys.base().total_rows() as i64);
         self.live_nodes.set(genid.n_live() as i64);
         self.allocated_ids.set(genid.n_allocated() as i64);
         self.free_ids.set(genid.n_free() as i64);
-        self.m_pairs.set(sys.reach().n_pairs() as i64);
-        self.m_words.set(sys.reach().n_words() as i64);
     }
 
     /// One path evaluation, counted by how it ran
@@ -347,14 +334,11 @@ impl EngineStats {
         self.eval_ns.record_duration(d);
     }
 
-    /// One folded ∆(M,L) maintenance pass: its wall clock plus the
-    /// sub-span attribution the fold loop measured itself — per-node
-    /// M-rewrite time, L-splice/GC time, and how many ∆(M,L) passes it ran
+    /// One folded maintenance pass: its wall clock plus the `L`/GC time
+    /// the fold loop measured itself, and how many passes it ran
     /// (`MaintainReport::cone_folds`).
     pub(crate) fn record_maintain(&self, d: Duration, m: &MaintainReport) {
         self.fold_ns.record_duration(d);
-        self.fold_m_rewrite
-            .record_duration(Duration::from_nanos(m.m_rewrite_ns));
         self.fold_l_splice
             .record_duration(Duration::from_nanos(m.l_splice_ns));
         self.cone_folds.add(m.cone_folds);
@@ -399,7 +383,7 @@ pub struct PhaseBreakdown {
     /// fraction. Kept, as that constant, because `rxbench` still reads it
     /// (ROADMAP item 4(g) drops both).
     pub merge: Duration,
-    /// The per-update ∆(M,L) folds.
+    /// The per-update folds.
     pub fold: Duration,
     /// Replay-log record writes.
     pub wal_append: Duration,
@@ -510,15 +494,8 @@ impl fmt::Display for EngineReport {
         )?;
         writeln!(
             f,
-            "state: {} base rows, node ids {} allocated / {} live / {} free, \
-             M {} pairs in {} words ({:.2} ids per word)",
-            self.base_rows,
-            self.allocated_ids,
-            self.live_nodes,
-            self.free_ids,
-            self.m_pairs,
-            self.m_words,
-            self.m_pairs as f64 / self.m_words.max(1) as f64
+            "state: {} base rows, node ids {} allocated / {} live / {} free",
+            self.base_rows, self.allocated_ids, self.live_nodes, self.free_ids,
         )?;
         writeln!(
             f,
@@ -559,8 +536,8 @@ impl fmt::Display for EngineReport {
         if self.cone_folds > 0 {
             writeln!(
                 f,
-                "fold detail: {} cone folds, M-rewrite {:?}, L-splice {:?}",
-                self.cone_folds, self.fold_m_rewrite, self.fold_l_splice
+                "fold detail: {} cone folds, L-splice {:?}",
+                self.cone_folds, self.fold_l_splice
             )?;
         }
         if self.latency.count > 0 {

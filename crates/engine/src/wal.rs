@@ -7,7 +7,7 @@
 //! epoch plus the round's applied updates in submission order, in their
 //! *logical* form (`XmlUpdate` + side-effect policy). The log is the round:
 //! recovery replays a record the way the round pipeline committed it
-//! (`crate::recovery`), re-deriving ∆V, ∆R, and the `M`/`L` maintenance.
+//! (`crate::recovery`), re-deriving ∆V, ∆R, and the `L` maintenance.
 //!
 //! ## On-disk format
 //!

@@ -4,11 +4,11 @@
 //! view — however many updates share a round and whether evaluation ran
 //! scoped or full. A round is the queue's next `max_batch` updates, and
 //! every applied update is folded on its own, so a commit of `n` updates
-//! runs `⌈n / max_batch⌉` rounds and one ∆(M,L) fold per applied update. The
+//! runs `⌈n / max_batch⌉` rounds and one fold per applied update. The
 //! sequential side of the property tests is the paper's algorithm, not the
 //! code under test: `rxview_reference::reference_apply` evaluates by §3.2
 //! verbatim (`eval_xpath_on_dag` over all of `L` — no scope, no compiled
-//! plan) and folds ∆(M,L) per update.
+//! plan) and folds each update.
 
 use proptest::prelude::*;
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
@@ -207,7 +207,6 @@ proptest! {
                 let scope = rxview_core::union_scope(
                     vs,
                     sys.topo(),
-                    sys.reach(),
                     &anchors.nodes,
                     anchors.with_ancestors,
                 );

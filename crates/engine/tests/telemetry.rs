@@ -90,10 +90,10 @@ fn round_phases_and_fold_spans_are_well_formed() {
     );
     let sum: f64 = phases.fractions().iter().map(|(_, _, f)| f).sum();
     assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
-    // The fold's sub-spans are timed inside the fold: deletions splice `L`
-    // and rewrite `M`, and together they stay within the folds' wall clock.
+    // The fold's sub-span is timed inside the fold: deletions collect and
+    // compact `L`, and that stays within the folds' wall clock.
     assert_eq!(report.cone_folds, accepted, "one fold per applied update");
-    let sub_spans = report.fold_m_rewrite + report.fold_l_splice;
+    let sub_spans = report.fold_l_splice;
     assert!(sub_spans > std::time::Duration::ZERO);
     assert!(
         sub_spans <= phases.fold,
@@ -207,7 +207,6 @@ fn registry_names_are_pinned() {
         ("fold.cone_folds", 'c'),
         ("phase.eval_ns", 'h'),
         ("phase.fold_l_splice_ns", 'h'),
-        ("phase.fold_m_rewrite_ns", 'h'),
         ("phase.fold_ns", 'h'),
         ("phase.fsync_ns", 'h'),
         ("phase.plan_ns", 'h'),
@@ -225,8 +224,6 @@ fn registry_names_are_pinned() {
         ("state.base_rows", 'g'),
         ("state.free_ids", 'g'),
         ("state.live_nodes", 'g'),
-        ("state.m_pairs", 'g'),
-        ("state.m_words", 'g'),
         ("update.latency_ns", 'h'),
         ("updates.accepted", 'c'),
         ("updates.rejected", 'c'),
@@ -365,14 +362,6 @@ fn state_gauges_follow_the_published_epoch() {
             genid.n_free() as u64,
         )
     };
-    let m_sizes =
-        |sys: &XmlViewSystem| (sys.reach().n_pairs() as u64, sys.reach().n_words() as u64);
-    let m_reported = |engine: &Engine| {
-        let r = engine.stats().report();
-        (r.m_pairs, r.m_words)
-    };
-    assert_eq!(m_reported(&engine), m_sizes(&sys), "the starting epoch's M");
-    assert!(m_sizes(&sys).1 > 0 && m_sizes(&sys).1 <= 2 * m_sizes(&sys).0);
     let reported = |engine: &Engine| {
         let r = engine.stats().report();
         (r.base_rows, r.live_nodes, r.allocated_ids, r.free_ids)
@@ -388,11 +377,6 @@ fn state_gauges_follow_the_published_epoch() {
     let snap = engine.snapshot();
     let (rows, live, allocated, free) = reported(&engine);
     assert_eq!((rows, live, allocated, free), sizes(snap.system()));
-    assert_eq!(m_reported(&engine), m_sizes(snap.system()));
-    assert!(
-        m_reported(&engine).0 < m_sizes(&sys).0,
-        "deletions removed pairs"
-    );
     assert!(rows < sizes(&sys).0, "deletions removed base rows");
     assert_eq!(allocated, sizes(&sys).2, "the id space keeps its size");
     assert_eq!(live + free, allocated, "an id is live or free");
@@ -436,11 +420,9 @@ fn state_gauges_follow_the_published_epoch() {
         "state.live_nodes",
         "state.allocated_ids",
         "state.free_ids",
-        "state.m_pairs",
-        "state.m_words",
     ] {
         assert!(text.contains(needle), "report missing {needle}:\n{text}");
     }
     let report = engine.stats().report().to_string();
-    assert!(report.contains("state: ") && report.contains("ids per word"));
+    assert!(report.contains("state: ") && report.contains("free"));
 }

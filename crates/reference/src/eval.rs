@@ -643,7 +643,7 @@ mod tests {
                 let cache = PlanCache::default();
                 let (plan, bindings) = cache.plan(vs.atg().dtd(), &p);
                 let anchors = resolve_anchors(&vs, &plan.class(&bindings), 64, None).unwrap();
-                let scope = scope_of_anchors(&vs, &topo, &reach, &anchors)
+                let scope = scope_of_anchors(&vs, &topo, &anchors)
                     .expect("a 6-node cone is worth projecting");
                 let scoped = eval_plan(&vs, &scope, &plan, &bindings);
                 let full = eval_xpath_on_dag(&vs, &topo, &reach, &p);

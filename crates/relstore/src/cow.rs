@@ -1,7 +1,7 @@
 //! Page-granular copy-on-write containers: the storage behind every piece
 //! of state a published snapshot shares with its successors.
 //!
-//! The serving engine publishes one immutable version of `(I, V, M)` per
+//! The serving engine publishes one immutable version of `(I, V)` per
 //! commit round and keeps mutating a private successor. Both containers
 //! here make that cheap in all three directions: `clone` copies one `Arc`
 //! per page (`O(n ÷ page)`, no element is touched), a write copies the one

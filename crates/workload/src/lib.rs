@@ -5,10 +5,11 @@
 //!   generator, the recursive view of Fig.10(a), and Fig.10(b)-style
 //!   dataset statistics ([`dataset_stats`]);
 //! - [`WorkloadGen`]: the W1/W2/W3 insertion and deletion workloads;
-//! - [`ShardSkewGen`]: anchor-cone-partitioned update streams with a
-//!   controllable hot spot, for the engine's round-width sweeps;
+//! - [`ShardSkewGen`]: anchored insert/delete streams whose traffic
+//!   concentrates on a controllable hot spot of group heads;
 //! - [`DescendantGen`]: mixed anchored + `//`-headed update streams over hot
-//!   and cold anchor cones, for the type-indexed `//` planning sweeps;
+//!   and cold group heads, whose `//` anchors are resolved from the
+//!   `gen_A` tables and evaluated over their cones;
 //! - [`ChurnGen`]: steady delete / re-insert traffic with fresh keys, for
 //!   the bounded-state soaks;
 //! - [`mixed_updates`] and [`assert_observationally_equal`] (on

@@ -1,29 +1,26 @@
-//! Shard-skew update workloads: anchor-cone-partitioned traffic with a
-//! controllable hot spot.
+//! Shard-skew update workloads: anchored traffic with a controllable hot
+//! spot.
 //!
-//! The engine partitions writes into rounds by anchor cone, so how wide its
-//! rounds grow is governed by how evenly traffic spreads over the top-level
-//! groups of the synthetic dataset: uniform traffic fills a round, while a
-//! hot group-cluster serializes — conflicting updates to one cone can never
-//! commit in the same round (below the sub-cone unit of hot-cone fission).
-//! This generator produces that spectrum: a fraction `hot_fraction` of
-//! updates targets a small cluster of `hot_groups` anchors, the rest spread
-//! uniformly over the cold groups.
+//! A fraction `hot_fraction` of updates targets a small cluster of
+//! `hot_groups` group heads of the synthetic dataset, the rest spread
+//! uniformly over the cold groups. The engine commits a round as a serial
+//! group commit — each update of the queue's next `max_batch` evaluated,
+//! applied and folded in turn, then one log record and one publication —
+//! so the skew decides how often consecutive updates meet in one cone, not
+//! how rounds are formed (`rxbench`'s conflict analysis still scores it).
 //!
 //! Each group alternates insertions of a fresh node under the group head
 //! with deletions of the previously inserted node, so every operation has a
 //! non-empty, translatable target and consecutive operations on the *same*
-//! group conflict (a dependency chain), while operations on distinct groups
-//! are independent — `rxbench`'s anchored-pair op shape, with the group
-//! choice skewed instead of round-robin.
+//! group depend on each other, while operations on distinct groups are
+//! independent — `rxbench`'s anchored-pair op shape, with the group choice
+//! skewed instead of round-robin.
 //!
 //! Inserted payloads are drawn from a small domain (`payload_domain`),
-//! modelling realistic categorical value reuse: many concurrent insertions
-//! carry the *same* payload text. A textual value-key conflict analysis
-//! serializes all of them (equal `(type, text)` keys) even though they
-//! touch unrelated groups; typed `(table, column, value)` footprints keep
-//! them independent, so this workload measures exactly the round widening
-//! sharper conflict keys buy.
+//! modelling realistic categorical value reuse: many insertions carry the
+//! *same* payload text in unrelated groups, which a textual conflict key
+//! would confuse and a typed `(table, column, value)` footprint tells
+//! apart.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,10 +1,12 @@
 //! Multi-job folds: several updates applied with `apply_deferred` and then
-//! maintained by **one** `fold_maintenance` call must leave `(V, M, L)` as
+//! maintained by **one** `fold_maintenance` call must leave `(V, L)` as
 //! the same updates applied one at a time do — and, byte for byte, as the
 //! same fold with its deletion jobs in another order, since a fold runs one
-//! ∆(M,L)delete pass over all of them.
+//! delete pass over all of them. The paper's ∆M, run on the same jobs
+//! beside each fold (`rxview_bench::maintain`), must leave `M` equal to
+//! Algorithm Reach's recomputation after every fold.
 //!
-//! Inside one fold ∆(M,L) writes each ancestor run at once and reads a
+//! Inside one fold ∆M writes each ancestor run at once and reads a
 //! descendant set by walking the DAG, where every job of the fold has
 //! already put its edges, so a job can meet what an earlier job of the same
 //! fold added below a shared node. The serving engine hands
@@ -17,9 +19,10 @@ mod common;
 use proptest::prelude::*;
 use rxview::atg::NodeId;
 use rxview::core::reach::descendants;
-use rxview::core::{DeferredMaintenance, SideEffectPolicy, XmlUpdate, XmlViewSystem};
+use rxview::core::{DeferredMaintenance, Reachability, SideEffectPolicy, XmlUpdate, XmlViewSystem};
 use rxview::relstore::tuple;
 use rxview::workload::{registrar_atg, registrar_database};
+use rxview_bench::maintain::{apply_tracked, TrackedM};
 use std::collections::BTreeSet;
 
 /// The registrar instance plus rows that are in `I` but not (yet) in the
@@ -87,15 +90,25 @@ fn named(sys: &XmlViewSystem, ids: impl IntoIterator<Item = NodeId>) -> BTreeSet
     ids.into_iter().map(name).collect()
 }
 
-/// Folds `jobs` into `batched` in one call and compares with `single`, which
-/// applied the same updates one at a time.
+/// Whether `m` is the closure of `sys`'s view, as Algorithm Reach computes
+/// it.
+fn is_reach(m: &TrackedM, sys: &XmlViewSystem) -> bool {
+    m.m()
+        .same_pairs(&Reachability::compute(sys.view().dag(), sys.topo()))
+}
+
+/// Folds `jobs` into `batched` in one call, ∆M into `m` beside it, and
+/// compares with `single`, which applied the same updates one at a time.
 fn fold_and_compare(
     batched: &mut XmlViewSystem,
+    m: &mut TrackedM,
     jobs: Vec<DeferredMaintenance>,
     single: &XmlViewSystem,
 ) -> Result<(), TestCaseError> {
     let n_jobs = jobs.len();
+    m.fold(batched.view().dag(), &jobs);
     batched.fold_maintenance(jobs).expect("fold");
+    prop_assert!(is_reach(m, batched), "∆M after a fold of {} jobs", n_jobs);
     let live = |sys: &XmlViewSystem| named(sys, sys.view().dag().genid().live_ids());
     prop_assert_eq!(
         live(batched),
@@ -111,10 +124,10 @@ fn fold_and_compare(
         "(I, gen_A, V) after a fold of {} jobs",
         n_jobs
     );
-    // `M` is held to its recomputation from `V` below; equal `V`s then
+    // `M` is held to its recomputation from `V` above; equal `V`s then
     // have equal `M`s, and the pair counts say so without an id.
     prop_assert_eq!(
-        batched.reach().n_pairs(),
+        m.m().n_pairs(),
         single.reach().n_pairs(),
         "M after a fold of {} jobs",
         n_jobs
@@ -163,6 +176,7 @@ proptest! {
     ) {
         let mut single = system();
         let mut batched = single.clone();
+        let mut m = TrackedM::of(&batched);
         let mut reordered = single.clone();
         // The states the open batch started from, one per side: as in an
         // engine round, every update of a batch is evaluated there.
@@ -194,7 +208,7 @@ proptest! {
                         == single.clone().apply(&u, SideEffectPolicy::Proceed).is_ok()
             };
             if room == 0 || !independent(&start) {
-                fold_and_compare(&mut batched, std::mem::take(&mut jobs), &single)?;
+                fold_and_compare(&mut batched, &mut m, std::mem::take(&mut jobs), &single)?;
                 let reordered_batch = std::mem::take(&mut reordered_jobs);
                 fold_reordered_and_compare(&mut reordered, reordered_batch, &batched)?;
                 start = (single.clone(), batched.clone(), reordered.clone());
@@ -213,7 +227,7 @@ proptest! {
                 room -= 1;
             }
         }
-        fold_and_compare(&mut batched, jobs, &single)?;
+        fold_and_compare(&mut batched, &mut m, jobs, &single)?;
         fold_reordered_and_compare(&mut reordered, reordered_jobs, &batched)?;
     }
 }
@@ -225,6 +239,7 @@ proptest! {
 #[test]
 fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
     let mut sys = system();
+    let mut m = TrackedM::of(&sys);
     let enroll = XmlUpdate::insert(
         "student",
         tuple!["S01", "Alice"],
@@ -246,6 +261,7 @@ fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
             .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
         jobs.push(job);
     }
+    m.fold(sys.view().dag(), &jobs);
     sys.fold_maintenance(jobs).expect("fold");
 
     let genid = sys.view().dag().genid();
@@ -258,15 +274,16 @@ fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
     let ma200 = node("course", tuple!["MA200", "Statistics"]);
     let cs240 = node("course", tuple!["CS240", "Data Structures"]);
     let alice = node("student", tuple!["S01", "Alice"]);
-    assert!(sys.reach().is_ancestor(ma200, cs240));
-    assert!(sys.reach().is_ancestor(cs240, alice));
+    assert!(m.m().is_ancestor(ma200, cs240));
+    assert!(m.m().is_ancestor(cs240, alice));
     assert!(
-        sys.reach().is_ancestor(ma200, alice),
+        m.m().is_ancestor(ma200, alice),
         "MA200 → prereq → CS240 → takenBy → Alice"
     );
     let below_ma200 = descendants(sys.view().dag(), ma200);
     assert!(below_ma200.contains(&alice));
-    sys.consistency_check().expect("M equals recomputation");
+    assert!(is_reach(&m, &sys), "∆M equals recomputation");
+    sys.consistency_check().expect("V and L after the fold");
 }
 
 /// Hazard: a node made fresh by one job of a fold and collected by the
@@ -276,8 +293,9 @@ fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
 #[test]
 fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
     let mut sys = system();
-    let apply = |sys: &mut XmlViewSystem, u: &XmlUpdate| {
-        sys.apply(u, SideEffectPolicy::Proceed)
+    let mut m = TrackedM::of(&sys);
+    let apply = |sys: &mut XmlViewSystem, m: &mut TrackedM, u: &XmlUpdate| {
+        apply_tracked(sys, m, u, SideEffectPolicy::Proceed)
             .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
     };
     let require = XmlUpdate::insert(
@@ -285,7 +303,7 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
         tuple!["MA200", "Statistics"],
         "course[cno=CS650]/prereq",
     );
-    apply(&mut sys, &require.expect("path parses"));
+    apply(&mut sys, &mut m, &require.expect("path parses"));
 
     // One batch: Dan enrols in MA200, and MA200 — reachable through that
     // one prerequisite edge — is dropped, taking Dan with it.
@@ -313,13 +331,15 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
     let dan = dan_of(&sys).expect("interned by the first job");
     let (space, live) = (sys.view().dag().genid().n_allocated(), sys.view().n_nodes());
 
+    m.fold(sys.view().dag(), &jobs);
     let report = sys.fold_maintenance(jobs).expect("fold");
     let genid = sys.view().dag().genid();
     assert_eq!(genid.n_allocated(), space, "a fold hands out no id");
     assert_eq!(genid.n_free(), report.gc_nodes);
     assert_eq!(sys.view().n_nodes(), live - report.gc_nodes);
     assert!(!genid.is_live(dan) && dan_of(&sys).is_none());
-    assert!(sys.reach().ancestors(dan).is_empty());
+    assert!(m.m().ancestors(dan).is_empty());
+    assert!(is_reach(&m, &sys));
     assert!(descendants(sys.view().dag(), dan).is_empty());
     assert_eq!(sys.topo().position(dan), None);
     let dag = sys.view().dag();
@@ -329,7 +349,7 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
     // The next insertion draws on the released ids, Dan's among them, and
     // the structures indexed by them come out as a recomputation's.
     let again = XmlUpdate::insert("student", tuple!["S04", "Dan"], "course[cno=CS320]/takenBy");
-    apply(&mut sys, &again.expect("path parses"));
+    apply(&mut sys, &mut m, &again.expect("path parses"));
     let genid = sys.view().dag().genid();
     assert_eq!(genid.n_allocated(), space, "released ids first");
     assert_eq!(genid.n_free(), report.gc_nodes - 3, "student, ssn, name");
@@ -340,6 +360,7 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
             &tuple!["CS320", "Algorithms"],
         )
         .expect("in the view");
-    assert!(sys.reach().is_ancestor(cs320, dan));
+    assert!(m.m().is_ancestor(cs320, dan));
+    assert!(is_reach(&m, &sys));
     sys.consistency_check().expect("after reuse");
 }

@@ -8,7 +8,10 @@
 #[path = "../crates/bench/src/pairs.rs"]
 mod pairs;
 
-use pairs::{arr, derive, directions, members, summarize, verdicts, Direction, Json, PAIRS};
+use pairs::{
+    arr, derive, directions, members, summarize, traced_pairs, verdicts, Direction, Json, PAIRS,
+    TRACED,
+};
 use std::path::{Path, PathBuf};
 
 fn root() -> PathBuf {
@@ -47,6 +50,46 @@ fn every_pairs_file_follows_from_its_pairs() {
         checked += 1;
     }
     assert!(checked >= 1, "no file written by `pairs`");
+}
+
+/// A file records the traced pairs its prediction file asked for — three
+/// unless it set `"traced_pairs"` — and holds that many per workload.
+#[test]
+fn every_pairs_file_holds_the_traced_pairs_it_records() {
+    for entry in std::fs::read_dir(root().join("crates/bench")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let written = read(&path);
+        if written.get("generator").and_then(Json::as_str) != Some("pairs") {
+            continue;
+        }
+        let recorded = written.get("traced_pairs").and_then(Json::as_f64);
+        let n = recorded.map_or(TRACED, |n| n as usize);
+        for (workload, w) in members(written.get("workloads")) {
+            assert_eq!(arr(w.get("traced")).len(), n, "{name}: {workload}");
+        }
+    }
+}
+
+/// `"traced_pairs"` runs from 3 to 10; anything else is refused.
+#[test]
+fn a_prediction_file_asks_for_three_to_ten_traced_pairs() {
+    let asking = |n: Json| Json::obj([("traced_pairs", n)]);
+    assert_eq!(traced_pairs(&Json::obj::<&str>([])), Ok(TRACED));
+    for n in TRACED..=PAIRS {
+        assert_eq!(traced_pairs(&asking(Json::Num(n as f64))), Ok(n));
+    }
+    for bad in [
+        Json::Num(2.0),
+        Json::Num(11.0),
+        Json::Num(4.5),
+        Json::Str("ten".into()),
+    ] {
+        assert!(traced_pairs(&asking(bad.clone())).is_err(), "{bad:?}");
+    }
 }
 
 /// `BENCH_edge_ids.json` was assembled by hand before the tool: recomputed

@@ -1,7 +1,7 @@
 //! End-to-end integration tests across all crates: every update that the
 //! system accepts must satisfy the paper's correctness criterion
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
-//! live nodes and `M` and `L` equal to recomputation. Three tests hold the
+//! live nodes and `L` a topological order. Three tests hold the
 //! plan cache and the log's shape table to paths whose labels spell the
 //! shape key's punctuation; the last three hold the oracle and the two
 //! state digests to states forged one part wrong.
@@ -499,7 +499,6 @@ struct Parts {
     base: Database,
     dag: Dag,
     topo: TopoOrder,
-    reach: Reachability,
 }
 
 type Edge = (NodeId, NodeId);
@@ -510,11 +509,10 @@ fn forge(sys: &XmlViewSystem, change: impl FnOnce(&mut Parts)) -> XmlViewSystem 
         base: sys.base().clone(),
         dag: sys.view().dag().clone(),
         topo: sys.topo().clone(),
-        reach: sys.reach().clone(),
     };
     change(&mut p);
     let vs = ViewStore::from_parts(sys.view().atg().clone(), p.dag);
-    XmlViewSystem::from_parts(p.base, vs, p.topo, p.reach)
+    XmlViewSystem::from_parts(p.base, vs, p.topo, Reachability::default())
 }
 
 /// The first row of `table` in `db`, deleted.
@@ -526,7 +524,7 @@ fn delete_first_row(db: &mut Database, table: &str) {
 
 /// A live node no parent links — garbage collection missed it — is
 /// refused: republication has no such node, though it adds no edge and
-/// `L` and `M` account for it (its `gen_A` row is its interning's).
+/// `L` accounts for it (its `gen_A` row is its interning's).
 #[test]
 fn the_oracle_refuses_a_node_that_outlived_its_last_parent() {
     let sys = registrar_system();
@@ -539,7 +537,6 @@ fn the_oracle_refuses_a_node_that_outlived_its_last_parent() {
         p.dag = Dag::from_adjacency(genid, Some(p.dag.root()), &edges).unwrap();
         let order = [&[id], p.topo.order()].concat();
         p.topo = TopoOrder::from_order(order);
-        p.reach = Reachability::compute(&p.dag, &p.topo);
     });
     let err = orphan.consistency_check().unwrap_err();
     assert!(err.contains("gen_A"), "{err}");
@@ -626,13 +623,4 @@ fn each_digest_names_the_section_a_change_lands_in() {
         assert!(p.topo.is_valid_for(dag));
     });
     assert_eq!(swapped, (Some("L"), None));
-    // One `anc` run: a student's first ancestor dropped.
-    let dropped = differs(&|p| {
-        let runs = genid.live_ids().map(|d| {
-            let run = sys.reach().ancestors(d).iter();
-            (d, run.skip(usize::from(d == first)))
-        });
-        p.reach = Reachability::from_ancestors(runs).unwrap();
-    });
-    assert_eq!(dropped, (Some("M"), None));
 }

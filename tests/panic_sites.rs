@@ -9,7 +9,11 @@
 //!   loses one fails until its pin is lowered, so the count only goes down;
 //! - no production crate reads the environment, so a variable cannot change
 //!   what a run does without its command line showing it;
-//! - the engine starts one thread of its own, the checkpointer.
+//! - the engine starts one thread of its own, the checkpointer;
+//! - no serving source holds or maintains the reachability matrix `M`: a
+//!   line of the engine's sources or of core's commit, evaluation and load
+//!   path that names `Reachability` or `ReachBatch` must cite ROADMAP 4(h),
+//!   the `rxbench` surface kept until then.
 
 use std::path::Path;
 
@@ -41,6 +45,19 @@ const SPAWNS: [&str; 2] = ["thread::spawn", "thread::Builder"];
 
 /// The one file of `crates/engine/src` that may start a thread.
 const SPAWNING: &str = "checkpoint.rs";
+
+/// The files of `crates/core/src` an update, a read or a checkpoint load
+/// runs through, beside the whole engine.
+const SERVING_CORE: [&str; 5] = [
+    "codec.rs",
+    "maintain.rs",
+    "pathclass.rs",
+    "plan.rs",
+    "processor.rs",
+];
+
+/// The names of the stored closure and of its maintenance's buffers.
+const CLOSURE: [&str; 2] = ["Reachability", "ReachBatch"];
 
 /// `src` before its `mod tests`, `//` comments removed.
 fn production(src: &str) -> String {
@@ -143,5 +160,37 @@ fn only_the_checkpointer_starts_an_engine_thread() {
         count(checkpointer, &SPAWNS),
         1,
         "{SPAWNING} starts one thread"
+    );
+}
+
+#[test]
+fn no_serving_source_names_the_stored_closure() {
+    let core = crate_sources("core");
+    let serving: Vec<_> = core
+        .iter()
+        .filter(|(name, _)| SERVING_CORE.contains(&name.as_str()))
+        .map(|(name, text)| (format!("crates/core/src/{name}"), text))
+        .collect();
+    assert_eq!(serving.len(), SERVING_CORE.len(), "a serving file is gone");
+    let engine = crate_sources("engine");
+    let engine = engine
+        .iter()
+        .map(|(name, text)| (format!("crates/engine/src/{name}"), text));
+    let mut wrong = Vec::new();
+    for (name, text) in serving.into_iter().chain(engine) {
+        let code = &text[..text.find("mod tests {").unwrap_or(text.len())];
+        for line in code.lines() {
+            let names = CLOSURE
+                .iter()
+                .any(|c| line.split("//").next().unwrap_or("").contains(c));
+            if names && !line.contains("ROADMAP 4(h)") {
+                wrong.push(format!("{name}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "serving code names the stored closure:\n{}",
+        wrong.join("\n")
     );
 }

@@ -26,9 +26,10 @@ const PINNED: [(&str, &str); 7] = [
          PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \
          StateDigest SubStep TopoOrder \
          TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport ViewDelta \
-         ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system encode_system eval_plan \
-         planned_delete_writes planned_insert_writes put_update reach:: rel_delete:: \
-         resolve_anchors scope_of_anchors sub_steps translate_deletions union_scope xdelete",
+         ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system delete_pass \
+         encode_system eval_plan insert_job planned_delete_writes planned_insert_writes \
+         put_update reach:: rel_delete:: resolve_anchors scope_of_anchors sub_steps \
+         translate_deletions union_scope xdelete",
     ),
     (
         "engine",
@@ -205,7 +206,6 @@ const UNCALLED: &str = "\
     make_key_preserving: §4.1 repair of the reference crate's deletion
     mixed_updates: battery generator of update streams
     read_update: single-update decoder the codec round-trip test reads with
-    set_root: hand-built DAGs of the randomized and cold-start tests
     union_scope: scope builder the scoped-evaluation tests compare against
     wait_arrivals: test gate of the stage-hook harness
     with_filter: XPath step builder of the codec and recovery tests

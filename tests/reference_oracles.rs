@@ -34,7 +34,7 @@ use rxview_reference::{closure_source_keys, compute_edge_closure, eval_xpath_on_
 /// The compiled full pass equals §3.2 verbatim on every field of the
 /// result, and the plan's class equals the direct classification.
 fn assert_plan_equals_reference(sys: &XmlViewSystem, path: &XPath, ctx: &str) {
-    let want = eval_xpath_on_dag(sys.view(), sys.topo(), sys.reach(), path);
+    let want = eval_xpath_on_dag(sys.view(), sys.topo(), &sys.reach(), path);
     let got = sys.evaluate(path);
     assert_eq!(got.selected, want.selected, "selected, `{path}` {ctx}");
     assert_eq!(
