@@ -498,7 +498,7 @@ impl AtgBuilder {
             let ptypes = attr_types[parent.index()]
                 .clone()
                 .expect("set before queueing");
-            for child in dtd.children_of(parent) {
+            for &child in dtd.children_of(parent) {
                 let Some(rule) = rules.get(&(parent, child)) else {
                     return Err(AtgError::MissingRule {
                         parent: dtd.name(parent).to_owned(),

@@ -9,7 +9,7 @@
 use crate::genid::{GenId, GenIdBuilder, Interner, NodeId};
 use crate::grammar::Atg;
 use rxview_relstore::{PagedVec, RelError, TableSource, Tuple};
-use rxview_xmlkit::{Production, TypeId, XmlTree};
+use rxview_xmlkit::{TypeId, XmlTree};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
@@ -406,11 +406,7 @@ pub fn generate_subtree(
     while let Some(u) = stack.pop() {
         let uty = genid.type_of(u);
         let uattr = genid.attr_of(u).clone();
-        let child_types = match atg.dtd().production(uty) {
-            Production::PcData | Production::Empty => &[][..],
-            Production::Sequence(ts) | Production::Alternation(ts) => ts,
-            Production::Star(t) => std::slice::from_ref(t),
-        };
+        let child_types = atg.dtd().children_of(uty);
         for (k, &cty) in child_types.iter().enumerate() {
             // A node is expanded once, one rule yields distinct tuples and
             // `gen_id` is injective, so an edge can only repeat when `u`'s

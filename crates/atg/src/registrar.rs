@@ -240,7 +240,7 @@ mod tests {
         let atg = registrar_atg(&db).unwrap();
         let dtd = atg.dtd();
         for parent in dtd.types() {
-            for child in dtd.children_of(parent) {
+            for &child in dtd.children_of(parent) {
                 let q = atg.edge_view_query(parent, child);
                 assert!(
                     q.is_some(),

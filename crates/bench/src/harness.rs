@@ -24,23 +24,28 @@ pub struct BuiltSystem {
     pub aux_time: Duration,
 }
 
-/// Builds a synthetic system of size `n` (with optional detached chains).
+/// Builds a synthetic system of size `n` (with optional detached chains):
+/// equal rows shared as [`XmlViewSystem::new`] shares them, then the view
+/// published once, timed, and `L` and `M` computed, timed, and the system
+/// assembled from those parts — the state `new` builds
+/// (`build_system_is_the_state_new_publishes`).
 pub fn build_system(n: usize, detached_chains: Vec<usize>, seed: u64) -> BuiltSystem {
     let mut cfg = SyntheticConfig::with_size(n);
     cfg.seed = seed;
     cfg.detached_chains = detached_chains;
-    let db = synthetic_database(&cfg);
+    let mut db = synthetic_database(&cfg);
+    db.share_equal_rows();
     let atg = synthetic_atg(&db).expect("synthetic ATG builds");
     let t0 = Instant::now();
-    let vs = rxview_core::ViewStore::publish(atg.clone(), &db).expect("publishes");
+    let vs = rxview_core::ViewStore::publish(atg, &db).expect("publishes");
     let publish_time = t0.elapsed();
     let t1 = Instant::now();
     let topo = TopoOrder::compute(vs.dag());
-    let _reach = Reachability::compute(vs.dag(), &topo);
+    let reach = Reachability::compute(vs.dag(), &topo);
     let aux_time = t1.elapsed();
-    // XmlViewSystem builds `L` itself and holds no `M`; the timings above
-    // are reported separately for Fig.10(b)/Table 1 context.
-    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    // The system holds no `M`: `from_parts` drops it, and the timing above
+    // is reported for Fig.10(b)/Table 1 context.
+    let sys = XmlViewSystem::from_parts(db, vs, topo, reach);
     BuiltSystem {
         cfg,
         sys,
@@ -374,5 +379,21 @@ pub fn fmt_dur(d: Duration) -> String {
         format!("{:.2}ms", us as f64 / 1_000.0)
     } else {
         format!("{:.2}s", us as f64 / 1_000_000.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn build_system_is_the_state_new_publishes() {
+        let built = build_system(300, vec![6], 7);
+        let db = synthetic_database(&built.cfg);
+        let atg = synthetic_atg(&db).expect("synthetic ATG builds");
+        let sys = XmlViewSystem::new(atg, db).expect("publishes");
+        let (exact, new) = (built.sys.exact_digest(), sys.exact_digest());
+        assert_eq!(exact.first_difference(&new), None);
+        assert_eq!(exact, new);
     }
 }

@@ -342,7 +342,7 @@ pub fn resolve_anchors(
             // list is deduplicated — a Sequence production may repeat a
             // child type, and duplicate anchors would double cones and
             // spuriously trip the anchor cap.
-            let types: BTreeSet<TypeId> = dtd.children_of(dtd.root()).into_iter().collect();
+            let types: BTreeSet<TypeId> = dtd.children_of(dtd.root()).iter().copied().collect();
             let mut nodes = Vec::new();
             for ty in types {
                 nodes.extend(candidates(

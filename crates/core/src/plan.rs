@@ -1,16 +1,18 @@
 //! Compiled update plans and the engine-wide plan cache.
 //!
-//! Every update path the engine serves goes through the same three steps —
-//! normalize, classify ([`crate::pathclass::classify`]), and compile the
-//! filter predicates of the two-pass §3.2 evaluation — and all three depend
-//! only on the *shape* of the path and the grammar, never on the view
-//! contents or the literal values inside `p = "s"` filters. This module
+//! Every update path the engine serves goes through the same four steps —
+//! §2.4's walk over the DTD's type graph ([`SchemaReach`]), normalize,
+//! classify ([`crate::pathclass::classify`]), and compile the filter
+//! predicates of the two-pass §3.2 evaluation — and all four depend only on
+//! the *shape* of the path and the grammar, never on the view contents or
+//! the literal values inside `p = "s"` filters. This module
 //! compiles each `(shape, grammar)` pair **once** into an [`UpdatePlan`]
 //! and caches it in a sharded,
 //! `Arc`-shared [`PlanCache`] (which also hosts the per-grammar
-//! [`TranslationTemplates`] registry): the plan carries the slotted
-//! [`PathClass`] (filter-key values abstracted into binding slots) and the
-//! compiled predicate program; per call the engine only re-derives the
+//! [`TranslationTemplates`] registry): the plan carries the walk's reached
+//! types, the slotted [`PathClass`] (filter-key values abstracted into
+//! binding slots) and the compiled predicate program; per call admission
+//! runs the schema verdict over the walk and the engine only re-derives the
 //! *bindings* — the literal values — and executes the program over a
 //! thread-local predicate value matrix (`EvalScratch`). From its first
 //! `//` on, a path's steps compile into suffix predicates, so the backward
@@ -53,7 +55,7 @@ use crate::viewstore::ViewStore;
 use rxview_atg::{Atg, Dag, NodeId};
 use rxview_xmlkit::xpath::{normalize, NormStep};
 use rxview_xmlkit::xpath::{Filter, XPath};
-use rxview_xmlkit::{Dtd, TypeId};
+use rxview_xmlkit::{Dtd, SchemaReach, TypeId};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -228,6 +230,9 @@ pub struct UpdatePlan {
     pub n_slots: usize,
     /// Classification with slot sentinels in place of filter-key values.
     class: PathClass,
+    /// §2.4's walk over the type graph, which reads no literal: admission
+    /// runs the verdict for the update's kind over it.
+    pub(crate) schema: SchemaReach,
     /// The compiled two-pass evaluation program.
     pub(crate) program: EvalProgram,
 }
@@ -257,6 +262,7 @@ impl UpdatePlan {
     fn compile(dtd: &Dtd, path: &XPath, shape: String) -> UpdatePlan {
         let (path, n_slots) = slotted(path);
         let class = classify(dtd, &path);
+        let schema = SchemaReach::of(dtd, &path);
         let norm = normalize(&path);
         let mut compiler = ProgramCompiler {
             dtd,
@@ -302,6 +308,7 @@ impl UpdatePlan {
             shape,
             n_slots,
             class,
+            schema,
             program: EvalProgram {
                 steps,
                 preds: compiler.preds,

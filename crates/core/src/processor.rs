@@ -7,9 +7,9 @@
 //! the `L` repair's "below `v`") is a walk over the DAG
 //! ([`crate::reach`]). Each XML update flows through the paper's phases:
 //!
-//! 1. **admission** ([`XmlViewSystem::admit`]): DTD validation at the
-//!    schema level (§2.4), then the path's compiled plan — neither reads
-//!    the state;
+//! 1. **admission** ([`XmlViewSystem::admit`]): the path's compiled plan,
+//!    then DTD validation at the schema level (§2.4) over the type-graph
+//!    walk the plan holds — neither reads the state;
 //! 2. **XPath evaluation on the DAG**, through the admitted plan, +
 //!    side-effect detection (§3.2);
 //! 3. **∆X → ∆V** (Xinsert / Xdelete, §3.3);
@@ -331,29 +331,23 @@ impl XmlViewSystem {
     }
 
     /// **The** admission of an update, run first by [`XmlViewSystem::apply`]
-    /// (so by recovery replay) and by the serving engine's `submit`:
-    /// schema-level validation (§2.4), then one plan-cache lookup. A
-    /// schema-invalid update is refused before anything is looked up.
+    /// (so by recovery replay) and by the serving engine's `submit`: one
+    /// plan-cache lookup, then schema-level validation (§2.4) — the verdict
+    /// for the update's kind over the walk its plan compiled once per shape,
+    /// equal to [`validate_insert`] / [`validate_delete`] on the update.
     pub fn admit(&self, update: &XmlUpdate) -> Result<Admitted, UpdateError> {
-        self.validate_schema(update)?;
         let (plan, bindings) = self.plan_of(update.path());
+        let dtd = self.vs.atg().dtd();
+        match update {
+            XmlUpdate::Insert { ty, .. } => plan.schema.check_insert(dtd, ty),
+            XmlUpdate::Delete { .. } => plan.schema.check_delete(dtd),
+        }
+        .map_err(UpdateError::Schema)?;
         Ok(Admitted { plan, bindings })
     }
 
     fn plan_of(&self, path: &rxview_xmlkit::XPath) -> (Arc<UpdatePlan>, Vec<String>) {
         self.vs.plan_cache().plan(self.vs.atg().dtd(), path)
-    }
-
-    /// Schema-level validation (§2.4), which `admit` and `apply_deferred` run
-    /// first.
-    fn validate_schema(&self, update: &XmlUpdate) -> Result<(), UpdateError> {
-        let dtd = self.vs.atg().dtd();
-        match update {
-            XmlUpdate::Insert { ty, path, .. } => {
-                validate_insert(dtd, path, ty).map_err(UpdateError::Schema)
-            }
-            XmlUpdate::Delete { path } => validate_delete(dtd, path).map_err(UpdateError::Schema),
-        }
     }
 
     /// The full §3.2 two-pass evaluation over all of `L` — the paper's
@@ -461,7 +455,9 @@ impl XmlViewSystem {
         }
     }
 
-    /// Schema validation, then [`XmlViewSystem::apply_admitted`] with an
+    /// Schema validation, one-shot ([`validate_insert`] /
+    /// [`validate_delete`]: no plan is looked up), then
+    /// [`XmlViewSystem::apply_admitted`] with an
     /// evaluation the caller made some other way — the reference's §3.2
     /// verbatim, or a batch evaluated against its start state, whose jobs
     /// one fold can take together (all its deletions' upkeep in a single
@@ -473,7 +469,12 @@ impl XmlViewSystem {
         policy: SideEffectPolicy,
         eval: impl Into<Evaluated>,
     ) -> Result<(UpdateReport, DeferredMaintenance), UpdateError> {
-        self.validate_schema(update)?;
+        let dtd = self.vs.atg().dtd();
+        match update {
+            XmlUpdate::Insert { ty, path, .. } => validate_insert(dtd, path, ty),
+            XmlUpdate::Delete { path } => validate_delete(dtd, path),
+        }
+        .map_err(UpdateError::Schema)?;
         self.apply_admitted(update, policy, eval.into())
     }
 

@@ -339,7 +339,7 @@ impl TranslationTemplates {
         let mut bound: HashMap<String, Vec<_>> = HashMap::new();
         let mut compiles = 0u64;
         for a in atg.dtd().types() {
-            for b in atg.dtd().children_of(a) {
+            for &b in atg.dtd().children_of(a) {
                 if let Some(RuleBody::Query {
                     query,
                     param_fields,
@@ -470,7 +470,7 @@ mod tests {
         let reg = TranslationTemplates::compile(&atg);
         let mut query_edges = 0;
         for a in atg.dtd().types() {
-            for b in atg.dtd().children_of(a) {
+            for &b in atg.dtd().children_of(a) {
                 if let Some(RuleBody::Query { .. }) = atg.rule(a, b) {
                     query_edges += 1;
                     assert!(reg.insert.contains_key(&(a, b)), "insert template missing");

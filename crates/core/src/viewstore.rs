@@ -83,7 +83,7 @@ impl ViewStore {
     pub fn from_parts(atg: Atg, dag: Dag) -> Self {
         let mut edge_queries = BTreeMap::new();
         for parent in atg.dtd().types() {
-            for child in atg.dtd().children_of(parent) {
+            for &child in atg.dtd().children_of(parent) {
                 if let Some(q) = atg.edge_view_query(parent, child) {
                     edge_queries.insert((parent, child), q);
                 }

@@ -1,8 +1,9 @@
 //! Strategies over the public XPath AST — any label, any constant, every
 //! step kind and filter form — shared by the log codec's property tests
-//! (`codec_roundtrip.rs`), and by the plan cache's literal-order pin and the
+//! (`codec_roundtrip.rs`), by the plan cache's literal-order pin and the
 //! shape key's property test (`src/plan.rs`, `src/shape.rs`; `src/lib.rs`
-//! includes this file).
+//! includes this file), and by the facade's admission test
+//! (`tests/end_to_end.rs`).
 #![allow(dead_code)] // each includer uses its own subset
 
 use proptest::prelude::*;
@@ -58,6 +59,24 @@ pub fn key_label_strategy() -> BoxedStrategy<String> {
     prop::collection::vec(0..ALPHABET.len(), 0..4)
         .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
         .boxed()
+}
+
+/// The registrar DTD's labels, the synthetic DTD's, and two that neither
+/// DTD has.
+pub fn schema_label_strategy() -> BoxedStrategy<String> {
+    const LABELS: [&str; 15] = [
+        "db", "course", "cno", "title", "prereq", "takenBy", "student", "ssn", "name", "node",
+        "id", "payload", "sub", "nothing", "né/[x]",
+    ];
+    (0usize..LABELS.len())
+        .prop_map(|i| LABELS[i].to_owned())
+        .boxed()
+}
+
+/// Paths, every step kind and filter form, over [`schema_label_strategy`]'s
+/// labels: paths §2.4's schema check reaches types with.
+pub fn schema_path_strategy() -> BoxedStrategy<XPath> {
+    path_over(schema_label_strategy, filter_over(schema_label_strategy))
 }
 
 pub fn path_strategy(filter: BoxedStrategy<Filter>) -> BoxedStrategy<XPath> {

@@ -671,10 +671,10 @@ mod tests {
             db.table_names().collect::<Vec<_>>()
         );
         assert_eq!(back.total_rows(), db.total_rows());
-        assert!(back
-            .table("course")
-            .unwrap()
-            .contains_tuple(&tuple!["CS320", "Algorithms"]));
+        assert_eq!(
+            back.table("course").unwrap().get(&tuple!["CS320"]),
+            Some(&tuple!["CS320", "Algorithms"])
+        );
     }
 
     #[test]

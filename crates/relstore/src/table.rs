@@ -257,16 +257,6 @@ impl<P: Clone> Table<P> {
         self.get(key).is_some()
     }
 
-    /// Whether this exact tuple exists.
-    pub fn contains_tuple(&self, tuple: &Tuple) -> bool {
-        let key = self.schema.key();
-        tuple.arity() == self.schema.arity()
-            && self
-                .rows
-                .get_by(|row| cmp_rows(key, row, tuple))
-                .is_some_and(|(row, _)| row == tuple)
-    }
-
     /// Iterates over rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.rows.iter().map(|(row, _)| row)
@@ -471,15 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_tuple_requires_exact_match() {
-        let mut t = course_table();
-        t.insert(tuple!["CS320", "Algorithms"]).unwrap();
-        assert!(t.contains_tuple(&tuple!["CS320", "Algorithms"]));
-        assert!(!t.contains_tuple(&tuple!["CS320", "Other"]));
-        assert!(t.contains_key(&tuple!["CS320"]));
-    }
-
-    #[test]
     fn iteration_is_key_ordered() {
         let mut t = course_table();
         t.insert(tuple!["CS650", "b"]).unwrap();
@@ -564,7 +545,10 @@ mod tests {
             let before = ROW_COMPARISONS.with(Cell::get);
             let shared = db.share_equal_rows();
             let (a, b) = (db.table("a").unwrap(), db.table("b").unwrap());
-            let equal: Vec<&Tuple> = b.iter().filter(|r| a.contains_tuple(r)).collect();
+            let equal: Vec<&Tuple> = b
+                .iter()
+                .filter(|r| a.get(&tuple![r[0].clone()]) == Some(*r))
+                .collect();
             assert_eq!(shared, equal.len());
             assert!(equal.iter().all(|r| {
                 let donor = a.get(&tuple![r[0].clone()]).unwrap();

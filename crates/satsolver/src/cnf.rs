@@ -155,11 +155,6 @@ impl CnfFormula {
         self.clauses.push(Clause { lits: seen });
     }
 
-    /// Adds a unit clause.
-    pub fn add_unit(&mut self, lit: Lit) {
-        self.add_clause([lit]);
-    }
-
     /// Adds `¬a ∨ ¬b` (at most one of `a`, `b`).
     pub fn add_not_both(&mut self, a: Var, b: Var) {
         self.add_clause([a.neg(), b.neg()]);
@@ -285,7 +280,7 @@ mod tests {
     #[should_panic(expected = "unallocated")]
     fn unallocated_variable_panics() {
         let mut f = CnfFormula::new();
-        f.add_unit(Var(3).pos());
+        f.add_clause([Var(3).pos()]);
     }
 
     #[test]

@@ -142,8 +142,8 @@ mod tests {
     fn unit_contradiction_unsat() {
         let mut f = CnfFormula::new();
         let a = f.new_var();
-        f.add_unit(a.pos());
-        f.add_unit(a.neg());
+        f.add_clause([a.pos()]);
+        f.add_clause([a.neg()]);
         assert_eq!(dpll(&f), DpllResult::Unsat);
     }
 
@@ -158,7 +158,7 @@ mod tests {
     fn propagation_chain_sat() {
         let mut f = CnfFormula::new();
         let vars: Vec<_> = (0..10).map(|_| f.new_var()).collect();
-        f.add_unit(vars[0].pos());
+        f.add_clause([vars[0].pos()]);
         for w in vars.windows(2) {
             f.add_clause([w[0].neg(), w[1].pos()]);
         }
@@ -174,8 +174,8 @@ mod tests {
         let mut f = CnfFormula::new();
         let p0 = f.new_var();
         let p1 = f.new_var();
-        f.add_unit(p0.pos());
-        f.add_unit(p1.pos());
+        f.add_clause([p0.pos()]);
+        f.add_clause([p1.pos()]);
         f.add_not_both(p0, p1);
         assert_eq!(dpll(&f), DpllResult::Unsat);
     }

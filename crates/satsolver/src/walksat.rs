@@ -200,7 +200,7 @@ mod tests {
     fn single_unit_clause() {
         let mut f = CnfFormula::new();
         let a = f.new_var();
-        f.add_unit(a.pos());
+        f.add_clause([a.pos()]);
         match walksat(&f, &cfg()) {
             WalkSatResult::Sat(asg) => assert!(asg.get(a)),
             other => panic!("expected SAT, got {other:?}"),
@@ -211,8 +211,8 @@ mod tests {
     fn contradiction_returns_unknown() {
         let mut f = CnfFormula::new();
         let a = f.new_var();
-        f.add_unit(a.pos());
-        f.add_unit(a.neg());
+        f.add_clause([a.pos()]);
+        f.add_clause([a.neg()]);
         assert_eq!(walksat(&f, &cfg()), WalkSatResult::Unknown);
     }
 
@@ -228,7 +228,7 @@ mod tests {
         // x0 & (¬x0|x1) & (¬x1|x2) & ... forces all true.
         let mut f = CnfFormula::new();
         let vars: Vec<_> = (0..20).map(|_| f.new_var()).collect();
-        f.add_unit(vars[0].pos());
+        f.add_clause([vars[0].pos()]);
         for w in vars.windows(2) {
             f.add_clause([w[0].neg(), w[1].pos()]);
         }

@@ -43,11 +43,11 @@ pub enum Production {
 
 impl Production {
     /// The child types mentioned by this production.
-    pub fn child_types(&self) -> Vec<TypeId> {
+    pub fn child_types(&self) -> &[TypeId] {
         match self {
-            Production::PcData | Production::Empty => Vec::new(),
-            Production::Sequence(ts) | Production::Alternation(ts) => ts.clone(),
-            Production::Star(t) => vec![*t],
+            Production::PcData | Production::Empty => &[],
+            Production::Sequence(ts) | Production::Alternation(ts) => ts,
+            Production::Star(t) => std::slice::from_ref(t),
         }
     }
 }
@@ -124,7 +124,7 @@ impl Dtd {
     }
 
     /// Child types of `t` per its production.
-    pub fn children_of(&self, t: TypeId) -> Vec<TypeId> {
+    pub fn children_of(&self, t: TypeId) -> &[TypeId] {
         self.production(t).child_types()
     }
 
@@ -176,7 +176,7 @@ fn closure(prods: &[Production]) -> Vec<u64> {
     while changed {
         changed = false;
         for (a, prod) in prods.iter().enumerate() {
-            for c in prod.child_types() {
+            for &c in prod.child_types() {
                 for w in 0..words {
                     let add = rows[c.index() * words + w] & !rows[a * words + w];
                     if add != 0 {

@@ -6,6 +6,10 @@
 //! unless every reachable target admits the edit — an insertion (resp.
 //! deletion) of a `B` child under an `A` element is valid only if the
 //! production of `A` is `A → B*`. The check runs in `O(|p| |D|²)` time.
+//!
+//! The walk ([`SchemaReach::of`]) reads no literal, so an update plan holds
+//! its shape's walk and admission runs only the verdict
+//! ([`SchemaReach::check_insert`] / [`SchemaReach::check_delete`]).
 
 use crate::dtd::{Dtd, TypeId};
 use crate::xpath::{Filter, NodeTest, StepKind, XPath};
@@ -59,57 +63,96 @@ impl fmt::Display for SchemaViolation {
 
 impl std::error::Error for SchemaViolation {}
 
-/// Evaluates `p` over the DTD's type graph starting from the root type.
-///
-/// Returns the set of `(via_parent, type)` pairs reachable at the end of `p`:
-/// `via_parent` is `None` when the type is reached "as self" (e.g. the root,
-/// or via the self axis at the start), otherwise the type of the parent
-/// through which the final step arrives. Filters are ignored (they cannot be
-/// decided at the schema level and only ever *shrink* the reached set, so
-/// ignoring them is conservative — exactly what validation needs).
-pub(crate) fn schema_eval(dtd: &Dtd, p: &XPath) -> BTreeSet<(Option<TypeId>, TypeId)> {
-    let mut current: BTreeSet<(Option<TypeId>, TypeId)> = BTreeSet::new();
-    current.insert((None, dtd.root()));
-    for step in &p.steps {
-        // Label filters *can* be applied at schema level; use them to refine.
-        let mut next: BTreeSet<(Option<TypeId>, TypeId)> = BTreeSet::new();
-        match &step.kind {
-            StepKind::SelfAxis => {
-                next = current.clone();
-            }
-            StepKind::Child(test) => {
-                for &(_, t) in &current {
-                    for c in dtd.children_of(t) {
-                        let ok = match test {
-                            NodeTest::Wildcard => true,
-                            NodeTest::Label(l) => dtd.name(c) == l,
-                        };
-                        if ok {
-                            next.insert((Some(t), c));
+/// What §2.4's walk over the DTD's type graph reaches at the end of a path:
+/// `(via_parent, type)` pairs in ascending order, `via_parent` `None` when
+/// the type is reached "as self" (the root, or through the self axis at the
+/// start), otherwise the type of the parent through which the final step
+/// arrives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchemaReach(Box<[(Option<TypeId>, TypeId)]>);
+
+impl SchemaReach {
+    /// Evaluates `p` over the DTD's type graph from the root type. A filter
+    /// prunes a type only where the type graph refutes it: keeping a type is
+    /// conservative, exactly what validation needs.
+    pub fn of(dtd: &Dtd, p: &XPath) -> SchemaReach {
+        let mut current = BTreeSet::from([(None, dtd.root())]);
+        for step in &p.steps {
+            let mut next = BTreeSet::new();
+            match &step.kind {
+                StepKind::SelfAxis => next = current,
+                StepKind::Child(test) => {
+                    for &(_, t) in &current {
+                        let children = dtd.children_of(t).iter();
+                        let tested = children.filter(|&&c| matches_test(dtd, c, test));
+                        next.extend(tested.map(|&c| (Some(t), c)));
+                    }
+                }
+                StepKind::DescendantOrSelf => {
+                    for &(via, t) in &current {
+                        next.insert((via, t));
+                        // Every strict descendant, with the type it hangs under.
+                        for u in dtd.reachable_from(t) {
+                            next.extend(dtd.children_of(u).iter().map(|&c| (Some(u), c)));
                         }
                     }
                 }
             }
-            StepKind::DescendantOrSelf => {
-                for &(via, t) in &current {
-                    next.insert((via, t));
-                    // Every strict descendant, with the type it hangs under.
-                    for u in dtd.reachable_from(t) {
-                        for c in dtd.children_of(u) {
-                            next.insert((Some(u), c));
-                        }
-                    }
-                }
+            next.retain(|&(_, t)| step.filters.iter().all(|f| filter_may_hold(dtd, t, f)));
+            current = next;
+            if current.is_empty() {
+                break;
             }
         }
-        // Apply decidable (label) filters conservatively.
-        next.retain(|&(_, t)| step.filters.iter().all(|f| filter_may_hold(dtd, t, f)));
-        current = next;
-        if current.is_empty() {
-            break;
-        }
+        SchemaReach(current.into_iter().collect())
     }
-    current
+
+    /// The verdict on inserting an `inserted` element at every reached
+    /// type: the first target, in the walk's order, whose production is not
+    /// `target → inserted*` refuses it; an empty walk is `Unreachable`.
+    pub fn check_insert(&self, dtd: &Dtd, inserted: &str) -> Result<(), SchemaViolation> {
+        let a = dtd
+            .type_id(inserted)
+            .ok_or_else(|| SchemaViolation::UnknownType(inserted.to_owned()))?;
+        if self.0.is_empty() {
+            return Err(SchemaViolation::Unreachable);
+        }
+        let refused = self.0.iter().find(|&&(_, t)| !dtd.allows_edit(t, a));
+        refused.map_or(Ok(()), |&(_, target)| {
+            Err(SchemaViolation::InvalidInsertTarget {
+                target: dtd.name(target).to_owned(),
+                inserted: inserted.to_owned(),
+            })
+        })
+    }
+
+    /// The verdict on deleting every reached type: the first pair whose
+    /// parent's production is not `parent → target*` refuses it, as does a
+    /// type reached as self (the root); an empty walk is `Unreachable`.
+    pub fn check_delete(&self, dtd: &Dtd) -> Result<(), SchemaViolation> {
+        if self.0.is_empty() {
+            return Err(SchemaViolation::Unreachable);
+        }
+        for &(via, target) in self.0.iter() {
+            let parent = match via {
+                Some(parent) if dtd.allows_edit(parent, target) => continue,
+                Some(parent) => dtd.name(parent),
+                None => "<root>",
+            };
+            return Err(SchemaViolation::InvalidDeleteTarget {
+                parent: parent.to_owned(),
+                target: dtd.name(target).to_owned(),
+            });
+        }
+        Ok(())
+    }
+}
+
+fn matches_test(dtd: &Dtd, t: TypeId, test: &NodeTest) -> bool {
+    match test {
+        NodeTest::Wildcard => true,
+        NodeTest::Label(l) => dtd.name(t) == l,
+    }
 }
 
 /// Conservative schema-level filter check: returns `false` only when the
@@ -119,23 +162,15 @@ fn filter_may_hold(dtd: &Dtd, t: TypeId, f: &Filter) -> bool {
         Filter::LabelIs(l) => dtd.name(t) == l,
         Filter::Path(p) | Filter::PathEq(p, _) => {
             // The filter path must be navigable from `t` in the type graph.
-            let mut current: BTreeSet<TypeId> = BTreeSet::new();
-            current.insert(t);
+            let mut current = BTreeSet::from([t]);
             for step in &p.steps {
                 let mut next = BTreeSet::new();
                 match &step.kind {
-                    StepKind::SelfAxis => next = current.clone(),
+                    StepKind::SelfAxis => next = current,
                     StepKind::Child(test) => {
                         for &u in &current {
-                            for c in dtd.children_of(u) {
-                                let ok = match test {
-                                    NodeTest::Wildcard => true,
-                                    NodeTest::Label(l) => dtd.name(c) == l,
-                                };
-                                if ok {
-                                    next.insert(c);
-                                }
-                            }
+                            let children = dtd.children_of(u).iter().copied();
+                            next.extend(children.filter(|&c| matches_test(dtd, c, test)));
                         }
                     }
                     StepKind::DescendantOrSelf => {
@@ -158,51 +193,16 @@ fn filter_may_hold(dtd: &Dtd, t: TypeId, f: &Filter) -> bool {
     }
 }
 
-/// Validates an insertion `insert (A, t) into p` at the schema level.
+/// Validates an insertion `insert (A, t) into p` at the schema level: the
+/// walk, then the verdict.
 pub fn validate_insert(dtd: &Dtd, p: &XPath, inserted: &str) -> Result<(), SchemaViolation> {
-    let a = dtd
-        .type_id(inserted)
-        .ok_or_else(|| SchemaViolation::UnknownType(inserted.to_owned()))?;
-    let reached = schema_eval(dtd, p);
-    if reached.is_empty() {
-        return Err(SchemaViolation::Unreachable);
-    }
-    for (_, target) in reached {
-        if !dtd.allows_edit(target, a) {
-            return Err(SchemaViolation::InvalidInsertTarget {
-                target: dtd.name(target).to_owned(),
-                inserted: inserted.to_owned(),
-            });
-        }
-    }
-    Ok(())
+    SchemaReach::of(dtd, p).check_insert(dtd, inserted)
 }
 
-/// Validates a deletion `delete p` at the schema level.
+/// Validates a deletion `delete p` at the schema level: the walk, then the
+/// verdict.
 pub fn validate_delete(dtd: &Dtd, p: &XPath) -> Result<(), SchemaViolation> {
-    let reached = schema_eval(dtd, p);
-    if reached.is_empty() {
-        return Err(SchemaViolation::Unreachable);
-    }
-    for (via, target) in reached {
-        match via {
-            Some(parent) if dtd.allows_edit(parent, target) => {}
-            Some(parent) => {
-                return Err(SchemaViolation::InvalidDeleteTarget {
-                    parent: dtd.name(parent).to_owned(),
-                    target: dtd.name(target).to_owned(),
-                })
-            }
-            None => {
-                // Deleting the root (or a self-reached node) is never valid.
-                return Err(SchemaViolation::InvalidDeleteTarget {
-                    parent: "<root>".to_owned(),
-                    target: dtd.name(target).to_owned(),
-                });
-            }
-        }
-    }
-    Ok(())
+    SchemaReach::of(dtd, p).check_delete(dtd)
 }
 
 #[cfg(test)]
@@ -210,6 +210,10 @@ mod tests {
     use super::*;
     use crate::dtd::registrar_dtd;
     use crate::xpath::parse_xpath;
+
+    fn schema_eval(dtd: &Dtd, p: &XPath) -> Vec<(Option<TypeId>, TypeId)> {
+        SchemaReach::of(dtd, p).0.into_vec()
+    }
 
     #[test]
     fn schema_eval_tracks_types() {

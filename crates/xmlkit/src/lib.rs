@@ -4,7 +4,8 @@
 //!   descendant-or-self type closure ([`Dtd::can_reach`]), computed once,
 //!   and [`normalize_dtd`] for DTDs that are not yet normalized;
 //! - [`validate_insert`] / [`validate_delete`]: schema-level update
-//!   validation in `O(|p||D|²)` (§2.4);
+//!   validation in `O(|p||D|²)` (§2.4), the walk over the type graph
+//!   ([`SchemaReach`]) and the verdict on what it reached;
 //! - [`XmlTree`]: arena XML trees and their serialization (the view
 //!   expanded for printing);
 //! - [`xpath`]: the paper's XPath fragment — parser, AST, and the normal
@@ -21,6 +22,6 @@ pub mod xpath;
 
 pub use content::{normalize_dtd, ContentModel};
 pub use dtd::{registrar_dtd, Dtd, DtdBuilder, DtdError, Production, TypeId};
-pub use dtd_validate::{validate_delete, validate_insert, SchemaViolation};
+pub use dtd_validate::{validate_delete, validate_insert, SchemaReach, SchemaViolation};
 pub use tree::{Node, NodeId, XmlTree};
 pub use xpath::{normalize, parse_xpath, Filter, NormPath, NormStep, XPath};

@@ -28,7 +28,7 @@ fn reference_publish(atg: &Atg, db: &Database) -> (Dag, Database) {
     while let Some(u) = stack.pop() {
         let uty = dag.genid().type_of(u);
         let uattr = dag.genid().attr_of(u).clone();
-        for cty in atg.dtd().children_of(uty) {
+        for &cty in atg.dtd().children_of(uty) {
             for t in atg
                 .child_tuples(db, uty, &uattr, cty)
                 .expect("rule evaluates")
@@ -112,7 +112,7 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
         assert_eq!(dag.parents(id), ref_dag.parents(id), "parents of {id:?}");
     }
     for ty in atg.dtd().types() {
-        for child in atg.dtd().children_of(ty) {
+        for &child in atg.dtd().children_of(ty) {
             let edge_rel = |dag: &Dag| {
                 let typed = |&(u, v): &(NodeId, NodeId)| {
                     (dag.genid().type_of(u), dag.genid().type_of(v)) == (ty, child)

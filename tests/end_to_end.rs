@@ -3,8 +3,10 @@
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
 //! live nodes and `L` a topological order. Three tests hold the
 //! plan cache and the log's shape table to paths whose labels spell the
-//! shape key's punctuation; the last three hold the oracle and the two
-//! state digests to states forged one part wrong.
+//! shape key's punctuation; three hold admission's schema verdict, read
+//! from the plan, to the one-shot check and to one compile per shape; the
+//! last three hold the oracle and the two state digests to states forged
+//! one part wrong.
 
 use rxview::atg::{Dag, GenId, NodeId};
 use rxview::core::{
@@ -19,6 +21,9 @@ use rxview::workload::{
 };
 use rxview::xmlkit::xpath::{Filter, Step, XPath};
 use rxview::xmlkit::{parse_xpath, SchemaViolation};
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod strategies;
 
 fn registrar_system() -> XmlViewSystem {
     let db = registrar_database();
@@ -390,8 +395,9 @@ fn a_label_spelling_a_shape_key_gets_its_own_plan() {
 
 /// The same through an engine. The insertion on the odd path is refused
 /// at admission: its first label names no type of the DTD, so §2.4's
-/// validation finds it `Unreachable`, and its ticket is resolved at
-/// `submit`, before any commit, without a probe of the plan cache. An
+/// validation over its plan's walk finds it `Unreachable`, and its ticket
+/// is resolved at `submit`, before any commit, by one probe of the plan
+/// cache that compiles the odd shape's own plan. An
 /// insertion under `course[cno=CS650]/prereq` is then accepted with the ∆R
 /// a fresh engine derives, and a snapshot read of `course[cno=CS650]`
 /// returns its node.
@@ -407,11 +413,8 @@ fn an_engine_that_saw_the_odd_path_commits_what_a_fresh_one_does() {
         .apply_now(insert(target.clone()), SideEffectPolicy::Proceed)
         .expect("a fresh engine accepts the insertion");
     let engine = Engine::new(registrar_system());
-    let lookups = || {
-        let s = engine.snapshot().system().view().plan_cache().stats();
-        s.hits + s.misses
-    };
-    let before = lookups();
+    let stats = || engine.snapshot().system().view().plan_cache().stats();
+    let before = stats();
     let odd = engine
         .submit(insert(odd_path()), SideEffectPolicy::Proceed)
         .unwrap();
@@ -426,10 +429,11 @@ fn an_engine_that_saw_the_odd_path_commits_what_a_fresh_one_does() {
         "refused at submit as unreachable, not {verdict:?}"
     );
     engine.commit_pending();
+    let probed = stats().delta_since(&before);
     assert_eq!(
-        lookups(),
-        before,
-        "the refused update reached the plan cache"
+        (probed.hits, probed.misses, probed.compiles),
+        (0, 1, 1),
+        "the refused update compiles its own shape, once"
     );
     let report = engine
         .apply_now(insert(target), SideEffectPolicy::Proceed)
@@ -491,6 +495,180 @@ fn a_log_holding_the_odd_path_recovers_to_the_engines_state() {
     assert_eq!(back.first_difference(&state), None);
     drop((engine, recovered));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `admit`'s verdict on `u`: admitted, or its schema violation.
+fn admitted(sys: &XmlViewSystem, u: &XmlUpdate) -> Result<(), SchemaViolation> {
+    match sys.admit(u) {
+        Ok(_) => Ok(()),
+        Err(UpdateError::Schema(v)) => Err(v),
+        Err(e) => panic!("`{u}` refused at admission as {e:?}"),
+    }
+}
+
+/// A verdict's kind, for the tally of kinds a test reached.
+fn verdict_kind(verdict: &Result<(), SchemaViolation>) -> &'static str {
+    match verdict {
+        Ok(()) => "admitted",
+        Err(SchemaViolation::Unreachable) => "Unreachable",
+        Err(SchemaViolation::InvalidInsertTarget { .. }) => "InvalidInsertTarget",
+        Err(SchemaViolation::InvalidDeleteTarget { .. }) => "InvalidDeleteTarget",
+        Err(SchemaViolation::UnknownType(_)) => "UnknownType",
+    }
+}
+
+/// Admission reads §2.4's verdict off the walk its plan compiled once per
+/// shape; that verdict, payload included, is the one-shot `validate_insert`
+/// / `validate_delete`'s. The paths use the registrar and synthetic DTDs'
+/// labels and two that neither has, with `//`, `*`, `.` and every filter
+/// form; each is admitted again with its literals replaced (a hit on the
+/// same plan), and inserts name types each grammar allows, forbids or
+/// lacks.
+#[test]
+fn admission_returns_the_one_shot_schema_verdict() {
+    use proptest::prelude::{Strategy, TestRng};
+    use rxview::xmlkit::{validate_delete, validate_insert};
+    const TYPES: [&str; 6] = ["course", "student", "cno", "node", "sub", "nothing"];
+    let systems = [registrar_system(), synthetic_system(20, 1)];
+    let paths = strategies::schema_path_strategy();
+    let constants = strategies::constant_strategy();
+    let mut seen = std::collections::BTreeSet::new();
+    for case in 0..400 {
+        let mut rng = TestRng::deterministic(case);
+        let Some(path) = paths.gen_value(&mut rng) else {
+            continue;
+        };
+        let mut literals = std::iter::from_fn(|| constants.gen_value(&mut rng));
+        let refilled = strategies::refill_path(&path, &mut literals);
+        for sys in &systems {
+            let dtd = sys.view().atg().dtd();
+            for p in [&path, &refilled] {
+                let delete = XmlUpdate::Delete { path: p.clone() };
+                let expected = validate_delete(dtd, p);
+                assert_eq!(admitted(sys, &delete), expected, "`{delete}`");
+                seen.insert(("delete", verdict_kind(&expected)));
+                for ty in TYPES {
+                    let insert = XmlUpdate::Insert {
+                        ty: ty.into(),
+                        attr: tuple![0],
+                        path: p.clone(),
+                    };
+                    let expected = validate_insert(dtd, p, ty);
+                    assert_eq!(admitted(sys, &insert), expected, "`{insert}`");
+                    seen.insert(("insert", verdict_kind(&expected)));
+                }
+            }
+        }
+    }
+    let every = [
+        ("delete", "admitted"),
+        ("delete", "InvalidDeleteTarget"),
+        ("delete", "Unreachable"),
+        ("insert", "InvalidInsertTarget"),
+        ("insert", "UnknownType"),
+        ("insert", "Unreachable"),
+        ("insert", "admitted"),
+    ];
+    assert_eq!(seen, every.into_iter().collect());
+}
+
+/// One path, `course[cno=CS650]/prereq`, one plan, three verdicts: an
+/// inserted `course` is admitted (`prereq → course*`), an inserted
+/// `student` is refused at `prereq`, and deleting the `prereq` is refused
+/// under `course`, whose production is a sequence — each the one-shot
+/// check's verdict.
+#[test]
+fn one_plan_gives_each_update_on_its_path_its_own_verdict() {
+    use rxview::xmlkit::{validate_delete, validate_insert};
+    let sys = registrar_system();
+    let dtd = sys.view().atg().dtd();
+    let path = parse_xpath("course[cno=CS650]/prereq").unwrap();
+    let insert = |ty: &str| XmlUpdate::Insert {
+        ty: ty.into(),
+        attr: tuple!["MA100", "Calculus"],
+        path: path.clone(),
+    };
+    let before = sys.view().plan_cache().stats();
+    assert_eq!(admitted(&sys, &insert("course")), Ok(()));
+    let student = Err(SchemaViolation::InvalidInsertTarget {
+        target: "prereq".into(),
+        inserted: "student".into(),
+    });
+    assert_eq!(admitted(&sys, &insert("student")), student);
+    let delete = XmlUpdate::Delete { path: path.clone() };
+    let prereq = Err(SchemaViolation::InvalidDeleteTarget {
+        parent: "course".into(),
+        target: "prereq".into(),
+    });
+    assert_eq!(admitted(&sys, &delete), prereq);
+    assert_eq!(validate_insert(dtd, &path, "course"), Ok(()));
+    assert_eq!(validate_insert(dtd, &path, "student"), student);
+    assert_eq!(validate_delete(dtd, &path), prereq);
+    let probed = sys.view().plan_cache().stats().delta_since(&before);
+    assert_eq!(
+        (probed.compiles, probed.hits),
+        (1, 2),
+        "one plan, three probes"
+    );
+}
+
+/// Through an engine, a shape is compiled once however often it is
+/// admitted, and so is a refused one: an update schema-refused at `submit`
+/// twice gets the same violation both times, takes no queue slot, and
+/// counts in `updates.rejected`.
+#[test]
+fn a_shape_compiles_once_whether_admitted_or_refused() {
+    let engine = Engine::new(registrar_system());
+    let stats = || engine.snapshot().system().view().plan_cache().stats();
+    let before = stats();
+    let refused = XmlUpdate::delete("course[cno=CS650]/cno").unwrap();
+    let verdicts: Vec<_> = (0..2)
+        .map(|_| {
+            let ticket = engine
+                .submit(refused.clone(), SideEffectPolicy::Proceed)
+                .unwrap();
+            match ticket.try_wait() {
+                Some(Err(EngineError::Update(UpdateError::Schema(v)))) => v,
+                other => panic!("`{refused}` resolved at submit as {other:?}"),
+            }
+        })
+        .collect();
+    let cno = SchemaViolation::InvalidDeleteTarget {
+        parent: "course".into(),
+        target: "cno".into(),
+    };
+    assert_eq!(verdicts, [cno.clone(), cno]);
+    let probed = stats().delta_since(&before);
+    assert_eq!((probed.compiles, probed.misses, probed.hits), (1, 1, 1));
+    let summary = engine.commit_pending();
+    assert_eq!(
+        (summary.updates, summary.batches),
+        (0, 0),
+        "a refusal takes no queue slot"
+    );
+    let report = engine.stats().report();
+    assert_eq!((report.submitted, report.rejected), (2, 2));
+
+    let before = stats();
+    let tickets: Vec<_> = ["CS650", "CS320"]
+        .into_iter()
+        .map(|cno| {
+            let path = format!("course[cno={cno}]/prereq");
+            let u = XmlUpdate::insert("course", tuple!["MA100", "Calculus"], &path).unwrap();
+            engine.submit(u, SideEffectPolicy::Proceed).unwrap()
+        })
+        .collect();
+    let probed = stats().delta_since(&before);
+    assert_eq!((probed.compiles, probed.misses, probed.hits), (1, 1, 1));
+    assert_eq!(engine.commit_pending().updates, 2);
+    assert_eq!(
+        stats().delta_since(&before),
+        probed,
+        "the commit loop probed nothing"
+    );
+    for t in tickets {
+        t.wait().expect("the insertion is accepted");
+    }
 }
 
 /// A system's parts, to forge a copy with one of them changed through the

@@ -221,7 +221,7 @@ proptest! {
             let compiled = TranslationTemplates::compile(&atg);
             let mut picks = picks.iter().copied().cycle();
             for a in atg.dtd().types() {
-                for b in atg.dtd().children_of(a) {
+                for &b in atg.dtd().children_of(a) {
                     let Some(RuleBody::Query { query, param_fields, .. }) = atg.rule(a, b) else {
                         continue;
                     };
@@ -266,7 +266,7 @@ proptest! {
             let provider = atg.augmented_schemas();
             let mut picks = picks.iter().copied().cycle();
             for a in atg.dtd().types() {
-                for b in atg.dtd().children_of(a) {
+                for &b in atg.dtd().children_of(a) {
                     let Some(q) = atg.edge_view_query(a, b) else {
                         continue;
                     };
