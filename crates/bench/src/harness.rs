@@ -22,12 +22,15 @@ pub struct BuiltSystem {
     pub publish_time: Duration,
     /// Wall-clock time to build `L` and compute `M`.
     pub aux_time: Duration,
+    /// The `M` that `aux_time` timed. The system holds none, so the rows
+    /// that report `M` read this one.
+    pub m: Reachability,
 }
 
 /// Builds a synthetic system of size `n` (with optional detached chains):
 /// equal rows shared as [`XmlViewSystem::new`] shares them, then the view
 /// published once, timed, and `L` and `M` computed, timed, and the system
-/// assembled from those parts — the state `new` builds
+/// assembled from the store and `L` — the state `new` builds
 /// (`build_system_is_the_state_new_publishes`).
 pub fn build_system(n: usize, detached_chains: Vec<usize>, seed: u64) -> BuiltSystem {
     let mut cfg = SyntheticConfig::with_size(n);
@@ -41,16 +44,15 @@ pub fn build_system(n: usize, detached_chains: Vec<usize>, seed: u64) -> BuiltSy
     let publish_time = t0.elapsed();
     let t1 = Instant::now();
     let topo = TopoOrder::compute(vs.dag());
-    let reach = Reachability::compute(vs.dag(), &topo);
+    let m = Reachability::compute(vs.dag(), &topo);
     let aux_time = t1.elapsed();
-    // The system holds no `M`: `from_parts` drops it, and the timing above
-    // is reported for Fig.10(b)/Table 1 context.
-    let sys = XmlViewSystem::from_parts(db, vs, topo, reach);
+    let sys = XmlViewSystem::from_parts(db, vs, topo, Reachability::default());
     BuiltSystem {
         cfg,
         sys,
         publish_time,
         aux_time,
+        m,
     }
 }
 
@@ -110,9 +112,8 @@ pub fn run_updates(sys: &mut XmlViewSystem, ops: &[XmlUpdate]) -> PhaseAgg {
 /// One row of the Fig.10(b) statistics table.
 pub fn fig10b_row(n: usize, seed: u64) -> DatasetStats {
     let built = build_system(n, Vec::new(), seed);
-    let topo = built.sys.topo();
-    let reach = Reachability::compute(built.sys.view().dag(), topo);
-    dataset_stats(&built.cfg, built.sys.base(), built.sys.view(), topo, &reach)
+    let sys = &built.sys;
+    dataset_stats(&built.cfg, sys.base(), sys.view(), sys.topo(), &built.m)
 }
 
 /// One Fig.11(a–f) cell: run one workload class (deletions or insertions)
@@ -340,8 +341,7 @@ pub fn ablation_dag_rows(n: usize, seed: u64) -> Vec<DagAblationRow> {
     ];
     let built = build_system(n, Vec::new(), seed);
     let (sys, vs) = (&built.sys, built.sys.view());
-    let m = Reachability::compute(vs.dag(), sys.topo());
-    let tree_nodes = dataset_stats(&built.cfg, sys.base(), vs, sys.topo(), &m).tree_nodes;
+    let tree_nodes = dataset_stats(&built.cfg, sys.base(), vs, sys.topo(), &built.m).tree_nodes;
     let tree = (tree_nodes <= ABLATION_TREE_CAP).then(|| vs.dag().expand(vs.atg()));
     PATHS
         .iter()
@@ -395,5 +395,14 @@ mod tests {
         let (exact, new) = (built.sys.exact_digest(), sys.exact_digest());
         assert_eq!(exact.first_difference(&new), None);
         assert_eq!(exact, new);
+    }
+
+    #[test]
+    fn the_fig10b_row_counts_the_m_of_its_system() {
+        let row = fig10b_row(300, 7);
+        let built = build_system(300, Vec::new(), 7);
+        let fresh = Reachability::compute(built.sys.view().dag(), built.sys.topo());
+        assert_eq!(row.m_pairs, fresh.n_pairs());
+        assert!(built.m.same_pairs(&fresh));
     }
 }

@@ -19,8 +19,8 @@
 //! - `translate_insertions`: Algorithm insert — the SAT-based heuristic
 //!   for group insertions (§4.3, Appendix A, Theorems 2 & 4);
 //! - [`RelFootprint`]: typed `(table, column, value)` conflict footprints
-//!   read off the translation layer — the planned write sets a serving
-//!   engine partitions updates by, and the realized ones they are held to;
+//!   read off the translation layer — the planned write sets `rxbench`'s
+//!   conflict analysis scores, and the realized ones they are held to;
 //! - [`classify`]: target-path classification into bounded cones —
 //!   key-anchored, type-indexed multi-anchor (`//`-headed), or global —
 //!   plus the evaluation scope of a cone union, its nodes in `L` order;

@@ -118,7 +118,7 @@ pub fn classify(dtd: &Dtd, path: &XPath) -> PathClass {
                 first_ty,
                 keys: leading_keys(steps),
             },
-            None => PathClass::Global, // unknown label: same fallback as before
+            None => PathClass::Global, // unknown label: nothing to anchor on
         },
         Some(NormStep::DescendantOrSelf) => match steps.next() {
             Some(NormStep::Label(label)) => match dtd.type_id(label) {

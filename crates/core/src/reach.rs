@@ -373,11 +373,12 @@ pub(crate) fn only_parent(dag: &Dag, d: NodeId) -> Option<NodeId> {
 /// The stored reachability matrix: per node, its ancestors.
 ///
 /// The runs sit behind per-node `Arc`s in one copy-on-write [`PagedVec`]
-/// indexed by node id: cloning `M` (which the serving engine does for every
-/// published snapshot) copies page pointers and *shares* every run, and a
-/// maintenance pass replaces only the runs it rewrites plus the pages
-/// holding their handles. A superseded snapshot's drop therefore frees only
-/// what its round replaced — O(∆M) allocations, not O(|M|) or O(n).
+/// indexed by node id: cloning `M` copies page pointers and *shares* every
+/// run, and a maintenance pass replaces only the runs it rewrites plus the
+/// pages holding their handles, so dropping a superseded copy frees only
+/// what the pass replaced — O(∆M) allocations, not O(|M|) or O(n). No
+/// serving state holds an `M`: it is computed for `rxbench`, the paper's
+/// tables and the ∆M that runs beside the fold in `rxview_bench`.
 #[derive(Debug, Clone, Default)]
 pub struct Reachability {
     anc: PagedVec<Option<Words>>,

@@ -23,8 +23,8 @@
 //!    they entered when `Xinsert` interned them.
 //! 3. **SAT.** Finite-domain variables are encoded as `x = c` propositions
 //!    with domain and mutual-exclusion clauses; the formula goes to WalkSAT
-//!    (the paper's solver \[30\]), with a complete DPLL fallback on small
-//!    instances.
+//!    (the paper's solver \[30\], at fixed noise, flip budget and seed),
+//!    with a complete DPLL fallback on instances of at most 24 propositions.
 //! 4. **Decode `∆R`.** Templates are instantiated from the model; unpinned
 //!    infinite-domain variables get fresh constants outside the active
 //!    domain (Theorem 4's construction).
@@ -45,9 +45,7 @@ use rxview_relstore::{
     ColRef, Database, Domain, EqClosure, GroupUpdate, Operand, Probe, RelError, RowSource,
     SpjQuery, Table, TableSchema, Tuple, Value, ValueType,
 };
-use rxview_satsolver::{
-    dpll, walksat, CnfFormula, DpllResult, Var as PropVar, WalkSatConfig, WalkSatResult,
-};
+use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Var as PropVar, WalkSatResult};
 use rxview_xmlkit::TypeId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -408,7 +406,7 @@ pub(crate) fn translate_insertions(
         None
     } else {
         sat_used = true;
-        match walksat(&formula, &WalkSatConfig::default()) {
+        match walksat(&formula) {
             WalkSatResult::Sat(m) => Some(m),
             WalkSatResult::Unknown => {
                 // Complete fallback on small instances.

@@ -1,9 +1,10 @@
 //! Model tests of the compact reachability matrix: the block-word run
 //! primitives against `BTreeSet` algebra, and `Reachability`'s bulk edits
-//! of ancestor runs against a plain set of `(anc, desc)` pairs. The *clone-then-diverge* case is the executable
-//! form of ARCHITECTURE invariant 10 for `M`: runs are shared between a
-//! snapshot and its successor, so an edit that wrote through a shared run
-//! would show up as one of the two no longer matching its own model.
+//! of ancestor runs against a plain set of `(anc, desc)` pairs. The
+//! *clone-then-diverge* case is the executable form of ARCHITECTURE
+//! invariant 10 for `M`: a clone shares every run with its origin, so an
+//! edit that wrote through a shared run would show up as one of the two no
+//! longer matching its own model.
 //!
 //! The facade's `tests/reach_model.rs` includes this file and runs it.
 

@@ -28,17 +28,17 @@ use std::time::Instant;
 /// [`EngineError::Saturated`] while this many updates wait for a commit.
 pub const MAX_QUEUE: usize = 65_536;
 
-/// Engine configuration: five fields, four with callers that set them
+/// Updates per commit round: a round takes the next `MAX_BATCH` queued
+/// updates and pays one log record and one snapshot publication for them.
+pub const MAX_BATCH: usize = 256;
+
+/// Engine configuration: four fields, three with callers that set them
 /// differently, and `n_shards`, which has no effect (ARCHITECTURE.md,
 /// "Configuration").
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Maximum updates per commit round: a round takes the next
-    /// `max_batch` queued updates and pays one log record and one snapshot
-    /// publication for them.
-    pub max_batch: usize,
     /// Has no effect: every round is applied on the committing thread, and
-    /// `max_batch` alone sizes it. Kept only because `rxbench` still sets
+    /// [`MAX_BATCH`] alone sizes it. Kept only because `rxbench` still sets
     /// it (ROADMAP item 4(g) removes it).
     pub n_shards: usize,
     /// Write-ahead logging / fsync policy. Anything but [`Durability::Off`]
@@ -63,7 +63,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            max_batch: 256,
             n_shards: 1,
             durability: Durability::Off,
             checkpoint_rounds: 1024,
@@ -318,8 +317,7 @@ impl Engine {
         Engine::with_config(sys, EngineConfig::default())
     }
 
-    /// Wraps a published system with explicit tuning (`max_batch` raised to
-    /// at least 1 — a zero batch cap could never make commit progress).
+    /// Wraps a published system with explicit tuning.
     ///
     /// # Panics
     /// Panics if `config.durability` is on: a replay log needs a directory,
@@ -411,11 +409,10 @@ impl Engine {
     fn build(
         sys: XmlViewSystem,
         epoch: u64,
-        mut config: EngineConfig,
+        config: EngineConfig,
         stats: Arc<EngineStats>,
         durability: Option<DurabilityState>,
     ) -> Self {
-        config.max_batch = config.max_batch.max(1);
         stats.record_state(&sys);
         Engine {
             inner: Arc::new(Inner {
@@ -585,7 +582,7 @@ impl Engine {
 
     /// Drains the admission queue and commits it through the round
     /// pipeline (`ARCHITECTURE.md` §3): the queue is cut into *rounds* of up
-    /// to `max_batch` updates in submission order; each update of a round is
+    /// to [`MAX_BATCH`] updates in submission order; each update of a round is
     /// evaluated, applied and folded against the state the one before it
     /// left, on a working clone of the latest snapshot, and the round then
     /// pays one log record and one publication.

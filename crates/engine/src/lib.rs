@@ -21,7 +21,7 @@
 //!   ([`rxview_core::XmlViewSystem::admit`]: schema-checked, its plan
 //!   resolved; a refusal resolves its ticket there), queues in a bounded
 //!   admission queue and commits through one *round pipeline*. A round is
-//!   the queue's next prefix of up to `max_batch` updates, in submission
+//!   the queue's next prefix of up to [`MAX_BATCH`] updates, in submission
 //!   order; on the committing thread each update in turn is evaluated
 //!   against the round's working state through its admitted plan
 //!   ([`rxview_core::XmlViewSystem::eval_admitted`] — scope-aware like the
@@ -91,7 +91,9 @@ mod stats;
 mod wal;
 
 pub use analyze::{evaluation_scope, Analysis, BatchFootprint};
-pub use engine::{CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, MAX_QUEUE};
+pub use engine::{
+    CommitSummary, Engine, EngineConfig, EngineError, UpdateTicket, MAX_BATCH, MAX_QUEUE,
+};
 pub use pipeline::{Stage, StageHooks};
 pub use recovery::{RecoverError, RecoveryReport};
 pub use snapshot::Snapshot;

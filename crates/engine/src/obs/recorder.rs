@@ -2,8 +2,8 @@
 //!
 //! Metrics answer "how much / how long"; the recorder answers "what just
 //! happened, in order". Every noteworthy engine transition — round planned
-//! / committed / requeued, global-lane fallback, checkpoint start/end, WAL
-//! rotation, recovery replay progress — is appended as an [`Event`]; once
+//! / committed / failed, checkpoint start / end / failed, WAL rotation,
+//! recovery replay progress — is appended as an [`Event`]; once
 //! the ring is full the oldest events fall off (and are counted), so memory
 //! is bounded no matter how long the engine runs. [`FlightRecorder::dump_jsonl`]
 //! renders the retained window as one JSON object per line, on demand.

@@ -1,6 +1,6 @@
 //! The round pipeline: the one commit path. A drained queue commits as a
 //! sequence of *rounds* — consecutive prefixes of the queue, up to
-//! `max_batch` updates each, in submission order — one at a time, and
+//! [`MAX_BATCH`] updates each, in submission order — one at a time, and
 //! every round runs the same stages on the committing thread:
 //!
 //! ```text
@@ -36,7 +36,7 @@
 //! announces each round's formation and publish and blocks on held gates
 //! (`crates/engine/tests/pipeline.rs`).
 
-use crate::engine::{CommitSummary, Inner, Pending, Reply};
+use crate::engine::{CommitSummary, Inner, Pending, Reply, MAX_BATCH};
 use crate::obs::fields;
 use crate::pipeline::{Stage, StageHooks};
 use crate::wal::LoggedUpdate;
@@ -79,7 +79,7 @@ pub(crate) fn commit(inner: &Inner, pending: Vec<Pending>) -> CommitSummary {
     };
     let mut queue = pending.into_iter();
     loop {
-        let round: Vec<Pending> = queue.by_ref().take(inner.config.max_batch).collect();
+        let round: Vec<Pending> = queue.by_ref().take(MAX_BATCH).collect();
         if round.is_empty() {
             break;
         }

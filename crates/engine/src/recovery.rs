@@ -6,7 +6,7 @@
 //! 1. **Checkpoint.** The newest checkpoint file that passes its CRC and
 //!    decodes under the caller's grammar anchors recovery; invalid or torn
 //!    checkpoints are skipped (and counted) in favor of older ones.
-//! 2. **Replay.** Every WAL segment (this format or one back, `crate::wal`)
+//! 2. **Replay.** Every WAL segment (a format `crate::wal`'s `FORMATS` reads)
 //!    is scanned from its magic up to its last checksummed-complete, decodable
 //!    record; records with epochs past the checkpoint are replayed **in
 //!    epoch order**, each one **as the serial application it logs**: every

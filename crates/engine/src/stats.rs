@@ -179,7 +179,7 @@ metric_table! {
         // --- commits / snapshots ---
         /// `commit_pending` rounds that found work.
         commits: counter "commit.calls",
-        /// Rounds committed (queue prefixes of at most `max_batch` updates).
+        /// Rounds committed (queue prefixes of at most `MAX_BATCH` updates).
         batches: counter "commit.batches",
         /// Largest round committed.
         max_batch: counter "commit.max_batch",

@@ -2,9 +2,11 @@
 //! the same updates one at a time, in submission order: identical
 //! accept/reject pattern, identical final base database, identical final
 //! view — however many updates share a round and whether evaluation ran
-//! scoped or full. A round is the queue's next `max_batch` updates, and
-//! every applied update is folded on its own, so a commit of `n` updates
-//! runs `⌈n / max_batch⌉` rounds and one fold per applied update. The
+//! scoped or full. The batteries commit at a *cadence* `k`: submit `k`
+//! updates, `commit_pending`, repeat. A round is what one call drains, up
+//! to `MAX_BATCH` updates, and every applied update is folded on its own,
+//! so a stream of `n` runs `⌈n / k⌉` rounds (for `k ≤ MAX_BATCH`) and one
+//! fold per applied update. The
 //! sequential side of the property tests is the paper's algorithm, not the
 //! code under test: `rxview_reference::reference_apply` evaluates by §3.2
 //! verbatim (`eval_xpath_on_dag` over all of `L` — no scope, no compiled
@@ -12,7 +14,7 @@
 
 use proptest::prelude::*;
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
-use rxview_engine::{Engine, EngineConfig};
+use rxview_engine::{Engine, EngineConfig, MAX_BATCH};
 use rxview_reference::reference_apply;
 use rxview_workload::{
     mixed_updates, synthetic_atg, synthetic_database, ChurnGen, DescendantConfig, DescendantGen,
@@ -34,16 +36,16 @@ fn diverges(a: &XmlViewSystem, b: &XmlViewSystem) -> Option<&'static str> {
     a.observed_digest().first_difference(&b.observed_digest())
 }
 
-fn check_equivalence(n: usize, seed: u64, flips: &[bool], max_batch: usize) -> Result<(), String> {
+fn check_equivalence(n: usize, seed: u64, flips: &[bool], cadence: usize) -> Result<(), String> {
     let sys = system(n, seed);
     let ops = mixed_updates(&sys, seed ^ 0xbeef, flips);
-    check_ops_equivalence(sys, &ops, max_batch)
+    check_ops_equivalence(sys, &ops, cadence)
 }
 
 fn check_ops_equivalence(
     sys: XmlViewSystem,
     ops: &[XmlUpdate],
-    max_batch: usize,
+    cadence: usize,
 ) -> Result<(), String> {
     if ops.is_empty() {
         return Ok(());
@@ -56,44 +58,36 @@ fn check_ops_equivalence(
         .map(|u| reference_apply(&mut seq, u, SideEffectPolicy::Proceed).is_ok())
         .collect();
 
-    // Batched engine: rounds of up to `max_batch` updates.
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            max_batch,
-            ..EngineConfig::default()
-        },
-    );
-    let tickets: Vec<_> = ops
-        .iter()
-        .map(|u| {
-            engine
-                .submit(u.clone(), SideEffectPolicy::Proceed)
-                .expect("queue not full")
-        })
-        .collect();
-    let summary = engine.commit_pending();
-    if summary.updates != ops.len() {
-        return Err(format!(
-            "drained {} of {} updates",
-            summary.updates,
-            ops.len()
-        ));
+    // The engine: a commit every `cadence` submissions, one round each.
+    let engine = Engine::new(sys);
+    let (mut tickets, mut drained, mut rounds, mut accepted) = (Vec::new(), 0, 0, 0);
+    for chunk in ops.chunks(cadence) {
+        for u in chunk {
+            let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
+            tickets.push(ticket.expect("queue not full"));
+        }
+        let summary = engine.commit_pending();
+        drained += summary.updates;
+        rounds += summary.batches;
+        accepted += summary.accepted;
     }
-    if summary.batches != ops.len().div_ceil(max_batch) {
+    if drained != ops.len() {
+        return Err(format!("drained {drained} of {} updates", ops.len()));
+    }
+    let expected_rounds: usize = ops
+        .chunks(cadence)
+        .map(|c| c.len().div_ceil(MAX_BATCH))
+        .sum();
+    if rounds != expected_rounds {
         return Err(format!(
-            "{} updates at max_batch {max_batch} ran {} rounds",
-            ops.len(),
-            summary.batches
+            "{} updates at cadence {cadence} ran {rounds} rounds",
+            ops.len()
         ));
     }
     let eng_outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
     let folds = engine.stats().report().cone_folds;
-    if folds != summary.accepted as u64 {
-        return Err(format!(
-            "{folds} folds for {} applied updates",
-            summary.accepted
-        ));
+    if folds != accepted as u64 {
+        return Err(format!("{folds} folds for {accepted} applied updates"));
     }
 
     if seq_outcomes != eng_outcomes {
@@ -120,16 +114,17 @@ fn check_ops_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random mixed workloads, random round caps — from one update a round
-    /// to wider than the stream: the round-by-round commit is
-    /// observationally equivalent to applying the updates one at a time.
+    /// Random mixed workloads, random commit cadences — from one update a
+    /// round to one round for the whole stream, as at `MAX_BATCH`: the
+    /// round-by-round commit is observationally equivalent to applying the
+    /// updates one at a time.
     #[test]
     fn batched_commit_equals_sequential(
         seed in 0u64..200,
         flips in prop::collection::vec(any::<bool>(), 8..20),
-        max_batch in 1usize..56,
+        cadence in 1usize..56,
     ) {
-        if let Err(e) = check_equivalence(220, seed, &flips, max_batch) {
+        if let Err(e) = check_equivalence(220, seed, &flips, cadence) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -142,7 +137,7 @@ proptest! {
         seed in 0u64..200,
         n_ops in 8usize..28,
         hot in 0u32..=10,
-        max_batch in 2usize..56,
+        cadence in 2usize..56,
     ) {
         let sys = system(200, seed);
         let mut gen = ShardSkewGen::new(SkewConfig {
@@ -154,7 +149,7 @@ proptest! {
             ..SkewConfig::default()
         });
         let ops = gen.ops(n_ops);
-        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch) {
+        if let Err(e) = check_ops_equivalence(sys, &ops, cadence) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -239,7 +234,7 @@ proptest! {
         seed in 0u64..200,
         n_ops in 8usize..28,
         desc_fraction in 0u32..=10,
-        max_batch in 1usize..56,
+        cadence in 1usize..56,
     ) {
         let sys = system(220, seed);
         let mut gen = DescendantGen::new(DescendantConfig {
@@ -251,7 +246,7 @@ proptest! {
             ..DescendantConfig::default()
         });
         let ops = gen.ops(n_ops);
-        if let Err(e) = check_ops_equivalence(sys, &ops, max_batch) {
+        if let Err(e) = check_ops_equivalence(sys, &ops, cadence) {
             return Err(TestCaseError::fail(e));
         }
     }
@@ -290,10 +285,7 @@ fn descendant_updates_ride_shared_rounds() {
     assert_eq!(seq_outcomes, eng_outcomes);
     assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     let report = engine.stats().report();
-    assert_eq!(
-        report.rounds, 1,
-        "40 updates under max_batch 256: one round"
-    );
+    assert_eq!(report.rounds, 1, "40 updates in one commit: one round");
     let applied = eng_outcomes.iter().filter(|&&ok| ok).count() as u64;
     assert!(applied > 1, "independent `//` updates share the round");
     assert_eq!(report.cone_folds, applied, "one fold per applied update");
@@ -375,7 +367,7 @@ fn disjoint_same_cone_inserts_share_one_round() {
     assert_eq!(report.cone_folds, 4, "one fold per applied update");
 }
 
-/// A deterministic large-ish case exercising multi-batch commits.
+/// A deterministic large-ish case, committed sixteen updates at a time.
 #[test]
 fn large_independent_batch_is_equivalent() {
     let flips: Vec<bool> = (0..40).map(|i| i % 4 == 0).collect();
@@ -430,10 +422,7 @@ fn conflicting_updates_serialize_sharded() {
     assert_eq!(diverges(&seq, engine.snapshot().system()), None);
     engine.snapshot().system().consistency_check().unwrap();
     let report = engine.stats().report();
-    assert_eq!(
-        report.rounds, 1,
-        "13 updates under max_batch 256: one round"
-    );
+    assert_eq!(report.rounds, 1, "13 updates in one commit: one round");
     let applied = eng_outcomes.iter().filter(|&&ok| ok).count() as u64;
     assert_eq!(report.cone_folds, applied, "one fold per applied update");
     for i in 0..5 {
@@ -496,13 +485,7 @@ fn rounds_inserting_on_ids_the_previous_round_freed_equal_sequential() {
             .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
     }
 
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            max_batch: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     for (k, window) in windows.iter().enumerate() {
         let submit = |u: &XmlUpdate| {
             let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
@@ -572,6 +555,17 @@ fn admission_stream(valid: &[XmlUpdate]) -> Vec<(XmlUpdate, bool)> {
     stream
 }
 
+/// `stream` behind enough admitted updates that select nothing for the
+/// round boundary at `MAX_BATCH` to fall among `stream`'s own admitted
+/// updates: a refusal that took a queue slot would move that boundary.
+fn straddling(stream: Vec<(XmlUpdate, bool)>) -> Vec<(XmlUpdate, bool)> {
+    let admitted = stream.iter().filter(|(_, refused)| !refused).count();
+    let empty = XmlUpdate::delete("node[id=999999999]/sub/node").unwrap();
+    let mut out = vec![(empty, false); MAX_BATCH - admitted / 2];
+    out.extend(stream);
+    out
+}
+
 /// An outcome as the battery compares it: accepted, or the rejection.
 fn verdict<T>(outcome: &Result<T, rxview_core::UpdateError>) -> String {
     match outcome {
@@ -599,7 +593,7 @@ fn admission_refuses_at_submit_and_the_commit_loop_looks_nothing_up() {
     let sys = system(200, 5);
     let flips: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
     let valid = mixed_updates(&sys, 0x5eed, &flips);
-    let stream = admission_stream(&valid);
+    let stream = straddling(admission_stream(&valid));
     let n_refused = stream.iter().filter(|(_, refused)| *refused).count();
     assert!(n_refused >= 5, "every kind of refusal is in the stream");
 
@@ -620,13 +614,7 @@ fn admission_refuses_at_submit_and_the_commit_loop_looks_nothing_up() {
     assert!(expected.iter().any(|v| v == "EmptyTarget"));
     assert!(expected.iter().filter(|v| *v == "accepted").count() > valid.len() / 2);
 
-    let engine = Engine::with_config(
-        sys,
-        EngineConfig {
-            max_batch: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(sys);
     let tickets: Vec<_> = stream
         .iter()
         .map(|(u, _)| engine.submit(u.clone(), SideEffectPolicy::Proceed).unwrap())
@@ -659,7 +647,7 @@ fn admission_refuses_at_submit_and_the_commit_loop_looks_nothing_up() {
         stream.len() - n_refused,
         "a refusal takes no queue slot"
     );
-    assert_eq!(summary.batches, summary.updates.div_ceil(4));
+    assert_eq!(summary.batches, 2, "the stream straddles `MAX_BATCH`");
     for (v, t) in verdicts.iter_mut().zip(tickets) {
         if v.is_none() {
             *v = Some(verdict(&t.wait().map_err(|e| match e {
@@ -705,22 +693,18 @@ fn admission_refuses_at_submit_and_the_commit_loop_looks_nothing_up() {
 
 /// A durable engine's log directory is the same, byte for byte, whether or
 /// not the stream held the updates admission refuses: a refusal takes no
-/// round and writes no log byte. Rounds of 4 updates, so a refusal that
-/// took a queue slot would move the rounds' boundaries.
+/// round and writes no log byte. The stream straddles a round boundary,
+/// so a refusal that took a queue slot would move it.
 #[test]
 fn refused_updates_leave_the_log_directory_byte_identical() {
     let sys = system(200, 5);
     let flips: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
-    let stream = admission_stream(&mixed_updates(&sys, 0x5eed, &flips));
+    let stream = straddling(admission_stream(&mixed_updates(&sys, 0x5eed, &flips)));
     let logged = |tag: &str, with_refused: bool| {
         let dir =
             std::env::temp_dir().join(format!("rxview-admission-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = EngineConfig {
-            max_batch: 4,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::with_durability(sys.clone(), config, &dir).unwrap();
+        let engine = Engine::with_durability(sys.clone(), EngineConfig::default(), &dir).unwrap();
         let tickets: Vec<_> = stream
             .iter()
             .filter(|(_, refused)| with_refused || !refused)

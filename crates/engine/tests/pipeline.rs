@@ -6,16 +6,18 @@
 //! chosen point of a round:
 //!
 //! - **ack per round** — a round's tickets resolve when it publishes, not
-//!   when the whole commit ends;
+//!   when the whole commit ends (a commit of more than `MAX_BATCH` updates
+//!   runs two rounds; deletions that select nothing fill round 1);
 //! - **one round at a time** — no round is formed while a round is
 //!   unpublished: with round 1 held at its publish, the coordinator has
 //!   formed exactly one round, and a duplicate deletion in it is already
 //!   rejected;
-//! - **recycled ids** — a churn stream committed at once ends where the
-//!   sequential reference ends, however its rounds recycle node ids.
+//! - **recycled ids** — a churn stream committed four updates at a time
+//!   ends where the sequential reference ends, however its rounds recycle
+//!   node ids.
 
 use rxview_core::{SideEffectPolicy, XmlUpdate, XmlViewSystem};
-use rxview_engine::{Engine, EngineConfig, Stage, StageHooks};
+use rxview_engine::{Engine, EngineConfig, Stage, StageHooks, MAX_BATCH};
 use rxview_reference::reference_apply;
 use rxview_workload::{synthetic_atg, synthetic_database, ChurnGen, SyntheticConfig};
 
@@ -45,10 +47,18 @@ fn group_edge_deletions(sys: &XmlViewSystem, n: i64) -> Vec<XmlUpdate> {
         .collect()
 }
 
-/// Tickets resolve round by round: four disjoint group-edge deletions go to
-/// an engine whose rounds hold two updates; with the coordinator walked to
-/// round 2's publish gate, round 1's tickets resolved when round 1
-/// published while round 2's wait for their own round.
+/// `n` admitted deletions that select nothing: each takes a round slot,
+/// resolves `EmptyTarget` and leaves the state as it was.
+fn empty_deletions(n: usize) -> Vec<XmlUpdate> {
+    let u = XmlUpdate::delete("node[id=999999999]/sub/node").expect("parses");
+    vec![u; n]
+}
+
+/// Tickets resolve round by round: two disjoint group-edge deletions, then
+/// updates that select nothing up to `MAX_BATCH`, then two more deletions,
+/// all in one commit; with the coordinator walked to round 2's publish
+/// gate, round 1's tickets resolved when round 1 published while round 2's
+/// wait for their own round.
 #[test]
 fn inline_rounds_ack_as_each_round_publishes() {
     let sys = system(400, 9);
@@ -63,19 +73,17 @@ fn inline_rounds_ack_as_each_round_publishes() {
     let engine = Engine::with_config(
         sys,
         EngineConfig {
-            max_batch: 2,
             stage_hooks: Some(hooks.clone()),
             ..EngineConfig::default()
         },
     );
-    let tickets: Vec<_> = deletions
-        .iter()
-        .map(|u| {
-            engine
-                .submit(u.clone(), SideEffectPolicy::Proceed)
-                .expect("queue not full")
-        })
-        .collect();
+    let submit = |u: &XmlUpdate| {
+        let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
+        ticket.expect("queue not full")
+    };
+    let mut tickets: Vec<_> = deletions[..2].iter().map(submit).collect();
+    let fillers: Vec<_> = empty_deletions(MAX_BATCH - 2).iter().map(submit).collect();
+    tickets.extend(deletions[2..].iter().map(submit));
     let committer = {
         let engine = engine.clone();
         std::thread::spawn(move || engine.commit_pending())
@@ -106,10 +114,21 @@ fn inline_rounds_ack_as_each_round_publishes() {
         );
     }
 
+    for t in fillers {
+        assert!(
+            matches!(t.try_wait(), Some(Err(_))),
+            "fillers select nothing"
+        );
+    }
+
     hooks.release(Stage::Publish);
     let summary = committer.join().expect("committer panicked");
     assert_eq!(summary.accepted, 4);
-    assert_eq!(engine.stats().report().rounds, 2, "two rounds of two");
+    assert_eq!(
+        engine.stats().report().rounds,
+        2,
+        "rounds of `MAX_BATCH` and 2"
+    );
     for t in tickets.into_iter().skip(2) {
         t.wait().expect("round 2's deletions commit");
     }
@@ -122,10 +141,11 @@ fn inline_rounds_ack_as_each_round_publishes() {
 
 /// No round is formed while a round is unpublished, and a duplicate
 /// deletion is rejected inside the round it shares with its twin: with
-/// round 1 — the delete and its duplicate — held at its publish gate, the
-/// coordinator has formed one round, the duplicate is already rejected (it
-/// was evaluated after its twin's fold), and the third update waits for
-/// round 2, formed only once round 1's writes are in the latest snapshot.
+/// round 1 — the delete, its duplicate, and updates that select nothing up
+/// to `MAX_BATCH` — held at its publish gate, the coordinator has formed
+/// one round, the duplicate is already rejected (it was evaluated after
+/// its twin's fold), and the last update waits for round 2, formed only
+/// once round 1's writes are in the latest snapshot.
 #[test]
 fn no_plan_runs_while_a_round_is_unpublished() {
     let sys = system(400, 9);
@@ -133,24 +153,27 @@ fn no_plan_runs_while_a_round_is_unpublished() {
     assert!(deletions.len() >= 2, "deletable group edges");
     // The same delete twice — the second outcome depends on the first's
     // effect — then an independent one.
-    let ops = [
-        deletions[0].clone(),
-        deletions[0].clone(),
-        deletions[1].clone(),
-    ];
+    let mut ops = vec![deletions[0].clone(), deletions[0].clone()];
+    ops.extend(empty_deletions(MAX_BATCH - 2));
+    ops.push(deletions[1].clone());
     let mut oracle = sys.clone();
     let expected: Vec<bool> = ops
         .iter()
         .map(|u| oracle.apply(u, SideEffectPolicy::Proceed).is_ok())
         .collect();
-    assert_eq!(expected, [true, false, true], "the duplicate is rejected");
+    let last = MAX_BATCH;
+    assert_eq!(
+        expected.iter().filter(|&&ok| ok).count(),
+        2,
+        "the duplicate and the fillers are rejected"
+    );
+    assert!(expected[0] && !expected[1] && expected[last]);
 
     let hooks = StageHooks::new();
     hooks.hold(Stage::Publish);
     let engine = Engine::with_config(
         sys,
         EngineConfig {
-            max_batch: 2,
             stage_hooks: Some(hooks.clone()),
             ..EngineConfig::default()
         },
@@ -182,13 +205,15 @@ fn no_plan_runs_while_a_round_is_unpublished() {
         matches!(tickets[1].try_wait(), Some(Err(_))),
         "the duplicate is rejected inside round 1"
     );
-    assert!(tickets[2].try_wait().is_none(), "round 2 is not formed yet");
+    assert!(
+        tickets[last].try_wait().is_none(),
+        "round 2 is not formed yet"
+    );
 
     hooks.release(Stage::Publish);
     committer.join().expect("committer panicked");
     let outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
-    assert_eq!(outcomes[0], expected[0]);
-    assert_eq!(outcomes[2], expected[2]);
+    assert_eq!(outcomes, expected);
     assert_eq!(
         hooks.arrivals(Stage::Plan),
         2,
@@ -200,11 +225,11 @@ fn no_plan_runs_while_a_round_is_unpublished() {
     snap.system().consistency_check().expect("consistent");
 }
 
-/// Recycled ids across rounds of one commit: the whole churn stream is
-/// committed at once, four updates a round, so each round's insertions are
-/// handed the ids the previous round's fold released, and the engine ends
-/// where the sequential reference ends. (The name predates the round
-/// pipeline's single executor; the test id is kept stable.)
+/// Recycled ids across rounds: the churn stream is committed four updates
+/// at a time, one round each, so each round's insertions are handed the
+/// ids the previous round's fold released, and the engine ends where the
+/// sequential reference ends. (The name predates the round pipeline's
+/// single executor; the test id is kept stable.)
 #[test]
 fn lookahead_rounds_on_recycled_ids_equal_the_reference() {
     let sys = system(400, 11);
@@ -216,20 +241,18 @@ fn lookahead_rounds_on_recycled_ids_equal_the_reference() {
             .unwrap_or_else(|e| panic!("`{u}` rejected: {e}"));
     }
 
-    let config = EngineConfig {
-        max_batch: 4,
-        ..EngineConfig::default()
-    };
-    let engine = Engine::with_config(sys, config);
+    let engine = Engine::new(sys);
     let submit = |u: &XmlUpdate| {
         let ticket = engine.submit(u.clone(), SideEffectPolicy::Proceed);
         ticket.expect("queue not full")
     };
-    let tickets: Vec<_> = ops.iter().map(submit).collect();
-    let summary = engine.commit_pending();
-    assert_eq!(summary.updates, ops.len());
-    for t in tickets {
-        t.wait().expect("accepted");
+    for window in ops.chunks(4) {
+        let tickets: Vec<_> = window.iter().map(submit).collect();
+        let summary = engine.commit_pending();
+        assert_eq!((summary.updates, summary.batches), (4, 1));
+        for t in tickets {
+            t.wait().expect("accepted");
+        }
     }
     let report = engine.stats().report();
     assert!(report.free_ids + report.live_nodes == report.allocated_ids);

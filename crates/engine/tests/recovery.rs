@@ -389,9 +389,8 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Torn tails of a log of multi-update rounds: six disjoint deletions drain
-/// through one `commit_pending` with `max_batch = 2`, as three two-update
-/// rounds. Truncating the log at every byte and recovering proves the WAL
+/// Torn tails of a log of multi-update rounds: six disjoint deletions are
+/// committed two at a time, as three two-update rounds. Truncating the log at every byte and recovering proves the WAL
 /// append stayed *epoch-strict*: every cut lands on a contiguous
 /// submission-order prefix — if round k+1's record could ever beat round
 /// k's into the log, some cut would recover a state with a hole in it and
@@ -399,8 +398,8 @@ fn torn_tail_recovers_last_complete_round_at_every_byte_boundary() {
 /// pipeline's single executor.)
 #[test]
 fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
-    // A round admits up to `max_batch` = 2 disjoint updates, so six
-    // deletions drain as three two-update rounds (epochs).
+    // A commit every two submissions, so six deletions drain as three
+    // two-update rounds (epochs).
     let n_updates = 6;
     let per_round = 2;
     let rounds = n_updates / per_round;
@@ -422,26 +421,20 @@ fn sharded_torn_tail_recovers_epoch_strict_prefix_at_every_byte() {
     }
 
     let dir = temp_dir("torn-rounds");
-    let engine = Engine::with_durability(
-        sys,
-        EngineConfig {
-            max_batch: 2,
-            ..durable_config(0)
-        },
-        &dir,
-    )
-    .expect("durable engine");
-    let tickets: Vec<_> = deletions
-        .iter()
-        .map(|u| {
-            engine
-                .submit(u.clone(), SideEffectPolicy::Proceed)
-                .expect("queue not full")
-        })
-        .collect();
-    engine.commit_pending();
-    for t in tickets {
-        t.wait().expect("group-edge deletion commits");
+    let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
+    for round in deletions.chunks(per_round) {
+        let tickets: Vec<_> = round
+            .iter()
+            .map(|u| {
+                engine
+                    .submit(u.clone(), SideEffectPolicy::Proceed)
+                    .expect("queue not full")
+            })
+            .collect();
+        engine.commit_pending();
+        for t in tickets {
+            t.wait().expect("group-edge deletion commits");
+        }
     }
     assert_eq!(engine.snapshot().epoch(), rounds as u64);
     drop(engine);
@@ -1067,19 +1060,15 @@ fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn all_rejected_round_publishes_nothing_and_logs_nothing() {
-    // One round per rejected update, and one round for both.
-    for max_batch in [1usize, 256] {
+    // A commit per rejected update, and one commit for both.
+    for cadence in [1usize, 2] {
         let (sys, atg) = system(200, 31);
         let deletions = group_edge_deletions(&sys, 200);
         assert!(deletions.len() >= 2, "two deletable group edges");
         let dir = temp_dir("allrej");
         // Manual checkpoints only, so the directory changes exactly when a
         // round is logged.
-        let config = EngineConfig {
-            max_batch,
-            ..durable_config(0)
-        };
-        let engine = Engine::with_durability(sys, config, &dir).expect("durable engine");
+        let engine = Engine::with_durability(sys, durable_config(0), &dir).expect("durable engine");
         for u in &deletions[..2] {
             engine
                 .apply_now(u.clone(), SideEffectPolicy::Proceed)
@@ -1091,42 +1080,42 @@ fn all_rejected_round_publishes_nothing_and_logs_nothing() {
 
         // The same deletions again: their edges are gone, so every update of
         // the commit is rejected — one round at a time or all together.
-        let tickets: Vec<_> = deletions[..2]
-            .iter()
-            .map(|u| {
-                engine
-                    .submit(u.clone(), SideEffectPolicy::Proceed)
-                    .expect("queue not full")
-            })
-            .collect();
-        let summary = engine.commit_pending();
-        assert_eq!(summary.rejected, 2, "max_batch {max_batch}");
-        for t in tickets {
-            assert!(
-                t.wait().is_err(),
-                "max_batch {max_batch}: ticket resolves Err"
-            );
+        let mut rejected = 0;
+        for round in deletions[..2].chunks(cadence) {
+            let tickets: Vec<_> = round
+                .iter()
+                .map(|u| {
+                    engine
+                        .submit(u.clone(), SideEffectPolicy::Proceed)
+                        .expect("queue not full")
+                })
+                .collect();
+            rejected += engine.commit_pending().rejected;
+            for t in tickets {
+                assert!(t.wait().is_err(), "cadence {cadence}: ticket resolves Err");
+            }
         }
+        assert_eq!(rejected, 2, "cadence {cadence}");
         assert_eq!(
             engine.snapshot().epoch(),
             epoch,
-            "max_batch {max_batch}: a round that applied nothing publishes no epoch"
+            "cadence {cadence}: a round that applied nothing publishes no epoch"
         );
         assert_eq!(
             engine.stats().report().wal_records,
             records,
-            "max_batch {max_batch}: and appends no record"
+            "cadence {cadence}: and appends no record"
         );
         assert_eq!(
             dir_bytes(&dir),
             before,
-            "max_batch {max_batch}: log directory byte-identical"
+            "cadence {cadence}: log directory byte-identical"
         );
 
         drop(engine); // crash
         let (recovered, report) = recover_readonly(&atg, &dir);
-        assert_eq!(report.resumed_epoch, epoch, "max_batch {max_batch}");
-        assert_eq!(recovered.snapshot().epoch(), epoch, "max_batch {max_batch}");
+        assert_eq!(report.resumed_epoch, epoch, "cadence {cadence}");
+        assert_eq!(recovered.snapshot().epoch(), epoch, "cadence {cadence}");
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -1388,8 +1377,8 @@ fn a_tail_of_descendant_filtered_and_abort_rounds_replays_as_logged() {
 // ---------------------------------------------------------------------------
 
 /// A mixed W1/W2/W3 stream with an unfilterable wildcard in its middle,
-/// committed fourteen updates at a time in rounds of up to four updates and
-/// in rounds as wide as the commit, crashes, and is replayed record by
+/// committed four updates at a time and fourteen at a time, a round per
+/// commit, crashes, and is replayed record by
 /// record: as many records as published rounds — fewer than updates —, one
 /// fold per applied update as the engine folded it, nothing rejected, and
 /// the state of the one-at-a-time oracle. (The name is older than serial
@@ -1413,16 +1402,13 @@ fn replay_folds_once_per_record_on_every_executors_log() {
         .collect();
     let accepted = expected.iter().filter(|ok| **ok).count();
 
-    for max_batch in [4, 256] {
-        let at = format!("max_batch {max_batch}");
+    for cadence in [4, 14] {
+        let at = format!("cadence {cadence}");
         let dir = temp_dir("folds");
-        let config = EngineConfig {
-            max_batch,
-            ..durable_config(0)
-        };
+        let config = durable_config(0);
         let engine = Engine::with_durability(sys.clone(), config, &dir).expect("durable engine");
         let mut outcomes = Vec::new();
-        for commit in stream.chunks(14) {
+        for commit in stream.chunks(cadence) {
             let tickets: Vec<_> = commit
                 .iter()
                 .map(|u| engine.submit(u.clone(), SideEffectPolicy::Proceed))
@@ -1433,7 +1419,7 @@ fn replay_folds_once_per_record_on_every_executors_log() {
         assert_eq!(outcomes, expected, "{at}");
         let epoch = engine.snapshot().epoch();
         let engine_report = engine.stats().report();
-        let rounds: usize = stream.chunks(14).map(|c| c.len().div_ceil(max_batch)).sum();
+        let rounds = stream.len().div_ceil(cadence);
         assert_eq!(
             engine_report.rounds as usize, rounds,
             "{at}: rounds are queue prefixes"

@@ -226,9 +226,9 @@ pub(crate) type Occupied<'a, K, V> = (&'a (K, V), (K, V));
 #[derive(Debug, Clone)]
 struct Run<K, V> {
     /// The run's separator, so locating a run reads the directory only:
-    /// above every key of the runs before it and not above any key of its
-    /// own (the key it was opened or split at; removals leave it be). The
-    /// first run's separator is never consulted.
+    /// above every key of the runs before it, and the run's own first key
+    /// — an insert or a removal at the front moves it, so it never keeps a
+    /// removed key alive. The first run's separator is never consulted.
     head: K,
     entries: Arc<Vec<(K, V)>>,
 }
@@ -393,6 +393,10 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
             self.runs.push(Run::single(key, value));
             return;
         }
+        if at == 0 {
+            // Only the first run takes a key below its separator.
+            self.runs[i].head = key.clone();
+        }
         let entries = Self::unshare(&mut self.runs[i].entries);
         entries.insert(at, (key, value));
         if entries.len() > Self::RUN_MAX {
@@ -452,6 +456,9 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         if entries.is_empty() {
             self.runs.remove(i);
         } else {
+            if at == 0 {
+                self.runs[i].head = entries[0].0.clone();
+            }
             self.merge_underfull(i);
         }
         Some(removed)
@@ -758,7 +765,7 @@ mod tests {
                 .runs
                 .iter()
                 .all(|r| (1..=RUN_MAX).contains(&r.entries.len())));
-            assert!(m.runs.iter().skip(1).all(|r| r.head <= r.entries[0].0));
+            assert!(m.runs.iter().all(|r| r.head == r.entries[0].0));
             assert!(m
                 .runs
                 .windows(2)

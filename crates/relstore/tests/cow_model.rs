@@ -644,6 +644,49 @@ fn map_drains_to_empty_in_any_order() {
     }
 }
 
+/// Removing a run's first entry moves the run's separator to the new first
+/// key, so the removed key is released with its entry, and a key inserted
+/// between the old and the new separator lands in key order. Keys four
+/// apart are loaded in order (full runs); then each in turn — every run's
+/// first entry among them — is removed and the two keys after it are
+/// inserted, against the model, each removed key's handle left with no
+/// other holder.
+#[test]
+fn removing_a_runs_first_key_moves_its_separator() {
+    let by_value = |a: &Arc<u16>, b: &Arc<u16>| a.cmp(b);
+    let keys: Vec<Arc<u16>> = (0..600u16).map(|i| Arc::new(i * 4)).collect();
+    let mut map = PagedMap::new();
+    let mut model = BTreeMap::new();
+    for k in &keys {
+        map.insert_by(Arc::clone(k), value(**k), by_value);
+        model.insert(**k, value(**k));
+    }
+    let same = |map: &PagedMap<Arc<u16>, Arc<u16>>, model: &BTreeMap<u16, Arc<u16>>| {
+        map.len() == model.len()
+            && map
+                .iter()
+                .map(|(k, v)| (**k, **v))
+                .eq(model.iter().map(|(k, v)| (*k, **v)))
+    };
+    for k in &keys {
+        let removed = map.remove_by(|m: &Arc<u16>| m.cmp(k)).map(|(_, v)| *v);
+        assert_eq!(removed, model.remove(k).map(|v| *v));
+        assert_eq!(Arc::strong_count(k), 1, "{k} is still held");
+        for gap in [**k + 1, **k + 2] {
+            map.insert_by(Arc::new(gap), value(gap), by_value);
+            model.insert(gap, value(gap));
+            let found = map.get_by(|m: &Arc<u16>| (**m).cmp(&gap));
+            assert_eq!(found.map(|(_, v)| **v), Some(gap));
+        }
+        assert_eq!(
+            map.range_by(|m| **m < **k).next().map(|(m, _)| **m),
+            model.range(**k..).next().map(|(m, _)| *m),
+            "from {k}"
+        );
+        assert!(same(&map, &model), "after {k}");
+    }
+}
+
 /// The lowest and the highest key are reachable by lookup, range scan and
 /// removal whichever run they sit in, and a key below every head lands in
 /// the first run.

@@ -130,7 +130,7 @@ fn solve(clauses: &[Vec<Lit>], state: &mut Vec<VarState>) -> bool {
 mod tests {
     use super::*;
     use crate::cnf::CnfFormula;
-    use crate::walksat::{walksat, WalkSatConfig, WalkSatResult};
+    use crate::walksat::{search, WalkSatResult};
     use proptest::prelude::*;
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
             if let Some(a) = d.assignment() {
                 prop_assert!(f.eval(a));
             }
-            let w = walksat(&f, &WalkSatConfig { max_flips: 2000, max_tries: 3, ..Default::default() });
+            let w = search(&f, 2000, 3);
             if let WalkSatResult::Sat(a) = &w {
                 prop_assert!(f.eval(a));
                 prop_assert!(d.assignment().is_some());

@@ -20,4 +20,4 @@ mod walksat;
 
 pub use cnf::{Assignment, Clause, CnfFormula, Lit, Var};
 pub use dpll::{dpll, DpllResult};
-pub use walksat::{walksat, WalkSatConfig, WalkSatResult};
+pub use walksat::{walksat, WalkSatResult};

@@ -3,7 +3,7 @@
 //!
 //! WalkSAT is an incomplete stochastic local-search solver: starting from a
 //! random assignment, it repeatedly picks an unsatisfied clause and flips one
-//! of its variables — with probability `noise` a random one, otherwise the
+//! of its variables — with probability `NOISE` a random one, otherwise the
 //! variable whose flip *breaks* the fewest currently satisfied clauses. It
 //! may fail to find a satisfying assignment even when one exists; the paper
 //! reports success "within a certain percentage" (78% in its experiments) and
@@ -13,29 +13,14 @@ use crate::cnf::{Assignment, CnfFormula};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Tunables for [`walksat`].
-#[derive(Debug, Clone)]
-pub struct WalkSatConfig {
-    /// Probability of a random walk move (classic default 0.5).
-    pub noise: f64,
-    /// Maximum flips per try.
-    pub max_flips: usize,
-    /// Number of restarts.
-    pub max_tries: usize,
-    /// RNG seed (fixed for reproducible experiments).
-    pub seed: u64,
-}
-
-impl Default for WalkSatConfig {
-    fn default() -> Self {
-        WalkSatConfig {
-            noise: 0.5,
-            max_flips: 100_000,
-            max_tries: 10,
-            seed: 0x5eed,
-        }
-    }
-}
+/// Probability of a random walk move (the classic 0.5).
+const NOISE: f64 = 0.5;
+/// Flips per try.
+const MAX_FLIPS: usize = 100_000;
+/// Restarts.
+const MAX_TRIES: usize = 10;
+/// RNG seed: fixed, so a formula always gets the same answer.
+const SEED: u64 = 0x5eed;
 
 /// Result of a WalkSAT run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,21 +42,27 @@ impl WalkSatResult {
     }
 }
 
-/// Runs WalkSAT on `formula`.
+/// Runs WalkSAT on `formula`: noise 0.5, ten tries of 100 000 flips each,
+/// from a fixed seed.
 ///
 /// ```
-/// use rxview_satsolver::{walksat, CnfFormula, WalkSatConfig, WalkSatResult};
+/// use rxview_satsolver::{walksat, CnfFormula, WalkSatResult};
 /// let mut f = CnfFormula::new();
 /// let x = f.new_var();
 /// let y = f.new_var();
 /// f.add_clause([x.pos(), y.pos()]);
 /// f.add_clause([x.neg()]);
-/// match walksat(&f, &WalkSatConfig::default()) {
+/// match walksat(&f) {
 ///     WalkSatResult::Sat(m) => assert!(!m.get(x) && m.get(y)),
 ///     WalkSatResult::Unknown => unreachable!("trivially satisfiable"),
 /// }
 /// ```
-pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
+pub fn walksat(formula: &CnfFormula) -> WalkSatResult {
+    search(formula, MAX_FLIPS, MAX_TRIES)
+}
+
+/// [`walksat`] under a flip and try budget of the caller's choosing.
+pub(crate) fn search(formula: &CnfFormula, max_flips: usize, max_tries: usize) -> WalkSatResult {
     if formula.has_empty_clause() {
         return WalkSatResult::Unknown;
     }
@@ -79,7 +70,7 @@ pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
         return WalkSatResult::Sat(Assignment::all_false(formula.n_vars()));
     }
     let n = formula.n_vars();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
     // occurrence lists: clauses containing each literal polarity
     let mut occ_pos: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -94,7 +85,7 @@ pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
         }
     }
 
-    for _try in 0..config.max_tries {
+    for _try in 0..max_tries {
         // Random initial assignment.
         let mut asg = Assignment::from_values((0..n).map(|_| rng.gen_bool(0.5)).collect());
         // true-literal counts per clause, and the unsatisfied clause list.
@@ -107,7 +98,7 @@ pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
             .filter(|&ci| true_count[ci] == 0)
             .collect();
 
-        for _flip in 0..config.max_flips {
+        for _flip in 0..max_flips {
             if unsat.is_empty() {
                 debug_assert!(formula.eval(&asg));
                 return WalkSatResult::Sat(asg);
@@ -118,7 +109,7 @@ pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
 
             // Choose the variable to flip (SKC heuristic): compute break
             // counts for every literal; if some flip breaks nothing, take it
-            // ("freebie", no coin toss); otherwise with probability `noise`
+            // ("freebie", no coin toss); otherwise with probability `NOISE`
             // flip a random literal, else flip a minimum-break literal with
             // ties broken randomly (unbiased ties are essential — always
             // taking the first literal biases the walk and livelocks on
@@ -139,7 +130,7 @@ pub fn walksat(formula: &CnfFormula, config: &WalkSatConfig) -> WalkSatResult {
                 })
                 .collect();
             let min_break = *breaks.iter().min().expect("non-empty clause");
-            let var = if min_break == 0 || !rng.gen_bool(config.noise) {
+            let var = if min_break == 0 || !rng.gen_bool(NOISE) {
                 let candidates: Vec<usize> = (0..clause.lits.len())
                     .filter(|&i| breaks[i] == min_break)
                     .collect();
@@ -182,18 +173,15 @@ mod tests {
     use super::*;
     use crate::cnf::CnfFormula;
 
-    fn cfg() -> WalkSatConfig {
-        WalkSatConfig {
-            max_flips: 10_000,
-            max_tries: 5,
-            ..Default::default()
-        }
+    /// WalkSAT at a small budget: 5 tries of 10 000 flips.
+    fn solve(f: &CnfFormula) -> WalkSatResult {
+        search(f, 10_000, 5)
     }
 
     #[test]
     fn empty_formula_is_sat() {
         let f = CnfFormula::new();
-        assert!(matches!(walksat(&f, &cfg()), WalkSatResult::Sat(_)));
+        assert!(matches!(solve(&f), WalkSatResult::Sat(_)));
     }
 
     #[test]
@@ -201,7 +189,7 @@ mod tests {
         let mut f = CnfFormula::new();
         let a = f.new_var();
         f.add_clause([a.pos()]);
-        match walksat(&f, &cfg()) {
+        match solve(&f) {
             WalkSatResult::Sat(asg) => assert!(asg.get(a)),
             other => panic!("expected SAT, got {other:?}"),
         }
@@ -213,14 +201,14 @@ mod tests {
         let a = f.new_var();
         f.add_clause([a.pos()]);
         f.add_clause([a.neg()]);
-        assert_eq!(walksat(&f, &cfg()), WalkSatResult::Unknown);
+        assert_eq!(solve(&f), WalkSatResult::Unknown);
     }
 
     #[test]
     fn empty_clause_returns_unknown() {
         let mut f = CnfFormula::new();
         f.add_clause([]);
-        assert_eq!(walksat(&f, &cfg()), WalkSatResult::Unknown);
+        assert_eq!(solve(&f), WalkSatResult::Unknown);
     }
 
     #[test]
@@ -232,7 +220,7 @@ mod tests {
         for w in vars.windows(2) {
             f.add_clause([w[0].neg(), w[1].pos()]);
         }
-        match walksat(&f, &cfg()) {
+        match solve(&f) {
             WalkSatResult::Sat(asg) => {
                 assert!(vars.iter().all(|&v| asg.get(v)));
             }
@@ -267,7 +255,7 @@ mod tests {
             });
             f.add_clause(lits);
         }
-        match walksat(&f, &cfg()) {
+        match solve(&f) {
             WalkSatResult::Sat(asg) => assert!(f.eval(&asg)),
             other => panic!("expected SAT, got {other:?}"),
         }
@@ -279,8 +267,8 @@ mod tests {
         let a = f.new_var();
         let b = f.new_var();
         f.add_clause([a.pos(), b.pos()]);
-        let r1 = walksat(&f, &cfg());
-        let r2 = walksat(&f, &cfg());
+        let r1 = solve(&f);
+        let r2 = solve(&f);
         assert_eq!(r1, r2);
     }
 }

@@ -4,7 +4,7 @@
 //! A fraction `hot_fraction` of updates targets a small cluster of
 //! `hot_groups` group heads of the synthetic dataset, the rest spread
 //! uniformly over the cold groups. The engine commits a round as a serial
-//! group commit — each update of the queue's next `max_batch` evaluated,
+//! group commit — each update of the queue's next `MAX_BATCH` evaluated,
 //! applied and folded in turn, then one log record and one publication —
 //! so the skew decides how often consecutive updates meet in one cone, not
 //! how rounds are formed (`rxbench`'s conflict analysis still scores it).

@@ -12,7 +12,7 @@
 use rxview::atg::Atg;
 use rxview::prelude::*;
 use rxview::relstore::{schema, tuple, Value, ValueType};
-use rxview::satsolver::{walksat, CnfFormula, WalkSatConfig, WalkSatResult};
+use rxview::satsolver::{walksat, CnfFormula, WalkSatResult};
 use rxview::xmlkit::Dtd;
 
 /// R1(a: key, b: bool-like finite), R2(c: key, d: finite) — the shape of
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     f.add_clause([x1_is_0.pos(), x1_is_1.pos()]); // domain clause
     f.add_not_both(x1_is_0, x1_is_1); // exclusion
     f.add_clause([x1_is_1.neg()]); // side effect: ¬(x1 = 1)
-    match walksat(&f, &WalkSatConfig::default()) {
+    match walksat(&f) {
         WalkSatResult::Sat(m) => {
             println!("  satisfiable: x1=0 chosen: {}", m.get(x1_is_0));
         }

@@ -1,5 +1,6 @@
 //! The commit path under tier-1: one deterministic mixed stream, committed
-//! through the engine's round pipeline in narrow and in wide rounds, must
+//! through the engine's round pipeline at a narrow and a wide commit
+//! cadence (`k` submissions, then `commit_pending`), must
 //! end where one-at-a-time `XmlViewSystem::apply` ends — same accept/reject
 //! vector, same view edges, same base rows — with the republication oracle
 //! green; and `EngineConfig::n_shards` changes no round and no logged byte.
@@ -9,13 +10,16 @@
 //! updates that must be rejected (replayed deletions, a top-level node with
 //! no safe source), one unfilterable wildcard root (evaluated over all of
 //! `L`), and a commit in which *every* update is rejected — which must
-//! publish no epoch. A commit of `n` updates runs `⌈n / max_batch⌉` rounds,
-//! and every applied update is folded on its own.
+//! publish no epoch. A commit of `n` updates runs `⌈n / MAX_BATCH⌉` rounds,
+//! and every applied update is folded on its own; one commit of
+//! `MAX_BATCH + 1` updates is the one schedule that splits a drained queue.
 
 use rxview::prelude::*;
 use rxview::workload::{
     assert_observationally_equal, mixed_updates, synthetic_atg, synthetic_database, SyntheticConfig,
 };
+
+use rxview::engine::MAX_BATCH;
 
 type Commit = Vec<(XmlUpdate, SideEffectPolicy)>;
 
@@ -78,37 +82,34 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
     expected.push(vec![false; rejected.len()]);
     commits.push(rejected);
 
-    // Rounds of up to four updates, and rounds as wide as a commit. (The
-    // test's name is older than the round pipeline's single executor.)
-    for max_batch in [4, 256] {
-        let at = format!("max_batch {max_batch}");
-        let engine = Engine::with_config(
-            sys.clone(),
-            EngineConfig {
-                max_batch,
-                ..EngineConfig::default()
-            },
-        );
+    // Each window committed four updates at a time, and whole. (The test's
+    // name is older than the round pipeline's single executor.)
+    for cadence in [4, MAX_BATCH] {
+        let at = format!("cadence {cadence}");
+        let engine = Engine::new(sys.clone());
         for (c, (commit, expected)) in commits.iter().zip(&expected).enumerate() {
             let epoch = engine.snapshot().epoch();
-            let tickets: Vec<_> = commit
-                .iter()
-                .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
-                .collect();
-            let summary = engine.commit_pending();
-            let outcomes: Vec<bool> = tickets.into_iter().map(|t| t.wait().is_ok()).collect();
-            assert_eq!(&outcomes, expected, "{at}: commit {c}");
-            assert_eq!(summary.accepted, expected.iter().filter(|ok| **ok).count());
+            let (mut outcomes, mut accepted) = (Vec::new(), 0);
+            for part in commit.chunks(cadence) {
+                let tickets: Vec<_> = part
+                    .iter()
+                    .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
+                    .collect();
+                accepted += engine.commit_pending().accepted;
+                outcomes.extend(tickets.into_iter().map(|t| t.wait().is_ok()));
+            }
+            assert_eq!(&outcomes, expected, "{at}: window {c}");
+            assert_eq!(accepted, expected.iter().filter(|ok| **ok).count());
             assert_eq!(
                 engine.snapshot().epoch() > epoch,
                 expected.contains(&true),
-                "{at}: commit {c} publishes iff something applied"
+                "{at}: window {c} publishes iff something applied"
             );
         }
         // Checks both sides against republication too.
         assert_observationally_equal(engine.snapshot().system(), &oracle, &at);
         let report = engine.stats().report();
-        let rounds: usize = commits.iter().map(|c| c.len().div_ceil(max_batch)).sum();
+        let rounds: usize = commits.iter().map(|c| c.len().div_ceil(cadence)).sum();
         assert_eq!(
             report.rounds as usize, rounds,
             "{at}: rounds are queue prefixes"
@@ -121,17 +122,16 @@ fn every_executor_commits_what_one_at_a_time_apply_commits() {
     }
 }
 
-/// The configuration surface is five fields (who sets each: ARCHITECTURE.md,
+/// The configuration surface is four fields (who sets each: ARCHITECTURE.md,
 /// "Configuration"), one of them inert: `n_shards` selects nothing and
 /// sizes nothing (`n_shards_changes_no_round_and_no_log_byte`), and stays
-/// only while `rxbench` sets it. A sixth must name, here, the two callers
+/// only while `rxbench` sets it. A fifth must name, here, the two callers
 /// existing outside tests and examples that need different values of it —
 /// a value only one caller sets is a constant, and a switch that turns a
 /// shipped path off is a second path to test, benchmark and keep working.
 #[test]
-fn engine_config_has_five_fields() {
+fn engine_config_has_four_fields() {
     let EngineConfig {
-        max_batch: _,
         n_shards: _,
         durability: _,
         checkpoint_rounds: _,
@@ -139,11 +139,11 @@ fn engine_config_has_five_fields() {
     } = EngineConfig::default();
 }
 
-/// `n_shards` has no effect: with `max_batch: 4`, a durable engine
-/// configured with four shards and one configured with one commit the same
-/// stream to the same acks, the same epoch after every commit — more epochs
-/// than commits, so the rounds are `max_batch` wide — and the same bytes in
-/// their log directories.
+/// `n_shards` has no effect: a durable engine configured with four shards
+/// and one configured with one commit the same stream, four updates at a
+/// time, to the same acks, the same epoch after every window — more epochs
+/// than windows, so the rounds are four wide — and the same bytes in their
+/// log directories.
 #[test]
 fn n_shards_changes_no_round_and_no_log_byte() {
     let db = synthetic_database(&SyntheticConfig::with_size(400));
@@ -157,7 +157,6 @@ fn n_shards_changes_no_round_and_no_log_byte() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let config = EngineConfig {
-            max_batch: 4,
             n_shards,
             durability: Durability::PerRound,
             checkpoint_rounds: 0,
@@ -166,12 +165,14 @@ fn n_shards_changes_no_round_and_no_log_byte() {
         let engine = Engine::with_durability(sys.clone(), config, &dir).expect("durable engine");
         let (mut acks, mut epochs) = (Vec::new(), Vec::new());
         for commit in &commits {
-            let tickets: Vec<_> = commit
-                .iter()
-                .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
-                .collect();
-            engine.commit_pending();
-            acks.extend(tickets.into_iter().map(|t| t.wait().is_ok()));
+            for part in commit.chunks(4) {
+                let tickets: Vec<_> = part
+                    .iter()
+                    .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
+                    .collect();
+                engine.commit_pending();
+                acks.extend(tickets.into_iter().map(|t| t.wait().is_ok()));
+            }
             epochs.push(engine.snapshot().epoch());
         }
         drop(engine);
@@ -200,6 +201,73 @@ fn n_shards_changes_no_round_and_no_log_byte() {
         .iter()
         .any(|(name, _)| name.to_string_lossy().ends_with(".rxlog")));
     assert!(one.2 == four.2, "the log directories differ");
+}
+
+/// One commit of `MAX_BATCH + 1` admitted updates is two rounds, `MAX_BATCH`
+/// wide and one wide: each applied update folds once, each round that
+/// applied something publishes once, and the engine ends at one-at-a-time
+/// `apply`'s Exact digest. Deletions that select nothing (`EmptyTarget`)
+/// fill the first round. In the first commit both rounds apply an
+/// insertion; in the second only the first round does, and the second
+/// publishes nothing.
+#[test]
+fn a_commit_past_max_batch_splits_into_two_rounds() {
+    let db = synthetic_database(&SyntheticConfig::with_size(200));
+    let atg = synthetic_atg(&db).expect("valid ATG");
+    let sys = XmlViewSystem::new(atg, db).expect("publishes");
+    let inserts = mixed_updates(&sys, 5, &[true; 4]);
+    let empty = XmlUpdate::delete("node[id=999999999]/sub/node").expect("parses");
+    let fill = |n: usize| vec![empty.clone(); n];
+    let mut first = vec![inserts[0].clone()];
+    first.extend(fill(MAX_BATCH - 2));
+    first.extend([inserts[1].clone(), inserts[2].clone()]);
+    let mut second = vec![inserts[3].clone()];
+    second.extend(fill(MAX_BATCH));
+    let commits = [first, second];
+
+    let mut oracle = sys.clone();
+    let engine = Engine::new(sys);
+    for (c, commit) in commits.iter().enumerate() {
+        assert_eq!(commit.len(), MAX_BATCH + 1);
+        let expected: Vec<bool> = commit
+            .iter()
+            .map(|u| oracle.apply(u, SideEffectPolicy::Proceed).is_ok())
+            .collect();
+        let applied = expected.iter().filter(|ok| **ok).count();
+        assert_eq!(applied, [3, 1][c], "commit {c}: the insertions apply");
+        let before = engine.stats().report();
+        let tickets: Vec<_> = commit
+            .iter()
+            .map(|u| engine.submit(u.clone(), SideEffectPolicy::Proceed))
+            .collect();
+        let summary = engine.commit_pending();
+        let outcomes: Vec<bool> = tickets
+            .into_iter()
+            .map(|t| t.expect("queue has room").wait().is_ok())
+            .collect();
+        assert_eq!(outcomes, expected, "commit {c}");
+        let report = engine.stats().report();
+        assert_eq!(
+            (summary.updates, summary.batches, report.max_batch),
+            (MAX_BATCH + 1, 2, MAX_BATCH as u64),
+            "commit {c}: rounds {MAX_BATCH} and 1 wide"
+        );
+        assert_eq!(
+            report.cone_folds - before.cone_folds,
+            applied as u64,
+            "commit {c}: a fold per applied update"
+        );
+        assert_eq!(
+            report.snapshots_published - before.snapshots_published,
+            [2, 1][c],
+            "commit {c}: a publication per round that applied something"
+        );
+        assert_eq!(
+            engine.snapshot().system().exact_digest(),
+            oracle.exact_digest(),
+            "commit {c}"
+        );
+    }
 }
 
 /// The admission queue holds `MAX_QUEUE` un-committed updates and no more:

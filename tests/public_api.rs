@@ -34,7 +34,7 @@ const PINNED: [(&str, &str); 7] = [
     (
         "engine",
         "Analysis BatchFootprint CommitSummary Durability Engine EngineConfig EngineError \
-         EngineReport EngineStats MAX_QUEUE PhaseBreakdown RecoverError RecoveryReport Snapshot \
+         EngineReport EngineStats MAX_BATCH MAX_QUEUE PhaseBreakdown RecoverError RecoveryReport Snapshot \
          Stage StageHooks UpdateTicket evaluation_scope obs::",
     ),
     (
@@ -46,7 +46,7 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "satsolver",
-        "Assignment Clause CnfFormula DpllResult Lit Var WalkSatConfig WalkSatResult dpll walksat",
+        "Assignment Clause CnfFormula DpllResult Lit Var WalkSatResult dpll walksat",
     ),
     (
         "workload",

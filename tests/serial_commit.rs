@@ -1,13 +1,15 @@
 //! Serial group commit against the paper's one-at-a-time semantics, state
-//! for state. A round is the queue's next `max_batch` updates, each
-//! evaluated against the state the one before it left, applied and folded
-//! on its own, so the engine must reach *exactly* what
-//! `rxview_reference::reference_apply` — §3.2 verbatim, then translation,
-//! then ∆(M,L) for that one update — reaches: the same accept bitmap and the
-//! same `(I, V, M, L)`, down to the `Exact` digest (node ids, child order,
-//! `L`'s order, the `gen_A` tables and `M`'s ancestor runs included),
-//! after every commit and at every round cap. And a durable engine killed after any record recovers to that
-//! same state for the prefix the log holds.
+//! for state. A round is what one `commit_pending` drains (up to
+//! `MAX_BATCH` updates), each evaluated against the state the one before
+//! it left, applied and folded on its own, so the engine must reach
+//! *exactly* what `rxview_reference::reference_apply` — §3.2 verbatim, then
+//! translation, then the fold of `L` for that one update — reaches: the
+//! same accept bitmap and the same `(I, V, L)`, down to the `Exact` digest
+//! (node ids, child order, `L`'s order and the `gen_A` tables included),
+//! after every window of the stream, at every commit cadence (a window
+//! submitted `k` updates at a time, each `k` committed as one round). And
+//! a durable engine killed after any record recovers to that same state
+//! for the prefix the log holds.
 //!
 //! The stream is a hot anchor's: every commit inserts fresh nodes under one
 //! group head and deletes them again in the same commit — through anchored
@@ -80,14 +82,19 @@ fn reference(sys: &XmlViewSystem, commits: &[Commit]) -> (Vec<Vec<bool>>, Vec<Ex
         .unzip()
 }
 
-/// Submits `commit` and commits it; the accept bitmap.
-fn commit_all(engine: &Engine, commit: &Commit) -> Vec<bool> {
-    let tickets: Vec<_> = commit
-        .iter()
-        .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
-        .collect();
-    engine.commit_pending();
-    tickets.into_iter().map(|t| t.wait().is_ok()).collect()
+/// Submits `commit` and commits it every `cadence` submissions; the
+/// accept bitmap.
+fn commit_all(engine: &Engine, commit: &Commit, cadence: usize) -> Vec<bool> {
+    let mut accepted = Vec::new();
+    for part in commit.chunks(cadence) {
+        let tickets: Vec<_> = part
+            .iter()
+            .map(|(u, p)| engine.submit(u.clone(), *p).expect("queue has room"))
+            .collect();
+        engine.commit_pending();
+        accepted.extend(tickets.into_iter().map(|t| t.wait().is_ok()));
+    }
+    accepted
 }
 
 #[test]
@@ -98,21 +105,17 @@ fn every_round_cap_reaches_the_reference_state_after_every_commit() {
     let all: Vec<bool> = accepted.iter().flatten().copied().collect();
     assert!(all.iter().filter(|ok| **ok).count() >= 24, "{accepted:?}");
     assert!(all.iter().filter(|ok| !**ok).count() >= 12, "{accepted:?}");
-    for max_batch in [1, 4, 256] {
-        let config = EngineConfig {
-            max_batch,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::with_config(sys.clone(), config);
+    for cadence in [1, 4, rxview::engine::MAX_BATCH] {
+        let engine = Engine::new(sys.clone());
         for (c, commit) in commits.iter().enumerate() {
-            let at = format!("max_batch {max_batch}, commit {c}");
-            assert_eq!(commit_all(&engine, commit), accepted[c], "{at}");
+            let at = format!("cadence {cadence}, window {c}");
+            assert_eq!(commit_all(&engine, commit, cadence), accepted[c], "{at}");
             let got = engine.snapshot().system().exact_digest();
-            assert_eq!(got.first_difference(&states[c]), None, "{at}: (I, V, M, L)");
+            assert_eq!(got.first_difference(&states[c]), None, "{at}: (I, V, L)");
         }
         let report = engine.stats().report();
-        let rounds: usize = commits.iter().map(|c| c.len().div_ceil(max_batch)).sum();
-        assert_eq!(report.rounds as usize, rounds, "max_batch {max_batch}");
+        let rounds: usize = commits.iter().map(|c| c.len().div_ceil(cadence)).sum();
+        assert_eq!(report.rounds as usize, rounds, "cadence {cadence}");
         assert_eq!(report.cone_folds, report.accepted, "one fold per update");
     }
 }
@@ -146,14 +149,13 @@ fn a_crash_after_any_record_recovers_the_acknowledged_prefix() {
     let (accepted, states) = reference(&sys, &rounds);
     let dir = temp_dir("log");
     let config = EngineConfig {
-        max_batch: 4,
         checkpoint_rounds: 0,
         ..EngineConfig::default()
     };
     let engine = Engine::with_durability(sys, config, &dir).expect("durable engine");
     let mut records = 0;
     for (r, round) in rounds.iter().enumerate() {
-        assert_eq!(commit_all(&engine, round), accepted[r], "round {r}");
+        assert_eq!(commit_all(&engine, round, 4), accepted[r], "round {r}");
         records += usize::from(accepted[r].contains(&true));
         assert_eq!(engine.snapshot().epoch(), records as u64, "round {r}");
         let copy = crash_copy(&dir, "crash");
