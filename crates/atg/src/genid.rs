@@ -462,14 +462,19 @@ impl GenIdBuilder {
         let mut rows = vec![Vec::new(); self.schemas.len()];
         let live = self.info.iter().enumerate();
         for (id, (ty, attr)) in live.filter_map(|(id, slot)| Some((id, slot.as_ref()?))) {
-            rows[ty.index()].push((gen_row(attr), NodeId(id as u32)));
+            let row = gen_row(attr);
+            rows[ty.index()].push((row[0].abbreviation(), row, NodeId(id as u32)));
         }
         let tables = self
             .schemas
             .into_iter()
             .zip(rows)
             .map(|(schema, mut rows)| {
-                rows.sort_unstable();
+                // On the leading value's abbreviation, kept beside the row
+                // (a column holds one type), and on the rows only where two
+                // tie: the rows' own order, since a type's rows are distinct.
+                rows.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                let rows = rows.into_iter().map(|(_, row, id)| (row, id));
                 Table::from_sorted(schema, rows).expect("well-typed, distinct `$A` rows")
             });
         let is_free = |slot: &Option<_>| slot.is_none();
@@ -726,6 +731,53 @@ mod tests {
             GenId::from_slots(str_cols(), mistyped, |_| None).err(),
             Some(1)
         );
+    }
+
+    /// `finish` sorts each type's rows on their leading value's
+    /// abbreviation and compares whole rows only on a tie: the order of a
+    /// full sort, for leading values whose abbreviations tie.
+    #[test]
+    fn finished_tables_are_in_the_fully_compared_order() {
+        let strs = [
+            "",
+            "\0",
+            "\0\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghz",
+            "abcdefgi",
+            "b",
+        ];
+        let ints = [i64::MIN, -1, 0, i64::MAX];
+        let cases: [(ValueType, Vec<Value>); 3] = [
+            (
+                ValueType::Str,
+                strs.iter().map(|&s| Value::from(s)).collect(),
+            ),
+            (ValueType::Int, ints.map(Value::Int).to_vec()),
+            (ValueType::Bool, vec![Value::Bool(true), Value::Bool(false)]),
+        ];
+        for (ty, leading) in cases {
+            // Every leading value under two second values, requested in an
+            // order that is not the rows' own.
+            let attrs: Vec<Tuple> = (0..2 * leading.len() as i64)
+                .rev()
+                .map(|i| {
+                    let lead = leading[(i / 2 * 5) as usize % leading.len()].clone();
+                    Tuple::from_values([lead, Value::Int(i % 2)])
+                })
+                .collect();
+            let slots = attrs.iter().map(|a| Some((T0, a.clone())));
+            let g = GenId::from_slots(over(&[ty, ValueType::Int]), slots, |_| None).unwrap();
+            let mut sorted = attrs.clone();
+            sorted.sort();
+            sorted.dedup();
+            let rows: Vec<&Tuple> = g.table(T0).iter().collect();
+            assert_eq!(rows, sorted.iter().collect::<Vec<_>>(), "{ty:?}");
+            for (row, &id) in g.table(T0).entries() {
+                assert_eq!(g.attr_of(id), row);
+            }
+        }
     }
 
     #[test]

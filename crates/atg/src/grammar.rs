@@ -20,7 +20,7 @@
 use crate::genid::UNIT_COLUMN;
 use rxview_relstore::{
     ColRef, EqPred, Operand, RelError, RelResult, SchemaProvider, SpjPlan, SpjQuery, TableRef,
-    TableSchema, TableSource, Tuple, ValueType,
+    TableSchema, Tuple, ValueType,
 };
 use rxview_xmlkit::{Dtd, TypeId};
 use std::collections::BTreeMap;
@@ -40,7 +40,7 @@ pub enum RuleBody {
         param_fields: Vec<usize>,
         /// `query` compiled with its `i`-th parameter rewritten to parent
         /// field `param_fields[i]`, so a run takes `$parent`'s values as
-        /// they are — what [`Atg::child_tuples`] executes.
+        /// they are — what subtree generation binds and runs.
         plan: SpjPlan,
     },
     /// `$child = ($parent.f₁, …, $parent.fₙ)`.
@@ -111,7 +111,9 @@ pub struct Atg {
     dtd: Dtd,
     attr_names: Vec<Vec<String>>,
     attr_types: Vec<Vec<ValueType>>,
-    rules: BTreeMap<(TypeId, TypeId), RuleBody>,
+    /// Per parent type, the rule of each child type its production names,
+    /// in production order, a child type named twice once.
+    rules: Vec<Vec<(TypeId, RuleBody)>>,
     base_schemas: Vec<TableSchema>,
 }
 
@@ -142,7 +144,17 @@ impl Atg {
 
     /// The rule for a production edge, if any.
     pub fn rule(&self, parent: TypeId, child: TypeId) -> Option<&RuleBody> {
-        self.rules.get(&(parent, child))
+        let rules = self.rules.get(parent.index())?;
+        rules
+            .iter()
+            .find(|(c, _)| *c == child)
+            .map(|(_, rule)| rule)
+    }
+
+    /// The rules of `parent`'s production edges, in production order, a
+    /// child type named twice once: what generating a node's children runs.
+    pub(crate) fn rules_of(&self, parent: TypeId) -> &[(TypeId, RuleBody)] {
+        &self.rules[parent.index()]
     }
 
     /// The name of the derived node table `gen_A` (§2.3).
@@ -196,22 +208,6 @@ impl Atg {
         out
     }
 
-    /// Evaluates the rule for `(parent, child)` on `src`, producing the child
-    /// attribute tuples in deterministic order.
-    pub fn child_tuples(
-        &self,
-        src: &impl TableSource,
-        parent: TypeId,
-        parent_attr: &Tuple,
-        child: TypeId,
-    ) -> RelResult<Vec<Tuple>> {
-        match self.rules.get(&(parent, child)) {
-            None => Ok(Vec::new()),
-            Some(RuleBody::Project { fields }) => Ok(vec![parent_attr.project(fields)]),
-            Some(RuleBody::Query { plan, .. }) => plan.run(src, parent_attr.values()),
-        }
-    }
-
     /// Renders the text content of a `pcdata` node from its attribute.
     pub fn text_of(&self, ty: TypeId, attr: &Tuple) -> String {
         debug_assert!(self.dtd.is_pcdata(ty));
@@ -243,7 +239,7 @@ impl Atg {
     /// Returns `None` if the production edge has no rule. Validated against
     /// [`Atg::augmented_schemas`].
     pub fn edge_view_query(&self, parent: TypeId, child: TypeId) -> Option<SpjQuery> {
-        let rule = self.rules.get(&(parent, child))?;
+        let rule = self.rule(parent, child)?;
         let provider = self.augmented_schemas();
         let gen_name = self.gen_table_name(parent);
         let parent_arity = self.attr_fields(parent).len().max(1); // unit col if empty
@@ -564,6 +560,17 @@ impl AtgBuilder {
         let attr_types: Vec<Vec<ValueType>> = attr_types
             .into_iter()
             .map(Option::unwrap_or_default)
+            .collect();
+        let rules = dtd
+            .types()
+            .map(|parent| {
+                let children = dtd.children_of(parent);
+                let first = |&(k, c): &(usize, &TypeId)| !children[..k].contains(c);
+                let named = children.iter().enumerate().filter(first);
+                named
+                    .filter_map(|(_, &child)| Some((child, rules.remove(&(parent, child))?)))
+                    .collect()
+            })
             .collect();
         Ok(Atg {
             dtd,

@@ -7,8 +7,8 @@
 //! to an ordinary [`XmlTree`] is provided for oracles and baselines.
 
 use crate::genid::{GenId, GenIdBuilder, Interner, NodeId};
-use crate::grammar::Atg;
-use rxview_relstore::{PagedVec, RelError, TableSource, Tuple};
+use crate::grammar::{Atg, RuleBody};
+use rxview_relstore::{BoundPlan, PagedVec, RelError, TableSource, Tuple};
 use rxview_xmlkit::{TypeId, XmlTree};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -380,10 +380,36 @@ impl SubtreeDag {
     }
 }
 
+/// A rule bound to the source a subtree is generated from: a projection,
+/// or a query rule's plan with its tables resolved
+/// ([`rxview_relstore::SpjPlan::bind`]).
+enum BoundRule<'a> {
+    Project(&'a [usize]),
+    Query(BoundPlan<'a>),
+}
+
+/// `parent`'s rules ([`Atg::rules_of`]), bound to `src`.
+fn bind_rules<'a, S: TableSource>(
+    atg: &'a Atg,
+    src: &'a S,
+    parent: TypeId,
+) -> Result<Vec<(TypeId, BoundRule<'a>)>, PublishError> {
+    let bind = |(child, rule): &'a (TypeId, RuleBody)| {
+        let bound = match rule {
+            RuleBody::Project { fields } => BoundRule::Project(fields),
+            RuleBody::Query { plan, .. } => BoundRule::Query(plan.bind(src)?),
+        };
+        Ok((*child, bound))
+    };
+    atg.rules_of(parent).iter().map(bind).collect()
+}
+
 /// Generates the subtree `ST(A, t)` (the paper's `insert (A, t)` payload and
 /// the publishing workhorse): nodes are interned into `genid`; recursion
 /// stops at nodes that are already live (their subtrees are already in the
-/// view — the subtree property of XML publishing).
+/// view — the subtree property of XML publishing). Each type's rules are
+/// bound to `src` once, when the first node of the type is expanded, and
+/// every rule run refills one buffer of child tuples.
 pub fn generate_subtree(
     atg: &Atg,
     src: &impl TableSource,
@@ -402,23 +428,30 @@ pub fn generate_subtree(
         return Ok(out);
     }
     out.fresh.push(root);
+    let mut rules: Vec<Option<Vec<(TypeId, BoundRule<'_>)>>> = Vec::new();
+    rules.resize_with(atg.dtd().n_types(), || None);
+    let mut tuples = Vec::new();
     let mut stack = vec![root];
     while let Some(u) = stack.pop() {
         let uty = genid.type_of(u);
         let uattr = genid.attr_of(u).clone();
-        let child_types = atg.dtd().children_of(uty);
-        for (k, &cty) in child_types.iter().enumerate() {
-            // A node is expanded once, one rule yields distinct tuples and
-            // `gen_id` is injective, so an edge can only repeat when `u`'s
-            // production names a child type twice.
-            if child_types[..k].contains(&cty) {
-                continue;
+        let bound = match &mut rules[uty.index()] {
+            Some(bound) => bound,
+            unbound => unbound.insert(bind_rules(atg, src, uty)?),
+        };
+        // A node is expanded once, one rule yields distinct tuples,
+        // `gen_id` is injective and a type's rules name each child type
+        // once, so no edge repeats.
+        for (cty, rule) in bound.iter() {
+            match rule {
+                BoundRule::Project(fields) => {
+                    tuples.clear();
+                    tuples.push(uattr.project(fields));
+                }
+                BoundRule::Query(plan) => plan.run_into(uattr.values(), &mut tuples)?,
             }
-            let tuples = atg
-                .child_tuples(src, uty, &uattr, cty)
-                .map_err(PublishError::Rel)?;
-            for t in tuples {
-                let (v, fresh) = genid.gen_id(cty, t);
+            for t in tuples.drain(..) {
+                let (v, fresh) = genid.gen_id(*cty, t);
                 out.edges.push((u, v));
                 if fresh {
                     out.nodes.push(v);

@@ -78,7 +78,7 @@ fn main() {
 fn fig10b(sizes: &[usize]) {
     println!("== Fig.10(b): dataset statistics ==");
     println!(
-        "{:>9} {:>10} {:>10} {:>10} {:>9} {:>10} {:>12} {:>10} {:>9}",
+        "{:>9} {:>10} {:>10} {:>10} {:>9} {:>10} {:>12} {:>10} {:>9} {:>11}",
         "|C|",
         "base rows",
         "DAG nodes",
@@ -87,17 +87,18 @@ fn fig10b(sizes: &[usize]) {
         "shared",
         "tree nodes",
         "|M|",
-        "|L|"
+        "|L|",
+        "publish"
     );
     for &n in sizes {
-        let s = fig10b_row(n, 42);
+        let (s, publish) = fig10b_row(n, 42);
         let tree = if s.tree_nodes == u128::MAX {
             "~inf".to_string()
         } else {
             s.tree_nodes.to_string()
         };
         println!(
-            "{:>9} {:>10} {:>10} {:>10} {:>9} {:>9.1}% {:>12} {:>10} {:>9}",
+            "{:>9} {:>10} {:>10} {:>10} {:>9} {:>9.1}% {:>12} {:>10} {:>9} {:>11}",
             s.n_c,
             s.total_rows,
             s.dag_nodes,
@@ -106,7 +107,8 @@ fn fig10b(sizes: &[usize]) {
             s.sharing_pct(),
             tree,
             s.m_pairs,
-            s.l_len
+            s.l_len,
+            fmt_dur(publish)
         );
     }
     println!();

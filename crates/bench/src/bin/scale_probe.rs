@@ -5,22 +5,26 @@
 //! [`rxview_bench::alloc_count`] and prints, per part, the bytes it keeps
 //! live, the same bytes rounded up to glibc's malloc chunks — what resident
 //! memory pays — the live allocations, and the allocator calls made while
-//! building it. `I` is counted as generated and
+//! building it. `V` is counted as published, and `I` as generated and
 //! after `Database::share_equal_rows`, which `XmlViewSystem::new` runs
-//! before it publishes; `V` is then split by part (`V by part`). The
+//! once it has published; `V` is then split by part (`V by part`). The
 //! system holds no reachability matrix `M`; the first line still names
 //! `M`'s pairs, as Algorithm Reach computes them, for scale. It then prints the state's checkpoint: the bytes of
 //! each section `encode_system` writes — `I`, `V` (the interner's id space
 //! and the child lists), `L` — and the medians of three `encode_system` and
 //! `decode_system` runs, and what each way of comparing two states costs:
 //! allocator calls and median ms of the `Exact` and `Observed` digests,
-//! `consistency_check` and the two string fingerprints. Last, at 512
+//! `consistency_check` and the two string fingerprints, and the
+//! construction row: the ms of publication's walk, the interner's pages,
+//! `Dag::from_adjacency`, the whole publication, the equal-row pass and
+//! the first `H.h2` probe on a fresh fixture. Last, at 512
 //! groups, the `free ids` row: what the state still holds per free id once
 //! the subtrees of half the groups are deleted. ARCHITECTURE.md §15's
 //! table reads these figures.
 //!
 //! `--json <file>` also writes what it prints to `<file>`, one object per
-//! size (`parts`, `v_by_part`, `checkpoint`, `comparison`) and `free_ids`,
+//! size (`parts`, `v_by_part`, `checkpoint`, `comparison`, `construction`)
+//! and `free_ids`,
 //! the same names and figures as the printed rows.
 //!
 //! ```text
@@ -28,14 +32,14 @@
 //! cargo run --release -p rxview-bench --bin scale_probe -- --json census.json
 //! ```
 
-use rxview_atg::{Dag, GenId, NodeId};
+use rxview_atg::{generate_subtree, Dag, GenId, Interner, NodeId, Provisional};
 use rxview_bench::alloc_count::{allocated_by, chunk, kept_by, Counting, Kept};
 use rxview_bench::collect::Collection;
 use rxview_bench::pairs::Json;
 use rxview_core::codec::{decode_system, encode_system};
 use rxview_core::{Reachability, TopoOrder, ViewStore, XmlViewSystem};
 use rxview_relstore::codec::{put_database, put_varint, Reader};
-use rxview_relstore::PagedVec;
+use rxview_relstore::{PagedVec, Tuple, Value};
 use rxview_workload::{
     base_fingerprint, edge_fingerprint, synthetic_atg, synthetic_database, SyntheticConfig,
 };
@@ -289,14 +293,76 @@ fn free_ids_row(groups: usize) -> Json {
     ])
 }
 
+/// The construction row, ungated: how long each step `XmlViewSystem::new`
+/// and the first warm-up take, in ms, on a fresh fixture — publication's
+/// walk (`generate_subtree` interning into a `Provisional` over an empty
+/// interner: the rule runs and the hashed interning, no page), the
+/// interner's pages (`GenId::from_slots` over the walk's id space: its
+/// builder and `finish`, which sorts the `gen_A` tables),
+/// `Dag::from_adjacency`, the whole publication, the equal-row pass after
+/// it, and the first probe of `H` by `h2`, which builds that column's
+/// index.
+fn construction_row(groups: usize) -> Json {
+    const GROUP_SIZE: usize = 40;
+    let mut db = synthetic_database(&SyntheticConfig::with_size(groups * GROUP_SIZE));
+    let atg = synthetic_atg(&db).expect("synthetic ATG");
+    let timed = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        ms(t0.elapsed())
+    };
+    let empty = GenId::new(atg.gen_table_schemas());
+    let mut walked = None;
+    let walk = timed(&mut || {
+        let mut interner = Provisional::new(&empty);
+        let root = atg.dtd().root();
+        let sub = generate_subtree(&atg, &db, &mut interner, root, Tuple::empty());
+        let sub = sub.expect("publishes");
+        let slots: Vec<_> = sub
+            .nodes
+            .iter()
+            .map(|&v| Some((interner.type_of(v), interner.attr_of(v).clone())))
+            .collect();
+        walked = Some((sub.root, sub.edges, slots));
+    });
+    let (root, edges, slots) = walked.expect("walked");
+    let mut genid = None;
+    let finish = timed(&mut || {
+        let schemas = atg.gen_table_schemas();
+        genid = Some(GenId::from_slots(schemas, slots.iter().cloned(), |_| None).expect("loads"));
+    });
+    let genid = genid.expect("built");
+    let adjacency = timed(&mut || {
+        let dag = Dag::from_adjacency(genid.clone(), Some(root), &edges);
+        black_box(dag.expect("a walk's edges"));
+    });
+    let mut vs = None;
+    let publish =
+        timed(&mut || vs = Some(ViewStore::publish(atg.clone(), &db).expect("publishes")));
+    let share = timed(&mut || _ = black_box(db.share_equal_rows()));
+    let h = db.table("H").expect("synthetic table");
+    let probe = timed(&mut || _ = black_box(h.scan_col_eq(1, &Value::Int(1))));
+    let steps = [
+        ("walk", walk),
+        ("from_slots", finish),
+        ("from_adjacency", adjacency),
+        ("publish", publish),
+        ("share", share),
+        ("first_h2_probe", probe),
+    ];
+    let text = steps.map(|(name, ms)| format!("{name} {ms:.1} ms"));
+    println!("  construction: {}", text.join(", "));
+    Json::obj(steps.map(|(name, ms)| (name, Json::Num(ms))))
+}
+
 /// One size's census: prints its rows and returns them as JSON.
 fn probe(groups: usize) -> Json {
     const GROUP_SIZE: usize = 40;
     let cfg = SyntheticConfig::with_size(groups * GROUP_SIZE);
     let (mut db, generated) = census(|| synthetic_database(&cfg));
-    let (shared, sharing) = census(|| db.share_equal_rows());
     let atg = synthetic_atg(&db).expect("synthetic ATG");
     let (vs, v) = census(|| ViewStore::publish(atg, &db).expect("publishes"));
+    let (shared, sharing) = census(|| db.share_equal_rows());
     let (topo, l) = census(|| TopoOrder::compute(vs.dag()));
     let (rows, nodes) = (db.total_rows(), vs.n_nodes());
     let m = Reachability::compute(vs.dag(), &topo);
@@ -337,6 +403,7 @@ fn probe(groups: usize) -> Json {
         ("state_chunk_b", num(total)),
         ("checkpoint", checkpoint_row(&sys)),
         ("comparison", comparison_row(&sys)),
+        ("construction", construction_row(groups)),
     ])
 }
 

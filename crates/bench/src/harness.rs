@@ -18,40 +18,35 @@ pub struct BuiltSystem {
     pub cfg: SyntheticConfig,
     /// The published system.
     pub sys: XmlViewSystem,
-    /// Wall-clock time to publish the view.
+    /// Wall-clock time to publish the view (`ViewStore::publish`).
     pub publish_time: Duration,
-    /// Wall-clock time to build `L` and compute `M`.
-    pub aux_time: Duration,
-    /// The `M` that `aux_time` timed. The system holds none, so the rows
-    /// that report `M` read this one.
+    /// `M`, computed once the system is built. The system holds none, so
+    /// the rows that report `M` read this one.
     pub m: Reachability,
 }
 
-/// Builds a synthetic system of size `n` (with optional detached chains):
-/// equal rows shared as [`XmlViewSystem::new`] shares them, then the view
-/// published once, timed, and `L` and `M` computed, timed, and the system
-/// assembled from the store and `L` — the state `new` builds
-/// (`build_system_is_the_state_new_publishes`).
+/// Builds a synthetic system of size `n` (with optional detached chains)
+/// in [`XmlViewSystem::new`]'s order: the view published once, timed, then
+/// equal rows shared in place, and the system assembled from the store and
+/// `L` — the state `new` builds (`build_system_is_the_state_new_publishes`).
+/// `M` is computed beside it.
 pub fn build_system(n: usize, detached_chains: Vec<usize>, seed: u64) -> BuiltSystem {
     let mut cfg = SyntheticConfig::with_size(n);
     cfg.seed = seed;
     cfg.detached_chains = detached_chains;
     let mut db = synthetic_database(&cfg);
-    db.share_equal_rows();
     let atg = synthetic_atg(&db).expect("synthetic ATG builds");
     let t0 = Instant::now();
     let vs = rxview_core::ViewStore::publish(atg, &db).expect("publishes");
     let publish_time = t0.elapsed();
-    let t1 = Instant::now();
+    db.share_equal_rows();
     let topo = TopoOrder::compute(vs.dag());
     let m = Reachability::compute(vs.dag(), &topo);
-    let aux_time = t1.elapsed();
     let sys = XmlViewSystem::from_parts(db, vs, topo, Reachability::default());
     BuiltSystem {
         cfg,
         sys,
         publish_time,
-        aux_time,
         m,
     }
 }
@@ -109,11 +104,13 @@ pub fn run_updates(sys: &mut XmlViewSystem, ops: &[XmlUpdate]) -> PhaseAgg {
     agg
 }
 
-/// One row of the Fig.10(b) statistics table.
-pub fn fig10b_row(n: usize, seed: u64) -> DatasetStats {
+/// One row of the Fig.10(b) statistics table, and the time its view took
+/// to publish.
+pub fn fig10b_row(n: usize, seed: u64) -> (DatasetStats, Duration) {
     let built = build_system(n, Vec::new(), seed);
     let sys = &built.sys;
-    dataset_stats(&built.cfg, sys.base(), sys.view(), sys.topo(), &built.m)
+    let stats = dataset_stats(&built.cfg, sys.base(), sys.view(), sys.topo(), &built.m);
+    (stats, built.publish_time)
 }
 
 /// One Fig.11(a–f) cell: run one workload class (deletions or insertions)
@@ -399,7 +396,7 @@ mod tests {
 
     #[test]
     fn the_fig10b_row_counts_the_m_of_its_system() {
-        let row = fig10b_row(300, 7);
+        let (row, _) = fig10b_row(300, 7);
         let built = build_system(300, Vec::new(), 7);
         let fresh = Reachability::compute(built.sys.view().dag(), built.sys.topo());
         assert_eq!(row.m_pairs, fresh.n_pairs());

@@ -249,15 +249,17 @@ pub struct XmlViewSystem {
 }
 
 impl XmlViewSystem {
-    /// Loads `I` as a checkpoint load does — equal rows of same-shape
-    /// tables stored once ([`Database::share_equal_rows`]), before anything
-    /// is built on them — then publishes `σ(I)` and takes `L` from the order
-    /// publication's acyclicity check already computed, which is
-    /// [`TopoOrder::compute`]'s.
+    /// Publishes `σ(I)`, takes `L` from the order publication's acyclicity
+    /// check already computed, which is [`TopoOrder::compute`]'s, then
+    /// stores `I` as a checkpoint load does: equal rows of same-shape
+    /// tables once ([`Database::share_equal_rows`], in place). Publication
+    /// reads values, and every `$A` is a projection, so sharing after it
+    /// moves no id, edge, `gen_A` row or digest — and publication runs
+    /// before the replaced rows are freed, not among their chunks.
     pub fn new(atg: Atg, mut base: Database) -> Result<Self, PublishError> {
-        base.share_equal_rows();
         let (vs, leaves_first) = ViewStore::publish_leaves_first(atg, &base)?;
         let topo = TopoOrder::from_order(leaves_first);
+        base.share_equal_rows();
         Ok(XmlViewSystem { base, vs, topo })
     }
 

@@ -464,6 +464,43 @@ impl<K: Clone, V: Clone> PagedMap<K, V> {
         Some(removed)
     }
 
+    /// Replaces stored keys in place, in key order: `swap` is asked about
+    /// every key and returns the key to store instead, or `None` to keep
+    /// it. A returned key must be equal to the one it replaces under the
+    /// map's order — the order, the runs and their separators' places do
+    /// not move — so a handle to an equal value can take an entry's place.
+    /// A run is written only at its first replaced entry, copied first if
+    /// another version shares it; a run nothing replaces is not touched.
+    /// Returns how many keys were replaced.
+    pub(crate) fn replace_keys(&mut self, mut swap: impl FnMut(&K) -> Option<K>) -> usize {
+        let mut replaced = 0;
+        for run in &mut self.runs {
+            for at in 0..run.entries.len() {
+                let Some(key) = swap(&run.entries[at].0) else {
+                    continue;
+                };
+                if at == 0 {
+                    run.head = key.clone();
+                }
+                Self::unshare(&mut run.entries)[at].0 = key;
+                replaced += 1;
+            }
+        }
+        replaced
+    }
+
+    /// Whether every run of `self` is the allocation of the same run of
+    /// `other`: no page was written since one was cloned from the other.
+    #[cfg(test)]
+    pub(crate) fn shares_every_run_with(&self, other: &Self) -> bool {
+        self.runs.len() == other.runs.len()
+            && self
+                .runs
+                .iter()
+                .zip(&other.runs)
+                .all(|(a, b)| Arc::ptr_eq(&a.entries, &b.entries))
+    }
+
     /// Merges run `i` into a neighbour if it underflowed and the two fit in
     /// one run.
     fn merge_underfull(&mut self, i: usize) {
@@ -745,6 +782,32 @@ mod tests {
             .iter()
             .map(|(e, ())| u64::from(e.1))
             .eq(plain.iter().map(|(k, ())| *k)));
+    }
+
+    #[test]
+    fn replacing_keys_writes_only_the_runs_it_replaces_in() {
+        // Entries `(k, tag)` ordered by `k` alone: a replacement keeps `k`
+        // and changes the tag, which the order does not see.
+        let by_key = |a: &(u32, u32), b: &(u32, u32)| a.0.cmp(&b.0);
+        let entries = (0..3 * RUN_MAX as u32).map(|k| ((k, 0), ()));
+        let mut m = PagedMap::from_sorted_by(entries, by_key).expect("ascending");
+        let pinned = m.clone();
+        // Nothing replaced: nothing written.
+        assert_eq!(m.replace_keys(|_| None), 0);
+        assert!(m.shares_every_run_with(&pinned));
+        // The middle run's first key and one more: only that run is copied,
+        // its separator moves to the new handle, the clone keeps its own.
+        let first = RUN_MAX as u32;
+        let swapped = m.replace_keys(|&(k, _)| (k == first || k == first + 3).then_some((k, 1)));
+        assert_eq!(swapped, 2);
+        assert!(Arc::ptr_eq(&m.runs[0].entries, &pinned.runs[0].entries));
+        assert!(!Arc::ptr_eq(&m.runs[1].entries, &pinned.runs[1].entries));
+        assert!(Arc::ptr_eq(&m.runs[2].entries, &pinned.runs[2].entries));
+        assert_eq!(m.runs[1].head, (first, 1));
+        assert_eq!(pinned.runs[1].head, (first, 0));
+        let tags = |m: &PagedMap<(u32, u32), ()>| m.iter().filter(|(e, ())| e.1 == 1).count();
+        assert_eq!((tags(&m), tags(&pinned)), (2, 0));
+        assert!(m.iter().map(|(e, ())| e.0).eq(0..3 * RUN_MAX as u32));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::{RelError, RelResult};
 use crate::schema::TableSchema;
-use crate::table::{RowDonors, Table};
+use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::update::{GroupUpdate, TupleOp};
 use crate::value::ValueType;
@@ -73,42 +73,41 @@ impl Database {
     /// a table of that shape loads as its own (a universe table beside its
     /// subset, a join partner repeating its columns).
     pub(crate) fn same_shape(&self, schema: &TableSchema) -> Option<&Table> {
+        Self::first_of_shape(self.tables.values(), schema).map(Arc::as_ref)
+    }
+
+    /// The first of `tables` of the same shape as `schema`.
+    fn first_of_shape<'t>(
+        mut tables: impl Iterator<Item = &'t Arc<Table>>,
+        schema: &TableSchema,
+    ) -> Option<&'t Arc<Table>> {
         fn types(s: &TableSchema) -> impl Iterator<Item = ValueType> + '_ {
             s.columns().iter().map(|c| c.ty)
         }
-        self.tables
-            .values()
-            .map(Arc::as_ref)
-            .find(|t| t.schema().key() == schema.key() && types(t.schema()).eq(types(schema)))
+        tables.find(|t| t.schema().key() == schema.key() && types(t.schema()).eq(types(schema)))
     }
 
-    /// Rebuilds every table in name order, as a checkpoint load builds
-    /// them: a row equal to the row at its key in the first table before it
-    /// of the same shape (column types and key) takes that row's
-    /// allocation, and each table's pages are written full
-    /// ([`Table::from_sorted_rows`]).
-    /// No value, order or byte on disk moves. Column indexes are left to be
-    /// rebuilt on their next probe, so nothing built on the old rows holds
-    /// them. Returns how many rows took a donor's allocation.
+    /// Stores once what same-shape tables repeat, as a checkpoint load
+    /// does: in name order, a row equal to the row at its key in the first
+    /// table before it of the same shape (column types and key) takes that
+    /// row's allocation, in place. A table with no donor is not read, and
+    /// one whose rows already are its donor's is not written: nothing is
+    /// rebuilt, re-checked or re-sorted. No value, order or byte on disk
+    /// moves. A column index built on replaced rows is dropped, to be
+    /// rebuilt on its next probe. Returns how many rows equal their
+    /// donor's.
     pub fn share_equal_rows(&mut self) -> usize {
-        let mut rebuilt = Database::new();
         let mut shared = 0;
-        for (name, table) in std::mem::take(&mut self.tables) {
-            let loaded = {
-                let schema = table.schema().clone();
-                let donor = rebuilt.same_shape(&schema).into_iter();
-                let mut donors = RowDonors::new(schema.key(), donor.flat_map(Table::iter));
-                let rows = table
-                    .iter()
-                    .map(|row| donors.equal_to(row.values()).unwrap_or(row).clone());
-                let loaded = Table::from_sorted_rows(schema, rows)
-                    .expect("a table's rows are valid and in key order");
-                shared += donors.shared();
-                loaded
+        let names: Vec<String> = self.tables.keys().cloned().collect();
+        for name in &names {
+            let before = self.tables.range::<String, _>(..name);
+            let schema = self.tables[name].schema();
+            let Some(donor) = Self::first_of_shape(before.map(|(_, t)| t), schema).cloned() else {
+                continue;
             };
-            rebuilt.tables.insert(name, Arc::new(loaded));
+            let table = self.tables.get_mut(name).expect("a listed name");
+            shared += Arc::make_mut(table).share_rows_with(&donor);
         }
-        *self = rebuilt;
         shared
     }
 

@@ -236,18 +236,26 @@ impl SpjPlan {
         })
     }
 
-    /// Runs the plan against `db` with the given parameter bindings.
+    /// Runs the plan against `db` with the given parameter bindings: binds
+    /// it ([`SpjPlan::bind`]) and runs it once ([`BoundPlan::run_into`]).
     ///
     /// Returns distinct output tuples in sorted order (set semantics,
     /// matching the paper's view relations; §3.3 relies on set semantics so
     /// that "a newly inserted subtree is stored only once").
     pub fn run(&self, db: &impl TableSource, params: &[Value]) -> RelResult<Vec<Tuple>> {
-        if params.len() < self.n_params {
-            return Err(RelError::UnboundParam(params.len()));
-        }
-        let mut slots = Vec::with_capacity(self.steps.len());
+        let mut out = Vec::new();
+        self.bind(db)?.run_into(params, &mut out)?;
+        Ok(out)
+    }
+
+    /// Resolves the plan's FROM tables in `source` and checks each is the
+    /// shape the plan was compiled for, once: a plan run many times over
+    /// one source — a rule over the whole publication walk — is bound once
+    /// and run through the [`BoundPlan`].
+    pub fn bind<'a, S: TableSource + ?Sized>(&'a self, source: &'a S) -> RelResult<BoundPlan<'a>> {
+        let mut tables = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
-            let table = db
+            let table = source
                 .table_src(&step.table)
                 .ok_or_else(|| RelError::UnknownTable(step.table.clone()))?;
             if table.schema().arity() != step.arity || table.schema().key() != step.key {
@@ -256,40 +264,62 @@ impl SpjPlan {
                     self.name, step.table
                 )));
             }
-            slots.push((table, Cell::new(None)));
+            tables.push((table, Cell::new(None)));
+        }
+        Ok(BoundPlan { plan: self, tables })
+    }
+}
+
+/// An [`SpjPlan`] bound to the tables of one source ([`SpjPlan::bind`]):
+/// its tables resolved and shape-checked, and its register file — per
+/// step, the row it has bound while the steps below it run — allocated,
+/// so that a run allocates nothing but its result rows.
+pub struct BoundPlan<'a> {
+    plan: &'a SpjPlan,
+    /// Per step, its table and its register. A `Cell`, so that a step's
+    /// access path can read the registers above it while those below are
+    /// rebound.
+    tables: Vec<(&'a dyn RowSource, Cell<Option<&'a Tuple>>)>,
+}
+
+impl BoundPlan<'_> {
+    /// Runs the plan with the given parameter bindings, refilling `out`
+    /// with its distinct output tuples in sorted order ([`SpjPlan::run`]).
+    pub fn run_into(&self, params: &[Value], out: &mut Vec<Tuple>) -> RelResult<()> {
+        out.clear();
+        let plan = self.plan;
+        if params.len() < plan.n_params {
+            return Err(RelError::UnboundParam(params.len()));
         }
         let run = Run {
-            plan: self,
-            slots,
+            plan,
+            slots: &self.tables,
             params,
         };
-        let mut out = Vec::new();
-        if !self.never
-            && self
+        if !plan.never
+            && plan
                 .guards
                 .iter()
                 .all(|(a, b)| run.value(a) == run.value(b))
         {
-            run.descend(0, &mut out);
+            run.descend(0, out);
         }
         out.sort_unstable();
         out.dedup();
-        Ok(out)
+        Ok(())
     }
 }
 
-/// The state of one [`SpjPlan::run`].
-struct Run<'a> {
+/// The state of one [`BoundPlan::run_into`].
+struct Run<'a, 'r> {
     plan: &'a SpjPlan,
-    /// Per step, its table and — the register file — the row it has bound
-    /// while the steps below it run. A `Cell`, so that a step's access path
-    /// can read the registers above it while those below are rebound.
-    slots: Vec<(&'a dyn RowSource, Cell<Option<&'a Tuple>>)>,
-    params: &'a [Value],
+    /// The bound plan's tables and registers.
+    slots: &'r [(&'a dyn RowSource, Cell<Option<&'a Tuple>>)],
+    params: &'r [Value],
 }
 
-impl<'a> Run<'a> {
-    fn value(&self, src: &'a Src) -> &'a Value {
+impl<'a, 'r> Run<'a, 'r> {
+    fn value(&self, src: &'r Src) -> &'r Value {
         match src {
             Src::Const(v) => v,
             Src::Param(i) => &self.params[*i],

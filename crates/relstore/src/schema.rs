@@ -54,8 +54,11 @@ impl TableSchema {
     /// Panics if `key` is empty, out of range, or contains duplicates, or if
     /// column names collide — these are programming errors in schema
     /// definitions, not runtime conditions.
-    pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>, key: Vec<usize>) -> Self {
+    pub fn new(name: impl Into<String>, mut columns: Vec<ColumnDef>, key: Vec<usize>) -> Self {
         let name = name.into();
+        // A schema lives as long as its table: no builder's slack with it.
+        columns.shrink_to_fit();
+        columns.iter_mut().for_each(|c| c.name.shrink_to_fit());
         assert!(!key.is_empty(), "table `{name}` must have a primary key");
         let mut seen_key = std::collections::BTreeSet::new();
         for &k in &key {

@@ -107,7 +107,8 @@ impl<'d, I: Iterator<Item = &'d Tuple>> RowDonors<'d, I> {
                     self.rows.next();
                 }
                 Ordering::Equal => {
-                    let donor = self.rows.next().filter(|d| d.values() == row)?;
+                    let equal = |d: &&Tuple| std::ptr::eq(d.values(), row) || d.values() == row;
+                    let donor = self.rows.next().filter(equal)?;
                     self.shared += 1;
                     return Some(donor);
                 }
@@ -340,10 +341,33 @@ impl<P: Clone> Table<P> {
             .map(|(r, p)| (r.clone(), p.clone()))
             .collect();
         // Stable, so a value's rows stay in the key order they were read in.
+        // (Sorting on abbreviations kept beside the rows, as the interner's
+        // `finish` does, gained nothing here: the rows arrive almost in
+        // column order, which the stable sort's run detection exploits.)
         entries.sort_by(|a, b| a.0[col].cmp(&b.0[col]));
         let key = self.schema.key();
         ColIndex::from_sorted_by(entries, |a, b| cmp_indexed(key, col, a, b))
             .expect("primary keys are distinct, so the rows are")
+    }
+
+    /// Gives each row equal to `donor`'s row at its key that row's
+    /// allocation, in place: one merge of the two key orders
+    /// ([`RowDonors`]), and a page written only where a row that is not
+    /// already the donor's takes the donor's ([`PagedMap`]'s key
+    /// replacement: an equal row orders where the replaced one did). A
+    /// column index built on the replaced rows is dropped, to be rebuilt on
+    /// its next probe, so nothing keeps them. Returns how many rows equal
+    /// the donor's, those already sharing its allocation included.
+    pub(crate) fn share_rows_with(&mut self, donor: &Table) -> usize {
+        let mut donors = RowDonors::new(self.schema.key(), donor.rows.iter().map(|(row, _)| row));
+        let replaced = self.rows.replace_keys(|row| {
+            let equal = donors.equal_to(row.values())?;
+            (!std::ptr::eq(equal.values(), row.values())).then(|| equal.clone())
+        });
+        if replaced > 0 {
+            self.col_index.iter_mut().for_each(|slot| drop(slot.take()));
+        }
+        donors.shared()
     }
 }
 
@@ -567,13 +591,91 @@ mod tests {
                 "{made} comparisons at n = {n}: the merge did not run"
             );
         }
-        // Without a donor the pass compares nothing.
+        // Without a donor the pass compares nothing, and writes nothing.
         let mut db = crate::Database::new();
         db.add_table(keyed("only", (0..1_000).map(|k| (k, k))))
             .unwrap();
+        let pinned = db.clone();
         let before = ROW_COMPARISONS.with(Cell::get);
         assert_eq!(db.share_equal_rows(), 0);
         assert_eq!(ROW_COMPARISONS.with(Cell::get), before);
+        let rows = |db: &crate::Database| db.table("only").unwrap().rows.clone();
+        assert!(rows(&db).shares_every_run_with(&rows(&pinned)));
+    }
+
+    #[test]
+    fn rows_that_already_are_the_donors_write_no_page() {
+        // `b` holds `a`'s own row handles, as the fixture's `CU` holds
+        // `C`'s; `c` holds equal rows of its own.
+        let a = keyed("a", (0..1_000).map(|k| (k, k % 5)));
+        let own: Vec<Tuple> = a
+            .iter()
+            .map(|r| r.values().iter().cloned().collect())
+            .collect();
+        let schema = |name| schema(name).col_int("k").col_int("v").key(&["k"]);
+        let b = Table::from_sorted_rows(schema("b"), a.iter().cloned()).unwrap();
+        let c = Table::from_sorted_rows(schema("c"), own).unwrap();
+        let mut db = crate::Database::new();
+        for t in [a, b, c] {
+            db.add_table(t).unwrap();
+        }
+        let pinned = db.clone();
+        assert_eq!(db.share_equal_rows(), 2_000);
+        let rows = |db: &crate::Database, t| db.table(t).unwrap().rows.clone();
+        assert!(rows(&db, "b").shares_every_run_with(&rows(&pinned, "b")));
+        // `c` took `a`'s handles in place, its runs copied because the
+        // pinned clone shares them; the clone keeps its own handles.
+        let (a, c, held) = (rows(&db, "a"), rows(&db, "c"), rows(&pinned, "c"));
+        assert!(!c.shares_every_run_with(&held));
+        let same = |x: &Tuple, y: &Tuple| std::ptr::eq(x.values(), y.values());
+        assert!(a.iter().zip(c.iter()).all(|((x, ()), (y, ()))| same(x, y)));
+        assert!(a
+            .iter()
+            .zip(held.iter())
+            .all(|((x, ()), (y, ()))| !same(x, y)));
+        // A second pass finds every row already shared: no page written.
+        let pinned = db.clone();
+        assert_eq!(db.share_equal_rows(), 2_000);
+        assert!(rows(&db, "c").shares_every_run_with(&rows(&pinned, "c")));
+    }
+
+    #[test]
+    fn an_index_is_the_fully_compared_order_where_abbreviations_tie() {
+        // Column values that tie on their 8-byte abbreviation
+        // (`Value::abbreviation`), under keys in another order than the
+        // values.
+        let strs = [
+            "",
+            "\0",
+            "\0\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghz",
+            "abcdefgi",
+            "b",
+        ];
+        let ints = [i64::MIN, -1, 0, i64::MAX];
+        let check = |table: Table, col: usize| {
+            let values: Vec<Value> = table.iter().map(|r| r[col].clone()).collect();
+            for v in &values {
+                let full: Vec<&Tuple> = table.iter().filter(|r| r[col] == *v).collect();
+                assert_eq!(table.scan_col_eq(col, v), full, "value {v:?}");
+            }
+            let built = table.build_index(col);
+            let index: Vec<&Tuple> = built.iter().map(|(r, ())| r).collect();
+            let mut sorted: Vec<&Tuple> = table.iter().collect();
+            sorted.sort_by(|a, b| cmp_indexed(table.schema().key(), col, a, b));
+            assert_eq!(index, sorted);
+        };
+        let s = schema("s").col_int("k").col_str("v").key(&["k"]);
+        let rows = (0..64i64).map(|k| tuple![k, strs[(k * 5 % 8) as usize]]);
+        check(Table::from_sorted_rows(s, rows).unwrap(), 1);
+        let i = schema("i").col_int("k").col_int("v").key(&["k"]);
+        let rows = (0..64i64).map(|k| tuple![k, ints[(k * 3 % 4) as usize]]);
+        check(Table::from_sorted_rows(i, rows).unwrap(), 1);
+        let b = schema("b").col_int("k").col_bool("v").key(&["k"]);
+        let rows = (0..64i64).map(|k| tuple![k, k % 3 == 0]);
+        check(Table::from_sorted_rows(b, rows).unwrap(), 1);
     }
 
     #[test]

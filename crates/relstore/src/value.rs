@@ -72,6 +72,27 @@ impl Value {
             _ => None,
         }
     }
+
+    /// An order-preserving 8-byte abbreviation, among values of one type:
+    /// `a < b` implies `a.abbreviation() <= b.abbreviation()`, so a sort
+    /// compares the abbreviations it keeps beside its entries and reads the
+    /// values themselves only on a tie. An integer with its sign bit
+    /// flipped, a boolean as `0` or `1`, a string's first 8 bytes
+    /// big-endian, zero-padded (so `""` and `"\0"` tie, as do strings
+    /// sharing those bytes). Across types it orders nothing: a column holds
+    /// one type.
+    pub fn abbreviation(&self) -> u64 {
+        match self {
+            Value::Int(i) => (*i as u64) ^ (1 << 63),
+            Value::Bool(b) => u64::from(*b),
+            Value::Str(s) => {
+                let mut head = [0; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }
+        }
+    }
 }
 
 impl Value {
@@ -212,6 +233,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn abbreviations_keep_the_order_within_a_type() {
+        let ints = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX].map(Value::Int);
+        let strs = [
+            "",
+            "\0",
+            "\0\0",
+            "a",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghz",
+            "abcdefgi",
+            "é",
+        ]
+        .map(Value::from);
+        let bools = [false, true].map(Value::Bool);
+        for values in [&ints[..], &strs, &bools] {
+            for a in values {
+                for b in values {
+                    let (x, y) = (a.abbreviation(), b.abbreviation());
+                    assert!(a >= b || x <= y, "{a:?} < {b:?} but {x:#x} > {y:#x}");
+                }
+            }
+        }
+        // Ties only where the first 8 bytes agree.
+        assert_eq!(strs[0].abbreviation(), strs[1].abbreviation());
+        assert_eq!(strs[4].abbreviation(), strs[6].abbreviation());
+        assert_ne!(strs[4].abbreviation(), strs[7].abbreviation());
+        assert_eq!(
+            ints.map(|v| v.abbreviation())[..4],
+            [0, 1, (1 << 63) - 1, 1 << 63]
+        );
     }
 
     #[test]

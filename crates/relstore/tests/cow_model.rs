@@ -14,10 +14,12 @@
 //! `Table` — such a set of rows, plus its lazily built column indexes (sets
 //! of the same row handles, ordered by the column and then the key) — runs
 //! against a naive `Vec` of rows on a schema whose key is not a column
-//! prefix, with an index built at any point of the script.
+//! prefix, with an index built at any point of the script. The in-place
+//! replacement of rows by equal ones (`Database::share_equal_rows`) runs
+//! against a `BTreeMap` of the rows by key, with a clone pinned before it.
 
 use proptest::prelude::*;
-use rxview_relstore::{schema, PagedMap, PagedVec, RelError, Table, Tuple, Value};
+use rxview_relstore::{schema, Database, PagedMap, PagedVec, RelError, Table, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -545,6 +547,82 @@ proptest! {
 /// An ascending load costs one comparison per key after the first — the
 /// last key of the last run, and no search — however long the map grows;
 /// a key below the last pays the two binary searches.
+/// Whether two rows are one allocation.
+fn same(a: &Tuple, b: &Tuple) -> bool {
+    std::ptr::eq(a.values(), b.values())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Database::share_equal_rows` replaces rows in place: table `T2`
+    /// keeps the length, keys, order and values of a `BTreeMap` model of
+    /// its rows by key, each row equal to its donor `T1`'s at the key is
+    /// `T1`'s allocation afterwards — one that already was stays — and the
+    /// rest keep their own. A clone pinned before the pass keeps every
+    /// handle it had, so a run it shares was copied before the pass wrote
+    /// it; writes after the pass do not reach it either. Rows per key, by
+    /// the kind drawn: absent, unequal, equal in an allocation of its own,
+    /// or `T1`'s own handle. Keys are `(c, a)`, not a column prefix.
+    #[test]
+    fn sharing_equal_rows_in_place_matches_a_btreemap(
+        rows in prop::collection::vec((0u8..4, 0i64..3, 0i64..5), 0..400),
+        pin in any::<bool>(),
+        writes in prop::collection::vec((0i64..20, 0i64..20, any::<bool>()), 0..40),
+    ) {
+        let t = |name: &str| schema(name).col_int("a").col_int("b").col_int("c").col_int("d").key(&["c", "a"]);
+        let (mut t1, mut t2) = (BTreeMap::new(), BTreeMap::new());
+        for (i, &(kind, b, d)) in rows.iter().enumerate() {
+            let (c, a) = ((i / 20) as i64, (i % 20) as i64);
+            let row = row_tuple(&[a, b, c, d]);
+            match kind {
+                0 => {}
+                1 => { t2.insert((c, a), row_tuple(&[a, b + 1, c, d])); }
+                2 => { t2.insert((c, a), row_tuple(&[a, b, c, d])); }
+                _ => { t2.insert((c, a), row.clone()); }
+            }
+            if (a + c) % 7 != 0 {
+                t1.insert((c, a), row);
+            }
+        }
+        let mut db = Database::new();
+        db.add_table(Table::from_sorted_rows(t("T1"), t1.values().cloned()).unwrap()).unwrap();
+        db.add_table(Table::from_sorted_rows(t("T2"), t2.values().cloned()).unwrap()).unwrap();
+        let pinned = pin.then(|| db.clone());
+
+        let shared = db.share_equal_rows();
+        let equal = |k: &(i64, i64), r: &Tuple| t1.get(k).is_some_and(|d| d == r);
+        prop_assert_eq!(shared, t2.iter().filter(|(k, r)| equal(k, r)).count());
+        let table = db.table("T2").unwrap();
+        prop_assert_eq!(table.len(), t2.len());
+        for (row, (k, held)) in table.iter().zip(&t2) {
+            prop_assert_eq!(row, held);
+            match t1.get(k) {
+                Some(donor) if donor == held => prop_assert!(same(row, donor)),
+                _ => prop_assert!(same(row, held)),
+            }
+        }
+        let mut model = t2.clone();
+        let table = db.table_mut("T2").unwrap();
+        for (a, c, insert) in writes {
+            let key = Tuple::from_values([Value::Int(c), Value::Int(a)]);
+            let row = row_tuple(&[a, 9, c, 9]);
+            if insert && !model.contains_key(&(c, a)) {
+                prop_assert!(table.insert(row.clone()).unwrap());
+                model.insert((c, a), row);
+            } else if !insert && model.remove(&(c, a)).is_some() {
+                table.delete(&key).unwrap();
+            }
+        }
+        prop_assert!(db.table("T2").unwrap().iter().eq(model.values()));
+        if let Some(pinned) = pinned {
+            let table = pinned.table("T2").unwrap();
+            prop_assert_eq!(table.len(), t2.len());
+            prop_assert!(table.iter().zip(t2.values()).all(|(r, held)| same(r, held)));
+        }
+    }
+}
+
 #[test]
 fn an_ascending_load_compares_each_key_once() {
     let comparisons = std::cell::Cell::new(0usize);

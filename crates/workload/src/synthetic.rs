@@ -28,7 +28,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rxview_atg::{Atg, AtgError};
-use rxview_relstore::{schema, Database, SpjQuery, Tuple, Value};
+use rxview_relstore::{schema, Database, SpjQuery, Table, Tuple, Value};
 use rxview_xmlkit::Dtd;
 
 /// Generator parameters.
@@ -92,15 +92,17 @@ pub fn detached_chain_heads(cfg: &SyntheticConfig) -> Vec<i64> {
     heads
 }
 
-/// Generates the base database.
+/// Generates the base database. Every row is generated in key order and
+/// each table is loaded in bulk ([`Table::from_sorted_rows`]), its pages
+/// written full once; `CU` holds `C`'s row handles.
 pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
-    let mut db = Database::new();
-    synthetic_schema(&mut db);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = cfg.n as i64;
 
     let group = cfg.group_size.max(2) as i64;
     let mut c_rows = Vec::with_capacity(cfg.n);
+    let mut f_rows = Vec::with_capacity(cfg.n);
+    let mut h_rows = Vec::new();
     for i in 0..n {
         let is_root = i % group == 0;
         let matches = rng.gen_bool(cfg.match_probability);
@@ -119,10 +121,7 @@ pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
         for k in 7..=16 {
             c.push(Value::Int(i.wrapping_mul(k as i64) % 1000));
         }
-        let c = Tuple::from_values(c);
-        db.insert("C", c.clone()).expect("unique key");
-        db.insert("CU", c.clone()).expect("unique key");
-        c_rows.push(c);
+        c_rows.push(Tuple::from_values(c));
 
         let mut f = vec![
             Value::Int(i),
@@ -135,7 +134,7 @@ pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
         for k in 7..=16 {
             f.push(Value::Int(i.wrapping_mul(k as i64) % 1000));
         }
-        db.insert("F", Tuple::from_values(f)).expect("unique key");
+        f_rows.push(Tuple::from_values(f));
     }
 
     // H edges: h1 < h2, drawn from a window after h1 but confined to the
@@ -153,14 +152,13 @@ pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
             let hi = (cfg.mean_children + 1.0) as i64;
             rng.gen_range(lo..=hi)
         };
-        let mut used = std::collections::BTreeSet::new();
+        // Drawn in any order, kept in key order.
+        let mut children = std::collections::BTreeSet::new();
         for _ in 0..k {
-            let h2 = rng.gen_range(i + 1..upper);
-            if used.insert(h2) {
-                db.insert("H", Tuple::from_values([Value::Int(i), Value::Int(h2)]))
-                    .expect("unique (h1,h2)");
-            }
+            children.insert(rng.gen_range(i + 1..upper));
         }
+        let edge = |h2| Tuple::from_values([Value::Int(i), Value::Int(h2)]);
+        h_rows.extend(children.into_iter().map(edge));
     }
     // Detached subtrees (unpublished until explicitly inserted): every node
     // matches its F partner; H edges form a complete binary tree over the
@@ -182,9 +180,7 @@ pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
             for k in 7..=16 {
                 c.push(Value::Int(i.wrapping_mul(k as i64) % 1000));
             }
-            let c = Tuple::from_values(c);
-            db.insert("C", c.clone()).expect("unique key");
-            db.insert("CU", c.clone()).expect("unique key");
+            c_rows.push(Tuple::from_values(c));
             let mut f = vec![
                 Value::Int(i),
                 Value::Int(c2),
@@ -196,23 +192,19 @@ pub fn synthetic_database(cfg: &SyntheticConfig) -> Database {
             for k in 7..=16 {
                 f.push(Value::Int(i.wrapping_mul(k as i64) % 1000));
             }
-            db.insert("F", Tuple::from_values(f)).expect("unique key");
+            f_rows.push(Tuple::from_values(f));
             for child in [2 * j + 1, 2 * j + 2] {
                 if child < s as i64 {
-                    db.insert(
-                        "H",
-                        Tuple::from_values([Value::Int(i), Value::Int(base + child)]),
-                    )
-                    .expect("unique (h1,h2)");
+                    h_rows.push(Tuple::from_values([
+                        Value::Int(i),
+                        Value::Int(base + child),
+                    ]));
                 }
             }
         }
         base += s as i64;
     }
-    db
-}
 
-fn synthetic_schema(db: &mut Database) {
     let wide = |name: &str| {
         let mut b = schema(name).col_int("c1");
         for i in 2..=16 {
@@ -220,11 +212,19 @@ fn synthetic_schema(db: &mut Database) {
         }
         b.key(&["c1"])
     };
-    db.create_table(wide("C")).expect("fresh db");
-    db.create_table(wide("F")).expect("fresh db");
-    db.create_table(wide("CU")).expect("fresh db");
-    db.create_table(schema("H").col_int("h1").col_int("h2").key(&["h1", "h2"]))
-        .expect("fresh db");
+    let h = schema("H").col_int("h1").col_int("h2").key(&["h1", "h2"]);
+    let mut db = Database::new();
+    let tables = [
+        (wide("C"), c_rows.clone()),
+        (wide("CU"), c_rows),
+        (wide("F"), f_rows),
+        (h, h_rows),
+    ];
+    for (schema, rows) in tables {
+        let table = Table::from_sorted_rows(schema, rows).expect("generated in key order");
+        db.add_table(table).expect("fresh db");
+    }
+    db
 }
 
 /// The recursive DTD of Fig.10(a).

@@ -9,7 +9,7 @@
 //! pass. Node ids, child and parent order, the interner's `gen_A` tables,
 //! `L` and the `Exact` digest of a published system must all equal its.
 
-use rxview::atg::{registrar_atg, registrar_database, Dag, GenId, NodeId, PublishError};
+use rxview::atg::{registrar_atg, registrar_database, Dag, GenId, NodeId, PublishError, RuleBody};
 use rxview::core::codec::{decode_system, encode_system};
 use rxview::core::{Reachability, TopoOrder};
 use rxview::prelude::*;
@@ -29,10 +29,14 @@ fn reference_publish(atg: &Atg, db: &Database) -> (Dag, Database) {
         let uty = dag.genid().type_of(u);
         let uattr = dag.genid().attr_of(u).clone();
         for &cty in atg.dtd().children_of(uty) {
-            for t in atg
-                .child_tuples(db, uty, &uattr, cty)
-                .expect("rule evaluates")
-            {
+            let tuples = match atg.rule(uty, cty) {
+                Some(RuleBody::Query { plan, .. }) => {
+                    plan.run(db, uattr.values()).expect("rule evaluates")
+                }
+                Some(RuleBody::Project { fields }) => vec![uattr.project(fields)],
+                None => Vec::new(),
+            };
+            for t in tuples {
                 let (v, fresh) = dag.genid_mut().gen_id(cty, t);
                 if seen_edges.insert((u, v)) {
                     edges.push((u, v));
@@ -166,6 +170,60 @@ fn publication_equals_the_reference_publisher() {
         ..SyntheticConfig::with_size(200)
     });
     assert_publishes_like_the_reference(synthetic_atg(&db).unwrap(), db);
+}
+
+/// How many rows of `F` are the allocation of `C`'s row at their key.
+fn f_rows_held_by_c(db: &Database) -> usize {
+    let (c, f) = (db.table("C").unwrap(), db.table("F").unwrap());
+    let held = |row: &&Tuple| {
+        let donor = c.get(&Tuple::from_values([row[0].clone()]));
+        donor.is_some_and(|d| std::ptr::eq(d.values(), row.values()))
+    };
+    f.iter().filter(held).count()
+}
+
+/// `new` publishes, then shares equal rows in place: on a base whose `F`
+/// rows are allocations of their own (as generated) it reaches the state
+/// it reaches on a copy whose rows were shared before — the same ids, `L`
+/// and `Exact` digest — and shares the same rows.
+#[test]
+fn sharing_after_publication_reaches_the_state_of_sharing_before() {
+    let db = synthetic_database(&SyntheticConfig {
+        detached_chains: vec![15],
+        ..SyntheticConfig::with_size(64 * 40)
+    });
+    let atg = synthetic_atg(&db).unwrap();
+    let mut pre_shared = db.clone();
+    let shared = pre_shared.share_equal_rows();
+    // Nothing of the generated `F` is `C`'s yet; sharing makes most of it.
+    assert_eq!(f_rows_held_by_c(&db), 0);
+
+    let from_separate = XmlViewSystem::new(atg.clone(), db).unwrap();
+    let from_shared = XmlViewSystem::new(atg, pre_shared).unwrap();
+    let differs = from_separate
+        .exact_digest()
+        .first_difference(&from_shared.exact_digest());
+    assert_eq!(differs, None, "the Exact digest");
+    assert_eq!(from_separate.topo().order(), from_shared.topo().order());
+    let (a, b) = (
+        from_separate.view().dag().genid(),
+        from_shared.view().dag().genid(),
+    );
+    assert_eq!(a.n_allocated(), b.n_allocated());
+    for id in a.live_ids() {
+        assert_eq!(
+            (a.type_of(id), a.attr_of(id)),
+            (b.type_of(id), b.attr_of(id))
+        );
+    }
+    let held = f_rows_held_by_c(from_separate.base());
+    assert!(held > 1_000, "{held} F rows share C's");
+    assert_eq!(held, f_rows_held_by_c(from_shared.base()));
+    // Asked again, each base has every row it can share shared already.
+    for sys in [&from_separate, &from_shared] {
+        assert_eq!(sys.base().clone().share_equal_rows(), shared);
+    }
+    from_separate.consistency_check().unwrap();
 }
 
 /// A system a few updates past its publication: released ids, reused ids,

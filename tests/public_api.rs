@@ -39,7 +39,7 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "relstore",
-        "CodecError CodecResult ColRef ColumnDef Database Domain EqClosure EqPred GroupUpdate \
+        "BoundPlan CodecError CodecResult ColRef ColumnDef Database Domain EqClosure EqPred GroupUpdate \
          Operand PagedMap PagedVec Probe Reader RelError RelResult RowSource SchemaBuilder \
          SchemaProvider SpjBuilder SpjPlan SpjQuery Table TableRef TableSchema TableSource Tuple \
          TupleOp Value ValueType codec:: crc32 eval_spj schema tuple!",
