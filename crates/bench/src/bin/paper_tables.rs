@@ -217,9 +217,9 @@ fn table1(sizes: &[usize]) {
             "{:>9} {:>11} {:>11} {:>11} {:>11} {:>12} {:>12}",
             r.n,
             fmt_dur(r.incr_insert),
-            fmt_dur(r.delta_m_insert),
+            fmt_dur(r.delta_m_insert.took),
             fmt_dur(r.incr_delete),
-            fmt_dur(r.delta_m_delete),
+            fmt_dur(r.delta_m_delete.took),
             fmt_dur(r.recompute_l),
             fmt_dur(r.recompute_m),
         );

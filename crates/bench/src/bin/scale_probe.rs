@@ -8,8 +8,10 @@
 //! building it. `V` is counted as published, and `I` as generated and
 //! after `Database::share_equal_rows`, which `XmlViewSystem::new` runs
 //! once it has published; `V` is then split by part (`V by part`). The
-//! system holds no reachability matrix `M`; the first line still names
-//! `M`'s pairs, as Algorithm Reach computes them, for scale. It then prints the state's checkpoint: the bytes of
+//! system holds no reachability matrix `M`; the first line still names it
+//! as Algorithm Reach computes it — pairs and words, and, counted like the
+//! parts, the bytes and allocations it keeps and the ms `compute` took. It
+//! then prints the state's checkpoint: the bytes of
 //! each section `encode_system` writes — `I`, `V` (the interner's id space
 //! and the child lists), `L` — and the medians of three `encode_system` and
 //! `decode_system` runs, and what each way of comparing two states costs:
@@ -23,7 +25,7 @@
 //! table reads these figures.
 //!
 //! `--json <file>` also writes what it prints to `<file>`, one object per
-//! size (`parts`, `v_by_part`, `checkpoint`, `comparison`, `construction`)
+//! size (`parts`, `v_by_part`, `m`, `checkpoint`, `comparison`, `construction`)
 //! and `free_ids`,
 //! the same names and figures as the printed rows.
 //!
@@ -365,7 +367,7 @@ fn probe(groups: usize) -> Json {
     let (shared, sharing) = census(|| db.share_equal_rows());
     let (topo, l) = census(|| TopoOrder::compute(vs.dag()));
     let (rows, nodes) = (db.total_rows(), vs.n_nodes());
-    let m = Reachability::compute(vs.dag(), &topo);
+    let (m, m_built) = census(|| Reachability::compute(vs.dag(), &topo));
     let shared_i = Census {
         kept: generated.kept + sharing.kept,
         calls: sharing.calls,
@@ -373,11 +375,24 @@ fn probe(groups: usize) -> Json {
     };
     println!(
         "{groups} groups: {rows} base rows ({shared} share an equal row), {nodes} view \
-         nodes, {} edges; M, not held, would be {} pairs in {} words",
+         nodes, {} edges; M, not held, would be {} pairs in {} words: {} B live, {} B in \
+         chunks, {} allocations, compute {:.1} ms",
         vs.n_edges(),
         m.n_pairs(),
-        m.n_words()
+        m.n_words(),
+        m_built.kept.bytes,
+        m_built.kept.chunks,
+        m_built.kept.allocs,
+        ms(m_built.took)
     );
+    let m_json = Json::obj([
+        ("pairs", num(m.n_pairs())),
+        ("words", num(m.n_words())),
+        ("live_b", num(m_built.kept.bytes)),
+        ("chunk_b", num(m_built.kept.chunks)),
+        ("allocs", num(m_built.kept.allocs)),
+        ("compute_ms", Json::Num(ms(m_built.took))),
+    ]);
     drop(m);
     let per_row = |c: &Census| format!("{:.1} B per row", c.kept.chunks as f64 / rows as f64);
     let per_node = |c: &Census| format!("{:.1} B per node", c.kept.chunks as f64 / nodes as f64);
@@ -401,6 +416,7 @@ fn probe(groups: usize) -> Json {
         ("parts", parts),
         ("v_by_part", v_by_part),
         ("state_chunk_b", num(total)),
+        ("m", m_json),
         ("checkpoint", checkpoint_row(&sys)),
         ("comparison", comparison_row(&sys)),
         ("construction", construction_row(groups)),

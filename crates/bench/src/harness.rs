@@ -1,7 +1,7 @@
 //! Shared experiment harness: system construction, workload execution with
 //! per-phase timing, and the row types each figure/table prints.
 
-use crate::maintain::{apply_tracked, TrackedM};
+use crate::maintain::{apply_tracked, DeltaMReport, TrackedM};
 use rxview_core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, XmlUpdate, XmlViewSystem,
 };
@@ -226,16 +226,18 @@ pub struct Table1Row {
     pub n: usize,
     /// The serving fold (`L` and collection) of an insertion.
     pub incr_insert: Duration,
-    /// ∆M of the same insertion.
-    pub delta_m_insert: Duration,
+    /// ∆M of the same insertion: its time and the `M` ids it wrote.
+    pub delta_m_insert: DeltaMReport,
     /// The serving fold (`L` and collection) of a deletion.
     pub incr_delete: Duration,
     /// ∆M of the same deletion.
-    pub delta_m_delete: Duration,
+    pub delta_m_delete: DeltaMReport,
     /// Recomputing `L` from scratch.
     pub recompute_l: Duration,
     /// Recomputing `M` from scratch.
     pub recompute_m: Duration,
+    /// Block words the recomputed `M` stores: what a recompute writes.
+    pub recompute_m_words: usize,
 }
 
 /// Runs the Table-1 comparison at size `n`, and checks the incremental `M`
@@ -252,7 +254,7 @@ pub fn table1_row(n: usize, seed: u64) -> Table1Row {
     let mut m = TrackedM::of(&built.sys);
     let mut timed = |u: &XmlUpdate| {
         apply_tracked(&mut built.sys, &mut m, u, SideEffectPolicy::Proceed)
-            .map(|(r, delta)| (r.timings.maintain, delta.took))
+            .map(|(r, delta)| (r.timings.maintain, delta))
             .unwrap_or_default()
     };
     let (incr_insert, delta_m_insert) = timed(&ins);
@@ -272,6 +274,7 @@ pub fn table1_row(n: usize, seed: u64) -> Table1Row {
         delta_m_delete,
         recompute_l,
         recompute_m,
+        recompute_m_words: recomputed.n_words(),
     }
 }
 
@@ -392,6 +395,47 @@ mod tests {
         let (exact, new) = (built.sys.exact_digest(), sys.exact_digest());
         assert_eq!(exact.first_difference(&new), None);
         assert_eq!(exact, new);
+    }
+
+    /// Table 1's shape in counters (§3.4, through ARCHITECTURE §1's §3.4
+    /// row), on the row `paper_tables table1` prints, at |C| = 1 000 and
+    /// 4 000: ∆M equals a recompute at both sizes (`table1_row` asserts
+    /// `same_pairs`); a recompute writes `n_words`, which grows ≈ 4.9×;
+    /// ∆M of the W2 insertion adds pairs that grow by less than half that
+    /// factor and writes under a tenth of a recompute's words, and ∆M of
+    /// the W2 deletion writes less than a recompute. The ids ∆M writes do
+    /// not themselves grow that slowly: a run is rewritten whole, and the
+    /// insertion's runs are 368 → 1 388 ids (3.8×).
+    #[test]
+    fn table1_delta_m_stays_below_a_recompute_at_two_sizes() {
+        let (small, large) = (table1_row(1_000, 42), table1_row(4_000, 42));
+        let growth = |a: usize, b: usize| b as f64 / a as f64;
+        let recompute = growth(small.recompute_m_words, large.recompute_m_words);
+        let (ins_small, ins_large) = (small.delta_m_insert, large.delta_m_insert);
+        assert!(
+            ins_small.inserted > 0
+                && growth(ins_small.inserted, ins_large.inserted) < recompute / 2.0,
+            "∆M of the W2 insert added {} -> {} pairs while a recompute grew {recompute:.1}x",
+            ins_small.inserted,
+            ins_large.inserted
+        );
+        for row in [&small, &large] {
+            let words = row.recompute_m_words;
+            let (ins, del) = (
+                row.delta_m_insert.ids_written,
+                row.delta_m_delete.ids_written,
+            );
+            assert!(
+                ins > 0 && ins * 10 < words,
+                "|C| = {}: ∆M of the W2 insert wrote {ins} ids against {words} words",
+                row.n
+            );
+            assert!(
+                del < words,
+                "|C| = {}: ∆M of the W2 delete wrote {del} ids against {words} words",
+                row.n
+            );
+        }
     }
 
     #[test]

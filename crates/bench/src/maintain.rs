@@ -108,9 +108,6 @@ impl TrackedM {
     ///   subtree boundary included;
     /// - part (b): every ancestor-or-self of a target gains the subtree's
     ///   root and all its descendants.
-    ///
-    /// A fresh node with one parent then holds the run a sibling holds, as
-    /// after [`Reachability::compute`].
     pub fn insert(&mut self, dag: &Dag, st: &SubtreeDag, targets: &[NodeId]) -> DeltaMReport {
         let t0 = Instant::now();
         let (m, batch) = (&mut self.m, &mut self.batch);
@@ -142,9 +139,6 @@ impl TrackedM {
                 report.inserted += added;
                 report.ids_written += m.ancestors(of_d[0].0).len();
             }
-        }
-        for &v in &st.fresh {
-            m.share_sibling_run(dag, v);
         }
         report.took = t0.elapsed();
         report
@@ -405,44 +399,6 @@ mod tests {
         // a pre-existing node, exercising the swap repair.
         let alice = node(&sys, "student", tuple!["S01", "Alice"]);
         assert!(sys.view().dag().parents(alice).len() >= 2);
-    }
-
-    /// The fresh nodes of an anchored insert that have one parent hold
-    /// their run in the allocation a sibling holds, as `compute` would
-    /// have stored them: the new course's `cno`, `prereq` and `takenBy`.
-    #[test]
-    fn an_insert_fold_gives_fresh_only_children_one_run() {
-        let mut db = registrar_database();
-        with_intro(&mut db);
-        let (mut sys, mut m) = system(db);
-        let u = insert(
-            "course",
-            tuple!["CS100", "Intro"],
-            "course[cno=CS320]/prereq",
-        );
-        apply(&mut sys, &mut m, u);
-        assert_consistent(&sys, &m);
-
-        let dag = sys.view().dag();
-        let only = |v: NodeId| match dag.parents(v) {
-            [p] => Some(*p),
-            _ => None,
-        };
-        let new_course = node(&sys, "course", tuple!["CS100", "Intro"]);
-        let group: Vec<NodeId> = dag.children(new_course).to_vec();
-        assert!(group.iter().all(|&v| only(v) == Some(new_course)));
-        assert!(group.len() >= 3, "{group:?}");
-        assert!(group.iter().all(|&v| m.m().same_run(group[0], v)));
-        // And every other group of only children still is one allocation.
-        for p in dag.genid().live_ids() {
-            let g: Vec<NodeId> = dag
-                .children(p)
-                .iter()
-                .copied()
-                .filter(|&c| only(c) == Some(p))
-                .collect();
-            assert!(g.iter().all(|&v| m.m().same_run(g[0], v)), "{g:?}");
-        }
     }
 
     #[test]

@@ -15,18 +15,18 @@
 //!
 //! # Layout and cost model
 //!
-//! `M` stores each node's ancestors. Each per-node set is one *run*: an
-//! immutable `Arc<[u64]>` of **block
-//! words**. The id space is cut into blocks of 32 ids; a word is
-//! `block key << 32 | 32-bit mask` (key = `id >> 5`, bit `id & 31` of the
-//! mask set iff the id is in the set), a run holds one word per block that
-//! has a member, keys strictly ascending, no word with an empty mask — so a
-//! set has exactly one representation and runs compare as word slices.
-//! Publication and lowest-free-id-first recycling keep a subtree on
-//! neighbouring ids, so a word holds several ids (≈ 1.4 bytes per stored id
-//! plus one 16-byte header per non-empty set, against 4 for a plain id
-//! array and ≈ 25 for a B-tree set). The worst case is a run whose every id
-//! sits alone in its block: 8 bytes per id.
+//! `M` stores each node's ancestors, one *run* per node: an owned
+//! `Box<[u64]>` of **block words**, in a `Vec` indexed by node id, a
+//! zero-length run for the empty set. The id space is cut into blocks of 32
+//! ids; a word is `block key << 32 | 32-bit mask` (key = `id >> 5`, bit
+//! `id & 31` of the mask set iff the id is in the set), a run holds one
+//! word per block that has a member, keys strictly ascending, no word with
+//! an empty mask — so a set has exactly one representation and runs compare
+//! as word slices. Publication and lowest-free-id-first recycling keep a
+//! subtree on neighbouring ids, so a word holds several ids (≈ 1.4 bytes per
+//! stored id, plus a 16-byte slot per id and one allocation per non-empty
+//! set, against 4 for a plain id array and ≈ 25 for a B-tree set). The worst
+//! case is a run whose every id sits alone in its block: 8 bytes per id.
 //!
 //! What each operation costs, per word rather than per id:
 //!
@@ -41,15 +41,11 @@
 //!   the touched blocks are emitted in key order — block keys are sorted,
 //!   no id is.
 //!
-//! A run is never edited in place: changing a set builds its successor and
-//! swaps the handle, so a clone that still holds the old handle is
-//! unaffected.
-//!
-//! Children whose only live parent is `p` all have `anc = anc(p) ∪ {p}`,
-//! and they hold that run as **one** allocation: [`Reachability::compute`]
-//! stores it once per `p`, and ∆M hands a fresh such child the handle a
-//! sibling holds ([`Reachability::share_sibling_run`]). The counters count
-//! per node, so they do not depend on what is shared.
+//! Nothing is shared: changing a set replaces its node's run with a new
+//! allocation, and a clone copies every run. No serving state holds an `M`,
+//! so nothing clones one on a commit path. [`Reachability::compute`] leaves
+//! the vector room for a sixteenth more ids, so the fresh nodes of the next
+//! insertions take slots without copying it.
 //!
 //! Everything that writes `M` is a bulk operation: [`Reachability::compute`]
 //! builds every run with the recurrence, backward over `L`;
@@ -65,14 +61,12 @@
 
 use crate::topo::TopoOrder;
 use rxview_atg::{Dag, NodeId};
-use rxview_relstore::PagedVec;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
-/// One stored set, as block words; never empty.
-type Words = Arc<[u64]>;
+/// One stored set, as block words; zero-length for the empty set.
+type Words = Box<[u64]>;
 
 fn key_of(word: u64) -> u32 {
     (word >> 32) as u32
@@ -309,7 +303,7 @@ impl BlockScratch {
     /// `anc(d)` over `d`'s parents. Leaves the scratch blank.
     fn union_over(
         &mut self,
-        sets: &PagedVec<Option<Words>>,
+        sets: &[Words],
         nodes: impl IntoIterator<Item = NodeId>,
         out: &mut RunBuf,
     ) {
@@ -329,59 +323,30 @@ impl BlockScratch {
     }
 }
 
-fn words_of(sets: &PagedVec<Option<Words>>, v: NodeId) -> &[u64] {
-    match sets.get(v.index()) {
-        Some(Some(words)) => words,
-        _ => &[],
-    }
+fn words_of(sets: &[Words], v: NodeId) -> &[u64] {
+    sets.get(v.index()).map_or(&[], |words| &words[..])
 }
 
 /// Replaces `v`'s set by the run `words`, keeping the count of stored words.
-fn store(sets: &mut PagedVec<Option<Words>>, n_words: &mut usize, v: NodeId, words: &[u64]) {
-    store_handle(sets, n_words, v, (!words.is_empty()).then(|| words.into()));
-}
-
-/// [`store`] of a run already allocated, `None` for the empty set.
-fn store_handle(
-    sets: &mut PagedVec<Option<Words>>,
-    n_words: &mut usize,
-    v: NodeId,
-    words: Option<Words>,
-) {
-    debug_assert!(words.as_deref().is_none_or(|w| !w.is_empty() && is_run(w)));
-    let new = words.as_deref().unwrap_or_default();
-    let old = words_of(sets, v).len();
-    *n_words = *n_words - old + new.len();
-    match words {
-        Some(_) => *sets.get_mut(v.index()) = words,
-        // A page left with no set is the shared blank page.
-        None => sets.clear(v.index()),
+fn store(sets: &mut Vec<Words>, n_words: &mut usize, v: NodeId, words: &[u64]) {
+    debug_assert!(is_run(words));
+    if sets.len() <= v.index() {
+        if words.is_empty() {
+            return;
+        }
+        sets.resize_with(v.index() + 1, Words::default);
     }
+    let slot = &mut sets[v.index()];
+    *n_words = *n_words - slot.len() + words.len();
+    *slot = words.into();
 }
 
-/// `d`'s live parent when it has exactly one.
-pub(crate) fn only_parent(dag: &Dag, d: NodeId) -> Option<NodeId> {
-    let mut live = dag
-        .parents(d)
-        .iter()
-        .copied()
-        .filter(|&p| dag.genid().is_live(p));
-    let p = live.next()?;
-    live.next().is_none().then_some(p)
-}
-
-/// The stored reachability matrix: per node, its ancestors.
-///
-/// The runs sit behind per-node `Arc`s in one copy-on-write [`PagedVec`]
-/// indexed by node id: cloning `M` copies page pointers and *shares* every
-/// run, and a maintenance pass replaces only the runs it rewrites plus the
-/// pages holding their handles, so dropping a superseded copy frees only
-/// what the pass replaced — O(∆M) allocations, not O(|M|) or O(n). No
-/// serving state holds an `M`: it is computed for `rxbench`, the paper's
-/// tables and the ∆M that runs beside the fold in `rxview_bench`.
+/// The stored reachability matrix: per node id, its ancestors as one owned
+/// run. No serving state holds an `M`: it is computed for `rxbench`, the
+/// paper's tables and the ∆M that runs beside the fold in `rxview_bench`.
 #[derive(Debug, Clone, Default)]
 pub struct Reachability {
-    anc: PagedVec<Option<Words>>,
+    anc: Vec<Words>,
     /// `Σ_d |anc(d)|`.
     n_pairs: usize,
     /// Words stored.
@@ -405,72 +370,6 @@ impl ReachBatch {
     }
 }
 
-/// Bulk load of `M` from per-descendant ancestor sets (what
-/// [`Reachability::compute`] derives, and what
-/// [`Reachability::from_ancestors`] is given), one run per node, stored as
-/// given — once for all the children of one `p` that have no other parent
-/// when `compute` names `p`.
-#[derive(Debug, Default)]
-struct AncestorLoad {
-    anc: PagedVec<Option<Words>>,
-    n_pairs: usize,
-    n_words: usize,
-    /// At each parent `p`, the run the first of its only-parent children
-    /// was given: `anc(p) ∪ {p}` in a consistent matrix. Dropped with the
-    /// load.
-    by_parent: Vec<Option<Words>>,
-}
-
-impl AncestorLoad {
-    /// Sets `anc(d)`. Fails — rather than build a matrix whose runs or
-    /// counter disagree — on a `d` listed twice and on a `d` among its own
-    /// ancestors.
-    fn add(&mut self, d: NodeId, ancestors: Run<'_>) -> Result<(), String> {
-        if !words_of(&self.anc, d).is_empty() {
-            return Err(format!("node {} is listed twice", d.0));
-        }
-        if ancestors.contains(&d) {
-            return Err(format!("node {} is its own ancestor", d.0));
-        }
-        self.put(d, None, ancestors);
-        Ok(())
-    }
-
-    /// Sets `anc(d)`, where `only_parent` is `d`'s one live parent if it
-    /// has exactly one. A run equal to the one an earlier child of
-    /// `only_parent` was given is stored as that child's
-    /// allocation; any other run as one of its own.
-    fn put(&mut self, d: NodeId, only_parent: Option<NodeId>, ancestors: Run<'_>) {
-        self.n_pairs += ancestors.len();
-        let words = ancestors.words;
-        let handle = match only_parent {
-            _ if words.is_empty() => None,
-            Some(p) => {
-                if self.by_parent.len() <= p.index() {
-                    self.by_parent.resize(p.index() + 1, None);
-                }
-                let sibling = self.by_parent[p.index()].get_or_insert_with(|| words.into());
-                Some(if **sibling == *words {
-                    sibling.clone()
-                } else {
-                    words.into()
-                })
-            }
-            None => Some(words.into()),
-        };
-        store_handle(&mut self.anc, &mut self.n_words, d, handle);
-    }
-
-    /// The matrix of the sets added.
-    fn finish(self) -> Reachability {
-        Reachability {
-            anc: self.anc,
-            n_pairs: self.n_pairs,
-            n_words: self.n_words,
-        }
-    }
-}
-
 impl Reachability {
     /// Algorithm **Reach** (Fig.4): computes `M` in `O(n |V|)` by dynamic
     /// programming over the backward topological order — for `d` processed
@@ -478,25 +377,35 @@ impl Reachability {
     /// known, so `A_d = ⋃_{p ∈ parent(d)} (anc(p) ∪ {p})`.
     pub fn compute(dag: &Dag, topo: &TopoOrder) -> Self {
         let live = |v: &NodeId| dag.genid().is_live(*v);
+        // Room for a sixteenth more ids: a fresh node past the last slot
+        // would otherwise copy the whole vector, which costs ∆M's first
+        // insertion (Table 1 times one) more than the runs it writes.
+        let n = dag.genid().n_allocated();
+        let mut anc = Vec::with_capacity(n + n / 16);
+        anc.resize_with(n, Words::default);
+        let mut m = Reachability {
+            anc,
+            ..Reachability::default()
+        };
         let mut scratch = BlockScratch::default();
         let mut run = RunBuf::default();
-        let mut load = AncestorLoad::default();
         // Backward over L = ancestors (later entries) first.
         for &d in topo.order().iter().rev() {
             let parents = dag.parents(d).iter().copied().filter(live);
-            scratch.union_over(&load.anc, parents, &mut run);
-            load.put(d, only_parent(dag, d), run.as_run());
+            scratch.union_over(&m.anc, parents, &mut run);
+            m.load(d, run.as_run());
         }
-        load.finish()
+        m
     }
 
-    /// Bulk load from `(d, anc(d))` lists of ids through an
-    /// `AncestorLoad`, with its checks and one more: the ids of a list
-    /// must strictly ascend.
+    /// Bulk load from `(d, anc(d))` lists of ids. Fails — rather than build
+    /// a matrix whose runs or counters disagree — on a list whose ids do not
+    /// strictly ascend, a `d` listed twice and a `d` among its own
+    /// ancestors.
     pub fn from_ancestors<I: IntoIterator<Item = NodeId>>(
         runs: impl IntoIterator<Item = (NodeId, I)>,
     ) -> Result<Self, String> {
-        let mut load = AncestorLoad::default();
+        let mut m = Reachability::default();
         let mut run = RunBuf::default();
         for (d, ids) in runs {
             run.clear();
@@ -506,9 +415,21 @@ impl Reachability {
                 }
                 run.push(a);
             }
-            load.add(d, run.as_run())?;
+            if !m.ancestors(d).is_empty() {
+                return Err(format!("node {} is listed twice", d.0));
+            }
+            if run.as_run().contains(&d) {
+                return Err(format!("node {} is its own ancestor", d.0));
+            }
+            m.load(d, run.as_run());
         }
-        Ok(load.finish())
+        Ok(m)
+    }
+
+    /// Sets `anc(d)`, which holds no id yet.
+    fn load(&mut self, d: NodeId, ancestors: Run<'_>) {
+        self.n_pairs += ancestors.len();
+        store(&mut self.anc, &mut self.n_words, d, ancestors.words);
     }
 
     /// Whether `a` is a strict ancestor of `d`: one search in `anc(d)`.
@@ -580,44 +501,6 @@ impl Reachability {
         let removed = self.set_ancestors(d, new.as_run(), batch);
         batch.merged = new;
         removed
-    }
-
-    /// Gives `v`, a node with one live parent `p`, the allocation of the
-    /// run another such child of `p` holds, if the two runs are equal — as
-    /// they are in an exact matrix, where both are `anc(p) ∪ {p}`. What a
-    /// maintenance fold calls on the nodes it makes, once their runs are
-    /// exact; it writes no id and keeps the counters.
-    pub fn share_sibling_run(&mut self, dag: &Dag, v: NodeId) {
-        let Some(p) = only_parent(dag, v) else {
-            return;
-        };
-        let Some(Some(own)) = self.anc.get(v.index()) else {
-            return;
-        };
-        let mut siblings = dag.children(p).iter().copied();
-        let sibling = siblings.find(|&c| c != v && only_parent(dag, c) == Some(p));
-        let Some(Some(theirs)) = sibling.and_then(|c| self.anc.get(c.index())) else {
-            return;
-        };
-        if !Arc::ptr_eq(own, theirs) && own == theirs {
-            let shared = Some(theirs.clone());
-            *self.anc.get_mut(v.index()) = shared;
-        }
-    }
-
-    /// Whether `a` and `b` hold their `anc` runs in one allocation.
-    pub fn same_run(&self, a: NodeId, b: NodeId) -> bool {
-        match (self.anc.get(a.index()), self.anc.get(b.index())) {
-            (Some(Some(x)), Some(Some(y))) => Arc::ptr_eq(x, y),
-            _ => false,
-        }
-    }
-
-    /// Number of distinct run allocations held.
-    #[cfg(test)]
-    pub(crate) fn n_allocations(&self) -> usize {
-        let runs = self.anc.iter().flatten().map(|w| w.as_ptr());
-        runs.collect::<std::collections::HashSet<_>>().len()
     }
 
     /// Forgets a garbage-collected node: `anc(d)` is emptied like any other
@@ -902,19 +785,6 @@ pub fn descendants(dag: &Dag, a: NodeId) -> Vec<NodeId> {
     out
 }
 
-/// The children of each node that have no other live parent, where there
-/// are two or more: the runs each group must hold as one allocation.
-#[cfg(test)]
-pub(crate) fn only_children(dag: &Dag) -> Vec<Vec<NodeId>> {
-    let mut by_parent = std::collections::BTreeMap::<NodeId, Vec<NodeId>>::new();
-    for v in dag.genid().live_ids() {
-        if let Some(p) = only_parent(dag, v) {
-            by_parent.entry(p).or_default().push(v);
-        }
-    }
-    by_parent.into_values().filter(|g| g.len() > 1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,64 +805,6 @@ mod tests {
 
     fn run(raw: &[u32]) -> RunBuf {
         raw.iter().copied().map(NodeId).collect()
-    }
-
-    /// Whether each group is one allocation, and the groups are distinct
-    /// ones.
-    fn shared_per_group(m: &Reachability, groups: &[Vec<NodeId>]) -> bool {
-        let one_each = groups
-            .iter()
-            .all(|g| g.iter().all(|&v| m.same_run(g[0], v)));
-        let heads = groups.iter().map(|g| g[0]);
-        let distinct = heads
-            .clone()
-            .enumerate()
-            .all(|(i, a)| heads.clone().skip(i + 1).all(|b| !m.same_run(a, b)));
-        one_each && distinct
-    }
-
-    #[test]
-    fn only_children_hold_one_run_after_compute_and_after_a_checkpoint_load() {
-        use crate::codec::{decode_system, encode_system};
-        let db = registrar_database();
-        let sys = crate::XmlViewSystem::new(registrar_atg(&db).unwrap(), db).unwrap();
-        let dag = sys.view().dag();
-        let groups = only_children(dag);
-        assert!(groups.len() >= 3, "{groups:?}");
-        let computed = Reachability::compute(dag, sys.topo());
-        let mut bytes = Vec::new();
-        encode_system(&sys, &mut bytes);
-        let reader = &mut rxview_relstore::codec::Reader::new(&bytes);
-        let back = decode_system(sys.view().atg(), reader).unwrap();
-        for m in [&computed, &sys.reach(), &back.reach()] {
-            assert!(shared_per_group(m, &groups));
-            assert!(m.same_pairs(&computed));
-        }
-        // Nothing else shares: a node with two parents keeps its own run.
-        let shared_nodes: usize = groups.iter().map(Vec::len).sum();
-        let runs = dag
-            .genid()
-            .live_ids()
-            .filter(|&v| !computed.ancestors(v).is_empty());
-        let saved = runs.count() - computed.n_allocations();
-        assert_eq!(saved, shared_nodes - groups.len());
-    }
-
-    #[test]
-    fn rewriting_one_only_child_leaves_its_siblings_and_a_pinned_clone() {
-        let (dag, topo, _) = fixture();
-        let mut m = Reachability::compute(&dag, &topo);
-        let group = only_children(&dag).swap_remove(0);
-        let (v, w) = (group[0], group[1]);
-        let was: Vec<NodeId> = m.ancestors(v).iter().collect();
-        let pinned = m.clone();
-        let fewer: RunBuf = was.iter().copied().skip(1).collect();
-        m.set_ancestors(v, fewer.as_run(), &mut ReachBatch::default());
-        assert!(!m.same_run(v, w) && m.ancestors(v) == &was[1..]);
-        assert!(group[1..]
-            .iter()
-            .all(|&x| m.same_run(w, x) && m.ancestors(x) == was));
-        assert!(pinned.same_run(v, w) && pinned.ancestors(v) == was);
     }
 
     #[test]
@@ -1159,7 +971,7 @@ mod tests {
         swapped.push(victim);
         swapped.sort_unstable();
         let swapped: RunBuf = swapped.into_iter().collect();
-        *wrong_anc.anc.get_mut(victim.index()) = Some(swapped.words.into());
+        wrong_anc.anc[victim.index()] = swapped.words.into();
         assert!(!m.same_pairs(&wrong_anc));
         assert!(!wrong_anc.same_pairs(&m));
 

@@ -1,10 +1,9 @@
 //! Model tests of the compact reachability matrix: the block-word run
 //! primitives against `BTreeSet` algebra, and `Reachability`'s bulk edits
 //! of ancestor runs against a plain set of `(anc, desc)` pairs. The
-//! *clone-then-diverge* case is the executable form of ARCHITECTURE
-//! invariant 10 for `M`: a clone shares every run with its origin, so an
-//! edit that wrote through a shared run would show up as one of the two no
-//! longer matching its own model.
+//! *clone-then-diverge* case pins that a clone of `M` is a deep copy: each
+//! run is owned by its node, so an edit to either side that reached the
+//! other would show up as one of the two no longer matching its own model.
 //!
 //! The facade's `tests/reach_model.rs` includes this file and runs it.
 
@@ -215,8 +214,8 @@ proptest! {
         check_loaded(&m, &model)?;
     }
 
-    /// Clone-then-diverge: a snapshot and its successor share every run, and
-    /// each must keep matching its own model whatever the other rewrites.
+    /// Clone-then-diverge: a clone is a deep copy, so each side must keep
+    /// matching its own model whatever the other rewrites.
     #[test]
     fn a_clone_and_its_origin_diverge_independently(
         shared in prop::collection::vec(edit_strategy(), 1..24),

@@ -622,7 +622,11 @@ mod tests {
         let mut table = Table::new(
             schema("flags")
                 .col_str("id")
-                .col_bool("on")
+                .col_finite(
+                    "on",
+                    ValueType::Bool,
+                    vec![Value::Bool(false), Value::Bool(true)],
+                )
                 .col_finite(
                     "state",
                     ValueType::Int,

@@ -171,16 +171,6 @@ impl SchemaBuilder {
         self
     }
 
-    /// Adds a boolean column (finite domain).
-    pub fn col_bool(mut self, name: impl Into<String>) -> Self {
-        self.columns.push(ColumnDef::with_domain(
-            name,
-            ValueType::Bool,
-            Domain::boolean(),
-        ));
-        self
-    }
-
     /// Adds a column with an explicit finite domain.
     pub fn col_finite(
         mut self,

@@ -673,7 +673,11 @@ mod tests {
         let i = schema("i").col_int("k").col_int("v").key(&["k"]);
         let rows = (0..64i64).map(|k| tuple![k, ints[(k * 3 % 4) as usize]]);
         check(Table::from_sorted_rows(i, rows).unwrap(), 1);
-        let b = schema("b").col_int("k").col_bool("v").key(&["k"]);
+        let bools = vec![Value::Bool(false), Value::Bool(true)];
+        let b = schema("b")
+            .col_int("k")
+            .col_finite("v", crate::ValueType::Bool, bools)
+            .key(&["k"]);
         let rows = (0..64i64).map(|k| tuple![k, k % 3 == 0]);
         check(Table::from_sorted_rows(b, rows).unwrap(), 1);
     }

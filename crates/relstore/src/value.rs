@@ -183,11 +183,6 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// The canonical finite domain for booleans.
-    pub fn boolean() -> Self {
-        Domain::Finite(vec![Value::Bool(false), Value::Bool(true)])
-    }
-
     /// Whether `v` is admissible in this domain.
     pub fn contains(&self, v: &Value) -> bool {
         match self {
@@ -274,14 +269,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_str(), None);
         assert_eq!(Value::from("ab").as_str(), Some("ab"));
-    }
-
-    #[test]
-    fn boolean_domain_is_finite_with_two_values() {
-        let d = Domain::boolean();
-        assert!(matches!(&d, Domain::Finite(vs) if vs.len() == 2));
-        assert!(d.contains(&Value::Bool(false)));
-        assert!(!d.contains(&Value::Int(0)));
     }
 
     #[test]

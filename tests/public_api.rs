@@ -193,7 +193,6 @@ fn identifiers(text: &str) -> impl Iterator<Item = (&str, bool)> {
 const UNCALLED: &str = "\
     assert_observationally_equal: test oracle the batteries compare states by
     choice: content-model constructor `normalize_dtd`'s tests build with
-    col_bool: schema builder for a finite-domain column the codec tests use
     covers_row: footprint contract the footprint battery checks
     covers_writes: footprint contract the footprint battery checks
     eval_spj: one-shot SPJ evaluation of the reference crate and the oracle test
