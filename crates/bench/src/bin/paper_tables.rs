@@ -18,7 +18,7 @@
 use rxview_bench::walks::{dag_row, workload_row, Cost, WalkRow};
 use rxview_bench::{
     ablation_dag_rows, ablation_reach_row, fig10b_row, fig11_cell, fig11g_point, fig11h_point,
-    fmt_dur, table1_row, PhaseAgg,
+    fmt_dur, table1_row, PhaseAgg, Table1Update,
 };
 use rxview_workload::WorkloadClass;
 
@@ -211,19 +211,24 @@ fn table1(sizes: &[usize]) {
         "{:>9} {:>11} {:>11} {:>11} {:>11} {:>12} {:>12}",
         "|C|", "L ins", "∆M ins", "L del", "∆M del", "recompute L", "recompute M"
     );
+    let cells = |u: &Table1Update| match u {
+        Table1Update::Timed(fold, delta_m) => (fmt_dur(*fold), fmt_dur(delta_m.took)),
+        Table1Update::NoPair => ("no pair".into(), "no pair".into()),
+        Table1Update::Rejected => ("rejected".into(), "rejected".into()),
+    };
     for &n in sizes {
         let r = table1_row(n, 42);
+        let ((l_ins, m_ins), (l_del, m_del)) = (cells(&r.insert), cells(&r.delete));
         println!(
-            "{:>9} {:>11} {:>11} {:>11} {:>11} {:>12} {:>12}",
+            "{:>9} {l_ins:>11} {m_ins:>11} {l_del:>11} {m_del:>11} {:>12} {:>12}",
             r.n,
-            fmt_dur(r.incr_insert),
-            fmt_dur(r.delta_m_insert.took),
-            fmt_dur(r.incr_delete),
-            fmt_dur(r.delta_m_delete.took),
             fmt_dur(r.recompute_l),
             fmt_dur(r.recompute_m),
         );
     }
+    println!(
+        "   (no pair: accepted, but changed no pair of M; rejected: not applied — neither timed)"
+    );
     println!();
 }
 

@@ -129,17 +129,27 @@
 //! 1.99 B (the measured figure + 5 %), and
 //! `computing_m_allocates_one_run_per_node_with_ancestors` counts one
 //! allocation per non-empty run.
+//!
+//! Binding each of Algorithm delete's probes once per translation — where
+//! each candidate source bound every probe of its table again, and each
+//! row a probe yielded rebuilt its sources — moved the largest of sixteen
+//! anchored W1 delete translations at 32 groups (five edges) 421 → 175
+//! allocator calls, this file run on both trees; the ceiling is 184.
 
 use rxview_atg::RuleBody;
 use rxview_bench::alloc_count::{allocated_by, kept_by, live_bytes, Counting};
 use rxview_bench::collect::Collection;
 use rxview_core::codec::{decode_system, encode_system};
-use rxview_core::{Reachability, SideEffectPolicy, ViewStore, XmlUpdate, XmlViewSystem};
+use rxview_core::{
+    translate_deletions, xdelete, Reachability, SideEffectPolicy, ViewStore, XmlUpdate,
+    XmlViewSystem,
+};
 use rxview_engine::Engine;
 use rxview_relstore::codec::{put_database, read_database};
 use rxview_relstore::{tuple, Database, Reader, Tuple};
 use rxview_workload::{
-    synthetic_atg, synthetic_database, ChurnGen, SyntheticConfig, NODES_PER_INSERT,
+    synthetic_atg, synthetic_database, ChurnGen, SyntheticConfig, WorkloadClass, WorkloadGen,
+    NODES_PER_INSERT,
 };
 use std::sync::{Mutex, PoisonError};
 
@@ -495,6 +505,58 @@ fn collecting_subtrees_releases_their_pairs_and_pages() {
              {pages} B of pages the {collected} collected nodes held"
         );
     }
+}
+
+/// Allocator calls an anchored W1 delete translation may make at 32
+/// groups: the largest of the sixteen drawn, 175 for five edges, + 5 %.
+const DELETE_TRANSLATION_CALLS: usize = 184;
+
+/// §4.2's Algorithm delete as a cost model (ARCHITECTURE §1, the §4.2 row;
+/// ROADMAP item 17): the safety test of an anchored W1 deletion binds each
+/// of the registry's delete probes — one per FROM occurrence of a base
+/// table in an edge view — at most once, however many candidate sources it
+/// tries, and the whole translation stays under an allocator-call ceiling.
+/// Binds are read off the registry's hits: a translation instantiates one
+/// source program per deleted edge and counts each probe it binds.
+#[test]
+fn a_delete_translation_binds_each_probe_at_most_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let db = synthetic_database(&SyntheticConfig::with_size(GROUPS / 4 * GROUP_SIZE));
+    let sys = XmlViewSystem::new(synthetic_atg(&db).expect("synthetic ATG"), db).unwrap();
+    let (vs, base) = (sys.view(), sys.base());
+    let probes: usize = vs.edge_queries().map(|(_, q)| q.from().len() - 1).sum();
+    let deletions = WorkloadGen::new(vs, 7).deletions(WorkloadClass::W1, 16);
+    let (mut translated, mut most_calls, mut most_binds) = (0, 0, 0);
+    for u in &deletions {
+        let delta = xdelete(&sys.evaluate(u.path()));
+        // The first translation compiles the registry; count the rest.
+        translate_deletions(vs, base, &delta).expect("W1 deletions translate");
+        let hits = vs.template_stats().hits;
+        let (_, _, calls) = allocated_by(|| translate_deletions(vs, base, &delta));
+        let binds = (vs.template_stats().hits - hits) as usize - delta.deletes.len();
+        println!(
+            "`{}`: {} edges, {binds} binds, {calls} allocator calls",
+            u.path(),
+            delta.deletes.len()
+        );
+        assert!(
+            binds <= probes,
+            "`{}` bound {binds} probes; the registry holds {probes}",
+            u.path()
+        );
+        translated += 1;
+        most_calls = most_calls.max(calls);
+        most_binds = most_binds.max(binds);
+    }
+    println!(
+        "{translated} translations: at most {most_binds} binds of {probes} probes, \
+         {most_calls} allocator calls"
+    );
+    assert!(translated > 0, "no W1 deletion drawn");
+    assert!(
+        most_calls <= DELETE_TRANSLATION_CALLS,
+        "a W1 delete translation made {most_calls} allocator calls"
+    );
 }
 
 /// Updates per window of the soak, and per engine round.

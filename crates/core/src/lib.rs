@@ -53,7 +53,7 @@ mod pathclass;
 mod plan;
 mod processor;
 pub mod reach;
-pub mod rel_delete;
+mod rel_delete;
 mod rel_insert;
 mod shape;
 mod template;

@@ -14,19 +14,19 @@
 //!
 //! The remaining-tuple check is done with *database queries* rather than a
 //! scan of the whole view: for a candidate source `(S, k)`, every edge view
-//! whose definition mentions `S` is re-evaluated with `S`'s key bound to
-//! `k` (one plan per view and table, compiled in the
-//! [`TranslationTemplates`] registry and run on `k`); the candidate is safe
-//! iff every produced edge is itself in `∆V`
+//! is re-evaluated once per FROM occurrence of `S`, that occurrence's key
+//! bound to `k` (one plan per view and occurrence, compiled in the
+//! [`TranslationTemplates`] registry, bound once per translation and run on
+//! `k`); the candidate is safe iff every produced edge is itself in `∆V`
 //! (this is the "more database queries as `|Ep(r)|` grows" behaviour the
 //! paper reports in Fig.11(g)).
 
-use crate::template::{SourceRef, TranslationTemplates};
+use crate::template::{EdgeProbe, SourceRef, TranslationTemplates};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
-use rxview_relstore::{Database, GroupUpdate, RelError, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use rxview_relstore::{BoundPlan, Database, GroupUpdate, RelError, TableSource, Tuple};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Why a group deletion was rejected.
@@ -119,8 +119,9 @@ pub fn translate_deletions(
     let templates = vs.templates();
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
-    // Cache of source-safety verdicts.
+    // Cache of source-safety verdicts, and the probes bound so far.
     let mut verdict: BTreeMap<SourceRef, bool> = BTreeMap::new();
+    let (mut bound, mut rows) = (HashMap::new(), Vec::new());
     let mut out = GroupUpdate::new();
 
     for &(u, v) in &delta.deletes {
@@ -132,8 +133,7 @@ pub fn translate_deletions(
             });
         };
         // Projection-rule edges join only the gen table: no base source.
-        let has_base = q.from().len() > 1;
-        if !has_base {
+        if q.from().len() <= 1 {
             return Err(DeleteRejection::NotDeletable {
                 view: q.name().to_owned(),
             });
@@ -146,68 +146,54 @@ pub fn translate_deletions(
         })?;
 
         // Find a side-effect-free source (Fig.9 lines 6–9).
-        let mut chosen: Option<SourceRef> = None;
+        let mut chosen = None;
         for sr in sources {
-            if let Some(&ok) = verdict.get(&sr) {
-                if ok {
-                    chosen = Some(sr);
-                    break;
-                }
-                continue;
+            if !verdict.contains_key(&sr) {
+                let safe =
+                    source_is_safe(vs, &aug, &templates, &mut bound, &mut rows, &sr, &deleted)?;
+                verdict.insert(sr.clone(), safe);
             }
-            let safe = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
-            verdict.insert(sr.clone(), safe);
-            if safe {
+            if verdict[&sr] {
                 chosen = Some(sr);
                 break;
             }
         }
-        match chosen {
-            Some(sr) => out.delete(sr.table, sr.key),
-            None => {
-                return Err(DeleteRejection::NoSafeSource {
-                    view: q.name().to_owned(),
-                    tuple: row.to_string(),
-                })
-            }
-        }
+        let Some(sr) = chosen else {
+            return Err(DeleteRejection::NoSafeSource {
+                view: q.name().to_owned(),
+                tuple: row.to_string(),
+            });
+        };
+        out.delete(sr.table, sr.key);
     }
     Ok(out)
 }
 
-/// A source `(S, k)` is safe iff every view tuple whose deletable source
-/// contains it is itself scheduled for deletion (Fig. 9's safety test).
-pub fn source_is_safe(
+/// Fig. 9's safety test: `(S, k)` is safe iff every live view tuple with
+/// `(S, k)` in its deletable source is itself in `∆V`. A probe of `S` binds
+/// one FROM occurrence of `S` to `k`, so each row it yields has `(S, k)` in
+/// its `Sr(Q, t)`. `S`'s probes are bound on its first candidate and kept
+/// in `bound`; every run refills `rows`.
+fn source_is_safe<'a>(
     vs: &ViewStore,
-    aug: &impl rxview_relstore::TableSource,
-    templates: &TranslationTemplates,
+    aug: &'a impl TableSource,
+    templates: &'a TranslationTemplates,
+    bound: &mut HashMap<String, Vec<EdgeProbe<BoundPlan<'a>>>>,
+    rows: &mut Vec<Tuple>,
     sr: &SourceRef,
     deleted: &BTreeSet<(NodeId, NodeId)>,
 ) -> Result<bool, DeleteRejection> {
-    for ((a, b), bound) in templates.bound_views(&sr.table) {
-        let rows = bound
-            .run(aug, sr.key.values())
-            .map_err(DeleteRejection::Rel)?;
-        for row in rows {
-            // A produced row only matters if *this source actually appears*
-            // in its deletable source (self-joins may bind one occurrence).
-            // This per-evaluated-row probe is the delete path's hottest
-            // call site: a few indexed clones per source.
-            let srcs = templates.source_keys((*a, *b), &row);
-            let uses = srcs.map(|s| s.contains(sr)).unwrap_or(true);
-            if !uses {
-                continue;
-            }
-            match vs.edge_from_row(*a, *b, &row) {
-                Some(edge) => {
-                    if !deleted.contains(&edge) {
-                        return Ok(false);
-                    }
-                }
-                // Row does not correspond to a live edge (parent or child
-                // not in the view): deleting the source cannot hurt it.
-                None => continue,
-            }
+    if !bound.contains_key(&sr.table) {
+        let probes = templates.bind_probes(&sr.table, aug)?;
+        bound.insert(sr.table.clone(), probes);
+    }
+    for ((a, b), probe) in &bound[&sr.table] {
+        probe.run_into(sr.key.values(), rows)?;
+        // A row whose parent or child is not in the view is no live edge:
+        // deleting the source cannot hurt it.
+        let live = |row| vs.edge_from_row(*a, *b, row);
+        if rows.iter().filter_map(live).any(|e| !deleted.contains(&e)) {
+            return Ok(false);
         }
     }
     Ok(true)

@@ -24,8 +24,11 @@
 //!   the output position (or constant) each key column's equality class
 //!   resolves to — instantiation is a few indexed clones per source where
 //!   `rxview_reference::closure_source_keys` re-runs the whole union-find
-//!   per candidate row (the `source_is_safe` probe loop ran it per
-//!   *evaluated* row, the hottest call site in the delete path).
+//!   per candidate row;
+//! - per edge view and non-derived FROM occurrence, Algorithm delete's
+//!   safety probe ([`compile_bound`]): each row it yields has the bound
+//!   key among its sources, as every key cell of the `SourceProgram` is an
+//!   output column or a constant of the bound column's class.
 //!
 //! The registry lives in the engine-wide [`crate::plan::PlanCache`] behind
 //! a `OnceLock`, so the analyze dry run, the engine's rounds and recovery
@@ -46,8 +49,8 @@ use crate::plan::PlanCacheStats;
 use crate::rel_insert::{EdgeClosure, InsertRejection};
 use rxview_atg::{Atg, RuleBody};
 use rxview_relstore::{
-    ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjPlan, SpjQuery, TableSchema, Tuple,
-    Value,
+    BoundPlan, ColRef, EqClosure, EqPred, Operand, RelResult, SchemaProvider, SpjPlan, SpjQuery,
+    TableSchema, TableSource, Tuple, Value,
 };
 use rxview_xmlkit::TypeId;
 use std::collections::hash_map::Entry;
@@ -244,26 +247,26 @@ impl SourceProgram {
     }
 }
 
-/// An edge view `(A, B)` compiled bound to one row of a base table.
-pub(crate) type BoundView = ((TypeId, TypeId), SpjPlan);
+/// A delete probe of edge `(A, B)`: its plan, compiled or bound.
+pub(crate) type EdgeProbe<P> = ((TypeId, TypeId), P);
 
-/// Edge view `q` restricted to one row of base table `table`, compiled:
-/// every FROM entry of `table` gets its key columns equated with parameters
-/// — `$i` is the `i`-th key column — so one plan serves every candidate
-/// source `(table, key)` by running on `key`'s values.
-fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, table: &str) -> SpjPlan {
-    let key = provider.schema_of(table).expect("FROM table known").key();
+/// Edge view `q` with FROM occurrence `rel`'s key columns equated to
+/// parameters — `$i` after `q`'s own is the `i`-th key column — compiled:
+/// run on a key `k` of that occurrence's table, the plan yields exactly the
+/// view's rows whose `rel` source is `k`.
+fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, rel: usize) -> SpjPlan {
+    let tr = &q.from()[rel];
+    let key = provider
+        .schema_of(&tr.table)
+        .expect("FROM table known")
+        .key();
     let mut predicates = q.predicates().to_vec();
-    for (rel, tr) in q.from().iter().enumerate() {
-        if tr.table == table {
-            predicates.extend(key.iter().enumerate().map(|(i, &col)| EqPred {
-                left: Operand::Col(ColRef { rel, col }),
-                right: Operand::Param(q.n_params() + i),
-            }));
-        }
-    }
+    predicates.extend(key.iter().enumerate().map(|(i, &col)| EqPred {
+        left: Operand::Col(ColRef { rel, col }),
+        right: Operand::Param(q.n_params() + i),
+    }));
     let bound = SpjQuery::from_parts(
-        format!("{}__bound_{table}", q.name()),
+        format!("{}__bound_{}", q.name(), tr.alias),
         q.from().to_vec(),
         predicates,
         q.projection().to_vec(),
@@ -313,11 +316,12 @@ pub struct TranslationTemplates {
     /// `None` payload: the edge view exists but is not key-preserving in
     /// the generalized sense.
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
-    /// Per base table, every edge view whose definition mentions it,
-    /// compiled bound to one row of that table ([`compile_bound`]), in edge
-    /// order — what the delete side's safety probes evaluate.
-    bound: HashMap<String, Vec<BoundView>>,
-    /// Successful template instantiations (insert + delete probes).
+    /// Per base table, the delete side's safety probes: one per FROM
+    /// occurrence of the table in an edge view ([`compile_bound`]), in edge
+    /// order.
+    bound: HashMap<String, Vec<EdgeProbe<SpjPlan>>>,
+    /// Registry entries used: insert templates and source programs
+    /// instantiated, delete probes bound.
     hits: AtomicU64,
     /// Templates compiled (fixed after construction).
     compiles: u64,
@@ -363,19 +367,16 @@ impl TranslationTemplates {
                         compiles += 1;
                         // Entry 0 is the derived `gen_parent`, never a source.
                         for (rel, tr) in q.from().iter().enumerate().skip(1) {
-                            if q.from()[1..rel].iter().all(|seen| seen.table != tr.table) {
-                                let plan = compile_bound(&provider, &q, &tr.table);
-                                let views: &mut Vec<_> = bound.entry(tr.table.clone()).or_default();
-                                views.push(((a, b), plan));
-                                compiles += 1;
-                            }
+                            let probes: &mut Vec<_> = bound.entry(tr.table.clone()).or_default();
+                            probes.push(((a, b), compile_bound(&provider, &q, rel)));
+                            compiles += 1;
                         }
                     }
                 }
             }
         }
-        for views in bound.values_mut() {
-            views.sort_unstable_by_key(|(edge, _)| *edge);
+        for probes in bound.values_mut() {
+            probes.sort_by_key(|(edge, _)| *edge);
         }
         TranslationTemplates {
             insert,
@@ -432,17 +433,27 @@ impl TranslationTemplates {
         program.as_ref().map(|p| p.instantiate(out))
     }
 
-    /// The edge views whose definition mentions base table `table`, each
-    /// compiled bound to one row of it: run on a key of `table`, a plan
-    /// yields the view's rows that row contributes to. In edge order; empty
-    /// for a table no edge view reads.
-    pub fn bound_views(&self, table: &str) -> &[BoundView] {
-        self.bound.get(table).map_or(&[], Vec::as_slice)
+    /// Binds `table`'s delete probes to `source`: run on a key `k` of
+    /// `table`, a probe of edge `(A, B)` yields the rows of that edge view
+    /// with `(table, k)` in their deletable source through one FROM
+    /// occurrence. In edge order; empty for a table no edge view reads.
+    pub(crate) fn bind_probes<'a, S: TableSource + ?Sized>(
+        &'a self,
+        table: &str,
+        source: &'a S,
+    ) -> RelResult<Vec<EdgeProbe<BoundPlan<'a>>>> {
+        let probes = self.bound.get(table).map_or(&[][..], Vec::as_slice);
+        self.hits.fetch_add(probes.len() as u64, Ordering::Relaxed);
+        probes
+            .iter()
+            .map(|(edge, plan)| Ok((*edge, plan.bind(source)?)))
+            .collect()
     }
 
-    /// Counters in the plan-cache shape: `hits` are successful
-    /// instantiations; `misses`/`compiles` are the one-shot compile pass
-    /// (fixed after construction, so steady-state hit rate → 1).
+    /// Counters in the plan-cache shape: `hits` are registry entries used
+    /// (instantiations and probes bound); `misses`/`compiles` are the
+    /// one-shot compile pass (fixed after construction, so steady-state
+    /// hit rate → 1).
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),

@@ -5,16 +5,17 @@
 //! program every deletion runs) is held equal to
 //! (`tests/reference_oracles.rs`). It keeps its own union-find; production
 //! derives classes once per query (`SpjQuery::eq_closure`).
+//! [`source_is_safe`] is Fig. 9's safety test read off the whole view, and
 //! [`translate_deletions_minimal`] is Theorem 3's minimal view deletion as a
-//! greedy set cover over Fig. 9's safe sources; production translates with
-//! Algorithm delete alone (`rxview_core::translate_deletions`).
+//! greedy set cover over the sources it finds safe; production translates
+//! with Algorithm delete alone (`rxview_core::translate_deletions`), whose
+//! bound probes `tests/reference_oracles.rs` holds to this test.
 
 use rxview_atg::NodeId;
-use rxview_core::rel_delete::{source_is_safe, DeleteRejection};
-use rxview_core::{SourceRef, ViewDelta, ViewStore};
+use rxview_core::{DeleteRejection, SourceRef, ViewDelta, ViewStore};
 use rxview_relstore::{
-    ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider, SpjQuery, Tuple,
-    Value,
+    eval_spj, ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider,
+    SpjQuery, Tuple, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -163,6 +164,41 @@ pub fn closure_source_keys(
     Ok(Some(result))
 }
 
+/// Fig. 9's safety test, transcribed: a source `(S, k)` is safe for the
+/// group deletion `deleted` iff no live edge outside it has `(S, k)` in its
+/// deletable source. Every edge view whose FROM mentions `S` is evaluated
+/// in full over the augmented database, its projection extended by each
+/// FROM entry's key (§4.1's repair, [`SpjQuery::make_key_preserving`]), so
+/// that [`deletable_source`] reads `Sr(Q, t)` off each row.
+pub fn source_is_safe(
+    vs: &ViewStore,
+    base: &Database,
+    sr: &SourceRef,
+    deleted: &BTreeSet<(NodeId, NodeId)>,
+) -> RelResult<bool> {
+    let aug = vs.augmented(base);
+    for (&(a, b), q) in vs.edge_queries() {
+        if q.from().iter().all(|tr| tr.table != sr.table) {
+            continue;
+        }
+        let mut kp = q.clone();
+        kp.make_key_preserving(&aug)?;
+        for row in eval_spj(&aug, &kp, &[])? {
+            if !deletable_source(&kp, &aug, &row)?.contains(sr) {
+                continue;
+            }
+            let t = Tuple::from_values(row.values()[..q.out_arity()].iter().cloned());
+            if vs
+                .edge_from_row(a, b, &t)
+                .is_some_and(|edge| !deleted.contains(&edge))
+            {
+                return Ok(false);
+            }
+        }
+    }
+    Ok(true)
+}
+
 /// The *minimal view deletion* problem (§4.2): find the smallest `∆R`.
 /// NP-complete even under key preservation (Theorem 3, by reduction from
 /// minimal set cover), so this is a greedy set-cover heuristic: it
@@ -175,8 +211,7 @@ pub fn translate_deletions_minimal(
     base: &Database,
     delta: &ViewDelta,
 ) -> Result<GroupUpdate, DeleteRejection> {
-    let aug = vs.augmented(base);
-    let templates = vs.templates();
+    let provider = vs.atg().augmented_schemas();
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
     // Safe-source candidates per deleted edge.
@@ -200,7 +235,7 @@ pub fn translate_deletions_minimal(
             .genid()
             .gen_row(u)
             .concat(vs.dag().genid().attr_of(v));
-        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
+        let sources = closure_source_keys(q, &provider, &row, &[0])?.ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),
             })
@@ -210,7 +245,7 @@ pub fn translate_deletions_minimal(
             let ok = match verdict.get(&sr) {
                 Some(&ok) => ok,
                 None => {
-                    let ok = source_is_safe(vs, &aug, &templates, &sr, &deleted)?;
+                    let ok = source_is_safe(vs, base, &sr, &deleted)?;
                     verdict.insert(sr.clone(), ok);
                     ok
                 }
@@ -516,6 +551,24 @@ mod tests {
             .genid()
             .lookup(student, &tuple!["S02", "Bob"])
             .is_none());
+    }
+
+    #[test]
+    fn a_source_is_safe_once_every_edge_it_feeds_is_deleted() {
+        let (db, vs, topo, reach) = registrar();
+        // course(CS240) feeds the top-level listing and CS320's prereq.
+        let sr = SourceRef {
+            table: "course".into(),
+            key: tuple!["CS240"],
+        };
+        let deleted = |path| -> BTreeSet<_> {
+            let delta = delta_for(&vs, &topo, &reach, path);
+            delta.deletes.into_iter().collect()
+        };
+        let top = deleted("course[cno=CS240]");
+        assert!(!source_is_safe(&vs, &db, &sr, &top).unwrap());
+        let every = deleted("//course[cno=CS240]");
+        assert!(source_is_safe(&vs, &db, &sr, &every).unwrap());
     }
 
     #[test]

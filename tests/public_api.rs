@@ -28,7 +28,7 @@ const PINNED: [(&str, &str); 7] = [
          TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport ViewDelta \
          ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system delete_pass \
          encode_system eval_plan insert_job planned_delete_writes planned_insert_writes \
-         put_update reach:: rel_delete:: resolve_anchors scope_of_anchors sub_steps \
+         put_update reach:: resolve_anchors scope_of_anchors sub_steps \
          translate_deletions union_scope xdelete",
     ),
     (

@@ -10,26 +10,37 @@
 //!   equals [`classify`], for every path of random registrar and synthetic
 //!   update streams, re-checked as the updates change the state;
 //! - **translation** — for every production edge of the registrar and
-//!   synthetic grammars, and of a grammar whose rule queries pin equality
-//!   classes twice (so a closure can be inconsistent),
-//!   [`TranslationTemplates::instantiate_insert`] equals
+//!   synthetic grammars, of a grammar whose rule queries pin equality
+//!   classes twice (so a closure can be inconsistent) and of a self-join
+//!   chain, [`TranslationTemplates::instantiate_insert`] equals
 //!   [`compute_edge_closure`] — same closure, same rejection — and
 //!   [`TranslationTemplates::source_keys`] equals [`closure_source_keys`],
-//!   over random attribute tuples and output rows.
+//!   over random attribute tuples and output rows;
+//! - **Algorithm delete** (§4.2, Fig. 9) — its ∆R or rejection equals the
+//!   first source per deleted edge that [`source_is_safe`], the safety
+//!   test read off the whole view, accepts, on registrar, synthetic and
+//!   self-join deletions.
 
 mod common;
 
-use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic};
+use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic, Op, COURSES};
 use proptest::prelude::*;
 use rxview::atg::{Atg, RuleBody};
-use rxview::core::{classify, SideEffectPolicy, TranslationTemplates, XmlViewSystem};
-use rxview::relstore::{schema, Database, SchemaProvider, SpjQuery, Tuple, Value, ValueType};
+use rxview::core::{
+    classify, translate_deletions, xdelete, DeleteRejection, SideEffectPolicy,
+    TranslationTemplates, UpdateError, ViewDelta, ViewStore, XmlUpdate, XmlViewSystem,
+};
+use rxview::relstore::{
+    schema, Database, GroupUpdate, SchemaProvider, SpjQuery, Tuple, Value, ValueType,
+};
 use rxview::workload::{
     mixed_updates, registrar_atg, registrar_database, synthetic_atg, synthetic_database,
     SyntheticConfig,
 };
 use rxview::xmlkit::{parse_xpath, Dtd, XPath};
-use rxview_reference::{closure_source_keys, compute_edge_closure, eval_xpath_on_dag};
+use rxview_reference::{
+    closure_source_keys, compute_edge_closure, eval_xpath_on_dag, source_is_safe,
+};
 
 /// The compiled full pass equals §3.2 verbatim on every field of the
 /// result, and the plan's class equals the direct classification.
@@ -181,10 +192,12 @@ fn grammars() -> Vec<(&'static str, Database, Atg)> {
     let synthetic_db = synthetic_database(&SyntheticConfig::with_size(40));
     let synthetic = synthetic_atg(&synthetic_db).expect("valid ATG");
     let (twice_db, twice) = twice_pinned_grammar();
+    let (chain_db, chain) = chain_grammar(&[("a", "b"), ("b", "c")]);
     vec![
         ("registrar", registrar_db, registrar),
         ("synthetic", synthetic_db, synthetic),
         ("twice-pinned", twice_db, twice),
+        ("chain", chain_db, chain),
     ]
 }
 
@@ -293,4 +306,199 @@ proptest! {
         }
         prop_assert!(instantiated > 0, "no key-preserving edge view exercised");
     }
+}
+
+/// The self-join grammar of §4.2's regression cases (ARCHITECTURE §1, the
+/// §4.2 row): `doc → pair*`, `pair → (l, r)`, one `pair` per link `x → y`
+/// of table `n(id, next)` whose target is itself a row — `n x ⋈ n y` on
+/// `x.next = y.id`. Each `pair` has two sources in one table, `n(x)` and
+/// `n(y)`.
+fn chain_grammar(links: &[(&str, &str)]) -> (Database, Atg) {
+    let mut db = Database::new();
+    db.create_table(schema("n").col_str("id").col_str("next").key(&["id"]))
+        .expect("fresh database");
+    for &(id, next) in links {
+        db.insert(
+            "n",
+            Tuple::from_values([Value::from(id), Value::from(next)]),
+        )
+        .expect("distinct ids");
+    }
+    let q_doc_pair = SpjQuery::builder("Qdoc_pair")
+        .from("n", "x")
+        .from("n", "y")
+        .where_col_eq_col(("x", "next"), ("y", "id"))
+        .project(("x", "id"), "l")
+        .project(("y", "id"), "r")
+        .build(&db)
+        .expect("valid query");
+    let mut dtd = Dtd::builder("doc");
+    dtd.star("doc", "pair").expect("fresh builder");
+    dtd.sequence("pair", &["l", "r"]).expect("fresh builder");
+    let mut b = Atg::builder(dtd.build().expect("valid DTD"));
+    b.attr("doc", &[])
+        .attr("pair", &["l", "r"])
+        .attr("l", &["l"])
+        .attr("r", &["r"]);
+    b.rule_query("doc", "pair", q_doc_pair, &[])
+        .rule_project("pair", "l", &["l"])
+        .rule_project("pair", "r", &["r"]);
+    let atg = b.build(&db).expect("valid ATG");
+    (db, atg)
+}
+
+fn chain(links: &[(&str, &str)]) -> XmlViewSystem {
+    let (db, atg) = chain_grammar(links);
+    XmlViewSystem::new(atg, db).expect("publishes")
+}
+
+/// Fig. 9 on a self-join: `pair(b, c)`'s sources are `n(b)` and `n(c)`,
+/// and `n(b)` is also the `y` source of `pair(a, b)`, which stays — so the
+/// only safe source is `n(c)`. A probe that binds both occurrences of `n`
+/// to `b` at once finds no other pair and deletes `n(b)`, taking `pair(a,
+/// b)` with it.
+#[test]
+fn a_self_join_deletes_the_source_no_remaining_pair_shares() {
+    let mut sys = chain(&[("a", "b"), ("b", "c"), ("c", "z")]);
+    let delete = XmlUpdate::delete("pair[l=b]").expect("path parses");
+    let report = sys
+        .apply(&delete, SideEffectPolicy::Abort)
+        .expect("n(c) is a safe source");
+    let mut want = GroupUpdate::new();
+    want.delete("n", Tuple::from_values([Value::from("c")]));
+    assert_eq!(report.delta_r, want);
+    sys.consistency_check()
+        .expect("view equals its republication");
+}
+
+/// Fig. 9 on a cycle: `pair(a, b)`'s sources `n(a)` and `n(b)` are both
+/// sources of `pair(b, a)`, so the deletion has no safe source under
+/// either policy.
+#[test]
+fn a_self_join_cycle_has_no_safe_source() {
+    for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+        let mut sys = chain(&[("a", "b"), ("b", "a")]);
+        let delete = XmlUpdate::delete("pair[l=a]").expect("path parses");
+        let err = sys.apply(&delete, policy).expect_err("no safe source");
+        assert!(
+            matches!(
+                err,
+                UpdateError::Delete(DeleteRejection::NoSafeSource { .. })
+            ),
+            "{policy:?}: {err}"
+        );
+        sys.consistency_check().expect("a rejection writes nothing");
+    }
+}
+
+/// Algorithm delete (Fig. 9) over the reference's safety test: per deleted
+/// edge in order, the first candidate source that test finds safe, or
+/// `NoSafeSource`.
+fn fig9_reference(
+    vs: &ViewStore,
+    base: &Database,
+    delta: &ViewDelta,
+) -> Result<GroupUpdate, DeleteRejection> {
+    let provider = vs.atg().augmented_schemas();
+    let deleted = delta.deletes.iter().copied().collect();
+    let genid = vs.dag().genid();
+    let mut out = GroupUpdate::new();
+    for &(u, v) in &delta.deletes {
+        let q = vs
+            .edge_query(genid.type_of(u), genid.type_of(v))
+            .expect("the fixtures delete query edges");
+        let row = genid.gen_row(u).concat(genid.attr_of(v));
+        let sources = closure_source_keys(q, &provider, &row, &[0])
+            .expect("arity-correct row over known tables")
+            .expect("the fixtures' edge views are key-preserving");
+        let mut safe = sources
+            .into_iter()
+            .filter(|sr| source_is_safe(vs, base, sr, &deleted).expect("views evaluate"));
+        match safe.next() {
+            Some(sr) => out.delete(sr.table, sr.key),
+            None => {
+                return Err(DeleteRejection::NoSafeSource {
+                    view: q.name().to_owned(),
+                    tuple: row.to_string(),
+                })
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Production's Algorithm delete equals [`fig9_reference`] on `update`'s
+/// ∆V in `sys`'s current state; `tally` counts (accepted, rejected).
+fn check_deletion(sys: &XmlViewSystem, update: &XmlUpdate, tally: &mut (usize, usize)) {
+    let delta = xdelete(&sys.evaluate(update.path()));
+    if delta.deletes.is_empty() {
+        return;
+    }
+    let got = translate_deletions(sys.view(), sys.base(), &delta);
+    let want = fig9_reference(sys.view(), sys.base(), &delta);
+    assert_eq!(got, want, "`{}`", update.path());
+    match got {
+        Ok(_) => tally.0 += 1,
+        Err(_) => tally.1 += 1,
+    }
+}
+
+/// Fig. 9's verdicts (ARCHITECTURE §1, the §4.2 row): production's bound
+/// probes choose the source — or reject — exactly as the safety test read
+/// off the whole view does, on the registrar deletions, on synthetic W1–W3
+/// deletion streams and on self-joins (chains, a cycle, a self-loop).
+#[test]
+fn algorithm_delete_equals_the_transcribed_safety_test() {
+    let mut tally = (0, 0);
+    let registrar = registrar();
+    for phrasing in 0..3 {
+        for a in 0..6 {
+            for b in 0..4 {
+                let ops = [
+                    Op::DeletePrereq {
+                        parent: a % 4,
+                        child: b,
+                    },
+                    Op::DeleteStudentEverywhere { ssn: a },
+                    Op::DeleteStudentOf { ssn: a, course: b },
+                ];
+                for op in &ops {
+                    if let Some(u) = registrar_update(op, phrasing) {
+                        check_deletion(&registrar, &u, &mut tally);
+                    }
+                }
+            }
+        }
+    }
+    for (cno, _) in COURSES {
+        let u = XmlUpdate::delete(&format!("course[cno={cno}]")).expect("path parses");
+        check_deletion(&registrar, &u, &mut tally);
+    }
+    for seed in 0..4 {
+        let mut sys = synthetic(240, seed);
+        for u in mixed_updates(&sys, seed, &[false; 12]) {
+            check_deletion(&sys, &u, &mut tally);
+            let _ = sys.apply(&u, SideEffectPolicy::Proceed);
+        }
+    }
+    let chains: [&[(&str, &str)]; 3] = [
+        &[("a", "b"), ("b", "c"), ("c", "z")],
+        &[("a", "b"), ("b", "a")],
+        &[("a", "b"), ("b", "c"), ("c", "a"), ("d", "d"), ("e", "b")],
+    ];
+    for links in chains {
+        let sys = chain(links);
+        for id in ["a", "b", "c", "d", "e"] {
+            for path in [format!("pair[l={id}]"), format!("pair[r={id}]")] {
+                let u = XmlUpdate::delete(&path).expect("path parses");
+                check_deletion(&sys, &u, &mut tally);
+            }
+        }
+        check_deletion(
+            &sys,
+            &XmlUpdate::delete("pair").expect("parses"),
+            &mut tally,
+        );
+    }
+    assert!(tally.0 > 0 && tally.1 > 0, "accepted, rejected: {tally:?}");
 }
