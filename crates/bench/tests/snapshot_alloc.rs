@@ -559,6 +559,53 @@ fn a_delete_translation_binds_each_probe_at_most_once() {
     );
 }
 
+/// Allocator calls an anchored W1 or W2 insertion's `apply_deferred` may
+/// make at 32 groups: the largest of the sixteen drawn, 238 (the first;
+/// the rest made 122–130), + 5 %. When phase 2 planned its join per call
+/// and materialised its rows, the same sixteen made 294–410.
+const INSERT_TRANSLATION_CALLS: usize = 250;
+
+/// §4.3's Algorithm insert as a cost model (ARCHITECTURE §1, the §4.3 row;
+/// ROADMAP items 1(d) and 17): an anchored W1 or W2 insertion of a fresh
+/// node through `apply_deferred` — Xinsert, the side-effect join over the
+/// registry's side-effect plans, compiled once, and `∆R` applied; the fold
+/// and the evaluation are outside the count — stays under an
+/// allocator-call ceiling. The translation itself is crate-private, so the
+/// count holds Xinsert and the relational apply too; neither changes with
+/// how phase 2 joins.
+#[test]
+fn an_insert_translation_stays_under_its_allocation_ceiling() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let db = synthetic_database(&SyntheticConfig::with_size(GROUPS / 4 * GROUP_SIZE));
+    let mut sys = XmlViewSystem::new(synthetic_atg(&db).expect("synthetic ATG"), db).unwrap();
+    let insertions = {
+        let mut gen = WorkloadGen::new(sys.view(), 7);
+        [WorkloadClass::W1, WorkloadClass::W2].map(|class| gen.insertions(class, 8))
+    };
+    // The registry compiles on its first use; count what follows it.
+    sys.view().templates();
+    let mut most_calls = 0;
+    for u in insertions.concat() {
+        let eval = sys.eval(u.path());
+        let (applied, _, calls) =
+            allocated_by(|| sys.apply_deferred(&u, SideEffectPolicy::Proceed, eval));
+        let (report, job) = applied.expect("fresh-node insertions translate");
+        let Ok(_) = sys.fold_maintenance(vec![job]);
+        println!(
+            "`{}`: {} edges, ∆R of {}, {calls} allocator calls",
+            u.path(),
+            report.delta_v_len,
+            report.delta_r.len()
+        );
+        most_calls = most_calls.max(calls);
+    }
+    println!("at most {most_calls} allocator calls");
+    assert!(
+        most_calls <= INSERT_TRANSLATION_CALLS,
+        "a W1/W2 insertion made {most_calls} allocator calls"
+    );
+}
+
 /// Updates per window of the soak, and per engine round.
 const WINDOW: usize = 32;
 

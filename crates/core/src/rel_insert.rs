@@ -25,28 +25,35 @@
 //!    with domain and mutual-exclusion clauses; the formula goes to WalkSAT
 //!    (the paper's solver \[30\], at fixed noise, flip budget and seed),
 //!    with a complete DPLL fallback on instances of at most 24 propositions.
+//!    The formula is canonical — variables numbered by first occurrence in
+//!    the templates, literals and clauses sorted and deduplicated — so `∆R`
+//!    is a function of the clause set, not of the order the join found it.
 //! 4. **Decode `∆R`.** Templates are instantiated from the model; unpinned
 //!    infinite-domain variables get fresh constants outside the active
 //!    domain (Theorem 4's construction).
 //!
-//! The translation derives no equality closure (the interpretive
+//! The translation compiles nothing per call. Both phases read the
+//! [`TranslationTemplates`] registry: phase 1 the rule's
+//! [`rxview_relstore::SpjQuery::eq_closure`] (the interpretive
 //! `rxview_reference::compute_edge_closure` is the reference it is tested
-//! against): both phases read the one
-//! [`rxview_relstore::SpjQuery::eq_closure`] computed per rule and per edge
-//! view when the [`TranslationTemplates`] registry compiles. What phase 2
-//! still does per call is what reads the tables — the greedy join order,
-//! whose tie-break is table size, and the join itself.
+//! against), phase 2 one [`SpjPlan`] per (edge view, set of FROM entries
+//! read from the templates), compiled by the relstore's one planner with
+//! those entries placed first. Phase 2 walks that plan's steps over
+//! symbolic rows ([`SymJoin`]); what it still does per call is read the
+//! tables.
 
-use crate::template::{TranslationTemplates, ViewClasses};
+use crate::template::TranslationTemplates;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
-    ColRef, Database, Domain, EqClosure, GroupUpdate, Operand, Probe, RelError, RowSource,
-    SpjQuery, Table, TableSchema, Tuple, Value, ValueType,
+    ColRef, Database, Domain, EqClosure, GroupUpdate, PlanAccess, PlanSrc, PlanStep, Probe,
+    RelError, RowSource, SpjPlan, SpjQuery, Table, Tuple, Value, ValueType,
 };
-use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Var as PropVar, WalkSatResult};
+use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Lit, Var as PropVar, WalkSatResult};
 use rxview_xmlkit::TypeId;
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -279,126 +286,128 @@ pub(crate) fn translate_insertions(
     }
 
     // ---- Phase 2: side-effect detection over the incremented database. ----
-    let mut by_table: BTreeMap<&str, Vec<&Template>> = BTreeMap::new();
-    for t in templates.values() {
-        by_table.entry(t.table.as_str()).or_default().push(t);
-    }
-    let side = SideEffects {
-        vs,
-        by_table,
-        wanted: delta.inserts.iter().copied().collect(),
-    };
-
+    // Phase 2 binds no variable, so each cell resolves once. The templates
+    // are in (table, key) order.
+    let templates: Vec<Template> = templates
+        .into_values()
+        .map(|t| Template {
+            cells: t.cells.iter().map(|s| vars.resolve(s)).collect(),
+            table: t.table,
+        })
+        .collect();
+    let wanted: BTreeSet<(NodeId, NodeId)> = delta.inserts.iter().copied().collect();
     let mut clauses: Vec<Vec<Cond>> = Vec::new(); // each to be negated
-    for (&(a, b), q) in vs.edge_queries() {
-        // Entry 0 is the maintained gen table, never a template.
-        let template_slots: Vec<usize> = (1..q.from().len())
-            .filter(|&i| side.by_table.contains_key(q.from()[i].table.as_str()))
+    for (&edge, q) in vs.edge_queries() {
+        let of_entry: Vec<&[Template]> = q
+            .from()
+            .iter()
+            .map(|tr| {
+                let lo = templates.partition_point(|t| t.table < tr.table);
+                let n = templates[lo..].partition_point(|t| t.table == tr.table);
+                &templates[lo..lo + n]
+            })
             .collect();
-        if template_slots.is_empty() {
+        // Bit `i - 1` is entry `i`, read from its templates; entry 0 is the
+        // maintained gen table, never a template.
+        let slots = (1..of_entry.len())
+            .filter(|&i| !of_entry[i].is_empty())
+            .fold(0usize, |slots, i| slots | 1 << (i - 1));
+        if slots == 0 {
             continue;
         }
-        let mut tables: Vec<&dyn RowSource> = vec![vs.dag().genid().table(a)];
+        let mut tables: Vec<&dyn RowSource> = vec![vs.dag().genid().table(edge.0)];
         for tr in &q.from()[1..] {
             tables.push(base.table(&tr.table)?);
         }
-        let view = JoinView {
-            q,
-            edge: (a, b),
-            classes: compiled.view_classes((a, b)),
-            tables,
-        };
-        // Every non-empty subset of the template slots.
-        for mask in 1..1usize << template_slots.len() {
-            let mut as_template = vec![false; q.from().len()];
-            for (bit, &slot) in template_slots.iter().enumerate() {
-                as_template[slot] = mask & (1 << bit) != 0;
+        // Every non-empty subset of the template slots, in increasing order.
+        let mut mask = 0usize;
+        loop {
+            mask = mask.wrapping_sub(slots) & slots;
+            if mask == 0 {
+                break;
             }
-            eval_combination(&side, &view, &as_template, &mut vars, &mut clauses)?;
+            let plan = compiled.side_effect_plan(edge, mask);
+            SymJoin {
+                plan,
+                tables: &tables,
+                templates: &of_entry,
+                mask: mask << 1,
+                vars: &vars,
+                bound: vec![Cell::new(None); plan.steps().len()],
+                vs,
+                wanted: &wanted,
+                edge,
+                view: q.name(),
+            }
+            .run(&mut clauses)?;
         }
     }
 
     // ---- Phase 3: SAT encoding and solving. ----
+    let finite = |v: usize| matches!(vars.domain[v], Domain::Finite(_));
+    let mut pending: Vec<Vec<(usize, &Value)>> = Vec::new();
+    let mut used_vars: BTreeSet<usize> = BTreeSet::new();
+    for conds in &clauses {
+        // A condition on an infinite-domain variable is avoided by a fresh
+        // constant (two fresh constants differ), wherever it sits.
+        let avoidable = |c: &Cond| match *c {
+            Cond::VarConst(v, _) => !finite(v),
+            Cond::VarVar(x, y) => !finite(x) || !finite(y),
+        };
+        if conds.iter().any(avoidable) {
+            continue;
+        }
+        let atoms = conds.iter().map(|c| match c {
+            Cond::VarConst(v, val) => Some((*v, val)),
+            Cond::VarVar(..) => None,
+        });
+        let atoms: Vec<_> = atoms
+            .collect::<Option<_>>()
+            .ok_or(InsertRejection::UnsupportedCondition)?;
+        used_vars.extend(atoms.iter().map(|&(v, _)| v));
+        pending.push(atoms);
+    }
+    // Propositions per used variable, in the order the variables first
+    // occur in the templates, one per domain value in domain order.
     let mut formula = CnfFormula::new();
     let mut prop: BTreeMap<(usize, Value), PropVar> = BTreeMap::new();
-    let mut used_vars: BTreeSet<usize> = BTreeSet::new();
-    {
-        // Collect propositions per clause.
-        let mut pending: Vec<Vec<(usize, Value)>> = Vec::new();
-        for conds in &clauses {
-            let mut atoms = Vec::new();
-            let mut skip = false;
-            for c in conds {
-                match c {
-                    Cond::VarConst(v, val) => {
-                        let r = vars.find(*v);
-                        if !vars.is_finite(r) {
-                            // Avoidable with a fresh constant.
-                            skip = true;
-                            break;
-                        }
-                        atoms.push((r, val.clone()));
-                    }
-                    Cond::VarVar(x, y) => {
-                        let (rx, ry) = (vars.find(*x), vars.find(*y));
-                        if !vars.is_finite(rx) || !vars.is_finite(ry) {
-                            skip = true; // fresh constants differ
-                            break;
-                        }
-                        return Err(InsertRejection::UnsupportedCondition);
-                    }
-                }
+    for t in &templates {
+        for s in &t.cells {
+            let Sym::Var(v) = *s else { continue };
+            if !used_vars.remove(&v) {
+                continue;
             }
-            if !skip {
-                if atoms.is_empty() {
-                    // Unconditional side effect slipped through (defensive).
-                    return Err(InsertRejection::SideEffect {
-                        view: "<encoded>".into(),
-                    });
-                }
-                for (v, _) in &atoms {
-                    used_vars.insert(*v);
-                }
-                pending.push(atoms);
-            }
-        }
-        // Allocate propositions.
-        for &v in &used_vars {
-            for val in vars.domain_values(v) {
-                let pv = formula.new_var();
-                prop.insert((v, val), pv);
-            }
-        }
-        // Domain + exclusion clauses.
-        for &v in &used_vars {
             let vals = vars.domain_values(v);
-            let lits: Vec<_> = vals.iter().map(|c| prop[&(v, c.clone())].pos()).collect();
-            formula.add_clause(lits);
-            for i in 0..vals.len() {
-                for j in i + 1..vals.len() {
-                    formula.add_not_both(prop[&(v, vals[i].clone())], prop[&(v, vals[j].clone())]);
+            let props: Vec<PropVar> = vals.iter().map(|_| formula.new_var()).collect();
+            // Domain + exclusion clauses.
+            formula.add_clause(props.iter().map(|p| p.pos()));
+            for i in 0..props.len() {
+                for j in i + 1..props.len() {
+                    formula.add_not_both(props[i], props[j]);
                 }
             }
+            prop.extend(vals.into_iter().map(|val| (v, val)).zip(props));
         }
-        // Negated side-effect conditions.
-        for atoms in pending {
-            let mut lits = Vec::new();
-            let mut tautology = false;
-            for (v, val) in atoms {
-                match prop.get(&(v, val.clone())) {
-                    Some(p) => lits.push(p.neg()),
-                    // Value outside the variable's domain: condition can
-                    // never hold.
-                    None => {
-                        tautology = true;
-                        break;
-                    }
-                }
-            }
-            if !tautology {
-                formula.add_clause(lits);
-            }
-        }
+    }
+    // Negated side-effect conditions, canonical: each clause's literals and
+    // the clauses sorted and deduplicated. (Phase 2 keeps a row only if
+    // each value is in its variable's domain, so each has a proposition.)
+    let mut negated: Vec<Vec<Lit>> = pending
+        .into_iter()
+        .map(|atoms| {
+            let mut lits: Vec<Lit> = atoms
+                .into_iter()
+                .map(|(v, val)| prop[&(v, val.clone())].neg())
+                .collect();
+            lits.sort_unstable();
+            lits.dedup();
+            lits
+        })
+        .collect();
+    negated.sort_unstable();
+    negated.dedup();
+    for lits in negated {
+        formula.add_clause(lits);
     }
 
     let mut sat_used = false;
@@ -426,11 +435,10 @@ pub(crate) fn translate_insertions(
     let mut fresh_counter = 0usize;
     let mut fresh_values: HashMap<usize, Value> = HashMap::new();
     let mut delta_r = GroupUpdate::new();
-    let template_list: Vec<Template> = templates.into_values().collect();
-    for t in &template_list {
+    for t in templates {
         let mut cells = Vec::with_capacity(t.cells.len());
-        for s in &t.cells {
-            let value = match vars.resolve(s) {
+        for s in t.cells {
+            let value = match s {
                 Sym::Known(v) => v,
                 Sym::Var(r) => {
                     if let Some(v) = fresh_values.get(&r) {
@@ -444,12 +452,11 @@ pub(crate) fn translate_insertions(
             };
             cells.push(value);
         }
-        delta_r.insert(t.table.clone(), Tuple::from_values(cells));
+        delta_r.insert(t.table, Tuple::from_values(cells));
     }
 
     Ok(InsertTranslation { delta_r, sat_used })
 }
-
 fn decode_var(
     vars: &mut Vars,
     r: usize,
@@ -522,10 +529,10 @@ impl EdgeClosure {
     }
 }
 
-/// A closure plus the schemas of its FROM entries (borrowed from `base`,
-/// looked up per call).
+/// A closure plus the tables of its FROM entries, each resolved in `base`
+/// once per inserted edge.
 struct EdgeBinding<'a> {
-    schemas: Vec<&'a TableSchema>,
+    tables: Vec<&'a Table>,
     closure: EdgeClosure,
 }
 
@@ -537,16 +544,13 @@ fn edge_binding<'a>(
     parent_attr: &Tuple,
     child_attr: &Tuple,
 ) -> Result<EdgeBinding<'a>, InsertRejection> {
-    let mut schemas: Vec<&TableSchema> = Vec::with_capacity(query.from().len());
-    for tr in query.from() {
-        schemas.push(
-            base.table(&tr.table)
-                .map_err(InsertRejection::Rel)?
-                .schema(),
-        );
-    }
+    let tables = query
+        .from()
+        .iter()
+        .map(|tr| base.table(&tr.table))
+        .collect::<Result<Vec<_>, _>>()?;
     let closure = templates.instantiate_insert(edge, parent_attr, child_attr)?;
-    Ok(EdgeBinding { schemas, closure })
+    Ok(EdgeBinding { tables, closure })
 }
 
 /// The ground primary key of every base row the rule query's templates
@@ -571,8 +575,9 @@ pub(crate) fn edge_template_keys(
     let b = edge_binding(base, templates, edge, query, parent_attr, child_attr)?;
     let mut out = Vec::with_capacity(query.from().len());
     for (rel, tr) in query.from().iter().enumerate() {
-        let mut key_vals = Vec::with_capacity(b.schemas[rel].key().len());
-        for &col in b.schemas[rel].key() {
+        let key = b.tables[rel].schema().key();
+        let mut key_vals = Vec::with_capacity(key.len());
+        for &col in key {
             match b.closure.known_at(ColRef { rel, col }) {
                 Some(v) => key_vals.push(v.clone()),
                 None => {
@@ -605,7 +610,8 @@ fn derive_templates(
     // Variables per undetermined class.
     let mut class_var: HashMap<usize, usize> = HashMap::new();
     for (rel, tr) in query.from().iter().enumerate() {
-        let schema = binding.schemas[rel];
+        let table = binding.tables[rel];
+        let schema = table.schema();
         let mut cells = Vec::with_capacity(schema.arity());
         for col in 0..schema.arity() {
             let r = binding.closure.classes.rep(ColRef { rel, col });
@@ -632,7 +638,6 @@ fn derive_templates(
             })
             .collect();
         let key = Tuple::from_values(key_vals);
-        let table: &Table = base.table(&tr.table).map_err(InsertRejection::Rel)?;
         if let Some(existing) = table.get(&key) {
             // The tuple already exists: constants must agree; variables
             // unify with the existing values.
@@ -703,333 +708,226 @@ fn derive_templates(
     Ok(())
 }
 
-/// What phase 2 joins every edge view against: the phase-1 templates per
-/// table, and the edges `∆V` asks for (a produced edge among them, or
-/// already in the view, is no side effect).
-struct SideEffects<'a> {
+/// A cell as phase 2's join reads it: a value of a live row or a template,
+/// or a template's (resolved) variable.
+#[derive(Clone, Copy)]
+enum SymRef<'a> {
+    Known(&'a Value),
+    Var(usize),
+}
+
+/// What a step of phase 2's join has bound: a live row or a template's
+/// cells.
+#[derive(Clone, Copy)]
+enum Bound<'a> {
+    Row(&'a Tuple),
+    Template(&'a [Sym]),
+}
+
+/// Phase 2's join of one edge view, with the FROM entries in `mask` read
+/// from the phase-1 templates and every other entry from its live table:
+/// the registry's [`SpjPlan`] for that mask, its steps descended as the
+/// relstore's own runs descend them, over symbolic rows. A template step
+/// iterates its table's templates and tests its access path's equalities
+/// and its checks; a live step probes its access path while the sources
+/// are known (a key prefix as far as they are) and tests the rest. An
+/// equality with a variable side becomes a condition of the row.
+struct SymJoin<'a> {
+    plan: &'a SpjPlan,
+    /// Per FROM entry, its live table (entry 0: the interner's gen table of
+    /// the parent type) and its templates.
+    tables: &'a [&'a dyn RowSource],
+    templates: &'a [&'a [Template]],
+    /// The FROM entries read from their templates, as bit `entry`.
+    mask: usize,
+    vars: &'a Vars,
+    /// Per step, what it has bound while the steps below it run.
+    bound: Vec<Cell<Option<Bound<'a>>>>,
     vs: &'a ViewStore,
-    by_table: BTreeMap<&'a str, Vec<&'a Template>>,
-    wanted: BTreeSet<(NodeId, NodeId)>,
-}
-
-/// One edge view as phase 2 joins it.
-struct JoinView<'a> {
-    q: &'a SpjQuery,
+    /// The edges `∆V` asks for: a produced edge among them, or already in
+    /// the view, is no side effect.
+    wanted: &'a BTreeSet<(NodeId, NodeId)>,
     edge: (TypeId, TypeId),
-    classes: &'a ViewClasses,
-    /// The live table of every FROM entry (entry 0: the interner's gen
-    /// table of the parent type).
-    tables: Vec<&'a dyn RowSource>,
+    view: &'a str,
 }
 
-/// One row in the symbolic join.
-#[derive(Debug, Clone)]
-struct SymRow {
-    cells: Vec<Sym>,
-    conds: Vec<Cond>,
+/// The equalities of `step`'s access path, as `(column, source)` pairs.
+fn access_eqs(step: &PlanStep) -> (&[usize], &[PlanSrc]) {
+    match step.access() {
+        PlanAccess::KeyPrefix(srcs) => (&step.key()[..srcs.len()], srcs),
+        PlanAccess::ColEq(col, src) => (std::slice::from_ref(col), std::slice::from_ref(src)),
+        PlanAccess::Scan => (&[], &[]),
+    }
 }
 
-/// Symbolically evaluates one edge view over `I ∪ templates` for one
-/// combination — the FROM entries marked in `as_template` read the phase-1
-/// templates, every other entry its live table — and classifies the
-/// produced rows: harmless, a SAT clause, or an unavoidable side effect.
-fn eval_combination(
-    side: &SideEffects<'_>,
-    view: &JoinView<'_>,
-    as_template: &[bool],
-    vars: &mut Vars,
-    clauses: &mut Vec<Vec<Cond>>,
-) -> Result<(), InsertRejection> {
-    let q = view.q;
-    let n_from = q.from().len();
-    let schemas: Vec<&TableSchema> = view.tables.iter().map(|t| t.schema()).collect();
-    // The equality classes let the join order see bindings like
-    // `gen.c1 ~ c.c1 ~ f.c1 ~ h.h1 = <const>` that the direct predicate
-    // graph only exposes one hop at a time.
-    let offsets = &view.classes.closure.offsets;
-    let root_of = &view.classes.closure.reps;
-    let class_const = &view.classes.consts;
-    let total = root_of.len();
-    let idx = |c: ColRef| view.classes.closure.flat(c);
-
-    // Greedy join order: templates first (most selective); then repeatedly
-    // the entry whose primary-key prefix is best bound — through the
-    // equality closure — to placed entries or constants (index lookups
-    // instead of full scans). Ties prefer entries with *some* bound column
-    // (their scan filters rows immediately), then smaller tables.
-    let table_len = |e: usize| match as_template[e] {
-        true => 0,
-        false => view.tables[e].n_rows(),
-    };
-    let mut order: Vec<usize> = (0..n_from).filter(|&i| as_template[i]).collect();
-    let mut placed: Vec<bool> = as_template.to_vec();
-    while order.len() < n_from {
-        let mut bound: Vec<bool> = class_const.iter().map(Option::is_some).collect();
-        for e in (0..n_from).filter(|&e| placed[e]) {
-            for c in 0..schemas[e].arity() {
-                bound[root_of[offsets[e] + c]] = true;
+impl<'a> SymJoin<'a> {
+    /// Joins, and classifies each produced row: harmless, a clause pushed
+    /// on `clauses`, or an unavoidable side effect.
+    fn run(&self, clauses: &mut Vec<Vec<Cond>>) -> Result<(), InsertRejection> {
+        let mut conds = Vec::new();
+        for (x, y) in self.plan.guards() {
+            if !self.unify(self.value(x), self.value(y), &mut conds) {
+                return Ok(());
             }
         }
-        // (key-prefix score, has any bound column, smaller table) — best wins.
-        type Rank = (usize, bool, std::cmp::Reverse<usize>);
-        let mut best: Option<(Rank, usize)> = None;
-        for e in (0..n_from).filter(|&e| !placed[e]) {
-            let is_bound = |c: &usize| bound[root_of[offsets[e] + c]];
-            let score = schemas[e].key().iter().take_while(|c| is_bound(c)).count();
-            let any_bound = (0..schemas[e].arity()).any(|c| is_bound(&c));
-            let rank = (score, any_bound, std::cmp::Reverse(table_len(e)));
-            if best.is_none_or(|(br, _)| rank > br) {
-                best = Some((rank, e));
-            }
-        }
-        let (_, e) = best.expect("an unplaced entry exists");
-        placed[e] = true;
-        order.push(e);
+        self.descend(0, &mut conds, clauses)
     }
 
-    let mut rows: Vec<SymRow> = vec![SymRow {
-        cells: vec![Sym::Known(Value::Int(0)); total],
-        conds: vec![],
-    }];
-    let mut filled = vec![false; total];
+    fn value(&self, src: &'a PlanSrc) -> SymRef<'a> {
+        match src {
+            PlanSrc::Const(v) => SymRef::Known(v),
+            PlanSrc::Param(_) => unreachable!("edge views are parameter-free"),
+            PlanSrc::Row { step, col } => self.cell(*step, *col),
+        }
+    }
 
-    for &entry in &order {
-        let tr = &q.from()[entry];
-        let arity = schemas[entry].arity();
-        // Predicates that become fully bound once this entry fills.
-        let mut now_applicable: Vec<usize> = Vec::new();
-        for (pi, p) in q.predicates().iter().enumerate() {
-            let cols: Vec<ColRef> = [&p.left, &p.right]
-                .iter()
-                .filter_map(|o| match o {
-                    Operand::Col(c) => Some(*c),
-                    _ => None,
-                })
-                .collect();
-            let touches = cols.iter().any(|c| c.rel == entry);
-            let all_bound = cols.iter().all(|c| c.rel == entry || filled[idx(*c)]);
-            if touches && all_bound {
-                now_applicable.push(pi);
+    fn cell(&self, step: usize, col: usize) -> SymRef<'a> {
+        match self.bound[step].get().expect("an earlier step is bound") {
+            Bound::Row(row) => SymRef::Known(&row[col]),
+            Bound::Template(cells) => match &cells[col] {
+                Sym::Known(v) => SymRef::Known(v),
+                Sym::Var(v) => SymRef::Var(*v),
+            },
+        }
+    }
+
+    /// Whether `x = y` can hold; the condition it rests on, if any, is
+    /// pushed on `conds`.
+    fn unify(&self, x: SymRef<'a>, y: SymRef<'a>, conds: &mut Vec<Cond>) -> bool {
+        match (x, y) {
+            (SymRef::Known(a), SymRef::Known(b)) => a == b,
+            (SymRef::Known(c), SymRef::Var(v)) | (SymRef::Var(v), SymRef::Known(c)) => {
+                let admits = self.vars.domain[v].contains(c);
+                if admits {
+                    conds.push(Cond::VarConst(v, c.clone()));
+                }
+                admits
+            }
+            (SymRef::Var(a), SymRef::Var(b)) => {
+                if a != b {
+                    conds.push(Cond::VarVar(a, b));
+                }
+                true
             }
         }
-        // For concrete entries: per-row ground constraints covering a key
-        // prefix give an index scan.
-        enum KeySrc {
-            Const(Value),
-            Abs(usize),
-        }
-        let key_srcs: Vec<KeySrc> = if as_template[entry] {
-            Vec::new()
-        } else {
-            // Bind each key column through its equality class: a class
-            // constant, or any already-filled column of the class.
-            let mut srcs = Vec::new();
-            'kc: for &kc in schemas[entry].key() {
-                let r = root_of[offsets[entry] + kc];
-                if let Some(v) = &class_const[r] {
-                    srcs.push(KeySrc::Const(v.clone()));
-                    continue 'kc;
-                }
-                for g in 0..total {
-                    if filled[g] && root_of[g] == r {
-                        srcs.push(KeySrc::Abs(g));
-                        continue 'kc;
-                    }
-                }
-                break;
-            }
-            srcs
+    }
+
+    /// Binds every row or template step `at` admits, in turn, and joins the
+    /// rest below.
+    fn descend(
+        &self,
+        at: usize,
+        conds: &mut Vec<Cond>,
+        clauses: &mut Vec<Vec<Cond>>,
+    ) -> Result<(), InsertRejection> {
+        let Some(step) = self.plan.steps().get(at) else {
+            return self.classify(conds, clauses);
         };
-        // No key-prefix binding: any other bound column still gives a
-        // secondary-index probe (`Table::scan_col_eq`) instead of a full
-        // scan — e.g. probing `H` by `h2` when the template binds the
-        // child's id but the parent is unknown.
-        let alt_src: Option<(usize, KeySrc)> = if as_template[entry] || !key_srcs.is_empty() {
-            None
-        } else {
-            (0..arity).find_map(|c| {
-                let r = root_of[offsets[entry] + c];
-                if let Some(v) = &class_const[r] {
-                    return Some((c, KeySrc::Const(v.clone())));
-                }
-                (0..total)
-                    .find(|&g| filled[g] && root_of[g] == r)
-                    .map(|g| (c, KeySrc::Abs(g)))
-            })
-        };
-        enum Cand<'a> {
-            Template(Vec<Sym>),
-            Concrete(&'a Tuple),
-        }
-        let mut next: Vec<SymRow> = Vec::new();
-        for row in &rows {
-            // Indexed-path inputs (concrete entries): every key-prefix
-            // source must be *ground* for this row.
-            let mut prefix: Vec<Value> = Vec::with_capacity(key_srcs.len());
-            let mut ground = true;
-            if !as_template[entry] {
-                for ks in &key_srcs {
-                    match ks {
-                        KeySrc::Const(v) => prefix.push(v.clone()),
-                        KeySrc::Abs(a) => match vars.resolve(&row.cells[*a]) {
-                            Sym::Known(v) => prefix.push(v),
-                            Sym::Var(_) => {
-                                ground = false;
-                                break;
-                            }
-                        },
-                    }
-                }
+        let rel = step.rel();
+        if self.mask & 1 << rel != 0 {
+            for t in self.templates[rel] {
+                self.bound[at].set(Some(Bound::Template(&t.cells)));
+                self.admit(step, at, 0, conds, clauses)?;
             }
-            // Candidates for this row.
-            let candidates: Vec<Cand<'_>> = if as_template[entry] {
-                side.by_table[tr.table.as_str()]
-                    .iter()
-                    .map(|t| Cand::Template(t.cells.iter().map(|s| vars.resolve(s)).collect()))
-                    .collect()
-            } else {
-                let table = view.tables[entry];
-                // Secondary-index value for this row, if the prefix path is
-                // unavailable but some column is bound.
-                let alt: Option<(usize, Value)> = if ground && !prefix.is_empty() {
-                    None
-                } else {
-                    match &alt_src {
-                        Some((c, KeySrc::Const(v))) => Some((*c, v.clone())),
-                        Some((c, KeySrc::Abs(g))) => match vars.resolve(&row.cells[*g]) {
-                            Sym::Known(v) => Some((*c, v)),
-                            Sym::Var(_) => None,
-                        },
-                        None => None,
-                    }
-                };
-                let probe = match &alt {
-                    _ if ground && !prefix.is_empty() => Probe::KeyPrefix(&prefix),
-                    Some((c, v)) => Probe::ColEq(*c, v),
-                    None => Probe::All,
-                };
-                let mut found = Vec::new();
-                table.scan(probe, &mut |row| found.push(Cand::Concrete(row)));
-                found
-            };
-            'cand: for cand in candidates {
-                // Clone-free ground rejection: a concrete candidate whose
-                // fully-known applicable predicates mismatch is dropped
-                // before the joined row is materialized — this is the whole
-                // cost of a scan that proves a side effect *cannot* occur.
-                if let Cand::Concrete(t) = &cand {
-                    for &pi in &now_applicable {
-                        let p = &q.predicates()[pi];
-                        let known = |o: &Operand, vars: &mut Vars| -> Option<Value> {
-                            match o {
-                                Operand::Const(v) => Some(v.clone()),
-                                Operand::Param(_) => None,
-                                Operand::Col(c) if c.rel == entry => Some(t[c.col].clone()),
-                                Operand::Col(c) => match vars.resolve(&row.cells[idx(*c)]) {
-                                    Sym::Known(v) => Some(v),
-                                    Sym::Var(_) => None,
-                                },
-                            }
-                        };
-                        if let (Some(x), Some(y)) = (known(&p.left, vars), known(&p.right, vars)) {
-                            if x != y {
-                                continue 'cand;
-                            }
-                        }
-                    }
-                }
-                let cand: Vec<Sym> = match cand {
-                    Cand::Template(cells) => cells,
-                    Cand::Concrete(t) => t.values().iter().map(|v| Sym::Known(v.clone())).collect(),
-                };
-                let mut new_row = row.clone();
-                new_row.cells[offsets[entry]..offsets[entry] + arity].clone_from_slice(&cand);
-                for &pi in &now_applicable {
-                    let p = &q.predicates()[pi];
-                    let lv = operand_value(&p.left, &new_row, idx, vars);
-                    let rv = operand_value(&p.right, &new_row, idx, vars);
-                    match (lv, rv) {
-                        (Sym::Known(x), Sym::Known(y)) => {
-                            if x != y {
-                                continue 'cand;
-                            }
-                        }
-                        (Sym::Known(x), Sym::Var(v)) | (Sym::Var(v), Sym::Known(x)) => {
-                            let dv = vars.domain_values(v);
-                            if vars.is_finite(v) && !dv.contains(&x) {
-                                continue 'cand;
-                            }
-                            new_row.conds.push(Cond::VarConst(v, x));
-                        }
-                        (Sym::Var(x), Sym::Var(y)) => {
-                            if x != y {
-                                new_row.conds.push(Cond::VarVar(x, y));
-                            }
-                        }
-                    }
-                }
-                next.push(new_row);
-            }
-        }
-        for col in 0..arity {
-            filled[offsets[entry] + col] = true;
-        }
-        rows = next;
-        if rows.is_empty() {
             return Ok(());
         }
+        let (cols, srcs) = access_eqs(step);
+        let known = srcs
+            .iter()
+            .take_while(|s| matches!(self.value(s), SymRef::Known(_)))
+            .count();
+        let ground = |src: &'a PlanSrc| match self.value(src) {
+            SymRef::Known(v) => v,
+            SymRef::Var(_) => unreachable!("a probe reads known sources only"),
+        };
+        let locate = |row: &Tuple| {
+            cols[..known]
+                .iter()
+                .zip(srcs)
+                .map(|(&kc, src)| row[kc].cmp(ground(src)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        let probe = match step.access() {
+            _ if known == 0 => Probe::All,
+            PlanAccess::KeyPrefix(_) => Probe::KeyRange(&locate),
+            PlanAccess::ColEq(col, src) => Probe::ColEq(*col, ground(src)),
+            PlanAccess::Scan => unreachable!("a scan has no sources"),
+        };
+        let mut result = Ok(());
+        self.tables[rel].scan(probe, &mut |row| {
+            if result.is_ok() {
+                self.bound[at].set(Some(Bound::Row(row)));
+                result = self.admit(step, at, known, conds, clauses);
+            }
+        });
+        result
     }
 
-    // Classify produced rows.
-    for row in rows {
-        let out: Vec<Sym> = q
-            .projection()
+    /// Tests what step `at` has bound — its access path's equalities past
+    /// the first `probed`, which its probe implies, its checks and its
+    /// same-row tests — and joins the steps below if they can hold.
+    fn admit(
+        &self,
+        step: &'a PlanStep,
+        at: usize,
+        probed: usize,
+        conds: &mut Vec<Cond>,
+        clauses: &mut Vec<Vec<Cond>>,
+    ) -> Result<(), InsertRejection> {
+        let mark = conds.len();
+        let (cols, srcs) = access_eqs(step);
+        let checks = step.checks().iter().map(|(col, src)| (col, src));
+        let holds = cols
             .iter()
-            .map(|c| match &row.cells[idx(*c)] {
-                Sym::Known(v) => Sym::Known(v.clone()),
-                Sym::Var(v) => vars.resolve(&Sym::Var(*v)),
-            })
-            .collect();
-        let ground: Option<Tuple> = out
+            .zip(srcs)
+            .skip(probed)
+            .chain(checks)
+            .all(|(&col, src)| self.unify(self.cell(at, col), self.value(src), conds))
+            && step
+                .same_row()
+                .iter()
+                .all(|&(a, b)| self.unify(self.cell(at, a), self.cell(at, b), conds));
+        let result = match holds {
+            true => self.descend(at + 1, conds, clauses),
+            false => Ok(()),
+        };
+        conds.truncate(mark);
+        result
+    }
+
+    /// A produced row: harmless when it is a wanted or existing edge, else
+    /// a clause — or, with no condition, an unavoidable side effect.
+    fn classify(
+        &self,
+        conds: &[Cond],
+        clauses: &mut Vec<Vec<Cond>>,
+    ) -> Result<(), InsertRejection> {
+        let projection = self.plan.projection();
+        let ground = projection
             .iter()
-            .map(|s| match s {
-                Sym::Known(v) => Some(v.clone()),
-                Sym::Var(_) => None,
-            })
-            .collect::<Option<Vec<_>>>()
-            .map(Tuple::from_values);
-        let (a, b) = view.edge;
-        let harmless = match &ground {
-            Some(t) => match side.vs.edge_from_row(a, b, t) {
-                Some(edge) => side.wanted.contains(&edge) || side.vs.dag().has_edge(edge.0, edge.1),
-                None => false,
-            },
-            None => false,
+            .all(|&(s, c)| matches!(self.cell(s, c), SymRef::Known(_)));
+        let harmless = ground && {
+            let row = Tuple::from_values(projection.iter().map(|&(s, c)| match self.cell(s, c) {
+                SymRef::Known(v) => v.clone(),
+                SymRef::Var(_) => unreachable!("the row is ground"),
+            }));
+            let (a, b) = self.edge;
+            self.vs
+                .edge_from_row(a, b, &row)
+                .is_some_and(|e| self.wanted.contains(&e) || self.vs.dag().has_edge(e.0, e.1))
         };
         if harmless {
-            continue;
+            return Ok(());
         }
-        if row.conds.is_empty() {
+        if conds.is_empty() {
             // Unconditional unintended view tuple.
             return Err(InsertRejection::SideEffect {
-                view: q.name().to_owned(),
+                view: self.view.to_owned(),
             });
         }
-        clauses.push(row.conds);
-    }
-    Ok(())
-}
-
-fn operand_value(
-    op: &Operand,
-    row: &SymRow,
-    idx: impl Fn(ColRef) -> usize,
-    vars: &mut Vars,
-) -> Sym {
-    match op {
-        Operand::Col(c) => vars.resolve(&row.cells[idx(*c)]),
-        Operand::Const(v) => Sym::Known(v.clone()),
-        Operand::Param(_) => unreachable!("edge views are parameter-free"),
+        clauses.push(conds.to_vec());
+        Ok(())
     }
 }
 

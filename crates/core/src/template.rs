@@ -15,10 +15,12 @@
 //!   instantiation replays the pins against the literal attribute tuples
 //!   and yields the [`EdgeClosure`] `rxview_reference::compute_edge_closure`
 //!   derives, without re-walking predicates or re-running the union-find;
-//! - per edge view, phase 2 of Algorithm insert (side-effect detection)
-//!   gets the view's closure and the constant each class is pinned to
-//!   (`ViewClasses`); its join order is not compiled, because its
-//!   tie-break reads table sizes;
+//! - per edge view and non-empty set of its non-derived FROM entries,
+//!   phase 2 of Algorithm insert (side-effect detection) gets an
+//!   [`SpjPlan`] with those entries placed first
+//!   ([`SpjPlan::compile_first`]): the join it walks when those entries
+//!   read the phase-1 templates — the relstore's one planner, compiled
+//!   once, never per call;
 //! - the delete side keeps, per edge view, a `SourceProgram`: for every
 //!   non-derived FROM entry, a `(table, key-cell…)` spec whose cells name
 //!   the output position (or constant) each key column's equality class
@@ -278,41 +280,18 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, rel: usize) -> Sp
     SpjPlan::compile(&bound, provider).expect("validated just above")
 }
 
-/// What phase 2 of Algorithm insert (§4.3, side-effect detection) knows of
-/// one edge view before it sees a table: the equality classes of its
-/// columns and the constant each class is pinned to. The join order is not
-/// here — its tie-break reads table sizes.
-#[derive(Debug)]
-pub(crate) struct ViewClasses {
-    pub(crate) closure: EqClosure,
-    /// Per class representative, the literal of the class's last
-    /// `Col = Const` predicate.
-    pub(crate) consts: Vec<Option<Value>>,
-}
-
-impl ViewClasses {
-    fn compile(closure: EqClosure, query: &SpjQuery) -> ViewClasses {
-        let mut consts = vec![None; closure.reps.len()];
-        for p in query.predicates() {
-            if let (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) =
-                (&p.left, &p.right)
-            {
-                consts[closure.rep(*c)] = Some(v.clone());
-            }
-        }
-        ViewClasses { closure, consts }
-    }
-}
-
 /// The per-grammar registry of compiled translation templates: insert-side
-/// `EdgeTemplate`s, and per edge view its phase-2 `ViewClasses` and
+/// `EdgeTemplate`s, and per edge view its phase-2 side-effect plans and
 /// delete-side `SourceProgram`, compiled in one pass over the `Atg`.
 /// Cached in the engine-wide [`crate::plan::PlanCache`] (one registry per
 /// store family) and consulted by every translation consumer.
 #[derive(Debug)]
 pub struct TranslationTemplates {
     insert: HashMap<(TypeId, TypeId), EdgeTemplate>,
-    views: HashMap<(TypeId, TypeId), ViewClasses>,
+    /// Per edge view, phase 2's side-effect plans: the plan for the set of
+    /// FROM entries `S` read from templates (entry `i` is bit `i - 1`) at
+    /// index `S - 1`.
+    side_effect: HashMap<(TypeId, TypeId), Vec<SpjPlan>>,
     /// `None` payload: the edge view exists but is not key-preserving in
     /// the generalized sense.
     delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
@@ -321,7 +300,7 @@ pub struct TranslationTemplates {
     /// order.
     bound: HashMap<String, Vec<EdgeProbe<SpjPlan>>>,
     /// Registry entries used: insert templates and source programs
-    /// instantiated, delete probes bound.
+    /// instantiated, side-effect plans run, delete probes bound.
     hits: AtomicU64,
     /// Templates compiled (fixed after construction).
     compiles: u64,
@@ -338,7 +317,7 @@ impl TranslationTemplates {
         let provider: Vec<TableSchema> = atg.augmented_schemas();
         let closure_of = |q: &SpjQuery| q.eq_closure(&provider).expect("FROM tables known");
         let mut insert = HashMap::new();
-        let mut views = HashMap::new();
+        let mut side_effect = HashMap::new();
         let mut delete = HashMap::new();
         let mut bound: HashMap<String, Vec<_>> = HashMap::new();
         let mut compiles = 0u64;
@@ -363,8 +342,18 @@ impl TranslationTemplates {
                     if let Some(q) = atg.edge_view_query(a, b) {
                         let closure = closure_of(&q);
                         slot.insert(SourceProgram::compile(&provider, &q, &closure, &[0]));
-                        views.insert((a, b), ViewClasses::compile(closure, &q));
                         compiles += 1;
+                        let n_base = q.from().len() - 1;
+                        let plans: Vec<SpjPlan> = (1..1usize << n_base)
+                            .map(|set| {
+                                let first: Vec<usize> =
+                                    (1..=n_base).filter(|i| set & 1 << (i - 1) != 0).collect();
+                                SpjPlan::compile_first(&q, &provider, &first)
+                                    .expect("edge views are valid")
+                            })
+                            .collect();
+                        compiles += plans.len() as u64;
+                        side_effect.insert((a, b), plans);
                         // Entry 0 is the derived `gen_parent`, never a source.
                         for (rel, tr) in q.from().iter().enumerate().skip(1) {
                             let probes: &mut Vec<_> = bound.entry(tr.table.clone()).or_default();
@@ -380,7 +369,7 @@ impl TranslationTemplates {
         }
         TranslationTemplates {
             insert,
-            views,
+            side_effect,
             delete,
             bound,
             hits: AtomicU64::new(0),
@@ -410,13 +399,20 @@ impl TranslationTemplates {
         t.instantiate(parent_attr, child_attr)
     }
 
-    /// The phase-2 classes of `edge`'s view.
+    /// The side-effect plan of `edge`'s view with the non-empty set of
+    /// FROM entries `set` (entry `i` is bit `i - 1`) placed first.
     ///
     /// # Panics
     /// If `edge` has no edge view in the grammar the registry was compiled
-    /// from — [`TranslationTemplates::compile`] covers every one that has.
-    pub(crate) fn view_classes(&self, edge: (TypeId, TypeId)) -> &ViewClasses {
-        self.views.get(&edge).expect("every edge view is compiled")
+    /// from — [`TranslationTemplates::compile`] covers every one that has —
+    /// or `set` names an entry the view does not have.
+    pub(crate) fn side_effect_plan(&self, edge: (TypeId, TypeId), set: usize) -> &SpjPlan {
+        let plans = self
+            .side_effect
+            .get(&edge)
+            .expect("every edge view is compiled");
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        &plans[set - 1]
     }
 
     /// Reconstructs the candidate sources of one output row of `edge`'s
@@ -451,9 +447,9 @@ impl TranslationTemplates {
     }
 
     /// Counters in the plan-cache shape: `hits` are registry entries used
-    /// (instantiations and probes bound); `misses`/`compiles` are the
-    /// one-shot compile pass (fixed after construction, so steady-state
-    /// hit rate → 1).
+    /// (instantiations, side-effect plans run and probes bound);
+    /// `misses`/`compiles` are the one-shot compile pass (fixed after
+    /// construction, so steady-state hit rate → 1).
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),

@@ -26,8 +26,8 @@ fn group_edges(sys: &XmlViewSystem, n: i64, group: i64) -> Vec<(i64, i64)> {
     (0..n / group)
         .filter_map(|g| {
             let head = g * group;
-            let prefix = [Value::Int(head)];
-            let row = h.scan_key_prefix(&prefix).next()?;
+            let h1 = Value::Int(head);
+            let row = h.scan_key_range(|row| row[0].cmp(&h1)).next()?;
             Some((head, row[1].as_int().expect("int h2")))
         })
         // Keep only edges the published view actually contains (an `H` row

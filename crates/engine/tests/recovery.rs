@@ -74,8 +74,8 @@ fn group_edge_deletions(sys: &XmlViewSystem, n: i64) -> Vec<XmlUpdate> {
     (0..n / 40)
         .filter_map(|g| {
             let head = g * 40;
-            let prefix = [Value::Int(head)];
-            let row = h.scan_key_prefix(&prefix).next()?;
+            let h1 = Value::Int(head);
+            let row = h.scan_key_range(|row| row[0].cmp(&h1)).next()?;
             let child = row[1].as_int().expect("int h2");
             let u = XmlUpdate::delete(&format!("node[id={head}]/sub/node[id={child}]"))
                 .expect("parses");

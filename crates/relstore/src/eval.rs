@@ -1,8 +1,12 @@
 //! SPJ query evaluation: compile once ([`SpjPlan::compile`]), run many
 //! ([`SpjPlan::run`]) — left-deep index nested-loop joins with
-//! set-semantics output.
+//! set-semantics output. This is the only join planner: rule evaluation,
+//! Algorithm delete's probes and Algorithm insert's side-effect join
+//! (which walks a plan's [`PlanStep`]s over symbolic rows) all run its
+//! plans.
 //!
-//! Compilation orders the FROM entries greedily and gives each a *step*.
+//! Compilation orders the FROM entries greedily — after any the caller
+//! places first ([`SpjPlan::compile_first`]) — and gives each a *step*.
 //! The predicates that become fully bound at a step — column =
 //! constant/parameter, column = column of an earlier entry, or two columns
 //! of the same entry — are split between the step's access path (a
@@ -37,41 +41,75 @@ impl TableSource for Database {
 
 /// Where a plan step reads a value from.
 #[derive(Debug, Clone)]
-enum Src {
+pub enum PlanSrc {
+    /// A constant of the query.
     Const(Value),
+    /// The run's parameter at this index.
     Param(usize),
     /// Column `col` of the row an earlier step bound.
     Row {
+        /// The earlier step.
         step: usize,
+        /// The column of its row.
         col: usize,
     },
 }
 
 /// How a step finds its candidate rows.
 #[derive(Debug, Clone)]
-enum Access {
-    /// The leading key columns are bound: a primary-key range — a point
-    /// lookup when the whole key is.
-    KeyPrefix(Vec<Src>),
-    /// A column off the key's prefix is bound: the table's lazy column
-    /// index ([`crate::Table::scan_col_eq`]).
-    ColEq(usize, Src),
+pub enum PlanAccess {
+    /// The leading key columns equal these values: a primary-key range — a
+    /// point lookup when the whole key is bound.
+    KeyPrefix(Vec<PlanSrc>),
+    /// A column off the key's prefix equals the value: the table's lazy
+    /// column index ([`crate::Table::scan_col_eq`]).
+    ColEq(usize, PlanSrc),
     /// Nothing is bound: every row.
     Scan,
 }
 
 /// One FROM entry in join order.
 #[derive(Debug, Clone)]
-struct Step {
+pub struct PlanStep {
+    /// The FROM entry.
+    rel: usize,
     table: String,
     /// The table shape the access path was chosen for; a run checks it.
     arity: usize,
     key: Vec<usize>,
-    access: Access,
+    access: PlanAccess,
     /// `row[col] == value` tests the access path does not already imply.
-    checks: Vec<(usize, Src)>,
+    checks: Vec<(usize, PlanSrc)>,
     /// `row[a] == row[b]` tests.
     same_row: Vec<(usize, usize)>,
+}
+
+impl PlanStep {
+    /// The FROM entry this step binds.
+    pub fn rel(&self) -> usize {
+        self.rel
+    }
+
+    /// The step's access path; a [`PlanAccess::KeyPrefix`] binds the first
+    /// [`PlanStep::key`] columns, in key order.
+    pub fn access(&self) -> &PlanAccess {
+        &self.access
+    }
+
+    /// The table's primary-key columns.
+    pub fn key(&self) -> &[usize] {
+        &self.key
+    }
+
+    /// The `row[col] == value` tests the access path does not imply.
+    pub fn checks(&self) -> &[(usize, PlanSrc)] {
+        &self.checks
+    }
+
+    /// The `row[a] == row[b]` tests.
+    pub fn same_row(&self) -> &[(usize, usize)] {
+        &self.same_row
+    }
 }
 
 /// A compiled SPJ query: everything [`eval_spj`] would decide per call that
@@ -88,24 +126,34 @@ struct Step {
 pub struct SpjPlan {
     name: String,
     n_params: usize,
-    /// A `constant = constant` predicate failed: no run yields a row.
-    never: bool,
     /// Predicates over parameters and constants only, tested once per run.
-    guards: Vec<(Src, Src)>,
-    steps: Vec<Step>,
+    guards: Vec<(PlanSrc, PlanSrc)>,
+    steps: Vec<PlanStep>,
     /// `(step, col)` per output column.
     projection: Vec<(usize, usize)>,
 }
 
 /// A predicate with its operands sorted by kind.
 enum Pred {
-    ColVal(ColRef, Src),
+    ColVal(ColRef, PlanSrc),
     ColCol(ColRef, ColRef),
 }
 
 impl SpjPlan {
     /// Compiles `query` against the schemas of `provider`.
     pub fn compile(query: &SpjQuery, provider: &impl SchemaProvider) -> RelResult<SpjPlan> {
+        SpjPlan::compile_first(query, provider, &[])
+    }
+
+    /// [`SpjPlan::compile`] with the distinct FROM entries `first` placed
+    /// first, in that order, and the rest ordered greedily after them.
+    /// Algorithm insert's side-effect join reads those entries from its
+    /// templates, not from their tables.
+    pub fn compile_first(
+        query: &SpjQuery,
+        provider: &impl SchemaProvider,
+        first: &[usize],
+    ) -> RelResult<SpjPlan> {
         query.validate(provider)?;
         let schema_of = |rel: usize| {
             provider
@@ -114,12 +162,11 @@ impl SpjPlan {
         };
         let n_from = query.from().len();
 
-        let mut never = false;
         let mut guards = Vec::new();
         let mut preds = Vec::new();
         let value_src = |o: &Operand| match o {
-            Operand::Const(v) => Src::Const(v.clone()),
-            Operand::Param(i) => Src::Param(*i),
+            Operand::Const(v) => PlanSrc::Const(v.clone()),
+            Operand::Param(i) => PlanSrc::Param(*i),
             Operand::Col(_) => unreachable!("columns are matched before values"),
         };
         for EqPred { left, right } in query.predicates() {
@@ -128,7 +175,6 @@ impl SpjPlan {
                 (Operand::Col(c), v) | (v, Operand::Col(c)) => {
                     preds.push(Pred::ColVal(*c, value_src(v)))
                 }
-                (Operand::Const(a), Operand::Const(b)) => never |= a != b,
                 (a, b) => guards.push((value_src(a), value_src(b))),
             }
         }
@@ -140,6 +186,10 @@ impl SpjPlan {
         // a handful of point lookups.
         let mut step_of: Vec<Option<usize>> = vec![None; n_from];
         let mut order = Vec::with_capacity(n_from);
+        for &e in first {
+            step_of[e] = Some(order.len());
+            order.push(e);
+        }
         while order.len() < n_from {
             let binds = |e: usize, p: &Pred| match p {
                 Pred::ColVal(c, _) => (c.rel == e).then_some(c.col),
@@ -168,8 +218,8 @@ impl SpjPlan {
         let mut steps = Vec::with_capacity(n_from);
         for (at, &rel) in order.iter().enumerate() {
             let placed = |r: usize| step_of[r].filter(|&s| s < at);
-            let row = |c: ColRef, step: usize| Src::Row { step, col: c.col };
-            let mut binds: Vec<(usize, Src)> = Vec::new();
+            let row = |c: ColRef, step: usize| PlanSrc::Row { step, col: c.col };
+            let mut binds: Vec<(usize, PlanSrc)> = Vec::new();
             let mut same_row = Vec::new();
             for (p, done) in preds.iter().zip(&mut applied) {
                 let bind = match p {
@@ -204,14 +254,15 @@ impl SpjPlan {
                 }
             }
             let access = if !prefix.is_empty() {
-                Access::KeyPrefix(prefix)
+                PlanAccess::KeyPrefix(prefix)
             } else if binds.is_empty() {
-                Access::Scan
+                PlanAccess::Scan
             } else {
                 let (col, src) = binds.remove(0);
-                Access::ColEq(col, src)
+                PlanAccess::ColEq(col, src)
             };
-            steps.push(Step {
+            steps.push(PlanStep {
+                rel,
                 table: query.from()[rel].table.clone(),
                 arity: schema.arity(),
                 key: schema.key().to_vec(),
@@ -225,7 +276,6 @@ impl SpjPlan {
         Ok(SpjPlan {
             name: query.name().to_owned(),
             n_params: query.n_params(),
-            never,
             guards,
             steps,
             projection: query
@@ -234,6 +284,22 @@ impl SpjPlan {
                 .map(|c| (step_of[c.rel].expect("every entry is placed"), c.col))
                 .collect(),
         })
+    }
+
+    /// The steps, in join order.
+    pub fn steps(&self) -> &[PlanStep] {
+        &self.steps
+    }
+
+    /// The predicates over parameters and constants only: a run yields no
+    /// row unless each pair is equal.
+    pub fn guards(&self) -> &[(PlanSrc, PlanSrc)] {
+        &self.guards
+    }
+
+    /// `(step, col)` per output column.
+    pub fn projection(&self) -> &[(usize, usize)] {
+        &self.projection
     }
 
     /// Runs the plan against `db` with the given parameter bindings: binds
@@ -296,11 +362,10 @@ impl BoundPlan<'_> {
             slots: &self.tables,
             params,
         };
-        if !plan.never
-            && plan
-                .guards
-                .iter()
-                .all(|(a, b)| run.value(a) == run.value(b))
+        if plan
+            .guards
+            .iter()
+            .all(|(a, b)| run.value(a) == run.value(b))
         {
             run.descend(0, out);
         }
@@ -319,11 +384,11 @@ struct Run<'a, 'r> {
 }
 
 impl<'a, 'r> Run<'a, 'r> {
-    fn value(&self, src: &'r Src) -> &'r Value {
+    fn value(&self, src: &'r PlanSrc) -> &'r Value {
         match src {
-            Src::Const(v) => v,
-            Src::Param(i) => &self.params[*i],
-            Src::Row { step, col } => &self.row(*step)[*col],
+            PlanSrc::Const(v) => v,
+            PlanSrc::Param(i) => &self.params[*i],
+            PlanSrc::Row { step, col } => &self.row(*step)[*col],
         }
     }
 
@@ -353,7 +418,7 @@ impl<'a, 'r> Run<'a, 'r> {
             }
         };
         match &step.access {
-            Access::KeyPrefix(srcs) => {
+            PlanAccess::KeyPrefix(srcs) => {
                 let locate = |row: &Tuple| {
                     step.key
                         .iter()
@@ -364,8 +429,10 @@ impl<'a, 'r> Run<'a, 'r> {
                 };
                 table.scan(Probe::KeyRange(&locate), &mut admit);
             }
-            Access::ColEq(col, src) => table.scan(Probe::ColEq(*col, self.value(src)), &mut admit),
-            Access::Scan => table.scan(Probe::All, &mut admit),
+            PlanAccess::ColEq(col, src) => {
+                table.scan(Probe::ColEq(*col, self.value(src)), &mut admit)
+            }
+            PlanAccess::Scan => table.scan(Probe::All, &mut admit),
         }
     }
 }

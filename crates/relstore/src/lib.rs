@@ -38,7 +38,7 @@ pub use codec::{crc32, CodecError, CodecResult, Reader};
 pub use cow::{PagedMap, PagedVec};
 pub use database::Database;
 pub use error::{RelError, RelResult};
-pub use eval::{eval_spj, BoundPlan, SpjPlan, TableSource};
+pub use eval::{eval_spj, BoundPlan, PlanAccess, PlanSrc, PlanStep, SpjPlan, TableSource};
 pub use schema::{schema, ColumnDef, SchemaBuilder, TableSchema};
 pub use spj::{ColRef, EqClosure, EqPred, Operand, SchemaProvider, SpjBuilder, SpjQuery, TableRef};
 pub use table::{Probe, RowSource, Table};

@@ -268,29 +268,14 @@ impl<P: Clone> Table<P> {
         self.rows.iter()
     }
 
-    /// Iterates over the rows whose primary key starts with `prefix`
-    /// (in key order). With a full-key prefix this is a point lookup; with
-    /// a partial prefix it is a range scan — the index access path that
-    /// keeps ATG rule evaluation linear in the *output* rather than the
-    /// table (e.g. `H` rows of one `h1`).
-    pub fn scan_key_prefix<'a, 'p>(
-        &'a self,
-        prefix: &'p [Value],
-    ) -> impl Iterator<Item = &'a Tuple> + use<'a, 'p, P> {
-        let key = self.schema.key();
-        // A prefix longer than the key matches nothing.
-        self.scan_key_range(move |row| match key.get(..prefix.len()) {
-            Some(head) => cmp_row_to_key(head, row, prefix),
-            None => Ordering::Greater,
-        })
-    }
-
     /// Iterates over the rows (in key order) that `locate` finds `Equal`;
     /// it must read the row's primary-key columns only, and find the rows
-    /// before them `Less` and the rows after them `Greater`. This is
-    /// [`Table::scan_key_prefix`] for a caller whose prefix values sit in
-    /// different places: it compares them where they are, against the key
-    /// columns where they are, and builds no probe key.
+    /// before them `Less` and the rows after them `Greater`. Bound to a
+    /// key prefix, this is a range scan — a point lookup when the prefix
+    /// is the whole key — the index access path that keeps ATG rule
+    /// evaluation linear in the *output* rather than the table (e.g. `H`
+    /// rows of one `h1`). `locate` compares the prefix values where they
+    /// are, against the key columns where they are: no probe key is built.
     pub fn scan_key_range<'a, F>(
         &'a self,
         locate: F,
@@ -374,9 +359,6 @@ impl<P: Clone> Table<P> {
 /// How a [`RowSource::scan`] finds its rows.
 #[derive(Clone, Copy)]
 pub enum Probe<'p> {
-    /// The rows whose primary key starts with the values
-    /// ([`Table::scan_key_prefix`]).
-    KeyPrefix(&'p [Value]),
     /// The rows the function finds `Equal` ([`Table::scan_key_range`]).
     KeyRange(&'p dyn Fn(&Tuple) -> Ordering),
     /// The rows whose column equals the value ([`Table::scan_col_eq`]).
@@ -391,8 +373,6 @@ pub enum Probe<'p> {
 pub trait RowSource {
     /// The rows' schema.
     fn schema(&self) -> &TableSchema;
-    /// Number of rows.
-    fn n_rows(&self) -> usize;
     /// Calls `each` on every row `probe` finds, in key order.
     fn scan<'a>(&'a self, probe: Probe<'_>, each: &mut dyn FnMut(&'a Tuple));
 }
@@ -402,13 +382,8 @@ impl<P: Clone> RowSource for Table<P> {
         &self.schema
     }
 
-    fn n_rows(&self) -> usize {
-        self.len()
-    }
-
     fn scan<'a>(&'a self, probe: Probe<'_>, each: &mut dyn FnMut(&'a Tuple)) {
         match probe {
-            Probe::KeyPrefix(prefix) => self.scan_key_prefix(prefix).for_each(each),
             Probe::KeyRange(locate) => self.scan_key_range(locate).for_each(each),
             Probe::ColEq(col, value) => self.scan_col_eq(col, value).into_iter().for_each(each),
             Probe::All => self.iter().for_each(each),
@@ -505,14 +480,15 @@ mod tests {
             t.insert(tuple![a, b]).unwrap();
         }
         use crate::value::Value;
-        let rows: Vec<_> = t.scan_key_prefix(&[Value::Int(1)]).collect();
+        let (one, two, three) = (Value::Int(1), Value::Int(2), Value::Int(3));
+        let rows: Vec<_> = t.scan_key_range(|r| r[0].cmp(&one)).collect();
         assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r[0] == Value::Int(1)));
+        assert!(rows.iter().all(|r| r[0] == one));
         // Full-key prefix: point lookup.
-        let rows: Vec<_> = t.scan_key_prefix(&[Value::Int(2), Value::Int(3)]).collect();
-        assert_eq!(rows.len(), 1);
+        let full = |r: &Tuple| (&r[0], &r[1]).cmp(&(&two, &three));
+        assert_eq!(t.scan_key_range(full).count(), 1);
         // Missing prefix: empty.
-        assert_eq!(t.scan_key_prefix(&[Value::Int(9)]).count(), 0);
+        assert_eq!(t.scan_key_range(|r| r[0].cmp(&Value::Int(9))).count(), 0);
     }
 
     #[test]

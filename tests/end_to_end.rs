@@ -1,26 +1,31 @@
 //! End-to-end integration tests across all crates: every update that the
 //! system accepts must satisfy the paper's correctness criterion
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
-//! live nodes and `L` a topological order. Three tests hold the
+//! live nodes and `L` a topological order. Four tests drive §4.3's SAT
+//! path: a satisfiable and an unsatisfiable instance, a side-effect row
+//! skipped for an avoidable condition wherever it sits among its
+//! conditions, and insertion verdicts and states that do not depend on how
+//! a rule query orders its FROM entries and predicates. Three tests hold the
 //! plan cache and the log's shape table to paths whose labels spell the
 //! shape key's punctuation; three hold admission's schema verdict, read
 //! from the plan, to the one-shot check and to one compile per shape; the
 //! last three hold the oracle and the two state digests to states forged
 //! one part wrong.
 
-use rxview::atg::{Dag, GenId, NodeId};
+use rxview::atg::{Atg, Dag, GenId, NodeId, RuleBody};
 use rxview::core::{
     Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate, XmlViewSystem,
 };
 use rxview::engine::{Durability, Engine, EngineConfig, EngineError};
-use rxview::relstore::tuple;
-use rxview::relstore::Database;
+use rxview::relstore::{
+    schema, tuple, ColRef, Database, EqPred, Operand, SpjQuery, Value, ValueType,
+};
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
     WorkloadClass, WorkloadGen,
 };
 use rxview::xmlkit::xpath::{Filter, Step, XPath};
-use rxview::xmlkit::{parse_xpath, SchemaViolation};
+use rxview::xmlkit::{parse_xpath, Dtd, SchemaViolation};
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod strategies;
@@ -226,33 +231,26 @@ fn deep_recursive_chain_updates() {
         .is_some());
 }
 
-#[test]
-fn sat_solver_engages_on_unpinned_finite_columns() {
-    use rxview::atg::Atg;
-    use rxview::relstore::{schema, Database, SpjQuery, Value, ValueType};
-    use rxview::xmlkit::Dtd;
-
-    // R1(a, b∈{0,1}) joins R2(c, d∈{0,1}) on b=d. With r1 = {a0: b=0} and
-    // r2 empty, inserting the pair (a3, c9) leaves the shared b=d variable
-    // unpinned; the side-effect row (a0, c9) [requires d=0] forces d=1 via
-    // SAT.
+/// Example 8's shape: `R1(a, b ∈ 0..n)` joins `R2(c, d ∈ 0..n)` on `b = d`,
+/// published as `doc → row*`, `row → (left, right)`, a `row` per joined
+/// pair.
+fn sat_grammar(n: i64, r1: &[(&str, i64)], r2: &[(&str, i64)]) -> (Database, Atg) {
     let mut db = Database::new();
-    db.create_table(
-        schema("r1")
-            .col_str("a")
-            .col_finite("b", ValueType::Int, vec![Value::Int(0), Value::Int(1)])
-            .key(&["a"]),
-    )
-    .unwrap();
-    db.create_table(
-        schema("r2")
-            .col_str("c")
-            .col_finite("d", ValueType::Int, vec![Value::Int(0), Value::Int(1)])
-            .key(&["c"]),
-    )
-    .unwrap();
-    db.insert("r1", tuple!["a0", 0i64]).unwrap();
-
+    for (table, key, finite) in [("r1", "a", "b"), ("r2", "c", "d")] {
+        db.create_table(
+            schema(table)
+                .col_str(key)
+                .col_finite(finite, ValueType::Int, (0..n).map(Value::Int).collect())
+                .key(&[key]),
+        )
+        .unwrap();
+    }
+    for &(a, b) in r1 {
+        db.insert("r1", tuple![a, b]).unwrap();
+    }
+    for &(c, d) in r2 {
+        db.insert("r2", tuple![c, d]).unwrap();
+    }
     let mut b = Dtd::builder("doc");
     b.star("doc", "row").unwrap();
     b.sequence("row", &["left", "right"]).unwrap();
@@ -274,8 +272,20 @@ fn sat_solver_engages_on_unpinned_finite_columns() {
         .rule_project("row", "left", &["a"])
         .rule_project("row", "right", &["c"]);
     let atg = ab.build(&db).unwrap();
+    (db, atg)
+}
 
-    let mut sys = XmlViewSystem::new(atg, db).unwrap();
+fn sat_system(r1: &[(&str, i64)], r2: &[(&str, i64)]) -> XmlViewSystem {
+    let (db, atg) = sat_grammar(2, r1, r2);
+    XmlViewSystem::new(atg, db).unwrap()
+}
+
+#[test]
+fn sat_solver_engages_on_unpinned_finite_columns() {
+    // With r1 = {a0: b=0} and r2 empty, inserting the pair (a3, c9) leaves
+    // the shared b=d variable unpinned; the side-effect row (a0, c9)
+    // [requires d=0] forces d=1 via SAT.
+    let mut sys = sat_system(&[("a0", 0)], &[]);
     let u = XmlUpdate::insert("row", tuple!["a3", "c9"], ".").unwrap();
     let report = sys.apply(&u, SideEffectPolicy::Proceed).unwrap();
     assert!(report.sat_used, "expected the SAT solver to run");
@@ -293,61 +303,260 @@ fn sat_solver_engages_on_unpinned_finite_columns() {
 
 #[test]
 fn unsatisfiable_insertion_rejected() {
-    use rxview::atg::Atg;
-    use rxview::relstore::{schema, Database, SpjQuery, Value, ValueType};
-    use rxview::xmlkit::Dtd;
+    // With r2 = {c0: d=1, c1: d=0}, inserting (a3, c9) with a new c9 needs
+    // b = d9 for the wanted pair; b=1 pairs a3 with c0, b=0 with c1 — both
+    // unwanted. UNSAT.
+    let mut sys = sat_system(&[], &[("c0", 1), ("c1", 0)]);
+    let u = XmlUpdate::insert("row", tuple!["a3", "c9"], ".").unwrap();
+    let err = sys.apply(&u, SideEffectPolicy::Proceed).unwrap_err();
+    assert!(matches!(err, UpdateError::Insert(_)), "got: {err}");
+    sys.consistency_check().unwrap();
+}
 
-    // Like above but with r2 = {c0: d=1, c1: d=0}: any value of b pairs the
-    // new a3 with an unwanted partner — the SAT instance is UNSAT.
+/// Two groups' worth of one insertion, each group joining `r1` and `r2`
+/// rows of its own: `grp(g, h, sel) → (sel, rows)`, `rows(g, h) → row*`
+/// pairs `r1(a, g, b, e)` with `r2(c, h, d, f)` on `b = d` (finite) and
+/// `e = f` (infinite), in that predicate order. Inserting `row(a1, c1)`
+/// under `rows(g1, h1)` and `rows(g2, h2)` makes two templates per table
+/// with variables of their own, and `rows(g1, h2)` pairs the first
+/// group's `r1` template with the second's `r2` template on the
+/// conditions `[v₁ = v₂, w₁ = w₂]`: finite first, then infinite. Fresh
+/// constants for `w₁`, `w₂` avoid that row.
+fn two_group_system() -> XmlViewSystem {
     let mut db = Database::new();
+    db.create_table(
+        schema("grps")
+            .col_str("g")
+            .col_str("h")
+            .col_str("sel")
+            .key(&["g", "h"]),
+    )
+    .unwrap();
+    let finite = || vec![Value::Int(0), Value::Int(1)];
     db.create_table(
         schema("r1")
             .col_str("a")
-            .col_finite("b", ValueType::Int, vec![Value::Int(0), Value::Int(1)])
-            .key(&["a"]),
+            .col_str("g")
+            .col_finite("b", ValueType::Int, finite())
+            .col_str("e")
+            .key(&["a", "g"]),
     )
     .unwrap();
     db.create_table(
         schema("r2")
             .col_str("c")
-            .col_finite("d", ValueType::Int, vec![Value::Int(0), Value::Int(1)])
-            .key(&["c"]),
+            .col_str("h")
+            .col_finite("d", ValueType::Int, finite())
+            .col_str("f")
+            .key(&["c", "h"]),
     )
     .unwrap();
-    db.insert("r2", tuple!["c0", 1i64]).unwrap();
-    db.insert("r2", tuple!["c1", 0i64]).unwrap();
-
+    for (g, h, sel) in [("g1", "h1", "yes"), ("g2", "h2", "yes"), ("g1", "h2", "no")] {
+        db.insert("grps", tuple![g, h, sel]).unwrap();
+    }
     let mut b = Dtd::builder("doc");
-    b.star("doc", "row").unwrap();
+    b.star("doc", "grp").unwrap();
+    b.sequence("grp", &["sel", "rows"]).unwrap();
+    b.star("rows", "row").unwrap();
     b.sequence("row", &["left", "right"]).unwrap();
-    let dtd = b.build().unwrap();
-    let q = SpjQuery::builder("Q")
+    let q_grp = SpjQuery::builder("Qdoc_grp")
+        .from("grps", "s")
+        .project(("s", "g"), "g")
+        .project(("s", "h"), "h")
+        .project(("s", "sel"), "sel")
+        .build(&db)
+        .unwrap();
+    let q_row = SpjQuery::builder("Qrows_row")
         .from("r1", "x")
         .from("r2", "y")
+        .where_col_eq_param(("x", "g"), 0)
+        .where_col_eq_param(("y", "h"), 1)
         .where_col_eq_col(("x", "b"), ("y", "d"))
+        .where_col_eq_col(("x", "e"), ("y", "f"))
         .project(("x", "a"), "a")
         .project(("y", "c"), "c")
         .build(&db)
         .unwrap();
-    let mut ab = Atg::builder(dtd);
+    let mut ab = Atg::builder(b.build().unwrap());
     ab.attr("doc", &[])
+        .attr("grp", &["g", "h", "sel"])
+        .attr("sel", &["sel"])
+        .attr("rows", &["g", "h"])
         .attr("row", &["a", "c"])
         .attr("left", &["a"])
         .attr("right", &["c"]);
-    ab.rule_query("doc", "row", q, &[])
+    ab.rule_query("doc", "grp", q_grp, &[])
+        .rule_project("grp", "sel", &["sel"])
+        .rule_project("grp", "rows", &["g", "h"])
+        .rule_query("rows", "row", q_row, &["g", "h"])
         .rule_project("row", "left", &["a"])
         .rule_project("row", "right", &["c"]);
-    let atg = ab.build(&db).unwrap();
+    XmlViewSystem::new(ab.build(&db).unwrap(), db).unwrap()
+}
 
-    let mut sys = XmlViewSystem::new(atg, db).unwrap();
-    // Inserting (a3, c0) forces b=1, which also creates (a3, c0)... wait:
-    // b=1 pairs a3 with c0 (wanted) only. But inserting (a3, c9) with a NEW
-    // c9 forces d9: b=d9 for the wanted pair; b=1 pairs with c0, b=0 with
-    // c1 — both unwanted. UNSAT.
-    let u = XmlUpdate::insert("row", tuple!["a3", "c9"], ".").unwrap();
-    let err = sys.apply(&u, SideEffectPolicy::Proceed).unwrap_err();
-    assert!(matches!(err, UpdateError::Insert(_)), "got: {err}");
-    sys.consistency_check().unwrap();
+/// §4.3 phase 3: a side-effect row with an avoidable condition is skipped
+/// wherever that condition sits among its conditions — here after a
+/// finite variable-to-variable one, which alone the encoder would refuse
+/// (`UnsupportedCondition`).
+#[test]
+fn an_avoidable_condition_skips_its_row_wherever_it_sits() {
+    for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+        let mut sys = two_group_system();
+        let u = XmlUpdate::insert("row", tuple!["a1", "c1"], "grp[sel=yes]/rows").unwrap();
+        let report = sys
+            .apply(&u, policy)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(report.delta_r.len(), 4, "{policy:?}: one row per template");
+        assert!(!report.sat_used, "{policy:?}: no clause is left");
+        sys.consistency_check()
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+    }
+}
+
+/// `q` with its FROM entries and its predicates in reverse order.
+fn reversed(q: &SpjQuery, db: &Database) -> SpjQuery {
+    let n = q.from().len();
+    let flip = |c: &ColRef| ColRef {
+        rel: n - 1 - c.rel,
+        col: c.col,
+    };
+    let operand = |o: &Operand| match o {
+        Operand::Col(c) => Operand::Col(flip(c)),
+        o => o.clone(),
+    };
+    SpjQuery::from_parts(
+        q.name(),
+        q.from().iter().rev().cloned().collect(),
+        q.predicates()
+            .iter()
+            .rev()
+            .map(|p| EqPred {
+                left: operand(&p.left),
+                right: operand(&p.right),
+            })
+            .collect(),
+        q.projection().iter().map(flip).collect(),
+        q.out_names().to_vec(),
+        q.n_params(),
+        db,
+    )
+    .unwrap()
+}
+
+/// `atg` with each rule query written the other way round ([`reversed`]).
+fn reversed_rules(atg: &Atg, db: &Database) -> Atg {
+    let dtd = atg.dtd();
+    let fields = |ty, at: &[usize]| -> Vec<&str> {
+        at.iter()
+            .map(|&i| atg.attr_fields(ty)[i].as_str())
+            .collect()
+    };
+    let mut b = Atg::builder(dtd.clone());
+    for ty in dtd.types() {
+        let all: Vec<usize> = (0..atg.attr_fields(ty).len()).collect();
+        b.attr(dtd.name(ty), &fields(ty, &all));
+    }
+    for p in dtd.types() {
+        for &c in dtd.children_of(p) {
+            let (pn, cn) = (dtd.name(p), dtd.name(c));
+            match atg.rule(p, c) {
+                Some(RuleBody::Project { fields: at }) => {
+                    b.rule_project(pn, cn, &fields(p, at));
+                }
+                Some(RuleBody::Query {
+                    query,
+                    param_fields,
+                    ..
+                }) => {
+                    b.rule_query(pn, cn, reversed(query, db), &fields(p, param_fields));
+                }
+                None => {}
+            }
+        }
+    }
+    b.build(db).unwrap()
+}
+
+/// Algorithm insert decides nothing by how a rule query is written: with
+/// each rule's FROM entries and predicates reversed, insertion streams on
+/// the registrar, synthetic and SAT grammars are accepted and rejected
+/// alike, and leave the same state by the `Exact` digest after every
+/// update. (Insertions only: Algorithm delete takes the first safe source
+/// in FROM order by design.)
+#[test]
+fn insertion_verdicts_do_not_depend_on_rule_order() {
+    let registrar_stream: Vec<XmlUpdate> = {
+        let courses = [("CS650", "Advanced DB"), ("CS240", "Data Structures")];
+        let new = [("CS777", "Seminar"), ("CS240", "Wrong")];
+        let mut ops = Vec::new();
+        for (cno, title) in courses.iter().chain(&new) {
+            for at in [
+                "course[cno=CS650]/prereq",
+                "//prereq",
+                "course[cno=CS320]/prereq",
+            ] {
+                ops.push(XmlUpdate::insert("course", tuple![*cno, *title], at).unwrap());
+            }
+        }
+        for (ssn, name) in [("S01", "Alice"), ("S99", "Zed"), ("S02", "Wrong")] {
+            for at in ["course[cno=CS320]/takenBy", "//takenBy"] {
+                ops.push(XmlUpdate::insert("student", tuple![ssn, name], at).unwrap());
+            }
+        }
+        ops
+    };
+    let registrar_db = registrar_database();
+    let registrar = registrar_atg(&registrar_db).unwrap();
+    let synthetic_db = {
+        let mut cfg = SyntheticConfig::with_size(200);
+        cfg.seed = 4;
+        synthetic_database(&cfg)
+    };
+    let synthetic = synthetic_atg(&synthetic_db).unwrap();
+    let synthetic_stream = {
+        let sys = XmlViewSystem::new(synthetic.clone(), synthetic_db.clone()).unwrap();
+        let mut gen = WorkloadGen::new(sys.view(), 23);
+        WorkloadClass::all()
+            .map(|class| gen.insertions(class, 8))
+            .concat()
+    };
+    // Over five values, `(a5, c6)` must avoid the values of `a0`, `a1` and
+    // `c0`: three clauses and two models, of which WalkSAT picks by clause
+    // order unless the formula is canonical.
+    let sat_stream: Vec<XmlUpdate> = [("a1", "c4"), ("a1", "c7"), ("a5", "c6"), ("a6", "c1")]
+        .into_iter()
+        .chain([("a5", "c0"), ("a7", "c8")])
+        .map(|(a, c)| XmlUpdate::insert("row", tuple![a, c], ".").unwrap())
+        .collect();
+    let (sat_db, sat) = sat_grammar(5, &[("a0", 1), ("a1", 4)], &[("c0", 2)]);
+    let grammars = [
+        ("registrar", registrar_db, registrar, registrar_stream),
+        ("synthetic", synthetic_db, synthetic, synthetic_stream),
+        ("sat", sat_db, sat, sat_stream),
+    ];
+    let (mut rejected, mut solved) = (0, 0);
+    for (name, db, atg, stream) in grammars {
+        let mut sys = XmlViewSystem::new(atg.clone(), db.clone()).unwrap();
+        let mut other = XmlViewSystem::new(reversed_rules(&atg, &db), db).unwrap();
+        let mut accepted = 0;
+        for (i, u) in stream.iter().enumerate() {
+            let policy = [SideEffectPolicy::Abort, SideEffectPolicy::Proceed][i % 2];
+            let verdict = sys.apply(u, policy).map(|r| r.sat_used).ok();
+            assert_eq!(
+                other.apply(u, policy).map(|r| r.sat_used).ok(),
+                verdict,
+                "{name}: `{u}` under {policy:?}"
+            );
+            let diff = sys.exact_digest().first_difference(&other.exact_digest());
+            assert_eq!(diff, None, "{name}: after `{u}`");
+            accepted += usize::from(verdict.is_some());
+            rejected += usize::from(verdict.is_none());
+            solved += usize::from(verdict == Some(true));
+        }
+        assert!(accepted > 0, "{name}: nothing accepted");
+    }
+    assert!(rejected > 0, "no stream has a rejection");
+    assert!(solved > 1, "the SAT step decided {solved} insertions");
 }
 
 #[test]

@@ -40,8 +40,8 @@ const PINNED: [(&str, &str); 7] = [
     (
         "relstore",
         "BoundPlan CodecError CodecResult ColRef ColumnDef Database Domain EqClosure EqPred GroupUpdate \
-         Operand PagedMap PagedVec Probe Reader RelError RelResult RowSource SchemaBuilder \
-         SchemaProvider SpjBuilder SpjPlan SpjQuery Table TableRef TableSchema TableSource Tuple \
+         Operand PagedMap PagedVec PlanAccess PlanSrc PlanStep Probe Reader RelError RelResult \
+         RowSource SchemaBuilder SchemaProvider SpjBuilder SpjPlan SpjQuery Table TableRef TableSchema TableSource Tuple \
          TupleOp Value ValueType codec:: crc32 eval_spj schema tuple!",
     ),
     (

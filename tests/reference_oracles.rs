@@ -19,7 +19,10 @@
 //! - **Algorithm delete** (§4.2, Fig. 9) — its ∆R or rejection equals the
 //!   first source per deleted edge that [`source_is_safe`], the safety
 //!   test read off the whole view, accepts, on registrar, synthetic and
-//!   self-join deletions.
+//!   self-join deletions;
+//! - **Algorithm insert** (§4.3) on a self-join, where one template set
+//!   covers both occurrences of a table: a side-effect-free insertion, and
+//!   one whose new row joins an existing row through the other occurrence.
 
 mod common;
 
@@ -27,7 +30,7 @@ use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic, 
 use proptest::prelude::*;
 use rxview::atg::{Atg, RuleBody};
 use rxview::core::{
-    classify, translate_deletions, xdelete, DeleteRejection, SideEffectPolicy,
+    classify, translate_deletions, xdelete, DeleteRejection, InsertRejection, SideEffectPolicy,
     TranslationTemplates, UpdateError, ViewDelta, ViewStore, XmlUpdate, XmlViewSystem,
 };
 use rxview::relstore::{
@@ -388,6 +391,50 @@ fn a_self_join_cycle_has_no_safe_source() {
             "{policy:?}: {err}"
         );
         sys.consistency_check().expect("a rejection writes nothing");
+    }
+}
+
+/// §4.3 phase 2 on a self-join, where one template set covers both
+/// occurrences of `n`: `pair(z, a)` needs the new row `n(z, a)`, which
+/// joins the existing `n(a, b)` through `y` — the pair asked for — and
+/// through `x` nothing (no row points at `z`), so it is side-effect free.
+#[test]
+fn a_self_join_insertion_joining_only_its_own_pair_is_accepted() {
+    for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+        let mut sys = chain(&[("a", "b"), ("b", "c")]);
+        let insert =
+            XmlUpdate::insert("pair", Tuple::from_values(["z", "a"].map(Value::from)), ".")
+                .expect("path parses");
+        let report = sys
+            .apply(&insert, policy)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        let mut want = GroupUpdate::new();
+        want.insert("n", Tuple::from_values(["z", "a"].map(Value::from)));
+        assert_eq!(report.delta_r, want, "{policy:?}");
+        sys.consistency_check()
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+    }
+}
+
+/// §4.3 phase 2 on a self-join: `pair(c, a)` needs the new row `n(c, a)`,
+/// and the existing `n(b, c)` joins it through the other occurrence, `y`,
+/// into `pair(b, c)`, which nobody asked for and no instantiation avoids.
+#[test]
+fn a_self_join_insertion_joining_an_existing_row_through_the_other_occurrence_is_rejected() {
+    for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+        let mut sys = chain(&[("a", "b"), ("b", "c")]);
+        let insert =
+            XmlUpdate::insert("pair", Tuple::from_values(["c", "a"].map(Value::from)), ".")
+                .expect("path parses");
+        let err = sys
+            .apply(&insert, policy)
+            .expect_err("pair(b, c) is a side effect");
+        assert!(
+            matches!(err, UpdateError::Insert(InsertRejection::SideEffect { .. })),
+            "{policy:?}: {err}"
+        );
+        sys.consistency_check()
+            .unwrap_or_else(|e| panic!("{policy:?}: a rejection writes nothing: {e}"));
     }
 }
 

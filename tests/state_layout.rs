@@ -29,13 +29,13 @@ fn a_table_stores_the_row_it_was_given_and_nothing_beside_it() {
     let row = tuple![7i64, 9i64];
     let cells = row.values().as_ptr();
     h.insert(row).expect("fresh key");
-    // By key, by key prefix, by full scan and through a column index: the
+    // By key, by key range, by full scan and through a column index: the
     // one allocation, never a copy or a key built from it.
     let found = [
         h.get(&tuple![7i64]).expect("by key"),
-        h.scan_key_prefix(&[Value::Int(7)])
+        h.scan_key_range(|row| row[0].cmp(&Value::Int(7)))
             .next()
-            .expect("by prefix"),
+            .expect("by key range"),
         h.iter().next().expect("by scan"),
         h.scan_col_eq(1, &Value::Int(9))[0],
     ];
