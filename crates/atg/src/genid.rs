@@ -147,11 +147,11 @@ fn gen_row(attr: &Tuple) -> Tuple {
 }
 
 /// The key `gen_A` holds `attr`'s row under: its values, or the unit row's.
-fn gen_key(attr: &Tuple) -> &[Value] {
+fn gen_key(attr: &[Value]) -> &[Value] {
     const UNIT: &[Value] = &[Value::Int(0)];
-    match attr.arity() {
-        0 => UNIT,
-        _ => attr.values(),
+    match attr {
+        [] => UNIT,
+        _ => attr,
     }
 }
 
@@ -274,10 +274,10 @@ impl GenId {
     }
 
     /// Looks up a pair without allocating.
-    pub fn lookup(&self, ty: TypeId, attr: &Tuple) -> Option<NodeId> {
+    pub fn lookup(&self, ty: TypeId, attr: &[Value]) -> Option<NodeId> {
         let table = self.tables.get(ty.index())?;
         // The unit row is the empty `$A`'s alone.
-        if is_unit(table.schema()) != (attr.arity() == 0) {
+        if is_unit(table.schema()) != attr.is_empty() {
             return None;
         }
         table.entry(gen_key(attr)).map(|(_, &id)| id)
@@ -333,7 +333,7 @@ impl GenId {
         let Some(Some((ty, attr))) = self.info.get(id.index()) else {
             return;
         };
-        let removed = self.tables[ty.index()].remove(gen_key(attr));
+        let removed = self.tables[ty.index()].remove(gen_key(attr.values()));
         debug_assert_eq!(removed.map(|(_, at)| at), Some(id), "a live node's row");
         self.info.clear(id.index());
         self.n_live -= 1;
@@ -408,7 +408,7 @@ impl<'a> Provisional<'a> {
 
 impl Interner for Provisional<'_> {
     fn gen_id(&mut self, ty: TypeId, attr: Tuple) -> (NodeId, bool) {
-        if let Some(id) = self.genid.lookup(ty, &attr) {
+        if let Some(id) = self.genid.lookup(ty, attr.values()) {
             return (id, false);
         }
         let next = NodeId((self.genid.n_allocated() + self.pairs.len()) as u32);
@@ -586,7 +586,7 @@ mod tests {
         g.retire(c);
         g.retire(c); // a free id is left alone
         assert!(!g.is_live(a) && !g.is_live(c) && !g.is_live(NodeId(9)));
-        assert_eq!(g.lookup(T0, &tuple!["a"]), None);
+        assert_eq!(g.lookup(T0, tuple!["a"].values()), None);
         assert_eq!(of_type(&g, T0), vec![b]);
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (1, 2, 3));
 
@@ -621,15 +621,15 @@ mod tests {
     fn the_empty_attribute_is_the_unit_row() {
         let mut g = GenId::new(vec![schema("gen_root").col_int("__unit").key(&["__unit"])]);
         let (root, _) = g.gen_id(T0, Tuple::empty());
-        assert_eq!(g.lookup(T0, &Tuple::empty()), Some(root));
+        assert_eq!(g.lookup(T0, Tuple::empty().values()), Some(root));
         let rows: Vec<_> = g.table(T0).entries().collect();
         assert_eq!(rows, [(&tuple![0i64], &root)]);
         assert!(g.check(T0, &Tuple::empty()).is_ok() && g.check(T0, &tuple!["x"]).is_err());
         // The unit row's own value is no `$A` of the type.
         assert!(g.check(T0, &tuple![0i64]).is_err());
-        assert_eq!(g.lookup(T0, &tuple![0i64]), None);
+        assert_eq!(g.lookup(T0, tuple![0i64].values()), None);
         g.retire(root);
-        assert!(g.table(T0).is_empty() && g.lookup(T0, &Tuple::empty()).is_none());
+        assert!(g.table(T0).is_empty() && g.lookup(T0, Tuple::empty().values()).is_none());
     }
 
     /// The empty `$A` is the unit row only where the type's `$A` is empty:
@@ -639,8 +639,8 @@ mod tests {
         let mut g = GenId::new(over(&[ValueType::Int]));
         let (zero, _) = g.gen_id(T0, tuple![0i64]);
         assert!(g.check(T0, &Tuple::empty()).is_err());
-        assert_eq!(g.lookup(T0, &Tuple::empty()), None);
-        assert_eq!(g.lookup(T0, &tuple![0i64]), Some(zero));
+        assert_eq!(g.lookup(T0, Tuple::empty().values()), None);
+        assert_eq!(g.lookup(T0, tuple![0i64].values()), Some(zero));
     }
 
     /// A slot whose `$A` shares its `gen_A` row with another's, though the
@@ -664,7 +664,7 @@ mod tests {
         g.retire(a);
         assert_eq!(g.gen_id(T1, tuple!["z"]), (a, true));
         assert_eq!((pinned.type_of(a), pinned.attr_of(a)), (T0, &tuple!["a"]));
-        assert_eq!(pinned.lookup(T1, &tuple!["z"]), None);
+        assert_eq!(pinned.lookup(T1, tuple!["z"].values()), None);
         assert_eq!(pinned.live_ids().collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(pinned.n_free(), 0);
     }
@@ -687,7 +687,7 @@ mod tests {
         );
         assert_eq!((p.type_of(b), p.attr_of(b)), (T0, &tuple!["b"]));
         assert_eq!((g.n_live(), g.n_allocated()), (1, 2));
-        assert_eq!(g.lookup(T1, &tuple!["x"]), None);
+        assert_eq!(g.lookup(T1, tuple!["x"].values()), None);
     }
 
     #[test]
@@ -715,7 +715,7 @@ mod tests {
         let mut g = GenId::from_slots(str_cols(), slots, |_| None).expect("distinct pairs");
         assert_eq!((g.n_live(), g.n_free(), g.n_allocated()), (2, 3, 5));
         assert_eq!(g.live_ids().collect::<Vec<_>>(), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(g.lookup(T1, &tuple!["a"]), Some(NodeId(2)));
+        assert_eq!(g.lookup(T1, tuple!["a"].values()), Some(NodeId(2)));
         for want in [1, 3, 4, 5] {
             let attr = tuple![format!("n{want}").as_str()];
             assert_eq!(g.gen_id(T0, attr), (NodeId(want), true));
@@ -799,6 +799,6 @@ mod tests {
         // None loaded yet, or a type that repeats nothing: its own tuple.
         assert!(!same(attr(2), attr(4)) && attr(2) == attr(4));
         assert!(!same(attr(3), attr(0)) && attr(3) == attr(0));
-        assert_eq!(g.lookup(T1, &tuple!["a", 1i64]), Some(NodeId(1)));
+        assert_eq!(g.lookup(T1, tuple!["a", 1i64].values()), Some(NodeId(1)));
     }
 }

@@ -237,10 +237,14 @@ impl Atg {
     /// `($A fields…, $B fields…)` — i.e. one row per edge of the DAG.
     ///
     /// Returns `None` if the production edge has no rule. Validated against
-    /// [`Atg::augmented_schemas`].
-    pub fn edge_view_query(&self, parent: TypeId, child: TypeId) -> Option<SpjQuery> {
+    /// `provider`, which holds [`Atg::augmented_schemas`].
+    pub fn edge_view_query(
+        &self,
+        parent: TypeId,
+        child: TypeId,
+        provider: &impl SchemaProvider,
+    ) -> Option<SpjQuery> {
         let rule = self.rule(parent, child)?;
-        let provider = self.augmented_schemas();
         let gen_name = self.gen_table_name(parent);
         let parent_arity = self.attr_fields(parent).len().max(1); // unit col if empty
         let name = format!("Qedge_{}_{}", self.dtd.name(parent), self.dtd.name(child));
@@ -308,7 +312,7 @@ impl Atg {
             }
         }
         Some(
-            SpjQuery::from_parts(name, from, predicates, projection, out_names, 0, &provider)
+            SpjQuery::from_parts(name, from, predicates, projection, out_names, 0, provider)
                 .expect("edge view derived from validated rule"),
         )
     }

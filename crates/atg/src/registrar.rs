@@ -206,7 +206,7 @@ mod tests {
         let course = atg.dtd().type_id("course").unwrap();
         let cs320 = dag
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .expect("CS320 published");
         // Parents: the db root and CS650's prereq node.
         assert_eq!(dag.parents(cs320).len(), 2);
@@ -239,9 +239,10 @@ mod tests {
         let db = registrar_database();
         let atg = registrar_atg(&db).unwrap();
         let dtd = atg.dtd();
+        let provider = atg.augmented_schemas();
         for parent in dtd.types() {
             for &child in dtd.children_of(parent) {
-                let q = atg.edge_view_query(parent, child);
+                let q = atg.edge_view_query(parent, child, &provider);
                 assert!(
                     q.is_some(),
                     "missing edge view for {} -> {}",

@@ -18,8 +18,9 @@
 //! allocator calls and median ms of the `Exact` and `Observed` digests,
 //! `consistency_check` and the two string fingerprints, and the
 //! construction row: the ms of publication's walk, the interner's pages,
-//! `Dag::from_adjacency`, the whole publication, the equal-row pass and
-//! the first `H.h2` probe on a fresh fixture. Last, at 512
+//! `Dag::from_adjacency`, the whole publication, the equal-row pass, the
+//! first `H.h2` probe and the translation registry's compile (with its
+//! edge records and compiled plans) on a fresh fixture. Last, at 512
 //! groups, the `free ids` row: what the state still holds per free id once
 //! the subtrees of half the groups are deleted. ARCHITECTURE.md §15's
 //! table reads these figures.
@@ -302,8 +303,9 @@ fn free_ids_row(groups: usize) -> Json {
 /// interner's pages (`GenId::from_slots` over the walk's id space: its
 /// builder and `finish`, which sorts the `gen_A` tables),
 /// `Dag::from_adjacency`, the whole publication, the equal-row pass after
-/// it, and the first probe of `H` by `h2`, which builds that column's
-/// index.
+/// it, the first probe of `H` by `h2`, which builds that column's index,
+/// and the translation registry's compile — every edge view derived once
+/// — with its edge records and compiled templates and plans.
 fn construction_row(groups: usize) -> Json {
     const GROUP_SIZE: usize = 40;
     let mut db = synthetic_database(&SyntheticConfig::with_size(groups * GROUP_SIZE));
@@ -344,6 +346,12 @@ fn construction_row(groups: usize) -> Json {
     let share = timed(&mut || _ = black_box(db.share_equal_rows()));
     let h = db.table("H").expect("synthetic table");
     let probe = timed(&mut || _ = black_box(h.scan_col_eq(1, &Value::Int(1))));
+    let vs = vs.expect("published");
+    let registry = timed(&mut || _ = black_box(vs.templates()));
+    let (records, compiled) = (
+        vs.templates().edges().count(),
+        vs.templates().stats().compiles,
+    );
     let steps = [
         ("walk", walk),
         ("from_slots", finish),
@@ -351,10 +359,23 @@ fn construction_row(groups: usize) -> Json {
         ("publish", publish),
         ("share", share),
         ("first_h2_probe", probe),
+        ("registry", registry),
     ];
     let text = steps.map(|(name, ms)| format!("{name} {ms:.1} ms"));
-    println!("  construction: {}", text.join(", "));
-    Json::obj(steps.map(|(name, ms)| (name, Json::Num(ms))))
+    println!(
+        "  construction: {} ({records} edge records, {compiled} compiled)",
+        text.join(", ")
+    );
+    let counts = [
+        ("registry_records", num(records)),
+        ("registry_compiled", num(compiled)),
+    ];
+    Json::obj(
+        steps
+            .map(|(name, ms)| (name, Json::Num(ms)))
+            .into_iter()
+            .chain(counts),
+    )
 }
 
 /// One size's census: prints its rows and returns them as JSON.

@@ -356,7 +356,7 @@ mod tests {
 
     fn node(sys: &XmlViewSystem, ty: &str, attr: rxview_relstore::Tuple) -> NodeId {
         let ty = sys.view().atg().dtd().type_id(ty).unwrap();
-        sys.view().dag().genid().lookup(ty, &attr).unwrap()
+        sys.view().dag().genid().lookup(ty, attr.values()).unwrap()
     }
 
     #[test]
@@ -425,7 +425,9 @@ mod tests {
         assert!(report.maintain.cascaded_edges >= 2);
         let student = sys.view().atg().dtd().type_id("student").unwrap();
         let genid = sys.view().dag().genid();
-        assert!(genid.lookup(student, &tuple!["S01", "Alice"]).is_none());
+        assert!(genid
+            .lookup(student, tuple!["S01", "Alice"].values())
+            .is_none());
         assert!(!genid.table(student).contains_key(&tuple!["S01", "Alice"]));
         assert_consistent(&sys, &m);
     }

@@ -508,8 +508,8 @@ fn collecting_subtrees_releases_their_pairs_and_pages() {
 }
 
 /// Allocator calls an anchored W1 delete translation may make at 32
-/// groups: the largest of the sixteen drawn, 175 for five edges, + 5 %.
-const DELETE_TRANSLATION_CALLS: usize = 184;
+/// groups: the largest of the sixteen drawn, 129 for five edges, + 5 %.
+const DELETE_TRANSLATION_CALLS: usize = 136;
 
 /// §4.2's Algorithm delete as a cost model (ARCHITECTURE §1, the §4.2 row;
 /// ROADMAP item 17): the safety test of an anchored W1 deletion binds each
@@ -524,16 +524,17 @@ fn a_delete_translation_binds_each_probe_at_most_once() {
     let db = synthetic_database(&SyntheticConfig::with_size(GROUPS / 4 * GROUP_SIZE));
     let sys = XmlViewSystem::new(synthetic_atg(&db).expect("synthetic ATG"), db).unwrap();
     let (vs, base) = (sys.view(), sys.base());
-    let probes: usize = vs.edge_queries().map(|(_, q)| q.from().len() - 1).sum();
+    let views = vs.templates().edges().map(|(_, record)| record.view());
+    let probes: usize = views.map(|q| q.from().len() - 1).sum();
     let deletions = WorkloadGen::new(vs, 7).deletions(WorkloadClass::W1, 16);
     let (mut translated, mut most_calls, mut most_binds) = (0, 0, 0);
     for u in &deletions {
         let delta = xdelete(&sys.evaluate(u.path()));
         // The first translation compiles the registry; count the rest.
         translate_deletions(vs, base, &delta).expect("W1 deletions translate");
-        let hits = vs.template_stats().hits;
+        let hits = vs.templates().stats().hits;
         let (_, _, calls) = allocated_by(|| translate_deletions(vs, base, &delta));
-        let binds = (vs.template_stats().hits - hits) as usize - delta.deletes.len();
+        let binds = (vs.templates().stats().hits - hits) as usize - delta.deletes.len();
         println!(
             "`{}`: {} edges, {binds} binds, {calls} allocator calls",
             u.path(),
@@ -560,10 +561,10 @@ fn a_delete_translation_binds_each_probe_at_most_once() {
 }
 
 /// Allocator calls an anchored W1 or W2 insertion's `apply_deferred` may
-/// make at 32 groups: the largest of the sixteen drawn, 238 (the first;
-/// the rest made 122–130), + 5 %. When phase 2 planned its join per call
+/// make at 32 groups: the largest of the sixteen drawn, 227 (the first;
+/// the rest made 111–119), + 5 %. When phase 2 planned its join per call
 /// and materialised its rows, the same sixteen made 294–410.
-const INSERT_TRANSLATION_CALLS: usize = 250;
+const INSERT_TRANSLATION_CALLS: usize = 239;
 
 /// §4.3's Algorithm insert as a cost model (ARCHITECTURE §1, the §4.3 row;
 /// ROADMAP items 1(d) and 17): an anchored W1 or W2 insertion of a fresh

@@ -1161,7 +1161,10 @@ mod tests {
         let dag = read_dag(&mut Reader::new(&bytes), sys.view().atg()).unwrap();
         let loaded = dag.genid();
         assert!(loaded.is_live(NodeId(0)) && !loaded.is_live(NodeId(1)));
-        assert_eq!((loaded.n_free(), loaded.lookup(ty, &pair)), (1, None));
+        assert_eq!(
+            (loaded.n_free(), loaded.lookup(ty, pair.values())),
+            (1, None)
+        );
         assert_eq!(loaded.clone().gen_id(ty, pair), (NodeId(1), true));
         let mut back = Vec::new();
         put_dag(&mut back, &dag, dtd);

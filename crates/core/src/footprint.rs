@@ -401,7 +401,9 @@ fn add_edge_keys(
 ) -> bool {
     match vs.atg().rule(pty, cty) {
         Some(RuleBody::Query { query, .. }) => {
-            match edge_template_keys(base, &vs.templates(), (pty, cty), query, pattr, cattr) {
+            let record = vs.templates().edge((pty, cty));
+            let record = record.expect("a rule's edge has a record");
+            match edge_template_keys(base, record, query, pattr, cattr) {
                 Ok(keys) => {
                     for (table, key) in keys {
                         let Ok(schema) = base.table(&table).map(|t| t.schema()) else {
@@ -510,11 +512,15 @@ mod tests {
         let (db, vs) = store();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let prereq = vs.atg().dtd().type_id("prereq").unwrap();
-        let p650 = vs.dag().genid().lookup(prereq, &tuple!["CS650"]).unwrap();
+        let p650 = vs
+            .dag()
+            .genid()
+            .lookup(prereq, tuple!["CS650"].values())
+            .unwrap();
         let c320 = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         let mut fp = RelFootprint::default();
         assert!(planned_delete_writes(&vs, &db, &[(p650, c320)], &mut fp));
@@ -528,7 +534,11 @@ mod tests {
         let (db, vs) = store();
         let course = vs.atg().dtd().type_id("course").unwrap();
         let prereq = vs.atg().dtd().type_id("prereq").unwrap();
-        let p650 = vs.dag().genid().lookup(prereq, &tuple!["CS650"]).unwrap();
+        let p650 = vs
+            .dag()
+            .genid()
+            .lookup(prereq, tuple!["CS650"].values())
+            .unwrap();
         let attr = tuple!["MA100", "Calculus"];
         let mut ids = rxview_atg::Provisional::new(vs.dag().genid());
         let st =

@@ -662,7 +662,7 @@ mod tests {
         let expect = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         assert_eq!(anchors, vec![expect]);
     }

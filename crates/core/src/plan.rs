@@ -398,7 +398,7 @@ pub struct PlanCache {
     /// the plan cache — analyze, the engine's rounds, recovery — shares
     /// one compilation, with its own counters separate
     /// from the plan counters.
-    templates: OnceLock<Arc<TranslationTemplates>>,
+    templates: OnceLock<TranslationTemplates>,
 }
 
 impl Default for PlanCache {
@@ -472,11 +472,9 @@ impl PlanCache {
     /// The translation-template registry for `atg`, compiled on first call.
     /// The cache-coherence argument is the plan one verbatim: one grammar
     /// per cache, so the first caller's `atg` is every caller's `atg`.
-    pub fn templates(&self, atg: &Atg) -> Arc<TranslationTemplates> {
-        Arc::clone(
-            self.templates
-                .get_or_init(|| Arc::new(TranslationTemplates::compile(atg))),
-        )
+    pub fn templates(&self, atg: &Atg) -> &TranslationTemplates {
+        self.templates
+            .get_or_init(|| TranslationTemplates::compile(atg))
     }
 
     /// Counters of the template registry (zero until first compiled).

@@ -867,11 +867,11 @@ mod tests {
             &eval.selected,
             &mut fp,
         ));
-        let after_plan = sys.view().template_stats();
+        let after_plan = sys.view().plan_cache().template_stats();
         assert!(after_plan.compiles > 0, "the dry run compiles the registry");
         assert!(after_plan.hits > 0, "the dry run instantiates templates");
         sys.apply(&u, SideEffectPolicy::Proceed).unwrap();
-        let after_apply = sys.view().template_stats();
+        let after_apply = sys.view().plan_cache().template_stats();
         assert_eq!(
             after_apply.compiles, after_plan.compiles,
             "real translation must reuse the planner's compilation"

@@ -841,15 +841,15 @@ mod tests {
         let course = atg.dtd().type_id("course").unwrap();
         let cs240 = dag
             .genid()
-            .lookup(course, &tuple!["CS240", "Data Structures"])
+            .lookup(course, tuple!["CS240", "Data Structures"].values())
             .unwrap();
         let cs650 = dag
             .genid()
-            .lookup(course, &tuple!["CS650", "Advanced DB"])
+            .lookup(course, tuple!["CS650", "Advanced DB"].values())
             .unwrap();
         let cs320 = dag
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         // CS240 is reachable from CS650 through the shared CS320 subtree.
         assert!(m.is_ancestor(cs650, cs240));

@@ -97,13 +97,13 @@ pub(crate) fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option
     for &(u, v) in &delta.deletes {
         let a = vs.dag().genid().type_of(u);
         let b = vs.dag().genid().type_of(v);
-        let Some(q) = vs.edge_query(a, b) else {
+        let Some(record) = templates.edge((a, b)) else {
             continue; // NotDeletable: the translation rejects, writes nothing
         };
-        if q.from().len() <= 1 {
+        if record.view().from().len() <= 1 {
             continue; // projection rule: same
         }
-        out.extend(templates.source_keys((a, b), &edge_row(vs, u, v))?);
+        out.extend(record.source_keys(&edge_row(vs, u, v))?);
     }
     Some(out)
 }
@@ -127,11 +127,12 @@ pub fn translate_deletions(
     for &(u, v) in &delta.deletes {
         let a = vs.dag().genid().type_of(u);
         let b = vs.dag().genid().type_of(v);
-        let Some(q) = vs.edge_query(a, b) else {
+        let Some(record) = templates.edge((a, b)) else {
             return Err(DeleteRejection::NotDeletable {
                 view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
             });
         };
+        let q = record.view();
         // Projection-rule edges join only the gen table: no base source.
         if q.from().len() <= 1 {
             return Err(DeleteRejection::NotDeletable {
@@ -139,7 +140,7 @@ pub fn translate_deletions(
             });
         }
         let row = edge_row(vs, u, v);
-        let sources = templates.source_keys((a, b), &row).ok_or_else(|| {
+        let sources = record.source_keys(&row).ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),
             })
@@ -150,7 +151,7 @@ pub fn translate_deletions(
         for sr in sources {
             if !verdict.contains_key(&sr) {
                 let safe =
-                    source_is_safe(vs, &aug, &templates, &mut bound, &mut rows, &sr, &deleted)?;
+                    source_is_safe(vs, &aug, templates, &mut bound, &mut rows, &sr, &deleted)?;
                 verdict.insert(sr.clone(), safe);
             }
             if verdict[&sr] {
@@ -191,7 +192,7 @@ fn source_is_safe<'a>(
         probe.run_into(sr.key.values(), rows)?;
         // A row whose parent or child is not in the view is no live edge:
         // deleting the source cannot hurt it.
-        let live = |row| vs.edge_from_row(*a, *b, row);
+        let live = |row: &Tuple| vs.edge_from_row(*a, *b, row.values());
         if rows.iter().filter_map(live).any(|e| !deleted.contains(&e)) {
             return Ok(false);
         }
@@ -262,7 +263,7 @@ mod tests {
         assert!(vs2
             .dag()
             .genid()
-            .lookup(student, &tuple!["S02", "Bob"])
+            .lookup(student, tuple!["S02", "Bob"].values())
             .is_none());
     }
 
@@ -279,7 +280,11 @@ mod tests {
         let vs2 = ViewStore::publish(atg, &db2).unwrap();
         let takenby = vs2.atg().dtd().type_id("takenBy").unwrap();
         let student = vs2.atg().dtd().type_id("student").unwrap();
-        let tb650 = vs2.dag().genid().lookup(takenby, &tuple!["CS650"]).unwrap();
+        let tb650 = vs2
+            .dag()
+            .genid()
+            .lookup(takenby, tuple!["CS650"].values())
+            .unwrap();
         assert!(vs2
             .dag()
             .children(tb650)
@@ -301,7 +306,7 @@ mod tests {
         let cs320 = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         let delta = ViewDelta {
             inserts: vec![],
@@ -328,7 +333,7 @@ mod tests {
         assert!(vs2
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS240", "Data Structures"])
+            .lookup(course, tuple!["CS240", "Data Structures"].values())
             .is_none());
     }
 
@@ -340,9 +345,13 @@ mod tests {
         let cs320 = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
-        let cno320 = vs.dag().genid().lookup(cno, &tuple!["CS320"]).unwrap();
+        let cno320 = vs
+            .dag()
+            .genid()
+            .lookup(cno, tuple!["CS320"].values())
+            .unwrap();
         let delta = ViewDelta {
             inserts: vec![],
             deletes: vec![(cs320, cno320)],

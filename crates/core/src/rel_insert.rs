@@ -19,7 +19,8 @@
 //!    update is rejected outright; with a condition on an infinite-domain
 //!    variable it is avoided by choosing a fresh constant; with conditions
 //!    on finite-domain variables only, the negated condition becomes a SAT
-//!    clause. The fresh nodes join through their `gen_A` tables, which
+//!    clause. A `Bool` variable is finite, `{true, false}`, whatever its
+//!    column declares. The fresh nodes join through their `gen_A` tables, which
 //!    they entered when `Xinsert` interned them.
 //! 3. **SAT.** Finite-domain variables are encoded as `x = c` propositions
 //!    with domain and mutual-exclusion clauses; the formula goes to WalkSAT
@@ -29,11 +30,15 @@
 //!    the templates, literals and clauses sorted and deduplicated — so `∆R`
 //!    is a function of the clause set, not of the order the join found it.
 //! 4. **Decode `∆R`.** Templates are instantiated from the model; unpinned
-//!    infinite-domain variables get fresh constants outside the active
-//!    domain (Theorem 4's construction).
+//!    infinite-domain variables get fresh constants (Theorem 4's
+//!    construction), numbered from 1 in every translation and skipping
+//!    every constant, and every value of a finite variable, that their
+//!    variable was compared with in a skipped condition — the values the
+//!    join read, which may include an earlier translation's fresh ones.
 //!
-//! The translation compiles nothing per call. Both phases read the
-//! [`TranslationTemplates`] registry: phase 1 the rule's
+//! The translation compiles nothing per call. Both phases read their
+//! edge's record in the [`TranslationTemplates`](crate::TranslationTemplates)
+//! registry: phase 1 the rule's
 //! [`rxview_relstore::SpjQuery::eq_closure`] (the interpretive
 //! `rxview_reference::compute_edge_closure` is the reference it is tested
 //! against), phase 2 one [`SpjPlan`] per (edge view, set of FROM entries
@@ -42,13 +47,13 @@
 //! symbolic rows ([`SymJoin`]); what it still does per call is read the
 //! tables.
 
-use crate::template::TranslationTemplates;
+use crate::template::EdgeRecord;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
     ColRef, Database, Domain, EqClosure, GroupUpdate, PlanAccess, PlanSrc, PlanStep, Probe,
-    RelError, RowSource, SpjPlan, SpjQuery, Table, Tuple, Value, ValueType,
+    RelError, RowSource, SpjPlan, SpjQuery, Tuple, Value, ValueType,
 };
 use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Lit, Var as PropVar, WalkSatResult};
 use rxview_xmlkit::TypeId;
@@ -143,6 +148,14 @@ struct Vars {
 
 impl Vars {
     fn fresh(&mut self, ty: ValueType, domain: Domain) -> usize {
+        // A `Bool` ranges over two values, whatever its column declares: no
+        // fresh constant can avoid both.
+        let domain = match (ty, domain) {
+            (ValueType::Bool, Domain::Infinite) => {
+                Domain::Finite(vec![Value::Bool(true), Value::Bool(false)])
+            }
+            (_, domain) => domain,
+        };
         self.parent.push(self.parent.len());
         self.domain.push(domain);
         self.ty.push(ty);
@@ -265,8 +278,7 @@ pub(crate) fn translate_insertions(
             Some(RuleBody::Query { query, .. }) => {
                 derive_templates(
                     base,
-                    &compiled,
-                    (a, b),
+                    compiled.edge((a, b)).expect("a rule's edge has a record"),
                     query,
                     vs.dag().genid().attr_of(u),
                     vs.dag().genid().attr_of(v),
@@ -297,7 +309,8 @@ pub(crate) fn translate_insertions(
         .collect();
     let wanted: BTreeSet<(NodeId, NodeId)> = delta.inserts.iter().copied().collect();
     let mut clauses: Vec<Vec<Cond>> = Vec::new(); // each to be negated
-    for (&edge, q) in vs.edge_queries() {
+    for (edge, record) in compiled.edges() {
+        let q = record.view();
         let of_entry: Vec<&[Template]> = q
             .from()
             .iter()
@@ -326,7 +339,7 @@ pub(crate) fn translate_insertions(
             if mask == 0 {
                 break;
             }
-            let plan = compiled.side_effect_plan(edge, mask);
+            let plan = record.side_effect_plan(mask);
             SymJoin {
                 plan,
                 tables: &tables,
@@ -347,14 +360,33 @@ pub(crate) fn translate_insertions(
     let finite = |v: usize| matches!(vars.domain[v], Domain::Finite(_));
     let mut pending: Vec<Vec<(usize, &Value)>> = Vec::new();
     let mut used_vars: BTreeSet<usize> = BTreeSet::new();
+    // Per infinite-domain variable, the values its fresh constant avoids.
+    let mut avoid: HashMap<usize, Vec<Value>> = HashMap::new();
     for conds in &clauses {
         // A condition on an infinite-domain variable is avoided by a fresh
-        // constant (two fresh constants differ), wherever it sits.
+        // constant (two fresh constants differ), wherever it sits: one that
+        // differs from the constant, or from every value of the finite
+        // variable, it is compared with.
         let avoidable = |c: &Cond| match *c {
             Cond::VarConst(v, _) => !finite(v),
             Cond::VarVar(x, y) => !finite(x) || !finite(y),
         };
         if conds.iter().any(avoidable) {
+            for c in conds {
+                match c {
+                    Cond::VarConst(v, val) if !finite(*v) => {
+                        avoid.entry(*v).or_default().push(val.clone());
+                    }
+                    &Cond::VarVar(x, y) => {
+                        for (x, y) in [(x, y), (y, x)] {
+                            if let (false, Domain::Finite(values)) = (finite(x), &vars.domain[y]) {
+                                avoid.entry(x).or_default().extend(values.iter().cloned());
+                            }
+                        }
+                    }
+                    Cond::VarConst(..) => {}
+                }
+            }
             continue;
         }
         let atoms = conds.iter().map(|c| match c {
@@ -432,7 +464,7 @@ pub(crate) fn translate_insertions(
     };
 
     // ---- Phase 4: decode ∆R. ----
-    let mut fresh_counter = 0usize;
+    let mut fresh = 0usize;
     let mut fresh_values: HashMap<usize, Value> = HashMap::new();
     let mut delta_r = GroupUpdate::new();
     for t in templates {
@@ -444,7 +476,8 @@ pub(crate) fn translate_insertions(
                     if let Some(v) = fresh_values.get(&r) {
                         v.clone()
                     } else {
-                        let v = decode_var(&mut vars, r, model.as_ref(), &prop, &mut fresh_counter);
+                        let avoid = avoid.get(&r).map_or(&[][..], Vec::as_slice);
+                        let v = decode_var(&mut vars, r, model.as_ref(), &prop, avoid, &mut fresh);
                         fresh_values.insert(r, v.clone());
                         v
                     }
@@ -457,12 +490,16 @@ pub(crate) fn translate_insertions(
 
     Ok(InsertTranslation { delta_r, sat_used })
 }
+/// The value of variable `r`: its model value, any domain value when the
+/// model leaves it free, or — for an infinite domain — the next fresh
+/// constant not in `avoid`.
 fn decode_var(
     vars: &mut Vars,
     r: usize,
     model: Option<&rxview_satsolver::Assignment>,
     prop: &BTreeMap<(usize, Value), PropVar>,
-    fresh_counter: &mut usize,
+    avoid: &[Value],
+    fresh: &mut usize,
 ) -> Value {
     if vars.is_finite(r) {
         let domain = vars.domain_values(r);
@@ -476,14 +513,18 @@ fn decode_var(
             }
         }
         // Unconstrained finite variable: any domain value works.
-        domain.into_iter().next().expect("finite domain non-empty")
-    } else {
-        *fresh_counter += 1;
-        match vars.ty[r] {
-            ValueType::Str => Value::from(format!("__rx_fresh_{fresh_counter}")),
+        return domain.into_iter().next().expect("finite domain non-empty");
+    }
+    loop {
+        *fresh += 1;
+        let v = match vars.ty[r] {
+            ValueType::Str => Value::from(format!("__rx_fresh_{fresh}")),
             // Far outside any realistic active domain.
-            ValueType::Int => Value::Int(i64::MAX / 2 + *fresh_counter as i64),
-            ValueType::Bool => Value::Bool(true),
+            ValueType::Int => Value::Int(i64::MAX / 2 + *fresh as i64),
+            ValueType::Bool => unreachable!("a Bool variable is finite"),
+        };
+        if !avoid.contains(&v) {
+            return v;
         }
     }
 }
@@ -494,16 +535,9 @@ fn decode_var(
 /// and the constant each class is pinned to by the child attribute
 /// (projection), the parent attribute (parameters), and constant
 /// predicates. Shared by template derivation and by footprint planning
-/// (`edge_template_keys`).
-///
-/// The closure depends only on the grammar, the table *schemas*, and the
-/// two attribute tuples — never on table contents — so its *structure*
-/// (offsets, representatives, value sources) compiles once per production
-/// edge into a `template::EdgeTemplate`; instantiating the
-/// template with the literal attribute tuples
-/// ([`TranslationTemplates::instantiate_insert`]) is how the translation
-/// gets this struct, and reproduces exactly what the interpretive
-/// `rxview_reference::compute_edge_closure` derives.
+/// (`edge_template_keys`), both through [`EdgeRecord::instantiate_insert`],
+/// which replays the edge's compiled pin program: exactly what the
+/// interpretive `rxview_reference::compute_edge_closure` derives.
 #[derive(Debug, PartialEq)]
 pub struct EdgeClosure {
     /// The equality classes of the rule query's columns.
@@ -529,30 +563,6 @@ impl EdgeClosure {
     }
 }
 
-/// A closure plus the tables of its FROM entries, each resolved in `base`
-/// once per inserted edge.
-struct EdgeBinding<'a> {
-    tables: Vec<&'a Table>,
-    closure: EdgeClosure,
-}
-
-fn edge_binding<'a>(
-    base: &'a Database,
-    templates: &TranslationTemplates,
-    edge: (TypeId, TypeId),
-    query: &SpjQuery,
-    parent_attr: &Tuple,
-    child_attr: &Tuple,
-) -> Result<EdgeBinding<'a>, InsertRejection> {
-    let tables = query
-        .from()
-        .iter()
-        .map(|tr| base.table(&tr.table))
-        .collect::<Result<Vec<_>, _>>()?;
-    let closure = templates.instantiate_insert(edge, parent_attr, child_attr)?;
-    Ok(EdgeBinding { tables, closure })
-}
-
 /// The ground primary key of every base row the rule query's templates
 /// would touch for one inserted edge — derivable *without evaluating or
 /// applying anything* because the rule queries are key-preserving (§4.1:
@@ -561,33 +571,31 @@ fn edge_binding<'a>(
 /// the edge; the realized `∆R` (after unification, existing-row dropping,
 /// and SAT instantiation) only ever writes a subset of these keys.
 ///
-/// `edge` is the `(parent type, child type)` production edge whose rule
+/// `record` is the registry's record of the production edge whose rule
 /// query is `query`: the planner's dry run instantiates the same compiled
 /// skeleton the real translation of the edge instantiates moments later.
 pub(crate) fn edge_template_keys(
     base: &Database,
-    templates: &TranslationTemplates,
-    edge: (TypeId, TypeId),
+    record: &EdgeRecord,
     query: &SpjQuery,
     parent_attr: &Tuple,
     child_attr: &Tuple,
 ) -> Result<Vec<(String, Tuple)>, InsertRejection> {
-    let b = edge_binding(base, templates, edge, query, parent_attr, child_attr)?;
+    let closure = record.instantiate_insert(parent_attr, child_attr)?;
     let mut out = Vec::with_capacity(query.from().len());
     for (rel, tr) in query.from().iter().enumerate() {
-        let key = b.tables[rel].schema().key();
-        let mut key_vals = Vec::with_capacity(key.len());
-        for &col in key {
-            match b.closure.known_at(ColRef { rel, col }) {
-                Some(v) => key_vals.push(v.clone()),
-                None => {
-                    return Err(InsertRejection::Rel(RelError::NotKeyPreserving {
-                        query: query.name().to_owned(),
-                    }))
-                }
-            }
-        }
-        out.push((tr.table.clone(), Tuple::from_values(key_vals)));
+        let key = base.table(&tr.table)?.schema().key();
+        let known = |&col: &usize| closure.known_at(ColRef { rel, col }).cloned();
+        let key: Tuple = key
+            .iter()
+            .map(known)
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                InsertRejection::Rel(RelError::NotKeyPreserving {
+                    query: query.name().to_owned(),
+                })
+            })?;
+        out.push((tr.table.clone(), key));
     }
     Ok(out)
 }
@@ -595,27 +603,25 @@ pub(crate) fn edge_template_keys(
 /// Derives the per-table templates for one inserted edge using the equality
 /// closure of the rule query with `$parent` bound to `params` and the output
 /// bound to `child`.
-#[allow(clippy::too_many_arguments)]
 fn derive_templates(
     base: &Database,
-    compiled: &TranslationTemplates,
-    edge: (TypeId, TypeId),
+    record: &EdgeRecord,
     query: &SpjQuery,
     parent_attr: &Tuple,
     child_attr: &Tuple,
     vars: &mut Vars,
     templates: &mut BTreeMap<(String, Tuple), Template>,
 ) -> Result<(), InsertRejection> {
-    let binding = edge_binding(base, compiled, edge, query, parent_attr, child_attr)?;
+    let closure = record.instantiate_insert(parent_attr, child_attr)?;
     // Variables per undetermined class.
     let mut class_var: HashMap<usize, usize> = HashMap::new();
     for (rel, tr) in query.from().iter().enumerate() {
-        let table = binding.tables[rel];
+        let table = base.table(&tr.table)?;
         let schema = table.schema();
         let mut cells = Vec::with_capacity(schema.arity());
         for col in 0..schema.arity() {
-            let r = binding.closure.classes.rep(ColRef { rel, col });
-            match binding.closure.known.get(&r) {
+            let r = closure.classes.rep(ColRef { rel, col });
+            match closure.known.get(&r) {
                 Some(v) => cells.push(Sym::Known(v.clone())),
                 None => {
                     let vid = *class_var.entry(r).or_insert_with(|| {
@@ -914,7 +920,7 @@ impl<'a> SymJoin<'a> {
             }));
             let (a, b) = self.edge;
             self.vs
-                .edge_from_row(a, b, &row)
+                .edge_from_row(a, b, row.values())
                 .is_some_and(|e| self.wanted.contains(&e) || self.vs.dag().has_edge(e.0, e.1))
         };
         if harmless {
@@ -997,11 +1003,15 @@ mod tests {
         let vs2 = ViewStore::publish(atg2, &db2).unwrap();
         let prereq = vs2.atg().dtd().type_id("prereq").unwrap();
         let course2 = vs2.atg().dtd().type_id("course").unwrap();
-        let pr650 = vs2.dag().genid().lookup(prereq, &tuple!["CS650"]).unwrap();
+        let pr650 = vs2
+            .dag()
+            .genid()
+            .lookup(prereq, tuple!["CS650"].values())
+            .unwrap();
         let cs240 = vs2
             .dag()
             .genid()
-            .lookup(course2, &tuple!["CS240", "Data Structures"])
+            .lookup(course2, tuple!["CS240", "Data Structures"].values())
             .unwrap();
         assert!(vs2.dag().has_edge(pr650, cs240));
     }
@@ -1044,12 +1054,16 @@ mod tests {
         let atg2 = registrar_atg(&db2).unwrap();
         let vs2 = ViewStore::publish(atg2, &db2).unwrap();
         let takenby = vs2.atg().dtd().type_id("takenBy").unwrap();
-        let tb320 = vs2.dag().genid().lookup(takenby, &tuple!["CS320"]).unwrap();
+        let tb320 = vs2
+            .dag()
+            .genid()
+            .lookup(takenby, tuple!["CS320"].values())
+            .unwrap();
         let student2 = vs2.atg().dtd().type_id("student").unwrap();
         let s99 = vs2
             .dag()
             .genid()
-            .lookup(student2, &tuple!["S99", "Zed"])
+            .lookup(student2, tuple!["S99", "Zed"].values())
             .unwrap();
         assert!(vs2.dag().has_edge(tb320, s99));
     }
@@ -1157,7 +1171,7 @@ mod tests {
         let c888 = vs2
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS888", "Lab"])
+            .lookup(course, tuple!["CS888", "Lab"].values())
             .expect("published under prereq");
         assert!(!vs2.dag().children(vs2.dag().root()).contains(&c888));
         let _ = dbty;

@@ -1,51 +1,38 @@
-//! Compiled translation templates: precompiled ∆R skeletons per production
-//! edge.
+//! The translation registry: the one home of the edge views.
 //!
-//! The §4.2/§4.3 translation algorithms rest on one static fact per rule
-//! and per edge view: the equality closure of the query's `Col = Col`
-//! predicates ([`rxview_relstore::SpjQuery::eq_closure`]). It depends on
-//! neither table contents nor attribute values — only on the grammar and
-//! the table schemas, both fixed for the lifetime of a store family — so
-//! it is computed **once per production edge**, here, and lowered into a
-//! [`TranslationTemplates`] registry:
+//! §2.3 codes a recursive view as a bounded set of edge views `Q_edge_A_B`
+//! (`gen_A` joined with the rule of `A → B`, one row per `A → B` edge), and
+//! §4.2/§4.3 translate every update through them and through the equality
+//! closure of their `Col = Col` predicates
+//! ([`rxview_relstore::SpjQuery::eq_closure`]). Both depend only on the
+//! grammar and the table schemas, so [`TranslationTemplates::compile`]
+//! derives each edge view **once**, and keeps one [`EdgeRecord`] per
+//! production edge with what is compiled from it:
 //!
-//! - the insert side keeps, per edge, the rule query's closure and an
-//!   ordered *pin program* (which class is pinned by which child
-//!   attribute position, parent attribute field, or constant) —
-//!   instantiation replays the pins against the literal attribute tuples
-//!   and yields the [`EdgeClosure`] `rxview_reference::compute_edge_closure`
-//!   derives, without re-walking predicates or re-running the union-find;
-//! - per edge view and non-empty set of its non-derived FROM entries,
-//!   phase 2 of Algorithm insert (side-effect detection) gets an
-//!   [`SpjPlan`] with those entries placed first
-//!   ([`SpjPlan::compile_first`]): the join it walks when those entries
-//!   read the phase-1 templates — the relstore's one planner, compiled
-//!   once, never per call;
-//! - the delete side keeps, per edge view, a `SourceProgram`: for every
-//!   non-derived FROM entry, a `(table, key-cell…)` spec whose cells name
-//!   the output position (or constant) each key column's equality class
-//!   resolves to — instantiation is a few indexed clones per source where
-//!   `rxview_reference::closure_source_keys` re-runs the whole union-find
-//!   per candidate row;
-//! - per edge view and non-derived FROM occurrence, Algorithm delete's
-//!   safety probe ([`compile_bound`]): each row it yields has the bound
-//!   key among its sources, as every key cell of the `SourceProgram` is an
-//!   output column or a constant of the bound column's class.
+//! - the rule query's closure and an ordered *pin program* (which class is
+//!   pinned by which child attribute position, parent attribute field, or
+//!   constant): phase 1 of Algorithm insert replays the pins against the
+//!   literal attribute tuples and gets the [`EdgeClosure`]
+//!   `rxview_reference::compute_edge_closure` derives;
+//! - per non-empty set of the view's non-derived FROM entries, phase 2's
+//!   side-effect [`SpjPlan`] with those entries placed first
+//!   ([`SpjPlan::compile_first`], the relstore's one planner);
+//! - a `SourceProgram`: per non-derived FROM entry, the output position
+//!   (or constant) each key column's class resolves to, so a deleted row's
+//!   candidate sources are a few indexed clones where
+//!   `rxview_reference::closure_source_keys` re-runs the union-find.
 //!
-//! The registry lives in the engine-wide [`crate::plan::PlanCache`] behind
-//! a `OnceLock`, so the analyze dry run, the engine's rounds and recovery
-//! replay all share one compilation (and the
-//! planner's instantiations warm nothing — there is nothing left to warm).
-//! It is the only derivation the translation runs; `tests/reference_oracles.rs`
-//! holds it equal to the interpretive `rxview_reference::compute_edge_closure`
-//! (§4.3) and `rxview_reference::closure_source_keys` (§4.2).
+//! Per base table the registry also keeps Algorithm delete's safety probes
+//! ([`compile_bound`]), one per FROM occurrence in an edge view.
+//! `tests/reference_oracles.rs` holds the records to `Atg::edge_view_query`
+//! and to the interpretive references.
 //!
-//! **Cache-coherence invariant:** a template depends only on the `Atg`
-//! (rules, edge-view queries) and the base/`gen_A` *schemas* — never on
-//! table contents, node identity, or attribute values. Both inputs are
-//! immutable for a published store family (grammar evolution would rebuild
-//! the `ViewStore`, and with it the `PlanCache`), so templates are never
-//! invalidated, only compiled once.
+//! **Cache-coherence invariant:** a record depends only on the `Atg` and
+//! the base/`gen_A` *schemas* — never on table contents, node identity, or
+//! attribute values. Both are fixed for a published store family, so the
+//! registry, held once in the engine-wide [`crate::plan::PlanCache`]'s
+//! `OnceLock`, is compiled once and never invalidated; no load derives an
+//! edge view.
 
 use crate::plan::PlanCacheStats;
 use crate::rel_insert::{EdgeClosure, InsertRejection};
@@ -55,8 +42,7 @@ use rxview_relstore::{
     TableSchema, TableSource, Tuple, Value,
 };
 use rxview_xmlkit::TypeId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -79,7 +65,7 @@ enum PinSource {
 /// unions all happen before any value is learned there, so the
 /// representatives baked in here are final.
 #[derive(Debug)]
-pub(crate) struct EdgeTemplate {
+struct EdgeTemplate {
     closure: EqClosure,
     /// `(flat column, value source)` in the interpretive learn order:
     /// projections by position, then constant/parameter predicates in
@@ -178,9 +164,8 @@ struct SourceSpec {
 /// row, so the edge is *not key-preserving* in the generalized sense and
 /// stays `None` forever.
 #[derive(Debug)]
-pub(crate) struct SourceProgram {
+struct SourceProgram {
     specs: Vec<SourceSpec>,
-    out_arity: usize,
 }
 
 impl SourceProgram {
@@ -222,16 +207,12 @@ impl SourceProgram {
                 cells: key_cells,
             });
         }
-        Some(SourceProgram {
-            specs,
-            out_arity: query.out_arity(),
-        })
+        Some(SourceProgram { specs })
     }
 
     /// Reconstructs the candidate sources for one output row. Duplicates
     /// (self-joins resolving to the same key) collapse, as interpretively.
     fn instantiate(&self, out: &Tuple) -> Vec<SourceRef> {
-        debug_assert_eq!(out.arity(), self.out_arity, "edge row arity");
         let mut result: Vec<SourceRef> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
             let sr = SourceRef {
@@ -280,28 +261,81 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, rel: usize) -> Sp
     SpjPlan::compile(&bound, provider).expect("validated just above")
 }
 
-/// The per-grammar registry of compiled translation templates: insert-side
-/// `EdgeTemplate`s, and per edge view its phase-2 side-effect plans and
-/// delete-side `SourceProgram`, compiled in one pass over the `Atg`.
-/// Cached in the engine-wide [`crate::plan::PlanCache`] (one registry per
-/// store family) and consulted by every translation consumer.
+/// One production edge `A → B` in the registry: its edge view
+/// `Q_edge_A_B` (§2.3) and what the translation compiled from it.
+#[derive(Debug)]
+pub struct EdgeRecord {
+    view: SpjQuery,
+    /// Phase 1's skeleton of the rule query; `None` for a projection rule.
+    template: Option<EdgeTemplate>,
+    /// `None`: the view is not key-preserving in the generalized sense.
+    source: Option<SourceProgram>,
+    /// Phase 2's side-effect plans: the plan for the set of FROM entries
+    /// `S` read from templates (entry `i` is bit `i - 1`) at index `S - 1`.
+    side_effect: Vec<SpjPlan>,
+    /// Template and source program instantiated, side-effect plans run.
+    hits: AtomicU64,
+}
+
+impl EdgeRecord {
+    /// The edge view: `gen_A` joined with the rule of `A → B`, whose rows
+    /// (`$A` fields ++ `$B` fields) are the DAG's `A → B` edges.
+    pub fn view(&self) -> &SpjQuery {
+        &self.view
+    }
+
+    /// Instantiates the insert-side closure of the edge's rule query: what
+    /// `rxview_reference::compute_edge_closure` derives for the same
+    /// attribute tuples, rejection included.
+    ///
+    /// # Panics
+    /// If the edge has a projection rule, not a query rule.
+    pub fn instantiate_insert(
+        &self,
+        parent_attr: &Tuple,
+        child_attr: &Tuple,
+    ) -> Result<EdgeClosure, InsertRejection> {
+        let t = self.template.as_ref().expect("a query-rule edge");
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        t.instantiate(parent_attr, child_attr)
+    }
+
+    /// The side-effect plan of the view with the non-empty set of FROM
+    /// entries `set` (entry `i` is bit `i - 1`) placed first.
+    ///
+    /// # Panics
+    /// If `set` names an entry the view does not have.
+    pub(crate) fn side_effect_plan(&self, set: usize) -> &SpjPlan {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        &self.side_effect[set - 1]
+    }
+
+    /// Reconstructs the candidate sources of one output row of the view,
+    /// the derived `gen_parent` entry skipped. `None`: the view is not
+    /// key-preserving in the generalized sense — exactly when
+    /// `rxview_reference::closure_source_keys` returns `Ok(None)`.
+    pub fn source_keys(&self, out: &Tuple) -> Option<Vec<SourceRef>> {
+        debug_assert_eq!(out.arity(), self.view.out_arity(), "edge row arity");
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.source.as_ref().map(|p| p.instantiate(out))
+    }
+}
+
+/// The per-grammar registry of compiled translation templates: one
+/// [`EdgeRecord`] per production edge with a rule, and per base table the
+/// delete probes, compiled in one pass over the `Atg`. Cached in the
+/// engine-wide [`crate::plan::PlanCache`] (one registry per store family)
+/// and consulted by every translation consumer.
 #[derive(Debug)]
 pub struct TranslationTemplates {
-    insert: HashMap<(TypeId, TypeId), EdgeTemplate>,
-    /// Per edge view, phase 2's side-effect plans: the plan for the set of
-    /// FROM entries `S` read from templates (entry `i` is bit `i - 1`) at
-    /// index `S - 1`.
-    side_effect: HashMap<(TypeId, TypeId), Vec<SpjPlan>>,
-    /// `None` payload: the edge view exists but is not key-preserving in
-    /// the generalized sense.
-    delete: HashMap<(TypeId, TypeId), Option<SourceProgram>>,
+    /// In `(parent, child)` type order.
+    edges: BTreeMap<(TypeId, TypeId), EdgeRecord>,
     /// Per base table, the delete side's safety probes: one per FROM
     /// occurrence of the table in an edge view ([`compile_bound`]), in edge
     /// order.
     bound: HashMap<String, Vec<EdgeProbe<SpjPlan>>>,
-    /// Registry entries used: insert templates and source programs
-    /// instantiated, side-effect plans run, delete probes bound.
-    hits: AtomicU64,
+    /// Delete probes bound.
+    probe_hits: AtomicU64,
     /// Templates compiled (fixed after construction).
     compiles: u64,
     /// Wall nanoseconds of the one-shot compile pass.
@@ -309,124 +343,86 @@ pub struct TranslationTemplates {
 }
 
 impl TranslationTemplates {
-    /// Compiles the full registry from the grammar. Schemas come from
-    /// [`Atg::augmented_schemas`] — identical to the live base/`gen_A`
-    /// schemas by construction of the store.
+    /// Compiles the full registry from the grammar, each edge view derived
+    /// once. Schemas come from [`Atg::augmented_schemas`] — identical to
+    /// the live base/`gen_A` schemas by construction of the store.
     pub fn compile(atg: &Atg) -> TranslationTemplates {
         let t0 = Instant::now();
         let provider: Vec<TableSchema> = atg.augmented_schemas();
         let closure_of = |q: &SpjQuery| q.eq_closure(&provider).expect("FROM tables known");
-        let mut insert = HashMap::new();
-        let mut side_effect = HashMap::new();
-        let mut delete = HashMap::new();
-        let mut bound: HashMap<String, Vec<_>> = HashMap::new();
+        let mut edges = BTreeMap::new();
         let mut compiles = 0u64;
         for a in atg.dtd().types() {
             for &b in atg.dtd().children_of(a) {
-                if let Some(RuleBody::Query {
-                    query,
-                    param_fields,
-                    ..
-                }) = atg.rule(a, b)
-                {
-                    if let Entry::Vacant(slot) = insert.entry((a, b)) {
-                        slot.insert(EdgeTemplate::compile(
-                            closure_of(query),
-                            query,
-                            param_fields,
-                        ));
-                        compiles += 1;
-                    }
+                if edges.contains_key(&(a, b)) {
+                    continue;
                 }
-                if let Entry::Vacant(slot) = delete.entry((a, b)) {
-                    if let Some(q) = atg.edge_view_query(a, b) {
-                        let closure = closure_of(&q);
-                        slot.insert(SourceProgram::compile(&provider, &q, &closure, &[0]));
-                        compiles += 1;
-                        let n_base = q.from().len() - 1;
-                        let plans: Vec<SpjPlan> = (1..1usize << n_base)
-                            .map(|set| {
-                                let first: Vec<usize> =
-                                    (1..=n_base).filter(|i| set & 1 << (i - 1) != 0).collect();
-                                SpjPlan::compile_first(&q, &provider, &first)
-                                    .expect("edge views are valid")
-                            })
-                            .collect();
-                        compiles += plans.len() as u64;
-                        side_effect.insert((a, b), plans);
-                        // Entry 0 is the derived `gen_parent`, never a source.
-                        for (rel, tr) in q.from().iter().enumerate().skip(1) {
-                            let probes: &mut Vec<_> = bound.entry(tr.table.clone()).or_default();
-                            probes.push(((a, b), compile_bound(&provider, &q, rel)));
-                            compiles += 1;
-                        }
-                    }
-                }
+                let Some(view) = atg.edge_view_query(a, b, &provider) else {
+                    continue;
+                };
+                let template = match atg.rule(a, b) {
+                    Some(RuleBody::Query {
+                        query,
+                        param_fields,
+                        ..
+                    }) => Some(EdgeTemplate::compile(
+                        closure_of(query),
+                        query,
+                        param_fields,
+                    )),
+                    _ => None,
+                };
+                let source = SourceProgram::compile(&provider, &view, &closure_of(&view), &[0]);
+                let n_base = view.from().len() - 1;
+                let side_effect: Vec<SpjPlan> = (1..1usize << n_base)
+                    .map(|set| {
+                        let first: Vec<usize> =
+                            (1..=n_base).filter(|i| set & 1 << (i - 1) != 0).collect();
+                        SpjPlan::compile_first(&view, &provider, &first)
+                            .expect("edge views are valid")
+                    })
+                    .collect();
+                compiles += u64::from(template.is_some()) + 1 + side_effect.len() as u64;
+                let record = EdgeRecord {
+                    view,
+                    template,
+                    source,
+                    side_effect,
+                    hits: AtomicU64::new(0),
+                };
+                edges.insert((a, b), record);
             }
         }
-        for probes in bound.values_mut() {
-            probes.sort_by_key(|(edge, _)| *edge);
+        let mut bound: HashMap<String, Vec<_>> = HashMap::new();
+        for (&edge, record) in &edges {
+            // Entry 0 is the derived `gen_parent`, never a source.
+            for (rel, tr) in record.view.from().iter().enumerate().skip(1) {
+                let probe = compile_bound(&provider, &record.view, rel);
+                bound
+                    .entry(tr.table.clone())
+                    .or_default()
+                    .push((edge, probe));
+                compiles += 1;
+            }
         }
         TranslationTemplates {
-            insert,
-            side_effect,
-            delete,
+            edges,
             bound,
-            hits: AtomicU64::new(0),
+            probe_hits: AtomicU64::new(0),
             compiles,
             compile_ns: t0.elapsed().as_nanos() as u64,
         }
     }
 
-    /// Instantiates the insert-side closure of `edge`, a production edge
-    /// with a query rule: what `rxview_reference::compute_edge_closure`
-    /// derives for the same attribute tuples, rejection included.
-    ///
-    /// # Panics
-    /// If `edge` has no query rule in the grammar the registry was compiled
-    /// from — [`TranslationTemplates::compile`] covers every one that has.
-    pub fn instantiate_insert(
-        &self,
-        edge: (TypeId, TypeId),
-        parent_attr: &Tuple,
-        child_attr: &Tuple,
-    ) -> Result<EdgeClosure, InsertRejection> {
-        let t = self
-            .insert
-            .get(&edge)
-            .expect("every query-rule edge is compiled");
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        t.instantiate(parent_attr, child_attr)
+    /// The record of production edge `edge`; `None` when the edge has no
+    /// rule.
+    pub fn edge(&self, edge: (TypeId, TypeId)) -> Option<&EdgeRecord> {
+        self.edges.get(&edge)
     }
 
-    /// The side-effect plan of `edge`'s view with the non-empty set of
-    /// FROM entries `set` (entry `i` is bit `i - 1`) placed first.
-    ///
-    /// # Panics
-    /// If `edge` has no edge view in the grammar the registry was compiled
-    /// from — [`TranslationTemplates::compile`] covers every one that has —
-    /// or `set` names an entry the view does not have.
-    pub(crate) fn side_effect_plan(&self, edge: (TypeId, TypeId), set: usize) -> &SpjPlan {
-        let plans = self
-            .side_effect
-            .get(&edge)
-            .expect("every edge view is compiled");
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        &plans[set - 1]
-    }
-
-    /// Reconstructs the candidate sources of one output row of `edge`'s
-    /// view, the derived `gen_parent` entry skipped. `None`: the view is
-    /// not key-preserving in the generalized sense — exactly when
-    /// `rxview_reference::closure_source_keys` returns `Ok(None)`.
-    ///
-    /// # Panics
-    /// If `edge` has no edge view in the grammar the registry was compiled
-    /// from — [`TranslationTemplates::compile`] covers every one that has.
-    pub fn source_keys(&self, edge: (TypeId, TypeId), out: &Tuple) -> Option<Vec<SourceRef>> {
-        let program = self.delete.get(&edge).expect("every edge view is compiled");
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        program.as_ref().map(|p| p.instantiate(out))
+    /// Every record, in `(parent, child)` type order.
+    pub fn edges(&self) -> impl Iterator<Item = ((TypeId, TypeId), &EdgeRecord)> {
+        self.edges.iter().map(|(&edge, record)| (edge, record))
     }
 
     /// Binds `table`'s delete probes to `source`: run on a key `k` of
@@ -439,7 +435,8 @@ impl TranslationTemplates {
         source: &'a S,
     ) -> RelResult<Vec<EdgeProbe<BoundPlan<'a>>>> {
         let probes = self.bound.get(table).map_or(&[][..], Vec::as_slice);
-        self.hits.fetch_add(probes.len() as u64, Ordering::Relaxed);
+        self.probe_hits
+            .fetch_add(probes.len() as u64, Ordering::Relaxed);
         probes
             .iter()
             .map(|(edge, plan)| Ok((*edge, plan.bind(source)?)))
@@ -451,8 +448,9 @@ impl TranslationTemplates {
     /// `misses`/`compiles` are the one-shot compile pass (fixed after
     /// construction, so steady-state hit rate → 1).
     pub fn stats(&self) -> PlanCacheStats {
+        let record_hits = self.edges.values().map(|r| r.hits.load(Ordering::Relaxed));
         PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: record_hits.sum::<u64>() + self.probe_hits.load(Ordering::Relaxed),
             misses: self.compiles,
             evictions: 0,
             compiles: self.compiles,
@@ -478,13 +476,10 @@ mod tests {
         let mut query_edges = 0;
         for a in atg.dtd().types() {
             for &b in atg.dtd().children_of(a) {
-                if let Some(RuleBody::Query { .. }) = atg.rule(a, b) {
-                    query_edges += 1;
-                    assert!(reg.insert.contains_key(&(a, b)), "insert template missing");
-                }
-                if atg.edge_view_query(a, b).is_some() {
-                    assert!(reg.delete.contains_key(&(a, b)), "delete program missing");
-                }
+                let record = reg.edge((a, b)).expect("every edge has a rule");
+                let is_query = matches!(atg.rule(a, b), Some(RuleBody::Query { .. }));
+                assert_eq!(record.template.is_some(), is_query, "insert template");
+                query_edges += usize::from(is_query);
             }
         }
         assert!(query_edges > 0, "fixture has query rules");

@@ -121,7 +121,10 @@ mod tests {
         let takenby320 = vs
             .dag()
             .genid()
-            .lookup(vs.atg().dtd().type_id("takenBy").unwrap(), &tuple!["CS320"])
+            .lookup(
+                vs.atg().dtd().type_id("takenBy").unwrap(),
+                tuple!["CS320"].values(),
+            )
             .unwrap();
         assert_eq!(delta.deletes[0].0, takenby320);
     }
@@ -158,7 +161,10 @@ mod tests {
         let prereq650 = vs
             .dag()
             .genid()
-            .lookup(vs.atg().dtd().type_id("prereq").unwrap(), &tuple!["CS650"])
+            .lookup(
+                vs.atg().dtd().type_id("prereq").unwrap(),
+                tuple!["CS650"].values(),
+            )
             .unwrap();
         assert_eq!(delta.inserts[0], (prereq650, st.root));
     }

@@ -1,30 +1,29 @@
 //! The relational coding of the DAG-compressed XML view (§2.3).
 //!
-//! A [`ViewStore`] bundles:
-//! - the published [`Dag`] (child and parent lists + Skolem interner),
-//!   whose interner keeps the `gen_A` node tables — one per element type,
-//!   a row per live node carrying its id — as its only `$A` → id index;
-//! - the derived edge-view queries, one per production edge — a
-//!   **bounded** number of relational views even for recursive σ (the
-//!   paper's observation 3 in §2.3) — which are plain SPJ queries over the
-//!   *augmented* database (base ∪ gen, [`ViewStore::augmented`]).
+//! A [`ViewStore`] bundles the published [`Dag`] (child and parent lists +
+//! Skolem interner), whose interner keeps the `gen_A` node tables — one per
+//! element type, a row per live node carrying its id — as its only `$A` →
+//! id index, with the grammar and the engine-wide [`crate::plan::PlanCache`].
+//! The edge views, one per production edge — a **bounded** number of
+//! relational views even for recursive σ (the paper's observation 3 in
+//! §2.3), plain SPJ queries over the *augmented* database (base ∪ gen,
+//! [`ViewStore::augmented`]) — are derived once, by the translation
+//! registry ([`ViewStore::templates`]), and never by a load.
 
 use rxview_atg::{Atg, Dag, NodeId, PublishError, SubtreeDag};
 use rxview_relstore::{
-    Database, RowSource, SchemaProvider, SpjQuery, TableSchema, TableSource, Tuple,
+    Database, RowSource, SchemaProvider, TableSchema, TableSource, Tuple, Value,
 };
 use rxview_xmlkit::TypeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The materialized relational views `V = V_σ(I)` plus supporting state.
 #[derive(Debug, Clone)]
 pub struct ViewStore {
-    /// The grammar and its derived edge views never change while a store
-    /// lives, so clones share them.
+    /// The grammar never changes while a store lives, so clones share it.
     atg: Arc<Atg>,
     dag: Dag,
-    edge_queries: Arc<BTreeMap<(TypeId, TypeId), SpjQuery>>,
     /// Compiled update plans *and* the per-grammar translation-template
     /// registry, shared (`Arc`) between a snapshot and every clone of it (a
     /// round's working state, the next snapshot): both depend only on the
@@ -76,23 +75,12 @@ impl ViewStore {
     }
 
     /// Assembles a store over a [`Dag`], published or loaded, without
-    /// re-running `σ(I)`. The edge-view queries are grammar-derived
-    /// (bounded by `|DTD|`, §2.3) and are rebuilt from `atg`, which must be
-    /// the grammar the DAG was produced under — its interner built over
-    /// [`Atg::gen_table_schemas`].
+    /// re-running `σ(I)`. `atg` must be the grammar the DAG was produced
+    /// under — its interner built over [`Atg::gen_table_schemas`].
     pub fn from_parts(atg: Atg, dag: Dag) -> Self {
-        let mut edge_queries = BTreeMap::new();
-        for parent in atg.dtd().types() {
-            for &child in atg.dtd().children_of(parent) {
-                if let Some(q) = atg.edge_view_query(parent, child) {
-                    edge_queries.insert((parent, child), q);
-                }
-            }
-        }
         ViewStore {
             atg: Arc::new(atg),
             dag,
-            edge_queries: Arc::new(edge_queries),
             plan_cache: Arc::default(),
         }
     }
@@ -117,32 +105,17 @@ impl ViewStore {
         &self.plan_cache
     }
 
-    /// The per-grammar translation-template registry, compiled on first
-    /// call and shared through the plan cache (see
-    /// [`TranslationTemplates`](crate::TranslationTemplates)).
-    pub fn templates(&self) -> Arc<crate::template::TranslationTemplates> {
+    /// The per-grammar translation-template registry — the one home of the
+    /// edge views — compiled on first call and shared through the plan
+    /// cache (see [`TranslationTemplates`](crate::TranslationTemplates)).
+    pub fn templates(&self) -> &crate::template::TranslationTemplates {
         self.plan_cache.templates(&self.atg)
-    }
-
-    /// Counters of the template registry.
-    pub fn template_stats(&self) -> crate::plan::PlanCacheStats {
-        self.plan_cache.template_stats()
     }
 
     /// The augmented table source: base relations shadowing the interner's
     /// `gen_A` tables.
     pub fn augmented<'a>(&'a self, base: &'a Database) -> impl TableSource + 'a {
         Augmented { base, vs: self }
-    }
-
-    /// The edge-view query for a production edge.
-    pub fn edge_query(&self, parent: TypeId, child: TypeId) -> Option<&SpjQuery> {
-        self.edge_queries.get(&(parent, child))
-    }
-
-    /// All edge-view queries.
-    pub fn edge_queries(&self) -> impl Iterator<Item = (&(TypeId, TypeId), &SpjQuery)> {
-        self.edge_queries.iter()
     }
 
     /// Generates the subtree `ST(A, t)` into this store's interner (see
@@ -163,17 +136,14 @@ impl ViewStore {
         &self,
         parent_ty: TypeId,
         child_ty: TypeId,
-        row: &Tuple,
+        row: &[Value],
     ) -> Option<(NodeId, NodeId)> {
-        let p_arity = self.atg.attr_fields(parent_ty).len().max(1);
-        let parent_attr = if self.atg.attr_fields(parent_ty).is_empty() {
-            Tuple::empty()
-        } else {
-            Tuple::from_values(row.values()[..p_arity].iter().cloned())
-        };
-        let child_attr = Tuple::from_values(row.values()[p_arity..].iter().cloned());
-        let u = self.dag.genid().lookup(parent_ty, &parent_attr)?;
-        let v = self.dag.genid().lookup(child_ty, &child_attr)?;
+        let fields = self.atg.attr_fields(parent_ty).len();
+        // An empty `$A` is one unit column of the row.
+        let (parent_attr, child_attr) = row.split_at(fields.max(1));
+        let parent_attr = &parent_attr[..fields];
+        let u = self.dag.genid().lookup(parent_ty, parent_attr)?;
+        let v = self.dag.genid().lookup(child_ty, child_attr)?;
         Some((u, v))
     }
 
@@ -238,11 +208,11 @@ mod tests {
         let (db, vs) = store();
         let dtd = vs.atg().dtd();
         let aug = vs.augmented(&db);
-        for (&(a, b), q) in vs.edge_queries() {
-            let rows = eval_spj(&aug, q, &[]).unwrap();
+        for ((a, b), record) in vs.templates().edges() {
+            let rows = eval_spj(&aug, record.view(), &[]).unwrap();
             let from_query: std::collections::BTreeSet<(NodeId, NodeId)> = rows
                 .iter()
-                .filter_map(|r| vs.edge_from_row(a, b, r))
+                .filter_map(|r| vs.edge_from_row(a, b, r.values()))
                 .collect();
             let ty = |v| vs.dag().genid().type_of(v);
             let from_dag: std::collections::BTreeSet<(NodeId, NodeId)> = vs
@@ -268,7 +238,7 @@ mod tests {
         let cs320 = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         let mut cache = HashMap::new();
         // cno child text.
@@ -289,6 +259,6 @@ mod tests {
     fn edge_count_bounded_views() {
         let (_db, vs) = store();
         // One view per production edge — bounded by |DTD|, not by |data|.
-        assert_eq!(vs.edge_queries().count(), 9);
+        assert_eq!(vs.templates().edges().count(), 9);
     }
 }

@@ -103,7 +103,7 @@ proptest! {
         let edges: Vec<(usize, usize)> = edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let mut dag = build_dag(n, &edges);
         let mut rank: Vec<(NodeId, usize)> = (0..n)
-            .map(|i| (dag.genid().lookup(ty, &node(i)).expect("built"), i))
+            .map(|i| (dag.genid().lookup(ty, node(i).values()).expect("built"), i))
             .collect();
         // Free some ids: every edge of the victim goes, then the node.
         for v in victims.into_iter().map(|v| v % n).filter(|&v| v != 0) {
@@ -166,7 +166,7 @@ proptest! {
         let ty = TypeId(0);
         let id_of = |dag: &Dag, i: usize| {
             dag.genid()
-                .lookup(ty, &Tuple::from_values([Value::Int(i as i64)]))
+                .lookup(ty, Tuple::from_values([Value::Int(i as i64)]).values())
                 .expect("node exists")
         };
         for (a, b) in new_edges {
@@ -214,7 +214,7 @@ proptest! {
         }
         let v = dag
             .genid()
-            .lookup(ty, &Tuple::from_values([Value::Int(victim as i64)]))
+            .lookup(ty, Tuple::from_values([Value::Int(victim as i64)]).values())
             .expect("exists");
         // Remove all edges touching the victim, retire it, and drop it from L.
         let parents: Vec<NodeId> = dag.parents(v).to_vec();
@@ -281,7 +281,7 @@ proptest! {
             (1..n).flat_map(|j| [(spread(j, 0), j), (spread(j, 1), j), (j / 2, j)]).collect()
         };
         let mut dag = build_dag(n, &[]);
-        let id = |dag: &Dag, i: usize| dag.genid().lookup(ty, &node(i)).expect("built");
+        let id = |dag: &Dag, i: usize| dag.genid().lookup(ty, node(i).values()).expect("built");
         if deep == 1 {
             // One chain under the root: its edges go, but to node 1.
             let (root, first) = (dag.root(), id(&dag, 1));

@@ -147,7 +147,7 @@ fn walks_agree(sys: &XmlViewSystem, u: &XmlUpdate) -> Option<usize> {
         return None;
     };
     let ty = sys.view().atg().dtd().type_id(ty)?;
-    if sys.view().dag().genid().lookup(ty, attr).is_some() {
+    if sys.view().dag().genid().lookup(ty, attr.values()).is_some() {
         return None;
     }
     let eval = sys.eval(u.path());

@@ -1,7 +1,7 @@
 //! §4.2 as specifications. [`deletable_source`] is `Sr(Q,t)` read off a
 //! key-preserving view's projection. [`closure_source_keys`] derives
 //! deletable sources through the equality closure (Fig. 9) interpretively: the specification
-//! `TranslationTemplates::source_keys` (the compiled candidate-source
+//! `EdgeRecord::source_keys` (the compiled candidate-source
 //! program every deletion runs) is held equal to
 //! (`tests/reference_oracles.rs`). It keeps its own union-find; production
 //! derives classes once per query (`SpjQuery::eq_closure`).
@@ -176,23 +176,28 @@ pub fn source_is_safe(
     sr: &SourceRef,
     deleted: &BTreeSet<(NodeId, NodeId)>,
 ) -> RelResult<bool> {
-    let aug = vs.augmented(base);
-    for (&(a, b), q) in vs.edge_queries() {
-        if q.from().iter().all(|tr| tr.table != sr.table) {
-            continue;
-        }
-        let mut kp = q.clone();
-        kp.make_key_preserving(&aug)?;
-        for row in eval_spj(&aug, &kp, &[])? {
-            if !deletable_source(&kp, &aug, &row)?.contains(sr) {
+    let (aug, atg) = (vs.augmented(base), vs.atg());
+    let provider = atg.augmented_schemas();
+    for a in atg.dtd().types() {
+        for &b in atg.dtd().children_of(a) {
+            let Some(mut q) = atg.edge_view_query(a, b, &provider) else {
+                continue;
+            };
+            if q.from().iter().all(|tr| tr.table != sr.table) {
                 continue;
             }
-            let t = Tuple::from_values(row.values()[..q.out_arity()].iter().cloned());
-            if vs
-                .edge_from_row(a, b, &t)
-                .is_some_and(|edge| !deleted.contains(&edge))
-            {
-                return Ok(false);
+            let arity = q.out_arity();
+            q.make_key_preserving(&aug)?;
+            for row in eval_spj(&aug, &q, &[])? {
+                if !deletable_source(&q, &aug, &row)?.contains(sr) {
+                    continue;
+                }
+                if vs
+                    .edge_from_row(a, b, &row.values()[..arity])
+                    .is_some_and(|edge| !deleted.contains(&edge))
+                {
+                    return Ok(false);
+                }
             }
         }
     }
@@ -220,7 +225,7 @@ pub fn translate_deletions_minimal(
     for (i, &(u, v)) in delta.deletes.iter().enumerate() {
         let a = vs.dag().genid().type_of(u);
         let b = vs.dag().genid().type_of(v);
-        let Some(q) = vs.edge_query(a, b) else {
+        let Some(q) = vs.atg().edge_view_query(a, b, &provider) else {
             return Err(DeleteRejection::NotDeletable {
                 view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
             });
@@ -235,7 +240,7 @@ pub fn translate_deletions_minimal(
             .genid()
             .gen_row(u)
             .concat(vs.dag().genid().attr_of(v));
-        let sources = closure_source_keys(q, &provider, &row, &[0])?.ok_or_else(|| {
+        let sources = closure_source_keys(&q, &provider, &row, &[0])?.ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),
             })
@@ -549,7 +554,7 @@ mod tests {
         assert!(vs2
             .dag()
             .genid()
-            .lookup(student, &tuple!["S02", "Bob"])
+            .lookup(student, tuple!["S02", "Bob"].values())
             .is_none());
     }
 
@@ -579,7 +584,7 @@ mod tests {
         let cs320 = vs
             .dag()
             .genid()
-            .lookup(course, &tuple!["CS320", "Algorithms"])
+            .lookup(course, tuple!["CS320", "Algorithms"].values())
             .unwrap();
         let delta = ViewDelta {
             inserts: vec![],

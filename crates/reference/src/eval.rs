@@ -446,7 +446,7 @@ mod tests {
 
     fn node(vs: &ViewStore, ty: &str, attr: rxview_relstore::Tuple) -> NodeId {
         let t = vs.atg().dtd().type_id(ty).unwrap();
-        vs.dag().genid().lookup(t, &attr).unwrap()
+        vs.dag().genid().lookup(t, attr.values()).unwrap()
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tree.len(),
         {
             let part = sys.view().atg().dtd().type_id("part").unwrap();
-            let bolt = sys.view().dag().genid().lookup(part, &tuple!["bolt", "Bolt M5"]).unwrap();
+            let bolt = sys.view().dag().genid().lookup(part, tuple!["bolt", "Bolt M5"].values()).unwrap();
             sys.view().dag().parents(bolt).len()
         }
     );

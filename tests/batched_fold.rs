@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rxview::atg::NodeId;
 use rxview::core::reach::descendants;
 use rxview::core::{DeferredMaintenance, Reachability, SideEffectPolicy, XmlUpdate, XmlViewSystem};
-use rxview::relstore::tuple;
+use rxview::relstore::{tuple, Tuple};
 use rxview::workload::{registrar_atg, registrar_database};
 use rxview_bench::maintain::{apply_tracked, TrackedM};
 use std::collections::BTreeSet;
@@ -266,9 +266,9 @@ fn a_job_sees_what_an_earlier_job_of_its_fold_queued() {
 
     let genid = sys.view().dag().genid();
     let dtd = sys.view().atg().dtd();
-    let node = |ty: &str, attr| {
+    let node = |ty: &str, attr: Tuple| {
         genid
-            .lookup(dtd.type_id(ty).expect("registrar type"), &attr)
+            .lookup(dtd.type_id(ty).expect("registrar type"), attr.values())
             .expect("in the view")
     };
     let ma200 = node("course", tuple!["MA200", "Statistics"]);
@@ -326,7 +326,7 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
     let student = sys.view().atg().dtd().type_id("student").expect("type");
     let dan_of = |sys: &XmlViewSystem| {
         let genid = sys.view().dag().genid();
-        genid.lookup(student, &tuple!["S04", "Dan"])
+        genid.lookup(student, tuple!["S04", "Dan"].values())
     };
     let dan = dan_of(&sys).expect("interned by the first job");
     let (space, live) = (sys.view().dag().genid().n_allocated(), sys.view().n_nodes());
@@ -357,7 +357,7 @@ fn a_node_made_fresh_and_collected_in_one_fold_leaves_nothing_under_its_id() {
     let cs320 = genid
         .lookup(
             sys.view().atg().dtd().type_id("course").expect("type"),
-            &tuple!["CS320", "Algorithms"],
+            tuple!["CS320", "Algorithms"].values(),
         )
         .expect("in the view");
     assert!(m.m().is_ancestor(cs320, dan));

@@ -111,7 +111,7 @@ fn assert_publishes_like_the_reference(atg: Atg, db: Database) {
         assert_eq!(dag.genid().type_of(id), ty);
         assert_eq!(dag.genid().attr_of(id), attr);
         assert!(dag.genid().is_live(id));
-        assert_eq!(dag.genid().lookup(ty, attr), Some(id));
+        assert_eq!(dag.genid().lookup(ty, attr.values()), Some(id));
         assert_eq!(dag.children(id), ref_dag.children(id), "children of {id:?}");
         assert_eq!(dag.parents(id), ref_dag.parents(id), "parents of {id:?}");
     }
@@ -291,7 +291,7 @@ fn checkpoint_load_rebuilds_the_same_system() {
             assert_eq!(loaded.genid().is_live(id), dag.genid().is_live(id));
             if dag.genid().is_live(id) {
                 let (ty, attr) = (dag.genid().type_of(id), dag.genid().attr_of(id));
-                assert_eq!(loaded.genid().lookup(ty, attr), Some(id));
+                assert_eq!(loaded.genid().lookup(ty, attr.values()), Some(id));
             }
         }
         // The ids the updates released come back as free ids.

@@ -1,11 +1,13 @@
 //! End-to-end integration tests across all crates: every update that the
 //! system accepts must satisfy the paper's correctness criterion
 //! `∆X(T) = σ(∆R(I))`, checked by republication, with `gen_A` equal to the
-//! live nodes and `L` a topological order. Four tests drive §4.3's SAT
+//! live nodes and `L` a topological order. Six tests drive §4.3's SAT
 //! path: a satisfiable and an unsatisfiable instance, a side-effect row
 //! skipped for an avoidable condition wherever it sits among its
-//! conditions, and insertion verdicts and states that do not depend on how
-//! a rule query orders its FROM entries and predicates. Three tests hold the
+//! conditions, a condition on a `Bool` column sent to SAT, not to a fresh
+//! constant, a fresh constant that avoids one an earlier translation
+//! wrote, and insertion verdicts and states that do not depend on how a
+//! rule query orders its FROM entries and predicates. Three tests hold the
 //! plan cache and the log's shape table to paths whose labels spell the
 //! shape key's punctuation; three hold admission's schema verdict, read
 //! from the plan, to the one-shot check and to one compile per shape; the
@@ -18,7 +20,8 @@ use rxview::core::{
 };
 use rxview::engine::{Durability, Engine, EngineConfig, EngineError};
 use rxview::relstore::{
-    schema, tuple, ColRef, Database, EqPred, Operand, SpjQuery, Value, ValueType,
+    schema, tuple, ColRef, ColumnDef, Database, EqPred, Operand, SpjQuery, TableSchema, Value,
+    ValueType,
 };
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
@@ -227,7 +230,7 @@ fn deep_recursive_chain_updates() {
         .view()
         .dag()
         .genid()
-        .lookup(course, &tuple!["X10", "Chain 10"])
+        .lookup(course, tuple!["X10", "Chain 10"].values())
         .is_some());
 }
 
@@ -411,6 +414,131 @@ fn an_avoidable_condition_skips_its_row_wherever_it_sits() {
         sys.consistency_check()
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
     }
+}
+
+/// `r(k, b)` published as `doc → (items, flags)`: `items → item*` with an
+/// `item` per row of `r`, and `flags → flag*` with a `flag` per row whose
+/// `b` is `true`. `b` is a `Bool` column declared with an infinite domain,
+/// as `ColumnDef::new` makes it. Holds `r(a, false)`.
+fn flag_system() -> XmlViewSystem {
+    let mut db = Database::new();
+    let columns = vec![
+        ColumnDef::new("k", ValueType::Str),
+        ColumnDef::new("b", ValueType::Bool),
+    ];
+    db.create_table(TableSchema::new("r", columns, vec![0]))
+        .unwrap();
+    db.insert("r", tuple!["a", false]).unwrap();
+    let mut d = Dtd::builder("doc");
+    d.sequence("doc", &["items", "flags"]).unwrap();
+    d.star("items", "item").unwrap();
+    d.star("flags", "flag").unwrap();
+    let q_item = SpjQuery::builder("Qitems_item")
+        .from("r", "x")
+        .project(("x", "k"), "k")
+        .build(&db)
+        .unwrap();
+    let q_flag = SpjQuery::builder("Qflags_flag")
+        .from("r", "x")
+        .where_col_eq_const(("x", "b"), true)
+        .project(("x", "k"), "k")
+        .build(&db)
+        .unwrap();
+    let mut ab = Atg::builder(d.build().unwrap());
+    for (ty, fields) in [("doc", &[][..]), ("items", &[]), ("flags", &[])] {
+        ab.attr(ty, fields);
+    }
+    ab.attr("item", &["k"]).attr("flag", &["k"]);
+    ab.rule_project("doc", "items", &[])
+        .rule_project("doc", "flags", &[])
+        .rule_query("items", "item", q_item, &[])
+        .rule_query("flags", "flag", q_flag, &[]);
+    XmlViewSystem::new(ab.build(&db).unwrap(), db).unwrap()
+}
+
+/// §4.3 phase 3: a `Bool` variable ranges over `{false, true}` whatever
+/// its column declares, so no fresh constant avoids a condition on it.
+/// Inserting `item(z)` makes `r(z, b)`; `b = true` would add `flag(z)`, so
+/// SAT picks `b = false`.
+#[test]
+fn a_bool_condition_goes_to_sat_not_to_a_fresh_constant() {
+    for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+        let mut sys = flag_system();
+        let u = XmlUpdate::insert("item", tuple!["z"], "items").unwrap();
+        let report = sys
+            .apply(&u, policy)
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert!(report.sat_used, "{policy:?}: the condition is a clause");
+        let row = sys.base().table("r").unwrap().get(&tuple!["z"]).cloned();
+        assert_eq!(row, Some(tuple!["z", false]), "{policy:?}");
+        sys.consistency_check()
+            .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+    }
+}
+
+/// `r(k, b)` and `s(c, d)`, all `Str`, published as `doc → (items, sitems,
+/// pairs)`: an `item` per row of `r`, an `sitem` per row of `s`, and a
+/// `pair` per `r ⋈ s` on `b = d`. Starts empty.
+fn pair_system() -> XmlViewSystem {
+    let mut db = Database::new();
+    db.create_table(schema("r").col_str("k").col_str("b").key(&["k"]))
+        .unwrap();
+    db.create_table(schema("s").col_str("c").col_str("d").key(&["c"]))
+        .unwrap();
+    let mut d = Dtd::builder("doc");
+    d.sequence("doc", &["items", "sitems", "pairs"]).unwrap();
+    d.star("items", "item").unwrap();
+    d.star("sitems", "sitem").unwrap();
+    d.star("pairs", "pair").unwrap();
+    let scan = |name: &str, table: &str, key: &str| {
+        SpjQuery::builder(name)
+            .from(table, "x")
+            .project(("x", key), key)
+            .build(&db)
+            .unwrap()
+    };
+    let q_pair = SpjQuery::builder("Qpairs_pair")
+        .from("r", "x")
+        .from("s", "y")
+        .where_col_eq_col(("x", "b"), ("y", "d"))
+        .project(("x", "k"), "k")
+        .project(("y", "c"), "c")
+        .build(&db)
+        .unwrap();
+    let mut ab = Atg::builder(d.build().unwrap());
+    for ty in ["doc", "items", "sitems", "pairs"] {
+        ab.attr(ty, &[]);
+    }
+    ab.attr("item", &["k"])
+        .attr("sitem", &["c"])
+        .attr("pair", &["k", "c"]);
+    for child in ["items", "sitems", "pairs"] {
+        ab.rule_project("doc", child, &[]);
+    }
+    ab.rule_query("items", "item", scan("Qitems_item", "r", "k"), &[])
+        .rule_query("sitems", "sitem", scan("Qsitems_sitem", "s", "c"), &[])
+        .rule_query("pairs", "pair", q_pair, &[]);
+    XmlViewSystem::new(ab.build(&db).unwrap(), db).unwrap()
+}
+
+/// §4.3 phase 4: a fresh constant differs from every constant its
+/// variable was compared with in a skipped condition. `item(z1)` writes
+/// `r(z1, f)` with `f` fresh; `sitem(w1)` then makes `s(w1, d)`, whose
+/// join with `r(z1, f)` on `d = f` is avoided only if `d`'s fresh constant
+/// is not `f` — fresh constants are numbered from 1 in every translation.
+#[test]
+fn a_fresh_constant_avoids_what_an_earlier_translation_wrote() {
+    let mut sys = pair_system();
+    for (ty, key, at) in [("item", "z1", "items"), ("sitem", "w1", "sitems")] {
+        let u = XmlUpdate::insert(ty, tuple![key], at).unwrap();
+        let report = sys.apply(&u, SideEffectPolicy::Abort).unwrap();
+        assert!(!report.sat_used, "{ty}: no clause is left");
+        sys.consistency_check()
+            .unwrap_or_else(|e| panic!("after {ty}({key}): {e}"));
+    }
+    let b = &sys.base().table("r").unwrap().get(&tuple!["z1"]).unwrap()[1];
+    let d = &sys.base().table("s").unwrap().get(&tuple!["w1"]).unwrap()[1];
+    assert_ne!(b, d, "the two fresh constants differ");
 }
 
 /// `q` with its FROM entries and its predicates in reverse order.

@@ -21,7 +21,8 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "core",
-        "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure Evaluated Exact \
+        "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure EdgeRecord \
+         Evaluated Exact \
          InsertRejection MAX_CONE_ANCHORS MaintainReport Observed PathClass PhaseTimings \
          PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \
          StateDigest SubStep TopoOrder \

@@ -12,10 +12,11 @@
 //! - **translation** — for every production edge of the registrar and
 //!   synthetic grammars, of a grammar whose rule queries pin equality
 //!   classes twice (so a closure can be inconsistent) and of a self-join
-//!   chain, [`TranslationTemplates::instantiate_insert`] equals
-//!   [`compute_edge_closure`] — same closure, same rejection — and
-//!   [`TranslationTemplates::source_keys`] equals [`closure_source_keys`],
-//!   over random attribute tuples and output rows;
+//!   chain, the registry holds one record, whose view is the edge view
+//!   [`Atg::edge_view_query`] derives, and nothing else;
+//!   [`EdgeRecord::instantiate_insert`] equals [`compute_edge_closure`] —
+//!   same closure, same rejection — and [`EdgeRecord::source_keys`] equals
+//!   [`closure_source_keys`], over random attribute tuples and output rows;
 //! - **Algorithm delete** (§4.2, Fig. 9) — its ∆R or rejection equals the
 //!   first source per deleted edge that [`source_is_safe`], the safety
 //!   test read off the whole view, accepts, on registrar, synthetic and
@@ -30,8 +31,9 @@ use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic, 
 use proptest::prelude::*;
 use rxview::atg::{Atg, RuleBody};
 use rxview::core::{
-    classify, translate_deletions, xdelete, DeleteRejection, InsertRejection, SideEffectPolicy,
-    TranslationTemplates, UpdateError, ViewDelta, ViewStore, XmlUpdate, XmlViewSystem,
+    classify, translate_deletions, xdelete, DeleteRejection, EdgeRecord, InsertRejection,
+    SideEffectPolicy, TranslationTemplates, UpdateError, ViewDelta, ViewStore, XmlUpdate,
+    XmlViewSystem,
 };
 use rxview::relstore::{
     schema, Database, GroupUpdate, SchemaProvider, SpjQuery, Tuple, Value, ValueType,
@@ -40,7 +42,7 @@ use rxview::workload::{
     mixed_updates, registrar_atg, registrar_database, synthetic_atg, synthetic_database,
     SyntheticConfig,
 };
-use rxview::xmlkit::{parse_xpath, Dtd, XPath};
+use rxview::xmlkit::{parse_xpath, Dtd, TypeId, XPath};
 use rxview_reference::{
     closure_source_keys, compute_edge_closure, eval_xpath_on_dag, source_is_safe,
 };
@@ -222,6 +224,46 @@ fn small_tuple(types: &[ValueType], picks: &mut impl Iterator<Item = u8>) -> Tup
     )
 }
 
+/// The registry's record of edge `a → b`.
+fn record(compiled: &TranslationTemplates, a: TypeId, b: TypeId) -> &EdgeRecord {
+    compiled
+        .edge((a, b))
+        .expect("an edge with a rule has a record")
+}
+
+/// The registry is the edge views' one home: a record for exactly the
+/// production edges with a rule, each holding the edge view that
+/// [`Atg::edge_view_query`] derives — same name, FROM, predicates and
+/// projection.
+#[test]
+fn the_registry_holds_one_record_per_edge_view() {
+    for (name, _db, atg) in grammars() {
+        let compiled = TranslationTemplates::compile(&atg);
+        let provider = atg.augmented_schemas();
+        let mut want = std::collections::BTreeMap::new();
+        for a in atg.dtd().types() {
+            for &b in atg.dtd().children_of(a) {
+                if let Some(q) = atg.edge_view_query(a, b, &provider) {
+                    assert!(atg.rule(a, b).is_some(), "{name}: a view without a rule");
+                    want.insert((a, b), q);
+                } else {
+                    assert!(atg.rule(a, b).is_none(), "{name}: a rule without a view");
+                }
+            }
+        }
+        let got: Vec<_> = compiled.edges().map(|(edge, _)| edge).collect();
+        let want_edges: Vec<_> = want.keys().copied().collect();
+        assert_eq!(got, want_edges, "{name}: the records' edges");
+        for ((a, b), record) in compiled.edges() {
+            let (view, q) = (record.view(), &want[&(a, b)]);
+            assert_eq!(view.name(), q.name(), "{name}");
+            assert_eq!(view.from(), q.from(), "{name}: {}", q.name());
+            assert_eq!(view.predicates(), q.predicates(), "{name}: {}", q.name());
+            assert_eq!(view.projection(), q.projection(), "{name}: {}", q.name());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -251,7 +293,7 @@ proptest! {
                         let child = small_tuple(atg.attr_types(b), &mut picks);
                         let want =
                             compute_edge_closure(&schemas, query, param_fields, &parent, &child);
-                        let got = compiled.instantiate_insert((a, b), &parent, &child);
+                        let got = record(&compiled, a, b).instantiate_insert(&parent, &child);
                         prop_assert_eq!(
                             got.as_ref().map(|c| (c.classes(), c.known())),
                             want.as_ref().map(|c| (&c.classes, &c.known)),
@@ -283,7 +325,7 @@ proptest! {
             let mut picks = picks.iter().copied().cycle();
             for a in atg.dtd().types() {
                 for &b in atg.dtd().children_of(a) {
-                    let Some(q) = atg.edge_view_query(a, b) else {
+                    let Some(q) = atg.edge_view_query(a, b, &provider) else {
                         continue;
                     };
                     // `$A` fields (a unit column when `$A` is empty) ++ `$B`.
@@ -297,7 +339,7 @@ proptest! {
                             .concat(&small_tuple(atg.attr_types(b), &mut picks));
                         let want = closure_source_keys(&q, &provider, &out, &[0])
                             .expect("arity-correct row over known tables");
-                        let got = compiled.source_keys((a, b), &out);
+                        let got = record(&compiled, a, b).source_keys(&out);
                         prop_assert_eq!(
                             &got, &want,
                             "{}: edge {:?}->{:?}, row {}", name, a, b, out
@@ -452,10 +494,11 @@ fn fig9_reference(
     let mut out = GroupUpdate::new();
     for &(u, v) in &delta.deletes {
         let q = vs
-            .edge_query(genid.type_of(u), genid.type_of(v))
+            .atg()
+            .edge_view_query(genid.type_of(u), genid.type_of(v), &provider)
             .expect("the fixtures delete query edges");
         let row = genid.gen_row(u).concat(genid.attr_of(v));
-        let sources = closure_source_keys(q, &provider, &row, &[0])
+        let sources = closure_source_keys(&q, &provider, &row, &[0])
             .expect("arity-correct row over known tables")
             .expect("the fixtures' edge views are key-preserving");
         let mut safe = sources

@@ -128,7 +128,7 @@ fn a_pinned_reader_never_sees_a_recycled_id_mean_two_nodes() {
     let node = |snap: &Snapshot, key: i64| {
         let vs = snap.system().view();
         let ty = vs.atg().dtd().type_id("node").expect("synthetic type");
-        vs.dag().genid().lookup(ty, &tuple![key, 7i64])
+        vs.dag().genid().lookup(ty, tuple![key, 7i64].values())
     };
 
     // Two fresh nodes; the reader pins the epoch they are live in.
