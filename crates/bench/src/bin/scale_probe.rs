@@ -20,7 +20,8 @@
 //! construction row: the ms of publication's walk, the interner's pages,
 //! `Dag::from_adjacency`, the whole publication, the equal-row pass, the
 //! first `H.h2` probe and the translation registry's compile (with its
-//! edge records and compiled plans) on a fresh fixture. Last, at 512
+//! edge records and what it compiled: one cell program per record, its
+//! side-effect plans and its delete probes) on a fresh fixture. Last, at 512
 //! groups, the `free ids` row: what the state still holds per free id once
 //! the subtrees of half the groups are deleted. ARCHITECTURE.md §15's
 //! table reads these figures.
@@ -305,7 +306,7 @@ fn free_ids_row(groups: usize) -> Json {
 /// `Dag::from_adjacency`, the whole publication, the equal-row pass after
 /// it, the first probe of `H` by `h2`, which builds that column's index,
 /// and the translation registry's compile — every edge view derived once
-/// — with its edge records and compiled templates and plans.
+/// — with its edge records and compiled cell programs and plans.
 fn construction_row(groups: usize) -> Json {
     const GROUP_SIZE: usize = 40;
     let mut db = synthetic_database(&SyntheticConfig::with_size(groups * GROUP_SIZE));

@@ -508,16 +508,16 @@ fn collecting_subtrees_releases_their_pairs_and_pages() {
 }
 
 /// Allocator calls an anchored W1 delete translation may make at 32
-/// groups: the largest of the sixteen drawn, 129 for five edges, + 5 %.
-const DELETE_TRANSLATION_CALLS: usize = 136;
+/// groups: the largest of the sixteen drawn, 124 for five edges, + 5 %.
+const DELETE_TRANSLATION_CALLS: usize = 131;
 
 /// §4.2's Algorithm delete as a cost model (ARCHITECTURE §1, the §4.2 row;
 /// ROADMAP item 17): the safety test of an anchored W1 deletion binds each
 /// of the registry's delete probes — one per FROM occurrence of a base
 /// table in an edge view — at most once, however many candidate sources it
 /// tries, and the whole translation stays under an allocator-call ceiling.
-/// Binds are read off the registry's hits: a translation instantiates one
-/// source program per deleted edge and counts each probe it binds.
+/// Binds are read off the registry's hits: a translation runs one cell
+/// program per deleted edge and counts each probe it binds.
 #[test]
 fn a_delete_translation_binds_each_probe_at_most_once() {
     let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -561,10 +561,10 @@ fn a_delete_translation_binds_each_probe_at_most_once() {
 }
 
 /// Allocator calls an anchored W1 or W2 insertion's `apply_deferred` may
-/// make at 32 groups: the largest of the sixteen drawn, 227 (the first;
-/// the rest made 111–119), + 5 %. When phase 2 planned its join per call
+/// make at 32 groups: the largest of the sixteen drawn, 219 (the first;
+/// the rest made 103–111), + 5 %. When phase 2 planned its join per call
 /// and materialised its rows, the same sixteen made 294–410.
-const INSERT_TRANSLATION_CALLS: usize = 239;
+const INSERT_TRANSLATION_CALLS: usize = 230;
 
 /// §4.3's Algorithm insert as a cost model (ARCHITECTURE §1, the §4.3 row;
 /// ROADMAP items 1(d) and 17): an anchored W1 or W2 insertion of a fresh

@@ -4,7 +4,8 @@
 //! update reads and writes: deletion translation picks its `∆R` from the
 //! *deletable sources* of the matched edges (key preservation, §4.1), and
 //! insertion translation derives ground row keys for every template through
-//! the equality closure of the rule queries (Appendix A). A [`RelFootprint`]
+//! the equality closure of the edge views (Appendix A) — both read through
+//! the edge's one cell program in the translation registry. A [`RelFootprint`]
 //! captures that knowledge as a set of typed `(table, column, value)` keys,
 //! replacing the serving layer's former *textual* value-key heuristic — which
 //! both over-serialized (any textual reuse of an inserted attribute value
@@ -35,7 +36,7 @@
 //! *different* rows of one table commute.
 
 use crate::rel_delete::candidate_source_keys;
-use crate::rel_insert::edge_template_keys;
+use crate::template::SourceRef;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{Interner, NodeId, RuleBody, SubtreeDag};
@@ -336,9 +337,11 @@ pub fn planned_delete_writes(
         inserts: Vec::new(),
         deletes: edge_parents.to_vec(),
     };
-    let Some(sources) = candidate_source_keys(vs, &delta) else {
-        return false;
-    };
+    candidate_source_keys(vs, &delta).is_some_and(|sources| add_sources(base, sources, out))
+}
+
+/// Adds a write of each source's row; `false` if a table is unknown.
+fn add_sources(base: &Database, sources: Vec<SourceRef>, out: &mut RelFootprint) -> bool {
     for sr in sources {
         let Ok(table) = base.table(&sr.table) else {
             return false;
@@ -356,9 +359,10 @@ pub fn planned_delete_writes(
 /// - the `gen_A` rows of every node of `st.fresh`;
 /// - the ground template keys of every subtree edge and of every
 ///   connecting edge `(target, root)` — derivable without evaluation because
-///   the rule queries are key-preserving (§4.1).
+///   the edge views are key-preserving (§4.1).
 ///
-/// Returns `false` when a template key cannot be grounded (the caller
+/// Returns `false` when a template key cannot be grounded, or an edge's
+/// row contradicts its edge view so the translation rejects (the caller
 /// should degrade the update to a global footprint).
 pub fn planned_insert_writes(
     vs: &ViewStore,
@@ -400,21 +404,11 @@ fn add_edge_keys(
     out: &mut RelFootprint,
 ) -> bool {
     match vs.atg().rule(pty, cty) {
-        Some(RuleBody::Query { query, .. }) => {
+        Some(RuleBody::Query { .. }) => {
             let record = vs.templates().edge((pty, cty));
             let record = record.expect("a rule's edge has a record");
-            match edge_template_keys(base, record, query, pattr, cattr) {
-                Ok(keys) => {
-                    for (table, key) in keys {
-                        let Ok(schema) = base.table(&table).map(|t| t.schema()) else {
-                            return false;
-                        };
-                        out.add_write_row(&table, schema.key(), key);
-                    }
-                    true
-                }
-                Err(_) => false,
-            }
+            let keys = record.template_keys(pattr.values(), cattr.values());
+            keys.is_some_and(|keys| add_sources(base, keys, out))
         }
         _ => true,
     }

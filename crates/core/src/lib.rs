@@ -29,9 +29,9 @@
 //!   in the `Arc`-shared engine-wide cache, with an allocation-reusing
 //!   execution arena;
 //! - [`TranslationTemplates`]: compiled translation templates — per
-//!   production edge, the precompiled insert-side ∆R skeleton and
-//!   delete-side candidate-source program, hosted in the same
-//!   [`PlanCache`];
+//!   production edge, its edge view's one cell program (insert-side tuple
+//!   templates and delete-side candidate sources) and side-effect plans,
+//!   hosted in the same [`PlanCache`];
 //! - [`codec`]: the hand-rolled binary encodings of updates and full system
 //!   state that the serving engine's write-ahead log and checkpoints are
 //!   built on;
@@ -84,8 +84,8 @@ pub use processor::{
 };
 pub use reach::Reachability;
 pub use rel_delete::{translate_deletions, DeleteRejection};
-pub use rel_insert::{EdgeClosure, InsertRejection};
-pub use template::{EdgeRecord, SourceRef, TranslationTemplates};
+pub use rel_insert::InsertRejection;
+pub use template::{EdgeCell, EdgeRecord, SourceRef, TranslationTemplates};
 pub use topo::TopoOrder;
 pub use translate::xdelete;
 pub use update::{SideEffectPolicy, ViewDelta, XmlUpdate};

@@ -5,6 +5,9 @@
 //! For a deleted edge tuple `t` of edge view `Q`, key preservation lets us
 //! read off the *deletable source* `Sr(Q, t)`: for each base relation in the
 //! view definition, the unique contributing tuple identified by its key.
+//! The edge's record in the registry reads it off the parent's `$A` and the
+//! child's `$B` through the view's cell program
+//! ([`EdgeRecord::source_keys`]), with no edge row built.
 //! Deleting any source tuple removes `t`; the deletion is side-effect free
 //! iff that source is not in the deletable source of any view tuple that
 //! must *remain*. The algorithm picks, for each deleted tuple, an arbitrary
@@ -21,7 +24,7 @@
 //! (this is the "more database queries as `|Ep(r)|` grows" behaviour the
 //! paper reports in Fig.11(g)).
 
-use crate::template::{EdgeProbe, SourceRef, TranslationTemplates};
+use crate::template::{EdgeProbe, EdgeRecord, SourceRef, TranslationTemplates};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
@@ -75,10 +78,11 @@ impl From<RelError> for DeleteRejection {
     }
 }
 
-/// The edge-view output row for an edge: `$A` fields ++ `$B` fields.
-fn edge_row(vs: &ViewStore, u: NodeId, v: NodeId) -> Tuple {
+/// Edge `(u, v)`'s deletable sources `Sr(Q, t)`, read off its `$A` and `$B`
+/// by the record's cell program.
+fn sources(vs: &ViewStore, record: &EdgeRecord, u: NodeId, v: NodeId) -> Option<Vec<SourceRef>> {
     let genid = vs.dag().genid();
-    genid.gen_row(u).concat(genid.attr_of(v))
+    record.source_keys(genid.attr_of(u).values(), genid.attr_of(v).values())
 }
 
 /// The union of *candidate* deletable sources over the group deletion: for
@@ -103,7 +107,7 @@ pub(crate) fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option
         if record.view().from().len() <= 1 {
             continue; // projection rule: same
         }
-        out.extend(record.source_keys(&edge_row(vs, u, v))?);
+        out.extend(sources(vs, record, u, v)?);
     }
     Some(out)
 }
@@ -139,8 +143,7 @@ pub fn translate_deletions(
                 view: q.name().to_owned(),
             });
         }
-        let row = edge_row(vs, u, v);
-        let sources = record.source_keys(&row).ok_or_else(|| {
+        let sources = sources(vs, record, u, v).ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),
             })
@@ -160,9 +163,10 @@ pub fn translate_deletions(
             }
         }
         let Some(sr) = chosen else {
+            let genid = vs.dag().genid();
             return Err(DeleteRejection::NoSafeSource {
                 view: q.name().to_owned(),
-                tuple: row.to_string(),
+                tuple: genid.gen_row(u).concat(genid.attr_of(v)).to_string(),
             });
         };
         out.delete(sr.table, sr.key);

@@ -4,10 +4,12 @@
 //! Insertion updatability is NP-complete even under key preservation
 //! (Theorem 2), so the algorithm is a heuristic:
 //!
-//! 1. **Tuple templates.** For every inserted edge, the defining rule query
-//!    determines — through the equality closure of its predicates — a tuple
-//!    template for each base relation: key fields are always known (key
-//!    preservation), other fields are constants or fresh *variables*.
+//! 1. **Tuple templates.** For every inserted edge, its edge view
+//!    determines — through the equality closure of its predicates, the
+//!    rule's guards on its parameters included — a tuple template for each
+//!    base relation: key fields are always known (key preservation), other
+//!    fields are constants or fresh *variables*. An edge the view cannot
+//!    hold (two pins of one class disagree on its row) is rejected.
 //!    Templates with the same key are unified (Appendix A preprocessing);
 //!    templates whose key already exists in the base relation are checked
 //!    for consistency and dropped (the tuple is already there).
@@ -38,8 +40,8 @@
 //!
 //! The translation compiles nothing per call. Both phases read their
 //! edge's record in the [`TranslationTemplates`](crate::TranslationTemplates)
-//! registry: phase 1 the rule's
-//! [`rxview_relstore::SpjQuery::eq_closure`] (the interpretive
+//! registry: phase 1 the edge view's cell program
+//! ([`EdgeRecord::cells`]; the interpretive
 //! `rxview_reference::compute_edge_closure` is the reference it is tested
 //! against), phase 2 one [`SpjPlan`] per (edge view, set of FROM entries
 //! read from the templates), compiled by the relstore's one planner with
@@ -47,13 +49,13 @@
 //! symbolic rows ([`SymJoin`]); what it still does per call is read the
 //! tables.
 
-use crate::template::EdgeRecord;
+use crate::template::{EdgeCell, EdgeRecord};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
-    ColRef, Database, Domain, EqClosure, GroupUpdate, PlanAccess, PlanSrc, PlanStep, Probe,
-    RelError, RowSource, SpjPlan, SpjQuery, Tuple, Value, ValueType,
+    Database, Domain, GroupUpdate, PlanAccess, PlanSrc, PlanStep, Probe, RelError, RowSource,
+    SpjPlan, Tuple, Value, ValueType,
 };
 use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Lit, Var as PropVar, WalkSatResult};
 use rxview_xmlkit::TypeId;
@@ -275,11 +277,10 @@ pub(crate) fn translate_insertions(
                     return Err(InsertRejection::NotInsertable { edge: edge_desc() });
                 }
             }
-            Some(RuleBody::Query { query, .. }) => {
+            Some(RuleBody::Query { .. }) => {
                 derive_templates(
                     base,
                     compiled.edge((a, b)).expect("a rule's edge has a record"),
-                    query,
                     vs.dag().genid().attr_of(u),
                     vs.dag().genid().attr_of(v),
                     &mut vars,
@@ -529,111 +530,35 @@ fn decode_var(
     }
 }
 
-/// The resolved equality closure of one inserted edge's rule query: for
-/// every flat column of the query's FROM entries, its equality-class
-/// representative (union-find over `Col = Col` predicates, fully resolved),
-/// and the constant each class is pinned to by the child attribute
-/// (projection), the parent attribute (parameters), and constant
-/// predicates. Shared by template derivation and by footprint planning
-/// (`edge_template_keys`), both through [`EdgeRecord::instantiate_insert`],
-/// which replays the edge's compiled pin program: exactly what the
-/// interpretive `rxview_reference::compute_edge_closure` derives.
-#[derive(Debug, PartialEq)]
-pub struct EdgeClosure {
-    /// The equality classes of the rule query's columns.
-    pub(crate) classes: EqClosure,
-    /// Pinned value per class representative.
-    pub(crate) known: HashMap<usize, Value>,
-}
-
-impl EdgeClosure {
-    /// The equality classes of the rule query's columns.
-    pub fn classes(&self) -> &EqClosure {
-        &self.classes
-    }
-
-    /// Pinned value per class representative.
-    pub fn known(&self) -> &HashMap<usize, Value> {
-        &self.known
-    }
-
-    /// The value pinning column `c`'s class, if any.
-    pub(crate) fn known_at(&self, c: ColRef) -> Option<&Value> {
-        self.known.get(&self.classes.rep(c))
-    }
-}
-
-/// The ground primary key of every base row the rule query's templates
-/// would touch for one inserted edge — derivable *without evaluating or
-/// applying anything* because the rule queries are key-preserving (§4.1:
-/// every key column sits in an equality class pinned by the output, a
-/// parameter, or a constant). This is the planned base-write footprint of
-/// the edge; the realized `∆R` (after unification, existing-row dropping,
-/// and SAT instantiation) only ever writes a subset of these keys.
-///
-/// `record` is the registry's record of the production edge whose rule
-/// query is `query`: the planner's dry run instantiates the same compiled
-/// skeleton the real translation of the edge instantiates moments later.
-pub(crate) fn edge_template_keys(
-    base: &Database,
-    record: &EdgeRecord,
-    query: &SpjQuery,
-    parent_attr: &Tuple,
-    child_attr: &Tuple,
-) -> Result<Vec<(String, Tuple)>, InsertRejection> {
-    let closure = record.instantiate_insert(parent_attr, child_attr)?;
-    let mut out = Vec::with_capacity(query.from().len());
-    for (rel, tr) in query.from().iter().enumerate() {
-        let key = base.table(&tr.table)?.schema().key();
-        let known = |&col: &usize| closure.known_at(ColRef { rel, col }).cloned();
-        let key: Tuple = key
-            .iter()
-            .map(known)
-            .collect::<Option<_>>()
-            .ok_or_else(|| {
-                InsertRejection::Rel(RelError::NotKeyPreserving {
-                    query: query.name().to_owned(),
-                })
-            })?;
-        out.push((tr.table.clone(), key));
-    }
-    Ok(out)
-}
-
-/// Derives the per-table templates for one inserted edge using the equality
-/// closure of the rule query with `$parent` bound to `params` and the output
-/// bound to `child`.
+/// Derives the templates of one inserted edge: the cells its record's cell
+/// program reads off the edge row, a fresh variable per class the row
+/// leaves open.
 fn derive_templates(
     base: &Database,
     record: &EdgeRecord,
-    query: &SpjQuery,
     parent_attr: &Tuple,
     child_attr: &Tuple,
     vars: &mut Vars,
     templates: &mut BTreeMap<(String, Tuple), Template>,
 ) -> Result<(), InsertRejection> {
-    let closure = record.instantiate_insert(parent_attr, child_attr)?;
-    // Variables per undetermined class.
-    let mut class_var: HashMap<usize, usize> = HashMap::new();
-    for (rel, tr) in query.from().iter().enumerate() {
-        let table = base.table(&tr.table)?;
+    // The program numbers its open classes in the order it reads them, so
+    // the `k`-th is new exactly when `k` variables were made for the edge.
+    let first = vars.parent.len();
+    for (name, entry) in record.cells(parent_attr.values(), child_attr.values())? {
+        let table = base.table(name)?;
         let schema = table.schema();
-        let mut cells = Vec::with_capacity(schema.arity());
-        for col in 0..schema.arity() {
-            let r = closure.classes.rep(ColRef { rel, col });
-            match closure.known.get(&r) {
-                Some(v) => cells.push(Sym::Known(v.clone())),
-                None => {
-                    let vid = *class_var.entry(r).or_insert_with(|| {
-                        vars.fresh(
-                            schema.columns()[col].ty,
-                            schema.columns()[col].domain.clone(),
-                        )
-                    });
-                    cells.push(Sym::Var(vid));
+        let cells: Vec<Sym> = entry
+            .zip(schema.columns())
+            .map(|(cell, column)| match cell {
+                EdgeCell::Known(v) => Sym::Known(v.clone()),
+                EdgeCell::Var(k) => {
+                    if first + k == vars.parent.len() {
+                        vars.fresh(column.ty, column.domain.clone());
+                    }
+                    Sym::Var(first + k)
                 }
-            }
-        }
+            })
+            .collect();
         // Key must be ground (key preservation).
         let key_vals: Vec<Value> = schema
             .key()
@@ -652,14 +577,14 @@ fn derive_templates(
                     Sym::Known(v) => {
                         if existing[i] != *v {
                             return Err(InsertRejection::KeyConflict {
-                                table: tr.table.clone(),
+                                table: name.to_owned(),
                             });
                         }
                     }
                     Sym::Var(vid) => {
                         vars.bind(*vid, existing[i].clone()).map_err(|_| {
                             InsertRejection::KeyConflict {
-                                table: tr.table.clone(),
+                                table: name.to_owned(),
                             }
                         })?;
                     }
@@ -668,12 +593,12 @@ fn derive_templates(
             continue;
         }
         // Merge with a pending template of the same key.
-        match templates.get_mut(&(tr.table.clone(), key.clone())) {
+        match templates.get_mut(&(name.to_owned(), key.clone())) {
             None => {
                 templates.insert(
-                    (tr.table.clone(), key),
+                    (name.to_owned(), key),
                     Template {
-                        table: tr.table.clone(),
+                        table: name.to_owned(),
                         cells,
                     },
                 );
@@ -684,26 +609,26 @@ fn derive_templates(
                         (Sym::Known(a), Sym::Known(b)) => {
                             if *a != b {
                                 return Err(InsertRejection::KeyConflict {
-                                    table: tr.table.clone(),
+                                    table: name.to_owned(),
                                 });
                             }
                         }
                         (Sym::Known(a), Sym::Var(v)) => {
                             let a = a.clone();
                             vars.bind(v, a).map_err(|_| InsertRejection::KeyConflict {
-                                table: tr.table.clone(),
+                                table: name.to_owned(),
                             })?;
                         }
                         (Sym::Var(v), Sym::Known(b)) => {
                             let v = *v;
                             vars.bind(v, b).map_err(|_| InsertRejection::KeyConflict {
-                                table: tr.table.clone(),
+                                table: name.to_owned(),
                             })?;
                         }
                         (Sym::Var(a), Sym::Var(b)) => {
                             let a = *a;
                             vars.union(a, b).map_err(|_| InsertRejection::KeyConflict {
-                                table: tr.table.clone(),
+                                table: name.to_owned(),
                             })?;
                         }
                     }

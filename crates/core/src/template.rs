@@ -9,18 +9,17 @@
 //! derives each edge view **once**, and keeps one [`EdgeRecord`] per
 //! production edge with what is compiled from it:
 //!
-//! - the rule query's closure and an ordered *pin program* (which class is
-//!   pinned by which child attribute position, parent attribute field, or
-//!   constant): phase 1 of Algorithm insert replays the pins against the
-//!   literal attribute tuples and gets the [`EdgeClosure`]
-//!   `rxview_reference::compute_edge_closure` derives;
+//! - a *cell program*: per base FROM entry of the view and per column,
+//!   where the cell takes its value when the view's row is the edge row
+//!   `$A(u) ++ $B(v)` — a field of `$A` or `$B`, a constant, or a class no
+//!   pin determines — and the equalities the row must satisfy. Phase 1 of
+//!   Algorithm insert reads its tuple templates through it, Algorithm
+//!   delete its deletable sources `Sr(Q, t)`, and the planner its planned
+//!   footprints; `rxview_reference::compute_edge_closure` and
+//!   `closure_source_keys` derive the same interpretively;
 //! - per non-empty set of the view's non-derived FROM entries, phase 2's
 //!   side-effect [`SpjPlan`] with those entries placed first
-//!   ([`SpjPlan::compile_first`], the relstore's one planner);
-//! - a `SourceProgram`: per non-derived FROM entry, the output position
-//!   (or constant) each key column's class resolves to, so a deleted row's
-//!   candidate sources are a few indexed clones where
-//!   `rxview_reference::closure_source_keys` re-runs the union-find.
+//!   ([`SpjPlan::compile_first`], the relstore's one planner).
 //!
 //! Per base table the registry also keeps Algorithm delete's safety probes
 //! ([`compile_bound`]), one per FROM occurrence in an edge view.
@@ -35,97 +34,51 @@
 //! edge view.
 
 use crate::plan::PlanCacheStats;
-use crate::rel_insert::{EdgeClosure, InsertRejection};
-use rxview_atg::{Atg, RuleBody};
+use crate::rel_insert::InsertRejection;
+use rxview_atg::Atg;
 use rxview_relstore::{
-    BoundPlan, ColRef, EqClosure, EqPred, Operand, RelResult, SchemaProvider, SpjPlan, SpjQuery,
-    TableSchema, TableSource, Tuple, Value,
+    BoundPlan, ColRef, EqPred, Operand, RelResult, SchemaProvider, SpjPlan, SpjQuery, TableSchema,
+    TableSource, Tuple, Value,
 };
 use rxview_xmlkit::TypeId;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Where one equality-class pin gets its value at instantiation time.
+/// Where the cell program reads a cell of a base FROM entry's row.
 #[derive(Debug, Clone, PartialEq)]
-enum PinSource {
-    /// The child attribute tuple at this position (a projected column).
-    ChildAttr(usize),
+enum Cell {
+    /// The parent's `$A` at this field.
+    Parent(usize),
+    /// The child's `$B` at this field.
+    Child(usize),
     /// A constant predicate's literal.
     Const(Value),
-    /// The parent attribute tuple at this field (a parameter predicate,
-    /// already resolved through `param_fields`).
-    ParentAttr(usize),
+    /// The `k`-th class no pin determines.
+    Var(usize),
 }
 
-/// The compiled insert-side skeleton of one production edge: the resolved
-/// equality closure of its rule query with the value *sources* kept
-/// symbolic. Replaying `pins` in order against concrete attribute tuples
-/// reproduces `compute_edge_closure`'s result exactly — the `Col = Col`
-/// unions all happen before any value is learned there, so the
-/// representatives baked in here are final.
+/// A cell of a base FROM entry's row, read off one edge row by its
+/// record's cell program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeCell<'a> {
+    /// A field of the edge row, or a constant.
+    Known(&'a Value),
+    /// The `k`-th equality class of the view's columns that nothing pins,
+    /// classes numbered by first occurrence in (entry, column) order: a
+    /// value the row leaves open.
+    Var(usize),
+}
+
+/// A base FROM entry of an edge view, as the cell program reads it.
 #[derive(Debug)]
-struct EdgeTemplate {
-    closure: EqClosure,
-    /// `(flat column, value source)` in the interpretive learn order:
-    /// projections by position, then constant/parameter predicates in
-    /// predicate order.
-    pins: Vec<(usize, PinSource)>,
-}
-
-impl EdgeTemplate {
-    fn compile(closure: EqClosure, query: &SpjQuery, param_fields: &[usize]) -> EdgeTemplate {
-        let mut pins = Vec::new();
-        for (pos, c) in query.projection().iter().enumerate() {
-            pins.push((closure.flat(*c), PinSource::ChildAttr(pos)));
-        }
-        for p in query.predicates() {
-            match (&p.left, &p.right) {
-                (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                    pins.push((closure.flat(*c), PinSource::Const(v.clone())));
-                }
-                (Operand::Col(c), Operand::Param(i)) | (Operand::Param(i), Operand::Col(c)) => {
-                    pins.push((closure.flat(*c), PinSource::ParentAttr(param_fields[*i])));
-                }
-                _ => {}
-            }
-        }
-        EdgeTemplate { closure, pins }
-    }
-
-    /// Replays the pin program against concrete attribute tuples. Exactly
-    /// `rxview_reference::compute_edge_closure`'s outcome, including the
-    /// rejection on a contradictory derivation (two pins of one class
-    /// disagreeing).
-    fn instantiate(
-        &self,
-        parent_attr: &Tuple,
-        child_attr: &Tuple,
-    ) -> Result<EdgeClosure, InsertRejection> {
-        let mut known: HashMap<usize, Value> = HashMap::with_capacity(self.pins.len());
-        for (flat, src) in &self.pins {
-            let v = match src {
-                PinSource::ChildAttr(pos) => child_attr[*pos].clone(),
-                PinSource::Const(v) => v.clone(),
-                PinSource::ParentAttr(field) => parent_attr[*field].clone(),
-            };
-            let r = self.closure.reps[*flat];
-            match known.get(&r) {
-                Some(x) if *x != v => {
-                    return Err(InsertRejection::KeyConflict {
-                        table: "<inconsistent edge derivation>".into(),
-                    })
-                }
-                _ => {
-                    known.insert(r, v);
-                }
-            }
-        }
-        Ok(EdgeClosure {
-            classes: self.closure.clone(),
-            known,
-        })
-    }
+struct BaseEntry {
+    table: String,
+    /// The table's key columns.
+    key: Vec<usize>,
+    /// Per column.
+    cells: Vec<Cell>,
 }
 
 /// One element of `Sr(Q,t)` (§4.2), the *deletable source* of an edge-view
@@ -137,97 +90,6 @@ pub struct SourceRef {
     pub table: String,
     /// Primary key of the contributing tuple in that table.
     pub key: Tuple,
-}
-
-/// One cell of a reconstructed source key.
-#[derive(Debug, Clone, PartialEq)]
-enum KeyCell {
-    /// Clone the edge-view output row at this position.
-    Out(usize),
-    /// A constant pinned by a predicate.
-    Const(Value),
-}
-
-/// One candidate source: a base table and the program for its key.
-#[derive(Debug)]
-struct SourceSpec {
-    table: String,
-    cells: Vec<KeyCell>,
-}
-
-/// The compiled delete-side program of one edge view: how to reconstruct
-/// every non-derived FROM entry's primary key from an output row, in FROM
-/// order. Compiled with the derived `gen_parent` entry (FROM position 0)
-/// skipped — it is never a base source. `None` at compile time means some
-/// key column's equality class is pinned by neither a projected column nor
-/// a constant — `closure_source_keys` would return `Ok(None)` for every
-/// row, so the edge is *not key-preserving* in the generalized sense and
-/// stays `None` forever.
-#[derive(Debug)]
-struct SourceProgram {
-    specs: Vec<SourceSpec>,
-}
-
-impl SourceProgram {
-    fn compile(
-        provider: &impl SchemaProvider,
-        query: &SpjQuery,
-        closure: &EqClosure,
-        skip_rels: &[usize],
-    ) -> Option<SourceProgram> {
-        // First assignment wins per class, mirroring the interpretive
-        // `values.entry(r).or_insert(v)`: projections by position, then
-        // constant predicates in order.
-        let mut cells: HashMap<usize, KeyCell> = HashMap::new();
-        for (pos, c) in query.projection().iter().enumerate() {
-            cells.entry(closure.rep(*c)).or_insert(KeyCell::Out(pos));
-        }
-        for p in query.predicates() {
-            match (&p.left, &p.right) {
-                (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                    cells
-                        .entry(closure.rep(*c))
-                        .or_insert(KeyCell::Const(v.clone()));
-                }
-                _ => {}
-            }
-        }
-        let mut specs = Vec::new();
-        for (rel, tr) in query.from().iter().enumerate() {
-            if skip_rels.contains(&rel) {
-                continue;
-            }
-            let schema = provider.schema_of(&tr.table).expect("FROM table known");
-            let mut key_cells = Vec::with_capacity(schema.key().len());
-            for &col in schema.key() {
-                key_cells.push(cells.get(&closure.rep(ColRef { rel, col }))?.clone());
-            }
-            specs.push(SourceSpec {
-                table: tr.table.clone(),
-                cells: key_cells,
-            });
-        }
-        Some(SourceProgram { specs })
-    }
-
-    /// Reconstructs the candidate sources for one output row. Duplicates
-    /// (self-joins resolving to the same key) collapse, as interpretively.
-    fn instantiate(&self, out: &Tuple) -> Vec<SourceRef> {
-        let mut result: Vec<SourceRef> = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let sr = SourceRef {
-                table: spec.table.clone(),
-                key: Tuple::from_values(spec.cells.iter().map(|c| match c {
-                    KeyCell::Out(pos) => out[*pos].clone(),
-                    KeyCell::Const(v) => v.clone(),
-                })),
-            };
-            if !result.contains(&sr) {
-                result.push(sr);
-            }
-        }
-        result
-    }
 }
 
 /// A delete probe of edge `(A, B)`: its plan, compiled or bound.
@@ -261,19 +123,91 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, rel: usize) -> Sp
     SpjPlan::compile(&bound, provider).expect("validated just above")
 }
 
+/// Compiles the cell program of edge view `view`, whose parent type has
+/// `fields` attribute fields. Each equality class of the view's columns
+/// takes its value from its first pin — the projections by position, then
+/// the constant predicates in predicate order — and every further pin of
+/// the class is a check against that one. An empty `$A`'s unit column
+/// pins nothing: no rule reads it. The classes no pin reaches are numbered
+/// by first occurrence in (entry, column) order.
+fn compile_cells(
+    provider: &impl SchemaProvider,
+    view: &SpjQuery,
+    fields: usize,
+) -> (Vec<(Cell, Cell)>, Vec<BaseEntry>) {
+    let closure = view.eq_closure(provider).expect("FROM tables known");
+    let gen_arity = fields.max(1);
+    let projected = view.projection().iter().enumerate();
+    let projected = projected.filter_map(|(pos, &c)| match pos.checked_sub(gen_arity) {
+        Some(j) => Some((c, Cell::Child(j))),
+        None => (pos < fields).then_some((c, Cell::Parent(pos))),
+    });
+    let constants = view
+        .predicates()
+        .iter()
+        .filter_map(|p| match (&p.left, &p.right) {
+            (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
+                Some((*c, Cell::Const(v.clone())))
+            }
+            _ => None,
+        });
+    let mut pins: HashMap<usize, Cell> = HashMap::new();
+    let mut checks = Vec::new();
+    for (c, cell) in projected.chain(constants) {
+        match pins.entry(closure.rep(c)) {
+            Entry::Occupied(first) => checks.push((first.get().clone(), cell)),
+            Entry::Vacant(slot) => {
+                slot.insert(cell);
+            }
+        }
+    }
+    let mut vars: HashMap<usize, usize> = HashMap::new();
+    let mut entries = Vec::with_capacity(view.from().len() - 1);
+    // Entry 0 is the derived `gen_A`, never a base row.
+    for (rel, tr) in view.from().iter().enumerate().skip(1) {
+        let schema = provider.schema_of(&tr.table).expect("FROM table known");
+        let cells = (0..schema.arity())
+            .map(|col| {
+                let r = closure.rep(ColRef { rel, col });
+                pins.get(&r).cloned().unwrap_or_else(|| {
+                    let k = vars.len();
+                    Cell::Var(*vars.entry(r).or_insert(k))
+                })
+            })
+            .collect();
+        entries.push(BaseEntry {
+            table: tr.table.clone(),
+            key: schema.key().to_vec(),
+            cells,
+        });
+    }
+    (checks, entries)
+}
+
+/// Cell `cell` of the edge row `(parent, child)`.
+fn read<'a>(cell: &'a Cell, parent: &'a [Value], child: &'a [Value]) -> EdgeCell<'a> {
+    match cell {
+        Cell::Parent(i) => EdgeCell::Known(&parent[*i]),
+        Cell::Child(j) => EdgeCell::Known(&child[*j]),
+        Cell::Const(v) => EdgeCell::Known(v),
+        Cell::Var(k) => EdgeCell::Var(*k),
+    }
+}
+
 /// One production edge `A → B` in the registry: its edge view
 /// `Q_edge_A_B` (§2.3) and what the translation compiled from it.
 #[derive(Debug)]
 pub struct EdgeRecord {
     view: SpjQuery,
-    /// Phase 1's skeleton of the rule query; `None` for a projection rule.
-    template: Option<EdgeTemplate>,
-    /// `None`: the view is not key-preserving in the generalized sense.
-    source: Option<SourceProgram>,
+    /// The cell program's checks: pairs of pins of one class, its first
+    /// pin and a further one, on which a row of the view agrees.
+    checks: Vec<(Cell, Cell)>,
+    /// The cell program per base FROM entry, in FROM order.
+    entries: Vec<BaseEntry>,
     /// Phase 2's side-effect plans: the plan for the set of FROM entries
     /// `S` read from templates (entry `i` is bit `i - 1`) at index `S - 1`.
     side_effect: Vec<SpjPlan>,
-    /// Template and source program instantiated, side-effect plans run.
+    /// Cell programs run, side-effect plans handed out.
     hits: AtomicU64,
 }
 
@@ -284,20 +218,28 @@ impl EdgeRecord {
         &self.view
     }
 
-    /// Instantiates the insert-side closure of the edge's rule query: what
-    /// `rxview_reference::compute_edge_closure` derives for the same
-    /// attribute tuples, rejection included.
-    ///
-    /// # Panics
-    /// If the edge has a projection rule, not a query rule.
-    pub fn instantiate_insert(
-        &self,
-        parent_attr: &Tuple,
-        child_attr: &Tuple,
-    ) -> Result<EdgeClosure, InsertRejection> {
-        let t = self.template.as_ref().expect("a query-rule edge");
+    /// Runs the cell program on the edge row of a parent with `$A` `parent`
+    /// and a child with `$B` `child` — the row split as
+    /// [`crate::ViewStore::edge_from_row`] splits it: the checks, then per
+    /// base FROM entry of the view, in FROM order, its table and cells.
+    /// A failed check means no row of the view is that edge row, and
+    /// phase 1 of Algorithm insert rejects it as an inconsistent
+    /// derivation — what `rxview_reference::compute_edge_closure` derives
+    /// for the same row, rejection included.
+    pub fn cells<'a>(
+        &'a self,
+        parent: &'a [Value],
+        child: &'a [Value],
+    ) -> Result<
+        impl Iterator<Item = (&'a str, impl Iterator<Item = EdgeCell<'a>> + 'a)> + 'a,
+        InsertRejection,
+    > {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        t.instantiate(parent_attr, child_attr)
+        self.check(parent, child)?;
+        Ok(self.entries.iter().map(move |e| {
+            let cells = e.cells.iter().map(move |c| read(c, parent, child));
+            (e.table.as_str(), cells)
+        }))
     }
 
     /// The side-effect plan of the view with the non-empty set of FROM
@@ -310,14 +252,66 @@ impl EdgeRecord {
         &self.side_effect[set - 1]
     }
 
-    /// Reconstructs the candidate sources of one output row of the view,
-    /// the derived `gen_parent` entry skipped. `None`: the view is not
+    /// The candidate sources of the view's row on the edge row `(parent,
+    /// child)`, split as for [`EdgeRecord::cells`]: per base FROM entry its
+    /// table and key cells, each class's first pin read and no check run.
+    /// Duplicates (self-joins resolving to the same key) collapse. `None`:
+    /// a key cell is a class no pin determines, so the view is not
     /// key-preserving in the generalized sense — exactly when
     /// `rxview_reference::closure_source_keys` returns `Ok(None)`.
-    pub fn source_keys(&self, out: &Tuple) -> Option<Vec<SourceRef>> {
-        debug_assert_eq!(out.arity(), self.view.out_arity(), "edge row arity");
+    pub fn source_keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<SourceRef>> {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.source.as_ref().map(|p| p.instantiate(out))
+        self.keys(parent, child)
+    }
+
+    /// The keys of the base rows phase 1's templates would hold for the
+    /// edge row `(parent, child)` — the planned base-write footprint of
+    /// inserting that edge, read without evaluating or applying anything:
+    /// [`EdgeRecord::source_keys`] once the checks pass. `None` when a
+    /// check fails (the translation rejects and writes nothing) or the view
+    /// is not key-preserving.
+    pub(crate) fn template_keys(
+        &self,
+        parent: &[Value],
+        child: &[Value],
+    ) -> Option<Vec<SourceRef>> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.check(parent, child).ok()?;
+        self.keys(parent, child)
+    }
+
+    /// Whether the edge row agrees on every check.
+    fn check(&self, parent: &[Value], child: &[Value]) -> Result<(), InsertRejection> {
+        let agree = |(x, y): &(Cell, Cell)| read(x, parent, child) == read(y, parent, child);
+        match self.checks.iter().all(agree) {
+            true => Ok(()),
+            false => Err(InsertRejection::KeyConflict {
+                table: "<inconsistent edge derivation>".into(),
+            }),
+        }
+    }
+
+    fn keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<SourceRef>> {
+        let open = |e: &BaseEntry| e.key.iter().any(|&k| matches!(e.cells[k], Cell::Var(_)));
+        if self.entries.iter().any(open) {
+            return None;
+        }
+        let mut result: Vec<SourceRef> = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            let sr = SourceRef {
+                table: e.table.clone(),
+                key: Tuple::from_values(e.key.iter().map(|&k| {
+                    match read(&e.cells[k], parent, child) {
+                        EdgeCell::Known(v) => v.clone(),
+                        EdgeCell::Var(_) => unreachable!("every key cell is pinned"),
+                    }
+                })),
+            };
+            if !result.contains(&sr) {
+                result.push(sr);
+            }
+        }
+        Some(result)
     }
 }
 
@@ -336,7 +330,7 @@ pub struct TranslationTemplates {
     bound: HashMap<String, Vec<EdgeProbe<SpjPlan>>>,
     /// Delete probes bound.
     probe_hits: AtomicU64,
-    /// Templates compiled (fixed after construction).
+    /// Cell programs and plans compiled (fixed after construction).
     compiles: u64,
     /// Wall nanoseconds of the one-shot compile pass.
     compile_ns: u64,
@@ -349,7 +343,6 @@ impl TranslationTemplates {
     pub fn compile(atg: &Atg) -> TranslationTemplates {
         let t0 = Instant::now();
         let provider: Vec<TableSchema> = atg.augmented_schemas();
-        let closure_of = |q: &SpjQuery| q.eq_closure(&provider).expect("FROM tables known");
         let mut edges = BTreeMap::new();
         let mut compiles = 0u64;
         for a in atg.dtd().types() {
@@ -360,20 +353,8 @@ impl TranslationTemplates {
                 let Some(view) = atg.edge_view_query(a, b, &provider) else {
                     continue;
                 };
-                let template = match atg.rule(a, b) {
-                    Some(RuleBody::Query {
-                        query,
-                        param_fields,
-                        ..
-                    }) => Some(EdgeTemplate::compile(
-                        closure_of(query),
-                        query,
-                        param_fields,
-                    )),
-                    _ => None,
-                };
-                let source = SourceProgram::compile(&provider, &view, &closure_of(&view), &[0]);
-                let n_base = view.from().len() - 1;
+                let (checks, entries) = compile_cells(&provider, &view, atg.attr_fields(a).len());
+                let n_base = entries.len();
                 let side_effect: Vec<SpjPlan> = (1..1usize << n_base)
                     .map(|set| {
                         let first: Vec<usize> =
@@ -382,11 +363,11 @@ impl TranslationTemplates {
                             .expect("edge views are valid")
                     })
                     .collect();
-                compiles += u64::from(template.is_some()) + 1 + side_effect.len() as u64;
+                compiles += 1 + side_effect.len() as u64;
                 let record = EdgeRecord {
                     view,
-                    template,
-                    source,
+                    checks,
+                    entries,
                     side_effect,
                     hits: AtomicU64::new(0),
                 };
@@ -444,7 +425,7 @@ impl TranslationTemplates {
     }
 
     /// Counters in the plan-cache shape: `hits` are registry entries used
-    /// (instantiations, side-effect plans run and probes bound);
+    /// (cell programs run, side-effect plans run and probes bound);
     /// `misses`/`compiles` are the one-shot compile pass (fixed after
     /// construction, so steady-state hit rate → 1).
     pub fn stats(&self) -> PlanCacheStats {
@@ -462,7 +443,7 @@ impl TranslationTemplates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rxview_atg::{registrar_atg, registrar_database};
+    use rxview_atg::{registrar_atg, registrar_database, RuleBody};
 
     fn atg() -> Atg {
         let db = registrar_database();
@@ -478,7 +459,7 @@ mod tests {
             for &b in atg.dtd().children_of(a) {
                 let record = reg.edge((a, b)).expect("every edge has a rule");
                 let is_query = matches!(atg.rule(a, b), Some(RuleBody::Query { .. }));
-                assert_eq!(record.template.is_some(), is_query, "insert template");
+                assert_eq!(!record.entries.is_empty(), is_query, "base FROM entries");
                 query_edges += usize::from(is_query);
             }
         }

@@ -1,8 +1,8 @@
 //! §4.2 as specifications. [`deletable_source`] is `Sr(Q,t)` read off a
 //! key-preserving view's projection. [`closure_source_keys`] derives
 //! deletable sources through the equality closure (Fig. 9) interpretively: the specification
-//! `EdgeRecord::source_keys` (the compiled candidate-source
-//! program every deletion runs) is held equal to
+//! `EdgeRecord::source_keys` (the edge view's cell program, as every
+//! deletion runs it) is held equal to
 //! (`tests/reference_oracles.rs`). It keeps its own union-find; production
 //! derives classes once per query (`SpjQuery::eq_closure`).
 //! [`source_is_safe`] is Fig. 9's safety test read off the whole view, and
@@ -39,10 +39,10 @@ pub fn deletable_source(
             .ok_or_else(|| RelError::NotKeyPreserving {
                 query: query.name().into(),
             })?;
-    if t.arity() != query.out_arity() {
+    if t.arity() != query.projection().len() {
         return Err(RelError::ArityMismatch {
             table: query.name().into(),
-            expected: query.out_arity(),
+            expected: query.projection().len(),
             got: t.arity(),
         });
     }
@@ -87,10 +87,10 @@ pub fn closure_source_keys(
     out: &Tuple,
     skip_rels: &[usize],
 ) -> RelResult<Option<Vec<SourceRef>>> {
-    if out.arity() != query.out_arity() {
+    if out.arity() != query.projection().len() {
         return Err(RelError::ArityMismatch {
             table: query.name().into(),
-            expected: query.out_arity(),
+            expected: query.projection().len(),
             got: out.arity(),
         });
     }
@@ -186,7 +186,7 @@ pub fn source_is_safe(
             if q.from().iter().all(|tr| tr.table != sr.table) {
                 continue;
             }
-            let arity = q.out_arity();
+            let arity = q.projection().len();
             q.make_key_preserving(&aug)?;
             for row in eval_spj(&aug, &q, &[])? {
                 if !deletable_source(&q, &aug, &row)?.contains(sr) {

@@ -1,44 +1,50 @@
 //! The equality closure of an inserted edge (§4.3, Appendix A
-//! preprocessing), derived interpretively: the specification
-//! `TranslationTemplates::instantiate_insert` (the compiled skeleton every
-//! insertion instantiates) is held equal to (`tests/reference_oracles.rs`).
-//! It keeps its own union-find; production derives classes once per rule
+//! preprocessing), derived interpretively: the specification the edge
+//! view's cell program (`EdgeRecord::cells`, which phase 1 of every
+//! insertion runs) is held equal to (`tests/reference_oracles.rs`). It
+//! keeps its own union-find; production derives classes once per edge view
 //! (`SpjQuery::eq_closure`).
 
 use rxview_core::InsertRejection;
-use rxview_relstore::{ColRef, EqClosure, Operand, SpjQuery, TableSchema, Tuple, Value};
+use rxview_relstore::{ColRef, EqClosure, Operand, SchemaProvider, SpjQuery, Tuple, Value};
 use std::collections::HashMap;
 
-/// An inserted edge's resolved equality closure, as
-/// `rxview_core::EdgeClosure` reads it back through `classes()` and
-/// `known()`.
+/// An inserted edge's resolved equality closure over its edge view's
+/// columns.
 #[derive(Debug, PartialEq)]
 pub struct EdgeClosure {
-    /// The equality classes of the rule query's columns.
+    /// The equality classes of the edge view's columns.
     pub classes: EqClosure,
     /// Pinned value per class representative.
     pub known: HashMap<usize, Value>,
 }
 
-/// The interpretive derivation of an inserted edge's [`EdgeClosure`]:
-/// union-find over the rule query's `Col = Col` predicates, then the values
-/// its projection (`child_attr`), parameters (`parent_attr` through
-/// `param_fields`) and constants pin, rejecting a class pinned twice with
-/// different values. `schemas` are those of the query's FROM entries, in
-/// order.
+/// The interpretive derivation of an inserted edge's [`EdgeClosure`] over
+/// its edge view `query` (`Atg::edge_view_query`): union-find over the
+/// view's `Col = Col` predicates, then the values its output row `out`
+/// (`$A` fields, or the unit column, ++ `$B` fields) and its constant
+/// predicates pin, rejecting a class pinned twice with different values —
+/// so a rule's guard on its parameters, a `gen_A` column of the view, is
+/// read like every other pin.
+///
+/// # Panics
+/// If a FROM table is unknown to `provider`, or `out` is not a row of the
+/// view's arity.
 pub fn compute_edge_closure(
-    schemas: &[&TableSchema],
     query: &SpjQuery,
-    param_fields: &[usize],
-    parent_attr: &Tuple,
-    child_attr: &Tuple,
+    provider: &impl SchemaProvider,
+    out: &Tuple,
 ) -> Result<EdgeClosure, InsertRejection> {
+    assert_eq!(out.arity(), query.projection().len(), "edge row arity");
     // Column universe.
-    let mut offsets = Vec::with_capacity(schemas.len());
+    let mut offsets = Vec::with_capacity(query.from().len());
     let mut total = 0usize;
-    for schema in schemas {
+    for tr in query.from() {
         offsets.push(total);
-        total += schema.arity();
+        total += provider
+            .schema_of(&tr.table)
+            .expect("FROM table known")
+            .arity();
     }
     let idx = |c: ColRef| offsets[c.rel] + c.col;
     // Local union-find over columns.
@@ -72,17 +78,13 @@ pub fn compute_edge_closure(
         }
     };
     for (pos, c) in query.projection().iter().enumerate() {
-        learn(&mut parent, *c, child_attr[pos].clone())?;
+        learn(&mut parent, *c, out[pos].clone())?;
     }
     for p in query.predicates() {
-        match (&p.left, &p.right) {
-            (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) => {
-                learn(&mut parent, *c, v.clone())?;
-            }
-            (Operand::Col(c), Operand::Param(i)) | (Operand::Param(i), Operand::Col(c)) => {
-                learn(&mut parent, *c, parent_attr[param_fields[*i]].clone())?;
-            }
-            _ => {}
+        if let (Operand::Col(c), Operand::Const(v)) | (Operand::Const(v), Operand::Col(c)) =
+            (&p.left, &p.right)
+        {
+            learn(&mut parent, *c, v.clone())?;
         }
     }
     let reps = (0..total).map(|i| find(&mut parent, i)).collect();

@@ -160,11 +160,6 @@ impl SpjQuery {
         self.n_params
     }
 
-    /// Output arity.
-    pub fn out_arity(&self) -> usize {
-        self.projection.len()
-    }
-
     /// Output column types, resolved against the provider.
     pub fn out_types(&self, provider: &impl SchemaProvider) -> RelResult<Vec<ValueType>> {
         self.projection
@@ -337,14 +332,9 @@ pub struct EqClosure {
 }
 
 impl EqClosure {
-    /// The flat number of a column.
-    pub fn flat(&self, c: ColRef) -> usize {
-        self.offsets[c.rel] + c.col
-    }
-
     /// The representative of a column's class.
     pub fn rep(&self, c: ColRef) -> usize {
-        self.reps[self.flat(c)]
+        self.reps[self.offsets[c.rel] + c.col]
     }
 }
 

@@ -7,7 +7,9 @@
 //! conditions, a condition on a `Bool` column sent to SAT, not to a fresh
 //! constant, a fresh constant that avoids one an earlier translation
 //! wrote, and insertion verdicts and states that do not depend on how a
-//! rule query orders its FROM entries and predicates. Three tests hold the
+//! rule query orders its FROM entries and predicates. One holds an
+//! insertion under a parent that a rule's guard on its parameters excludes
+//! to a rejection. Three tests hold the
 //! plan cache and the log's shape table to paths whose labels spell the
 //! shape key's punctuation; three hold admission's schema verdict, read
 //! from the plan, to the one-shot check and to one compile per shape; the
@@ -16,12 +18,13 @@
 
 use rxview::atg::{Atg, Dag, GenId, NodeId, RuleBody};
 use rxview::core::{
-    Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate, XmlViewSystem,
+    InsertRejection, Reachability, SideEffectPolicy, TopoOrder, UpdateError, ViewStore, XmlUpdate,
+    XmlViewSystem,
 };
 use rxview::engine::{Durability, Engine, EngineConfig, EngineError};
 use rxview::relstore::{
-    schema, tuple, ColRef, ColumnDef, Database, EqPred, Operand, SpjQuery, TableSchema, Value,
-    ValueType,
+    schema, tuple, ColRef, ColumnDef, Database, EqPred, Operand, SpjQuery, TableRef, TableSchema,
+    Value, ValueType,
 };
 use rxview::workload::{
     registrar_atg, registrar_database, synthetic_atg, synthetic_database, SyntheticConfig,
@@ -539,6 +542,99 @@ fn a_fresh_constant_avoids_what_an_earlier_translation_wrote() {
     let b = &sys.base().table("r").unwrap().get(&tuple!["z1"]).unwrap()[1];
     let d = &sys.base().table("s").unwrap().get(&tuple!["w1"]).unwrap()[1];
     assert_ne!(b, d, "the two fresh constants differ");
+}
+
+/// `grps(g, h)` and `r(k, v)`, all `Str`, published as `doc → grp*`,
+/// `grp → (gid, items)`, `items → item*`: an `item` per row of `r` whose
+/// `v` is the group's `g`, under a guard on the group's parameters alone —
+/// `$0 = 'x'`, or `$0 = $1` when `pair_guard`. Holds the groups `(y, w)`,
+/// which fails either guard, and `(x, x)`, which passes both; `r` starts
+/// empty.
+fn guarded_system(pair_guard: bool) -> XmlViewSystem {
+    let mut db = Database::new();
+    db.create_table(schema("grps").col_str("g").col_str("h").key(&["g"]))
+        .unwrap();
+    db.create_table(schema("r").col_str("k").col_str("v").key(&["k"]))
+        .unwrap();
+    for (g, h) in [("y", "w"), ("x", "x")] {
+        db.insert("grps", tuple![g, h]).unwrap();
+    }
+    let mut d = Dtd::builder("doc");
+    d.star("doc", "grp").unwrap();
+    d.sequence("grp", &["gid", "items"]).unwrap();
+    d.star("items", "item").unwrap();
+    let q_grp = SpjQuery::builder("Qdoc_grp")
+        .from("grps", "s")
+        .project(("s", "g"), "g")
+        .project(("s", "h"), "h")
+        .build(&db)
+        .unwrap();
+    let guard = EqPred {
+        left: Operand::Param(0),
+        right: match pair_guard {
+            false => Operand::Const(Value::from("x")),
+            true => Operand::Param(1),
+        },
+    };
+    let (k, v) = (ColRef { rel: 0, col: 0 }, ColRef { rel: 0, col: 1 });
+    let of_group = EqPred {
+        left: Operand::Col(v),
+        right: Operand::Param(0),
+    };
+    let q_item = SpjQuery::from_parts(
+        "Qitems_item",
+        vec![TableRef {
+            table: "r".into(),
+            alias: "x".into(),
+        }],
+        vec![of_group, guard],
+        vec![k],
+        vec!["k".into()],
+        2,
+        &db,
+    )
+    .unwrap();
+    let mut ab = Atg::builder(d.build().unwrap());
+    ab.attr("doc", &[])
+        .attr("grp", &["g", "h"])
+        .attr("gid", &["g"])
+        .attr("items", &["g", "h"])
+        .attr("item", &["k"]);
+    ab.rule_query("doc", "grp", q_grp, &[])
+        .rule_project("grp", "gid", &["g"])
+        .rule_project("grp", "items", &["g", "h"])
+        .rule_query("items", "item", q_item, &["g", "h"]);
+    XmlViewSystem::new(ab.build(&db).unwrap(), db).unwrap()
+}
+
+/// §4.3 phase 1: a rule's guard on its parameters alone is a `gen_A`
+/// column of the edge view, pinned by the parent's `$A`. An insertion
+/// under a parent the guard excludes has no row in the view, so it is
+/// rejected as an inconsistent derivation; under a parent that passes the
+/// guard, the same insertion writes `r(z, x)`.
+#[test]
+fn a_rule_guard_on_the_parent_rejects_an_insertion_it_excludes() {
+    for pair_guard in [false, true] {
+        for policy in [SideEffectPolicy::Abort, SideEffectPolicy::Proceed] {
+            let ctx = format!("pair guard {pair_guard}, {policy:?}");
+            let mut sys = guarded_system(pair_guard);
+            let excluded = XmlUpdate::insert("item", tuple!["z"], "grp[gid=y]/items").unwrap();
+            match sys.apply(&excluded, policy) {
+                Err(UpdateError::Insert(InsertRejection::KeyConflict { .. })) => {}
+                other => panic!("{ctx}: {:?}", other.map(|r| r.delta_r)),
+            }
+            sys.consistency_check()
+                .unwrap_or_else(|e| panic!("{ctx}, after the rejection: {e}"));
+            let passing = XmlUpdate::insert("item", tuple!["z"], "grp[gid=x]/items").unwrap();
+            sys.apply(&passing, policy)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let r = sys.base().table("r").unwrap();
+            assert_eq!(r.get(&tuple!["z"]), Some(&tuple!["z", "x"]), "{ctx}");
+            assert_eq!(r.len(), 1, "{ctx}");
+            sys.consistency_check()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+    }
 }
 
 /// `q` with its FROM entries and its predicates in reverse order.

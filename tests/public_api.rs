@@ -21,7 +21,7 @@ const PINNED: [(&str, &str); 7] = [
     ),
     (
         "core",
-        "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeClosure EdgeRecord \
+        "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeCell EdgeRecord \
          Evaluated Exact \
          InsertRejection MAX_CONE_ANCHORS MaintainReport Observed PathClass PhaseTimings \
          PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \

@@ -11,12 +11,14 @@
 //!   update streams, re-checked as the updates change the state;
 //! - **translation** — for every production edge of the registrar and
 //!   synthetic grammars, of a grammar whose rule queries pin equality
-//!   classes twice (so a closure can be inconsistent) and of a self-join
-//!   chain, the registry holds one record, whose view is the edge view
-//!   [`Atg::edge_view_query`] derives, and nothing else;
-//!   [`EdgeRecord::instantiate_insert`] equals [`compute_edge_closure`] —
-//!   same closure, same rejection — and [`EdgeRecord::source_keys`] equals
-//!   [`closure_source_keys`], over random attribute tuples and output rows;
+//!   classes twice and guard their parameters (so a closure can be
+//!   inconsistent) and of a self-join chain, the registry holds one record,
+//!   whose view is the edge view [`Atg::edge_view_query`] derives, and
+//!   nothing else; the cells `EdgeRecord::cells` reads off an edge row
+//!   are those [`compute_edge_closure`] derives for it — same known values,
+//!   one variable per open class, same rejection — and
+//!   `EdgeRecord::source_keys` equals [`closure_source_keys`], over random
+//!   attribute tuples;
 //! - **Algorithm delete** (§4.2, Fig. 9) — its ∆R or rejection equals the
 //!   first source per deleted edge that [`source_is_safe`], the safety
 //!   test read off the whole view, accepts, on registrar, synthetic and
@@ -29,14 +31,15 @@ mod common;
 
 use common::{arb_op, descendant_headed, registrar, registrar_update, synthetic, Op, COURSES};
 use proptest::prelude::*;
-use rxview::atg::{Atg, RuleBody};
+use rxview::atg::Atg;
 use rxview::core::{
-    classify, translate_deletions, xdelete, DeleteRejection, EdgeRecord, InsertRejection,
+    classify, translate_deletions, xdelete, DeleteRejection, EdgeCell, InsertRejection,
     SideEffectPolicy, TranslationTemplates, UpdateError, ViewDelta, ViewStore, XmlUpdate,
     XmlViewSystem,
 };
 use rxview::relstore::{
-    schema, Database, GroupUpdate, SchemaProvider, SpjQuery, Tuple, Value, ValueType,
+    schema, ColRef, Database, EqPred, GroupUpdate, Operand, SpjQuery, TableRef, Tuple, Value,
+    ValueType,
 };
 use rxview::workload::{
     mixed_updates, registrar_atg, registrar_database, synthetic_atg, synthetic_database,
@@ -46,6 +49,7 @@ use rxview::xmlkit::{parse_xpath, Dtd, TypeId, XPath};
 use rxview_reference::{
     closure_source_keys, compute_edge_closure, eval_xpath_on_dag, source_is_safe,
 };
+use std::collections::BTreeMap;
 
 /// The compiled full pass equals §3.2 verbatim on every field of the
 /// result, and the plan's class equals the direct classification.
@@ -148,7 +152,8 @@ proptest! {
 /// inserted edge's closure can be inconsistent: `db → item` pins `{t.k,
 /// t.w}` by two projected columns and `{t.f}` by a projected column and a
 /// constant; `item → part` pins `{p.pk}` by a projected column and the
-/// parameter.
+/// parameter `$0`, and guards its parent with `$1 = 1` and `$0 = $2`
+/// (`$A`'s `f` and `k = w`, which every published `item` passes).
 fn twice_pinned_grammar() -> (Database, Atg) {
     let mut db = Database::new();
     db.create_table(
@@ -170,13 +175,33 @@ fn twice_pinned_grammar() -> (Database, Atg) {
         .project(("t", "f"), "f")
         .build(&db)
         .expect("valid query");
-    let q_item_part = SpjQuery::builder("Qitem_part")
-        .from("P", "p")
-        .where_col_eq_param(("p", "pk"), 0)
-        .project(("p", "pk"), "pk")
-        .project(("p", "x"), "x")
-        .build(&db)
-        .expect("valid query");
+    let (pk, x) = (ColRef { rel: 0, col: 0 }, ColRef { rel: 0, col: 1 });
+    let q_item_part = SpjQuery::from_parts(
+        "Qitem_part",
+        vec![TableRef {
+            table: "P".into(),
+            alias: "p".into(),
+        }],
+        vec![
+            EqPred {
+                left: Operand::Col(pk),
+                right: Operand::Param(0),
+            },
+            EqPred {
+                left: Operand::Param(1),
+                right: Operand::Const(Value::Int(1)),
+            },
+            EqPred {
+                left: Operand::Param(0),
+                right: Operand::Param(2),
+            },
+        ],
+        vec![pk, x],
+        vec!["pk".into(), "x".into()],
+        3,
+        &db,
+    )
+    .expect("valid query");
     let mut dtd = Dtd::builder("db");
     dtd.star("db", "item").expect("fresh builder");
     dtd.star("item", "part").expect("fresh builder");
@@ -185,8 +210,12 @@ fn twice_pinned_grammar() -> (Database, Atg) {
     b.attr("db", &[])
         .attr("item", &["k", "w", "f"])
         .attr("part", &["pk", "x"]);
-    b.rule_query("db", "item", q_db_item, &[])
-        .rule_query("item", "part", q_item_part, &["k"]);
+    b.rule_query("db", "item", q_db_item, &[]).rule_query(
+        "item",
+        "part",
+        q_item_part,
+        &["k", "f", "w"],
+    );
     let atg = b.build(&db).expect("valid ATG");
     (db, atg)
 }
@@ -224,11 +253,22 @@ fn small_tuple(types: &[ValueType], picks: &mut impl Iterator<Item = u8>) -> Tup
     )
 }
 
-/// The registry's record of edge `a → b`.
-fn record(compiled: &TranslationTemplates, a: TypeId, b: TypeId) -> &EdgeRecord {
-    compiled
-        .edge((a, b))
-        .expect("an edge with a rule has a record")
+/// A random edge `a → b`: its `$A`, its `$B`, and the edge view's row
+/// (`$A` fields, the unit column when `$A` is empty, ++ `$B` fields).
+fn edge_row(
+    atg: &Atg,
+    a: TypeId,
+    b: TypeId,
+    picks: &mut impl Iterator<Item = u8>,
+) -> (Tuple, Tuple, Tuple) {
+    let parent = small_tuple(atg.attr_types(a), picks);
+    let child = small_tuple(atg.attr_types(b), picks);
+    let gen = match parent.arity() {
+        0 => Tuple::from_values([Value::Int(0)]),
+        _ => parent.clone(),
+    };
+    let out = gen.concat(&child);
+    (parent, child, out)
 }
 
 /// The registry is the edge views' one home: a record for exactly the
@@ -240,7 +280,7 @@ fn the_registry_holds_one_record_per_edge_view() {
     for (name, _db, atg) in grammars() {
         let compiled = TranslationTemplates::compile(&atg);
         let provider = atg.augmented_schemas();
-        let mut want = std::collections::BTreeMap::new();
+        let mut want = BTreeMap::new();
         for a in atg.dtd().types() {
             for &b in atg.dtd().children_of(a) {
                 if let Some(q) = atg.edge_view_query(a, b, &provider) {
@@ -267,43 +307,63 @@ fn the_registry_holds_one_record_per_edge_view() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Insert side: the compiled skeleton instantiated with a pair of
-    /// attribute tuples is the closure the interpretive derivation computes
-    /// for them, or the same rejection.
+    /// Insert side: the cells a record's cell program reads off an edge
+    /// row are those the interpretive closure of the edge view derives for
+    /// it — a column's pinned value, else a variable shared with exactly
+    /// the columns of its class — or the same rejection.
     #[test]
     fn instantiate_insert_matches_compute_edge_closure(
         picks in prop::collection::vec(any::<u8>(), 16..48),
     ) {
         let (mut accepted, mut rejected) = (0, 0);
-        for (name, db, atg) in grammars() {
+        for (name, _db, atg) in grammars() {
             let compiled = TranslationTemplates::compile(&atg);
+            let provider = atg.augmented_schemas();
             let mut picks = picks.iter().copied().cycle();
-            for a in atg.dtd().types() {
-                for &b in atg.dtd().children_of(a) {
-                    let Some(RuleBody::Query { query, param_fields, .. }) = atg.rule(a, b) else {
-                        continue;
-                    };
-                    let schemas: Vec<_> = query
-                        .from()
-                        .iter()
-                        .map(|tr| db.schema_of(&tr.table).expect("FROM table known"))
-                        .collect();
-                    for _ in 0..6 {
-                        let parent = small_tuple(atg.attr_types(a), &mut picks);
-                        let child = small_tuple(atg.attr_types(b), &mut picks);
-                        let want =
-                            compute_edge_closure(&schemas, query, param_fields, &parent, &child);
-                        let got = record(&compiled, a, b).instantiate_insert(&parent, &child);
-                        prop_assert_eq!(
-                            got.as_ref().map(|c| (c.classes(), c.known())),
-                            want.as_ref().map(|c| (&c.classes, &c.known)),
-                            "{}: edge {:?}->{:?}, parent {}, child {}", name, a, b, parent, child
-                        );
-                        match got {
-                            Ok(_) => accepted += 1,
-                            Err(_) => rejected += 1,
+            for ((a, b), record) in compiled.edges() {
+                let q = atg.edge_view_query(a, b, &provider).expect("a record's edge view");
+                for _ in 0..6 {
+                    let (parent, child, out) = edge_row(&atg, a, b, &mut picks);
+                    let ctx = format!("{name}: {}, row {out}", q.name());
+                    let (got, want) = match (
+                        record.cells(parent.values(), child.values()),
+                        compute_edge_closure(&q, &provider, &out),
+                    ) {
+                        (Ok(got), Ok(want)) => (got, want),
+                        (Err(got), Err(want)) => {
+                            prop_assert_eq!(got, want, "{}", ctx);
+                            rejected += 1;
+                            continue;
                         }
+                        (got, want) => {
+                            prop_assert!(false, "{}: accepted {} != {}", ctx, got.is_ok(), want.is_ok());
+                            continue;
+                        }
+                    };
+                    let (mut var_of_class, mut class_of_var) = (BTreeMap::new(), BTreeMap::new());
+                    let mut entries = 0;
+                    for (rel, (table, cells)) in (1..).zip(got) {
+                        prop_assert_eq!(table, q.from()[rel].table.as_str(), "{}", ctx);
+                        for (col, cell) in cells.enumerate() {
+                            let r = want.classes.rep(ColRef { rel, col });
+                            match (cell, want.known.get(&r)) {
+                                (EdgeCell::Known(v), Some(w)) => {
+                                    prop_assert_eq!(v, w, "{}: {}.{}", ctx, rel, col);
+                                }
+                                (EdgeCell::Var(k), None) => {
+                                    let class = *class_of_var.entry(k).or_insert(r);
+                                    let var = *var_of_class.entry(r).or_insert(k);
+                                    prop_assert_eq!((class, var), (r, k), "{}: {}.{}", ctx, rel, col);
+                                }
+                                (cell, known) => prop_assert!(
+                                    false, "{}: {}.{}: {:?}, reference {:?}", ctx, rel, col, cell, known
+                                ),
+                            }
+                        }
+                        entries = rel;
                     }
+                    prop_assert_eq!(entries, q.from().len() - 1, "{}: base entries", ctx);
+                    accepted += 1;
                 }
             }
         }
@@ -311,9 +371,9 @@ proptest! {
         prop_assert!(rejected > 0, "no inconsistent closure drawn");
     }
 
-    /// Delete side: the compiled source program run on an output row names
-    /// the sources the interpretive derivation reconstructs from it — and
-    /// is `None` exactly when that returns `Ok(None)`.
+    /// Delete side: the source keys a record's cell program reads off an
+    /// edge row are the sources the interpretive derivation reconstructs
+    /// from it — and `None` exactly when that returns `Ok(None)`.
     #[test]
     fn delete_program_matches_interpretive_sources(
         picks in prop::collection::vec(any::<u8>(), 16..48),
@@ -323,29 +383,15 @@ proptest! {
             let compiled = TranslationTemplates::compile(&atg);
             let provider = atg.augmented_schemas();
             let mut picks = picks.iter().copied().cycle();
-            for a in atg.dtd().types() {
-                for &b in atg.dtd().children_of(a) {
-                    let Some(q) = atg.edge_view_query(a, b, &provider) else {
-                        continue;
-                    };
-                    // `$A` fields (a unit column when `$A` is empty) ++ `$B`.
-                    let unit = [ValueType::Int];
-                    let parent_types = match atg.attr_types(a) {
-                        [] => &unit[..],
-                        types => types,
-                    };
-                    for _ in 0..4 {
-                        let out = small_tuple(parent_types, &mut picks)
-                            .concat(&small_tuple(atg.attr_types(b), &mut picks));
-                        let want = closure_source_keys(&q, &provider, &out, &[0])
-                            .expect("arity-correct row over known tables");
-                        let got = record(&compiled, a, b).source_keys(&out);
-                        prop_assert_eq!(
-                            &got, &want,
-                            "{}: edge {:?}->{:?}, row {}", name, a, b, out
-                        );
-                        instantiated += usize::from(got.is_some());
-                    }
+            for ((a, b), record) in compiled.edges() {
+                let q = atg.edge_view_query(a, b, &provider).expect("a record's edge view");
+                for _ in 0..4 {
+                    let (parent, child, out) = edge_row(&atg, a, b, &mut picks);
+                    let want = closure_source_keys(&q, &provider, &out, &[0])
+                        .expect("arity-correct row over known tables");
+                    let got = record.source_keys(parent.values(), child.values());
+                    prop_assert_eq!(&got, &want, "{}: {}, row {}", name, q.name(), out);
+                    instantiated += usize::from(got.is_some());
                 }
             }
         }
