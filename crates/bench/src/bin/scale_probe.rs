@@ -19,9 +19,10 @@
 //! `consistency_check` and the two string fingerprints, and the
 //! construction row: the ms of publication's walk, the interner's pages,
 //! `Dag::from_adjacency`, the whole publication, the equal-row pass, the
-//! first `H.h2` probe and the translation registry's compile (with its
-//! edge records and what it compiled: one cell program per record, its
-//! side-effect plans and its delete probes) on a fresh fixture. Last, at 512
+//! first `H.h2` probe and the translation registry's compile (with the
+//! base tables it numbers, its edge records and what it compiled: one cell
+//! program per record, its side-effect plans and its delete probes) on a
+//! fresh fixture. Last, at 512
 //! groups, the `free ids` row: what the state still holds per free id once
 //! the subtrees of half the groups are deleted. ARCHITECTURE.md §15's
 //! table reads these figures.
@@ -306,7 +307,8 @@ fn free_ids_row(groups: usize) -> Json {
 /// `Dag::from_adjacency`, the whole publication, the equal-row pass after
 /// it, the first probe of `H` by `h2`, which builds that column's index,
 /// and the translation registry's compile — every edge view derived once
-/// — with its edge records and compiled cell programs and plans.
+/// — with the base tables it numbers, its edge records and its compiled
+/// cell programs and plans.
 fn construction_row(groups: usize) -> Json {
     const GROUP_SIZE: usize = 40;
     let mut db = synthetic_database(&SyntheticConfig::with_size(groups * GROUP_SIZE));
@@ -349,7 +351,8 @@ fn construction_row(groups: usize) -> Json {
     let probe = timed(&mut || _ = black_box(h.scan_col_eq(1, &Value::Int(1))));
     let vs = vs.expect("published");
     let registry = timed(&mut || _ = black_box(vs.templates()));
-    let (records, compiled) = (
+    let (tables, records, compiled) = (
+        vs.templates().tables().len(),
         vs.templates().edges().count(),
         vs.templates().stats().compiles,
     );
@@ -364,10 +367,11 @@ fn construction_row(groups: usize) -> Json {
     ];
     let text = steps.map(|(name, ms)| format!("{name} {ms:.1} ms"));
     println!(
-        "  construction: {} ({records} edge records, {compiled} compiled)",
+        "  construction: {} ({tables} base tables, {records} edge records, {compiled} compiled)",
         text.join(", ")
     );
     let counts = [
+        ("registry_tables", num(tables)),
         ("registry_records", num(records)),
         ("registry_compiled", num(compiled)),
     ];

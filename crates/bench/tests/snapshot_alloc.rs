@@ -508,8 +508,10 @@ fn collecting_subtrees_releases_their_pairs_and_pages() {
 }
 
 /// Allocator calls an anchored W1 delete translation may make at 32
-/// groups: the largest of the sixteen drawn, 124 for five edges, + 5 %.
-const DELETE_TRANSLATION_CALLS: usize = 131;
+/// groups: the largest of the sixteen drawn, 91 for five edges, + 5 %.
+/// When each source carried its table's name, the same five-edge deletion
+/// made 124.
+const DELETE_TRANSLATION_CALLS: usize = 96;
 
 /// §4.2's Algorithm delete as a cost model (ARCHITECTURE §1, the §4.2 row;
 /// ROADMAP item 17): the safety test of an anchored W1 deletion binds each
@@ -561,10 +563,11 @@ fn a_delete_translation_binds_each_probe_at_most_once() {
 }
 
 /// Allocator calls an anchored W1 or W2 insertion's `apply_deferred` may
-/// make at 32 groups: the largest of the sixteen drawn, 219 (the first;
-/// the rest made 103–111), + 5 %. When phase 2 planned its join per call
-/// and materialised its rows, the same sixteen made 294–410.
-const INSERT_TRANSLATION_CALLS: usize = 230;
+/// make at 32 groups: the largest of the sixteen drawn, 205 (the first;
+/// the rest made 89–97), + 5 %. When each template carried its table's
+/// name, the same sixteen made 219 and 103–111; when phase 2 planned its
+/// join per call and materialised its rows, 294–410.
+const INSERT_TRANSLATION_CALLS: usize = 216;
 
 /// §4.3's Algorithm insert as a cost model (ARCHITECTURE §1, the §4.3 row;
 /// ROADMAP items 1(d) and 17): an anchored W1 or W2 insertion of a fresh

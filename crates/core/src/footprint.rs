@@ -36,7 +36,6 @@
 //! *different* rows of one table commute.
 
 use crate::rel_delete::candidate_source_keys;
-use crate::template::SourceRef;
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::{Interner, NodeId, RuleBody, SubtreeDag};
@@ -337,16 +336,23 @@ pub fn planned_delete_writes(
         inserts: Vec::new(),
         deletes: edge_parents.to_vec(),
     };
-    candidate_source_keys(vs, &delta).is_some_and(|sources| add_sources(base, sources, out))
+    candidate_source_keys(vs, &delta).is_some_and(|sources| add_sources(vs, base, sources, out))
 }
 
-/// Adds a write of each source's row; `false` if a table is unknown.
-fn add_sources(base: &Database, sources: Vec<SourceRef>, out: &mut RelFootprint) -> bool {
-    for sr in sources {
-        let Ok(table) = base.table(&sr.table) else {
+/// Adds a write of each source's row, its table named by the registry;
+/// `false` if a table is unknown.
+fn add_sources(
+    vs: &ViewStore,
+    base: &Database,
+    sources: Vec<(usize, Tuple)>,
+    out: &mut RelFootprint,
+) -> bool {
+    let names = vs.templates().tables();
+    for (table, key) in sources {
+        let Ok(t) = base.table(&names[table]) else {
             return false;
         };
-        out.add_write_row(&sr.table, table.schema().key(), sr.key);
+        out.add_write_row(&names[table], t.schema().key(), key);
     }
     true
 }
@@ -408,7 +414,7 @@ fn add_edge_keys(
             let record = vs.templates().edge((pty, cty));
             let record = record.expect("a rule's edge has a record");
             let keys = record.template_keys(pattr.values(), cattr.values());
-            keys.is_some_and(|keys| add_sources(base, keys, out))
+            keys.is_some_and(|keys| add_sources(vs, base, keys, out))
         }
         _ => true,
     }

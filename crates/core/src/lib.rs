@@ -85,7 +85,7 @@ pub use processor::{
 pub use reach::Reachability;
 pub use rel_delete::{translate_deletions, DeleteRejection};
 pub use rel_insert::InsertRejection;
-pub use template::{EdgeCell, EdgeRecord, SourceRef, TranslationTemplates};
+pub use template::{EdgeCell, EdgeRecord, TranslationTemplates};
 pub use topo::TopoOrder;
 pub use translate::xdelete;
 pub use update::{SideEffectPolicy, ViewDelta, XmlUpdate};

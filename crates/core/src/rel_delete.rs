@@ -7,7 +7,8 @@
 //! view definition, the unique contributing tuple identified by its key.
 //! The edge's record in the registry reads it off the parent's `$A` and the
 //! child's `$B` through the view's cell program
-//! ([`EdgeRecord::source_keys`]), with no edge row built.
+//! ([`EdgeRecord::source_keys`]), with no edge row built: a key per table
+//! number.
 //! Deleting any source tuple removes `t`; the deletion is side-effect free
 //! iff that source is not in the deletable source of any view tuple that
 //! must *remain*. The algorithm picks, for each deleted tuple, an arbitrary
@@ -24,12 +25,12 @@
 //! (this is the "more database queries as `|Ep(r)|` grows" behaviour the
 //! paper reports in Fig.11(g)).
 
-use crate::template::{EdgeProbe, EdgeRecord, SourceRef, TranslationTemplates};
+use crate::template::{EdgeProbe, EdgeRecord, TranslationTemplates};
 use crate::update::ViewDelta;
 use crate::viewstore::ViewStore;
 use rxview_atg::NodeId;
 use rxview_relstore::{BoundPlan, Database, GroupUpdate, RelError, TableSource, Tuple};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a group deletion was rejected.
@@ -78,9 +79,31 @@ impl From<RelError> for DeleteRejection {
     }
 }
 
+/// A deletable source: a base table's number in the registry and the key
+/// of the tuple that contributes to a view row.
+type Source = (usize, Tuple);
+
+/// The record of deleted edge `(u, v)`'s view, or why no base deletion
+/// removes the edge.
+fn deletable(vs: &ViewStore, u: NodeId, v: NodeId) -> Result<&EdgeRecord, DeleteRejection> {
+    let (a, b) = (vs.dag().genid().type_of(u), vs.dag().genid().type_of(v));
+    let Some(record) = vs.templates().edge((a, b)) else {
+        return Err(DeleteRejection::NotDeletable {
+            view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
+        });
+    };
+    // Projection-rule edges join only the gen table: no base source.
+    match record.view().from().len() {
+        1 => Err(DeleteRejection::NotDeletable {
+            view: record.view().name().to_owned(),
+        }),
+        _ => Ok(record),
+    }
+}
+
 /// Edge `(u, v)`'s deletable sources `Sr(Q, t)`, read off its `$A` and `$B`
 /// by the record's cell program.
-fn sources(vs: &ViewStore, record: &EdgeRecord, u: NodeId, v: NodeId) -> Option<Vec<SourceRef>> {
+fn sources(vs: &ViewStore, record: &EdgeRecord, u: NodeId, v: NodeId) -> Option<Vec<Source>> {
     let genid = vs.dag().genid();
     record.source_keys(genid.attr_of(u).values(), genid.attr_of(v).values())
 }
@@ -95,19 +118,12 @@ fn sources(vs: &ViewStore, record: &EdgeRecord, u: NodeId, v: NodeId) -> Option<
 /// Edges with no base source (projection rules, missing rules) make the
 /// real translation reject the whole group — which writes nothing — so they
 /// contribute no keys here.
-pub(crate) fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<SourceRef>> {
-    let templates = vs.templates();
+pub(crate) fn candidate_source_keys(vs: &ViewStore, delta: &ViewDelta) -> Option<Vec<Source>> {
     let mut out = Vec::new();
     for &(u, v) in &delta.deletes {
-        let a = vs.dag().genid().type_of(u);
-        let b = vs.dag().genid().type_of(v);
-        let Some(record) = templates.edge((a, b)) else {
-            continue; // NotDeletable: the translation rejects, writes nothing
-        };
-        if record.view().from().len() <= 1 {
-            continue; // projection rule: same
+        if let Ok(record) = deletable(vs, u, v) {
+            out.extend(sources(vs, record, u, v)?);
         }
-        out.extend(sources(vs, record, u, v)?);
     }
     Some(out)
 }
@@ -123,26 +139,15 @@ pub fn translate_deletions(
     let templates = vs.templates();
     let deleted: BTreeSet<(NodeId, NodeId)> = delta.deletes.iter().copied().collect();
 
-    // Cache of source-safety verdicts, and the probes bound so far.
-    let mut verdict: BTreeMap<SourceRef, bool> = BTreeMap::new();
-    let (mut bound, mut rows) = (HashMap::new(), Vec::new());
+    // Cache of source-safety verdicts, and per table the probes bound so far.
+    let mut verdict: BTreeMap<Source, bool> = BTreeMap::new();
+    let mut bound: Vec<Option<_>> = templates.tables().iter().map(|_| None).collect();
+    let mut rows = Vec::new();
     let mut out = GroupUpdate::new();
 
     for &(u, v) in &delta.deletes {
-        let a = vs.dag().genid().type_of(u);
-        let b = vs.dag().genid().type_of(v);
-        let Some(record) = templates.edge((a, b)) else {
-            return Err(DeleteRejection::NotDeletable {
-                view: format!("edge_{}_{}", vs.atg().dtd().name(a), vs.atg().dtd().name(b)),
-            });
-        };
+        let record = deletable(vs, u, v)?;
         let q = record.view();
-        // Projection-rule edges join only the gen table: no base source.
-        if q.from().len() <= 1 {
-            return Err(DeleteRejection::NotDeletable {
-                view: q.name().to_owned(),
-            });
-        }
         let sources = sources(vs, record, u, v).ok_or_else(|| {
             DeleteRejection::Rel(RelError::NotKeyPreserving {
                 query: q.name().to_owned(),
@@ -162,14 +167,14 @@ pub fn translate_deletions(
                 break;
             }
         }
-        let Some(sr) = chosen else {
+        let Some((table, key)) = chosen else {
             let genid = vs.dag().genid();
             return Err(DeleteRejection::NoSafeSource {
                 view: q.name().to_owned(),
                 tuple: genid.gen_row(u).concat(genid.attr_of(v)).to_string(),
             });
         };
-        out.delete(sr.table, sr.key);
+        out.delete(templates.tables()[table].as_str(), key);
     }
     Ok(out)
 }
@@ -178,22 +183,22 @@ pub fn translate_deletions(
 /// `(S, k)` in its deletable source is itself in `∆V`. A probe of `S` binds
 /// one FROM occurrence of `S` to `k`, so each row it yields has `(S, k)` in
 /// its `Sr(Q, t)`. `S`'s probes are bound on its first candidate and kept
-/// in `bound`; every run refills `rows`.
+/// in `bound`, at `S`'s number; every run refills `rows`.
 fn source_is_safe<'a>(
     vs: &ViewStore,
     aug: &'a impl TableSource,
     templates: &'a TranslationTemplates,
-    bound: &mut HashMap<String, Vec<EdgeProbe<BoundPlan<'a>>>>,
+    bound: &mut [Option<Vec<EdgeProbe<BoundPlan<'a>>>>],
     rows: &mut Vec<Tuple>,
-    sr: &SourceRef,
+    (table, key): &Source,
     deleted: &BTreeSet<(NodeId, NodeId)>,
 ) -> Result<bool, DeleteRejection> {
-    if !bound.contains_key(&sr.table) {
-        let probes = templates.bind_probes(&sr.table, aug)?;
-        bound.insert(sr.table.clone(), probes);
-    }
-    for ((a, b), probe) in &bound[&sr.table] {
-        probe.run_into(sr.key.values(), rows)?;
+    let probes = match &mut bound[*table] {
+        Some(probes) => probes,
+        slot => slot.insert(templates.bind_probes(*table, aug)?),
+    };
+    for ((a, b), probe) in probes.iter() {
+        probe.run_into(key.values(), rows)?;
         // A row whose parent or child is not in the view is no live edge:
         // deleting the source cannot hurt it.
         let live = |row: &Tuple| vs.edge_from_row(*a, *b, row.values());

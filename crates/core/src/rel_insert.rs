@@ -47,7 +47,8 @@
 //! read from the templates), compiled by the relstore's one planner with
 //! those entries placed first. Phase 2 walks that plan's steps over
 //! symbolic rows ([`SymJoin`]); what it still does per call is read the
-//! tables.
+//! tables, each resolved once from the registry's number that templates
+//! carry beside their key.
 
 use crate::template::{EdgeCell, EdgeRecord};
 use crate::update::ViewDelta;
@@ -55,12 +56,13 @@ use crate::viewstore::ViewStore;
 use rxview_atg::{NodeId, RuleBody};
 use rxview_relstore::{
     Database, Domain, GroupUpdate, PlanAccess, PlanSrc, PlanStep, Probe, RelError, RowSource,
-    SpjPlan, Tuple, Value, ValueType,
+    SpjPlan, Table, Tuple, Value, ValueType,
 };
 use rxview_satsolver::{dpll, walksat, CnfFormula, DpllResult, Lit, Var as PropVar, WalkSatResult};
 use rxview_xmlkit::TypeId;
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -233,10 +235,11 @@ impl Vars {
     }
 }
 
-/// A pending base-table insertion with possibly-symbolic cells.
+/// A pending base-table insertion with possibly-symbolic cells, its table
+/// numbered by the registry.
 #[derive(Debug, Clone)]
 struct Template {
-    table: String,
+    table: usize,
     cells: Vec<Sym>,
 }
 
@@ -260,9 +263,13 @@ pub(crate) fn translate_insertions(
     let atg = vs.atg();
     let mut vars = Vars::default();
     let compiled = vs.templates();
+    let names = compiled.tables();
+    // Per table number, the table, resolved once.
+    let tables = names.iter().map(|name| base.table(name));
+    let tables: Vec<&Table> = tables.collect::<Result<_, _>>()?;
 
-    // ---- Phase 1: derive and unify tuple templates. ----
-    let mut templates: BTreeMap<(String, Tuple), Template> = BTreeMap::new();
+    // ---- Phase 1: derive and unify tuple templates, per (table, key). ----
+    let mut templates: BTreeMap<(usize, Tuple), Vec<Sym>> = BTreeMap::new();
     for &(u, v) in &delta.inserts {
         let a = vs.dag().genid().type_of(u);
         let b = vs.dag().genid().type_of(v);
@@ -279,7 +286,8 @@ pub(crate) fn translate_insertions(
             }
             Some(RuleBody::Query { .. }) => {
                 derive_templates(
-                    base,
+                    &tables,
+                    names,
                     compiled.edge((a, b)).expect("a rule's edge has a record"),
                     vs.dag().genid().attr_of(u),
                     vs.dag().genid().attr_of(v),
@@ -300,38 +308,30 @@ pub(crate) fn translate_insertions(
 
     // ---- Phase 2: side-effect detection over the incremented database. ----
     // Phase 2 binds no variable, so each cell resolves once. The templates
-    // are in (table, key) order.
+    // are in (table, key) order, the tables numbered in name order.
     let templates: Vec<Template> = templates
-        .into_values()
-        .map(|t| Template {
-            cells: t.cells.iter().map(|s| vars.resolve(s)).collect(),
-            table: t.table,
+        .into_iter()
+        .map(|((table, _), cells)| Template {
+            table,
+            cells: cells.iter().map(|s| vars.resolve(s)).collect(),
+        })
+        .collect();
+    let of_table: Vec<&[Template]> = (0..names.len())
+        .map(|n| {
+            let lo = templates.partition_point(|t| t.table < n);
+            &templates[lo..templates.partition_point(|t| t.table <= n)]
         })
         .collect();
     let wanted: BTreeSet<(NodeId, NodeId)> = delta.inserts.iter().copied().collect();
     let mut clauses: Vec<Vec<Cond>> = Vec::new(); // each to be negated
     for (edge, record) in compiled.edges() {
-        let q = record.view();
-        let of_entry: Vec<&[Template]> = q
-            .from()
-            .iter()
-            .map(|tr| {
-                let lo = templates.partition_point(|t| t.table < tr.table);
-                let n = templates[lo..].partition_point(|t| t.table == tr.table);
-                &templates[lo..lo + n]
-            })
-            .collect();
         // Bit `i - 1` is entry `i`, read from its templates; entry 0 is the
         // maintained gen table, never a template.
-        let slots = (1..of_entry.len())
-            .filter(|&i| !of_entry[i].is_empty())
-            .fold(0usize, |slots, i| slots | 1 << (i - 1));
+        let slots = (record.tables().enumerate())
+            .filter(|&(_, n)| !of_table[n].is_empty())
+            .fold(0usize, |slots, (i, _)| slots | 1 << i);
         if slots == 0 {
             continue;
-        }
-        let mut tables: Vec<&dyn RowSource> = vec![vs.dag().genid().table(edge.0)];
-        for tr in &q.from()[1..] {
-            tables.push(base.table(&tr.table)?);
         }
         // Every non-empty subset of the template slots, in increasing order.
         let mut mask = 0usize;
@@ -343,15 +343,16 @@ pub(crate) fn translate_insertions(
             let plan = record.side_effect_plan(mask);
             SymJoin {
                 plan,
+                record,
+                gen: vs.dag().genid().table(edge.0),
                 tables: &tables,
-                templates: &of_entry,
+                templates: &of_table,
                 mask: mask << 1,
                 vars: &vars,
                 bound: vec![Cell::new(None); plan.steps().len()],
                 vs,
                 wanted: &wanted,
                 edge,
-                view: q.name(),
             }
             .run(&mut clauses)?;
         }
@@ -486,7 +487,7 @@ pub(crate) fn translate_insertions(
             };
             cells.push(value);
         }
-        delta_r.insert(t.table, Tuple::from_values(cells));
+        delta_r.insert(names[t.table].as_str(), Tuple::from_values(cells));
     }
 
     Ok(InsertTranslation { delta_r, sat_used })
@@ -532,21 +533,22 @@ fn decode_var(
 
 /// Derives the templates of one inserted edge: the cells its record's cell
 /// program reads off the edge row, a fresh variable per class the row
-/// leaves open.
+/// leaves open, each table numbered by the registry and resolved in
+/// `tables`.
 fn derive_templates(
-    base: &Database,
+    tables: &[&Table],
+    names: &[String],
     record: &EdgeRecord,
     parent_attr: &Tuple,
     child_attr: &Tuple,
     vars: &mut Vars,
-    templates: &mut BTreeMap<(String, Tuple), Template>,
+    templates: &mut BTreeMap<(usize, Tuple), Vec<Sym>>,
 ) -> Result<(), InsertRejection> {
     // The program numbers its open classes in the order it reads them, so
     // the `k`-th is new exactly when `k` variables were made for the edge.
     let first = vars.parent.len();
-    for (name, entry) in record.cells(parent_attr.values(), child_attr.values())? {
-        let table = base.table(name)?;
-        let schema = table.schema();
+    for (n, entry) in record.cells(parent_attr.values(), child_attr.values())? {
+        let schema = tables[n].schema();
         let cells: Vec<Sym> = entry
             .zip(schema.columns())
             .map(|(cell, column)| match cell {
@@ -560,83 +562,45 @@ fn derive_templates(
             })
             .collect();
         // Key must be ground (key preservation).
-        let key_vals: Vec<Value> = schema
-            .key()
-            .iter()
-            .map(|&k| match &cells[k] {
-                Sym::Known(v) => v.clone(),
-                Sym::Var(_) => unreachable!("key preservation guarantees ground keys"),
-            })
-            .collect();
-        let key = Tuple::from_values(key_vals);
-        if let Some(existing) = table.get(&key) {
+        let key = Tuple::from_values(schema.key().iter().map(|&k| match &cells[k] {
+            Sym::Known(v) => v.clone(),
+            Sym::Var(_) => unreachable!("key preservation guarantees ground keys"),
+        }));
+        let conflict = |()| InsertRejection::KeyConflict {
+            table: names[n].clone(),
+        };
+        if let Some(existing) = tables[n].get(&key) {
             // The tuple already exists: constants must agree; variables
             // unify with the existing values.
-            for (i, cell) in cells.iter().enumerate() {
-                match cell {
-                    Sym::Known(v) => {
-                        if existing[i] != *v {
-                            return Err(InsertRejection::KeyConflict {
-                                table: name.to_owned(),
-                            });
-                        }
-                    }
-                    Sym::Var(vid) => {
-                        vars.bind(*vid, existing[i].clone()).map_err(|_| {
-                            InsertRejection::KeyConflict {
-                                table: name.to_owned(),
-                            }
-                        })?;
-                    }
-                }
+            for (v, cell) in existing.values().iter().zip(cells) {
+                unify(vars, &Sym::Known(v.clone()), cell).map_err(conflict)?;
             }
             continue;
         }
         // Merge with a pending template of the same key.
-        match templates.get_mut(&(name.to_owned(), key.clone())) {
-            None => {
-                templates.insert(
-                    (name.to_owned(), key),
-                    Template {
-                        table: name.to_owned(),
-                        cells,
-                    },
-                );
+        match templates.entry((n, key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(cells);
             }
-            Some(existing) => {
-                for (i, cell) in cells.into_iter().enumerate() {
-                    match (&existing.cells[i], cell) {
-                        (Sym::Known(a), Sym::Known(b)) => {
-                            if *a != b {
-                                return Err(InsertRejection::KeyConflict {
-                                    table: name.to_owned(),
-                                });
-                            }
-                        }
-                        (Sym::Known(a), Sym::Var(v)) => {
-                            let a = a.clone();
-                            vars.bind(v, a).map_err(|_| InsertRejection::KeyConflict {
-                                table: name.to_owned(),
-                            })?;
-                        }
-                        (Sym::Var(v), Sym::Known(b)) => {
-                            let v = *v;
-                            vars.bind(v, b).map_err(|_| InsertRejection::KeyConflict {
-                                table: name.to_owned(),
-                            })?;
-                        }
-                        (Sym::Var(a), Sym::Var(b)) => {
-                            let a = *a;
-                            vars.union(a, b).map_err(|_| InsertRejection::KeyConflict {
-                                table: name.to_owned(),
-                            })?;
-                        }
-                    }
+            Entry::Occupied(slot) => {
+                for (have, cell) in slot.get().iter().zip(cells) {
+                    unify(vars, have, cell).map_err(conflict)?;
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Unifies a new template cell with the cell `have` an existing tuple or a
+/// pending template holds at its column; `Err` when they cannot agree.
+fn unify(vars: &mut Vars, have: &Sym, cell: Sym) -> Result<(), ()> {
+    match (have, cell) {
+        (Sym::Known(a), Sym::Known(b)) => (*a == b).then_some(()).ok_or(()),
+        (Sym::Known(a), Sym::Var(v)) => vars.bind(v, a.clone()),
+        (Sym::Var(v), Sym::Known(b)) => vars.bind(*v, b),
+        (Sym::Var(a), Sym::Var(b)) => vars.union(*a, b),
+    }
 }
 
 /// A cell as phase 2's join reads it: a value of a live row or a template,
@@ -665,9 +629,13 @@ enum Bound<'a> {
 /// equality with a variable side becomes a condition of the row.
 struct SymJoin<'a> {
     plan: &'a SpjPlan,
-    /// Per FROM entry, its live table (entry 0: the interner's gen table of
-    /// the parent type) and its templates.
-    tables: &'a [&'a dyn RowSource],
+    /// The edge's record: its view and its base FROM entries' tables.
+    record: &'a EdgeRecord,
+    /// FROM entry 0's live table: the interner's gen table of the parent
+    /// type.
+    gen: &'a dyn RowSource,
+    /// Per table number, its live table and its templates.
+    tables: &'a [&'a Table],
     templates: &'a [&'a [Template]],
     /// The FROM entries read from their templates, as bit `entry`.
     mask: usize,
@@ -679,7 +647,6 @@ struct SymJoin<'a> {
     /// the view, is no side effect.
     wanted: &'a BTreeSet<(NodeId, NodeId)>,
     edge: (TypeId, TypeId),
-    view: &'a str,
 }
 
 /// The equalities of `step`'s access path, as `(column, source)` pairs.
@@ -755,8 +722,9 @@ impl<'a> SymJoin<'a> {
             return self.classify(conds, clauses);
         };
         let rel = step.rel();
+        // Entry 0, the gen table, is never in the mask.
         if self.mask & 1 << rel != 0 {
-            for t in self.templates[rel] {
+            for t in self.templates[self.record.table(rel)] {
                 self.bound[at].set(Some(Bound::Template(&t.cells)));
                 self.admit(step, at, 0, conds, clauses)?;
             }
@@ -785,8 +753,12 @@ impl<'a> SymJoin<'a> {
             PlanAccess::ColEq(col, src) => Probe::ColEq(*col, ground(src)),
             PlanAccess::Scan => unreachable!("a scan has no sources"),
         };
+        let table = match rel {
+            0 => self.gen,
+            _ => self.tables[self.record.table(rel)],
+        };
         let mut result = Ok(());
-        self.tables[rel].scan(probe, &mut |row| {
+        table.scan(probe, &mut |row| {
             if result.is_ok() {
                 self.bound[at].set(Some(Bound::Row(row)));
                 result = self.admit(step, at, known, conds, clauses);
@@ -854,7 +826,7 @@ impl<'a> SymJoin<'a> {
         if conds.is_empty() {
             // Unconditional unintended view tuple.
             return Err(InsertRejection::SideEffect {
-                view: self.view.to_owned(),
+                view: self.record.view().name().to_owned(),
             });
         }
         clauses.push(conds.to_vec());
@@ -1032,7 +1004,10 @@ mod tests {
         let course = vs.atg().dtd().type_id("course").unwrap();
         let (delta, _) = xinsert(&mut vs, &db, course, tuple!["CS240", "Wrong"], &eval).unwrap();
         let err = translate_insertions(&vs, &db, &delta).unwrap_err();
-        assert!(matches!(err, InsertRejection::KeyConflict { .. }));
+        let want = InsertRejection::KeyConflict {
+            table: "course".into(),
+        };
+        assert_eq!(err, want);
     }
 
     #[test]

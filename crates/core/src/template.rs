@@ -24,7 +24,10 @@
 //! Per base table the registry also keeps Algorithm delete's safety probes
 //! ([`compile_bound`]), one per FROM occurrence in an edge view.
 //! `tests/reference_oracles.rs` holds the records to `Atg::edge_view_query`
-//! and to the interpretive references.
+//! and to the interpretive references. Translation names a base table by
+//! its number here ([`TranslationTemplates::tables`], in name order, so
+//! Algorithm insert's templates stay in `(table, key)` order), and reads
+//! the name back only for a `∆R` op, a rejection or a footprint row.
 //!
 //! **Cache-coherence invariant:** a record depends only on the `Atg` and
 //! the base/`gen_A` *schemas* — never on table contents, node identity, or
@@ -42,7 +45,7 @@ use rxview_relstore::{
 };
 use rxview_xmlkit::TypeId;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -74,22 +77,12 @@ pub enum EdgeCell<'a> {
 /// A base FROM entry of an edge view, as the cell program reads it.
 #[derive(Debug)]
 struct BaseEntry {
-    table: String,
+    /// The table's number in the registry.
+    table: usize,
     /// The table's key columns.
     key: Vec<usize>,
     /// Per column.
     cells: Vec<Cell>,
-}
-
-/// One element of `Sr(Q,t)` (§4.2), the *deletable source* of an edge-view
-/// row `t`: a base table and the key of the tuple that contributes to `t`.
-/// Deleting that tuple removes `t` from the view.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SourceRef {
-    /// Base table name.
-    pub table: String,
-    /// Primary key of the contributing tuple in that table.
-    pub key: Tuple,
 }
 
 /// A delete probe of edge `(A, B)`: its plan, compiled or bound.
@@ -124,14 +117,16 @@ fn compile_bound(provider: &impl SchemaProvider, q: &SpjQuery, rel: usize) -> Sp
 }
 
 /// Compiles the cell program of edge view `view`, whose parent type has
-/// `fields` attribute fields. Each equality class of the view's columns
-/// takes its value from its first pin — the projections by position, then
-/// the constant predicates in predicate order — and every further pin of
-/// the class is a check against that one. An empty `$A`'s unit column
-/// pins nothing: no rule reads it. The classes no pin reaches are numbered
-/// by first occurrence in (entry, column) order.
+/// `fields` attribute fields, its base tables numbered by their index in
+/// `tables`. Each equality class of the view's columns takes its value
+/// from its first pin — the projections by position, then the constant
+/// predicates in predicate order — and every further pin of the class is a
+/// check against that one. An empty `$A`'s unit column pins nothing: no
+/// rule reads it. The classes no pin reaches are numbered by first
+/// occurrence in (entry, column) order.
 fn compile_cells(
     provider: &impl SchemaProvider,
+    tables: &[String],
     view: &SpjQuery,
     fields: usize,
 ) -> (Vec<(Cell, Cell)>, Vec<BaseEntry>) {
@@ -176,7 +171,7 @@ fn compile_cells(
             })
             .collect();
         entries.push(BaseEntry {
-            table: tr.table.clone(),
+            table: tables.binary_search(&tr.table).expect("a numbered table"),
             key: schema.key().to_vec(),
             cells,
         });
@@ -221,7 +216,8 @@ impl EdgeRecord {
     /// Runs the cell program on the edge row of a parent with `$A` `parent`
     /// and a child with `$B` `child` — the row split as
     /// [`crate::ViewStore::edge_from_row`] splits it: the checks, then per
-    /// base FROM entry of the view, in FROM order, its table and cells.
+    /// base FROM entry of the view, in FROM order, its table's number (see
+    /// [`TranslationTemplates::tables`]) and cells.
     /// A failed check means no row of the view is that edge row, and
     /// phase 1 of Algorithm insert rejects it as an inconsistent
     /// derivation — what `rxview_reference::compute_edge_closure` derives
@@ -231,15 +227,26 @@ impl EdgeRecord {
         parent: &'a [Value],
         child: &'a [Value],
     ) -> Result<
-        impl Iterator<Item = (&'a str, impl Iterator<Item = EdgeCell<'a>> + 'a)> + 'a,
+        impl Iterator<Item = (usize, impl Iterator<Item = EdgeCell<'a>> + 'a)> + 'a,
         InsertRejection,
     > {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.check(parent, child)?;
-        Ok(self.entries.iter().map(move |e| {
-            let cells = e.cells.iter().map(move |c| read(c, parent, child));
-            (e.table.as_str(), cells)
-        }))
+        Ok(self
+            .entries
+            .iter()
+            .map(move |e| (e.table, e.cells.iter().map(move |c| read(c, parent, child)))))
+    }
+
+    /// The table number of each base FROM entry, in FROM order (see
+    /// [`TranslationTemplates::tables`]).
+    pub fn tables(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entries.iter().map(|e| e.table)
+    }
+
+    /// The table number of base FROM entry `rel` (entry 0 is `gen_A`).
+    pub(crate) fn table(&self, rel: usize) -> usize {
+        self.entries[rel - 1].table
     }
 
     /// The side-effect plan of the view with the non-empty set of FROM
@@ -254,12 +261,14 @@ impl EdgeRecord {
 
     /// The candidate sources of the view's row on the edge row `(parent,
     /// child)`, split as for [`EdgeRecord::cells`]: per base FROM entry its
-    /// table and key cells, each class's first pin read and no check run.
+    /// table's number and the key its key cells read, each class's first
+    /// pin read and no check run — one element `(S, k)` of `Sr(Q, t)`
+    /// (§4.2) each, whose deletion removes the row from the view.
     /// Duplicates (self-joins resolving to the same key) collapse. `None`:
     /// a key cell is a class no pin determines, so the view is not
     /// key-preserving in the generalized sense — exactly when
     /// `rxview_reference::closure_source_keys` returns `Ok(None)`.
-    pub fn source_keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<SourceRef>> {
+    pub fn source_keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<(usize, Tuple)>> {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.keys(parent, child)
     }
@@ -274,7 +283,7 @@ impl EdgeRecord {
         &self,
         parent: &[Value],
         child: &[Value],
-    ) -> Option<Vec<SourceRef>> {
+    ) -> Option<Vec<(usize, Tuple)>> {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.check(parent, child).ok()?;
         self.keys(parent, child)
@@ -291,22 +300,21 @@ impl EdgeRecord {
         }
     }
 
-    fn keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<SourceRef>> {
+    fn keys(&self, parent: &[Value], child: &[Value]) -> Option<Vec<(usize, Tuple)>> {
         let open = |e: &BaseEntry| e.key.iter().any(|&k| matches!(e.cells[k], Cell::Var(_)));
         if self.entries.iter().any(open) {
             return None;
         }
-        let mut result: Vec<SourceRef> = Vec::with_capacity(self.entries.len());
+        let mut result = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            let sr = SourceRef {
-                table: e.table.clone(),
-                key: Tuple::from_values(e.key.iter().map(|&k| {
-                    match read(&e.cells[k], parent, child) {
-                        EdgeCell::Known(v) => v.clone(),
-                        EdgeCell::Var(_) => unreachable!("every key cell is pinned"),
-                    }
-                })),
-            };
+            let key = e
+                .key
+                .iter()
+                .map(|&k| match read(&e.cells[k], parent, child) {
+                    EdgeCell::Known(v) => v.clone(),
+                    EdgeCell::Var(_) => unreachable!("every key cell is pinned"),
+                });
+            let sr = (e.table, Tuple::from_values(key));
             if !result.contains(&sr) {
                 result.push(sr);
             }
@@ -315,19 +323,23 @@ impl EdgeRecord {
     }
 }
 
-/// The per-grammar registry of compiled translation templates: one
-/// [`EdgeRecord`] per production edge with a rule, and per base table the
-/// delete probes, compiled in one pass over the `Atg`. Cached in the
-/// engine-wide [`crate::plan::PlanCache`] (one registry per store family)
-/// and consulted by every translation consumer.
+/// The per-grammar registry of compiled translation templates: the base
+/// tables the edge views read, numbered; one [`EdgeRecord`] per production
+/// edge with a rule; and per base table the delete probes — compiled in one
+/// pass over the `Atg`. Cached in the engine-wide
+/// [`crate::plan::PlanCache`] (one registry per store family) and consulted
+/// by every translation consumer.
 #[derive(Debug)]
 pub struct TranslationTemplates {
+    /// The base tables some edge view's FROM names, in name order: a
+    /// table's number is its index here.
+    tables: Vec<String>,
     /// In `(parent, child)` type order.
     edges: BTreeMap<(TypeId, TypeId), EdgeRecord>,
-    /// Per base table, the delete side's safety probes: one per FROM
+    /// Per table number, the delete side's safety probes: one per FROM
     /// occurrence of the table in an edge view ([`compile_bound`]), in edge
     /// order.
-    bound: HashMap<String, Vec<EdgeProbe<SpjPlan>>>,
+    bound: Vec<Vec<EdgeProbe<SpjPlan>>>,
     /// Delete probes bound.
     probe_hits: AtomicU64,
     /// Cell programs and plans compiled (fixed after construction).
@@ -343,56 +355,60 @@ impl TranslationTemplates {
     pub fn compile(atg: &Atg) -> TranslationTemplates {
         let t0 = Instant::now();
         let provider: Vec<TableSchema> = atg.augmented_schemas();
-        let mut edges = BTreeMap::new();
-        let mut compiles = 0u64;
+        let mut views = BTreeMap::new();
         for a in atg.dtd().types() {
             for &b in atg.dtd().children_of(a) {
-                if edges.contains_key(&(a, b)) {
-                    continue;
+                if let Some(view) = atg.edge_view_query(a, b, &provider) {
+                    views.insert((a, b), view);
                 }
-                let Some(view) = atg.edge_view_query(a, b, &provider) else {
-                    continue;
-                };
-                let (checks, entries) = compile_cells(&provider, &view, atg.attr_fields(a).len());
-                let n_base = entries.len();
-                let side_effect: Vec<SpjPlan> = (1..1usize << n_base)
-                    .map(|set| {
-                        let first: Vec<usize> =
-                            (1..=n_base).filter(|i| set & 1 << (i - 1) != 0).collect();
-                        SpjPlan::compile_first(&view, &provider, &first)
-                            .expect("edge views are valid")
-                    })
-                    .collect();
-                compiles += 1 + side_effect.len() as u64;
-                let record = EdgeRecord {
-                    view,
-                    checks,
-                    entries,
-                    side_effect,
-                    hits: AtomicU64::new(0),
-                };
-                edges.insert((a, b), record);
             }
         }
-        let mut bound: HashMap<String, Vec<_>> = HashMap::new();
-        for (&edge, record) in &edges {
-            // Entry 0 is the derived `gen_parent`, never a source.
-            for (rel, tr) in record.view.from().iter().enumerate().skip(1) {
-                let probe = compile_bound(&provider, &record.view, rel);
-                bound
-                    .entry(tr.table.clone())
-                    .or_default()
-                    .push((edge, probe));
-                compiles += 1;
+        // Entry 0 is the derived `gen_parent`, never a base table.
+        let base = views.values().flat_map(|view| &view.from()[1..]);
+        let tables: BTreeSet<&String> = base.map(|tr| &tr.table).collect();
+        let tables: Vec<String> = tables.into_iter().cloned().collect();
+        let (mut edges, mut compiles) = (BTreeMap::new(), 0u64);
+        let mut bound: Vec<Vec<_>> = tables.iter().map(|_| Vec::new()).collect();
+        for ((a, b), view) in views {
+            let fields = atg.attr_fields(a).len();
+            let (checks, entries) = compile_cells(&provider, &tables, &view, fields);
+            let n_base = entries.len();
+            let side_effect: Vec<SpjPlan> = (1..1usize << n_base)
+                .map(|set| {
+                    let first: Vec<usize> =
+                        (1..=n_base).filter(|i| set & 1 << (i - 1) != 0).collect();
+                    SpjPlan::compile_first(&view, &provider, &first).expect("edge views are valid")
+                })
+                .collect();
+            for (rel, e) in (1..).zip(&entries) {
+                bound[e.table].push(((a, b), compile_bound(&provider, &view, rel)));
             }
+            compiles += 1 + side_effect.len() as u64 + n_base as u64;
+            let hits = AtomicU64::new(0);
+            let record = EdgeRecord {
+                view,
+                checks,
+                entries,
+                side_effect,
+                hits,
+            };
+            edges.insert((a, b), record);
         }
         TranslationTemplates {
+            tables,
             edges,
             bound,
             probe_hits: AtomicU64::new(0),
             compiles,
             compile_ns: t0.elapsed().as_nanos() as u64,
         }
+    }
+
+    /// The base tables the edge views read, in name order: the table
+    /// numbered `n` in [`EdgeRecord::cells`] and [`EdgeRecord::source_keys`]
+    /// is `tables()[n]`.
+    pub fn tables(&self) -> &[String] {
+        &self.tables
     }
 
     /// The record of production edge `edge`; `None` when the edge has no
@@ -406,16 +422,16 @@ impl TranslationTemplates {
         self.edges.iter().map(|(&edge, record)| (edge, record))
     }
 
-    /// Binds `table`'s delete probes to `source`: run on a key `k` of
-    /// `table`, a probe of edge `(A, B)` yields the rows of that edge view
-    /// with `(table, k)` in their deletable source through one FROM
-    /// occurrence. In edge order; empty for a table no edge view reads.
+    /// Binds the delete probes of the table numbered `table` to `source`:
+    /// run on a key `k` of the table, a probe of edge `(A, B)` yields the
+    /// rows of that edge view with `(table, k)` in their deletable source
+    /// through one FROM occurrence. In edge order.
     pub(crate) fn bind_probes<'a, S: TableSource + ?Sized>(
         &'a self,
-        table: &str,
+        table: usize,
         source: &'a S,
     ) -> RelResult<Vec<EdgeProbe<BoundPlan<'a>>>> {
-        let probes = self.bound.get(table).map_or(&[][..], Vec::as_slice);
+        let probes = &self.bound[table];
         self.probe_hits
             .fetch_add(probes.len() as u64, Ordering::Relaxed);
         probes

@@ -12,12 +12,23 @@
 //! bound probes `tests/reference_oracles.rs` holds to this test.
 
 use rxview_atg::NodeId;
-use rxview_core::{DeleteRejection, SourceRef, ViewDelta, ViewStore};
+use rxview_core::{DeleteRejection, ViewDelta, ViewStore};
 use rxview_relstore::{
     eval_spj, ColRef, Database, GroupUpdate, Operand, RelError, RelResult, SchemaProvider,
     SpjQuery, Tuple, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// One element of `Sr(Q,t)` (§4.2), the *deletable source* of a view row
+/// `t`: a base table and the key of the tuple that contributes to `t`.
+/// Deleting that tuple removes `t` from the view.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SourceRef {
+    /// Base table name.
+    pub table: String,
+    /// Primary key of the contributing tuple in that table.
+    pub key: Tuple,
+}
 
 /// Computes the deletable source `Sr(Q,t)` of view tuple `t` of a
 /// key-preserving SPJ view `V_Q = Q(I)`: for each FROM entry `Sⱼ`, key

@@ -24,7 +24,7 @@ const PINNED: [(&str, &str); 7] = [
         "Admitted Anchors DagEval DeferredMaintenance DeleteRejection EdgeCell EdgeRecord \
          Evaluated Exact \
          InsertRejection MAX_CONE_ANCHORS MaintainReport Observed PathClass PhaseTimings \
-         PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy SourceRef \
+         PlanCache PlanCacheStats Reachability RelFootprint SideEffectPolicy \
          StateDigest SubStep TopoOrder \
          TranslationTemplates UpdateError UpdateOutcome UpdatePlan UpdateReport ViewDelta \
          ViewStore XmlUpdate XmlViewSystem classify codec:: decode_system delete_pass \

@@ -46,10 +46,11 @@ use rxview::workload::{
     SyntheticConfig,
 };
 use rxview::xmlkit::{parse_xpath, Dtd, TypeId, XPath};
+use rxview_reference::delete::SourceRef;
 use rxview_reference::{
     closure_source_keys, compute_edge_closure, eval_xpath_on_dag, source_is_safe,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The compiled full pass equals §3.2 verbatim on every field of the
 /// result, and the plan's class equals the direct classification.
@@ -274,7 +275,10 @@ fn edge_row(
 /// The registry is the edge views' one home: a record for exactly the
 /// production edges with a rule, each holding the edge view that
 /// [`Atg::edge_view_query`] derives — same name, FROM, predicates and
-/// projection.
+/// projection. It numbers exactly the base tables some edge view's FROM
+/// names, in name order, and each record's base FROM entry carries the
+/// number of its table; on the chain grammar a self-loop's two sources
+/// collapse to one `(table, key)`.
 #[test]
 fn the_registry_holds_one_record_per_edge_view() {
     for (name, _db, atg) in grammars() {
@@ -294,12 +298,36 @@ fn the_registry_holds_one_record_per_edge_view() {
         let got: Vec<_> = compiled.edges().map(|(edge, _)| edge).collect();
         let want_edges: Vec<_> = want.keys().copied().collect();
         assert_eq!(got, want_edges, "{name}: the records' edges");
+        // Entry 0 of an edge view is its `gen_A`, never a base table.
+        let read: BTreeSet<&str> = want
+            .values()
+            .flat_map(|q| q.from()[1..].iter().map(|tr| tr.table.as_str()))
+            .collect();
+        let tables: Vec<&str> = compiled.tables().iter().map(String::as_str).collect();
+        assert_eq!(tables, Vec::from_iter(read), "{name}: the numbered tables");
         for ((a, b), record) in compiled.edges() {
             let (view, q) = (record.view(), &want[&(a, b)]);
             assert_eq!(view.name(), q.name(), "{name}");
             assert_eq!(view.from(), q.from(), "{name}: {}", q.name());
             assert_eq!(view.predicates(), q.predicates(), "{name}: {}", q.name());
             assert_eq!(view.projection(), q.projection(), "{name}: {}", q.name());
+            let numbered: Vec<&str> = record.tables().map(|n| tables[n]).collect();
+            let named: Vec<&str> = q.from()[1..].iter().map(|tr| tr.table.as_str()).collect();
+            assert_eq!(numbered, named, "{name}: {}: the entries' tables", q.name());
+        }
+        if name == "chain" {
+            let doc = atg.dtd().type_id("doc").expect("chain type");
+            let pair = atg.dtd().type_id("pair").expect("chain type");
+            let record = compiled.edge((doc, pair)).expect("a rule's record");
+            let a = Tuple::from_values(["a", "a"].map(Value::from));
+            let sources = record.source_keys(&[], a.values());
+            let n = tables.binary_search(&"n").expect("n is numbered");
+            let want = vec![(n, Tuple::from_values([Value::from("a")]))];
+            assert_eq!(
+                sources,
+                Some(want),
+                "chain: n(a) is both sources of pair(a, a)"
+            );
         }
     }
 }
@@ -343,7 +371,7 @@ proptest! {
                     let (mut var_of_class, mut class_of_var) = (BTreeMap::new(), BTreeMap::new());
                     let mut entries = 0;
                     for (rel, (table, cells)) in (1..).zip(got) {
-                        prop_assert_eq!(table, q.from()[rel].table.as_str(), "{}", ctx);
+                        prop_assert_eq!(&compiled.tables()[table], &q.from()[rel].table, "{}", ctx);
                         for (col, cell) in cells.enumerate() {
                             let r = want.classes.rep(ColRef { rel, col });
                             match (cell, want.known.get(&r)) {
@@ -389,7 +417,12 @@ proptest! {
                     let (parent, child, out) = edge_row(&atg, a, b, &mut picks);
                     let want = closure_source_keys(&q, &provider, &out, &[0])
                         .expect("arity-correct row over known tables");
+                    let named = |(n, key): (usize, Tuple)| SourceRef {
+                        table: compiled.tables()[n].clone(),
+                        key,
+                    };
                     let got = record.source_keys(parent.values(), child.values());
+                    let got = got.map(|sources| sources.into_iter().map(named).collect());
                     prop_assert_eq!(&got, &want, "{}: {}, row {}", name, q.name(), out);
                     instantiated += usize::from(got.is_some());
                 }
